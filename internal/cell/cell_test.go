@@ -111,7 +111,7 @@ func TestRelayCellRoundTrip(t *testing.T) {
 }
 
 func TestRelayCellRoundTripProperty(t *testing.T) {
-	cmds := []RelayCommand{RelayBegin, RelayData, RelayEnd, RelayConnected, RelayExtend, RelayExtended, RelayDrop}
+	cmds := []RelayCommand{RelayBegin, RelayData, RelayEnd, RelayConnected, RelaySendme, RelayExtend, RelayExtended, RelayTruncate, RelayTruncated, RelayDrop}
 	f := func(cmdIdx uint8, stream uint16, digest [4]byte, data []byte) bool {
 		if len(data) > RelayDataLen {
 			data = data[:RelayDataLen]
@@ -135,6 +135,30 @@ func TestRelayCellRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMarshalPayloadIntoOverwrites pins the scratch-cell contract: a
+// payload reused across cells carries nothing over from the previous one.
+func TestMarshalPayloadIntoOverwrites(t *testing.T) {
+	var p [PayloadLen]byte
+	for i := range p {
+		p[i] = 0xEE
+	}
+	rc := RelayCell{Cmd: RelayTruncated, Stream: 0, Data: []byte("xy")}
+	if err := rc.MarshalPayloadInto(&p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := rc.MarshalPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != want {
+		t.Error("MarshalPayloadInto over a dirty payload differs from MarshalPayload")
+	}
+	big := RelayCell{Cmd: RelayData, Data: make([]byte, RelayDataLen+1)}
+	if err := big.MarshalPayloadInto(&p); err == nil {
+		t.Error("want error for oversized data")
 	}
 }
 
@@ -221,8 +245,10 @@ func TestZeroAndSetDigest(t *testing.T) {
 func TestRelayCommandStrings(t *testing.T) {
 	known := map[RelayCommand]string{
 		RelayBegin: "BEGIN", RelayData: "DATA", RelayEnd: "END",
-		RelayConnected: "CONNECTED", RelayExtend: "EXTEND",
-		RelayExtended: "EXTENDED", RelayDrop: "DROP",
+		RelayConnected: "CONNECTED", RelaySendme: "SENDME",
+		RelayExtend: "EXTEND", RelayExtended: "EXTENDED",
+		RelayTruncate: "TRUNCATE", RelayTruncated: "TRUNCATED",
+		RelayDrop: "DROP",
 	}
 	for cmd, want := range known {
 		if cmd.String() != want {
@@ -232,7 +258,10 @@ func TestRelayCommandStrings(t *testing.T) {
 			t.Errorf("%v should be valid", want)
 		}
 	}
-	if RelayCommand(0).Valid() || RelayCommand(99).Valid() {
+	if RelayTruncate != 8 || RelayTruncated != 9 {
+		t.Error("TRUNCATE/TRUNCATED must keep tor-spec's numbers 8 and 9")
+	}
+	if RelayCommand(0).Valid() || RelayCommand(11).Valid() || RelayCommand(99).Valid() {
 		t.Error("invalid relay commands reported valid")
 	}
 	if RelayCommand(99).String() != "RELAY(99)" {

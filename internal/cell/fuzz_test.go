@@ -31,6 +31,11 @@ func FuzzUnmarshalPayload(f *testing.F) {
 	p, _ := rc.MarshalPayload()
 	f.Add(p[:])
 	f.Add(make([]byte, PayloadLen))
+	for _, cmd := range []RelayCommand{RelayTruncate, RelayTruncated} {
+		ctl := RelayCell{Cmd: cmd}
+		p, _ := ctl.MarshalPayload()
+		f.Add(p[:])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < PayloadLen {
 			return

@@ -8,9 +8,11 @@ import (
 // RelayCommand is the command of a relay sub-cell.
 type RelayCommand byte
 
-// Relay commands. EXTEND/EXTENDED drive circuit construction; BEGIN /
-// CONNECTED / DATA / END carry streams. Ting needs nothing more: its echo
-// traffic is ordinary stream data.
+// Relay commands, numbered as in tor-spec. EXTEND/EXTENDED drive circuit
+// construction and TRUNCATE/TRUNCATED cut a circuit back to one of its hops
+// so it can be re-extended along another path; BEGIN / CONNECTED / DATA /
+// END carry streams. Ting needs nothing more: its echo traffic is ordinary
+// stream data.
 const (
 	RelayBegin     RelayCommand = 1
 	RelayData      RelayCommand = 2
@@ -19,6 +21,8 @@ const (
 	RelaySendme    RelayCommand = 5
 	RelayExtend    RelayCommand = 6
 	RelayExtended  RelayCommand = 7
+	RelayTruncate  RelayCommand = 8
+	RelayTruncated RelayCommand = 9
 	RelayDrop      RelayCommand = 10
 )
 
@@ -39,6 +43,10 @@ func (rc RelayCommand) String() string {
 		return "EXTEND"
 	case RelayExtended:
 		return "EXTENDED"
+	case RelayTruncate:
+		return "TRUNCATE"
+	case RelayTruncated:
+		return "TRUNCATED"
 	case RelayDrop:
 		return "DROP"
 	default:
@@ -48,11 +56,7 @@ func (rc RelayCommand) String() string {
 
 // Valid reports whether rc is a known relay command.
 func (rc RelayCommand) Valid() bool {
-	switch rc {
-	case RelayBegin, RelayData, RelayEnd, RelayConnected, RelaySendme, RelayExtend, RelayExtended, RelayDrop:
-		return true
-	}
-	return false
+	return rc >= RelayBegin && rc <= RelayDrop
 }
 
 // StreamID identifies a stream within a circuit. Stream 0 is reserved for
@@ -74,16 +78,26 @@ type RelayCell struct {
 // re-marshal (the onion package provides helpers that operate in place).
 func (rc *RelayCell) MarshalPayload() ([PayloadLen]byte, error) {
 	var p [PayloadLen]byte
+	err := rc.MarshalPayloadInto(&p)
+	return p, err
+}
+
+// MarshalPayloadInto is MarshalPayload into a caller-owned payload, whose
+// previous contents are overwritten whole (the tail past the data is
+// zeroed). Send paths that keep one scratch cell per circuit use it to
+// build outgoing cells without a 512-byte temporary.
+func (rc *RelayCell) MarshalPayloadInto(p *[PayloadLen]byte) error {
 	if len(rc.Data) > RelayDataLen {
-		return p, fmt.Errorf("%w: %d bytes", ErrDataTooLong, len(rc.Data))
+		return fmt.Errorf("%w: %d bytes", ErrDataTooLong, len(rc.Data))
 	}
 	p[0] = byte(rc.Cmd)
 	binary.BigEndian.PutUint16(p[1:3], rc.Recognized)
 	binary.BigEndian.PutUint16(p[3:5], uint16(rc.Stream))
 	copy(p[5:9], rc.Digest[:])
 	binary.BigEndian.PutUint16(p[9:11], uint16(len(rc.Data)))
-	copy(p[RelayHeaderLen:], rc.Data)
-	return p, nil
+	n := copy(p[RelayHeaderLen:], rc.Data)
+	clear(p[RelayHeaderLen+n:])
+	return nil
 }
 
 // UnmarshalPayload decodes a relay cell from a decrypted cell payload.

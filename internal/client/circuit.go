@@ -22,8 +22,12 @@ type Circuit struct {
 	crypto onion.CircuitCrypto
 	// cryptoMu guards every use of crypto: forward crypt+send (keeping
 	// each hop's CTR keystream and digest in cell order), backward
-	// decryption, and hop addition during Extend.
+	// decryption, and hop addition and removal during Extend and Truncate.
+	// It also guards fwd, the scratch cell sendForward builds each outgoing
+	// cell in: the lock is held across the link send, and links do not
+	// retain cells.
 	cryptoMu sync.Mutex
+	fwd      cell.Cell
 
 	created chan []byte         // CREATED payload during build
 	ctrl    chan cell.RelayCell // stream-0 relay cells (EXTENDED / END)
@@ -96,6 +100,18 @@ func (circ *Circuit) Extend(d *directory.Descriptor) error {
 	last := len(circ.path) - 1
 	circ.mu.Unlock()
 
+	if err := circ.extendThrough(last, d); err != nil {
+		return err
+	}
+	circ.mu.Lock()
+	circ.path = append(circ.path, d)
+	circ.mu.Unlock()
+	return nil
+}
+
+// extendThrough performs one EXTEND handshake with d through hop index
+// last, the circuit's current end, and installs the new hop's keys.
+func (circ *Circuit) extendThrough(last int, d *directory.Descriptor) error {
 	hs, err := onion.StartHandshake(d.OnionKey, nil)
 	if err != nil {
 		return err
@@ -122,9 +138,6 @@ func (circ *Circuit) Extend(d *directory.Descriptor) error {
 		circ.cryptoMu.Lock()
 		circ.crypto.AddHop(hop)
 		circ.cryptoMu.Unlock()
-		circ.mu.Lock()
-		circ.path = append(circ.path, d)
-		circ.mu.Unlock()
 		return nil
 	case cell.RelayEnd:
 		return fmt.Errorf("client: extend to %s refused: %s", d.Nickname, rc.Data)
@@ -162,60 +175,107 @@ func (circ *Circuit) build() error {
 
 	// Remaining hops: RELAY_EXTEND through the current last hop.
 	for i := 1; i < len(circ.path); i++ {
-		d := circ.path[i]
-		hs, err := onion.StartHandshake(d.OnionKey, nil)
-		if err != nil {
+		if err := circ.extendThrough(i-1, circ.path[i]); err != nil {
 			return err
-		}
-		body, err := cell.EncodeExtend(d.Addr, hs.Onionskin())
-		if err != nil {
-			return err
-		}
-		if err := circ.sendForward(i-1, cell.RelayCell{Cmd: cell.RelayExtend, Data: body}); err != nil {
-			return fmt.Errorf("client: extend to %s: %w", d.Nickname, err)
-		}
-		rc, err := circ.waitCtrl()
-		if err != nil {
-			return fmt.Errorf("client: extend to %s: %w", d.Nickname, err)
-		}
-		switch rc.Cmd {
-		case cell.RelayExtended:
-			hop, err := hs.Complete(rc.Data)
-			if err != nil {
-				return fmt.Errorf("client: extend to %s: %w", d.Nickname, err)
-			}
-			circ.c.tm.handshakes.Inc()
-			circ.c.tm.extends.Inc()
-			circ.cryptoMu.Lock()
-			circ.crypto.AddHop(hop)
-			circ.cryptoMu.Unlock()
-		case cell.RelayEnd:
-			return fmt.Errorf("client: extend to %s refused: %s", d.Nickname, rc.Data)
-		default:
-			return fmt.Errorf("client: extend to %s: unexpected %s", d.Nickname, rc.Cmd)
 		}
 	}
 	return nil
 }
 
+// Truncate cuts the circuit back to its first n hops with RELAY_TRUNCATE:
+// hop n-1 frees its onward slot, DESTROYs the rest of the old path and
+// answers TRUNCATED, after which it is the last hop again and Extend can
+// graft a different tail onto it — reshaping the circuit without
+// re-dialing the entry or redoing the kept hops' handshakes. Streams
+// attached at kept hops keep flowing; streams beyond n are closed.
+//
+// n must lie in [1, Len()]; n == Len() is a no-op that sends nothing. The
+// result may be a one-hop circuit, which exists only to be extended:
+// OpenStreamAt refuses until it has two hops again. Any reply other than
+// TRUNCATED, a timeout, or a destroyed circuit is an error and leaves the
+// circuit unusable for reshaping; callers fall back to a fresh build.
+func (circ *Circuit) Truncate(n int) error {
+	circ.mu.Lock()
+	if circ.destroyed {
+		circ.mu.Unlock()
+		return circ.closeErr()
+	}
+	have := len(circ.path)
+	circ.mu.Unlock()
+	if n < 1 || n > have {
+		return fmt.Errorf("client: truncate to %d hops out of range (circuit has %d)", n, have)
+	}
+	if n == have {
+		return nil
+	}
+	if err := circ.truncateAt(n); err != nil {
+		circ.c.tm.truncateFails.Inc()
+		return fmt.Errorf("client: truncate at %s: %w", circ.pathSnapshot()[n-1].Nickname, err)
+	}
+	circ.c.tm.truncates.Inc()
+	return nil
+}
+
+func (circ *Circuit) truncateAt(n int) error {
+	if err := circ.sendForward(n-1, cell.RelayCell{Cmd: cell.RelayTruncate}); err != nil {
+		return err
+	}
+	rc, err := circ.waitCtrl()
+	if err != nil {
+		return err
+	}
+	if rc.Cmd != cell.RelayTruncated {
+		return fmt.Errorf("unexpected %s", rc.Cmd)
+	}
+	// Hop n-1 freed its onward slot before answering and the backward link
+	// is FIFO, so no cell from a dropped hop can arrive from here on: the
+	// dropped hops' keys are no longer needed.
+	circ.cryptoMu.Lock()
+	err = circ.crypto.Truncate(n)
+	circ.cryptoMu.Unlock()
+	if err != nil {
+		return err
+	}
+	circ.mu.Lock()
+	circ.path = circ.path[:n:n]
+	var dropped []*Stream
+	for _, st := range circ.streams {
+		if st.hop >= n {
+			dropped = append(dropped, st)
+		}
+	}
+	circ.mu.Unlock()
+	for _, st := range dropped {
+		st.closeLocal()
+	}
+	return nil
+}
+
+// Every protocol wait below stops its timer on the way out: at scan rates
+// a time.After per wait would leave thousands of 15–30 s timers pending.
+
 func (circ *Circuit) waitCreated() ([]byte, error) {
+	t := time.NewTimer(circ.c.cfg.Timeout)
+	defer t.Stop()
 	select {
 	case reply := <-circ.created:
 		return reply, nil
 	case <-circ.closed:
 		return nil, circ.closeErr()
-	case <-time.After(circ.c.cfg.Timeout):
+	case <-t.C:
 		return nil, errors.New("timeout waiting for CREATED")
 	}
 }
 
 func (circ *Circuit) waitCtrl() (cell.RelayCell, error) {
+	t := time.NewTimer(circ.c.cfg.Timeout)
+	defer t.Stop()
 	select {
 	case rc := <-circ.ctrl:
 		return rc, nil
 	case <-circ.closed:
 		return cell.RelayCell{}, circ.closeErr()
-	case <-time.After(circ.c.cfg.Timeout):
+	case <-t.C:
 		return cell.RelayCell{}, errors.New("timeout waiting for circuit reply")
 	}
 }
@@ -231,17 +291,17 @@ func (circ *Circuit) closeErr() error {
 
 // sendForward seals rc for hop index hop and transmits it.
 func (circ *Circuit) sendForward(hop int, rc cell.RelayCell) error {
-	p, err := rc.MarshalPayload()
-	if err != nil {
-		return err
-	}
 	circ.cryptoMu.Lock()
 	defer circ.cryptoMu.Unlock()
-	if err := circ.crypto.EncryptForward(hop, &p); err != nil {
+	out := &circ.fwd
+	if err := rc.MarshalPayloadInto(&out.Payload); err != nil {
 		return err
 	}
-	out := cell.Cell{Circ: circ.id, Cmd: cell.Relay, Payload: p}
-	return circ.lk.Send(&out)
+	if err := circ.crypto.EncryptForward(hop, &out.Payload); err != nil {
+		return err
+	}
+	out.Circ, out.Cmd = circ.id, cell.Relay
+	return circ.lk.Send(out)
 }
 
 // readLoop dispatches inbound cells until the link dies or the circuit is
@@ -324,6 +384,11 @@ func (circ *Circuit) OpenStreamAt(hop int, target string) (*Stream, error) {
 		circ.mu.Unlock()
 		return nil, circ.closeErr()
 	}
+	if len(circ.path) < 2 {
+		// Only a Truncate leaves one hop, and only until the next Extend.
+		circ.mu.Unlock()
+		return nil, ErrPathTooShort
+	}
 	if hop < 0 || hop >= len(circ.path) {
 		circ.mu.Unlock()
 		return nil, fmt.Errorf("client: hop %d out of range (circuit has %d)", hop, len(circ.path))
@@ -341,6 +406,8 @@ func (circ *Circuit) OpenStreamAt(hop int, target string) (*Stream, error) {
 		circ.c.tm.streamFailures.Inc()
 		return nil, err
 	}
+	t := time.NewTimer(circ.c.cfg.Timeout)
+	defer t.Stop()
 	select {
 	case <-st.connected:
 		circ.c.tm.streamsOpened.Inc()
@@ -352,7 +419,7 @@ func (circ *Circuit) OpenStreamAt(hop int, target string) (*Stream, error) {
 	case <-circ.closed:
 		circ.c.tm.streamFailures.Inc()
 		return nil, circ.closeErr()
-	case <-time.After(circ.c.cfg.Timeout):
+	case <-t.C:
 		circ.dropStream(sid)
 		circ.c.tm.streamFailures.Inc()
 		return nil, errors.New("client: timeout opening stream")

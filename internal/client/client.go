@@ -76,6 +76,8 @@ type clientMetrics struct {
 	buildFailures  *telemetry.Counter
 	handshakes     *telemetry.Counter
 	extends        *telemetry.Counter
+	truncates      *telemetry.Counter
+	truncateFails  *telemetry.Counter
 	streamsOpened  *telemetry.Counter
 	streamFailures *telemetry.Counter
 }
@@ -107,6 +109,8 @@ func New(cfg Config) (*Client, error) {
 		buildFailures:  cfg.Telemetry.Counter("client.circuit_build_failures"),
 		handshakes:     cfg.Telemetry.Counter("client.handshakes"),
 		extends:        cfg.Telemetry.Counter("client.extends"),
+		truncates:      cfg.Telemetry.Counter("client.truncates"),
+		truncateFails:  cfg.Telemetry.Counter("client.truncate_failures"),
 		streamsOpened:  cfg.Telemetry.Counter("client.streams_opened"),
 		streamFailures: cfg.Telemetry.Counter("client.stream_failures"),
 	}

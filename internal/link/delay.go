@@ -7,6 +7,11 @@ import (
 	"ting/internal/cell"
 )
 
+// queueCap is how many cells (or byte chunks) a delayed link holds in
+// flight per direction before Send blocks — the back-pressure a full pipe
+// of a long-haul path exerts.
+const queueCap = 1024
+
 // Delayed wraps a Link so that cells experience the given one-way delays:
 // outbound cells arrive at the peer sendDelay later, and inbound cells are
 // surfaced recvDelay after the peer sent them. Ordering is preserved in
@@ -17,8 +22,8 @@ import (
 func Delayed(inner Link, sendDelay, recvDelay time.Duration) Link {
 	d := &delayedLink{
 		inner:  inner,
-		sendQ:  make(chan timedCell, 1024),
-		recvQ:  make(chan timedResult, 1024),
+		sendQ:  make(chan *timedCell, queueCap),
+		recvQ:  make(chan *timedCell, queueCap),
 		closed: make(chan struct{}),
 	}
 	d.sendDelay = sendDelay
@@ -28,24 +33,27 @@ func Delayed(inner Link, sendDelay, recvDelay time.Duration) Link {
 	return d
 }
 
+// timedCell is one queued cell (or, inbound, the receive error that ended
+// the stream) and the instant it is due at the far end of the queue.
 type timedCell struct {
-	c   cell.Cell
-	due time.Time
-}
-
-type timedResult struct {
 	c   cell.Cell
 	err error
 	due time.Time
 }
+
+// timedCells recycles queue entries. The queues hold pointers, so an idle
+// link costs two small channels instead of two thousand cell-sized slots;
+// an entry is owned by whoever took it from the pool or the queue, and goes
+// back once its cell has been copied onward.
+var timedCells = sync.Pool{New: func() any { return new(timedCell) }}
 
 type delayedLink struct {
 	inner     Link
 	sendDelay time.Duration
 	recvDelay time.Duration
 
-	sendQ chan timedCell
-	recvQ chan timedResult
+	sendQ chan *timedCell
+	recvQ chan *timedCell
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -57,10 +65,13 @@ func (d *delayedLink) Send(c *cell.Cell) error {
 		return ErrClosed
 	default:
 	}
+	tc := timedCells.Get().(*timedCell)
+	tc.c, tc.err, tc.due = *c, nil, time.Now().Add(d.sendDelay)
 	select {
 	case <-d.closed:
+		timedCells.Put(tc)
 		return ErrClosed
-	case d.sendQ <- timedCell{c: *c, due: time.Now().Add(d.sendDelay)}:
+	case d.sendQ <- tc:
 		return nil
 	}
 }
@@ -72,7 +83,9 @@ func (d *delayedLink) sendPump() {
 			return
 		case tc := <-d.sendQ:
 			sleepUntil(tc.due, d.closed)
-			if err := d.inner.Send(&tc.c); err != nil {
+			err := d.inner.Send(&tc.c)
+			timedCells.Put(tc)
+			if err != nil {
 				// The peer is gone; nothing useful to do with the error
 				// here — the caller will learn via Recv or the next Send
 				// after close.
@@ -84,15 +97,17 @@ func (d *delayedLink) sendPump() {
 
 func (d *delayedLink) recvPump() {
 	for {
-		var tr timedResult
-		tr.err = d.inner.Recv(&tr.c)
-		tr.due = time.Now().Add(d.recvDelay)
+		tc := timedCells.Get().(*timedCell)
+		tc.err = d.inner.Recv(&tc.c)
+		tc.due = time.Now().Add(d.recvDelay)
+		failed := tc.err != nil // tc is the receiver's once queued
 		select {
 		case <-d.closed:
+			timedCells.Put(tc)
 			return
-		case d.recvQ <- tr:
+		case d.recvQ <- tc:
 		}
-		if tr.err != nil {
+		if failed {
 			return
 		}
 	}
@@ -102,12 +117,14 @@ func (d *delayedLink) Recv(c *cell.Cell) error {
 	select {
 	case <-d.closed:
 		return ErrClosed
-	case tr := <-d.recvQ:
-		if tr.err != nil {
-			return tr.err
+	case tc := <-d.recvQ:
+		if err := tc.err; err != nil {
+			timedCells.Put(tc)
+			return err
 		}
-		sleepUntil(tr.due, d.closed)
-		*c = tr.c
+		sleepUntil(tc.due, d.closed)
+		*c = tc.c
+		timedCells.Put(tc)
 		return nil
 	}
 }

@@ -12,8 +12,8 @@ import (
 func DelayedRW(inner io.ReadWriteCloser, sendDelay, recvDelay time.Duration) io.ReadWriteCloser {
 	d := &delayedRW{
 		inner:  inner,
-		sendQ:  make(chan timedBytes, 1024),
-		recvQ:  make(chan timedBytesResult, 1024),
+		sendQ:  make(chan *timedBytes, queueCap),
+		recvQ:  make(chan *timedBytes, queueCap),
 		closed: make(chan struct{}),
 	}
 	d.sendDelay = sendDelay
@@ -23,15 +23,30 @@ func DelayedRW(inner io.ReadWriteCloser, sendDelay, recvDelay time.Duration) io.
 	return d
 }
 
+// timedBytes is one queued chunk (inbound, possibly with the read error
+// that ended the stream) and the instant it is due. The queues hold
+// pointers to pooled entries for the same reason the cell queues of
+// Delayed do; only the entry is recycled, never the bytes it points at.
 type timedBytes struct {
-	b   []byte
-	due time.Time
-}
-
-type timedBytesResult struct {
 	b   []byte
 	err error
 	due time.Time
+}
+
+var timedChunks = sync.Pool{New: func() any { return new(timedBytes) }}
+
+func newTimedBytes(b []byte, err error, delay time.Duration) *timedBytes {
+	tb := timedChunks.Get().(*timedBytes)
+	*tb = timedBytes{b: b, err: err, due: time.Now().Add(delay)}
+	return tb
+}
+
+// release returns a dequeued entry to the pool and hands back its fields.
+func (tb *timedBytes) release() (b []byte, due time.Time, err error) {
+	b, due, err = tb.b, tb.due, tb.err
+	*tb = timedBytes{}
+	timedChunks.Put(tb)
+	return
 }
 
 type delayedRW struct {
@@ -39,8 +54,8 @@ type delayedRW struct {
 	sendDelay time.Duration
 	recvDelay time.Duration
 
-	sendQ chan timedBytes
-	recvQ chan timedBytesResult
+	sendQ chan *timedBytes
+	recvQ chan *timedBytes
 
 	mu       sync.Mutex
 	leftover []byte
@@ -56,10 +71,12 @@ func (d *delayedRW) Write(p []byte) (int, error) {
 		return 0, ErrClosed
 	default:
 	}
+	tb := newTimedBytes(cp, nil, d.sendDelay)
 	select {
 	case <-d.closed:
+		tb.release()
 		return 0, ErrClosed
-	case d.sendQ <- timedBytes{b: cp, due: time.Now().Add(d.sendDelay)}:
+	case d.sendQ <- tb:
 		return len(p), nil
 	}
 }
@@ -70,8 +87,9 @@ func (d *delayedRW) sendPump() {
 		case <-d.closed:
 			return
 		case tb := <-d.sendQ:
-			sleepUntil(tb.due, d.closed)
-			if _, err := d.inner.Write(tb.b); err != nil {
+			b, due, _ := tb.release()
+			sleepUntil(due, d.closed)
+			if _, err := d.inner.Write(b); err != nil {
 				return
 			}
 		}
@@ -86,11 +104,12 @@ func (d *delayedRW) recvPump() {
 		if n > 0 {
 			cp = append([]byte(nil), buf[:n]...)
 		}
-		tr := timedBytesResult{b: cp, err: err, due: time.Now().Add(d.recvDelay)}
+		tb := newTimedBytes(cp, err, d.recvDelay)
 		select {
 		case <-d.closed:
+			tb.release()
 			return
-		case d.recvQ <- tr:
+		case d.recvQ <- tb:
 		}
 		if err != nil {
 			return
@@ -111,15 +130,16 @@ func (d *delayedRW) Read(p []byte) (int, error) {
 	select {
 	case <-d.closed:
 		return 0, ErrClosed
-	case tr := <-d.recvQ:
-		if tr.err != nil && len(tr.b) == 0 {
-			return 0, tr.err
+	case tb := <-d.recvQ:
+		b, due, err := tb.release()
+		if err != nil && len(b) == 0 {
+			return 0, err
 		}
-		sleepUntil(tr.due, d.closed)
-		n := copy(p, tr.b)
-		if n < len(tr.b) {
+		sleepUntil(due, d.closed)
+		n := copy(p, b)
+		if n < len(b) {
 			d.mu.Lock()
-			d.leftover = tr.b[n:]
+			d.leftover = b[n:]
 			d.mu.Unlock()
 		}
 		return n, nil

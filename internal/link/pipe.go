@@ -7,11 +7,14 @@ import (
 	"ting/internal/cell"
 )
 
-// pipeHalf is one end of an in-process Link pair.
+// pipeHalf is one end of an in-process Link pair. The two directions are
+// queues of pointers to pooled cells, so an idle pipe costs two small
+// channels rather than capacity × 512 bytes up front: Send copies the
+// caller's cell into a pooled one, Recv copies it out and recycles it.
 type pipeHalf struct {
 	peerAddr string
-	in       chan cell.Cell
-	out      chan cell.Cell
+	in       chan *cell.Cell
+	out      chan *cell.Cell
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -27,13 +30,22 @@ func Pipe(capacity int, addrA, addrB string) (Link, Link) {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	ab := make(chan cell.Cell, capacity)
-	ba := make(chan cell.Cell, capacity)
+	ab := make(chan *cell.Cell, capacity)
+	ba := make(chan *cell.Cell, capacity)
 	a := &pipeHalf{peerAddr: addrB, in: ba, out: ab, closed: make(chan struct{})}
 	b := &pipeHalf{peerAddr: addrA, in: ab, out: ba, closed: make(chan struct{})}
 	a.peerClosed = b.closed
 	b.peerClosed = a.closed
 	return a, b
+}
+
+// pipeCells recycles the cells in flight on every pipe.
+var pipeCells = sync.Pool{New: func() any { return new(cell.Cell) }}
+
+// take copies a queued cell out to the caller and recycles it.
+func take(dst, queued *cell.Cell) {
+	*dst = *queued
+	pipeCells.Put(queued)
 }
 
 func (p *pipeHalf) Send(c *cell.Cell) error {
@@ -44,12 +56,16 @@ func (p *pipeHalf) Send(c *cell.Cell) error {
 		return ErrClosed
 	default:
 	}
+	q := pipeCells.Get().(*cell.Cell)
+	*q = *c
 	select {
 	case <-p.closed:
+		pipeCells.Put(q)
 		return ErrClosed
 	case <-p.peerClosed:
+		pipeCells.Put(q)
 		return fmt.Errorf("link: peer %s closed", p.peerAddr)
-	case p.out <- *c:
+	case p.out <- q:
 		return nil
 	}
 }
@@ -68,12 +84,14 @@ func (p *pipeHalf) Recv(c *cell.Cell) error {
 	select {
 	case <-p.closed:
 		return ErrClosed
-	case *c = <-p.in:
+	case q := <-p.in:
+		take(c, q)
 		return nil
 	case <-p.peerClosed:
 		// Drain anything already buffered before reporting closure.
 		select {
-		case *c = <-p.in:
+		case q := <-p.in:
+			take(c, q)
 			return nil
 		default:
 			return fmt.Errorf("link: peer %s closed", p.peerAddr)
@@ -93,7 +111,8 @@ func (p *pipeHalf) RecvBatch(cs []cell.Cell) (int, error) {
 	n := 1
 	for n < len(cs) {
 		select {
-		case cs[n] = <-p.in:
+		case q := <-p.in:
+			take(&cs[n], q)
 			n++
 		default:
 			return n, nil

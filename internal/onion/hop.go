@@ -162,6 +162,19 @@ type CircuitCrypto struct {
 // AddHop appends an established hop (the newly extended-to relay).
 func (cc *CircuitCrypto) AddHop(h *HopState) { cc.hops = append(cc.hops, h) }
 
+// Truncate drops every hop past the first n, the client's half of a
+// RELAY_TRUNCATE: the kept hops' keystreams and digests are untouched, so
+// the circuit carries on — and can be re-extended with AddHop — exactly
+// where it was. n must lie in [0, Len()].
+func (cc *CircuitCrypto) Truncate(n int) error {
+	if n < 0 || n > len(cc.hops) {
+		return fmt.Errorf("onion: truncate to %d hops out of range (circuit has %d)", n, len(cc.hops))
+	}
+	clear(cc.hops[n:])
+	cc.hops = cc.hops[:n]
+	return nil
+}
+
 // Len returns the number of established hops.
 func (cc *CircuitCrypto) Len() int { return len(cc.hops) }
 

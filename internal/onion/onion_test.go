@@ -538,3 +538,84 @@ func TestCryptForwardBatchEmpty(t *testing.T) {
 		t.Error("empty batch advanced the keystream")
 	}
 }
+
+// onionRoundTrip sends one cell client → relays[hop] and one back, failing
+// the test unless exactly that hop recognizes the forward cell and the
+// client attributes the reply to it.
+func onionRoundTrip(t *testing.T, cc *CircuitCrypto, relays []*HopState, hop int) {
+	t.Helper()
+	rc := cell.RelayCell{Cmd: cell.RelayData, Stream: 1, Data: []byte("ping")}
+	p, err := rc.MarshalPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.EncryptForward(hop, &p); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= hop; i++ {
+		relays[i].CryptForward(&p)
+		if relays[i].VerifyForward(&p) != (i == hop) {
+			t.Fatalf("cell for hop %d: recognition wrong at hop %d", hop, i)
+		}
+	}
+	back := cell.RelayCell{Cmd: cell.RelayData, Stream: 1, Data: []byte("pong")}
+	bp, err := back.MarshalPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relays[hop].SealBackward(&bp)
+	for i := hop; i >= 0; i-- {
+		relays[i].CryptBackward(&bp)
+	}
+	got, err := cc.DecryptBackward(&bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != hop {
+		t.Fatalf("reply from hop %d attributed to hop %d", hop, got)
+	}
+}
+
+// TestCircuitCryptoTruncateThenAddHop is the crypto half of circuit
+// reshaping: after traffic has advanced every hop's keystream, Truncate
+// keeps the surviving hop in step with its relay-side twin and AddHop
+// grafts fresh hops behind it.
+func TestCircuitCryptoTruncateThenAddHop(t *testing.T) {
+	var cc CircuitCrypto
+	relays := make([]*HopState, 3)
+	for i := range relays {
+		c, r := twinHops(t, byte(0x50+i))
+		cc.AddHop(c)
+		relays[i] = r
+	}
+	for hop := 0; hop < 3; hop++ {
+		onionRoundTrip(t, &cc, relays, hop)
+	}
+
+	if err := cc.Truncate(3); err != nil || cc.Len() != 3 {
+		t.Fatalf("Truncate(Len) = %v, Len %d; want a no-op", err, cc.Len())
+	}
+	if cc.Truncate(-1) == nil || cc.Truncate(4) == nil {
+		t.Error("out-of-range truncate accepted")
+	}
+	if err := cc.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if cc.Len() != 1 {
+		t.Fatalf("Len = %d after Truncate(1)", cc.Len())
+	}
+	var p [cell.PayloadLen]byte
+	if cc.EncryptForward(1, &p) == nil {
+		t.Error("dropped hop still addressable")
+	}
+	onionRoundTrip(t, &cc, relays, 0)
+
+	for i := 1; i < 3; i++ {
+		c, r := twinHops(t, byte(0x60+i))
+		cc.AddHop(c)
+		relays[i] = r
+	}
+	for hop := 2; hop >= 0; hop-- {
+		onionRoundTrip(t, &cc, relays, hop)
+	}
+}

@@ -21,8 +21,11 @@ type circuit struct {
 
 	// bwdMu serializes every backward-direction crypto+send so the
 	// client's CTR keystream and running digest observe cells in the exact
-	// order they were encrypted.
+	// order they were encrypted. It also guards bwd, the scratch cell that
+	// sendBackward builds each originated cell in: the lock is held across
+	// the link send, and links do not retain cells.
 	bwdMu sync.Mutex
+	bwd   cell.Cell
 
 	mu              sync.Mutex
 	next            *outConn
@@ -44,6 +47,8 @@ func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 	switch rc.Cmd {
 	case cell.RelayExtend:
 		c.handleExtend(rc)
+	case cell.RelayTruncate:
+		c.handleTruncate()
 	case cell.RelayBegin:
 		c.handleBegin(rc)
 	case cell.RelayData:
@@ -62,26 +67,36 @@ func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 // sendBackward seals and layers a relay cell from this hop toward the
 // client.
 func (c *circuit) sendBackward(rc cell.RelayCell) error {
-	p, err := rc.MarshalPayload()
-	if err != nil {
+	c.bwdMu.Lock()
+	defer c.bwdMu.Unlock()
+	out := &c.bwd
+	if err := rc.MarshalPayloadInto(&out.Payload); err != nil {
 		return err
 	}
-	c.bwdMu.Lock()
-	defer c.bwdMu.Unlock()
-	c.hop.SealBackward(&p)
-	c.hop.CryptBackward(&p)
-	out := cell.Cell{Circ: c.prevID, Cmd: cell.Relay, Payload: p}
-	return c.prevCS.lk.Send(&out)
+	out.Circ, out.Cmd = c.prevID, cell.Relay
+	c.hop.SealBackward(&out.Payload)
+	c.hop.CryptBackward(&out.Payload)
+	return c.prevCS.lk.Send(out)
 }
 
-// relayBackward adds this hop's layer to a cell arriving from the next
-// relay and passes it toward the client.
-func (c *circuit) relayBackward(p *[cell.PayloadLen]byte) error {
+// relayBackward adds this hop's layer to a cell that arrived from the next
+// relay as (oc, cl.Circ) and passes it toward the client, reusing cl. The
+// slot is checked under bwdMu — the lock TRUNCATED is sent under — because
+// the onward read loop resolved cl's circuit before getting here: a cell
+// that lost that race to a TRUNCATE belongs to the dropped tail and is
+// discarded, so nothing from a dropped hop ever follows TRUNCATED.
+func (c *circuit) relayBackward(oc *outConn, cl *cell.Cell) error {
 	c.bwdMu.Lock()
 	defer c.bwdMu.Unlock()
-	c.hop.CryptBackward(p)
-	out := cell.Cell{Circ: c.prevID, Cmd: cell.Relay, Payload: *p}
-	return c.prevCS.lk.Send(&out)
+	c.mu.Lock()
+	live := c.next == oc && c.nextID == cl.Circ
+	c.mu.Unlock()
+	if !live {
+		return nil
+	}
+	c.hop.CryptBackward(&cl.Payload)
+	cl.Circ = c.prevID
+	return c.prevCS.lk.Send(cl)
 }
 
 func (c *circuit) handleExtend(rc cell.RelayCell) {
@@ -137,17 +152,33 @@ func (c *circuit) handleExtend(rc cell.RelayCell) {
 	create.Cmd = cell.Create
 	copy(create.Payload[:], onionskin)
 	if err := oc.send(&create); err != nil {
-		c.clearExtend()
-		oc.unregister(nextID)
+		c.detachNext()
 		c.extendFailed(fmt.Sprintf("create to %s: %v", addr, err))
 	}
 }
 
-// handleCreated completes a pending extend: the next relay answered, so
-// forward its handshake reply to the client as RELAY_EXTENDED.
-func (c *circuit) handleCreated(p *[cell.PayloadLen]byte) {
+// handleTruncate cuts the circuit back to this hop (RELAY_TRUNCATE): the
+// onward slot — established or still awaiting CREATED — is freed, DESTROY
+// tears down the rest of the old path, and TRUNCATED tells the client this
+// hop is the last again and may be extended afresh. Streams exiting here
+// are untouched. Freeing the slot comes first: once TRUNCATED is on the
+// (FIFO) backward link, no cell of the dropped tail can follow it.
+func (c *circuit) handleTruncate() {
+	if oc, id := c.detachNext(); oc != nil {
+		oc.sendDestroy(id)
+	}
+	c.r.tm.truncates.Inc()
+	if err := c.sendBackward(cell.RelayCell{Cmd: cell.RelayTruncated}); err != nil {
+		c.destroy(false, true)
+	}
+}
+
+// handleCreated completes a pending extend: the next relay answered on
+// (oc, id), so forward its handshake reply to the client as RELAY_EXTENDED.
+// A CREATED for a slot a TRUNCATE or timeout has since freed is ignored.
+func (c *circuit) handleCreated(oc *outConn, id cell.CircID, p *[cell.PayloadLen]byte) {
 	c.mu.Lock()
-	if !c.awaitingCreated || c.destroyed {
+	if !c.awaitingCreated || c.destroyed || c.next != oc || c.nextID != id {
 		c.mu.Unlock()
 		return
 	}
@@ -173,11 +204,7 @@ func (c *circuit) extendTimedOut(nextID cell.CircID) {
 		c.mu.Unlock()
 		return
 	}
-	oc := c.next
-	c.next = nil
-	c.nextID = 0
-	c.awaitingCreated = false
-	c.extendTimer = nil
+	oc, _ := c.detachNextLocked()
 	c.mu.Unlock()
 	if oc != nil {
 		oc.unregister(nextID)
@@ -185,9 +212,24 @@ func (c *circuit) extendTimedOut(nextID cell.CircID) {
 	c.extendFailed("timeout waiting for next relay")
 }
 
-// clearExtend resets the onward state after a failed CREATE send.
-func (c *circuit) clearExtend() {
+// detachNext forgets the onward slot, whether established or still
+// awaiting CREATED, and frees its ID on the shared connection: from here on
+// a cell arriving for that ID is for an unknown circuit. It returns the
+// freed slot (nil if the circuit ended here).
+func (c *circuit) detachNext() (*outConn, cell.CircID) {
 	c.mu.Lock()
+	oc, id := c.detachNextLocked()
+	c.mu.Unlock()
+	if oc != nil {
+		oc.unregister(id)
+	}
+	return oc, id
+}
+
+// detachNextLocked clears the onward state under c.mu and returns the slot
+// the caller must unregister once it has let go of the lock.
+func (c *circuit) detachNextLocked() (*outConn, cell.CircID) {
+	oc, id := c.next, c.nextID
 	if c.extendTimer != nil {
 		c.extendTimer.Stop()
 		c.extendTimer = nil
@@ -195,7 +237,7 @@ func (c *circuit) clearExtend() {
 	c.next = nil
 	c.nextID = 0
 	c.awaitingCreated = false
-	c.mu.Unlock()
+	return oc, id
 }
 
 func (c *circuit) extendFailed(reason string) {
@@ -440,8 +482,7 @@ func (c *circuit) destroy(notifyPrev, notifyNext bool) {
 	if next != nil {
 		next.unregister(nextID)
 		if notifyNext {
-			dc := cell.Cell{Circ: nextID, Cmd: cell.Destroy}
-			_ = next.send(&dc)
+			next.sendDestroy(nextID)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (oc *outConn) readLoop() {
 		switch c.Cmd {
 		case cell.Created:
 			if circ := oc.lookup(c.Circ); circ != nil {
-				circ.handleCreated(&c.Payload)
+				circ.handleCreated(oc, c.Circ, &c.Payload)
 			}
 		case cell.Relay:
 			circ := oc.lookup(c.Circ)
@@ -127,7 +127,7 @@ func (oc *outConn) readLoop() {
 			oc.r.stats.mu.Lock()
 			oc.r.stats.CellsRelayed++
 			oc.r.stats.mu.Unlock()
-			if err := circ.relayBackward(&c.Payload); err != nil {
+			if err := circ.relayBackward(oc, &c); err != nil {
 				circ.destroy(false, true)
 			}
 		case cell.Destroy:
@@ -170,6 +170,13 @@ func (oc *outConn) teardown() {
 
 // send transmits a cell on the shared link.
 func (oc *outConn) send(c *cell.Cell) error { return oc.lk.Send(c) }
+
+// sendDestroy tells the next relay to tear down circuit id. Best effort: if
+// the link is gone, so is the circuit.
+func (oc *outConn) sendDestroy(id cell.CircID) {
+	dc := cell.Cell{Circ: id, Cmd: cell.Destroy}
+	_ = oc.lk.Send(&dc)
+}
 
 // sendBatch transmits cells back-to-back, with one flush when the link
 // supports batched sends.

@@ -122,6 +122,7 @@ type relayMetrics struct {
 	cellsRelayed      *telemetry.Counter
 	streamsOpened     *telemetry.Counter
 	handshakeFailures *telemetry.Counter
+	truncates         *telemetry.Counter
 }
 
 // Stats counts relay activity, for tests and operational visibility.
@@ -171,6 +172,7 @@ func New(cfg Config) (*Relay, error) {
 		cellsRelayed:      cfg.Telemetry.Counter("relay.cells_relayed"),
 		streamsOpened:     cfg.Telemetry.Counter("relay.streams_opened"),
 		handshakeFailures: cfg.Telemetry.Counter("relay.handshake_failures"),
+		truncates:         cfg.Telemetry.Counter("relay.truncates"),
 	}
 	return r, nil
 }

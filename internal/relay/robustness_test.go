@@ -298,3 +298,67 @@ func relayPublicKey(t *testing.T, r *Relay) onion.PublicKey {
 	t.Helper()
 	return r.cfg.Identity.Public()
 }
+
+// TestRelaySurvivesTruncateFlood hammers a two-hop circuit with TRUNCATEs,
+// every few of them preceded by an EXTEND whose CREATE is still in flight
+// when the TRUNCATE lands — the register/unregister/DESTROY path at its
+// most contended. The relay must answer every TRUNCATE, leak no slot, and
+// still build circuits afterwards.
+func TestRelaySurvivesTruncateFlood(t *testing.T) {
+	pn := link.NewPipeNet()
+	r0, id0 := startRelay(t, pn, "flood-entry")
+	r1, id1 := startRelay(t, pn, "flood-next")
+	h := dialCirc(t, pn, "flood-entry", id0.Public())
+
+	const truncates = 600
+	got := make(chan int, 1)
+	go func() {
+		// Drain replies so backpressure cannot stall the flood: TRUNCATEDs,
+		// plus an EXTENDED or an END for each EXTEND that won or lost its
+		// race with the TRUNCATE behind it.
+		n := 0
+		for n < truncates {
+			c, err := recvCell(h.lk)
+			if err != nil || c.Cmd != cell.Relay {
+				break
+			}
+			if _, err := h.cc.DecryptBackward(&c.Payload); err != nil {
+				break
+			}
+			if rc, err := cell.UnmarshalPayload(&c.Payload); err == nil && rc.Cmd == cell.RelayTruncated {
+				n++
+			}
+		}
+		got <- n
+	}()
+	for i := 0; i < truncates; i++ {
+		if i%5 == 0 {
+			hs, err := onion.StartHandshake(id1.Public(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := cell.EncodeExtend("flood-next", hs.Onionskin())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.send(0, cell.RelayCell{Cmd: cell.RelayExtend, Data: body})
+		}
+		h.send(0, cell.RelayCell{Cmd: cell.RelayTruncate})
+	}
+	select {
+	case n := <-got:
+		if n != truncates {
+			t.Fatalf("relay answered %d of %d TRUNCATEs", n, truncates)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay wedged under a TRUNCATE flood")
+	}
+	eventually(t, "every flooded slot is freed", func() bool {
+		return onwardSlots(r0) == 0 && circuitCount(r1) == 0
+	})
+	// Still a working relay and a working circuit.
+	h.extend("flood-next", id1.Public())
+	if circuitCount(r0) != 1 || circuitCount(r1) != 1 {
+		t.Errorf("after the flood: %d and %d circuits, want 1 and 1", circuitCount(r0), circuitCount(r1))
+	}
+}

@@ -28,9 +28,14 @@ type CampaignConfig struct {
 	// round trip). Default 300ms, a typical full-circuit figure from the
 	// paper's live measurements.
 	MeanRTT time.Duration
-	// BuildRTTs is the round trips spent building circuits per pair: each
-	// hop costs one, so (w,x,y,z)+(w,x)+(w,y) ≈ 8; with leaky-pipe reuse
-	// (StackProber.Reuse) it drops to 6. Default 8.
+	// BuildRTTs is the round trips spent building circuits per pair. Each
+	// handshake costs one, so the literal procedure's three builds,
+	// (w,x,y,z)+(w,x)+(w,y), cost 8 — the default. A reusing prober
+	// (StackProber.Reuse) reshapes one circuit instead: inside a
+	// first-endpoint group of a memoized scan (Shuffle 0) the next pair
+	// keeps (w,x) and re-extends y and z, ≈2 handshake round trips per pair
+	// (plus one for the TRUNCATE, which carries no handshake); a pair that
+	// also samples a half circuit, or starts a new group, pays 3–5.
 	BuildRTTs int
 	// Parallel is how many measurements run concurrently — one per vantage
 	// point or per control session. Default 1.
@@ -68,7 +73,7 @@ func (c *CampaignConfig) setDefaults() error {
 		c.MeanRTT = 300 * time.Millisecond
 	}
 	if c.BuildRTTs == 0 {
-		c.BuildRTTs = 8
+		c.BuildRTTs = 8 // three separate builds; ≈2 with prefix reuse, see the field
 	}
 	if c.Parallel <= 0 {
 		c.Parallel = 1

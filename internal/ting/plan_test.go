@@ -57,12 +57,25 @@ func TestPlanCampaignScaling(t *testing.T) {
 	if par.Total*10 != base.Total {
 		t.Errorf("parallel scaling wrong: %v vs %v", par.Total, base.Total)
 	}
-	reuse, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, BuildRTTs: 6})
+	// Prefix reuse: ≈2 handshake round trips per pair instead of the
+	// default 8 takes exactly 6 mean RTTs off every pair.
+	reuse, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, BuildRTTs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reuse.PerPair >= base.PerPair {
-		t.Error("leaky-pipe reuse does not reduce the plan")
+	if got, want := base.PerPair-reuse.PerPair, 6*300*time.Millisecond; got != want {
+		t.Errorf("prefix reuse saves %v per pair, want %v", got, want)
+	}
+	memo, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, Memoized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoReuse, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, Memoized: true, BuildRTTs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := memo.Total-memoReuse.Total, time.Duration(base.Pairs)*6*300*time.Millisecond; got != want {
+		t.Errorf("prefix reuse saves %v over a memoized campaign, want %v", got, want)
 	}
 
 	// Explicit pair counts for non-all-pairs campaigns (e.g. the paper's

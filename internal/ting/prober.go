@@ -204,11 +204,14 @@ type StackProber struct {
 	// ToMs converts measured wall-clock durations to (virtual)
 	// milliseconds; nil means plain milliseconds.
 	ToMs func(time.Duration) float64
-	// Reuse keeps the last circuit open between calls and, when the next
-	// requested path extends it, grows it in place instead of rebuilding —
-	// Tor's leaky-pipe topology lets C_x = (w,x) become C_xy = (w,x,y,z)
-	// with two EXTENDs, saving a circuit build (and its handshakes) per
-	// measured pair.
+	// Reuse keeps the last circuit open between calls and reshapes it into
+	// the next requested path instead of rebuilding: the longest common
+	// prefix is kept (RELAY_TRUNCATE), the remainder extended. Tor's
+	// leaky-pipe topology lets C_x = (w,x) become C_xy = (w,x,y,z) with two
+	// EXTENDs, and (w,x,y,z) become (w,x,y',z) with a TRUNCATE and two more
+	// — one link to w and about two handshakes per pair for a whole scan,
+	// where separate builds dial w and shake hands with every hop each
+	// time. If reshaping fails the circuit is closed and built afresh.
 	Reuse bool
 
 	mu       sync.Mutex
@@ -290,23 +293,12 @@ func (p *StackProber) circuitFor(path []string) (*client.Circuit, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.lastCirc != nil {
-		switch {
-		case samePath(p.lastPath, path):
+		if k := commonPrefix(p.lastPath, path); k >= 1 && len(path) >= 2 && reshape(p.lastCirc, k, descs) == nil {
+			p.lastPath = append(p.lastPath[:0], path...)
 			return p.lastCirc, nil
-		case isPrefix(p.lastPath, path):
-			ok := true
-			for _, d := range descs[len(p.lastPath):] {
-				if err := p.lastCirc.Extend(d); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				p.lastPath = append([]string(nil), path...)
-				return p.lastCirc, nil
-			}
-			// Extension failed; fall through to a fresh build.
 		}
+		// Nothing shared, or reshaping failed; fall through to a fresh
+		// build, whose error (if any) is the one reported.
 		p.lastCirc.Close()
 		p.lastCirc = nil
 		p.lastPath = nil
@@ -320,6 +312,21 @@ func (p *StackProber) circuitFor(path []string) (*client.Circuit, error) {
 	return circ, nil
 }
 
+// reshape turns circ, whose first k hops are descs[:k], into a circuit
+// through exactly descs: cut back to the shared prefix, then extend hop by
+// hop. Both steps are no-ops when the circuit already has the right shape.
+func reshape(circ *client.Circuit, k int, descs []*directory.Descriptor) error {
+	if err := circ.Truncate(k); err != nil {
+		return err
+	}
+	for _, d := range descs[k:] {
+		if err := circ.Extend(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Close releases the cached circuit (Reuse mode).
 func (p *StackProber) Close() {
 	p.mu.Lock()
@@ -331,21 +338,11 @@ func (p *StackProber) Close() {
 	}
 }
 
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// commonPrefix returns how many leading relays a and b share.
+func commonPrefix(a, b []string) int {
+	k := 0
+	for k < len(a) && k < len(b) && a[k] == b[k] {
+		k++
 	}
-	return isPrefix(a, b)
-}
-
-func isPrefix(short, long []string) bool {
-	if len(short) > len(long) {
-		return false
-	}
-	for i, s := range short {
-		if long[i] != s {
-			return false
-		}
-	}
-	return true
+	return k
 }
