@@ -8,10 +8,8 @@ package ting
 //	go test -bench=. -benchmem
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ting/internal/cell"
 	"ting/internal/coords"
@@ -518,20 +516,6 @@ func BenchmarkHalfCacheHit(b *testing.B) {
 		if _, err := c.Do(context.Background(), path, 200, nil, fn); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCachePut(b *testing.B) {
-	// Amortized pruning: Put must stay O(1) even with a TTL set and the
-	// map holding thousands of pairs (the former per-Put sweep was O(n)).
-	c := ting.NewCache(time.Hour)
-	keys := make([]string, 4096)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("r%04d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Put(keys[i%len(keys)], "peer", float64(i))
 	}
 }
 

@@ -222,10 +222,6 @@ func main() {
 			// sessions.
 			NewMeasurer: func(worker int) (*ting.Measurer, error) { return newMeasurer() },
 			Workers:     1,
-			// §4.6: measurements stay fresh for a week, so within one
-			// campaign a pair never needs re-measuring (ttl ≤ 0 = never
-			// expires).
-			Cache: ting.NewCache(0),
 			Progress: func(done, total int) {
 				fmt.Printf("\r  %d/%d", done, total)
 			},
@@ -374,12 +370,11 @@ func printSummary(reg *telemetry.Registry) {
 	}
 	s := reg.Snapshot()
 	c := s.Counters
-	fmt.Printf("telemetry: %d circuits (%d failed), %d samples, %d pairs (%d failed), %d retries, cache %d hit / %d miss\n",
+	fmt.Printf("telemetry: %d circuits (%d failed), %d samples, %d pairs (%d failed), %d retries\n",
 		c["ting.circuits_sampled"], c["ting.circuit_failures"],
 		c["ting.samples"],
 		c["ting.pairs_measured"], c["ting.pair_failures"],
-		c["ting.retries"],
-		c["ting.cache_hits"], c["ting.cache_misses"])
+		c["ting.retries"])
 	if half := c["ting.halfcircuit.hit"] + c["ting.halfcircuit.miss"] + c["ting.halfcircuit.inflight_wait"]; half > 0 {
 		fmt.Printf("telemetry: half circuits %d measured, %d memoized, %d joined in-flight (of %d lookups)\n",
 			c["ting.halfcircuit.miss"], c["ting.halfcircuit.hit"],

@@ -33,11 +33,12 @@ const budgetFitPasses = 12
 // A budget of at least all pairs falls through to a plain Scan. The
 // scanner's Checkpoint and Directory are not used by the batch scans (a
 // budgeted campaign is cheap to re-run; churn reconciliation assumes an
-// all-pairs schedule); everything else — workers, caches, retries,
-// deadlines, breaker, observer — applies per batch, and one half-circuit
-// cache spans all batches so bootstrap circuits keep paying off in the
-// active rounds. Progress, if set, is called with done/total across the
-// whole campaign's scheduled pairs.
+// all-pairs schedule); each batch is one restricted pass of the scan
+// engine (Scanner.run), so everything else — workers, retries, deadlines,
+// breaker, observer — applies per batch, and one half-circuit cache spans
+// all batches so bootstrap circuits keep paying off in the active rounds.
+// Progress, if set, is called with done/total across the whole campaign's
+// scheduled pairs.
 func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*Matrix, []PairError, error) {
 	if budget <= 0 {
 		return nil, nil, errors.New("ting: ScanBudget needs a positive budget")
@@ -99,7 +100,7 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 			total := doneOff + len(batch)
 			sub.Progress = func(done, _ int) { progress(off+done, total) }
 		}
-		bm, fails, err := sub.run(ctx, names, nil, nil, false, batch)
+		bm, fails, err := sub.run(ctx, names, nil, nil, batch)
 		doneOff += len(batch)
 		failures = append(failures, fails...)
 		if bm != nil {

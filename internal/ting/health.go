@@ -154,54 +154,76 @@ func (h *Health) setState(name string, rh *relayHealth, to BreakerState) func() 
 	return func() { obs.breakerChange(name, from, to) }
 }
 
+// admission is what a relay's breaker says to a measurement right now.
+type admission int
+
+const (
+	// admitFreely: the breaker is closed.
+	admitFreely admission = iota
+	// admitProbe: the breaker is open past Cooldown, or half-open with its
+	// probe abandoned for longer than Cooldown — one caller may go through
+	// as the half-open probe.
+	admitProbe
+	// admitNone: the breaker is open inside Cooldown, or half-open with a
+	// live probe.
+	admitNone
+)
+
+// admissionLocked reads the relay's admission at now without changing
+// anything. Callers hold h.mu.
+func (h *Health) admissionLocked(name string, now time.Time) admission {
+	rh := h.relays[name]
+	switch {
+	case rh == nil || rh.state == BreakerClosed:
+		return admitFreely
+	case rh.state == BreakerOpen && now.Sub(rh.openedAt) < h.cfg.Cooldown:
+		return admitNone
+	case rh.state == BreakerHalfOpen && rh.probing && now.Sub(rh.probeStarted) < h.cfg.Cooldown:
+		return admitNone
+	}
+	return admitProbe
+}
+
+// admission reports what Allow would decide for one relay without
+// claiming its probe slot — for a caller that is choosing what to measure,
+// not yet measuring it.
+func (h *Health) admission(name string) admission {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.admissionLocked(name, h.cfg.now())
+}
+
 // Allow reports whether a measurement touching the named relays may
 // proceed. nil means yes; a non-nil *QuarantineError names the first
 // blocking relay. Allow is where open breakers age: once Cooldown has
 // elapsed the breaker turns half-open and this caller becomes its single
 // probe (a probe abandoned for longer than Cooldown forfeits its slot).
 // A caller granted a probe must report the outcome via Success or
-// Failure for the implicated relays.
+// Failure for the implicated relays, so Allow is for the caller about to
+// measure: the scan engine's breaker gate.
 func (h *Health) Allow(names ...string) *QuarantineError {
 	h.mu.Lock()
 	now := h.cfg.now()
 	// Decide for every relay before committing probe slots, so a pair
 	// blocked by its second relay does not burn the first one's probe.
-	type decision struct {
-		rh    *relayHealth
-		probe bool
+	for _, name := range names {
+		if h.admissionLocked(name, now) == admitNone {
+			q := &QuarantineError{Relay: name, Cause: h.relays[name].lastErr}
+			h.mu.Unlock()
+			return q
+		}
 	}
-	decisions := make([]decision, 0, len(names))
 	var fired []func()
 	for _, name := range names {
-		rh := h.get(name)
-		switch rh.state {
-		case BreakerClosed:
-			decisions = append(decisions, decision{rh: rh, probe: false})
-		case BreakerOpen:
-			if now.Sub(rh.openedAt) < h.cfg.Cooldown {
-				q := &QuarantineError{Relay: name, Cause: rh.lastErr}
-				h.mu.Unlock()
-				return q
-			}
-			decisions = append(decisions, decision{rh: rh, probe: true})
-		case BreakerHalfOpen:
-			if rh.probing && now.Sub(rh.probeStarted) < h.cfg.Cooldown {
-				q := &QuarantineError{Relay: name, Cause: rh.lastErr}
-				h.mu.Unlock()
-				return q
-			}
-			decisions = append(decisions, decision{rh: rh, probe: true})
-		}
-	}
-	for i, d := range decisions {
-		if !d.probe {
+		if h.admissionLocked(name, now) != admitProbe {
 			continue
 		}
-		if f := h.setState(names[i], d.rh, BreakerHalfOpen); f != nil {
+		rh := h.relays[name]
+		if f := h.setState(name, rh, BreakerHalfOpen); f != nil {
 			fired = append(fired, f)
 		}
-		d.rh.probing = true
-		d.rh.probeStarted = now
+		rh.probing = true
+		rh.probeStarted = now
 	}
 	h.mu.Unlock()
 	for _, f := range fired {

@@ -8,8 +8,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
 
 // TileShift is log2 of the matrix tile dimension: cells are stored in
@@ -770,88 +768,10 @@ func DecodeTiles(r io.Reader) (*Matrix, error) {
 	return m, nil
 }
 
-// Cache memoizes pair measurements with a freshness horizon. §4.6 shows
-// Ting's measurements are stable over at least a week, so "taking
-// measurements with Ting infrequently and caching them is sufficient".
-type Cache struct {
-	ttl time.Duration
-	now func() time.Time
-
-	mu sync.Mutex
-	m  map[[2]string]cacheEntry
-	// pruneAt is the map size that triggers the next expiry sweep. Doubling
-	// it after each sweep makes pruning amortized O(1) per Put instead of
-	// the former O(n) walk on every insert.
-	pruneAt int
-}
-
-// cachePruneFloor is the smallest prune threshold: sweeping tiny maps is
-// pointless, and a floor keeps the doubling schedule from degenerating.
-const cachePruneFloor = 16
-
-type cacheEntry struct {
-	rtt  float64
-	when time.Time
-}
-
-// NewCache creates a cache whose entries expire after ttl. A ttl ≤ 0
-// means entries never expire — the §4.6 "measure once, cache for the
-// campaign" mode — not "expire immediately".
-func NewCache(ttl time.Duration) *Cache {
-	return &Cache{ttl: ttl, now: time.Now, m: make(map[[2]string]cacheEntry), pruneAt: cachePruneFloor}
-}
-
+// pairKey is the canonical (ordered) map key of an unordered pair.
 func pairKey(x, y string) [2]string {
 	if x > y {
 		x, y = y, x
 	}
 	return [2]string{x, y}
-}
-
-// Get returns a fresh cached RTT for the pair, if any. With ttl ≤ 0 every
-// stored entry is fresh forever.
-func (c *Cache) Get(x, y string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[pairKey(x, y)]
-	if !ok || c.expired(e) {
-		return 0, false
-	}
-	return e.rtt, true
-}
-
-// Put records a measurement and, when a TTL is set, occasionally prunes
-// entries that have already expired so a long-running scanner's cache does
-// not grow with dead pairs. Pruning is lazy: expired entries may linger
-// (Get never returns them) until the map grows past its prune threshold,
-// at which point one sweep reclaims them — amortized O(1) per Put.
-func (c *Cache) Put(x, y string, rtt float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[pairKey(x, y)] = cacheEntry{rtt: rtt, when: c.now()}
-	if c.ttl > 0 && len(c.m) >= c.pruneAt {
-		for k, e := range c.m {
-			if c.expired(e) {
-				delete(c.m, k)
-			}
-		}
-		c.pruneAt = 2 * len(c.m)
-		if c.pruneAt < cachePruneFloor {
-			c.pruneAt = cachePruneFloor
-		}
-	}
-}
-
-// expired reports whether an entry is past the TTL. Callers hold c.mu.
-func (c *Cache) expired(e cacheEntry) bool {
-	return c.ttl > 0 && c.now().Sub(e.when) > c.ttl
-}
-
-// Len returns the number of cached pairs, fresh or stale: stale entries
-// linger until growth triggers the next amortized prune, and Len reports
-// what is actually held.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

@@ -3,7 +3,7 @@ package ting
 import (
 	"context"
 	"errors"
-	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -12,7 +12,9 @@ import (
 // measurements are stable for at least a week, so "taking measurements
 // with Ting infrequently and caching them is sufficient" — the monitor
 // embodies that workflow: it re-measures the stalest pairs on each sweep,
-// spreading load instead of re-scanning everything at once.
+// spreading load instead of re-scanning everything at once. It owns the
+// matrix, the measurement times and the selection of what is stale; the
+// measuring itself is a pass of the scan engine (Scanner.run).
 type MonitorConfig struct {
 	// NewMeasurer builds one measurer per sweep worker. Required.
 	NewMeasurer func(worker int) (*Measurer, error)
@@ -29,11 +31,12 @@ type MonitorConfig struct {
 	// Observer, if non-nil, receives a SweepDone callback after each sweep
 	// with the cumulative stats.
 	Observer *Observer
-	// Health, if non-nil, is the relay scoreboard consulted before each
-	// pair: pairs touching a quarantined relay are skipped for the sweep
-	// (they stay stale and are reconsidered next time, when the breaker may
-	// have half-opened). Sweep outcomes feed back into the same scoreboard.
-	// Share the instance with a Scanner to carry reputation across both.
+	// Health, if non-nil, is the relay scoreboard a sweep selects against:
+	// pairs touching a quarantined relay are stepped over (they stay stale
+	// and are reconsidered next time, when the breaker may have
+	// half-opened). The selected pairs then pass the scan engine's breaker
+	// gate, and their outcomes feed back into the same scoreboard. Share
+	// the instance with a Scanner to carry reputation across both.
 	Health *Health
 	// now is injectable for tests.
 	now func() time.Time
@@ -106,70 +109,90 @@ func (mon *Monitor) StalePairs() [][2]string {
 }
 
 func (mon *Monitor) stalePairsLocked() [][2]string {
+	type agedPair struct {
+		pair [2]string
+		at   time.Time // zero when never measured
+	}
 	now := mon.cfg.now()
-	var out [][2]string
+	var stale []agedPair
 	names := mon.matrix.Names()
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
-			key := pairKey(names[i], names[j])
-			if t, ok := mon.when[key]; !ok || now.Sub(t) > mon.cfg.MaxAge {
-				out = append(out, [2]string{names[i], names[j]})
+			t, ok := mon.when[pairKey(names[i], names[j])]
+			if !ok || now.Sub(t) > mon.cfg.MaxAge {
+				stale = append(stale, agedPair{[2]string{names[i], names[j]}, t})
 			}
 		}
 	}
-	// Stalest first: zero-time (never measured) pairs sort ahead.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			ta := mon.when[pairKey(out[j][0], out[j][1])]
-			tb := mon.when[pairKey(out[j-1][0], out[j-1][1])]
-			if ta.Before(tb) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
-		}
+	// Stalest first: never-measured pairs sort ahead, and pairs of one age
+	// keep their matrix order.
+	sort.SliceStable(stale, func(i, j int) bool { return stale[i].at.Before(stale[j].at) })
+	out := make([][2]string, len(stale))
+	for i, s := range stale {
+		out[i] = s.pair
 	}
 	return out
 }
 
-// Sweep refreshes up to PairsPerSweep stale pairs and returns how many it
-// measured. Cancelling ctx stops the sweep cooperatively: in-flight pairs
-// finish, unmeasured ones stay stale for the next sweep, and ctx.Err() is
-// returned.
-func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	mon.mu.Lock()
-	stale := mon.stalePairsLocked()
-	total := mon.matrix.N() * (mon.matrix.N() - 1) / 2
+// selectPairs picks the pairs one sweep will attempt from the stale ones
+// (stalest first): at most PairsPerSweep of them, stepping over — and
+// counting — pairs the breaker scoreboard would refuse, so a dead relay's
+// pairs (always the stalest) stay stale for a later sweep instead of
+// consuming the budget. Each relay is looked up once per sweep, and the
+// look does not claim probe slots: Health.Allow is the scan engine's call,
+// made when a pair is about to be measured. A relay due its half-open
+// probe gets one pair, since only one attempt can be that probe.
+func (mon *Monitor) selectPairs(stale [][2]string) (todo [][2]string, quarantined int) {
 	limit := mon.cfg.PairsPerSweep
 	if limit <= 0 || limit > len(stale) {
 		limit = len(stale)
 	}
-	mon.mu.Unlock()
-
-	// Select up to limit sweepable pairs, consulting the breaker scoreboard
-	// as we go: quarantined pairs stay stale for a later sweep instead of
-	// consuming budget on a dead relay. Stale pairs beyond the budget are
-	// left unexamined so no half-open probe slot is claimed for a pair this
-	// sweep will not measure.
-	todo := make([][2]string, 0, limit)
-	quarantined := 0
+	h := mon.cfg.Health
+	if h == nil {
+		return stale[:limit], 0
+	}
+	todo = make([][2]string, 0, limit)
+	admits := make(map[string]admission)
 	for _, p := range stale {
 		if len(todo) >= limit {
 			break
 		}
-		if h := mon.cfg.Health; h != nil {
-			if qe := h.Allow(p[0], p[1]); qe != nil {
-				quarantined++
-				continue
+		for _, relay := range p {
+			if _, seen := admits[relay]; !seen {
+				admits[relay] = h.admission(relay)
+			}
+		}
+		if admits[p[0]] == admitNone || admits[p[1]] == admitNone {
+			quarantined++
+			continue
+		}
+		for _, relay := range p {
+			if admits[relay] == admitProbe {
+				admits[relay] = admitNone // this pair is its probe
 			}
 		}
 		todo = append(todo, p)
 	}
+	return todo, quarantined
+}
+
+// Sweep refreshes up to PairsPerSweep stale pairs and returns how many it
+// measured. A sweep is a restricted, failure-tolerant pass of the scan
+// engine (Scanner.run) over the selected pairs, so it inherits the engine's
+// breaker deferral, half-circuit memoization and partial-result contract.
+// Pairs are not retried within a sweep: a pair that failed stays stale,
+// and the next sweep is its retry. Cancelling ctx stops the sweep
+// cooperatively: in-flight pairs finish, what was measured is kept,
+// unmeasured pairs stay stale, and ctx.Err() is returned. When pairs
+// failed, the first failure (by pair name) is returned as the error.
+func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
+	mon.mu.Lock()
+	stale := mon.stalePairsLocked()
+	mon.mu.Unlock()
+	todo, quarantined := mon.selectPairs(stale)
 
 	mon.mu.Lock()
+	total := mon.matrix.N() * (mon.matrix.N() - 1) / 2
 	mon.stats.Sweeps++
 	mon.stats.Skipped += total - len(todo) - quarantined
 	mon.stats.Quarantined += quarantined
@@ -180,94 +203,54 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		mon.cfg.Observer.sweepDone(mon.Stats())
 		return 0, nil
 	}
-
-	workers := mon.cfg.Workers
-	if workers > len(todo) {
-		workers = len(todo)
+	engine := Scanner{
+		NewMeasurer:  mon.cfg.NewMeasurer,
+		Workers:      mon.cfg.Workers,
+		Observer:     mon.cfg.Observer,
+		Health:       mon.cfg.Health,
+		SkipFailures: true,
 	}
-	// Build all measurers before starting any worker, so a failure midway
-	// leaves no goroutine to join and every created measurer is closed.
-	measurers := make([]*Measurer, 0, workers)
-	for w := 0; w < workers; w++ {
-		meas, err := mon.cfg.NewMeasurer(w)
-		if err != nil {
-			for _, m := range measurers {
-				m.Close()
-			}
-			return 0, fmt.Errorf("ting: monitor worker %d: %w", w, err)
-		}
-		measurers = append(measurers, meas)
-	}
-	defer func() {
-		for _, m := range measurers {
-			m.Close()
-		}
-	}()
-
-	jobs := make(chan [2]string)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, meas := range measurers {
-		wg.Add(1)
-		go func(meas *Measurer) {
-			defer wg.Done()
-			for p := range jobs {
-				if ctx.Err() != nil {
-					continue // drain; pair stays stale
-				}
-				start := time.Now()
-				res, err := meas.MeasurePair(ctx, p[0], p[1])
-				if err != nil {
-					// A dead relay must not wedge the monitor: record the
-					// failure and let the pair stay stale for the next
-					// sweep. The first error is still surfaced.
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					mon.mu.Lock()
-					mon.stats.Failed++
-					mon.mu.Unlock()
-					if h := mon.cfg.Health; h != nil && ctx.Err() == nil {
-						for _, relay := range culprits(p[0], p[1], err) {
-							h.Failure(relay, err, time.Since(start))
-						}
-					}
-					continue
-				}
-				mon.mu.Lock()
-				_ = mon.matrix.Set(p[0], p[1], res.RTT)
-				_ = mon.matrix.SetProv(p[0], p[1], ProvFresh)
-				mon.when[pairKey(p[0], p[1])] = mon.cfg.now()
-				mon.stats.Measured++
-				mon.mu.Unlock()
-				if h := mon.cfg.Health; h != nil {
-					h.Success(p[0])
-					h.Success(p[1])
-				}
-			}
-		}(meas)
-	}
-feed:
-	for _, p := range todo {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- p:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	mon.cfg.Observer.sweepDone(mon.Stats())
-	if err := ctx.Err(); err != nil {
+	m, failures, err := engine.run(ctx, mon.matrix.Names(), nil, nil, todo)
+	if m == nil {
 		return 0, err
 	}
-	if firstErr != nil {
-		return 0, firstErr
+
+	mon.mu.Lock()
+	now := mon.cfg.now()
+	measured := 0
+	for _, p := range todo {
+		if m.Prov(p[0], p[1]) != ProvFresh {
+			continue
+		}
+		rtt, _ := m.RTT(p[0], p[1])
+		_ = mon.matrix.Set(p[0], p[1], rtt)
+		_ = mon.matrix.SetProv(p[0], p[1], ProvFresh)
+		mon.when[pairKey(p[0], p[1])] = now
+		measured++
 	}
-	return len(todo), nil
+	mon.stats.Measured += measured
+	var firstFailure error
+	for _, pe := range failures {
+		if pe.Attempts == 0 {
+			// Parked behind a breaker that opened mid-sweep and never
+			// attempted: stepped over, like the pairs selectPairs skipped.
+			mon.stats.Quarantined++
+			continue
+		}
+		mon.stats.Failed++
+		if firstFailure == nil {
+			firstFailure = pe
+		}
+	}
+	mon.mu.Unlock()
+	mon.cfg.Observer.sweepDone(mon.Stats())
+	if err != nil {
+		return 0, err
+	}
+	if firstFailure != nil {
+		return 0, firstFailure
+	}
+	return measured, nil
 }
 
 // RunEvery sweeps on the interval until ctx is cancelled (which returns

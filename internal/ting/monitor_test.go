@@ -3,6 +3,10 @@ package ting
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -296,5 +300,163 @@ func TestMonitorRunEvery(t *testing.T) {
 	}
 	if err := mon.RunEvery(context.Background(), 0); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// breakerWatcher records x's breaker position each time a full circuit
+// through x is sampled, i.e. once per attempted x pair.
+type breakerWatcher struct {
+	*fakeProber
+	h *Health
+
+	mu     sync.Mutex
+	states []BreakerState
+}
+
+func (p *breakerWatcher) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	if len(path) == 4 && (path[1] == "x" || path[2] == "x") {
+		p.mu.Lock()
+		p.states = append(p.states, p.h.State("x"))
+		p.mu.Unlock()
+	}
+	return p.fakeProber.SampleCircuit(ctx, path, n)
+}
+
+// TestMonitorHalfOpenProbe: x's breaker is open and past its cooldown, and
+// x has recovered. Exactly one x pair is attempted while the breaker is
+// half-open — the probe; claiming the slot twice for one pair would
+// quarantine it forever — its success closes the breaker, the rest of x's
+// pairs follow in this sweep or the next, and Quarantined counts exactly
+// the x pairs a sweep stepped over.
+func TestMonitorHalfOpenProbe(t *testing.T) {
+	now := time.Unix(1000, 0)
+	h := NewHealth(HealthConfig{FailureThreshold: 2, Cooldown: time.Hour, now: func() time.Time { return now }})
+	h.Failure("x", errors.New("x is down"), time.Millisecond)
+	h.Failure("x", errors.New("x is down"), time.Millisecond)
+	if h.State("x") != BreakerOpen {
+		t.Fatal("setup: x's breaker not open")
+	}
+	now = now.Add(2 * time.Hour)
+
+	p := &breakerWatcher{fakeProber: bigFakeWorld(), h: h}
+	names := []string{"x", "y", "u", "v"}
+	cfg := MonitorConfig{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 1})
+		},
+		Names:  names,
+		Health: h,
+	}
+	mon, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.Sweep(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.State("x"); got != BreakerClosed {
+		t.Fatalf("x's breaker = %v after the probe succeeded, want closed", got)
+	}
+	steppedOver := len(mon.StalePairs())
+	st := mon.Stats()
+	if st.Quarantined != steppedOver || st.Measured != 6-steppedOver || st.Failed != 0 {
+		t.Errorf("stats after sweep 1 = %+v with %d pairs still stale", st, steppedOver)
+	}
+	if steppedOver > 2 {
+		t.Errorf("%d pairs stepped over; at least one x pair must have been the probe", steppedOver)
+	}
+	if _, err := mon.Sweep(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if stale := mon.StalePairs(); len(stale) != 0 {
+		t.Errorf("pairs still stale after the breaker closed: %v", stale)
+	}
+	if st := mon.Stats(); st.Quarantined != steppedOver || st.Measured != 6 || st.Failed != 0 {
+		t.Errorf("stats after sweep 2 = %+v, want %d quarantined, 6 measured", st, steppedOver)
+	}
+	halfOpen := 0
+	for _, s := range p.states {
+		switch s {
+		case BreakerHalfOpen:
+			halfOpen++
+		case BreakerOpen:
+			t.Error("an x pair was attempted behind an open breaker")
+		}
+	}
+	if len(p.states) != 3 || halfOpen != 1 {
+		t.Errorf("x pairs attempted under breaker states %v, want 3 attempts, exactly one half-open", p.states)
+	}
+}
+
+// TestMonitorStalePairsOrder pins StalePairs against a naive oracle on a
+// relay set large enough that a quadratic sort would be felt: never
+// measured pairs first, then oldest first, ties in matrix order, fresh
+// pairs absent.
+func TestMonitorStalePairsOrder(t *testing.T) {
+	const n = 200
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("r%03d", i)
+	}
+	now := time.Unix(1_000_000, 0)
+	cfg := MonitorConfig{
+		NewMeasurer: func(int) (*Measurer, error) { return nil, errors.New("unused") },
+		Names:       names,
+		MaxAge:      time.Hour,
+		now:         func() time.Time { return now },
+	}
+	mon, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A third of the pairs never measured, a third aged past MaxAge with
+	// few distinct ages (so ties matter), a third fresh.
+	rng := rand.New(rand.NewSource(7))
+	type aged struct {
+		pair [2]string
+		at   time.Time
+	}
+	var want []aged
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := [2]string{names[i], names[j]}
+			switch rng.Intn(3) {
+			case 0:
+				want = append(want, aged{pair: p})
+			case 1:
+				at := now.Add(-time.Duration(2+rng.Intn(5)) * time.Hour)
+				mon.when[pairKey(p[0], p[1])] = at
+				want = append(want, aged{p, at})
+			case 2:
+				mon.when[pairKey(p[0], p[1])] = now.Add(-time.Duration(rng.Intn(59)) * time.Minute)
+			}
+		}
+	}
+	// The oracle: repeatedly take the first pair of the minimum age.
+	ages := map[time.Time]bool{}
+	for _, a := range want {
+		ages[a.at] = true
+	}
+	var order []time.Time
+	for at := range ages {
+		order = append(order, at)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Before(order[j]) })
+	var oracle [][2]string
+	for _, at := range order {
+		for _, a := range want {
+			if a.at.Equal(at) {
+				oracle = append(oracle, a.pair)
+			}
+		}
+	}
+	got := mon.StalePairs()
+	if len(got) != len(oracle) {
+		t.Fatalf("%d stale pairs, oracle has %d", len(got), len(oracle))
+	}
+	for i := range got {
+		if got[i] != oracle[i] {
+			t.Fatalf("stale pair %d = %v, oracle says %v", i, got[i], oracle[i])
+		}
 	}
 }

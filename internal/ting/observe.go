@@ -24,8 +24,6 @@ type Observer struct {
 	PairDone func(x, y string, m *Measurement, err error)
 	// Retry fires when the scanner schedules another attempt for a pair.
 	Retry func(x, y string, attempt int, delay time.Duration, err error)
-	// CacheLookup fires on every scanner cache probe.
-	CacheLookup func(x, y string, hit bool)
 	// WorkerActive fires when a scanner worker starts (+1) or finishes
 	// (−1) a measurement attempt — worker occupancy.
 	WorkerActive func(delta int)
@@ -94,12 +92,6 @@ func (o *Observer) pairDone(x, y string, m *Measurement, err error) {
 func (o *Observer) retry(x, y string, attempt int, delay time.Duration, err error) {
 	if o != nil && o.Retry != nil {
 		o.Retry(x, y, attempt, delay, err)
-	}
-}
-
-func (o *Observer) cacheLookup(x, y string, hit bool) {
-	if o != nil && o.CacheLookup != nil {
-		o.CacheLookup(x, y, hit)
 	}
 }
 
@@ -174,7 +166,6 @@ func (o *Observer) budgetComplete(measured, allPairs int) {
 //	ting.pairs_measured / ting.pair_failures        counters
 //	ting.pair_rtt_ms                                histogram
 //	ting.retries                                    counter
-//	ting.cache_hits / ting.cache_misses             counters
 //	ting.halfcircuit.hit / ting.halfcircuit.miss    counters
 //	ting.halfcircuit.inflight_wait                  counter
 //	ting.scanner_active_workers                     gauge
@@ -202,8 +193,6 @@ func NewTelemetryObserver(reg *telemetry.Registry) *Observer {
 		pairFails    = reg.Counter("ting.pair_failures")
 		pairRTT      = reg.Histogram("ting.pair_rtt_ms")
 		retries      = reg.Counter("ting.retries")
-		cacheHits    = reg.Counter("ting.cache_hits")
-		cacheMisses  = reg.Counter("ting.cache_misses")
 		halfHits     = reg.Counter("ting.halfcircuit.hit")
 		halfMisses   = reg.Counter("ting.halfcircuit.miss")
 		halfWaits    = reg.Counter("ting.halfcircuit.inflight_wait")
@@ -257,14 +246,6 @@ func NewTelemetryObserver(reg *telemetry.Registry) *Observer {
 				detail += ": " + err.Error()
 			}
 			trace.Record("retry", detail, float64(delay)/float64(time.Millisecond))
-		},
-		CacheLookup: func(x, y string, hit bool) {
-			if hit {
-				cacheHits.Inc()
-				trace.Record("cache", "hit "+x+"-"+y, 0)
-			} else {
-				cacheMisses.Inc()
-			}
 		},
 		HalfCircuit: func(path []string, ev HalfCircuitEvent) {
 			switch ev {

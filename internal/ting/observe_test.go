@@ -20,7 +20,6 @@ func TestObserverNilSafe(t *testing.T) {
 		o.samples([]string{"w", "x"}, []float64{1, 2})
 		o.pairDone("x", "y", &Measurement{RTT: 73}, nil)
 		o.retry("x", "y", 1, time.Millisecond, nil)
-		o.cacheLookup("x", "y", true)
 		o.workerActive(1)
 		o.sweepDone(MonitorStats{})
 		o.halfCircuit([]string{"w", "x"}, HalfCircuitHit)
@@ -88,27 +87,22 @@ func TestDurabilityTelemetry(t *testing.T) {
 	}
 }
 
-// TestScanTelemetryCounts drives a tolerant scan with transient failures
-// and a shared cache through a telemetry-backed observer, then checks the
-// registry recorded the full measurement lifecycle: circuits, samples,
-// pairs, retries, and cache traffic.
+// TestScanTelemetryCounts drives a scan with transient failures through a
+// telemetry-backed observer, then checks the registry recorded the full
+// measurement lifecycle: circuits, samples, pairs, and retries.
 func TestScanTelemetryCounts(t *testing.T) {
 	reg := telemetry.New()
 	obs := NewTelemetryObserver(reg)
 	p := &flakyProber{fakeProber: newFakeWorld(), left: 2}
-	cache := NewCache(0)
-	newScanner := func() *Scanner {
-		return &Scanner{
-			NewMeasurer: func(worker int) (*Measurer, error) {
-				return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 1, Observer: obs})
-			},
-			Cache:    cache,
-			Observer: obs,
-			Retry:    2,
-			Backoff:  time.Millisecond,
-		}
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 1, Observer: obs})
+		},
+		Observer: obs,
+		Retry:    2,
+		Backoff:  time.Millisecond,
 	}
-	m, failures, err := newScanner().Scan(context.Background(), []string{"x", "y"})
+	m, failures, err := sc.Scan(context.Background(), []string{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +135,6 @@ func TestScanTelemetryCounts(t *testing.T) {
 	if got := count("ting.retries"); got != 2 {
 		t.Errorf("retries = %d, want 2", got)
 	}
-	// All three attempts probed the cache before measuring; none hit.
-	if got := count("ting.cache_misses"); got != 3 {
-		t.Errorf("cache_misses = %d, want 3", got)
-	}
-	if got := count("ting.cache_hits"); got != 0 {
-		t.Errorf("cache_hits = %d before a second scan", got)
-	}
 	if got := reg.Gauge("ting.scanner_active_workers").Value(); got != 0 {
 		t.Errorf("active workers = %d after scan, want 0", got)
 	}
@@ -157,24 +144,12 @@ func TestScanTelemetryCounts(t *testing.T) {
 	if reg.Trace().Total() == 0 {
 		t.Error("no lifecycle events traced")
 	}
-
-	// A second scan over the same cache answers from it: one hit, no new
-	// measurement.
-	if _, _, err := newScanner().Scan(context.Background(), []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := count("ting.cache_hits"); got != 1 {
-		t.Errorf("cache_hits = %d after cached rescan, want 1", got)
-	}
-	if got := count("ting.pairs_measured"); got != 1 {
-		t.Errorf("cached rescan re-measured: pairs = %d", got)
-	}
 }
 
 // TestDebugEndpointDuringScan is the acceptance check for the tentpole:
 // the HTTP debug surface, queried after a scan with failures and retries,
-// serves a JSON snapshot whose circuit, sample, retry, and cache counters
-// are all nonzero.
+// serves a JSON snapshot whose circuit, sample, and retry counters are all
+// nonzero.
 func TestDebugEndpointDuringScan(t *testing.T) {
 	reg := telemetry.New()
 	obs := NewTelemetryObserver(reg)
@@ -183,7 +158,6 @@ func TestDebugEndpointDuringScan(t *testing.T) {
 		NewMeasurer: func(worker int) (*Measurer, error) {
 			return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 2, Observer: obs})
 		},
-		Cache:    NewCache(0),
 		Observer: obs,
 		Retry:    1,
 		Backoff:  time.Millisecond,
@@ -204,7 +178,7 @@ func TestDebugEndpointDuringScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"ting.circuits_sampled", "ting.samples", "ting.retries", "ting.cache_misses",
+		"ting.circuits_sampled", "ting.samples", "ting.retries",
 	} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("%s = 0 in served snapshot, want nonzero", name)
@@ -237,69 +211,5 @@ func TestMonitorSweepTelemetry(t *testing.T) {
 	}
 	if got := reg.Counter("ting.sweeps").Value(); got != 2 {
 		t.Errorf("sweeps = %d, want 2 (empty sweeps count)", got)
-	}
-}
-
-// TestCacheZeroTTLNeverExpires pins the ttl ≤ 0 semantics: "never
-// expires", not "expires immediately".
-func TestCacheZeroTTLNeverExpires(t *testing.T) {
-	for _, ttl := range []time.Duration{0, -time.Second} {
-		c := NewCache(ttl)
-		now := time.Unix(0, 0)
-		c.now = func() time.Time { return now }
-		c.Put("x", "y", 73)
-		now = now.Add(1000 * time.Hour)
-		if v, ok := c.Get("x", "y"); !ok || v != 73 {
-			t.Errorf("ttl=%v: entry expired (%v, %v), want eternal hit", ttl, v, ok)
-		}
-		if c.Len() != 1 {
-			t.Errorf("ttl=%v: Len = %d", ttl, c.Len())
-		}
-	}
-}
-
-// TestCachePutPrunesExpired: with a TTL set, Put evicts entries that have
-// already lapsed so the map does not grow with dead pairs. Pruning is
-// amortized — expired entries may linger until the map grows past its
-// threshold — but Get never serves them, and growth always reclaims them.
-func TestCachePutPrunesExpired(t *testing.T) {
-	c := NewCache(time.Minute)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	// Fill to the first prune threshold; nothing is expired yet, so the
-	// sweep keeps everything and the threshold doubles.
-	for i := 0; i < cachePruneFloor; i++ {
-		c.Put(fmt.Sprintf("a%02d", i), "b", float64(i))
-	}
-	if c.Len() != cachePruneFloor {
-		t.Fatalf("Len = %d after %d fresh puts", c.Len(), cachePruneFloor)
-	}
-	now = now.Add(time.Hour) // every entry above lapses
-
-	// One more Put must NOT pay for a sweep (that is the amortization):
-	// the dead entries linger, but Get refuses to serve them.
-	c.Put("e", "f", 3)
-	if c.Len() != cachePruneFloor+1 {
-		t.Errorf("Len = %d right after expiry, want lazy %d", c.Len(), cachePruneFloor+1)
-	}
-	if _, ok := c.Get("a00", "b"); ok {
-		t.Error("Get served an expired entry")
-	}
-
-	// Growing past the threshold triggers the sweep: all expired entries
-	// vanish, fresh ones survive.
-	fresh := 1
-	for i := 0; c.Len() > cachePruneFloor && i < 4*cachePruneFloor; i++ {
-		c.Put(fmt.Sprintf("g%02d", i), "h", float64(i))
-		fresh++
-	}
-	if c.Len() != fresh {
-		t.Errorf("Len = %d after pruning growth, want only the %d fresh entries", c.Len(), fresh)
-	}
-	if _, ok := c.Get("a00", "b"); ok {
-		t.Error("expired entry survived the sweep")
-	}
-	if v, ok := c.Get("e", "f"); !ok || v != 3 {
-		t.Error("fresh entry lost in prune")
 	}
 }

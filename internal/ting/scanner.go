@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
 	"ting/internal/directory"
-	"ting/internal/stats"
 )
 
 // Scanner measures all pairs of a relay set in parallel — the workflow
@@ -24,6 +22,10 @@ import (
 // have their pending pairs tombstoned instead of burning retries, relays
 // that join are appended to the schedule, and key rotations invalidate the
 // departed identity's cached state.
+//
+// A Scanner is configuration only. Scan, ScanPairs, Resume, ScanBudget's
+// batches and Monitor.Sweep are adaptors over one engine: each calls run,
+// which allocates the scan state type (scan.go) and drives its phases.
 type Scanner struct {
 	// NewMeasurer builds one Measurer per worker. Probers are typically
 	// not safe for concurrent use, so each worker gets its own. Required.
@@ -31,8 +33,6 @@ type Scanner struct {
 	NewMeasurer func(worker int) (*Measurer, error)
 	// Workers is the parallelism; default 4.
 	Workers int
-	// Cache, if non-nil, is consulted before measuring and updated after.
-	Cache *Cache
 	// HalfCircuits, if non-nil, is a cross-scan half-circuit cache: min
 	// R_Cx series memoized in one campaign answer the next. If nil, each
 	// Scan owns a private HalfCache for its own duration (unless
@@ -86,8 +86,8 @@ type Scanner struct {
 	// keeps a streak of fast pairs from strangling a legitimately slow
 	// one.
 	MinPairTimeout time.Duration
-	// Observer, if non-nil, receives scan-lifecycle callbacks (cache
-	// lookups, retries, worker occupancy, churn reconciliations).
+	// Observer, if non-nil, receives scan-lifecycle callbacks (retries,
+	// worker occupancy, quarantines, churn reconciliations).
 	// Per-measurement callbacks come from the Measurer's own Observer; set
 	// both to the same value to see the whole picture.
 	Observer *Observer
@@ -311,7 +311,7 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 // missing cells — with a Checkpoint configured, nothing measured is ever
 // lost.
 func (s *Scanner) Scan(ctx context.Context, names []string) (*Matrix, []PairError, error) {
-	return s.run(ctx, names, nil, s.Checkpoint, false, nil)
+	return s.run(ctx, names, nil, s.Checkpoint, nil)
 }
 
 // ScanPairs measures only the listed unordered pairs among names and
@@ -344,7 +344,7 @@ func (s *Scanner) ScanPairs(ctx context.Context, names []string, pairs [][2]stri
 		// restriction must stay empty.
 		pairs = [][2]string{}
 	}
-	return s.run(ctx, names, nil, s.Checkpoint, false, pairs)
+	return s.run(ctx, names, nil, s.Checkpoint, pairs)
 }
 
 // Resume continues the interrupted campaign recorded in cp: the log is
@@ -369,824 +369,5 @@ func (s *Scanner) Resume(ctx context.Context, cp Checkpoint) (*Matrix, []PairErr
 	if len(st.Names) == 0 {
 		return nil, nil, errors.New("ting: checkpoint has no campaign header; nothing to resume")
 	}
-	return s.run(ctx, st.Names, st, cp, true, nil)
-}
-
-// run executes one scan over names. With restrict nil every unordered pair
-// is scheduled (the all-pairs campaign); otherwise only the listed pairs
-// are — the budgeted scanner's batches. Restricted pairs still flow
-// through the same replay/tombstone gates as the full sweep.
-func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointState, cp Checkpoint, resuming bool, restrict [][2]string) (*Matrix, []PairError, error) {
-	if s.NewMeasurer == nil {
-		return nil, nil, errors.New("ting: scanner missing NewMeasurer")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	// Consensus snapshot and (on resume) reconciliation: the campaign's
-	// name list is extended with relays that joined while it was down, and
-	// relays that vanished are marked for build-time tombstoning.
-	var (
-		startEpoch     uint64
-		startFps       map[string]string
-		removedAtStart map[string]uint64
-		joinedAtStart  []string
-		rotatedAtStart []string
-	)
-	if s.Directory != nil {
-		startEpoch = s.Directory.Epoch()
-		inConsensus := make(map[string]string)
-		var consensusOrder []string
-		for _, d := range s.Directory.Consensus() {
-			inConsensus[d.Nickname] = d.Fingerprint()
-			consensusOrder = append(consensusOrder, d.Nickname)
-		}
-		if resuming {
-			base := append([]string(nil), names...)
-			seen := make(map[string]bool, len(base))
-			for _, n := range base {
-				seen[n] = true
-			}
-			for _, n := range resumed.Joined {
-				if !seen[n] {
-					base = append(base, n)
-					seen[n] = true
-				}
-			}
-			removedAtStart = make(map[string]uint64)
-			for _, n := range base {
-				if _, ok := inConsensus[n]; !ok {
-					removedAtStart[n] = startEpoch
-				}
-			}
-			// Joins are appended in consensus (publish) order — the same
-			// order a live scan appends them in as deltas arrive, so a
-			// resumed campaign converges to a bytewise-identical matrix.
-			for _, n := range consensusOrder {
-				if !seen[n] {
-					base = append(base, n)
-					seen[n] = true
-					joinedAtStart = append(joinedAtStart, n)
-				}
-			}
-			for n, fp := range resumed.Fps {
-				if cur, ok := inConsensus[n]; ok && cur != fp {
-					rotatedAtStart = append(rotatedAtStart, n)
-				}
-			}
-			sort.Strings(rotatedAtStart)
-			names = base
-		}
-		startFps = make(map[string]string, len(names))
-		for _, n := range names {
-			if fp, ok := inConsensus[n]; ok {
-				startFps[n] = fp
-			}
-		}
-	}
-
-	m, err := NewMatrix(names)
-	if err != nil {
-		return nil, nil, err
-	}
-	var failures []PairError
-	todoCap := len(names) * (len(names) - 1) / 2
-	if restrict != nil {
-		todoCap = len(restrict)
-	}
-	todo := make([]pairJob, 0, todoCap)
-	replayedPairs := 0
-	startTombstoned := make(map[string]int)
-	addPair := func(x, y string) {
-		if resumed != nil {
-			if rtt, ok := resumed.Pairs[pairKey(x, y)]; ok {
-				_ = m.Set(x, y, rtt)
-				_ = m.SetProv(x, y, ProvResumed)
-				replayedPairs++
-				return
-			}
-		}
-		if len(removedAtStart) > 0 {
-			relay, ok := "", false
-			if ep, hit := removedAtStart[x]; hit {
-				relay, ok = x, true
-				_ = ep
-			} else if _, hit := removedAtStart[y]; hit {
-				relay, ok = y, true
-			}
-			if ok {
-				// The relay left while the campaign was down: its
-				// unfinished pairs are settled here, outside the
-				// progress totals (like replayed pairs, they are not
-				// work this run will do).
-				_ = m.SetProv(x, y, ProvRemoved)
-				failures = append(failures, PairError{
-					X: x, Y: y,
-					Err: &ChurnError{Relay: relay, Epoch: removedAtStart[relay]},
-				})
-				startTombstoned[relay]++
-				return
-			}
-		}
-		todo = append(todo, pairJob{x: x, y: y})
-	}
-	if restrict != nil {
-		for _, p := range restrict {
-			addPair(p[0], p[1])
-		}
-	} else {
-		for i := 0; i < len(names); i++ {
-			for j := i + 1; j < len(names); j++ {
-				addPair(names[i], names[j])
-			}
-		}
-	}
-	if s.Shuffle != 0 {
-		rng := rand.New(rand.NewSource(s.Shuffle))
-		rng.Shuffle(len(todo), func(a, b int) { todo[a], todo[b] = todo[b], todo[a] })
-	}
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-
-	// Build every worker's measurer up front: if the k-th fails, the
-	// earlier ones are closed and no goroutine has started — nothing to
-	// drain, no leaked circuits.
-	measurers := make([]*Measurer, 0, workers)
-	for w := 0; w < workers; w++ {
-		meas, err := s.NewMeasurer(w)
-		if err != nil {
-			for _, m := range measurers {
-				m.Close()
-			}
-			return nil, nil, fmt.Errorf("ting: worker %d: %w", w, err)
-		}
-		measurers = append(measurers, meas)
-	}
-	defer func() {
-		for _, m := range measurers {
-			m.Close()
-		}
-	}()
-
-	// Half-circuit memoization (§3.3/§4.6): the scan owns a cache unless
-	// the caller supplied a cross-scan one or opted out. Measurers that
-	// already carry their own keep it.
-	hc := s.HalfCircuits
-	if hc == nil && !s.DisableHalfCache {
-		hc = NewHalfCache(0)
-	}
-	if hc != nil {
-		for _, meas := range measurers {
-			if meas.cfg.HalfCircuits == nil {
-				meas.cfg.HalfCircuits = hc
-			}
-		}
-	}
-
-	// Adaptive attempt deadlines: bounded below so a run of fast pairs
-	// cannot strangle a legitimately slow one, above by the fixed
-	// PairTimeout.
-	var est *DeadlineEstimator
-	if s.AdaptiveDeadline {
-		min := s.MinPairTimeout
-		if min <= 0 {
-			min = 100 * time.Millisecond
-		}
-		est = NewDeadlineEstimator(min, s.PairTimeout, s.Observer)
-	}
-
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Checkpointing: append failures latch and abort the scan — a
-	// campaign that silently stopped being durable would betray a later
-	// Resume.
-	var cpMu sync.Mutex
-	var cpErr error
-	appendRec := func(rec CheckpointRecord) {
-		if cp == nil {
-			return
-		}
-		if err := cp.Append(rec); err != nil {
-			cpMu.Lock()
-			if cpErr == nil {
-				cpErr = err
-				cancel()
-			}
-			cpMu.Unlock()
-			return
-		}
-		// Copy before taking the address: &rec itself would force the
-		// parameter to the heap on every call, including the early return
-		// above — checkpoint-less scans record nothing and must allocate
-		// nothing here.
-		r := rec
-		s.Observer.checkpointAppend(&r)
-	}
-	if cp != nil {
-		if !resuming {
-			// The header first, so even an immediately-killed scan leaves
-			// a resumable log. With a directory it pins the consensus
-			// epoch and each relay's onion-key fingerprint, so a later
-			// Resume can tell churn from continuity.
-			header := CheckpointRecord{Kind: RecordCampaign, Names: names, Epoch: startEpoch, Fps: startFps}
-			if err := cp.Append(header); err != nil {
-				return nil, nil, fmt.Errorf("ting: checkpoint header: %w", err)
-			}
-			s.Observer.checkpointAppend(&header)
-		}
-		if hc != nil {
-			hc.SetStoreHook(func(path []string, samples int, min float64) {
-				appendRec(CheckpointRecord{Kind: RecordHalf, Path: path, Samples: samples, Min: min})
-			})
-			defer hc.SetStoreHook(nil)
-		}
-	}
-	// Rehydrate the half-circuit memo from the log: a resumed scan's
-	// unfinished pairs reuse the interrupted run's series instead of
-	// re-sampling them.
-	replayedHalves := 0
-	if resumed != nil && hc != nil {
-		for _, h := range resumed.Halves {
-			hc.Seed(h.Path, h.Samples, h.Min)
-			replayedHalves++
-		}
-	}
-	if resuming {
-		s.Observer.checkpointReplay(replayedPairs, replayedHalves)
-	}
-
-	// Report and log the build-time reconciliation (after half-circuit
-	// seeding, so a rotated relay's replayed series are dropped, not
-	// resurrected).
-	if s.Directory != nil && resuming {
-		removedNames := make([]string, 0, len(removedAtStart))
-		for n := range removedAtStart {
-			removedNames = append(removedNames, n)
-		}
-		sort.Strings(removedNames)
-		for _, relay := range removedNames {
-			s.Observer.churn(ChurnEvent{
-				Kind: ChurnRemoved, Relay: relay, Epoch: removedAtStart[relay],
-				Tombstoned: startTombstoned[relay],
-			})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: relay, Epoch: removedAtStart[relay]})
-		}
-		for _, name := range joinedAtStart {
-			s.Observer.churn(ChurnEvent{Kind: ChurnJoined, Relay: name, Epoch: startEpoch})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: name, Fp: startFps[name], Epoch: startEpoch})
-		}
-		for _, name := range rotatedAtStart {
-			if hc != nil {
-				hc.InvalidateRelay(name)
-			}
-			if s.Health != nil {
-				s.Health.Reset(name)
-			}
-			s.Observer.churn(ChurnEvent{Kind: ChurnRotated, Relay: name, Epoch: startEpoch})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: name, Fp: startFps[name], Epoch: startEpoch})
-		}
-	}
-
-	backoff := stats.Backoff{Base: s.Backoff, Factor: 2, Jitter: 0.5}
-	var jitterMu sync.Mutex
-	jitterRNG := rand.New(rand.NewSource(s.Shuffle ^ 0x7107))
-	nextDelay := func(attempt int) time.Duration {
-		jitterMu.Lock()
-		defer jitterMu.Unlock()
-		return backoff.Delay(attempt, jitterRNG)
-	}
-
-	// Every initial pair is assigned to a worker queue up front; retries
-	// and churn-joined pairs are the only later traffic. The queues close
-	// once every open pair has settled, regardless of how many attempts it
-	// consumed. remaining is a mutex-guarded counter rather than a
-	// WaitGroup because consensus joins add jobs mid-scan, and a WaitGroup
-	// forbids Add once Wait may have returned — addJobs refuses instead,
-	// atomically with completion, so a join that loses the race with the
-	// end of the scan is dropped, not deadlocked.
-	queues := make([]*workQueue, workers)
-	for w := range queues {
-		queues[w] = newWorkQueue()
-	}
-	for w, jobs := range assignJobs(todo, workers, s.Shuffle != 0) {
-		queues[w].pushAll(jobs)
-	}
-	var remMu sync.Mutex
-	remaining := len(todo)
-	settledAll := false
-	allSettled := make(chan struct{})
-	remMu.Lock()
-	if remaining == 0 {
-		settledAll = true
-		close(allSettled)
-	}
-	remMu.Unlock()
-	addJobs := func(k int) bool {
-		remMu.Lock()
-		defer remMu.Unlock()
-		if settledAll {
-			return false
-		}
-		remaining += k
-		return true
-	}
-	jobDone := func() {
-		remMu.Lock()
-		remaining--
-		if remaining == 0 && !settledAll {
-			settledAll = true
-			close(allSettled)
-		}
-		remMu.Unlock()
-	}
-	go func() {
-		<-allSettled
-		for _, q := range queues {
-			q.close()
-		}
-	}()
-
-	// Quarantine deferral: pairs blocked by an open breaker are parked here
-	// instead of burning retries against a dead relay. Once every
-	// non-parked pair has settled the parked ones are flushed back for a
-	// final verdict (the breaker may have half-opened by then); a deferred
-	// job that is still blocked settles as ErrQuarantined. undeferred
-	// counts unsettled pairs NOT currently parked — when it reaches zero,
-	// only the parked jobs remain and it is time to flush.
-	var defMu sync.Mutex
-	var deferredJobs []pairJob
-	undeferred := len(todo)
-	drained := false
-	flushDeferred := func() { // caller holds defMu
-		for i, job := range deferredJobs {
-			queues[i%workers].push(job)
-		}
-		undeferred += len(deferredJobs)
-		deferredJobs = nil
-	}
-	noteSettled := func() {
-		defMu.Lock()
-		undeferred--
-		if undeferred == 0 && len(deferredJobs) > 0 && !drained {
-			flushDeferred()
-		}
-		defMu.Unlock()
-		jobDone()
-	}
-	deferJob := func(job pairJob) {
-		defMu.Lock()
-		if drained {
-			// The scan was cancelled while this job was in flight toward
-			// the parking lot: release it unsettled, like the worker drain
-			// path, so the queues can close.
-			defMu.Unlock()
-			jobDone()
-			return
-		}
-		job.deferred = true
-		deferredJobs = append(deferredJobs, job)
-		undeferred--
-		if undeferred == 0 {
-			flushDeferred()
-		}
-		defMu.Unlock()
-	}
-	// Parked jobs are invisible to the workers, so a cancelled scan would
-	// deadlock waiting for them without this watcher draining the lot.
-	go func() {
-		<-scanCtx.Done()
-		defMu.Lock()
-		drained = true
-		parked := deferredJobs
-		deferredJobs = nil
-		defMu.Unlock()
-		for range parked {
-			jobDone()
-		}
-	}()
-
-	maxAttempts := s.Retry + 1
-	var mu sync.Mutex // guards matrix writes, progress counters, errors
-	done := 0
-	total := len(todo)
-	var firstErr error
-
-	settle := func(job pairJob, err error) {
-		mu.Lock()
-		if err == nil {
-			done++
-		} else if s.SkipFailures {
-			failures = append(failures, PairError{X: job.x, Y: job.y, Err: err, Attempts: job.attempt})
-			// A failed pair is still completed work: without this,
-			// Progress(done, total) never reaches total on a tolerant
-			// scan with failures.
-			done++
-		} else {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("ting: pair (%s,%s): %w", job.x, job.y, err)
-			}
-			// Latch and stop: cancel the scan so no new measurements are
-			// dispatched; in-flight ones notice cooperatively.
-			cancel()
-		}
-		if err == nil || s.SkipFailures {
-			if s.Progress != nil {
-				s.Progress(done, total)
-			}
-		}
-		mu.Unlock()
-		noteSettled()
-	}
-
-	// Live churn state. removed is the set of campaign relays the
-	// consensus dropped mid-scan (pre-seeded with build-time removals so a
-	// joining relay never pairs against a ghost); nameSet/curNames track
-	// the campaign roster as joins extend it.
-	type churnState struct {
-		mu       sync.Mutex
-		epoch    uint64
-		removed  map[string]uint64
-		fps      map[string]string
-		nameSet  map[string]bool
-		curNames []string
-	}
-	churn := &churnState{
-		epoch:    startEpoch,
-		removed:  make(map[string]uint64),
-		fps:      make(map[string]string),
-		nameSet:  make(map[string]bool, len(names)),
-		curNames: append([]string(nil), names...),
-	}
-	for n, ep := range removedAtStart {
-		churn.removed[n] = ep
-	}
-	for n, fp := range startFps {
-		churn.fps[n] = fp
-	}
-	for _, n := range names {
-		churn.nameSet[n] = true
-	}
-	removedRelay := func(x, y string) (string, uint64, bool) {
-		churn.mu.Lock()
-		defer churn.mu.Unlock()
-		if ep, ok := churn.removed[x]; ok {
-			return x, ep, true
-		}
-		if ep, ok := churn.removed[y]; ok {
-			return y, ep, true
-		}
-		return "", 0, false
-	}
-	// tombstone settles one pending pair abandoned to churn. It counts as
-	// completed work (it was scheduled), never aborts the scan, and burns
-	// no retry budget.
-	tombstone := func(job pairJob, relay string, epoch uint64) {
-		mu.Lock()
-		_ = m.SetProv(job.x, job.y, ProvRemoved)
-		failures = append(failures, PairError{
-			X: job.x, Y: job.y,
-			Err:      &ChurnError{Relay: relay, Epoch: epoch},
-			Attempts: job.attempt,
-		})
-		done++
-		if s.Progress != nil {
-			s.Progress(done, total)
-		}
-		mu.Unlock()
-		s.Observer.churn(ChurnEvent{
-			Kind: ChurnTombstoned, Relay: relay, Epoch: epoch,
-			X: job.x, Y: job.y, Tombstoned: 1,
-		})
-		noteSettled()
-	}
-
-	handleDelta := func(delta directory.ConsensusDelta) {
-		churn.mu.Lock()
-		if delta.Epoch <= churn.epoch {
-			// Already seen: the catch-up DeltasSince pass and the live
-			// watch overlap by design; epochs are the dedup key.
-			churn.mu.Unlock()
-			return
-		}
-		churn.epoch = delta.Epoch
-		known := churn.nameSet[delta.Name]
-		switch delta.Kind {
-		case directory.DeltaLeave:
-			if !known {
-				churn.mu.Unlock()
-				return
-			}
-			if _, already := churn.removed[delta.Name]; already {
-				churn.mu.Unlock()
-				return
-			}
-			churn.removed[delta.Name] = delta.Epoch
-			churn.mu.Unlock()
-			s.Observer.churn(ChurnEvent{Kind: ChurnRemoved, Relay: delta.Name, Epoch: delta.Epoch})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: delta.Name, Epoch: delta.Epoch})
-
-		case directory.DeltaJoin:
-			fp := ""
-			if delta.Desc != nil {
-				fp = delta.Desc.Fingerprint()
-			}
-			if known {
-				// A campaign relay rejoined. Its not-yet-tombstoned pairs
-				// simply resume being measured; already-tombstoned ones
-				// stay tombstoned (their verdicts were already reported).
-				// A new fingerprint means a new incarnation: rotation.
-				_, wasRemoved := churn.removed[delta.Name]
-				delete(churn.removed, delta.Name)
-				oldFp := churn.fps[delta.Name]
-				churn.fps[delta.Name] = fp
-				churn.mu.Unlock()
-				if oldFp != "" && fp != "" && oldFp != fp {
-					if hc != nil {
-						hc.InvalidateRelay(delta.Name)
-					}
-					if s.Health != nil {
-						s.Health.Reset(delta.Name)
-					}
-					if est != nil {
-						est.Forget(delta.Name)
-					}
-					s.Observer.churn(ChurnEvent{Kind: ChurnRotated, Relay: delta.Name, Epoch: delta.Epoch})
-					appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: delta.Name, Fp: fp, Epoch: delta.Epoch})
-				} else if wasRemoved {
-					s.Observer.churn(ChurnEvent{Kind: ChurnJoined, Relay: delta.Name, Epoch: delta.Epoch})
-					appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: delta.Name, Fp: fp, Epoch: delta.Epoch})
-				}
-				return
-			}
-			// A genuinely new relay: extend the matrix and schedule its
-			// pairs against every live campaign relay.
-			peers := make([]string, 0, len(churn.curNames))
-			for _, n := range churn.curNames {
-				if _, gone := churn.removed[n]; !gone {
-					peers = append(peers, n)
-				}
-			}
-			churn.nameSet[delta.Name] = true
-			churn.curNames = append(churn.curNames, delta.Name)
-			churn.fps[delta.Name] = fp
-			churn.mu.Unlock()
-			if len(peers) == 0 || !addJobs(len(peers)) {
-				// The scan already settled (or there is nobody to pair
-				// with): too late to measure this relay in this campaign.
-				churn.mu.Lock()
-				delete(churn.nameSet, delta.Name)
-				churn.curNames = churn.curNames[:len(churn.curNames)-1]
-				churn.mu.Unlock()
-				return
-			}
-			defMu.Lock()
-			undeferred += len(peers)
-			defMu.Unlock()
-			mu.Lock()
-			_ = m.AddName(delta.Name)
-			total += len(peers)
-			mu.Unlock()
-			for i, p := range peers {
-				queues[i%workers].push(pairJob{x: delta.Name, y: p})
-			}
-			s.Observer.churn(ChurnEvent{Kind: ChurnJoined, Relay: delta.Name, Epoch: delta.Epoch})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: delta.Name, Fp: fp, Epoch: delta.Epoch})
-
-		case directory.DeltaRotate:
-			newFp := ""
-			if delta.Desc != nil {
-				newFp = delta.Desc.Fingerprint()
-			}
-			if known {
-				churn.fps[delta.Name] = newFp
-			}
-			churn.mu.Unlock()
-			if !known {
-				return
-			}
-			// New key, same nickname: the cached half circuits, breaker
-			// history, and deadline statistics describe the old
-			// incarnation. Completed pair RTTs are kept — a key rotation
-			// does not move the relay.
-			if hc != nil {
-				hc.InvalidateRelay(delta.Name)
-			}
-			if s.Health != nil {
-				s.Health.Reset(delta.Name)
-			}
-			if est != nil {
-				est.Forget(delta.Name)
-			}
-			s.Observer.churn(ChurnEvent{Kind: ChurnRotated, Relay: delta.Name, Epoch: delta.Epoch})
-			appendRec(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: delta.Name, Fp: newFp, Epoch: delta.Epoch})
-
-		default:
-			churn.mu.Unlock()
-		}
-	}
-
-	var churnWg sync.WaitGroup
-	if s.Directory != nil {
-		deltaCh := s.Directory.Watch(scanCtx)
-		churnWg.Add(1)
-		go func() {
-			defer churnWg.Done()
-			// Catch up on deltas that slipped between the snapshot above
-			// and the watch registration; the epoch guard in handleDelta
-			// dedups any overlap with the live stream.
-			if missed, ok := s.Directory.DeltasSince(startEpoch); ok {
-				for _, d := range missed {
-					handleDelta(d)
-				}
-			}
-			for d := range deltaCh {
-				handleDelta(d)
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, meas *Measurer) {
-			defer wg.Done()
-			for {
-				job, ok := queues[w].pop()
-				if !ok {
-					return
-				}
-				if scanCtx.Err() != nil {
-					// Aborted scan: drain without measuring. The scan's
-					// result is partial, so abandoned pairs are not
-					// settled — progress must not count them as done.
-					noteSettled()
-					continue
-				}
-				// Churn gate: a pair touching a relay the consensus
-				// dropped is tombstoned, not measured — no circuits, no
-				// retries, no breaker charges against a relay that is
-				// simply gone.
-				if relay, ep, hit := removedRelay(job.x, job.y); hit {
-					tombstone(job, relay, ep)
-					continue
-				}
-				// Breaker gate: a pair touching a quarantined relay is
-				// parked on first contact and given up on second.
-				if s.Health != nil {
-					if qe := s.Health.Allow(job.x, job.y); qe != nil {
-						if job.deferred {
-							s.Observer.quarantine(job.x, job.y, qe.Relay, true)
-							settle(job, qe)
-						} else {
-							s.Observer.quarantine(job.x, job.y, qe.Relay, false)
-							deferJob(job)
-						}
-						continue
-					}
-				}
-				attemptCtx := scanCtx
-				var cancelAttempt context.CancelFunc
-				timeout := s.PairTimeout
-				adaptive := false
-				if est != nil && !job.fullDeadline {
-					if d, ok := est.Deadline(job.x, job.y); ok && (timeout <= 0 || d < timeout) {
-						timeout = d
-						adaptive = true
-					}
-				}
-				if timeout > 0 {
-					attemptCtx, cancelAttempt = context.WithTimeout(scanCtx, timeout)
-				}
-				s.Observer.workerActive(1)
-				start := time.Now()
-				rtt, err := s.measureOne(attemptCtx, meas, job.x, job.y)
-				elapsed := time.Since(start)
-				s.Observer.workerActive(-1)
-				if cancelAttempt != nil {
-					cancelAttempt()
-				}
-				job.attempt++
-				if err == nil {
-					if est != nil {
-						est.Observe(job.x, job.y, elapsed)
-					}
-					mu.Lock()
-					_ = m.Set(job.x, job.y, rtt)
-					_ = m.SetProv(job.x, job.y, ProvFresh)
-					mu.Unlock()
-					appendRec(CheckpointRecord{Kind: RecordPair, X: job.x, Y: job.y, RTT: rtt})
-					if s.Health != nil {
-						s.Health.Success(job.x)
-						s.Health.Success(job.y)
-					}
-					settle(job, nil)
-					continue
-				}
-				// A failure whose relay left the consensus mid-attempt is
-				// churn fallout (the relay DESTROYed its circuits on the
-				// way out), not evidence against anyone still present.
-				if relay, ep, hit := removedRelay(job.x, job.y); hit {
-					tombstone(job, relay, ep)
-					continue
-				}
-				if s.Health != nil && scanCtx.Err() == nil {
-					// Charge only the relays on the failing circuit's path
-					// (CircuitError), not both pair endpoints blindly.
-					for _, relay := range culprits(job.x, job.y, err) {
-						s.Health.Failure(relay, err, elapsed)
-					}
-				}
-				if !job.deferred && job.attempt < maxAttempts && scanCtx.Err() == nil {
-					if adaptive && errors.Is(err, context.DeadlineExceeded) {
-						// The estimator may have strangled a legitimately
-						// slow pair: the retry gets the full PairTimeout.
-						job.fullDeadline = true
-					}
-					d := nextDelay(job.attempt)
-					s.Observer.retry(job.x, job.y, job.attempt, d, err)
-					if d > 0 {
-						t := time.NewTimer(d)
-						select {
-						case <-scanCtx.Done():
-						case <-t.C:
-						}
-						t.Stop()
-					}
-					// Hand the retry to the next worker: a pair that failed
-					// because this worker's circuits wedged gets a fresh
-					// prober, deterministically.
-					queues[(w+1)%workers].push(job)
-					continue
-				}
-				if job.deferred && scanCtx.Err() == nil {
-					// A deferred pair got exactly one end-of-scan attempt
-					// (often the breaker's half-open probe); its failure is
-					// part of the quarantine story, not a fresh one.
-					relay := job.x
-					if c := culprits(job.x, job.y, err); len(c) > 0 {
-						relay = c[0]
-					}
-					s.Observer.quarantine(job.x, job.y, relay, true)
-					err = &QuarantineError{Relay: relay, Cause: err}
-				}
-				settle(job, err)
-			}
-		}(w, measurers[w])
-	}
-	wg.Wait()
-	// The scan is over: detach the consensus watch and wait for the delta
-	// goroutine so it cannot mutate the failure list mid-sort below. Any
-	// still-queued deltas are drained harmlessly — addJobs refuses new
-	// work once every pair has settled.
-	cancel()
-	churnWg.Wait()
-
-	sort.Slice(failures, func(i, j int) bool {
-		if failures[i].X != failures[j].X {
-			return failures[i].X < failures[j].X
-		}
-		return failures[i].Y < failures[j].Y
-	})
-	// Graceful degradation: every exit hands back the partial matrix and
-	// the failures gathered so far — with a checkpoint configured, what was
-	// measured before the error is also already on disk.
-	if err := ctx.Err(); err != nil {
-		return m, failures, err
-	}
-	cpMu.Lock()
-	latchedCpErr := cpErr
-	cpMu.Unlock()
-	if latchedCpErr != nil {
-		return m, failures, fmt.Errorf("ting: checkpoint append: %w", latchedCpErr)
-	}
-	if firstErr != nil {
-		return m, failures, firstErr
-	}
-	return m, failures, nil
-}
-
-func (s *Scanner) measureOne(ctx context.Context, meas *Measurer, x, y string) (float64, error) {
-	if s.Cache != nil {
-		rtt, ok := s.Cache.Get(x, y)
-		s.Observer.cacheLookup(x, y, ok)
-		if ok {
-			return rtt, nil
-		}
-	}
-	rtt, err := meas.measurePairRTT(ctx, x, y)
-	if err != nil {
-		return 0, err
-	}
-	if s.Cache != nil {
-		s.Cache.Put(x, y, rtt)
-	}
-	return rtt, nil
+	return s.run(ctx, st.Names, st, cp, nil)
 }

@@ -365,19 +365,19 @@ func TestScannerFaultPlanReproducible(t *testing.T) {
 }
 
 // TestScannerSharedCacheConcurrent runs two scans concurrently against one
-// Cache — the -race test for the scanner's and cache's locking.
+// HalfCache — the -race test for the scanner's and cache's locking.
 func TestScannerSharedCacheConcurrent(t *testing.T) {
 	f := bigFakeWorld()
-	cache := NewCache(time.Hour)
+	cache := NewHalfCache(time.Hour)
 	names := []string{"x", "y", "u", "v"}
 	scan := func() (*Matrix, error) {
 		sc := &Scanner{
 			NewMeasurer: func(worker int) (*Measurer, error) {
 				return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 2})
 			},
-			Workers: 4,
-			Cache:   cache,
-			Shuffle: 5,
+			Workers:      4,
+			HalfCircuits: cache,
+			Shuffle:      5,
 		}
 		m, _, err := sc.Scan(context.Background(), names)
 		return m, err
@@ -405,8 +405,8 @@ func TestScannerSharedCacheConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if cache.Len() != 6 {
-		t.Errorf("cache holds %d pairs, want 6", cache.Len())
+	if cache.Len() != 4 {
+		t.Errorf("cache holds %d half circuits, want 4", cache.Len())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"ting/internal/geo"
 	"ting/internal/inet"
@@ -414,27 +413,6 @@ func TestDecodeMatrixErrors(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
-	c := NewCache(time.Hour)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	if _, ok := c.Get("a", "b"); ok {
-		t.Error("empty cache hit")
-	}
-	c.Put("a", "b", 42)
-	if v, ok := c.Get("b", "a"); !ok || v != 42 {
-		t.Errorf("Get(b,a) = %v, %v; pair keys must be unordered", v, ok)
-	}
-	now = now.Add(2 * time.Hour)
-	if _, ok := c.Get("a", "b"); ok {
-		t.Error("stale entry served")
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
 func TestScannerScan(t *testing.T) {
 	f := newFakeWorld()
 	sc := &Scanner{
@@ -473,24 +451,5 @@ func TestScannerErrors(t *testing.T) {
 	}
 	if _, _, err := sc2.Scan(context.Background(), []string{"x", "y"}); err == nil || !strings.Contains(err.Error(), "x is down") {
 		t.Errorf("scanner error = %v", err)
-	}
-}
-
-func TestScannerUsesCache(t *testing.T) {
-	f := newFakeWorld()
-	cache := NewCache(time.Hour)
-	cache.Put("x", "y", 999)
-	sc := &Scanner{
-		NewMeasurer: func(worker int) (*Measurer, error) {
-			return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1})
-		},
-		Cache: cache,
-	}
-	m, _, err := sc.Scan(context.Background(), []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.RTT("x", "y"); v != 999 {
-		t.Errorf("cache not used: %v", v)
 	}
 }
