@@ -25,7 +25,10 @@ const ProbeSize = 16
 // logic — "an extremely minimal TCP-based echo server" (§4.1).
 func Handle(conn io.ReadWriteCloser) {
 	defer conn.Close()
-	_, _ = io.Copy(conn, conn)
+	// One relay cell's worth: probes are ProbeSize bytes, and the 32 KiB
+	// io.Copy would allocate per connection dwarfs a whole probe series.
+	var buf [512]byte
+	_, _ = io.CopyBuffer(conn, conn, buf[:])
 }
 
 // Server accepts and echoes connections.

@@ -7,149 +7,85 @@ import (
 	"ting/internal/cell"
 )
 
-// queueCap is how many cells (or byte chunks) a delayed link holds in
-// flight per direction before Send blocks — the back-pressure a full pipe
-// of a long-haul path exerts.
-const queueCap = 1024
-
-// Delayed wraps a Link so that cells experience the given one-way delays:
-// outbound cells arrive at the peer sendDelay later, and inbound cells are
-// surfaced recvDelay after the peer sent them. Ordering is preserved in
-// both directions. This is how the loopback overlay acquires the synthetic
-// Internet's ground-truth latencies.
+// Delayed gives a Link the given one-way delays: outbound cells arrive at
+// the peer sendDelay later, and inbound cells are surfaced recvDelay after
+// the peer sent them. Ordering is preserved in both directions, and cells
+// in flight overlap: a burst arrives one delay later, not one delay apart.
+// This is how the loopback overlay acquires the synthetic Internet's
+// ground-truth latencies.
 //
 // The returned Link owns the inner link: closing it closes the inner link.
+//
+// An in-process pipe half carries the delays itself — its two queues stamp
+// each cell at the sender's clock — and is returned as is. Any other link
+// (TCP) is wrapped: the receiving end of a socket cannot know when a cell
+// was sent, and sleeping the delay after each Recv would space a burst one
+// delay apart, so a pump goroutine per direction moves cells between the
+// socket and a timed queue.
 func Delayed(inner Link, sendDelay, recvDelay time.Duration) Link {
-	d := &delayedLink{
-		inner:  inner,
-		sendQ:  make(chan *timedCell, queueCap),
-		recvQ:  make(chan *timedCell, queueCap),
-		closed: make(chan struct{}),
+	if p, ok := inner.(*pipeHalf); ok {
+		p.out.addDelay(sendDelay)
+		p.in.addDelay(recvDelay)
+		return p
 	}
-	d.sendDelay = sendDelay
-	d.recvDelay = recvDelay
+	d := &delayedLink{inner: inner}
+	d.sendQ.init(queueCap, sendDelay)
+	d.recvQ.init(queueCap, recvDelay)
 	go d.sendPump()
 	go d.recvPump()
 	return d
 }
 
-// timedCell is one queued cell (or, inbound, the receive error that ended
-// the stream) and the instant it is due at the far end of the queue.
-type timedCell struct {
-	c   cell.Cell
-	err error
-	due time.Time
-}
-
-// timedCells recycles queue entries. The queues hold pointers, so an idle
-// link costs two small channels instead of two thousand cell-sized slots;
-// an entry is owned by whoever took it from the pool or the queue, and goes
-// back once its cell has been copied onward.
-var timedCells = sync.Pool{New: func() any { return new(timedCell) }}
-
+// delayedLink is Delayed over a link that is not an in-process pipe. Send
+// queues the cell, stamped, and sendPump passes it to the inner link when
+// due; recvPump stamps what the inner link delivers and Recv waits it out.
 type delayedLink struct {
-	inner     Link
-	sendDelay time.Duration
-	recvDelay time.Duration
-
-	sendQ chan *timedCell
-	recvQ chan *timedCell
+	inner Link
+	sendQ queue[cell.Cell]
+	recvQ queue[cell.Cell]
 
 	closeOnce sync.Once
-	closed    chan struct{}
 }
 
-func (d *delayedLink) Send(c *cell.Cell) error {
-	select {
-	case <-d.closed:
-		return ErrClosed
-	default:
-	}
-	tc := timedCells.Get().(*timedCell)
-	tc.c, tc.err, tc.due = *c, nil, time.Now().Add(d.sendDelay)
-	select {
-	case <-d.closed:
-		timedCells.Put(tc)
-		return ErrClosed
-	case d.sendQ <- tc:
-		return nil
-	}
-}
+func (d *delayedLink) Send(c *cell.Cell) error { return d.sendQ.put(c) }
 
 func (d *delayedLink) sendPump() {
-	for {
-		select {
-		case <-d.closed:
+	var c cell.Cell
+	for d.sendQ.take(&c) == nil {
+		if d.inner.Send(&c) != nil {
+			// The peer is gone: fail later Sends instead of queueing them.
+			d.sendQ.closeRecv()
 			return
-		case tc := <-d.sendQ:
-			sleepUntil(tc.due, d.closed)
-			err := d.inner.Send(&tc.c)
-			timedCells.Put(tc)
-			if err != nil {
-				// The peer is gone; nothing useful to do with the error
-				// here — the caller will learn via Recv or the next Send
-				// after close.
-				return
-			}
 		}
 	}
 }
 
 func (d *delayedLink) recvPump() {
+	var c cell.Cell
 	for {
-		tc := timedCells.Get().(*timedCell)
-		tc.err = d.inner.Recv(&tc.c)
-		tc.due = time.Now().Add(d.recvDelay)
-		failed := tc.err != nil // tc is the receiver's once queued
-		select {
-		case <-d.closed:
-			timedCells.Put(tc)
+		if err := d.inner.Recv(&c); err != nil {
+			d.recvQ.closeSend(err)
 			return
-		case d.recvQ <- tc:
 		}
-		if failed {
+		if d.recvQ.put(&c) != nil {
 			return
 		}
 	}
 }
 
-func (d *delayedLink) Recv(c *cell.Cell) error {
-	select {
-	case <-d.closed:
-		return ErrClosed
-	case tc := <-d.recvQ:
-		if err := tc.err; err != nil {
-			timedCells.Put(tc)
-			return err
-		}
-		sleepUntil(tc.due, d.closed)
-		*c = tc.c
-		timedCells.Put(tc)
-		return nil
-	}
-}
+func (d *delayedLink) Recv(c *cell.Cell) error { return d.recvQ.take(c) }
 
+// Close drops what is still queued in either direction, as a path that
+// fails under traffic does.
 func (d *delayedLink) Close() error {
 	var err error
 	d.closeOnce.Do(func() {
-		close(d.closed)
+		d.sendQ.closeSend(ErrClosed)
+		d.sendQ.closeRecv()
+		d.recvQ.closeRecv()
 		err = d.inner.Close()
 	})
 	return err
 }
 
 func (d *delayedLink) RemoteAddr() string { return d.inner.RemoteAddr() }
-
-// sleepUntil sleeps until t or until cancel closes, whichever is first.
-func sleepUntil(t time.Time, cancel <-chan struct{}) {
-	d := time.Until(t)
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-cancel:
-	}
-}

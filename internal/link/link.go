@@ -1,6 +1,8 @@
 // Package link provides cell-oriented transport between mintor nodes: a
-// Link abstraction, a TCP implementation, an in-process pipe implementation,
-// and a latency-injecting wrapper that turns either into a long-haul path.
+// Link abstraction, a TCP implementation, an in-process pipe implementation
+// (cells, and a byte-stream pair for exit connections), and Delayed, which
+// turns either into a long-haul path. Everything in-process rides one timed
+// queue (queue.go) that carries its own delay.
 //
 // The Ting reproduction runs its overlay on loopback (there is no real
 // Internet offline), so inter-node latency is injected here, at the link

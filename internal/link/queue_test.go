@@ -1,6 +1,7 @@
 package link
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,10 +10,72 @@ import (
 	"ting/internal/cell"
 )
 
-// The pipe and delay queues hold pointers to pooled entries instead of
-// cell-sized slots. These tests pin what that must not change — capacity,
-// blocking back-pressure, ordering — and what it is for: an idle link is
-// cheap.
+// Every in-process path — both directions of a Pipe, the delay Delayed
+// injects, the exit's byte stream — is the timed queue of queue.go. These
+// tests pin what it owes its users: order, capacity and blocking
+// back-pressure, delays that overlap instead of adding up, Close reaching a
+// receiver wherever it waits, and an idle link that costs next to nothing.
+
+// delayedPairs builds, for each transport Delayed supports, a link from a
+// to b with the given one-way delay in both directions: the in-process pipe
+// that carries the delay itself, and TCP behind the pumps.
+func delayedPairs(t *testing.T, oneWay time.Duration) map[string][2]Link {
+	t.Helper()
+	pa, pb := Pipe(0, "a", "b")
+	ta, tb := tcpPair(t)
+	pairs := map[string][2]Link{
+		"pipe": {Delayed(pa, oneWay, oneWay), pb},
+		"tcp":  {Delayed(ta, oneWay, oneWay), tb},
+	}
+	t.Cleanup(func() {
+		for _, p := range pairs {
+			p[0].Close()
+			p[1].Close()
+		}
+	})
+	return pairs
+}
+
+func TestQueueKeepsOrderAcrossGrowth(t *testing.T) {
+	var q queue[int]
+	q.init(64, 0)
+	next, want := 0, 0
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			v := next
+			if err := q.put(&v); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	take := func(n int) {
+		for i := 0; i < n; i++ {
+			var v int
+			if err := q.take(&v); err != nil {
+				t.Fatal(err)
+			}
+			if v != want {
+				t.Fatalf("took %d, want %d", v, want)
+			}
+			want++
+		}
+	}
+	// Move the head off zero, then grow with the contents wrapped around
+	// the end of the ring, twice.
+	put(3)
+	take(2)
+	put(6)
+	take(5)
+	put(20)
+	take(22)
+	if q.n != 0 {
+		t.Fatalf("%d entries left", q.n)
+	}
+	if len(q.buf) > 64 {
+		t.Fatalf("ring grew to %d past its limit", len(q.buf))
+	}
+}
 
 func TestDelayedBackpressureAtCapacity(t *testing.T) {
 	const pipeCap = 8
@@ -21,9 +84,9 @@ func TestDelayedBackpressureAtCapacity(t *testing.T) {
 	defer da.Close()
 	defer b.Close()
 
-	// With nobody receiving, the sender gets exactly this far: a full
-	// delay queue, a full pipe, and the one cell the pump is holding.
-	const accepted = queueCap + pipeCap + 1
+	// With nobody receiving, the sender gets exactly this far: the pipe's
+	// own capacity plus the in-flight budget of the delayed path.
+	const accepted = queueCap + pipeCap
 	const total = accepted + 50
 	var sent atomic.Int64
 	done := make(chan error, 1)
@@ -64,6 +127,143 @@ func TestDelayedBackpressureAtCapacity(t *testing.T) {
 	}
 }
 
+// TestDelayedLinkPipelines: cells in flight share the delay. 200 cells sent
+// back to back over a 20 ms link all arrive about 20 ms later — a receiver
+// that slept the delay per cell would take 4 s.
+func TestDelayedLinkPipelines(t *testing.T) {
+	const oneWay = 20 * time.Millisecond
+	const cells = 200
+	for name, p := range delayedPairs(t, oneWay) {
+		near, far := p[0], p[1]
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
+			for i := 0; i < cells; i++ {
+				if err := sendCell(near, testCell(uint32(i), 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < cells; i++ {
+				got, err := recvCell(far)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Circ != cell.CircID(i) {
+					t.Fatalf("reordered: got %d at %d", got.Circ, i)
+				}
+				if i == 0 && time.Since(start) < oneWay {
+					t.Errorf("first cell after %v, before the injected %v", time.Since(start), oneWay)
+				}
+			}
+			if took := time.Since(start); took > oneWay+500*time.Millisecond {
+				t.Errorf("%d cells took %v over a %v link: delays are adding up, not overlapping", cells, took, oneWay)
+			}
+		})
+	}
+}
+
+// TestCloseUnblocksRecvWaitingOutDelay: a cell is queued but not due for a
+// minute; closing the receiving end must not wait for it.
+func TestCloseUnblocksRecvWaitingOutDelay(t *testing.T) {
+	for name, p := range delayedPairs(t, time.Minute) {
+		near, far := p[0], p[1]
+		t.Run(name, func(t *testing.T) {
+			if err := sendCell(far, testCell(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := recvCell(near)
+				done <- err
+			}()
+			// Give Recv time to reach the wait; closing first is also a pass.
+			time.Sleep(20 * time.Millisecond)
+			near.Close()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("Recv = %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Recv still waiting out the delay after Close")
+			}
+		})
+	}
+}
+
+// TestPeerCloseDrainsDelayedCells: what a half sent before closing still
+// arrives, in order and no earlier than due; only then is the peer gone.
+func TestPeerCloseDrainsDelayedCells(t *testing.T) {
+	const oneWay = 30 * time.Millisecond
+	a, b := Pipe(0, "a", "b")
+	da := Delayed(a, oneWay, oneWay)
+	defer b.Close()
+	start := time.Now()
+	for i := 0; i < 5; i++ {
+		if err := sendCell(da, testCell(uint32(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	da.Close()
+	for i := 0; i < 5; i++ {
+		got, err := recvCell(b)
+		if err != nil {
+			t.Fatalf("cell %d lost to the peer's close: %v", i, err)
+		}
+		if got.Circ != cell.CircID(i) {
+			t.Fatalf("reordered: got %d at %d", got.Circ, i)
+		}
+		if since := time.Since(start); since < oneWay {
+			t.Errorf("cell %d surfaced after %v, before the injected %v", i, since, oneWay)
+		}
+	}
+	if _, err := recvCell(b); err == nil || errors.Is(err, ErrClosed) {
+		t.Errorf("Recv after drain = %v, want the peer reported gone", err)
+	}
+	if err := sendCell(b, testCell(9, 9)); err == nil {
+		t.Error("Send to a closed peer succeeded")
+	}
+}
+
+// TestRecvBatchReturnsOnlyDueCells: a batch never reaches past the first
+// cell that is still in flight.
+func TestRecvBatchReturnsOnlyDueCells(t *testing.T) {
+	const oneWay = 150 * time.Millisecond
+	a, b := Pipe(0, "a", "b")
+	da := Delayed(a, oneWay, oneWay)
+	defer da.Close()
+	defer b.Close()
+	for i := 0; i < 3; i++ {
+		if err := sendCell(da, testCell(uint32(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(oneWay + 20*time.Millisecond)
+	second := time.Now()
+	for i := 3; i < 6; i++ {
+		if err := sendCell(da, testCell(uint32(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := make([]cell.Cell, 8)
+	n, err := b.(BatchRecver).RecvBatch(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("first batch has %d cells, want the 3 that were due", n)
+	}
+	n, err = b.(BatchRecver).RecvBatch(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 || cs[0].Circ != 3 || cs[2].Circ != 5 {
+		t.Fatalf("second batch: %d cells starting at %d, want 3 starting at 3", n, cs[0].Circ)
+	}
+	if since := time.Since(second); since < oneWay {
+		t.Errorf("second batch surfaced after %v, before the injected %v", since, oneWay)
+	}
+}
+
 func TestIdleLinkIsCheap(t *testing.T) {
 	pn := NewPipeNet()
 	ln, err := pn.Listen("idle")
@@ -80,7 +280,9 @@ func TestIdleLinkIsCheap(t *testing.T) {
 			lk.Close()
 		}
 	}()
-	const dials = 50
+	const dials = 100
+	links := make([]Link, 0, dials)
+	goroutines := runtime.NumGoroutine()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < dials; i++ {
@@ -88,14 +290,23 @@ func TestIdleLinkIsCheap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Delayed(raw, 0, 0).Close()
+		links = append(links, Delayed(raw, time.Millisecond, time.Millisecond))
 	}
 	runtime.ReadMemStats(&after)
+	// An in-process link runs nothing of its own: the sender stamps, the
+	// receiver waits.
+	if extra := runtime.NumGoroutine() - goroutines; extra > 0 {
+		t.Errorf("%d dialed, delayed in-process links started %d goroutines, want 0", dials, extra)
+	}
+	for _, lk := range links {
+		lk.Close()
+	}
 	perDial := float64(after.TotalAlloc-before.TotalAlloc) / dials / 1024
-	t.Logf("%.1f KiB allocated per dialed, delayed link", perDial)
-	// Two 256-pointer pipe queues and two 1024-pointer delay queues are
-	// ~20 KiB; value-typed slots made this 1361 KiB.
-	if perDial > 32 {
-		t.Errorf("a dialed, delayed link allocates %.1f KiB, want ≤ 32", perDial)
+	t.Logf("%.2f KiB allocated per dialed, delayed link", perDial)
+	// The rings grow on first use, so an idle link is its two queue headers;
+	// pointer queues sized up front made this ~20 KiB, value-typed slots
+	// 1361 KiB.
+	if perDial > 1 {
+		t.Errorf("a dialed, delayed link allocates %.2f KiB, want ≤ 1", perDial)
 	}
 }

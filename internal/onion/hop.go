@@ -24,8 +24,8 @@ type HopState struct {
 	// fwdDigest is the running hash over forward relay payloads addressed
 	// to this hop (sealed by the client, verified by the relay); bwdDigest
 	// is the reverse.
-	fwdDigest hash.Hash
-	bwdDigest hash.Hash
+	fwdDigest runningDigest
+	bwdDigest runningDigest
 	// batchScratch backs CryptForwardBatch: payloads are gathered into one
 	// contiguous buffer so the CTR keystream is generated in a single call.
 	// Owned by whoever serializes forward crypto on this hop (the relay's
@@ -45,11 +45,11 @@ func newHopState(ks keySchedule) (*HopState, error) {
 	h := &HopState{
 		fwd:       cipher.NewCTR(fwdBlock, ks.ivf),
 		bwd:       cipher.NewCTR(bwdBlock, ks.ivb),
-		fwdDigest: sha256.New(),
-		bwdDigest: sha256.New(),
+		fwdDigest: runningDigest{h: sha256.New()},
+		bwdDigest: runningDigest{h: sha256.New()},
 	}
-	h.fwdDigest.Write(ks.df)
-	h.bwdDigest.Write(ks.db)
+	h.fwdDigest.h.Write(ks.df)
+	h.bwdDigest.h.Write(ks.db)
 	return h, nil
 }
 
@@ -91,67 +91,67 @@ func (h *HopState) CryptForwardBatch(ps []*[cell.PayloadLen]byte) {
 // SealForward computes and writes the digest for a plaintext relay payload
 // addressed to this hop, committing it to the forward running hash. Call
 // before layering on the encryption.
-func (h *HopState) SealForward(p *[cell.PayloadLen]byte) { seal(h.fwdDigest, p) }
+func (h *HopState) SealForward(p *[cell.PayloadLen]byte) { h.fwdDigest.seal(p) }
 
 // SealBackward is the relay-side counterpart for cells it originates toward
 // the client.
-func (h *HopState) SealBackward(p *[cell.PayloadLen]byte) { seal(h.bwdDigest, p) }
+func (h *HopState) SealBackward(p *[cell.PayloadLen]byte) { h.bwdDigest.seal(p) }
 
 // VerifyForward checks whether a decrypted payload is addressed to this hop
 // (recognized field zero and digest valid). On success the running hash is
 // advanced and the digest field left zeroed; on failure all state and the
 // payload are restored so the cell can be passed on untouched.
 func (h *HopState) VerifyForward(p *[cell.PayloadLen]byte) bool {
-	return verify(&h.fwdDigest, p)
+	return h.fwdDigest.verify(p)
 }
 
 // VerifyBackward is the client-side counterpart for cells arriving from
 // this hop.
 func (h *HopState) VerifyBackward(p *[cell.PayloadLen]byte) bool {
-	return verify(&h.bwdDigest, p)
+	return h.bwdDigest.verify(p)
 }
 
-func seal(d hash.Hash, p *[cell.PayloadLen]byte) {
+// runningDigest is one direction's running hash, with the buffer Sum writes
+// into: a buffer on the caller's stack would escape through the hash.Hash
+// interface and be allocated per cell.
+type runningDigest struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+}
+
+// tag commits p to the running hash and returns the digest field that goes
+// with it.
+func (d *runningDigest) tag(p *[cell.PayloadLen]byte) [4]byte {
+	d.h.Write(p[:])
+	return [4]byte(d.h.Sum(d.sum[:0]))
+}
+
+func (d *runningDigest) seal(p *[cell.PayloadLen]byte) {
 	cell.ZeroDigest(p)
-	d.Write(p[:])
-	var tag [4]byte
-	copy(tag[:], d.Sum(nil))
-	cell.SetDigest(p, tag)
+	cell.SetDigest(p, d.tag(p))
 }
 
-func verify(d *hash.Hash, p *[cell.PayloadLen]byte) bool {
+// verify hashes straight into the running state and rolls it back from a
+// saved copy only when the digest does not match — which, past the
+// recognized check, is a 2⁻¹⁶ event for a cell merely passing through.
+func (d *runningDigest) verify(p *[cell.PayloadLen]byte) bool {
 	if !cell.PayloadRecognized(p) {
 		return false
 	}
-	claimed := cell.ZeroDigest(p)
-	probe := cloneHash(*d)
-	probe.Write(p[:])
-	var want [4]byte
-	copy(want[:], probe.Sum(nil))
-	if want != claimed {
-		cell.SetDigest(p, claimed) // not ours: restore and leave state alone
-		return false
-	}
-	*d = probe // commit
-	return true
-}
-
-// cloneHash copies a running hash via its binary marshaling, which all
-// stdlib hashes implement.
-func cloneHash(h hash.Hash) hash.Hash {
-	m, ok := h.(encoding.BinaryMarshaler)
-	if !ok {
-		panic("onion: hash does not support marshaling")
-	}
-	state, err := m.MarshalBinary()
+	saved, err := d.h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("onion: marshal hash: %v", err))
 	}
-	fresh := sha256.New()
-	if err := fresh.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+	claimed := cell.ZeroDigest(p)
+	if d.tag(p) == claimed {
+		return true
+	}
+	// Not ours: restore the payload and the running state.
+	cell.SetDigest(p, claimed)
+	if err := d.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(saved); err != nil {
 		panic(fmt.Sprintf("onion: unmarshal hash: %v", err))
 	}
-	return fresh
+	return false
 }
 
 // CircuitCrypto is the client-side stack of hop states for one circuit.

@@ -2,7 +2,6 @@ package onion
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -291,18 +290,42 @@ func TestDecryptBackwardUnrecognized(t *testing.T) {
 	}
 }
 
-func TestCloneHashIndependence(t *testing.T) {
-	h := sha256.New()
-	h.Write([]byte("prefix"))
-	c := cloneHash(h)
-	h.Write([]byte("a"))
-	c.Write([]byte("b"))
-	if bytes.Equal(h.Sum(nil), c.Sum(nil)) {
-		t.Error("clone shares state with original")
+// TestVerifyMismatchRollsBack pins verify's failure contract in both
+// directions: a payload that passes the recognized check but carries the
+// wrong digest is hashed into the running state and must be rolled back
+// out of it — payload and digest exactly as before, so a cell merely
+// passing through is forwarded untouched and the next genuine cell still
+// verifies.
+func TestVerifyMismatchRollsBack(t *testing.T) {
+	client, relay := establish(t, 65)
+	dirs := []struct {
+		name   string
+		seal   func(*[cell.PayloadLen]byte)
+		verify func(*[cell.PayloadLen]byte) bool
+	}{
+		{"forward", client.SealForward, relay.VerifyForward},
+		{"backward", relay.SealBackward, client.VerifyBackward},
 	}
-	c2 := cloneHash(h)
-	if !bytes.Equal(h.Sum(nil), c2.Sum(nil)) {
-		t.Error("fresh clone disagrees with original")
+	rnd := rand.New(rand.NewSource(65))
+	for _, dir := range dirs {
+		for round := 0; round < 3; round++ {
+			var stray [cell.PayloadLen]byte
+			rnd.Read(stray[:])
+			stray[1], stray[2] = 0, 0 // recognized == 0, digest random
+			before := stray
+			if dir.verify(&stray) {
+				t.Fatalf("%s: stray cell verified", dir.name)
+			}
+			if stray != before {
+				t.Fatalf("%s: failed verification changed the payload", dir.name)
+			}
+			rc := cell.RelayCell{Cmd: cell.RelayData, Stream: 3, Data: []byte{byte(round)}}
+			p, _ := rc.MarshalPayload()
+			dir.seal(&p)
+			if !dir.verify(&p) {
+				t.Fatalf("%s round %d: genuine cell rejected after a rolled-back mismatch", dir.name, round)
+			}
+		}
 	}
 }
 

@@ -308,9 +308,7 @@ func (c *circuit) handleBegin(rc cell.RelayCell) {
 	}
 	c.streams[rc.Stream] = st
 	c.mu.Unlock()
-	c.r.stats.mu.Lock()
-	c.r.stats.StreamsOpened++
-	c.r.stats.mu.Unlock()
+	c.r.stats.StreamsOpened.Add(1)
 	c.r.tm.streamsOpened.Inc()
 
 	if err := c.sendBackward(cell.RelayCell{Cmd: cell.RelayConnected, Stream: rc.Stream}); err != nil {

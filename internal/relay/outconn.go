@@ -124,9 +124,7 @@ func (oc *outConn) readLoop() {
 				continue
 			}
 			oc.r.forwardDelay()
-			oc.r.stats.mu.Lock()
-			oc.r.stats.CellsRelayed++
-			oc.r.stats.mu.Unlock()
+			oc.r.stats.CellsRelayed.Add(1)
 			if err := circ.relayBackward(oc, &c); err != nil {
 				circ.destroy(false, true)
 			}

@@ -125,18 +125,13 @@ type relayMetrics struct {
 	truncates         *telemetry.Counter
 }
 
-// Stats counts relay activity, for tests and operational visibility.
+// Stats counts relay activity, for tests and operational visibility. The
+// fields are atomics: CellsRelayed is bumped per cell by every connection's
+// read loop, which must not serialise on a relay-wide lock.
 type Stats struct {
-	mu            sync.Mutex
-	CircuitsBuilt int
-	CellsRelayed  int
-	StreamsOpened int
-}
-
-func (s *Stats) snapshot() (int, int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.CircuitsBuilt, s.CellsRelayed, s.StreamsOpened
+	CircuitsBuilt atomic.Int64
+	CellsRelayed  atomic.Int64
+	StreamsOpened atomic.Int64
 }
 
 // New creates a relay; call Start to run it.
@@ -187,7 +182,9 @@ func (r *Relay) Start() {
 }
 
 // Stats returns circuit/cell/stream counters.
-func (r *Relay) Stats() (circuits, cells, streams int) { return r.stats.snapshot() }
+func (r *Relay) Stats() (circuits, cells, streams int) {
+	return int(r.stats.CircuitsBuilt.Load()), int(r.stats.CellsRelayed.Load()), int(r.stats.StreamsOpened.Load())
+}
 
 // OutConnCount reports how many onward relay connections are open. Tor
 // multiplexes all circuits between a relay pair over one connection; tests
@@ -437,9 +434,7 @@ func (cs *connState) forwardRun(circ *circuit, n int) bool {
 	for i := 0; i < n; i++ {
 		cs.fwd[i].Circ = nextID
 	}
-	r.stats.mu.Lock()
-	r.stats.CellsRelayed += n
-	r.stats.mu.Unlock()
+	r.stats.CellsRelayed.Add(int64(n))
 	r.tm.cellsRelayed.Add(int64(n))
 	if err := next.sendBatch(cs.fwd[:n]); err != nil {
 		circ.destroy(true, false)
@@ -518,9 +513,7 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 		circ.destroy(false, false)
 		return
 	}
-	r.stats.mu.Lock()
-	r.stats.CircuitsBuilt++
-	r.stats.mu.Unlock()
+	r.stats.CircuitsBuilt.Add(1)
 	r.tm.circuitsCreated.Inc()
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -463,10 +462,10 @@ func (e *exitDialer) DialStream(target string) (io.ReadWriteCloser, error) {
 	if target != EchoTarget {
 		return nil, fmt.Errorf("tornet: unknown stream target %q", target)
 	}
-	a, b := net.Pipe()
-	go echo.Handle(b)
 	oneWay := e.n.scale(e.n.cfg.Topology.RTT(e.from, e.n.cfg.Host) / 2)
-	return link.DelayedRW(a, oneWay, oneWay), nil
+	a, b := link.StreamPipe(oneWay, oneWay)
+	go echo.Handle(b)
+	return a, nil
 }
 
 // Close stops every relay and cancels pending fault-plan timers.
