@@ -3,12 +3,14 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"ting/internal/telemetry"
 	"ting/internal/ting"
+	"ting/internal/wal"
 )
 
 // ErrFenced rejects a heartbeat or completion carrying a stale lease
@@ -24,11 +26,12 @@ var ErrUnknownShard = errors.New("campaign: unknown shard")
 // marks a pair the worker gave up on (scanner PairError); it still counts
 // as covered, so the coordinator can tell "worker skipped pairs" (a
 // protocol violation) from "worker measured and failed" (a fact about the
-// network).
+// network). The json tags are the journal's complete-record encoding.
 type PairResult struct {
-	X, Y   string
-	RTT    float64
-	Failed bool
+	X      string  `json:"x"`
+	Y      string  `json:"y"`
+	RTT    float64 `json:"rtt,omitempty"`
+	Failed bool    `json:"failed,omitempty"`
 }
 
 type shardPhase int
@@ -80,7 +83,7 @@ type Coordinator struct {
 	nextEpoch uint64
 	remaining int
 	done      chan struct{}
-	journal   *Journal
+	journal   *wal.Log
 	recovered bool
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
@@ -98,11 +101,11 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		return nil, errors.New("campaign: non-positive lease TTL")
 	}
 	c := &Coordinator{
-		TTL:       ttl,
-		names:     append([]string(nil), names...),
-		byID:      make(map[string]*shardState, len(shards)),
-		remaining: len(shards),
-		done:      make(chan struct{}),
+		TTL:        ttl,
+		names:      append([]string(nil), names...),
+		byID:       make(map[string]*shardState, len(shards)),
+		remaining:  len(shards),
+		done:       make(chan struct{}),
 		granted:    treg.Counter("campaign.lease.granted"),
 		renewed:    treg.Counter("campaign.lease.renewed"),
 		expired:    treg.Counter("campaign.lease.expired"),
@@ -141,8 +144,16 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 	if err != nil {
 		return nil, err
 	}
-	j, err := CreateJournal(path, c.names, shards, ttl)
+	// A non-empty journal is a recovery situation, not a new campaign.
+	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+		return nil, fmt.Errorf("campaign: journal %s already exists; recover it instead", path)
+	}
+	j, err := wal.Open(path)
 	if err != nil {
+		return nil, fmt.Errorf("campaign: journal: %w", err)
+	}
+	if err := appendJournal(j, journalHeader(c.names, shards, ttl, 0), true); err != nil {
+		j.Close()
 		return nil, err
 	}
 	c.journal = j
@@ -163,48 +174,25 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 // heartbeats before its shard is re-granted resurrects its lease, and one
 // that shows up after gets ErrFenced.
 func RecoverCoordinator(path string, treg *telemetry.Registry) (*Coordinator, error) {
-	st, err := replayJournal(path)
+	c, records, err := replayJournal(path, treg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCoordinator(st.names, st.shards, st.ttl, treg)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range c.order {
-		if g, ok := st.grants[s.shard.ID]; ok {
-			s.phase = shardLeased
-			s.worker = g.worker
-			s.epoch = g.epoch
-			s.deadline = g.deadline
-			s.reassigned = g.regrants
-		}
-		if d, ok := st.done[s.shard.ID]; ok {
-			s.phase = shardDone
-			s.worker = d.worker
-			s.epoch = d.epoch
-			s.results = d.results
-			c.remaining--
-		}
-	}
-	c.nextEpoch = st.watermark
 	c.recovered = true
 	if c.remaining == 0 {
 		close(c.done)
 	}
-	j, err := openJournalForAppend(path)
-	if err != nil {
-		return nil, err
+	if c.journal, err = wal.Open(path); err != nil {
+		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	c.journal = j
-	c.jReplayed.Add(int64(st.records))
+	c.jReplayed.Add(int64(records))
 	c.recoveries.Inc()
 	return c, nil
 }
 
 // Journal returns the coordinator's write-ahead journal, nil when the
 // coordinator runs in-memory only. The owner closes it at shutdown.
-func (c *Coordinator) Journal() *Journal { return c.journal }
+func (c *Coordinator) Journal() *wal.Log { return c.journal }
 
 // CompactJournal atomically rewrites the journal as a snapshot of the
 // current ledger — header (carrying the epoch watermark), one grant per
@@ -246,14 +234,11 @@ func (c *Coordinator) CompactJournal() error {
 		if st.phase != shardDone {
 			continue
 		}
-		rec := journalRecord{Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch}
-		rec.Results = make([]journalResult, len(st.results))
-		for i, r := range st.results {
-			rec.Results[i] = journalResult{X: r.X, Y: r.Y, RTT: r.RTT, Failed: r.Failed}
-		}
-		recs = append(recs, rec)
+		recs = append(recs, journalRecord{
+			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch, Results: st.results,
+		})
 	}
-	if err := c.journal.rewrite(recs); err != nil {
+	if err := rewriteJournal(c.journal, recs); err != nil {
 		return err
 	}
 	c.jCompacted.Inc()
@@ -321,7 +306,7 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 				Epoch:    epoch,
 				Deadline: deadline.UnixNano(),
 			}
-			if err := c.journal.append(rec, true); err != nil {
+			if err := appendJournal(c.journal, rec, true); err != nil {
 				return Lease{}, AcquireNone, err
 			}
 			c.jAppended.Inc()
@@ -408,12 +393,8 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 		// WAL discipline: the winning submission reaches disk before the
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
-		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch}
-		rec.Results = make([]journalResult, len(results))
-		for i, r := range results {
-			rec.Results[i] = journalResult{X: r.X, Y: r.Y, RTT: r.RTT, Failed: r.Failed}
-		}
-		if err := c.journal.append(rec, true); err != nil {
+		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, Results: results}
+		if err := appendJournal(c.journal, rec, true); err != nil {
 			return err
 		}
 		c.jAppended.Inc()
@@ -424,7 +405,7 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 				continue
 			}
 			lost := journalRecord{Kind: journalLost, Shard: shardID, Worker: worker, Epoch: epoch, X: r.X, Y: r.Y}
-			if err := c.journal.append(lost, false); err != nil {
+			if err := appendJournal(c.journal, lost, false); err != nil {
 				return err
 			}
 			c.jAppended.Inc()
@@ -529,13 +510,13 @@ type ShardStatus struct {
 
 // Status is a point-in-time snapshot of the campaign ledger.
 type Status struct {
-	Relays     int    `json:"relays"`
-	Total      int    `json:"total_shards"`
-	Done       int    `json:"done_shards"`
-	Leased     int    `json:"leased_shards"`
-	Pending    int    `json:"pending_shards"`
-	Reassigned int    `json:"reassigned_leases"`
-	LostPairs  int    `json:"lost_pairs"`
+	Relays     int `json:"relays"`
+	Total      int `json:"total_shards"`
+	Done       int `json:"done_shards"`
+	Leased     int `json:"leased_shards"`
+	Pending    int `json:"pending_shards"`
+	Reassigned int `json:"reassigned_leases"`
+	LostPairs  int `json:"lost_pairs"`
 	// Recoveries is how many crash recoveries produced this coordinator
 	// (0 for a freshly created one, 1 for one rebuilt from its journal) —
 	// the field the coordinator-kill soak gates on.

@@ -62,7 +62,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	seed(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w2", Epoch: 7, Deadline: 1, Regrants: 3})
 	seed(journalRecord{
 		Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1,
-		Results: []journalResult{{X: "a", Y: "b", RTT: 1.25}, {X: "a", Y: "c", Failed: true}},
+		Results: []PairResult{{X: "a", Y: "b", RTT: 1.25}, {X: "a", Y: "c", Failed: true}},
 	})
 	seed(journalRecord{Kind: journalLost, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, X: "a", Y: "c"})
 	f.Add([]byte(`{"t":"campaign","names":["a"],"shards":[],"ttl_ms":0}`))

@@ -1,17 +1,14 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 	"time"
 
-	"ting/internal/ting"
+	"ting/internal/telemetry"
+	"ting/internal/wal"
 )
 
 // Journal record kinds. A coordinator journal is a write-ahead log: the
@@ -37,14 +34,6 @@ type journalShard struct {
 	Hi int `json:"hi"`
 }
 
-// journalResult is one pair of a journaled submission.
-type journalResult struct {
-	X      string  `json:"x"`
-	Y      string  `json:"y"`
-	RTT    float64 `json:"rtt,omitempty"`
-	Failed bool    `json:"failed,omitempty"`
-}
-
 // journalRecord is one line of the coordinator journal. encoding/json
 // round-trips float64 exactly, so replayed submissions merge bytewise
 // identically to the live ones.
@@ -58,11 +47,11 @@ type journalRecord struct {
 	// time, covering grants whose records the compaction dropped.
 	Watermark uint64 `json:"watermark,omitempty"`
 	// Grant/complete.
-	Shard    string          `json:"shard,omitempty"`
-	Worker   string          `json:"worker,omitempty"`
-	Epoch    uint64          `json:"epoch,omitempty"`
-	Deadline int64           `json:"deadline,omitempty"` // grant: lease deadline, unix nanos
-	Results  []journalResult `json:"results,omitempty"`
+	Shard    string       `json:"shard,omitempty"`
+	Worker   string       `json:"worker,omitempty"`
+	Epoch    uint64       `json:"epoch,omitempty"`
+	Deadline int64        `json:"deadline,omitempty"` // grant: lease deadline, unix nanos
+	Results  []PairResult `json:"results,omitempty"`
 	// Grant (compacted snapshots only): re-grants folded away by
 	// compaction, so Status.Reassigned survives a recovery.
 	Regrants int `json:"regrants,omitempty"`
@@ -71,12 +60,51 @@ type journalRecord struct {
 	Y string `json:"y,omitempty"`
 }
 
+// journalSyncEvery is the fsync batch size for informational (lost-pair)
+// records; state-machine records (grants, completes) sync before the
+// append returns — the WAL contract: nothing is acknowledged to a worker
+// that a recovered coordinator would not know.
+const journalSyncEvery = 8
+
+// encodeJournalRecord is one record's journal line, newline excluded.
 func encodeJournalRecord(rec journalRecord) ([]byte, error) {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return append(b, '\n'), nil
+	return b, nil
+}
+
+// appendJournal writes one record; sync forces it to disk before returning.
+func appendJournal(log *wal.Log, rec journalRecord, sync bool) error {
+	b, err := encodeJournalRecord(rec)
+	if err != nil {
+		return err
+	}
+	every := journalSyncEvery
+	if sync {
+		every = 1
+	}
+	if err := log.Append(b, every); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	return nil
+}
+
+// rewriteJournal atomically replaces the journal's content with recs (a
+// compacting snapshot).
+func rewriteJournal(log *wal.Log, recs []journalRecord) error {
+	lines := make([][]byte, len(recs))
+	for i, rec := range recs {
+		var err error
+		if lines[i], err = encodeJournalRecord(rec); err != nil {
+			return err
+		}
+	}
+	if err := log.Rewrite(lines); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	return nil
 }
 
 // decodeJournalRecord parses and validates one journal line. Unknown
@@ -127,104 +155,6 @@ func decodeJournalRecord(raw []byte) (journalRecord, error) {
 	return rec, nil
 }
 
-// Journal is the coordinator's durable write-ahead log: one JSON record
-// per line, each appended with a single write syscall. State-machine
-// records (grants, completes) are fsynced before the append returns — the
-// WAL contract: nothing is acknowledged to a worker that a recovered
-// coordinator would not know. Informational records batch their fsyncs.
-type Journal struct {
-	// SyncEvery is the fsync batch size for informational (lost-pair)
-	// records; default 8. State-machine records always sync.
-	SyncEvery int
-
-	path string
-
-	mu       sync.Mutex
-	f        *os.File
-	unsynced int
-}
-
-// CreateJournal starts a fresh journal at path, writing (and syncing) the
-// campaign header. It refuses to overwrite an existing non-empty journal —
-// that is a recovery situation, not a new campaign.
-func CreateJournal(path string, names []string, shards []Shard, ttl time.Duration) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if fi, err := f.Stat(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	} else if fi.Size() > 0 {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal %s already exists; recover it instead", path)
-	}
-	j := &Journal{path: path, f: f}
-	if err := j.append(journalHeader(names, shards, ttl, 0), true); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// openJournalForAppend reopens an existing journal's append handle — the
-// recovery path, after its content has been replayed. A torn final write
-// is trimmed first: without that, the first post-recovery append would
-// concatenate onto the torn fragment, turning a tolerated torn tail into
-// mid-file corruption on the next recovery.
-func openJournalForAppend(path string) (*Journal, error) {
-	if err := truncateTornTail(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &Journal{path: path, f: f}, nil
-}
-
-// truncateTornTail trims the journal back to its longest decodable prefix
-// of whole lines. replayJournal has already vetted the file, so anything
-// this cuts is the single torn tail replay tolerated — a line with no
-// newline, or one that does not decode.
-func truncateTornTail(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	br := bufio.NewReader(f)
-	var valid, off int64
-	for {
-		line, err := br.ReadBytes('\n')
-		off += int64(len(line))
-		if err != nil {
-			// EOF with a partial (newline-less) line: torn tail, not valid.
-			break
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) != 0 {
-			if _, derr := decodeJournalRecord(trimmed); derr != nil {
-				break
-			}
-		}
-		valid = off
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	closeErr := f.Close()
-	if err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("campaign: journal: %w", closeErr)
-	}
-	if valid < size {
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("campaign: journal: %w", err)
-		}
-	}
-	return nil
-}
-
 func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark uint64) journalRecord {
 	geo := make([]journalShard, len(shards))
 	for i, sh := range shards {
@@ -239,241 +169,92 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 	}
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// append writes one record; sync forces it to disk before returning.
-func (j *Journal) append(rec journalRecord, sync bool) error {
-	b, err := encodeJournalRecord(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("campaign: journal: closed")
-	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	j.unsynced++
-	every := j.SyncEvery
-	if every <= 0 {
-		every = 8
-	}
-	if sync || j.unsynced >= every {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("campaign: journal: %w", err)
-		}
-		j.unsynced = 0
-	}
-	return nil
-}
-
-// Sync forces any unsynced batch to disk.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil || j.unsynced == 0 {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	j.unsynced = 0
-	return nil
-}
-
-// Close syncs and closes the journal. Appending afterwards errors.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	syncErr := j.f.Sync()
-	closeErr := j.f.Close()
-	j.f = nil
-	if syncErr != nil {
-		return fmt.Errorf("campaign: journal: %w", syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("campaign: journal: %w", closeErr)
-	}
-	return nil
-}
-
-// rewrite atomically replaces the journal's content with recs (a
-// compacting snapshot): write to a temp file, fsync it, rename over the
-// journal, and swap the append handle. A crash at any point leaves either
-// the old journal or the new one — never a mix.
-func (j *Journal) rewrite(recs []journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("campaign: journal: closed")
-	}
-	tmp := j.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	for _, rec := range recs {
-		b, err := encodeJournalRecord(rec)
-		if err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if _, err := tf.Write(b); err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("campaign: journal: %w", err)
-		}
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	// The old handle now points at an unlinked inode; future appends must
-	// land in the renamed snapshot.
-	syncOld := j.f.Close()
-	j.f = tf
-	j.unsynced = 0
-	if syncOld != nil {
-		return fmt.Errorf("campaign: journal: %w", syncOld)
-	}
-	return nil
-}
-
-// grantInfo is the latest journaled grant of one shard.
-type grantInfo struct {
-	worker   string
-	epoch    uint64
-	deadline time.Time
-	regrants int // times the shard was granted beyond the first
-}
-
-// doneInfo is a shard's journaled winning submission.
-type doneInfo struct {
-	worker  string
-	epoch   uint64
-	results []PairResult
-}
-
-// journalState is the aggregated view of a coordinator journal.
-type journalState struct {
-	names     []string
-	shards    []Shard
-	ttl       time.Duration
-	watermark uint64 // highest fencing epoch ever granted
-	grants    map[string]grantInfo
-	done      map[string]doneInfo
-	records   int
-}
-
-// replayJournal reads a coordinator journal back into its aggregated
-// state, torn-tail-tolerantly, enforcing the journal's own invariants:
-// exactly one header, first; grant epochs strictly increasing
-// (coordinator-global monotonic fencing); completes only for journaled
-// shards at their recorded epoch.
-func replayJournal(path string) (*journalState, error) {
+// replayJournal rebuilds a coordinator's ledger from the journal at path,
+// torn-tail-tolerantly, and counts the records read. It enforces the
+// journal's own invariants: exactly one header, first; grant epochs
+// strictly increasing (coordinator-global monotonic fencing); no grant of a
+// completed shard; completes only at the shard's latest granted epoch.
+func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
+		return nil, 0, fmt.Errorf("campaign: journal: %w", err)
 	}
 	defer f.Close()
-	st := &journalState{
-		grants: make(map[string]grantInfo),
-		done:   make(map[string]doneInfo),
-	}
-	known := make(map[string]bool)
 	lastGrant := uint64(0)
-	err = ting.ReplayJSONL(f, func(raw []byte) error {
+	err = wal.Replay(f, func(raw []byte) error {
 		rec, err := decodeJournalRecord(raw)
 		if err != nil {
-			return &ting.DecodeError{Err: err}
+			return &wal.DecodeError{Err: err}
 		}
-		st.records++
+		records++
 		switch rec.Kind {
 		case journalCampaign:
-			if st.names != nil {
+			if c != nil {
 				return errors.New("campaign: journal has a second campaign header")
 			}
-			st.names = rec.Names
-			st.ttl = time.Duration(rec.TTLMs) * time.Millisecond
-			st.watermark = rec.Watermark
-			for _, g := range rec.Shards {
-				sh := NewShard(g.TI, g.TJ, g.Lo, g.Hi)
-				st.shards = append(st.shards, sh)
-				known[sh.ID] = true
+			shards := make([]Shard, len(rec.Shards))
+			for i, g := range rec.Shards {
+				shards[i] = NewShard(g.TI, g.TJ, g.Lo, g.Hi)
 			}
-		case journalGrant:
-			if st.names == nil {
-				return errors.New("campaign: journal grant before campaign header")
+			c, err = NewCoordinator(rec.Names, shards, time.Duration(rec.TTLMs)*time.Millisecond, treg)
+			if err != nil {
+				return err
 			}
-			if !known[rec.Shard] {
-				return fmt.Errorf("campaign: journal grant for unknown shard %s", rec.Shard)
-			}
-			// Grant records are strictly increasing by epoch within one
-			// journal file — the coordinator-global monotonic fencing counter
-			// made visible. (A compacted snapshot's header watermark may sit
-			// above its re-emitted grants; appends after recovery resume
-			// strictly above both.)
-			if rec.Epoch <= lastGrant {
-				return fmt.Errorf("campaign: journal grant epoch %d not above previous grant %d (fencing violated)",
-					rec.Epoch, lastGrant)
-			}
-			lastGrant = rec.Epoch
-			if rec.Epoch > st.watermark {
-				st.watermark = rec.Epoch
-			}
-			g := st.grants[rec.Shard]
-			if g.epoch != 0 {
-				g.regrants++ // a re-grant observed directly in this file
-			}
-			g.regrants += rec.Regrants // re-grants folded into a snapshot
-			g.worker = rec.Worker
-			g.epoch = rec.Epoch
-			g.deadline = time.Unix(0, rec.Deadline)
-			st.grants[rec.Shard] = g
-		case journalComplete:
-			if st.names == nil {
-				return errors.New("campaign: journal complete before campaign header")
-			}
-			if !known[rec.Shard] {
-				return fmt.Errorf("campaign: journal complete for unknown shard %s", rec.Shard)
-			}
-			g, granted := st.grants[rec.Shard]
-			if !granted || rec.Epoch != g.epoch {
-				return fmt.Errorf("campaign: journal complete for shard %s at epoch %d, latest grant %d",
-					rec.Shard, rec.Epoch, g.epoch)
-			}
-			if prev, dup := st.done[rec.Shard]; dup && prev.epoch != rec.Epoch {
-				return fmt.Errorf("campaign: journal completes shard %s twice at different epochs", rec.Shard)
-			}
-			results := make([]PairResult, len(rec.Results))
-			for i, r := range rec.Results {
-				results[i] = PairResult{X: r.X, Y: r.Y, RTT: r.RTT, Failed: r.Failed}
-			}
-			st.done[rec.Shard] = doneInfo{worker: rec.Worker, epoch: rec.Epoch, results: results}
-		case journalLost:
-			// Informational; the failed pairs already live in the complete
-			// record's results.
+			c.nextEpoch = rec.Watermark
+			return nil
+		case journalGrant, journalComplete:
+			// Applied to their shard, below.
+		default:
+			// Lost records are informational (the complete record's results
+			// carry the failed pairs); unknown kinds are a newer writer's.
+			return nil
 		}
+		if c == nil {
+			return fmt.Errorf("campaign: journal %s before campaign header", rec.Kind)
+		}
+		st, ok := c.byID[rec.Shard]
+		if !ok {
+			return fmt.Errorf("campaign: journal %s for unknown shard %s", rec.Kind, rec.Shard)
+		}
+		if rec.Kind == journalComplete {
+			if rec.Epoch != st.epoch {
+				return fmt.Errorf("campaign: journal complete for shard %s at epoch %d, latest grant %d",
+					rec.Shard, rec.Epoch, st.epoch)
+			}
+			if st.phase != shardDone {
+				st.phase = shardDone
+				c.remaining--
+			}
+			st.worker, st.results = rec.Worker, rec.Results
+			return nil
+		}
+		// Grant records are strictly increasing by epoch within one journal
+		// file — the coordinator-global monotonic fencing counter made
+		// visible. (A compacted snapshot's header watermark may sit above its
+		// re-emitted grants; appends after recovery resume strictly above
+		// both.)
+		if rec.Epoch <= lastGrant {
+			return fmt.Errorf("campaign: journal grant epoch %d not above previous grant %d (fencing violated)",
+				rec.Epoch, lastGrant)
+		}
+		if st.phase == shardDone {
+			return fmt.Errorf("campaign: journal grants completed shard %s", rec.Shard)
+		}
+		lastGrant = rec.Epoch
+		c.nextEpoch = max(c.nextEpoch, rec.Epoch)
+		if st.epoch != 0 {
+			st.reassigned++ // a re-grant observed directly in this file
+		}
+		st.reassigned += rec.Regrants // re-grants folded into a snapshot
+		st.phase = shardLeased
+		st.worker, st.epoch, st.deadline = rec.Worker, rec.Epoch, time.Unix(0, rec.Deadline)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if st.names == nil {
-		return nil, fmt.Errorf("campaign: journal %s has no campaign header", path)
+	if c == nil {
+		return nil, 0, fmt.Errorf("campaign: journal %s has no campaign header", path)
 	}
-	return st, nil
+	return c, records, nil
 }

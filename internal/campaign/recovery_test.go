@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ting/internal/ting"
 )
 
 func journalPath(t *testing.T) string {
@@ -195,48 +197,131 @@ func TestDoubleRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverTornTail: a crash mid-append leaves a partial record with no
-// newline. Recovery drops it, trims it, and post-recovery appends start on
-// a fresh line — so a second crash-and-recover sees a clean file instead
-// of mid-file corruption.
-func TestRecoverTornTail(t *testing.T) {
-	names := fakeNames(3)
-	shards := []Shard{NewShard(0, 0, 0, 3)}
-	path := journalPath(t)
+// TestTornTailSurvivesTwoResumes pins wal's repair-on-open through both
+// record schemas: a crash mid-append leaves a partial record with no
+// newline; the first reopen drops it from the replay and cuts it off the
+// file, so the records appended next start on a fresh line and the second
+// reopen replays everything — rather than finding the fragment glued to an
+// acknowledged record in mid-file. (Before internal/wal only the journal
+// trimmed; a scan checkpoint refused its second resume.)
+func TestTornTailSurvivesTwoResumes(t *testing.T) {
+	names := fakeNames(4)
+	shards := Partition(len(names), 2)
 	clock := newFakeClock()
-	c1 := newJournaled(t, names, shards, path, clock)
+	var held Lease
 
-	l, res, err := c1.Acquire("w1")
-	if err != nil || res != AcquireGranted {
-		t.Fatal(res, err)
+	pairs := func(t *testing.T, path string) int {
+		t.Helper()
+		cp, err := ting.OpenFileCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		st, err := ting.ReplayState(cp)
+		if err != nil {
+			t.Fatalf("resume refused: %v", err)
+		}
+		return len(st.Pairs)
+	}
+	appendPairs := func(t *testing.T, path string, recs ...ting.CheckpointRecord) {
+		t.Helper()
+		cp, err := ting.OpenFileCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := cp.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := func(x, y int) ting.CheckpointRecord {
+		return ting.CheckpointRecord{Kind: ting.RecordPair, X: names[x], Y: names[y], RTT: float64(10*x + y)}
 	}
 
-	// The crash lands mid-way through writing a complete record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"complete","shard":"` + l.Shard.ID + `","epo`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := recoverJournaled(t, path, clock)
-	st := c2.Snapshot()
-	if st.Done != 0 || st.Leased != 1 {
-		t.Fatalf("torn complete not dropped: %d done, %d leased", st.Done, st.Leased)
-	}
-
-	// The torn fragment must be gone: the next append starts a fresh line,
-	// and a second recovery replays cleanly.
-	if err := c2.Complete("w1", l.Shard.ID, l.Epoch, fullResults(t, l.Shard, names)); err != nil {
-		t.Fatal(err)
-	}
-	c3 := recoverJournaled(t, path, clock)
-	if st := c3.Snapshot(); st.Done != 1 {
-		t.Fatalf("after second recovery: %d done, want 1", st.Done)
+	for _, tc := range []struct {
+		name     string
+		fragment func() string
+		// start writes the log's first records; first and second are the two
+		// resumes — each checks what the log holds, first also appends twice.
+		start, first, second func(t *testing.T, path string)
+	}{
+		{
+			name:     "checkpoint",
+			fragment: func() string { return `{"t":"pair","x":"relay003","y":` },
+			start: func(t *testing.T, path string) {
+				appendPairs(t, path, ting.CheckpointRecord{Kind: ting.RecordCampaign, Names: names}, pair(0, 1))
+			},
+			first: func(t *testing.T, path string) {
+				if n := pairs(t, path); n != 1 {
+					t.Fatalf("first resume sees %d pairs, want 1", n)
+				}
+				appendPairs(t, path, pair(0, 2), pair(1, 2))
+			},
+			second: func(t *testing.T, path string) {
+				if n := pairs(t, path); n != 3 {
+					t.Fatalf("second resume sees %d pairs, want 3", n)
+				}
+			},
+		},
+		{
+			name:     "journal",
+			fragment: func() string { return `{"t":"complete","shard":"` + held.Shard.ID + `","epo` },
+			start: func(t *testing.T, path string) {
+				c := newJournaled(t, names, shards, path, clock)
+				var res AcquireResult
+				var err error
+				if held, res, err = c.Acquire("w1"); err != nil || res != AcquireGranted {
+					t.Fatal(res, err)
+				}
+			},
+			first: func(t *testing.T, path string) {
+				c := recoverJournaled(t, path, clock)
+				if st := c.Snapshot(); st.Done != 0 || st.Leased != 1 {
+					t.Fatalf("torn complete not dropped: %d done, %d leased", st.Done, st.Leased)
+				}
+				if err := c.Complete("w1", held.Shard.ID, held.Epoch, fullResults(t, held.Shard, names)); err != nil {
+					t.Fatal(err)
+				}
+				if _, res, err := c.Acquire("w2"); err != nil || res != AcquireGranted {
+					t.Fatal(res, err)
+				}
+			},
+			second: func(t *testing.T, path string) {
+				c := recoverJournaled(t, path, clock)
+				if st := c.Snapshot(); st.Done != 1 || st.Leased != 1 {
+					t.Fatalf("after second recovery: %d done, %d leased, want 1 and 1", st.Done, st.Leased)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log")
+			tc.start(t, path)
+			// The crash lands mid-way through writing a record.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.fragment()); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.first(t, path)
+			tc.second(t, path)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(data, []byte(tc.fragment())) || !bytes.HasSuffix(data, []byte("}\n")) {
+				t.Fatalf("the fragment is still in the file:\n%s", data)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package ting
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +8,8 @@ import (
 	"math"
 	"os"
 	"sync"
+
+	"ting/internal/wal"
 )
 
 // Checkpoint record kinds. A campaign log is a sequence of records: one
@@ -83,12 +83,10 @@ type Checkpoint interface {
 	Replay(fn func(rec CheckpointRecord) error) error
 }
 
-// FileCheckpoint is the file-backed Checkpoint: one JSON record per line,
-// appended with a single write syscall each (so a killed process loses
-// nothing the kernel accepted) and fsynced every SyncEvery records (so a
-// machine crash loses at most the current batch). The format is
-// self-describing JSONL — greppable mid-campaign, and a torn final line
-// from a crash is tolerated on replay.
+// FileCheckpoint is the file-backed Checkpoint: CheckpointRecords as JSON
+// lines in a wal.Log, which owns the file discipline — one write syscall
+// per record, batched fsync, torn-tail repair on open and tolerance on
+// replay. The format is self-describing JSONL, greppable mid-campaign.
 type FileCheckpoint struct {
 	// SyncEvery is the fsync batch size; default 8. 1 fsyncs every
 	// record — maximum durability, one disk flush per measured pair.
@@ -96,158 +94,63 @@ type FileCheckpoint struct {
 	SyncEvery int
 
 	path string
-
-	mu       sync.Mutex
-	f        *os.File
-	unsynced int
+	log  *wal.Log
 }
 
 // OpenFileCheckpoint opens (creating if needed) a campaign log for
-// appending. The existing content is left untouched and remains
-// replayable — opening an interrupted campaign's log and handing it to
+// appending. The existing content stays replayable, less a crash's torn
+// final line — opening an interrupted campaign's log and handing it to
 // Scanner.Resume is the recovery path.
 func OpenFileCheckpoint(path string) (*FileCheckpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := wal.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ting: checkpoint: %w", err)
 	}
-	return &FileCheckpoint{path: path, f: f}, nil
+	return &FileCheckpoint{path: path, log: log}, nil
 }
-
-// Path returns the log's file path.
-func (c *FileCheckpoint) Path() string { return c.path }
 
 // Append writes one record as a JSON line. Each record reaches the kernel
 // before Append returns; every SyncEvery-th append also fsyncs.
 func (c *FileCheckpoint) Append(rec CheckpointRecord) error {
 	b, err := json.Marshal(rec)
+	if err == nil {
+		err = c.log.Append(b, c.SyncEvery)
+	}
 	if err != nil {
 		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
-	b = append(b, '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return errors.New("ting: checkpoint: closed")
-	}
-	if _, err := c.f.Write(b); err != nil {
-		return fmt.Errorf("ting: checkpoint: %w", err)
-	}
-	c.unsynced++
-	every := c.SyncEvery
-	if every <= 0 {
-		every = 8
-	}
-	if c.unsynced >= every {
-		if err := c.f.Sync(); err != nil {
-			return fmt.Errorf("ting: checkpoint: %w", err)
-		}
-		c.unsynced = 0
-	}
-	return nil
-}
-
-// Sync forces any unsynced batch to disk.
-func (c *FileCheckpoint) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil || c.unsynced == 0 {
-		return nil
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("ting: checkpoint: %w", err)
-	}
-	c.unsynced = 0
 	return nil
 }
 
 // Close syncs and closes the log. Appending afterwards errors.
 func (c *FileCheckpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	syncErr := c.f.Sync()
-	closeErr := c.f.Close()
-	c.f = nil
-	if syncErr != nil {
-		return fmt.Errorf("ting: checkpoint: %w", syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("ting: checkpoint: %w", closeErr)
+	if err := c.log.Close(); err != nil {
+		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Replay reads the log from the start. A record whose line cannot be
-// parsed is a torn tail if nothing follows it — the partial write of a
-// crash, silently dropped — and corruption if more records do.
+// Replay reads the log from the start; a log never written replays empty.
 func (c *FileCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
-	rf, err := os.Open(c.path)
+	f, err := os.Open(c.path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
-	defer rf.Close()
-	return replayRecords(rf, fn)
+	defer f.Close()
+	return replayRecords(f, fn)
 }
 
-// DecodeError marks a record ReplayJSONL's callback could not parse. A
-// decode failure on the log's final line is a torn tail — the partial
-// write of a crash, silently dropped; anywhere earlier it is corruption.
-// Callback errors that are not DecodeErrors abort the replay immediately.
-type DecodeError struct{ Err error }
-
-func (e *DecodeError) Error() string { return e.Err.Error() }
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// ReplayJSONL streams the non-empty lines of an append-only JSONL log to
-// fn, tolerating exactly one undecodable record at the very end (a torn
-// final write). fn signals "this line does not parse" by returning a
-// *DecodeError; any other error is the caller's own and aborts the
-// replay as-is. Both the scan checkpoint and the campaign coordinator's
-// journal replay through this helper, so their crash-tolerance semantics
-// cannot drift apart.
-func ReplayJSONL(r io.Reader, fn func(raw []byte) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var badErr error
-	badLine := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if badErr != nil {
-			return fmt.Errorf("ting: corrupt record at line %d: %w", badLine, badErr)
-		}
-		if err := fn(raw); err != nil {
-			var de *DecodeError
-			if errors.As(err, &de) {
-				badErr, badLine = de.Err, line
-				continue
-			}
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("ting: replay: %w", err)
-	}
-	return nil
-}
-
-// replayRecords decodes a JSONL record stream, tolerating exactly one
-// undecodable record at the very end (a torn final write).
+// replayRecords decodes a record stream under wal.Replay's rules: a torn
+// final line (no newline) is dropped, a line that is not a record is
+// corruption.
 func replayRecords(r io.Reader, fn func(rec CheckpointRecord) error) error {
-	return ReplayJSONL(r, func(raw []byte) error {
+	return wal.Replay(r, func(raw []byte) error {
 		var rec CheckpointRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return &DecodeError{Err: err}
+			return &wal.DecodeError{Err: err}
 		}
 		return fn(rec)
 	})

@@ -4,8 +4,10 @@
 # process SIGKILL'd while the campaign runs:
 #
 #   scenario "worker" (default): worker w2 is killed while it holds a
-#   lease and restarted against its own checkpoint — exercising lease
-#   expiry, reassignment, and checkpoint replay.
+#   lease and restarted against its own checkpoint, twice — exercising
+#   lease expiry, reassignment, checkpoint replay, and appending to a
+#   checkpoint that has already survived one crash (the second resume reads
+#   what the first one wrote behind whatever the first kill left).
 #
 #   scenario "coordinator": the coordinator itself is killed while leases
 #   are in flight and restarted against its write-ahead journal on the
@@ -92,30 +94,35 @@ start_worker() { # name extra-args…
   "$workdir/tingcamp" -worker $common -name "$name" -addr "$addr" \
     -checkpoint "$workdir/$name.ckpt" -scan-workers 2 \
     -unreachable-grace 60s "$@" \
-    > "$workdir/$name.log" 2>&1 &
+    >> "$workdir/$name.log" 2>&1 &
   echo $!
 }
 
-# Workers 1, 3, 4 run normally; worker 2 measures slowly (-pair-delay
-# stretches lease hold time without changing any value), so the SIGKILL
-# below reliably lands while leases are in flight.
+# Workers 1, 3, 4 run normally, pausing between leases so shards are still
+# pending when w2 comes back; worker 2 measures slowly (-pair-delay
+# stretches lease hold time without changing any value), so the SIGKILLs
+# below reliably land while leases are in flight.
 w2_pid=$(start_worker w2 -pair-delay 250ms); pids="$pids $w2_pid"
-w1_pid=$(start_worker w1 -dally 100ms);  pids="$pids $w1_pid"
-w3_pid=$(start_worker w3 -dally 100ms);  pids="$pids $w3_pid"
-w4_pid=$(start_worker w4 -dally 100ms);  pids="$pids $w4_pid"
+w1_pid=$(start_worker w1 -dally 500ms);  pids="$pids $w1_pid"
+w3_pid=$(start_worker w3 -dally 500ms);  pids="$pids $w3_pid"
+w4_pid=$(start_worker w4 -dally 500ms);  pids="$pids $w4_pid"
 
 if [ "$SCENARIO" = "worker" ]; then
-  # w2's first shard takes seconds at 250ms per circuit series; the kill at
-  # +0.6s lands while it still holds that lease.
-  sleep 0.6
-  echo "SIGKILL worker w2 (pid $w2_pid) mid-campaign"
-  kill -9 "$w2_pid" 2>/dev/null || true
-  sleep 0.5
-
-  # Restart w2 against its own checkpoint: the crash-resume path. Whatever
-  # it measured before the kill replays instead of re-measuring.
-  w2r_pid=$(start_worker w2 -dally 100ms); pids="$pids $w2r_pid"
-  echo "restarted w2 (pid $w2r_pid) from its checkpoint"
+  # w2's shard takes seconds at 250ms per circuit series; a kill 1.2s after
+  # it starts lands while it holds that lease with a pair or two in its
+  # checkpoint. Each restart is against w2's own checkpoint — the
+  # crash-resume path: whatever it measured before the kill replays instead
+  # of re-measuring. The first restart is slow too, so the second kill also
+  # lands mid-lease.
+  for restart_args in "-pair-delay 250ms" "-dally 100ms"; do
+    sleep 1.2
+    echo "SIGKILL worker w2 (pid $w2_pid) mid-campaign"
+    kill -9 "$w2_pid" 2>/dev/null || true
+    sleep 0.5
+    # shellcheck disable=SC2086
+    w2_pid=$(start_worker w2 $restart_args); pids="$pids $w2_pid"
+    echo "restarted w2 (pid $w2_pid) from its checkpoint"
+  done
 else
   # Kill the coordinator the moment its state snapshot shows a lease out.
   i=0
