@@ -197,7 +197,17 @@ func main() {
 	}
 	if *httpAddr != "" {
 		ln := listen(*httpAddr)
-		srv := &http.Server{Handler: serve.NewServer(pub, reg).Handler()}
+		// Bounded like the binary listener: a client that trickles its
+		// request, never reads its answer, or parks an idle keep-alive is
+		// dropped instead of pinning a goroutine. WriteTimeout covers the
+		// handler too, and leaves room for an epoch's first O(N³) /v1/tiv.
+		srv := &http.Server{
+			Handler:           serve.NewServer(pub, reg).Handler(),
+			ReadHeaderTimeout: 10 * time.Second,
+			ReadTimeout:       30 * time.Second,
+			WriteTimeout:      2 * time.Minute,
+			IdleTimeout:       2 * time.Minute,
+		}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				log.Fatal(err)

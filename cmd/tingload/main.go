@@ -169,14 +169,14 @@ func runBinary(id int, deadline time.Time, relays int) (*workerStats, error) {
 	defer c.Close()
 	rng := rand.New(rand.NewSource(*seedFlag + int64(id)))
 	pairs := make([]uint32, 2**batchSize)
-	var cells []serve.BatchCell
+	var cells []serve.BatchCellEx
 	ws := &workerStats{epochs: map[uint64]bool{}}
 	for time.Now().Before(deadline) {
 		for i := range pairs {
 			pairs[i] = uint32(rng.Intn(relays))
 		}
 		t0 := time.Now()
-		epoch, out, err := c.RTTBatch(pairs, cells)
+		epoch, out, err := c.RTTBatchEx(pairs, cells)
 		if err != nil {
 			ws.errors++
 			return ws, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -54,6 +55,40 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 	if len(a) < 12 {
 		t.Errorf("Partition(70, 12) made %d shards, want at least the target", len(a))
+	}
+}
+
+// TestNewCoordinatorRejectsOverlappingShards: "every pair in exactly one
+// shard" is enforced where the shards come in, by geometry. Two shards of
+// one block whose ranges intersect are refused; touching ranges, the same
+// range in different blocks, and every real partition are accepted.
+func TestNewCoordinatorRejectsOverlappingShards(t *testing.T) {
+	names := fakeNames(130)
+	for _, tc := range []struct {
+		name   string
+		shards []Shard
+		ok     bool
+	}{
+		{"intersecting", []Shard{NewShard(0, 0, 0, 4), NewShard(0, 0, 2, 6)}, false},
+		{"nested, given out of order", []Shard{NewShard(0, 1, 5, 6), NewShard(0, 1, 9, 12), NewShard(0, 1, 0, 10)}, false},
+		{"repeated", []Shard{NewShard(0, 0, 0, 3), NewShard(1, 1, 0, 3), NewShard(0, 0, 0, 3)}, false},
+		{"adjacent", []Shard{NewShard(0, 0, 0, 3), NewShard(0, 0, 3, 6)}, true},
+		{"same range, different blocks", []Shard{NewShard(0, 0, 0, 4), NewShard(0, 1, 0, 4), NewShard(1, 1, 2, 6)}, true},
+	} {
+		_, err := NewCoordinator(names, tc.shards, time.Second, nil)
+		if tc.ok && err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "overlap")) {
+			t.Errorf("%s: err = %v, want an overlap error", tc.name, err)
+		}
+	}
+	for _, n := range []int{2, 63, 64, 65, 400} {
+		for _, target := range []int{1, 7, 256} {
+			if _, err := NewCoordinator(fakeNames(n), Partition(n, target), time.Second, nil); err != nil {
+				t.Errorf("Partition(%d, %d) refused: %v", n, target, err)
+			}
+		}
 	}
 }
 
@@ -275,6 +310,9 @@ func TestMergedMatchesSubmissions(t *testing.T) {
 			results[i].RTT = float64(l.Epoch*100) + float64(i)
 			want[[2]string{results[i].X, results[i].Y}] = results[i].RTT
 		}
+		// One pair per shard the worker gave up on: covered, but no cell.
+		results[0] = PairResult{X: results[0].X, Y: results[0].Y, RTT: 99, Failed: true}
+		want[[2]string{results[0].X, results[0].Y}] = 0
 		if err := c.Complete("w", l.Shard.ID, l.Epoch, results); err != nil {
 			t.Fatal(err)
 		}

@@ -120,9 +120,6 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		if err := sh.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := c.byID[sh.ID]; dup {
-			return nil, fmt.Errorf("campaign: duplicate shard %s", sh.ID)
-		}
 		// Reject shards that don't fit the name set now, not at merge time.
 		if _, err := sh.Pairs(c.names); err != nil {
 			return nil, err
@@ -130,6 +127,9 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		st := &shardState{shard: sh}
 		c.order = append(c.order, st)
 		c.byID[sh.ID] = st
+	}
+	if err := checkDisjoint(shards); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -430,10 +430,13 @@ func (c *Coordinator) Names() []string {
 	return append([]string(nil), c.names...)
 }
 
-// Merged folds every shard submission into one matrix, via Matrix.Merge
-// in canonical shard order — bytewise reproducible given the same
-// submissions, and (with a deterministic measurer) bytewise equal to a
-// single-process scan. Requires the campaign to be done.
+// Merged folds every shard submission straight into one matrix, in
+// canonical shard order. Shards are disjoint (NewCoordinator checked) and
+// each has exactly one accepted submission covering its pairs exactly
+// (Complete checked), so every cell is written at most once: the result is
+// bytewise reproducible given the same submissions, and (with a
+// deterministic measurer) bytewise equal to a single-process scan. Requires
+// the campaign to be done.
 func (c *Coordinator) Merged() (*ting.Matrix, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -445,56 +448,16 @@ func (c *Coordinator) Merged() (*ting.Matrix, error) {
 		return nil, err
 	}
 	for _, st := range c.order {
-		sub, err := c.shardMatrixLocked(st)
-		if err != nil {
-			return nil, err
-		}
-		if sub == nil {
-			continue // shard measured nothing (all pairs failed)
-		}
-		if err := dst.Merge(sub); err != nil {
-			return nil, fmt.Errorf("campaign: merging shard %s: %w", st.shard.ID, err)
+		for _, r := range st.results {
+			if r.Failed {
+				continue
+			}
+			if err := dst.Set(r.X, r.Y, r.RTT); err != nil {
+				return nil, fmt.Errorf("campaign: merging shard %s: %w", st.shard.ID, err)
+			}
 		}
 	}
 	return dst, nil
-}
-
-// shardMatrixLocked builds the submission matrix for one shard over just
-// the relays its pairs touch, preserving campaign name order so Merge's
-// name matching lines up.
-func (c *Coordinator) shardMatrixLocked(st *shardState) (*ting.Matrix, error) {
-	touched := make(map[string]bool, len(st.results)*2)
-	any := false
-	for _, r := range st.results {
-		if r.Failed {
-			continue
-		}
-		touched[r.X] = true
-		touched[r.Y] = true
-		any = true
-	}
-	if !any {
-		return nil, nil
-	}
-	var names []string
-	for _, n := range c.names {
-		if touched[n] {
-			names = append(names, n)
-		}
-	}
-	m, err := ting.NewMatrix(names)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range st.results {
-		if r.Failed {
-			continue
-		}
-		if err := m.Set(r.X, r.Y, r.RTT); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }
 
 // ShardStatus is one shard's row in a Status snapshot.

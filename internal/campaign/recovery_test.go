@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ting/internal/ting"
+	"ting/internal/wal"
 )
 
 func journalPath(t *testing.T) string {
@@ -350,6 +351,27 @@ func TestRecoverRejectsMidFileCorruption(t *testing.T) {
 	}
 	if _, err := RecoverCoordinator(path, nil); err == nil {
 		t.Fatal("recovery accepted a journal with mid-file corruption")
+	}
+}
+
+// TestRecoverRejectsOverlappingShards: a journal whose header lists two
+// shards sharing pairs (one an older coordinator accepted, or a doctored
+// one) must not come back as a campaign that measures those pairs twice.
+func TestRecoverRejectsOverlappingShards(t *testing.T) {
+	path := journalPath(t)
+	j, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []Shard{NewShard(0, 0, 0, 4), NewShard(0, 0, 2, 6)}
+	if err := appendJournal(j, journalHeader(fakeNames(4), shards, time.Second, 0), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverCoordinator(path, nil); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("recovery of overlapping shards: err = %v, want an overlap error", err)
 	}
 }
 

@@ -6,14 +6,17 @@
 // transport. Leases carry deadlines and monotonic fencing epochs: a
 // worker that stops heartbeating loses its lease to a live worker, a
 // stale writer's submission is rejected by epoch, and double-measured
-// pairs resolve last-writer-wins. The coordinator merges per-shard
-// submissions in canonical shard order, so a completed campaign's matrix
-// is bytewise equal to a single-process scan of the same (deterministic)
-// world — the invariant the shard-soak CI job pins.
+// pairs resolve last-writer-wins. Shards are disjoint — the coordinator
+// refuses a partition in which two of them share a pair — and each accepts
+// exactly one submission, so the merge is a plain fold of every submission
+// into one matrix, and a completed campaign's matrix is bytewise equal to a
+// single-process scan of the same (deterministic) world — the invariant
+// the shard-soak CI job pins.
 package campaign
 
 import (
 	"fmt"
+	"sort"
 
 	"ting/internal/ting"
 )
@@ -51,6 +54,31 @@ func (s Shard) Validate() error {
 	}
 	if s.ID != shardID(s.TI, s.TJ, s.Lo, s.Hi) {
 		return fmt.Errorf("campaign: shard ID %q does not match geometry", s.ID)
+	}
+	return nil
+}
+
+// checkDisjoint enforces the invariant the merge rests on — every pair
+// belongs to at most one shard — by geometry alone: two shards share a pair
+// exactly when they are in the same tile block and their [Lo,Hi) ranges
+// intersect. Sorted by (block, Lo), any such two put an intersecting pair
+// side by side, so one pass over neighbours finds it. A repeated shard is
+// the degenerate overlap.
+func checkDisjoint(shards []Shard) error {
+	s := append([]Shard(nil), shards...)
+	sort.Slice(s, func(a, b int) bool {
+		if s[a].TI != s[b].TI {
+			return s[a].TI < s[b].TI
+		}
+		if s[a].TJ != s[b].TJ {
+			return s[a].TJ < s[b].TJ
+		}
+		return s[a].Lo < s[b].Lo
+	})
+	for k := 1; k < len(s); k++ {
+		if p, q := s[k-1], s[k]; p.TI == q.TI && p.TJ == q.TJ && q.Lo < p.Hi {
+			return fmt.Errorf("campaign: shards %s and %s overlap", p.ID, q.ID)
+		}
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ting/internal/telemetry"
+	"ting/internal/ting"
 )
 
 // The binary query protocol. HTTP/JSON is the integration surface; this is
@@ -27,10 +28,6 @@ import (
 //
 //	0x01 epoch      → u64 epoch | u32 n | u16 etagLen | etag bytes
 //	0x02 names      → u64 epoch | u32 count | count × (u16 len | bytes)
-//	0x03 rtt        u16 xLen | x | u16 yLen | y
-//	                → u64 epoch | f64 rttMs | u8 prov
-//	0x04 rttBatch   u32 count | count × (u32 i | u32 j)
-//	                → u64 epoch | count × (f64 rttMs | u8 prov)
 //	0x05 rttEx      u16 xLen | x | u16 yLen | y
 //	                → u64 epoch | f64 rttMs | u8 prov | u8 conf (0..255 = 0..1)
 //	0x06 rttBatchEx u32 count | count × (u32 i | u32 j)
@@ -41,18 +38,14 @@ import (
 // requests across an epoch swap can always tell which snapshot answered —
 // the wire-level analogue of the HTTP ETag.
 //
-// The protocol is versioned by its op space: incompatible revisions take
-// new op codes, and unknown ops fail closed with statusBadRequest.
+// A cell has one wire shape: value, provenance, confidence. The protocol is
+// versioned by its op space: incompatible revisions take new op codes, and
+// unknown ops fail closed with statusBadRequest. 0x03 and 0x04 are retired
+// and must not be reassigned.
 
 const (
-	opEpoch    = 0x01
-	opNames    = 0x02
-	opRTT      = 0x03
-	opRTTBatch = 0x04
-	// The Ex ops append a per-cell confidence byte to each cell — the
-	// coordinate-completed matrix's measured-vs-predicted signal. New ops
-	// rather than new fields on 0x03/0x04: old clients keep decoding the
-	// exact frames they always got.
+	opEpoch      = 0x01
+	opNames      = 0x02
 	opRTTEx      = 0x05
 	opRTTBatchEx = 0x06
 
@@ -68,14 +61,23 @@ const (
 	// consensus fit comfortably; a hostile 4GB length prefix does not.
 	maxFrame = 1 << 20
 
-	// MaxBatch is the largest rttBatch count accepted in one frame.
+	// MaxBatch is the largest rttBatchEx count accepted in one frame.
 	MaxBatch = 4096
+
+	// connTimeout bounds how long a connection may go without finishing a
+	// request, and how long a peer may take to drain a reply: one that
+	// stalls mid-frame, idles, or stops reading is closed instead of
+	// pinning a goroutine and two 64 KiB buffers forever. The deadline is
+	// re-armed at most once per half timeout, so a client is always allowed
+	// at least connTimeout/2 of silence.
+	connTimeout = 2 * time.Minute
 )
 
 // BinaryServer serves the binary protocol over a listener, answering every
 // request from the publisher's current snapshot.
 type BinaryServer struct {
-	pub *Publisher
+	pub     *Publisher
+	timeout time.Duration // connTimeout; tests shorten it
 
 	lookups *telemetry.Counter
 	conns   *telemetry.Counter
@@ -87,6 +89,7 @@ type BinaryServer struct {
 func NewBinaryServer(pub *Publisher, reg *telemetry.Registry) *BinaryServer {
 	return &BinaryServer{
 		pub:     pub,
+		timeout: connTimeout,
 		lookups: reg.Counter("serve.lookups"),
 		conns:   reg.Counter("serve.bin.conns"),
 		binMs:   reg.Histogram("serve.bin_ms"),
@@ -121,10 +124,18 @@ func (s *BinaryServer) Serve(ctx context.Context, ln net.Listener) error {
 // request bytes are already buffered — a client streaming a pipeline of
 // requests gets its responses coalesced into large writes for free, while
 // a ping-pong client still sees every response immediately.
+//
+// One deadline covers reads and writes. It is pushed out from the
+// timestamp each request already takes for serve.bin_ms, and only once
+// half of it has run down, so the hot path reads no extra clock and
+// touches the poller a few times a minute.
 func (s *BinaryServer) serveConn(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
 	var req, resp []byte
+	armed := time.Now()
+	// SetDeadline fails only on a closed connection; the next read says so.
+	_ = conn.SetDeadline(armed.Add(s.timeout))
 	for {
 		var hdr [4]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -142,6 +153,10 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 			return
 		}
 		start := time.Now()
+		if start.Sub(armed) > s.timeout/2 {
+			armed = start
+			_ = conn.SetDeadline(armed.Add(s.timeout))
+		}
 		resp = s.handle(req[0], req[1:], resp[:0])
 		s.binMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		var rhdr [4]byte
@@ -167,26 +182,26 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 	if snap == nil {
 		return appendErr(out, op, statusNoEpoch, "no epoch published yet")
 	}
+	m := snap.m
 	switch op {
 	case opEpoch:
-		view := snap.View()
 		out = append(out, op|respFlag, statusOK)
-		out = binary.BigEndian.AppendUint64(out, snap.Epoch())
-		out = binary.BigEndian.AppendUint32(out, uint32(view.N()))
-		out = appendString16(out, snap.ETag())
+		out = binary.BigEndian.AppendUint64(out, snap.epoch)
+		out = binary.BigEndian.AppendUint32(out, uint32(m.N()))
+		out = appendString16(out, snap.etag)
 		return out
 
 	case opNames:
-		names := snap.View().Names()
+		names := m.Names()
 		out = append(out, op|respFlag, statusOK)
-		out = binary.BigEndian.AppendUint64(out, snap.Epoch())
+		out = binary.BigEndian.AppendUint64(out, snap.epoch)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(names)))
 		for _, name := range names {
 			out = appendString16(out, name)
 		}
 		return out
 
-	case opRTT, opRTTEx:
+	case opRTTEx:
 		x, rest, ok := readString16(body)
 		if !ok {
 			return appendErr(out, op, statusBadRequest, "truncated x name")
@@ -195,26 +210,20 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 		if !ok || len(rest) != 0 {
 			return appendErr(out, op, statusBadRequest, "truncated y name")
 		}
-		view := snap.View()
-		i, ok := view.Index(x)
+		i, ok := m.Index(x)
 		if !ok {
 			return appendErr(out, op, statusUnknownRelay, "unknown relay "+x)
 		}
-		j, ok := view.Index(y)
+		j, ok := m.Index(y)
 		if !ok {
 			return appendErr(out, op, statusUnknownRelay, "unknown relay "+y)
 		}
 		s.lookups.Inc()
 		out = append(out, op|respFlag, statusOK)
-		out = binary.BigEndian.AppendUint64(out, snap.Epoch())
-		out = binary.BigEndian.AppendUint64(out, floatBits(view.At(i, j)))
-		out = append(out, byte(view.ProvAt(i, j)))
-		if op == opRTTEx {
-			out = append(out, confByte(view.ConfAt(i, j)))
-		}
-		return out
+		out = binary.BigEndian.AppendUint64(out, snap.epoch)
+		return appendCell(out, m, i, j)
 
-	case opRTTBatch, opRTTBatchEx:
+	case opRTTBatchEx:
 		if len(body) < 4 {
 			return appendErr(out, op, statusBadRequest, "truncated batch count")
 		}
@@ -227,8 +236,7 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 		if len(body) != int(count)*8 {
 			return appendErr(out, op, statusBadRequest, "batch body length mismatch")
 		}
-		view := snap.View()
-		n := uint32(view.N())
+		n := uint32(m.N())
 		// Validate the whole batch before emitting any cells: a response is
 		// either complete or an error, never a prefix.
 		for k := uint32(0); k < count; k++ {
@@ -241,21 +249,24 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 		}
 		s.lookups.Add(int64(count))
 		out = append(out, op|respFlag, statusOK)
-		out = binary.BigEndian.AppendUint64(out, snap.Epoch())
+		out = binary.BigEndian.AppendUint64(out, snap.epoch)
 		for k := uint32(0); k < count; k++ {
 			i := int(binary.BigEndian.Uint32(body[k*8:]))
 			j := int(binary.BigEndian.Uint32(body[k*8+4:]))
-			out = binary.BigEndian.AppendUint64(out, floatBits(view.At(i, j)))
-			out = append(out, byte(view.ProvAt(i, j)))
-			if op == opRTTBatchEx {
-				out = append(out, confByte(view.ConfAt(i, j)))
-			}
+			out = appendCell(out, m, i, j)
 		}
 		return out
 
 	default:
 		return appendErr(out, op, statusBadRequest, fmt.Sprintf("unknown op 0x%02x", op))
 	}
+}
+
+// appendCell appends the wire form of cell (i, j): f64 rttMs | u8 prov |
+// u8 conf.
+func appendCell(out []byte, m *ting.Matrix, i, j int) []byte {
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(m.At(i, j)))
+	return append(out, byte(m.ProvAt(i, j)), confByte(m.ConfAt(i, j)))
 }
 
 func appendErr(out []byte, op byte, status byte, msg string) []byte {
@@ -281,8 +292,6 @@ func readString16(b []byte) (s string, rest []byte, ok bool) {
 	}
 	return string(b[2 : 2+n]), b[2+n:], true
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // confByte quantizes a [0,1] confidence to the wire's u8, saturating.
 func confByte(c float64) byte {

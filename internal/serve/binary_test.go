@@ -2,12 +2,16 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ting/internal/ting"
 )
@@ -66,32 +70,32 @@ func TestBinaryEpochNamesRTT(t *testing.T) {
 		t.Fatalf("names (epoch %d) %v", epoch, names)
 	}
 
-	epoch, rtt, prov, err := c.RTT("relay00", "relay02")
+	epoch, rtt, prov, conf, err := c.RTTEx("relay00", "relay02")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || rtt != m.At(0, 2) || prov != ting.ProvFresh {
-		t.Fatalf("rtt epoch=%d v=%v prov=%v", epoch, rtt, prov)
+	if epoch != 1 || rtt != m.At(0, 2) || prov != ting.ProvFresh || conf != 1 {
+		t.Fatalf("rtt epoch=%d v=%v prov=%v conf=%v", epoch, rtt, prov, conf)
 	}
-	_, _, prov, err = c.RTT("relay00", "relay01")
+	_, _, prov, conf, err = c.RTTEx("relay00", "relay01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prov != ting.ProvResumed {
-		t.Fatalf("resumed pair reported %v", prov)
+	if prov != ting.ProvResumed || conf != 1 {
+		t.Fatalf("resumed pair reported %v, conf %v", prov, conf)
 	}
 
-	pairs := []uint32{0, 1, 0, 2, 3, 1}
-	epoch, cells, err := c.RTTBatch(pairs, nil)
+	pairs := []uint32{0, 1, 0, 2, 3, 1, 2, 2}
+	epoch, cells, err := c.RTTBatchEx(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || len(cells) != 3 {
+	if epoch != 1 || len(cells) != 4 {
 		t.Fatalf("batch epoch=%d cells=%d", epoch, len(cells))
 	}
 	for k := 0; k < len(cells); k++ {
 		i, j := int(pairs[k*2]), int(pairs[k*2+1])
-		if cells[k].RTTms != m.At(i, j) || cells[k].Prov != m.ProvAt(i, j) {
+		if cells[k].RTTms != m.At(i, j) || cells[k].Prov != m.ProvAt(i, j) || cells[k].Conf != m.ConfAt(i, j) {
 			t.Errorf("cell %d (%d,%d) = %+v", k, i, j, cells[k])
 		}
 	}
@@ -109,20 +113,42 @@ func TestBinaryStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := startBinary(t, pub)
-	if _, _, _, err := c2.RTT("relay00", "nope"); !isStatus(err, statusUnknownRelay) {
+	if _, _, _, _, err := c2.RTTEx("relay00", "nope"); !isStatus(err, statusUnknownRelay) {
 		t.Errorf("unknown relay error = %v", err)
 	}
-	if _, _, err := c2.RTTBatch([]uint32{0, 99}, nil); !isStatus(err, statusOutOfRange) {
+	if _, _, err := c2.RTTBatchEx([]uint32{0, 99}, nil); !isStatus(err, statusOutOfRange) {
 		t.Errorf("out-of-range error = %v", err)
 	}
-	// Unknown op fails closed, and the connection survives to answer the
-	// next request.
-	c2.req = c2.req[:0]
-	if _, err := c2.roundTrip(0x7f); !isStatus(err, statusBadRequest) {
-		t.Errorf("unknown op error = %v", err)
+}
+
+// TestBinaryUnknownOpsFailClosed: every op code outside the table —
+// the retired 0x03/0x04 with bodies that used to be valid, the gaps around
+// the table, the response flag itself — answers statusBadRequest, and the
+// connection survives to answer the next request.
+func TestBinaryUnknownOpsFailClosed(t *testing.T) {
+	pub := NewPublisher(nil)
+	if _, err := pub.Publish(testMatrix(t, 4)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c2.Epoch(); err != nil {
-		t.Errorf("connection dead after bad op: %v", err)
+	c := startBinary(t, pub)
+	byName := appendString16(appendString16(nil, "relay00"), "relay01")
+	byIndex := []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}
+	for _, tc := range []struct {
+		op   byte
+		body []byte
+	}{
+		{0x03, byName}, {0x04, byIndex},
+		{0x00, nil}, {0x07, byIndex}, {0x7f, nil}, {0x85, byName}, {0xff, nil},
+	} {
+		c.req = append(c.req[:0], tc.body...)
+		// The reply echoes op|0x80, which for an op that already has the
+		// flag set is the op itself; roundTrip checks exactly that.
+		if _, err := c.roundTrip(tc.op); !isStatus(err, statusBadRequest) {
+			t.Errorf("op 0x%02x: err = %v, want bad request", tc.op, err)
+		}
+		if _, _, _, conf, err := c.RTTEx("relay00", "relay02"); err != nil || conf != 1 {
+			t.Errorf("after op 0x%02x: conf %v, err %v", tc.op, conf, err)
+		}
 	}
 }
 
@@ -133,12 +159,16 @@ func isStatus(err error, status byte) bool {
 
 // TestHTTPBinaryCrossCheck is the acceptance golden: for one epoch, the
 // HTTP and binary protocols must return byte-for-byte identical answers —
-// same epoch, same ETag, same names, and same (RTT, provenance) for every
-// pair, whether looked up by name over HTTP, by name over the wire, or by
-// index in a batch.
+// same epoch, same ETag, same names, and same (RTT, provenance,
+// confidence) for every pair, whether looked up by name over HTTP, by name
+// over the wire, or by index in a batch.
 func TestHTTPBinaryCrossCheck(t *testing.T) {
 	pub := NewPublisher(nil)
 	m := testMatrix(t, 8)
+	// One model-completed cell, so the confidence compared is not all ones.
+	if err := m.SetPredicted("relay02", "relay05", 55.5, 0.8); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := pub.Publish(m); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +211,7 @@ func TestHTTPBinaryCrossCheck(t *testing.T) {
 			pairs = append(pairs, uint32(i), uint32(j))
 		}
 	}
-	batchEpoch, cells, err := c.RTTBatch(pairs, nil)
+	batchEpoch, cells, err := c.RTTBatchEx(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +223,7 @@ func TestHTTPBinaryCrossCheck(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("http rtt %s/%s: %d", x, y, rec.Code)
 		}
-		binEpoch, binRTT, binProv, err := c.RTT(x, y)
+		binEpoch, binRTT, binProv, binConf, err := c.RTTEx(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,6 +235,10 @@ func TestHTTPBinaryCrossCheck(t *testing.T) {
 		if httpBody["provenance"].(string) != binProv.String() || binProv != cells[k].Prov {
 			t.Errorf("pair %s/%s prov: http %v, binary %v, batch %v",
 				x, y, httpBody["provenance"], binProv, cells[k].Prov)
+		}
+		if httpBody["confidence"].(float64) != binConf || binConf != cells[k].Conf {
+			t.Errorf("pair %s/%s confidence: http %v, binary %v, batch %v",
+				x, y, httpBody["confidence"], binConf, cells[k].Conf)
 		}
 		if uint64(httpBody["epoch"].(float64)) != binEpoch || binEpoch != batchEpoch {
 			t.Errorf("pair %s/%s epoch: http %v, binary %v, batch %v",
@@ -257,9 +291,9 @@ func TestBinaryConcurrentClientsAcrossSwaps(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			var cells []BatchCell
+			var cells []BatchCellEx
 			for i := 0; i < iters; i++ {
-				epoch, out, err := c.RTTBatch([]uint32{0, 1, 2, 3}, cells)
+				epoch, out, err := c.RTTBatchEx([]uint32{0, 1, 2, 3}, cells)
 				if err != nil {
 					errc <- err
 					return
@@ -268,6 +302,11 @@ func TestBinaryConcurrentClientsAcrossSwaps(t *testing.T) {
 				if want := float64(1000 + epoch); cells[0].RTTms != want {
 					errc <- fmt.Errorf("epoch %d served stamped cell %v, want %v",
 						epoch, cells[0].RTTms, want)
+					return
+				}
+				if cells[0].Conf != 1 || cells[1].Conf != 1 {
+					errc <- fmt.Errorf("epoch %d served measured cells at confidence %v, %v",
+						epoch, cells[0].Conf, cells[1].Conf)
 					return
 				}
 			}
@@ -285,9 +324,9 @@ func TestBinaryConcurrentClientsAcrossSwaps(t *testing.T) {
 	}
 }
 
-// TestBinaryExOps drives the confidence-carrying ops (0x05/0x06) over a
-// matrix mixing measured and predicted cells, and cross-checks them
-// against the HTTP surface and the classic ops.
+// TestBinaryExOps drives the lookup ops (0x05/0x06) over a matrix mixing
+// measured and predicted cells, and cross-checks the confidence they carry
+// against the HTTP surface.
 func TestBinaryExOps(t *testing.T) {
 	pub := NewPublisher(nil)
 	m := testMatrix(t, 4)
@@ -317,17 +356,8 @@ func TestBinaryExOps(t *testing.T) {
 	if rtt != 55.5 || prov != ting.ProvPredicted {
 		t.Fatalf("predicted Ex = rtt %v prov %v", rtt, prov)
 	}
-	if conf != m.Conf("relay02", "relay03") {
-		t.Fatalf("wire conf %v != matrix conf %v", conf, m.Conf("relay02", "relay03"))
-	}
-
-	// The classic op still answers with its original 17-byte frame.
-	_, rttOld, provOld, err := c.RTT("relay02", "relay03")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rttOld != rtt || provOld != prov {
-		t.Fatalf("op 0x03 drifted from 0x05: (%v,%v) vs (%v,%v)", rttOld, provOld, rtt, prov)
+	if conf != m.ConfAt(2, 3) {
+		t.Fatalf("wire conf %v != matrix conf %v", conf, m.ConfAt(2, 3))
 	}
 
 	// Batch Ex over every pair, cross-checked against the HTTP confidence.
@@ -363,5 +393,98 @@ func TestBinaryExOps(t *testing.T) {
 	}
 	if &cells2[0] != &cells[0] {
 		t.Error("RTTBatchEx reallocated a reusable out slice")
+	}
+}
+
+// TestBinarySlowClientsAreDropped is the slow-loris check: a client that
+// sends half a header and stalls, and one that floods requests but never
+// reads a reply, are both closed by the server within connTimeout, taking
+// their goroutines with them — while a client that keeps asking, even
+// across several timeouts, is never cut off.
+func TestBinarySlowClientsAreDropped(t *testing.T) {
+	pub := NewPublisher(nil)
+	if _, err := pub.Publish(testMatrix(t, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewBinaryServer(pub, nil)
+	srv.timeout = 400 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("binary server: %v", err)
+		}
+	}()
+
+	healthy, err := DialBinary(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	if _, err := healthy.Epoch(); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	dial := func() *net.TCPConn {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		// Client-side bounds, so a server that never drops these fails the
+		// test instead of hanging it.
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		return c.(*net.TCPConn)
+	}
+	staller := dial()
+	if _, err := staller.Write([]byte{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	flooder := dial()
+	flooder.SetReadBuffer(4 << 10) // fill up sooner
+	flooded := make(chan error, 1)
+	go func() {
+		// A full batch per frame: 32 KiB asked, 40 KiB answered, never read.
+		frame := binary.BigEndian.AppendUint32(nil, 1+4+MaxBatch*8)
+		frame = append(frame, opRTTBatchEx)
+		frame = binary.BigEndian.AppendUint32(frame, MaxBatch)
+		frame = append(frame, make([]byte, MaxBatch*8)...)
+		for {
+			if _, err := flooder.Write(frame); err != nil {
+				flooded <- err
+				return
+			}
+		}
+	}()
+
+	// Two timeouts' worth of requests, each well inside the half timeout of
+	// silence a client is always allowed.
+	for i := 0; i < 16; i++ {
+		time.Sleep(50 * time.Millisecond)
+		if _, err := healthy.Epoch(); err != nil {
+			t.Fatalf("active client cut off at request %d: %v", i, err)
+		}
+	}
+
+	var one [1]byte
+	if _, err := staller.Read(one[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("stalled client still connected: read err = %v", err)
+	}
+	if err := <-flooded; errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("never-reading client still connected: write err = %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the slow clients connected", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

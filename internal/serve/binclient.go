@@ -129,7 +129,7 @@ func (c *BinClient) Epoch() (EpochInfo, error) {
 	return info, nil
 }
 
-// Names fetches the relay name table, index-aligned with RTTBatch indices,
+// Names fetches the relay name table, index-aligned with RTTBatchEx indices,
 // plus the epoch it belongs to.
 func (c *BinClient) Names() (uint64, []string, error) {
 	c.req = c.req[:0]
@@ -156,25 +156,8 @@ func (c *BinClient) Names() (uint64, []string, error) {
 	return epoch, names, nil
 }
 
-// RTT looks up one pair by name.
-func (c *BinClient) RTT(x, y string) (epoch uint64, rttMs float64, prov ting.Provenance, err error) {
-	c.req = appendString16(c.req[:0], x)
-	c.req = appendString16(c.req, y)
-	body, err := c.roundTrip(opRTT)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if len(body) != 17 {
-		return 0, 0, 0, fmt.Errorf("serve: rtt body %d bytes", len(body))
-	}
-	return binary.BigEndian.Uint64(body),
-		math.Float64frombits(binary.BigEndian.Uint64(body[8:])),
-		ting.Provenance(body[16]), nil
-}
-
-// RTTEx looks up one pair by name, including the cell's confidence
-// (op 0x05). Confidence is 1 for measured cells, the embedding's score
-// for predicted ones, 0 for missing.
+// RTTEx looks up one pair by name (op 0x05). Confidence is 1 for measured
+// cells, the embedding's score for predicted ones, 0 for missing.
 func (c *BinClient) RTTEx(x, y string) (epoch uint64, rttMs float64, prov ting.Provenance, conf float64, err error) {
 	c.req = appendString16(c.req[:0], x)
 	c.req = appendString16(c.req, y)
@@ -191,61 +174,17 @@ func (c *BinClient) RTTEx(x, y string) (epoch uint64, rttMs float64, prov ting.P
 		float64(body[17]) / 255, nil
 }
 
-// BatchCell is one answer of an RTTBatch call.
-type BatchCell struct {
-	RTTms float64
-	Prov  ting.Provenance
-}
-
-// BatchCellEx is one answer of an RTTBatchEx call: a BatchCell plus the
-// cell's confidence in [0, 1].
+// BatchCellEx is one answer of an RTTBatchEx call: the cell's value,
+// provenance, and confidence in [0, 1].
 type BatchCellEx struct {
 	RTTms float64
 	Prov  ting.Provenance
 	Conf  float64
 }
 
-// RTTBatch looks up count pairs by index in one round trip. pairs is flat
-// (i0, j0, i1, j1, …); out is reused when it has capacity, so a steady-state
-// caller allocates nothing. Returns the answering epoch.
-func (c *BinClient) RTTBatch(pairs []uint32, out []BatchCell) (uint64, []BatchCell, error) {
-	if len(pairs)%2 != 0 {
-		return 0, out, fmt.Errorf("serve: odd pair-index count %d", len(pairs))
-	}
-	count := len(pairs) / 2
-	if count == 0 || count > MaxBatch {
-		return 0, out, fmt.Errorf("serve: batch count %d outside [1,%d]", count, MaxBatch)
-	}
-	c.req = binary.BigEndian.AppendUint32(c.req[:0], uint32(count))
-	for _, v := range pairs {
-		c.req = binary.BigEndian.AppendUint32(c.req, v)
-	}
-	body, err := c.roundTrip(opRTTBatch)
-	if err != nil {
-		return 0, out, err
-	}
-	want := 8 + count*9
-	if len(body) != want {
-		return 0, out, fmt.Errorf("serve: batch body %d bytes, want %d", len(body), want)
-	}
-	epoch := binary.BigEndian.Uint64(body)
-	body = body[8:]
-	if cap(out) < count {
-		out = make([]BatchCell, count)
-	}
-	out = out[:count]
-	for k := 0; k < count; k++ {
-		out[k] = BatchCell{
-			RTTms: math.Float64frombits(binary.BigEndian.Uint64(body[k*9:])),
-			Prov:  ting.Provenance(body[k*9+8]),
-		}
-	}
-	return epoch, out, nil
-}
-
-// RTTBatchEx is RTTBatch over op 0x06: each cell additionally carries its
-// confidence. pairs is flat (i0, j0, i1, j1, …); out is reused when it has
-// capacity.
+// RTTBatchEx looks up count pairs by index in one round trip (op 0x06).
+// pairs is flat (i0, j0, i1, j1, …); out is reused when it has capacity,
+// so a steady-state caller allocates nothing. Returns the answering epoch.
 func (c *BinClient) RTTBatchEx(pairs []uint32, out []BatchCellEx) (uint64, []BatchCellEx, error) {
 	if len(pairs)%2 != 0 {
 		return 0, out, fmt.Errorf("serve: odd pair-index count %d", len(pairs))

@@ -8,8 +8,8 @@
 //
 // Epoch lifecycle:
 //
-//	sweep → Monitor.Matrix() (private clone) → ting.Publish(m, seq)
-//	      → Publisher.Publish (atomic swap) → readers pick it up lock-free
+//	sweep → Monitor.Matrix() (private clone) → Publisher.Publish (stamp
+//	      the next epoch, atomic swap) → readers pick it up lock-free
 //
 // Old epochs stay valid for requests already holding them (readers capture
 // the snapshot once per request, so a swap mid-request can never produce a
@@ -29,12 +29,13 @@ import (
 	"ting/internal/ting"
 )
 
-// Snapshot is one published epoch: an immutable matrix view plus the
-// serving metadata derived from it. All fields are computed at publish
+// Snapshot is one published epoch: a matrix no writer touches again plus
+// the serving metadata derived from it. All fields are computed at publish
 // time except the TIV scan, which is O(N³) and therefore computed lazily,
 // at most once per epoch, shared by every request that asks.
 type Snapshot struct {
-	view        *ting.PublishedMatrix
+	m           *ting.Matrix
+	epoch       uint64
 	etag        string
 	publishedAt time.Time
 
@@ -45,11 +46,11 @@ type Snapshot struct {
 	tivErr  error
 }
 
-// View returns the epoch's immutable matrix view.
-func (s *Snapshot) View() ting.MatrixView { return s.view }
+// View returns the epoch's matrix, read-only.
+func (s *Snapshot) View() ting.MatrixView { return s.m }
 
 // Epoch returns the snapshot's monotonic sequence number (≥ 1).
-func (s *Snapshot) Epoch() uint64 { return s.view.Epoch() }
+func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // ETag is the strong HTTP validator for this epoch, quotes included. It is
 // derived from the epoch alone: two snapshots from one publisher never
@@ -69,7 +70,7 @@ func (s *Snapshot) ProvCounts() ting.ProvCount { return s.prov }
 // subsequent request is a slice read.
 func (s *Snapshot) TIVs() ([]pathsel.TIV, error) {
 	s.tivOnce.Do(func() {
-		s.tivs, s.tivErr = pathsel.FindTIVs(s.view)
+		s.tivs, s.tivErr = pathsel.FindTIVs(s.m)
 	})
 	return s.tivs, s.tivErr
 }
@@ -81,8 +82,8 @@ func etagFor(epoch uint64) string { return fmt.Sprintf("%q", fmt.Sprintf("e%d", 
 // Publisher owns the current-epoch pointer. Publish (the sweeper, rare) is
 // serialized by a mutex; Current (every query, hot) is a single atomic
 // load. This is the reader/writer separation the MatrixView split exists
-// for: the sweeper keeps mutating its own *Matrix, and only immutable
-// PublishedMatrix snapshots ever cross to the readers.
+// for: the sweeper keeps mutating its own *Matrix, and only matrices it
+// has given up (a Snapshot's) ever cross to the readers.
 type Publisher struct {
 	mu  sync.Mutex // serializes Publish: seq and cur move together
 	seq uint64
@@ -114,16 +115,13 @@ func (p *Publisher) Publish(m *ting.Matrix) (*Snapshot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	seq := p.seq + 1
-	pm, err := ting.Publish(m, seq)
-	if err != nil {
-		return nil, err
-	}
 	snap := &Snapshot{
-		view:        pm,
+		m:           m,
+		epoch:       seq,
 		etag:        etagFor(seq),
 		publishedAt: p.now(),
+		prov:        m.ProvCounts(),
 	}
-	snap.prov = pm.ProvCounts()
 	p.seq = seq
 	p.cur.Store(snap)
 	p.swaps.Inc()

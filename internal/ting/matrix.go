@@ -46,8 +46,7 @@ func tidx(i, j int) int { return (i&tileMask)<<TileShift | (j & tileMask) }
 // Matrix is the *write side* of the dataset: scanners and monitors call
 // Set/SetProv/AddName. Read-only consumers (pathsel, deanon, the serving
 // plane) take the MatrixView interface instead, which *Matrix implements —
-// see view.go for the read-side contract and the epoch-stamped immutable
-// PublishedMatrix.
+// see view.go for the read-side contract.
 //
 // Storage is tiled: cells live in TileDim×TileDim blocks materialized on
 // first write, so a 10k-relay campaign that has measured 1% of its pairs
@@ -349,27 +348,10 @@ func (m *Matrix) Prov(x, y string) Provenance {
 	return t.prov[tidx(i, j)]
 }
 
-// Conf returns a cell's confidence in [0, 1] by name: 1 for measured
+// ConfAt returns a cell's confidence in [0, 1] by index: 1 for measured
 // cells, the embedding's (quantized) score for predicted ones, 0 for
-// missing cells and unknown relays.
-func (m *Matrix) Conf(x, y string) float64 {
-	i, ok := m.index[x]
-	if !ok {
-		return 0
-	}
-	j, ok := m.index[y]
-	if !ok {
-		return 0
-	}
-	t := m.tiles[i>>TileShift][j>>TileShift]
-	if t == nil {
-		return 0
-	}
-	return float64(t.conf[tidx(i, j)]) / 255
-}
-
-// ConfAt returns a cell's confidence by index; it panics on out-of-range
-// indices like At. The diagonal is fully trusted by definition.
+// missing. It panics on out-of-range indices like At. The diagonal is
+// fully trusted by definition.
 func (m *Matrix) ConfAt(i, j int) float64 {
 	n := len(m.names)
 	if i < 0 || j < 0 || i >= n || j >= n {
@@ -613,157 +595,6 @@ func DecodeMatrix(r io.Reader) (*Matrix, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ting: matrix document: %w", err)
-	}
-	return m, nil
-}
-
-// EncodeTiles writes the matrix in the sparse tile format: a header, the
-// names line, one record per materialized tile (clipped to the matrix
-// extent), and an "end" terminator. Unmaterialized tiles are simply
-// absent, so the document size tracks cells measured, not N² — the format
-// a partially-scanned 10k-node campaign publishes without emitting 99
-// million zeros. Unlike Encode, the tile format carries no provenance at
-// all — it is the campaign-internal interchange format, not the published
-// dataset.
-func (m *Matrix) EncodeTiles(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	n := len(m.names)
-	fmt.Fprintf(bw, "tingtiles n=%d dim=%d\n", n, TileDim)
-	for i, name := range m.names {
-		if i > 0 {
-			bw.WriteByte(' ')
-		}
-		bw.WriteString(name)
-	}
-	bw.WriteByte('\n')
-	num := make([]byte, 0, 32)
-	for ti, row := range m.tiles {
-		for tj, t := range row {
-			if t == nil {
-				continue
-			}
-			h, wdt := tileExtent(ti, n), tileExtent(tj, n)
-			fmt.Fprintf(bw, "tile %d %d\n", ti, tj)
-			for r := 0; r < h; r++ {
-				for c := 0; c < wdt; c++ {
-					if c > 0 {
-						bw.WriteByte(' ')
-					}
-					num = strconv.AppendFloat(num[:0], t.r[r<<TileShift|c], 'g', -1, 64)
-					bw.Write(num)
-				}
-				bw.WriteByte('\n')
-			}
-		}
-	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
-}
-
-// tileExtent is how many rows (or columns) of tile band t are inside an
-// n-cell matrix: TileDim for interior bands, the remainder for the last.
-func tileExtent(t, n int) int {
-	if e := n - t<<TileShift; e < TileDim {
-		return e
-	}
-	return TileDim
-}
-
-// DecodeTiles parses a tile document. Exactly the listed tiles are
-// materialized, so a round trip preserves sparsity as well as values.
-// Malformed documents — bad header, unknown dim, out-of-range or
-// duplicate tiles, short or oversized rows, non-finite cells, a missing
-// "end", trailing data — are explicit errors.
-func DecodeTiles(r io.Reader) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: tiles header: %w", err)
-		}
-		return nil, errors.New("ting: empty tile document")
-	}
-	var n, dim int
-	if _, err := fmt.Sscanf(sc.Text(), "tingtiles n=%d dim=%d", &n, &dim); err != nil {
-		return nil, fmt.Errorf("ting: bad tiles header %q", sc.Text())
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("ting: matrix dimension %d, need at least 2", n)
-	}
-	if dim != TileDim {
-		return nil, fmt.Errorf("ting: unsupported tile dim %d (want %d)", dim, TileDim)
-	}
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: tiles names: %w", err)
-		}
-		return nil, errors.New("ting: tile document missing names")
-	}
-	names := strings.Fields(sc.Text())
-	if len(names) != n {
-		return nil, fmt.Errorf("ting: header says %d names, got %d", n, len(names))
-	}
-	m, err := NewMatrix(names)
-	if err != nil {
-		return nil, err
-	}
-	tn := tileCount(n)
-	ended := false
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "end" {
-			ended = true
-			break
-		}
-		var ti, tj int
-		if _, err := fmt.Sscanf(line, "tile %d %d", &ti, &tj); err != nil {
-			return nil, fmt.Errorf("ting: bad tile record %q", line)
-		}
-		if ti < 0 || tj < 0 || ti >= tn || tj >= tn {
-			return nil, fmt.Errorf("ting: tile (%d,%d) out of range for n=%d", ti, tj, n)
-		}
-		if m.tiles[ti][tj] != nil {
-			return nil, fmt.Errorf("ting: duplicate tile (%d,%d)", ti, tj)
-		}
-		t := new(tile)
-		m.tiles[ti][tj] = t
-		h, wdt := tileExtent(ti, n), tileExtent(tj, n)
-		for r := 0; r < h; r++ {
-			if !sc.Scan() {
-				if err := sc.Err(); err != nil {
-					return nil, fmt.Errorf("ting: tile (%d,%d) row %d: %w", ti, tj, r, err)
-				}
-				return nil, fmt.Errorf("ting: tile (%d,%d) truncated at row %d", ti, tj, r)
-			}
-			fields := strings.Fields(sc.Text())
-			if len(fields) != wdt {
-				return nil, fmt.Errorf("ting: tile (%d,%d) row %d has %d values, want %d", ti, tj, r, len(fields), wdt)
-			}
-			for c, f := range fields {
-				v, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return nil, fmt.Errorf("ting: tile (%d,%d) cell (%d,%d): %w", ti, tj, r, c, err)
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("ting: tile (%d,%d) cell (%d,%d): non-finite %q", ti, tj, r, c, f)
-				}
-				t.r[r<<TileShift|c] = v
-			}
-		}
-	}
-	if !ended {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: tile document: %w", err)
-		}
-		return nil, errors.New("ting: tile document missing end terminator")
-	}
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) != "" {
-			return nil, fmt.Errorf("ting: trailing data after tile end")
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ting: tile document: %w", err)
 	}
 	return m, nil
 }

@@ -165,123 +165,6 @@ func TestMatrixAtPanicsOutOfRange(t *testing.T) {
 	_ = m.At(0, 2)
 }
 
-func TestEncodeTilesRoundTrip(t *testing.T) {
-	// Span three tile bands and write a scattered subset of pairs; the
-	// tile document must reproduce every cell and re-encode identically
-	// (sparsity included).
-	names := tileNames(2*TileDim + 5)
-	m, err := NewMatrix(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := [][2]int{{0, 1}, {0, TileDim}, {3, 2*TileDim + 1}, {TileDim - 1, TileDim}, {TileDim + 7, 2 * TileDim}}
-	for k, p := range pairs {
-		if err := m.Set(names[p[0]], names[p[1]], float64(k)*3.25+0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := m.EncodeTiles(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc := buf.String()
-	got, err := DecodeTiles(strings.NewReader(doc))
-	if err != nil {
-		t.Fatalf("DecodeTiles: %v\ndoc:\n%s", err, doc)
-	}
-	if got.N() != m.N() {
-		t.Fatalf("N = %d, want %d", got.N(), m.N())
-	}
-	for i := 0; i < m.N(); i++ {
-		for j := 0; j < m.N(); j++ {
-			if got.At(i, j) != m.At(i, j) {
-				t.Fatalf("cell (%d,%d): %v vs %v", i, j, got.At(i, j), m.At(i, j))
-			}
-		}
-	}
-	var again bytes.Buffer
-	if err := got.EncodeTiles(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != doc {
-		t.Error("tile document not stable across a round trip")
-	}
-}
-
-func TestEncodeTilesMatchesDenseValues(t *testing.T) {
-	// The two formats are different serializations of the same matrix: a
-	// dense decode of the dense encoding and a tile decode of the tile
-	// encoding must agree cell for cell.
-	names := tileNames(TileDim + 3)
-	m, err := NewMatrix(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(names); i += 7 {
-		for j := i + 1; j < len(names); j += 11 {
-			if err := m.Set(names[i], names[j], float64(i*100+j)/8); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var dense, tiled bytes.Buffer
-	if err := m.Encode(&dense); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EncodeTiles(&tiled); err != nil {
-		t.Fatal(err)
-	}
-	fromDense, err := DecodeMatrix(&dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTiles, err := DecodeTiles(&tiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < m.N(); i++ {
-		for j := 0; j < m.N(); j++ {
-			if fromDense.At(i, j) != fromTiles.At(i, j) {
-				t.Fatalf("cell (%d,%d): dense %v vs tiled %v", i, j, fromDense.At(i, j), fromTiles.At(i, j))
-			}
-		}
-	}
-}
-
-func TestDecodeTilesErrors(t *testing.T) {
-	valid := func() string {
-		m, _ := NewMatrix([]string{"a", "b", "c"})
-		_ = m.Set("a", "b", 1)
-		var buf bytes.Buffer
-		_ = m.EncodeTiles(&buf)
-		return buf.String()
-	}()
-	cases := map[string]string{
-		"empty":          "",
-		"bad header":     "tingmatrix n=3\na b c\nend\n",
-		"bad dim":        "tingtiles n=3 dim=32\na b c\nend\n",
-		"tiny":           "tingtiles n=1 dim=64\na\nend\n",
-		"missing names":  "tingtiles n=3 dim=64\n",
-		"short names":    "tingtiles n=3 dim=64\na b\nend\n",
-		"missing end":    strings.TrimSuffix(valid, "end\n"),
-		"trailing junk":  valid + "extra\n",
-		"bad record":     "tingtiles n=3 dim=64\na b c\nbogus 0 0\nend\n",
-		"tile oob":       "tingtiles n=3 dim=64\na b c\ntile 4 0\n0 0 0\n0 0 0\n0 0 0\nend\n",
-		"truncated tile": "tingtiles n=3 dim=64\na b c\ntile 0 0\n0 1 0\nend\n",
-		"short row":      "tingtiles n=3 dim=64\na b c\ntile 0 0\n0 1\n1 0 0\n0 0 0\nend\n",
-		"non-finite":     "tingtiles n=3 dim=64\na b c\ntile 0 0\n0 NaN 0\nNaN 0 0\n0 0 0\nend\n",
-		"duplicate tile": "tingtiles n=3 dim=64\na b c\ntile 0 0\n0 1 0\n1 0 0\n0 0 0\ntile 0 0\n0 1 0\n1 0 0\n0 0 0\nend\n",
-	}
-	for name, doc := range cases {
-		if _, err := DecodeTiles(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	if _, err := DecodeTiles(strings.NewReader(valid)); err != nil {
-		t.Errorf("valid document rejected: %v", err)
-	}
-}
-
 func TestDecodeMatrixStaysSparse(t *testing.T) {
 	// Dense documents full of zeros decode without materializing tiles:
 	// the decoded matrix must still report zero everywhere but Encode
@@ -336,8 +219,8 @@ func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Measured cells read confidence 1 both ways.
-	if c := m.Conf(names[0], names[1]); c != 1 {
-		t.Errorf("measured Conf = %v, want 1", c)
+	if c := m.ConfAt(0, 1); c != 1 {
+		t.Errorf("measured ConfAt = %v, want 1", c)
 	}
 	if c := m.ConfAt(1, 0); c != 1 {
 		t.Errorf("measured ConfAt(j,i) = %v, want 1", c)
@@ -359,11 +242,11 @@ func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 	// Confidence is quantized to a byte: 0.8 → round(0.8·255)/255.
 	q := 0.8*255 + 0.5
 	want := float64(uint8(q)) / 255
-	if c := m.Conf(x, y); c != want {
-		t.Errorf("Conf = %v, want %v", c, want)
-	}
 	xi, _ := m.Index(x)
 	yi, _ := m.Index(y)
+	if c := m.ConfAt(xi, yi); c != want {
+		t.Errorf("ConfAt = %v, want %v", c, want)
+	}
 	if m.ConfAt(xi, yi) != m.ConfAt(yi, xi) {
 		t.Error("predicted confidence asymmetric")
 	}
@@ -371,21 +254,21 @@ func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 	if err := m.SetPredicted(names[3], names[4], 5, 1.7); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.Conf(names[3], names[4]); c != 1 {
-		t.Errorf("clamped Conf = %v, want 1", c)
+	if c := m.ConfAt(3, 4); c != 1 {
+		t.Errorf("clamped ConfAt = %v, want 1", c)
 	}
 	if err := m.SetPredicted(names[5], names[6], 5, -0.3); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.Conf(names[5], names[6]); c != 0 {
-		t.Errorf("clamped Conf = %v, want 0", c)
+	if c := m.ConfAt(5, 6); c != 0 {
+		t.Errorf("clamped ConfAt = %v, want 0", c)
 	}
 	// Diagonal and untouched cells.
 	if c := m.ConfAt(2, 2); c != 1 {
 		t.Errorf("diagonal ConfAt = %v, want 1", c)
 	}
-	if c := m.Conf(names[7], names[8]); c != 0 {
-		t.Errorf("missing-cell Conf = %v, want 0", c)
+	if c := m.ConfAt(7, 8); c != 0 {
+		t.Errorf("missing-cell ConfAt = %v, want 0", c)
 	}
 	// ProvCounts sees the predicted cells; a clone carries confidence.
 	pc := m.ProvCounts()
@@ -393,8 +276,8 @@ func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 		t.Errorf("ProvCounts = %+v, want 3 predicted / 1 fresh", pc)
 	}
 	cl := m.Clone()
-	if c := cl.Conf(x, y); c != want {
-		t.Errorf("clone Conf = %v, want %v", c, want)
+	if c := cl.ConfAt(xi, yi); c != want {
+		t.Errorf("clone ConfAt = %v, want %v", c, want)
 	}
 	// SetPredicted on unknown names errors like Set does.
 	if err := m.SetPredicted("nope", names[0], 1, 0.5); err == nil {
@@ -445,9 +328,9 @@ func TestMatrixEncodePredictedRoundTrip(t *testing.T) {
 	if p := got.Prov("c", "a"); p != ProvPredicted {
 		t.Errorf("pred record applied one-directionally")
 	}
-	if got.Conf("a", "c") != m.Conf("a", "c") || got.Conf("b", "d") != m.Conf("b", "d") {
+	if got.ConfAt(0, 2) != m.ConfAt(0, 2) || got.ConfAt(1, 3) != m.ConfAt(1, 3) {
 		t.Errorf("confidence drifted: (%v,%v) vs (%v,%v)",
-			got.Conf("a", "c"), got.Conf("b", "d"), m.Conf("a", "c"), m.Conf("b", "d"))
+			got.ConfAt(0, 2), got.ConfAt(1, 3), m.ConfAt(0, 2), m.ConfAt(1, 3))
 	}
 	if v, _ := got.RTT("a", "c"); v != 31.5 {
 		t.Errorf("predicted value %v after round trip, want 31.5", v)

@@ -42,7 +42,7 @@ type MonitorConfig struct {
 	now func() time.Time
 }
 
-// Monitor is created by NewMonitor and driven by Sweep (or RunEvery).
+// Monitor is created by NewMonitor and driven by Sweep.
 type Monitor struct {
 	cfg    MonitorConfig
 	matrix *Matrix
@@ -251,34 +251,4 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		return 0, firstFailure
 	}
 	return measured, nil
-}
-
-// RunEvery sweeps on the interval until ctx is cancelled (which returns
-// nil: a cancelled monitor stopped on request). It runs one sweep
-// immediately.
-func (mon *Monitor) RunEvery(ctx context.Context, interval time.Duration) error {
-	if interval <= 0 {
-		return errors.New("ting: non-positive monitor interval")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if _, err := mon.Sweep(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-			if _, err := mon.Sweep(ctx); err != nil {
-				if errors.Is(err, context.Canceled) {
-					return nil
-				}
-				return err
-			}
-		}
-	}
 }

@@ -274,35 +274,6 @@ func TestMonitorFailuresFeedHealth(t *testing.T) {
 	}
 }
 
-func TestMonitorRunEvery(t *testing.T) {
-	f := newFakeWorld()
-	cfg := monitorConfig(t, f, []string{"x", "y"})
-	cfg.MaxAge = time.Nanosecond
-	mon, err := NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- mon.RunEvery(ctx, 5*time.Millisecond) }()
-	deadline := time.After(3 * time.Second)
-	for mon.Stats().Sweeps < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("monitor did not sweep repeatedly")
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.RunEvery(context.Background(), 0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 // breakerWatcher records x's breaker position each time a full circuit
 // through x is sampled, i.e. once per attempted x pair.
 type breakerWatcher struct {

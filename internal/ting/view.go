@@ -5,13 +5,12 @@ import "fmt"
 // MatrixView is the read side of the all-pairs dataset. It is the contract
 // every consumer of a matrix takes — pathsel's circuit selection, deanon's
 // attacker, and the serving plane's query handlers — so that readers are
-// decoupled from the writer (*Matrix) and can be handed an immutable
-// epoch-stamped snapshot (*PublishedMatrix) without knowing the difference.
+// decoupled from the writer (*Matrix) and cannot write through what they
+// are handed, whether that is a finished scan or a published epoch.
 //
-// Implementations must make all methods safe for concurrent readers. For
-// *Matrix that holds only while no writer is mutating it concurrently; a
-// matrix that is being written (a live scan, a monitor between sweeps) must
-// be snapshotted (Clone, or Monitor.Matrix) and published before it is
+// All methods are safe for concurrent readers while no writer is mutating
+// the matrix; one that is being written (a live scan, a monitor between
+// sweeps) must be snapshotted (Clone, or Monitor.Matrix) before it is
 // shared with readers.
 type MatrixView interface {
 	// N is the number of relays.
@@ -41,18 +40,9 @@ type MatrixView interface {
 	// Dense materializes the matrix as row slices over one backing array,
 	// for O(N²)-and-up analysis loops. The copy is independent of the view.
 	Dense() [][]float64
-	// Epoch identifies which published snapshot this view is. A live,
-	// still-mutable *Matrix reports 0 ("unpublished"); published snapshots
-	// report the monotonic epoch they were stamped with.
-	Epoch() uint64
 }
 
-// Both the writable matrix and the published snapshot satisfy the read
-// contract; consumers never need to branch on which they were given.
-var (
-	_ MatrixView = (*Matrix)(nil)
-	_ MatrixView = (*PublishedMatrix)(nil)
-)
+var _ MatrixView = (*Matrix)(nil)
 
 // Names implements MatrixView. The returned slice is the matrix's backing
 // store: callers must not mutate it.
@@ -75,71 +65,4 @@ func (m *Matrix) ProvAt(i, j int) Provenance {
 		return ProvMissing
 	}
 	return t.prov[tidx(i, j)]
-}
-
-// Epoch implements MatrixView. A *Matrix is the writable, unpublished form
-// of the dataset, so its epoch is always 0; Publish stamps a real epoch.
-func (m *Matrix) Epoch() uint64 { return 0 }
-
-// PublishedMatrix is an immutable, epoch-stamped view of a matrix — the
-// unit the serving plane swaps atomically between a sweeper and its
-// readers. It adds nothing but the epoch: immutability is a contract, not
-// an enforcement, so Publish must be handed a matrix no writer will touch
-// again (a Clone, or Monitor.Matrix()'s private snapshot).
-type PublishedMatrix struct {
-	m     *Matrix
-	epoch uint64
-}
-
-// Publish stamps m as the published snapshot for the given epoch. It does
-// not copy: the caller transfers ownership, and m must not be written
-// afterwards. Epoch 0 is reserved for unpublished matrices.
-func Publish(m *Matrix, epoch uint64) (*PublishedMatrix, error) {
-	if m == nil {
-		return nil, fmt.Errorf("ting: publish nil matrix")
-	}
-	if epoch == 0 {
-		return nil, fmt.Errorf("ting: epoch 0 is reserved for unpublished matrices")
-	}
-	return &PublishedMatrix{m: m, epoch: epoch}, nil
-}
-
-// N implements MatrixView.
-func (p *PublishedMatrix) N() int { return p.m.N() }
-
-// Names implements MatrixView; the slice is read-only.
-func (p *PublishedMatrix) Names() []string { return p.m.Names() }
-
-// Index implements MatrixView.
-func (p *PublishedMatrix) Index(name string) (int, bool) { return p.m.Index(name) }
-
-// At implements MatrixView.
-func (p *PublishedMatrix) At(i, j int) float64 { return p.m.At(i, j) }
-
-// ProvAt implements MatrixView.
-func (p *PublishedMatrix) ProvAt(i, j int) Provenance { return p.m.ProvAt(i, j) }
-
-// ConfAt implements MatrixView.
-func (p *PublishedMatrix) ConfAt(i, j int) float64 { return p.m.ConfAt(i, j) }
-
-// RTT implements MatrixView.
-func (p *PublishedMatrix) RTT(x, y string) (float64, error) { return p.m.RTT(x, y) }
-
-// Prov implements MatrixView.
-func (p *PublishedMatrix) Prov(x, y string) Provenance { return p.m.Prov(x, y) }
-
-// Mean implements MatrixView.
-func (p *PublishedMatrix) Mean() float64 { return p.m.Mean() }
-
-// Dense implements MatrixView.
-func (p *PublishedMatrix) Dense() [][]float64 { return p.m.Dense() }
-
-// Epoch implements MatrixView: the monotonic epoch this snapshot was
-// published as.
-func (p *PublishedMatrix) Epoch() uint64 { return p.epoch }
-
-// ProvCounts tallies the upper triangle's provenance, like
-// (*Matrix).ProvCounts — the completeness summary a served epoch reports.
-func (p *PublishedMatrix) ProvCounts() ProvCount {
-	return p.m.ProvCounts()
 }
