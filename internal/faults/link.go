@@ -100,21 +100,6 @@ func (l *faultLink) Recv(c *cell.Cell) error { return l.inner.Recv(c) }
 func (l *faultLink) Close() error            { return l.inner.Close() }
 func (l *faultLink) RemoteAddr() string      { return l.inner.RemoteAddr() }
 
-// RecvBatch passes batched receives through when the inner link supports
-// them; faults act on the send path only.
-func (l *faultLink) RecvBatch(cs []cell.Cell) (int, error) {
-	if br, ok := l.inner.(link.BatchRecver); ok {
-		return br.RecvBatch(cs)
-	}
-	if len(cs) == 0 {
-		return 0, nil
-	}
-	if err := l.inner.Recv(&cs[0]); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
 // WrapDialer applies the plan to every link a dialer opens. from names the
 // dialing node; nameOf maps dialed addresses to relay names for rule lookup
 // (nil means addresses already are names, as on a PipeNet).

@@ -2,7 +2,8 @@
 // Link abstraction, a TCP implementation, an in-process pipe implementation
 // (cells, and a byte-stream pair for exit connections), and Delayed, which
 // turns either into a long-haul path. Everything in-process rides one timed
-// queue (queue.go) that carries its own delay.
+// queue (queue.go) that carries its own delay. A link moves one cell per
+// call, from any number of sending goroutines to one receiving goroutine.
 //
 // The Ting reproduction runs its overlay on loopback (there is no real
 // Internet offline), so inter-node latency is injected here, at the link
@@ -26,8 +27,13 @@ import (
 var ErrClosed = errors.New("link: closed")
 
 // Link is an ordered, reliable, cell-oriented connection between two nodes.
-// Send and Recv may be used concurrently with each other; neither may be
-// called concurrently with itself.
+//
+// Any number of goroutines may call Send at once — every circuit a relay
+// extends toward one neighbour shares a link, and an inbound link carries
+// backward cells from onward read loops beside those of exit streams. Each
+// cell arrives whole, and the cells of one sending goroutine arrive in the
+// order it sent them; cells of different goroutines interleave. Recv belongs
+// to one goroutine at a time, and may run beside any Send.
 //
 // Both directions pass cells by pointer: a cell is 512 bytes, and the relay
 // forward path moves every cell through several wrapper layers (faults,
@@ -35,30 +41,16 @@ var ErrClosed = errors.New("link: closed")
 // five times per hop. Send does not retain c past the call; Recv overwrites
 // *c in place.
 type Link interface {
-	// Send transmits one cell. The callee does not retain c.
+	// Send transmits one cell. The callee does not retain c. Safe for
+	// concurrent use.
 	Send(c *cell.Cell) error
-	// Recv blocks for the next cell and decodes it into *c.
+	// Recv blocks for the next cell and decodes it into *c. One caller at a
+	// time.
 	Recv(c *cell.Cell) error
 	// Close tears the link down; pending Recv calls fail.
 	Close() error
 	// RemoteAddr names the peer, for logs and circuit bookkeeping.
 	RemoteAddr() string
-}
-
-// BatchRecver is an optional Link extension: RecvBatch blocks for the first
-// cell, then fills as many further entries of cs as are available without
-// blocking, returning how many were filled (≥ 1 on nil error). Receive
-// loops use it to drain a burst in one wakeup and hand the run to batched
-// onion crypto.
-type BatchRecver interface {
-	RecvBatch(cs []cell.Cell) (int, error)
-}
-
-// BatchSender is an optional Link extension: SendBatch transmits cs
-// back-to-back with at most one flush, preserving order. The callee does
-// not retain cs.
-type BatchSender interface {
-	SendBatch(cs []cell.Cell) error
 }
 
 // Dialer opens Links to named peers.
@@ -98,8 +90,8 @@ const writeBatch = 8
 // with no added latency — crucial for an RTT instrument — while
 // concurrent senders ride the same flush.
 //
-// Reads go through a bufio.Reader so RecvBatch can see whole cells already
-// buffered from a burst and return them without extra syscalls.
+// Reads go through a bufio.Reader of the same size, so a burst the peer
+// flushed together costs one read syscall, not one per cell.
 type netLink struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -140,60 +132,7 @@ func (l *netLink) Send(c *cell.Cell) error {
 	return nil
 }
 
-// SendBatch implements BatchSender: all cells share one buffered write run
-// and the flush obligation is claimed once for the whole batch.
-func (l *netLink) SendBatch(cs []cell.Cell) error {
-	if len(cs) == 0 {
-		return nil
-	}
-	l.pending.Add(1)
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	var err error
-	for i := range cs {
-		cs[i].MarshalInto(l.wbuf[:])
-		if _, err = l.bw.Write(l.wbuf[:]); err != nil {
-			break
-		}
-	}
-	if l.pending.Add(-1) == 0 && err == nil {
-		err = l.bw.Flush()
-	}
-	if err != nil {
-		return fmt.Errorf("link: send: %w", err)
-	}
-	return nil
-}
-
 func (l *netLink) Recv(c *cell.Cell) error {
-	if err := l.readCell(c); err != nil {
-		return err
-	}
-	return nil
-}
-
-// RecvBatch implements BatchRecver: one blocking read for the first cell,
-// then whole cells already sitting in the read buffer are decoded without
-// touching the socket again.
-func (l *netLink) RecvBatch(cs []cell.Cell) (int, error) {
-	if len(cs) == 0 {
-		return 0, nil
-	}
-	if err := l.readCell(&cs[0]); err != nil {
-		return 0, err
-	}
-	n := 1
-	for n < len(cs) && l.br.Buffered() >= cell.Size {
-		if err := l.readCell(&cs[n]); err != nil {
-			// The first n cells are valid; surface the error on the next call.
-			return n, nil
-		}
-		n++
-	}
-	return n, nil
-}
-
-func (l *netLink) readCell(c *cell.Cell) error {
 	if _, err := io.ReadFull(l.br, l.rbuf[:]); err != nil {
 		return fmt.Errorf("link: recv: %w", err)
 	}

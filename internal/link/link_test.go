@@ -103,6 +103,30 @@ func TestPipeDrainsBufferAfterPeerClose(t *testing.T) {
 	}
 }
 
+// TestTCPDrainsBufferAfterPeerClose: what the peer sent before closing is
+// received before the close is reported, over a socket as over the pipe.
+func TestTCPDrainsBufferAfterPeerClose(t *testing.T) {
+	client, server := tcpPair(t)
+	for i := uint32(1); i <= 2; i++ {
+		if err := sendCell(client, testCell(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	for want := cell.CircID(1); want <= 2; want++ {
+		got, err := recvCell(server)
+		if err != nil {
+			t.Fatalf("cell %d lost to the peer's close: %v", want, err)
+		}
+		if got.Circ != want {
+			t.Errorf("got circ %d, want %d", got.Circ, want)
+		}
+	}
+	if _, err := recvCell(server); err == nil {
+		t.Error("Recv after drain should report the close")
+	}
+}
+
 func TestTCPLinkRoundTrip(t *testing.T) {
 	ln, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -353,6 +377,85 @@ func TestConcurrentSendRecv(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentSenders pins the Link contract on every shape a relay can
+// hold: any number of goroutines Send at once, and the one receiver gets
+// every cell exactly once, whole, each sender's cells in the order it sent
+// them. On TCP it is also the check that the last-writer-flushes scheme
+// leaves no cell sitting in the write buffer: a missed flush stalls the
+// receiver until the watchdog fails the test.
+func TestConcurrentSenders(t *testing.T) {
+	const (
+		senders = 8
+		perSend = 200
+		oneWay  = 2 * time.Millisecond
+	)
+	shapes := map[string][2]Link{}
+	for name, pair := range delayedPairs(t, oneWay) {
+		shapes["delayed "+name] = pair
+	}
+	// A small pipe, so that senders also meet back-pressure.
+	pa, pb := Pipe(8, "a", "b")
+	shapes["pipe"] = [2]Link{pa, pb}
+	ta, tb := tcpPair(t)
+	shapes["tcp"] = [2]Link{ta, tb}
+	// A cell carries its sender in Circ, its sequence number in the first
+	// two payload bytes, and a fill byte derived from both everywhere else,
+	// so a cell stitched together from two Sends cannot pass for either.
+	fill := func(s, seq int) byte { return byte(s*perSend + seq) }
+	for name, pair := range shapes {
+		send, recv := pair[0], pair[1]
+		t.Run(name, func(t *testing.T) {
+			watchdog := time.AfterFunc(20*time.Second, func() { recv.Close() })
+			var wg sync.WaitGroup
+			defer func() {
+				watchdog.Stop()
+				recv.Close() // a sender blocked on a full link gives up
+				send.Close()
+				wg.Wait()
+			}()
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					c := cell.Cell{Circ: cell.CircID(s), Cmd: cell.Relay}
+					for seq := 0; seq < perSend; seq++ {
+						for i := range c.Payload {
+							c.Payload[i] = fill(s, seq)
+						}
+						c.Payload[0], c.Payload[1] = byte(seq>>8), byte(seq)
+						if err := send.Send(&c); err != nil {
+							t.Errorf("sender %d cell %d: %v", s, seq, err)
+							recv.Close()
+							return
+						}
+					}
+				}(s)
+			}
+
+			var next [senders]int
+			var c cell.Cell
+			for got := 0; got < senders*perSend; got++ {
+				if err := recv.Recv(&c); err != nil {
+					t.Fatalf("Recv after %d of %d cells: %v", got, senders*perSend, err)
+				}
+				s, seq := int(c.Circ), int(c.Payload[0])<<8|int(c.Payload[1])
+				if s >= senders || c.Cmd != cell.Relay {
+					t.Fatalf("cell %d: circ %d cmd %s sent by nobody", got, c.Circ, c.Cmd)
+				}
+				if seq != next[s] {
+					t.Fatalf("sender %d: got cell %d, want %d (lost, duplicated or reordered)", s, seq, next[s])
+				}
+				next[s]++
+				for i := 2; i < len(c.Payload); i++ {
+					if c.Payload[i] != fill(s, seq) {
+						t.Fatalf("sender %d cell %d torn at payload byte %d", s, seq, i)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestDialerFunc(t *testing.T) {

@@ -27,29 +27,9 @@ func Pipe(capacity int, addrA, addrB string) (Link, Link) {
 
 func (p *pipeHalf) Send(c *cell.Cell) error { return p.err(p.out.put(c)) }
 
-// SendBatch implements BatchSender over the queue.
-func (p *pipeHalf) SendBatch(cs []cell.Cell) error {
-	for i := range cs {
-		if err := p.Send(&cs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Recv fails with ErrClosed once this half is closed; after the peer
 // closes, it first drains what the peer had sent.
 func (p *pipeHalf) Recv(c *cell.Cell) error { return p.err(p.in.take(c)) }
-
-// RecvBatch implements BatchRecver: one blocking receive, then whatever
-// else has already arrived — on a delayed path, only cells already due.
-func (p *pipeHalf) RecvBatch(cs []cell.Cell) (int, error) {
-	if len(cs) == 0 {
-		return 0, nil
-	}
-	n, err := p.in.takeBatch(cs)
-	return n, p.err(err)
-}
 
 // Close ends both directions: the peer drains what was sent, then sees
 // this half gone.

@@ -20,8 +20,8 @@ var errPeerClosed = errors.New("link: peer closed")
 // carries its own one-way delay. put stamps each entry due = now + delay;
 // the single receiver takes the head and, only when that instant is still
 // ahead, waits it out on one reusable timer. A zero delay stamps nothing
-// and reads no clock. Any number of senders may put concurrently; take and
-// takeBatch belong to one goroutine at a time.
+// and reads no clock. Any number of senders may put concurrently; take
+// belongs to one goroutine at a time.
 //
 // Every crossing costs the receiver one wake-up: a sender that finds it
 // waiting for a cell signals it directly, and a cell that arrives early is
@@ -129,42 +129,18 @@ func (q *queue[T]) take(dst *T) error {
 	q.mu.Lock()
 	err := q.waitHead()
 	if err == nil {
-		q.pop(dst)
+		*dst = q.buf[q.head].v
+		q.head++
+		if q.head == len(q.buf) {
+			q.head = 0
+		}
+		q.n--
 	}
 	q.mu.Unlock()
 	if err == nil {
 		q.notFull.Signal()
 	}
 	return err
-}
-
-// takeBatch blocks like take for the first entry, then fills dst with
-// further entries that are already due, without waiting. It returns how
-// many it filled; len(dst) must be at least 1.
-func (q *queue[T]) takeBatch(dst []T) (int, error) {
-	q.mu.Lock()
-	if err := q.waitHead(); err != nil {
-		q.mu.Unlock()
-		return 0, err
-	}
-	q.pop(&dst[0])
-	n := 1
-	var now time.Time // read at most once, and only if an entry is stamped
-	for n < len(dst) && q.n > 0 {
-		if due := q.buf[q.head].due; !due.IsZero() {
-			if now.IsZero() {
-				now = time.Now()
-			}
-			if due.After(now) {
-				break
-			}
-		}
-		q.pop(&dst[n])
-		n++
-	}
-	q.mu.Unlock()
-	q.notFull.Broadcast()
-	return n, nil
 }
 
 // waitHead returns nil once the head entry exists and is due. Called, and
@@ -208,16 +184,6 @@ func (q *queue[T]) waitHead() error {
 		return ErrClosed
 	}
 	return nil
-}
-
-// pop copies the head entry out. Called with mu held and n > 0.
-func (q *queue[T]) pop(dst *T) {
-	*dst = q.buf[q.head].v
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
 }
 
 // closeSend ends the sending side: further puts fail with ErrClosed, and

@@ -224,46 +224,6 @@ func TestPeerCloseDrainsDelayedCells(t *testing.T) {
 	}
 }
 
-// TestRecvBatchReturnsOnlyDueCells: a batch never reaches past the first
-// cell that is still in flight.
-func TestRecvBatchReturnsOnlyDueCells(t *testing.T) {
-	const oneWay = 150 * time.Millisecond
-	a, b := Pipe(0, "a", "b")
-	da := Delayed(a, oneWay, oneWay)
-	defer da.Close()
-	defer b.Close()
-	for i := 0; i < 3; i++ {
-		if err := sendCell(da, testCell(uint32(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(oneWay + 20*time.Millisecond)
-	second := time.Now()
-	for i := 3; i < 6; i++ {
-		if err := sendCell(da, testCell(uint32(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := make([]cell.Cell, 8)
-	n, err := b.(BatchRecver).RecvBatch(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("first batch has %d cells, want the 3 that were due", n)
-	}
-	n, err = b.(BatchRecver).RecvBatch(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || cs[0].Circ != 3 || cs[2].Circ != 5 {
-		t.Fatalf("second batch: %d cells starting at %d, want 3 starting at 3", n, cs[0].Circ)
-	}
-	if since := time.Since(second); since < oneWay {
-		t.Errorf("second batch surfaced after %v, before the injected %v", since, oneWay)
-	}
-}
-
 func TestIdleLinkIsCheap(t *testing.T) {
 	pn := NewPipeNet()
 	ln, err := pn.Listen("idle")

@@ -26,11 +26,6 @@ type HopState struct {
 	// is the reverse.
 	fwdDigest runningDigest
 	bwdDigest runningDigest
-	// batchScratch backs CryptForwardBatch: payloads are gathered into one
-	// contiguous buffer so the CTR keystream is generated in a single call.
-	// Owned by whoever serializes forward crypto on this hop (the relay's
-	// per-connection read loop), like the keystream itself.
-	batchScratch []byte
 }
 
 func newHopState(ks keySchedule) (*HopState, error) {
@@ -59,34 +54,6 @@ func (h *HopState) CryptForward(p *[cell.PayloadLen]byte) { h.fwd.XORKeyStream(p
 
 // CryptBackward applies or removes this hop's backward keystream.
 func (h *HopState) CryptBackward(p *[cell.PayloadLen]byte) { h.bwd.XORKeyStream(p[:], p[:]) }
-
-// CryptForwardBatch applies the forward keystream to several payloads in
-// order with one XORKeyStream call. CTR consumes keystream at byte
-// granularity in processing order, so crypting the concatenation of the
-// payloads is bit-identical to crypting each in sequence — the batch is
-// purely a throughput optimization (one cipher setup amortized over the
-// burst, full use of AES-NI pipelining on the long buffer).
-//
-// Callers must hold the same serialization they would for the equivalent
-// sequence of CryptForward calls.
-func (h *HopState) CryptForwardBatch(ps []*[cell.PayloadLen]byte) {
-	if len(ps) == 1 {
-		h.CryptForward(ps[0])
-		return
-	}
-	need := len(ps) * cell.PayloadLen
-	if cap(h.batchScratch) < need {
-		h.batchScratch = make([]byte, need)
-	}
-	buf := h.batchScratch[:need]
-	for i, p := range ps {
-		copy(buf[i*cell.PayloadLen:], p[:])
-	}
-	h.fwd.XORKeyStream(buf, buf)
-	for i, p := range ps {
-		copy(p[:], buf[i*cell.PayloadLen:(i+1)*cell.PayloadLen])
-	}
-}
 
 // SealForward computes and writes the digest for a plaintext relay payload
 // addressed to this hop, committing it to the forward running hash. Call

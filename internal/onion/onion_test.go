@@ -507,61 +507,6 @@ func twinHops(t *testing.T, label byte) (a, b *HopState) {
 	return a, b
 }
 
-func TestCryptForwardBatchMatchesSequential(t *testing.T) {
-	// Twin states from one key schedule: one crypts sequentially and the
-	// other in a batch, and the ciphertexts — and the keystream positions
-	// afterwards — must agree.
-	seqHop, batchHop := twinHops(t, 0x41)
-
-	const n = 5
-	var seq, batch [n][cell.PayloadLen]byte
-	for k := 0; k < n; k++ {
-		for i := range seq[k] {
-			seq[k][i] = byte(k*31 + i)
-		}
-		batch[k] = seq[k]
-	}
-
-	ps := make([]*[cell.PayloadLen]byte, n)
-	for k := range batch {
-		ps[k] = &batch[k]
-	}
-	batchHop.CryptForwardBatch(ps)
-	for k := range seq {
-		seqHop.CryptForward(&seq[k])
-	}
-	for k := range seq {
-		if seq[k] != batch[k] {
-			t.Fatalf("payload %d: batch ciphertext differs from sequential", k)
-		}
-	}
-
-	// The streams must stay aligned for whatever comes next — including a
-	// single-payload batch (the fast path) against a plain crypt.
-	var a, b [cell.PayloadLen]byte
-	for i := range a {
-		a[i] = byte(i ^ 0x5A)
-	}
-	b = a
-	seqHop.CryptForward(&a)
-	batchHop.CryptForwardBatch([]*[cell.PayloadLen]byte{&b})
-	if a != b {
-		t.Error("keystream positions diverged after batch crypt")
-	}
-}
-
-func TestCryptForwardBatchEmpty(t *testing.T) {
-	hop, other := twinHops(t, 0x42)
-	hop.CryptForwardBatch(nil) // must not panic or advance the stream
-	var p, q [cell.PayloadLen]byte
-	q = p
-	hop.CryptForward(&p)
-	other.CryptForward(&q)
-	if p != q {
-		t.Error("empty batch advanced the keystream")
-	}
-}
-
 // onionRoundTrip sends one cell client → relays[hop] and one back, failing
 // the test unless exactly that hop recognizes the forward cell and the
 // client attributes the reply to it.

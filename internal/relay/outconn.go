@@ -175,17 +175,3 @@ func (oc *outConn) sendDestroy(id cell.CircID) {
 	dc := cell.Cell{Circ: id, Cmd: cell.Destroy}
 	_ = oc.lk.Send(&dc)
 }
-
-// sendBatch transmits cells back-to-back, with one flush when the link
-// supports batched sends.
-func (oc *outConn) sendBatch(cs []cell.Cell) error {
-	if bs, ok := oc.lk.(link.BatchSender); ok {
-		return bs.SendBatch(cs)
-	}
-	for i := range cs {
-		if err := oc.lk.Send(&cs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -300,147 +300,70 @@ func (r *Relay) newCircID() cell.CircID {
 	}
 }
 
-// recvBatch is how many cells one read-loop wakeup drains from the link at
-// most. It matches the link layer's write coalescing: a burst a peer
-// flushed together is decrypted together.
-const recvBatch = 8
-
 // connState tracks one inbound link and the circuits whose client-facing
 // side it carries.
 type connState struct {
 	r  *Relay
 	lk link.Link
 
-	// Read-loop scratch, touched only by the readLoop goroutine: the
-	// receive window, the payload-pointer run handed to batched crypto, and
-	// the outbound buffer of cells to pass to the next relay.
-	cells [recvBatch]cell.Cell
-	ps    [recvBatch]*[cell.PayloadLen]byte
-	fwd   [recvBatch]cell.Cell
-
 	mu       sync.Mutex
 	circuits map[cell.CircID]*circuit
 }
 
+// readLoop dispatches inbound cells. One cell is reused across iterations;
+// every handler below copies what it keeps.
 func (cs *connState) readLoop() {
 	defer cs.teardown()
-	br, _ := cs.lk.(link.BatchRecver)
+	var c cell.Cell
 	for {
-		n := 1
-		if br != nil {
-			var err error
-			n, err = br.RecvBatch(cs.cells[:])
-			if err != nil {
-				return
-			}
-		} else if err := cs.lk.Recv(&cs.cells[0]); err != nil {
+		if err := cs.lk.Recv(&c); err != nil {
 			return
 		}
-		i := 0
-		for i < n {
-			c := &cs.cells[i]
-			if c.Cmd != cell.Relay {
-				switch c.Cmd {
-				case cell.Create:
-					cs.handleCreate(c)
-				case cell.Destroy:
-					cs.handleDestroy(c.Circ)
-				case cell.Padding:
-					// ignored
-				default:
-					cs.r.cfg.Logf("%s: unexpected %s from %s", cs.r.cfg.Nickname, c.Cmd, cs.lk.RemoteAddr())
-				}
-				i++
-				continue
-			}
-			// Group the run of consecutive RELAY cells on one circuit so the
-			// onion layer comes off in a single batched CTR pass.
-			j := i + 1
-			for j < n && cs.cells[j].Cmd == cell.Relay && cs.cells[j].Circ == c.Circ {
-				j++
-			}
-			cs.handleRelayRun(cs.cells[i:j])
-			i = j
+		switch c.Cmd {
+		case cell.Relay:
+			cs.handleRelay(&c)
+		case cell.Create:
+			cs.handleCreate(&c)
+		case cell.Destroy:
+			cs.handleDestroy(c.Circ)
+		case cell.Padding:
+			// ignored
+		default:
+			cs.r.cfg.Logf("%s: unexpected %s from %s", cs.r.cfg.Nickname, c.Cmd, cs.lk.RemoteAddr())
 		}
 	}
 }
 
-// handleRelayRun processes consecutive RELAY cells that share a circuit.
-// The hop's layer is removed from the whole run with one batched CTR call
-// (bit-identical to per-cell crypting, see CryptForwardBatch); recognition,
-// the per-traversal forwarding delay of Eq. (1), and onward forwarding then
-// happen per cell in arrival order. Unrecognized cells bound for the next
-// relay are coalesced and sent as one batch.
-func (cs *connState) handleRelayRun(run []cell.Cell) {
+// handleRelay removes this hop's layer from a forward RELAY cell, pays the
+// per-traversal forwarding delay of Eq. (1), and either consumes the cell
+// (it is addressed to this hop) or passes it, in place, to the next relay.
+func (cs *connState) handleRelay(c *cell.Cell) {
 	r := cs.r
-	circ := cs.lookup(run[0].Circ)
+	circ := cs.lookup(c.Circ)
 	if circ == nil {
-		r.cfg.Logf("%s: RELAY on unknown circ %d", r.cfg.Nickname, run[0].Circ)
+		r.cfg.Logf("%s: RELAY on unknown circ %d", r.cfg.Nickname, c.Circ)
 		return
 	}
-	ps := cs.ps[:0]
-	for i := range run {
-		ps = append(ps, &run[i].Payload)
+	circ.hop.CryptForward(&c.Payload)
+	r.forwardDelay()
+	if circ.hop.VerifyForward(&c.Payload) {
+		circ.handleOwnCell(&c.Payload)
+		return
 	}
-	circ.hop.CryptForwardBatch(ps)
-
-	nfwd := 0
-	for i := range run {
-		c := &run[i]
-		// A cell earlier in the run may have torn the circuit down; the
-		// sequential path would no longer find it in the table, so drop the
-		// remainder the same way.
-		circ.mu.Lock()
-		dead := circ.destroyed
-		circ.mu.Unlock()
-		if dead {
-			break
-		}
-		r.forwardDelay()
-		if circ.hop.VerifyForward(&c.Payload) {
-			// Control traffic for this hop may emit onward cells (EXTEND →
-			// CREATE); flush forwarded data first to keep the next-relay
-			// stream in order.
-			if nfwd > 0 {
-				if !cs.forwardRun(circ, nfwd) {
-					return
-				}
-				nfwd = 0
-			}
-			circ.handleOwnCell(&c.Payload)
-			continue
-		}
-		cs.fwd[nfwd] = cell.Cell{Cmd: cell.Relay, Payload: c.Payload}
-		nfwd++
-	}
-	if nfwd > 0 {
-		cs.forwardRun(circ, nfwd)
-	}
-}
-
-// forwardRun passes cs.fwd[:n] to the circuit's next relay, stamping the
-// onward circuit ID. It reports false when the circuit ends here or the
-// send failed (the circuit is destroyed either way).
-func (cs *connState) forwardRun(circ *circuit, n int) bool {
-	r := cs.r
 	circ.mu.Lock()
 	next, nextID := circ.next, circ.nextID
 	circ.mu.Unlock()
 	if next == nil {
 		r.cfg.Logf("%s: unrecognized relay cell at end of circuit", r.cfg.Nickname)
 		circ.destroy(true, false)
-		return false
+		return
 	}
-	for i := 0; i < n; i++ {
-		cs.fwd[i].Circ = nextID
-	}
-	r.stats.CellsRelayed.Add(int64(n))
-	r.tm.cellsRelayed.Add(int64(n))
-	if err := next.sendBatch(cs.fwd[:n]); err != nil {
+	c.Circ = nextID
+	r.stats.CellsRelayed.Add(1)
+	r.tm.cellsRelayed.Inc()
+	if err := next.send(c); err != nil {
 		circ.destroy(true, false)
-		return false
 	}
-	return true
 }
 
 func (cs *connState) teardown() {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ting/internal/cell"
 	"ting/internal/link"
@@ -195,5 +196,14 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnStateHoldsNoCellBuffers: an accepted inbound link costs a handful
+// of words. The read loop reuses one cell of its own; per-link arrays of
+// 512-byte cells (8.3 KiB a link, once) must not come back unnoticed.
+func TestConnStateHoldsNoCellBuffers(t *testing.T) {
+	if size := unsafe.Sizeof(connState{}); size >= 256 {
+		t.Errorf("connState is %d bytes, want under 256: it holds cell buffers again", size)
 	}
 }

@@ -15,24 +15,17 @@ import (
 // MAD-style spread proxy) — globally and per relay — and bounds each
 // attempt at
 //
-//	deadline = clamp(mean + K·dev, Min, Max)
+//	deadline = clamp(mean + deadlineK·dev, Min, Max)
 //
 // using the slower of the pair's two relay estimates (falling back to the
-// global one until a relay has warmed up). Until Warmup observations
-// exist, Deadline reports not-ready and the caller keeps its fixed
-// deadline. All methods are safe for concurrent use by scanner workers.
+// global one until a relay has warmed up). Until deadlineWarmup
+// observations exist, Deadline reports not-ready and the caller keeps its
+// fixed deadline. All methods are safe for concurrent use by scanner workers.
 type DeadlineEstimator struct {
 	// Min and Max clamp every emitted deadline: Min keeps a lucky streak
 	// of fast pairs from strangling a legitimately slow one, Max is the
 	// campaign's fixed PairTimeout ceiling (0 = unbounded).
 	Min, Max time.Duration
-	// K is the spread multiplier; default 4.
-	K float64
-	// Alpha is the EWMA weight of each new observation; default 0.25.
-	Alpha float64
-	// Warmup is how many observations a statistic needs before it is
-	// trusted; default 3.
-	Warmup int
 	// Observer, if non-nil, receives DeadlineSet for every adaptive
 	// deadline handed out.
 	Observer *Observer
@@ -42,6 +35,16 @@ type DeadlineEstimator struct {
 	relays map[string]*ewmaStat
 }
 
+const (
+	// deadlineK is the spread multiplier.
+	deadlineK = 4
+	// deadlineAlpha is the EWMA weight of each new observation.
+	deadlineAlpha = 0.25
+	// deadlineWarmup is how many observations a statistic needs before it
+	// is trusted.
+	deadlineWarmup = 3
+)
+
 // ewmaStat is one EWMA mean + EWMA absolute-deviation pair, in
 // milliseconds.
 type ewmaStat struct {
@@ -50,7 +53,7 @@ type ewmaStat struct {
 	dev  float64
 }
 
-func (s *ewmaStat) observe(ms, alpha float64) {
+func (s *ewmaStat) observe(ms float64) {
 	if s.n == 0 {
 		s.mean = ms
 	} else {
@@ -58,8 +61,8 @@ func (s *ewmaStat) observe(ms, alpha float64) {
 		if d < 0 {
 			d = -d
 		}
-		s.dev = (1-alpha)*s.dev + alpha*d
-		s.mean = (1-alpha)*s.mean + alpha*ms
+		s.dev = (1-deadlineAlpha)*s.dev + deadlineAlpha*d
+		s.mean = (1-deadlineAlpha)*s.mean + deadlineAlpha*ms
 	}
 	s.n++
 }
@@ -74,35 +77,20 @@ func NewDeadlineEstimator(min, max time.Duration, obs *Observer) *DeadlineEstima
 	}
 }
 
-func (e *DeadlineEstimator) params() (k, alpha float64, warmup int) {
-	k, alpha, warmup = e.K, e.Alpha, e.Warmup
-	if k <= 0 {
-		k = 4
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.25
-	}
-	if warmup <= 0 {
-		warmup = 3
-	}
-	return k, alpha, warmup
-}
-
 // Observe feeds one successful attempt's wall-clock duration into the
 // pair's relay statistics and the global one. Failures are never fed in:
 // a timeout's duration is the old deadline, not the pair's RTT.
 func (e *DeadlineEstimator) Observe(x, y string, elapsed time.Duration) {
 	ms := float64(elapsed) / float64(time.Millisecond)
-	_, alpha, _ := e.params()
 	e.mu.Lock()
-	e.global.observe(ms, alpha)
+	e.global.observe(ms)
 	for _, name := range []string{x, y} {
 		s := e.relays[name]
 		if s == nil {
 			s = &ewmaStat{}
 			e.relays[name] = s
 		}
-		s.observe(ms, alpha)
+		s.observe(ms)
 	}
 	e.mu.Unlock()
 }
@@ -120,19 +108,18 @@ func (e *DeadlineEstimator) Forget(name string) {
 // fixed deadline). The pair is bounded by the slower of its two relays'
 // estimates so an asymmetric pair is not strangled by its fast end.
 func (e *DeadlineEstimator) Deadline(x, y string) (time.Duration, bool) {
-	k, _, warmup := e.params()
 	e.mu.Lock()
 	best := ewmaStat{}
 	ready := false
 	for _, name := range []string{x, y} {
-		if s := e.relays[name]; s != nil && s.n >= warmup {
+		if s := e.relays[name]; s != nil && s.n >= deadlineWarmup {
 			ready = true
-			if bound(s, k) > bound(&best, k) {
+			if s.bound() > best.bound() {
 				best = *s
 			}
 		}
 	}
-	if !ready && e.global.n >= warmup {
+	if !ready && e.global.n >= deadlineWarmup {
 		ready = true
 		best = e.global
 	}
@@ -140,7 +127,7 @@ func (e *DeadlineEstimator) Deadline(x, y string) (time.Duration, bool) {
 	if !ready {
 		return 0, false
 	}
-	d := time.Duration(bound(&best, k) * float64(time.Millisecond))
+	d := time.Duration(best.bound() * float64(time.Millisecond))
 	if e.Min > 0 && d < e.Min {
 		d = e.Min
 	}
@@ -151,7 +138,6 @@ func (e *DeadlineEstimator) Deadline(x, y string) (time.Duration, bool) {
 	return d, true
 }
 
-// bound is the μ + K·dev envelope of one statistic, in milliseconds.
-func bound(s *ewmaStat, k float64) float64 {
-	return s.mean + k*s.dev
-}
+// bound is the μ + deadlineK·dev envelope of one statistic, in
+// milliseconds.
+func (s *ewmaStat) bound() float64 { return s.mean + deadlineK*s.dev }
