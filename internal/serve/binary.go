@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"ting/internal/telemetry"
@@ -34,9 +35,11 @@ import (
 //	                → u64 epoch | count × (f64 rttMs | u8 prov | u8 conf)
 //
 // Statuses: 0 ok; non-ok responses carry u16 msgLen | msg instead of the
-// op's body. The epoch leads every ok body, so a client interleaving
-// requests across an epoch swap can always tell which snapshot answered —
-// the wire-level analogue of the HTTP ETag.
+// op's body. Status 5 (overloaded) is the one answer a connection over the
+// server's limit gets, whatever it asked, before it is closed. The epoch
+// leads every ok body, so a client interleaving requests across an epoch
+// swap can always tell which snapshot answered — the wire-level analogue of
+// the HTTP ETag.
 //
 // A cell has one wire shape: value, provenance, confidence. The protocol is
 // versioned by its op space: incompatible revisions take new op codes, and
@@ -56,6 +59,7 @@ const (
 	statusUnknownRelay = 2
 	statusBadRequest   = 3
 	statusOutOfRange   = 4
+	statusOverloaded   = 5
 
 	// maxFrame bounds both request and response frames. Names of a 5000-relay
 	// consensus fit comfortably; a hostile 4GB length prefix does not.
@@ -71,13 +75,37 @@ const (
 	// re-armed at most once per half timeout, so a client is always allowed
 	// at least connTimeout/2 of silence.
 	connTimeout = 2 * time.Minute
+
+	// connLimit is how many connections one Serve call answers at a time.
+	// One over the limit gets statusOverloaded for its first request and is
+	// closed within refuseTimeout, so it costs a goroutine and a few hundred
+	// bytes for at most that long instead of a serveConn's two 64 KiB
+	// buffers for connTimeout.
+	connLimit     = 1024
+	refuseTimeout = time.Second
+
+	// gatherChunk is how many cells a batch lookup reads from the matrix
+	// before encoding them: enough for the core to overlap the cells' cache
+	// misses, small enough that the chunk's indices and cells (1.5 KiB) live
+	// on handle's stack.
+	gatherChunk = 64
 )
+
+// binBuckets are serve.bin_ms's upper bounds, in milliseconds: powers of
+// two from 1 µs to 65 ms. The handler runs for about a microsecond on a
+// single lookup and some tens on a full batch, all of which the registry's
+// default bounds (from 0.5 ms) would put in their first bucket.
+var binBuckets = []float64{
+	0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128, 0.256, 0.512,
+	1.024, 2.048, 4.096, 8.192, 16.384, 32.768, 65.536,
+}
 
 // BinaryServer serves the binary protocol over a listener, answering every
 // request from the publisher's current snapshot.
 type BinaryServer struct {
 	pub     *Publisher
 	timeout time.Duration // connTimeout; tests shorten it
+	limit   int           // connLimit; tests shorten it
 
 	lookups *telemetry.Counter
 	conns   *telemetry.Counter
@@ -90,19 +118,46 @@ func NewBinaryServer(pub *Publisher, reg *telemetry.Registry) *BinaryServer {
 	return &BinaryServer{
 		pub:     pub,
 		timeout: connTimeout,
+		limit:   connLimit,
 		lookups: reg.Counter("serve.lookups"),
 		conns:   reg.Counter("serve.bin.conns"),
-		binMs:   reg.Histogram("serve.bin_ms"),
+		binMs:   reg.HistogramBuckets("serve.bin_ms", binBuckets),
 	}
 }
 
-// Serve accepts connections until ctx is cancelled or the listener fails.
-// Each connection gets one goroutine; per-connection errors (malformed
-// frames, hangups) close that connection only.
+// Serve accepts connections until ctx is cancelled or the listener fails,
+// then closes every connection it accepted and returns once their
+// goroutines have exited: nothing Serve started outlives it. Each connection
+// gets one goroutine; per-connection errors (malformed frames, hangups)
+// close that connection only. At most s.limit connections are served at a
+// time; one accepted beyond that is refused with statusOverloaded.
 func (s *BinaryServer) Serve(ctx context.Context, ln net.Listener) error {
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		live    = make(map[net.Conn]struct{}) // every open connection, refused ones too
+		serving int                           // those counted against s.limit
+	)
+	returned := make(chan struct{})
+	wg.Add(1)
 	go func() {
-		<-ctx.Done()
+		defer wg.Done()
+		select {
+		case <-ctx.Done():
+		case <-returned:
+		}
 		ln.Close()
+	}()
+	defer func() {
+		close(returned)
+		// Accept has failed and only this goroutine adds to live, so these
+		// are all the connections there will be.
+		mu.Lock()
+		for conn := range live {
+			conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
 	}()
 	for {
 		conn, err := ln.Accept()
@@ -113,11 +168,55 @@ func (s *BinaryServer) Serve(ctx context.Context, ln net.Listener) error {
 			return err
 		}
 		s.conns.Inc()
+		mu.Lock()
+		live[conn] = struct{}{}
+		admit := serving < s.limit
+		if admit {
+			serving++
+		}
+		mu.Unlock()
+		wg.Add(1)
 		go func() {
-			defer conn.Close()
-			s.serveConn(conn)
+			defer wg.Done()
+			if admit {
+				s.serveConn(conn)
+			} else {
+				s.refuseConn(conn)
+			}
+			conn.Close()
+			mu.Lock()
+			delete(live, conn)
+			if admit {
+				serving--
+			}
+			mu.Unlock()
 		}()
 	}
+}
+
+// refuseConn answers the first request of a connection over the limit with
+// statusOverloaded, all under one short deadline. The request is read to
+// its end first: closing a socket with unread bytes resets it, and a reset
+// can overtake the reply.
+func (s *BinaryServer) refuseConn(conn net.Conn) {
+	// SetDeadline fails only on a closed connection; the read says so.
+	_ = conn.SetDeadline(time.Now().Add(min(refuseTimeout, s.timeout)))
+	var hdr [5]byte // u32 length | u8 op
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return
+	}
+	length := binary.BigEndian.Uint32(hdr[:])
+	if length < 1 || length > maxFrame {
+		return
+	}
+	if _, err := io.CopyN(io.Discard, conn, int64(length)-1); err != nil {
+		return
+	}
+	resp := appendErr(make([]byte, 4, 64), hdr[4], statusOverloaded,
+		fmt.Sprintf("serving %d connections already", s.limit))
+	binary.BigEndian.PutUint32(resp, uint32(len(resp)-4))
+	// The connection is closed next whether or not the reply got out.
+	_, _ = conn.Write(resp)
 }
 
 // serveConn runs the request loop. Responses are flushed only when no
@@ -221,7 +320,9 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 		s.lookups.Inc()
 		out = append(out, op|respFlag, statusOK)
 		out = binary.BigEndian.AppendUint64(out, snap.epoch)
-		return appendCell(out, m, i, j)
+		var c [1]ting.Cell
+		m.Gather([]uint32{uint32(i), uint32(j)}, c[:])
+		return appendCell(out, c[0])
 
 	case opRTTBatchEx:
 		if len(body) < 4 {
@@ -236,25 +337,34 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 		if len(body) != int(count)*8 {
 			return appendErr(out, op, statusBadRequest, "batch body length mismatch")
 		}
-		n := uint32(m.N())
-		// Validate the whole batch before emitting any cells: a response is
-		// either complete or an error, never a prefix.
-		for k := uint32(0); k < count; k++ {
-			i := binary.BigEndian.Uint32(body[k*8:])
-			j := binary.BigEndian.Uint32(body[k*8+4:])
-			if i >= n || j >= n {
-				return appendErr(out, op, statusOutOfRange,
-					fmt.Sprintf("index (%d,%d) outside %d relays", i, j, n))
-			}
-		}
-		s.lookups.Add(int64(count))
+		// Gather a chunk of cells, then encode it: the matrix reads of a chunk
+		// overlap (see ting.Matrix.Gather) instead of each waiting behind the
+		// encoding of the cell before. Gather checks ranges as it goes, so a
+		// bad index can turn up after cells were appended: the reply is cut
+		// back to mark, because a response is either complete or an error,
+		// never a prefix.
+		mark := len(out)
 		out = append(out, op|respFlag, statusOK)
 		out = binary.BigEndian.AppendUint64(out, snap.epoch)
-		for k := uint32(0); k < count; k++ {
-			i := int(binary.BigEndian.Uint32(body[k*8:]))
-			j := int(binary.BigEndian.Uint32(body[k*8+4:]))
-			out = appendCell(out, m, i, j)
+		var (
+			idx   [2 * gatherChunk]uint32
+			cells [gatherChunk]ting.Cell
+		)
+		for len(body) > 0 {
+			k := min(len(body)/8, gatherChunk)
+			for c := 0; c < 2*k; c++ {
+				idx[c] = binary.BigEndian.Uint32(body[4*c:])
+			}
+			if bad := m.Gather(idx[:2*k], cells[:k]); bad < k {
+				return appendErr(out[:mark], op, statusOutOfRange,
+					fmt.Sprintf("index (%d,%d) outside %d relays", idx[2*bad], idx[2*bad+1], m.N()))
+			}
+			for _, c := range cells[:k] {
+				out = appendCell(out, c)
+			}
+			body = body[8*k:]
 		}
+		s.lookups.Add(int64(count))
 		return out
 
 	default:
@@ -262,11 +372,12 @@ func (s *BinaryServer) handle(op byte, body, out []byte) []byte {
 	}
 }
 
-// appendCell appends the wire form of cell (i, j): f64 rttMs | u8 prov |
-// u8 conf.
-func appendCell(out []byte, m *ting.Matrix, i, j int) []byte {
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(m.At(i, j)))
-	return append(out, byte(m.ProvAt(i, j)), confByte(m.ConfAt(i, j)))
+// appendCell appends the wire form of a cell: f64 rttMs | u8 prov | u8
+// conf. The matrix stores confidence in the wire's own 1/255 steps, so the
+// byte goes out as gathered.
+func appendCell(out []byte, c ting.Cell) []byte {
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.RTT))
+	return append(out, byte(c.Prov), c.Conf)
 }
 
 func appendErr(out []byte, op byte, status byte, msg string) []byte {
@@ -293,17 +404,6 @@ func readString16(b []byte) (s string, rest []byte, ok bool) {
 	return string(b[2 : 2+n]), b[2+n:], true
 }
 
-// confByte quantizes a [0,1] confidence to the wire's u8, saturating.
-func confByte(c float64) byte {
-	if c <= 0 {
-		return 0
-	}
-	if c >= 1 {
-		return 255
-	}
-	return byte(c*255 + 0.5)
-}
-
 // statusText names a wire status for client error messages.
 func statusText(status byte) string {
 	switch status {
@@ -317,6 +417,8 @@ func statusText(status byte) string {
 		return "bad request"
 	case statusOutOfRange:
 		return "index out of range"
+	case statusOverloaded:
+		return "overloaded"
 	default:
 		return fmt.Sprintf("status %d", status)
 	}

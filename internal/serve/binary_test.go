@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,28 +18,31 @@ import (
 	"ting/internal/ting"
 )
 
-// startBinary boots a BinaryServer on loopback and returns a connected
-// client. Everything is torn down with the test.
-func startBinary(t *testing.T, pub *Publisher) *BinClient {
+// serveOn runs srv on a loopback listener until the test ends and returns
+// the address to dial.
+func serveOn(t *testing.T, srv *BinaryServer) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := NewBinaryServer(pub, nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ctx, ln); err != nil {
-			t.Errorf("binary server: %v", err)
-		}
-	}()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
 	t.Cleanup(func() {
 		cancel()
-		<-done
+		if err := <-served; err != nil {
+			t.Errorf("binary server: %v", err)
+		}
 	})
-	c, err := DialBinary(ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// startBinary boots a BinaryServer on loopback and returns a connected
+// client. Everything is torn down with the test.
+func startBinary(t *testing.T, pub *Publisher) *BinClient {
+	t.Helper()
+	c, err := DialBinary(serveOn(t, NewBinaryServer(pub, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +491,65 @@ func TestBinarySlowClientsAreDropped(t *testing.T) {
 			t.Fatalf("%d goroutines, %d before the slow clients connected", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBinaryServeClosesItsConnections: cancelling Serve's context hangs up on
+// a client that is connected and idle, and Serve returns only once the
+// connection's goroutine has exited — nothing it started outlives it.
+func TestBinaryServeClosesItsConnections(t *testing.T) {
+	pub := NewPublisher(nil)
+	if _, err := pub.Publish(testMatrix(t, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- NewBinaryServer(pub, nil).Serve(ctx, ln) }()
+	c, err := DialBinary(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One answered request: the server is inside this connection's loop.
+	if _, err := c.Epoch(); err != nil {
+		t.Fatal(err)
+	}
+
+	cancel()
+	cancelled := time.Now()
+	// Bounds the test, not the server: the 100 ms below is what is asserted.
+	c.conn.SetReadDeadline(cancelled.Add(5 * time.Second))
+	var one [1]byte
+	if _, err := c.conn.Read(one[:]); err != io.EOF {
+		t.Errorf("idle client read %v after cancel, want EOF", err)
+	}
+	if d := time.Since(cancelled); d > 100*time.Millisecond {
+		t.Errorf("idle client was hung up on %v after cancel, want within 100ms", d)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve has not returned 5s after cancel")
+	}
+	// Serve waited for its goroutines' last deferred call, which is an
+	// instant before the goroutine is gone from a stack dump: look twice.
+	buf := make([]byte, 1<<20)
+	for try := 0; ; try++ {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "serve.(*BinaryServer)") {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("server goroutines left after Serve returned:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -60,6 +60,11 @@ type Matrix struct {
 	// matching column band; nil until a cell in the block is written. The
 	// grid itself is N²/TileDim² pointers — negligible next to the cells.
 	tiles [][]*tile
+	// cow[ti][tj] marks tiles[ti][tj] copy-before-write: some Clone shares
+	// the tile, so it must not be written in place. Nil until the first
+	// Clone on either side. Only the goroutine that writes this matrix reads
+	// or changes the marks; readers of a shared tile never look at them.
+	cow [][]bool
 }
 
 // Provenance classifies how a matrix cell got its value — the per-cell
@@ -120,21 +125,21 @@ func NewMatrix(names []string) (*Matrix, error) {
 		}
 		m.index[n] = i
 	}
-	m.tiles = newTileGrid(tileCount(len(names)), nil)
+	m.tiles = newGrid[*tile](tileCount(len(names)), nil)
 	return m, nil
 }
 
 // tileCount is how many tile bands cover n cells per axis.
 func tileCount(n int) int { return (n + tileMask) >> TileShift }
 
-// newTileGrid allocates a tn×tn grid of nil tile pointers in one backing
-// slice, copying old's pointers into the top-left corner when growing.
-// Tiling is index-stable — cell (i,j) lives in tile (i»TileShift,
+// newGrid allocates a tn×tn grid of zero entries (nil tile pointers, clear
+// marks) in one backing slice, copying old's entries into the top-left
+// corner. Tiling is index-stable — cell (i,j) lives in tile (i»TileShift,
 // j»TileShift) no matter how large the matrix is — so growth never moves
-// cells, only re-places tile pointers on the wider grid.
-func newTileGrid(tn int, old [][]*tile) [][]*tile {
-	grid := make([][]*tile, tn)
-	backing := make([]*tile, tn*tn)
+// cells, only re-places tile pointers and their marks on the wider grid.
+func newGrid[T any](tn int, old [][]T) [][]T {
+	grid := make([][]T, tn)
+	backing := make([]T, tn*tn)
 	for ti := range grid {
 		grid[ti] = backing[ti*tn : (ti+1)*tn : (ti+1)*tn]
 		if ti < len(old) {
@@ -156,14 +161,24 @@ func (m *Matrix) at(i, j int) float64 {
 	return t.r[tidx(i, j)]
 }
 
-// cellTile returns the tile holding (i,j), materializing it on first
-// write.
+// cellTile returns the tile holding (i,j) for writing — the only way to a
+// writable tile. It materializes the tile on first write and, if a Clone
+// shares it, replaces it with a private copy and clears the mark, so the
+// copy is written in place from then on. The whole function fits the
+// inlining budget (cost 78 of 80 under `go build -gcflags=-m=2`; re-check
+// after touching it), so a write to a materialized tile of a matrix that
+// was never cloned pays two compares and no call.
 func (m *Matrix) cellTile(i, j int) *tile {
 	ti, tj := i>>TileShift, j>>TileShift
 	t := m.tiles[ti][tj]
 	if t == nil {
 		t = new(tile)
 		m.tiles[ti][tj] = t
+	} else if m.cow != nil && m.cow[ti][tj] {
+		dup := *t
+		t = &dup
+		m.tiles[ti][tj] = t
+		m.cow[ti][tj] = false
 	}
 	return t
 }
@@ -183,7 +198,10 @@ func (m *Matrix) AddName(name string) error {
 	m.index[name] = len(m.names)
 	m.names = append(m.names, name)
 	if tn := tileCount(len(m.names)); tn > len(m.tiles) {
-		m.tiles = newTileGrid(tn, m.tiles)
+		m.tiles = newGrid(tn, m.tiles)
+		if m.cow != nil {
+			m.cow = newGrid(tn, m.cow)
+		}
 	}
 	return nil
 }
@@ -247,23 +265,35 @@ func (m *Matrix) Dense() [][]float64 {
 	return rows
 }
 
-// Clone returns a deep copy: only materialized tiles are copied, so a
-// snapshot of a sparse matrix is as cheap as the matrix itself.
+// Clone returns an independent copy that shares m's tiles: it copies the
+// name index and the tile-pointer grid, and marks every materialized tile
+// copy-before-write on both matrices, so whichever side writes a tile first
+// takes a private copy (cellTile) and the other side never sees the write.
+// A clone therefore costs the grid, a write after it costs the tiles it
+// touches, and a tile is freed when the last matrix pointing at it goes.
+//
+// Clone writes m's marks, so it belongs to the goroutine that writes m (or
+// runs under the lock that serializes m's writers, as Monitor.Matrix does);
+// it is not safe beside another Clone, or a write, of the same matrix.
 func (m *Matrix) Clone() *Matrix {
+	tn := len(m.tiles)
 	cp := &Matrix{
-		names: append([]string(nil), m.names...),
+		// Shared, capacity clipped: an AddName on the clone reallocates, and
+		// one on m appends past what the clone can see.
+		names: m.names[:len(m.names):len(m.names)],
 		index: make(map[string]int, len(m.index)),
+		tiles: newGrid(tn, m.tiles),
+		cow:   newGrid[bool](tn, nil),
 	}
 	for k, v := range m.index {
 		cp.index[k] = v
 	}
-	cp.tiles = newTileGrid(len(m.tiles), nil)
+	if m.cow == nil {
+		m.cow = newGrid[bool](tn, nil)
+	}
 	for ti, row := range m.tiles {
 		for tj, t := range row {
-			if t != nil {
-				dup := *t
-				cp.tiles[ti][tj] = &dup
-			}
+			m.cow[ti][tj], cp.cow[ti][tj] = t != nil, t != nil
 		}
 	}
 	return cp
@@ -365,6 +395,49 @@ func (m *Matrix) ConfAt(i, j int) float64 {
 		return 0
 	}
 	return float64(t.conf[tidx(i, j)]) / 255
+}
+
+// Cell is one cell's whole state as Gather copies it out: value,
+// provenance, and confidence as the tile stores it, in 1/255 steps (255 =
+// fully trusted, what ConfAt reports as 1).
+type Cell struct {
+	RTT  float64
+	Prov Provenance
+	Conf uint8
+}
+
+// Gather is the bulk read: it copies the cells at idx — flat index pairs
+// (i0, j0, i1, j1, …) — into dst, which must hold len(idx)/2 cells, and
+// returns how many it copied. That is every pair, unless one has an index
+// outside [0, N): Gather stops there and returns that pair's position, so
+// range checking costs no second pass and nothing panics on indices taken
+// off a socket. Cell k equals At, ProvAt and ConfAt·255 of pair k.
+//
+// A random cell of a large matrix is a cache miss per array, and the misses
+// of different cells are independent; the loop is one tile walk and three
+// loads a cell, short enough for the core to have many cells' misses in
+// flight at once, where At + ProvAt + ConfAt per cell keep three or four.
+// Callers gather a chunk into a small array, then do their per-cell work
+// from it.
+func (m *Matrix) Gather(idx []uint32, dst []Cell) int {
+	n := uint32(len(m.names))
+	dst = dst[:len(idx)/2]
+	for k := range dst {
+		i, j := idx[2*k], idx[2*k+1]
+		if i >= n || j >= n {
+			return k
+		}
+		var c Cell
+		if t := m.tiles[i>>TileShift][j>>TileShift]; t != nil {
+			off := tidx(int(i), int(j))
+			c = Cell{t.r[off], t.prov[off], t.conf[off]}
+		}
+		if i == j {
+			c.Conf = 255
+		}
+		dst[k] = c
+	}
+	return len(dst)
 }
 
 // ProvCount is the upper-triangle provenance tally — the "how complete is

@@ -3,8 +3,10 @@ package ting
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // tileNames returns n distinct relay names — enough to span several tile
@@ -356,6 +358,96 @@ func TestMatrixEncodePredictedRoundTrip(t *testing.T) {
 		doc := buf2.String() + bad + "\n"
 		if _, err := DecodeMatrix(strings.NewReader(doc)); err == nil {
 			t.Errorf("trailer %q accepted", bad)
+		}
+	}
+}
+
+// allocated reports the bytes and objects f allocates.
+func allocated(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// fullMatrix returns an n-relay matrix with every tile materialized — one
+// cell written in each, which is all that allocation and copying depend on.
+func fullMatrix(tb testing.TB, n int) *Matrix {
+	tb.Helper()
+	names := tileNames(n)
+	m, err := NewMatrix(names)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i += TileDim {
+		for j := i; j < n; j += TileDim {
+			if err := m.Set(names[i], names[j], 1); err != nil {
+				tb.Fatal(err)
+			}
+			if err := m.SetProv(names[i], names[j], ProvFresh); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return m
+}
+
+// TestMatrixCloneAllocatesGridNotTiles: cloning a matrix whose 256 tiles are
+// all materialized (10 MB of cells) allocates the names and the grid, and
+// the first Set on the clone copies the two tiles it writes and no others.
+func TestMatrixCloneAllocatesGridNotTiles(t *testing.T) {
+	const n = 1000
+	m := fullMatrix(t, n)
+	var cp *Matrix
+	if b, _ := allocated(func() { cp = m.Clone() }); b >= 64<<10 {
+		t.Errorf("Clone of a full %d-relay matrix allocated %d bytes, want under 64 KiB", n, b)
+	}
+	names := m.Names()
+	b, objects := allocated(func() {
+		if err := cp.Set(names[3], names[n-1], 7); err != nil {
+			t.Error(err)
+		}
+	})
+	if tileBytes := uint64(unsafe.Sizeof(tile{})); objects != 2 || b < 2*tileBytes || b >= 3*tileBytes {
+		t.Errorf("first Set after Clone allocated %d objects, %d bytes; want the 2 tiles it writes (%d bytes each)", objects, b, tileBytes)
+	}
+	if got := m.At(3, n-1); got != 0 {
+		t.Errorf("Set on the clone shows in the source: %v", got)
+	}
+	// The copies are private now: writing them again allocates nothing.
+	if _, objects := allocated(func() { _ = cp.Set(names[4], names[n-2], 8) }); objects != 0 {
+		t.Errorf("second Set into the same tiles allocated %d objects", objects)
+	}
+}
+
+var cloneSink *Matrix
+
+// BenchmarkMatrixClone is what an epoch publish pays up front for a full
+// 1000-relay matrix.
+func BenchmarkMatrixClone(b *testing.B) {
+	m := fullMatrix(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = m.Clone()
+	}
+}
+
+// BenchmarkMatrixSetAfterClone is what the publish pays later: the first
+// write to a pair after a Clone, which copies the pair's two tiles.
+func BenchmarkMatrixSetAfterClone(b *testing.B) {
+	m := fullMatrix(b, 1000)
+	names := m.Names()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cloneSink = m.Clone()
+		b.StartTimer()
+		if err := m.Set(names[3], names[999], float64(i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package ting
+
+const raceEnabled = true

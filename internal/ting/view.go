@@ -11,7 +11,8 @@ import "fmt"
 // All methods are safe for concurrent readers while no writer is mutating
 // the matrix; one that is being written (a live scan, a monitor between
 // sweeps) must be snapshotted (Clone, or Monitor.Matrix) before it is
-// shared with readers.
+// shared with readers. Taking the snapshot is the writer's job: Clone marks
+// the source's tiles as shared, which is a write like any other.
 type MatrixView interface {
 	// N is the number of relays.
 	N() int
