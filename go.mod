@@ -1,3 +1,3 @@
 module ting
 
-go 1.22
+go 1.24

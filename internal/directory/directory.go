@@ -52,13 +52,18 @@ func (d *Descriptor) Fingerprint() string {
 	return hex.EncodeToString(d.OnionKey[:8])
 }
 
-// Validate checks the descriptor for completeness.
+// Validate checks the descriptor for completeness, and the nickname for
+// the separators other codecs frame a path with: whitespace (a consensus
+// line's fields), ',' (EXTENDCIRCUIT's path, the half-circuit key's hops)
+// and '#' (the half-circuit key's sample count).
 func (d *Descriptor) Validate() error {
 	switch {
 	case d.Nickname == "":
 		return errors.New("directory: descriptor missing nickname")
 	case strings.IndexFunc(d.Nickname, unicode.IsSpace) >= 0:
 		return fmt.Errorf("directory: nickname %q contains whitespace", d.Nickname)
+	case strings.ContainsAny(d.Nickname, ",#"):
+		return fmt.Errorf("directory: nickname %q contains ',' or '#'", d.Nickname)
 	case d.Addr == "":
 		return fmt.Errorf("directory: descriptor %s missing address", d.Nickname)
 	case strings.IndexFunc(d.Addr, unicode.IsSpace) >= 0:

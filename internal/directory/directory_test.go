@@ -42,6 +42,8 @@ func TestDescriptorValidate(t *testing.T) {
 		{Nickname: "r", Addr: "a", OnionKey: good.OnionKey, BandwidthKBps: -1},
 		{Nickname: "nb\u00a0sp", Addr: "a", OnionKey: good.OnionKey}, // unicode space
 		{Nickname: "r", Addr: "a\u2028b", OnionKey: good.OnionKey},   // line separator
+		{Nickname: "a,b", Addr: "a", OnionKey: good.OnionKey},        // EXTENDCIRCUIT and half-circuit keys join hops with ','
+		{Nickname: "a#200", Addr: "a", OnionKey: good.OnionKey},      // half-circuit keys end in '#samples'
 	}
 	for i, d := range bad {
 		if err := d.Validate(); err == nil {

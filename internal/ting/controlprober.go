@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ting/internal/control"
-	"ting/internal/echo"
 )
 
 // ControlProber drives Ting through a control port, the way the paper's
@@ -55,30 +54,5 @@ func (p *ControlProber) SampleCircuit(ctx context.Context, path []string, n int)
 	}
 	defer conn.Close()
 
-	// Probe in small batches so cancellation lands within a few samples
-	// even when each round trip is fast.
-	const batch = 8
-	ec := echo.NewClient(conn)
-	out := make([]float64, 0, n)
-	for len(out) < n {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := batch
-		if rem := n - len(out); rem < k {
-			k = rem
-		}
-		rtts, err := ec.ProbeN(k)
-		if err != nil {
-			return nil, fmt.Errorf("ting: probe: %w", err)
-		}
-		for _, d := range rtts {
-			if p.ToMs != nil {
-				out = append(out, p.ToMs(d))
-			} else {
-				out = append(out, float64(d)/float64(time.Millisecond))
-			}
-		}
-	}
-	return out, nil
+	return probeSeries(ctx, conn, n, p.ToMs)
 }

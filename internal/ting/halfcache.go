@@ -2,8 +2,8 @@ package ting
 
 import (
 	"context"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -17,9 +17,10 @@ import (
 //
 // Entries are keyed by the full circuit path plus the sample count, so a
 // cross-scan handle shared between campaigns with different local relays or
-// sample budgets never conflates incompatible series. Like Cache, entries
-// carry a freshness horizon: ttl ≤ 0 means they never expire (§4.6 says a
-// week of stability, so "measure once, cache for the campaign" is sound).
+// sample budgets never conflates incompatible series. An entry stops
+// answering once it is older than the cache's ttl and the next Do measures
+// the series again; ttl ≤ 0 means entries never expire (§4.6 says a week of
+// stability, so "measure once, cache for the campaign" is sound).
 //
 // Singleflight: when two workers need the same half circuit concurrently,
 // one measures and the others wait for its series instead of duplicating
@@ -38,6 +39,7 @@ type HalfCache struct {
 }
 
 type halfEntry struct {
+	path []string // the cache's own copy; InvalidateRelay looks through it
 	min  float64
 	when time.Time
 }
@@ -64,7 +66,7 @@ func NewHalfCache(ttl time.Duration) *HalfCache {
 // halfKey identifies one half-circuit series: the exact path plus the
 // sample count it was measured with.
 func halfKey(path []string, samples int) string {
-	return strings.Join(path, ",") + "#" + strconv.Itoa(samples)
+	return string(halfKeyInto(nil, path, samples))
 }
 
 // halfKeyInto appends the same key to a caller-owned buffer. Do builds its
@@ -95,7 +97,7 @@ func (c *HalfCache) Len() int {
 // already in the log it came from).
 func (c *HalfCache) Seed(path []string, samples int, min float64) {
 	c.mu.Lock()
-	c.entries[halfKey(path, samples)] = halfEntry{min: min, when: c.now()}
+	c.entries[halfKey(path, samples)] = halfEntry{path: clonePath(path), min: min, when: c.now()}
 	c.mu.Unlock()
 }
 
@@ -119,14 +121,10 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
-	for key := range c.entries {
-		pathPart, _, _ := strings.Cut(key, "#")
-		for _, hop := range strings.Split(pathPart, ",") {
-			if hop == name {
-				delete(c.entries, key)
-				dropped++
-				break
-			}
+	for key, e := range c.entries {
+		if slices.Contains(e.path, name) {
+			delete(c.entries, key)
+			dropped++
 		}
 	}
 	return dropped
@@ -179,16 +177,16 @@ func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Obs
 		delete(c.flights, skey)
 		var hook func(path []string, samples int, min float64)
 		if err == nil {
-			c.entries[skey] = halfEntry{min: min, when: c.now()}
+			// The entry and the hook both outlive this call, so neither
+			// may alias the Measurer's scratch path.
+			path = clonePath(path)
+			c.entries[skey] = halfEntry{path: path, min: min, when: c.now()}
 			hook = c.onStore
 		}
 		c.mu.Unlock()
 		close(f.done)
 		if hook != nil {
-			// The hook outlives this call (it appends to the checkpoint
-			// asynchronously in principle); the path it sees must not alias
-			// the Measurer's scratch.
-			hook(clonePath(path), samples, min)
+			hook(path, samples, min)
 		}
 		return min, err
 	}

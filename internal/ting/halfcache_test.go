@@ -542,3 +542,21 @@ func TestAssignJobsReuseGrouping(t *testing.T) {
 		}
 	}
 }
+
+// TestHalfCacheInvalidateSeparatorNames: invalidation compares hops, it
+// does not parse them back out of the key, so a nickname holding the key's
+// own separators is dropped under its own name and no other.
+func TestHalfCacheInvalidateSeparatorNames(t *testing.T) {
+	hc := NewHalfCache(0)
+	hc.Seed([]string{"w", "a,b"}, 2, 40)
+	hc.Seed([]string{"w", "c#2"}, 2, 50)
+	if n := hc.InvalidateRelay("a"); n != 0 {
+		t.Errorf(`InvalidateRelay("a") dropped %d series, want 0: "a,b" is another relay`, n)
+	}
+	if n := hc.InvalidateRelay("a,b"); n != 1 {
+		t.Errorf(`InvalidateRelay("a,b") dropped %d series, want 1`, n)
+	}
+	if n := hc.InvalidateRelay("c#2"); n != 1 {
+		t.Errorf(`InvalidateRelay("c#2") dropped %d series, want 1`, n)
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -242,34 +243,36 @@ func (p *StackProber) SampleCircuit(ctx context.Context, path []string, n int) (
 	}
 	defer st.Close()
 
-	ec := echo.NewClient(st)
+	return probeSeries(ctx, st, n, p.ToMs)
+}
+
+// stackProbeBatch is how many samples a prober takes between ctx checks.
+const stackProbeBatch = 8
+
+// probeSeries takes n echo round trips over rw, an open stream to the echo
+// server, and converts them through toMs (nil means plain milliseconds). ctx
+// is checked between batches of stackProbeBatch probes, so cancellation lands
+// within a few samples even when each round trip is fast.
+func probeSeries(ctx context.Context, rw io.ReadWriter, n int, toMs func(time.Duration) float64) ([]float64, error) {
+	if toMs == nil {
+		toMs = func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	}
+	ec := echo.NewClient(rw)
 	out := make([]float64, 0, n)
 	for len(out) < n {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		batch := n - len(out)
-		if batch > stackProbeBatch {
-			batch = stackProbeBatch
-		}
-		rtts, err := ec.ProbeN(batch)
+		rtts, err := ec.ProbeN(min(n-len(out), stackProbeBatch))
 		if err != nil {
 			return nil, fmt.Errorf("ting: probe: %w", err)
 		}
 		for _, d := range rtts {
-			if p.ToMs != nil {
-				out = append(out, p.ToMs(d))
-			} else {
-				out = append(out, float64(d)/float64(time.Millisecond))
-			}
+			out = append(out, toMs(d))
 		}
 	}
 	return out, nil
 }
-
-// stackProbeBatch is how many echo probes StackProber sends between
-// cancellation checks.
-const stackProbeBatch = 8
 
 // circuitFor returns a circuit through exactly path, reusing or extending
 // the cached one when Reuse is on.

@@ -25,12 +25,13 @@ import (
 //	           of departed relays tombstoned without being scheduled
 //	attempt    one measurement of one pair by one worker, behind the churn
 //	           gate and the breaker gate, ending in exactly one of settle,
-//	           tombstone, deferJob or a retry pushed to the next worker
+//	           tombstone, park or a retry pushed to the next worker
 //	handleDelta  a consensus change arriving mid-scan: leave, join or rotate
 //	finish     order the failures and pick the error to report
 //
-// Each mutex below guards the fields listed under it, and none is held
-// while taking another.
+// Where a scheduled pair is — queued, in a worker's hands, parked — is the
+// schedule's business (schedule.go). Each mutex below guards the fields listed
+// under it, and neither they nor the schedule's is held while taking another.
 type scan struct {
 	s       *Scanner
 	cp      Checkpoint       // nil when the scan is not durable
@@ -42,12 +43,12 @@ type scan struct {
 	// append fails.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// queues holds one FIFO per worker. Every planned pair is assigned up
-	// front; retries, flushed parked jobs and the pairs of a relay that
-	// joins mid-scan are the only later traffic.
-	queues []*workQueue
+	// sched holds every scheduled pair until a worker releases it: the plan
+	// placed up front, then only retries, the parking lot dealt back and the
+	// pairs of a relay that joins mid-scan.
+	sched *schedule
 
-	// mu guards the result, the progress counters and the error latches.
+	// mu guards the result, progress, the error latches and backoff jitter.
 	mu            sync.Mutex
 	m             *Matrix
 	failures      []PairError
@@ -55,26 +56,8 @@ type scan struct {
 	replayedPairs int
 	firstErr      error // first pair failure of a non-tolerant scan
 	cpErr         error // first checkpoint append failure
-
-	// remMu guards the count of scheduled pairs not yet released by a
-	// worker. The queues close when it reaches zero, however many attempts
-	// each pair consumed. It is a counter rather than a WaitGroup because
-	// a join adds jobs mid-scan: addJobs refuses atomically with the last
-	// release, so a join that loses the race with the end of the scan is
-	// dropped, not deadlocked.
-	remMu     sync.Mutex
-	remaining int
-	released  bool
-
-	// parkMu guards the quarantine parking lot: pairs blocked by an open
-	// breaker wait here instead of burning retries against a dead relay.
-	// unparked counts unsettled pairs that are not parked; when it reaches
-	// zero only parked jobs remain and they are flushed back for a final
-	// verdict. A cancelled scan drains the lot, since workers cannot see it.
-	parkMu   sync.Mutex
-	parked   []pairJob
-	unparked int
-	drained  bool
+	jitter        *rand.Rand
+	backoff       stats.Backoff
 
 	// rosterMu guards the live churn roster, kept only with a Directory:
 	// the newest epoch reconciled, the relays that left (pre-seeded with
@@ -87,11 +70,6 @@ type scan struct {
 	fps      map[string]string
 	nameSet  map[string]bool
 	names    []string
-
-	// jitterMu guards the retry backoff's jitter source.
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-	backoff  stats.Backoff
 }
 
 // run executes one scan over names. With restrict nil every unordered pair
@@ -115,8 +93,7 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 	}
 	sc.m = m
 	todo := sc.plan(names, restrict)
-	sc.total, sc.remaining, sc.unparked = len(todo), len(todo), len(todo)
-	sc.released = len(todo) == 0
+	sc.total = len(todo)
 
 	workers := s.Workers
 	if workers <= 0 {
@@ -173,14 +150,8 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		sc.announceResume(joined, rotated)
 	}
 
-	sc.queues = make([]*workQueue, workers)
-	for w := range sc.queues {
-		sc.queues[w] = newWorkQueue()
-	}
-	for w, jobs := range assignJobs(todo, workers, s.Shuffle != 0) {
-		sc.queues[w].pushAll(jobs)
-	}
-	stopDrain := context.AfterFunc(sc.ctx, sc.drainParked)
+	sc.sched = newSchedule(todo, workers, s.Shuffle != 0)
+	stopAbort := context.AfterFunc(sc.ctx, sc.sched.abort)
 	var deltas sync.WaitGroup
 	if s.Directory != nil {
 		ch := s.Directory.Watch(sc.ctx)
@@ -196,7 +167,7 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		go func(w int, meas *Measurer) {
 			defer wg.Done()
 			for {
-				job, ok := sc.queues[w].pop()
+				job, ok := sc.sched.next(w)
 				if !ok {
 					return
 				}
@@ -205,10 +176,10 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		}(w, measurers[w])
 	}
 	wg.Wait()
-	stopDrain()
+	stopAbort()
 	// The scan is over: detach the consensus watch and wait for the delta
 	// goroutine so it cannot touch the failure list while finish sorts it.
-	// Still-queued deltas drain harmlessly — addJobs refuses new work once
+	// Still-queued deltas drain harmlessly — reserve refuses new work once
 	// every pair has been released.
 	sc.cancel()
 	deltas.Wait()
@@ -514,17 +485,17 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 		}
 		return
 	}
-	peers := make([]string, 0, len(sc.names))
+	jobs := make([]pairJob, 0, len(sc.names))
 	for _, n := range sc.names {
 		if _, gone := sc.removed[n]; !gone {
-			peers = append(peers, n)
+			jobs = append(jobs, pairJob{x: relay, y: n})
 		}
 	}
 	sc.nameSet[relay] = true
 	sc.names = append(sc.names, relay)
 	sc.fps[relay] = fp
 	sc.rosterMu.Unlock()
-	if len(peers) == 0 || !sc.addJobs(len(peers)) {
+	if len(jobs) == 0 || !sc.sched.reserve(len(jobs)) {
 		// The scan already released its last pair (or there is nobody to
 		// pair with): too late to measure this relay in this campaign.
 		sc.rosterMu.Lock()
@@ -533,16 +504,11 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 		sc.rosterMu.Unlock()
 		return
 	}
-	sc.parkMu.Lock()
-	sc.unparked += len(peers)
-	sc.parkMu.Unlock()
 	sc.mu.Lock()
 	_ = sc.m.AddName(relay)
-	sc.total += len(peers)
+	sc.total += len(jobs)
 	sc.mu.Unlock()
-	for i, p := range peers {
-		sc.queues[i%len(sc.queues)].push(pairJob{x: relay, y: p})
-	}
+	sc.sched.push(0, jobs...)
 	sc.logChurn(ChurnJoined, ChurnOpJoin, relay, fp, epoch, 0)
 }
 
@@ -585,7 +551,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 		// Aborted scan: drain without measuring. The scan's result is
 		// partial, so abandoned pairs are released, not settled —
 		// progress must not count them as done.
-		sc.release()
+		sc.sched.release()
 		return
 	}
 	// Churn gate: a pair touching a relay the consensus dropped is
@@ -603,7 +569,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 			if job.deferred {
 				sc.settle(job, qe)
 			} else {
-				sc.deferJob(job)
+				sc.sched.park(job)
 			}
 			return
 		}
@@ -671,9 +637,9 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 			// the retry gets the full PairTimeout.
 			job.fullDeadline = true
 		}
-		sc.jitterMu.Lock()
+		sc.mu.Lock()
 		d := sc.backoff.Delay(job.attempt, sc.jitter)
-		sc.jitterMu.Unlock()
+		sc.mu.Unlock()
 		sc.s.Observer.retry(job.x, job.y, job.attempt, d, err)
 		if d > 0 {
 			t := time.NewTimer(d)
@@ -686,7 +652,7 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 		// Hand the retry to the next worker: a pair that failed because
 		// this worker's circuits wedged gets a fresh prober,
 		// deterministically.
-		sc.queues[(w+1)%len(sc.queues)].push(job)
+		sc.sched.push(w+1, job)
 		return
 	}
 	if job.deferred && sc.ctx.Err() == nil {
@@ -724,7 +690,7 @@ func (sc *scan) settle(job pairJob, err error) {
 		sc.cancel()
 	}
 	sc.mu.Unlock()
-	sc.noteSettled()
+	sc.sched.release()
 }
 
 // advance counts one scheduled pair as done. Callers hold sc.mu.
@@ -760,89 +726,7 @@ func (sc *scan) tombstone(job pairJob, relay string, epoch uint64) {
 		Kind: ChurnTombstoned, Relay: relay, Epoch: epoch,
 		X: job.x, Y: job.y, Tombstoned: 1,
 	})
-	sc.noteSettled()
-}
-
-// addJobs admits k more scheduled pairs unless the last one was already
-// released.
-func (sc *scan) addJobs(k int) bool {
-	sc.remMu.Lock()
-	defer sc.remMu.Unlock()
-	if sc.released {
-		return false
-	}
-	sc.remaining += k
-	return true
-}
-
-// release gives up one scheduled pair; the last one closes the queues so
-// the workers exit.
-func (sc *scan) release() {
-	sc.remMu.Lock()
-	sc.remaining--
-	if sc.remaining == 0 && !sc.released {
-		sc.released = true
-		for _, q := range sc.queues {
-			q.close()
-		}
-	}
-	sc.remMu.Unlock()
-}
-
-// flushParked hands the parked jobs back to the workers. Callers hold
-// sc.parkMu.
-func (sc *scan) flushParked() {
-	for i, job := range sc.parked {
-		sc.queues[i%len(sc.queues)].push(job)
-	}
-	sc.unparked += len(sc.parked)
-	sc.parked = nil
-}
-
-// noteSettled releases a pair that left a worker's hands for good. When it
-// was the last one not parked, the parked ones come back for their final
-// verdict: the breaker may have half-opened by then, and a deferred job
-// that is still blocked settles as ErrQuarantined.
-func (sc *scan) noteSettled() {
-	sc.parkMu.Lock()
-	sc.unparked--
-	if sc.unparked == 0 && len(sc.parked) > 0 && !sc.drained {
-		sc.flushParked()
-	}
-	sc.parkMu.Unlock()
-	sc.release()
-}
-
-// deferJob parks a job behind an open breaker.
-func (sc *scan) deferJob(job pairJob) {
-	sc.parkMu.Lock()
-	if sc.drained {
-		// The scan was cancelled while this job was on its way to the
-		// lot: release it unsettled, like the abandoned pairs in attempt.
-		sc.parkMu.Unlock()
-		sc.release()
-		return
-	}
-	job.deferred = true
-	sc.parked = append(sc.parked, job)
-	sc.unparked--
-	if sc.unparked == 0 {
-		sc.flushParked()
-	}
-	sc.parkMu.Unlock()
-}
-
-// drainParked releases the parked jobs of a cancelled scan. Workers cannot
-// see the lot, so without this a cancelled scan would wait on it forever.
-func (sc *scan) drainParked() {
-	sc.parkMu.Lock()
-	sc.drained = true
-	parked := sc.parked
-	sc.parked = nil
-	sc.parkMu.Unlock()
-	for range parked {
-		sc.release()
-	}
+	sc.sched.release()
 }
 
 // finish orders the failures by pair name and picks the error to report.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"ting/internal/directory"
@@ -25,7 +23,9 @@ import (
 //
 // A Scanner is configuration only. Scan, ScanPairs, Resume, ScanBudget's
 // batches and Monitor.Sweep are adaptors over one engine: each calls run,
-// which allocates the scan state type (scan.go) and drives its phases.
+// which allocates the scan state type (scan.go) and drives its phases,
+// with the pairs themselves — queued per worker, retried, parked behind a
+// breaker, added by a join — held by its one schedule (schedule.go).
 type Scanner struct {
 	// NewMeasurer builds one Measurer per worker. Probers are typically
 	// not safe for concurrent use, so each worker gets its own. Required.
@@ -152,149 +152,6 @@ type pairJob struct {
 	// estimator being wrong about a slow pair costs one retry, not the
 	// pair.
 	fullDeadline bool
-}
-
-// workQueue is an unbounded FIFO with blocking pop. Each worker owns one,
-// so the reuse-aware assignment below survives into execution order —
-// a shared channel would let any worker steal the next (x, ·) pair and
-// split x's group across probers.
-type workQueue struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	jobs   []pairJob
-	head   int
-	closed bool
-}
-
-func newWorkQueue() *workQueue {
-	q := &workQueue{}
-	q.cond.L = &q.mu
-	return q
-}
-
-func (q *workQueue) push(job pairJob) {
-	q.mu.Lock()
-	// Compact lazily: the consumed prefix is reclaimed only when it
-	// dominates the slice, so push/pop stay O(1) amortized.
-	if q.head > len(q.jobs)/2 {
-		q.jobs = append(q.jobs[:0], q.jobs[q.head:]...)
-		q.head = 0
-	}
-	q.jobs = append(q.jobs, job)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// pushAll enqueues a batch with at most one slice growth — the initial
-// assignment fill, where per-job push would re-grow the backing slice
-// log(n) times per worker.
-func (q *workQueue) pushAll(jobs []pairJob) {
-	if len(jobs) == 0 {
-		return
-	}
-	q.mu.Lock()
-	if need := len(q.jobs) + len(jobs); cap(q.jobs) < need {
-		grown := make([]pairJob, len(q.jobs), need)
-		copy(grown, q.jobs)
-		q.jobs = grown
-	}
-	q.jobs = append(q.jobs, jobs...)
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// pop blocks until a job is available or the queue is closed and empty.
-func (q *workQueue) pop() (pairJob, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.jobs) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.jobs) {
-		return pairJob{}, false
-	}
-	job := q.jobs[q.head]
-	q.head++
-	return job, true
-}
-
-func (q *workQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// assignJobs distributes todo across workers. With a shuffle seed the
-// randomized global order is preserved by dealing the shuffled list
-// round-robin. Otherwise pairs are grouped by first endpoint and groups
-// are placed longest-first onto the least-loaded worker (LPT greedy), so
-// one worker owns all of (x, ·): its prober extends C_x into C_xy once,
-// the half-circuit cache turns the group's remaining C_x lookups into
-// hits, and no two workers block on the same singleflight.
-func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
-	queues := make([][]pairJob, workers)
-	if shuffled {
-		if workers > 0 && len(todo) > 0 {
-			per := (len(todo) + workers - 1) / workers
-			for w := range queues {
-				queues[w] = make([]pairJob, 0, per)
-			}
-		}
-		for i, job := range todo {
-			queues[i%workers] = append(queues[i%workers], job)
-		}
-		return queues
-	}
-	// Group by first endpoint in two passes — count, then carve each
-	// group as a contiguous sub-slice of one backing array — so grouping
-	// costs a handful of allocations, not one append chain per relay.
-	order := make([]string, 0, 64)
-	counts := make(map[string]int, 64)
-	for _, job := range todo {
-		if counts[job.x] == 0 {
-			order = append(order, job.x)
-		}
-		counts[job.x]++
-	}
-	backing := make([]pairJob, len(todo))
-	groups := make(map[string][]pairJob, len(order))
-	pos := 0
-	for _, x := range order {
-		n := counts[x]
-		groups[x] = backing[pos : pos : pos+n]
-		pos += n
-	}
-	for _, job := range todo {
-		groups[job.x] = append(groups[job.x], job)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(groups[order[a]]) > len(groups[order[b]])
-	})
-	// First LPT pass computes each worker's final load so the queues can
-	// be allocated exactly once; the second fills them in the same order.
-	load := make([]int, workers)
-	homes := make([]int, len(order))
-	for oi, x := range order {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if load[i] < load[w] {
-				w = i
-			}
-		}
-		homes[oi] = w
-		load[w] += len(groups[x])
-	}
-	for w := range queues {
-		if load[w] > 0 {
-			queues[w] = make([]pairJob, 0, load[w])
-		}
-	}
-	for oi, x := range order {
-		w := homes[oi]
-		queues[w] = append(queues[w], groups[x]...)
-	}
-	return queues
 }
 
 // Scan measures every unordered pair among names and returns the matrix

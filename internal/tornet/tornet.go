@@ -86,9 +86,9 @@ type Net struct {
 	Registry *directory.Registry
 	Client   *client.Client
 
-	// mu guards the relay maps below: the overlay mutates at runtime now
-	// (AddRelay/DrainRelay/RemoveRelay), and dial paths read the maps
-	// concurrently with churn.
+	// mu guards the relay maps below: the overlay mutates at runtime
+	// (AddRelay/DrainRelay), and dial paths read the maps concurrently
+	// with churn.
 	mu          sync.RWMutex
 	relays      []*relay.Relay
 	relayByName map[string]*relay.Relay
@@ -276,20 +276,6 @@ func (n *Net) DrainRelay(name string) bool {
 	r.Drain()
 	n.Registry.Remove(name)
 	n.cfg.Telemetry.Counter("tornet.relay_drains").Inc()
-	r.Close()
-	return true
-}
-
-// RemoveRelay abruptly unpublishes and closes the named relay — a
-// departure without the courtesy DESTROYs of DrainRelay. Returns false
-// for an unknown relay.
-func (n *Net) RemoveRelay(name string) bool {
-	r := n.takeRelay(name)
-	if r == nil {
-		return false
-	}
-	n.Registry.Remove(name)
-	n.cfg.Telemetry.Counter("tornet.relay_removes").Inc()
 	r.Close()
 	return true
 }
