@@ -8,6 +8,7 @@
 //	experiments -fig 12
 //	experiments -fig headlines
 //	experiments -fig ablations
+//	experiments -fig completion
 package main
 
 import (
@@ -24,7 +25,7 @@ import (
 )
 
 var (
-	figFlag   = flag.String("fig", "all", "figure to regenerate: 3..18, headlines, ablations, or all")
+	figFlag   = flag.String("fig", "all", "figure to regenerate: 3..18, headlines, ablations, king, defenses, selection, completion, or all")
 	outFlag   = flag.String("out", "data", "directory for .dat series")
 	quickFlag = flag.Bool("quick", false, "run at reduced scale (for smoke tests)")
 	seedFlag  = flag.Int64("seed", 42, "base random seed")
@@ -43,7 +44,7 @@ func main() {
 	if *figFlag == "all" {
 		figs = []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
 			"14", "15", "16", "17", "18", "headlines", "ablations",
-			"king", "defenses", "selection"}
+			"king", "defenses", "selection", "completion"}
 	}
 	for _, f := range figs {
 		if err := r.run(strings.TrimSpace(f)); err != nil {
@@ -229,6 +230,8 @@ func (r *runner) run(fig string) error {
 		return r.runDefenses()
 	case "selection":
 		return r.runSelection()
+	case "completion":
+		return r.runCompletion()
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
@@ -254,8 +257,11 @@ func (r *runner) writeDat(name, header string, rows [][]float64) error {
 	return nil
 }
 
-func cdfRows(xs []float64) [][]float64 {
-	c, err := stats.NewCDF(xs)
+func cdfRows(xs []float64) [][]float64 { return cdfPoints(stats.NewCDF(xs)) }
+
+// cdfPoints lays a CDF out as (value, cumulative fraction) rows; a CDF that
+// could not be built (no data) is no rows.
+func cdfPoints(c *stats.CDF, err error) [][]float64 {
 	if err != nil {
 		return nil
 	}
@@ -384,6 +390,13 @@ func (r *runner) runFig8() error {
 		}
 		rows[i] = []float64{p.DistanceKm, p.RTTms, ge}
 	}
+	// The paper plots the CDF of each axis in the scatter's margins.
+	if err := r.writeDat("fig8_distance_cdf.dat", "distance-km cumulative-fraction", cdfPoints(res.DistanceCDF())); err != nil {
+		return err
+	}
+	if err := r.writeDat("fig8_rtt_cdf.dat", "rtt-ms cumulative-fraction", cdfPoints(res.RTTCDF())); err != nil {
+		return err
+	}
 	return r.writeDat("fig8_scatter.dat", "distance-km rtt-ms geo-error", rows)
 }
 
@@ -416,8 +429,7 @@ func (r *runner) runFig11() error {
 	if err != nil {
 		return err
 	}
-	vals := res.Matrix.PairValues()
-	med, _ := stats.Median(vals)
+	med, _ := stats.Median(res.Matrix.PairValues())
 	fmt.Printf("Fig 11: all-pairs over %d nodes; median inter-node RTT %.1f ms\n", res.Matrix.N(), med)
 	// Publish the dataset itself, as the paper did with its measured
 	// matrices.
@@ -432,7 +444,7 @@ func (r *runner) runFig11() error {
 	}
 	f.Close()
 	fmt.Printf("  wrote %s (all-pairs dataset)\n", path)
-	return r.writeDat("fig11_cdf.dat", "rtt-ms cumulative-fraction", cdfRows(vals))
+	return r.writeDat("fig11_cdf.dat", "rtt-ms cumulative-fraction", cdfPoints(res.RTTCDF()))
 }
 
 func (r *runner) runFig12() error {
@@ -571,6 +583,8 @@ func (r *runner) runFig18() error {
 	fmt.Printf("Fig 18: day %d: %d relays, %d unique /24s (paper: 5426-6044); residential %.1f%% of named (paper 61%%); %d countries (paper 77)\n",
 		len(res.Points)-1, last.Relays, last.Unique24s,
 		100*res.Classes.ResidentialFractionOfNamed(), res.Countries)
+	fmt.Printf("  as a platform for residential networks: %d /24s with a residential relay, in %d countries\n",
+		res.Residential.Prefixes, res.Residential.Countries)
 	return r.writeDat("fig18_history.dat", "day relays unique24s", rows)
 }
 
@@ -670,6 +684,50 @@ func (r *runner) runSelection() error {
 		rows = append(rows, []float64{float64(row.Length), row.MedianRTT, row.Entropy, float64(row.Selected)})
 	}
 	return r.writeDat("selection.dat", "length median-rtt-ms entropy circuits", rows)
+}
+
+// runCompletion scores the budgeted campaign (measure a fraction of the
+// pairs, predict the rest from coordinates) against ground truth: the error
+// distribution at the default budget, then the two sweeps that say how far
+// the budget can drop and whether accuracy holds as the world grows.
+func (r *runner) runCompletion() error {
+	cfg := experiments.CompletionConfig{Seed: r.seed}
+	fractions, sizes := []float64{0.05, 0.1, 0.25, 0.5}, []int{128, 256, 512}
+	if r.quick {
+		cfg.Nodes = 128
+		fractions, sizes = []float64{0.1, 0.25, 0.5}, []int{64, 128}
+	}
+	res, err := experiments.Completion(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Completion: %d of %d pairs measured, the rest predicted; predicted cells off by median %.2f ms, p90 %.2f ms (median RTT %.1f ms)\n",
+		res.Measured, res.Measured+res.Predicted, res.MedianAbsErrMs, res.P90AbsErrMs, res.MedianRTTMs)
+	if err := r.writeDat("completion_err_cdf.dat", "abs-error-ms cumulative-fraction", cdfPoints(res.ErrCDF())); err != nil {
+		return err
+	}
+	tradeoff, err := experiments.CompletionTradeoff(cfg, fractions)
+	if err != nil {
+		return err
+	}
+	rows := make([][]float64, len(tradeoff))
+	for i, p := range tradeoff {
+		fmt.Printf("  budget %.0f%%: median error %.1f%% of the median RTT\n", 100*p.Fraction, 100*p.MedianAbsErrMs/p.MedianRTTMs)
+		rows[i] = []float64{p.Fraction, float64(p.Measured), p.MedianAbsErrMs, p.P90AbsErrMs, p.MedianRTTMs}
+	}
+	if err := r.writeDat("completion_tradeoff.dat", "fraction measured median-err-ms p90-err-ms median-rtt-ms", rows); err != nil {
+		return err
+	}
+	bySize, err := experiments.CompletionBySize(cfg, sizes)
+	if err != nil {
+		return err
+	}
+	rows = make([][]float64, len(bySize))
+	for i, p := range bySize {
+		fmt.Printf("  %d nodes: median error %.1f%% of the median RTT\n", p.Nodes, 100*p.MedianAbsErrMs/p.MedianRTTMs)
+		rows[i] = []float64{float64(p.Nodes), p.MedianAbsErrMs, p.P90AbsErrMs, p.MedianRTTMs}
+	}
+	return r.writeDat("completion_by_size.dat", "nodes median-err-ms p90-err-ms median-rtt-ms", rows)
 }
 
 func (r *runner) runAblations() error {

@@ -214,7 +214,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		if *dirFlag != "" {
-			go directory.Mirror(ctx, *dirFlag, dir, time.Second)
+			go directory.Mirror(ctx, *dirFlag, dir, time.Second, reg)
 		}
 		sc := &ting.Scanner{
 			// The control connection serializes circuit work, so scan with

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ting/internal/ting"
 )
 
 func fakeNames(n int) []string {
@@ -321,6 +323,7 @@ func TestMergedMatchesSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	failed := 0
 	for p, v := range want {
 		got, err := m.RTT(p[0], p[1])
 		if err != nil {
@@ -329,5 +332,17 @@ func TestMergedMatchesSubmissions(t *testing.T) {
 		if got != v {
 			t.Errorf("pair %v = %g, want %g", p, got, v)
 		}
+		// A merged cell says where it came from: measured pairs are fresh,
+		// the pairs a worker gave up on stay missing.
+		wantProv := ting.ProvFresh
+		if v == 0 {
+			wantProv, failed = ting.ProvMissing, failed+1
+		}
+		if got := m.Prov(p[0], p[1]); got != wantProv {
+			t.Errorf("pair %v merged as %v, want %v", p, got, wantProv)
+		}
+	}
+	if got, want := m.ProvCounts(), (ting.ProvCount{Fresh: len(want) - failed, Missing: failed}); got != want {
+		t.Errorf("merged provenance %+v, want %+v", got, want)
 	}
 }

@@ -27,6 +27,18 @@ const (
 	RelayDataLen = PayloadLen - RelayHeaderLen // 496
 )
 
+// Stream flow control, Tor's figures. They are protocol constants, not
+// options: an end that sent more than its peer's window allows would be cut
+// off as a violator.
+const (
+	// StreamWindow is how many DATA cells one end of a stream may have sent
+	// and not yet had acknowledged.
+	StreamWindow = 500
+	// SendmeEvery is how many consumed DATA cells earn the sender one SENDME,
+	// which restores that many cells of its window.
+	SendmeEvery = 50
+)
+
 // Command is a cell command.
 type Command byte
 

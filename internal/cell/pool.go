@@ -2,10 +2,9 @@ package cell
 
 import "sync"
 
-// The data pool recycles the relay-cell data buffers that dominate the
-// overlay's per-cell heap traffic: every decrypted DATA cell used to cost
-// one fresh allocation in UnmarshalPayload and another in each exit's
-// stream reader. Buffers are full-capacity RelayDataLen arrays, so any
+// The data pool recycles the relay-cell data buffers that would dominate
+// the overlay's per-cell heap traffic: UnmarshalPayload needs one for every
+// decrypted cell. Buffers are full-capacity RelayDataLen arrays, so any
 // relay cell's data fits without growing.
 var dataPool = sync.Pool{
 	New: func() any { return new([RelayDataLen]byte) },

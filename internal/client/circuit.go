@@ -402,34 +402,27 @@ func (circ *Circuit) OpenStreamAt(hop int, target string) (*Stream, error) {
 	if err := circ.sendForward(hop, cell.RelayCell{
 		Cmd: cell.RelayBegin, Stream: sid, Data: []byte(target),
 	}); err != nil {
-		circ.dropStream(sid)
+		st.closeLocal()
 		circ.c.tm.streamFailures.Inc()
 		return nil, err
 	}
 	t := time.NewTimer(circ.c.cfg.Timeout)
 	defer t.Stop()
+	var err error
 	select {
 	case <-st.connected:
 		circ.c.tm.streamsOpened.Inc()
 		return st, nil
 	case <-st.closedCh:
-		circ.dropStream(sid)
-		circ.c.tm.streamFailures.Inc()
-		return nil, fmt.Errorf("client: stream refused: %s", st.endReason())
+		err = fmt.Errorf("client: stream refused: %s", st.reason)
 	case <-circ.closed:
-		circ.c.tm.streamFailures.Inc()
-		return nil, circ.closeErr()
+		err = circ.closeErr()
 	case <-t.C:
-		circ.dropStream(sid)
-		circ.c.tm.streamFailures.Inc()
-		return nil, errors.New("client: timeout opening stream")
+		err = errors.New("client: timeout opening stream")
 	}
-}
-
-func (circ *Circuit) dropStream(sid cell.StreamID) {
-	circ.mu.Lock()
-	delete(circ.streams, sid)
-	circ.mu.Unlock()
+	st.closeLocal()
+	circ.c.tm.streamFailures.Inc()
+	return nil, err
 }
 
 // fail tears the circuit down because of err.

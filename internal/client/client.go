@@ -45,12 +45,6 @@ type Config struct {
 	// Timeout bounds every protocol wait (circuit build steps, stream
 	// opens). Default 15s.
 	Timeout time.Duration
-	// StreamWindow is the per-stream flow-control window in DATA cells for
-	// client→destination traffic (Tor's stream window is 500). Default 500.
-	StreamWindow int
-	// SendmeEvery is how many delivered DATA cells earn one SENDME
-	// acknowledgement to the exit. Default 50.
-	SendmeEvery int
 	// Logf, if non-nil, receives debug logs.
 	Logf func(format string, args ...any)
 	// Telemetry, if non-nil, receives proxy counters (client.handshakes,
@@ -89,15 +83,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
-	}
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = 500
-	}
-	if cfg.SendmeEvery <= 0 {
-		cfg.SendmeEvery = 50
-	}
-	if cfg.SendmeEvery > cfg.StreamWindow {
-		return nil, errors.New("client: SendmeEvery larger than StreamWindow")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

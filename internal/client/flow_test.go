@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,30 +22,11 @@ import (
 // connection multiplexing between relay pairs and SENDME stream flow
 // control.
 
-func smallWindow(i int, cfg *relay.Config) {
-	cfg.StreamWindow = 8
-	cfg.SendmeEvery = 2
-}
-
-func newSmallWindowClient(t *testing.T, tn *testNet) *Client {
-	t.Helper()
-	c, err := New(Config{
-		Dialer:       tn.pn,
-		Timeout:      5 * time.Second,
-		StreamWindow: 8,
-		SendmeEvery:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestFlowControlLargeTransfer(t *testing.T) {
-	// A transfer of many times the window only completes if SENDMEs
-	// circulate in both directions.
-	tn := buildTestNet(t, 3, smallWindow)
-	c := newSmallWindowClient(t, tn)
+	// A transfer of several windows only completes if SENDMEs circulate in
+	// both directions.
+	tn := buildTestNet(t, 3)
+	c := newTestClient(t, tn)
 	circ, err := c.BuildCircuit(tn.descs)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +38,7 @@ func TestFlowControlLargeTransfer(t *testing.T) {
 	}
 	defer st.Close()
 
-	// 60 cells' worth of data against an 8-cell window.
-	payload := make([]byte, 60*cell.RelayDataLen)
+	payload := make([]byte, 3*cell.StreamWindow*cell.RelayDataLen+17)
 	rand.New(rand.NewSource(1)).Read(payload)
 
 	done := make(chan error, 1)
@@ -129,10 +111,10 @@ func TestFlowControlWindowBlocksWriter(t *testing.T) {
 	// after at most one window of cells — the bound that keeps a stuck
 	// stream from flooding the circuit.
 	stall := &stallDialer{}
-	tn := buildTestNet(t, 2, smallWindow, func(i int, cfg *relay.Config) {
+	tn := buildTestNet(t, 2, func(i int, cfg *relay.Config) {
 		cfg.ExitDialer = stall
 	})
-	c := newSmallWindowClient(t, tn)
+	c := newTestClient(t, tn)
 	circ, err := c.BuildCircuit(tn.descs)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +126,9 @@ func TestFlowControlWindowBlocksWriter(t *testing.T) {
 	}
 	defer st.Close()
 
-	// 20 cells against an 8-cell window and a stalled consumer.
-	payload := make([]byte, 20*cell.RelayDataLen)
+	// Two and a half windows against a stalled consumer.
+	const cells = 5 * cell.StreamWindow / 2
+	payload := make([]byte, cells*cell.RelayDataLen)
 	done := make(chan int, 1)
 	go func() {
 		n, _ := st.Write(payload)
@@ -153,7 +136,7 @@ func TestFlowControlWindowBlocksWriter(t *testing.T) {
 	}()
 	select {
 	case n := <-done:
-		t.Fatalf("write of %d cells completed (%d bytes) despite stalled exit", 20, n)
+		t.Fatalf("write of %d cells completed (%d bytes) despite stalled exit", cells, n)
 	case <-time.After(300 * time.Millisecond):
 		// blocked, as required
 	}
@@ -165,6 +148,242 @@ func TestFlowControlWindowBlocksWriter(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("write did not resume after exit recovered")
+	}
+}
+
+// firehose is an exit-side connection that produces data without pause and
+// swallows whatever it is sent; reads counts the Reads it has answered,
+// which is the number of DATA cells its exit has emitted or is about to.
+type firehose struct {
+	reads  atomic.Int64
+	closed atomic.Bool
+}
+
+func (f *firehose) Read(p []byte) (int, error) {
+	if f.closed.Load() {
+		return 0, io.EOF
+	}
+	f.reads.Add(1)
+	return len(p), nil
+}
+func (f *firehose) Write(p []byte) (int, error) { return len(p), nil }
+func (f *firehose) Close() error                { f.closed.Store(true); return nil }
+
+// hoseDialer serves "firehose" from hose and everything else like
+// memExitDialer.
+type hoseDialer struct{ hose *firehose }
+
+func (d hoseDialer) DialStream(target string) (io.ReadWriteCloser, error) {
+	if target == "firehose" {
+		return d.hose, nil
+	}
+	return memExitDialer{}.DialStream(target)
+}
+
+func TestSlowReaderDoesNotWedgeCircuit(t *testing.T) {
+	// An application that stops reading one stream must cost the circuit
+	// nothing: the exit runs out of window and waits, the unread data sits
+	// in that stream's queue, and the circuit's read loop stays free for
+	// every other stream and for the circuit's own control cells.
+	hose := &firehose{}
+	tn := buildTestNet(t, 3, func(i int, cfg *relay.Config) {
+		cfg.ExitDialer = hoseDialer{hose}
+	})
+	c := newTestClient(t, tn)
+	circ, err := c.BuildCircuit(tn.descs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer circ.Close()
+	a, err := circ.OpenStreamAt(1, "firehose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	// Nobody reads a. Give the exit time to send all it may — and, were the
+	// window not binding, to fill whatever stands between it and the reader.
+	deadline := time.Now().Add(5 * time.Second)
+	for hose.reads.Load() < cell.StreamWindow {
+		if time.Now().After(deadline) {
+			t.Fatalf("exit emitted %d cells in 5s, want a window of %d", hose.reads.Load(), cell.StreamWindow)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+
+	b, err := circ.OpenStreamAt(1, "echo")
+	if err != nil {
+		t.Fatalf("second stream beside an unread one: %v", err)
+	}
+	defer b.Close()
+	if _, err := echo.NewClient(b).Probe(); err != nil {
+		t.Fatalf("probe beside an unread stream: %v", err)
+	}
+	if err := circ.Truncate(2); err != nil {
+		t.Fatalf("truncate beside an unread stream: %v", err)
+	}
+	if err := circ.Extend(tn.descs[2]); err != nil {
+		t.Fatalf("extend beside an unread stream: %v", err)
+	}
+	if _, err := echo.NewClient(b).Probe(); err != nil {
+		t.Fatalf("probe after reshaping: %v", err)
+	}
+	if n := hose.reads.Load(); n != cell.StreamWindow {
+		t.Errorf("exit emitted %d cells to a reader that took none, want exactly the window of %d", n, cell.StreamWindow)
+	}
+
+	// Reading is what reopens the window: two more windows arrive only if
+	// the SENDMEs go out as Read consumes.
+	if _, err := io.CopyN(io.Discard, a, 3*cell.StreamWindow*cell.RelayDataLen); err != nil {
+		t.Fatalf("reading the stalled stream: %v", err)
+	}
+}
+
+// windowBlindExit is a scripted last hop that builds circuits like an
+// honest relay and then ignores flow control: BEGIN "flood" is answered
+// with CONNECTED and flood DATA cells back to back, whatever the window
+// says. Any other BEGIN opens a stream that echoes DATA cell for cell. The
+// stream IDs of the ENDs it receives go to ends.
+func windowBlindExit(t *testing.T, pn *link.PipeNet, addr string, flood int, ends chan<- cell.StreamID) *directory.Descriptor {
+	t.Helper()
+	id, err := onion.NewIdentity(rand.New(rand.NewSource(5050)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := scriptedRelay(t, pn, addr, func(lk link.Link) {
+		var hop *onion.HopState
+		var circ cell.CircID
+		send := func(rc cell.RelayCell) {
+			out := cell.Cell{Circ: circ, Cmd: cell.Relay}
+			if err := rc.MarshalPayloadInto(&out.Payload); err != nil {
+				t.Error(err)
+			}
+			hop.SealBackward(&out.Payload)
+			hop.CryptBackward(&out.Payload)
+			_ = lk.Send(&out)
+		}
+		for {
+			c, err := recvCell(lk)
+			if err != nil {
+				return
+			}
+			if c.Cmd == cell.Create {
+				var reply []byte
+				if reply, hop, err = onion.ServerHandshake(id, c.Payload[:onion.KeyLen], nil); err != nil {
+					t.Error(err)
+					return
+				}
+				circ = c.Circ
+				created := cell.Cell{Circ: circ, Cmd: cell.Created}
+				copy(created.Payload[:], reply)
+				_ = lk.Send(&created)
+				continue
+			}
+			if c.Cmd != cell.Relay || hop == nil {
+				continue
+			}
+			hop.CryptForward(&c.Payload)
+			if !hop.VerifyForward(&c.Payload) {
+				continue
+			}
+			rc, err := cell.UnmarshalPayload(&c.Payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			switch rc.Cmd {
+			case cell.RelayBegin:
+				send(cell.RelayCell{Cmd: cell.RelayConnected, Stream: rc.Stream})
+				if string(rc.Data) == "flood" {
+					for i := 0; i < flood; i++ {
+						send(cell.RelayCell{Cmd: cell.RelayData, Stream: rc.Stream, Data: []byte{byte(i)}})
+					}
+				}
+			case cell.RelayData:
+				send(cell.RelayCell{Cmd: cell.RelayData, Stream: rc.Stream, Data: rc.Data})
+			case cell.RelayEnd:
+				ends <- rc.Stream
+			}
+		}
+	})
+	d.OnionKey = id.Public()
+	return d
+}
+
+func TestWindowOverrunEndsStreamNotCircuit(t *testing.T) {
+	// An exit that sends past the window has that stream ended — the
+	// exit's own rule for a client that does the same — and nothing else
+	// on the circuit notices.
+	const flood = cell.StreamWindow + 100
+	tn := buildTestNet(t, 1)
+	ends := make(chan cell.StreamID, 4)
+	evil := windowBlindExit(t, tn.pn, "evil", flood, ends)
+	c := newTestClient(t, tn)
+	circ, err := c.BuildCircuit([]*directory.Descriptor{tn.descs[0], evil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer circ.Close()
+	a, err := circ.OpenStream("flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-a.closedCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream still open 5s after the exit overran its window")
+	}
+	if got := a.reason; got != "flow control violation" {
+		t.Errorf("stream ended with %q, want a flow control violation", got)
+	}
+	select {
+	case sid := <-ends:
+		if sid != a.ID() {
+			t.Errorf("exit was sent END for stream %d, want %d", sid, a.ID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("exit was never told the stream ended")
+	}
+	// What fitted the window is still there to read; the excess is not.
+	got, err := io.ReadAll(a)
+	if err != nil || len(got) != cell.StreamWindow {
+		t.Errorf("read %d bytes (%v) from the ended stream, want the window's %d", len(got), err, cell.StreamWindow)
+	}
+
+	b, err := circ.OpenStream("echo")
+	if err != nil {
+		t.Fatalf("circuit unusable after one stream's overrun: %v", err)
+	}
+	defer b.Close()
+	if _, err := echo.NewClient(b).Probe(); err != nil {
+		t.Fatalf("probe after one stream's overrun: %v", err)
+	}
+}
+
+func TestNewStreamAllocatesNoWindow(t *testing.T) {
+	// A stream's flow-control state starts empty: what opening one
+	// allocates at this end must not scale with the window. (A 500-slot
+	// channel of chunks was 12 KiB; the bound is a word per window cell.)
+	tn := buildTestNet(t, 2)
+	c := newTestClient(t, tn)
+	circ, err := c.BuildCircuit(tn.descs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer circ.Close()
+	const n = 200
+	keep := make([]*Stream, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = newStream(circ, cell.StreamID(i+1), 1)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B a stream", per)
+	if per > cell.StreamWindow*8 {
+		t.Errorf("newStream allocates %d B, want under %d", per, cell.StreamWindow*8)
 	}
 }
 
@@ -295,33 +514,6 @@ func TestConcurrentBuildsShareConn(t *testing.T) {
 	if got := tn.relays[0].OutConnCount(); got != 1 {
 		t.Errorf("racing builds opened %d onward connections, want 1", got)
 	}
-}
-
-func TestSendmeConfigValidation(t *testing.T) {
-	if _, err := New(Config{Dialer: link.NewPipeNet(), StreamWindow: 10, SendmeEvery: 20}); err == nil {
-		t.Error("SendmeEvery > StreamWindow accepted by client")
-	}
-	pn := link.NewPipeNet()
-	ln, err := pn.Listen("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := testIdentityForFlow(t)
-	if _, err := relay.New(relay.Config{
-		Nickname: "r", Addr: "r", Identity: id, Listener: ln, RelayDialer: pn,
-		StreamWindow: 10, SendmeEvery: 20,
-	}); err == nil {
-		t.Error("SendmeEvery > StreamWindow accepted by relay")
-	}
-}
-
-func testIdentityForFlow(t *testing.T) *onion.Identity {
-	t.Helper()
-	id, err := onion.NewIdentity(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
 }
 
 func TestBuildAutoCircuit(t *testing.T) {

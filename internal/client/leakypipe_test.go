@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -154,10 +155,11 @@ func TestLatencyMeasurementAtEachHop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		min, err := echo.NewClient(st).MinRTT(3)
+		probes, err := echo.NewClient(st).ProbeN(3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		min := slices.Min(probes)
 		st.Close()
 		rtts[hop] = min
 	}

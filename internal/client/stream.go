@@ -2,14 +2,16 @@ package client
 
 import (
 	"errors"
-	"io"
 	"sync"
 
 	"ting/internal/cell"
+	"ting/internal/link"
 )
 
 // Stream is a byte stream attached to a circuit. It implements
 // io.ReadWriteCloser; Ting's echo probes are ordinary Reads and Writes.
+// Read and Write may run concurrently with each other and with Close; Read
+// may not be called concurrently with itself.
 type Stream struct {
 	circ *Circuit
 	id   cell.StreamID
@@ -19,46 +21,34 @@ type Stream struct {
 
 	connected chan struct{}
 
-	mu       sync.Mutex
-	leftover []byte
-	inbox    chan []byte
-	reason   string
-
-	// sendTokens implements the outbound flow-control window: one token
-	// per DATA cell we may send before the exit acknowledges consumption
-	// with a SENDME. recvSinceSendme counts delivered inbound DATA cells
-	// toward our own SENDME (touched only by the circuit's read loop).
-	sendTokens      chan struct{}
-	recvSinceSendme int
+	// flow is this end's half of the stream's flow control: the credit
+	// Write spends, and the DATA the circuit's read loop has delivered and
+	// Read has not yet taken.
+	flow     link.Flow
+	leftover []byte // what a short Read left of the chunk it took
 
 	closeOnce sync.Once
 	closedCh  chan struct{}
+	reason    string // why the stream ended; set before closedCh closes, read after
 }
 
 func newStream(circ *Circuit, id cell.StreamID, hop int) *Stream {
-	window := circ.c.cfg.StreamWindow
 	s := &Stream{
 		circ:      circ,
 		id:        id,
 		hop:       hop,
 		connected: make(chan struct{}),
-		// The inbox must hold a full window or the circuit read loop could
-		// stall on a slow application reader before flow control engages.
-		inbox:      make(chan []byte, window+16),
-		sendTokens: make(chan struct{}, window),
-		closedCh:   make(chan struct{}),
+		closedCh:  make(chan struct{}),
 	}
-	for i := 0; i < window; i++ {
-		s.sendTokens <- struct{}{}
-	}
+	s.flow.Init()
 	return s
 }
 
 // ID returns the stream's circuit-local identifier.
 func (s *Stream) ID() cell.StreamID { return cell.StreamID(s.id) }
 
-// deliver handles an inbound relay cell for this stream (called from the
-// circuit's read loop).
+// deliver handles an inbound relay cell for this stream. It is called from
+// the circuit's read loop and so must not wait on the application.
 func (s *Stream) deliver(rc cell.RelayCell) {
 	switch rc.Cmd {
 	case cell.RelayConnected:
@@ -68,103 +58,59 @@ func (s *Stream) deliver(rc cell.RelayCell) {
 			close(s.connected)
 		}
 	case cell.RelayData:
-		select {
-		case s.inbox <- rc.Data:
-		case <-s.closedCh:
-			return
-		}
-		// Acknowledge consumed cells so the exit's window refills.
-		s.recvSinceSendme++
-		if s.recvSinceSendme >= s.circ.c.cfg.SendmeEvery {
-			s.recvSinceSendme = 0
-			_ = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelaySendme, Stream: s.id})
+		if !s.flow.Deliver(rc.Data) {
+			// The exit sent past a whole unread window: it is violating
+			// flow control. End this stream, as the exit would; the circuit
+			// and its other streams carry on.
+			s.end(true, "flow control violation")
 		}
 	case cell.RelaySendme:
-		for i := 0; i < s.circ.c.cfg.SendmeEvery; i++ {
-			select {
-			case s.sendTokens <- struct{}{}:
-			default:
-				i = s.circ.c.cfg.SendmeEvery // window full; drop excess credit
-			}
-		}
+		s.flow.Refill()
 	case cell.RelayEnd:
-		s.mu.Lock()
-		s.reason = string(rc.Data)
-		s.mu.Unlock()
-		s.closeLocal()
+		s.end(false, string(rc.Data))
 	default:
 		s.circ.c.cfg.Logf("client: stream %d: unexpected %s", s.id, rc.Cmd)
 	}
 }
 
-func (s *Stream) endReason() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.reason == "" {
-		return "closed"
-	}
-	return s.reason
-}
-
 // Read returns data from the exit, blocking until some arrives or the
-// stream closes.
+// stream closes. Taking a chunk out of the flow-control queue is what
+// counts as consuming it: the SENDME that lets the exit send more goes out
+// from here, not when the chunk arrived, so an application that stops
+// reading stops the exit after one window.
 func (s *Stream) Read(p []byte) (int, error) {
-	s.mu.Lock()
 	if len(s.leftover) > 0 {
 		n := copy(p, s.leftover)
 		s.leftover = s.leftover[n:]
-		s.mu.Unlock()
 		return n, nil
 	}
-	s.mu.Unlock()
-
-	select {
-	case chunk := <-s.inbox:
-		return s.consume(p, chunk), nil
-	case <-s.closedCh:
-		// Drain anything that raced with closure.
-		select {
-		case chunk := <-s.inbox:
-			return s.consume(p, chunk), nil
-		default:
-			return 0, io.EOF
-		}
+	chunk, sendme, err := s.flow.Take()
+	if err != nil {
+		return 0, err
 	}
-}
-
-// consume copies a delivered chunk into p, stashing any tail as leftover.
-// A fully consumed chunk goes back to the cell buffer pool — at that point
-// this reader is its only owner. (A partial chunk survives as leftover,
-// whose subslice the pool rejects later; it is simply collected.)
-func (s *Stream) consume(p []byte, chunk []byte) int {
+	if sendme {
+		_ = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelaySendme, Stream: s.id})
+	}
 	n := copy(p, chunk)
 	if n < len(chunk) {
-		s.mu.Lock()
+		// The tail survives as leftover, whose subslice the pool rejects
+		// later; it is simply collected.
 		s.leftover = chunk[n:]
-		s.mu.Unlock()
-		return n
+	} else {
+		// Fully consumed: this reader is the chunk's only owner, so it goes
+		// back to the cell buffer pool.
+		cell.PutBuf(chunk)
 	}
-	cell.PutBuf(chunk)
-	return n
+	return n, nil
 }
 
 // Write sends data toward the destination, fragmenting into relay cells.
 func (s *Stream) Write(p []byte) (int, error) {
-	select {
-	case <-s.closedCh:
-		return 0, errors.New("client: write on closed stream")
-	default:
-	}
 	written := 0
 	for len(p) > 0 {
-		n := len(p)
-		if n > cell.RelayDataLen {
-			n = cell.RelayDataLen
-		}
-		// Flow control: one window token per DATA cell.
-		select {
-		case <-s.sendTokens:
-		case <-s.closedCh:
+		n := min(len(p), cell.RelayDataLen)
+		// Flow control: one cell of credit per DATA cell.
+		if s.flow.Acquire() != nil {
 			return written, errors.New("client: write on closed stream")
 		}
 		if err := s.circ.sendForward(s.hop, cell.RelayCell{
@@ -179,21 +125,26 @@ func (s *Stream) Write(p []byte) (int, error) {
 }
 
 // Close ends the stream, telling the exit to drop its side.
-func (s *Stream) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closedCh)
-		err = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelayEnd, Stream: s.id})
-		s.circ.dropStream(s.id)
-	})
-	return err
-}
+func (s *Stream) Close() error { return s.end(true, "closed") }
 
 // closeLocal closes without notifying the exit (it already knows, or the
 // circuit is gone).
-func (s *Stream) closeLocal() {
+func (s *Stream) closeLocal() { _ = s.end(false, "closed") }
+
+// end closes the stream once: a blocked Write fails, Read drains what was
+// delivered and then reports io.EOF. notify sends the exit an END; reason
+// is what a refused open reports.
+func (s *Stream) end(notify bool, reason string) (err error) {
 	s.closeOnce.Do(func() {
+		s.reason = reason
 		close(s.closedCh)
-		s.circ.dropStream(s.id)
+		s.flow.Close()
+		if notify {
+			err = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelayEnd, Stream: s.id})
+		}
+		s.circ.mu.Lock()
+		delete(s.circ.streams, s.id)
+		s.circ.mu.Unlock()
 	})
+	return err
 }

@@ -20,7 +20,7 @@ type Conn struct {
 	wmu  sync.Mutex
 
 	replies chan reply
-	// Events receives asynchronous "650 …" lines (after SetEvents). The
+	// Events receives asynchronous "650 …" lines (after SETEVENTS). The
 	// channel is buffered; stale events are dropped rather than blocking
 	// the reader.
 	Events chan string
@@ -179,12 +179,6 @@ func (c *Conn) CloseCircuit(id int) error {
 	return err
 }
 
-// SetEvents enables (or with no names, disables) async CIRC events.
-func (c *Conn) SetEvents(names ...string) error {
-	_, err := c.expect250(strings.TrimSpace("SETEVENTS " + strings.Join(names, " ")))
-	return err
-}
-
 // GetInfo fetches a multiline info key, returning the body lines.
 func (c *Conn) GetInfo(key string) ([]string, error) {
 	r, err := c.expect250("GETINFO " + key)
@@ -208,15 +202,6 @@ func (c *Conn) Consensus() (*directory.Registry, error) {
 	doc = strings.TrimPrefix(doc, "ns/all=\n")
 	doc = strings.TrimPrefix(doc, "ns/all=")
 	return directory.DecodeConsensus(strings.NewReader(doc))
-}
-
-// Quit ends the session politely.
-func (c *Conn) Quit() error {
-	_, err := c.roundTrip("QUIT")
-	if err == nil {
-		c.Close()
-	}
-	return err
 }
 
 // DialStream connects to the data port and attaches a raw byte stream to

@@ -245,7 +245,7 @@ func TestDataPortErrors(t *testing.T) {
 func TestCircuitEvents(t *testing.T) {
 	env := newTestEnv(t, 2, "")
 	c := dialAuthed(t, env, "")
-	if err := c.SetEvents("CIRC"); err != nil {
+	if _, err := c.expect250("SETEVENTS CIRC"); err != nil {
 		t.Fatal(err)
 	}
 	id, err := c.ExtendCircuit([]string{"r0", "r1"})
@@ -276,7 +276,7 @@ func TestCircuitEvents(t *testing.T) {
 func TestQuit(t *testing.T) {
 	env := newTestEnv(t, 2, "")
 	c := dialAuthed(t, env, "")
-	if err := c.Quit(); err != nil {
+	if _, err := c.roundTrip("QUIT"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -315,17 +315,8 @@ func (m *Model) updateScalesLocked(obs []Observation) {
 	}
 }
 
-// Predict returns the model's RTT estimate for a pair in milliseconds,
-// floored at a LAN hop. It panics on out-of-range indices.
-func (m *Model) Predict(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.predictLocked(i, j)
-}
-
+// predictLocked is the model's RTT estimate for a pair in milliseconds,
+// floored at a LAN hop.
 func (m *Model) predictLocked(i, j int) float64 {
 	d := m.rawDist(i, j) * math.Sqrt(m.scale[i]*m.scale[j])
 	if d < minRTTMs {
@@ -357,8 +348,9 @@ func (m *Model) confidenceLocked(i, j int) float64 {
 	return c
 }
 
-// PredictWithConfidence returns both under one lock — the completion
-// loop's accessor.
+// PredictWithConfidence returns the RTT estimate for a pair and its
+// confidence under one lock — the completion loop's accessor. It panics on
+// out-of-range indices.
 func (m *Model) PredictWithConfidence(i, j int) (rttMs, conf float64) {
 	if i == j {
 		return 0, 1
@@ -366,21 +358,6 @@ func (m *Model) PredictWithConfidence(i, j int) (rttMs, conf float64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.predictLocked(i, j), m.confidenceLocked(i, j)
-}
-
-// NodeError returns node i's current relative error estimate — the
-// active-learning priority signal (high error ⇒ worth measuring).
-func (m *Model) NodeError(i int) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.errEst[i]
-}
-
-// Observations returns how many measurements have touched node i.
-func (m *Model) Observations(i int) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.nobs[i]
 }
 
 // MedianError returns the median of all nodes' error estimates — a fit

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 )
@@ -177,6 +178,33 @@ func TestPrefix24(t *testing.T) {
 	}
 }
 
+// countryCount is one country's relay count.
+type countryCount struct {
+	Code  string
+	Count int
+}
+
+// countryCounts tallies the snapshot's relays per country, descending.
+func (s Snapshot) countryCounts() []countryCount {
+	m := make(map[string]int)
+	for _, r := range s.Relays {
+		if r.Country != "" {
+			m[r.Country]++
+		}
+	}
+	out := make([]countryCount, 0, len(m))
+	for c, n := range m {
+		out = append(out, countryCount{Code: c, Count: n})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Count != out[b].Count {
+			return out[a].Count > out[b].Count
+		}
+		return out[a].Code < out[b].Code
+	})
+	return out
+}
+
 func TestGeographicCoverage(t *testing.T) {
 	// §5.3: "Tor Metrics reported 77 countries with relays in November
 	// 2014". A full-size synthetic snapshot should cover a comparable
@@ -188,13 +216,13 @@ func TestGeographicCoverage(t *testing.T) {
 	if countries < 60 || countries > 85 {
 		t.Errorf("country count %d outside the paper's regime", countries)
 	}
-	counts := s.CountryCounts()
+	counts := s.countryCounts()
 	if len(counts) != countries {
-		t.Errorf("CountryCounts has %d entries for %d countries", len(counts), countries)
+		t.Errorf("countryCounts has %d entries for %d countries", len(counts), countries)
 	}
 	for i := 1; i < len(counts); i++ {
 		if counts[i].Count > counts[i-1].Count {
-			t.Fatal("CountryCounts not descending")
+			t.Fatal("countryCounts not descending")
 		}
 	}
 	// The familiar heavy hitters must dominate.

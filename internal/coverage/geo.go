@@ -65,30 +65,3 @@ func (s Snapshot) Countries() int {
 	}
 	return len(seen)
 }
-
-// CountryCounts returns relay counts by country, descending.
-type CountryCount struct {
-	Code  string
-	Count int
-}
-
-// CountryCounts tallies the snapshot's relays per country.
-func (s Snapshot) CountryCounts() []CountryCount {
-	m := make(map[string]int)
-	for _, r := range s.Relays {
-		if r.Country != "" {
-			m[r.Country]++
-		}
-	}
-	out := make([]CountryCount, 0, len(m))
-	for c, n := range m {
-		out = append(out, CountryCount{Code: c, Count: n})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		return out[a].Code < out[b].Code
-	})
-	return out
-}

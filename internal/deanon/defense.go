@@ -127,15 +127,10 @@ type VariableScenario struct {
 	E2E             float64
 }
 
-// NewVariableScenario draws a circuit whose length is uniform over
-// [minLen, maxLen] hops.
-func NewVariableScenario(m ting.MatrixView, minLen, maxLen int, rng *rand.Rand) (*VariableScenario, error) {
-	return newVariableScenario(m, m.Dense(), minLen, maxLen, rng)
-}
-
-// newVariableScenario lets callers drawing many scenarios from one matrix
-// (LengthDefense) share a single dense snapshot instead of re-copying N²
-// cells per trial.
+// newVariableScenario draws a circuit whose length is uniform over
+// [minLen, maxLen] hops. rtt is m.Dense(): callers drawing many scenarios
+// from one matrix (LengthDefense) share a single dense snapshot instead of
+// re-copying N² cells per trial.
 func newVariableScenario(m ting.MatrixView, rtt [][]float64, minLen, maxLen int, rng *rand.Rand) (*VariableScenario, error) {
 	n := m.N()
 	if minLen < 3 || maxLen < minLen {

@@ -77,7 +77,7 @@ func TestVariableScenario(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	lengths := map[int]int{}
 	for i := 0; i < 200; i++ {
-		v, err := NewVariableScenario(m, 3, 5, rng)
+		v, err := newVariableScenario(m, m.Dense(), 3, 5, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +108,13 @@ func TestVariableScenario(t *testing.T) {
 			t.Errorf("length %d never drawn", l)
 		}
 	}
-	if _, err := NewVariableScenario(m, 2, 5, rng); err == nil {
+	if _, err := newVariableScenario(m, m.Dense(), 2, 5, rng); err == nil {
 		t.Error("minLen 2 accepted")
 	}
-	if _, err := NewVariableScenario(m, 5, 3, rng); err == nil {
+	if _, err := newVariableScenario(m, m.Dense(), 5, 3, rng); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := NewVariableScenario(m, 3, 19, rng); err == nil {
+	if _, err := newVariableScenario(m, m.Dense(), 3, 19, rng); err == nil {
 		t.Error("oversized circuits accepted")
 	}
 }

@@ -29,7 +29,7 @@ func TestMirrorBacksOffOnFetchFailure(t *testing.T) {
 	const interval = 2 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	MirrorTelemetry(ctx, addr, mirror, interval, treg)
+	Mirror(ctx, addr, mirror, interval, treg)
 
 	fails := treg.Counter("directory.mirror.fetch_errors").Value()
 	if fails < 1 {
@@ -72,7 +72,7 @@ func TestMirrorRecoversCadenceAfterBackoff(t *testing.T) {
 	go func() {
 		defer close(done)
 		// The server is NOT serving yet: the first polls fail and back off.
-		MirrorTelemetry(ctx, addr, mirror, 2*time.Millisecond, treg)
+		Mirror(ctx, addr, mirror, 2*time.Millisecond, treg)
 	}()
 
 	time.Sleep(20 * time.Millisecond) // let a few failures accrue

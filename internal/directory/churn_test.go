@@ -324,7 +324,13 @@ func TestFetchTimeoutStalledServer(t *testing.T) {
 		}
 	}()
 	start := time.Now()
-	if _, err := FetchTimeout(ln.Addr().String(), 100*time.Millisecond); err == nil {
+	// Fetch's conversation, on a 100 ms bound instead of DefaultIOTimeout.
+	conn, err := dialDirectory(ln.Addr().String(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := DecodeConsensus(conn); err == nil {
 		t.Fatal("fetch from stalled server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -389,7 +395,7 @@ func TestMirrorFollowsOrigin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	watch := mirror.Watch(ctx)
-	go Mirror(ctx, addr, mirror, 10*time.Millisecond)
+	go Mirror(ctx, addr, mirror, 10*time.Millisecond, nil)
 
 	if err := origin.Publish(testDesc(t, "c", false, 100)); err != nil {
 		t.Fatal(err)

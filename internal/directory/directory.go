@@ -646,8 +646,3 @@ func remove(pool *[]*Descriptor, nickname string) {
 		}
 	}
 }
-
-// SortByName orders descriptors by nickname, for stable output.
-func SortByName(descs []*Descriptor) {
-	sort.Slice(descs, func(i, j int) bool { return descs[i].Nickname < descs[j].Nickname })
-}

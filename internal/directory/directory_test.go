@@ -238,14 +238,6 @@ func TestPickPath(t *testing.T) {
 	}
 }
 
-func TestSortByName(t *testing.T) {
-	descs := []*Descriptor{testDesc(t, "zz", false, 1), testDesc(t, "aa", false, 1)}
-	SortByName(descs)
-	if descs[0].Nickname != "aa" {
-		t.Error("not sorted")
-	}
-}
-
 func TestServerFetch(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Publish(testDesc(t, "served", true, 500)); err != nil {

@@ -161,15 +161,9 @@ func (s *Server) serveDeltas(conn net.Conn, since uint64) {
 }
 
 // Fetch downloads and parses the consensus from a directory server at
-// addr, bounded by DefaultIOTimeout.
+// addr. DefaultIOTimeout bounds the dial and the whole conversation.
 func Fetch(addr string) (*Registry, error) {
-	return FetchTimeout(addr, DefaultIOTimeout)
-}
-
-// FetchTimeout is Fetch with an explicit bound covering the dial and the
-// whole conversation.
-func FetchTimeout(addr string, timeout time.Duration) (*Registry, error) {
-	conn, err := dialDirectory(addr, timeout)
+	conn, err := dialDirectory(addr, DefaultIOTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -257,31 +251,26 @@ func parseDeltaLine(line string) (ConsensusDelta, error) {
 	return ConsensusDelta{}, fmt.Errorf("directory: unknown delta kind in %q", line)
 }
 
-// Mirror keeps reg in step with the directory server at addr by polling
-// for consensus deltas every interval and applying them, so reg's
-// watchers fire as if they were subscribed to the origin registry. A
-// server-demanded resync (the origin's bounded delta history no longer
-// reaches the mirror's epoch) is folded in as synthesized
-// join/leave/rotate deltas, so no consensus change is ever skipped
-// silently. FetchDeltas failures back off exponentially with jitter (see
-// MirrorTelemetry) instead of hammering a struggling origin at the fixed
-// interval. Blocks until ctx is cancelled; run it in a goroutine.
-func Mirror(ctx context.Context, addr string, reg *Registry, interval time.Duration) {
-	MirrorTelemetry(ctx, addr, reg, interval, nil)
-}
-
 // mirrorBackoffCap bounds how far consecutive fetch failures stretch the
 // poll interval: a long-dead origin is probed at interval×2^k, capped at
 // max(32×interval, mirrorBackoffCap), so recovery is noticed within
 // seconds, not after an unbounded exponential.
 const mirrorBackoffCap = 30 * time.Second
 
-// MirrorTelemetry is Mirror with a telemetry registry: each FetchDeltas
-// failure increments directory.mirror.fetch_errors and doubles the next
-// poll delay (jittered ±50% so a fleet of mirrors that lost the same
-// origin does not re-find it in lockstep), up to a cap; the first success
-// snaps the cadence back to interval. A nil registry counts into a no-op.
-func MirrorTelemetry(ctx context.Context, addr string, reg *Registry, interval time.Duration, treg *telemetry.Registry) {
+// Mirror keeps reg in step with the directory server at addr by polling
+// for consensus deltas every interval and applying them, so reg's
+// watchers fire as if they were subscribed to the origin registry. A
+// server-demanded resync (the origin's bounded delta history no longer
+// reaches the mirror's epoch) is folded in as synthesized
+// join/leave/rotate deltas, so no consensus change is ever skipped
+// silently. Each FetchDeltas failure increments
+// directory.mirror.fetch_errors in treg (nil counts into a no-op) and
+// doubles the next poll delay (jittered ±50% so a fleet of mirrors that
+// lost the same origin does not re-find it in lockstep), up to a cap,
+// instead of hammering a struggling origin at the fixed interval; the first
+// success snaps the cadence back to interval. Blocks until ctx is
+// cancelled; run it in a goroutine.
+func Mirror(ctx context.Context, addr string, reg *Registry, interval time.Duration, treg *telemetry.Registry) {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -320,10 +309,9 @@ func MirrorTelemetry(ctx context.Context, addr string, reg *Registry, interval t
 	}
 }
 
+// dialDirectory connects to a directory server; timeout bounds the dial and,
+// as a deadline on the connection, the whole conversation after it.
 func dialDirectory(addr string, timeout time.Duration) (net.Conn, error) {
-	if timeout <= 0 {
-		timeout = DefaultIOTimeout
-	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("directory: fetch: %w", err)

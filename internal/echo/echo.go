@@ -98,23 +98,3 @@ func (c *Client) ProbeN(n int) ([]time.Duration, error) {
 	}
 	return out, nil
 }
-
-// MinRTT sends n probes and returns the smallest RTT — the aggregation Ting
-// uses everywhere, since forwarding delays are strictly additive noise
-// (§3.3).
-func (c *Client) MinRTT(n int) (time.Duration, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("echo: need at least one probe")
-	}
-	rtts, err := c.ProbeN(n)
-	if err != nil {
-		return 0, err
-	}
-	min := rtts[0]
-	for _, r := range rtts[1:] {
-		if r < min {
-			min = r
-		}
-	}
-	return min, nil
-}

@@ -68,30 +68,6 @@ func TestProbeN(t *testing.T) {
 	}
 }
 
-func TestMinRTT(t *testing.T) {
-	a, b := net.Pipe()
-	go Handle(b)
-	defer a.Close()
-	c := NewClient(a)
-	min, err := c.MinRTT(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtts, err := c.ProbeN(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rtts {
-		_ = r
-	}
-	if min <= 0 {
-		t.Errorf("MinRTT = %v", min)
-	}
-	if _, err := c.MinRTT(0); err == nil {
-		t.Error("MinRTT(0) should fail")
-	}
-}
-
 func TestProbeSequenceMismatch(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()

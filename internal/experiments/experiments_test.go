@@ -356,9 +356,6 @@ func TestFig14TIVs(t *testing.T) {
 	if frac < 0.3 {
 		t.Errorf("TIV fraction %.3f too low", frac)
 	}
-	if _, err := res.SavingsCDF(); err != nil {
-		t.Fatal(err)
-	}
 	pts := Fig15(res)
 	if len(pts) != len(res.TIVs) {
 		t.Fatalf("fig15 has %d points for %d TIVs", len(pts), len(res.TIVs))

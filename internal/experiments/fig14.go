@@ -1,20 +1,11 @@
 package experiments
 
-import (
-	"ting/internal/pathsel"
-	"ting/internal/stats"
-)
+import "ting/internal/pathsel"
 
 // Fig14Result is the TIV study over the all-pairs matrix.
 type Fig14Result struct {
 	Summary pathsel.TIVSummary
 	TIVs    []pathsel.TIV
-}
-
-// SavingsCDF is Figure 14: the distribution of fractional RTT savings
-// from the best detour, over pairs that have one.
-func (r *Fig14Result) SavingsCDF() (*stats.CDF, error) {
-	return stats.NewCDF(r.Summary.Savings)
 }
 
 // Fig14 finds every pair's best triangle-inequality-violating detour.

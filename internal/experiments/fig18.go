@@ -19,6 +19,10 @@ type Fig18Result struct {
 	// Countries is the number of countries with at least one relay
 	// (paper: 77 in November 2014).
 	Countries int
+	// Residential is what the final snapshot offers as a measurement
+	// platform for residential networks (§5.3, §6): one representative
+	// relay per /24 whose reverse DNS classifies as residential.
+	Residential coverage.CoverageReport
 }
 
 // Fig18 synthesizes the consensus history and classifies the relay
@@ -38,5 +42,7 @@ func Fig18(cfg Fig18Config) (*Fig18Result, error) {
 		Points:    coverage.Summarize(snaps),
 		Classes:   coverage.Count(names),
 		Countries: last.Countries(),
+		Residential: coverage.ReportTargets(
+			coverage.MeasurementTargets(last, coverage.TargetOptions{ResidentialOnly: true})),
 	}, nil
 }

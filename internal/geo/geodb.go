@@ -99,6 +99,3 @@ func (db *GeoDB) Erroneous(name string) bool { return db.erroneous[name] }
 
 // Len returns the number of entries.
 func (db *GeoDB) Len() int { return len(db.entries) }
-
-// ErrorCount returns how many entries carry injected error.
-func (db *GeoDB) ErrorCount() int { return len(db.erroneous) }

@@ -311,16 +311,6 @@ func TestAddHostAndColocated(t *testing.T) {
 	}
 }
 
-func TestMatrixCopyIsDeep(t *testing.T) {
-	topo := mustGenerate(t, Config{N: 5, Seed: 17})
-	m := topo.RTTMatrix()
-	orig := topo.RTT(0, 1)
-	m[0][1] = -1
-	if topo.RTT(0, 1) != orig {
-		t.Error("RTTMatrix returned a view, want a copy")
-	}
-}
-
 func TestForwardingSamplePositiveProperty(t *testing.T) {
 	f := func(base, queue float64, seed int64) bool {
 		m := ForwardingModel{

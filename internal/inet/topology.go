@@ -324,15 +324,6 @@ func (t *Topology) Node(id NodeID) *Node {
 	return t.Nodes[id]
 }
 
-// RTTMatrix returns a copy of the ground-truth matrix in milliseconds.
-func (t *Topology) RTTMatrix() [][]float64 {
-	out := make([][]float64, len(t.rtt))
-	for i := range t.rtt {
-		out[i] = append([]float64(nil), t.rtt[i]...)
-	}
-	return out
-}
-
 // OverrideRTT replaces the ground-truth RTT for a pair; tests use this to
 // construct exact scenarios.
 func (t *Topology) OverrideRTT(i, j NodeID, ms float64) {

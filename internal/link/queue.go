@@ -16,6 +16,9 @@ const queueCap = 1024
 // once. The pipe and the stream pair translate it for their callers.
 var errPeerClosed = errors.New("link: peer closed")
 
+// errFull is offer's report that the queue is at its limit.
+var errFull = errors.New("link: queue full")
+
 // queue is the package's one in-process transport: a bounded FIFO that
 // carries its own one-way delay. put stamps each entry due = now + delay;
 // the single receiver takes the head and, only when that instant is still
@@ -75,9 +78,19 @@ func (q *queue[T]) addDelay(d time.Duration) {
 }
 
 // put appends a copy of *v, blocking while the queue is at its limit.
-func (q *queue[T]) put(v *T) error {
+func (q *queue[T]) put(v *T) error { return q.add(v, true) }
+
+// offer is put for a sender that must not block: a queue at its limit
+// refuses the entry with errFull.
+func (q *queue[T]) offer(v *T) error { return q.add(v, false) }
+
+func (q *queue[T]) add(v *T, wait bool) error {
 	q.mu.Lock()
 	for q.n == q.limit && q.sendErr == nil && !q.recvClosed {
+		if !wait {
+			q.mu.Unlock()
+			return errFull
+		}
 		q.notFull.Wait()
 	}
 	switch {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ting/internal/cell"
+	"ting/internal/link"
 	"ting/internal/onion"
 )
 
@@ -144,7 +145,7 @@ func (c *circuit) handleExtend(rc cell.RelayCell) {
 	c.next = oc
 	c.nextID = nextID
 	c.awaitingCreated = true
-	c.extendTimer = time.AfterFunc(c.r.cfg.ExtendTimeout, func() { c.extendTimedOut(nextID) })
+	c.extendTimer = time.AfterFunc(extendTimeout, func() { c.extendTimedOut(nextID) })
 	c.mu.Unlock()
 
 	var create cell.Cell
@@ -245,29 +246,21 @@ func (c *circuit) extendFailed(reason string) {
 	_ = c.sendBackward(cell.RelayCell{Cmd: cell.RelayEnd, Stream: 0, Data: []byte(reason)})
 }
 
-// exitStream is one open exit-side stream plus its flow-control state.
+// exitStream is one open exit-side stream: the destination connection and
+// this end's half of the stream's flow control. flow's credit paces
+// destination→client DATA; its queue holds client→destination data for the
+// stream's writer goroutine, so the circuit's read loop never blocks on
+// destination I/O (no head-of-line blocking across circuits).
 type exitStream struct {
 	conn io.ReadWriteCloser
-	// window holds send tokens for destination→client DATA cells; the
-	// stream reader blocks when the client has not acknowledged enough
-	// cells with SENDMEs.
-	window chan struct{}
-	// out queues client→destination data for the stream's writer
-	// goroutine. Its capacity is one full flow-control window, so a
-	// well-behaved client can never overflow it — and the circuit's read
-	// loop never blocks on destination I/O (no head-of-line blocking
-	// across circuits).
-	out chan []byte
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	flow link.Flow
 }
 
+// close releases both stream goroutines. Whoever takes the stream out of
+// c.streams calls it.
 func (st *exitStream) close() {
-	st.closeOnce.Do(func() {
-		close(st.closed)
-		st.conn.Close()
-	})
+	st.flow.Close()
+	st.conn.Close()
 }
 
 func (c *circuit) handleBegin(rc cell.RelayCell) {
@@ -285,15 +278,8 @@ func (c *circuit) handleBegin(rc cell.RelayCell) {
 		c.streamEnd(rc.Stream, fmt.Sprintf("connect to %s: %v", target, err))
 		return
 	}
-	st := &exitStream{
-		conn:   conn,
-		window: make(chan struct{}, c.r.cfg.StreamWindow),
-		out:    make(chan []byte, c.r.cfg.StreamWindow),
-		closed: make(chan struct{}),
-	}
-	for i := 0; i < c.r.cfg.StreamWindow; i++ {
-		st.window <- struct{}{}
-	}
+	st := &exitStream{conn: conn}
+	st.flow.Init()
 	c.mu.Lock()
 	if c.destroyed {
 		c.mu.Unlock()
@@ -330,31 +316,22 @@ func (c *circuit) handleBegin(rc cell.RelayCell) {
 // acknowledges consumption with SENDMEs — only after the data has actually
 // been written, which is what makes the window an end-to-end bound.
 func (c *circuit) streamWriteLoop(id cell.StreamID, st *exitStream) {
-	consumed := 0
 	for {
-		select {
-		case <-st.closed:
+		data, sendme, err := st.flow.Take()
+		if err != nil {
 			return
-		case data := <-st.out:
-			_, err := st.conn.Write(data)
-			// The queue transferred ownership to this loop; once the bytes
-			// are in the destination socket the buffer can go home.
-			cell.PutBuf(data)
-			if err != nil {
-				select {
-				case <-st.closed:
-				default:
-					c.streamEnd(id, "write: "+err.Error())
-					c.closeStream(id)
-				}
+		}
+		_, err = st.conn.Write(data)
+		// The queue transferred ownership to this loop; once the bytes
+		// are in the destination socket the buffer can go home.
+		cell.PutBuf(data)
+		if err != nil {
+			c.endStream(id, st, "write: "+err.Error())
+			return
+		}
+		if sendme {
+			if err := c.sendBackward(cell.RelayCell{Cmd: cell.RelaySendme, Stream: id}); err != nil {
 				return
-			}
-			consumed++
-			if consumed >= c.r.cfg.SendmeEvery {
-				consumed = 0
-				if err := c.sendBackward(cell.RelayCell{Cmd: cell.RelaySendme, Stream: id}); err != nil {
-					return
-				}
 			}
 		}
 	}
@@ -365,10 +342,8 @@ func (c *circuit) streamWriteLoop(id cell.StreamID, st *exitStream) {
 func (c *circuit) streamReadLoop(id cell.StreamID, st *exitStream) {
 	buf := make([]byte, cell.RelayDataLen)
 	for {
-		// One window token per DATA cell we are about to emit.
-		select {
-		case <-st.window:
-		case <-st.closed:
+		// One cell of credit per DATA cell we are about to emit.
+		if st.flow.Acquire() != nil {
 			return
 		}
 		n, err := st.conn.Read(buf)
@@ -376,26 +351,15 @@ func (c *circuit) streamReadLoop(id cell.StreamID, st *exitStream) {
 			// Returning data pays the forwarding delay too: each relay on
 			// the round trip contributes 2F, the exit included (Eq. 1).
 			c.r.forwardDelay()
-			data := append(cell.GetBuf(), buf[:n]...)
-			serr := c.sendBackward(cell.RelayCell{
-				Cmd: cell.RelayData, Stream: id, Data: data,
-			})
-			// sendBackward marshaled data into the cell payload; the buffer
-			// is ours again either way.
-			cell.PutBuf(data)
-			if serr != nil {
+			// sendBackward marshals the data into the circuit's scratch cell
+			// before it returns, so buf is free for the next Read.
+			if c.sendBackward(cell.RelayCell{Cmd: cell.RelayData, Stream: id, Data: buf[:n]}) != nil {
 				c.closeStream(id)
 				return
 			}
 		}
 		if err != nil {
-			c.mu.Lock()
-			_, stillOpen := c.streams[id]
-			c.mu.Unlock()
-			if stillOpen {
-				c.streamEnd(id, "eof")
-				c.closeStream(id)
-			}
+			c.endStream(id, st, "eof")
 			return
 		}
 	}
@@ -409,14 +373,10 @@ func (c *circuit) handleData(rc cell.RelayCell) {
 		c.streamEnd(rc.Stream, "no such stream")
 		return
 	}
-	select {
-	case st.out <- rc.Data:
-	case <-st.closed:
-	default:
+	if !st.flow.Deliver(rc.Data) {
 		// More unacknowledged cells than the window permits: the peer is
 		// violating flow control.
-		c.streamEnd(rc.Stream, "flow control violation")
-		c.closeStream(rc.Stream)
+		c.endStream(rc.Stream, st, "flow control violation")
 	}
 }
 
@@ -425,15 +385,20 @@ func (c *circuit) handleSendme(id cell.StreamID) {
 	c.mu.Lock()
 	st := c.streams[id]
 	c.mu.Unlock()
-	if st == nil {
-		return
+	if st != nil {
+		st.flow.Refill()
 	}
-	for i := 0; i < c.r.cfg.SendmeEvery; i++ {
-		select {
-		case st.window <- struct{}{}:
-		default:
-			return // window already full; ignore excess credit
-		}
+}
+
+// endStream ends st from this side — END with the reason, then the close —
+// unless someone has closed it already.
+func (c *circuit) endStream(id cell.StreamID, st *exitStream, reason string) {
+	c.mu.Lock()
+	open := c.streams[id] == st
+	c.mu.Unlock()
+	if open {
+		c.streamEnd(id, reason)
+		c.closeStream(id)
 	}
 }
 

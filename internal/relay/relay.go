@@ -56,16 +56,6 @@ type Config struct {
 	// ForwardDelay, if non-nil, is sampled once per relay-cell traversal
 	// and slept before processing — the forwarding delay of §3.2.
 	ForwardDelay func() time.Duration
-	// ExtendTimeout bounds how long an EXTEND waits for the next relay's
-	// CREATED. Default 30s.
-	ExtendTimeout time.Duration
-	// StreamWindow is the per-stream flow-control window in DATA cells
-	// for destination→client traffic (Tor's stream window is 500).
-	// Default 500.
-	StreamWindow int
-	// SendmeEvery is how many consumed DATA cells earn one SENDME
-	// acknowledgement (Tor uses 50). Default 50.
-	SendmeEvery int
 	// Logf, if non-nil, receives debug logs.
 	Logf func(format string, args ...any)
 	// Telemetry, if non-nil, receives relay counters (relay.cells_relayed,
@@ -89,6 +79,9 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// extendTimeout bounds how long an EXTEND waits for the next relay's CREATED.
+const extendTimeout = 30 * time.Second
 
 // Relay is a running onion router.
 type Relay struct {
@@ -141,18 +134,6 @@ func New(cfg Config) (*Relay, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.ExtendTimeout <= 0 {
-		cfg.ExtendTimeout = 30 * time.Second
-	}
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = 500
-	}
-	if cfg.SendmeEvery <= 0 {
-		cfg.SendmeEvery = 50
-	}
-	if cfg.SendmeEvery > cfg.StreamWindow {
-		return nil, errors.New("relay: SendmeEvery larger than StreamWindow")
 	}
 	r := &Relay{
 		cfg:      cfg,

@@ -96,7 +96,7 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	if syy > 0 {
 		var ssRes float64
 		for i := range xs {
-			r := ys[i] - (fit.Slope*xs[i] + fit.Intercept)
+			r := ys[i] - fit.Eval(xs[i])
 			ssRes += r * r
 		}
 		fit.R2 = 1 - ssRes/syy

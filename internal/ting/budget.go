@@ -113,7 +113,6 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 					continue
 				}
 				_ = master.Set(p[0], p[1], rtt)
-				_ = master.SetProv(p[0], p[1], ProvFresh)
 				i, _ := master.Index(p[0])
 				j, _ := master.Index(p[1])
 				obs = append(obs, coords.Observation{I: i, J: j, RTTMs: rtt})

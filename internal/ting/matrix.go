@@ -206,7 +206,11 @@ func (m *Matrix) AddName(name string) error {
 	return nil
 }
 
-// Set records the RTT for a pair, both directions.
+// Set records a measured RTT for a pair, both directions, and in the same
+// tile walk stamps the cell ProvFresh at full confidence: a value that was
+// measured never reads as missing because its writer forgot a second call.
+// A writer with another story for the cell says so afterwards (SetProv,
+// as a resumed scan does) or writes through SetPredicted.
 func (m *Matrix) Set(x, y string, ms float64) error {
 	i, ok := m.index[x]
 	if !ok {
@@ -216,9 +220,16 @@ func (m *Matrix) Set(x, y string, ms float64) error {
 	if !ok {
 		return fmt.Errorf("ting: unknown relay %q", y)
 	}
-	m.cellTile(i, j).r[tidx(i, j)] = ms
-	m.cellTile(j, i).r[tidx(j, i)] = ms
+	m.write(i, j, ms, ProvFresh, 255)
 	return nil
+}
+
+// write stores a cell's whole state, both directions.
+func (m *Matrix) write(i, j int, ms float64, p Provenance, conf uint8) {
+	ij, ji := tidx(i, j), tidx(j, i)
+	tij, tji := m.cellTile(i, j), m.cellTile(j, i)
+	tij.r[ij], tij.prov[ij], tij.conf[ij] = ms, p, conf
+	tji.r[ji], tji.prov[ji], tji.conf[ji] = ms, p, conf
 }
 
 // RTT returns the RTT between two named relays.
@@ -348,15 +359,7 @@ func (m *Matrix) SetPredicted(x, y string, ms, conf float64) error {
 	if conf > 1 {
 		conf = 1
 	}
-	q := uint8(conf*255 + 0.5)
-	ij, ji := tidx(i, j), tidx(j, i)
-	tij, tji := m.cellTile(i, j), m.cellTile(j, i)
-	tij.r[ij] = ms
-	tij.prov[ij] = ProvPredicted
-	tij.conf[ij] = q
-	tji.r[ji] = ms
-	tji.prov[ji] = ProvPredicted
-	tji.conf[ji] = q
+	m.write(i, j, ms, ProvPredicted, uint8(conf*255+0.5))
 	return nil
 }
 

@@ -184,7 +184,7 @@ func TestMatrixCloneProperty(t *testing.T) {
 				v := float64(rng.Intn(1000)) / 4
 				op = fmt.Sprintf("Set(%d,%d,%v)", i, j, v)
 				err = p.m.Set(x, y, v)
-				p.o.update(i, j, func(c *Cell) { c.RTT = v })
+				p.o.update(i, j, func(c *Cell) { *c = Cell{v, ProvFresh, 255} })
 			case k < 5:
 				prov := Provenance(rng.Intn(int(ProvPredicted)))
 				op = fmt.Sprintf("SetProv(%d,%d,%v)", i, j, prov)

@@ -101,13 +101,7 @@ func (mon *Monitor) Stats() MonitorStats {
 	return mon.stats
 }
 
-// StalePairs lists the pairs older than MaxAge, stalest first.
-func (mon *Monitor) StalePairs() [][2]string {
-	mon.mu.Lock()
-	defer mon.mu.Unlock()
-	return mon.stalePairsLocked()
-}
-
+// stalePairsLocked lists the pairs older than MaxAge, stalest first.
 func (mon *Monitor) stalePairsLocked() [][2]string {
 	type agedPair struct {
 		pair [2]string
@@ -224,7 +218,6 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		}
 		rtt, _ := m.RTT(p[0], p[1])
 		_ = mon.matrix.Set(p[0], p[1], rtt)
-		_ = mon.matrix.SetProv(p[0], p[1], ProvFresh)
 		mon.when[pairKey(p[0], p[1])] = now
 		measured++
 	}

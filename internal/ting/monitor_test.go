@@ -11,6 +11,13 @@ import (
 	"time"
 )
 
+// stalePairs is what the next Sweep would choose from.
+func (mon *Monitor) stalePairs() [][2]string {
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	return mon.stalePairsLocked()
+}
+
 func monitorConfig(t *testing.T, f *fakeProber, names []string) MonitorConfig {
 	t.Helper()
 	return MonitorConfig{
@@ -27,7 +34,7 @@ func TestMonitorSweepMeasuresAllWhenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(mon.StalePairs()); got != 1 {
+	if got := len(mon.stalePairs()); got != 1 {
 		t.Fatalf("stale pairs = %d, want 1", got)
 	}
 	n, err := mon.Sweep(context.Background())
@@ -109,7 +116,7 @@ func TestMonitorPairsPerSweepSpreadsLoad(t *testing.T) {
 			t.Fatalf("sweep %d measured %d pairs, want 1", sweep, n)
 		}
 	}
-	if got := len(mon.StalePairs()); got != 0 {
+	if got := len(mon.stalePairs()); got != 0 {
 		t.Errorf("%d pairs still stale after 3 single-pair sweeps", got)
 	}
 	// All three values present.
@@ -151,7 +158,7 @@ func TestMonitorStalestFirst(t *testing.T) {
 		if mon.Stats().Measured != before+1 {
 			t.Fatal("sweep did not measure exactly one pair")
 		}
-		for _, p := range mon.StalePairs() {
+		for _, p := range mon.stalePairs() {
 			seen[p]++
 		}
 	}
@@ -220,7 +227,7 @@ func TestMonitorSkipsQuarantinedRelays(t *testing.T) {
 	}
 	// x's pairs are still stale — the monitor will retry them once the
 	// breaker half-opens.
-	if got := len(mon.StalePairs()); got != 3 {
+	if got := len(mon.stalePairs()); got != 3 {
 		t.Errorf("%d stale pairs after sweep, want x's 3", got)
 	}
 	// Sweep successes were credited to the healthy relays.
@@ -328,7 +335,7 @@ func TestMonitorHalfOpenProbe(t *testing.T) {
 	if got := h.State("x"); got != BreakerClosed {
 		t.Fatalf("x's breaker = %v after the probe succeeded, want closed", got)
 	}
-	steppedOver := len(mon.StalePairs())
+	steppedOver := len(mon.stalePairs())
 	st := mon.Stats()
 	if st.Quarantined != steppedOver || st.Measured != 6-steppedOver || st.Failed != 0 {
 		t.Errorf("stats after sweep 1 = %+v with %d pairs still stale", st, steppedOver)
@@ -339,7 +346,7 @@ func TestMonitorHalfOpenProbe(t *testing.T) {
 	if _, err := mon.Sweep(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if stale := mon.StalePairs(); len(stale) != 0 {
+	if stale := mon.stalePairs(); len(stale) != 0 {
 		t.Errorf("pairs still stale after the breaker closed: %v", stale)
 	}
 	if st := mon.Stats(); st.Quarantined != steppedOver || st.Measured != 6 || st.Failed != 0 {
@@ -421,7 +428,7 @@ func TestMonitorStalePairsOrder(t *testing.T) {
 			}
 		}
 	}
-	got := mon.StalePairs()
+	got := mon.stalePairs()
 	if len(got) != len(oracle) {
 		t.Fatalf("%d stale pairs, oracle has %d", len(got), len(oracle))
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -326,6 +327,8 @@ func TestScannerQuarantineCancelDuringDeferral(t *testing.T) {
 	h := NewHealth(HealthConfig{FailureThreshold: 1, Cooldown: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// One worker, so the callbacks below run on one goroutine at a time.
+	var parked, givenUp, parkedAtCancel, lastDone, lastTotal int
 	sc := &Scanner{
 		NewMeasurer: func(worker int) (*Measurer, error) {
 			return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1})
@@ -333,9 +336,18 @@ func TestScannerQuarantineCancelDuringDeferral(t *testing.T) {
 		Workers:      1,
 		SkipFailures: true,
 		Health:       h,
+		Observer: &Observer{Quarantine: func(x, y, relay string, final bool) {
+			if final {
+				givenUp++
+			} else {
+				parked++
+			}
+		}},
 		// Cancel while x's later pairs are parked behind the open breaker.
 		Progress: func(done, total int) {
-			if done >= 2 {
+			lastDone, lastTotal = done, total
+			if done >= 2 && ctx.Err() == nil {
+				parkedAtCancel = parked
 				cancel()
 			}
 		},
@@ -353,6 +365,24 @@ func TestScannerQuarantineCancelDuringDeferral(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	// Nothing tells the schedule about the cancellation: the lot comes back
+	// because every release counts toward open == len(parked), and the
+	// dealt-back pairs are released unmeasured like any other — not given
+	// the breaker's final verdict, and not counted as done.
+	if parkedAtCancel == 0 {
+		t.Error("the lot was empty at cancellation; the test no longer covers a cancelled scan with parked pairs")
+	}
+	if givenUp != 0 {
+		t.Errorf("%d parked pairs were settled as quarantined after cancellation, want them released unmeasured", givenUp)
+	}
+	if lastDone >= lastTotal {
+		t.Errorf("progress reached %d/%d on a cancelled scan", lastDone, lastTotal)
+	}
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	if bytes.Contains(stacks, []byte("(*schedule).next")) {
+		t.Errorf("a worker is still waiting in schedule.next after Scan returned:\n%s", stacks)
 	}
 }
 

@@ -151,7 +151,6 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 	}
 
 	sc.sched = newSchedule(todo, workers, s.Shuffle != 0)
-	stopAbort := context.AfterFunc(sc.ctx, sc.sched.abort)
 	var deltas sync.WaitGroup
 	if s.Directory != nil {
 		ch := s.Directory.Watch(sc.ctx)
@@ -176,7 +175,6 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		}(w, measurers[w])
 	}
 	wg.Wait()
-	stopAbort()
 	// The scan is over: detach the consensus watch and wait for the delta
 	// goroutine so it cannot touch the failure list while finish sorts it.
 	// Still-queued deltas drain harmlessly — reserve refuses new work once
@@ -346,7 +344,7 @@ func (sc *scan) openLog(names []string) error {
 	return nil
 }
 
-// appendRec logs one record. An append failure latches and aborts the
+// appendRec logs one record. An append failure latches and cancels the
 // scan: a campaign that silently stopped being durable would betray a
 // later Resume.
 func (sc *scan) appendRec(rec CheckpointRecord) {
@@ -548,7 +546,7 @@ func (sc *scan) removedRelay(x, y string) (string, uint64, bool) {
 // parked behind a breaker, or pushed to the next worker as a retry.
 func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 	if sc.ctx.Err() != nil {
-		// Aborted scan: drain without measuring. The scan's result is
+		// Cancelled scan: drain without measuring. The scan's result is
 		// partial, so abandoned pairs are released, not settled —
 		// progress must not count them as done.
 		sc.sched.release()
@@ -605,7 +603,6 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 	}
 	sc.mu.Lock()
 	_ = sc.m.Set(job.x, job.y, rtt)
-	_ = sc.m.SetProv(job.x, job.y, ProvFresh)
 	sc.mu.Unlock()
 	sc.appendRec(CheckpointRecord{Kind: RecordPair, X: job.x, Y: job.y, RTT: rtt})
 	if h := sc.s.Health; h != nil {
@@ -704,7 +701,7 @@ func (sc *scan) advance() {
 // markRemoved records that (x, y) will not be measured because relay left
 // the consensus at epoch — the tombstone itself, shared by pairs dropped
 // at plan time and pairs abandoned mid-scan. It burns no retry budget and
-// never aborts the scan, tolerant or not. Once workers run, callers hold
+// never fails the scan, tolerant or not. Once workers run, callers hold
 // sc.mu.
 func (sc *scan) markRemoved(job pairJob, relay string, epoch uint64) {
 	_ = sc.m.SetProv(job.x, job.y, ProvRemoved)

@@ -20,11 +20,10 @@ import (
 // placement survives into execution order — a shared queue would let any
 // worker take the next (x, ·) pair and split x's group across probers.
 type schedule struct {
-	mu      sync.Mutex
-	fifos   []fifo
-	parked  []pairJob // pairs refused by an open breaker, waiting for the end
-	open    int       // pairs scheduled and not yet released
-	aborted bool
+	mu     sync.Mutex
+	fifos  []fifo
+	parked []pairJob // pairs refused by an open breaker, waiting for the end
+	open   int       // pairs scheduled and not yet released
 }
 
 // fifo is one worker's queue.
@@ -98,16 +97,10 @@ func (s *schedule) reserve(k int) bool {
 }
 
 // park puts a job refused by an open breaker in the lot, marked deferred.
-// An aborted scan has no end-of-scan verdict to wait for: the job is
-// released instead.
 func (s *schedule) park(job pairJob) {
 	s.mu.Lock()
-	if s.aborted {
-		s.open--
-	} else {
-		job.deferred = true
-		s.parked = append(s.parked, job)
-	}
+	job.deferred = true
+	s.parked = append(s.parked, job)
 	s.rebalance()
 	s.mu.Unlock()
 }
@@ -116,18 +109,6 @@ func (s *schedule) park(job pairJob) {
 func (s *schedule) release() {
 	s.mu.Lock()
 	s.open--
-	s.rebalance()
-	s.mu.Unlock()
-}
-
-// abort releases the lot of a cancelled scan at once — workers drain their
-// FIFOs unmeasured, but none can see the lot — and makes a later park release
-// too, so nothing waits for a verdict the scan will not give.
-func (s *schedule) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.open -= len(s.parked)
-	s.parked = nil
 	s.rebalance()
 	s.mu.Unlock()
 }

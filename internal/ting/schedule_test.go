@@ -31,7 +31,6 @@ type schedModel struct {
 	hands    [][]pairJob // per worker, taken by next and not yet disposed of
 	parked   []pairJob
 	released map[[2]string]int // pair → times released
-	aborted  bool
 }
 
 func (m *schedModel) open() int {
@@ -95,7 +94,7 @@ func (m *schedModel) check(s *schedule) error {
 
 // TestSchedulePropertyAgainstModel drives one schedule from one goroutine
 // with random worker behaviour — take, retry, park, release, a relay
-// joining, one abort — and checks it against schedModel after every step.
+// joining — and checks it against schedModel after every step.
 func TestSchedulePropertyAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		if err := runScheduleModel(seed); err != nil {
@@ -124,26 +123,10 @@ func runScheduleModel(seed int64) error {
 	s := newSchedule(todo, workers, shuffled)
 	planned := len(todo)
 	joins := 0
-	abortAt := -1
-	if rng.Intn(2) == 0 {
-		abortAt = rng.Intn(4 * planned)
-	}
 
 	for step := 0; m.open() > 0; step++ {
 		if step > 10000 {
 			return fmt.Errorf("no end after %d steps; %d open", step, m.open())
-		}
-		if step == abortAt {
-			s.abort()
-			m.aborted = true
-			for _, job := range m.parked {
-				m.release(job)
-			}
-			m.parked = nil
-			if err := m.check(s); err != nil {
-				return fmt.Errorf("step %d abort: %w", step, err)
-			}
-			continue
 		}
 		op := "next"
 		w := rng.Intn(workers)
@@ -176,12 +159,8 @@ func runScheduleModel(seed int64) error {
 			case c == 1 && !job.deferred:
 				op = "park"
 				s.park(job)
-				if m.aborted {
-					m.release(job)
-				} else {
-					job.deferred = true
-					m.parked = append(m.parked, job)
-				}
+				job.deferred = true
+				m.parked = append(m.parked, job)
 				m.rebalance()
 			default:
 				op = "release"

@@ -2,6 +2,7 @@ package tornet
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,10 +107,11 @@ func TestFullCircuitEchoLatency(t *testing.T) {
 	}
 	defer st.Close()
 
-	min, err := echo.NewClient(st).MinRTT(5)
+	probes, err := echo.NewClient(st).ProbeN(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	min := slices.Min(probes)
 	got := n.VirtualMs(min)
 	want := 0.05 + 40 + 60 + 50 + 0.05 + 0.05 // the RTT sum along the circuit
 	// Scheduling overhead only adds; allow a generous window.
@@ -207,10 +209,11 @@ func TestEchoLatencyFromExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	min, err := echo.NewClient(st).MinRTT(3)
+	probes, err := echo.NewClient(st).ProbeN(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	min := slices.Min(probes)
 	got := n.VirtualMs(min)
 	want := 30.0 + 30.0 // w→x→(echo at host) and back
 	if math.Abs(got-want) > 15 {
@@ -256,10 +259,11 @@ func TestTCPTransportEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	min, err := echo.NewClient(st).MinRTT(3)
+	probes, err := echo.NewClient(st).ProbeN(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	min := slices.Min(probes)
 	got := n.VirtualMs(min)
 	// Over TCP the circuit (w, x) still pays host↔x twice per round trip.
 	if got < 38 || got > 70 {
