@@ -292,7 +292,8 @@ func BenchmarkCellMarshal(b *testing.B) {
 
 func BenchmarkCellUnmarshal(b *testing.B) {
 	c := cell.Cell{Circ: 42, Cmd: cell.Relay}
-	buf := c.Marshal()
+	buf := make([]byte, cell.Size)
+	c.MarshalInto(buf)
 	b.SetBytes(cell.Size)
 	b.ResetTimer()
 	// UnmarshalInto is the receive-loop decode path: every link Recv

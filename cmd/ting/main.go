@@ -23,26 +23,19 @@ import (
 	"time"
 
 	"ting/internal/cliflags"
-	"ting/internal/control"
 	"ting/internal/directory"
 	"ting/internal/telemetry"
 	"ting/internal/ting"
-	"ting/internal/tornet"
 )
 
 var (
-	controlAddr = flag.String("control", "127.0.0.1:9051", "control port of the onion proxy")
-	dataAddr    = flag.String("data", "127.0.0.1:9052", "data port of the onion proxy")
-	password    = flag.String("password", "", "control-port password")
-	wFlag       = flag.String("w", tornet.WName, "nickname of local relay w")
-	zFlag       = flag.String("z", tornet.ZName, "nickname of local relay z")
-	target      = flag.String("target", tornet.EchoTarget, "echo destination name")
-	samples     = flag.Int("samples", 50, "samples per circuit")
-	scaleFlag   = flag.Float64("scale", 1.0, "the network's time scale, to convert wall-clock to virtual ms")
-	pairFlag    = flag.String("pair", "", "comma-separated relay pair to measure")
-	allFlag     = flag.Bool("all", false, "measure all pairs from the consensus")
-	budgetFlag  = flag.Int("budget", 0, "with -all: measure at most this many pairs and complete the rest from a Vivaldi coordinate embedding (active learning picks the pairs; completed cells carry provenance 'predicted' plus a confidence)")
-	outFlag     = flag.String("out", "", "write the all-pairs matrix to this file")
+	ctl cliflags.Control // -control -data -password -w -z -target -scale
+
+	samples    = flag.Int("samples", 50, "samples per circuit")
+	pairFlag   = flag.String("pair", "", "comma-separated relay pair to measure")
+	allFlag    = flag.Bool("all", false, "measure all pairs from the consensus")
+	budgetFlag = flag.Int("budget", 0, "with -all: measure at most this many pairs and complete the rest from a Vivaldi coordinate embedding (active learning picks the pairs; completed cells carry provenance 'predicted' plus a confidence)")
+	outFlag    = flag.String("out", "", "write the all-pairs matrix to this file")
 
 	retryFlag    = flag.Int("retry", 2, "all-pairs: extra attempts per failed pair")
 	backoffFlag  = flag.Duration("backoff", time.Second, "all-pairs: base retry backoff (doubled per attempt, jittered)")
@@ -69,22 +62,33 @@ var (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ting: ")
+	ctl.Register(flag.CommandLine, "127.0.0.1:9051", "control port of the onion proxy", "")
 	flag.Parse()
 
 	if *planFlag {
+		// Priced as the scan would run: with -half-cache (its default) an
+		// all-pairs campaign samples pairs + relays series, not 3·pairs.
+		// With only -pairs the relay count is unknown, and the literal
+		// procedure's price stands as the upper bound.
+		memoized := *halfCache && *planRelays > 0
 		plan, err := ting.PlanCampaign(ting.CampaignConfig{
 			Relays:   *planRelays,
 			Pairs:    *planPairs,
 			Samples:  *samples,
 			MeanRTT:  *planRTT,
 			Parallel: *planParallel,
+			Memoized: memoized,
 			Budget:   *budgetFlag,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("campaign: %d pairs, %v per pair, %v total at parallelism %d\n",
-			plan.Pairs, plan.PerPair.Round(time.Second), plan.Total.Round(time.Minute), *planParallel)
+		series := "three series a pair"
+		if memoized {
+			series = "half circuits memoized: pairs + relays series"
+		}
+		fmt.Printf("campaign: %d pairs, %v per pair, %v total at parallelism %d (%s)\n",
+			plan.Pairs, plan.PerPair.Round(time.Second), plan.Total.Round(time.Minute), *planParallel, series)
 		fmt.Println("anchors (§4.4): ~2.5 min/pair at 200 samples; <15 s at the 5 percent error point (~15 samples)")
 		return
 	}
@@ -93,14 +97,11 @@ func main() {
 		log.Fatal("-resume needs -checkpoint pointing at the interrupted campaign's log")
 	}
 
-	conn, err := control.Dial(*controlAddr)
+	conn, err := ctl.Dial()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Authenticate(*password); err != nil {
-		log.Fatal(err)
-	}
 
 	// Telemetry is off (nil registry, no-op metrics) unless -debug-addr
 	// asks for the debug surface.
@@ -111,22 +112,7 @@ func main() {
 	defer shutdownTelemetry()
 	obs := ting.NewTelemetryObserver(reg)
 
-	newMeasurer := func() (*ting.Measurer, error) {
-		return ting.NewMeasurer(ting.Config{
-			Prober: &ting.ControlProber{
-				Conn:     conn,
-				DataAddr: *dataAddr,
-				Target:   *target,
-				ToMs: func(d time.Duration) float64 {
-					return float64(d) / float64(time.Millisecond) / *scaleFlag
-				},
-			},
-			W:        *wFlag,
-			Z:        *zFlag,
-			Samples:  *samples,
-			Observer: obs,
-		})
-	}
+	newMeasurer := func() (*ting.Measurer, error) { return ctl.NewMeasurer(conn, *samples, obs) }
 
 	switch {
 	case *pairFlag != "":

@@ -31,12 +31,10 @@ import (
 	"time"
 
 	"ting/internal/cliflags"
-	"ting/internal/control"
 	"ting/internal/directory"
 	"ting/internal/experiments"
 	"ting/internal/serve"
 	"ting/internal/ting"
-	"ting/internal/tornet"
 )
 
 var (
@@ -47,13 +45,7 @@ var (
 	modelFlag = flag.Int("model", 0, "serve a synthetic n-relay Internet measured with model-direct probers (self-contained mode)")
 	seedFlag  = flag.Int64("seed", 42, "model: topology seed")
 
-	controlAddr = flag.String("control", "", "control port of an onion proxy to measure through (deployment mode)")
-	dataAddr    = flag.String("data", "127.0.0.1:9052", "control mode: data port of the onion proxy")
-	password    = flag.String("password", "", "control mode: control-port password")
-	wFlag       = flag.String("w", tornet.WName, "control mode: nickname of local relay w")
-	zFlag       = flag.String("z", tornet.ZName, "control mode: nickname of local relay z")
-	target      = flag.String("target", tornet.EchoTarget, "control mode: echo destination name")
-	scaleFlag   = flag.Float64("scale", 1.0, "control mode: the network's time scale, to convert wall-clock to virtual ms")
+	ctl cliflags.Control // -control -data -password -w -z -target -scale
 
 	matrixFlag = flag.String("matrix", "", "serve a finished campaign's matrix file statically (no sweeps)")
 
@@ -71,6 +63,7 @@ var (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tingd: ")
+	ctl.Register(flag.CommandLine, "", "control port of an onion proxy to measure through (deployment mode)", "control mode: ")
 	flag.Parse()
 
 	reg, debugBound, shutdownTelemetry, err := cliflags.BootTelemetry(*debugAddr)
@@ -78,6 +71,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer shutdownTelemetry()
+
+	obs := ting.NewTelemetryObserver(reg)
+	// Sweeps select against a relay scoreboard, as the chaos soak's do: a
+	// relay that keeps failing is quarantined and stepped over instead of
+	// costing every sweep its pairs' timeouts.
+	health := ting.NewHealth(ting.HealthConfig{Observer: obs})
 
 	pub := serve.NewPublisher(reg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -128,22 +127,20 @@ func main() {
 			MaxAge:        *maxAge,
 			PairsPerSweep: *pairsPerSweep,
 			Workers:       *workers,
-			Observer:      ting.NewTelemetryObserver(reg),
+			Health:        health,
+			Observer:      obs,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("sweeping a synthetic %d-relay Internet (seed %d)\n", *modelFlag, *seedFlag)
 
-	case *controlAddr != "":
-		conn, err := control.Dial(*controlAddr)
+	case ctl.Addr != "":
+		conn, err := ctl.Dial()
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer conn.Close()
-		if err := conn.Authenticate(*password); err != nil {
-			log.Fatal(err)
-		}
 		var dir *directory.Registry
 		if *dirFlag != "" {
 			dir, err = directory.Fetch(*dirFlag)
@@ -159,31 +156,19 @@ func main() {
 		}
 		mon, err = ting.NewMonitor(ting.MonitorConfig{
 			NewMeasurer: func(worker int) (*ting.Measurer, error) {
-				return ting.NewMeasurer(ting.Config{
-					Prober: &ting.ControlProber{
-						Conn:     conn,
-						DataAddr: *dataAddr,
-						Target:   *target,
-						ToMs: func(d time.Duration) float64 {
-							return float64(d) / float64(time.Millisecond) / *scaleFlag
-						},
-					},
-					W:        *wFlag,
-					Z:        *zFlag,
-					Samples:  *samples,
-					Observer: ting.NewTelemetryObserver(reg),
-				})
+				return ctl.NewMeasurer(conn, *samples, obs)
 			},
 			Names:         names,
 			MaxAge:        *maxAge,
 			PairsPerSweep: *pairsPerSweep,
 			// One control connection serializes circuit work.
 			Workers: 1,
+			Health:  health,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("sweeping %d relays through %s\n", len(names), *controlAddr)
+		fmt.Printf("sweeping %d relays through %s\n", len(names), ctl.Addr)
 
 	default:
 		log.Fatal("need a measurement source: -model n, -control addr, or -matrix file")

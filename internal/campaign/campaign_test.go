@@ -152,7 +152,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 
 	// Grant to w1.
 	l1, res, err := c.Acquire("w1")
@@ -229,7 +229,7 @@ func TestLeaseResurrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 	l, res, err := c.Acquire("w1")
 	if err != nil || res != AcquireGranted {
 		t.Fatal(res, err)
@@ -253,7 +253,7 @@ func TestCompleteDemandsFullCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 	l, _, _ := c.Acquire("w1")
 	full := fullResults(t, l.Shard, names)
 
@@ -291,7 +291,7 @@ func TestMergedMatchesSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 	if _, err := c.Merged(); err == nil {
 		t.Fatal("Merged before done succeeded")
 	}

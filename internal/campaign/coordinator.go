@@ -67,11 +67,10 @@ type shardState struct {
 // them on heartbeat, expires the silent, re-grants their shards at a
 // higher fencing epoch, and accepts exactly one submission per shard.
 // All methods are safe for concurrent use; expiry is evaluated lazily on
-// every call against Now, so no background ticker is needed and tests can
-// drive the clock by hand.
+// every call against the clock, so no background ticker is needed and this
+// package's tests can drive the clock by hand.
 type Coordinator struct {
-	// Now supplies the clock; nil means time.Now. Tests inject a fake.
-	Now func() time.Time
+	clock func() time.Time // nil means time.Now
 	// TTL is how long a lease lives without a heartbeat.
 	TTL time.Duration
 
@@ -152,7 +151,7 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	if err := appendJournal(j, journalHeader(c.names, shards, ttl, 0), true); err != nil {
+	if err := appendJournal(j, journalHeader(c.names, shards, ttl, 0)); err != nil {
 		j.Close()
 		return nil, err
 	}
@@ -246,8 +245,8 @@ func (c *Coordinator) CompactJournal() error {
 }
 
 func (c *Coordinator) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
+	if c.clock != nil {
+		return c.clock()
 	}
 	return time.Now()
 }
@@ -306,7 +305,7 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 				Epoch:    epoch,
 				Deadline: deadline.UnixNano(),
 			}
-			if err := appendJournal(c.journal, rec, true); err != nil {
+			if err := appendJournal(c.journal, rec); err != nil {
 				return Lease{}, AcquireNone, err
 			}
 			c.jAppended.Inc()
@@ -394,22 +393,10 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
 		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, Results: results}
-		if err := appendJournal(c.journal, rec, true); err != nil {
+		if err := appendJournal(c.journal, rec); err != nil {
 			return err
 		}
 		c.jAppended.Inc()
-		// Lost-pair records are informational (the complete record already
-		// carries the Failed flags), so they ride the fsync batch.
-		for _, r := range results {
-			if !r.Failed {
-				continue
-			}
-			lost := journalRecord{Kind: journalLost, Shard: shardID, Worker: worker, Epoch: epoch, X: r.X, Y: r.Y}
-			if err := appendJournal(c.journal, lost, false); err != nil {
-				return err
-			}
-			c.jAppended.Inc()
-		}
 	}
 	st.phase = shardDone
 	st.worker = worker

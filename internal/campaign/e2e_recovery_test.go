@@ -10,7 +10,6 @@ import (
 
 	"ting/internal/directory"
 	"ting/internal/experiments"
-	"ting/internal/stats"
 	"ting/internal/ting"
 )
 
@@ -71,7 +70,6 @@ func TestCampaignSurvivesCoordinatorCrash(t *testing.T) {
 			Name: name, Addr: addr,
 			Scanner: sc,
 			Poll:    20 * time.Millisecond,
-			Backoff: stats.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond, Factor: 2, Jitter: 0.5},
 			// Far beyond the restart gap: the outage must be invisible.
 			UnreachableGrace: 30 * time.Second,
 		}

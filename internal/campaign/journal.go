@@ -17,12 +17,11 @@ import (
 // winning submission's results) per finished shard. Grants and completes
 // reach disk before the state change they describe is acknowledged, so a
 // coordinator rebuilt from the journal can never contradict anything a
-// worker was told. Informational lost-pair records ride along fsync-batched.
+// worker was told.
 const (
 	journalCampaign = "campaign"
 	journalGrant    = "grant"
 	journalComplete = "complete"
-	journalLost     = "lost"
 )
 
 // journalShard is a shard's pure geometry as journaled; the ID is
@@ -55,16 +54,7 @@ type journalRecord struct {
 	// Grant (compacted snapshots only): re-grants folded away by
 	// compaction, so Status.Reassigned survives a recovery.
 	Regrants int `json:"regrants,omitempty"`
-	// Lost: one pair the winning submission marked failed.
-	X string `json:"x,omitempty"`
-	Y string `json:"y,omitempty"`
 }
-
-// journalSyncEvery is the fsync batch size for informational (lost-pair)
-// records; state-machine records (grants, completes) sync before the
-// append returns — the WAL contract: nothing is acknowledged to a worker
-// that a recovered coordinator would not know.
-const journalSyncEvery = 8
 
 // encodeJournalRecord is one record's journal line, newline excluded.
 func encodeJournalRecord(rec journalRecord) ([]byte, error) {
@@ -75,17 +65,15 @@ func encodeJournalRecord(rec journalRecord) ([]byte, error) {
 	return b, nil
 }
 
-// appendJournal writes one record; sync forces it to disk before returning.
-func appendJournal(log *wal.Log, rec journalRecord, sync bool) error {
+// appendJournal writes one record and forces it to disk before returning —
+// the WAL contract: nothing is acknowledged to a worker that a recovered
+// coordinator would not know.
+func appendJournal(log *wal.Log, rec journalRecord) error {
 	b, err := encodeJournalRecord(rec)
 	if err != nil {
 		return err
 	}
-	every := journalSyncEvery
-	if sync {
-		every = 1
-	}
-	if err := log.Append(b, every); err != nil {
+	if err := log.Append(b, 1); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil
@@ -147,10 +135,6 @@ func decodeJournalRecord(raw []byte) (journalRecord, error) {
 				return journalRecord{}, fmt.Errorf("campaign: journal result pair (%q,%q)", r.X, r.Y)
 			}
 		}
-	case journalLost:
-		if rec.Shard == "" || rec.X == "" || rec.Y == "" {
-			return journalRecord{}, errors.New("campaign: journal lost record incomplete")
-		}
 	}
 	return rec, nil
 }
@@ -205,8 +189,9 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 		case journalGrant, journalComplete:
 			// Applied to their shard, below.
 		default:
-			// Lost records are informational (the complete record's results
-			// carry the failed pairs); unknown kinds are a newer writer's.
+			// Another writer's kind: a newer one's, or the "lost" lines
+			// journals carried until the complete record's Failed flags
+			// made them redundant.
 			return nil
 		}
 		if c == nil {

@@ -25,7 +25,7 @@ func newJournaled(t *testing.T, names []string, shards []Shard, path string, clo
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 	return c
 }
 
@@ -37,7 +37,7 @@ func recoverJournaled(t *testing.T, path string, clock *fakeClock) *Coordinator 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Now = clock.now
+	c.clock = clock.now
 	return c
 }
 
@@ -364,7 +364,7 @@ func TestRecoverRejectsOverlappingShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := []Shard{NewShard(0, 0, 0, 4), NewShard(0, 0, 2, 6)}
-	if err := appendJournal(j, journalHeader(fakeNames(4), shards, time.Second, 0), true); err != nil {
+	if err := appendJournal(j, journalHeader(fakeNames(4), shards, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

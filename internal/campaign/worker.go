@@ -39,14 +39,12 @@ type Worker struct {
 	Checkpoint ting.Checkpoint
 	// HeartbeatEvery is the lease renewal cadence; default TTL/3.
 	HeartbeatEvery time.Duration
-	// Poll is how long to wait when every shard is leased out; default 200ms.
+	// Poll is how long to wait when every shard is leased out; default
+	// 200ms. It is also the first reconnection delay when the coordinator
+	// is unreachable (transport failures on names/acquire/complete); those
+	// double up to 5s, jittered by half so a fleet that lost its
+	// coordinator does not re-find it in lockstep.
 	Poll time.Duration
-	// Backoff shapes the reconnection delays when the coordinator is
-	// unreachable (transport failures on names/acquire/complete). The zero
-	// value defaults to {Base: Poll, Max: 5s, Factor: 2, Jitter: 0.5} —
-	// jittered so a fleet that lost its coordinator does not re-find it in
-	// lockstep.
-	Backoff stats.Backoff
 	// UnreachableGrace is how long the coordinator may stay unreachable
 	// (consecutive transport failures) before Run gives up; default
 	// DefaultUnreachableGrace. A coordinator restart well inside this
@@ -113,10 +111,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	backoff := w.Backoff
-	if backoff.Base <= 0 {
-		backoff = stats.Backoff{Base: poll, Max: 5 * time.Second, Factor: 2, Jitter: 0.5}
-	}
 	grace := w.UnreachableGrace
 	if grace <= 0 {
 		grace = DefaultUnreachableGrace
@@ -124,7 +118,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	h := fnv.New64a()
 	h.Write([]byte(w.Name))
 	rec := &reconnector{
-		backoff: backoff,
+		backoff: stats.Backoff{Base: poll, Max: 5 * time.Second, Factor: 2, Jitter: 0.5},
 		grace:   grace,
 		// Seeded per worker name: the fleet's retry schedules decorrelate,
 		// and a given worker's schedule reproduces in tests.
@@ -241,8 +235,10 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 		}
 	}
 
-	// Pairs already in the log (a previous life of this worker, or an
-	// earlier lease sharing an endpoint row) are replayed, not re-measured.
+	// Shards are disjoint, so a pair is already in the log only when this
+	// shard was granted to this worker before: a previous life cut short by
+	// a crash, or a lease it lost to a fence after measuring part of it.
+	// Those pairs are replayed, not re-measured.
 	need := make([][2]string, 0, len(pairs))
 	for _, p := range pairs {
 		if _, ok := measured[normPair(p)]; !ok {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ting/internal/stats"
 	"ting/internal/ting"
 )
 
@@ -54,7 +53,7 @@ func TestWorkerGivesUpAfterUnreachableGrace(t *testing.T) {
 		Name:             "lonely",
 		Addr:             deadAddr(t),
 		Scanner:          &ting.Scanner{NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") }},
-		Backoff:          stats.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.2},
+		Poll:             5 * time.Millisecond,
 		UnreachableGrace: 250 * time.Millisecond,
 	}
 	start := time.Now()
@@ -77,7 +76,7 @@ func TestWorkerRunHonorsContext(t *testing.T) {
 		Name:             "cancelled",
 		Addr:             deadAddr(t),
 		Scanner:          &ting.Scanner{NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") }},
-		Backoff:          stats.Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2},
+		Poll:             10 * time.Millisecond,
 		UnreachableGrace: time.Hour,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

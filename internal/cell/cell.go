@@ -91,13 +91,6 @@ var (
 	ErrDataTooLong = errors.New("cell: relay data exceeds capacity")
 )
 
-// Marshal encodes the cell into a fresh Size-byte slice.
-func (c *Cell) Marshal() []byte {
-	buf := make([]byte, Size)
-	c.MarshalInto(buf)
-	return buf
-}
-
 // MarshalInto encodes the cell into buf, which must be at least Size bytes.
 // It returns the number of bytes written.
 func (c *Cell) MarshalInto(buf []byte) int {
@@ -108,17 +101,10 @@ func (c *Cell) MarshalInto(buf []byte) int {
 	return Size
 }
 
-// Unmarshal decodes a cell from buf, which must hold at least Size bytes.
-func Unmarshal(buf []byte) (Cell, error) {
-	var c Cell
-	err := UnmarshalInto(&c, buf)
-	return c, err
-}
-
-// UnmarshalInto decodes a cell from buf into c, overwriting it in place.
-// Receive loops that reuse one Cell per connection avoid copying the
-// 512-byte value through every return; this is the decode counterpart of
-// MarshalInto.
+// UnmarshalInto decodes a cell from buf, which must hold at least Size
+// bytes, into c, overwriting it in place. Receive loops that reuse one Cell
+// per connection avoid copying the 512-byte value through every return;
+// this is the decode counterpart of MarshalInto.
 func UnmarshalInto(c *Cell, buf []byte) error {
 	if len(buf) < Size {
 		return fmt.Errorf("%w: %d bytes", ErrShortCell, len(buf))

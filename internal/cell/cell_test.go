@@ -24,12 +24,12 @@ func TestCellRoundTrip(t *testing.T) {
 	for i := range c.Payload {
 		c.Payload[i] = byte(i * 7)
 	}
-	buf := c.Marshal()
-	if len(buf) != Size {
-		t.Fatalf("marshal length %d", len(buf))
+	buf := make([]byte, Size)
+	if n := c.MarshalInto(buf); n != Size {
+		t.Fatalf("marshal length %d", n)
 	}
-	got, err := Unmarshal(buf)
-	if err != nil {
+	var got Cell
+	if err := UnmarshalInto(&got, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got.Circ != c.Circ || got.Cmd != c.Cmd || got.Payload != c.Payload {
@@ -41,22 +41,13 @@ func TestCellRoundTripProperty(t *testing.T) {
 	f := func(circ uint32, cmdRaw byte, seed []byte) bool {
 		c := Cell{Circ: CircID(circ), Cmd: Command(cmdRaw % 5)}
 		copy(c.Payload[:], seed)
-		got, err := Unmarshal(c.Marshal())
-		return err == nil && got == c
+		var buf [Size]byte
+		c.MarshalInto(buf[:])
+		var got Cell
+		return UnmarshalInto(&got, buf[:]) == nil && got == c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, Size-1)); err == nil {
-		t.Error("want error for short buffer")
-	}
-	buf := make([]byte, Size)
-	buf[4] = 99 // unknown command
-	if _, err := Unmarshal(buf); err == nil {
-		t.Error("want error for unknown command")
 	}
 }
 
@@ -66,8 +57,9 @@ func TestMarshalInto(t *testing.T) {
 	if n := c.MarshalInto(buf); n != Size {
 		t.Fatalf("MarshalInto returned %d", n)
 	}
-	if !bytes.Equal(buf, c.Marshal()) {
-		t.Error("MarshalInto differs from Marshal")
+	want := append([]byte{0, 0, 0, 7, byte(Create)}, make([]byte, PayloadLen)...)
+	if !bytes.Equal(buf, want) {
+		t.Errorf("MarshalInto wrote % x…, want circuit 7, command, zero payload", buf[:HeaderLen+2])
 	}
 }
 
@@ -320,7 +312,8 @@ func TestUnmarshalInto(t *testing.T) {
 	for i := range c.Payload {
 		c.Payload[i] = byte(i * 3)
 	}
-	buf := c.Marshal()
+	buf := make([]byte, Size)
+	c.MarshalInto(buf)
 
 	// The destination may hold stale state from a previous receive; every
 	// byte must be overwritten.
@@ -333,15 +326,6 @@ func TestUnmarshalInto(t *testing.T) {
 	}
 	if dst != c {
 		t.Error("UnmarshalInto result differs from source cell")
-	}
-
-	// And it must agree with the by-value decoder.
-	byValue, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst != byValue {
-		t.Error("UnmarshalInto and Unmarshal disagree")
 	}
 }
 

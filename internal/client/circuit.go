@@ -58,24 +58,10 @@ func newCircuit(c *Client, lk link.Link, id cell.CircID, path []*directory.Descr
 	return circ
 }
 
-// Path returns the circuit's relay path.
-func (circ *Circuit) Path() []*directory.Descriptor {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
-	return append([]*directory.Descriptor(nil), circ.path...)
-}
-
 func (circ *Circuit) pathSnapshot() []*directory.Descriptor {
 	circ.mu.Lock()
 	defer circ.mu.Unlock()
 	return circ.path
-}
-
-// Len returns the number of hops.
-func (circ *Circuit) Len() int {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
-	return len(circ.path)
 }
 
 // Extend adds one more hop to an established circuit, performing the
@@ -316,8 +302,7 @@ func (circ *Circuit) readLoop() {
 			return
 		}
 		if c.Circ != circ.id {
-			circ.c.cfg.Logf("client: cell for unknown circ %d", c.Circ)
-			continue
+			continue // not this link's one circuit
 		}
 		switch c.Cmd {
 		case cell.Created:
@@ -330,43 +315,38 @@ func (circ *Circuit) readLoop() {
 		case cell.Destroy:
 			circ.fail(errors.New("client: circuit destroyed by relay"))
 			return
-		case cell.Padding:
 		default:
-			circ.c.cfg.Logf("client: unexpected %s", c.Cmd)
+			// Padding, and anything a relay has no business sending a
+			// client (CREATE): ignored.
 		}
 	}
 }
 
 func (circ *Circuit) handleRelay(c *cell.Cell) {
 	circ.cryptoMu.Lock()
-	hop, err := circ.crypto.DecryptBackward(&c.Payload)
+	_, err := circ.crypto.DecryptBackward(&c.Payload)
 	circ.cryptoMu.Unlock()
 	if err != nil {
-		circ.c.cfg.Logf("client: %v", err)
-		circ.fail(errors.New("client: undecryptable relay cell"))
+		circ.fail(fmt.Errorf("client: undecryptable relay cell: %w", err))
 		return
 	}
 	rc, err := cell.UnmarshalPayload(&c.Payload)
 	if err != nil {
-		circ.c.cfg.Logf("client: bad relay cell from hop %d: %v", hop, err)
 		return
 	}
 	if rc.Stream == 0 {
 		select {
 		case circ.ctrl <- rc:
-		default:
-			circ.c.cfg.Logf("client: dropping control cell %s", rc.Cmd)
+		default: // nobody is waiting for a control cell: dropped
 		}
 		return
 	}
 	circ.mu.Lock()
 	st := circ.streams[rc.Stream]
 	circ.mu.Unlock()
-	if st == nil {
-		circ.c.cfg.Logf("client: cell for unknown stream %d", rc.Stream)
-		return
+	if st != nil { // else a stream already closed here
+		st.deliver(rc)
 	}
-	st.deliver(rc)
 }
 
 // OpenStream asks the last hop to connect to target and returns the

@@ -45,8 +45,6 @@ type Config struct {
 	// Timeout bounds every protocol wait (circuit build steps, stream
 	// opens). Default 15s.
 	Timeout time.Duration
-	// Logf, if non-nil, receives debug logs.
-	Logf func(format string, args ...any)
 	// Telemetry, if non-nil, receives proxy counters (client.handshakes,
 	// client.circuits_built, ...). Nil disables instrumentation.
 	Telemetry *telemetry.Registry
@@ -83,9 +81,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	c := &Client{cfg: cfg}
 	c.rng.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))

@@ -16,6 +16,7 @@ import (
 	"ting/internal/link"
 	"ting/internal/onion"
 	"ting/internal/relay"
+	"ting/internal/telemetry"
 )
 
 // testNet is a miniature mintor overlay on a PipeNet: n relays (all
@@ -113,8 +114,8 @@ func TestTwoHopCircuitEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer circ.Close()
-	if circ.Len() != 2 {
-		t.Errorf("Len = %d", circ.Len())
+	if len(circ.pathSnapshot()) != 2 {
+		t.Errorf("Len = %d", len(circ.pathSnapshot()))
 	}
 	st, err := circ.OpenStream("echo")
 	if err != nil {
@@ -445,18 +446,41 @@ func TestRelayStats(t *testing.T) {
 	}
 }
 
-func TestPathReturnsCopy(t *testing.T) {
-	tn := buildTestNet(t, 2)
+// TestRelayedCellsCounterMatchesStats: the shared relay.cells_relayed
+// counter is the sum of what each relay's Stats reports, so it counts the
+// backward direction too. The two reads bracket no traffic: every probe's
+// echo has crossed the entry relay backward before Probe returns.
+func TestRelayedCellsCounterMatchesStats(t *testing.T) {
+	reg := telemetry.New()
+	tn := buildTestNet(t, 2, func(_ int, cfg *relay.Config) { cfg.Telemetry = reg })
 	c := newTestClient(t, tn)
 	circ, err := c.BuildCircuit(tn.descs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer circ.Close()
-	p := circ.Path()
-	p[0] = nil
-	if circ.Path()[0] == nil {
-		t.Error("Path returned aliased slice")
+	st, err := circ.OpenStream("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const probes = 5
+	if _, err := echo.NewClient(st).ProbeN(probes); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	for _, r := range tn.relays {
+		_, cells, _ := r.Stats()
+		sum += cells
+	}
+	// The entry relay passes BEGIN and each probe forward, CONNECTED and
+	// each echo backward (EXTEND and EXTENDED are its own); the exit relays
+	// nothing.
+	if want := 2 * (1 + probes); sum != want {
+		t.Errorf("relays report %d relayed cells, want %d", sum, want)
+	}
+	if got := reg.Counter("relay.cells_relayed").Value(); got != int64(sum) {
+		t.Errorf("relay.cells_relayed = %d, relays' Stats sum to %d", got, sum)
 	}
 }
 

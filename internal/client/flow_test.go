@@ -339,8 +339,8 @@ func TestWindowOverrunEndsStreamNotCircuit(t *testing.T) {
 	}
 	select {
 	case sid := <-ends:
-		if sid != a.ID() {
-			t.Errorf("exit was sent END for stream %d, want %d", sid, a.ID())
+		if sid != cell.StreamID(a.id) {
+			t.Errorf("exit was sent END for stream %d, want %d", sid, cell.StreamID(a.id))
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("exit was never told the stream ended")
@@ -525,10 +525,10 @@ func TestBuildAutoCircuit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if circ.Len() != 3 {
-			t.Errorf("auto circuit has %d hops", circ.Len())
+		if len(circ.pathSnapshot()) != 3 {
+			t.Errorf("auto circuit has %d hops", len(circ.pathSnapshot()))
 		}
-		if !circ.Path()[2].Exit {
+		if !circ.pathSnapshot()[2].Exit {
 			t.Error("auto circuit exit not exit-capable")
 		}
 		st, err := circ.OpenStream("echo")

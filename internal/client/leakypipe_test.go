@@ -48,8 +48,8 @@ func TestExtendEstablishedCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer circ.Close()
-	if circ.Len() != 2 {
-		t.Fatalf("built %d hops", circ.Len())
+	if len(circ.pathSnapshot()) != 2 {
+		t.Fatalf("built %d hops", len(circ.pathSnapshot()))
 	}
 
 	// A stream opened before extension…
@@ -66,8 +66,8 @@ func TestExtendEstablishedCircuit(t *testing.T) {
 	if err := circ.Extend(tn.descs[3]); err != nil {
 		t.Fatal(err)
 	}
-	if circ.Len() != 4 {
-		t.Fatalf("after extension: %d hops", circ.Len())
+	if len(circ.pathSnapshot()) != 4 {
+		t.Fatalf("after extension: %d hops", len(circ.pathSnapshot()))
 	}
 	if _, err := echo.NewClient(early).Probe(); err != nil {
 		t.Fatalf("pre-extension stream broken: %v", err)

@@ -44,9 +44,6 @@ func newStream(circ *Circuit, id cell.StreamID, hop int) *Stream {
 	return s
 }
 
-// ID returns the stream's circuit-local identifier.
-func (s *Stream) ID() cell.StreamID { return cell.StreamID(s.id) }
-
 // deliver handles an inbound relay cell for this stream. It is called from
 // the circuit's read loop and so must not wait on the application.
 func (s *Stream) deliver(rc cell.RelayCell) {
@@ -68,8 +65,6 @@ func (s *Stream) deliver(rc cell.RelayCell) {
 		s.flow.Refill()
 	case cell.RelayEnd:
 		s.end(false, string(rc.Data))
-	default:
-		s.circ.c.cfg.Logf("client: stream %d: unexpected %s", s.id, rc.Cmd)
 	}
 }
 

@@ -47,8 +47,8 @@ func TestTruncateThenExtendReshapesCircuit(t *testing.T) {
 	if err := circ.Truncate(2); err != nil {
 		t.Fatal(err)
 	}
-	if circ.Len() != 2 || circ.Path()[1] != tn.descs[1] {
-		t.Fatalf("after Truncate(2): %d hops", circ.Len())
+	if len(circ.pathSnapshot()) != 2 || circ.pathSnapshot()[1] != tn.descs[1] {
+		t.Fatalf("after Truncate(2): %d hops", len(circ.pathSnapshot()))
 	}
 	// The stream beyond the cut is closed; the one at a kept hop flows on.
 	if _, err := dropped.Read(make([]byte, 8)); err != io.EOF {
@@ -128,8 +128,8 @@ func TestTruncateRangeAndNoOp(t *testing.T) {
 	if got := reg.Counter("client.truncates").Value(); got != 0 {
 		t.Errorf("no-op Truncate counted %d truncates", got)
 	}
-	if circ.Len() != 3 {
-		t.Errorf("Len = %d after no-op Truncate", circ.Len())
+	if len(circ.pathSnapshot()) != 3 {
+		t.Errorf("Len = %d after no-op Truncate", len(circ.pathSnapshot()))
 	}
 }
 
@@ -193,8 +193,8 @@ func TestTruncateFailures(t *testing.T) {
 	if err := circ.Truncate(1); err == nil || !strings.Contains(err.Error(), "unexpected END") {
 		t.Errorf("Truncate answered by END = %v, want an unexpected-reply error", err)
 	}
-	if circ.Len() != 3 {
-		t.Errorf("failed Truncate changed the path to %d hops", circ.Len())
+	if len(circ.pathSnapshot()) != 3 {
+		t.Errorf("failed Truncate changed the path to %d hops", len(circ.pathSnapshot()))
 	}
 	circ.Close()
 

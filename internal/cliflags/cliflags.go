@@ -1,7 +1,8 @@
 // Package cliflags holds the flag plumbing shared by the ting commands
 // (cmd/ting, cmd/tingnet, cmd/tingd): the -debug-addr telemetry surface,
-// the -dir directory-server address, repeatable flags, and the
-// -crash/-flap/-churn fault-plan knobs. Each command used to grow its own
+// the -dir directory-server address, repeatable flags, the
+// -crash/-flap/-churn fault-plan knobs, and the control-port boot of ting
+// and tingd (control.go). Each command used to grow its own
 // copy; one package means one spelling, one usage string, and one parser
 // for each knob.
 package cliflags

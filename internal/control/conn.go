@@ -20,17 +20,13 @@ type Conn struct {
 	wmu  sync.Mutex
 
 	replies chan reply
-	// Events receives asynchronous "650 …" lines (after SETEVENTS). The
-	// channel is buffered; stale events are dropped rather than blocking
-	// the reader.
-	Events chan string
 
 	closeOnce sync.Once
 	closed    chan struct{}
-
-	// Timeout bounds each request/response exchange. Default 15s.
-	Timeout time.Duration
 }
+
+// replyTimeout bounds each request/response exchange.
+const replyTimeout = 15 * time.Second
 
 type reply struct {
 	code  int
@@ -52,9 +48,7 @@ func NewConn(conn net.Conn) *Conn {
 	c := &Conn{
 		conn:    conn,
 		replies: make(chan reply, 4),
-		Events:  make(chan string, 64),
 		closed:  make(chan struct{}),
-		Timeout: 15 * time.Second,
 	}
 	go c.readLoop()
 	return c
@@ -86,11 +80,6 @@ func (c *Conn) readLoop() {
 				continue
 			}
 			multi = append(multi, line)
-		case strings.HasPrefix(line, "650 "):
-			select {
-			case c.Events <- strings.TrimPrefix(line, "650 "):
-			default:
-			}
 		case strings.HasPrefix(line, "250+"):
 			inMulti = true
 			multi = nil
@@ -126,7 +115,7 @@ func (c *Conn) roundTrip(cmd string) (reply, error) {
 		return r, nil
 	case <-c.closed:
 		return reply{}, errors.New("control: connection closed")
-	case <-time.After(c.Timeout):
+	case <-time.After(replyTimeout):
 		return reply{}, fmt.Errorf("control: timeout awaiting reply to %q", cmd)
 	}
 }

@@ -136,14 +136,6 @@ func TestExtendAndCloseCircuit(t *testing.T) {
 	if id <= 0 {
 		t.Errorf("circuit id %d", id)
 	}
-	status, err := c.GetInfo("circuit-status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(status, "\n")
-	if !strings.Contains(joined, "r0,r1,r2") {
-		t.Errorf("circuit-status = %q", joined)
-	}
 	if err := c.CloseCircuit(id); err != nil {
 		t.Fatal(err)
 	}
@@ -242,37 +234,6 @@ func TestDataPortErrors(t *testing.T) {
 	}
 }
 
-func TestCircuitEvents(t *testing.T) {
-	env := newTestEnv(t, 2, "")
-	c := dialAuthed(t, env, "")
-	if _, err := c.expect250("SETEVENTS CIRC"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.ExtendCircuit([]string{"r0", "r1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-c.Events:
-		if !strings.Contains(ev, "BUILT") {
-			t.Errorf("event %q", ev)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("no BUILT event")
-	}
-	if err := c.CloseCircuit(id); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-c.Events:
-		if !strings.Contains(ev, "CLOSED") {
-			t.Errorf("event %q", ev)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("no CLOSED event")
-	}
-}
-
 func TestQuit(t *testing.T) {
 	env := newTestEnv(t, 2, "")
 	c := dialAuthed(t, env, "")
@@ -281,20 +242,30 @@ func TestQuit(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: a verb the server does not implement is refused by
+// name, SETEVENTS (retired: no client ever sent it) like any other, and the
+// session carries on.
 func TestUnknownCommand(t *testing.T) {
 	env := newTestEnv(t, 2, "")
-	conn, err := net.Dial("tcp", env.controlAddr)
-	if err != nil {
-		t.Fatal(err)
+	c := dialAuthed(t, env, "")
+	for _, tc := range []struct {
+		cmd  string
+		code int
+	}{
+		{"FROBNICATE", 510},
+		{"SETEVENTS CIRC", 510},
+		{"GETINFO circuit-status", 552},
+	} {
+		r, err := c.roundTrip(tc.cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.code != tc.code {
+			t.Errorf("%s answered %d %s, want %d", tc.cmd, r.code, r.text, tc.code)
+		}
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "AUTHENTICATE\r\nFROBNICATE\r\n")
-	buf := make([]byte, 256)
-	time.Sleep(100 * time.Millisecond)
-	n, _ := conn.Read(buf)
-	out := string(buf[:n])
-	if !strings.Contains(out, "250") {
-		t.Errorf("no auth OK in %q", out)
+	if _, err := c.ExtendCircuit([]string{"r0", "r1"}); err != nil {
+		t.Errorf("session unusable after refused commands: %v", err)
 	}
 }
 
@@ -315,14 +286,6 @@ func TestAutoCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, err := c.GetInfo("circuit-status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(status, "\n")
-	if !strings.Contains(joined, fmt.Sprintf("%d BUILT", id)) {
-		t.Errorf("auto circuit missing from status: %q", joined)
-	}
 	// Auto circuits carry streams like any other.
 	conn, err := DialStream(env.dataAddr, id, "echo")
 	if err != nil {
@@ -333,24 +296,13 @@ func TestAutoCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Explicit length.
-	id4, err := c.ExtendCircuit([]string{"auto/4"})
-	if err != nil {
+	// Explicit length: it reaches the proxy, which can use each of the five
+	// relays once.
+	if _, err := c.ExtendCircuit([]string{"auto/5"}); err != nil {
 		t.Fatal(err)
 	}
-	status, _ = c.GetInfo("circuit-status")
-	found := false
-	for _, line := range status {
-		if strings.HasPrefix(line, fmt.Sprintf("%d BUILT ", id4)) {
-			hops := strings.Split(strings.Fields(line)[2], ",")
-			if len(hops) != 4 {
-				t.Errorf("auto/4 built %d hops: %q", len(hops), line)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Error("auto/4 circuit not in status")
+	if _, err := c.ExtendCircuit([]string{"auto/6"}); err == nil {
+		t.Error("auto/6 built over five relays")
 	}
 
 	// Bad specs.

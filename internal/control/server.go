@@ -7,8 +7,6 @@
 //	EXTENDCIRCUIT 0 r1,r2,...      → 250 EXTENDED <circID>
 //	CLOSECIRCUIT <circID>          → 250 OK
 //	GETINFO ns/all                 → 250+ consensus … .
-//	GETINFO circuit-status         → 250+ one line per circuit … .
-//	SETEVENTS [CIRC]               → 250 OK, then async "650 CIRC …" lines
 //	QUIT                           → 250 closing
 //
 // Streams attach through a companion data port: the application connects
@@ -40,8 +38,6 @@ type ServerConfig struct {
 	Registry *directory.Registry
 	// Password, if nonempty, must be presented by AUTHENTICATE.
 	Password string
-	// Logf, if non-nil, receives debug logs.
-	Logf func(format string, args ...any)
 }
 
 // Server exposes an onion proxy over the control protocol.
@@ -62,9 +58,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Registry == nil {
 		return nil, errors.New("control: config missing Registry")
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	return &Server{cfg: cfg, nextCirc: 1, circuits: make(map[int]*client.Circuit)}, nil
 }
@@ -126,7 +119,6 @@ type session struct {
 	conn   net.Conn
 	wmu    sync.Mutex
 	authed bool
-	events bool
 }
 
 func (s *Server) handleControl(conn net.Conn) {
@@ -185,9 +177,6 @@ func (sess *session) dispatch(line string) (quit bool) {
 		sess.handleCloseCircuit(args)
 	case "GETINFO":
 		sess.handleGetInfo(args)
-	case "SETEVENTS":
-		sess.events = len(args) > 0 && strings.EqualFold(args[0], "CIRC")
-		sess.writeLine("250 OK")
 	default:
 		sess.writeLine(fmt.Sprintf("510 unrecognized command %q", cmd))
 	}
@@ -235,9 +224,6 @@ func (sess *session) handleExtendCircuit(args []string) {
 		}
 		id := sess.s.register(circ)
 		sess.writeLine(fmt.Sprintf("250 EXTENDED %d", id))
-		if sess.events {
-			sess.writeLine(fmt.Sprintf("650 CIRC %d BUILT", id))
-		}
 		return
 	}
 	names := strings.Split(args[1], ",")
@@ -257,9 +243,6 @@ func (sess *session) handleExtendCircuit(args []string) {
 	}
 	id := sess.s.register(circ)
 	sess.writeLine(fmt.Sprintf("250 EXTENDED %d", id))
-	if sess.events {
-		sess.writeLine(fmt.Sprintf("650 CIRC %d BUILT", id))
-	}
 }
 
 func (s *Server) register(circ *client.Circuit) int {
@@ -298,9 +281,6 @@ func (sess *session) handleCloseCircuit(args []string) {
 	}
 	circ.Close()
 	sess.writeLine("250 OK")
-	if sess.events {
-		sess.writeLine(fmt.Sprintf("650 CIRC %d CLOSED", id))
-	}
 }
 
 func (sess *session) handleGetInfo(args []string) {
@@ -317,19 +297,6 @@ func (sess *session) handleGetInfo(args []string) {
 		}
 		lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
 		sess.writeMulti("ns/all=", lines)
-	case "circuit-status":
-		s := sess.s
-		s.mu.Lock()
-		var lines []string
-		for id, circ := range s.circuits {
-			names := make([]string, 0, circ.Len())
-			for _, d := range circ.Path() {
-				names = append(names, d.Nickname)
-			}
-			lines = append(lines, fmt.Sprintf("%d BUILT %s", id, strings.Join(names, ",")))
-		}
-		s.mu.Unlock()
-		sess.writeMulti("circuit-status=", lines)
 	default:
 		sess.writeLine(fmt.Sprintf("552 unknown key %q", args[0]))
 	}

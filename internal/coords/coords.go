@@ -43,35 +43,11 @@ import (
 	"sync"
 )
 
-// Config parameterizes a Model. Zero values select the defaults documented
-// on each field.
+// Config parameterizes a Model.
 type Config struct {
-	// Dim is the Euclidean dimension of the embedding (heights live on an
-	// extra implicit axis). Default 5 — past ~5 dimensions the marginal
-	// accuracy gain on Internet latency spaces is negligible (Dabek et
-	// al. §5.4), and every dimension costs fit time.
-	Dim int
-	// CC is the timestep constant (δ = CC·w): how far a node moves toward
-	// satisfying one measurement. Default 0.25.
-	CC float64
-	// CE is the error-EWMA constant: how fast the local error estimate
-	// tracks new samples. Default 0.25.
-	CE float64
 	// Seed drives initial placement and fit-order shuffling. Equal seeds
 	// and equal observation sequences give bitwise-equal models.
 	Seed int64
-}
-
-func (c *Config) setDefaults() {
-	if c.Dim <= 0 {
-		c.Dim = 5
-	}
-	if c.CC <= 0 {
-		c.CC = 0.25
-	}
-	if c.CE <= 0 {
-		c.CE = 0.25
-	}
 }
 
 // Observation is one measured pair RTT, by node index.
@@ -81,8 +57,19 @@ type Observation struct {
 }
 
 const (
+	// dim is the Euclidean dimension of the embedding (heights live on an
+	// extra implicit axis): past ~5 dimensions the marginal accuracy gain
+	// on Internet latency spaces is negligible (Dabek et al. §5.4), and
+	// every dimension costs fit time.
+	dim = 5
+	// cc is the timestep constant (δ = cc·w): how far a node moves toward
+	// satisfying one measurement.
+	cc = 0.25
+	// ce is the error-EWMA constant: how fast the local error estimate
+	// tracks new samples.
+	ce = 0.25
 	// initError is a fresh node's relative error estimate: deliberately
-	// above 1 so Confidence clamps to 0 until the node has been observed.
+	// above 1 so the confidence clamps to 0 until the node has been observed.
 	initError = 1.5
 	// maxError caps the error estimate so one pathological sample cannot
 	// take a node's weight to the point of numeric trouble.
@@ -100,14 +87,11 @@ const (
 // Model is a fitted (or fitting) coordinate system over n nodes, indexed
 // 0..n−1 — the same indices as the Matrix the scanner is filling.
 //
-// All methods are safe for concurrent use: reads (Predict, Confidence,
-// NodeError) take a read lock, mutations (Observe, Fit) a write lock, so a
-// scanner can keep fitting while readers complete cells.
+// All methods are safe for concurrent use: reads (PredictWithConfidence,
+// MedianError) take a read lock, Fit a write lock, so a scanner can keep
+// fitting while readers complete cells.
 type Model struct {
 	mu sync.RWMutex
-
-	dim    int
-	cc, ce float64
 
 	pos    []float64 // n×dim, flat
 	height []float64 // n, ≥ 0
@@ -117,8 +101,8 @@ type Model struct {
 
 	rng *rand.Rand
 
-	// scratch for the spring update, reused so Observe never allocates.
-	dir []float64
+	// scratch for the spring update.
+	dir [dim]float64
 }
 
 // New creates an unfitted model over n nodes. Initial positions are tiny
@@ -129,18 +113,13 @@ func New(n int, cfg Config) (*Model, error) {
 	if n < 2 {
 		return nil, errors.New("coords: model needs at least two nodes")
 	}
-	cfg.setDefaults()
 	m := &Model{
-		dim:    cfg.Dim,
-		cc:     cfg.CC,
-		ce:     cfg.CE,
-		pos:    make([]float64, n*cfg.Dim),
+		pos:    make([]float64, n*dim),
 		height: make([]float64, n),
 		errEst: make([]float64, n),
 		scale:  make([]float64, n),
 		nobs:   make([]int, n),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		dir:    make([]float64, cfg.Dim),
 	}
 	for i := range m.pos {
 		m.pos[i] = m.rng.Float64() - 0.5
@@ -155,35 +134,21 @@ func New(n int, cfg Config) (*Model, error) {
 // N is the number of nodes.
 func (m *Model) N() int { return len(m.height) }
 
-// Dim is the Euclidean dimension of the embedding.
-func (m *Model) Dim() int { return m.dim }
-
 // rawDist is the height-vector distance without residual scales. Callers
 // hold at least a read lock.
 func (m *Model) rawDist(i, j int) float64 {
 	var sq float64
-	pi, pj := m.pos[i*m.dim:(i+1)*m.dim], m.pos[j*m.dim:(j+1)*m.dim]
-	for k := 0; k < m.dim; k++ {
+	pi, pj := m.pos[i*dim:(i+1)*dim], m.pos[j*dim:(j+1)*dim]
+	for k := 0; k < dim; k++ {
 		d := pi[k] - pj[k]
 		sq += d * d
 	}
 	return math.Sqrt(sq) + m.height[i] + m.height[j]
 }
 
-// Observe feeds one measured pair into the model and runs one symmetric
-// spring update: both endpoints move toward satisfying the measurement,
-// each weighted by its own confidence against the other's. It panics on
-// out-of-range indices like the slice accesses it is; non-positive and
-// non-finite RTTs are ignored (a failed measurement teaches nothing).
-func (m *Model) Observe(i, j int, rttMs float64) {
-	if i == j || rttMs <= 0 || math.IsNaN(rttMs) || math.IsInf(rttMs, 0) {
-		return
-	}
-	m.mu.Lock()
-	m.observeLocked(i, j, rttMs)
-	m.mu.Unlock()
-}
-
+// observeLocked feeds one measured pair into the model and runs one
+// symmetric spring update: both endpoints move toward satisfying the
+// measurement, each weighted by its own confidence against the other's.
 func (m *Model) observeLocked(i, j int, rttMs float64) {
 	// The springs fit the residual-corrected target: predictions are
 	// d·√(s_i·s_j), so the embedding itself should converge to
@@ -205,7 +170,7 @@ func (m *Model) springLocked(a, b int, target float64) {
 
 	// Update a's error estimate from the relative sample error.
 	es := math.Abs(d-target) / target
-	m.errEst[a] = es*m.ce*w + m.errEst[a]*(1-m.ce*w)
+	m.errEst[a] = es*ce*w + m.errEst[a]*(1-ce*w)
 	if m.errEst[a] > maxError {
 		m.errEst[a] = maxError
 	}
@@ -214,10 +179,10 @@ func (m *Model) springLocked(a, b int, target float64) {
 	// the height share the displacement in proportion to their share of
 	// the distance (Dabek et al. §5.4: the unit vector of a height
 	// vector has height (h_a+h_b)/‖·‖).
-	force := (target - d) * m.cc * w
-	pa, pb := m.pos[a*m.dim:(a+1)*m.dim], m.pos[b*m.dim:(b+1)*m.dim]
+	force := (target - d) * cc * w
+	pa, pb := m.pos[a*dim:(a+1)*dim], m.pos[b*dim:(b+1)*dim]
 	var spatial float64
-	for k := 0; k < m.dim; k++ {
+	for k := 0; k < dim; k++ {
 		m.dir[k] = pa[k] - pb[k]
 		spatial += m.dir[k] * m.dir[k]
 	}
@@ -227,7 +192,7 @@ func (m *Model) springLocked(a, b int, target float64) {
 		// Coincident with zero heights: pick a seeded random direction so
 		// the pair can separate.
 		var sq float64
-		for k := 0; k < m.dim; k++ {
+		for k := 0; k < dim; k++ {
 			m.dir[k] = m.rng.NormFloat64()
 			sq += m.dir[k] * m.dir[k]
 		}
@@ -238,7 +203,7 @@ func (m *Model) springLocked(a, b int, target float64) {
 		}
 	}
 	if spatial > 0 {
-		for k := 0; k < m.dim; k++ {
+		for k := 0; k < dim; k++ {
 			pa[k] += force * m.dir[k] / norm
 		}
 	}
@@ -325,18 +290,12 @@ func (m *Model) predictLocked(i, j int) float64 {
 	return d
 }
 
-// Confidence scores a prediction in [0, 1]: 1 − the mean of the two
+// confidenceLocked scores a prediction in [0, 1]: 1 − the mean of the two
 // endpoints' relative error estimates, clamped. A pair touching a node the
 // model has never observed scores 0 (its error estimate still sits at the
 // "know nothing" initial value); a pair between two well-settled nodes
 // with ~10% local error scores ~0.9. This is the value stored per cell as
 // the completed matrix's confidence.
-func (m *Model) Confidence(i, j int) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.confidenceLocked(i, j)
-}
-
 func (m *Model) confidenceLocked(i, j int) float64 {
 	c := 1 - (m.errEst[i]+m.errEst[j])/2
 	if c < 0 {
@@ -375,5 +334,5 @@ func (m *Model) MedianError() float64 {
 
 // String summarizes the model for logs.
 func (m *Model) String() string {
-	return fmt.Sprintf("coords.Model(n=%d dim=%d medianErr=%.3f)", m.N(), m.dim, m.MedianError())
+	return fmt.Sprintf("coords.Model(n=%d dim=%d medianErr=%.3f)", m.N(), dim, m.MedianError())
 }

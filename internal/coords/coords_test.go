@@ -173,11 +173,7 @@ func TestFitDeterministic(t *testing.T) {
 func TestObserveIgnoresGarbage(t *testing.T) {
 	m, _ := New(4, Config{Seed: 1})
 	before := predict(m, 0, 1)
-	m.Observe(2, 2, 10)
-	m.Observe(0, 1, 0)
-	m.Observe(0, 1, -5)
-	m.Observe(0, 1, math.NaN())
-	m.Observe(0, 1, math.Inf(1))
+	m.Fit([]Observation{{2, 2, 10}, {0, 1, 0}, {0, 1, -5}, {0, 1, math.NaN()}, {0, 1, math.Inf(1)}}, 1)
 	if got := predict(m, 0, 1); got != before {
 		t.Errorf("garbage observations moved prediction %v → %v", before, got)
 	}
@@ -190,7 +186,7 @@ func TestObserveIgnoresGarbage(t *testing.T) {
 // fit, confidence rises; diagonal predicts (0, 1).
 func TestConfidenceLifecycle(t *testing.T) {
 	m, _ := New(10, Config{Seed: 1})
-	if c := m.Confidence(0, 1); c != 0 {
+	if _, c := m.PredictWithConfidence(0, 1); c != 0 {
 		t.Errorf("fresh model confidence %v, want 0 (errors at init ceiling)", c)
 	}
 	if rtt, conf := m.PredictWithConfidence(3, 3); rtt != 0 || conf != 1 {
@@ -204,7 +200,7 @@ func TestConfidenceLifecycle(t *testing.T) {
 		}
 	}
 	m.Fit(obs, 40)
-	if c := m.Confidence(0, 1); c < 0.5 {
+	if _, c := m.PredictWithConfidence(0, 1); c < 0.5 {
 		t.Errorf("confidence %v after full-information fit, want ≥ 0.5", c)
 	}
 	if predict(m, 0, 1) < 0.2 {
@@ -212,8 +208,8 @@ func TestConfidenceLifecycle(t *testing.T) {
 	}
 }
 
-// TestConcurrentFitAndRead is the -race test: Fit/Observe race against
-// every reader; nothing may tear or deadlock.
+// TestConcurrentFitAndRead is the -race test: Fit races against every
+// reader; nothing may tear or deadlock.
 func TestConcurrentFitAndRead(t *testing.T) {
 	topo := metricWorld(t, 20, 9)
 	obs := sampleObs(topo, 120, 10)
@@ -227,7 +223,7 @@ func TestConcurrentFitAndRead(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < 50; k++ {
 				m.Fit(obs, 2)
-				m.Observe(rng.Intn(20), rng.Intn(20), 1+rng.Float64()*100)
+				m.Fit([]Observation{{rng.Intn(20), rng.Intn(20), 1 + rng.Float64()*100}}, 1)
 			}
 		}(int64(w))
 	}

@@ -50,13 +50,6 @@ type Scenario struct {
 	E2E float64
 }
 
-// Matrix returns the all-pairs dataset the attacker uses.
-func (sc *Scenario) Matrix() ting.MatrixView { return sc.m }
-
-// Circuit returns the ground-truth circuit (hidden from strategies except
-// through the probe oracle).
-func (sc *Scenario) Circuit() Circuit { return sc.circ }
-
 // NewScenario draws a random victim circuit over m. The source and an
 // attacker location are drawn from the node set; entry, middle, and exit
 // are distinct relays chosen uniformly (weights nil) or

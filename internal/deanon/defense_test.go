@@ -16,9 +16,9 @@ func TestPaddedScenarioAddsOnly(t *testing.T) {
 		if sc.PaddingMs < 0 || sc.PaddingMs > 120 {
 			t.Fatalf("padding %v out of [0, 3×40]", sc.PaddingMs)
 		}
-		base := m.At(sc.Circuit().Source, sc.Circuit().Entry) +
-			m.At(sc.Circuit().Entry, sc.Circuit().Middle) +
-			m.At(sc.Circuit().Middle, sc.Circuit().Exit) + sc.AttackerExitRTT
+		base := m.At(sc.circ.Source, sc.circ.Entry) +
+			m.At(sc.circ.Entry, sc.circ.Middle) +
+			m.At(sc.circ.Middle, sc.circ.Exit) + sc.AttackerExitRTT
 		if sc.E2E < base {
 			t.Fatal("padding reduced E2E")
 		}

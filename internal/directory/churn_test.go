@@ -1,9 +1,11 @@
 package directory
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -150,12 +152,30 @@ func TestDeltaLogBounded(t *testing.T) {
 	}
 }
 
+// collect reads reg's history by cursor from since until it holds n deltas,
+// the way a consumer follows a registry: each Wait resumes from the last
+// epoch it was handed.
+func collect(t *testing.T, reg *Registry, since uint64, n int) []ConsensusDelta {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var got []ConsensusDelta
+	for len(got) < n {
+		deltas, ok := reg.Wait(ctx, since)
+		if !ok {
+			t.Fatalf("history no longer reaches epoch %d", since)
+		}
+		if len(deltas) == 0 {
+			t.Fatalf("timed out after %d of %d deltas", len(got), n)
+		}
+		got = append(got, deltas...)
+		since = deltas[len(deltas)-1].Epoch
+	}
+	return got
+}
+
 func TestWatchDeliversInOrder(t *testing.T) {
 	reg := NewRegistry()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch := reg.Watch(ctx)
-
 	go func() {
 		for _, name := range []string{"a", "b", "c"} {
 			_ = reg.Publish(testDesc(t, name, false, 100))
@@ -163,40 +183,52 @@ func TestWatchDeliversInOrder(t *testing.T) {
 		reg.Remove("a")
 	}()
 
-	var got []ConsensusDelta
-	timeout := time.After(5 * time.Second)
-	for len(got) < 4 {
-		select {
-		case d := <-ch:
-			got = append(got, d)
-		case <-timeout:
-			t.Fatalf("timed out after %d deltas", len(got))
-		}
-	}
+	got := collect(t, reg, 0, 4)
 	for i, d := range got {
 		if d.Epoch != uint64(i+1) {
 			t.Errorf("delta %d arrived with epoch %d", i, d.Epoch)
 		}
 	}
-	if got[3].Kind != DeltaLeave || got[3].Name != "a" {
-		t.Errorf("last delta = %+v", got[3])
+	if len(got) != 4 || got[3].Kind != DeltaLeave || got[3].Name != "a" {
+		t.Errorf("deltas = %+v", got)
 	}
-	// Cancelling closes the channel and detaches the watcher.
+
+	// With nothing new, Wait blocks until its context ends, returns
+	// promptly when it does, and leaves nothing behind: no goroutine was
+	// started, so the count is what it was.
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if deltas, ok := reg.Wait(ctx, 4); len(deltas) != 0 || !ok {
+			t.Errorf("cancelled Wait returned %+v, %v", deltas, ok)
+		}
+	}()
+	select {
+	case <-done:
+		t.Fatal("Wait returned with nothing past its cursor")
+	case <-time.After(20 * time.Millisecond):
+	}
 	cancel()
-	for range ch {
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait still blocked after cancel")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		reg.mu.RLock()
-		n := len(reg.watchers)
-		reg.mu.RUnlock()
-		if n == 0 {
-			break
-		}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("watcher not detached after cancel: %d left", n)
+			t.Fatalf("%d goroutines after a cancelled Wait, %d before", runtime.NumGoroutine(), before)
 		}
-		time.Sleep(time.Millisecond)
+	}
+
+	// A cursor the bounded history no longer reaches is refused at once.
+	for i := 0; i < maxDeltaLog; i++ {
+		_ = reg.Publish(testDesc(t, "x", false, 100))
+		reg.Remove("x")
+	}
+	if deltas, ok := reg.Wait(context.Background(), 4); ok || deltas != nil {
+		t.Errorf("Wait from a trimmed-away epoch = %d deltas, %v; want none, false", len(deltas), ok)
 	}
 }
 
@@ -229,10 +261,9 @@ func TestConsensusHeaderEpochRoundTrip(t *testing.T) {
 		t.Error("decoded mirror claims delta coverage from 0")
 	}
 
-	// Legacy headers without an epoch still decode.
-	legacy := "consensus relays=0\nend\n"
-	if _, err := DecodeConsensus(strings.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy header rejected: %v", err)
+	// A header without an epoch is not one any writer emits.
+	if _, err := DecodeConsensus(strings.NewReader("consensus relays=0\nend\n")); err == nil || !strings.Contains(err.Error(), "bad header") {
+		t.Fatalf("epoch-free header: err = %v, want bad header", err)
 	}
 }
 
@@ -292,6 +323,7 @@ func TestServerServesDeltasAndResync(t *testing.T) {
 	// Force the history bound and confirm the resync path.
 	reg.mu.Lock()
 	reg.deltas = reg.deltas[len(reg.deltas)-1:]
+	reg.logFrom = reg.deltas[0].Epoch - 1
 	reg.mu.Unlock()
 	deltas, full, err = FetchDeltas(addr, 1)
 	if err != nil {
@@ -347,7 +379,7 @@ func TestServerSlowLorisTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(reg)
-	srv.Timeout = 100 * time.Millisecond
+	srv.timeout = 100 * time.Millisecond
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -368,7 +400,7 @@ func TestServerSlowLorisTimeout(t *testing.T) {
 
 // TestMirrorFollowsOrigin polls a live directory server and checks that
 // origin churn — join, leave, rotate — lands in the mirror with origin
-// epochs, firing the mirror's own watchers.
+// epochs, readable from the mirror's own history.
 func TestMirrorFollowsOrigin(t *testing.T) {
 	origin := NewRegistry()
 	for _, name := range []string{"a", "b"} {
@@ -394,7 +426,6 @@ func TestMirrorFollowsOrigin(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	watch := mirror.Watch(ctx)
 	go Mirror(ctx, addr, mirror, 10*time.Millisecond, nil)
 
 	if err := origin.Publish(testDesc(t, "c", false, 100)); err != nil {
@@ -415,17 +446,13 @@ func TestMirrorFollowsOrigin(t *testing.T) {
 		kind DeltaKind
 		name string
 	}{{DeltaJoin, "c"}, {DeltaLeave, "a"}, {DeltaRotate, "b"}}
-	for i, w := range want {
-		select {
-		case d := <-watch:
-			if d.Kind != w.kind || d.Name != w.name {
-				t.Fatalf("delta %d = (%v, %s), want (%v, %s)", i, d.Kind, d.Name, w.kind, w.name)
-			}
-			if d.Epoch != uint64(3+i) {
-				t.Errorf("delta %d epoch = %d, want %d", i, d.Epoch, 3+i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("mirror never delivered delta %d (%v %s)", i, w.kind, w.name)
+	for i, d := range collect(t, mirror, 2, len(want)) {
+		w := want[i]
+		if d.Kind != w.kind || d.Name != w.name {
+			t.Fatalf("delta %d = (%v, %s), want (%v, %s)", i, d.Kind, d.Name, w.kind, w.name)
+		}
+		if d.Epoch != uint64(3+i) {
+			t.Errorf("delta %d epoch = %d, want %d", i, d.Epoch, 3+i)
 		}
 	}
 	if _, ok := mirror.Lookup("a"); ok {
@@ -476,9 +503,6 @@ func TestResyncSynthesizesDeltas(t *testing.T) {
 	fresh.epoch = 40
 	fresh.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watch := mirror.Watch(ctx)
 	mirror.resync(fresh)
 
 	want := []struct {
@@ -486,19 +510,15 @@ func TestResyncSynthesizesDeltas(t *testing.T) {
 		name string
 	}{{DeltaLeave, "a"}, {DeltaRotate, "b"}, {DeltaJoin, "d"}}
 	last := uint64(3) // the mirror's own epoch before the resync
-	for i, w := range want {
-		select {
-		case d := <-watch:
-			if d.Kind != w.kind || d.Name != w.name {
-				t.Fatalf("synthesized delta %d = (%v, %s), want (%v, %s)", i, d.Kind, d.Name, w.kind, w.name)
-			}
-			if d.Epoch <= last || d.Epoch > 40 {
-				t.Errorf("synthesized delta %d epoch = %d, want in (%d, 40]", i, d.Epoch, last)
-			}
-			last = d.Epoch
-		case <-time.After(5 * time.Second):
-			t.Fatalf("resync never delivered delta %d (%v %s)", i, w.kind, w.name)
+	for i, d := range collect(t, mirror, last, len(want)) {
+		w := want[i]
+		if d.Kind != w.kind || d.Name != w.name {
+			t.Fatalf("synthesized delta %d = (%v, %s), want (%v, %s)", i, d.Kind, d.Name, w.kind, w.name)
 		}
+		if d.Epoch <= last || d.Epoch > 40 {
+			t.Errorf("synthesized delta %d epoch = %d, want in (%d, 40]", i, d.Epoch, last)
+		}
+		last = d.Epoch
 	}
 	if got := mirror.Epoch(); got != 40 {
 		t.Errorf("mirror epoch after resync = %d, want 40", got)
@@ -514,9 +534,60 @@ func TestResyncSynthesizesDeltas(t *testing.T) {
 	}
 	// An already-converged resync is a no-op: no deltas, epoch keeps.
 	mirror.resync(fresh)
-	select {
-	case d := <-watch:
-		t.Errorf("converged resync produced delta %+v", d)
-	case <-time.After(50 * time.Millisecond):
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if deltas, _ := mirror.Wait(ctx, last); len(deltas) != 0 {
+		t.Errorf("converged resync produced deltas %+v", deltas)
+	}
+}
+
+// TestWaitAfterConvergedResyncOfFetchedRegistry: a registry decoded from a
+// consensus document starts with an empty log, and a resync whose churn nets
+// to zero moves its epoch without logging anything. The reader's cursor is
+// still covered — it missed nothing — so the next change must reach it as a
+// delta, not as lost history.
+func TestWaitAfterConvergedResyncOfFetchedRegistry(t *testing.T) {
+	origin := NewRegistry()
+	for _, name := range []string{"a", "b"} {
+		if err := origin.Publish(testDesc(t, name, false, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch := func() *Registry {
+		var doc bytes.Buffer
+		if err := origin.EncodeConsensus(&doc); err != nil {
+			t.Fatal(err)
+		}
+		reg, err := DecodeConsensus(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	mirror := fetch()
+	cursor := mirror.Epoch()
+	if _, ok := mirror.DeltasSince(cursor - 1); ok {
+		t.Error("a fetched registry claims history from before its own epoch")
+	}
+
+	// c comes and goes at the origin: same relays, a later epoch.
+	if err := origin.Publish(testDesc(t, "c", false, 100)); err != nil {
+		t.Fatal(err)
+	}
+	origin.Remove("c")
+	mirror.resync(fetch())
+	if got := mirror.Epoch(); got != origin.Epoch() {
+		t.Fatalf("mirror epoch after resync = %d, want %d", got, origin.Epoch())
+	}
+
+	join := ConsensusDelta{Epoch: origin.Epoch() + 1, Kind: DeltaJoin, Name: "d", Desc: testDesc(t, "d", false, 100)}
+	if err := mirror.ApplyDelta(join); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	deltas, ok := mirror.Wait(ctx, cursor)
+	if !ok || len(deltas) != 1 || deltas[0].Kind != DeltaJoin || deltas[0].Name != "d" || deltas[0].Epoch != join.Epoch {
+		t.Fatalf("Wait(%d) = %+v, ok=%v; want the one join of d at epoch %d", cursor, deltas, ok, join.Epoch)
 	}
 }

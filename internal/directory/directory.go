@@ -166,23 +166,24 @@ const maxDeltaLog = 1024
 //
 // The published set is versioned: every Publish/Remove/Update of a public
 // relay advances a monotonically increasing consensus epoch and appends a
-// ConsensusDelta to a bounded history that Watch and DeltasSince expose.
-// Unpublished descriptors never touch the epoch — they are invisible to
-// consensus consumers by design.
+// ConsensusDelta to a bounded history, the one copy of every change, which
+// DeltasSince reads and Wait reads by cursor. Unpublished descriptors never
+// touch the epoch — they are invisible to consensus consumers by design.
 type Registry struct {
-	mu       sync.RWMutex
-	byName   map[string]*Descriptor
-	public   []string // published nicknames in insertion order
-	epoch    uint64
-	deltas   []ConsensusDelta // trailing window, consecutive epochs
-	watchers map[*watcher]struct{}
+	mu      sync.RWMutex
+	byName  map[string]*Descriptor
+	public  []string // published nicknames in insertion order
+	epoch   uint64
+	deltas  []ConsensusDelta // trailing window, increasing epochs
+	logFrom uint64           // deltas holds every change after this epoch
+	changed chan struct{}    // closed and replaced when deltas grows
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		byName:   make(map[string]*Descriptor),
-		watchers: make(map[*watcher]struct{}),
+		byName:  make(map[string]*Descriptor),
+		changed: make(chan struct{}),
 	}
 }
 
@@ -263,17 +264,17 @@ func (r *Registry) Update(d *Descriptor) error {
 }
 
 // recordLocked advances the epoch, appends the delta to the bounded
-// history, and fans it out to watchers. Caller holds r.mu.
+// history, and wakes every Wait. Caller holds r.mu.
 func (r *Registry) recordLocked(kind DeltaKind, name string, desc *Descriptor) {
 	r.epoch++
 	delta := ConsensusDelta{Epoch: r.epoch, Kind: kind, Name: name, Desc: desc}
 	r.deltas = append(r.deltas, delta)
 	if len(r.deltas) > maxDeltaLog {
 		r.deltas = r.deltas[len(r.deltas)-maxDeltaLog:]
+		r.logFrom = r.deltas[0].Epoch - 1
 	}
-	for w := range r.watchers {
-		w.push(delta)
-	}
+	close(r.changed)
+	r.changed = make(chan struct{})
 }
 
 // Epoch returns the current consensus epoch.
@@ -289,10 +290,14 @@ func (r *Registry) Epoch() uint64 {
 func (r *Registry) DeltasSince(since uint64) ([]ConsensusDelta, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.deltasSinceLocked(since)
+}
+
+func (r *Registry) deltasSinceLocked(since uint64) ([]ConsensusDelta, bool) {
 	if since >= r.epoch {
 		return nil, true
 	}
-	if len(r.deltas) == 0 || r.deltas[0].Epoch > since+1 {
+	if since < r.logFrom {
 		return nil, false
 	}
 	var out []ConsensusDelta
@@ -307,6 +312,28 @@ func (r *Registry) DeltasSince(since uint64) ([]ConsensusDelta, bool) {
 		}
 	}
 	return out, true
+}
+
+// Wait blocks until the history holds a delta with Epoch > since, then
+// answers exactly as DeltasSince does; a consumer that passes the last
+// epoch it was handed reads every change once, in order. The second result
+// is false, without waiting, when the history no longer reaches back to
+// since. When ctx ends first it returns no deltas and true.
+func (r *Registry) Wait(ctx context.Context, since uint64) ([]ConsensusDelta, bool) {
+	for {
+		r.mu.RLock()
+		deltas, ok := r.deltasSinceLocked(since)
+		changed := r.changed
+		r.mu.RUnlock()
+		if !ok || len(deltas) > 0 {
+			return deltas, ok
+		}
+		select {
+		case <-ctx.Done():
+			return nil, true
+		case <-changed:
+		}
+	}
 }
 
 // ApplyDelta applies a delta produced elsewhere to this registry, keeping
@@ -346,9 +373,9 @@ func (r *Registry) ApplyDelta(delta ConsensusDelta) error {
 // resync folds a freshly fetched consensus into this registry after the
 // origin's delta log no longer reached back to our epoch. The missed
 // churn is synthesized as join/leave/rotate deltas — assigned sequential
-// epochs capped at the origin's, so watchers still observe every change
-// in a strictly increasing order — and the epoch then jumps to the
-// origin's. Used by Mirror.
+// epochs capped at the origin's, so readers of the history still observe
+// every change in a strictly increasing order — and the epoch then jumps to
+// the origin's. Used by Mirror.
 func (r *Registry) resync(fresh *Registry) {
 	target := fresh.Epoch()
 	current := make(map[string]*Descriptor)
@@ -385,85 +412,6 @@ func (r *Registry) resync(fresh *Registry) {
 		r.epoch = target
 	}
 	r.mu.Unlock()
-}
-
-// watcher is one Watch subscription: an unbounded cond-backed queue the
-// registry pushes into under its own lock, drained by a pump goroutine
-// into the subscriber's channel. Deltas are never dropped; a slow consumer
-// only grows its private queue.
-type watcher struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []ConsensusDelta
-	closed bool
-}
-
-func (w *watcher) push(d ConsensusDelta) {
-	w.mu.Lock()
-	if !w.closed {
-		w.queue = append(w.queue, d)
-	}
-	w.mu.Unlock()
-	w.cond.Signal()
-}
-
-func (w *watcher) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-	w.cond.Signal()
-}
-
-// next blocks until a delta is queued or the watcher closes.
-func (w *watcher) next() (ConsensusDelta, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.queue) == 0 && !w.closed {
-		w.cond.Wait()
-	}
-	if len(w.queue) == 0 {
-		return ConsensusDelta{}, false
-	}
-	d := w.queue[0]
-	w.queue = w.queue[1:]
-	return d, true
-}
-
-// Watch subscribes to consensus changes. Every delta recorded after the
-// call is delivered in epoch order on the returned channel until ctx is
-// cancelled, at which point the channel closes. Subscribers that need the
-// starting state should snapshot Consensus/Epoch first and discard deltas
-// at or below that epoch.
-func (r *Registry) Watch(ctx context.Context) <-chan ConsensusDelta {
-	w := &watcher{}
-	w.cond = sync.NewCond(&w.mu)
-	r.mu.Lock()
-	r.watchers[w] = struct{}{}
-	r.mu.Unlock()
-
-	ch := make(chan ConsensusDelta)
-	go func() { // closer: detach on cancel
-		<-ctx.Done()
-		r.mu.Lock()
-		delete(r.watchers, w)
-		r.mu.Unlock()
-		w.close()
-	}()
-	go func() { // pump: queue → channel
-		defer close(ch)
-		for {
-			d, ok := w.next()
-			if !ok {
-				return
-			}
-			select {
-			case ch <- d:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return ch
 }
 
 // Lookup returns the descriptor for nickname (published or not).
@@ -513,10 +461,8 @@ func (r *Registry) EncodeConsensus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeConsensus parses a consensus document into a fresh registry. Both
-// the epoch-carrying header and the legacy epoch-free form decode; a
-// legacy document leaves the registry at the epoch its own publishes
-// accumulated.
+// DecodeConsensus parses a consensus document into a fresh registry at the
+// epoch its header carries.
 func DecodeConsensus(rd io.Reader) (*Registry, error) {
 	sc := bufio.NewScanner(rd)
 	if !sc.Scan() {
@@ -527,17 +473,14 @@ func DecodeConsensus(rd io.Reader) (*Registry, error) {
 		return nil, fmt.Errorf("directory: bad header %q", header)
 	}
 	rest := strings.TrimPrefix(header, "consensus relays=")
-	countField, epochField, hasEpoch := strings.Cut(rest, " epoch=")
+	countField, epochField, _ := strings.Cut(rest, " epoch=")
 	want, err := strconv.Atoi(countField)
 	if err != nil {
 		return nil, fmt.Errorf("directory: bad header %q", header)
 	}
-	var epoch uint64
-	if hasEpoch {
-		epoch, err = strconv.ParseUint(epochField, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("directory: bad header %q", header)
-		}
+	epoch, err := strconv.ParseUint(epochField, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("directory: bad header %q", header)
 	}
 	reg := NewRegistry()
 	for sc.Scan() {
@@ -546,15 +489,14 @@ func DecodeConsensus(rd io.Reader) (*Registry, error) {
 			if reg.Len() != want {
 				return nil, fmt.Errorf("directory: header says %d relays, got %d", want, reg.Len())
 			}
-			if hasEpoch {
-				// The synthetic join deltas accumulated while
-				// re-publishing don't describe real history at the
-				// origin; force mirrors behind this epoch to resync.
-				reg.mu.Lock()
-				reg.epoch = epoch
-				reg.deltas = nil
-				reg.mu.Unlock()
-			}
+			// The synthetic join deltas accumulated while re-publishing
+			// don't describe real history at the origin; force mirrors
+			// behind this epoch to resync.
+			reg.mu.Lock()
+			reg.epoch = epoch
+			reg.deltas = nil
+			reg.logFrom = epoch
+			reg.mu.Unlock()
 			return reg, nil
 		}
 		d, err := ParseLine(line)

@@ -150,9 +150,10 @@ func TestDecodeConsensusErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"bogus header\n",
-		"consensus relays=2\nrelay broken\nend\n",
-		"consensus relays=5\nend\n", // count mismatch
-		"consensus relays=0\n",      // truncated, no end
+		"consensus relays=2 epoch=2\nrelay broken\nend\n",
+		"consensus relays=5 epoch=5\nend\n", // count mismatch
+		"consensus relays=0 epoch=0\n",      // truncated, no end
+		"consensus relays=0\nend\n",         // no epoch
 	}
 	for _, in := range cases {
 		if _, err := DecodeConsensus(strings.NewReader(in)); err == nil {

@@ -30,8 +30,9 @@ func FuzzParseLine(f *testing.F) {
 }
 
 func FuzzDecodeConsensus(f *testing.F) {
-	f.Add("consensus relays=0\nend\n")
-	f.Add("consensus relays=1\nrelay n a " + strings.Repeat("ab", 32) + " 1.0 exit\nend\n")
+	f.Add("consensus relays=0 epoch=0\nend\n")
+	f.Add("consensus relays=1 epoch=7\nrelay n a " + strings.Repeat("ab", 32) + " 1.0 exit\nend\n")
+	f.Add("consensus relays=0\nend\n") // the retired epoch-free header
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, doc string) {
 		reg, err := DecodeConsensus(strings.NewReader(doc))

@@ -30,9 +30,8 @@ const DefaultIOTimeout = 10 * time.Second
 // directory port in the live-TCP deployment mode.
 type Server struct {
 	reg *Registry
-	// Timeout bounds each connection's whole conversation; zero means
-	// DefaultIOTimeout.
-	Timeout time.Duration
+	// timeout bounds each connection's whole conversation.
+	timeout time.Duration
 
 	mu  sync.Mutex
 	ln  net.Listener
@@ -48,7 +47,7 @@ type Server struct {
 type ExtensionFunc func(conn net.Conn, br *bufio.Reader, req string)
 
 // NewServer creates a directory server over reg.
-func NewServer(reg *Registry) *Server { return &Server{reg: reg} }
+func NewServer(reg *Registry) *Server { return &Server{reg: reg, timeout: DefaultIOTimeout} }
 
 // Extend registers fn for request lines whose first word is verb, letting
 // other subsystems ride the directory transport — one listener, one
@@ -91,11 +90,7 @@ func (s *Server) Close() error {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = DefaultIOTimeout
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	_ = conn.SetDeadline(time.Now().Add(s.timeout))
 	br := bufio.NewReader(conn)
 	line, err := br.ReadString('\n')
 	if err != nil {
@@ -258,8 +253,8 @@ func parseDeltaLine(line string) (ConsensusDelta, error) {
 const mirrorBackoffCap = 30 * time.Second
 
 // Mirror keeps reg in step with the directory server at addr by polling
-// for consensus deltas every interval and applying them, so reg's
-// watchers fire as if they were subscribed to the origin registry. A
+// for consensus deltas every interval and applying them, so a reader of
+// reg's history (Wait) sees the origin's changes as they arrive. A
 // server-demanded resync (the origin's bounded delta history no longer
 // reaches the mirror's epoch) is folded in as synthesized
 // join/leave/rotate deltas, so no consensus change is ever skipped

@@ -3,17 +3,18 @@
 // Tor circuits. While similar in spirit to ping … our application operates
 // over TCP, and can thus be used over Tor."
 //
-// The server echoes every byte back. The client writes fixed-size probes
-// carrying a sequence number and times the round trip. Everything works
-// over any io.ReadWriter, so the same client runs over a raw connection or
-// over a circuit-attached stream.
+// The server side is Handle, which echoes every byte back on one
+// connection; the exit relay runs it on the far end of each stream it
+// opens, so nothing listens. The client writes fixed-size probes carrying a
+// sequence number and times the round trip. Both work over any
+// io.ReadWriter, so the same client runs over a raw connection or over a
+// circuit-attached stream.
 package echo
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"time"
 )
 
@@ -30,31 +31,6 @@ func Handle(conn io.ReadWriteCloser) {
 	var buf [512]byte
 	_, _ = io.CopyBuffer(conn, conn, buf[:])
 }
-
-// Server accepts and echoes connections.
-type Server struct {
-	ln net.Listener
-}
-
-// NewServer wraps a listener.
-func NewServer(ln net.Listener) *Server { return &Server{ln: ln} }
-
-// Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Serve echoes until the listener closes.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return err
-		}
-		go Handle(conn)
-	}
-}
-
-// Close stops the server.
-func (s *Server) Close() error { return s.ln.Close() }
 
 // Client sends echo probes over rw and measures round-trip times.
 type Client struct {

@@ -29,11 +29,14 @@ func TestServerOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ln)
-	go srv.Serve()
-	defer srv.Close()
+	defer ln.Close()
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			Handle(conn)
+		}
+	}()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,9 @@ type LinkFaults struct {
 	StallProb float64
 	// Stall is the extra delay a stalled cell experiences.
 	Stall time.Duration
-	// ResetProb is the probability a send tears the link down instead of
-	// transmitting; the sender gets an error and both ends see closure.
-	ResetProb float64
-	// ResetAfter, if positive, deterministically resets the link on the
-	// Nth send, independent of probabilities.
+	// ResetAfter, if positive, resets the link on the Nth send, whatever
+	// the probabilities: the link is torn down instead of transmitting, the
+	// sender gets an error and both ends see closure.
 	ResetAfter int
 	// DialFailProb is the probability a dial to this link's target is
 	// refused outright.
@@ -46,8 +44,7 @@ type LinkFaults struct {
 
 // active reports whether any fault is configured.
 func (f LinkFaults) active() bool {
-	return f.DropProb > 0 || f.StallProb > 0 || f.ResetProb > 0 ||
-		f.ResetAfter > 0 || f.DialFailProb > 0
+	return f.DropProb > 0 || f.StallProb > 0 || f.ResetAfter > 0 || f.DialFailProb > 0
 }
 
 // RelaySchedule describes when a relay fails or churns. The zero value
@@ -81,9 +78,6 @@ type Plan struct {
 	// Seed drives every probabilistic decision; per-link RNGs are derived
 	// from it so decisions are independent across links but reproducible.
 	Seed int64
-
-	// Default applies to links with no specific rule.
-	Default LinkFaults
 
 	mu       sync.Mutex
 	links    map[[2]string]LinkFaults
@@ -143,7 +137,7 @@ func (p *Plan) metrics() faultMetrics {
 
 // SetLink installs a fault rule for the directed link from → to. Either
 // endpoint may be Wildcard; the most specific rule wins on lookup
-// ((from,to), then (*,to), then (from,*), then Default).
+// ((from,to), then (*,to), then (from,*)); a link no rule matches is healthy.
 func (p *Plan) SetLink(from, to string, f LinkFaults) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -177,7 +171,7 @@ func (p *Plan) LinkFor(from, to string) LinkFaults {
 			return f
 		}
 	}
-	return p.Default
+	return LinkFaults{}
 }
 
 // Begin starts the plan's clock; crash and flap schedules are relative to

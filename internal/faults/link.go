@@ -69,13 +69,11 @@ func (l *faultLink) Send(c *cell.Cell) error {
 	l.sends++
 	reset := l.f.ResetAfter > 0 && l.sends >= l.f.ResetAfter
 	var drop, stall bool
-	if !reset && (l.f.DropProb > 0 || l.f.StallProb > 0 || l.f.ResetProb > 0) {
+	if !reset && (l.f.DropProb > 0 || l.f.StallProb > 0) {
 		switch u := l.rng.Float64(); {
-		case u < l.f.ResetProb:
-			reset = true
-		case u < l.f.ResetProb+l.f.DropProb:
+		case u < l.f.DropProb:
 			drop = true
-		case u < l.f.ResetProb+l.f.DropProb+l.f.StallProb:
+		case u < l.f.DropProb+l.f.StallProb:
 			stall = true
 		}
 	}

@@ -142,8 +142,8 @@ func TestGeoDBLookupAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", db.Len())
+	if len(db.entries) != 200 {
+		t.Fatalf("%d entries, want 200", len(db.entries))
 	}
 	if len(db.erroneous) == 0 || len(db.erroneous) > 50 {
 		t.Fatalf("ErrorCount = %d, want within (0, 50] for 10%% of 200", len(db.erroneous))

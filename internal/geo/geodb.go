@@ -96,6 +96,3 @@ func (db *GeoDB) Lookup(name string) (Coord, bool) {
 
 // Erroneous reports whether name's stored coordinate carries injected error.
 func (db *GeoDB) Erroneous(name string) bool { return db.erroneous[name] }
-
-// Len returns the number of entries.
-func (db *GeoDB) Len() int { return len(db.entries) }

@@ -29,9 +29,6 @@ func NewProber(topo *Topology, seed int64) *Prober {
 	return &Prober{topo: topo, rng: rand.New(rand.NewSource(seed)), LinkJitterMs: 0.15}
 }
 
-// Topology returns the underlying topology.
-func (p *Prober) Topology() *Topology { return p.topo }
-
 // Ping returns one ICMP round-trip sample between two nodes, in
 // milliseconds. Biased networks shift ICMP traffic relative to the Tor path
 // (§3.2), which is what makes the strawman of Figure 1 untenable.

@@ -142,9 +142,6 @@ func (cc *CircuitCrypto) Truncate(n int) error {
 	return nil
 }
 
-// Len returns the number of established hops.
-func (cc *CircuitCrypto) Len() int { return len(cc.hops) }
-
 // EncryptForward seals a plaintext relay payload for the given hop index
 // and applies the onion layers so the first hop's layer is outermost.
 func (cc *CircuitCrypto) EncryptForward(hop int, p *[cell.PayloadLen]byte) error {

@@ -119,8 +119,8 @@ func TestThreeHopOnionRoundTrip(t *testing.T) {
 		cc.AddHop(c)
 		relays[i] = r
 	}
-	if cc.Len() != 3 {
-		t.Fatalf("Len = %d", cc.Len())
+	if len(cc.hops) != 3 {
+		t.Fatalf("Len = %d", len(cc.hops))
 	}
 
 	// Forward: client → hop2 (the exit).
@@ -560,8 +560,8 @@ func TestCircuitCryptoTruncateThenAddHop(t *testing.T) {
 		onionRoundTrip(t, &cc, relays, hop)
 	}
 
-	if err := cc.Truncate(3); err != nil || cc.Len() != 3 {
-		t.Fatalf("Truncate(Len) = %v, Len %d; want a no-op", err, cc.Len())
+	if err := cc.Truncate(3); err != nil || len(cc.hops) != 3 {
+		t.Fatalf("Truncate(Len) = %v, Len %d; want a no-op", err, len(cc.hops))
 	}
 	if cc.Truncate(-1) == nil || cc.Truncate(4) == nil {
 		t.Error("out-of-range truncate accepted")
@@ -569,8 +569,8 @@ func TestCircuitCryptoTruncateThenAddHop(t *testing.T) {
 	if err := cc.Truncate(1); err != nil {
 		t.Fatal(err)
 	}
-	if cc.Len() != 1 {
-		t.Fatalf("Len = %d after Truncate(1)", cc.Len())
+	if len(cc.hops) != 1 {
+		t.Fatalf("Len = %d after Truncate(1)", len(cc.hops))
 	}
 	var p [cell.PayloadLen]byte
 	if cc.EncryptForward(1, &p) == nil {

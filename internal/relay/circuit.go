@@ -41,7 +41,6 @@ type circuit struct {
 func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 	rc, err := cell.UnmarshalPayload(p)
 	if err != nil {
-		c.r.cfg.Logf("%s: bad relay cell: %v", c.r.cfg.Nickname, err)
 		c.destroy(true, true)
 		return
 	}
@@ -58,10 +57,9 @@ func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 		c.closeStream(rc.Stream)
 	case cell.RelaySendme:
 		c.handleSendme(rc.Stream)
-	case cell.RelayDrop:
-		// Padding at the circuit layer; discard.
 	default:
-		c.r.cfg.Logf("%s: unexpected relay cmd %s", c.r.cfg.Nickname, rc.Cmd)
+		// RelayDrop is padding at the circuit layer; nothing else is
+		// addressed to a relay. Discard.
 	}
 }
 
@@ -242,7 +240,6 @@ func (c *circuit) detachNextLocked() (*outConn, cell.CircID) {
 }
 
 func (c *circuit) extendFailed(reason string) {
-	c.r.cfg.Logf("%s: extend failed: %s", c.r.cfg.Nickname, reason)
 	_ = c.sendBackward(cell.RelayCell{Cmd: cell.RelayEnd, Stream: 0, Data: []byte(reason)})
 }
 

@@ -119,12 +119,10 @@ func (oc *outConn) readLoop() {
 		case cell.Relay:
 			circ := oc.lookup(c.Circ)
 			if circ == nil {
-				oc.r.cfg.Logf("%s: backward cell on unknown circ %d from %s",
-					oc.r.cfg.Nickname, c.Circ, oc.addr)
-				continue
+				continue // a circuit already torn down here
 			}
 			oc.r.forwardDelay()
-			oc.r.stats.CellsRelayed.Add(1)
+			oc.r.countRelayed()
 			if err := circ.relayBackward(oc, &c); err != nil {
 				circ.destroy(false, true)
 			}
@@ -132,9 +130,9 @@ func (oc *outConn) readLoop() {
 			if circ := oc.lookup(c.Circ); circ != nil {
 				circ.destroy(true, false)
 			}
-		case cell.Padding:
 		default:
-			oc.r.cfg.Logf("%s: unexpected %s from next relay %s", oc.r.cfg.Nickname, c.Cmd, oc.addr)
+			// Padding, and anything the next relay has no business
+			// sending back (CREATE): ignored.
 		}
 	}
 }

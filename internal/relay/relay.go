@@ -56,8 +56,6 @@ type Config struct {
 	// ForwardDelay, if non-nil, is sampled once per relay-cell traversal
 	// and slept before processing — the forwarding delay of §3.2.
 	ForwardDelay func() time.Duration
-	// Logf, if non-nil, receives debug logs.
-	Logf func(format string, args ...any)
 	// Telemetry, if non-nil, receives relay counters (relay.cells_relayed,
 	// relay.circuits_created, ...) shared with the rest of the stack. Nil
 	// disables instrumentation at the cost of one branch per event.
@@ -131,9 +129,6 @@ type Stats struct {
 func New(cfg Config) (*Relay, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	r := &Relay{
 		cfg:      cfg,
@@ -307,10 +302,9 @@ func (cs *connState) readLoop() {
 			cs.handleCreate(&c)
 		case cell.Destroy:
 			cs.handleDestroy(c.Circ)
-		case cell.Padding:
-			// ignored
 		default:
-			cs.r.cfg.Logf("%s: unexpected %s from %s", cs.r.cfg.Nickname, c.Cmd, cs.lk.RemoteAddr())
+			// Padding, and anything a relay has no business receiving
+			// here (CREATED on an inbound link): ignored.
 		}
 	}
 }
@@ -322,7 +316,6 @@ func (cs *connState) handleRelay(c *cell.Cell) {
 	r := cs.r
 	circ := cs.lookup(c.Circ)
 	if circ == nil {
-		r.cfg.Logf("%s: RELAY on unknown circ %d", r.cfg.Nickname, c.Circ)
 		return
 	}
 	circ.hop.CryptForward(&c.Payload)
@@ -335,16 +328,22 @@ func (cs *connState) handleRelay(c *cell.Cell) {
 	next, nextID := circ.next, circ.nextID
 	circ.mu.Unlock()
 	if next == nil {
-		r.cfg.Logf("%s: unrecognized relay cell at end of circuit", r.cfg.Nickname)
+		// Unrecognized at the end of the circuit.
 		circ.destroy(true, false)
 		return
 	}
 	c.Circ = nextID
-	r.stats.CellsRelayed.Add(1)
-	r.tm.cellsRelayed.Inc()
+	r.countRelayed()
 	if err := next.send(c); err != nil {
 		circ.destroy(true, false)
 	}
+}
+
+// countRelayed records one cell passed along a circuit, in either
+// direction, in this relay's Stats and in the shared registry.
+func (r *Relay) countRelayed() {
+	r.stats.CellsRelayed.Add(1)
+	r.tm.cellsRelayed.Inc()
 }
 
 func (cs *connState) teardown() {
@@ -378,14 +377,12 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 	if r.Draining() {
 		// Graceful departure: refuse new circuits so clients re-path
 		// instead of building through a relay about to vanish.
-		r.cfg.Logf("%s: refusing CREATE while draining", r.cfg.Nickname)
 		_ = cs.sendControl(c.Circ, cell.Destroy)
 		return
 	}
 	cs.mu.Lock()
 	if _, dup := cs.circuits[c.Circ]; dup {
 		cs.mu.Unlock()
-		r.cfg.Logf("%s: duplicate CREATE circ=%d", r.cfg.Nickname, c.Circ)
 		_ = cs.sendControl(c.Circ, cell.Destroy)
 		return
 	}
@@ -393,7 +390,6 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 
 	reply, hop, err := onion.ServerHandshake(r.cfg.Identity, c.Payload[:onion.KeyLen], nil)
 	if err != nil {
-		r.cfg.Logf("%s: handshake failed: %v", r.cfg.Nickname, err)
 		r.tm.handshakeFailures.Inc()
 		_ = cs.sendControl(c.Circ, cell.Destroy)
 		return

@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +21,7 @@ type handCirc struct {
 	lk link.Link
 	id cell.CircID
 	cc onion.CircuitCrypto
+	n  int // hops in cc
 }
 
 // dialCirc dials the entry relay and completes the CREATE handshake.
@@ -51,6 +51,7 @@ func dialCirc(t *testing.T, pn *link.PipeNet, entry string, pub onion.PublicKey)
 		t.Fatal(err)
 	}
 	h.cc.AddHop(hop)
+	h.n = 1
 	return h
 }
 
@@ -123,7 +124,7 @@ func (h *handCirc) extend(addr string, pub onion.PublicKey) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	last := h.cc.Len() - 1
+	last := h.n - 1
 	h.send(last, cell.RelayCell{Cmd: cell.RelayExtend, Data: body})
 	hop, rc := h.recv()
 	if hop != last || rc.Cmd != cell.RelayExtended {
@@ -134,6 +135,7 @@ func (h *handCirc) extend(addr string, pub onion.PublicKey) {
 		h.t.Fatal(err)
 	}
 	h.cc.AddHop(next)
+	h.n++
 }
 
 // truncate cuts the circuit back to n hops and checks hop n-1 says so.
@@ -147,6 +149,7 @@ func (h *handCirc) truncate(n int) {
 	if err := h.cc.Truncate(n); err != nil {
 		h.t.Fatal(err)
 	}
+	h.n = n
 }
 
 // circuitCount is how many circuits the relay holds on its inbound links.
@@ -258,14 +261,7 @@ func TestTruncateWhileAwaitingCreated(t *testing.T) {
 		}
 	}()
 
-	logged := make(chan string, 16)
 	cfg := validConfig(t, pn, "waiter")
-	cfg.Logf = func(format string, args ...any) {
-		select {
-		case logged <- format:
-		default:
-		}
-	}
 	r0, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +302,9 @@ func TestTruncateWhileAwaitingCreated(t *testing.T) {
 	}
 
 	// The neighbour wakes up late. Its CREATED is for a freed slot and must
-	// not become an EXTENDED; the RELAY cell behind it is logged as unknown,
-	// which (same link, in order) proves the CREATED was consumed first.
+	// not become an EXTENDED, nor the RELAY cell behind it a backward cell.
+	// It then hangs up: the relay dropping the onward connection (same
+	// link, in order) proves both cells were consumed first.
 	lk := <-muteLink
 	if err := sendCell(lk, cell.Cell{Circ: create.Circ, Cmd: cell.Created}); err != nil {
 		t.Fatal(err)
@@ -315,13 +312,10 @@ func TestTruncateWhileAwaitingCreated(t *testing.T) {
 	if err := sendCell(lk, cell.Cell{Circ: create.Circ, Cmd: cell.Relay}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for seen := false; !seen; {
-		select {
-		case format := <-logged:
-			seen = strings.Contains(format, "backward cell on unknown circ")
-		case <-deadline:
-			t.Fatal("relay never reported the stale backward cell")
+	lk.Close()
+	for deadline := time.Now().Add(5 * time.Second); r0.OutConnCount() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("relay never noticed the neighbour hanging up")
 		}
 	}
 	// Nothing reached the client in the meantime: the next cell it sees is

@@ -91,7 +91,8 @@ func TestBinMsSeesItsHandler(t *testing.T) {
 	}
 	// A server each, so each histogram holds one kind of request.
 	median := func(ask func(*BinClient) error) float64 {
-		srv := NewBinaryServer(pub, telemetry.New())
+		reg := telemetry.New()
+		srv := NewBinaryServer(pub, reg)
 		c, err := DialBinary(serveOn(t, srv))
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +103,7 @@ func TestBinMsSeesItsHandler(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := srv.binMs.Count(); n != 101 {
+		if n := reg.Snapshot().Histograms["serve.bin_ms"].Count; n != 101 {
 			t.Fatalf("serve.bin_ms holds %d observations of 101 requests", n)
 		}
 		return srv.binMs.Quantile(0.5)

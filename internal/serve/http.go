@@ -26,13 +26,12 @@ import (
 // If-None-Match is answered 304 with no body — the epoch-based client
 // caching that makes polling the matrix between sweeps free.
 
+// pathAttempts bounds the rejection sampler behind /v1/paths.
+const pathAttempts = 2000
+
 // Server serves the /v1 query API over one Publisher.
 type Server struct {
 	pub *Publisher
-
-	// PathAttempts bounds the rejection sampler behind /v1/paths.
-	// Default 2000.
-	PathAttempts int
 
 	lookups  *telemetry.Counter
 	requests *telemetry.Counter
@@ -45,13 +44,12 @@ type Server struct {
 // metrics).
 func NewServer(pub *Publisher, reg *telemetry.Registry) *Server {
 	return &Server{
-		pub:          pub,
-		PathAttempts: 2000,
-		lookups:      reg.Counter("serve.lookups"),
-		requests:     reg.Counter("serve.http.requests"),
-		notMod:       reg.Counter("serve.http.not_modified"),
-		errs5xx:      reg.Counter("serve.http.5xx"),
-		httpMs:       reg.Histogram("serve.http_ms"),
+		pub:      pub,
+		lookups:  reg.Counter("serve.lookups"),
+		requests: reg.Counter("serve.http.requests"),
+		notMod:   reg.Counter("serve.http.not_modified"),
+		errs5xx:  reg.Counter("serve.http.5xx"),
+		httpMs:   reg.Histogram("serve.http_ms"),
 	}
 }
 
@@ -233,10 +231,6 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, snap *Snaps
 		writeErr(w, http.StatusBadRequest, "bad seed: "+err.Error())
 		return
 	}
-	attempts := s.PathAttempts
-	if attempts <= 0 {
-		attempts = 2000
-	}
 	view := snap.View()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	// Oversample so "k lowest" is a recommendation, not just "first k that
@@ -246,7 +240,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, snap *Snaps
 	if want < 64 {
 		want = 64
 	}
-	circs, err := pathsel.SelectLowLatency(view, length, budget, want, attempts, rng)
+	circs, err := pathsel.SelectLowLatency(view, length, budget, want, pathAttempts, rng)
 	if err != nil {
 		// No qualifying circuit is an empty recommendation, not a server
 		// error.

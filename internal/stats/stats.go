@@ -189,22 +189,6 @@ func NewCDF(xs []float64) (*CDF, error) {
 	return &CDF{sorted: s}, nil
 }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Advance past equal values so At is right-continuous.
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile of the underlying sample.
-func (c *CDF) Quantile(q float64) float64 { return quantileSorted(c.sorted, clamp01(q)) }
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // Points returns (x, P(X ≤ x)) pairs suitable for plotting: one point per
 // sample, in ascending x order.
 func (c *CDF) Points() (xs, ps []float64) {
@@ -214,16 +198,6 @@ func (c *CDF) Points() (xs, ps []float64) {
 		ps[i] = float64(i+1) / float64(len(xs))
 	}
 	return xs, ps
-}
-
-func clamp01(q float64) float64 {
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
 }
 
 // FractionWithin returns the fraction of ratio samples lying within frac of

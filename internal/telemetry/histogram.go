@@ -56,22 +56,6 @@ func (h *Histogram) Observe(v float64) {
 	h.max.storeMax(v)
 }
 
-// Count returns the number of observations; zero for a nil Histogram.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.load()
-}
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by linear interpolation
 // inside the bucket where the cumulative count crosses q. Values beyond
 // the last bound clamp to the largest observed value. Returns 0 when empty

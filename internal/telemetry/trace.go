@@ -26,14 +26,12 @@ type Event struct {
 // Trace is a bounded ring of Events. Recording overwrites the oldest entry
 // once full; a nil Trace ignores records. Safe for concurrent use.
 type Trace struct {
-	// Now is injectable for deterministic tests; nil means time.Now.
-	Now func() time.Time
+	now func() time.Time // time.Now, except in this package's tests
 
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	wrap  bool
-	total int64
+	mu   sync.Mutex
+	buf  []Event
+	next int
+	wrap bool
 }
 
 // NewTrace creates a trace holding up to capacity events (minimum 1).
@@ -41,7 +39,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Trace{buf: make([]Event, capacity)}
+	return &Trace{now: time.Now, buf: make([]Event, capacity)}
 }
 
 // Record appends one event, stamping the time.
@@ -49,11 +47,7 @@ func (t *Trace) Record(kind, detail string, ms float64) {
 	if t == nil {
 		return
 	}
-	now := time.Now
-	if t.Now != nil {
-		now = t.Now
-	}
-	ev := Event{At: now(), Kind: kind, Detail: detail, Ms: ms}
+	ev := Event{At: t.now(), Kind: kind, Detail: detail, Ms: ms}
 	t.mu.Lock()
 	t.buf[t.next] = ev
 	t.next++
@@ -61,7 +55,6 @@ func (t *Trace) Record(kind, detail string, ms float64) {
 		t.next = 0
 		t.wrap = true
 	}
-	t.total++
 	t.mu.Unlock()
 }
 
@@ -79,15 +72,4 @@ func (t *Trace) Events() []Event {
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
 	return out
-}
-
-// Total returns how many events were ever recorded, including overwritten
-// ones; zero for a nil Trace.
-func (t *Trace) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"ting/internal/wal"
 )
@@ -154,41 +153,6 @@ func replayRecords(r io.Reader, fn func(rec CheckpointRecord) error) error {
 		}
 		return fn(rec)
 	})
-}
-
-// MemCheckpoint is an in-memory Checkpoint for tests and dry runs: same
-// semantics, no durability.
-type MemCheckpoint struct {
-	mu   sync.Mutex
-	recs []CheckpointRecord
-}
-
-// Append records one entry.
-func (c *MemCheckpoint) Append(rec CheckpointRecord) error {
-	c.mu.Lock()
-	c.recs = append(c.recs, rec)
-	c.mu.Unlock()
-	return nil
-}
-
-// Replay streams the recorded entries.
-func (c *MemCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
-	c.mu.Lock()
-	recs := append([]CheckpointRecord(nil), c.recs...)
-	c.mu.Unlock()
-	for _, rec := range recs {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Len returns the number of recorded entries.
-func (c *MemCheckpoint) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.recs)
 }
 
 // HalfSeries is one replayed half-circuit series.

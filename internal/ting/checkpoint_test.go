@@ -6,8 +6,36 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// MemCheckpoint is an in-memory Checkpoint: same semantics, no durability.
+type MemCheckpoint struct {
+	mu   sync.Mutex
+	recs []CheckpointRecord
+}
+
+// Append records one entry.
+func (c *MemCheckpoint) Append(rec CheckpointRecord) error {
+	c.mu.Lock()
+	c.recs = append(c.recs, rec)
+	c.mu.Unlock()
+	return nil
+}
+
+// Replay streams the recorded entries.
+func (c *MemCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
+	c.mu.Lock()
+	recs := append([]CheckpointRecord(nil), c.recs...)
+	c.mu.Unlock()
+	for _, rec := range recs {
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func TestFileCheckpointRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
@@ -137,8 +165,8 @@ func TestReplayStateLastRecordWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cp.Len() != 7 {
-		t.Fatalf("Len = %d", cp.Len())
+	if len(cp.recs) != 7 {
+		t.Fatalf("%d records", len(cp.recs))
 	}
 	st, err := ReplayState(cp)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,8 +117,8 @@ func TestHalfCacheInvalidateRelay(t *testing.T) {
 	if n := hc.InvalidateRelay("x"); n != 2 {
 		t.Errorf("InvalidateRelay dropped %d series, want 2", n)
 	}
-	if hc.Len() != 2 {
-		t.Errorf("cache holds %d series after invalidation, want 2", hc.Len())
+	if len(hc.entries) != 2 {
+		t.Errorf("cache holds %d series after invalidation, want 2", len(hc.entries))
 	}
 	if n := hc.InvalidateRelay("x"); n != 0 {
 		t.Errorf("second invalidation dropped %d series, want 0", n)
@@ -133,15 +134,15 @@ func TestHealthReset(t *testing.T) {
 	boom := errors.New("boom")
 	h.Failure("x", boom, 0)
 	h.Failure("x", boom, 0)
-	if h.State("x") != BreakerOpen {
-		t.Fatalf("state = %v after threshold failures, want open", h.State("x"))
+	if h.state("x") != BreakerOpen {
+		t.Fatalf("state = %v after threshold failures, want open", h.state("x"))
 	}
 	if qe := h.Allow("x", "y"); qe == nil {
 		t.Fatal("open breaker granted a probe before cooldown")
 	}
 	h.Reset("x")
-	if h.State("x") != BreakerClosed {
-		t.Errorf("state = %v after Reset, want closed", h.State("x"))
+	if h.state("x") != BreakerClosed {
+		t.Errorf("state = %v after Reset, want closed", h.state("x"))
 	}
 	if qe := h.Allow("x", "y"); qe != nil {
 		t.Errorf("Allow after Reset = %v, want nil", qe)
@@ -269,6 +270,50 @@ func pathHas(path []string, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestScanLosesConsensusHistory: a scan whose view of the consensus falls
+// further behind than the directory's bounded history cannot know who left.
+// Here v departs and the history turns over between the scan's snapshot and
+// its first read of it (NewMeasurer runs in that gap); the scan must stop
+// with an error naming the epoch it lost, not measure v as if it were there.
+func TestScanLosesConsensusHistory(t *testing.T) {
+	f := bigFakeWorld()
+	reg := directory.NewRegistry()
+	for i, name := range []string{"x", "y", "u", "v"} {
+		if err := reg.Publish(churnDesc(t, name, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	passer := churnDesc(t, "passer", 77)
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			reg.Remove("v")
+			// Two deltas a round: more than the history's 1024 in all.
+			for i := 0; i < 520; i++ {
+				if err := reg.Publish(passer); err != nil {
+					return nil, err
+				}
+				reg.Remove("passer")
+			}
+			return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1})
+		},
+		Workers:   1,
+		Directory: reg,
+	}
+	m, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"})
+	if err == nil || !strings.Contains(err.Error(), "consensus history") || !strings.Contains(err.Error(), "epoch 4") {
+		measured := 0
+		if m != nil {
+			for _, other := range []string{"x", "y", "u"} {
+				if m.Prov(other, "v") == ProvFresh {
+					measured++
+				}
+			}
+		}
+		t.Fatalf("scan err = %v (%d failures, %d pairs of the departed v measured); want an error naming the consensus history lost after epoch 4",
+			err, len(failures), measured)
+	}
 }
 
 // TestScanChurnRemoveJoinMidScan is the seeded churn acceptance test: one
@@ -522,8 +567,8 @@ func TestScanChurnRotationInvalidatesHalves(t *testing.T) {
 		t.Fatalf("scan = (%v, %v), want clean", failures, err)
 	}
 	// Four half-circuit series were memoized; the rotation dropped x's.
-	if hc.Len() != 3 {
-		t.Errorf("half cache holds %d series after rotation, want 3 (x invalidated)", hc.Len())
+	if len(hc.entries) != 3 {
+		t.Errorf("half cache holds %d series after rotation, want 3 (x invalidated)", len(hc.entries))
 	}
 	if n := hc.InvalidateRelay("x"); n != 0 {
 		t.Errorf("x still had %d cached series after the rotation", n)
@@ -884,7 +929,7 @@ func TestChurnSoakJoinLeaveCancelResume(t *testing.T) {
 		t.Fatalf("matrix names = %v, want all 6 relays including the joiner", m.Names())
 	}
 	pc := m.ProvCounts()
-	if pc.Total() != 15 {
+	if pc.Fresh+pc.Resumed+pc.Removed+pc.Predicted+pc.Missing != 15 {
 		t.Errorf("provenance %+v does not cover 15 pairs", pc)
 	}
 	if pc.Removed == 0 {
@@ -914,7 +959,7 @@ func TestChurnSoakJoinLeaveCancelResume(t *testing.T) {
 	if v := treg.Counter("ting.churn.tombstoned_pairs").Value(); v < 1 {
 		t.Errorf("ting.churn.tombstoned_pairs = %d, want >= 1", v)
 	}
-	if c := treg.Histogram("ting.deadline.adaptive_ms").Count(); c < 1 {
+	if c := treg.Snapshot().Histograms["ting.deadline.adaptive_ms"].Count; c < 1 {
 		t.Errorf("ting.deadline.adaptive_ms observations = %d, want >= 1", c)
 	}
 }

@@ -84,14 +84,6 @@ func halfKeyInto(buf []byte, path []string, samples int) []byte {
 	return strconv.AppendInt(buf, int64(samples), 10)
 }
 
-// Len returns the number of memoized half circuits (completed series only,
-// fresh or stale).
-func (c *HalfCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Seed installs a series without measuring — checkpoint replay. The entry
 // is stored as freshly measured and does not fire the store hook (it is
 // already in the log it came from).

@@ -77,8 +77,8 @@ func TestHalfCacheSingleflight(t *testing.T) {
 	if got := ev.hits.Load() + ev.waits.Load(); got != callers-1 {
 		t.Errorf("hits+waits = %d, want %d", got, callers-1)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
+	if len(c.entries) != 1 {
+		t.Errorf("Len = %d", len(c.entries))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestHalfCacheKeying(t *testing.T) {
 	if v, _ := c.Do(context.Background(), []string{"w", "x"}, 10, nil, measure(99)); v != 1 {
 		t.Errorf("memoized series re-measured: %v", v)
 	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d, want 3", c.Len())
+	if len(c.entries) != 3 {
+		t.Errorf("Len = %d, want 3", len(c.entries))
 	}
 }
 
@@ -163,8 +163,8 @@ func TestHalfCacheLeaderFailureTakeover(t *testing.T) {
 	if ev.misses.Load() != 2 {
 		t.Errorf("misses = %d, want 2 (leader + takeover)", ev.misses.Load())
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (errors never cached)", c.Len())
+	if len(c.entries) != 1 {
+		t.Errorf("Len = %d, want 1 (errors never cached)", len(c.entries))
 	}
 	if v, err := c.Do(context.Background(), path, 5, obs,
 		func(context.Context) (float64, error) {

@@ -296,16 +296,6 @@ func (h *Health) Reset(name string) {
 	}
 }
 
-// State returns the relay's breaker position (closed for unknown relays).
-func (h *Health) State(name string) BreakerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if rh := h.relays[name]; rh != nil {
-		return rh.state
-	}
-	return BreakerClosed
-}
-
 // Snapshot returns every tracked relay's scoreboard row, sorted by name.
 func (h *Health) Snapshot() []RelayHealth {
 	h.mu.Lock()

@@ -8,6 +8,16 @@ import (
 )
 
 // testHealth builds a scoreboard on a manual clock the test advances.
+// state returns the relay's breaker position (closed for unknown relays).
+func (h *Health) state(name string) BreakerState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if rh := h.relays[name]; rh != nil {
+		return rh.state
+	}
+	return BreakerClosed
+}
+
 func testHealth(threshold int, cooldown time.Duration) (*Health, *time.Time) {
 	now := time.Unix(1000, 0)
 	h := NewHealth(HealthConfig{
@@ -23,7 +33,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	boom := errors.New("dial refused")
 	for i := 0; i < 2; i++ {
 		h.Failure("x", boom, 5*time.Millisecond)
-		if got := h.State("x"); got != BreakerClosed {
+		if got := h.state("x"); got != BreakerClosed {
 			t.Fatalf("state after %d failures = %v, want closed", i+1, got)
 		}
 		if qe := h.Allow("x"); qe != nil {
@@ -31,7 +41,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 		}
 	}
 	h.Failure("x", boom, 5*time.Millisecond)
-	if got := h.State("x"); got != BreakerOpen {
+	if got := h.state("x"); got != BreakerOpen {
 		t.Fatalf("state after threshold = %v, want open", got)
 	}
 	qe := h.Allow("x", "y")
@@ -48,7 +58,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 		t.Error("QuarantineError does not unwrap to the opening failure")
 	}
 	// The healthy relay is unaffected.
-	if got := h.State("y"); got != BreakerClosed {
+	if got := h.state("y"); got != BreakerClosed {
 		t.Errorf("bystander state = %v", got)
 	}
 }
@@ -59,11 +69,11 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	h.Failure("x", err, time.Millisecond)
 	h.Success("x")
 	h.Failure("x", err, time.Millisecond)
-	if got := h.State("x"); got != BreakerClosed {
+	if got := h.state("x"); got != BreakerClosed {
 		t.Errorf("interleaved successes still opened the breaker: %v", got)
 	}
 	h.Failure("x", err, time.Millisecond)
-	if got := h.State("x"); got != BreakerOpen {
+	if got := h.state("x"); got != BreakerOpen {
 		t.Errorf("two consecutive failures did not open: %v", got)
 	}
 }
@@ -81,7 +91,7 @@ func TestBreakerHalfOpenProbeLifecycle(t *testing.T) {
 	if qe := h.Allow("x"); qe != nil {
 		t.Fatalf("cooldown elapsed but probe blocked: %v", qe)
 	}
-	if got := h.State("x"); got != BreakerHalfOpen {
+	if got := h.state("x"); got != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	if qe := h.Allow("x"); qe == nil {
@@ -90,7 +100,7 @@ func TestBreakerHalfOpenProbeLifecycle(t *testing.T) {
 
 	// Probe success closes the breaker for good.
 	h.Success("x")
-	if got := h.State("x"); got != BreakerClosed {
+	if got := h.state("x"); got != BreakerClosed {
 		t.Fatalf("state after probe success = %v", got)
 	}
 	if qe := h.Allow("x"); qe != nil {
@@ -106,7 +116,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		t.Fatal(qe)
 	}
 	h.Failure("x", errors.New("still down"), time.Millisecond)
-	if got := h.State("x"); got != BreakerOpen {
+	if got := h.state("x"); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 	if qe := h.Allow("x"); qe == nil {
@@ -149,7 +159,7 @@ func TestAllowPairCommitsProbesAtomically(t *testing.T) {
 	}
 	// a must still be plain open with its probe slot intact, not half-open
 	// with a burned probe.
-	if got := h.State("a"); got != BreakerOpen {
+	if got := h.state("a"); got != BreakerOpen {
 		t.Fatalf("a's state = %v after blocked pair, want open", got)
 	}
 	if qe := h.Allow("a"); qe != nil {

@@ -458,11 +458,6 @@ type ProvCount struct {
 // resumed) — the numerator of a budgeted campaign's measured fraction.
 func (c ProvCount) Measured() int { return c.Fresh + c.Resumed }
 
-// Total is the number of unordered pairs tallied.
-func (c ProvCount) Total() int {
-	return c.Fresh + c.Resumed + c.Removed + c.Predicted + c.Missing
-}
-
 // ProvCounts tallies the upper triangle's provenance. Unmaterialized
 // tiles count as all-missing without being touched.
 func (m *Matrix) ProvCounts() ProvCount {

@@ -80,9 +80,6 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 	return &Measurer{cfg: cfg}, nil
 }
 
-// Samples returns the configured per-circuit sample count.
-func (m *Measurer) Samples() int { return m.cfg.Samples }
-
 // Close releases resources the prober holds (cached circuits, open
 // streams). Probers without a Close method make this a no-op.
 func (m *Measurer) Close() {

@@ -205,7 +205,7 @@ func TestMonitorSkipsQuarantinedRelays(t *testing.T) {
 	// x's breaker is already open, e.g. from a scanner sharing the board.
 	h.Failure("x", errors.New("x is down"), time.Millisecond)
 	h.Failure("x", errors.New("x is down"), time.Millisecond)
-	if h.State("x") != BreakerOpen {
+	if h.state("x") != BreakerOpen {
 		t.Fatal("setup: x's breaker not open")
 	}
 	cfg := monitorConfig(t, f, []string{"x", "y", "u", "v"})
@@ -256,10 +256,10 @@ func TestMonitorFailuresFeedHealth(t *testing.T) {
 	if _, err := mon.Sweep(context.Background()); err == nil {
 		t.Fatal("sweep with failing relay reported no error")
 	}
-	if got := h.State("x"); got != BreakerOpen {
+	if got := h.state("x"); got != BreakerOpen {
 		t.Fatalf("x's breaker = %v after failed sweep, want open", got)
 	}
-	if got := h.State("y"); got != BreakerClosed {
+	if got := h.state("y"); got != BreakerClosed {
 		t.Errorf("bystander y's breaker = %v", got)
 	}
 	st := mon.Stats()
@@ -294,7 +294,7 @@ type breakerWatcher struct {
 func (p *breakerWatcher) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
 	if len(path) == 4 && (path[1] == "x" || path[2] == "x") {
 		p.mu.Lock()
-		p.states = append(p.states, p.h.State("x"))
+		p.states = append(p.states, p.h.state("x"))
 		p.mu.Unlock()
 	}
 	return p.fakeProber.SampleCircuit(ctx, path, n)
@@ -311,7 +311,7 @@ func TestMonitorHalfOpenProbe(t *testing.T) {
 	h := NewHealth(HealthConfig{FailureThreshold: 2, Cooldown: time.Hour, now: func() time.Time { return now }})
 	h.Failure("x", errors.New("x is down"), time.Millisecond)
 	h.Failure("x", errors.New("x is down"), time.Millisecond)
-	if h.State("x") != BreakerOpen {
+	if h.state("x") != BreakerOpen {
 		t.Fatal("setup: x's breaker not open")
 	}
 	now = now.Add(2 * time.Hour)
@@ -332,7 +332,7 @@ func TestMonitorHalfOpenProbe(t *testing.T) {
 	if _, err := mon.Sweep(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.State("x"); got != BreakerClosed {
+	if got := h.state("x"); got != BreakerClosed {
 		t.Fatalf("x's breaker = %v after the probe succeeded, want closed", got)
 	}
 	steppedOver := len(mon.stalePairs())

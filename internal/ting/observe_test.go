@@ -138,10 +138,10 @@ func TestScanTelemetryCounts(t *testing.T) {
 	if got := reg.Gauge("ting.scanner_active_workers").Value(); got != 0 {
 		t.Errorf("active workers = %d after scan, want 0", got)
 	}
-	if got := reg.Histogram("ting.pair_rtt_ms").Count(); got != 1 {
+	if got := reg.Snapshot().Histograms["ting.pair_rtt_ms"].Count; got != 1 {
 		t.Errorf("pair_rtt_ms count = %d, want 1", got)
 	}
-	if reg.Trace().Total() == 0 {
+	if len(reg.Trace().Events()) == 0 {
 		t.Error("no lifecycle events traced")
 	}
 }

@@ -28,15 +28,6 @@ type CampaignConfig struct {
 	// round trip). Default 300ms, a typical full-circuit figure from the
 	// paper's live measurements.
 	MeanRTT time.Duration
-	// BuildRTTs is the round trips spent building circuits per pair. Each
-	// handshake costs one, so the literal procedure's three builds,
-	// (w,x,y,z)+(w,x)+(w,y), cost 8 — the default. A reusing prober
-	// (StackProber.Reuse) reshapes one circuit instead: inside a
-	// first-endpoint group of a memoized scan (Shuffle 0) the next pair
-	// keeps (w,x) and re-extends y and z, ≈2 handshake round trips per pair
-	// (plus one for the TRUNCATE, which carries no handshake); a pair that
-	// also samples a half circuit, or starts a new group, pays 3–5.
-	BuildRTTs int
 	// Parallel is how many measurements run concurrently — one per vantage
 	// point or per control session. Default 1.
 	Parallel int
@@ -72,9 +63,6 @@ func (c *CampaignConfig) setDefaults() error {
 	if c.MeanRTT == 0 {
 		c.MeanRTT = 300 * time.Millisecond
 	}
-	if c.BuildRTTs == 0 {
-		c.BuildRTTs = 8 // three separate builds; ≈2 with prefix reuse, see the field
-	}
 	if c.Parallel <= 0 {
 		c.Parallel = 1
 	}
@@ -86,6 +74,14 @@ func (c *CampaignConfig) setDefaults() error {
 	}
 	return nil
 }
+
+// buildRTTs is the round trips spent building circuits per pair. Each
+// handshake costs one, so the three builds of the literal procedure —
+// (w,x,y,z)+(w,x)+(w,y), what a control-port session does — cost 8. It is an
+// upper bound for a reusing prober (StackProber.Reuse), which reshapes one
+// circuit instead: ≈2 handshake round trips a pair inside a first-endpoint
+// group, 3–5 for a pair that also samples a half circuit or starts a group.
+const buildRTTs = 8
 
 // CampaignPlan is the projected cost.
 type CampaignPlan struct {
@@ -109,12 +105,12 @@ func PlanCampaign(cfg CampaignConfig) (*CampaignPlan, error) {
 			return nil, errors.New("ting: memoized campaign needs Relays (the half-circuit count)")
 		}
 		series := cfg.Pairs + cfg.Relays
-		total := time.Duration(int64(series*cfg.Samples+cfg.Pairs*cfg.BuildRTTs) *
+		total := time.Duration(int64(series*cfg.Samples+cfg.Pairs*buildRTTs) *
 			int64(cfg.MeanRTT) / int64(cfg.Parallel))
 		perPair := time.Duration(int64(total) * int64(cfg.Parallel) / int64(cfg.Pairs))
 		return &CampaignPlan{Pairs: cfg.Pairs, PerPair: perPair, Total: total}, nil
 	}
-	perPair := time.Duration(3*cfg.Samples+cfg.BuildRTTs) * cfg.MeanRTT
+	perPair := time.Duration(3*cfg.Samples+buildRTTs) * cfg.MeanRTT
 	total := time.Duration(int64(perPair) * int64(cfg.Pairs) / int64(cfg.Parallel))
 	return &CampaignPlan{Pairs: cfg.Pairs, PerPair: perPair, Total: total}, nil
 }

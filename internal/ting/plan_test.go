@@ -45,7 +45,7 @@ func TestPlanCampaignAnchorsToPaper(t *testing.T) {
 }
 
 func TestPlanCampaignScaling(t *testing.T) {
-	// Parallelism divides total time; reuse trims build cost.
+	// Parallelism divides total time.
 	base, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -57,25 +57,10 @@ func TestPlanCampaignScaling(t *testing.T) {
 	if par.Total*10 != base.Total {
 		t.Errorf("parallel scaling wrong: %v vs %v", par.Total, base.Total)
 	}
-	// Prefix reuse: ≈2 handshake round trips per pair instead of the
-	// default 8 takes exactly 6 mean RTTs off every pair.
-	reuse, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, BuildRTTs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := base.PerPair-reuse.PerPair, 6*300*time.Millisecond; got != want {
-		t.Errorf("prefix reuse saves %v per pair, want %v", got, want)
-	}
-	memo, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, Memoized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memoReuse, err := PlanCampaign(CampaignConfig{Relays: 100, Samples: 50, Memoized: true, BuildRTTs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := memo.Total-memoReuse.Total, time.Duration(base.Pairs)*6*300*time.Millisecond; got != want {
-		t.Errorf("prefix reuse saves %v over a memoized campaign, want %v", got, want)
+	// A pair costs three series and the literal procedure's 8 build round
+	// trips.
+	if want := (3*50 + 8) * 300 * time.Millisecond; base.PerPair != want {
+		t.Errorf("per pair %v, want %v", base.PerPair, want)
 	}
 
 	// Explicit pair counts for non-all-pairs campaigns (e.g. the paper's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"ting/internal/faults"
 	"ting/internal/geo"
@@ -197,7 +196,7 @@ func TestReshapeFailureFallsBackToRebuild(t *testing.T) {
 	plan.SetLink("host", tornet.WName, faults.LinkFaults{ResetAfter: truncateSend})
 	n, err := tornet.Build(tornet.Config{
 		Topology: topo, Host: host, TimeScale: 1e-9,
-		Faults: plan, Telemetry: reg, Timeout: 5 * time.Second,
+		Faults: plan, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,7 +234,7 @@ func TestScannerQuarantinesDeadRelay(t *testing.T) {
 	if plain != 2 || quarantined != 1 {
 		t.Errorf("plain=%d quarantined=%d, want 2 and 1", plain, quarantined)
 	}
-	if got := h.State("x"); got != BreakerOpen {
+	if got := h.state("x"); got != BreakerOpen {
 		t.Errorf("x's breaker = %v, want open", got)
 	}
 	if quarNonFinal != 1 || quarFinal != 1 {
@@ -247,7 +247,7 @@ func TestScannerQuarantinesDeadRelay(t *testing.T) {
 		}
 	}
 	for _, relay := range []string{"y", "u", "v"} {
-		if got := h.State(relay); got != BreakerClosed {
+		if got := h.state(relay); got != BreakerClosed {
 			t.Errorf("%s's breaker = %v", relay, got)
 		}
 	}
@@ -314,7 +314,7 @@ func TestScannerQuarantineRecovery(t *testing.T) {
 	if v, _ := m.RTT("x", "v"); v <= 0 {
 		t.Error("recovered relay's deferred pair not measured")
 	}
-	if got := h.State("x"); got != BreakerClosed {
+	if got := h.state("x"); got != BreakerClosed {
 		t.Errorf("x's breaker = %v after successful probe, want closed", got)
 	}
 }

@@ -39,8 +39,8 @@ type scan struct {
 	hc      *HalfCache       // nil when half-circuit memoization is off
 	est     *DeadlineEstimator
 	// ctx is the scan's own context: done when the caller's is, when a
-	// non-tolerant scan meets its first failure, or when a checkpoint
-	// append fails.
+	// non-tolerant scan meets its first failure, when a checkpoint append
+	// fails, or when the consensus history is lost.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// sched holds every scheduled pair until a worker releases it: the plan
@@ -56,16 +56,19 @@ type scan struct {
 	replayedPairs int
 	firstErr      error // first pair failure of a non-tolerant scan
 	cpErr         error // first checkpoint append failure
+	watchErr      error // the consensus history no longer reached the scan's epoch
 	jitter        *rand.Rand
 	backoff       stats.Backoff
 
-	// rosterMu guards the live churn roster, kept only with a Directory:
-	// the newest epoch reconciled, the relays that left (pre-seeded with
-	// resume-time removals so a joining relay never pairs against a ghost),
-	// each relay's onion-key fingerprint, and the campaign's relay set as
-	// joins extend it. Only the delta goroutine writes it once workers run.
+	// epoch is the consensus epoch reconcile snapshotted, where the delta
+	// goroutine's cursor starts. Kept only with a Directory, like the roster.
+	epoch uint64
+	// rosterMu guards the live churn roster: the relays that left
+	// (pre-seeded with resume-time removals so a joining relay never pairs
+	// against a ghost), each relay's onion-key fingerprint, and the
+	// campaign's relay set as joins extend it. Only the delta goroutine
+	// writes it once workers run.
 	rosterMu sync.Mutex
-	epoch    uint64
 	removed  map[string]uint64
 	fps      map[string]string
 	nameSet  map[string]bool
@@ -153,11 +156,10 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 	sc.sched = newSchedule(todo, workers, s.Shuffle != 0)
 	var deltas sync.WaitGroup
 	if s.Directory != nil {
-		ch := s.Directory.Watch(sc.ctx)
 		deltas.Add(1)
 		go func() {
 			defer deltas.Done()
-			sc.watch(ch)
+			sc.watch()
 		}()
 	}
 	var wg sync.WaitGroup
@@ -175,10 +177,10 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		}(w, measurers[w])
 	}
 	wg.Wait()
-	// The scan is over: detach the consensus watch and wait for the delta
+	// The scan is over: end the consensus watch and wait for the delta
 	// goroutine so it cannot touch the failure list while finish sorts it.
-	// Still-queued deltas drain harmlessly — reserve refuses new work once
-	// every pair has been released.
+	// Deltas it is still handling drain harmlessly — reserve refuses new
+	// work once every pair has been released.
 	sc.cancel()
 	deltas.Wait()
 	return sc.finish(ctx)
@@ -404,29 +406,34 @@ func (sc *scan) announceResume(joined, rotated []string) {
 }
 
 // watch feeds consensus deltas to handleDelta until the scan's context
-// closes ch. It first catches up on deltas that slipped between the
-// reconcile snapshot and the watch registration; handleDelta's epoch guard
-// dedups the overlap with the live stream.
-func (sc *scan) watch(ch <-chan directory.ConsensusDelta) {
-	if missed, ok := sc.s.Directory.DeltasSince(sc.epoch); ok {
-		for _, d := range missed {
-			sc.handleDelta(d)
+// ends, reading the directory's bounded history by cursor from the epoch
+// reconcile snapshotted. A history that no longer reaches the cursor means
+// changes the scan will never hear of — relays it would measure as ghosts —
+// so that latches an error and cancels the scan; a Resume reconciles
+// against the current consensus.
+func (sc *scan) watch() {
+	epoch := sc.epoch
+	for {
+		deltas, ok := sc.s.Directory.Wait(sc.ctx, epoch)
+		if !ok {
+			sc.mu.Lock()
+			sc.watchErr = fmt.Errorf("ting: consensus history lost after epoch %d: the directory moved on further than it remembers", epoch)
+			sc.mu.Unlock()
+			sc.cancel()
+			return
 		}
-	}
-	for d := range ch {
-		sc.handleDelta(d)
+		if len(deltas) == 0 {
+			return // the scan's context ended
+		}
+		for _, d := range deltas {
+			sc.handleDelta(d)
+			epoch = d.Epoch
+		}
 	}
 }
 
 // handleDelta reconciles one consensus change mid-scan.
 func (sc *scan) handleDelta(d directory.ConsensusDelta) {
-	sc.rosterMu.Lock()
-	if d.Epoch <= sc.epoch {
-		sc.rosterMu.Unlock()
-		return
-	}
-	sc.epoch = d.Epoch
-	sc.rosterMu.Unlock()
 	fp := ""
 	if d.Desc != nil {
 		fp = d.Desc.Fingerprint()
@@ -744,6 +751,8 @@ func (sc *scan) finish(caller context.Context) (*Matrix, []PairError, error) {
 		return sc.m, sc.failures, caller.Err()
 	case sc.cpErr != nil:
 		return sc.m, sc.failures, fmt.Errorf("ting: checkpoint append: %w", sc.cpErr)
+	case sc.watchErr != nil:
+		return sc.m, sc.failures, sc.watchErr
 	default:
 		return sc.m, sc.failures, sc.firstErr
 	}

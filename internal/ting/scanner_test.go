@@ -405,8 +405,8 @@ func TestScannerSharedCacheConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if cache.Len() != 4 {
-		t.Errorf("cache holds %d half circuits, want 4", cache.Len())
+	if len(cache.entries) != 4 {
+		t.Errorf("cache holds %d half circuits, want 4", len(cache.entries))
 	}
 }
 

@@ -128,8 +128,8 @@ func TestMeasurerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Samples() != DefaultSamples {
-		t.Errorf("default samples = %d, want %d", m.Samples(), DefaultSamples)
+	if m.cfg.Samples != DefaultSamples {
+		t.Errorf("default samples = %d, want %d", m.cfg.Samples, DefaultSamples)
 	}
 	for _, bad := range [][2]string{{"", "x"}, {"x", ""}, {"x", "x"}, {"w", "x"}, {"x", "z"}} {
 		if _, err := m.MeasurePair(context.Background(), bad[0], bad[1]); err == nil {

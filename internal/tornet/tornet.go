@@ -40,6 +40,10 @@ const (
 	ZName = "ting-z"
 )
 
+// clientTimeout is the overlay client's protocol timeout (circuit build
+// steps, stream opens).
+const clientTimeout = 30 * time.Second
+
 // Config configures an overlay build.
 type Config struct {
 	// Topology supplies nodes, ground-truth RTTs, and forwarding models.
@@ -60,8 +64,6 @@ type Config struct {
 	ForwardDelays bool
 	// Seed drives forwarding-delay sampling.
 	Seed int64
-	// Timeout is the client protocol timeout. Default 30s.
-	Timeout time.Duration
 	// TCP switches relay links from in-process pipes to real loopback TCP
 	// sockets. Latency injection is identical; this mode proves the stack
 	// runs over a real network and backs cmd/tingnet.
@@ -110,9 +112,6 @@ func Build(cfg Config) (*Net, error) {
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1.0
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
 	}
 	nodes := cfg.RelayNodes
 	if nodes == nil {
@@ -175,7 +174,7 @@ func Build(cfg Config) (*Net, error) {
 
 	cl, err := client.New(client.Config{
 		Dialer:    n.dialerFrom(cfg.Host, cfg.Topology.Node(cfg.Host).Name),
-		Timeout:   cfg.Timeout,
+		Timeout:   clientTimeout,
 		Telemetry: cfg.Telemetry,
 	})
 	if err != nil {

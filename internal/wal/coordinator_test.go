@@ -147,8 +147,8 @@ func TestCoordinatorCompactionFailure(t *testing.T) {
 }
 
 // TestCoordinatorSyncsPerRecord: same syncs as before the logs were
-// unified — one fsync per grant and per completion, lost-pair records
-// batched — plus one directory fsync per compaction.
+// unified — one fsync per grant and per completion, whose one record
+// carries its failed pairs — plus one directory fsync per compaction.
 func TestCoordinatorSyncsPerRecord(t *testing.T) {
 	names := []string{"relay0", "relay1", "relay2", "relay3"}
 	path := filepath.Join(t.TempDir(), "campaign.journal")
@@ -173,14 +173,14 @@ func TestCoordinatorSyncsPerRecord(t *testing.T) {
 	if got := fs.Count("sync"); got != len(leases) || fs.Count("write") != len(leases) {
 		t.Fatalf("%d fsyncs, %d writes for %d grants", got, fs.Count("write"), len(leases))
 	}
-	// One completion with a failed pair: complete record synced, lost record not.
+	// One completion with a failed pair: one record, synced.
 	res := results(t, leases[0].Shard, names)
 	res[0] = campaign.PairResult{X: res[0].X, Y: res[0].Y, Failed: true}
 	if err := coord.Complete("w1", leases[0].Shard.ID, leases[0].Epoch, res); err != nil {
 		t.Fatal(err)
 	}
-	if syncs, writes := fs.Count("sync"), fs.Count("write"); syncs != len(leases)+1 || writes != len(leases)+2 {
-		t.Fatalf("after a completion with one lost pair: %d fsyncs, %d writes", syncs, writes)
+	if syncs, writes := fs.Count("sync"), fs.Count("write"); syncs != len(leases)+1 || writes != len(leases)+1 {
+		t.Fatalf("after a completion with one failed pair: %d fsyncs, %d writes", syncs, writes)
 	}
 	before := len(fs.Ops)
 	if err := coord.CompactJournal(); err != nil {

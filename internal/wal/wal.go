@@ -30,8 +30,8 @@ var errClosed = errors.New("wal: closed")
 // Log is an open log's append handle, safe for concurrent use. Its first
 // write, fsync or rename error is sticky: a failed write may have left a
 // fragment in the file and a failed fsync may have dropped the dirty pages,
-// so nothing more goes through this handle — every later Append, Sync and
-// Rewrite returns that error — and reopening repairs the tail.
+// so nothing more goes through this handle — every later Append and Rewrite
+// returns that error — and reopening repairs the tail.
 type Log struct {
 	path string
 	fs   fsys
@@ -138,16 +138,6 @@ func (l *Log) Append(rec []byte, syncEvery int) error {
 	}
 	if l.unsynced < syncEvery {
 		return nil
-	}
-	return l.sync()
-}
-
-// Sync forces any unsynced batch to disk.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil || l.unsynced == 0 {
-		return l.err
 	}
 	return l.sync()
 }

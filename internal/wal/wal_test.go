@@ -81,17 +81,11 @@ func TestSyncPolicy(t *testing.T) {
 	if err := l.Append([]byte("tail"), 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil { // nothing unsynced: no fsync
-		t.Fatal(err)
-	}
-	if got := fs.Count("sync"); got != 7 {
-		t.Fatalf("%d fsyncs, want 7", got)
-	}
 	if err := l.Append([]byte("last"), 4); err != nil {
 		t.Fatal(err)
+	}
+	if got := fs.Count("sync"); got != 6 {
+		t.Fatalf("%d fsyncs with two of a batch of four unsynced, want 6", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -99,8 +93,8 @@ func TestSyncPolicy(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got, dirs := fs.Count("sync"), fs.Count("syncdir"); got != 8 || dirs != 1 {
-		t.Fatalf("%d fsyncs and %d directory fsyncs after Close, want 8 and 1", got, dirs)
+	if got, dirs := fs.Count("sync"), fs.Count("syncdir"); got != 7 || dirs != 1 {
+		t.Fatalf("%d fsyncs and %d directory fsyncs after Close, want 7 and 1", got, dirs)
 	}
 	if err := l.Append([]byte("late"), 1); err == nil {
 		t.Fatal("Append after Close accepted")
@@ -280,7 +274,6 @@ func TestFailureIsSticky(t *testing.T) {
 			ops := len(fs.Ops)
 			for name, err := range map[string]error{
 				"Append":  l.Append([]byte("four"), 1),
-				"Sync":    l.Sync(),
 				"Rewrite": l.Rewrite([][]byte{[]byte("again")}),
 				"Close":   l.Close(),
 			} {

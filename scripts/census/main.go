@@ -1,0 +1,511 @@
+// Command census checks that every exported func and method under internal/
+// can be reached from a command: it type-checks every non-test package of the
+// module from source, walks the reference graph from the main packages, and
+// prints what it could not reach.
+//
+// Nodes are funcs, methods, named types and package-level vars and consts; a
+// node's edges are the objects its declaration names (types.Info.Uses, which
+// resolves selectors and promoted methods to the declaring object). Roots are
+// every func and var of every main package, and every init. Test files are not
+// loaded, so a func only tests call is unreachable.
+//
+// A method nothing selects is still reached when a value of its type can be
+// behind an interface that has it. The census approximates "can be" by "the
+// type is reachable, the interface is in play, and the type implements it";
+// an interface is in play when reachable code names it, writes it as a
+// literal, selects a method on a value of it, or uses a standard-library
+// func, method or field whose signature takes it (sort.Sort's data,
+// http.Server.Handler), plus the handful in calledByStdlib that the library
+// reaches by type assertion. So a Close on a type that is never used as an
+// io.Closer is flagged, whoever else has a Close.
+//
+// It cannot see fields, wire verbs or record kinds: a struct field nobody
+// sets, a command no client sends and a record no reader wants all pass.
+//
+// Usage, from the module root:
+//
+//	go run ./scripts/census
+//
+// Each unreachable exported func or method under internal/ is printed as
+// "pkg.Type.Method  file:line". The exit status is 1 if one of them is not in
+// scripts/census.allow (name, then the reason it stays; # starts a comment)
+// or if a line there names something that is no longer flagged, so the list
+// can only shrink.
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+func main() {
+	os.Exit(run(".", "scripts/census.allow", os.Stdout, os.Stderr))
+}
+
+// run is main without the process: the exit status, findings on stdout,
+// complaints on stderr.
+func run(dir, allowPath string, stdout, stderr io.Writer) int {
+	allowed, err := readAllowlist(allowPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "census:", err)
+		return 2
+	}
+	l, err := load(dir)
+	if err != nil {
+		fmt.Fprintln(stderr, "census:", err)
+		return 2
+	}
+	g := newGraph(l)
+	if err := g.reach(); err != nil {
+		fmt.Fprintln(stderr, "census:", err)
+		return 2
+	}
+
+	var unlisted, stale []string
+	flagged := map[string]bool{}
+	for _, f := range g.unreached() {
+		flagged[f.name] = true
+		fmt.Fprintf(stdout, "%s  %s\n", f.name, f.pos)
+		if _, ok := allowed[f.name]; !ok {
+			unlisted = append(unlisted, f.name)
+		}
+	}
+	for name := range allowed {
+		if !flagged[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	if len(unlisted) > 0 {
+		fmt.Fprintf(stderr, "census: no command reaches %s: give each a caller, unexport it, delete it, or list it in %s with the reason it stays\n", strings.Join(unlisted, ", "), allowPath)
+	}
+	if len(stale) > 0 {
+		fmt.Fprintf(stderr, "census: %s lists %s, no longer flagged: drop the lines\n", allowPath, strings.Join(stale, ", "))
+	}
+	if len(unlisted)+len(stale) > 0 {
+		return 1
+	}
+	fmt.Fprintf(stdout, "census: ok (%d allowlisted)\n", len(allowed))
+	return 0
+}
+
+// readAllowlist returns name -> reason. A name without a reason is an error:
+// the reason is what a later reader checks the line against.
+func readAllowlist(path string) (map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	allowed := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(line, " ")
+		if reason = strings.TrimSpace(reason); reason == "" {
+			return nil, fmt.Errorf("%s:%d: %s has no reason", path, n, name)
+		}
+		allowed[name] = reason
+	}
+	return allowed, sc.Err()
+}
+
+// A pkg is one type-checked non-test package of the module.
+type pkg struct {
+	types *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// A loader type-checks the module's packages itself, so that an object has
+// one identity whichever package names it, and hands everything else to the
+// source importer.
+type loader struct {
+	root    string // absolute module root
+	modpath string
+	fset    *token.FileSet
+	std     types.Importer
+	pkgs    map[string]*pkg // by import path; nil while loading
+	order   []*pkg
+}
+
+func load(dir string) (*loader, error) {
+	root, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{root: root, fset: token.NewFileSet(), pkgs: map[string]*pkg{}}
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			l.modpath = strings.Trim(strings.TrimSpace(rest), `"`)
+			break
+		}
+	}
+	if l.modpath == "" {
+		return nil, fmt.Errorf("%s/go.mod: no module line", root)
+	}
+	// Pure-Go file sets everywhere: the source importer, which reads
+	// build.Default, would otherwise run cgo (and need a C compiler) for net
+	// and os/user.
+	build.Default.CgoEnabled = false
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (name == "testdata" || name == "vendor" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
+			}
+		}
+		rel, _ := filepath.Rel(root, path)
+		ipath := l.modpath
+		if rel != "." {
+			ipath += "/" + filepath.ToSlash(rel)
+		}
+		_, err = l.load(ipath)
+		if _, noGo := err.(*build.NoGoError); noGo {
+			return nil
+		}
+		return err
+	})
+	return l, err
+}
+
+func (l *loader) inModule(path string) bool {
+	return path == l.modpath || strings.HasPrefix(path, l.modpath+"/")
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if !l.inModule(path) {
+		return l.std.Import(path)
+	}
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+func (l *loader) load(ipath string) (*pkg, error) {
+	if p, ok := l.pkgs[ipath]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", ipath)
+		}
+		return p, nil
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(ipath, l.modpath), "/")))
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[ipath] = nil
+	p := &pkg{info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}}
+	for _, name := range bp.GoFiles { // GoFiles has no _test.go files
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: l}
+	if p.types, err = conf.Check(ipath, l.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	l.pkgs[ipath] = p
+	l.order = append(l.order, p)
+	return p, nil
+}
+
+// calledByStdlib is type-checked like any package and every interface it
+// mentions is in play from the start: the ones the standard library reaches
+// by asserting on a value it was handed as something else (fmt on any,
+// errors on error, io.Copy on Reader and Writer, encoding/json on any).
+const calledByStdlib = `package calledbystdlib
+
+import (
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"io"
+)
+
+var _ = []any{
+	(*error)(nil), (*fmt.Stringer)(nil), (*fmt.GoStringer)(nil), (*fmt.Formatter)(nil),
+	(*interface{ Unwrap() error })(nil), (*interface{ Unwrap() []error })(nil),
+	(*interface{ Is(error) bool })(nil), (*interface{ As(any) bool })(nil),
+	(*interface{ Timeout() bool })(nil), (*interface{ Temporary() bool })(nil),
+	(*io.WriterTo)(nil), (*io.ReaderFrom)(nil), (*io.StringWriter)(nil),
+	(*json.Marshaler)(nil), (*json.Unmarshaler)(nil),
+	(*encoding.TextMarshaler)(nil), (*encoding.TextUnmarshaler)(nil),
+}
+`
+
+// A graph is the reference graph over the module's package-level objects.
+type graph struct {
+	l      *loader
+	decl   map[types.Object]*declared
+	roots  []types.Object
+	seen   map[types.Object]bool
+	work   []types.Object
+	types  []*types.Named            // reachable module types with methods to keep
+	ifaces map[*types.Interface]bool // interfaces in play
+}
+
+// declared is what a node's declaration mentions.
+type declared struct {
+	uses   []types.Object     // module objects named
+	ifaces []*types.Interface // interfaces named, written or taken by something external it uses
+}
+
+func newGraph(l *loader) *graph {
+	g := &graph{l: l, decl: map[types.Object]*declared{}, seen: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
+	for _, p := range l.order {
+		isMain := p.types.Name() == "main"
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := p.info.Defs[d.Name]
+					g.decl[obj] = g.mentions(p, d)
+					if isMain || (d.Recv == nil && d.Name.Name == "init") {
+						g.roots = append(g.roots, obj)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							g.decl[p.info.Defs[spec.Name]] = g.mentions(p, spec)
+						case *ast.ValueSpec:
+							m := g.mentions(p, spec)
+							for _, name := range spec.Names {
+								// A blank var is a compile-time assertion
+								// (var _ I = T{}): it keeps nothing alive.
+								if obj := p.info.Defs[name]; obj != nil && name.Name != "_" {
+									g.decl[obj] = m
+									if _, isVar := obj.(*types.Var); isVar && isMain {
+										g.roots = append(g.roots, obj)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// mentions collects what the syntax under n refers to.
+func (g *graph) mentions(p *pkg, n ast.Node) *declared {
+	m := &declared{}
+	addIface := func(t types.Type) {
+		if t == nil {
+			return
+		}
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			m.ifaces = append(m.ifaces, it)
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.InterfaceType:
+			addIface(p.info.TypeOf(n))
+		case *ast.SelectorExpr:
+			// x.M() on an interface-typed x puts x's whole interface in
+			// play, not just the one that declared M (resp.Body.Close() is
+			// a call on an io.ReadCloser, not on every io.Closer).
+			if sel := p.info.Selections[n]; sel != nil {
+				addIface(sel.Recv())
+			}
+		case *ast.Ident:
+			obj := p.info.Uses[n]
+			if obj == nil || obj.Pkg() == nil {
+				return true
+			}
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.TypeName:
+				addIface(o.Type())
+			case *types.Var, *types.Const:
+			default:
+				return true // a package name, a label
+			}
+			if g.l.inModule(obj.Pkg().Path()) {
+				if v, ok := obj.(*types.Var); ok && (v.IsField() || v.Parent() != v.Pkg().Scope()) {
+					return true // fields and locals are not nodes
+				}
+				m.uses = append(m.uses, obj)
+				return true
+			}
+			// Something external: whatever interfaces it takes, the
+			// library may call through.
+			switch t := obj.Type().(type) {
+			case *types.Signature:
+				for i := 0; i < t.Params().Len(); i++ {
+					pt := t.Params().At(i).Type()
+					if s, ok := pt.(*types.Slice); ok && t.Variadic() && i == t.Params().Len()-1 {
+						pt = s.Elem()
+					}
+					addIface(pt)
+				}
+			default:
+				if _, isVar := obj.(*types.Var); isVar {
+					addIface(t)
+				}
+			}
+		}
+		return true
+	})
+	return m
+}
+
+func (g *graph) mark(obj types.Object) {
+	if !g.seen[obj] {
+		g.seen[obj] = true
+		g.work = append(g.work, obj)
+	}
+}
+
+// reach marks everything the roots lead to.
+func (g *graph) reach() error {
+	std := &pkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+	f, err := parser.ParseFile(g.l.fset, "calledbystdlib.go", calledByStdlib, parser.SkipObjectResolution)
+	if err == nil {
+		conf := types.Config{Importer: g.l}
+		_, err = conf.Check("calledbystdlib", g.l.fset, []*ast.File{f}, std.info)
+	}
+	if err != nil {
+		return fmt.Errorf("calledByStdlib: %w", err)
+	}
+	for _, it := range g.mentions(std, f).ifaces {
+		g.play(it)
+	}
+	for _, r := range g.roots {
+		g.mark(r)
+	}
+	for len(g.work) > 0 {
+		obj := g.work[len(g.work)-1]
+		g.work = g.work[:len(g.work)-1]
+		if tn, ok := obj.(*types.TypeName); ok {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok && !types.IsInterface(named) {
+				g.types = append(g.types, named)
+				for it := range g.ifaces {
+					g.keep(named, it)
+				}
+			}
+		}
+		d := g.decl[obj]
+		if d == nil {
+			continue // a method of an instantiated or embedded external type
+		}
+		for _, u := range d.uses {
+			g.mark(u)
+		}
+		for _, it := range d.ifaces {
+			g.play(it)
+		}
+	}
+	return nil
+}
+
+// play puts an interface in play: every reachable type that implements it
+// keeps the methods it asks for.
+func (g *graph) play(it *types.Interface) {
+	if g.ifaces[it] {
+		return
+	}
+	g.ifaces[it] = true
+	for _, named := range g.types {
+		g.keep(named, it)
+	}
+}
+
+// keep marks the methods of named (or of what it embeds) that satisfy it, if
+// named or *named implements it. A generic type is matched by method name
+// alone: it has no single method set to test.
+func (g *graph) keep(named *types.Named, it *types.Interface) {
+	ptr := types.NewPointer(named)
+	if named.TypeParams().Len() == 0 && !types.Implements(named, it) && !types.Implements(ptr, it) {
+		return
+	}
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		if sel := ms.Lookup(m.Pkg(), m.Name()); sel != nil {
+			if fn, ok := sel.Obj().(*types.Func); ok && fn.Pkg() != nil && g.l.inModule(fn.Pkg().Path()) {
+				g.mark(fn.Origin())
+			}
+		}
+	}
+}
+
+// A finding is one exported func or method under internal/ that nothing
+// reaches.
+type finding struct {
+	name string // pkg.Func or pkg.Type.Method, pkg relative to internal/
+	pos  string // file:line relative to the module root
+}
+
+func (g *graph) unreached() []finding {
+	var out []finding
+	for obj := range g.decl {
+		fn, isFunc := obj.(*types.Func)
+		path := obj.Pkg().Path()
+		if g.seen[obj] || !isFunc || !obj.Exported() || !strings.HasPrefix(path, g.l.modpath+"/internal/") {
+			continue
+		}
+		short := strings.TrimPrefix(path, g.l.modpath+"/internal/")
+		name := short + "." + obj.Name()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := types.Unalias(t).(*types.Named); ok {
+				name = short + "." + n.Obj().Name() + "." + obj.Name()
+			}
+		}
+		pos := g.l.fset.Position(obj.Pos())
+		rel, _ := filepath.Rel(g.l.root, pos.Filename)
+		out = append(out, finding{name: name, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].name != out[j].name {
+			return out[i].name < out[j].name
+		}
+		return out[i].pos < out[j].pos
+	})
+	return out
+}

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// census runs the tool over testdata/mod against the given allowlist text.
+func census(t *testing.T, allow string) (status int, stdout, stderr string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "census.allow")
+	if err := os.WriteFile(path, []byte(allow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	status = run(filepath.Join("testdata", "mod"), path, &out, &errs)
+	return status, out.String(), errs.String()
+}
+
+// What the mini-module's declarations are for: flagged, with the line the
+// tool must print, or absent from the output.
+var (
+	wantFlagged = []string{
+		"lib.Handle.Close  internal/lib/lib.go:23", // a common name nothing calls: the grep's blind spot
+		"lib.DeadOuter  internal/lib/lib.go:26",    // no caller
+		"lib.DeadInner  internal/lib/lib.go:28",    // called only by DeadOuter
+		"lib.TestOnly  internal/lib/lib.go:33",     // called only by lib_test.go
+		"lib.AllowedSeam  internal/lib/lib.go:39",  // flagged, and answered by the allowlist
+	}
+	wantReached = []string{"Square.Area", "NewSquare", "NewHandle", "Handle.Use"} // Area only through a Shape value
+)
+
+const allowAll = `# every name the module flags
+lib.Handle.Close  r
+lib.DeadOuter     r
+lib.DeadInner     r
+lib.TestOnly      r
+lib.AllowedSeam   a seam another package's tests use
+`
+
+func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
+	status, stdout, stderr := census(t, "lib.AllowedSeam  a seam another package's tests use\n")
+	if status != 1 {
+		t.Fatalf("status %d, want 1\n%s%s", status, stdout, stderr)
+	}
+	for _, line := range wantFlagged {
+		if !strings.Contains(stdout, line+"\n") {
+			t.Errorf("stdout lacks %q:\n%s", line, stdout)
+		}
+	}
+	for _, name := range wantReached {
+		if strings.Contains(stdout, name) {
+			t.Errorf("%s is reached from cmd/app but was flagged:\n%s", name, stdout)
+		}
+	}
+	if strings.Contains(stdout, "deadHelper") {
+		t.Errorf("an unexported func was listed:\n%s", stdout)
+	}
+	for _, name := range []string{"lib.Handle.Close", "lib.DeadOuter", "lib.DeadInner", "lib.TestOnly"} {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("stderr does not name %s as unlisted:\n%s", name, stderr)
+		}
+	}
+	if strings.Contains(stderr, "lib.AllowedSeam") {
+		t.Errorf("the allowlisted name was reported as unlisted:\n%s", stderr)
+	}
+}
+
+func TestCensusPassesWhenEveryFlaggedNameIsListed(t *testing.T) {
+	status, stdout, stderr := census(t, allowAll)
+	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (5 allowlisted)\n") {
+		t.Fatalf("status %d\nstdout:\n%sstderr:\n%s", status, stdout, stderr)
+	}
+}
+
+func TestCensusFailsOnStaleAllowlistLine(t *testing.T) {
+	status, _, stderr := census(t, allowAll+"lib.Gone  deleted long ago\n")
+	if status != 1 || !strings.Contains(stderr, "lib.Gone") || !strings.Contains(stderr, "no longer flagged") {
+		t.Fatalf("status %d, stderr:\n%s", status, stderr)
+	}
+}
+
+func TestCensusRefusesAllowlistLineWithoutReason(t *testing.T) {
+	status, _, stderr := census(t, "lib.AllowedSeam\n")
+	if status != 2 || !strings.Contains(stderr, "no reason") {
+		t.Fatalf("status %d, stderr:\n%s", status, stderr)
+	}
+}
