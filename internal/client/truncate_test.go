@@ -223,13 +223,13 @@ func TestTruncateFailures(t *testing.T) {
 	}
 }
 
-// TestProbeAllocs pins the data path's allocation count: one echo round
-// trip over a four-hop circuit — client seal, four forwards, the exit's
-// reply, three backward relays — builds every cell in per-circuit or
-// per-connection scratch. What is left is the saved hash state at the two
-// ends that recognize a cell (one MarshalBinary each, the rollback copy of
-// onion's verify); a 512-byte cell literal escaping through Link.Send on
-// any of those nine steps would add one allocation per step and trip this.
+// TestProbeAllocs pins the data path's allocation count at zero: one echo
+// round trip over a four-hop circuit — client seal, four forwards, the
+// exit's reply, three backward relays — builds every cell in per-circuit
+// or per-connection scratch, and the two ends that recognize a cell save
+// their hash state for onion's verify rollback into a buffer the digest
+// owns. A 512-byte cell literal escaping through Link.Send on any of those
+// nine steps would add one allocation per step and trip this.
 func TestProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race, so cell.GetBuf's pooled data buffers allocate")
@@ -256,7 +256,7 @@ func TestProbeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per probe", allocs)
-	if allocs > 2 {
-		t.Errorf("%.1f allocations per echo probe over 4 hops, want ≤ 2", allocs)
+	if allocs > 0 {
+		t.Errorf("%.1f allocations per echo probe over 4 hops, want 0", allocs)
 	}
 }

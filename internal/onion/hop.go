@@ -78,13 +78,18 @@ func (h *HopState) VerifyBackward(p *[cell.PayloadLen]byte) bool {
 	return h.bwdDigest.verify(p)
 }
 
-// runningDigest is one direction's running hash, with the buffer Sum writes
-// into: a buffer on the caller's stack would escape through the hash.Hash
-// interface and be allocated per cell.
+// runningDigest is one direction's running hash, with the buffers Sum and
+// verify's saved state are written into: a buffer on the caller's stack
+// would escape through the hash.Hash interface and be allocated per cell.
 type runningDigest struct {
-	h   hash.Hash
-	sum [sha256.Size]byte
+	h     hash.Hash
+	sum   [sha256.Size]byte
+	saved [digestStateLen]byte
 }
+
+// digestStateLen is the size of SHA-256's marshaled state: a 4-byte magic,
+// eight 4-byte words, one 64-byte block and an 8-byte length.
+const digestStateLen = 4 + 8*4 + sha256.BlockSize + 8
 
 // tag commits p to the running hash and returns the digest field that goes
 // with it.
@@ -105,7 +110,7 @@ func (d *runningDigest) verify(p *[cell.PayloadLen]byte) bool {
 	if !cell.PayloadRecognized(p) {
 		return false
 	}
-	saved, err := d.h.(encoding.BinaryMarshaler).MarshalBinary()
+	saved, err := d.h.(encoding.BinaryAppender).AppendBinary(d.saved[:0])
 	if err != nil {
 		panic(fmt.Sprintf("onion: marshal hash: %v", err))
 	}

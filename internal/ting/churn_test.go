@@ -579,6 +579,110 @@ func TestScanChurnRotationInvalidatesHalves(t *testing.T) {
 	}
 }
 
+// rotatingProber answers every circuit with the sum of its hops' delays,
+// except that once rotated is set the half circuit (w, x) answers shift ms
+// more: the rotated relay's new incarnation.
+type rotatingProber struct {
+	delay   map[string]float64
+	x       string
+	shift   float64
+	rotated *atomic.Bool
+	hook    func(path []string)
+}
+
+func (p *rotatingProber) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	p.hook(path)
+	var v float64
+	for _, r := range path {
+		v += p.delay[r]
+	}
+	if len(path) == 2 && path[1] == p.x && p.rotated.Load() {
+		v += p.shift
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out, nil
+}
+
+// TestScanRotationMidGroupRemeasuresHalfOnce rotates x's key while x's
+// group still has pairs queued. The workers' half-circuit memos must let go
+// of x's minimum: the remaining pairs re-measure C_x exactly once between
+// them (N + 1 misses in all) and every one of them estimates with the new
+// minimum, while the pairs measured before keep the old.
+func TestScanRotationMidGroupRemeasuresHalfOnce(t *testing.T) {
+	const (
+		n     = 12
+		k     = 4 // x's key rotates during pair (x, names[k])'s full circuit
+		shift = 8.0
+	)
+	reg := directory.NewRegistry()
+	names := make([]string, n)
+	delay := map[string]float64{"w": 0, "z": 0}
+	for i := range names {
+		names[i] = fmt.Sprintf("r%02d", i)
+		delay[names[i]] = float64(10 + i)
+		if err := reg.Publish(churnDesc(t, names[i], int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := names[0] // the first group, all on one worker, in order
+
+	churnCh := make(chan ChurnEvent, 16)
+	var rotated atomic.Bool
+	var once sync.Once
+	hook := func(path []string) {
+		if len(path) != 4 || path[1] != x || path[2] != names[k] {
+			return
+		}
+		once.Do(func() {
+			rotated.Store(true)
+			if err := reg.Update(churnDesc(t, x, 1000)); err != nil {
+				t.Error(err)
+			}
+			drainChurn(t, churnCh, ChurnRotated)
+		})
+	}
+	ev := &halfEvents{}
+	obs := ev.observer()
+	obs.Churn = func(ev ChurnEvent) { churnCh <- ev }
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			p := &rotatingProber{delay: delay, x: x, shift: shift, rotated: &rotated, hook: hook}
+			return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 1, Observer: obs})
+		},
+		Workers:   2,
+		Directory: reg,
+		Observer:  obs,
+	}
+	m, failures, err := sc.Scan(context.Background(), names)
+	if err != nil || len(failures) != 0 {
+		t.Fatalf("scan = (%v, %v), want clean", failures, err)
+	}
+	if !rotated.Load() {
+		t.Fatal("the rotation never happened")
+	}
+	pairs := n * (n - 1) / 2
+	if got := ev.misses.Load(); got != n+1 {
+		t.Errorf("half-circuit misses = %d, want N + 1 = %d: x re-measured exactly once", got, n+1)
+	}
+	if got := ev.hits.Load() + ev.waits.Load() + ev.misses.Load(); got != int64(2*pairs) {
+		t.Errorf("half-circuit consultations = %d, want 2·pairs = %d", got, 2*pairs)
+	}
+	// Eq. (4) over sums of hop delays: (d_x + d_y)/2, less shift/2 once C_x
+	// carries the new incarnation.
+	for j := 1; j < n; j++ {
+		want := (delay[x] + delay[names[j]]) / 2
+		if j > k {
+			want -= shift / 2
+		}
+		if got, _ := m.RTT(x, names[j]); got != want {
+			t.Errorf("RTT(%s,%s) = %v, want %v (pair %d of x's group, rotation during pair %d)", x, names[j], got, want, j, k)
+		}
+	}
+}
+
 // wedgeProber wedges the full circuit of one pair until its context
 // deadline; everything else answers from the link map instantly. delay > 0
 // turns the wedge into a legitimate slow pair instead.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,9 +29,17 @@ import (
 // its own prober (the leader's failure may be its prober's, not the
 // relay's), so transient errors do not poison the cache — errors are never
 // stored.
+//
+// A scan's Measurer keeps a private memo in front of the cache (halfMemo,
+// measure.go): minima by relay index, filled through Do, so the all-pairs
+// steady state takes no lock and builds no key. gen is how the memos learn
+// that an answer they hold may no longer be the cache's: Seed and
+// InvalidateRelay bump it, and a memo that sees it move forgets everything
+// and asks Do again.
 type HalfCache struct {
 	ttl time.Duration
 	now func() time.Time
+	gen atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[string]halfEntry
@@ -49,6 +58,7 @@ type halfEntry struct {
 type halfFlight struct {
 	done chan struct{}
 	min  float64
+	when time.Time
 	err  error
 }
 
@@ -90,6 +100,7 @@ func halfKeyInto(buf []byte, path []string, samples int) []byte {
 func (c *HalfCache) Seed(path []string, samples int, min float64) {
 	c.mu.Lock()
 	c.entries[halfKey(path, samples)] = halfEntry{path: clonePath(path), min: min, when: c.now()}
+	c.gen.Add(1)
 	c.mu.Unlock()
 }
 
@@ -119,6 +130,9 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 			dropped++
 		}
 	}
+	// Bumped under the lock, after the deletes: a memo that reads the new
+	// generation and asks Do finds the entry gone.
+	c.gen.Add(1)
 	return dropped
 }
 
@@ -127,6 +141,13 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 // measurement; obs (nil-safe) is told whether this call hit, measured, or
 // waited on another worker's in-flight series.
 func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Observer, fn func(context.Context) (float64, error)) (float64, error) {
+	min, _, err := c.do(ctx, path, samples, obs, fn)
+	return min, err
+}
+
+// do is Do, also returning when the series it answers with was stored —
+// what a memo in front of a ttl'd cache needs to lapse with the entry.
+func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Observer, fn func(context.Context) (float64, error)) (float64, time.Time, error) {
 	// The key lives on the stack; the string conversions inside the map
 	// indexes below do not allocate. A real string is only made on the miss
 	// path, where a measurement is about to dwarf it.
@@ -137,21 +158,21 @@ func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Obs
 		if e, ok := c.entries[string(key)]; ok && !c.expired(e) {
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitHit)
-			return e.min, nil
+			return e.min, e.when, nil
 		}
 		if f, ok := c.flights[string(key)]; ok {
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitWait)
 			select {
 			case <-ctx.Done():
-				return 0, ctx.Err()
+				return 0, time.Time{}, ctx.Err()
 			case <-f.done:
 			}
 			if f.err == nil {
-				return f.min, nil
+				return f.min, f.when, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return 0, time.Time{}, err
 			}
 			// The leader failed but we are still live: loop and either find
 			// a fresher flight to join or measure ourselves.
@@ -172,7 +193,8 @@ func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Obs
 			// The entry and the hook both outlive this call, so neither
 			// may alias the Measurer's scratch path.
 			path = clonePath(path)
-			c.entries[skey] = halfEntry{path: path, min: min, when: c.now()}
+			f.when = c.now()
+			c.entries[skey] = halfEntry{path: path, min: min, when: f.when}
 			hook = c.onStore
 		}
 		c.mu.Unlock()
@@ -180,7 +202,7 @@ func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Obs
 		if hook != nil {
 			hook(path, samples, min)
 		}
-		return min, err
+		return min, f.when, err
 	}
 }
 

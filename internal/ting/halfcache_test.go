@@ -213,6 +213,39 @@ func TestHalfCacheTTL(t *testing.T) {
 	}
 }
 
+// TestScanMemoLapsesWithCacheTTL: a worker's memo answers for a ttl'd cache
+// only while the cache's entry would. One worker, pairs in plan order; the
+// clock jumps past the ttl during (x,u)'s full circuit, so x and y lapse
+// and are re-measured when next consulted, at (x,v) and (y,u): six misses,
+// N + 2.
+func TestScanMemoLapsesWithCacheTTL(t *testing.T) {
+	hc := NewHalfCache(time.Minute)
+	now := time.Unix(0, 0)
+	hc.now = func() time.Time { return now }
+	hook := func(path []string) {
+		if len(path) == 4 && path[1] == "x" && path[2] == "u" {
+			now = now.Add(2 * time.Minute)
+		}
+	}
+	ev := &halfEvents{}
+	sc := &Scanner{
+		NewMeasurer: func(int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: &hookProber{f: bigFakeWorld(), hook: hook}, W: "w", Z: "z", Samples: 1, Observer: ev.observer()})
+		},
+		Workers:      1,
+		HalfCircuits: hc,
+	}
+	if _, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"}); err != nil || len(failures) != 0 {
+		t.Fatalf("scan = (%v, %v), want clean", failures, err)
+	}
+	if got := ev.misses.Load(); got != 6 {
+		t.Errorf("half-circuit misses = %d, want 6: x and y re-measured once their entries lapsed", got)
+	}
+	if got := ev.hits.Load() + ev.misses.Load(); got != 12 {
+		t.Errorf("hits + misses = %d, want 2·pairs = 12", got)
+	}
+}
+
 // TestHalfCacheCancelledWaiter: a waiter whose own context dies while the
 // leader is still measuring returns promptly with the context error; the
 // leader is unaffected.
@@ -494,23 +527,17 @@ func TestScannerCrossScanHalfCache(t *testing.T) {
 // sharing a first endpoint land on one worker, and the LPT placement keeps
 // worker loads within the largest group of each other.
 func TestAssignJobsReuseGrouping(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e", "f", "g"}
-	var todo []pairJob
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			todo = append(todo, pairJob{x: names[i], y: names[j]})
-		}
-	}
+	todo := allPairJobs(7)
 	const workers = 3
 	queues := assignJobs(todo, workers, false)
 
-	ownerOf := make(map[string]int)
+	ownerOf := make(map[int32]int)
 	total := 0
 	for w, jobs := range queues {
 		total += len(jobs)
 		for _, job := range jobs {
 			if prev, ok := ownerOf[job.x]; ok && prev != w {
-				t.Errorf("group %q split across workers %d and %d", job.x, prev, w)
+				t.Errorf("group %d split across workers %d and %d", job.x, prev, w)
 			}
 			ownerOf[job.x] = w
 		}
@@ -518,7 +545,7 @@ func TestAssignJobsReuseGrouping(t *testing.T) {
 	if total != len(todo) {
 		t.Errorf("assigned %d jobs, want %d", total, len(todo))
 	}
-	// Largest group is (a, ·) with 6 jobs; LPT keeps the spread under it.
+	// Largest group is (0, ·) with 6 jobs; LPT keeps the spread under it.
 	min, max := len(queues[0]), len(queues[0])
 	for _, q := range queues[1:] {
 		if len(q) < min {

@@ -323,6 +323,12 @@ func (m *Matrix) SetProv(x, y string, p Provenance) error {
 	if !ok {
 		return fmt.Errorf("ting: unknown relay %q", y)
 	}
+	m.setProv(i, j, p)
+	return nil
+}
+
+// setProv is SetProv by index.
+func (m *Matrix) setProv(i, j int, p Provenance) {
 	var conf uint8
 	if p == ProvFresh || p == ProvResumed {
 		conf = 255
@@ -333,7 +339,6 @@ func (m *Matrix) SetProv(x, y string, p Provenance) error {
 	tij.conf[ij] = conf
 	tji.prov[ji] = p
 	tji.conf[ji] = conf
-	return nil
 }
 
 // SetPredicted fills a cell from the coordinate embedding: value, the

@@ -50,6 +50,27 @@ type Measurer struct {
 	pathBuf [8]string
 	// sbuf is the reused sample buffer for probers implementing SamplerInto.
 	sbuf []float64
+	// memo is this worker's view of cfg.HalfCircuits within one scan. The
+	// scan resets it before its workers start, so a relay index never
+	// outlives the names it indexes.
+	memo halfMemo
+}
+
+// halfMemo holds half-circuit minima by relay index, each one an answer
+// HalfCache.Do gave. It is private to one worker — no lock, no atomics, no
+// key — and trusted only while the cache's generation is the one the memo
+// was filled under.
+type halfMemo struct {
+	gen     uint64
+	entries []memoEntry
+	// expires is when each entry's cache entry lapses, kept only when the
+	// cache has a ttl; without one the clock is never read.
+	expires []time.Time
+}
+
+type memoEntry struct {
+	min float64
+	ok  bool
 }
 
 // SamplerInto is an optional CircuitProber extension: SampleCircuitInto
@@ -131,7 +152,7 @@ func (m *Measurer) MeasurePair(ctx context.Context, x, y string) (*Measurement, 
 		return nil, err
 	}
 	start := time.Now()
-	minFull, minX, minY, cerr := m.measureMins(ctx, x, y)
+	minFull, minX, minY, cerr := m.measureMins(ctx, x, y, -1, -1)
 	if cerr != nil {
 		m.cfg.Observer.pairDone(x, y, nil, cerr.Err)
 		return nil, cerr
@@ -152,8 +173,9 @@ func (m *Measurer) MeasurePair(ctx context.Context, x, y string) (*Measurement, 
 // measurePairRTT is the scanner's fast path: just the Eq. (4) estimate,
 // with the full Measurement materialized only when an observer is
 // listening for it — otherwise the per-pair loop performs no heap
-// allocation at all.
-func (m *Measurer) measurePairRTT(ctx context.Context, x, y string) (float64, error) {
+// allocation at all. xi and yi are x's and y's matrix indices, the keys
+// of the half-circuit memo.
+func (m *Measurer) measurePairRTT(ctx context.Context, x, y string, xi, yi int) (float64, error) {
 	if err := m.checkPair(x, y); err != nil {
 		return 0, err
 	}
@@ -162,7 +184,7 @@ func (m *Measurer) measurePairRTT(ctx context.Context, x, y string) (float64, er
 	if wantPair {
 		start = time.Now()
 	}
-	minFull, minX, minY, cerr := m.measureMins(ctx, x, y)
+	minFull, minX, minY, cerr := m.measureMins(ctx, x, y, xi, yi)
 	if cerr != nil {
 		m.cfg.Observer.pairDone(x, y, nil, cerr.Err)
 		return 0, cerr
@@ -183,25 +205,27 @@ func (m *Measurer) measurePairRTT(ctx context.Context, x, y string) (float64, er
 }
 
 // measureMins runs the three circuit series of one pair over scratch-backed
-// paths. A non-nil *CircuitError names the failing circuit and carries a
-// private copy of its path (the scratch is overwritten by the next pair).
-func (m *Measurer) measureMins(ctx context.Context, x, y string) (minFull, minX, minY float64, cerr *CircuitError) {
+// paths; xi and yi are as for measurePairRTT, or -1 outside a scan. A
+// non-nil *CircuitError names the failing circuit and carries a private
+// copy of its path (the scratch is overwritten by the next pair).
+func (m *Measurer) measureMins(ctx context.Context, x, y string, xi, yi int) (minFull, minX, minY float64, cerr *CircuitError) {
 	// C_x first, then the full circuit: the full path extends C_x's, so a
 	// reusing prober (leaky-pipe extension) grows one circuit instead of
 	// building two. The estimate is order-independent.
-	m.pathBuf = [8]string{m.cfg.W, x, m.cfg.W, x, y, m.cfg.Z, m.cfg.W, y}
+	b := &m.pathBuf // element by element: a literal is built, then block-copied
+	b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = m.cfg.W, x, m.cfg.W, x, y, m.cfg.Z, m.cfg.W, y
 	pathX := m.pathBuf[0:2:2]
 	pathFull := m.pathBuf[2:6:6]
 	pathY := m.pathBuf[6:8:8]
-	minX, err := m.minRTT(ctx, pathX)
+	minX, err := m.halfMin(ctx, pathX, xi)
 	if err != nil {
 		return 0, 0, 0, &CircuitError{Circuit: "C_x", Path: clonePath(pathX), Err: err}
 	}
-	minFull, err = m.minRTT(ctx, pathFull)
+	minFull, err = m.measureMin(ctx, pathFull)
 	if err != nil {
 		return 0, 0, 0, &CircuitError{Circuit: "C_xy", Path: clonePath(pathFull), Err: err}
 	}
-	minY, err = m.minRTT(ctx, pathY)
+	minY, err = m.halfMin(ctx, pathY, yi)
 	if err != nil {
 		return 0, 0, 0, &CircuitError{Circuit: "C_y", Path: clonePath(pathY), Err: err}
 	}
@@ -227,29 +251,66 @@ func (m *Measurer) checkPair(x, y string) error {
 	return nil
 }
 
-// minRTT takes the configured number of samples through path and returns
-// the minimum — the aggregation that makes forwarding delays vanish from
-// the estimate (§3.3). Half circuits (w, x) are memoized through
-// Config.HalfCircuits when one is set: min R_Cx depends only on x, so the
-// series is worth exactly one measurement per freshness window.
-func (m *Measurer) minRTT(ctx context.Context, path []string) (float64, error) {
-	if m.cfg.HalfCircuits != nil && len(path) == 2 {
-		return m.cfg.HalfCircuits.Do(ctx, path, m.cfg.Samples, m.cfg.Observer,
-			func(ctx context.Context) (float64, error) {
-				return m.measureMin(ctx, path)
-			})
+// halfMin returns the minimum of a two-hop circuit's series. Half circuits
+// are memoized through Config.HalfCircuits when one is set: min R_Cx
+// depends only on x, so the series is worth exactly one measurement per
+// freshness window. In a scan i is x's matrix index, and the memo answers
+// first while the cache's generation stands and (with a ttl) the entry has
+// not lapsed; i < 0 goes straight to the cache. Either way the Observer
+// hears exactly one hit, wait or miss.
+func (m *Measurer) halfMin(ctx context.Context, path []string, i int) (float64, error) {
+	hc := m.cfg.HalfCircuits
+	if hc == nil {
+		return m.measureMin(ctx, path)
 	}
-	return m.measureMin(ctx, path)
+	memo := &m.memo
+	if i >= 0 {
+		if g := hc.gen.Load(); g != memo.gen {
+			clear(memo.entries)
+			memo.gen = g
+		}
+		if i < len(memo.entries) {
+			if e := memo.entries[i]; e.ok && (hc.ttl <= 0 || !hc.now().After(memo.expires[i])) {
+				m.cfg.Observer.halfCircuit(path, HalfCircuitHit)
+				return e.min, nil
+			}
+		}
+	}
+	min, when, err := hc.do(ctx, path, m.cfg.Samples, m.cfg.Observer,
+		func(ctx context.Context) (float64, error) {
+			return m.measureMin(ctx, path)
+		})
+	if err != nil || i < 0 {
+		return min, err
+	}
+	if i >= len(memo.entries) {
+		memo.entries = append(memo.entries, make([]memoEntry, i+1-len(memo.entries))...)
+	}
+	memo.entries[i] = memoEntry{min: min, ok: true}
+	if hc.ttl > 0 {
+		if len(memo.expires) < len(memo.entries) {
+			memo.expires = append(memo.expires, make([]time.Time, len(memo.entries)-len(memo.expires))...)
+		}
+		memo.expires[i] = when.Add(hc.ttl)
+	}
+	return min, nil
 }
 
-// measureMin is the uncached sampling path behind minRTT. Probers
-// implementing SamplerInto fill the Measurer's reused sample buffer;
-// others keep the allocating SampleCircuit contract.
+// measureMin takes the configured number of samples through path and
+// returns the minimum — the aggregation that makes forwarding delays vanish
+// from the estimate (§3.3). Probers implementing SamplerInto fill the
+// Measurer's reused sample buffer; others keep the allocating SampleCircuit
+// contract. The clock is read only for an observer's CircuitDone.
 func (m *Measurer) measureMin(ctx context.Context, path []string) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
+	if ended(ctx) {
+		return 0, ctx.Err()
 	}
-	start := time.Now()
+	obs := m.cfg.Observer
+	timed := obs != nil && obs.CircuitDone != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	var samples []float64
 	var err error
 	if si, ok := m.cfg.Prober.(SamplerInto); ok {
@@ -263,11 +324,13 @@ func (m *Measurer) measureMin(ctx context.Context, path []string) (float64, erro
 	} else {
 		samples, err = m.cfg.Prober.SampleCircuit(ctx, path, m.cfg.Samples)
 	}
-	m.cfg.Observer.circuitDone(path, len(samples), time.Since(start), err)
+	if timed {
+		obs.CircuitDone(path, len(samples), time.Since(start), err)
+	}
 	if err != nil {
 		return 0, err
 	}
-	m.cfg.Observer.samples(path, samples)
+	obs.samples(path, samples)
 	return stats.Min(samples)
 }
 
@@ -309,11 +372,11 @@ func (m *Measurer) EstimateForwarding(ctx context.Context, x string, direct Dire
 	if pingSamples <= 0 {
 		return nil, errors.New("ting: pingSamples must be positive")
 	}
-	rc1, err := m.minRTT(ctx, []string{m.cfg.W, m.cfg.Z})
+	rc1, err := m.halfMin(ctx, []string{m.cfg.W, m.cfg.Z}, -1)
 	if err != nil {
 		return nil, fmt.Errorf("ting: C1: %w", err)
 	}
-	rc2, err := m.minRTT(ctx, []string{m.cfg.W, x, m.cfg.Z})
+	rc2, err := m.measureMin(ctx, []string{m.cfg.W, x, m.cfg.Z})
 	if err != nil {
 		return nil, fmt.Errorf("ting: C2: %w", err)
 	}

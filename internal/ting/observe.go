@@ -71,12 +71,6 @@ const (
 
 // Nil-safe invocation helpers: call sites never branch on the observer.
 
-func (o *Observer) circuitDone(path []string, samples int, elapsed time.Duration, err error) {
-	if o != nil && o.CircuitDone != nil {
-		o.CircuitDone(path, samples, elapsed, err)
-	}
-}
-
 func (o *Observer) samples(path []string, rtts []float64) {
 	if o != nil && o.Samples != nil {
 		o.Samples(path, rtts)

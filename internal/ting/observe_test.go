@@ -16,7 +16,6 @@ import (
 // telemetry observer over a nil registry must all absorb every callback.
 func TestObserverNilSafe(t *testing.T) {
 	for _, o := range []*Observer{nil, {}, NewTelemetryObserver(nil)} {
-		o.circuitDone([]string{"w", "x", "y", "z"}, 3, time.Millisecond, nil)
 		o.samples([]string{"w", "x"}, []float64{1, 2})
 		o.pairDone("x", "y", &Measurement{RTT: 73}, nil)
 		o.retry("x", "y", 1, time.Millisecond, nil)

@@ -140,13 +140,14 @@ func (p *ModelProber) SampleCircuitInto(ctx context.Context, path []string, out 
 		for i := range out {
 			out[i] = s
 		}
-		return ctx.Err()
+		if ended(ctx) {
+			return ctx.Err()
+		}
+		return nil
 	}
 	for i := range out {
-		if i%stackProbeBatch == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if i%stackProbeBatch == 0 && ended(ctx) {
+			return ctx.Err()
 		}
 		s, err := p.prober.TorPathRTT(p.host, ids)
 		if err != nil {
@@ -227,8 +228,8 @@ func (p *StackProber) SampleCircuit(ctx context.Context, path []string, n int) (
 	if n <= 0 {
 		return nil, errors.New("ting: sample count must be positive")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ended(ctx) {
+		return nil, ctx.Err()
 	}
 	circ, err := p.circuitFor(path)
 	if err != nil {
@@ -249,6 +250,20 @@ func (p *StackProber) SampleCircuit(ctx context.Context, path []string, n int) (
 // stackProbeBatch is how many samples a prober takes between ctx checks.
 const stackProbeBatch = 8
 
+// ended reports whether ctx is done — the engine's per-pair and per-batch
+// cancellation check. It is a non-blocking receive on Done, an atomic load
+// once the channel exists, because Go 1.24's cancelCtx.Err takes the
+// context's mutex, and every worker of a scan without a PairTimeout
+// shares one context. Read ctx.Err() only once this says true.
+func ended(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 // probeSeries takes n echo round trips over rw, an open stream to the echo
 // server, and converts them through toMs (nil means plain milliseconds). ctx
 // is checked between batches of stackProbeBatch probes, so cancellation lands
@@ -260,8 +275,8 @@ func probeSeries(ctx context.Context, rw io.ReadWriter, n int, toMs func(time.Du
 	ec := echo.NewClient(rw)
 	out := make([]float64, 0, n)
 	for len(out) < n {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ended(ctx) {
+			return nil, ctx.Err()
 		}
 		rtts, err := ec.ProbeN(min(n-len(out), stackProbeBatch))
 		if err != nil {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ting/internal/directory"
@@ -24,14 +26,17 @@ import (
 //	plan       list the pairs to attempt; replayed pairs are seeded and pairs
 //	           of departed relays tombstoned without being scheduled
 //	attempt    one measurement of one pair by one worker, behind the churn
-//	           gate and the breaker gate, ending in exactly one of settle,
-//	           tombstone, park or a retry pushed to the next worker
+//	           gate and the breaker gate, ending measured, failed for good
+//	           (settle), tombstoned, parked, or retried on the next worker
 //	handleDelta  a consensus change arriving mid-scan: leave, join or rotate
 //	finish     order the failures and pick the error to report
 //
 // Where a scheduled pair is — queued, in a worker's hands, parked — is the
-// schedule's business (schedule.go). Each mutex below guards the fields listed
-// under it, and neither they nor the schedule's is held while taking another.
+// schedule's business (schedule.go). A pair is its two matrix indices; names
+// are looked up (name) only where they leave the engine — the probers, the
+// log, PairError, the breaker, the deadline estimator and the churn gate.
+// Each mutex below guards the fields listed under it, and neither they nor
+// the schedule's is held while taking another.
 type scan struct {
 	s       *Scanner
 	cp      Checkpoint       // nil when the scan is not durable
@@ -47,6 +52,11 @@ type scan struct {
 	// placed up front, then only retries, the parking lot dealt back and the
 	// pairs of a relay that joins mid-scan.
 	sched *schedule
+	// names is the matrix's relay names as of its latest AddName, the
+	// snapshot a job's indices are looked up in. A join publishes a longer
+	// one before pushing its pairs, so any snapshot a worker loads covers
+	// every pair it can hold; an old one is never written again.
+	names atomic.Pointer[[]string]
 
 	// mu guards the result, progress, the error latches and backoff jitter.
 	mu            sync.Mutex
@@ -65,14 +75,12 @@ type scan struct {
 	epoch uint64
 	// rosterMu guards the live churn roster: the relays that left
 	// (pre-seeded with resume-time removals so a joining relay never pairs
-	// against a ghost), each relay's onion-key fingerprint, and the
-	// campaign's relay set as joins extend it. Only the delta goroutine
-	// writes it once workers run.
+	// against a ghost) and each relay's onion-key fingerprint. Only the
+	// delta goroutine writes it once workers run, and it alone grows the
+	// matrix's relay set, which it therefore reads without a lock.
 	rosterMu sync.Mutex
 	removed  map[string]uint64
 	fps      map[string]string
-	nameSet  map[string]bool
-	names    []string
 }
 
 // run executes one scan over names. With restrict nil every unordered pair
@@ -95,7 +103,12 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		return nil, nil, err
 	}
 	sc.m = m
-	todo := sc.plan(names, restrict)
+	all := m.Names()
+	sc.names.Store(&all)
+	todo, err := sc.plan(len(names), restrict)
+	if err != nil {
+		return nil, nil, err
+	}
 	sc.total = len(todo)
 
 	workers := s.Workers
@@ -113,17 +126,17 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 
 	// Half-circuit memoization (§3.3/§4.6): the scan owns a cache unless
 	// the caller supplied a cross-scan one or opted out. Measurers that
-	// already carry their own keep it.
+	// already carry their own keep it. Each starts with an empty memo: its
+	// indices are this scan's.
 	sc.hc = s.HalfCircuits
 	if sc.hc == nil && !s.DisableHalfCache {
 		sc.hc = NewHalfCache(0)
 	}
-	if sc.hc != nil {
-		for _, meas := range measurers {
-			if meas.cfg.HalfCircuits == nil {
-				meas.cfg.HalfCircuits = sc.hc
-			}
+	for _, meas := range measurers {
+		if meas.cfg.HalfCircuits == nil {
+			meas.cfg.HalfCircuits = sc.hc
 		}
+		meas.memo = halfMemo{entries: make([]memoEntry, len(names))}
 	}
 	if s.AdaptiveDeadline {
 		// Bounded below so a run of fast pairs cannot strangle a
@@ -167,12 +180,13 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		wg.Add(1)
 		go func(w int, meas *Measurer) {
 			defer wg.Done()
+			release := false
 			for {
-				job, ok := sc.sched.next(w)
+				job, ok := sc.sched.next(w, release)
 				if !ok {
 					return
 				}
-				sc.attempt(w, meas, job)
+				release = sc.attempt(w, meas, job)
 			}
 		}(w, measurers[w])
 	}
@@ -226,16 +240,16 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 		current[d.Nickname] = d.Fingerprint()
 	}
 	sc.removed = make(map[string]uint64)
-	sc.nameSet = make(map[string]bool, len(names))
-	for _, n := range names {
-		sc.nameSet[n] = true
-	}
 	if sc.resumed != nil {
+		nameSet := make(map[string]bool, len(names))
+		for _, n := range names {
+			nameSet[n] = true
+		}
 		names = append([]string(nil), names...)
 		for _, n := range sc.resumed.Joined {
-			if !sc.nameSet[n] {
+			if !nameSet[n] {
 				names = append(names, n)
-				sc.nameSet[n] = true
+				nameSet[n] = true
 			}
 		}
 		for _, n := range names {
@@ -247,9 +261,9 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 		// order a live scan appends them in as deltas arrive, so a
 		// resumed campaign converges to a bytewise-identical matrix.
 		for _, d := range consensus {
-			if n := d.Nickname; !sc.nameSet[n] {
+			if n := d.Nickname; !nameSet[n] {
 				names = append(names, n)
-				sc.nameSet[n] = true
+				nameSet[n] = true
 				joined = append(joined, n)
 			}
 		}
@@ -266,23 +280,28 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 			sc.fps[n] = fp
 		}
 	}
-	sc.names = append([]string(nil), names...)
 	return names, joined, rotated
 }
 
-// plan lists the pairs this scan will attempt, in schedule order.
-func (sc *scan) plan(names []string, restrict [][2]string) []pairJob {
+// plan lists the pairs this scan will attempt, in schedule order: every
+// pair of the n relays, or only the restricted ones.
+func (sc *scan) plan(n int, restrict [][2]string) ([]pairJob, error) {
 	var todo []pairJob
 	if restrict != nil {
+		if err := sc.checkRestrict(restrict); err != nil {
+			return nil, err
+		}
 		todo = make([]pairJob, 0, len(restrict))
 		for _, p := range restrict {
-			todo = sc.addPair(todo, p[0], p[1])
+			i, _ := sc.m.Index(p[0])
+			j, _ := sc.m.Index(p[1])
+			todo = sc.addPair(todo, pairJob{x: int32(i), y: int32(j)})
 		}
 	} else {
-		todo = make([]pairJob, 0, len(names)*(len(names)-1)/2)
-		for i := 0; i < len(names); i++ {
-			for j := i + 1; j < len(names); j++ {
-				todo = sc.addPair(todo, names[i], names[j])
+		todo = make([]pairJob, 0, n*(n-1)/2)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				todo = sc.addPair(todo, pairJob{x: int32(i), y: int32(j)})
 			}
 		}
 	}
@@ -290,28 +309,58 @@ func (sc *scan) plan(names []string, restrict [][2]string) []pairJob {
 		rng := rand.New(rand.NewSource(sc.s.Shuffle))
 		rng.Shuffle(len(todo), func(a, b int) { todo[a], todo[b] = todo[b], todo[a] })
 	}
-	return todo
+	return todo, nil
+}
+
+// checkRestrict refuses a restricted pair list that names a relay outside
+// the matrix, pairs a relay with itself, or lists a pair twice in either
+// order — which would be measured, counted and logged twice.
+func (sc *scan) checkRestrict(restrict [][2]string) error {
+	// Each pair as its two indices, smaller first, packed in one word: a
+	// pair listed twice is two equal words once sorted.
+	keys := make([]uint64, len(restrict))
+	for k, p := range restrict {
+		if p[0] == p[1] {
+			return fmt.Errorf("ting: self-pair (%s,%s)", p[0], p[1])
+		}
+		i, ok := sc.m.Index(p[0])
+		if !ok {
+			return fmt.Errorf("ting: pair endpoint %q not in names", p[0])
+		}
+		j, ok := sc.m.Index(p[1])
+		if !ok {
+			return fmt.Errorf("ting: pair endpoint %q not in names", p[1])
+		}
+		keys[k] = uint64(min(i, j))<<32 | uint64(max(i, j))
+	}
+	slices.Sort(keys)
+	for k := 1; k < len(keys); k++ {
+		if keys[k] == keys[k-1] {
+			names := sc.m.Names()
+			return fmt.Errorf("ting: pair (%s,%s) listed twice", names[keys[k]>>32], names[keys[k]&(1<<32-1)])
+		}
+	}
+	return nil
 }
 
 // addPair schedules one pair unless the log already holds it or one of its
 // relays left while the campaign was down. Either way the pair is settled
 // here, outside the progress totals: it is not work this run will do.
-func (sc *scan) addPair(todo []pairJob, x, y string) []pairJob {
-	if sc.resumed != nil {
-		if rtt, ok := sc.resumed.Pairs[pairKey(x, y)]; ok {
-			_ = sc.m.Set(x, y, rtt)
-			_ = sc.m.SetProv(x, y, ProvResumed)
-			sc.replayedPairs++
-			return todo
-		}
+func (sc *scan) addPair(todo []pairJob, job pairJob) []pairJob {
+	if sc.resumed == nil {
+		return append(todo, job)
 	}
-	if len(sc.removed) > 0 {
-		if relay, epoch, gone := sc.removedRelay(x, y); gone {
-			sc.markRemoved(pairJob{x: x, y: y}, relay, epoch)
-			return todo
-		}
+	x, y := sc.name(job)
+	if rtt, ok := sc.resumed.Pairs[pairKey(x, y)]; ok {
+		sc.m.write(int(job.x), int(job.y), rtt, ProvResumed, 255)
+		sc.replayedPairs++
+		return todo
 	}
-	return append(todo, pairJob{x: x, y: y})
+	if relay, epoch, gone := sc.removedRelay(x, y); gone {
+		sc.markRemoved(job, relay, epoch)
+		return todo
+	}
+	return append(todo, job)
 }
 
 // openLog writes the campaign header (a fresh campaign) or rehydrates the
@@ -444,13 +493,10 @@ func (sc *scan) handleDelta(d directory.ConsensusDelta) {
 	case directory.DeltaJoin:
 		sc.join(d.Name, fp, d.Epoch)
 	case directory.DeltaRotate:
-		sc.rosterMu.Lock()
-		known := sc.nameSet[d.Name]
-		if known {
+		if _, known := sc.m.Index(d.Name); known {
+			sc.rosterMu.Lock()
 			sc.fps[d.Name] = fp
-		}
-		sc.rosterMu.Unlock()
-		if known {
+			sc.rosterMu.Unlock()
 			sc.rotate(d.Name, fp, d.Epoch)
 		}
 	}
@@ -459,9 +505,10 @@ func (sc *scan) handleDelta(d directory.ConsensusDelta) {
 // leave marks a campaign relay as gone. Its pending pairs are tombstoned
 // one by one as workers reach them (the churn gate in attempt).
 func (sc *scan) leave(relay string, epoch uint64) {
+	_, known := sc.m.Index(relay)
 	sc.rosterMu.Lock()
 	_, gone := sc.removed[relay]
-	if !sc.nameSet[relay] || gone {
+	if !known || gone {
 		sc.rosterMu.Unlock()
 		return
 	}
@@ -476,8 +523,8 @@ func (sc *scan) leave(relay string, epoch uint64) {
 // it a new incarnation: a rotation. A relay the campaign has never seen
 // extends the matrix and is paired against every live campaign relay.
 func (sc *scan) join(relay, fp string, epoch uint64) {
-	sc.rosterMu.Lock()
-	if sc.nameSet[relay] {
+	if _, known := sc.m.Index(relay); known {
+		sc.rosterMu.Lock()
 		_, wasRemoved := sc.removed[relay]
 		delete(sc.removed, relay)
 		oldFp := sc.fps[relay]
@@ -490,27 +537,28 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 		}
 		return
 	}
-	jobs := make([]pairJob, 0, len(sc.names))
-	for _, n := range sc.names {
+	names := *sc.names.Load()
+	at := int32(len(names)) // the index AddName will give relay
+	jobs := make([]pairJob, 0, len(names))
+	sc.rosterMu.Lock()
+	for i, n := range names {
 		if _, gone := sc.removed[n]; !gone {
-			jobs = append(jobs, pairJob{x: relay, y: n})
+			jobs = append(jobs, pairJob{x: at, y: int32(i)})
 		}
 	}
-	sc.nameSet[relay] = true
-	sc.names = append(sc.names, relay)
-	sc.fps[relay] = fp
 	sc.rosterMu.Unlock()
 	if len(jobs) == 0 || !sc.sched.reserve(len(jobs)) {
 		// The scan already released its last pair (or there is nobody to
 		// pair with): too late to measure this relay in this campaign.
-		sc.rosterMu.Lock()
-		delete(sc.nameSet, relay)
-		sc.names = sc.names[:len(sc.names)-1]
-		sc.rosterMu.Unlock()
 		return
 	}
+	sc.rosterMu.Lock()
+	sc.fps[relay] = fp
+	sc.rosterMu.Unlock()
 	sc.mu.Lock()
 	_ = sc.m.AddName(relay)
+	grown := sc.m.Names()
+	sc.names.Store(&grown)
 	sc.total += len(jobs)
 	sc.mu.Unlock()
 	sc.sched.push(0, jobs...)
@@ -536,8 +584,13 @@ func (sc *scan) rotate(relay, fp string, epoch uint64) {
 	sc.logChurn(ChurnRotated, ChurnOpRotate, relay, fp, epoch, 0)
 }
 
-// removedRelay names the endpoint of (x, y) the consensus dropped, if any.
+// removedRelay names the endpoint of (x, y) the consensus dropped, if any —
+// the churn gate. Without a Directory nothing is ever dropped and the
+// roster is not consulted.
 func (sc *scan) removedRelay(x, y string) (string, uint64, bool) {
+	if sc.s.Directory == nil {
+		return "", 0, false
+	}
 	sc.rosterMu.Lock()
 	defer sc.rosterMu.Unlock()
 	if ep, ok := sc.removed[x]; ok {
@@ -549,34 +602,42 @@ func (sc *scan) removedRelay(x, y string) (string, uint64, bool) {
 	return "", 0, false
 }
 
-// attempt runs one queued job to one of its ends: settled, tombstoned,
-// parked behind a breaker, or pushed to the next worker as a retry.
-func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
-	if sc.ctx.Err() != nil {
+// name looks up a job's two relays in the names snapshot.
+func (sc *scan) name(job pairJob) (x, y string) {
+	names := *sc.names.Load()
+	return names[job.x], names[job.y]
+}
+
+// attempt runs one queued job to one of its ends: measured, settled as
+// failed, tombstoned, parked behind a breaker, or pushed to the next worker
+// as a retry. It reports whether the pair left the worker's hands for good,
+// which the worker's next call to sched.next releases.
+func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
+	if ended(sc.ctx) {
 		// Cancelled scan: drain without measuring. The scan's result is
 		// partial, so abandoned pairs are released, not settled —
 		// progress must not count them as done.
-		sc.sched.release()
-		return
+		return true
 	}
+	x, y := sc.name(job)
 	// Churn gate: a pair touching a relay the consensus dropped is
 	// tombstoned, not measured — no circuits, no retries, no breaker
 	// charges against a relay that is simply gone.
-	if relay, ep, gone := sc.removedRelay(job.x, job.y); gone {
+	if relay, ep, gone := sc.removedRelay(x, y); gone {
 		sc.tombstone(job, relay, ep)
-		return
+		return true
 	}
 	// Breaker gate, the engine's only Health.Allow: a pair touching a
 	// quarantined relay is parked on first contact and given up on second.
 	if h := sc.s.Health; h != nil {
-		if qe := h.Allow(job.x, job.y); qe != nil {
-			sc.s.Observer.quarantine(job.x, job.y, qe.Relay, job.deferred)
+		if qe := h.Allow(x, y); qe != nil {
+			sc.s.Observer.quarantine(x, y, qe.Relay, job.deferred)
 			if job.deferred {
 				sc.settle(job, qe)
-			} else {
-				sc.sched.park(job)
+				return true
 			}
-			return
+			sc.sched.park(job)
+			return false
 		}
 	}
 	ctx := sc.ctx
@@ -584,7 +645,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 	timeout := sc.s.PairTimeout
 	adaptive := false
 	if sc.est != nil && !job.fullDeadline {
-		if d, ok := sc.est.Deadline(job.x, job.y); ok && (timeout <= 0 || d < timeout) {
+		if d, ok := sc.est.Deadline(x, y); ok && (timeout <= 0 || d < timeout) {
 			timeout = d
 			adaptive = true
 		}
@@ -592,59 +653,72 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) {
 	if timeout > 0 {
 		ctx, cancelAttempt = context.WithTimeout(sc.ctx, timeout)
 	}
+	// The attempt's duration is for the breaker and the deadline
+	// estimator; without either the clock is not read.
+	timed := sc.s.Health != nil || sc.est != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	sc.s.Observer.workerActive(1)
-	start := time.Now()
-	rtt, err := meas.measurePairRTT(ctx, job.x, job.y)
-	elapsed := time.Since(start)
+	rtt, err := meas.measurePairRTT(ctx, x, y, int(job.x), int(job.y))
 	sc.s.Observer.workerActive(-1)
+	var elapsed time.Duration
+	if timed {
+		elapsed = time.Since(start)
+	}
 	if cancelAttempt != nil {
 		cancelAttempt()
 	}
 	job.attempt++
 	if err != nil {
-		sc.failed(w, job, err, elapsed, adaptive)
-		return
+		return sc.failed(w, job, err, elapsed, adaptive)
 	}
 	if sc.est != nil {
-		sc.est.Observe(job.x, job.y, elapsed)
+		sc.est.Observe(x, y, elapsed)
+	}
+	if sc.cp != nil { // appendRec takes the record by value: build it only for a log
+		sc.appendRec(CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: rtt})
+	}
+	if h := sc.s.Health; h != nil {
+		h.Success(x)
+		h.Success(y)
 	}
 	sc.mu.Lock()
-	_ = sc.m.Set(job.x, job.y, rtt)
+	sc.m.write(int(job.x), int(job.y), rtt, ProvFresh, 255)
+	sc.advance()
 	sc.mu.Unlock()
-	sc.appendRec(CheckpointRecord{Kind: RecordPair, X: job.x, Y: job.y, RTT: rtt})
-	if h := sc.s.Health; h != nil {
-		h.Success(job.x)
-		h.Success(job.y)
-	}
-	sc.settle(job, nil)
+	return true
 }
 
-// failed disposes of an attempt that returned err after elapsed.
-func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, adaptive bool) {
+// failed disposes of an attempt that returned err after elapsed, reporting
+// as attempt does.
+func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, adaptive bool) (release bool) {
+	x, y := sc.name(job)
 	// A failure whose relay left the consensus mid-attempt is churn
 	// fallout (the relay DESTROYed its circuits on the way out), not
 	// evidence against anyone still present.
-	if relay, ep, gone := sc.removedRelay(job.x, job.y); gone {
+	if relay, ep, gone := sc.removedRelay(x, y); gone {
 		sc.tombstone(job, relay, ep)
-		return
+		return true
 	}
-	if h := sc.s.Health; h != nil && sc.ctx.Err() == nil {
+	if h := sc.s.Health; h != nil && !ended(sc.ctx) {
 		// Charge only the relays on the failing circuit's path
 		// (CircuitError), not both pair endpoints blindly.
-		for _, relay := range culprits(job.x, job.y, err) {
+		for _, relay := range culprits(x, y, err) {
 			h.Failure(relay, err, elapsed)
 		}
 	}
-	if !job.deferred && job.attempt <= sc.s.Retry && sc.ctx.Err() == nil {
+	if !job.deferred && int(job.attempt) <= sc.s.Retry && !ended(sc.ctx) {
 		if adaptive && errors.Is(err, context.DeadlineExceeded) {
 			// The estimator may have strangled a legitimately slow pair:
 			// the retry gets the full PairTimeout.
 			job.fullDeadline = true
 		}
 		sc.mu.Lock()
-		d := sc.backoff.Delay(job.attempt, sc.jitter)
+		d := sc.backoff.Delay(int(job.attempt), sc.jitter)
 		sc.mu.Unlock()
-		sc.s.Observer.retry(job.x, job.y, job.attempt, d, err)
+		sc.s.Observer.retry(x, y, int(job.attempt), d, err)
 		if d > 0 {
 			t := time.NewTimer(d)
 			select {
@@ -657,44 +731,42 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 		// this worker's circuits wedged gets a fresh prober,
 		// deterministically.
 		sc.sched.push(w+1, job)
-		return
+		return false
 	}
-	if job.deferred && sc.ctx.Err() == nil {
+	if job.deferred && !ended(sc.ctx) {
 		// A deferred pair got exactly one end-of-scan attempt (often the
 		// breaker's half-open probe); its failure is part of the
 		// quarantine story, not a fresh one.
-		relay := job.x
-		if c := culprits(job.x, job.y, err); len(c) > 0 {
+		relay := x
+		if c := culprits(x, y, err); len(c) > 0 {
 			relay = c[0]
 		}
-		sc.s.Observer.quarantine(job.x, job.y, relay, true)
+		sc.s.Observer.quarantine(x, y, relay, true)
 		err = &QuarantineError{Relay: relay, Cause: err}
 	}
 	sc.settle(job, err)
+	return true
 }
 
-// settle gives a scheduled pair its final disposition: measured, failed
-// for good in a tolerant scan, or — in a non-tolerant one — the failure
-// that latches and cancels the scan, so no new measurement is dispatched
-// and in-flight ones notice cooperatively.
+// settle gives a pair that failed for good its final disposition: a
+// reported failure in a tolerant scan or — in a non-tolerant one — the
+// failure that latches and cancels the scan, so no new measurement is
+// dispatched and in-flight ones notice cooperatively.
 func (sc *scan) settle(job pairJob, err error) {
+	x, y := sc.name(job)
 	sc.mu.Lock()
-	switch {
-	case err == nil:
-		sc.advance()
-	case sc.s.SkipFailures:
+	defer sc.mu.Unlock()
+	if sc.s.SkipFailures {
 		// A failed pair is still completed work: Progress must reach
 		// total on a tolerant scan with failures.
-		sc.failures = append(sc.failures, PairError{X: job.x, Y: job.y, Err: err, Attempts: job.attempt})
+		sc.failures = append(sc.failures, PairError{X: x, Y: y, Err: err, Attempts: int(job.attempt)})
 		sc.advance()
-	default:
-		if sc.firstErr == nil {
-			sc.firstErr = fmt.Errorf("ting: pair (%s,%s): %w", job.x, job.y, err)
-		}
-		sc.cancel()
+		return
 	}
-	sc.mu.Unlock()
-	sc.sched.release()
+	if sc.firstErr == nil {
+		sc.firstErr = fmt.Errorf("ting: pair (%s,%s): %w", x, y, err)
+	}
+	sc.cancel()
 }
 
 // advance counts one scheduled pair as done. Callers hold sc.mu.
@@ -705,17 +777,18 @@ func (sc *scan) advance() {
 	}
 }
 
-// markRemoved records that (x, y) will not be measured because relay left
+// markRemoved records that a pair will not be measured because relay left
 // the consensus at epoch — the tombstone itself, shared by pairs dropped
 // at plan time and pairs abandoned mid-scan. It burns no retry budget and
 // never fails the scan, tolerant or not. Once workers run, callers hold
 // sc.mu.
 func (sc *scan) markRemoved(job pairJob, relay string, epoch uint64) {
-	_ = sc.m.SetProv(job.x, job.y, ProvRemoved)
+	sc.m.setProv(int(job.x), int(job.y), ProvRemoved)
+	x, y := sc.name(job)
 	sc.failures = append(sc.failures, PairError{
-		X: job.x, Y: job.y,
+		X: x, Y: y,
 		Err:      &ChurnError{Relay: relay, Epoch: epoch},
-		Attempts: job.attempt,
+		Attempts: int(job.attempt),
 	})
 }
 
@@ -726,11 +799,11 @@ func (sc *scan) tombstone(job pairJob, relay string, epoch uint64) {
 	sc.markRemoved(job, relay, epoch)
 	sc.advance()
 	sc.mu.Unlock()
+	x, y := sc.name(job)
 	sc.s.Observer.churn(ChurnEvent{
 		Kind: ChurnTombstoned, Relay: relay, Epoch: epoch,
-		X: job.x, Y: job.y, Tombstoned: 1,
+		X: x, Y: y, Tombstoned: 1,
 	})
-	sc.sched.release()
 }
 
 // finish orders the failures by pair name and picks the error to report.

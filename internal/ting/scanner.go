@@ -139,10 +139,12 @@ func (e PairError) Error() string {
 // Unwrap exposes the final attempt's error.
 func (e PairError) Unwrap() error { return e.Err }
 
-// pairJob is one queued measurement attempt.
+// pairJob is one queued measurement attempt, 16 bytes. The pair is named
+// by matrix index; names are looked up (scan.name) only where they leave
+// the engine.
 type pairJob struct {
-	x, y    string
-	attempt int // attempts already consumed
+	x, y    int32
+	attempt int32 // attempts already consumed
 	// deferred marks a job that was parked behind an open circuit breaker
 	// once already; a deferred job that still cannot run is quarantined
 	// rather than parked again, so the scan always terminates.
@@ -176,26 +178,11 @@ func (s *Scanner) Scan(ctx context.Context, names []string) (*Matrix, []PairErro
 // entry point, where a worker's shard lease names a slice of the pair
 // space but the matrix (and the checkpoint's campaign header) must be
 // framed over the whole campaign so per-worker results merge without
-// re-indexing. Every endpoint must appear in names and no pair may be a
-// self-pair. Restricted pairs flow through the same retry, churn, breaker,
-// and checkpoint machinery as a full Scan; the contract is otherwise
-// Scan's.
+// re-indexing. Every endpoint must appear in names, no pair may be a
+// self-pair, and no pair may be listed twice, in either order. Restricted
+// pairs flow through the same retry, churn, breaker, and checkpoint
+// machinery as a full Scan; the contract is otherwise Scan's.
 func (s *Scanner) ScanPairs(ctx context.Context, names []string, pairs [][2]string) (*Matrix, []PairError, error) {
-	known := make(map[string]bool, len(names))
-	for _, n := range names {
-		known[n] = true
-	}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			return nil, nil, fmt.Errorf("ting: ScanPairs: self-pair (%s,%s)", p[0], p[1])
-		}
-		if !known[p[0]] {
-			return nil, nil, fmt.Errorf("ting: ScanPairs: pair endpoint %q not in names", p[0])
-		}
-		if !known[p[1]] {
-			return nil, nil, fmt.Errorf("ting: ScanPairs: pair endpoint %q not in names", p[1])
-		}
-	}
 	if pairs == nil {
 		// nil restrict means "all pairs" to run; an explicitly empty
 		// restriction must stay empty.

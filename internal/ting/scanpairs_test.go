@@ -54,6 +54,12 @@ func TestScanPairsValidation(t *testing.T) {
 	if _, _, err := sc.ScanPairs(context.Background(), names, [][2]string{{"x", "nope"}}); err == nil || !strings.Contains(err.Error(), "not in names") {
 		t.Errorf("unknown endpoint err = %v", err)
 	}
+	// A pair listed twice would be measured, counted and logged twice.
+	for _, dup := range [][][2]string{{{"x", "y"}, {"x", "y"}}, {{"x", "y"}, {"y", "x"}}} {
+		if _, _, err := sc.ScanPairs(context.Background(), names, dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Errorf("pairs %v: err = %v, want the duplicate refused", dup, err)
+		}
+	}
 	// An explicitly empty restriction measures nothing — and is not an
 	// all-pairs scan.
 	m, failures, err := sc.ScanPairs(context.Background(), names, [][2]string{})

@@ -7,10 +7,10 @@ import (
 
 // schedule owns every scheduled pair of one scan from plan until a worker
 // releases it. An open pair is in exactly one place: a worker's FIFO, a
-// worker's hands (between next and the push, park or release that ends the
-// attempt — or, for a joining relay's pairs, between reserve and push), or
-// the parking lot. One mutex guards all of it, and both end conditions are
-// a comparison on open:
+// worker's hands (from next until the push or park that ends the attempt,
+// or the worker's following next, which releases it — or, for a joining
+// relay's pairs, between reserve and push), or the parking lot. One mutex
+// guards all of it, and both end conditions are a comparison on open:
 //
 //	open == len(parked)  only parked pairs are left: the lot is dealt back
 //	                     for its final verdict
@@ -44,10 +44,16 @@ func newSchedule(todo []pairJob, workers int, shuffled bool) *schedule {
 	return s
 }
 
-// next blocks until worker w has a job or the scan is over.
-func (s *schedule) next(w int) (pairJob, bool) {
+// next first releases worker w's previous pair if it left the worker's
+// hands for good (release), then blocks until w has a job or the scan is
+// over — one lock acquisition a pair.
+func (s *schedule) next(w int, release bool) (pairJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if release {
+		s.open--
+		s.rebalance()
+	}
 	q := &s.fifos[w]
 	for q.head == len(q.jobs) {
 		if s.open == 0 {
@@ -105,14 +111,6 @@ func (s *schedule) park(job pairJob) {
 	s.mu.Unlock()
 }
 
-// release gives up one pair that left a worker's hands for good.
-func (s *schedule) release() {
-	s.mu.Lock()
-	s.open--
-	s.rebalance()
-	s.mu.Unlock()
-}
-
 // rebalance acts on the two end conditions after open or the lot changed.
 // Callers hold s.mu.
 func (s *schedule) rebalance() {
@@ -150,8 +148,8 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 		return queues
 	}
 	// Size each group, in order of first appearance.
-	order := make([]string, 0, 64)
-	size := make(map[string]int, 64)
+	order := make([]int32, 0, 64)
+	size := make(map[int32]int, 64)
 	for _, job := range todo {
 		if size[job.x] == 0 {
 			order = append(order, job.x)
@@ -166,7 +164,7 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 	type cursor struct{ w, at int }
 	load := make([]int, workers)
 	cursors := make([]cursor, len(order))
-	owner := make(map[string]*cursor, len(order))
+	owner := make(map[int32]*cursor, len(order))
 	for oi, x := range order {
 		w := 0
 		for i := 1; i < workers; i++ {

@@ -11,16 +11,25 @@ import (
 	"unsafe"
 )
 
-// allPairJobs lists every unordered pair of relays r0 … r(n-1), in plan's
+// allPairJobs lists every unordered pair of relays 0 … n-1, in plan's
 // order.
 func allPairJobs(n int) []pairJob {
 	todo := make([]pairJob, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			todo = append(todo, pairJob{x: fmt.Sprintf("r%d", i), y: fmt.Sprintf("r%d", j)})
+			todo = append(todo, pairJob{x: int32(i), y: int32(j)})
 		}
 	}
 	return todo
+}
+
+// release is next(w, true)'s first half on its own: the single-goroutine
+// model must end an attempt without letting the worker block for another.
+func (s *schedule) release() {
+	s.mu.Lock()
+	s.open--
+	s.rebalance()
+	s.mu.Unlock()
 }
 
 // schedModel is the plain reference the schedule is checked against: it
@@ -30,7 +39,7 @@ type schedModel struct {
 	queued   [][]pairJob // per worker, FIFO
 	hands    [][]pairJob // per worker, taken by next and not yet disposed of
 	parked   []pairJob
-	released map[[2]string]int // pair → times released
+	released map[[2]int32]int // pair → times released
 }
 
 func (m *schedModel) open() int {
@@ -49,7 +58,7 @@ func (m *schedModel) push(w int, jobs ...pairJob) {
 	}
 }
 
-func (m *schedModel) release(job pairJob) { m.released[[2]string{job.x, job.y}]++ }
+func (m *schedModel) release(job pairJob) { m.released[[2]int32{job.x, job.y}]++ }
 
 // rebalance applies the two end conditions after a pair was parked or
 // released.
@@ -115,7 +124,7 @@ func runScheduleModel(seed int64) error {
 		workers:  workers,
 		queued:   assignJobs(todo, workers, shuffled),
 		hands:    make([][]pairJob, workers),
-		released: make(map[[2]string]int),
+		released: make(map[[2]int32]int),
 	}
 	for w := range m.queued {
 		m.queued[w] = append([]pairJob(nil), m.queued[w]...)
@@ -140,7 +149,7 @@ func runScheduleModel(seed int64) error {
 			}
 			jobs := make([]pairJob, k)
 			for i := range jobs {
-				jobs[i] = pairJob{x: fmt.Sprintf("j%d", joins), y: fmt.Sprintf("r%d", i)}
+				jobs[i] = pairJob{x: int32(1000 + joins), y: int32(i)}
 			}
 			joins++
 			planned += k
@@ -162,6 +171,18 @@ func runScheduleModel(seed int64) error {
 				job.deferred = true
 				m.parked = append(m.parked, job)
 				m.rebalance()
+			case len(m.queued[w]) > 0:
+				// The worker loop's way: release and take the next pair in
+				// one call, which cannot block with w's FIFO non-empty.
+				op = "release+next"
+				got, ok := s.next(w, true)
+				m.release(job)
+				m.rebalance()
+				if !ok || got != m.queued[w][0] {
+					return fmt.Errorf("step %d: next(%d, true) = %+v, %v; model %+v", step, w, got, ok, m.queued[w][0])
+				}
+				m.queued[w] = m.queued[w][1:]
+				m.hands[w] = append(m.hands[w], got)
 			default:
 				op = "release"
 				s.release()
@@ -177,7 +198,7 @@ func runScheduleModel(seed int64) error {
 				// Nothing queued anywhere: a held pair must end instead.
 				continue
 			}
-			job, ok := s.next(w)
+			job, ok := s.next(w, false)
 			if !ok || job != m.queued[w][0] {
 				return fmt.Errorf("step %d: next(%d) = %+v, %v; model %+v", step, w, job, ok, m.queued[w][0])
 			}
@@ -193,7 +214,7 @@ func runScheduleModel(seed int64) error {
 		return fmt.Errorf("model is done, schedule has %d open", s.open)
 	}
 	for w := 0; w < workers; w++ {
-		if job, ok := s.next(w); ok {
+		if job, ok := s.next(w, false); ok {
 			return fmt.Errorf("next(%d) = %+v after the last release", w, job)
 		}
 	}
@@ -227,11 +248,13 @@ func TestScheduleConcurrentWorkers(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed*workers + int64(w)))
+				release := false
 				for {
-					job, ok := s.next(w)
+					job, ok := s.next(w, release)
 					if !ok {
 						return
 					}
+					release = false
 					switch c := rng.Intn(4); {
 					case c == 0 && job.attempt < 3:
 						job.attempt++
@@ -240,7 +263,7 @@ func TestScheduleConcurrentWorkers(t *testing.T) {
 						s.park(job)
 					default:
 						released.Add(1)
-						s.release()
+						release = true
 					}
 				}
 			}(w)
