@@ -269,21 +269,78 @@ func TestTorPathRTTComposition(t *testing.T) {
 	p := NewProber(topo, 14)
 	p.LinkJitterMs = 0
 
-	got, err := p.TorPathRTT(host, []NodeID{w, x, y, z})
-	if err != nil {
+	got := make([]float64, 3)
+	if err := p.TorPathRTT(host, []NodeID{w, x, y, z}, got); err != nil {
 		t.Fatal(err)
 	}
 	want := topo.RTT(host, w) + topo.RTT(w, x) + topo.RTT(x, y) +
 		topo.RTT(y, z) + topo.RTT(z, host) + 8 // 2 fwd × 4 relays × 1ms
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("TorPathRTT = %v, want %v", got, want)
+	for i, v := range got {
+		if math.Abs(v-want) > 0.01 {
+			t.Errorf("TorPathRTT sample %d = %v, want %v", i, v, want)
+		}
 	}
 
-	if _, err := p.TorPathRTT(host, nil); err == nil {
+	if err := p.TorPathRTT(host, nil, got); err == nil {
 		t.Error("want error for empty circuit")
 	}
-	if _, err := p.TorPathRTT(host, []NodeID{9999}); err == nil {
+	if err := p.TorPathRTT(host, []NodeID{9999}, got); err == nil {
 		t.Error("want error for unknown relay")
+	}
+}
+
+// torPathSample is the one-sample reference TorPathRTT's series must match
+// bit for bit: the path's legs summed afresh for every sample, then each
+// relay's two forwarding draws in path order, then the link jitter.
+func torPathSample(topo *Topology, rng *rand.Rand, jitterMs float64, host NodeID, relays []NodeID) float64 {
+	var sum float64
+	prev := host
+	for _, r := range relays {
+		sum += topo.RTT(prev, r)
+		prev = r
+	}
+	sum += topo.RTT(prev, host)
+	for _, r := range relays {
+		fwd := topo.Node(r).Fwd
+		sum += fwd.Sample(rng) + fwd.Sample(rng)
+	}
+	if jitterMs > 0 {
+		sum += rng.ExpFloat64() * jitterMs
+	}
+	return sum
+}
+
+// TestTorPathRTTSeriesMatchesPerSample: a series of random length over a
+// random 1–4 hop path is, bit for bit, the reference's samples from the
+// same seed — and consecutive series continue one RNG stream, so the
+// experiments' numbers do not move when a prober samples in series.
+func TestTorPathRTTSeriesMatchesPerSample(t *testing.T) {
+	topo := mustGenerate(t, Config{N: 40, Seed: 21})
+	host := topo.AddHost("host", geo.Coord{Lat: 39, Lon: -77}, 22)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewProber(topo, seed)
+		ref := rand.New(rand.NewSource(seed))
+		if seed%5 == 0 {
+			p.LinkJitterMs = 0
+		}
+		for call := 0; call < 8; call++ {
+			relays := make([]NodeID, 1+rng.Intn(4))
+			for i := range relays {
+				relays[i] = NodeID(rng.Intn(topo.N()))
+			}
+			out := make([]float64, 1+rng.Intn(200))
+			if err := p.TorPathRTT(host, relays, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range out {
+				want := torPathSample(topo, ref, p.LinkJitterMs, host, relays)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d call %d path %v: sample %d of %d = %v, reference %v",
+						seed, call, relays, i, len(out), got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -52,11 +52,36 @@ func (p *Prober) TCPPing(from, to NodeID) float64 {
 	return rtt
 }
 
-// TorPathRTT returns one end-to-end RTT sample for an echo through the Tor
-// circuit host → relays[0] → … → relays[k-1] → host. Every relay forwards
-// the probe twice (ping and pong directions), contributing two independent
-// forwarding-delay samples, exactly as in Eq. (1).
-func (p *Prober) TorPathRTT(host NodeID, relays []NodeID) (float64, error) {
+// TorPathRTT fills out with end-to-end RTT samples for an echo through the
+// Tor circuit host → relays[0] → … → relays[k-1] → host. Every relay
+// forwards each probe twice (ping and pong directions), contributing two
+// independent forwarding-delay samples, exactly as in Eq. (1). The path is
+// resolved and its propagation legs summed once per call; each sample then
+// adds its draws to that sum in path order, so a series is bitwise what
+// len(out) one-sample calls give. The relays' models are copied to the
+// stack, so the call writes nothing but out and the RNG.
+func (p *Prober) TorPathRTT(host NodeID, relays []NodeID, out []float64) error {
+	legs, err := p.legs(host, relays)
+	if err != nil {
+		return err
+	}
+	var buf [8]ForwardingModel
+	fwd := buf[:0]
+	for _, r := range relays {
+		fwd = append(fwd, p.topo.Node(r).Fwd)
+	}
+	for i := range out {
+		sum := legs
+		for _, f := range fwd {
+			sum += f.Sample(p.rng) + f.Sample(p.rng)
+		}
+		out[i] = sum + p.jitter()
+	}
+	return nil
+}
+
+// legs sums the propagation legs of the circuit host → relays → host.
+func (p *Prober) legs(host NodeID, relays []NodeID) (float64, error) {
 	if len(relays) == 0 {
 		return 0, fmt.Errorf("inet: empty circuit")
 	}
@@ -69,12 +94,7 @@ func (p *Prober) TorPathRTT(host NodeID, relays []NodeID) (float64, error) {
 		sum += p.topo.RTT(prev, r)
 		prev = r
 	}
-	sum += p.topo.RTT(prev, host)
-	for _, r := range relays {
-		fwd := p.topo.Node(r).Fwd
-		sum += fwd.Sample(p.rng) + fwd.Sample(p.rng)
-	}
-	return sum + p.jitter(), nil
+	return sum + p.topo.RTT(prev, host), nil
 }
 
 // TorPathFloorRTT returns the deterministic floor of TorPathRTT's sample
@@ -86,19 +106,10 @@ func (p *Prober) TorPathRTT(host NodeID, relays []NodeID) (float64, error) {
 // and the sampling mode distributed campaigns use when their merged matrix
 // must be bytewise equal to a single-process scan.
 func (p *Prober) TorPathFloorRTT(host NodeID, relays []NodeID) (float64, error) {
-	if len(relays) == 0 {
-		return 0, fmt.Errorf("inet: empty circuit")
+	sum, err := p.legs(host, relays)
+	if err != nil {
+		return 0, err
 	}
-	var sum float64
-	prev := host
-	for _, r := range relays {
-		if p.topo.Node(r) == nil {
-			return 0, fmt.Errorf("inet: unknown relay %d", r)
-		}
-		sum += p.topo.RTT(prev, r)
-		prev = r
-	}
-	sum += p.topo.RTT(prev, host)
 	for _, r := range relays {
 		sum += 2 * p.topo.Node(r).Fwd.Floor()
 	}

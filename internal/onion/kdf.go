@@ -1,33 +1,10 @@
 package onion
 
 import (
+	"crypto/hkdf"
 	"crypto/hmac"
 	"crypto/sha256"
 )
-
-// hkdf implements HKDF-SHA256 (RFC 5869) extract-and-expand. crypto/hkdf
-// (Go 1.24) could replace these ~25 lines; the handshake key schedule is a
-// measured allocation line (ROADMAP item 8), so that swap waits for a PR
-// that measures it.
-func hkdf(secret, salt, info []byte, n int) []byte {
-	// Extract.
-	ext := hmac.New(sha256.New, salt)
-	ext.Write(secret)
-	prk := ext.Sum(nil)
-
-	// Expand.
-	out := make([]byte, 0, n)
-	var block []byte
-	for counter := byte(1); len(out) < n; counter++ {
-		h := hmac.New(sha256.New, prk)
-		h.Write(block)
-		h.Write(info)
-		h.Write([]byte{counter})
-		block = h.Sum(nil)
-		out = append(out, block...)
-	}
-	return out[:n]
-}
 
 // Key schedule offsets within the HKDF output.
 const (
@@ -47,8 +24,16 @@ type keySchedule struct {
 	auth     []byte // handshake authentication key
 }
 
+// deriveKeys expands the handshake's secret input with HKDF-SHA256
+// (RFC 5869) into one hop's key schedule.
 func deriveKeys(secretInput []byte) keySchedule {
-	km := hkdf(secretInput, []byte(protoID+":salt"), []byte(protoID+":expand"), keyMaterial)
+	km, err := hkdf.Key(sha256.New, secretInput, []byte(protoID+":salt"), protoID+":expand", keyMaterial)
+	if err != nil {
+		// Key fails only for a length past 255 hash blocks or, in FIPS
+		// 140-only mode, a secret under 112 bits: keyMaterial is a constant
+		// well inside the one, and the secret input is several keys long.
+		panic("onion: " + err.Error())
+	}
 	var ks keySchedule
 	ks.kf, km = km[:aesKeyLen], km[aesKeyLen:]
 	ks.kb, km = km[:aesKeyLen], km[aesKeyLen:]

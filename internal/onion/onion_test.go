@@ -2,7 +2,11 @@ package onion
 
 import (
 	"bytes"
+	"crypto/hkdf"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -329,31 +333,55 @@ func TestVerifyMismatchRollsBack(t *testing.T) {
 	}
 }
 
+// bytes concatenates a key schedule's parts in HKDF-output order.
+func (ks keySchedule) bytes() []byte {
+	return slices.Concat(ks.kf, ks.kb, ks.ivf, ks.ivb, ks.df, ks.db, ks.auth)
+}
+
+// TestHKDFProperties pins the key derivation: HKDF-SHA256 as RFC 5869
+// specifies it (test case 1), and deriveKeys' schedule for a fixed secret
+// byte for byte as the hand-rolled HKDF it replaced produced it, so hops
+// keyed on either side of the change agree.
 func TestHKDFProperties(t *testing.T) {
-	out1 := hkdf([]byte("secret"), []byte("salt"), []byte("info"), 64)
-	out2 := hkdf([]byte("secret"), []byte("salt"), []byte("info"), 64)
-	if !bytes.Equal(out1, out2) {
-		t.Error("hkdf not deterministic")
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt, _ := hex.DecodeString("000102030405060708090a0b0c")
+	info, _ := hex.DecodeString("f0f1f2f3f4f5f6f7f8f9")
+	okm, err := hkdf.Key(sha256.New, ikm, salt, string(info), 42)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(out1) != 64 {
-		t.Errorf("length %d", len(out1))
+	if got, want := hex.EncodeToString(okm), "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"; got != want {
+		t.Errorf("RFC 5869 test case 1 OKM = %s, want %s", got, want)
 	}
-	if bytes.Equal(out1, hkdf([]byte("secret2"), []byte("salt"), []byte("info"), 64)) {
-		t.Error("different secrets gave same output")
-	}
-	if bytes.Equal(out1[:32], hkdf([]byte("secret"), []byte("salt"), []byte("info2"), 32)) {
-		t.Error("different info gave same output")
-	}
-	// Prefix property: shorter request is a prefix of longer.
-	if !bytes.Equal(out1[:16], hkdf([]byte("secret"), []byte("salt"), []byte("info"), 16)) {
-		t.Error("hkdf prefix property violated")
+
+	const golden = "a86a61f06ee501c9e6f046e66b29c876e74fb9b2ad6db98fd3195b91deae51c3" +
+		"ee315c4ddd70bcae592a3eb451597b413c6800951ea40d66368fe90b2bc45a8c" +
+		"43bc5c6ab76e856f50f39108bc27e2c2e7014fa6f00f48247acb3c2350a8b3d3" +
+		"98c34ea6ebf09941ff86bc4d726b53672efc7f49d144e017493ed2c4527d2990" +
+		"c70e657e5e9962c2bbeef586962605d87846d5ec9b0d8961105f17930ae14139"
+	if got := hex.EncodeToString(deriveKeys([]byte("mintor key schedule golden input")).bytes()); got != golden {
+		t.Errorf("key schedule = %s, want %s", got, golden)
 	}
 }
 
+// TestHKDFLengthProperty: any secret yields a schedule of exactly
+// keyMaterial bytes split into parts of their fixed lengths, the same one
+// every time, and a different one for a different secret.
 func TestHKDFLengthProperty(t *testing.T) {
-	f := func(secret, salt, info []byte, nRaw uint8) bool {
-		n := int(nRaw)%200 + 1
-		return len(hkdf(secret, salt, info, n)) == n
+	f := func(secret []byte) bool {
+		ks := deriveKeys(secret)
+		for _, part := range []struct {
+			b []byte
+			n int
+		}{{ks.kf, aesKeyLen}, {ks.kb, aesKeyLen}, {ks.ivf, aesKeyLen}, {ks.ivb, aesKeyLen},
+			{ks.df, digestSeed}, {ks.db, digestSeed}, {ks.auth, authKeyLen}} {
+			if len(part.b) != part.n {
+				return false
+			}
+		}
+		all := ks.bytes()
+		other := deriveKeys(append(secret, 0)).bytes()
+		return len(all) == keyMaterial && bytes.Equal(all, deriveKeys(secret).bytes()) && !bytes.Equal(all, other)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

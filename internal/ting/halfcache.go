@@ -57,6 +57,7 @@ type halfEntry struct {
 // exactly once before done is closed.
 type halfFlight struct {
 	done chan struct{}
+	path []string // the cache's own copy, as an entry's
 	min  float64
 	when time.Time
 	err  error
@@ -118,8 +119,10 @@ func (c *HalfCache) SetStoreHook(fn func(path []string, samples int, min float64
 // named relay and returns how many were dropped — churn invalidation: a
 // rotated key means new crypto (and possibly a new host) behind the same
 // nickname, so its cached minima no longer describe the relay. In-flight
-// measurements are left to finish; their stale result is overwritten the
-// next time the key is invalidated or expires.
+// measurements through the relay are dropped too: each finishes and
+// answers the callers already waiting on it, but a flight no longer in the
+// map stores nothing and fires no hook, and the next Do measures the new
+// identity.
 func (c *HalfCache) InvalidateRelay(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,6 +131,11 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 		if slices.Contains(e.path, name) {
 			delete(c.entries, key)
 			dropped++
+		}
+	}
+	for key, f := range c.flights {
+		if slices.Contains(f.path, name) {
+			delete(c.flights, key)
 		}
 	}
 	// Bumped under the lock, after the deletes: a memo that reads the new
@@ -178,8 +186,10 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 			// a fresher flight to join or measure ourselves.
 			continue
 		}
+		// The flight, the entry and the hook all outlive this call, so none
+		// may alias the Measurer's scratch path.
 		skey := string(key)
-		f := &halfFlight{done: make(chan struct{})}
+		f := &halfFlight{done: make(chan struct{}), path: clonePath(path)}
 		c.flights[skey] = f
 		c.mu.Unlock()
 
@@ -187,20 +197,22 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 		min, err := fn(ctx)
 		f.min, f.err = min, err
 		c.mu.Lock()
-		delete(c.flights, skey)
+		// A flight InvalidateRelay dropped — the map holds another flight
+		// for the key, or none — measured a relay's old identity.
+		current := c.flights[skey] == f
+		if current {
+			delete(c.flights, skey)
+		}
 		var hook func(path []string, samples int, min float64)
-		if err == nil {
-			// The entry and the hook both outlive this call, so neither
-			// may alias the Measurer's scratch path.
-			path = clonePath(path)
+		if err == nil && current {
 			f.when = c.now()
-			c.entries[skey] = halfEntry{path: path, min: min, when: f.when}
+			c.entries[skey] = halfEntry{path: f.path, min: min, when: f.when}
 			hook = c.onStore
 		}
 		c.mu.Unlock()
 		close(f.done)
 		if hook != nil {
-			hook(path, samples, min)
+			hook(f.path, samples, min)
 		}
 		return min, f.when, err
 	}

@@ -297,6 +297,74 @@ func TestHalfCacheCancelledWaiter(t *testing.T) {
 	}
 }
 
+// TestHalfCacheRotationDropsFlight: a half series in flight when its relay
+// rotates still answers the caller waiting on it, but its pre-rotation
+// minimum is neither stored nor handed to the store hook (the checkpoint),
+// so the next Do measures the relay's new identity.
+func TestHalfCacheRotationDropsFlight(t *testing.T) {
+	c := NewHalfCache(0)
+	var stored []float64
+	var storedMu sync.Mutex
+	c.SetStoreHook(func(_ []string, _ int, min float64) {
+		storedMu.Lock()
+		stored = append(stored, min)
+		storedMu.Unlock()
+	})
+	ev := &halfEvents{}
+	obs := ev.observer()
+	path := []string{"w", "x"}
+
+	leaderIn := make(chan struct{})
+	leaderGo := make(chan struct{})
+	leaderDone := make(chan float64, 1)
+	go func() {
+		v, _ := c.Do(context.Background(), path, 5, obs,
+			func(context.Context) (float64, error) {
+				close(leaderIn)
+				<-leaderGo
+				return 40, nil
+			})
+		leaderDone <- v
+	}()
+	<-leaderIn
+	waiterDone := make(chan float64, 1)
+	go func() {
+		v, _ := c.Do(context.Background(), path, 5, obs,
+			func(context.Context) (float64, error) {
+				t.Error("waiter measured instead of joining the flight")
+				return 0, nil
+			})
+		waiterDone <- v
+	}()
+	for ev.waits.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	c.InvalidateRelay("x")
+	close(leaderGo)
+	if v := <-leaderDone; v != 40 {
+		t.Errorf("leader = %v, want its own series, 40", v)
+	}
+	if v := <-waiterDone; v != 40 {
+		t.Errorf("waiter = %v, want the flight's answer, 40", v)
+	}
+
+	measured := false
+	v, err := c.Do(context.Background(), path, 5, obs,
+		func(context.Context) (float64, error) {
+			measured = true
+			return 45, nil
+		})
+	if err != nil || !measured || v != 45 {
+		t.Errorf("Do after the rotation = (%v, %v), measured %v; want the new identity measured, 45", v, err, measured)
+	}
+	storedMu.Lock()
+	defer storedMu.Unlock()
+	if len(stored) != 1 || stored[0] != 45 {
+		t.Errorf("store hook saw %v, want only the post-rotation series [45]", stored)
+	}
+}
+
 // TestHalfCacheHammer floods one cache from many goroutines over a small
 // key set with an aggressive TTL, so hits, misses, waits, takeovers, and
 // expiry all interleave — primarily a -race workout, but every returned

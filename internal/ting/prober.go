@@ -66,9 +66,8 @@ type DirectProber interface {
 // paper's large sweeps (930 pairs × 1000 samples, 10,000 live pairs).
 //
 // A ModelProber is not safe for concurrent use: its underlying model
-// prober draws from one RNG stream and SampleCircuitInto reuses a node-ID
-// scratch. Give each scanner worker its own (seeded differently), as the
-// experiments' World helper does.
+// prober draws from one RNG stream. Give each scanner worker its own
+// (seeded differently), as the experiments' World helper does.
 type ModelProber struct {
 	// Exact replaces stochastic sampling with the model's deterministic
 	// floor: every sample is exactly the path's propagation legs plus the
@@ -82,7 +81,6 @@ type ModelProber struct {
 	prober *inet.Prober
 	host   inet.NodeID
 	nodeOf map[string]inet.NodeID
-	ids    []inet.NodeID
 }
 
 // NewModelProber creates a prober at the given host node. nodeOf maps
@@ -116,21 +114,20 @@ func (p *ModelProber) SampleCircuit(ctx context.Context, path []string, n int) (
 
 // SampleCircuitInto implements SamplerInto: like SampleCircuit but filling
 // a caller-owned buffer, so a scan's million-sample inner loop allocates
-// nothing. The path→node resolution scratch is reused across calls.
+// nothing. Each stackProbeBatch chunk is one series call to the model
+// prober.
 func (p *ModelProber) SampleCircuitInto(ctx context.Context, path []string, out []float64) error {
 	if len(out) == 0 {
 		return errors.New("ting: sample count must be positive")
 	}
-	if cap(p.ids) < len(path) {
-		p.ids = make([]inet.NodeID, len(path))
-	}
-	ids := p.ids[:len(path)]
-	for i, name := range path {
+	var buf [8]inet.NodeID // the resolved path, on the stack
+	ids := buf[:0]
+	for _, name := range path {
 		id, ok := p.nodeOf[name]
 		if !ok {
 			return fmt.Errorf("ting: unknown relay %q", name)
 		}
-		ids[i] = id
+		ids = append(ids, id)
 	}
 	if p.Exact {
 		s, err := p.prober.TorPathFloorRTT(p.host, ids)
@@ -145,15 +142,13 @@ func (p *ModelProber) SampleCircuitInto(ctx context.Context, path []string, out 
 		}
 		return nil
 	}
-	for i := range out {
-		if i%stackProbeBatch == 0 && ended(ctx) {
+	for i := 0; i < len(out); i += stackProbeBatch {
+		if ended(ctx) {
 			return ctx.Err()
 		}
-		s, err := p.prober.TorPathRTT(p.host, ids)
-		if err != nil {
+		if err := p.prober.TorPathRTT(p.host, ids, out[i:min(i+stackProbeBatch, len(out))]); err != nil {
 			return err
 		}
-		out[i] = s
 	}
 	return nil
 }

@@ -381,8 +381,8 @@ func TestScannerQuarantineCancelDuringDeferral(t *testing.T) {
 	}
 	stacks := make([]byte, 1<<20)
 	stacks = stacks[:runtime.Stack(stacks, true)]
-	if bytes.Contains(stacks, []byte("(*schedule).next")) {
-		t.Errorf("a worker is still waiting in schedule.next after Scan returned:\n%s", stacks)
+	if bytes.Contains(stacks, []byte("(*schedule).take")) {
+		t.Errorf("a worker is still waiting in schedule.take after Scan returned:\n%s", stacks)
 	}
 }
 

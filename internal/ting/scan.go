@@ -25,6 +25,8 @@ import (
 //	           the campaign was down
 //	plan       list the pairs to attempt; replayed pairs are seeded and pairs
 //	           of departed relays tombstoned without being scheduled
+//	work       one worker's loop: claim a run of pairs, attempt each, write
+//	           the run's successes together (writeRun), size the next run
 //	attempt    one measurement of one pair by one worker, behind the churn
 //	           gate and the breaker gate, ending measured, failed for good
 //	           (settle), tombstoned, parked, or retried on the next worker
@@ -180,14 +182,7 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		wg.Add(1)
 		go func(w int, meas *Measurer) {
 			defer wg.Done()
-			release := false
-			for {
-				job, ok := sc.sched.next(w, release)
-				if !ok {
-					return
-				}
-				release = sc.attempt(w, meas, job)
-			}
+			sc.work(w, meas)
 		}(w, measurers[w])
 	}
 	wg.Wait()
@@ -608,16 +603,84 @@ func (sc *scan) name(job pairJob) (x, y string) {
 	return names[job.x], names[job.y]
 }
 
-// attempt runs one queued job to one of its ends: measured, settled as
-// failed, tombstoned, parked behind a breaker, or pushed to the next worker
-// as a retry. It reports whether the pair left the worker's hands for good,
-// which the worker's next call to sched.next releases.
-func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
+// A worker claims its pairs in runs of up to k, one schedule lock a run,
+// and writes a run's successes under one mu when it ends. k adapts to what
+// a pair costs: it starts at 1, doubles up to runMax while a run ends within
+// runBudget of the last one, and halves otherwise — so pairs far cheaper
+// than the budget share their locks, and a pair that costs more than it is
+// settled alone, as soon as it is measured.
+const (
+	runBudget = time.Millisecond
+	runMax    = 64
+)
+
+// success is a measured pair waiting for its run to end.
+type success struct {
+	job pairJob
+	rtt float64
+}
+
+// work is worker w's loop. Everything but the write of a success — the
+// churn gate, the breaker, a retry's push, a park, the checkpoint append,
+// the observer's PairDone — happens per pair as the run goes. The clock is
+// read once a run. The run and its successes live in arrays on this
+// goroutine's stack: a campaign shard's small scan allocates nothing for
+// them, and no two workers' scratch can share a cache line.
+func (sc *scan) work(w int, meas *Measurer) {
+	var run [runMax]pairJob       // the run in hand
+	var successes [runMax]success // its measured pairs
+	k := 1                        // the next take's cap
+	released := 0                 // the run's pairs that left the worker's hands
+	last := time.Now()
+	for {
+		jobs := sc.sched.take(w, released, run[:k])
+		if len(jobs) == 0 {
+			return
+		}
+		released = 0
+		measured := successes[:0]
+		for _, job := range jobs {
+			var release bool
+			if measured, release = sc.attempt(w, meas, job, measured); release {
+				released++
+			}
+		}
+		sc.writeRun(measured)
+		now := time.Now()
+		if now.Sub(last) <= runBudget {
+			k = min(2*k, runMax)
+		} else {
+			k = max(k/2, 1)
+		}
+		last = now
+	}
+}
+
+// writeRun writes a run's successes and advances progress past each, in
+// the order they were measured, under one mu.
+func (sc *scan) writeRun(measured []success) {
+	if len(measured) == 0 {
+		return
+	}
+	sc.mu.Lock()
+	for _, s := range measured {
+		sc.m.write(int(s.job.x), int(s.job.y), s.rtt, ProvFresh, 255)
+		sc.advance()
+	}
+	sc.mu.Unlock()
+}
+
+// attempt runs one claimed job to one of its ends: measured (appended to
+// measured, the run's successes, which writeRun writes when the run ends),
+// settled as failed, tombstoned, parked behind a breaker, or pushed to the
+// next worker as a retry. It returns measured and whether the pair left the
+// worker's hands for good, which the worker's next take releases.
+func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) (_ []success, release bool) {
 	if ended(sc.ctx) {
 		// Cancelled scan: drain without measuring. The scan's result is
 		// partial, so abandoned pairs are released, not settled —
 		// progress must not count them as done.
-		return true
+		return measured, true
 	}
 	x, y := sc.name(job)
 	// Churn gate: a pair touching a relay the consensus dropped is
@@ -625,7 +688,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
 	// charges against a relay that is simply gone.
 	if relay, ep, gone := sc.removedRelay(x, y); gone {
 		sc.tombstone(job, relay, ep)
-		return true
+		return measured, true
 	}
 	// Breaker gate, the engine's only Health.Allow: a pair touching a
 	// quarantined relay is parked on first contact and given up on second.
@@ -634,10 +697,10 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
 			sc.s.Observer.quarantine(x, y, qe.Relay, job.deferred)
 			if job.deferred {
 				sc.settle(job, qe)
-				return true
+				return measured, true
 			}
 			sc.sched.park(job)
-			return false
+			return measured, false
 		}
 	}
 	ctx := sc.ctx
@@ -672,7 +735,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
 	}
 	job.attempt++
 	if err != nil {
-		return sc.failed(w, job, err, elapsed, adaptive)
+		return measured, sc.failed(w, job, err, elapsed, adaptive)
 	}
 	if sc.est != nil {
 		sc.est.Observe(x, y, elapsed)
@@ -684,11 +747,7 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob) (release bool) {
 		h.Success(x)
 		h.Success(y)
 	}
-	sc.mu.Lock()
-	sc.m.write(int(job.x), int(job.y), rtt, ProvFresh, 255)
-	sc.advance()
-	sc.mu.Unlock()
-	return true
+	return append(measured, success{job, rtt}), true
 }
 
 // failed disposes of an attempt that returned err after elapsed, reporting

@@ -52,9 +52,12 @@ type Scanner struct {
 	// prober's prefix extension and the half-circuit cache see the same
 	// relay back to back and workers never contend on one singleflight.
 	Shuffle int64
-	// Progress, if non-nil, is called after each pair reaches a final
+	// Progress, if non-nil, is called once per pair that reaches a final
 	// disposition — success, (in tolerant mode) permanent failure, or a
-	// churn tombstone — so done always reaches total on a completed scan.
+	// churn tombstone — in the order dispositions are settled, so done
+	// always reaches total on a completed scan. A failure or tombstone is
+	// settled at once; a success when its worker's run of pairs ends, and a
+	// run is a single pair once pairs take longer than about a millisecond.
 	// total can grow mid-scan when a relay joins the consensus.
 	Progress func(done, total int)
 	// SkipFailures keeps scanning when a pair fails (live relays churn;

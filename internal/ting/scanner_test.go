@@ -71,6 +71,45 @@ func TestScannerProgressReachesTotal(t *testing.T) {
 	}
 }
 
+// TestScanSlowPairsSettleAlone: a worker's run only grows while pairs cost
+// less than its budget. With a prober taking 2 ms a series, every measured
+// pair's Progress arrives before the worker starts its next series.
+func TestScanSlowPairsSettleAlone(t *testing.T) {
+	var mu sync.Mutex
+	measured, reported, series := 0, 0, 0
+	hook := func([]string) {
+		mu.Lock()
+		if reported != measured {
+			t.Errorf("series %d started with %d pairs measured but %d reported", series+1, measured, reported)
+		}
+		series++
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond)
+	}
+	obs := &Observer{PairDone: func(string, string, *Measurement, error) {
+		mu.Lock()
+		measured++
+		mu.Unlock()
+	}}
+	sc := &Scanner{
+		NewMeasurer: func(int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: &hookProber{f: bigFakeWorld(), hook: hook}, W: "w", Z: "z", Samples: 1, Observer: obs})
+		},
+		Workers: 1,
+		Progress: func(done, _ int) {
+			mu.Lock()
+			reported = done
+			mu.Unlock()
+		},
+	}
+	if _, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"}); err != nil || len(failures) != 0 {
+		t.Fatalf("scan = (%v, %v), want clean", failures, err)
+	}
+	if reported != 6 || series != 10 {
+		t.Errorf("%d pairs reported over %d series, want 6 over N + pairs = 10", reported, series)
+	}
+}
+
 // countingProber fails every circuit after a short synchronizing delay and
 // counts how many measurement attempts actually reached the network. Each
 // failed attempt costs exactly one SampleCircuit call (C_x errors first).

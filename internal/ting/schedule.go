@@ -1,16 +1,18 @@
 package ting
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
 )
 
 // schedule owns every scheduled pair of one scan from plan until a worker
 // releases it. An open pair is in exactly one place: a worker's FIFO, a
-// worker's hands (from next until the push or park that ends the attempt,
-// or the worker's following next, which releases it — or, for a joining
-// relay's pairs, between reserve and push), or the parking lot. One mutex
-// guards all of it, and both end conditions are a comparison on open:
+// worker's hands (from the take that claims it in a run until the push or
+// park that ends its attempt, or the worker's following take, which
+// releases it — or, for a joining relay's pairs, between reserve and push),
+// or the parking lot. One mutex guards all of it, and both end conditions
+// are a comparison on open:
 //
 //	open == len(parked)  only parked pairs are left: the lot is dealt back
 //	                     for its final verdict
@@ -44,26 +46,30 @@ func newSchedule(todo []pairJob, workers int, shuffled bool) *schedule {
 	return s
 }
 
-// next first releases worker w's previous pair if it left the worker's
-// hands for good (release), then blocks until w has a job or the scan is
-// over — one lock acquisition a pair.
-func (s *schedule) next(w int, release bool) (pairJob, bool) {
+// take first releases the released pairs of worker w's previous run — those
+// that left the worker's hands for good — then blocks until w has a job or
+// the scan is over, and moves up to len(run) of w's queued jobs into run:
+// one lock acquisition a run. It returns the jobs claimed, none once the
+// scan is over.
+func (s *schedule) take(w, released int, run []pairJob) []pairJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if release {
-		s.open--
+	if released > 0 {
+		// The released pairs were in w's hands, never parked, so open
+		// cannot step past len(parked) on the way down.
+		s.open -= released
 		s.rebalance()
 	}
 	q := &s.fifos[w]
 	for q.head == len(q.jobs) {
 		if s.open == 0 {
-			return pairJob{}, false
+			return run[:0]
 		}
 		q.wake.Wait()
 	}
-	job := q.jobs[q.head]
-	q.head++
-	return job, true
+	n := copy(run, q.jobs[q.head:])
+	q.head += n
+	return run[:n]
 }
 
 // push queues jobs already counted in open, the i-th on worker (w+i) mod W:
@@ -147,34 +153,39 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 		}
 		return queues
 	}
+	// A group is named by its first endpoint's matrix index, so groups live
+	// in one slice indexed by relay, from the lowest first endpoint (a
+	// campaign shard's groups span one tile band, not the relay set). Each
+	// holds its size, then its owner and the slot its next pair lands in.
+	type group struct{ size, w, at int32 }
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, job := range todo {
+		lo, hi = min(lo, job.x), max(hi, job.x)
+	}
+	groups := make([]group, max(hi-lo+1, 0))
 	// Size each group, in order of first appearance.
 	order := make([]int32, 0, 64)
-	size := make(map[int32]int, 64)
 	for _, job := range todo {
-		if size[job.x] == 0 {
-			order = append(order, job.x)
+		g := &groups[job.x-lo]
+		if g.size == 0 {
+			order = append(order, job.x-lo)
 		}
-		size[job.x]++
+		g.size++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return size[order[a]] > size[order[b]]
-	})
+	slices.SortStableFunc(order, func(a, b int32) int { return int(groups[b].size - groups[a].size) })
 	// LPT gives each group an owner and, since the groups before it on
 	// that worker are known, the slot its first pair lands in.
-	type cursor struct{ w, at int }
 	load := make([]int, workers)
-	cursors := make([]cursor, len(order))
-	owner := make(map[int32]*cursor, len(order))
-	for oi, x := range order {
+	for _, x := range order {
 		w := 0
 		for i := 1; i < workers; i++ {
 			if load[i] < load[w] {
 				w = i
 			}
 		}
-		cursors[oi] = cursor{w, load[w]}
-		owner[x] = &cursors[oi]
-		load[w] += size[x]
+		g := &groups[x]
+		g.w, g.at = int32(w), int32(load[w])
+		load[w] += int(g.size)
 	}
 	for w := range queues {
 		if load[w] > 0 {
@@ -184,9 +195,9 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 	// One pass over the list: each pair goes straight to its group's next
 	// slot, so a group keeps todo's order and nothing is staged in between.
 	for _, job := range todo {
-		c := owner[job.x]
-		queues[c.w][c.at] = job
-		c.at++
+		g := &groups[job.x-lo]
+		queues[g.w][g.at] = job
+		g.at++
 	}
 	return queues
 }

@@ -23,11 +23,11 @@ func allPairJobs(n int) []pairJob {
 	return todo
 }
 
-// release is next(w, true)'s first half on its own: the single-goroutine
-// model must end an attempt without letting the worker block for another.
-func (s *schedule) release() {
+// release is take's first half on its own: the single-goroutine model must
+// release a run without letting the worker block for another.
+func (s *schedule) release(n int) {
 	s.mu.Lock()
-	s.open--
+	s.open -= n
 	s.rebalance()
 	s.mu.Unlock()
 }
@@ -35,9 +35,12 @@ func (s *schedule) release() {
 // schedModel is the plain reference the schedule is checked against: it
 // knows where every pair is by construction, not by counting.
 type schedModel struct {
-	workers  int
-	queued   [][]pairJob // per worker, FIFO
-	hands    [][]pairJob // per worker, taken by next and not yet disposed of
+	workers int
+	queued  [][]pairJob // per worker, FIFO
+	hands   [][]pairJob // per worker, claimed by take and not yet disposed of
+	// done counts, per worker, the pairs of its run that ended for good and
+	// that its next take (or release) hands back: still open until then.
+	done     []int
 	parked   []pairJob
 	released map[[2]int32]int // pair → times released
 }
@@ -45,7 +48,7 @@ type schedModel struct {
 func (m *schedModel) open() int {
 	n := len(m.parked)
 	for w := range m.queued {
-		n += len(m.queued[w]) + len(m.hands[w])
+		n += len(m.queued[w]) + len(m.hands[w]) + m.done[w]
 	}
 	return n
 }
@@ -87,13 +90,13 @@ func (m *schedModel) check(s *schedule) error {
 			}
 		}
 		queued += len(got)
-		hands += len(m.hands[w])
+		hands += len(m.hands[w]) + m.done[w]
 	}
 	if len(s.parked) != len(m.parked) {
 		return fmt.Errorf("lot holds %d, model %d", len(s.parked), len(m.parked))
 	}
 	if queued+hands+len(s.parked) != s.open {
-		return fmt.Errorf("open = %d, but %d queued + %d in hands + %d parked", s.open, queued, hands, len(s.parked))
+		return fmt.Errorf("open = %d, but %d queued + %d in hands or unreleased + %d parked", s.open, queued, hands, len(s.parked))
 	}
 	if s.open > 0 && s.open == len(s.parked) {
 		return fmt.Errorf("only the %d parked pairs are open and the lot was not dealt", s.open)
@@ -102,12 +105,22 @@ func (m *schedModel) check(s *schedule) error {
 }
 
 // TestSchedulePropertyAgainstModel drives one schedule from one goroutine
-// with random worker behaviour — take, retry, park, release, a relay
-// joining — and checks it against schedModel after every step.
+// with random worker behaviour — runs taken at random caps from 1 to 64,
+// each pair retried, parked or released, a relay joining — and checks it
+// against schedModel after every step.
 func TestSchedulePropertyAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
-		if err := runScheduleModel(seed); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		// The model only calls take where it predicts take cannot block, so
+		// a schedule that blocks there is a failure, not a hung test.
+		done := make(chan error, 1)
+		go func() { done <- runScheduleModel(seed) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("seed %d: take blocked where the model says it cannot", seed)
 		}
 	}
 }
@@ -124,6 +137,7 @@ func runScheduleModel(seed int64) error {
 		workers:  workers,
 		queued:   assignJobs(todo, workers, shuffled),
 		hands:    make([][]pairJob, workers),
+		done:     make([]int, workers),
 		released: make(map[[2]int32]int),
 	}
 	for w := range m.queued {
@@ -137,10 +151,10 @@ func runScheduleModel(seed int64) error {
 		if step > 10000 {
 			return fmt.Errorf("no end after %d steps; %d open", step, m.open())
 		}
-		op := "next"
+		var op string
 		w := rng.Intn(workers)
-		switch r := rng.Intn(10); {
-		case r == 0 && joins < 3:
+		switch {
+		case rng.Intn(10) == 0 && joins < 3:
 			// A relay joins: reserve its pairs, then deal them round.
 			op = "join"
 			k := 1 + rng.Intn(4)
@@ -155,8 +169,8 @@ func runScheduleModel(seed int64) error {
 			planned += k
 			s.push(0, jobs...)
 			m.push(0, jobs...)
-		case r < 5 && len(m.hands[w]) > 0:
-			// Worker w ends the attempt it holds, one of the three ways.
+		case len(m.hands[w]) > 0:
+			// Worker w ends the next attempt of its run, one of three ways.
 			job := m.hands[w][0]
 			m.hands[w] = m.hands[w][1:]
 			switch c := rng.Intn(4); {
@@ -171,39 +185,42 @@ func runScheduleModel(seed int64) error {
 				job.deferred = true
 				m.parked = append(m.parked, job)
 				m.rebalance()
-			case len(m.queued[w]) > 0:
-				// The worker loop's way: release and take the next pair in
-				// one call, which cannot block with w's FIFO non-empty.
-				op = "release+next"
-				got, ok := s.next(w, true)
-				m.release(job)
-				m.rebalance()
-				if !ok || got != m.queued[w][0] {
-					return fmt.Errorf("step %d: next(%d, true) = %+v, %v; model %+v", step, w, got, ok, m.queued[w][0])
-				}
-				m.queued[w] = m.queued[w][1:]
-				m.hands[w] = append(m.hands[w], got)
 			default:
-				op = "release"
-				s.release()
+				// Ended for good, but open until w's next take says so.
+				op = "done"
 				m.release(job)
-				m.rebalance()
+				m.done[w]++
 			}
+		case len(m.queued[w]) > 0 || m.done[w] > 0:
+			// w's run is over. The release may deal the lot, to w among
+			// others, or end the scan: the model applies it first to know
+			// whether take would block.
+			released := m.done[w]
+			m.done[w] = 0
+			m.rebalance()
+			if len(m.queued[w]) == 0 && m.open() > 0 {
+				op = "release"
+				s.release(released)
+				break
+			}
+			// The worker loop's way: release the run and claim the next in
+			// one take.
+			op = "take"
+			k := 1 + rng.Intn(64)
+			got := s.take(w, released, make([]pairJob, k))
+			want := m.queued[w][:min(k, len(m.queued[w]))]
+			if len(got) != len(want) {
+				return fmt.Errorf("step %d: take(%d) at cap %d claimed %d, model %d", step, w, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return fmt.Errorf("step %d: take(%d) slot %d = %+v, model %+v", step, w, i, got[i], want[i])
+				}
+			}
+			m.queued[w] = m.queued[w][len(want):]
+			m.hands[w] = append(m.hands[w], got...)
 		default:
-			// next, only where it cannot block: on a worker with work.
-			for i := 0; i < workers && len(m.queued[w]) == 0; i++ {
-				w = (w + 1) % workers
-			}
-			if len(m.queued[w]) == 0 {
-				// Nothing queued anywhere: a held pair must end instead.
-				continue
-			}
-			job, ok := s.next(w, false)
-			if !ok || job != m.queued[w][0] {
-				return fmt.Errorf("step %d: next(%d) = %+v, %v; model %+v", step, w, job, ok, m.queued[w][0])
-			}
-			m.queued[w] = m.queued[w][1:]
-			m.hands[w] = append(m.hands[w], job)
+			continue // w is idle
 		}
 		if err := m.check(s); err != nil {
 			return fmt.Errorf("step %d %s: %w", step, op, err)
@@ -214,8 +231,8 @@ func runScheduleModel(seed int64) error {
 		return fmt.Errorf("model is done, schedule has %d open", s.open)
 	}
 	for w := 0; w < workers; w++ {
-		if job, ok := s.next(w, false); ok {
-			return fmt.Errorf("next(%d) = %+v after the last release", w, job)
+		if run := s.take(w, 0, make([]pairJob, 1)); len(run) != 0 {
+			return fmt.Errorf("take(%d) = %+v after the last release", w, run)
 		}
 	}
 	if s.reserve(1) {
@@ -233,12 +250,12 @@ func runScheduleModel(seed int64) error {
 }
 
 // TestScheduleConcurrentWorkers runs four real workers over 200 pairs, each
-// ending every attempt by a random retry, park or release: all must exit
-// and every pair must have been released exactly once. It is the -race
-// half of the property above.
+// taking runs at random caps from 1 to 64 and ending every attempt by a
+// random retry, park or release: all must exit and every pair must have
+// been released exactly once. It is the -race half of the property above.
 func TestScheduleConcurrentWorkers(t *testing.T) {
 	const workers = 4
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(1); seed <= 400; seed++ {
 		todo := allPairJobs(21)[:200] // 21 relays make 210 pairs
 		s := newSchedule(todo, workers, seed%2 == 0)
 		var released atomic.Int64
@@ -248,22 +265,25 @@ func TestScheduleConcurrentWorkers(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed*workers + int64(w)))
-				release := false
+				buf := make([]pairJob, 64)
+				done := 0
 				for {
-					job, ok := s.next(w, release)
-					if !ok {
+					run := s.take(w, done, buf[:1+rng.Intn(64)])
+					if len(run) == 0 {
 						return
 					}
-					release = false
-					switch c := rng.Intn(4); {
-					case c == 0 && job.attempt < 3:
-						job.attempt++
-						s.push(w+1, job)
-					case c == 1 && !job.deferred:
-						s.park(job)
-					default:
-						released.Add(1)
-						release = true
+					done = 0
+					for _, job := range run {
+						switch c := rng.Intn(4); {
+						case c == 0 && job.attempt < 3:
+							job.attempt++
+							s.push(w+1, job)
+						case c == 1 && !job.deferred:
+							s.park(job)
+						default:
+							released.Add(1)
+							done++
+						}
 					}
 				}
 			}(w)

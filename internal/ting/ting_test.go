@@ -224,6 +224,38 @@ func TestModelProberUnknownRelay(t *testing.T) {
 	}
 }
 
+// TestModelProberChunksMatchPerSample: SampleCircuitInto takes its series in
+// stackProbeBatch chunks; at counts that are and are not multiples of the
+// chunk, the samples are bitwise the model prober's one-sample calls from
+// the same seed, and a following series continues the same stream.
+func TestModelProberChunksMatchPerSample(t *testing.T) {
+	topo, host, nodeOf := modelWorld(t, 6, 103)
+	path := []string{"w", topo.Node(1).Name, topo.Node(4).Name, "z"}
+	ids := make([]inet.NodeID, len(path))
+	for i, name := range path {
+		ids[i] = nodeOf[name]
+	}
+	for _, n := range []int{1, 7, 8, 9, 13, 16, 199, 200, 201} {
+		p := NewModelProber(topo, host, nodeOf, int64(n))
+		ref := inet.NewProber(topo, int64(n))
+		for series := 0; series < 2; series++ {
+			got := make([]float64, n)
+			if err := p.SampleCircuitInto(context.Background(), path, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				var want [1]float64
+				if err := ref.TorPathRTT(host, ids, want[:]); err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want[0]) {
+					t.Fatalf("n = %d, series %d: sample %d = %v, one-sample call %v", n, series, i, got[i], want[0])
+				}
+			}
+		}
+	}
+}
+
 func TestEstimateForwardingUnbiasedNode(t *testing.T) {
 	topo, host, nodeOf := modelWorld(t, 10, 102)
 	// Make node 0 unbiased with a known floor.
