@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"ting/internal/experiments"
@@ -452,8 +451,6 @@ func (r *runner) runFig12() error {
 	if err != nil {
 		return err
 	}
-	names := append([]string(nil), res.Strategies...)
-	sort.Strings(names)
 	for _, s := range res.Strategies {
 		fmt.Printf("Fig 12 [%s]: median fraction probed %.3f\n", s, res.Medians[s])
 		c, err := res.CDF(s)
@@ -474,6 +471,23 @@ func (r *runner) runFig12() error {
 		return err
 	}
 	fmt.Printf("Fig 12: speedup %.2fx (paper: 1.5x unweighted)\n", sp)
+
+	// Footnote 5: the same attack when circuits are bandwidth-weighted.
+	f11, err := r.ensureF11()
+	if err != nil {
+		return err
+	}
+	cfg := experiments.Fig12Config{Trials: len(res.Trials), Seed: r.seed, Weighted: true}
+	wres, err := experiments.Fig12(f11, cfg)
+	if err != nil {
+		return err
+	}
+	if sp, err = wres.Speedup(); err != nil {
+		return err
+	}
+	base, informed := wres.Strategies[0], wres.Strategies[len(wres.Strategies)-1]
+	fmt.Printf("Fig 12 (weighted, fn 5): median fraction probed %s %.3f, %s %.3f; speedup %.2fx (paper: 2x weighted)\n",
+		base, wres.Medians[base], informed, wres.Medians[informed], sp)
 	return nil
 }
 

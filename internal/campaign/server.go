@@ -84,10 +84,6 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 			return
 		}
 		replyErr(conn, s.c.Complete(worker, id, epoch, results))
-	case "status":
-		st := s.c.Snapshot()
-		fmt.Fprintf(conn, "status total=%d done=%d leased=%d pending=%d reassigned=%d lost=%d\n",
-			st.Total, st.Done, st.Leased, st.Pending, st.Reassigned, st.LostPairs)
 	default:
 		fmt.Fprintf(conn, "error unknown campaign op %q\n", op)
 	}

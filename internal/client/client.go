@@ -21,23 +21,6 @@ import (
 	"ting/internal/telemetry"
 )
 
-// BuildAutoCircuit builds a circuit of the given length through relays
-// chosen by default Tor policy: bandwidth-weighted picks without
-// replacement, exit-capable relay last (§5.2: "a Tor client selects these
-// relays at random according to the bandwidth capacity of each router").
-func (c *Client) BuildAutoCircuit(reg *directory.Registry, length int) (*Circuit, error) {
-	if reg == nil {
-		return nil, errors.New("client: nil registry")
-	}
-	c.rng.Lock()
-	path, err := directory.PickPath(reg.Consensus(), length, c.rng.Rand)
-	c.rng.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return c.BuildCircuit(path)
-}
-
 // Config configures an onion proxy.
 type Config struct {
 	// Dialer opens links to entry relays. Required.

@@ -515,47 +515,3 @@ func TestConcurrentBuildsShareConn(t *testing.T) {
 		t.Errorf("racing builds opened %d onward connections, want 1", got)
 	}
 }
-
-func TestBuildAutoCircuit(t *testing.T) {
-	tn := buildTestNet(t, 6)
-	reg := directoryRegistry(t, tn)
-	c := newTestClient(t, tn)
-	for trial := 0; trial < 5; trial++ {
-		circ, err := c.BuildAutoCircuit(reg, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(circ.pathSnapshot()) != 3 {
-			t.Errorf("auto circuit has %d hops", len(circ.pathSnapshot()))
-		}
-		if !circ.pathSnapshot()[2].Exit {
-			t.Error("auto circuit exit not exit-capable")
-		}
-		st, err := circ.OpenStream("echo")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := echo.NewClient(st).Probe(); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		circ.Close()
-	}
-	if _, err := c.BuildAutoCircuit(nil, 3); err == nil {
-		t.Error("nil registry accepted")
-	}
-	if _, err := c.BuildAutoCircuit(reg, 1); err == nil {
-		t.Error("1-hop auto circuit accepted")
-	}
-}
-
-func directoryRegistry(t *testing.T, tn *testNet) *directory.Registry {
-	t.Helper()
-	reg := directory.NewRegistry()
-	for _, d := range tn.descs {
-		if err := reg.Publish(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return reg
-}

@@ -234,17 +234,10 @@ func TestDataPortErrors(t *testing.T) {
 	}
 }
 
-func TestQuit(t *testing.T) {
-	env := newTestEnv(t, 2, "")
-	c := dialAuthed(t, env, "")
-	if _, err := c.roundTrip("QUIT"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestUnknownCommand: a verb the server does not implement is refused by
-// name, SETEVENTS (retired: no client ever sent it) like any other, and the
-// session carries on.
+// name, SETEVENTS and QUIT (retired: no client ever sent them; a controller
+// ends its session by closing the connection) like any other, "auto" is a
+// relay name like any other, and the session carries on.
 func TestUnknownCommand(t *testing.T) {
 	env := newTestEnv(t, 2, "")
 	c := dialAuthed(t, env, "")
@@ -254,7 +247,10 @@ func TestUnknownCommand(t *testing.T) {
 	}{
 		{"FROBNICATE", 510},
 		{"SETEVENTS CIRC", 510},
+		{"QUIT", 510},
 		{"GETINFO circuit-status", 552},
+		{"EXTENDCIRCUIT 0 auto", 552},
+		{"EXTENDCIRCUIT 0 auto/4", 552},
 	} {
 		r, err := c.roundTrip(tc.cmd)
 		if err != nil {
@@ -276,39 +272,5 @@ func TestServerConfigValidation(t *testing.T) {
 	cl, _ := client.New(client.Config{Dialer: link.NewPipeNet()})
 	if _, err := NewServer(ServerConfig{Client: cl}); err == nil {
 		t.Error("missing registry accepted")
-	}
-}
-
-func TestAutoCircuit(t *testing.T) {
-	env := newTestEnv(t, 5, "")
-	c := dialAuthed(t, env, "")
-	id, err := c.ExtendCircuit([]string{"auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Auto circuits carry streams like any other.
-	conn, err := DialStream(env.dataAddr, id, "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := echo.NewClient(conn).Probe(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicit length: it reaches the proxy, which can use each of the five
-	// relays once.
-	if _, err := c.ExtendCircuit([]string{"auto/5"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ExtendCircuit([]string{"auto/6"}); err == nil {
-		t.Error("auto/6 built over five relays")
-	}
-
-	// Bad specs.
-	for _, bad := range []string{"auto/1", "auto/x", "autoxyz"} {
-		if _, err := c.ExtendCircuit([]string{bad}); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
 	}
 }

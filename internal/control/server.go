@@ -7,7 +7,8 @@
 //	EXTENDCIRCUIT 0 r1,r2,...      → 250 EXTENDED <circID>
 //	CLOSECIRCUIT <circID>          → 250 OK
 //	GETINFO ns/all                 → 250+ consensus … .
-//	QUIT                           → 250 closing
+//
+// A session ends when the controller closes the connection.
 //
 // Streams attach through a companion data port: the application connects
 // and sends "CONNECT <target> VIA <circID>\n"; after the "250 OK" line the
@@ -131,9 +132,7 @@ func (s *Server) handleControl(conn net.Conn) {
 		if line == "" {
 			continue
 		}
-		if quit := sess.dispatch(line); quit {
-			return
-		}
+		sess.dispatch(line)
 	}
 }
 
@@ -153,22 +152,18 @@ func (sess *session) writeMulti(header string, body []string) {
 	fmt.Fprintf(sess.conn, ".\r\n250 OK\r\n")
 }
 
-func (sess *session) dispatch(line string) (quit bool) {
+func (sess *session) dispatch(line string) {
 	fields := strings.Fields(line)
 	cmd := strings.ToUpper(fields[0])
 	args := fields[1:]
 
-	if cmd == "QUIT" {
-		sess.writeLine("250 closing connection")
-		return true
-	}
 	if cmd == "AUTHENTICATE" {
 		sess.handleAuth(args)
-		return false
+		return
 	}
 	if !sess.authed {
 		sess.writeLine("514 authentication required")
-		return false
+		return
 	}
 	switch cmd {
 	case "EXTENDCIRCUIT":
@@ -180,7 +175,6 @@ func (sess *session) dispatch(line string) (quit bool) {
 	default:
 		sess.writeLine(fmt.Sprintf("510 unrecognized command %q", cmd))
 	}
-	return false
 }
 
 func (sess *session) handleAuth(args []string) {
@@ -197,33 +191,10 @@ func (sess *session) handleAuth(args []string) {
 }
 
 func (sess *session) handleExtendCircuit(args []string) {
-	// Only "EXTENDCIRCUIT 0 <path>" (build new) is supported, as in Ting.
-	// The path may be "auto" or "auto/<length>" for default
-	// bandwidth-weighted selection.
+	// Only "EXTENDCIRCUIT 0 <path>" (build new, over an explicit path) is
+	// supported, as in Ting.
 	if len(args) != 2 || args[0] != "0" {
-		sess.writeLine("512 usage: EXTENDCIRCUIT 0 nick1,nick2,...|auto[/len]")
-		return
-	}
-	if spec, ok := strings.CutPrefix(args[1], "auto"); ok {
-		length := 3
-		if rest, ok := strings.CutPrefix(spec, "/"); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 2 {
-				sess.writeLine("512 bad auto length")
-				return
-			}
-			length = n
-		} else if spec != "" {
-			sess.writeLine("512 usage: EXTENDCIRCUIT 0 auto[/len]")
-			return
-		}
-		circ, err := sess.s.cfg.Client.BuildAutoCircuit(sess.s.cfg.Registry, length)
-		if err != nil {
-			sess.writeLine("551 circuit build failed: " + flat(err.Error()))
-			return
-		}
-		id := sess.s.register(circ)
-		sess.writeLine(fmt.Sprintf("250 EXTENDED %d", id))
+		sess.writeLine("512 usage: EXTENDCIRCUIT 0 nick1,nick2,...")
 		return
 	}
 	names := strings.Split(args[1], ",")

@@ -9,32 +9,59 @@ import (
 	"ting/internal/inet"
 )
 
-// metricWorld generates an n-node topology with (near) zero routing
-// inflation and no hub nodes: RTTs are geography plus access delays, an
-// almost perfectly embeddable metric space. The epsilon values matter —
-// inet treats zero config fields as "use the default".
 // predict is the RTT half of PredictWithConfidence.
 func predict(m *Model, i, j int) float64 {
 	rtt, _ := m.PredictWithConfidence(i, j)
 	return rtt
 }
 
-func metricWorld(t *testing.T, n int, seed int64) *inet.Topology {
+// A latencies is a symmetric RTT matrix in milliseconds.
+type latencies [][]float64
+
+// metricWorld places n nodes at random points of a plane 300 ms across and
+// gives each pair the distance between its points plus both nodes' access
+// delays: a metric space the model's Euclidean-plus-height embedding fits.
+func metricWorld(t *testing.T, n int, seed int64) latencies {
 	t.Helper()
-	topo, err := inet.Generate(inet.Config{
-		N: n, Seed: seed,
-		InflationSigma: 1e-9, HubFraction: 1e-9,
-	})
+	rng := rand.New(rand.NewSource(seed))
+	x, y, access := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i], access[i] = rng.Float64()*300, rng.Float64()*300, 0.1+rng.Float64()*10
+	}
+	rtt := make(latencies, n)
+	for i := range rtt {
+		rtt[i] = make([]float64, n)
+		for j := range rtt[i] {
+			if i != j {
+				rtt[i][j] = math.Hypot(x[i]-x[j], y[i]-y[j]) + access[i] + access[j]
+			}
+		}
+	}
+	return rtt
+}
+
+// tivWorld is inet's default world, whose routing inflation violates the
+// triangle inequality on most pairs.
+func tivWorld(t *testing.T, n int, seed int64) latencies {
+	t.Helper()
+	topo, err := inet.Generate(inet.Config{N: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return topo
+	rtt := make(latencies, n)
+	for i := range rtt {
+		rtt[i] = make([]float64, n)
+		for j := range rtt[i] {
+			rtt[i][j] = topo.RTT(inet.NodeID(i), inet.NodeID(j))
+		}
+	}
+	return rtt
 }
 
 // sampleObs draws m distinct random pairs with ground-truth RTTs.
-func sampleObs(topo *inet.Topology, m int, seed int64) []Observation {
+func sampleObs(topo latencies, m int, seed int64) []Observation {
 	rng := rand.New(rand.NewSource(seed))
-	n := topo.N()
+	n := len(topo)
 	seen := make(map[[2]int]bool, m)
 	obs := make([]Observation, 0, m)
 	for len(obs) < m {
@@ -49,25 +76,25 @@ func sampleObs(topo *inet.Topology, m int, seed int64) []Observation {
 			continue
 		}
 		seen[[2]int{i, j}] = true
-		obs = append(obs, Observation{I: i, J: j, RTTMs: topo.RTT(inet.NodeID(i), inet.NodeID(j))})
+		obs = append(obs, Observation{I: i, J: j, RTTMs: topo[i][j]})
 	}
 	return obs
 }
 
 // medianRelErr scores predictions on every pair NOT in obs.
-func medianRelErr(m *Model, topo *inet.Topology, obs []Observation) float64 {
+func medianRelErr(m *Model, topo latencies, obs []Observation) float64 {
 	used := make(map[[2]int]bool, len(obs))
 	for _, o := range obs {
 		used[[2]int{o.I, o.J}] = true
 	}
 	var errs []float64
-	n := topo.N()
+	n := len(topo)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if used[[2]int{i, j}] {
 				continue
 			}
-			truth := topo.RTT(inet.NodeID(i), inet.NodeID(j))
+			truth := topo[i][j]
 			errs = append(errs, math.Abs(predict(m, i, j)-truth)/truth)
 		}
 	}
@@ -87,8 +114,8 @@ func medianRelErr(m *Model, topo *inet.Topology, obs []Observation) float64 {
 
 // TestConvergesOnMetricTopology: on an embeddable world, fitting from ~15%
 // of pairs must predict the rest tightly. This is the package's core
-// promise; the threshold is loose against the observed ~4% so topology
-// tweaks don't flap it.
+// promise; the threshold is loose against the observed ~7% so small
+// changes to the fit do not flap it.
 func TestConvergesOnMetricTopology(t *testing.T) {
 	topo := metricWorld(t, 80, 2)
 	all := 80 * 79 / 2
@@ -111,10 +138,7 @@ func TestConvergesOnMetricTopology(t *testing.T) {
 // embedding can represent. The model must still land in a useful range —
 // and must know it is worse (higher error estimates than the metric fit).
 func TestDegradesGracefullyOnTIVWorld(t *testing.T) {
-	topo, err := inet.Generate(inet.Config{N: 80, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := tivWorld(t, 80, 2)
 	all := 80 * 79 / 2
 	obs := sampleObs(topo, all*15/100, 3)
 	m, err := New(80, Config{Seed: 4})
@@ -196,7 +220,7 @@ func TestConfidenceLifecycle(t *testing.T) {
 	var obs []Observation
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
-			obs = append(obs, Observation{I: i, J: j, RTTMs: topo.RTT(inet.NodeID(i), inet.NodeID(j))})
+			obs = append(obs, Observation{I: i, J: j, RTTMs: topo[i][j]})
 		}
 	}
 	m.Fit(obs, 40)

@@ -288,18 +288,6 @@ func TestMeasurementTargets(t *testing.T) {
 		}
 	}
 
-	named := MeasurementTargets(s, TargetOptions{RequireRDNS: true})
-	for _, r := range named {
-		if r.RDNS == "" {
-			t.Fatal("rDNS-less target despite RequireRDNS")
-		}
-	}
-
-	capped := MeasurementTargets(s, TargetOptions{MaxTargets: 10})
-	if len(capped) != 10 {
-		t.Errorf("cap ignored: %d targets", len(capped))
-	}
-
 	rep := ReportTargets(res)
 	if rep.Targets != len(res) || rep.Residential != len(res) {
 		t.Errorf("report %+v inconsistent with %d residential targets", rep, len(res))

@@ -48,20 +48,24 @@ type HistoryConfig struct {
 	// InitialRelays is the population on day one (paper: ~6400 running
 	// relays). Default 6400.
 	InitialRelays int
-	// DailyChurn is the fraction of relays leaving (and a slightly larger
-	// fraction joining, for net growth) each day. Default 0.02.
-	DailyChurn float64
-	// DailyGrowth is the net daily population growth rate. Default 0.0015
-	// (≈ +9% over 60 days; the paper reports ~30% growth year over year).
-	DailyGrowth float64
-	// NoRDNSFraction is the fraction of relays without reverse DNS.
-	// Default 0.17 (1150 of 6634 in the paper).
-	NoRDNSFraction float64
-	// ResidentialFraction of named relays. Default 0.61.
-	ResidentialFraction float64
 	// Seed drives the synthesis.
 	Seed int64
 }
+
+// The synthesized population's dynamics and make-up.
+const (
+	// dailyChurn is the fraction of relays leaving (and a slightly larger
+	// fraction joining, for net growth) each day.
+	dailyChurn = 0.02
+	// dailyGrowth is the net daily population growth rate (≈ +9% over 60
+	// days; the paper reports ~30% growth year over year).
+	dailyGrowth = 0.0015
+	// noRDNSFraction is the fraction of relays without reverse DNS (1150 of
+	// 6634 in the paper).
+	noRDNSFraction = 0.17
+	// residentialFraction is the residential share of named relays.
+	residentialFraction = 0.61
+)
 
 func (c *HistoryConfig) setDefaults() {
 	if c.Start.IsZero() {
@@ -73,18 +77,6 @@ func (c *HistoryConfig) setDefaults() {
 	if c.InitialRelays == 0 {
 		c.InitialRelays = 6400
 	}
-	if c.DailyChurn == 0 {
-		c.DailyChurn = 0.02
-	}
-	if c.DailyGrowth == 0 {
-		c.DailyGrowth = 0.0015
-	}
-	if c.NoRDNSFraction == 0 {
-		c.NoRDNSFraction = 0.17
-	}
-	if c.ResidentialFraction == 0 {
-		c.ResidentialFraction = 0.61
-	}
 }
 
 // SynthesizeHistory builds a daily consensus history with churn. Relays
@@ -95,7 +87,7 @@ func (c *HistoryConfig) setDefaults() {
 func SynthesizeHistory(cfg HistoryConfig) []Snapshot {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	gen := newRelayGen(rng, cfg)
+	gen := newRelayGen(rng)
 
 	pop := make([]RelayRecord, 0, cfg.InitialRelays)
 	for i := 0; i < cfg.InitialRelays; i++ {
@@ -112,12 +104,12 @@ func SynthesizeHistory(cfg HistoryConfig) []Snapshot {
 		// Churn for the next day.
 		kept := pop[:0]
 		for _, r := range pop {
-			if rng.Float64() >= cfg.DailyChurn {
+			if rng.Float64() >= dailyChurn {
 				kept = append(kept, r)
 			}
 		}
 		pop = kept
-		target := int(float64(cfg.InitialRelays) * pow(1+cfg.DailyGrowth, d+1))
+		target := int(float64(cfg.InitialRelays) * pow(1+dailyGrowth, d+1))
 		for len(pop) < target {
 			pop = append(pop, gen.newRelay())
 		}
@@ -136,15 +128,14 @@ func pow(base float64, n int) float64 {
 // relayGen synthesizes relays with class-appropriate IPs and rDNS names.
 type relayGen struct {
 	rng       *rand.Rand
-	cfg       HistoryConfig
 	next      int
 	countries *countryTable
 	// hostingPrefixes is a small pool of /24s shared by hosting relays.
 	hostingPrefixes [][3]byte
 }
 
-func newRelayGen(rng *rand.Rand, cfg HistoryConfig) *relayGen {
-	g := &relayGen{rng: rng, cfg: cfg, countries: newCountryTable()}
+func newRelayGen(rng *rand.Rand) *relayGen {
+	g := &relayGen{rng: rng, countries: newCountryTable()}
 	for i := 0; i < 600; i++ {
 		g.hostingPrefixes = append(g.hostingPrefixes,
 			[3]byte{byte(5 + rng.Intn(180)), byte(rng.Intn(256)), byte(rng.Intn(256))})
@@ -158,8 +149,8 @@ func (g *relayGen) newRelay() RelayRecord {
 		Fingerprint: fmt.Sprintf("FP%08d", g.next),
 		Country:     g.countries.pick(g.rng.Intn(1 << 30)),
 	}
-	noRDNS := g.rng.Float64() < g.cfg.NoRDNSFraction
-	residential := g.rng.Float64() < g.cfg.ResidentialFraction
+	noRDNS := g.rng.Float64() < noRDNSFraction
+	residential := g.rng.Float64() < residentialFraction
 	switch {
 	case residential:
 		r.Class = inet.Residential

@@ -18,10 +18,6 @@ type TargetOptions struct {
 	// unmeasurable ("unique insight into measurements within residential
 	// networks", §6).
 	ResidentialOnly bool
-	// RequireRDNS drops relays without a reverse DNS name.
-	RequireRDNS bool
-	// MaxTargets caps the result size (0 = unlimited).
-	MaxTargets int
 }
 
 // MeasurementTargets returns one relay per /24 prefix from the snapshot,
@@ -29,9 +25,6 @@ type TargetOptions struct {
 func MeasurementTargets(s Snapshot, opts TargetOptions) []RelayRecord {
 	best := make(map[string]RelayRecord)
 	for _, r := range s.Relays {
-		if opts.RequireRDNS && r.RDNS == "" {
-			continue
-		}
 		if opts.ResidentialOnly && Classify(r.RDNS) != ResidentialClass {
 			continue
 		}
@@ -46,9 +39,6 @@ func MeasurementTargets(s Snapshot, opts TargetOptions) []RelayRecord {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Fingerprint < out[b].Fingerprint })
-	if opts.MaxTargets > 0 && len(out) > opts.MaxTargets {
-		out = out[:opts.MaxTargets]
-	}
 	return out
 }
 

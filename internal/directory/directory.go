@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -511,80 +510,4 @@ func DecodeConsensus(rd io.Reader) (*Registry, error) {
 		return nil, fmt.Errorf("directory: read consensus: %w", err)
 	}
 	return nil, errors.New("directory: truncated consensus (no end line)")
-}
-
-// WeightedPick selects one of descs with probability proportional to
-// bandwidth, the default Tor relay-selection rule the paper describes in
-// §5.2 ("a Tor client selects these relays at random according to the
-// bandwidth capacity of each router"). A nil or all-zero-bandwidth input
-// falls back to uniform selection.
-func WeightedPick(descs []*Descriptor, rng *rand.Rand) (*Descriptor, error) {
-	if len(descs) == 0 {
-		return nil, errors.New("directory: no relays to pick from")
-	}
-	var total float64
-	for _, d := range descs {
-		total += d.BandwidthKBps
-	}
-	if total <= 0 {
-		return descs[rng.Intn(len(descs))], nil
-	}
-	x := rng.Float64() * total
-	for _, d := range descs {
-		x -= d.BandwidthKBps
-		if x < 0 {
-			return d, nil
-		}
-	}
-	return descs[len(descs)-1], nil
-}
-
-// PickPath selects a distinct-relay path of the given length: weighted
-// picks without replacement, exit-capable relay last. This mirrors default
-// Tor path construction closely enough for the reproduction's purposes.
-func PickPath(descs []*Descriptor, length int, rng *rand.Rand) ([]*Descriptor, error) {
-	if length < 2 {
-		return nil, fmt.Errorf("directory: paths need ≥ 2 hops, got %d", length)
-	}
-	if len(descs) < length {
-		return nil, fmt.Errorf("directory: %d relays cannot form a %d-hop path", len(descs), length)
-	}
-	pool := append([]*Descriptor(nil), descs...)
-	// Exit first: pick from exit-capable relays.
-	var exits []*Descriptor
-	for _, d := range pool {
-		if d.Exit {
-			exits = append(exits, d)
-		}
-	}
-	if len(exits) == 0 {
-		return nil, errors.New("directory: no exit-capable relays")
-	}
-	exit, err := WeightedPick(exits, rng)
-	if err != nil {
-		return nil, err
-	}
-	path := make([]*Descriptor, length)
-	path[length-1] = exit
-	remove(&pool, exit.Nickname)
-	for i := 0; i < length-1; i++ {
-		d, err := WeightedPick(pool, rng)
-		if err != nil {
-			return nil, err
-		}
-		path[i] = d
-		remove(&pool, d.Nickname)
-	}
-	return path, nil
-}
-
-func remove(pool *[]*Descriptor, nickname string) {
-	s := *pool
-	for i, d := range s {
-		if d.Nickname == nickname {
-			s[i] = s[len(s)-1]
-			*pool = s[:len(s)-1]
-			return
-		}
-	}
 }

@@ -162,83 +162,6 @@ func TestDecodeConsensusErrors(t *testing.T) {
 	}
 }
 
-func TestWeightedPickDistribution(t *testing.T) {
-	descs := []*Descriptor{
-		testDesc(t, "small", false, 100),
-		testDesc(t, "big", false, 900),
-	}
-	rng := rand.New(rand.NewSource(1))
-	counts := map[string]int{}
-	const n = 20000
-	for i := 0; i < n; i++ {
-		d, err := WeightedPick(descs, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[d.Nickname]++
-	}
-	frac := float64(counts["big"]) / n
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Errorf("big picked %.3f of the time, want ≈ 0.9", frac)
-	}
-	if _, err := WeightedPick(nil, rng); err == nil {
-		t.Error("empty pick should fail")
-	}
-}
-
-func TestWeightedPickUniformFallback(t *testing.T) {
-	descs := []*Descriptor{
-		testDesc(t, "a", false, 0),
-		testDesc(t, "b", false, 0),
-	}
-	rng := rand.New(rand.NewSource(2))
-	counts := map[string]int{}
-	for i := 0; i < 10000; i++ {
-		d, _ := WeightedPick(descs, rng)
-		counts[d.Nickname]++
-	}
-	if math.Abs(float64(counts["a"])/10000-0.5) > 0.03 {
-		t.Errorf("zero-bandwidth fallback not uniform: %v", counts)
-	}
-}
-
-func TestPickPath(t *testing.T) {
-	var descs []*Descriptor
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		descs = append(descs, testDesc(t, name, name == "e" || name == "d", 100))
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		path, err := PickPath(descs, 3, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(path) != 3 {
-			t.Fatalf("path length %d", len(path))
-		}
-		if !path[2].Exit {
-			t.Errorf("last hop %s not exit-capable", path[2].Nickname)
-		}
-		seen := map[string]bool{}
-		for _, d := range path {
-			if seen[d.Nickname] {
-				t.Fatalf("relay %s repeated in path", d.Nickname)
-			}
-			seen[d.Nickname] = true
-		}
-	}
-	if _, err := PickPath(descs, 1, rng); err == nil {
-		t.Error("1-hop path should be rejected (no one-hop circuits)")
-	}
-	if _, err := PickPath(descs[:2], 3, rng); err == nil {
-		t.Error("path longer than population should fail")
-	}
-	noExit := []*Descriptor{testDesc(t, "x", false, 1), testDesc(t, "y", false, 1)}
-	if _, err := PickPath(noExit, 2, rng); err == nil {
-		t.Error("pathless exit population should fail")
-	}
-}
-
 func TestServerFetch(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Publish(testDesc(t, "served", true, 500)); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ting/internal/inet"
 	"ting/internal/stats"
 	"ting/internal/ting"
 )
@@ -23,16 +22,16 @@ type CompletionConfig struct {
 	Nodes int // world size; default 512
 	// BudgetFraction is the measured share of all pairs. Default 0.25.
 	BudgetFraction float64
-	// Samples per circuit series; default 16. Fewer samples make each
-	// measured pair noisier (min-finding stops short of the floor), which
-	// the embedding then inherits.
-	Samples int
-	Workers int // scanner parallelism; default 8
-	Seed    int64
-	// World overrides the topology config (N and Seed default from the
-	// fields above). Nil selects the Tor-like US/EU-concentrated world.
-	World *inet.Config
+	Seed           int64
 }
+
+const (
+	// completionSamples is the samples per circuit series. Fewer samples
+	// make each measured pair noisier (min-finding stops short of the
+	// floor), which the embedding then inherits.
+	completionSamples = 16
+	completionWorkers = 8 // scanner parallelism
+)
 
 func (c *CompletionConfig) setDefaults() {
 	if c.Nodes == 0 {
@@ -40,12 +39,6 @@ func (c *CompletionConfig) setDefaults() {
 	}
 	if c.BudgetFraction == 0 {
 		c.BudgetFraction = 0.25
-	}
-	if c.Samples == 0 {
-		c.Samples = 16
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
 	}
 }
 
@@ -86,22 +79,7 @@ func Completion(cfg CompletionConfig) (*CompletionResult, error) {
 	if cfg.BudgetFraction <= 0 || cfg.BudgetFraction >= 1 {
 		return nil, fmt.Errorf("experiments: BudgetFraction %v outside (0,1)", cfg.BudgetFraction)
 	}
-	var (
-		w   *World
-		err error
-	)
-	if cfg.World != nil {
-		wc := *cfg.World
-		if wc.N == 0 {
-			wc.N = cfg.Nodes
-		}
-		if wc.Seed == 0 {
-			wc.Seed = cfg.Seed
-		}
-		w, err = NewWorldConfig(wc)
-	} else {
-		w, err = NewWorld(cfg.Nodes, cfg.Seed)
-	}
+	w, err := NewWorld(cfg.Nodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +89,9 @@ func Completion(cfg CompletionConfig) (*CompletionResult, error) {
 
 	sc := &ting.Scanner{
 		NewMeasurer: func(worker int) (*ting.Measurer, error) {
-			return w.Measurer(cfg.Samples, cfg.Seed+100+int64(worker))
+			return w.Measurer(completionSamples, cfg.Seed+100+int64(worker))
 		},
-		Workers: cfg.Workers,
+		Workers: completionWorkers,
 		Shuffle: cfg.Seed + 4,
 	}
 	m, _, err := sc.ScanBudget(context.Background(), w.Names, budget)

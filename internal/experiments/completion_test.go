@@ -6,10 +6,10 @@ import (
 
 // completionSmokeMaxErrFraction is the committed accuracy floor for the CI
 // embed-accuracy smoke (256-node world, 25% budget): median absolute
-// prediction error as a fraction of median RTT. The run is deterministic
-// and currently lands near 0.095; 0.12 leaves room for benign drift while
-// still catching a broken embedding (an unfitted model predicts with
-// several times this error).
+// prediction error as a fraction of median RTT. The run lands near 0.097
+// (the multi-worker scan moves it by about 0.001); 0.12 leaves room for
+// benign drift while still catching a broken embedding (an unfitted model
+// predicts with several times this error).
 const completionSmokeMaxErrFraction = 0.12
 
 // TestCompletionBudget512 is the tentpole acceptance criterion: on a
@@ -17,7 +17,7 @@ const completionSmokeMaxErrFraction = 0.12
 // complete the matrix with median absolute prediction error within 10% of
 // the median RTT.
 func TestCompletionBudget512(t *testing.T) {
-	cfg := CompletionConfig{Nodes: 512, Seed: 3, Samples: 32, BudgetFraction: 0.25}
+	cfg := CompletionConfig{Nodes: 512, Seed: 3, BudgetFraction: 0.25}
 	r, err := Completion(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestCompletionBudget512(t *testing.T) {
 // run on every push, failing if the 256-node median prediction error
 // exceeds the committed floor.
 func TestCompletionSmoke256(t *testing.T) {
-	r, err := Completion(CompletionConfig{Nodes: 256, Seed: 3, Samples: 32})
+	r, err := Completion(CompletionConfig{Nodes: 256, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCompletionSmoke256(t *testing.T) {
 // matrix.
 func TestCompletionTradeoff(t *testing.T) {
 	rows, err := CompletionTradeoff(
-		CompletionConfig{Nodes: 128, Seed: 5, Samples: 16},
+		CompletionConfig{Nodes: 128, Seed: 5},
 		[]float64{0.1, 0.25, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestCompletionTradeoff(t *testing.T) {
 // CDF study's backbone. Accuracy relative to median RTT must hold as N
 // grows — the whole point of the sub-quadratic mode.
 func TestCompletionBySize(t *testing.T) {
-	rows, err := CompletionBySize(CompletionConfig{Seed: 7, Samples: 16}, []int{64, 128, 256})
+	rows, err := CompletionBySize(CompletionConfig{Seed: 7}, []int{64, 128, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCompletionBySize(t *testing.T) {
 // TestCompletionErrCDF exercises the CDF accessor over predicted-cell
 // errors.
 func TestCompletionErrCDF(t *testing.T) {
-	r, err := Completion(CompletionConfig{Nodes: 64, Seed: 11, Samples: 8})
+	r, err := Completion(CompletionConfig{Nodes: 64, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

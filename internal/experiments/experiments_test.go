@@ -247,7 +247,7 @@ func TestFig9Stability(t *testing.T) {
 
 func quickFig11(t *testing.T) *Fig11Result {
 	t.Helper()
-	res, err := Fig11(Fig11Config{Nodes: 25, Samples: 60, Workers: 4, Seed: 6})
+	res, err := Fig11(Fig11Config{Nodes: 25, Samples: 60, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

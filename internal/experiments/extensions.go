@@ -15,9 +15,6 @@ type DefenseConfig struct {
 	// PaddingLevels are the maximum per-relay padding values (ms) to
 	// sweep. Default {0, 25, 50, 100, 200}.
 	PaddingLevels []float64
-	// MaxLen is the upper bound for the randomized-length defense.
-	// Default 6.
-	MaxLen int
 	// Trials per configuration. Default 500.
 	Trials int
 	Seed   int64
@@ -27,19 +24,19 @@ func (c *DefenseConfig) setDefaults() {
 	if len(c.PaddingLevels) == 0 {
 		c.PaddingLevels = []float64{0, 25, 50, 100, 200}
 	}
-	if c.MaxLen == 0 {
-		c.MaxLen = 6
-	}
 	if c.Trials == 0 {
 		c.Trials = 500
 	}
 }
 
+// defenseMaxLen is the upper bound for the randomized-length defense.
+const defenseMaxLen = 6
+
 // DefenseResult aggregates both defenses.
 type DefenseResult struct {
 	Padding []deanon.PaddingSweepPoint
 	Fixed   *deanon.LengthDefensePoint // the undefended 3-hop baseline
-	Random  *deanon.LengthDefensePoint // lengths randomized in [3, MaxLen]
+	Random  *deanon.LengthDefensePoint // lengths randomized in [3, defenseMaxLen]
 }
 
 // Defenses evaluates latency padding and randomized circuit length against
@@ -54,7 +51,7 @@ func Defenses(f11 *Fig11Result, cfg DefenseConfig) (*DefenseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	random, err := deanon.LengthDefense(f11.Matrix, 3, cfg.MaxLen, cfg.Trials, cfg.Seed+22)
+	random, err := deanon.LengthDefense(f11.Matrix, 3, defenseMaxLen, cfg.Trials, cfg.Seed+22)
 	if err != nil {
 		return nil, err
 	}

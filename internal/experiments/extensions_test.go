@@ -38,7 +38,6 @@ func TestDefensesExperiment(t *testing.T) {
 	f11 := quickFig11(t)
 	res, err := Defenses(f11, DefenseConfig{
 		PaddingLevels: []float64{0, 150},
-		MaxLen:        5,
 		Trials:        200,
 		Seed:          41,
 	})

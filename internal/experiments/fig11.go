@@ -11,9 +11,10 @@ import (
 type Fig11Config struct {
 	Nodes   int // default 50
 	Samples int // default 200
-	Workers int // scanner parallelism; default 4
 	Seed    int64
 }
+
+const fig11Workers = 4 // scanner parallelism
 
 func (c *Fig11Config) setDefaults() {
 	if c.Nodes == 0 {
@@ -21,9 +22,6 @@ func (c *Fig11Config) setDefaults() {
 	}
 	if c.Samples == 0 {
 		c.Samples = 200
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
 	}
 }
 
@@ -61,7 +59,7 @@ func Fig11(cfg Fig11Config) (*Fig11Result, error) {
 		NewMeasurer: func(worker int) (*ting.Measurer, error) {
 			return w.Measurer(cfg.Samples, cfg.Seed+100+int64(worker))
 		},
-		Workers: cfg.Workers,
+		Workers: fig11Workers,
 		Shuffle: cfg.Seed + 4,
 	}
 	m, _, err := sc.Scan(context.Background(), w.Names)

@@ -13,12 +13,14 @@ import (
 // distances from a geolocation database that (like Neustar's) contains
 // some errors.
 type Fig8Config struct {
-	WorldNodes int     // live-network stand-in size; default 400
-	Pairs      int     // default 10000
-	Samples    int     // Ting samples per circuit; default 200
-	GeoErrFrac float64 // erroneous geolocation entries; default 0.01
+	WorldNodes int // live-network stand-in size; default 400
+	Pairs      int // default 10000
+	Samples    int // Ting samples per circuit; default 200
 	Seed       int64
 }
+
+// fig8GeoErrFrac is the share of erroneous geolocation entries.
+const fig8GeoErrFrac = 0.01
 
 func (c *Fig8Config) setDefaults() {
 	if c.WorldNodes == 0 {
@@ -29,9 +31,6 @@ func (c *Fig8Config) setDefaults() {
 	}
 	if c.Samples == 0 {
 		c.Samples = 200
-	}
-	if c.GeoErrFrac == 0 {
-		c.GeoErrFrac = 0.01
 	}
 }
 
@@ -91,7 +90,7 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		coords[i] = w.Topo.Node(w.NodeOf[name]).Coord
 	}
 	db, err := geo.NewGeoDB(w.Names, coords, geo.GeoDBConfig{
-		ErrorFraction: cfg.GeoErrFrac,
+		ErrorFraction: fig8GeoErrFrac,
 		Seed:          cfg.Seed + 5,
 	})
 	if err != nil {

@@ -14,13 +14,15 @@ import (
 // seen: occasional route changes (persistent RTT shifts) and transient
 // congestion epochs.
 type Fig9Config struct {
-	WorldNodes int     // default 120
-	PairCount  int     // default 30
-	Hours      int     // default 168 (one week)
-	Samples    int     // Ting samples per circuit; default 200
-	RouteShift float64 // per-pair per-hour probability of a route change; default 0.005
+	WorldNodes int // default 120
+	PairCount  int // default 30
+	Hours      int // default 168 (one week)
+	Samples    int // Ting samples per circuit; default 200
 	Seed       int64
 }
+
+// fig9RouteShift is the per-pair per-hour probability of a route change.
+const fig9RouteShift = 0.005
 
 func (c *Fig9Config) setDefaults() {
 	if c.WorldNodes == 0 {
@@ -34,9 +36,6 @@ func (c *Fig9Config) setDefaults() {
 	}
 	if c.Samples == 0 {
 		c.Samples = 200
-	}
-	if c.RouteShift == 0 {
-		c.RouteShift = 0.005
 	}
 }
 
@@ -121,7 +120,7 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 		for pi, p := range picked {
 			// Route change: a persistent multiplicative shift to the
 			// pair's base RTT, as Internet paths occasionally reroute.
-			if rng.Float64() < cfg.RouteShift {
+			if rng.Float64() < fig9RouteShift {
 				xi, yi := w.NodeOf[p.x], w.NodeOf[p.y]
 				cur := w.Topo.RTT(xi, yi)
 				shift := 1 + (rng.Float64()*0.3 - 0.1) // -10%..+20%

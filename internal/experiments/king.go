@@ -18,11 +18,11 @@ type KingConfig struct {
 	Nodes   int // testbed size; default 31
 	Pairs   int // pairs compared; default 200
 	Samples int // Ting samples per circuit; default 200
-	// ResolverKm bounds how far each host's name server sits from it.
-	// Default 300.
-	ResolverKm float64
-	Seed       int64
+	Seed    int64
 }
+
+// kingResolverKm bounds how far each host's name server sits from it.
+const kingResolverKm = 300
 
 func (c *KingConfig) setDefaults() {
 	if c.Nodes == 0 {
@@ -33,9 +33,6 @@ func (c *KingConfig) setDefaults() {
 	}
 	if c.Samples == 0 {
 		c.Samples = 200
-	}
-	if c.ResolverKm == 0 {
-		c.ResolverKm = 300
 	}
 }
 
@@ -68,7 +65,7 @@ func KingComparison(cfg KingConfig) (*KingResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 
-	// Each host's resolver: displaced up to ResolverKm, and well connected
+	// Each host's resolver: displaced up to kingResolverKm, and well connected
 	// (datacenter access, little routing inflation) — the property that
 	// biases King low.
 	type resolver struct {
@@ -80,7 +77,7 @@ func KingComparison(cfg KingConfig) (*KingResult, error) {
 	for _, name := range w.Names {
 		c := w.Topo.Node(w.NodeOf[name]).Coord
 		// ~1 degree ≈ 111 km; displace within the radius.
-		degMax := cfg.ResolverKm / 111.0
+		degMax := kingResolverKm / 111.0
 		rc := geo.Coord{
 			Lat: clampLat(c.Lat + (rng.Float64()*2-1)*degMax),
 			Lon: c.Lon + (rng.Float64()*2-1)*degMax,

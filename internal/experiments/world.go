@@ -32,18 +32,18 @@ type World struct {
 // NewWorld generates an n-relay world with deterministic seed, with the
 // live Tor network's US/EU-concentrated geography.
 func NewWorld(n int, seed int64) (*World, error) {
-	return NewWorldConfig(inet.Config{N: n, Seed: seed})
+	return newWorld(inet.Config{N: n, Seed: seed})
 }
 
 // NewTestbedWorld generates a world shaped like the paper's PlanetLab
 // testbed (§4.1): nodes spread evenly across all regions so pair RTTs
 // cover ~0ms to nearly antipodal.
 func NewTestbedWorld(n int, seed int64) (*World, error) {
-	return NewWorldConfig(inet.Config{N: n, Seed: seed, FlatRegions: true})
+	return newWorld(inet.Config{N: n, Seed: seed, FlatRegions: true})
 }
 
-// NewWorldConfig generates a world from a full topology config.
-func NewWorldConfig(cfg inet.Config) (*World, error) {
+// newWorld generates a world from a topology config.
+func newWorld(cfg inet.Config) (*World, error) {
 	topo, err := inet.Generate(cfg)
 	if err != nil {
 		return nil, err

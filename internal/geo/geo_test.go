@@ -138,7 +138,7 @@ func TestGeoDBLookupAndErrors(t *testing.T) {
 		names = append(names, string(rune('a'+i%26))+string(rune('0'+i/26)))
 		coords = append(coords, Coord{Lat: float64(i%90) - 45, Lon: float64(i*3%360) - 180})
 	}
-	db, err := NewGeoDB(names, coords, GeoDBConfig{ErrorFraction: 0.1, ErrorShiftDeg: 50, Seed: 7})
+	db, err := NewGeoDB(names, coords, GeoDBConfig{ErrorFraction: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

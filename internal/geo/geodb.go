@@ -22,12 +22,13 @@ type GeoDBConfig struct {
 	// ErrorFraction is the fraction of entries whose coordinate is replaced
 	// with a far-away point (default 0.01).
 	ErrorFraction float64
-	// ErrorShiftDeg is the magnitude (in degrees, roughly) of the injected
-	// displacement (default 60).
-	ErrorShiftDeg float64
 	// Seed drives the deterministic error injection.
 	Seed int64
 }
+
+// errorShiftDeg is the magnitude (in degrees, roughly) of an injected
+// displacement.
+const errorShiftDeg = 60
 
 // NewGeoDB builds a database from node names to true coordinates, injecting
 // errors per cfg. The zero-value config means 1% of entries are displaced by
@@ -38,9 +39,6 @@ func NewGeoDB(names []string, coords []Coord, cfg GeoDBConfig) (*GeoDB, error) {
 	}
 	if cfg.ErrorFraction == 0 {
 		cfg.ErrorFraction = 0.01
-	}
-	if cfg.ErrorShiftDeg == 0 {
-		cfg.ErrorShiftDeg = 60
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := &GeoDB{
@@ -59,7 +57,7 @@ func NewGeoDB(names []string, coords []Coord, cfg GeoDBConfig) (*GeoDB, error) {
 			return nil, fmt.Errorf("geo: invalid coordinate %v for %q", c, names[i])
 		}
 		if rng.Float64() < cfg.ErrorFraction {
-			c = displace(c, cfg.ErrorShiftDeg, rng)
+			c = displace(c, errorShiftDeg, rng)
 			db.erroneous[names[i]] = true
 		}
 		db.entries[names[i]] = c

@@ -93,12 +93,6 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(Config{N: 1}); err == nil {
 		t.Error("want error for N=1")
 	}
-	if _, err := Generate(Config{N: 5, BiasedFraction: 1.5}); err == nil {
-		t.Error("want error for BiasedFraction > 1")
-	}
-	if _, err := Generate(Config{N: 5, ResidentialFraction: -0.5}); err == nil {
-		t.Error("want error for negative ResidentialFraction")
-	}
 }
 
 func TestRTTAboveSpeedOfLight(t *testing.T) {

@@ -144,7 +144,7 @@ func (t *Topology) AddHost(name string, coord geo.Coord, seed int64) NodeID {
 	t.Nodes = append(t.Nodes, n)
 	for i := range t.rtt {
 		base := geo.MinRTTMs(t.Nodes[i].Coord, coord)
-		infl := 1 + lognormal(-0.4, 0.4, rng)
+		infl := 1 + lognormal(inflationMu, inflationSigma, rng)
 		rtt := base*infl + t.Nodes[i].AccessMs + n.AccessMs
 		if rtt < 0.2 {
 			rtt = 0.2

@@ -100,40 +100,12 @@ type Topology struct {
 	rtt   [][]float64 // milliseconds, symmetric, zero diagonal
 }
 
-// Config parameterizes topology generation. Zero values select the defaults
-// documented on each field.
+// Config parameterizes topology generation.
 type Config struct {
 	// N is the number of nodes (required, ≥ 2).
 	N int
 	// Seed drives all randomness; equal seeds give equal topologies.
 	Seed int64
-
-	// BiasedFraction is the fraction of nodes whose networks treat ICMP and
-	// TCP probes differently from Tor traffic. Default 0.35 (§4.3: "the
-	// remaining 35% of nodes show extremely odd behavior").
-	BiasedFraction float64
-
-	// ResidentialFraction is the fraction of nodes on residential access
-	// links. Default 0.61 (§5.3). The remainder splits 2:1 between
-	// datacenters and universities.
-	ResidentialFraction float64
-
-	// InflationSigma controls lognormal routing inflation: the inflation
-	// factor is 1 + LogNormal(mu, sigma). Default 0.4; combined with
-	// InflationMu it yields median path inflation around 1.7x with enough
-	// independent variation that a majority of pairs exhibit a TIV
-	// (§5.2.1 finds TIVs for 69% of pairs) while the 50-node RTT range
-	// stays within the paper's ~0–450ms (Figure 11).
-	InflationSigma float64
-	// InflationMu is the lognormal location parameter. Default -0.4.
-	InflationMu float64
-
-	// MaxICMPBiasMs bounds the magnitude of per-node ICMP bias. Default 40.
-	MaxICMPBiasMs float64
-
-	// HubFraction is the share of nodes on well-connected networks whose
-	// paths see little routing inflation. Default 0.15.
-	HubFraction float64
 
 	// FlatRegions spreads nodes uniformly over all regions instead of the
 	// Tor-like US/EU concentration. The paper's PlanetLab testbed was
@@ -142,41 +114,38 @@ type Config struct {
 	FlatRegions bool
 }
 
-func (c *Config) setDefaults() error {
-	if c.N < 2 {
-		return fmt.Errorf("inet: config needs N ≥ 2, got %d", c.N)
-	}
-	if c.BiasedFraction == 0 {
-		c.BiasedFraction = 0.35
-	}
-	if c.BiasedFraction < 0 || c.BiasedFraction > 1 {
-		return fmt.Errorf("inet: BiasedFraction %v out of [0,1]", c.BiasedFraction)
-	}
-	if c.ResidentialFraction == 0 {
-		c.ResidentialFraction = 0.61
-	}
-	if c.ResidentialFraction < 0 || c.ResidentialFraction > 1 {
-		return fmt.Errorf("inet: ResidentialFraction %v out of [0,1]", c.ResidentialFraction)
-	}
-	if c.InflationSigma == 0 {
-		c.InflationSigma = 0.4
-	}
-	if c.InflationMu == 0 {
-		c.InflationMu = -0.4
-	}
-	if c.MaxICMPBiasMs == 0 {
-		c.MaxICMPBiasMs = 40
-	}
-	if c.HubFraction == 0 {
-		c.HubFraction = 0.15
-	}
-	return nil
-}
+// The make-up of a generated topology.
+const (
+	// biasedFraction is the fraction of nodes whose networks treat ICMP and
+	// TCP probes differently from Tor traffic (§4.3: "the remaining 35% of
+	// nodes show extremely odd behavior").
+	biasedFraction = 0.35
+
+	// residentialFraction is the fraction of nodes on residential access
+	// links (§5.3). The remainder splits 2:1 between datacenters and
+	// universities.
+	residentialFraction = 0.61
+
+	// Routing inflation is 1 + LogNormal(inflationMu, inflationSigma): a
+	// median path inflation around 1.7x with enough independent variation
+	// that a majority of pairs exhibit a TIV (§5.2.1 finds TIVs for 69% of
+	// pairs) while the 50-node RTT range stays within the paper's ~0–450ms
+	// (Figure 11).
+	inflationMu    = -0.4
+	inflationSigma = 0.4
+
+	// maxICMPBiasMs bounds the magnitude of per-node ICMP bias.
+	maxICMPBiasMs = 40
+
+	// hubFraction is the share of nodes on well-connected networks whose
+	// paths see little routing inflation.
+	hubFraction = 0.15
+)
 
 // Generate builds a deterministic synthetic topology per cfg.
 func Generate(cfg Config) (*Topology, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.N < 2 {
+		return nil, fmt.Errorf("inet: config needs N ≥ 2, got %d", cfg.N)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	regions := geo.Regions()
@@ -198,11 +167,11 @@ func Generate(cfg Config) (*Topology, error) {
 			Coord:  coord,
 			Region: r.Name,
 		}
-		assignClass(n, cfg.ResidentialFraction, rng)
-		assignBias(n, cfg.BiasedFraction, cfg.MaxICMPBiasMs, rng)
+		assignClass(n, residentialFraction, rng)
+		assignBias(n, biasedFraction, maxICMPBiasMs, rng)
 		n.Fwd = randomForwardingModel(rng)
 		n.connectivity = 1.0
-		if rng.Float64() < cfg.HubFraction {
+		if rng.Float64() < hubFraction {
 			n.connectivity = 0.35 + rng.Float64()*0.25
 		}
 		nodes[i] = n
@@ -216,7 +185,7 @@ func Generate(cfg Config) (*Topology, error) {
 		for j := i + 1; j < cfg.N; j++ {
 			base := geo.MinRTTMs(nodes[i].Coord, nodes[j].Coord)
 			conn := nodes[i].connectivity * nodes[j].connectivity
-			infl := 1 + conn*lognormal(cfg.InflationMu, cfg.InflationSigma, rng)
+			infl := 1 + conn*lognormal(inflationMu, inflationSigma, rng)
 			rtt := base*infl + nodes[i].AccessMs + nodes[j].AccessMs
 			// Nothing is faster than a LAN hop.
 			if rtt < 0.2 {

@@ -67,13 +67,13 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	}
 
 	// Batch scans share one half-circuit cache across the campaign (unless
-	// the caller brought their own or opted out): a node's C_x series from
-	// the bootstrap answers its active-round pairs too.
+	// the caller opted out): a node's C_x series from the bootstrap answers
+	// its active-round pairs too.
 	sub := *s
 	sub.Checkpoint = nil
 	sub.Directory = nil
-	if sub.HalfCircuits == nil && !sub.DisableHalfCache {
-		sub.HalfCircuits = NewHalfCache(0)
+	if sub.halfCircuits == nil && !sub.DisableHalfCache {
+		sub.halfCircuits = NewHalfCache(0)
 	}
 	// Progress across batches: each batch reports into its own slice of the
 	// campaign's running totals.

@@ -174,31 +174,22 @@ type CheckpointState struct {
 	Halves []HalfSeries
 	// Records is how many log entries were replayed.
 	Records int
-	// Epoch is the newest consensus epoch the log recorded (0 when the
-	// campaign ran without a directory).
-	Epoch uint64
 	// Fps are the onion-key fingerprints the log last associated with each
 	// relay (campaign header merged with churn records in order).
 	Fps map[string]string
-	// Removed are relays the log saw leave the consensus mid-campaign.
-	Removed map[string]bool
 	// Joined are relays the log saw join mid-campaign, in join order.
 	Joined []string
-	// Shards maps each shard this worker leased to the highest lease epoch
-	// it held — distributed-campaign provenance, also the record a crashed
-	// worker's log leaves of what it was holding.
-	Shards map[string]uint64
 }
 
-// ReplayState replays a campaign log into its aggregated state. Records
-// of unknown kinds are skipped (forward compatibility); malformed records
-// of known kinds are errors.
+// ReplayState replays a campaign log into its aggregated state. Shard and
+// leave records are validated but aggregate nothing: a crashed worker's log
+// still shows what it was holding, to whoever reads the log. Records of
+// unknown kinds are skipped (forward compatibility); malformed records of
+// known kinds are errors.
 func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	st := &CheckpointState{
-		Pairs:   make(map[[2]string]float64),
-		Fps:     make(map[string]string),
-		Removed: make(map[string]bool),
-		Shards:  make(map[string]uint64),
+		Pairs: make(map[[2]string]float64),
+		Fps:   make(map[string]string),
 	}
 	halfAt := make(map[string]int)
 	err := cp.Replay(func(rec CheckpointRecord) error {
@@ -212,9 +203,6 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 				return errors.New("ting: checkpoint: log spans campaigns with different relay sets")
 			}
 			st.Names = rec.Names
-			if rec.Epoch > st.Epoch {
-				st.Epoch = rec.Epoch
-			}
 			for name, fp := range rec.Fps {
 				st.Fps[name] = fp
 			}
@@ -244,21 +232,14 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			if rec.Shard == "" {
 				return errors.New("ting: checkpoint: shard record without shard ID")
 			}
-			if rec.Lease > st.Shards[rec.Shard] {
-				st.Shards[rec.Shard] = rec.Lease
-			}
 		case RecordChurn:
 			if rec.Relay == "" {
 				return errors.New("ting: checkpoint: churn record without relay")
 			}
-			if rec.Epoch > st.Epoch {
-				st.Epoch = rec.Epoch
-			}
 			switch rec.Op {
 			case ChurnOpLeave:
-				st.Removed[rec.Relay] = true
+				// Resume reads departures off the live consensus.
 			case ChurnOpJoin:
-				delete(st.Removed, rec.Relay)
 				joined := false
 				for _, n := range st.Joined {
 					if n == rec.Relay {

@@ -37,6 +37,19 @@ func (c *MemCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
 	return nil
 }
 
+// logRecords returns every record cp replays, in log order.
+func logRecords(t *testing.T, cp Checkpoint) []CheckpointRecord {
+	t.Helper()
+	var out []CheckpointRecord
+	if err := cp.Replay(func(rec CheckpointRecord) error {
+		out = append(out, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestFileCheckpointRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	cp, err := OpenFileCheckpoint(path)

@@ -47,9 +47,11 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parent-format checkpoint does not replay: %v", err)
 	}
-	if st.Records != 6 || len(st.Pairs) != 2 || len(st.Halves) != 1 || st.Epoch != 4 ||
-		st.Fps["y"] != "fpy2" || st.Shards["t0-0.p0-3"] != 7 {
+	if st.Records != 6 || len(st.Pairs) != 2 || len(st.Halves) != 1 || st.Fps["y"] != "fpy2" {
 		t.Fatalf("replayed state: %+v", st)
+	}
+	if recs := logRecords(t, cp); recs[1].Shard != "t0-0.p0-3" || recs[1].Lease != 7 || recs[4].Epoch != 4 {
+		t.Fatalf("replayed shard %+v and churn %+v", recs[1], recs[4])
 	}
 }
 

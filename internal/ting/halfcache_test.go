@@ -233,7 +233,7 @@ func TestScanMemoLapsesWithCacheTTL(t *testing.T) {
 			return NewMeasurer(Config{Prober: &hookProber{f: bigFakeWorld(), hook: hook}, W: "w", Z: "z", Samples: 1, Observer: ev.observer()})
 		},
 		Workers:      1,
-		HalfCircuits: hc,
+		halfCircuits: hc,
 	}
 	if _, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"}); err != nil || len(failures) != 0 {
 		t.Fatalf("scan = (%v, %v), want clean", failures, err)
@@ -567,7 +567,7 @@ func TestScannerCrossScanHalfCache(t *testing.T) {
 			NewMeasurer: func(worker int) (*Measurer, error) {
 				return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1, Observer: obs})
 			},
-			HalfCircuits: hc,
+			halfCircuits: hc,
 			Observer:     obs,
 		}
 	}

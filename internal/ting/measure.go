@@ -26,12 +26,6 @@ type Config struct {
 	// (circuit timings, raw samples, pair results). Use
 	// NewTelemetryObserver to feed a telemetry.Registry.
 	Observer *Observer
-	// HalfCircuits, if non-nil, memoizes min R_Cx per half circuit so
-	// repeated pairs sharing an endpoint reuse the series (§3.3/§4.6)
-	// instead of re-sampling it. Sharing one cache across the Measurers of
-	// a scan — the Scanner does this automatically — cuts an N-node
-	// all-pairs campaign from 3·pairs circuit series to pairs + N.
-	HalfCircuits *HalfCache
 }
 
 // Measurer measures RTTs between arbitrary relay pairs.
@@ -50,9 +44,14 @@ type Measurer struct {
 	pathBuf [8]string
 	// sbuf is the reused sample buffer for probers implementing SamplerInto.
 	sbuf []float64
-	// memo is this worker's view of cfg.HalfCircuits within one scan. The
-	// scan resets it before its workers start, so a relay index never
-	// outlives the names it indexes.
+	// hc is the scan's half-circuit cache, set by the scan that owns this
+	// Measurer: min R_Cx per half circuit, so pairs sharing an endpoint
+	// reuse the series (§3.3/§4.6). Outside a scan it is nil and every
+	// series is measured.
+	hc *HalfCache
+	// memo is this worker's view of hc within one scan. The scan resets it
+	// before its workers start, so a relay index never outlives the names
+	// it indexes.
 	memo halfMemo
 }
 
@@ -251,36 +250,34 @@ func (m *Measurer) checkPair(x, y string) error {
 	return nil
 }
 
-// halfMin returns the minimum of a two-hop circuit's series. Half circuits
-// are memoized through Config.HalfCircuits when one is set: min R_Cx
-// depends only on x, so the series is worth exactly one measurement per
-// freshness window. In a scan i is x's matrix index, and the memo answers
-// first while the cache's generation stands and (with a ttl) the entry has
-// not lapsed; i < 0 goes straight to the cache. Either way the Observer
-// hears exactly one hit, wait or miss.
+// halfMin returns the minimum of a two-hop circuit's series. Within a scan
+// half circuits are memoized through the scan's cache: min R_Cx depends
+// only on x, so the series is worth exactly one measurement per freshness
+// window. i is x's matrix index, and the memo answers first while the
+// cache's generation stands and (with a ttl) the entry has not lapsed; the
+// Observer hears exactly one hit, wait or miss. Outside a scan the series
+// is measured.
 func (m *Measurer) halfMin(ctx context.Context, path []string, i int) (float64, error) {
-	hc := m.cfg.HalfCircuits
+	hc := m.hc
 	if hc == nil {
 		return m.measureMin(ctx, path)
 	}
 	memo := &m.memo
-	if i >= 0 {
-		if g := hc.gen.Load(); g != memo.gen {
-			clear(memo.entries)
-			memo.gen = g
-		}
-		if i < len(memo.entries) {
-			if e := memo.entries[i]; e.ok && (hc.ttl <= 0 || !hc.now().After(memo.expires[i])) {
-				m.cfg.Observer.halfCircuit(path, HalfCircuitHit)
-				return e.min, nil
-			}
+	if g := hc.gen.Load(); g != memo.gen {
+		clear(memo.entries)
+		memo.gen = g
+	}
+	if i < len(memo.entries) {
+		if e := memo.entries[i]; e.ok && (hc.ttl <= 0 || !hc.now().After(memo.expires[i])) {
+			m.cfg.Observer.halfCircuit(path, HalfCircuitHit)
+			return e.min, nil
 		}
 	}
 	min, when, err := hc.do(ctx, path, m.cfg.Samples, m.cfg.Observer,
 		func(ctx context.Context) (float64, error) {
 			return m.measureMin(ctx, path)
 		})
-	if err != nil || i < 0 {
+	if err != nil {
 		return min, err
 	}
 	if i >= len(memo.entries) {
@@ -372,7 +369,7 @@ func (m *Measurer) EstimateForwarding(ctx context.Context, x string, direct Dire
 	if pingSamples <= 0 {
 		return nil, errors.New("ting: pingSamples must be positive")
 	}
-	rc1, err := m.halfMin(ctx, []string{m.cfg.W, m.cfg.Z}, -1)
+	rc1, err := m.measureMin(ctx, []string{m.cfg.W, m.cfg.Z})
 	if err != nil {
 		return nil, fmt.Errorf("ting: C1: %w", err)
 	}

@@ -127,17 +127,15 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 	defer closeMeasurers(measurers)
 
 	// Half-circuit memoization (§3.3/§4.6): the scan owns a cache unless
-	// the caller supplied a cross-scan one or opted out. Measurers that
-	// already carry their own keep it. Each starts with an empty memo: its
-	// indices are this scan's.
-	sc.hc = s.HalfCircuits
+	// a budgeted campaign supplied its cross-batch one or the caller opted
+	// out. Each measurer starts with an empty memo: its indices are this
+	// scan's.
+	sc.hc = s.halfCircuits
 	if sc.hc == nil && !s.DisableHalfCache {
 		sc.hc = NewHalfCache(0)
 	}
 	for _, meas := range measurers {
-		if meas.cfg.HalfCircuits == nil {
-			meas.cfg.HalfCircuits = sc.hc
-		}
+		meas.hc = sc.hc
 		meas.memo = halfMemo{entries: make([]memoEntry, len(names))}
 	}
 	if s.AdaptiveDeadline {
@@ -211,8 +209,11 @@ func (s *Scanner) openMeasurers(workers int) ([]*Measurer, error) {
 	return measurers, nil
 }
 
+// closeMeasurers ends a scan's hold on its measurers: each lets go of the
+// scan's half-circuit cache and is closed.
 func closeMeasurers(measurers []*Measurer) {
 	for _, m := range measurers {
+		m.hc = nil
 		m.Close()
 	}
 }

@@ -33,12 +33,13 @@ type Scanner struct {
 	NewMeasurer func(worker int) (*Measurer, error)
 	// Workers is the parallelism; default 4.
 	Workers int
-	// HalfCircuits, if non-nil, is a cross-scan half-circuit cache: min
-	// R_Cx series memoized in one campaign answer the next. If nil, each
-	// Scan owns a private HalfCache for its own duration (unless
-	// DisableHalfCache is set), which alone cuts an N-node all-pairs scan
-	// from 3·pairs circuit series to pairs + N (§3.3/§4.6).
-	HalfCircuits *HalfCache
+	// halfCircuits, if non-nil, is a cross-scan half-circuit cache: min
+	// R_Cx series memoized in one scan answer the next (ScanBudget's
+	// batches share one). If nil, each Scan owns a private HalfCache for its
+	// own duration (unless DisableHalfCache is set), which alone cuts an
+	// N-node all-pairs scan from 3·pairs circuit series to pairs + N
+	// (§3.3/§4.6).
+	halfCircuits *HalfCache
 	// DisableHalfCache turns half-circuit memoization off entirely, so
 	// every pair re-measures C_x and C_y — the paper's literal §4.2
 	// procedure, and the honest mode when relay-local delays drift faster

@@ -415,7 +415,7 @@ func TestScannerSharedCacheConcurrent(t *testing.T) {
 				return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 2})
 			},
 			Workers:      4,
-			HalfCircuits: cache,
+			halfCircuits: cache,
 			Shuffle:      5,
 		}
 		m, _, err := sc.Scan(context.Background(), names)

@@ -2,6 +2,7 @@ package ting
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -105,7 +106,7 @@ func TestReplayShardRecords(t *testing.T) {
 		{Kind: RecordCampaign, Names: []string{"a", "b", "c"}},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 1, Worker: "w1"},
 		{Kind: RecordPair, X: "a", Y: "b", RTT: 5},
-		// Re-granted at a higher epoch after an expiry: the highest wins.
+		// Re-granted at a higher epoch after an expiry: the log keeps both.
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 4, Worker: "w1"},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 2, Worker: "w1"},
 	}
@@ -118,8 +119,14 @@ func TestReplayShardRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Shards["t0-0.p0-3"]; got != 4 {
-		t.Errorf("shard lease epoch = %d, want the highest seen (4)", got)
+	var leases []uint64
+	for _, rec := range logRecords(t, cp) {
+		if rec.Kind == RecordShard && rec.Shard == "t0-0.p0-3" {
+			leases = append(leases, rec.Lease)
+		}
+	}
+	if fmt.Sprint(leases) != "[1 4 2]" {
+		t.Errorf("shard lease epochs in the log = %v, want [1 4 2]", leases)
 	}
 	if len(st.Pairs) != 1 {
 		t.Errorf("pairs = %d, want 1 (shard records must not eat pair records)", len(st.Pairs))

@@ -19,18 +19,29 @@
 // reaches by type assertion. So a Close on a type that is never used as an
 // io.Closer is flagged, whoever else has a Close.
 //
-// It cannot see fields, wire verbs or record kinds: a struct field nobody
-// sets, a command no client sends and a record no reader wants all pass.
+// A second pass checks fields: an exported field of an exported struct type
+// under internal/ that no non-test code sets is an option nobody sets. A field
+// is set where code keys it in a composite literal (an unkeyed literal sets
+// every field), assigns it (=, op=, ++, --), takes its address, slices it (an
+// array) or calls a pointer-receiver method on it; writing a field of a struct
+// value or an element of an array also writes the value or array. One write
+// does not count: an assignment in the field's own package inside an if whose
+// condition compares that field with its zero value (== 0, == "", == nil,
+// <= 0). That is the package's default, not a caller.
+//
+// It cannot see wire verbs or record kinds: a command no client sends and a
+// record no reader wants both pass.
 //
 // Usage, from the module root:
 //
 //	go run ./scripts/census
 //
 // Each unreachable exported func or method under internal/ is printed as
-// "pkg.Type.Method  file:line". The exit status is 1 if one of them is not in
-// scripts/census.allow (name, then the reason it stays; # starts a comment)
-// or if a line there names something that is no longer flagged, so the list
-// can only shrink.
+// "pkg.Type.Method  file:line", each unset field as "pkg.Type.Field
+// file:line". The exit status is 1 if one of them is not in
+// scripts/census.allow (name, then the reason it stays; # starts a comment; a
+// type's name covers all of its fields) or if a line there names something
+// that is no longer flagged, so the list can only shrink.
 package main
 
 import (
@@ -38,6 +49,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -74,22 +86,28 @@ func run(dir, allowPath string, stdout, stderr io.Writer) int {
 	}
 
 	var unlisted, stale []string
-	flagged := map[string]bool{}
-	for _, f := range g.unreached() {
-		flagged[f.name] = true
+	used := map[string]bool{}
+	findings := append(g.unreached(), unsetFields(l)...)
+	sortFindings(findings)
+	for _, f := range findings {
 		fmt.Fprintf(stdout, "%s  %s\n", f.name, f.pos)
-		if _, ok := allowed[f.name]; !ok {
+		switch {
+		case allowed[f.name] != "":
+			used[f.name] = true
+		case f.typ != "" && allowed[f.typ] != "":
+			used[f.typ] = true
+		default:
 			unlisted = append(unlisted, f.name)
 		}
 	}
 	for name := range allowed {
-		if !flagged[name] {
+		if !used[name] {
 			stale = append(stale, name)
 		}
 	}
 	sort.Strings(stale)
 	if len(unlisted) > 0 {
-		fmt.Fprintf(stderr, "census: no command reaches %s: give each a caller, unexport it, delete it, or list it in %s with the reason it stays\n", strings.Join(unlisted, ", "), allowPath)
+		fmt.Fprintf(stderr, "census: no command reaches or sets %s: give each a caller, unexport it, delete it, or list it in %s with the reason it stays\n", strings.Join(unlisted, ", "), allowPath)
 	}
 	if len(stale) > 0 {
 		fmt.Fprintf(stderr, "census: %s lists %s, no longer flagged: drop the lines\n", allowPath, strings.Join(stale, ", "))
@@ -472,10 +490,26 @@ func (g *graph) keep(named *types.Named, it *types.Interface) {
 }
 
 // A finding is one exported func or method under internal/ that nothing
-// reaches.
+// reaches, or one exported field there that nothing sets.
 type finding struct {
-	name string // pkg.Func or pkg.Type.Method, pkg relative to internal/
+	name string // pkg.Func, pkg.Type.Method or pkg.Type.Field, pkg relative to internal/
 	pos  string // file:line relative to the module root
+	typ  string // pkg.Type for a field, whose allowlist line covers it too
+}
+
+func (l *loader) position(obj types.Object) string {
+	pos := l.fset.Position(obj.Pos())
+	rel, _ := filepath.Rel(l.root, pos.Filename)
+	return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
+}
+
+func sortFindings(fs []finding) {
+	sort.Slice(fs, func(i, j int) bool {
+		if fs[i].name != fs[j].name {
+			return fs[i].name < fs[j].name
+		}
+		return fs[i].pos < fs[j].pos
+	})
 }
 
 func (g *graph) unreached() []finding {
@@ -497,15 +531,195 @@ func (g *graph) unreached() []finding {
 				name = short + "." + n.Obj().Name() + "." + obj.Name()
 			}
 		}
-		pos := g.l.fset.Position(obj.Pos())
-		rel, _ := filepath.Rel(g.l.root, pos.Filename)
-		out = append(out, finding{name: name, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)})
+		out = append(out, finding{name: name, pos: g.l.position(obj)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return out[i].pos < out[j].pos
-	})
 	return out
+}
+
+// unsetFields returns the exported fields of exported struct types under
+// internal/ that no non-test code sets.
+func unsetFields(l *loader) []finding {
+	set := map[*types.Var]bool{}
+	for _, p := range l.order {
+		info := p.info
+		write := func(e ast.Expr) {
+			for _, v := range written(info, e) {
+				set[v] = true
+			}
+		}
+		for _, f := range p.files {
+			defaults := map[ast.Expr]bool{} // assignment targets that are p's own defaults
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					// Under an if that compares a field of p with its zero
+					// value, assigning that field is p's default. Inspect
+					// visits the body after this, so the map is ready.
+					guarded := zeroCompared(info, n.Cond, map[*types.Var]bool{})
+					if len(guarded) == 0 {
+						break
+					}
+					ast.Inspect(n.Body, func(n ast.Node) bool {
+						for _, lhs := range targets(n) {
+							if ws := written(info, lhs); len(ws) > 0 && guarded[ws[0]] && ws[0].Pkg() == p.types {
+								defaults[lhs] = true
+							}
+						}
+						return true
+					})
+				case *ast.CompositeLit:
+					t := info.TypeOf(n)
+					if pt, ok := t.(*types.Pointer); ok {
+						t = pt.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							set[st.Field(i).Origin()] = true
+						}
+						break
+					}
+					for _, e := range n.Elts {
+						if k, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[k].(*types.Var); ok {
+								set[v.Origin()] = true
+							}
+						}
+					}
+				case *ast.AssignStmt, *ast.IncDecStmt:
+					for _, lhs := range targets(n) {
+						if !defaults[lhs] {
+							write(lhs)
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.SliceExpr:
+					if _, ok := info.TypeOf(n.X).Underlying().(*types.Array); ok {
+						write(n.X)
+					}
+				case *ast.SelectorExpr:
+					// x.F.M() with M on *T takes x.F's address.
+					if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+						recv := sel.Obj().Type().(*types.Signature).Recv()
+						_, ptrRecv := recv.Type().(*types.Pointer)
+						_, ptrX := info.TypeOf(n.X).Underlying().(*types.Pointer)
+						if ptrRecv && !ptrX {
+							write(n.X)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []finding
+	for _, p := range l.order {
+		path := p.types.Path()
+		if !strings.HasPrefix(path, l.modpath+"/internal/") {
+			continue
+		}
+		short := strings.TrimPrefix(path, l.modpath+"/internal/")
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			typ := short + "." + name
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); v.Exported() && !set[v] {
+					out = append(out, finding{name: typ + "." + v.Name(), pos: l.position(v), typ: typ})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// written returns the fields that writing e writes: the field e selects and,
+// while that field is part of a struct value or an array it indexes, the
+// fields holding those.
+func written(info *types.Info, e ast.Expr) []*types.Var {
+	var out []*types.Var
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			v, ok := info.Uses[x.Sel].(*types.Var)
+			if !ok || !v.IsField() {
+				return out
+			}
+			out = append(out, v.Origin())
+			if _, ptr := info.TypeOf(x.X).Underlying().(*types.Pointer); ptr {
+				return out
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			if _, arr := info.TypeOf(x.X).Underlying().(*types.Array); !arr {
+				return out
+			}
+			e = x.X
+		default:
+			return out
+		}
+	}
+}
+
+// targets returns what an assignment or ++/-- statement assigns.
+func targets(n ast.Node) []ast.Expr {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if n.Tok != token.DEFINE {
+			return n.Lhs
+		}
+	case *ast.IncDecStmt:
+		return []ast.Expr{n.X}
+	}
+	return nil
+}
+
+// zeroCompared adds to into the fields cond compares with their zero value
+// (x.F == 0, == "", == nil, <= 0), through &&: a branch that also runs when
+// the field is set (||) is not a default.
+func zeroCompared(info *types.Info, cond ast.Expr, into map[*types.Var]bool) map[*types.Var]bool {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return into
+	}
+	switch b.Op {
+	case token.LAND:
+		zeroCompared(info, b.X, into)
+		zeroCompared(info, b.Y, into)
+	case token.EQL, token.LEQ:
+		if sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr); ok && isZero(info, b.Y) {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				into[v.Origin()] = true
+			}
+		}
+	}
+	return into
+}
+
+func isZero(info *types.Info, e ast.Expr) bool {
+	switch tv := info.Types[e]; {
+	case tv.IsNil():
+		return true
+	case tv.Value == nil:
+		return false
+	case tv.Value.Kind() == constant.String:
+		return constant.StringVal(tv.Value) == ""
+	case tv.Value.Kind() == constant.Int || tv.Value.Kind() == constant.Float:
+		return constant.Sign(tv.Value) == 0
+	}
+	return false
 }

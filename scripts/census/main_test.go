@@ -24,13 +24,21 @@ func census(t *testing.T, allow string) (status int, stdout, stderr string) {
 // tool must print, or absent from the output.
 var (
 	wantFlagged = []string{
-		"lib.Handle.Close  internal/lib/lib.go:23", // a common name nothing calls: the grep's blind spot
-		"lib.DeadOuter  internal/lib/lib.go:26",    // no caller
-		"lib.DeadInner  internal/lib/lib.go:28",    // called only by DeadOuter
-		"lib.TestOnly  internal/lib/lib.go:33",     // called only by lib_test.go
-		"lib.AllowedSeam  internal/lib/lib.go:39",  // flagged, and answered by the allowlist
+		"lib.Handle.Close  internal/lib/lib.go:25", // a common name nothing calls: the grep's blind spot
+		"lib.DeadOuter  internal/lib/lib.go:28",    // no caller
+		"lib.DeadInner  internal/lib/lib.go:30",    // called only by DeadOuter
+		"lib.TestOnly  internal/lib/lib.go:35",     // called only by lib_test.go
+		"lib.AllowedSeam  internal/lib/lib.go:41",  // flagged, and answered by the allowlist
+		"lib.Config.Knob  internal/lib/lib.go:47",  // set only by its package's guarded default
+		"lib.Fault.Drop  internal/lib/lib.go:72",   // set by nothing; the allowlist names the type
+		"lib.Fault.Stall  internal/lib/lib.go:73",
 	}
-	wantReached = []string{"Square.Area", "NewSquare", "NewHandle", "Handle.Use"} // Area only through a Shape value
+	wantReached = []string{
+		"Square.Area", "NewSquare", "NewHandle", "Handle.Use", // Area only through a Shape value
+		"Config.Size",    // keyed by a literal in cmd/app
+		"Counter.Digest", // copy(c.Digest[:], b)
+		"Counter.Hits",   // c.Hits.Add(1)
+	}
 )
 
 const allowAll = `# every name the module flags
@@ -39,10 +47,12 @@ lib.DeadOuter     r
 lib.DeadInner     r
 lib.TestOnly      r
 lib.AllowedSeam   a seam another package's tests use
+lib.Config.Knob   r
+lib.Fault         fault vocabulary nothing in the module sets
 `
 
 func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
-	status, stdout, stderr := census(t, "lib.AllowedSeam  a seam another package's tests use\n")
+	status, stdout, stderr := census(t, "lib.AllowedSeam  a seam another package's tests use\nlib.Fault  r\n")
 	if status != 1 {
 		t.Fatalf("status %d, want 1\n%s%s", status, stdout, stderr)
 	}
@@ -59,27 +69,35 @@ func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
 	if strings.Contains(stdout, "deadHelper") {
 		t.Errorf("an unexported func was listed:\n%s", stdout)
 	}
-	for _, name := range []string{"lib.Handle.Close", "lib.DeadOuter", "lib.DeadInner", "lib.TestOnly"} {
+	for _, name := range []string{"lib.Handle.Close", "lib.DeadOuter", "lib.DeadInner", "lib.TestOnly", "lib.Config.Knob"} {
 		if !strings.Contains(stderr, name) {
 			t.Errorf("stderr does not name %s as unlisted:\n%s", name, stderr)
 		}
 	}
-	if strings.Contains(stderr, "lib.AllowedSeam") {
-		t.Errorf("the allowlisted name was reported as unlisted:\n%s", stderr)
+	for _, name := range []string{"lib.AllowedSeam", "lib.Fault"} {
+		if strings.Contains(stderr, name) {
+			t.Errorf("the allowlisted %s was reported as unlisted:\n%s", name, stderr)
+		}
 	}
 }
 
 func TestCensusPassesWhenEveryFlaggedNameIsListed(t *testing.T) {
 	status, stdout, stderr := census(t, allowAll)
-	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (5 allowlisted)\n") {
+	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (7 allowlisted)\n") {
 		t.Fatalf("status %d\nstdout:\n%sstderr:\n%s", status, stdout, stderr)
 	}
 }
 
 func TestCensusFailsOnStaleAllowlistLine(t *testing.T) {
-	status, _, stderr := census(t, allowAll+"lib.Gone  deleted long ago\n")
-	if status != 1 || !strings.Contains(stderr, "lib.Gone") || !strings.Contains(stderr, "no longer flagged") {
-		t.Fatalf("status %d, stderr:\n%s", status, stderr)
+	for _, stale := range []string{
+		"lib.Gone",        // a func deleted long ago
+		"lib.Config.Size", // a field main sets
+		"lib.Counter",     // a type none of whose fields is flagged
+	} {
+		status, _, stderr := census(t, allowAll+stale+"  r\n")
+		if status != 1 || !strings.Contains(stderr, stale) || !strings.Contains(stderr, "no longer flagged") {
+			t.Errorf("%s: status %d, stderr:\n%s", stale, status, stderr)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@
 // each is expected to do.
 package lib
 
+import "sync/atomic"
+
 // Shape is implemented by Square; main calls Area through it.
 type Shape interface{ Area() int }
 
@@ -37,3 +39,38 @@ func TestOnly() int { return 3 }
 var Allowed func()
 
 func AllowedSeam() {}
+
+// Config is a caller's options: Size is keyed by main's literal, Knob only
+// by Open's guarded default, which is not a caller: flagged.
+type Config struct {
+	Size int
+	Knob int
+}
+
+// Counter's fields are written in place: Digest through a slice of the
+// array, Hits through a pointer-receiver method. Neither is flagged.
+type Counter struct {
+	Digest [4]byte
+	Hits   atomic.Int64
+	size   int
+}
+
+func Open(c Config) *Counter {
+	if c.Knob == 0 {
+		c.Knob = 3
+	}
+	return &Counter{size: c.Size * c.Knob}
+}
+
+func (c *Counter) Touch(b []byte) {
+	copy(c.Digest[:], b)
+	c.Hits.Add(1)
+}
+
+// Fault's fields are set by nothing: the allowlist names the type.
+type Fault struct {
+	Drop  float64
+	Stall float64
+}
+
+func (f Fault) Lossy() bool { return f.Drop > 0 || f.Stall > 0 }
