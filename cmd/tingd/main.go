@@ -182,10 +182,11 @@ func main() {
 	}
 	if *httpAddr != "" {
 		ln := listen(*httpAddr)
-		// Bounded like the binary listener: a client that trickles its
-		// request, never reads its answer, or parks an idle keep-alive is
-		// dropped instead of pinning a goroutine. WriteTimeout covers the
-		// handler too, and leaves room for an epoch's first O(N³) /v1/tiv.
+		// Bounded like the binary listener: at most as many open
+		// connections, and a client that trickles its request, never reads
+		// its answer, or parks an idle keep-alive is dropped instead of
+		// pinning a goroutine. WriteTimeout covers the handler too, and
+		// leaves room for an epoch's first O(N³) /v1/tiv.
 		srv := &http.Server{
 			Handler:           serve.NewServer(pub, reg).Handler(),
 			ReadHeaderTimeout: 10 * time.Second,
@@ -194,7 +195,7 @@ func main() {
 			IdleTimeout:       2 * time.Minute,
 		}
 		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			if err := srv.Serve(serve.LimitListener(ln)); err != nil && err != http.ErrServerClosed {
 				log.Fatal(err)
 			}
 		}()

@@ -409,6 +409,18 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	return nil
 }
 
+// pairCount is how many pairs shard id covers, and whether the campaign
+// has such a shard.
+func (c *Coordinator) pairCount(id string) (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.byID[id]
+	if !ok {
+		return 0, false
+	}
+	return st.shard.PairCount(), true
+}
+
 // Done is closed once every shard has a submission.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 

@@ -73,7 +73,7 @@ func appendJournal(log *wal.Log, rec journalRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := log.Append(b, 1); err != nil {
+	if err := log.Append([][]byte{b}, 1); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil

@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"ting/internal/directory"
 )
@@ -78,7 +81,12 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 			fmt.Fprintf(conn, "error %v\n", err)
 			return
 		}
-		results, err := readResults(br)
+		limit, ok := s.c.pairCount(id)
+		if !ok {
+			replyErr(conn, ErrUnknownShard)
+			return
+		}
+		results, err := readResults(br, limit)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
 			return
@@ -101,30 +109,73 @@ func leaseArgs(args []string) (worker, id string, epoch uint64, err error) {
 }
 
 // readResults consumes a completion body: one "pair <x> <y> <rtt>" or
-// "fail <x> <y>" line per pair, terminated by "end".
-func readResults(br *bufio.Reader) ([]PairResult, error) {
-	var out []PairResult
+// "fail <x> <y>" line per pair, terminated by "end". Fields are separated by
+// white space as strings.Fields separates them, without allocating.
+// Whatever the peer sends, the body costs bounded memory: a line longer than
+// br's buffer is refused, and so is a result line past limit, the shard's
+// pair count.
+func readResults(br *bufio.Reader, limit int) ([]PairResult, error) {
+	out := make([]PairResult, 0, limit)
 	for {
-		line, err := br.ReadString('\n')
+		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return nil, fmt.Errorf("completion line longer than %d bytes", br.Size())
+		}
 		if err != nil {
 			return nil, errors.New("truncated completion body")
 		}
-		f := strings.Fields(line)
+		var f [4][]byte
+		n := fields(line, f[:])
 		switch {
-		case len(f) == 1 && f[0] == "end":
+		case n == 1 && string(f[0]) == "end":
 			return out, nil
-		case len(f) == 4 && f[0] == "pair":
-			rtt, err := strconv.ParseFloat(f[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad rtt %q", f[3])
+		case n == 4 && string(f[0]) == "pair", n == 3 && string(f[0]) == "fail":
+			if len(out) == limit {
+				return nil, fmt.Errorf("completion body has more than the shard's %d pairs", limit)
 			}
-			out = append(out, PairResult{X: f[1], Y: f[2], RTT: rtt})
-		case len(f) == 3 && f[0] == "fail":
-			out = append(out, PairResult{X: f[1], Y: f[2], Failed: true})
+			r := PairResult{X: string(f[1]), Y: string(f[2]), Failed: n == 3}
+			if n == 4 {
+				if r.RTT, err = strconv.ParseFloat(string(f[3]), 64); err != nil {
+					return nil, fmt.Errorf("bad rtt %q", f[3])
+				}
+			}
+			out = append(out, r)
 		default:
-			return nil, fmt.Errorf("bad completion line %q", strings.TrimSpace(line))
+			return nil, fmt.Errorf("bad completion line %q", bytes.TrimSpace(line))
 		}
 	}
+}
+
+// fields splits line around runs of Unicode white space, as strings.Fields
+// does, into f, and returns how many fields the line has — more than len(f)
+// when they do not all fit.
+func fields(line []byte, f [][]byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n, start = n+1, -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
 }
 
 // replyErr maps a coordinator verdict onto the wire: nil → "ok", fencing
@@ -263,18 +314,31 @@ func Complete(addr, worker string, l Lease, results []PairResult) error {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	fmt.Fprintf(bw, "%s complete %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
-	for _, r := range results {
-		if r.Failed {
-			fmt.Fprintf(bw, "fail %s %s\n", r.X, r.Y)
-			continue
-		}
-		fmt.Fprintf(bw, "pair %s %s %s\n", r.X, r.Y, strconv.FormatFloat(r.RTT, 'g', -1, 64))
-	}
-	fmt.Fprintln(bw, "end")
+	writeResults(bw, results)
 	if err := bw.Flush(); err != nil {
 		return &TransportError{Op: "complete", Err: err}
 	}
 	return readVerdict(conn, "complete")
+}
+
+// writeResults writes the completion body readResults reads: a "pair" or
+// "fail" line per result, each appended straight into bw's buffer, then
+// "end". A write error sticks in bw for its Flush to report.
+func writeResults(bw *bufio.Writer, results []PairResult) {
+	for _, r := range results {
+		b := bw.AvailableBuffer()
+		if r.Failed {
+			b = append(b, "fail "...)
+		} else {
+			b = append(b, "pair "...)
+		}
+		b = append(append(append(b, r.X...), ' '), r.Y...)
+		if !r.Failed {
+			b = strconv.AppendFloat(append(b, ' '), r.RTT, 'g', -1, 64)
+		}
+		bw.Write(append(b, '\n'))
+	}
+	bw.WriteString("end\n")
 }
 
 func readVerdict(conn net.Conn, op string) error {

@@ -20,7 +20,7 @@ import (
 const DefaultUnreachableGrace = 2 * time.Minute
 
 // Worker runs shard leases against a coordinator until the campaign is
-// done. Its crash-tolerance contract: every measured pair is appended to
+// done. Its crash-tolerance contract: every measured pair is flushed to
 // Checkpoint before the lease completes, and a restarted worker replays
 // its own log first — so a shard it was killed halfway through is
 // finished (not re-measured) when the coordinator re-grants it, to this
@@ -230,7 +230,13 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 			Lease:  lease.Epoch,
 			Worker: w.Name,
 		}
-		if err := w.Checkpoint.Append(rec); err != nil {
+		// Flushed on its own: the log shows the lease before the shard's
+		// first pair is measured.
+		err := w.Checkpoint.Append(rec)
+		if err == nil {
+			err = w.Checkpoint.Flush()
+		}
+		if err != nil {
 			return fmt.Errorf("campaign: shard record: %w", err)
 		}
 	}

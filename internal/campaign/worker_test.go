@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ting/internal/directory"
+	"ting/internal/experiments"
 	"ting/internal/ting"
 )
 
@@ -90,5 +95,68 @@ func TestWorkerRunHonorsContext(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker ignored context cancellation")
+	}
+}
+
+// peekCheckpoint reads the file behind its FileCheckpoint as the scan's
+// campaign header is appended — the moment a lease's scan starts.
+type peekCheckpoint struct {
+	*ting.FileCheckpoint
+	path   string
+	once   sync.Once
+	onDisk []byte
+}
+
+func (c *peekCheckpoint) Append(rec ting.CheckpointRecord) error {
+	if rec.Kind == ting.RecordCampaign {
+		c.once.Do(func() { c.onDisk, _ = os.ReadFile(c.path) })
+	}
+	return c.FileCheckpoint.Append(rec)
+}
+
+// TestWorkerFlushesShardRecordBeforeScan: a worker's shard record is in its
+// checkpoint file before ScanPairs starts, so a log cut short at any point
+// of the scan shows what the worker was holding.
+func TestWorkerFlushesShardRecordBeforeScan(t *testing.T) {
+	world, err := experiments.NewTestbedWorld(6, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(world.Names, Partition(len(world.Names), 1), time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := directory.NewServer(directory.NewRegistry())
+	NewServer(coord).Register(ds)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ds.Serve(ln)
+	defer ds.Close()
+
+	path := filepath.Join(t.TempDir(), "worker.ckpt")
+	file, err := ting.OpenFileCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	cp := &peekCheckpoint{FileCheckpoint: file, path: path}
+	w := &Worker{
+		Name: "w1", Addr: ln.Addr().String(), Checkpoint: cp, Poll: 10 * time.Millisecond,
+		Scanner: &ting.Scanner{
+			Workers:     1,
+			Checkpoint:  cp,
+			NewMeasurer: func(int) (*ting.Measurer, error) { return world.ExactMeasurer(1) },
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	shard := coord.Snapshot().Shards[0].ID
+	if want := `{"t":"shard","shard":"` + shard + `","lease":1,"worker":"w1"}` + "\n"; string(cp.onDisk) != want {
+		t.Fatalf("as the scan started the log held %q, want %q", cp.onDisk, want)
 	}
 }

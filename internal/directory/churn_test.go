@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"math/rand"
@@ -395,6 +396,43 @@ func TestServerSlowLorisTimeout(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("server answered a half-request")
+	}
+}
+
+// TestServerRefusesOverlongRequestLine: a request line that outgrows the
+// connection's read buffer is refused at once, not buffered until the
+// conversation times out; one that fits is still read and answered.
+func TestServerRefusesOverlongRequestLine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewRegistry())
+	go srv.Serve(ln)
+	defer srv.Close()
+	ask := func(req string) (string, error) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(req)); err != nil {
+			return "", err
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := bufio.NewReader(conn).ReadString('\n')
+		return reply, err
+	}
+	// 4095 bytes and the newline fill the default 4096-byte buffer exactly.
+	if reply, err := ask(strings.Repeat("x", 4095) + "\n"); err != nil || reply != "error unknown request\n" {
+		t.Fatalf("request line at the bound: %q, %v", reply, err)
+	}
+	reply, err := ask(strings.Repeat("x", 5000))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept reading an overlong request line")
+	}
+	if err == nil && !strings.HasPrefix(reply, "error request line longer than 4096 bytes") {
+		t.Fatalf("overlong request line answered %q", reply)
 	}
 }
 

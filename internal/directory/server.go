@@ -92,11 +92,16 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(s.timeout))
 	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
+	// The request line must fit the reader's buffer: a peer that sends more
+	// without a newline is refused, not buffered without bound.
+	line, err := br.ReadSlice('\n')
 	if err != nil {
+		if errors.Is(err, bufio.ErrBufferFull) {
+			fmt.Fprintf(conn, "error request line longer than %d bytes\n", br.Size())
+		}
 		return
 	}
-	req := strings.TrimSpace(line)
+	req := strings.TrimSpace(string(line))
 	switch {
 	case req == "GET consensus":
 		_ = s.reg.EncodeConsensus(conn)

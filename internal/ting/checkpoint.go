@@ -1,12 +1,14 @@
 package ting
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"ting/internal/wal"
 )
@@ -71,30 +73,48 @@ type CheckpointRecord struct {
 }
 
 // Checkpoint is a durable campaign log. Implementations must be safe for
-// concurrent Appends (scanner workers append as pairs settle) and must
-// make an appended record visible to a later Replay even if the process
-// dies right after Append returns — modulo the fsync batching window a
+// concurrent use: scanner workers append as pairs are measured while another
+// worker flushes. Append may hold a record back; Flush makes every record
+// appended before it visible to a later Replay even if the process dies
+// right after Flush returns — modulo the fsync batching window a
 // file-backed implementation documents.
 type Checkpoint interface {
-	// Append records one entry.
+	// Append records one entry, possibly only until the next Flush.
 	Append(rec CheckpointRecord) error
+	// Flush writes every entry appended so far to the log.
+	Flush() error
 	// Replay streams every surviving entry in append order.
 	Replay(fn func(rec CheckpointRecord) error) error
 }
 
 // FileCheckpoint is the file-backed Checkpoint: CheckpointRecords as JSON
-// lines in a wal.Log, which owns the file discipline — one write syscall
-// per record, batched fsync, torn-tail repair on open and tolerance on
-// replay. The format is self-describing JSONL, greppable mid-campaign.
+// lines in a wal.Log, which owns the file discipline — batched fsync,
+// torn-tail repair on open and tolerance on replay. Append encodes a record
+// into a pending buffer and writes nothing; Flush hands everything pending
+// to the log in one write(2), and each record counts toward SyncEvery as if
+// it had been written alone. The format is self-describing JSONL,
+// greppable mid-campaign.
 type FileCheckpoint struct {
-	// SyncEvery is the fsync batch size; default 8. 1 fsyncs every
-	// record — maximum durability, one disk flush per measured pair.
-	// Set before the first Append.
+	// SyncEvery is the fsync batch size in records; default 8. 1 fsyncs on
+	// every Flush — maximum durability, one disk flush per run of measured
+	// pairs. Set before the first Append.
 	SyncEvery int
 
 	path string
 	log  *wal.Log
+
+	mu     sync.Mutex
+	closed bool
+	// rec is the record enc encodes: a field, so Encode's argument is a
+	// pointer into the checkpoint rather than a boxed copy of the record.
+	rec     CheckpointRecord
+	enc     *json.Encoder // writes into pending
+	pending bytes.Buffer  // records appended since the last Flush, each ending in its newline
+	ends    []int         // the offset in pending just past each record's newline
+	run     [][]byte      // Flush's scratch: pending cut into records, newlines excluded
 }
+
+var errCheckpointClosed = errors.New("ting: checkpoint: closed")
 
 // OpenFileCheckpoint opens (creating if needed) a campaign log for
 // appending. The existing content stays replayable, less a crash's torn
@@ -105,28 +125,69 @@ func OpenFileCheckpoint(path string) (*FileCheckpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ting: checkpoint: %w", err)
 	}
-	return &FileCheckpoint{path: path, log: log}, nil
+	c := &FileCheckpoint{path: path, log: log}
+	c.enc = json.NewEncoder(&c.pending)
+	return c, nil
 }
 
-// Append writes one record as a JSON line. Each record reaches the kernel
-// before Append returns; every SyncEvery-th append also fsyncs.
+// Append encodes one record as a JSON line — the bytes json.Marshal gives,
+// and its newline — into the pending buffer. Nothing reaches the file until
+// the next Flush.
 func (c *FileCheckpoint) Append(rec CheckpointRecord) error {
-	b, err := json.Marshal(rec)
-	if err == nil {
-		err = c.log.Append(b, c.SyncEvery)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return errCheckpointClosed
 	}
+	c.rec = rec
+	if err := c.enc.Encode(&c.rec); err != nil {
+		return fmt.Errorf("ting: checkpoint: %w", err)
+	}
+	c.ends = append(c.ends, c.pending.Len())
+	return nil
+}
+
+// Flush writes every pending record with one wal Append: one write(2), and
+// an fsync once SyncEvery records are unsynced. A failed Flush drops the
+// records it held; the log is short of them, so a caller must stop counting
+// on it.
+func (c *FileCheckpoint) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.flush()
+}
+
+// flush is Flush under c.mu.
+func (c *FileCheckpoint) flush() error {
+	if len(c.ends) == 0 {
+		return nil
+	}
+	b := c.pending.Bytes()
+	run, start := c.run[:0], 0
+	for _, end := range c.ends {
+		run = append(run, b[start:end-1])
+		start = end
+	}
+	err := c.log.Append(run, c.SyncEvery)
+	c.run, c.ends = run[:0], c.ends[:0]
+	c.pending.Reset()
 	if err != nil {
 		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Close syncs and closes the log. Appending afterwards errors.
+// Close flushes what is pending, then syncs and closes the log. Appending
+// afterwards errors.
 func (c *FileCheckpoint) Close() error {
-	if err := c.log.Close(); err != nil {
-		return fmt.Errorf("ting: checkpoint: %w", err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	err := c.flush()
+	if cerr := c.log.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("ting: checkpoint: %w", cerr)
 	}
-	return nil
+	return err
 }
 
 // Replay reads the log from the start; a log never written replays empty.

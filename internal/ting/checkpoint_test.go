@@ -24,6 +24,9 @@ func (c *MemCheckpoint) Append(rec CheckpointRecord) error {
 	return nil
 }
 
+// Flush has nothing to write: an appended entry is already replayable.
+func (c *MemCheckpoint) Flush() error { return nil }
+
 // Replay streams the recorded entries.
 func (c *MemCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
 	c.mu.Lock()
@@ -100,8 +103,11 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 		t.Errorf("Halves = %+v", st.Halves)
 	}
 
-	// Appending across reopens extends the same campaign.
+	// Appending across reopens extends the same campaign, once flushed.
 	if err := cp2.Append(CheckpointRecord{Kind: RecordPair, X: "y", Y: "u", RTT: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := ReplayState(cp2)
@@ -231,18 +237,28 @@ func TestFileCheckpointSyncBatching(t *testing.T) {
 	}
 	defer cp.Close()
 	cp.SyncEvery = 2
+	lines := func() int {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(data), "\n")
+	}
 	for i := 0; i < 5; i++ {
 		if err := cp.Append(CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: float64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Every record reached the kernel via its own write syscall, batching
-	// only affects fsync — all five lines must be visible immediately.
-	data, err := os.ReadFile(path)
-	if err != nil {
+	// Appends are pending until a Flush writes them; batching only affects
+	// fsync, so all five lines are visible once it returns.
+	if n := lines(); n != 0 {
+		t.Errorf("%d lines on disk before Flush, want 0", n)
+	}
+	if err := cp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), "\n"); n != 5 {
+	if n := lines(); n != 5 {
 		t.Errorf("%d lines on disk, want 5", n)
 	}
 }

@@ -77,6 +77,9 @@ func TestCheckpointHeaderOverOneMiB(t *testing.T) {
 	if err := cp.Append(CheckpointRecord{Kind: RecordPair, X: names[0], Y: names[1], RTT: 5}); err != nil {
 		t.Fatal(err)
 	}
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() <= 1<<20 {
 		t.Fatalf("log is %d bytes (%v), want over 1 MiB", fi.Size(), err)
 	}

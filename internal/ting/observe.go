@@ -33,7 +33,10 @@ type Observer struct {
 	// outcome: served from cache, measured fresh, or waited on another
 	// worker's in-flight measurement.
 	HalfCircuit func(path []string, ev HalfCircuitEvent)
-	// CheckpointAppend fires after each record reaches the campaign log.
+	// CheckpointAppend fires after each record is appended to the campaign
+	// log, which may hold it until the scan's next flush: a run's records
+	// reach the file before any of its pairs counts. The record is a copy
+	// made for the observer, and only when this field is set.
 	CheckpointAppend func(rec *CheckpointRecord)
 	// CheckpointReplay fires once per Resume with how many completed
 	// pairs and memoized half-circuit series were rehydrated.

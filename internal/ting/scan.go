@@ -25,8 +25,9 @@ import (
 //	           the campaign was down
 //	plan       list the pairs to attempt; replayed pairs are seeded and pairs
 //	           of departed relays tombstoned without being scheduled
-//	work       one worker's loop: claim a run of pairs, attempt each, write
-//	           the run's successes together (writeRun), size the next run
+//	work       one worker's loop: claim a run of pairs, attempt each, flush
+//	           the run's log records and then write its successes together
+//	           (writeRun), size the next run
 //	attempt    one measurement of one pair by one worker, behind the churn
 //	           gate and the breaker gate, ending measured, failed for good
 //	           (settle), tombstoned, parked, or retried on the next worker
@@ -46,8 +47,8 @@ type scan struct {
 	hc      *HalfCache       // nil when half-circuit memoization is off
 	est     *DeadlineEstimator
 	// ctx is the scan's own context: done when the caller's is, when a
-	// non-tolerant scan meets its first failure, when a checkpoint append
-	// fails, or when the consensus history is lost.
+	// non-tolerant scan meets its first failure, when a checkpoint append or
+	// flush fails, or when the consensus history is lost.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// sched holds every scheduled pair until a worker releases it: the plan
@@ -67,7 +68,7 @@ type scan struct {
 	done, total   int
 	replayedPairs int
 	firstErr      error // first pair failure of a non-tolerant scan
-	cpErr         error // first checkpoint append failure
+	cpErr         error // first checkpoint append or flush failure
 	watchErr      error // the consensus history no longer reached the scan's epoch
 	jitter        *rand.Rand
 	backoff       stats.Backoff
@@ -190,6 +191,9 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 	// work once every pair has been released.
 	sc.cancel()
 	deltas.Wait()
+	// Whatever the last runs left pending — half series of pairs that
+	// failed, churn records — reaches the log before the scan reports.
+	sc.flush()
 	return sc.finish(ctx)
 }
 
@@ -378,41 +382,65 @@ func (sc *scan) openLog(names []string) error {
 	if sc.cp == nil {
 		return nil
 	}
-	// The header first, so even an immediately-killed scan leaves a
-	// resumable log. With a directory it pins the consensus epoch and each
-	// relay's onion-key fingerprint, so a later Resume can tell churn from
-	// continuity. The fingerprints are a copy: deltas keep mutating the
-	// roster's.
+	// The header first, flushed on its own, so even an immediately-killed
+	// scan leaves a resumable log. With a directory it pins the consensus
+	// epoch and each relay's onion-key fingerprint, so a later Resume can
+	// tell churn from continuity. The fingerprints are a copy: deltas keep
+	// mutating the roster's.
 	header := CheckpointRecord{Kind: RecordCampaign, Names: names, Epoch: sc.epoch, Fps: maps.Clone(sc.fps)}
-	if err := sc.cp.Append(header); err != nil {
+	err := sc.cp.Append(header)
+	if err == nil {
+		err = sc.cp.Flush()
+	}
+	if err != nil {
 		return fmt.Errorf("ting: checkpoint header: %w", err)
 	}
 	sc.s.Observer.checkpointAppend(&header)
 	return nil
 }
 
-// appendRec logs one record. An append failure latches and cancels the
-// scan: a campaign that silently stopped being durable would betray a
-// later Resume.
+// appendRec logs one record; the next flush writes it. An append failure
+// latches and cancels the scan: a campaign that silently stopped being
+// durable would betray a later Resume.
 func (sc *scan) appendRec(rec CheckpointRecord) {
 	if sc.cp == nil {
 		return
 	}
 	if err := sc.cp.Append(rec); err != nil {
-		sc.mu.Lock()
-		if sc.cpErr == nil {
-			sc.cpErr = err
-			sc.cancel()
-		}
-		sc.mu.Unlock()
+		sc.checkpointFailed(err)
 		return
 	}
-	// Copy before taking the address: &rec itself would force the
-	// parameter to the heap on every call, including the early return
-	// above — checkpoint-less scans record nothing and must allocate
-	// nothing here.
-	r := rec
-	sc.s.Observer.checkpointAppend(&r)
+	// Only an observer that wants the record gets a copy on the heap: &rec
+	// itself would put every record there, observed or not.
+	if o := sc.s.Observer; o != nil && o.CheckpointAppend != nil {
+		r := rec
+		o.CheckpointAppend(&r)
+	}
+}
+
+// flush writes every record the scan has appended to the log and reports
+// whether it did. A failure latches and cancels the scan, as a failed
+// append does.
+func (sc *scan) flush() bool {
+	if sc.cp == nil {
+		return true
+	}
+	if err := sc.cp.Flush(); err != nil {
+		sc.checkpointFailed(err)
+		return false
+	}
+	return true
+}
+
+// checkpointFailed latches the scan's first checkpoint failure and cancels
+// the scan.
+func (sc *scan) checkpointFailed(err error) {
+	sc.mu.Lock()
+	if sc.cpErr == nil {
+		sc.cpErr = err
+		sc.cancel()
+	}
+	sc.mu.Unlock()
 }
 
 // logChurn reports one reconciled consensus change to the observer and the
@@ -621,9 +649,9 @@ type success struct {
 	rtt float64
 }
 
-// work is worker w's loop. Everything but the write of a success — the
-// churn gate, the breaker, a retry's push, a park, the checkpoint append,
-// the observer's PairDone — happens per pair as the run goes. The clock is
+// work is worker w's loop. Everything but the flush and write of a success
+// — the churn gate, the breaker, a retry's push, a park, the checkpoint
+// append, the observer's PairDone — happens per pair as the run goes. The clock is
 // read once a run. The run and its successes live in arrays on this
 // goroutine's stack: a campaign shard's small scan allocates nothing for
 // them, and no two workers' scratch can share a cache line.
@@ -658,9 +686,12 @@ func (sc *scan) work(w int, meas *Measurer) {
 }
 
 // writeRun writes a run's successes and advances progress past each, in
-// the order they were measured, under one mu.
+// the order they were measured, under one mu. A pair counts only once its
+// record is in the log, so the run's records are flushed first; if that
+// fails, the scan is cancelled and none of the run's pairs is written or
+// counted.
 func (sc *scan) writeRun(measured []success) {
-	if len(measured) == 0 {
+	if len(measured) == 0 || !sc.flush() {
 		return
 	}
 	sc.mu.Lock()

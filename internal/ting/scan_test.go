@@ -3,6 +3,8 @@ package ting
 import (
 	"context"
 	"fmt"
+	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -61,32 +63,52 @@ func BenchmarkScanEngine(b *testing.B) {
 // TestScanAllocs pins what a scan allocates: the planned list, its
 // placement on the workers' queues, the matrix's tiles, and per-relay
 // state — nothing per pair. At N = 200 that is at most 5·N allocations a
-// scan and 90 bytes a pair.
+// scan and 90 bytes a pair. Logged to a FileCheckpoint, a record is encoded
+// straight into the log's buffer: no allocation per record — at most 0.01
+// allocations a pair beyond the in-memory scan's — and 100 bytes a pair.
 func TestScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const n, runs = 200, 3
-	names, sc := nullScan(n)
-	scan := func() {
-		if _, _, err := sc.Scan(context.Background(), names); err != nil {
+	pairs := n * (n - 1) / 2
+	measure := func(t *testing.T, sc *Scanner, names []string) (allocs, perPair float64) {
+		scan := func() {
+			if _, _, err := sc.Scan(context.Background(), names); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // warm: first-use allocations in the runtime are not the scan's
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			scan()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = float64(after.Mallocs-before.Mallocs) / runs
+		perPair = float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(pairs)
+		t.Logf("%.0f allocations a scan, %.1f bytes a pair", allocs, perPair)
+		return allocs, perPair
+	}
+	t.Run("in memory", func(t *testing.T) {
+		names, sc := nullScan(n)
+		if allocs, perPair := measure(t, sc, names); allocs > 5*n || perPair > 90 {
+			t.Errorf("%.0f allocations and %.1f bytes a pair per %d-relay scan, want ≤ 5·N = %d and ≤ 90", allocs, perPair, n, 5*n)
+		}
+	})
+	t.Run("file checkpoint", func(t *testing.T) {
+		names, sc := nullScan(n)
+		cp, err := OpenFileCheckpoint(filepath.Join(t.TempDir(), "campaign.ckpt"))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	scan() // warm: first-use allocations in the runtime are not the scan's
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		scan()
-	}
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
-	perPair := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n*(n-1)/2)
-	t.Logf("%.0f allocations a scan, %.1f bytes a pair", allocs, perPair)
-	if allocs > 5*n {
-		t.Errorf("%.0f allocations per %d-relay scan, want ≤ 5·N = %d", allocs, n, 5*n)
-	}
-	if perPair > 90 {
-		t.Errorf("%.1f bytes per pair, want ≤ 90", perPair)
-	}
+		defer cp.Close()
+		cp.SyncEvery = math.MaxInt // fsyncs allocate nothing, and cost seconds here
+		sc.Checkpoint = cp
+		allocs, perPair := measure(t, sc, names)
+		if limit := 5*n + 0.01*float64(pairs); allocs > limit || perPair > 100 {
+			t.Errorf("%.0f allocations and %.1f bytes a pair per logged %d-relay scan, want ≤ 5·N + 0.01 a pair = %.0f and ≤ 100",
+				allocs, perPair, n, limit)
+		}
+	})
 }

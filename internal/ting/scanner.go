@@ -97,10 +97,12 @@ type Scanner struct {
 	Observer *Observer
 	// Checkpoint, if non-nil, makes the campaign durable: the relay set
 	// and every completed pair (plus memoized half-circuit minima) are
-	// appended to the log as they happen, so a crashed or cancelled scan
-	// forfeits nothing — Resume replays the log and measures only the
-	// rest. A checkpoint append failure aborts the scan: a campaign that
-	// silently stopped being durable is worse than one that stopped.
+	// appended to the log as they happen and flushed once per run of
+	// pairs, before any pair of the run counts as done, so a crashed or
+	// cancelled scan forfeits nothing it reported — Resume replays the log
+	// and measures only the rest. A checkpoint append or flush failure
+	// aborts the scan: a campaign that silently stopped being durable is
+	// worse than one that stopped.
 	Checkpoint Checkpoint
 	// Health, if non-nil, is the relay scoreboard driving per-relay
 	// circuit breakers: a relay with FailureThreshold consecutive

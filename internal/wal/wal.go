@@ -1,9 +1,10 @@
 // Package wal is the repo's one durable log: newline-framed records in an
-// append-only file. It owns the file discipline — one write(2) per record,
-// the fsync policy, torn-tail repair and replay, atomic rewrite — and knows
-// nothing of what a record means: the scan checkpoint (internal/ting) and
-// the coordinator journal (internal/campaign) are record schemas over it.
-// DESIGN.md, "Write-ahead log", states the contract.
+// append-only file. It owns the file discipline — one write(2) per Append,
+// which may carry a run of records, the fsync policy, torn-tail repair and
+// replay, atomic rewrite — and knows nothing of what a record means: the
+// scan checkpoint (internal/ting) and the coordinator journal
+// (internal/campaign) are record schemas over it. DESIGN.md, "Write-ahead
+// log", states the contract.
 package wal
 
 import (
@@ -38,7 +39,7 @@ type Log struct {
 
 	mu       sync.Mutex
 	f        file
-	buf      []byte // the record being written, newline appended
+	buf      []byte // the run being written, each record's newline appended
 	unsynced int
 	fresh    bool  // created empty: the first fsync also syncs the directory
 	err      error // the sticky failure, or errClosed
@@ -102,37 +103,44 @@ func (l *Log) fail(err error) error {
 	return l.err
 }
 
-// frame returns rec plus its newline in l.buf, or why rec cannot be a record.
-func (l *Log) frame(rec []byte) ([]byte, error) {
-	if len(rec) > MaxRecord {
-		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(rec), MaxRecord)
+// frame returns recs, each followed by its newline, in l.buf, or why one of
+// them cannot be a record.
+func (l *Log) frame(recs [][]byte) ([]byte, error) {
+	buf := l.buf[:0]
+	for _, rec := range recs {
+		if len(rec) > MaxRecord {
+			return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(rec), MaxRecord)
+		}
+		if bytes.IndexByte(rec, '\n') >= 0 {
+			return nil, errors.New("wal: record contains a newline")
+		}
+		buf = append(append(buf, rec...), '\n')
 	}
-	if bytes.IndexByte(rec, '\n') >= 0 {
-		return nil, errors.New("wal: record contains a newline")
-	}
-	l.buf = append(append(l.buf[:0], rec...), '\n')
-	return l.buf, nil
+	l.buf = buf
+	return buf, nil
 }
 
-// Append writes rec and its newline with a single write(2), so a killed
-// process loses nothing the kernel accepted, and fsyncs once syncEvery
-// records are unsynced: 1 makes this record durable before Append returns,
-// n batches (a machine crash loses at most n-1 records), and a
-// non-positive value means DefaultSyncEvery.
-func (l *Log) Append(rec []byte, syncEvery int) error {
+// Append writes a run of records, each followed by its newline, with a
+// single write(2), so a killed process loses nothing the kernel accepted. A
+// run with a record that cannot be one is refused whole, before a byte is
+// written. Each record counts toward syncEvery, and the log fsyncs once that
+// many are unsynced: 1 makes the run durable before Append returns, n
+// batches (a machine crash loses at most n-1 records some Append returned
+// for), and a non-positive value means DefaultSyncEvery.
+func (l *Log) Append(recs [][]byte, syncEvery int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return l.err
 	}
-	b, err := l.frame(rec)
-	if err != nil {
+	b, err := l.frame(recs)
+	if err != nil || len(b) == 0 {
 		return err
 	}
 	if _, err := l.f.Write(b); err != nil {
 		return l.fail(err)
 	}
-	l.unsynced++
+	l.unsynced += len(recs)
 	if syncEvery <= 0 {
 		syncEvery = DefaultSyncEvery
 	}
@@ -192,9 +200,9 @@ func (l *Log) Rewrite(recs [][]byte) error {
 	if err != nil {
 		return l.fail(err)
 	}
-	for _, rec := range recs {
+	for i := range recs {
 		var b []byte
-		if b, err = l.frame(rec); err != nil {
+		if b, err = l.frame(recs[i : i+1]); err != nil {
 			break
 		}
 		if _, err = tf.Write(b); err != nil {

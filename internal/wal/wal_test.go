@@ -58,7 +58,7 @@ func TestSyncPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append([]byte("forced"), 1); err != nil {
+		if err := l.Append([][]byte{[]byte("forced")}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestSyncPolicy(t *testing.T) {
 		t.Fatalf("forced appends: ops %v, want %v", fs.Ops, want)
 	}
 	for i := 0; i < 2*DefaultSyncEvery+1; i++ {
-		if err := l.Append([]byte("batched"), 0); err != nil {
+		if err := l.Append([][]byte{[]byte("batched")}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,13 +75,13 @@ func TestSyncPolicy(t *testing.T) {
 		t.Fatalf("%d fsyncs after %d default-batched appends, want 2 more than 3", got, 2*DefaultSyncEvery+1)
 	}
 	// A forced record flushes the batch it joins.
-	if err := l.Append([]byte("forced"), 1); err != nil {
+	if err := l.Append([][]byte{[]byte("forced")}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("tail"), 4); err != nil {
+	if err := l.Append([][]byte{[]byte("tail")}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("last"), 4); err != nil {
+	if err := l.Append([][]byte{[]byte("last")}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Count("sync"); got != 6 {
@@ -96,7 +96,7 @@ func TestSyncPolicy(t *testing.T) {
 	if got, dirs := fs.Count("sync"), fs.Count("syncdir"); got != 7 || dirs != 1 {
 		t.Fatalf("%d fsyncs and %d directory fsyncs after Close, want 7 and 1", got, dirs)
 	}
-	if err := l.Append([]byte("late"), 1); err == nil {
+	if err := l.Append([][]byte{[]byte("late")}, 1); err == nil {
 		t.Fatal("Append after Close accepted")
 	}
 
@@ -106,7 +106,7 @@ func TestSyncPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append([]byte("again"), 1); err != nil {
+	if err := l2.Append([][]byte{[]byte("again")}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -120,6 +120,55 @@ func TestSyncPolicy(t *testing.T) {
 	}
 }
 
+// TestAppendRun: a run of records is one write, each of its records counts
+// toward syncEvery as one appended alone would, a run holding a record that
+// cannot be one is refused whole without failing the log, and an empty run
+// touches nothing.
+func TestAppendRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	fs := &FaultFS{}
+	l, err := open(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(recs ...string) [][]byte {
+		out := make([][]byte, len(recs))
+		for i, r := range recs {
+			out[i] = []byte(r)
+		}
+		return out
+	}
+	if err := l.Append(nil, 1); err != nil || len(fs.Ops) != 0 {
+		t.Fatalf("empty run: %v, ops %v", err, fs.Ops)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(run("a", "b", "c"), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nine records in three writes: the third run crosses eight and fsyncs.
+	if want := []string{"write", "write", "write", "sync", "syncdir"}; !reflect.DeepEqual(fs.Ops, want) {
+		t.Fatalf("three runs of three: ops %v, want %v", fs.Ops, want)
+	}
+	for _, bad := range [][][]byte{run("ok", "a\nb"), {[]byte("ok"), make([]byte, MaxRecord+1)}} {
+		if err := l.Append(bad, 1); err == nil {
+			t.Fatal("run with a bad record accepted")
+		}
+	}
+	if err := l.Append(run("d", "e"), 2); err != nil {
+		t.Fatalf("a refused run failed the log: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayFile(t, path), []string{"a", "b", "c", "a", "b", "c", "a", "b", "c", "d", "e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+	if w := fs.Count("write"); w != 4 {
+		t.Fatalf("%d writes for four accepted runs", w)
+	}
+}
+
 // TestRewriteOrderAndSwap: the snapshot is written and fsynced, renamed
 // over the log, and the directory fsynced — in that order — and appends
 // afterwards land in the new file.
@@ -130,7 +179,7 @@ func TestRewriteOrderAndSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []string{"a", "b", "c"} {
-		if err := l.Append([]byte(r), 1); err != nil {
+		if err := l.Append([][]byte{[]byte(r)}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +191,7 @@ func TestRewriteOrderAndSwap(t *testing.T) {
 	if want := []string{"write", "write", "sync", "rename", "syncdir"}; !reflect.DeepEqual(fs.Ops, want) {
 		t.Fatalf("rewrite ops %v, want %v", fs.Ops, want)
 	}
-	if err := l.Append([]byte("after"), 1); err != nil {
+	if err := l.Append([][]byte{[]byte("after")}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -201,20 +250,20 @@ func TestMaxRecord(t *testing.T) {
 	}
 	defer l.Close()
 	long := bytes.Repeat([]byte("r"), MaxRecord+1)
-	if err := l.Append(long, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxRecord)) {
+	if err := l.Append([][]byte{long}, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxRecord)) {
 		t.Fatalf("over-long Append: %v", err)
 	}
-	if err := l.Append([]byte("a\nb"), 1); err == nil {
+	if err := l.Append([][]byte{[]byte("a\nb")}, 1); err == nil {
 		t.Fatal("record containing a newline accepted")
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
 		t.Fatalf("refused appends wrote %d bytes (%v)", fi.Size(), err)
 	}
 	// The refusals are the caller's mistakes, not log failures.
-	if err := l.Append(long[:MaxRecord], DefaultSyncEvery); err != nil {
+	if err := l.Append([][]byte{long[:MaxRecord]}, DefaultSyncEvery); err != nil {
 		t.Fatalf("MaxRecord-byte record refused: %v", err)
 	}
-	if err := l.Append([]byte("next"), DefaultSyncEvery); err != nil {
+	if err := l.Append([][]byte{[]byte("next")}, DefaultSyncEvery); err != nil {
 		t.Fatal(err)
 	}
 	if recs := replayFile(t, path); len(recs) != 2 || len(recs[0]) != MaxRecord || recs[1] != "next" {
@@ -255,7 +304,7 @@ func TestFailureIsSticky(t *testing.T) {
 			}
 			acked := []string{"one", "two"}
 			for _, r := range acked {
-				if err := l.Append([]byte(r), 1); err != nil {
+				if err := l.Append([][]byte{[]byte(r)}, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -266,14 +315,14 @@ func TestFailureIsSticky(t *testing.T) {
 			if tc.rewrite {
 				first = l.Rewrite([][]byte{[]byte("snapshot")})
 			} else {
-				first = l.Append([]byte("three"), 1)
+				first = l.Append([][]byte{[]byte("three")}, 1)
 			}
 			if !errors.Is(first, tc.fault.Err) {
 				t.Fatalf("failing call returned %v, want %v", first, tc.fault.Err)
 			}
 			ops := len(fs.Ops)
 			for name, err := range map[string]error{
-				"Append":  l.Append([]byte("four"), 1),
+				"Append":  l.Append([][]byte{[]byte("four")}, 1),
 				"Rewrite": l.Rewrite([][]byte{[]byte("again")}),
 				"Close":   l.Close(),
 			} {
@@ -289,7 +338,7 @@ func TestFailureIsSticky(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if err := l2.Append([]byte("five"), 1); err != nil {
+			if err := l2.Append([][]byte{[]byte("five")}, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Close(); err != nil {
@@ -329,7 +378,7 @@ func TestConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				rec := fmt.Sprintf("writer %d record %d %s", w, i, strings.Repeat("-", i))
-				if err := l.Append([]byte(rec), 1+i%3*4); err != nil {
+				if err := l.Append([][]byte{[]byte(rec)}, 1+i%3*4); err != nil {
 					t.Error(err)
 					return
 				}
@@ -447,7 +496,7 @@ func TestCrashPointProperty(t *testing.T) {
 			if err != nil {
 				fail("cut at %d: open: %v", off, err)
 			}
-			if err := l.Append(added, 1); err != nil {
+			if err := l.Append([][]byte{added}, 1); err != nil {
 				fail("cut at %d: append: %v", off, err)
 			}
 			if err := l.Close(); err != nil {
@@ -474,7 +523,7 @@ func TestCrashPointProperty(t *testing.T) {
 			if err != nil {
 				fail("open over corruption: %v", err)
 			}
-			if err := l.Append(added, 1); err != nil {
+			if err := l.Append([][]byte{added}, 1); err != nil {
 				fail("append over corruption: %v", err)
 			}
 			l.Close()
@@ -520,7 +569,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			if err := l.Append(rec, 0); err != nil {
+			if err := l.Append([][]byte{rec}, 0); err != nil {
 				t.Fatalf("Append refused a record Replay delivered: %v", err)
 			}
 		}
