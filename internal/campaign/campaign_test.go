@@ -281,6 +281,35 @@ func TestCompleteDemandsFullCoverage(t *testing.T) {
 	}
 }
 
+// TestCompleteAllocs: checking a submission costs its shard, not the
+// campaign: an in-memory Complete of a whole shard allocates at most the
+// results' copy and one more, whatever the shard's size.
+func TestCompleteAllocs(t *testing.T) {
+	names := fakeNames(200)
+	for _, target := range []int{1000, 4} { // 20-pair and 2016-pair first shards
+		shards := Partition(len(names), target)
+		c, err := NewCoordinator(names, shards, time.Hour, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := c.Acquire("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := fullResults(t, l.Shard, names)
+		st := c.byID[l.Shard.ID]
+		allocs := testing.AllocsPerRun(20, func() {
+			st.phase, c.remaining = shardLeased, len(shards) // complete it again
+			if err := c.Complete("w", l.Shard.ID, l.Epoch, results); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("Complete of a %d-pair shard: %.1f allocations, want at most 2", len(results), allocs)
+		}
+	}
+}
+
 // TestMergedMatchesSubmissions: the coordinator's merge output holds
 // exactly the submitted values, with failed pairs left missing.
 func TestMergedMatchesSubmissions(t *testing.T) {

@@ -83,6 +83,7 @@ type Coordinator struct {
 	remaining int
 	done      chan struct{}
 	journal   *wal.Log
+	jenc      journalEncoder // encodes the journal's records
 	recovered bool
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
@@ -116,11 +117,8 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		recoveries: treg.Counter("campaign.coordinator.recoveries"),
 	}
 	for _, sh := range shards {
-		if err := sh.Validate(); err != nil {
-			return nil, err
-		}
 		// Reject shards that don't fit the name set now, not at merge time.
-		if _, err := sh.Pairs(c.names); err != nil {
+		if err := sh.fits(len(c.names)); err != nil {
 			return nil, err
 		}
 		st := &shardState{shard: sh}
@@ -151,7 +149,7 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	if err := appendJournal(j, journalHeader(c.names, shards, ttl, 0)); err != nil {
+	if err := c.jenc.append(j, journalHeader(c.names, shards, ttl, 0)); err != nil {
 		j.Close()
 		return nil, err
 	}
@@ -305,7 +303,7 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 				Epoch:    epoch,
 				Deadline: deadline.UnixNano(),
 			}
-			if err := appendJournal(c.journal, rec); err != nil {
+			if err := c.jenc.append(c.journal, rec); err != nil {
 				return Lease{}, AcquireNone, err
 			}
 			c.jAppended.Inc()
@@ -347,10 +345,13 @@ func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 
 // Complete accepts worker's submission for shardID. The epoch must be the
 // shard's highest granted one (ErrFenced otherwise — last writer wins),
-// and results must cover the shard's pair set exactly: every pair once,
-// measured or failed, nothing extra. Completing an already-done shard at
-// its winning epoch is an idempotent no-op, so a worker may safely retry
-// a submission whose ack it lost.
+// and results must list the shard's pairs exactly in its canonical order,
+// the order of Shard.Pairs and the order Worker submits in: every pair
+// once, measured or failed, nothing extra. The check walks the shard's
+// geometry beside the submission, so it allocates nothing and costs the
+// shard's pairs, not the campaign's; a journal replay makes the same check.
+// Completing an already-done shard at its winning epoch is an idempotent
+// no-op, so a worker may safely retry a submission whose ack it lost.
 func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []PairResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -366,34 +367,15 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	if st.phase == shardDone {
 		return nil
 	}
-	pairs, err := st.shard.Pairs(c.names)
-	if err != nil {
+	if err := st.shard.checkResults(c.names, results); err != nil {
 		return err
-	}
-	want := make(map[[2]string]bool, len(pairs))
-	for _, p := range pairs {
-		want[p] = false
-	}
-	for _, r := range results {
-		k := [2]string{r.X, r.Y}
-		seen, ok := want[k]
-		if !ok {
-			return fmt.Errorf("campaign: shard %s submission has stray pair (%s,%s)", shardID, r.X, r.Y)
-		}
-		if seen {
-			return fmt.Errorf("campaign: shard %s submission repeats pair (%s,%s)", shardID, r.X, r.Y)
-		}
-		want[k] = true
-	}
-	if len(results) != len(pairs) {
-		return fmt.Errorf("campaign: shard %s submission covers %d of %d pairs", shardID, len(results), len(pairs))
 	}
 	if c.journal != nil {
 		// WAL discipline: the winning submission reaches disk before the
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
 		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, Results: results}
-		if err := appendJournal(c.journal, rec); err != nil {
+		if err := c.jenc.append(c.journal, rec); err != nil {
 			return err
 		}
 		c.jAppended.Inc()

@@ -3,8 +3,11 @@ package campaign
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"ting/internal/ting"
 )
 
 // FuzzDecodeLease: arbitrary lease lines must never panic, and anything
@@ -44,13 +47,23 @@ func FuzzDecodeLease(f *testing.F) {
 	})
 }
 
+// journalLine is rec's journal line, newline excluded.
+func journalLine(rec journalRecord) ([]byte, error) {
+	var e journalEncoder
+	lines, err := e.encode(rec)
+	if err != nil {
+		return nil, err
+	}
+	return lines[0], nil
+}
+
 // FuzzDecodeJournal: arbitrary journal lines must never panic, and
 // anything decodeJournalRecord accepts must re-encode and re-decode to the
 // identical record — the journal is canonical JSONL, so compaction
 // (re-encoding replayed records) can never change their meaning.
 func FuzzDecodeJournal(f *testing.F) {
 	seed := func(rec journalRecord) {
-		b, err := encodeJournalRecord(rec)
+		b, err := journalLine(rec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -80,7 +93,7 @@ func FuzzDecodeJournal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, err := encodeJournalRecord(rec)
+		b, err := journalLine(rec)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
@@ -104,6 +117,121 @@ func FuzzDecodeJournal(f *testing.F) {
 		}
 		if !reflect.DeepEqual(norm(rec), norm(again)) {
 			t.Fatalf("round trip changed the record:\n%+v\n%+v", rec, again)
+		}
+	})
+}
+
+// completeReference is the check Complete made before it walked the shard's
+// geometry: the results cover the shard's pairs as a set — each pair once,
+// nothing extra — in any order.
+func completeReference(pairs [][2]string, results []PairResult) bool {
+	want := make(map[[2]string]bool, len(pairs))
+	for _, p := range pairs {
+		want[p] = false
+	}
+	for _, r := range results {
+		k := [2]string{r.X, r.Y}
+		seen, ok := want[k]
+		if !ok || seen {
+			return false
+		}
+		want[k] = true
+	}
+	return len(results) == len(pairs)
+}
+
+// blockPairs lists a shard's pairs by brute force — every pair (i < j) of
+// its tile block, row-major, then [Lo, Hi) of that — independently of the
+// cursor Shard.Pairs walks.
+func blockPairs(sh Shard, names []string) [][2]string {
+	var block [][2]string
+	iLo, jLo := sh.TI*ting.TileDim, sh.TJ*ting.TileDim
+	for i := iLo; i < min(iLo+ting.TileDim, len(names)); i++ {
+		for j := max(jLo, i+1); j < min(jLo+ting.TileDim, len(names)); j++ {
+			block = append(block, [2]string{names[i], names[j]})
+		}
+	}
+	return block[sh.Lo:sh.Hi]
+}
+
+// FuzzComplete: Complete accepts a submission exactly when the set check
+// it replaced accepts it and it lists the pairs in canonical order. Each
+// submission starts as one shard's canonical list, then each 3-byte step of
+// ops permutes, drops, duplicates, renames, adds or flips a pair.
+func FuzzComplete(f *testing.F) {
+	f.Add(uint8(4), uint8(1), uint8(0), []byte{})
+	f.Add(uint8(4), uint8(2), uint8(1), []byte{0, 0, 1})
+	f.Add(uint8(10), uint8(3), uint8(2), []byte{1, 3, 0})
+	f.Add(uint8(10), uint8(3), uint8(0), []byte{2, 1, 0})
+	f.Add(uint8(10), uint8(5), uint8(1), []byte{3, 0, 7})
+	f.Add(uint8(70), uint8(4), uint8(3), []byte{4, 2, 69})
+	f.Add(uint8(70), uint8(9), uint8(5), []byte{5, 1, 0, 5, 1, 0})
+	f.Add(uint8(130), uint8(20), uint8(11), []byte{0, 3, 5, 0, 3, 5})
+	f.Fuzz(func(t *testing.T, n, target, pick uint8, ops []byte) {
+		names := fakeNames(2 + int(n)%150)
+		shards := Partition(len(names), 1+int(target)%40)
+		sh := shards[int(pick)%len(shards)]
+		pairs := blockPairs(sh, names)
+		if got, err := sh.Pairs(names); err != nil || !slices.Equal(got, pairs) {
+			t.Fatalf("shard %s: Pairs = %v (%v), want %v", sh.ID, got, err, pairs)
+		}
+		results := make([]PairResult, len(pairs))
+		for k, p := range pairs {
+			results[k] = PairResult{X: p[0], Y: p[1], RTT: float64(k + 1)}
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			a, b := int(ops[1]), int(ops[2])
+			if len(results) == 0 && ops[0]%6 != 4 {
+				continue
+			}
+			switch ops[0] % 6 {
+			case 0: // permute
+				a, b = a%len(results), b%len(results)
+				results[a], results[b] = results[b], results[a]
+			case 1: // drop
+				a %= len(results)
+				results = append(results[:a], results[a+1:]...)
+			case 2: // duplicate
+				results = append(results, results[a%len(results)])
+			case 3: // rename one endpoint, to any relay or a ghost
+				r := &results[a%len(results)]
+				if b%len(names) == 0 {
+					r.Y = "ghost"
+				} else {
+					r.Y = names[b%len(names)]
+				}
+			case 4: // add any pair
+				results = append(results, PairResult{X: names[a%len(names)], Y: names[b%len(names)], Failed: true})
+			case 5: // flip
+				r := &results[a%len(results)]
+				r.X, r.Y = r.Y, r.X
+			}
+		}
+		canonical := slices.EqualFunc(results, pairs, func(r PairResult, p [2]string) bool {
+			return r.X == p[0] && r.Y == p[1]
+		})
+		want := completeReference(pairs, results) && canonical
+
+		c, err := NewCoordinator(names, shards, time.Hour, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lease Lease
+		for lease.Shard.ID != sh.ID {
+			if lease, _, err = c.Acquire("w"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = c.Complete("w", sh.ID, lease.Epoch, results)
+		if got := err == nil; got != want {
+			t.Fatalf("shard %s: Complete(%v) = %v, want accepted %v", sh.ID, results, err, want)
+		}
+		wantDone := 0
+		if want {
+			wantDone = 1
+		}
+		if done := c.Snapshot().Done; done != wantDone {
+			t.Fatalf("%d shards done after Complete returned %v", done, err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,38 +57,68 @@ type journalRecord struct {
 	Regrants int `json:"regrants,omitempty"`
 }
 
-// encodeJournalRecord is one record's journal line, newline excluded.
-func encodeJournalRecord(rec journalRecord) ([]byte, error) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return b, nil
+// journalEncoder turns records into journal lines — the bytes json.Marshal
+// gives — through one reused buffer, so a grant or a complete encodes
+// without a fresh buffer or a boxed copy of its record. The coordinator
+// holds one under its mutex.
+type journalEncoder struct {
+	// rec is the record enc encodes: a field, so Encode's argument is a
+	// pointer into the encoder rather than a boxed copy of the record.
+	rec   journalRecord
+	buf   bytes.Buffer  // the records encoded by the last call, each ending in its newline
+	enc   *json.Encoder // writes into buf; nil until the first record
+	ends  []int         // the offset in buf just past each record's newline
+	lines [][]byte      // buf cut into records, newlines excluded
 }
 
-// appendJournal writes one record and forces it to disk before returning —
-// the WAL contract: nothing is acknowledged to a worker that a recovered
+// encode returns recs' journal lines, newlines excluded. They alias the
+// encoder's buffer: valid until the next call.
+func (e *journalEncoder) encode(recs ...journalRecord) ([][]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	e.ends = e.ends[:0]
+	for i := range recs {
+		e.rec = recs[i]
+		err := e.enc.Encode(&e.rec)
+		e.rec = journalRecord{} // hold no submission past its call
+		if err != nil {
+			return nil, fmt.Errorf("campaign: journal: %w", err)
+		}
+		e.ends = append(e.ends, e.buf.Len())
+	}
+	b, start := e.buf.Bytes(), 0
+	e.lines = e.lines[:0]
+	for _, end := range e.ends {
+		e.lines = append(e.lines, b[start:end-1])
+		start = end
+	}
+	return e.lines, nil
+}
+
+// append writes one record and forces it to disk before returning — the
+// WAL contract: nothing is acknowledged to a worker that a recovered
 // coordinator would not know.
-func appendJournal(log *wal.Log, rec journalRecord) error {
-	b, err := encodeJournalRecord(rec)
+func (e *journalEncoder) append(log *wal.Log, rec journalRecord) error {
+	lines, err := e.encode(rec)
 	if err != nil {
 		return err
 	}
-	if err := log.Append([][]byte{b}, 1); err != nil {
+	if err := log.Append(lines, 1); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil
 }
 
 // rewriteJournal atomically replaces the journal's content with recs (a
-// compacting snapshot).
+// compacting snapshot). Its encoder is its own: a snapshot's buffer is the
+// whole journal, too big to keep between compactions.
 func rewriteJournal(log *wal.Log, recs []journalRecord) error {
-	lines := make([][]byte, len(recs))
-	for i, rec := range recs {
-		var err error
-		if lines[i], err = encodeJournalRecord(rec); err != nil {
-			return err
-		}
+	var e journalEncoder
+	lines, err := e.encode(recs...)
+	if err != nil {
+		return err
 	}
 	if err := log.Rewrite(lines); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
@@ -157,7 +188,8 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 // torn-tail-tolerantly, and counts the records read. It enforces the
 // journal's own invariants: exactly one header, first; grant epochs
 // strictly increasing (coordinator-global monotonic fencing); no grant of a
-// completed shard; completes only at the shard's latest granted epoch.
+// completed shard; completes only at the shard's latest granted epoch, each
+// listing its shard's pairs in canonical order as Complete demands.
 func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -205,6 +237,12 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 			if rec.Epoch != st.epoch {
 				return fmt.Errorf("campaign: journal complete for shard %s at epoch %d, latest grant %d",
 					rec.Shard, rec.Epoch, st.epoch)
+			}
+			// The check Complete made before journaling the record: a record
+			// that misses a pair would recover a hole LostPairs never counts,
+			// and one with another shard's pair would overwrite its cell.
+			if err := st.shard.checkResults(c.names, rec.Results); err != nil {
+				return fmt.Errorf("campaign: journal complete record: %w", err)
 			}
 			if st.phase != shardDone {
 				st.phase = shardDone

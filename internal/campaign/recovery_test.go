@@ -364,7 +364,7 @@ func TestRecoverRejectsOverlappingShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := []Shard{NewShard(0, 0, 0, 4), NewShard(0, 0, 2, 6)}
-	if err := appendJournal(j, journalHeader(fakeNames(4), shards, time.Second, 0)); err != nil {
+	if err := new(journalEncoder).append(j, journalHeader(fakeNames(4), shards, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -515,5 +515,53 @@ func TestRecoveredDoneCampaign(t *testing.T) {
 	}
 	if _, err := c2.Merged(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRefusesBadCompleteRecord: replay checks a complete record as
+// Complete checks a submission. A record that misses a pair of its shard
+// would recover a hole LostPairs never counts, one carrying another shard's
+// pair would overwrite that shard's cell in Merged, and one out of canonical
+// order is a submission Complete never accepted. Each is refused by name.
+func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
+	const head = `{"t":"campaign","names":["relayA","relayB","relayC","relayD"],"shards":[{"ti":0,"tj":0,"lo":0,"hi":3},{"ti":0,"tj":0,"lo":3,"hi":6}],"ttl_ms":30000}
+{"t":"grant","shard":"t0-0.p0-3","worker":"w1","epoch":1,"deadline":1700000030000000000}
+`
+	complete := func(results string) string {
+		return `{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1,"results":[` + results + "]}\n"
+	}
+	for _, tc := range []struct{ name, results string }{
+		{"missing pair", `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}`},
+		{"foreign pair", `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayB","y":"relayC","rtt":9}`},
+		{"out of order", `{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := journalPath(t)
+			if err := os.WriteFile(path, []byte(head+complete(tc.results)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := RecoverCoordinator(path, nil)
+			if err == nil {
+				c.Journal().Close()
+				t.Fatalf("recovered a journal with a bad complete record (%s): %+v", tc.name, c.Snapshot())
+			}
+			if !strings.Contains(err.Error(), "t0-0.p0-3") {
+				t.Errorf("refusal %q does not name the shard", err)
+			}
+		})
+	}
+	// The shard's pairs in canonical order recover.
+	path := journalPath(t)
+	ok := `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayD","rtt":12.5}`
+	if err := os.WriteFile(path, []byte(head+complete(ok)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := RecoverCoordinator(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Journal().Close()
+	if st := c.Snapshot(); st.Done != 1 || st.LostPairs != 0 {
+		t.Errorf("recovered ledger %+v, want one done shard", st)
 	}
 }

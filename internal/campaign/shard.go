@@ -112,53 +112,111 @@ func bandExtent(t, n int) int {
 	return e
 }
 
-// Pairs derives the shard's pair list from the campaign's canonical name
-// order. Workers and coordinator both call this, so the wire carries four
-// integers per shard instead of a pair list.
-func (s Shard) Pairs(names []string) ([][2]string, error) {
+// fits checks the shard's geometry and that its range lies inside its tile
+// block of an n-relay campaign — everything its pairs need to exist.
+func (s Shard) fits(n int) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	n := len(names)
 	if c := blockPairCount(s.TI, s.TJ, n); s.Hi > c {
-		return nil, fmt.Errorf("campaign: shard %s range [%d,%d) exceeds block's %d pairs (n=%d)",
+		return fmt.Errorf("campaign: shard %s range [%d,%d) exceeds block's %d pairs (n=%d)",
 			s.ID, s.Lo, s.Hi, c, n)
 	}
+	return nil
+}
+
+// pairCursor walks a shard's pairs in canonical order — its tile block's
+// pairs row-major (i ascending, then j), from index Lo up to Hi — as matrix
+// indices, without materializing them. It is the one enumeration of a
+// shard: Pairs, the worker's lease and the coordinator's submission check
+// all walk it.
+type pairCursor struct {
+	i, j       int // the next pair
+	jLo, jEnd  int // the block's column band
+	diagonal   bool
+	iEnd, left int // one past the band's last row; pairs still to yield
+}
+
+// cursor starts a walk at the shard's first pair in an n-relay campaign.
+// The shard must fit n.
+func (s Shard) cursor(n int) pairCursor {
+	iLo, jLo := s.TI<<ting.TileShift, s.TJ<<ting.TileShift
+	c := pairCursor{
+		jLo:      jLo,
+		jEnd:     jLo + bandExtent(s.TJ, n),
+		diagonal: s.TI == s.TJ,
+		iEnd:     iLo + bandExtent(s.TI, n),
+		left:     s.PairCount(),
+	}
+	// Skip whole rows before Lo without enumerating them.
+	skip := s.Lo
+	for c.i = iLo; c.i < c.iEnd; c.i++ {
+		c.j = c.rowStart(c.i)
+		if skip < c.jEnd-c.j {
+			c.j += skip
+			break
+		}
+		skip -= c.jEnd - c.j
+	}
+	return c
+}
+
+// rowStart is row i's first column: past the diagonal in a diagonal block.
+func (c *pairCursor) rowStart(i int) int {
+	if c.diagonal {
+		return i + 1
+	}
+	return c.jLo
+}
+
+// next yields the next pair's indices, i < j, and false once the shard's
+// pairs are spent.
+func (c *pairCursor) next() (i, j int, ok bool) {
+	if c.left == 0 {
+		return 0, 0, false
+	}
+	i, j = c.i, c.j
+	c.left--
+	if c.j++; c.j == c.jEnd {
+		c.i++
+		c.j = c.rowStart(c.i)
+	}
+	return i, j, true
+}
+
+// Pairs derives the shard's pair list from the campaign's canonical name
+// order. The wire carries four integers per shard instead of a pair list.
+func (s Shard) Pairs(names []string) ([][2]string, error) {
+	if err := s.fits(len(names)); err != nil {
+		return nil, err
+	}
 	out := make([][2]string, 0, s.PairCount())
-	iLo := s.TI << ting.TileShift
-	jLo := s.TJ << ting.TileShift
-	iN := bandExtent(s.TI, n)
-	jN := bandExtent(s.TJ, n)
-	idx := 0
-	for a := 0; a < iN; a++ {
-		i := iLo + a
-		bStart := 0
-		if s.TI == s.TJ {
-			bStart = a + 1
+	for c := s.cursor(len(names)); ; {
+		i, j, ok := c.next()
+		if !ok {
+			return out, nil
 		}
-		rowLen := jN - bStart
-		if rowLen <= 0 {
-			continue
-		}
-		// Skip whole rows before Lo without enumerating them.
-		if idx+rowLen <= s.Lo {
-			idx += rowLen
-			continue
-		}
-		for b := bStart; b < jN; b++ {
-			if idx >= s.Hi {
-				return out, nil
-			}
-			if idx >= s.Lo {
-				out = append(out, [2]string{names[i], names[jLo+b]})
-			}
-			idx++
+		out = append(out, [2]string{names[i], names[j]})
+	}
+}
+
+// checkResults accepts a submission that lists the shard's pairs exactly in
+// canonical order — every pair once, measured or failed, nothing missing,
+// nothing extra — by walking the shard beside it: no pair list, no set, no
+// allocation unless it refuses. The shard must fit len(names).
+func (s Shard) checkResults(names []string, results []PairResult) error {
+	if len(results) != s.PairCount() {
+		return fmt.Errorf("campaign: shard %s submission lists %d pairs, the shard has %d", s.ID, len(results), s.PairCount())
+	}
+	c := s.cursor(len(names))
+	for k := range results {
+		i, j, _ := c.next()
+		if r := &results[k]; r.X != names[i] || r.Y != names[j] {
+			return fmt.Errorf("campaign: shard %s submission's pair %d is (%s,%s), want (%s,%s)",
+				s.ID, k, r.X, r.Y, names[i], names[j])
 		}
 	}
-	if len(out) != s.PairCount() {
-		return nil, fmt.Errorf("campaign: shard %s yielded %d pairs, want %d", s.ID, len(out), s.PairCount())
-	}
-	return out, nil
+	return nil
 }
 
 // Partition slices the pair space of an n-relay campaign into shards,

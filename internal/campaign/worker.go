@@ -126,7 +126,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 
 	// The campaign's canonical name order frames everything: shard pair
-	// derivation, the scan matrix, the checkpoint header.
+	// derivation, the worker's matrix, the checkpoint header.
 	var names []string
 	for {
 		var err error
@@ -144,20 +144,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("campaign: coordinator offered %d relays", len(names))
 	}
 
-	// Crash recovery: everything this worker's log already holds is
-	// finished work — resume it, don't redo it.
-	measured := make(map[[2]string]float64)
-	if w.Checkpoint != nil {
-		st, err := ting.ReplayState(w.Checkpoint)
-		if err != nil {
-			return fmt.Errorf("campaign: worker %s: replay: %w", w.Name, err)
-		}
-		for k, v := range st.Pairs {
-			measured[k] = v
-		}
-		if st.Records > 0 {
-			w.logf("worker %s: resumed %d measured pairs from checkpoint", w.Name, len(st.Pairs))
-		}
+	ledger, err := w.openLedger(names)
+	if err != nil {
+		return fmt.Errorf("campaign: worker %s: %w", w.Name, err)
 	}
 
 	for {
@@ -189,7 +178,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		if err := w.runLease(ctx, names, lease, measured, rec); err != nil {
+		if err := w.runLease(ctx, names, ledger, lease, rec); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -207,26 +196,62 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease measures one lease's shard and submits it. The heartbeat
-// goroutine renews the lease while the scan runs; only a genuine ErrFenced
-// verdict cancels the scan, because measuring for a lease someone else now
-// holds is wasted work (their submission, not ours, will count). A
+// openLedger builds the matrix the worker measures into for its whole life,
+// over the campaign's names, and seeds it with every pair its checkpoint
+// already holds, as ProvResumed: crash recovery resumes finished work
+// rather than redoing it. The matrix is the worker's ledger — a lease's
+// scan writes its successes there, and what a shard still needs and what
+// its submission reports are read from there.
+func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
+	m, err := ting.NewMatrix(names)
+	if err != nil {
+		return nil, err
+	}
+	if w.Checkpoint == nil {
+		return m, nil
+	}
+	st, err := ting.ReplayState(w.Checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	for p, rtt := range st.Pairs {
+		// A pair outside the campaign's relays is no shard's: skip it.
+		if m.Set(p[0], p[1], rtt) == nil {
+			_ = m.SetProv(p[0], p[1], ting.ProvResumed)
+		}
+	}
+	if st.Records > 0 {
+		w.logf("worker %s: resumed %d measured pairs from checkpoint", w.Name, len(st.Pairs))
+	}
+	return m, nil
+}
+
+// measured reports whether the ledger holds a measurement of pair (i, j).
+func measured(ledger *ting.Matrix, i, j int) bool {
+	p := ledger.ProvAt(i, j)
+	return p == ting.ProvFresh || p == ting.ProvResumed
+}
+
+// runLease measures one lease's shard into the ledger and submits it. The
+// heartbeat goroutine renews the lease while the scan runs; only a genuine
+// ErrFenced verdict cancels the scan, because measuring for a lease someone
+// else now holds is wasted work (their submission, not ours, will count). A
 // heartbeat that merely failed in transit proves nothing about the lease —
 // the coordinator may be mid-restart — so it is retried on the next TTL/3
 // tick while the scan keeps running; the recovered coordinator either
 // accepts the next beat (resurrecting the lease if it had lazily expired)
 // or finally fences us.
-func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, measured map[[2]string]float64, rec *reconnector) error {
-	pairs, err := lease.Shard.Pairs(names)
-	if err != nil {
+func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector) error {
+	sh := lease.Shard
+	if err := sh.fits(len(names)); err != nil {
 		return err
 	}
-	w.logf("worker %s: lease %s epoch %d: %d pairs", w.Name, lease.Shard.ID, lease.Epoch, len(pairs))
+	w.logf("worker %s: lease %s epoch %d: %d pairs", w.Name, sh.ID, lease.Epoch, sh.PairCount())
 
 	if w.Checkpoint != nil {
 		rec := ting.CheckpointRecord{
 			Kind:   ting.RecordShard,
-			Shard:  lease.Shard.ID,
+			Shard:  sh.ID,
 			Lease:  lease.Epoch,
 			Worker: w.Name,
 		}
@@ -241,14 +266,18 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 		}
 	}
 
-	// Shards are disjoint, so a pair is already in the log only when this
-	// shard was granted to this worker before: a previous life cut short by
-	// a crash, or a lease it lost to a fence after measuring part of it.
-	// Those pairs are replayed, not re-measured.
-	need := make([][2]string, 0, len(pairs))
-	for _, p := range pairs {
-		if _, ok := measured[normPair(p)]; !ok {
-			need = append(need, p)
+	// Shards are disjoint, so the ledger holds a pair of this shard only when
+	// the shard was granted to this worker before: a previous life cut short
+	// by a crash (replayed into the ledger), or a lease it lost to a fence
+	// after measuring part of it. Those pairs are not measured again.
+	need := make([][2]string, 0, sh.PairCount())
+	for c := sh.cursor(len(names)); ; {
+		i, j, ok := c.next()
+		if !ok {
+			break
+		}
+		if !measured(ledger, i, j) {
+			need = append(need, [2]string{names[i], names[j]})
 		}
 	}
 
@@ -294,13 +323,9 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 		}
 	}()
 
-	var (
-		m        *ting.Matrix
-		failures []ting.PairError
-		scanErr  error
-	)
+	var scanErr error
 	if len(need) > 0 {
-		m, failures, scanErr = w.Scanner.ScanPairs(leaseCtx, names, need)
+		_, scanErr = w.Scanner.ScanPairs(leaseCtx, ledger, need)
 	}
 	cancelLease()
 	<-hbDone
@@ -311,29 +336,22 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 		return err
 	}
 
-	// Assemble the submission: replayed + fresh + failed, one entry per
-	// shard pair, in the shard's canonical pair order.
-	failed := make(map[[2]string]bool, len(failures))
-	for _, f := range failures {
-		failed[normPair([2]string{f.X, f.Y})] = true
-	}
-	results := make([]PairResult, 0, len(pairs))
-	for _, p := range pairs {
-		k := normPair(p)
-		if rtt, ok := measured[k]; ok {
-			results = append(results, PairResult{X: p[0], Y: p[1], RTT: rtt})
-			continue
+	// The submission: one entry per shard pair, in the shard's canonical
+	// order. A completed scan settled every pair it was given, so a pair the
+	// ledger holds no measurement of is one the scan gave up on.
+	results := make([]PairResult, 0, sh.PairCount())
+	for c := sh.cursor(len(names)); ; {
+		i, j, ok := c.next()
+		if !ok {
+			break
 		}
-		if failed[k] {
-			results = append(results, PairResult{X: p[0], Y: p[1], Failed: true})
-			continue
+		r := PairResult{X: names[i], Y: names[j]}
+		if measured(ledger, i, j) {
+			r.RTT = ledger.At(i, j)
+		} else {
+			r.Failed = true
 		}
-		rtt, err := m.RTT(p[0], p[1])
-		if err != nil {
-			return fmt.Errorf("campaign: shard %s: %w", lease.Shard.ID, err)
-		}
-		measured[k] = rtt
-		results = append(results, PairResult{X: p[0], Y: p[1], RTT: rtt})
+		results = append(results, r)
 	}
 
 	// A fully-measured lease is too expensive to abandon to a transport
@@ -349,26 +367,19 @@ func (w *Worker) runLease(ctx context.Context, names []string, lease Lease, meas
 		}
 		if errors.Is(err, ErrFenced) {
 			// Someone else's epoch won the shard. Our measurements stay in
-			// our log (and in measured) — if the coordinator re-grants us a
-			// shard overlapping them, they replay for free.
+			// our log and our ledger — if the coordinator re-grants us the
+			// shard, they are submitted without being measured again.
 			return fmt.Errorf("submission fenced: %w", err)
 		}
 		if !IsTransient(err) {
 			return err
 		}
-		w.logf("worker %s: complete %s (transient, will retry): %v", w.Name, lease.Shard.ID, err)
+		w.logf("worker %s: complete %s (transient, will retry): %v", w.Name, sh.ID, err)
 		if gerr := rec.wait(ctx, err); gerr != nil {
 			return gerr
 		}
 	}
 	w.logf("worker %s: completed shard %s (%d pairs, %d replayed)",
-		w.Name, lease.Shard.ID, len(pairs), len(pairs)-len(need))
+		w.Name, sh.ID, sh.PairCount(), sh.PairCount()-len(need))
 	return nil
-}
-
-func normPair(p [2]string) [2]string {
-	if p[0] > p[1] {
-		p[0], p[1] = p[1], p[0]
-	}
-	return p
 }

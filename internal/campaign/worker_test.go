@@ -3,16 +3,19 @@ package campaign
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ting/internal/directory"
 	"ting/internal/experiments"
+	"ting/internal/stats"
 	"ting/internal/ting"
 )
 
@@ -126,14 +129,7 @@ func TestWorkerFlushesShardRecordBeforeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := directory.NewServer(directory.NewRegistry())
-	NewServer(coord).Register(ds)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ds.Serve(ln)
-	defer ds.Close()
+	addr := serveCoordinator(t, coord)
 
 	path := filepath.Join(t.TempDir(), "worker.ckpt")
 	file, err := ting.OpenFileCheckpoint(path)
@@ -143,7 +139,7 @@ func TestWorkerFlushesShardRecordBeforeScan(t *testing.T) {
 	defer file.Close()
 	cp := &peekCheckpoint{FileCheckpoint: file, path: path}
 	w := &Worker{
-		Name: "w1", Addr: ln.Addr().String(), Checkpoint: cp, Poll: 10 * time.Millisecond,
+		Name: "w1", Addr: addr, Checkpoint: cp, Poll: 10 * time.Millisecond,
 		Scanner: &ting.Scanner{
 			Workers:     1,
 			Checkpoint:  cp,
@@ -158,5 +154,142 @@ func TestWorkerFlushesShardRecordBeforeScan(t *testing.T) {
 	shard := coord.Snapshot().Shards[0].ID
 	if want := `{"t":"shard","shard":"` + shard + `","lease":1,"worker":"w1"}` + "\n"; string(cp.onDisk) != want {
 		t.Fatalf("as the scan started the log held %q, want %q", cp.onDisk, want)
+	}
+}
+
+// serveCoordinator puts coord behind the campaign verb on a loopback
+// listener and returns its address.
+func serveCoordinator(t *testing.T, coord *Coordinator) string {
+	t.Helper()
+	ds := directory.NewServer(directory.NewRegistry())
+	NewServer(coord).Register(ds)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ds.Serve(ln)
+	t.Cleanup(func() { ds.Close() })
+	return ln.Addr().String()
+}
+
+// countingProber counts the circuit series it samples.
+type countingProber struct {
+	inner  ting.CircuitProber
+	series *atomic.Int64
+}
+
+func (p countingProber) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	p.series.Add(1)
+	return p.inner.SampleCircuit(ctx, path, n)
+}
+
+// TestWorkerResubmitsWithoutNewSeries: the worker's matrix is its ledger. A
+// shard the worker measured under a lease it then lost to a fence is
+// submitted with zero new series when it is granted the shard again —
+// from the same ledger in the same process, or from the ledger its
+// checkpoint replays after a restart.
+func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
+	world, err := experiments.NewTestbedWorld(8, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := world.Names
+	for _, restart := range []bool{false, true} {
+		name := "fenced"
+		if restart {
+			name = "restarted"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			clock := newFakeClock()
+			coord, err := NewCoordinator(names, Partition(len(names), 1), time.Second, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord.clock = clock.now
+			addr := serveCoordinator(t, coord)
+			path := filepath.Join(t.TempDir(), "w1.ckpt")
+			var series atomic.Int64
+			newWorker := func() (*Worker, *ting.FileCheckpoint) {
+				cp, err := ting.OpenFileCheckpoint(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &Worker{
+					Name: "w1", Addr: addr, Checkpoint: cp,
+					HeartbeatEvery: time.Hour, Poll: 10 * time.Millisecond,
+					Scanner: &ting.Scanner{
+						Workers:    1,
+						Checkpoint: cp,
+						NewMeasurer: func(int) (*ting.Measurer, error) {
+							p := world.Prober(0)
+							p.Exact = true
+							return ting.NewMeasurer(ting.Config{
+								Prober: countingProber{p, &series}, W: world.W, Z: world.Z, Samples: 1,
+							})
+						},
+					},
+				}, cp
+			}
+
+			// w1's lease is fenced before it submits: the shard expires, is
+			// granted to w2, and expires again.
+			l1, _, err := coord.Acquire("w1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock.advance(2 * time.Second)
+			if _, res, err := coord.Acquire("w2"); err != nil || res != AcquireGranted {
+				t.Fatalf("re-grant to w2: %v %v", res, err)
+			}
+			clock.advance(2 * time.Second)
+			w, cp := newWorker()
+			ledger, err := w.openLedger(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &reconnector{
+				backoff: stats.Backoff{Base: 10 * time.Millisecond, Max: 10 * time.Millisecond},
+				grace:   time.Minute,
+				rng:     rand.New(rand.NewSource(1)),
+			}
+			if err := w.runLease(ctx, names, ledger, l1, rec); !errors.Is(err, ErrFenced) {
+				t.Fatalf("stale lease's submission: %v, want ErrFenced", err)
+			}
+			spent := series.Load()
+			if spent == 0 {
+				t.Fatal("the fenced lease measured nothing")
+			}
+
+			if restart {
+				if err := cp.Close(); err != nil {
+					t.Fatal(err)
+				}
+				w, cp = newWorker()
+				if err := w.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				l3, res, err := coord.Acquire("w1")
+				if err != nil || res != AcquireGranted {
+					t.Fatalf("re-grant to w1: %v %v", res, err)
+				}
+				if err := w.runLease(ctx, names, ledger, l3, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer cp.Close()
+			if got := series.Load() - spent; got != 0 {
+				t.Errorf("the re-granted shard took %d new series, want 0", got)
+			}
+			merged, err := coord.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc := merged.ProvCounts(); pc.Fresh != len(names)*(len(names)-1)/2 {
+				t.Errorf("merged provenance %+v, want every pair measured", pc)
+			}
+		})
 	}
 }

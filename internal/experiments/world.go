@@ -19,7 +19,8 @@ import (
 )
 
 // World is a measurement setup: a synthetic Internet, a measurement host,
-// and the two colocated local relays w and z.
+// and the two colocated local relays w and z. Every prober Prober returns
+// reads NodeOf in place, so it is not changed after the world is built.
 type World struct {
 	Topo   *inet.Topology
 	Host   inet.NodeID

@@ -100,7 +100,7 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 			total := doneOff + len(batch)
 			sub.Progress = func(done, _ int) { progress(off+done, total) }
 		}
-		bm, fails, err := sub.run(ctx, names, nil, nil, batch)
+		bm, fails, err := sub.runFresh(ctx, names, nil, batch)
 		doneOff += len(batch)
 		failures = append(failures, fails...)
 		if bm != nil {

@@ -204,7 +204,7 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		Health:       mon.cfg.Health,
 		SkipFailures: true,
 	}
-	m, failures, err := engine.run(ctx, mon.matrix.Names(), nil, nil, todo)
+	m, failures, err := engine.runFresh(ctx, mon.matrix.Names(), nil, todo)
 	if m == nil {
 		return 0, err
 	}

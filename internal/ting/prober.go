@@ -84,16 +84,15 @@ type ModelProber struct {
 }
 
 // NewModelProber creates a prober at the given host node. nodeOf maps
-// relay names (as used in circuit paths) to topology nodes.
+// relay names (as used in circuit paths) to topology nodes. The prober
+// reads nodeOf in place rather than copying it — a scan builds a prober per
+// worker, so a campaign builds one per lease — and the map must not change
+// while the prober is in use.
 func NewModelProber(topo *inet.Topology, host inet.NodeID, nodeOf map[string]inet.NodeID, seed int64) *ModelProber {
-	m := make(map[string]inet.NodeID, len(nodeOf))
-	for k, v := range nodeOf {
-		m[k] = v
-	}
 	return &ModelProber{
 		prober: inet.NewProber(topo, seed),
 		host:   host,
-		nodeOf: m,
+		nodeOf: nodeOf,
 	}
 }
 

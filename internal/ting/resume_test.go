@@ -52,6 +52,25 @@ func (r *pairRecorder) len() int {
 	return len(r.pairs)
 }
 
+// cancelAtPair cancels its scan as the at-th pair's own circuit is about to
+// be sampled, so that pair fails with the cancellation and every earlier one
+// was measured, however the scan groups pairs into runs.
+type cancelAtPair struct {
+	*fakeProber
+	at     int
+	pairs  int
+	cancel context.CancelFunc
+}
+
+func (p *cancelAtPair) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	if len(path) == 4 { // w, x, y, z: a pair's circuit, not a half
+		if p.pairs++; p.pairs == p.at {
+			p.cancel()
+		}
+	}
+	return p.fakeProber.SampleCircuit(ctx, path, n)
+}
+
 // TestScannerResumeAfterCancel is the durability acceptance test: a scan
 // over a deterministic world is cancelled at 50%, then resumed from its
 // checkpoint. The resumed scan must re-measure only the unfinished pairs,
@@ -59,10 +78,10 @@ func (r *pairRecorder) len() int {
 func TestScannerResumeAfterCancel(t *testing.T) {
 	names := []string{"x", "y", "u", "v"} // 6 pairs
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
-	newScanner := func(rec *pairRecorder, cp Checkpoint, obs *Observer) *Scanner {
+	newScanner := func(rec *pairRecorder, cp Checkpoint, obs *Observer, prober CircuitProber) *Scanner {
 		return &Scanner{
 			NewMeasurer: func(worker int) (*Measurer, error) {
-				return NewMeasurer(Config{Prober: bigFakeWorld(), W: "w", Z: "z",
+				return NewMeasurer(Config{Prober: prober, W: "w", Z: "z",
 					Samples: 2, Observer: rec.observer()})
 			},
 			Workers:    1, // deterministic order: all of x's pairs first
@@ -71,7 +90,8 @@ func TestScannerResumeAfterCancel(t *testing.T) {
 		}
 	}
 
-	// Phase 1: cancel once half the pairs are done.
+	// Phase 1: cancel inside the 4th pair's measurement — after exactly 3
+	// pairs, whether the scan settled them one by one or in one run.
 	cp1, err := OpenFileCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +100,8 @@ func TestScannerResumeAfterCancel(t *testing.T) {
 	defer cancel()
 	rec1 := newPairRecorder()
 	var appends int
-	sc1 := newScanner(rec1, cp1, &Observer{CheckpointAppend: func(*CheckpointRecord) { appends++ }})
-	sc1.Progress = func(done, total int) {
-		if done >= 3 {
-			cancel()
-		}
-	}
+	sc1 := newScanner(rec1, cp1, &Observer{CheckpointAppend: func(*CheckpointRecord) { appends++ }},
+		&cancelAtPair{fakeProber: bigFakeWorld(), at: 4, cancel: cancel})
 	partial, failures, err := sc1.Scan(ctx, names)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("phase 1 err = %v, want context.Canceled", err)
@@ -120,7 +136,7 @@ func TestScannerResumeAfterCancel(t *testing.T) {
 	var gotPairs, gotHalves int
 	sc2 := newScanner(rec2, nil, &Observer{CheckpointReplay: func(pairs, halves int) {
 		gotPairs, gotHalves = pairs, halves
-	}})
+	}}, bigFakeWorld())
 	m, failures, err := sc2.Resume(context.Background(), cp2)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +175,7 @@ func TestScannerResumeAfterCancel(t *testing.T) {
 
 	// The resumed campaign's matrix is indistinguishable from one that was
 	// never interrupted.
-	un := newScanner(newPairRecorder(), nil, nil)
+	un := newScanner(newPairRecorder(), nil, nil, bigFakeWorld())
 	want, _, err := un.Scan(context.Background(), names)
 	if err != nil {
 		t.Fatal(err)

@@ -61,9 +61,10 @@ type scan struct {
 	// every pair it can hold; an old one is never written again.
 	names atomic.Pointer[[]string]
 
-	// mu guards the result, progress, the error latches and backoff jitter.
+	// mu guards the result, progress, the error latches and backoff jitter
+	// (nil until the first backoff).
 	mu            sync.Mutex
-	m             *Matrix
+	m             *Matrix // the caller's: run measures into it
 	failures      []PairError
 	done, total   int
 	replayedPairs int
@@ -86,26 +87,28 @@ type scan struct {
 	fps      map[string]string
 }
 
-// run executes one scan over names. With restrict nil every unordered pair
-// is scheduled (the all-pairs campaign); otherwise only the listed pairs
-// are — a campaign shard, a budgeted batch, a monitor sweep. A non-nil
-// resumed is the replayed log of the campaign cp continues. Restricted
-// pairs flow through the same replay, tombstone, breaker and checkpoint
-// machinery as the full sweep.
-func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointState, cp Checkpoint, restrict [][2]string) (*Matrix, []PairError, error) {
+// run executes one scan over m's relays and writes its results into m.
+// With restrict nil every unordered pair is scheduled (the all-pairs
+// campaign); otherwise only the listed pairs are — a campaign shard, a
+// budgeted batch, a monitor sweep. A non-nil resumed is the replayed log of
+// the campaign cp continues, and the relays reconcile finds joined since
+// are added to m. Restricted pairs flow through the same replay, tombstone,
+// breaker and checkpoint machinery as the full sweep. It returns m, or nil
+// when the scan failed before measuring anything.
+func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, cp Checkpoint, restrict [][2]string) (*Matrix, []PairError, error) {
 	if s.NewMeasurer == nil {
 		return nil, nil, errors.New("ting: scanner missing NewMeasurer")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sc := &scan{s: s, cp: cp, resumed: resumed}
-	names, joined, rotated := sc.reconcile(names)
-	m, err := NewMatrix(names)
-	if err != nil {
-		return nil, nil, err
+	sc := &scan{s: s, cp: cp, resumed: resumed, m: m}
+	names, joined, rotated := sc.reconcile(m.Names())
+	for _, n := range names[m.N():] {
+		if err := m.AddName(n); err != nil {
+			return nil, nil, err
+		}
 	}
-	sc.m = m
 	all := m.Names()
 	sc.names.Store(&all)
 	todo, err := sc.plan(len(names), restrict)
@@ -149,7 +152,6 @@ func (s *Scanner) run(ctx context.Context, names []string, resumed *CheckpointSt
 		sc.est = NewDeadlineEstimator(min, s.PairTimeout, s.Observer)
 	}
 	sc.backoff = stats.Backoff{Base: s.Backoff, Factor: 2, Jitter: 0.5}
-	sc.jitter = rand.New(rand.NewSource(s.Shuffle ^ 0x7107))
 	sc.ctx, sc.cancel = context.WithCancel(ctx)
 	defer sc.cancel()
 
@@ -807,6 +809,12 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 			job.fullDeadline = true
 		}
 		sc.mu.Lock()
+		if sc.jitter == nil {
+			// Built on first use from the seed it always had, so retry
+			// schedules are unchanged and a scan that never retries never
+			// pays for the source.
+			sc.jitter = rand.New(rand.NewSource(sc.s.Shuffle ^ 0x7107))
+		}
 		d := sc.backoff.Delay(int(job.attempt), sc.jitter)
 		sc.mu.Unlock()
 		sc.s.Observer.retry(x, y, int(job.attempt), d, err)

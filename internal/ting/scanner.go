@@ -22,10 +22,12 @@ import (
 // departed identity's cached state.
 //
 // A Scanner is configuration only. Scan, ScanPairs, Resume, ScanBudget's
-// batches and Monitor.Sweep are adaptors over one engine: each calls run,
-// which allocates the scan state type (scan.go) and drives its phases,
-// with the pairs themselves — queued per worker, retried, parked behind a
-// breaker, added by a join — held by its one schedule (schedule.go).
+// batches and Monitor.Sweep are adaptors over one engine: each calls run
+// with the matrix to measure into (ScanPairs the caller's, the others a
+// fresh one), and run allocates the scan state type (scan.go) and drives its
+// phases, with the pairs themselves — queued per worker, retried, parked
+// behind a breaker, added by a join — held by its one schedule
+// (schedule.go).
 type Scanner struct {
 	// NewMeasurer builds one Measurer per worker. Probers are typically
 	// not safe for concurrent use, so each worker gets its own. Required.
@@ -176,25 +178,40 @@ type pairJob struct {
 // missing cells — with a Checkpoint configured, nothing measured is ever
 // lost.
 func (s *Scanner) Scan(ctx context.Context, names []string) (*Matrix, []PairError, error) {
-	return s.run(ctx, names, nil, s.Checkpoint, nil)
+	return s.runFresh(ctx, names, s.Checkpoint, nil)
 }
 
-// ScanPairs measures only the listed unordered pairs among names and
-// returns a matrix over the full name set — the distributed-campaign
-// entry point, where a worker's shard lease names a slice of the pair
-// space but the matrix (and the checkpoint's campaign header) must be
-// framed over the whole campaign so per-worker results merge without
-// re-indexing. Every endpoint must appear in names, no pair may be a
-// self-pair, and no pair may be listed twice, in either order. Restricted
-// pairs flow through the same retry, churn, breaker, and checkpoint
-// machinery as a full Scan; the contract is otherwise Scan's.
-func (s *Scanner) ScanPairs(ctx context.Context, names []string, pairs [][2]string) (*Matrix, []PairError, error) {
+// runFresh is run over a fresh matrix of names.
+func (s *Scanner) runFresh(ctx context.Context, names []string, cp Checkpoint, restrict [][2]string) (*Matrix, []PairError, error) {
+	m, err := NewMatrix(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.run(ctx, m, nil, cp, restrict)
+}
+
+// ScanPairs measures only the listed unordered pairs among m's relays and
+// writes each success into m as ProvFresh — the distributed-campaign entry
+// point. A worker measures every shard lease it holds into one matrix
+// framed over the whole campaign, so the matrix is its ledger: what a
+// re-granted shard still needs, what a restart replayed, and what a
+// submission reports are all read from it, and per-worker results merge
+// without re-indexing. Cells that are not listed are left as they are. The
+// checkpoint's campaign header is m's relay set. Every endpoint must be one
+// of m's relays, no pair may be a self-pair, and no pair may be listed
+// twice, in either order. Restricted pairs flow through the same retry,
+// churn, breaker, and checkpoint machinery as a full Scan; a relay that
+// joins the consensus mid-scan is added to m. Nothing else may read or
+// write m while the scan runs. The failures and the error are Scan's; on
+// error, the pairs measured before it are already in m.
+func (s *Scanner) ScanPairs(ctx context.Context, m *Matrix, pairs [][2]string) ([]PairError, error) {
 	if pairs == nil {
 		// nil restrict means "all pairs" to run; an explicitly empty
 		// restriction must stay empty.
 		pairs = [][2]string{}
 	}
-	return s.run(ctx, names, nil, s.Checkpoint, pairs)
+	_, failures, err := s.run(ctx, m, nil, s.Checkpoint, pairs)
+	return failures, err
 }
 
 // Resume continues the interrupted campaign recorded in cp: the log is
@@ -219,5 +236,9 @@ func (s *Scanner) Resume(ctx context.Context, cp Checkpoint) (*Matrix, []PairErr
 	if len(st.Names) == 0 {
 		return nil, nil, errors.New("ting: checkpoint has no campaign header; nothing to resume")
 	}
-	return s.run(ctx, st.Names, st, cp, nil)
+	m, err := NewMatrix(st.Names)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.run(ctx, m, st, cp, nil)
 }

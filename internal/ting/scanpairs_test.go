@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// mustMatrix is NewMatrix(names) for tests.
+func mustMatrix(t *testing.T, names []string) *Matrix {
+	t.Helper()
+	m, err := NewMatrix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestScanPairsRestrictsToListedPairs(t *testing.T) {
 	f := bigFakeWorld()
 	sc := &Scanner{
@@ -16,7 +26,15 @@ func TestScanPairsRestrictsToListedPairs(t *testing.T) {
 		Workers: 2,
 	}
 	names := []string{"x", "y", "u", "v"}
-	m, failures, err := sc.ScanPairs(context.Background(), names, [][2]string{{"x", "y"}, {"u", "v"}})
+	m := mustMatrix(t, names)
+	// A cell the caller already holds is the caller's: left as it is.
+	if err := m.Set("x", "u", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetProv("x", "u", ProvResumed); err != nil {
+		t.Fatal(err)
+	}
+	failures, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "y"}, {"u", "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +52,13 @@ func TestScanPairsRestrictsToListedPairs(t *testing.T) {
 			t.Errorf("pair %v rtt = %g, want measured", p, v)
 		}
 	}
-	for _, p := range [][2]string{{"x", "u"}, {"x", "v"}, {"y", "u"}, {"y", "v"}} {
+	for _, p := range [][2]string{{"x", "v"}, {"y", "u"}, {"y", "v"}} {
 		if prov := m.Prov(p[0], p[1]); prov != ProvMissing {
 			t.Errorf("unlisted pair %v prov = %v, want missing", p, prov)
 		}
+	}
+	if v, _ := m.RTT("x", "u"); v != 7 || m.Prov("x", "u") != ProvResumed {
+		t.Errorf("the caller's cell (x,u) became %g, %v", v, m.Prov("x", "u"))
 	}
 }
 
@@ -48,22 +69,22 @@ func TestScanPairsValidation(t *testing.T) {
 			return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1})
 		},
 	}
-	names := []string{"x", "y"}
-	if _, _, err := sc.ScanPairs(context.Background(), names, [][2]string{{"x", "x"}}); err == nil || !strings.Contains(err.Error(), "self-pair") {
+	m := mustMatrix(t, []string{"x", "y"})
+	if _, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "x"}}); err == nil || !strings.Contains(err.Error(), "self-pair") {
 		t.Errorf("self-pair err = %v", err)
 	}
-	if _, _, err := sc.ScanPairs(context.Background(), names, [][2]string{{"x", "nope"}}); err == nil || !strings.Contains(err.Error(), "not in names") {
+	if _, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "nope"}}); err == nil || !strings.Contains(err.Error(), "not in names") {
 		t.Errorf("unknown endpoint err = %v", err)
 	}
 	// A pair listed twice would be measured, counted and logged twice.
 	for _, dup := range [][][2]string{{{"x", "y"}, {"x", "y"}}, {{"x", "y"}, {"y", "x"}}} {
-		if _, _, err := sc.ScanPairs(context.Background(), names, dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		if _, err := sc.ScanPairs(context.Background(), m, dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
 			t.Errorf("pairs %v: err = %v, want the duplicate refused", dup, err)
 		}
 	}
 	// An explicitly empty restriction measures nothing — and is not an
 	// all-pairs scan.
-	m, failures, err := sc.ScanPairs(context.Background(), names, [][2]string{})
+	failures, err := sc.ScanPairs(context.Background(), m, [][2]string{})
 	if err != nil || len(failures) != 0 {
 		t.Fatalf("empty restriction: %v %v", failures, err)
 	}
@@ -82,7 +103,7 @@ func TestScanPairsCheckpointsLikeScan(t *testing.T) {
 		Checkpoint: cp,
 	}
 	names := []string{"x", "y", "u", "v"}
-	if _, _, err := sc.ScanPairs(context.Background(), names, [][2]string{{"x", "y"}}); err != nil {
+	if _, err := sc.ScanPairs(context.Background(), mustMatrix(t, names), [][2]string{{"x", "y"}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ReplayState(cp)
