@@ -299,8 +299,7 @@ func BenchmarkInformedRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := &Informed{UseMu: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = s.Run(sc, rng)
 	}
 }

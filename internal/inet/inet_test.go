@@ -227,13 +227,15 @@ func TestProberPingBias(t *testing.T) {
 	a.ICMPBiasMs, a.TCPBiasMs, a.Biased = 10, -5, true
 	b.ICMPBiasMs, b.TCPBiasMs, b.Biased = 0, 0, false
 
+	// Each ping adds one link-jitter draw from the prober's stream, which is
+	// math/rand's at the same seed.
 	p := NewProber(topo, 9)
-	p.LinkJitterMs = 0 // deterministic
-	if got := p.Ping(0, 1); got != 110 {
-		t.Errorf("Ping = %v, want 110", got)
+	ref := rand.New(rand.NewSource(9))
+	if got, want := p.Ping(0, 1), 110+ref.ExpFloat64()*linkJitterMs; got != want {
+		t.Errorf("Ping = %v, want %v", got, want)
 	}
-	if got := p.TCPPing(0, 1); got != 95 {
-		t.Errorf("TCPPing = %v, want 95", got)
+	if got, want := p.TCPPing(0, 1), 95+ref.ExpFloat64()*linkJitterMs; got != want {
+		t.Errorf("TCPPing = %v, want %v", got, want)
 	}
 }
 
@@ -261,17 +263,21 @@ func TestTorPathRTTComposition(t *testing.T) {
 		topo.Node(id).Fwd = ForwardingModel{BaseMs: 1, QueueMeanMs: 1e-12}
 	}
 	p := NewProber(topo, 14)
-	p.LinkJitterMs = 0
+	ref := rand.New(rand.NewSource(14))
 
 	got := make([]float64, 3)
 	if err := p.TorPathRTT(host, []NodeID{w, x, y, z}, got); err != nil {
 		t.Fatal(err)
 	}
-	want := topo.RTT(host, w) + topo.RTT(w, x) + topo.RTT(x, y) +
+	legs := topo.RTT(host, w) + topo.RTT(w, x) + topo.RTT(x, y) +
 		topo.RTT(y, z) + topo.RTT(z, host) + 8 // 2 fwd × 4 relays × 1ms
 	for i, v := range got {
-		if math.Abs(v-want) > 0.01 {
-			t.Errorf("TorPathRTT sample %d = %v, want %v", i, v, want)
+		// Only the link jitter is left: at most a few ms above the legs.
+		if v < legs-0.01 || v > legs+3 {
+			t.Errorf("TorPathRTT sample %d = %v, want legs %v plus jitter", i, v, legs)
+		}
+		if want := torPathSample(topo, ref, linkJitterMs, host, []NodeID{w, x, y, z}); v != want {
+			t.Errorf("TorPathRTT sample %d = %v, reference %v", i, v, want)
 		}
 	}
 
@@ -315,9 +321,6 @@ func TestTorPathRTTSeriesMatchesPerSample(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewProber(topo, seed)
 		ref := rand.New(rand.NewSource(seed))
-		if seed%5 == 0 {
-			p.LinkJitterMs = 0
-		}
 		for call := 0; call < 8; call++ {
 			relays := make([]NodeID, 1+rng.Intn(4))
 			for i := range relays {
@@ -328,7 +331,7 @@ func TestTorPathRTTSeriesMatchesPerSample(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, got := range out {
-				want := torPathSample(topo, ref, p.LinkJitterMs, host, relays)
+				want := torPathSample(topo, ref, linkJitterMs, host, relays)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d call %d path %v: sample %d of %d = %v, reference %v",
 						seed, call, relays, i, len(out), got, want)

@@ -17,16 +17,28 @@ import (
 // distinct seeds.
 type Prober struct {
 	topo *Topology
-	rng  *rand.Rand
-
-	// LinkJitterMs is the mean of the exponential per-sample jitter added
-	// once per path (queueing outside the relays). Default 0.15.
-	LinkJitterMs float64
+	seed int64
+	rng  *stream // math/rand's value stream at seed, built on the first draw
 }
 
-// NewProber creates a prober over topo with a deterministic seed.
+// linkJitterMs is the mean of the exponential per-sample jitter added once
+// per path (queueing outside the relays).
+const linkJitterMs = 0.15
+
+// NewProber creates a prober over topo with a deterministic seed. Its draws
+// are those of rand.New(rand.NewSource(seed)), in call order.
 func NewProber(topo *Topology, seed int64) *Prober {
-	return &Prober{topo: topo, rng: rand.New(rand.NewSource(seed)), LinkJitterMs: 0.15}
+	return &Prober{topo: topo, seed: seed}
+}
+
+// draws returns the prober's stream, seeding it on first use: a prober that
+// never draws (an Exact ModelProber, built once per campaign lease) never
+// pays for the generator's state.
+func (p *Prober) draws() *stream {
+	if p.rng == nil {
+		p.rng = newStream(p.seed)
+	}
+	return p.rng
 }
 
 // Ping returns one ICMP round-trip sample between two nodes, in
@@ -60,6 +72,12 @@ func (p *Prober) TCPPing(from, to NodeID) float64 {
 // adds its draws to that sum in path order, so a series is bitwise what
 // len(out) one-sample calls give. The relays' models are copied to the
 // stack, so the call writes nothing but out and the RNG.
+//
+// The draws are ForwardingModel.Sample's for each relay twice, then the
+// link jitter's, in that order. The loop keeps the stream's cursor in a
+// local and takes the ziggurat's accepting first step and Float64 inline;
+// only a rejected exponential draw, a Float64 redraw and a spike's size
+// go through the stream's methods.
 func (p *Prober) TorPathRTT(host NodeID, relays []NodeID, out []float64) error {
 	legs, err := p.legs(host, relays)
 	if err != nil {
@@ -70,13 +88,52 @@ func (p *Prober) TorPathRTT(host NodeID, relays []NodeID, out []float64) error {
 	for _, r := range relays {
 		fwd = append(fwd, p.topo.Node(r).Fwd)
 	}
+	s := p.draws()
+	k := s.pos
+	var w uint64
 	for i := range out {
 		sum := legs
 		for _, f := range fwd {
-			sum += f.Sample(p.rng) + f.Sample(p.rng)
+			var pair float64 // the relay's two draws: 0 + d0 + d1 is d0 + d1
+			for range 2 {
+				w, k = s.at(k)
+				j := uint32(w >> 31)
+				x := float64(j) * float64(we[j&0xFF])
+				if j >= ke[j&0xFF] {
+					s.pos = k
+					x = s.expFrom(j)
+					k = s.pos
+				}
+				d := f.BaseMs + x*f.QueueMeanMs
+				if f.SpikeProb > 0 {
+					w, k = s.at(k)
+					u := float64(int64(w&rngMask)) / (1 << 63)
+					if u == 1 {
+						s.pos = k
+						u = s.Float64()
+						k = s.pos
+					}
+					if u < f.SpikeProb {
+						s.pos = k
+						d += s.ExpFloat64() * f.SpikeMeanMs
+						k = s.pos
+					}
+				}
+				pair += d
+			}
+			sum += pair
 		}
-		out[i] = sum + p.jitter()
+		w, k = s.at(k)
+		j := uint32(w >> 31)
+		x := float64(j) * float64(we[j&0xFF])
+		if j >= ke[j&0xFF] {
+			s.pos = k
+			x = s.expFrom(j)
+			k = s.pos
+		}
+		out[i] = sum + x*linkJitterMs
 	}
+	s.pos = k
 	return nil
 }
 
@@ -116,12 +173,7 @@ func (p *Prober) TorPathFloorRTT(host NodeID, relays []NodeID) (float64, error) 
 	return sum, nil
 }
 
-func (p *Prober) jitter() float64 {
-	if p.LinkJitterMs <= 0 {
-		return 0
-	}
-	return p.rng.ExpFloat64() * p.LinkJitterMs
-}
+func (p *Prober) jitter() float64 { return p.draws().ExpFloat64() * linkJitterMs }
 
 // AddHost appends a measurement host to the topology: an unbiased,
 // well-connected node at the given coordinate (the machine running s, d, w,

@@ -21,8 +21,7 @@ func benchCellRoundTrip(b *testing.B, near, far Link) {
 	}()
 	c := cell.Cell{Circ: 7, Cmd: cell.Relay}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := near.Send(&c); err != nil {
 			b.Fatal(err)
 		}
@@ -30,7 +29,6 @@ func benchCellRoundTrip(b *testing.B, near, far Link) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	near.Close()
 	far.Close()
 	<-done
@@ -77,8 +75,7 @@ func BenchmarkStreamPipeProbeRoundTrip(b *testing.B) {
 	}()
 	var probe [16]byte // echo.ProbeSize
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := near.Write(probe[:]); err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +83,6 @@ func BenchmarkStreamPipeProbeRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	near.Close()
 	far.Close()
 	<-done

@@ -176,8 +176,7 @@ func TestHandleDoesNotAllocate(t *testing.T) {
 func BenchmarkHandleBatch(b *testing.B) {
 	srv, bodies := benchServer(b, 1000, 64)
 	out := make([]byte, 0, 16<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		out = srv.handle(opRTTBatchEx, bodies[i%len(bodies)], out[:0])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/512, "ns/cell")

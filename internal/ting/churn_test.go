@@ -1078,7 +1078,7 @@ func TestChurnSoakJoinLeaveCancelResume(t *testing.T) {
 // roughly PairTimeout/MinPairTimeout-fold.
 func benchmarkChurnScan(b *testing.B, adaptive bool) {
 	f := bigFakeWorld()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		p := &wedgeProber{f: f, x: "u", y: "v"}
 		sc := &Scanner{
 			NewMeasurer: func(worker int) (*Measurer, error) {

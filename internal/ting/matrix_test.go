@@ -429,8 +429,7 @@ var cloneSink *Matrix
 func BenchmarkMatrixClone(b *testing.B) {
 	m := fullMatrix(b, 1000)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		cloneSink = m.Clone()
 	}
 }
@@ -441,8 +440,7 @@ func BenchmarkMatrixSetAfterClone(b *testing.B) {
 	m := fullMatrix(b, 1000)
 	names := m.Names()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		b.StopTimer()
 		cloneSink = m.Clone()
 		b.StartTimer()
