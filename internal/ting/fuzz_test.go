@@ -22,6 +22,8 @@ func FuzzDecodeMatrix(f *testing.F) {
 	f.Add("tingmatrix n=2\na b\n0 1\n")                   // truncated rows
 	f.Add("tingmatrix n=3\na b\n0 1\n1 0\n")              // dimension/name mismatch
 	f.Add("tingmatrix n=2\na b\n0 1\n1 0\ntrailing junk") // data after the rows
+	f.Add("tingmatrix n=2\na b\n0 1\n2 0\n")              // (1,0) differs from (0,1)
+	f.Add("tingmatrix n=3\na b c\n0 0 5\n0 0 0\n0 0 0\n") // (2,0) is zero, (0,2) is not
 	f.Fuzz(func(t *testing.T, doc string) {
 		got, err := DecodeMatrix(strings.NewReader(doc))
 		if err != nil {

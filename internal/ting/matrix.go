@@ -38,6 +38,10 @@ type tile struct {
 // tidx maps global indices to a cell's offset within its tile.
 func tidx(i, j int) int { return (i&tileMask)<<TileShift | (j & tileMask) }
 
+// ordered puts a pair's smaller index first: the one cell that holds it.
+// min and max compile to conditional moves, so a read pays no branch.
+func ordered(i, j int) (int, int) { return min(i, j), max(i, j) }
+
 // Matrix is an all-pairs RTT dataset over named relays — the artifact
 // Ting exists to produce and every Section 5 application consumes.
 // R[i][j], read via At/RTT, is the measured RTT between Names()[i] and
@@ -48,17 +52,21 @@ func tidx(i, j int) int { return (i&tileMask)<<TileShift | (j & tileMask) }
 // plane) take the MatrixView interface instead, which *Matrix implements —
 // see view.go for the read-side contract.
 //
-// Storage is tiled: cells live in TileDim×TileDim blocks materialized on
-// first write, so a 10k-relay campaign that has measured 1% of its pairs
-// holds 1% (plus block rounding) of the 800 MB a dense N² array would
-// pin. Unmaterialized tiles read as zero / ProvMissing.
+// Storage is tiled and holds one triangle: pair (i, j) lives only in cell
+// (min, max), in tile (min»TileShift, max»TileShift), so tiles with ti > tj
+// are never materialized and a diagonal tile uses its upper half. Tiles
+// are materialized on first write, so a 10k-relay campaign that has
+// measured 1% of its pairs holds 1% (plus block rounding) of the 400 MB
+// the triangle's values would pin. Unmaterialized tiles read as zero /
+// ProvMissing.
 type Matrix struct {
 	names []string
 
 	index map[string]int
 	// tiles[ti][tj] covers rows [ti·TileDim, (ti+1)·TileDim) × the
-	// matching column band; nil until a cell in the block is written. The
-	// grid itself is N²/TileDim² pointers — negligible next to the cells.
+	// matching column band; nil until a cell in the block is written, and
+	// always nil below the diagonal (ti > tj). The grid itself is
+	// N²/TileDim² pointers — negligible next to the cells.
 	tiles [][]*tile
 	// cow[ti][tj] marks tiles[ti][tj] copy-before-write: some Clone shares
 	// the tile, so it must not be written in place. Nil until the first
@@ -154,6 +162,7 @@ func (m *Matrix) N() int { return len(m.names) }
 
 // at reads a cell without bounds checking; unmaterialized tiles are zero.
 func (m *Matrix) at(i, j int) float64 {
+	i, j = ordered(i, j)
 	t := m.tiles[i>>TileShift][j>>TileShift]
 	if t == nil {
 		return 0
@@ -161,13 +170,13 @@ func (m *Matrix) at(i, j int) float64 {
 	return t.r[tidx(i, j)]
 }
 
-// cellTile returns the tile holding (i,j) for writing — the only way to a
-// writable tile. It materializes the tile on first write and, if a Clone
-// shares it, replaces it with a private copy and clears the mark, so the
-// copy is written in place from then on. The whole function fits the
-// inlining budget (cost 78 of 80 under `go build -gcflags=-m=2`; re-check
-// after touching it), so a write to a materialized tile of a matrix that
-// was never cloned pays two compares and no call.
+// cellTile returns the tile holding cell (i,j), i ≤ j, for writing — the
+// only way to a writable tile. It materializes the tile on first write and,
+// if a Clone shares it, replaces it with a private copy and clears the
+// mark, so the copy is written in place from then on. The whole function
+// fits the inlining budget (CI's "Inlining" step fails if it stops), so a
+// write to a materialized tile of a matrix that was never cloned pays two
+// compares and no call.
 func (m *Matrix) cellTile(i, j int) *tile {
 	ti, tj := i>>TileShift, j>>TileShift
 	t := m.tiles[ti][tj]
@@ -206,9 +215,9 @@ func (m *Matrix) AddName(name string) error {
 	return nil
 }
 
-// Set records a measured RTT for a pair, both directions, and in the same
-// tile walk stamps the cell ProvFresh at full confidence: a value that was
-// measured never reads as missing because its writer forgot a second call.
+// Set records a measured RTT for a pair and in the same tile walk stamps
+// the cell ProvFresh at full confidence: a value that was measured never
+// reads as missing because its writer forgot a second call.
 // A writer with another story for the cell says so afterwards (SetProv,
 // as a resumed scan does) or writes through SetPredicted.
 func (m *Matrix) Set(x, y string, ms float64) error {
@@ -224,12 +233,11 @@ func (m *Matrix) Set(x, y string, ms float64) error {
 	return nil
 }
 
-// write stores a cell's whole state, both directions.
+// write stores a pair's whole state in its one cell.
 func (m *Matrix) write(i, j int, ms float64, p Provenance, conf uint8) {
-	ij, ji := tidx(i, j), tidx(j, i)
-	tij, tji := m.cellTile(i, j), m.cellTile(j, i)
-	tij.r[ij], tij.prov[ij], tij.conf[ij] = ms, p, conf
-	tji.r[ji], tji.prov[ji], tji.conf[ji] = ms, p, conf
+	i, j = ordered(i, j)
+	t, off := m.cellTile(i, j), tidx(i, j)
+	t.r[off], t.prov[off], t.conf[off] = ms, p, conf
 }
 
 // RTT returns the RTT between two named relays.
@@ -259,17 +267,20 @@ func (m *Matrix) At(i, j int) float64 {
 // for O(N²)-and-up analysis loops (TIV scans, path enumeration) where
 // per-cell At calls would pay the tile indirection N³ times. The copy is
 // independent of the matrix; mutate neither expecting the other to see
-// it.
+// it. Each stored cell is read once and written to both of its places.
 func (m *Matrix) Dense() [][]float64 {
 	n := len(m.names)
 	rows := make([][]float64, n)
 	backing := make([]float64, n*n)
-	for i := 0; i < n; i++ {
+	for i := range rows {
 		rows[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	for i := 0; i < n; i++ {
 		trow := m.tiles[i>>TileShift]
-		for j := 0; j < n; j++ {
+		for j := i; j < n; j++ {
 			if t := trow[j>>TileShift]; t != nil {
-				rows[i][j] = t.r[tidx(i, j)]
+				v := t.r[tidx(i, j)]
+				rows[i][j], rows[j][i] = v, v
 			}
 		}
 	}
@@ -310,10 +321,10 @@ func (m *Matrix) Clone() *Matrix {
 	return cp
 }
 
-// SetProv records a cell's provenance, both directions. Confidence is
-// derived: measured cells (fresh or resumed) are fully trusted, everything
-// else scores zero — predicted cells carry a real model confidence and go
-// through SetPredicted instead.
+// SetProv records a pair's provenance. Confidence is derived: measured
+// cells (fresh or resumed) are fully trusted, everything else scores zero —
+// predicted cells carry a real model confidence and go through
+// SetPredicted instead.
 func (m *Matrix) SetProv(x, y string, p Provenance) error {
 	i, ok := m.index[x]
 	if !ok {
@@ -333,19 +344,20 @@ func (m *Matrix) setProv(i, j int, p Provenance) {
 	if p == ProvFresh || p == ProvResumed {
 		conf = 255
 	}
-	ij, ji := tidx(i, j), tidx(j, i)
-	tij, tji := m.cellTile(i, j), m.cellTile(j, i)
-	tij.prov[ij] = p
-	tij.conf[ij] = conf
-	tji.prov[ji] = p
-	tji.conf[ji] = conf
+	m.setMark(i, j, p, conf)
+}
+
+// setMark stores a pair's provenance and confidence, leaving its value.
+func (m *Matrix) setMark(i, j int, p Provenance, conf uint8) {
+	i, j = ordered(i, j)
+	t, off := m.cellTile(i, j), tidx(i, j)
+	t.prov[off], t.conf[off] = p, conf
 }
 
 // SetPredicted fills a cell from the coordinate embedding: value, the
 // ProvPredicted provenance, and the model's confidence (clamped to [0, 1],
-// quantized to 1/255 steps), both directions. This is the completion
-// layer's single write path, so a predicted cell can never masquerade as a
-// measured one.
+// quantized to 1/255 steps). This is the completion layer's single write
+// path, so a predicted cell can never masquerade as a measured one.
 func (m *Matrix) SetPredicted(x, y string, ms, conf float64) error {
 	i, ok := m.index[x]
 	if !ok {
@@ -379,6 +391,12 @@ func (m *Matrix) Prov(x, y string) Provenance {
 	if !ok {
 		return ProvMissing
 	}
+	return m.provAt(i, j)
+}
+
+// provAt reads a cell's provenance without bounds checking.
+func (m *Matrix) provAt(i, j int) Provenance {
+	i, j = ordered(i, j)
 	t := m.tiles[i>>TileShift][j>>TileShift]
 	if t == nil {
 		return ProvMissing
@@ -398,6 +416,7 @@ func (m *Matrix) ConfAt(i, j int) float64 {
 	if i == j {
 		return 1
 	}
+	i, j = ordered(i, j)
 	t := m.tiles[i>>TileShift][j>>TileShift]
 	if t == nil {
 		return 0
@@ -435,9 +454,10 @@ func (m *Matrix) Gather(idx []uint32, dst []Cell) int {
 		if i >= n || j >= n {
 			return k
 		}
+		a, b := min(i, j), max(i, j)
 		var c Cell
-		if t := m.tiles[i>>TileShift][j>>TileShift]; t != nil {
-			off := tidx(int(i), int(j))
+		if t := m.tiles[a>>TileShift][b>>TileShift]; t != nil {
+			off := tidx(int(a), int(b))
 			c = Cell{t.r[off], t.prov[off], t.conf[off]}
 		}
 		if i == j {
@@ -536,7 +556,8 @@ func (m *Matrix) PairValues() []float64 {
 // number is appended to one reused scratch buffer and written through the
 // bufio.Writer, so encoding never builds a row's (let alone the
 // document's) text in memory — the dense-encode double-buffer a 10k-node
-// matrix cannot afford.
+// matrix cannot afford. Row i's cells left of the diagonal are column i of
+// the stored triangle, read in place, so no cell is ordered.
 //
 // Measured provenance (fresh/resumed/removed) is runtime annotation and
 // not persisted, but predicted cells are: a budgeted campaign's document
@@ -557,13 +578,18 @@ func (m *Matrix) Encode(w io.Writer) error {
 	n := len(m.names)
 	num := make([]byte, 0, 32)
 	for i := 0; i < n; i++ {
-		trow := m.tiles[i>>TileShift]
+		ti := i >> TileShift
+		trow := m.tiles[ti]
 		for j := 0; j < n; j++ {
 			if j > 0 {
 				bw.WriteByte(' ')
 			}
 			var v float64
-			if t := trow[j>>TileShift]; t != nil {
+			if j < i {
+				if t := m.tiles[j>>TileShift][ti]; t != nil {
+					v = t.r[tidx(j, i)]
+				}
+			} else if t := trow[j>>TileShift]; t != nil {
 				v = t.r[tidx(i, j)]
 			}
 			num = strconv.AppendFloat(num[:0], v, 'g', -1, 64)
@@ -585,9 +611,9 @@ func (m *Matrix) Encode(w io.Writer) error {
 }
 
 // DecodeMatrix parses a matrix document. Malformed documents — bad
-// header, truncated or oversized rows, non-finite cells, trailing data —
-// are explicit errors, never panics or silent truncation: a matrix that
-// decodes is structurally sound.
+// header, truncated or oversized rows, non-finite cells, a cell (i, j)
+// that differs from (j, i), trailing data — are explicit errors, never
+// panics or silent truncation: a matrix that decodes is structurally sound.
 func DecodeMatrix(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -637,9 +663,15 @@ func DecodeMatrix(r io.Reader) (*Matrix, error) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("ting: row %d col %d: non-finite cell %q", i, j, f)
 			}
-			// Zero cells stay unmaterialized: decoding a sparse campaign's
-			// dense document reconstructs a sparse matrix.
-			if v != 0 {
+			// The lower triangle repeats the upper one, which holds the
+			// pair. Zero cells stay unmaterialized: decoding a sparse
+			// campaign's dense document reconstructs a sparse matrix.
+			if j < i {
+				if w := m.at(j, i); v != w {
+					return nil, fmt.Errorf("ting: asymmetric matrix: cell (%d,%d) is %s, (%d,%d) is %s",
+						i, j, f, j, i, strconv.FormatFloat(w, 'g', -1, 64))
+				}
+			} else if v != 0 {
 				m.cellTile(i, j).r[tidx(i, j)] = v
 			}
 		}
@@ -662,12 +694,7 @@ func DecodeMatrix(r io.Reader) (*Matrix, error) {
 		if q < 0 || q > 255 {
 			return nil, fmt.Errorf("ting: pred record (%d,%d) confidence %d outside [0,255]", i, j, q)
 		}
-		ij, ji := tidx(i, j), tidx(j, i)
-		tij, tji := m.cellTile(i, j), m.cellTile(j, i)
-		tij.prov[ij] = ProvPredicted
-		tij.conf[ij] = uint8(q)
-		tji.prov[ji] = ProvPredicted
-		tji.conf[ji] = uint8(q)
+		m.setMark(i, j, ProvPredicted, uint8(q))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ting: matrix document: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -196,8 +197,8 @@ func TestDecodeMatrixStaysSparse(t *testing.T) {
 			}
 		}
 	}
-	if tiles != 2 {
-		t.Errorf("decode materialized %d tiles, want 2 (the mirrored written pair)", tiles)
+	if tiles != 1 {
+		t.Errorf("decode materialized %d tiles, want 1 (the written pair's one cell)", tiles)
 	}
 	var again bytes.Buffer
 	if err := got.Encode(&again); err != nil {
@@ -205,6 +206,58 @@ func TestDecodeMatrixStaysSparse(t *testing.T) {
 	}
 	if again.String() != doc {
 		t.Error("sparse decode re-encodes differently")
+	}
+}
+
+// TestDecodeMatrixRefusesAsymmetry: a document whose (i, j) and (j, i)
+// differ describes no matrix; it is refused with the cell and both values
+// named, across a tile boundary and with a zero on either side.
+func TestDecodeMatrixRefusesAsymmetry(t *testing.T) {
+	names := tileNames(TileDim + 2)
+	for _, c := range []struct {
+		i, j   int
+		ij, ji string
+	}{
+		{0, 1, "2.5", "3"},
+		{1, 0, "7", "0"},
+		{3, TileDim + 1, "0", "1e-3"},
+		{TileDim + 1, 2, "4", "-4"},
+	} {
+		m, err := NewMatrix(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		for _, cell := range []struct {
+			r, c int
+			v    string
+		}{{c.i, c.j, c.ij}, {c.j, c.i, c.ji}} {
+			fields := strings.Fields(rows[2+cell.r])
+			fields[cell.c] = cell.v
+			rows[2+cell.r] = strings.Join(fields, " ")
+		}
+		doc := strings.Join(rows, "\n") + "\n"
+		_, err = DecodeMatrix(strings.NewReader(doc))
+		if err == nil {
+			t.Errorf("(%d,%d) = %s beside (%d,%d) = %s decoded", c.i, c.j, c.ij, c.j, c.i, c.ji)
+			continue
+		}
+		// Row max(i, j) is read second: its cell is the one refused, quoted
+		// as written, beside the stored cell as the matrix holds it.
+		lo, hi := min(c.i, c.j), max(c.i, c.j)
+		read, stored := c.ji, c.ij
+		if c.i > c.j {
+			read, stored = c.ij, c.ji
+		}
+		v, _ := strconv.ParseFloat(stored, 64)
+		want := fmt.Sprintf("cell (%d,%d) is %s, (%d,%d) is %s", hi, lo, read, lo, hi, strconv.FormatFloat(v, 'g', -1, 64))
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 
@@ -372,8 +425,9 @@ func allocated(f func()) (bytes, objects uint64) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
-// fullMatrix returns an n-relay matrix with every tile materialized — one
-// cell written in each, which is all that allocation and copying depend on.
+// fullMatrix returns an n-relay matrix with every tile of its one triangle
+// materialized — one cell written in each, which is all that allocation
+// and copying depend on.
 func fullMatrix(tb testing.TB, n int) *Matrix {
 	tb.Helper()
 	names := tileNames(n)
@@ -394,9 +448,9 @@ func fullMatrix(tb testing.TB, n int) *Matrix {
 	return m
 }
 
-// TestMatrixCloneAllocatesGridNotTiles: cloning a matrix whose 256 tiles are
-// all materialized (10 MB of cells) allocates the names and the grid, and
-// the first Set on the clone copies the two tiles it writes and no others.
+// TestMatrixCloneAllocatesGridNotTiles: cloning a matrix whose 136 tiles are
+// all materialized (5.6 MB of cells) allocates the names and the grid, and
+// the first Set on the clone copies the one tile it writes and no other.
 func TestMatrixCloneAllocatesGridNotTiles(t *testing.T) {
 	const n = 1000
 	m := fullMatrix(t, n)
@@ -410,8 +464,8 @@ func TestMatrixCloneAllocatesGridNotTiles(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if tileBytes := uint64(unsafe.Sizeof(tile{})); objects != 2 || b < 2*tileBytes || b >= 3*tileBytes {
-		t.Errorf("first Set after Clone allocated %d objects, %d bytes; want the 2 tiles it writes (%d bytes each)", objects, b, tileBytes)
+	if tileBytes := uint64(unsafe.Sizeof(tile{})); objects != 1 || b < tileBytes || b >= 2*tileBytes {
+		t.Errorf("first Set after Clone allocated %d objects, %d bytes; want the 1 tile it writes (%d bytes)", objects, b, tileBytes)
 	}
 	if got := m.At(3, n-1); got != 0 {
 		t.Errorf("Set on the clone shows in the source: %v", got)
@@ -435,7 +489,7 @@ func BenchmarkMatrixClone(b *testing.B) {
 }
 
 // BenchmarkMatrixSetAfterClone is what the publish pays later: the first
-// write to a pair after a Clone, which copies the pair's two tiles.
+// write to a pair after a Clone, which copies the pair's one tile.
 func BenchmarkMatrixSetAfterClone(b *testing.B) {
 	m := fullMatrix(b, 1000)
 	names := m.Names()

@@ -81,6 +81,19 @@ type ModelProber struct {
 	prober *inet.Prober
 	host   inet.NodeID
 	nodeOf map[string]inet.NodeID
+	// hops is the previous calls' paths, hop by hop, as names and the nodes
+	// they resolved to; hops[:nhops] are set. Consecutive series share most
+	// hops — a run of pairs shares w, x and z — and a hop whose name is the
+	// one remembered at its position is not looked up again. A scan hands
+	// the prober the same strings every time, so a hit compares pointers.
+	hops  [8]hop
+	nhops int
+}
+
+// hop is one resolved position of a ModelProber's path.
+type hop struct {
+	name string
+	id   inet.NodeID
 }
 
 // NewModelProber creates a prober at the given host node. nodeOf maps
@@ -121,10 +134,18 @@ func (p *ModelProber) SampleCircuitInto(ctx context.Context, path []string, out 
 	}
 	var buf [8]inet.NodeID // the resolved path, on the stack
 	ids := buf[:0]
-	for _, name := range path {
+	for k, name := range path {
+		if k < p.nhops && p.hops[k].name == name {
+			ids = append(ids, p.hops[k].id)
+			continue
+		}
 		id, ok := p.nodeOf[name]
 		if !ok {
 			return fmt.Errorf("ting: unknown relay %q", name)
+		}
+		if k < len(p.hops) {
+			p.hops[k] = hop{name, id}
+			p.nhops = max(p.nhops, k+1)
 		}
 		ids = append(ids, id)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -23,8 +24,9 @@ import (
 //
 //	reconcile  snapshot the consensus; on resume, fold in what changed while
 //	           the campaign was down
-//	plan       list the pairs to attempt; replayed pairs are seeded and pairs
-//	           of departed relays tombstoned without being scheduled
+//	plan       list the runs of pairs to attempt; replayed pairs are seeded
+//	           and pairs of departed relays tombstoned without being
+//	           scheduled
 //	work       one worker's loop: claim a run of pairs, attempt each, flush
 //	           the run's log records and then write its successes together
 //	           (writeRun), size the next run
@@ -111,18 +113,18 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	}
 	all := m.Names()
 	sc.names.Store(&all)
-	todo, err := sc.plan(len(names), restrict)
+	todo, pairs, err := sc.plan(len(names), restrict)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc.total = len(todo)
+	sc.total = pairs
 
 	workers := s.Workers
 	if workers <= 0 {
 		workers = 4
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	if workers > pairs {
+		workers = pairs
 	}
 	measurers, err := s.openMeasurers(workers)
 	if err != nil {
@@ -285,25 +287,35 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 	return names, joined, rotated
 }
 
-// plan lists the pairs this scan will attempt, in schedule order: every
-// pair of the n relays, or only the restricted ones.
-func (sc *scan) plan(n int, restrict [][2]string) ([]pairJob, error) {
-	var todo []pairJob
+// plan lists the pairs this scan will attempt, in schedule order — every
+// pair of the n relays, or only the restricted ones — as runs of
+// consecutive pairs (see pairJob), and counts them. Every pair goes
+// through addPair, which extends the last run or starts a new one, so
+// there is one way to form runs: an all-pairs scan is one run per relay,
+// a restricted list its maximal runs of consecutive y in list order, and a
+// resumed scan's runs break at each pair the log settles. A shuffled
+// scan's runs are single pairs, shuffled as such.
+func (sc *scan) plan(n int, restrict [][2]string) (todo []pairJob, pairs int, err error) {
 	if restrict != nil {
-		if err := sc.checkRestrict(restrict); err != nil {
-			return nil, err
+		runs, err := sc.checkRestrict(restrict)
+		if err != nil {
+			return nil, 0, err
 		}
-		todo = make([]pairJob, 0, len(restrict))
+		todo = make([]pairJob, 0, runs)
 		for _, p := range restrict {
 			i, _ := sc.m.Index(p[0])
 			j, _ := sc.m.Index(p[1])
-			todo = sc.addPair(todo, pairJob{x: int32(i), y: int32(j)})
+			todo, pairs = sc.addPair(todo, pairs, int32(i), int32(j))
 		}
 	} else {
-		todo = make([]pairJob, 0, n*(n-1)/2)
+		size := n
+		if sc.s.Shuffle != 0 {
+			size = n * (n - 1) / 2
+		}
+		todo = make([]pairJob, 0, size)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				todo = sc.addPair(todo, pairJob{x: int32(i), y: int32(j)})
+				todo, pairs = sc.addPair(todo, pairs, int32(i), int32(j))
 			}
 		}
 	}
@@ -311,27 +323,33 @@ func (sc *scan) plan(n int, restrict [][2]string) ([]pairJob, error) {
 		rng := rand.New(rand.NewSource(sc.s.Shuffle))
 		rng.Shuffle(len(todo), func(a, b int) { todo[a], todo[b] = todo[b], todo[a] })
 	}
-	return todo, nil
+	return todo, pairs, nil
 }
 
 // checkRestrict refuses a restricted pair list that names a relay outside
 // the matrix, pairs a relay with itself, or lists a pair twice in either
-// order — which would be measured, counted and logged twice.
-func (sc *scan) checkRestrict(restrict [][2]string) error {
+// order — which would be measured, counted and logged twice — and
+// otherwise counts the runs plan will make of it.
+func (sc *scan) checkRestrict(restrict [][2]string) (runs int, err error) {
 	// Each pair as its two indices, smaller first, packed in one word: a
 	// pair listed twice is two equal words once sorted.
 	keys := make([]uint64, len(restrict))
+	var run pairJob
 	for k, p := range restrict {
 		if p[0] == p[1] {
-			return fmt.Errorf("ting: self-pair (%s,%s)", p[0], p[1])
+			return 0, fmt.Errorf("ting: self-pair (%s,%s)", p[0], p[1])
 		}
 		i, ok := sc.m.Index(p[0])
 		if !ok {
-			return fmt.Errorf("ting: pair endpoint %q not in names", p[0])
+			return 0, fmt.Errorf("ting: pair endpoint %q not in names", p[0])
 		}
 		j, ok := sc.m.Index(p[1])
 		if !ok {
-			return fmt.Errorf("ting: pair endpoint %q not in names", p[1])
+			return 0, fmt.Errorf("ting: pair endpoint %q not in names", p[1])
+		}
+		if k == 0 || sc.s.Shuffle != 0 || !run.extend(int32(i), int32(j)) {
+			run = pairJob{x: int32(i), y: int32(j)}
+			runs++
 		}
 		keys[k] = uint64(min(i, j))<<32 | uint64(max(i, j))
 	}
@@ -339,30 +357,35 @@ func (sc *scan) checkRestrict(restrict [][2]string) error {
 	for k := 1; k < len(keys); k++ {
 		if keys[k] == keys[k-1] {
 			names := sc.m.Names()
-			return fmt.Errorf("ting: pair (%s,%s) listed twice", names[keys[k]>>32], names[keys[k]&(1<<32-1)])
+			return 0, fmt.Errorf("ting: pair (%s,%s) listed twice", names[keys[k]>>32], names[keys[k]&(1<<32-1)])
 		}
 	}
-	return nil
+	return runs, nil
 }
 
-// addPair schedules one pair unless the log already holds it or one of its
-// relays left while the campaign was down. Either way the pair is settled
-// here, outside the progress totals: it is not work this run will do.
-func (sc *scan) addPair(todo []pairJob, job pairJob) []pairJob {
-	if sc.resumed == nil {
-		return append(todo, job)
+// addPair schedules pair (x, y) and counts it, extending the last run of
+// todo when y follows it, unless the log already holds the pair or one of
+// its relays left while the campaign was down. Either way that pair is
+// settled here, outside the progress totals — it is not work this run will
+// do — and the next pair starts a new run.
+func (sc *scan) addPair(todo []pairJob, pairs int, x, y int32) ([]pairJob, int) {
+	if sc.resumed != nil {
+		names := *sc.names.Load()
+		xn, yn := names[x], names[y]
+		if rtt, ok := sc.resumed.Pairs[pairKey(xn, yn)]; ok {
+			sc.m.write(int(x), int(y), rtt, ProvResumed, 255)
+			sc.replayedPairs++
+			return todo, pairs
+		}
+		if relay, epoch, gone := sc.removedRelay(xn, yn); gone {
+			sc.markRemoved(pairJob{x: x, y: y}, relay, epoch)
+			return todo, pairs
+		}
 	}
-	x, y := sc.name(job)
-	if rtt, ok := sc.resumed.Pairs[pairKey(x, y)]; ok {
-		sc.m.write(int(job.x), int(job.y), rtt, ProvResumed, 255)
-		sc.replayedPairs++
-		return todo
+	if k := len(todo) - 1; k < 0 || sc.s.Shuffle != 0 || !todo[k].extend(x, y) {
+		todo = append(todo, pairJob{x: x, y: y})
 	}
-	if relay, epoch, gone := sc.removedRelay(x, y); gone {
-		sc.markRemoved(job, relay, epoch)
-		return todo
-	}
-	return append(todo, job)
+	return todo, pairs + 1
 }
 
 // openLog writes the campaign header (a fresh campaign) or rehydrates the
@@ -802,7 +825,7 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 			h.Failure(relay, err, elapsed)
 		}
 	}
-	if !job.deferred && int(job.attempt) <= sc.s.Retry && !ended(sc.ctx) {
+	if !job.deferred && int(job.attempt) <= min(sc.s.Retry, math.MaxInt16-1) && !ended(sc.ctx) {
 		if adaptive && errors.Is(err, context.DeadlineExceeded) {
 			// The estimator may have strangled a legitimately slow pair:
 			// the retry gets the full PairTimeout.

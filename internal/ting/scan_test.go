@@ -60,10 +60,10 @@ func BenchmarkScanEngine(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perPair, "B/pair")
 }
 
-// TestScanAllocs pins what a scan allocates: the planned list, its
-// placement on the workers' queues, the matrix's tiles, and per-relay
-// state — nothing per pair. At N = 200 that is at most 5·N allocations a
-// scan and 90 bytes a pair. Logged to a FileCheckpoint, a record is encoded
+// TestScanAllocs pins what a scan allocates: the planned runs, their
+// placement on the workers' queues, the matrix's one triangle of tiles,
+// and per-relay state — nothing per pair. At N = 200 that is at most 5·N
+// allocations a scan and 32 bytes a pair, 21 of them the tiles. Logged to a FileCheckpoint, a record is encoded
 // straight into the log's buffer: no allocation per record — at most 0.01
 // allocations a pair beyond the in-memory scan's — and 100 bytes a pair.
 func TestScanAllocs(t *testing.T) {
@@ -92,8 +92,8 @@ func TestScanAllocs(t *testing.T) {
 	}
 	t.Run("in memory", func(t *testing.T) {
 		names, sc := nullScan(n)
-		if allocs, perPair := measure(t, sc, names); allocs > 5*n || perPair > 90 {
-			t.Errorf("%.0f allocations and %.1f bytes a pair per %d-relay scan, want ≤ 5·N = %d and ≤ 90", allocs, perPair, n, 5*n)
+		if allocs, perPair := measure(t, sc, names); allocs > 5*n || perPair > 32 {
+			t.Errorf("%.0f allocations and %.1f bytes a pair per %d-relay scan, want ≤ 5·N = %d and ≤ 32", allocs, perPair, n, 5*n)
 		}
 	})
 	t.Run("file checkpoint", func(t *testing.T) {

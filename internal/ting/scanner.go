@@ -147,12 +147,16 @@ func (e PairError) Error() string {
 // Unwrap exposes the final attempt's error.
 func (e PairError) Unwrap() error { return e.Err }
 
-// pairJob is one queued measurement attempt, 16 bytes. The pair is named
-// by matrix index; names are looked up (scan.name) only where they leave
-// the engine.
+// pairJob is one queued measurement attempt, or a run of them, 16 bytes:
+// the pairs (x, y), (x, y+1) … (x, y+more), named by matrix index; names
+// are looked up (scan.name) only where they leave the engine. plan queues
+// a relay's consecutive pairs as one run, and schedule.take splits runs
+// into single pairs as a worker claims them, so every job a worker holds —
+// and so every retry, park and push — has more = 0.
 type pairJob struct {
 	x, y    int32
-	attempt int32 // attempts already consumed
+	more    int32 // further pairs in the run
+	attempt int16 // attempts already consumed
 	// deferred marks a job that was parked behind an open circuit breaker
 	// once already; a deferred job that still cannot run is quarantined
 	// rather than parked again, so the scan always terminates.
@@ -162,6 +166,19 @@ type pairJob struct {
 	// estimator being wrong about a slow pair costs one retry, not the
 	// pair.
 	fullDeadline bool
+}
+
+// pairs is how many pairs the job stands for.
+func (j pairJob) pairs() int { return int(j.more) + 1 }
+
+// extend adds pair (x, y) to the run if it is the run's next pair, and
+// reports whether it did.
+func (j *pairJob) extend(x, y int32) bool {
+	if j.x != x || j.y+j.more+1 != y {
+		return false
+	}
+	j.more++
+	return true
 }
 
 // Scan measures every unordered pair among names and returns the matrix

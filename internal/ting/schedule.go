@@ -7,12 +7,13 @@ import (
 )
 
 // schedule owns every scheduled pair of one scan from plan until a worker
-// releases it. An open pair is in exactly one place: a worker's FIFO, a
-// worker's hands (from the take that claims it in a run until the push or
-// park that ends its attempt, or the worker's following take, which
-// releases it — or, for a joining relay's pairs, between reserve and push),
-// or the parking lot. One mutex guards all of it, and both end conditions
-// are a comparison on open:
+// releases it. A FIFO entry may be a run of pairs (see pairJob), but what
+// the schedule counts is pairs. An open pair is in exactly one place: a
+// worker's FIFO, a worker's hands (from the take that claims it in a run
+// until the push or park that ends its attempt, or the worker's following
+// take, which releases it — or, for a joining relay's pairs, between
+// reserve and push), or the parking lot. One mutex guards all of it, and
+// both end conditions are a comparison on open:
 //
 //	open == len(parked)  only parked pairs are left: the lot is dealt back
 //	                     for its final verdict
@@ -30,7 +31,7 @@ type schedule struct {
 
 // fifo is one worker's queue.
 type fifo struct {
-	jobs []pairJob // jobs[head:] are waiting
+	jobs []pairJob // jobs[head:] are waiting; jobs[head] may be a run's tail
 	head int
 	wake sync.Cond // on the schedule's mutex; only the owning worker waits
 }
@@ -38,7 +39,10 @@ type fifo struct {
 // newSchedule places todo on workers FIFOs (see assignJobs) and adopts the
 // placed slices as the queues themselves.
 func newSchedule(todo []pairJob, workers int, shuffled bool) *schedule {
-	s := &schedule{fifos: make([]fifo, workers), open: len(todo)}
+	s := &schedule{fifos: make([]fifo, workers)}
+	for _, job := range todo {
+		s.open += job.pairs()
+	}
 	for w, jobs := range assignJobs(todo, workers, shuffled) {
 		s.fifos[w].jobs = jobs
 		s.fifos[w].wake.L = &s.mu
@@ -48,9 +52,10 @@ func newSchedule(todo []pairJob, workers int, shuffled bool) *schedule {
 
 // take first releases the released pairs of worker w's previous run — those
 // that left the worker's hands for good — then blocks until w has a job or
-// the scan is over, and moves up to len(run) of w's queued jobs into run:
-// one lock acquisition a run. It returns the jobs claimed, none once the
-// scan is over.
+// the scan is over, and moves up to len(run) of w's queued pairs into run,
+// one pair a job, splitting the queued run it stops in: one lock
+// acquisition a run. It returns the jobs claimed, none once the scan is
+// over.
 func (s *schedule) take(w, released int, run []pairJob) []pairJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -67,8 +72,23 @@ func (s *schedule) take(w, released int, run []pairJob) []pairJob {
 		}
 		q.wake.Wait()
 	}
-	n := copy(run, q.jobs[q.head:])
-	q.head += n
+	n := 0
+	for n < len(run) && q.head < len(q.jobs) {
+		head := &q.jobs[q.head]
+		job := *head
+		job.more = 0
+		for c := min(head.pairs(), len(run)-n); c > 0; c-- {
+			run[n] = job
+			job.y++
+			n++
+		}
+		if job.y > head.y+head.more {
+			q.head++
+		} else {
+			head.more -= job.y - head.y
+			head.y = job.y
+		}
+	}
 	return run[:n]
 }
 
@@ -141,7 +161,9 @@ func (s *schedule) rebalance() {
 // longest-first onto the least-loaded worker (LPT greedy), so one worker
 // owns all of (x, ·): its prober extends C_x into C_xy once, the
 // half-circuit cache turns the group's remaining C_x lookups into hits,
-// and no two workers block on the same singleflight.
+// and no two workers block on the same singleflight. A group's size and a
+// worker's load are pair counts, so a list of runs is placed pair for pair
+// as the same list written out one pair a job would be.
 func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 	queues := make([][]pairJob, workers)
 	if shuffled {
@@ -156,8 +178,9 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 	// A group is named by its first endpoint's matrix index, so groups live
 	// in one slice indexed by relay, from the lowest first endpoint (a
 	// campaign shard's groups span one tile band, not the relay set). Each
-	// holds its size, then its owner and the slot its next pair lands in.
-	type group struct{ size, w, at int32 }
+	// holds its size in pairs and in jobs, then its owner and the slot its
+	// next job lands in.
+	type group struct{ size, jobs, w, at int32 }
 	lo, hi := int32(math.MaxInt32), int32(-1)
 	for _, job := range todo {
 		lo, hi = min(lo, job.x), max(hi, job.x)
@@ -170,12 +193,14 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 		if g.size == 0 {
 			order = append(order, job.x-lo)
 		}
-		g.size++
+		g.size += int32(job.pairs())
+		g.jobs++
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return int(groups[b].size - groups[a].size) })
 	// LPT gives each group an owner and, since the groups before it on
-	// that worker are known, the slot its first pair lands in.
-	load := make([]int, workers)
+	// that worker are known, the slot its first job lands in.
+	load := make([]int, workers) // pairs
+	slots := make([]int32, workers)
 	for _, x := range order {
 		w := 0
 		for i := 1; i < workers; i++ {
@@ -184,15 +209,16 @@ func assignJobs(todo []pairJob, workers int, shuffled bool) [][]pairJob {
 			}
 		}
 		g := &groups[x]
-		g.w, g.at = int32(w), int32(load[w])
+		g.w, g.at = int32(w), slots[w]
 		load[w] += int(g.size)
+		slots[w] += g.jobs
 	}
 	for w := range queues {
-		if load[w] > 0 {
-			queues[w] = make([]pairJob, load[w])
+		if slots[w] > 0 {
+			queues[w] = make([]pairJob, slots[w])
 		}
 	}
-	// One pass over the list: each pair goes straight to its group's next
+	// One pass over the list: each job goes straight to its group's next
 	// slot, so a group keeps todo's order and nothing is staged in between.
 	for _, job := range todo {
 		g := &groups[job.x-lo]

@@ -2,13 +2,13 @@ package ting
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // allPairJobs lists every unordered pair of relays 0 … n-1, in plan's
@@ -301,22 +301,225 @@ func TestScheduleConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestScheduleCopiesJobListOnce pins the placement's memory: the planned
-// list is copied into the per-worker queues once, and the schedule adopts
-// those queues as they are.
-func TestScheduleCopiesJobListOnce(t *testing.T) {
-	todo := allPairJobs(1000)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s := newSchedule(todo, 2, false)
-	runtime.ReadMemStats(&after)
-
-	list := uint64(len(todo)) * uint64(unsafe.Sizeof(pairJob{}))
-	if got := after.TotalAlloc - before.TotalAlloc; got > list+list/4 {
-		t.Errorf("placing %d pairs allocated %d bytes, %.2f× the list's %d; want at most 1.25×",
-			len(todo), got, float64(got)/float64(list), list)
+// TestSchedulePlacementAllocates pins the placement's memory: the all-pairs
+// plan of 1000 relays is 999 runs, and placing it on two workers allocates
+// the queues and one group record a relay, not a list of its 499 500 pairs.
+func TestSchedulePlacementAllocates(t *testing.T) {
+	const n = 1000
+	names := tileNames(n)
+	m, err := NewMatrix(names)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.open != len(todo) {
-		t.Errorf("open = %d, want %d", s.open, len(todo))
+	sc := &scan{s: &Scanner{}, m: m}
+	todo, pairs, err := sc.plan(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(todo) != n-1 || pairs != n*(n-1)/2 {
+		t.Fatalf("plan made %d runs of %d pairs, want %d runs of %d", len(todo), pairs, n-1, n*(n-1)/2)
+	}
+	var s *schedule
+	if b, _ := allocated(func() { s = newSchedule(todo, 2, false) }); b >= 64<<10 {
+		t.Errorf("placing the %d-relay plan allocated %d bytes, want under 64 KiB", n, b)
+	}
+	if s.open != pairs {
+		t.Errorf("open = %d, want %d", s.open, pairs)
+	}
+}
+
+// assignJobsReference is assignJobs as it was when every queued job was one
+// pair: the placement a list of runs must reproduce pair for pair.
+func assignJobsReference(todo []pairJob, workers int, shuffled bool) [][]pairJob {
+	queues := make([][]pairJob, workers)
+	if shuffled {
+		for i, job := range todo {
+			queues[i%workers] = append(queues[i%workers], job)
+		}
+		return queues
+	}
+	type group struct{ size, w, at int32 }
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, job := range todo {
+		lo, hi = min(lo, job.x), max(hi, job.x)
+	}
+	groups := make([]group, max(hi-lo+1, 0))
+	var order []int32
+	for _, job := range todo {
+		g := &groups[job.x-lo]
+		if g.size == 0 {
+			order = append(order, job.x-lo)
+		}
+		g.size++
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return int(groups[b].size - groups[a].size) })
+	load := make([]int, workers)
+	for _, x := range order {
+		w := 0
+		for i := 1; i < workers; i++ {
+			if load[i] < load[w] {
+				w = i
+			}
+		}
+		g := &groups[x]
+		g.w, g.at = int32(w), int32(load[w])
+		load[w] += int(g.size)
+	}
+	for w := range queues {
+		if load[w] > 0 {
+			queues[w] = make([]pairJob, load[w])
+		}
+	}
+	for _, job := range todo {
+		g := &groups[job.x-lo]
+		queues[g.w][g.at] = job
+		g.at++
+	}
+	return queues
+}
+
+// firstDiff reports where got and want part, or "" when they are equal.
+func firstDiff(got, want []pairJob) string {
+	for k := range min(len(got), len(want)) {
+		if got[k] != want[k] {
+			return fmt.Sprintf("job %d is %+v, want %+v", k, got[k], want[k])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d jobs, want %d", len(got), len(want))
+	}
+	return ""
+}
+
+// expand writes jobs out one pair a job, as take hands them to a worker.
+func expand(jobs []pairJob) []pairJob {
+	var out []pairJob
+	for _, job := range jobs {
+		p := job
+		p.more = 0
+		for k := 0; k < job.pairs(); k++ {
+			out = append(out, p)
+			p.y++
+		}
+	}
+	return out
+}
+
+// randomPlan plans a random scan of 2–40 relays — all pairs, a restricted
+// list with gaps and flipped pairs in an order that is sometimes shuffled,
+// a resume whose log holds random pairs, or a shuffled scan — and returns
+// plan's runs beside the pairs the plan must stand for, one a job, in the
+// order it must schedule them.
+func randomPlan(t *testing.T, rng *rand.Rand) (todo, want []pairJob, shuffled bool) {
+	t.Helper()
+	n := 2 + rng.Intn(39)
+	names := tileNames(n)
+	m, err := NewMatrix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &scan{s: &Scanner{}, m: m}
+	sc.names.Store(&names)
+	var restrict [][2]string
+	switch rng.Intn(4) {
+	case 0: // all pairs
+		want = allPairJobs(n)
+	case 1: // restricted
+		restrict = [][2]string{}
+		for _, job := range allPairJobs(n) {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			if rng.Intn(8) == 0 {
+				job.x, job.y = job.y, job.x
+			}
+			want = append(want, job)
+		}
+		if rng.Intn(3) == 0 {
+			rng.Shuffle(len(want), func(a, b int) { want[a], want[b] = want[b], want[a] })
+		}
+		for _, job := range want {
+			restrict = append(restrict, [2]string{names[job.x], names[job.y]})
+		}
+	case 2: // resumed
+		sc.resumed = &CheckpointState{Pairs: make(map[[2]string]float64)}
+		for _, job := range allPairJobs(n) {
+			if rng.Intn(3) == 0 {
+				sc.resumed.Pairs[pairKey(names[job.x], names[job.y])] = 1
+				continue
+			}
+			want = append(want, job)
+		}
+	case 3: // shuffled
+		shuffled = true
+		sc.s.Shuffle = 1 + rng.Int63n(1000)
+		want = allPairJobs(n)
+		r := rand.New(rand.NewSource(sc.s.Shuffle))
+		r.Shuffle(len(want), func(a, b int) { want[a], want[b] = want[b], want[a] })
+	}
+	todo, pairs, err := sc.plan(n, restrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs != len(want) {
+		t.Fatalf("plan counted %d pairs, want %d", pairs, len(want))
+	}
+	return todo, want, shuffled
+}
+
+// TestAssignJobsMatchesReference: over random plans on 1–8 workers, each
+// worker's queue of runs, written out pair by pair, is exactly what the
+// one-pair-a-job placement gives that worker, in order.
+func TestAssignJobsMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		todo, want, shuffled := randomPlan(t, rng)
+		if d := firstDiff(expand(todo), want); d != "" {
+			t.Fatalf("seed %d: plan written out pair by pair: %s", seed, d)
+		}
+		for workers := 1; workers <= 8; workers++ {
+			got, ref := assignJobs(todo, workers, shuffled), assignJobsReference(want, workers, shuffled)
+			for w := range ref {
+				if d := firstDiff(expand(got[w]), ref[w]); d != "" {
+					t.Fatalf("seed %d, %d workers: worker %d's queue against the reference: %s", seed, workers, w, d)
+				}
+			}
+		}
+	}
+}
+
+// TestTakeSplitsRuns: a worker taking runs at random caps from 1 to 64
+// claims its queue's pairs one a job, each once and in queue order, and
+// open falls by exactly what it releases.
+func TestTakeSplitsRuns(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		todo, _, shuffled := randomPlan(t, rng)
+		workers := 1 + rng.Intn(4)
+		queues := assignJobs(todo, workers, shuffled)
+		s := newSchedule(todo, workers, shuffled)
+		open := s.open
+		for w := 0; w < workers; w++ {
+			want := expand(queues[w])
+			var got []pairJob
+			for len(got) < len(want) {
+				run := s.take(w, 0, make([]pairJob, 1+rng.Intn(64)))
+				if len(run) == 0 {
+					t.Fatalf("seed %d: worker %d's take came back empty after %d of %d pairs", seed, w, len(got), len(want))
+				}
+				got = append(got, run...)
+			}
+			if d := firstDiff(got, want); d != "" {
+				t.Fatalf("seed %d: worker %d's claims: %s", seed, w, d)
+			}
+			s.release(len(got))
+			open -= len(got)
+			if s.open != open {
+				t.Fatalf("seed %d: open = %d after worker %d released its pairs, want %d", seed, s.open, w, open)
+			}
+		}
+		if open != 0 {
+			t.Fatalf("seed %d: %d pairs never claimed", seed, open)
+		}
 	}
 }

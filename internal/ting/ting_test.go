@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -251,6 +252,56 @@ func TestModelProberChunksMatchPerSample(t *testing.T) {
 				if math.Float64bits(got[i]) != math.Float64bits(want[0]) {
 					t.Fatalf("n = %d, series %d: sample %d = %v, one-sample call %v", n, series, i, got[i], want[0])
 				}
+			}
+		}
+	}
+}
+
+// TestModelProberRemembersHops: a prober that skips the name lookup of
+// every hop named as at the previous call draws exactly what a plain
+// model prober draws over the resolved path, call after call, as paths of
+// 2 to 4 hops share and change hops at random and an unknown name turns
+// up at any position — refused, whatever the prober remembers there.
+func TestModelProberRemembersHops(t *testing.T) {
+	topo, host, nodeOf := modelWorld(t, 6, 104)
+	names := []string{"w", "z"}
+	for i := 0; i < 6; i++ {
+		names = append(names, topo.Node(inet.NodeID(i)).Name)
+	}
+	rng := rand.New(rand.NewSource(5))
+	p := NewModelProber(topo, host, nodeOf, 11)
+	ref := inet.NewProber(topo, 11)
+	path := []string{"w", names[2], names[3], "z"}
+	for call := 0; call < 2000; call++ {
+		hops := 2 + rng.Intn(3)
+		for len(path) < hops {
+			path = append(path, names[rng.Intn(len(names))])
+		}
+		path = path[:hops]
+		path[rng.Intn(hops)] = names[rng.Intn(len(names))]
+		if rng.Intn(50) == 0 {
+			k := rng.Intn(len(path))
+			bad := path[k]
+			path[k] = "nobody"
+			if err := p.SampleCircuitInto(context.Background(), path, make([]float64, 1)); err == nil {
+				t.Fatalf("call %d: unknown relay at hop %d of %v accepted", call, k, path)
+			}
+			path[k] = bad
+		}
+		ids := make([]inet.NodeID, len(path))
+		for k, name := range path {
+			ids[k] = nodeOf[name]
+		}
+		got, want := make([]float64, 3), make([]float64, 3)
+		if err := p.SampleCircuitInto(context.Background(), path, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.TorPathRTT(host, ids, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("call %d over %v: sample %d = %v, want %v", call, path, i, got[i], want[i])
 			}
 		}
 	}

@@ -61,9 +61,5 @@ func (m *Matrix) ProvAt(i, j int) Provenance {
 	if i < 0 || j < 0 || i >= n || j >= n {
 		panic(fmt.Sprintf("ting: matrix index (%d,%d) out of range [0,%d)", i, j, n))
 	}
-	t := m.tiles[i>>TileShift][j>>TileShift]
-	if t == nil {
-		return ProvMissing
-	}
-	return t.prov[tidx(i, j)]
+	return m.provAt(i, j)
 }
