@@ -82,8 +82,7 @@ type Coordinator struct {
 	nextEpoch uint64
 	remaining int
 	done      chan struct{}
-	journal   *wal.Log
-	jenc      journalEncoder // encodes the journal's records
+	journal   *wal.Log[journalRecord]
 	recovered bool
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
@@ -145,16 +144,13 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
 		return nil, fmt.Errorf("campaign: journal %s already exists; recover it instead", path)
 	}
-	j, err := wal.Open(path)
-	if err != nil {
+	if c.journal, err = wal.Open[journalRecord](path); err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	if err := c.jenc.append(j, journalHeader(c.names, shards, ttl, 0)); err != nil {
-		j.Close()
+	if err := c.journalAppend(journalHeader(c.names, shards, ttl, 0)); err != nil {
+		c.journal.Close()
 		return nil, err
 	}
-	c.journal = j
-	c.jAppended.Inc() // the header record
 	return c, nil
 }
 
@@ -179,7 +175,7 @@ func RecoverCoordinator(path string, treg *telemetry.Registry) (*Coordinator, er
 	if c.remaining == 0 {
 		close(c.done)
 	}
-	if c.journal, err = wal.Open(path); err != nil {
+	if c.journal, err = wal.Open[journalRecord](path); err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
 	c.jReplayed.Add(int64(records))
@@ -189,7 +185,22 @@ func RecoverCoordinator(path string, treg *telemetry.Registry) (*Coordinator, er
 
 // Journal returns the coordinator's write-ahead journal, nil when the
 // coordinator runs in-memory only. The owner closes it at shutdown.
-func (c *Coordinator) Journal() *wal.Log { return c.journal }
+func (c *Coordinator) Journal() *wal.Log[journalRecord] { return c.journal }
+
+// journalAppend appends rec to the journal and forces it to disk before
+// returning — the WAL contract: nothing is acknowledged to a worker that a
+// recovered coordinator would not know.
+func (c *Coordinator) journalAppend(rec journalRecord) error {
+	err := c.journal.Append(rec)
+	if err == nil {
+		err = c.journal.Flush(1)
+	}
+	if err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	c.jAppended.Inc()
+	return nil
+}
 
 // CompactJournal atomically rewrites the journal as a snapshot of the
 // current ledger — header (carrying the epoch watermark), one grant per
@@ -235,8 +246,8 @@ func (c *Coordinator) CompactJournal() error {
 			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch, Results: st.results,
 		})
 	}
-	if err := rewriteJournal(c.journal, recs); err != nil {
-		return err
+	if err := c.journal.Rewrite(recs); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	c.jCompacted.Inc()
 	return nil
@@ -303,10 +314,9 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 				Epoch:    epoch,
 				Deadline: deadline.UnixNano(),
 			}
-			if err := c.jenc.append(c.journal, rec); err != nil {
+			if err := c.journalAppend(rec); err != nil {
 				return Lease{}, AcquireNone, err
 			}
-			c.jAppended.Inc()
 		}
 		c.nextEpoch = epoch
 		st.phase = shardLeased
@@ -375,10 +385,9 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
 		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, Results: results}
-		if err := c.jenc.append(c.journal, rec); err != nil {
+		if err := c.journalAppend(rec); err != nil {
 			return err
 		}
-		c.jAppended.Inc()
 	}
 	st.phase = shardDone
 	st.worker = worker

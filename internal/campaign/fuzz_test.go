@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"ting/internal/ting"
+	"ting/internal/wal"
 )
 
 // FuzzDecodeLease: arbitrary lease lines must never panic, and anything
@@ -47,23 +50,28 @@ func FuzzDecodeLease(f *testing.F) {
 	})
 }
 
-// journalLine is rec's journal line, newline excluded.
-func journalLine(rec journalRecord) ([]byte, error) {
-	var e journalEncoder
-	lines, err := e.encode(rec)
-	if err != nil {
-		return nil, err
+// decodeJournalLine decodes raw as one journal line the way recovery does:
+// wal.Replay's decoding, then the record's own check.
+func decodeJournalLine(raw []byte) (rec journalRecord, err error) {
+	n := 0
+	err = wal.Replay(bytes.NewReader(append(raw[:len(raw):len(raw)], '\n')), func(r journalRecord) error {
+		rec, n = r, n+1
+		return r.check()
+	})
+	if err == nil && n != 1 {
+		err = fmt.Errorf("%d records in one line", n)
 	}
-	return lines[0], nil
+	return rec, err
 }
 
 // FuzzDecodeJournal: arbitrary journal lines must never panic, and
-// anything decodeJournalRecord accepts must re-encode and re-decode to the
-// identical record — the journal is canonical JSONL, so compaction
-// (re-encoding replayed records) can never change their meaning.
+// anything recovery's decoding (wal.Replay, then journalRecord.check)
+// accepts must re-encode and re-decode to the identical record — the
+// journal is canonical JSONL, so compaction (re-encoding replayed records)
+// can never change their meaning.
 func FuzzDecodeJournal(f *testing.F) {
 	seed := func(rec journalRecord) {
-		b, err := journalLine(rec)
+		b, err := json.Marshal(rec) // the journal's bytes for rec (TestGoldenJournal)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -89,15 +97,15 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		rec, err := decodeJournalRecord(raw)
+		rec, err := decodeJournalLine(raw)
 		if err != nil {
 			return
 		}
-		b, err := journalLine(rec)
+		b, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
-		again, err := decodeJournalRecord(bytes.TrimSpace(b))
+		again, err := decodeJournalLine(b)
 		if err != nil {
 			t.Fatalf("canonical record does not decode: %v", err)
 		}

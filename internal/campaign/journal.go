@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -57,117 +55,44 @@ type journalRecord struct {
 	Regrants int `json:"regrants,omitempty"`
 }
 
-// journalEncoder turns records into journal lines — the bytes json.Marshal
-// gives — through one reused buffer, so a grant or a complete encodes
-// without a fresh buffer or a boxed copy of its record. The coordinator
-// holds one under its mutex.
-type journalEncoder struct {
-	// rec is the record enc encodes: a field, so Encode's argument is a
-	// pointer into the encoder rather than a boxed copy of the record.
-	rec   journalRecord
-	buf   bytes.Buffer  // the records encoded by the last call, each ending in its newline
-	enc   *json.Encoder // writes into buf; nil until the first record
-	ends  []int         // the offset in buf just past each record's newline
-	lines [][]byte      // buf cut into records, newlines excluded
-}
-
-// encode returns recs' journal lines, newlines excluded. They alias the
-// encoder's buffer: valid until the next call.
-func (e *journalEncoder) encode(recs ...journalRecord) ([][]byte, error) {
-	if e.enc == nil {
-		e.enc = json.NewEncoder(&e.buf)
-	}
-	e.buf.Reset()
-	e.ends = e.ends[:0]
-	for i := range recs {
-		e.rec = recs[i]
-		err := e.enc.Encode(&e.rec)
-		e.rec = journalRecord{} // hold no submission past its call
-		if err != nil {
-			return nil, fmt.Errorf("campaign: journal: %w", err)
-		}
-		e.ends = append(e.ends, e.buf.Len())
-	}
-	b, start := e.buf.Bytes(), 0
-	e.lines = e.lines[:0]
-	for _, end := range e.ends {
-		e.lines = append(e.lines, b[start:end-1])
-		start = end
-	}
-	return e.lines, nil
-}
-
-// append writes one record and forces it to disk before returning — the
-// WAL contract: nothing is acknowledged to a worker that a recovered
-// coordinator would not know.
-func (e *journalEncoder) append(log *wal.Log, rec journalRecord) error {
-	lines, err := e.encode(rec)
-	if err != nil {
-		return err
-	}
-	if err := log.Append(lines, 1); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	return nil
-}
-
-// rewriteJournal atomically replaces the journal's content with recs (a
-// compacting snapshot). Its encoder is its own: a snapshot's buffer is the
-// whole journal, too big to keep between compactions.
-func rewriteJournal(log *wal.Log, recs []journalRecord) error {
-	var e journalEncoder
-	lines, err := e.encode(recs...)
-	if err != nil {
-		return err
-	}
-	if err := log.Rewrite(lines); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	return nil
-}
-
-// decodeJournalRecord parses and validates one journal line. Unknown
-// record kinds decode to a record the replay skips (forward
-// compatibility); known kinds with impossible fields are errors.
-func decodeJournalRecord(raw []byte) (journalRecord, error) {
-	var rec journalRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return journalRecord{}, err
-	}
+// check validates a replayed record. Unknown record kinds pass, for the
+// replay to skip (forward compatibility); known kinds with impossible
+// fields are errors.
+func (rec *journalRecord) check() error {
 	switch rec.Kind {
 	case journalCampaign:
 		if len(rec.Names) < 2 {
-			return journalRecord{}, fmt.Errorf("campaign: journal header with %d relays", len(rec.Names))
+			return fmt.Errorf("campaign: journal header with %d relays", len(rec.Names))
 		}
 		if len(rec.Shards) == 0 {
-			return journalRecord{}, errors.New("campaign: journal header without shards")
+			return errors.New("campaign: journal header without shards")
 		}
 		if rec.TTLMs <= 0 {
-			return journalRecord{}, errors.New("campaign: journal header with non-positive TTL")
+			return errors.New("campaign: journal header with non-positive TTL")
 		}
 		for _, g := range rec.Shards {
 			if err := (NewShard(g.TI, g.TJ, g.Lo, g.Hi)).Validate(); err != nil {
-				return journalRecord{}, err
+				return err
 			}
 		}
 	case journalGrant:
 		if rec.Shard == "" || rec.Epoch == 0 {
-			return journalRecord{}, fmt.Errorf("campaign: journal grant %q epoch %d", rec.Shard, rec.Epoch)
+			return fmt.Errorf("campaign: journal grant %q epoch %d", rec.Shard, rec.Epoch)
 		}
 		if rec.Regrants < 0 {
-			return journalRecord{}, fmt.Errorf("campaign: journal grant with %d regrants", rec.Regrants)
+			return fmt.Errorf("campaign: journal grant with %d regrants", rec.Regrants)
 		}
 	case journalComplete:
 		if rec.Shard == "" || rec.Epoch == 0 {
-			return journalRecord{}, fmt.Errorf("campaign: journal complete %q epoch %d", rec.Shard, rec.Epoch)
+			return fmt.Errorf("campaign: journal complete %q epoch %d", rec.Shard, rec.Epoch)
 		}
 		for _, r := range rec.Results {
 			if r.X == "" || r.Y == "" || r.X == r.Y {
-				return journalRecord{}, fmt.Errorf("campaign: journal result pair (%q,%q)", r.X, r.Y)
+				return fmt.Errorf("campaign: journal result pair (%q,%q)", r.X, r.Y)
 			}
 		}
 	}
-	return rec, nil
+	return nil
 }
 
 func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark uint64) journalRecord {
@@ -197,10 +122,9 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 	}
 	defer f.Close()
 	lastGrant := uint64(0)
-	err = wal.Replay(f, func(raw []byte) error {
-		rec, err := decodeJournalRecord(raw)
-		if err != nil {
-			return &wal.DecodeError{Err: err}
+	err = wal.Replay(f, func(rec journalRecord) error {
+		if err := rec.check(); err != nil {
+			return err
 		}
 		records++
 		switch rec.Kind {

@@ -359,12 +359,12 @@ func TestRecoverRejectsMidFileCorruption(t *testing.T) {
 // one) must not come back as a campaign that measures those pairs twice.
 func TestRecoverRejectsOverlappingShards(t *testing.T) {
 	path := journalPath(t)
-	j, err := wal.Open(path)
+	j, err := wal.Open[journalRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := []Shard{NewShard(0, 0, 0, 4), NewShard(0, 0, 2, 6)}
-	if err := new(journalEncoder).append(j, journalHeader(fakeNames(4), shards, time.Second, 0)); err != nil {
+	if err := j.Append(journalHeader(fakeNames(4), shards, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"log"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ting/internal/stats"
@@ -118,7 +119,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	h := fnv.New64a()
 	h.Write([]byte(w.Name))
 	rec := &reconnector{
-		backoff: stats.Backoff{Base: poll, Max: 5 * time.Second, Factor: 2, Jitter: 0.5},
+		backoff: stats.Backoff{Base: poll, Max: 5 * time.Second},
 		grace:   grace,
 		// Seeded per worker name: the fleet's retry schedules decorrelate,
 		// and a given worker's schedule reproduces in tests.
@@ -201,7 +202,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // already holds, as ProvResumed: crash recovery resumes finished work
 // rather than redoing it. The matrix is the worker's ledger — a lease's
 // scan writes its successes there, and what a shard still needs and what
-// its submission reports are read from there.
+// its submission reports are read from there. A checkpoint whose header
+// names another relay set is refused.
 func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 	m, err := ting.NewMatrix(names)
 	if err != nil {
@@ -213,6 +215,12 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 	st, err := ting.ReplayState(w.Checkpoint)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
+	}
+	// Another campaign's cells are not this one's to submit, and the next
+	// lease's header would leave a log no replay accepts.
+	if st.Names != nil && !slices.Equal(st.Names, names) {
+		return nil, fmt.Errorf("checkpoint is another campaign's: %d relays in its header, %d in the coordinator's",
+			len(st.Names), len(names))
 	}
 	for p, rtt := range st.Pairs {
 		// A pair outside the campaign's relays is no shard's: skip it.

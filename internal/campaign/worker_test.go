@@ -293,3 +293,41 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenLedgerRefusesAnotherCampaignsLog: a worker restarted against a
+// campaign whose relay set is not its checkpoint header's refuses the log
+// instead of submitting the old campaign's cells as resumed; an empty log
+// and a log of the same campaign open.
+func TestOpenLedgerRefusesAnotherCampaignsLog(t *testing.T) {
+	old, cur := fakeNames(20), fakeNames(30)
+	cp, err := ting.OpenFileCheckpoint(filepath.Join(t.TempDir(), "worker.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	w := &Worker{Name: "w1", Checkpoint: cp}
+	if _, err := w.openLedger(cur); err != nil {
+		t.Fatalf("empty log: %v", err)
+	}
+	for _, rec := range []ting.CheckpointRecord{
+		{Kind: ting.RecordCampaign, Names: old},
+		{Kind: ting.RecordPair, X: old[0], Y: old[1], RTT: 5},
+	} {
+		if err := cp.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := w.openLedger(cur); err == nil {
+		t.Fatalf("opened a %d-relay campaign's log for a %d-relay campaign: %+v resumed", len(old), len(cur), m.ProvCounts())
+	}
+	m, err := w.openLedger(old)
+	if err != nil {
+		t.Fatalf("the log's own campaign: %v", err)
+	}
+	if !measured(m, 0, 1) {
+		t.Fatal("the log's own pair was not resumed")
+	}
+}

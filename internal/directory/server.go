@@ -279,7 +279,7 @@ func Mirror(ctx context.Context, addr string, reg *Registry, interval time.Durat
 	if max < mirrorBackoffCap {
 		max = mirrorBackoffCap
 	}
-	backoff := stats.Backoff{Base: interval, Max: max, Factor: 2, Jitter: 0.5}
+	backoff := stats.Backoff{Base: interval, Max: max}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	fails := 0
 	timer := time.NewTimer(interval)

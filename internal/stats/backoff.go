@@ -14,12 +14,15 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the grown delay. Zero means no cap.
 	Max time.Duration
-	// Factor is the per-attempt growth; values < 2 default to 2.
-	Factor float64
-	// Jitter is the fraction of the delay that is randomized, in [0, 1].
-	// A delay d becomes uniform in [d·(1−Jitter), d·(1+Jitter)].
-	Jitter float64
 }
+
+const (
+	// backoffFactor is the per-attempt growth.
+	backoffFactor = 2
+	// backoffJitter is the fraction of a delay that is randomized: d becomes
+	// uniform in [d·(1−backoffJitter), d·(1+backoffJitter)].
+	backoffJitter = 0.5
+)
 
 // Delay returns the wait before retry number attempt (1 = first retry).
 // rng may be nil, in which case the delay is unjittered.
@@ -27,13 +30,9 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 	if b.Base <= 0 || attempt <= 0 {
 		return 0
 	}
-	factor := b.Factor
-	if factor < 2 {
-		factor = 2
-	}
 	d := float64(b.Base)
 	for i := 1; i < attempt; i++ {
-		d *= factor
+		d *= backoffFactor
 		if b.Max > 0 && d >= float64(b.Max) {
 			d = float64(b.Max)
 			break
@@ -42,13 +41,8 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 	if b.Max > 0 && d > float64(b.Max) {
 		d = float64(b.Max)
 	}
-	if rng != nil && b.Jitter > 0 {
-		j := b.Jitter
-		if j > 1 {
-			j = 1
-		}
-		// Uniform in [d(1−j), d(1+j)].
-		d *= 1 - j + 2*j*rng.Float64()
+	if rng != nil {
+		d *= 1 - backoffJitter + 2*backoffJitter*rng.Float64()
 	}
 	if d < 0 {
 		return 0

@@ -31,7 +31,7 @@ func TestBackoffZeroBaseDisables(t *testing.T) {
 }
 
 func TestBackoffJitterBoundedAndSeeded(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Jitter: 0.5}
+	b := Backoff{Base: 100 * time.Millisecond}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
 		d := b.Delay(1, rng)
@@ -49,12 +49,16 @@ func TestBackoffJitterBoundedAndSeeded(t *testing.T) {
 	}
 }
 
-func TestBackoffExcessJitterClamped(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Jitter: 5}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		if d := b.Delay(1, rng); d < 0 || d > 20*time.Millisecond {
-			t.Fatalf("clamped jitter produced %v", d)
+// TestBackoffSeededSchedule pins a seeded retry schedule bit for bit —
+// doubling from 100ms, capped at 5s, ±50% jitter, seed 42 — so a replayed
+// fault campaign waits exactly as the recorded one did.
+func TestBackoffSeededSchedule(t *testing.T) {
+	b := Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
+	rng := rand.New(rand.NewSource(42))
+	want := []time.Duration{87302836, 113200099, 441637540, 567054962, 870109533, 2826218559, 6564385679, 4422229249}
+	for i, w := range want {
+		if got := b.Delay(i+1, rng); got != w {
+			t.Errorf("Delay(%d) = %d, want %d", i+1, got, w)
 		}
 	}
 }

@@ -1,14 +1,11 @@
 package ting
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
-	"sync"
+	"slices"
 
 	"ting/internal/wal"
 )
@@ -87,107 +84,55 @@ type Checkpoint interface {
 	Replay(fn func(rec CheckpointRecord) error) error
 }
 
-// FileCheckpoint is the file-backed Checkpoint: CheckpointRecords as JSON
-// lines in a wal.Log, which owns the file discipline — batched fsync,
-// torn-tail repair on open and tolerance on replay. Append encodes a record
-// into a pending buffer and writes nothing; Flush hands everything pending
-// to the log in one write(2), and each record counts toward SyncEvery as if
-// it had been written alone. The format is self-describing JSONL,
+// FileCheckpoint is the file-backed Checkpoint: CheckpointRecords in a
+// wal.Log, which owns the record codec and the file discipline — batched
+// fsync, torn-tail repair on open and tolerance on replay. Append encodes a
+// record onto the log's pending run and writes nothing; Flush hands the run
+// to the file in one write(2), and each record counts toward SyncEvery as
+// if it had been written alone. The format is self-describing JSONL,
 // greppable mid-campaign.
 type FileCheckpoint struct {
 	// SyncEvery is the fsync batch size in records; default 8. 1 fsyncs on
 	// every Flush — maximum durability, one disk flush per run of measured
-	// pairs. Set before the first Append.
+	// pairs.
 	SyncEvery int
 
 	path string
-	log  *wal.Log
-
-	mu     sync.Mutex
-	closed bool
-	// rec is the record enc encodes: a field, so Encode's argument is a
-	// pointer into the checkpoint rather than a boxed copy of the record.
-	rec     CheckpointRecord
-	enc     *json.Encoder // writes into pending
-	pending bytes.Buffer  // records appended since the last Flush, each ending in its newline
-	ends    []int         // the offset in pending just past each record's newline
-	run     [][]byte      // Flush's scratch: pending cut into records, newlines excluded
+	log  *wal.Log[CheckpointRecord]
 }
-
-var errCheckpointClosed = errors.New("ting: checkpoint: closed")
 
 // OpenFileCheckpoint opens (creating if needed) a campaign log for
 // appending. The existing content stays replayable, less a crash's torn
 // final line — opening an interrupted campaign's log and handing it to
 // Scanner.Resume is the recovery path.
 func OpenFileCheckpoint(path string) (*FileCheckpoint, error) {
-	log, err := wal.Open(path)
+	log, err := wal.Open[CheckpointRecord](path)
 	if err != nil {
 		return nil, fmt.Errorf("ting: checkpoint: %w", err)
 	}
-	c := &FileCheckpoint{path: path, log: log}
-	c.enc = json.NewEncoder(&c.pending)
-	return c, nil
+	return &FileCheckpoint{path: path, log: log}, nil
 }
 
-// Append encodes one record as a JSON line — the bytes json.Marshal gives,
-// and its newline — into the pending buffer. Nothing reaches the file until
-// the next Flush.
+// Append encodes one record as a JSON line onto the log's pending run.
+// Nothing reaches the file until the next Flush.
 func (c *FileCheckpoint) Append(rec CheckpointRecord) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return errCheckpointClosed
-	}
-	c.rec = rec
-	if err := c.enc.Encode(&c.rec); err != nil {
-		return fmt.Errorf("ting: checkpoint: %w", err)
-	}
-	c.ends = append(c.ends, c.pending.Len())
-	return nil
+	return checkpointErr(c.log.Append(rec))
 }
 
-// Flush writes every pending record with one wal Append: one write(2), and
-// an fsync once SyncEvery records are unsynced. A failed Flush drops the
-// records it held; the log is short of them, so a caller must stop counting
-// on it.
-func (c *FileCheckpoint) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flush()
-}
+// Flush writes every pending record in one write(2), and fsyncs once
+// SyncEvery records are unsynced. A failed Flush drops the records it held;
+// the log is short of them, so a caller must stop counting on it.
+func (c *FileCheckpoint) Flush() error { return checkpointErr(c.log.Flush(c.SyncEvery)) }
 
-// flush is Flush under c.mu.
-func (c *FileCheckpoint) flush() error {
-	if len(c.ends) == 0 {
-		return nil
-	}
-	b := c.pending.Bytes()
-	run, start := c.run[:0], 0
-	for _, end := range c.ends {
-		run = append(run, b[start:end-1])
-		start = end
-	}
-	err := c.log.Append(run, c.SyncEvery)
-	c.run, c.ends = run[:0], c.ends[:0]
-	c.pending.Reset()
+// Close flushes what is pending, then syncs and closes the log. Appending
+// afterwards errors.
+func (c *FileCheckpoint) Close() error { return checkpointErr(c.log.Close()) }
+
+func checkpointErr(err error) error {
 	if err != nil {
 		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
 	return nil
-}
-
-// Close flushes what is pending, then syncs and closes the log. Appending
-// afterwards errors.
-func (c *FileCheckpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	err := c.flush()
-	if cerr := c.log.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("ting: checkpoint: %w", cerr)
-	}
-	return err
 }
 
 // Replay reads the log from the start; a log never written replays empty.
@@ -200,20 +145,7 @@ func (c *FileCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
 		return fmt.Errorf("ting: checkpoint: %w", err)
 	}
 	defer f.Close()
-	return replayRecords(f, fn)
-}
-
-// replayRecords decodes a record stream under wal.Replay's rules: a torn
-// final line (no newline) is dropped, a line that is not a record is
-// corruption.
-func replayRecords(r io.Reader, fn func(rec CheckpointRecord) error) error {
-	return wal.Replay(r, func(raw []byte) error {
-		var rec CheckpointRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return &wal.DecodeError{Err: err}
-		}
-		return fn(rec)
-	})
+	return wal.Replay(f, fn)
 }
 
 // HalfSeries is one replayed half-circuit series.
@@ -260,7 +192,7 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			if len(rec.Names) < 2 {
 				return fmt.Errorf("ting: checkpoint: campaign header with %d relays", len(rec.Names))
 			}
-			if st.Names != nil && !equalNames(st.Names, rec.Names) {
+			if st.Names != nil && !slices.Equal(st.Names, rec.Names) {
 				return errors.New("ting: checkpoint: log spans campaigns with different relay sets")
 			}
 			st.Names = rec.Names
@@ -328,18 +260,6 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-func equalNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func finite(v float64) bool {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ting/internal/wal"
 )
 
 // MemCheckpoint is an in-memory Checkpoint: same semantics, no durability.
@@ -135,7 +137,7 @@ func TestReplayRecordsTornTailTolerated(t *testing.T) {
 {"t":"pair","x":"a","y":"b","rtt":5}
 {"t":"pair","x":"a","y":`
 	var kinds []string
-	err := replayRecords(strings.NewReader(in), func(rec CheckpointRecord) error {
+	err := wal.Replay(strings.NewReader(in), func(rec CheckpointRecord) error {
 		kinds = append(kinds, rec.Kind)
 		return nil
 	})
@@ -152,7 +154,7 @@ func TestReplayRecordsCorruptMiddleErrors(t *testing.T) {
 this is not json
 {"t":"pair","x":"a","y":"b","rtt":5}
 `
-	err := replayRecords(strings.NewReader(in), func(CheckpointRecord) error { return nil })
+	err := wal.Replay(strings.NewReader(in), func(CheckpointRecord) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("mid-file corruption not reported: %v", err)
 	}
@@ -161,7 +163,7 @@ this is not json
 func TestReplayRecordsSkipsBlankLines(t *testing.T) {
 	in := "\n{\"t\":\"pair\",\"x\":\"a\",\"y\":\"b\",\"rtt\":5}\n\n"
 	n := 0
-	if err := replayRecords(strings.NewReader(in), func(CheckpointRecord) error { n++; return nil }); err != nil {
+	if err := wal.Replay(strings.NewReader(in), func(CheckpointRecord) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ting/internal/wal"
 )
 
 func FuzzDecodeMatrix(f *testing.F) {
@@ -66,7 +68,7 @@ func FuzzReplayCheckpoint(f *testing.F) {
 	f.Add("\n\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		var recs []CheckpointRecord
-		err := replayRecords(strings.NewReader(doc), func(rec CheckpointRecord) error {
+		err := wal.Replay(strings.NewReader(doc), func(rec CheckpointRecord) error {
 			recs = append(recs, rec)
 			return nil
 		})

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -653,5 +655,258 @@ func TestHalfCacheInvalidateSeparatorNames(t *testing.T) {
 	}
 	if n := hc.InvalidateRelay("c#2"); n != 1 {
 		t.Errorf(`InvalidateRelay("c#2") dropped %d series, want 1`, n)
+	}
+}
+
+// halfOracle is the serial model of HalfCache seen through the workers'
+// memos. Every path in the property is [w, x], so an entry is keyed by x:
+// the last stored minimum and when it was stored, an answer while no older
+// than the ttl (ttl ≤ 0: forever). InvalidateRelay("w") drops everything.
+type halfOracle struct {
+	ttl     time.Duration
+	entries map[string]oracleEntry
+}
+
+type oracleEntry struct {
+	min  float64
+	when time.Time
+}
+
+func (o *halfOracle) lookup(x string, now time.Time) (float64, bool) {
+	e, ok := o.entries[x]
+	return e.min, ok && (o.ttl <= 0 || now.Sub(e.when) <= o.ttl)
+}
+
+func (o *halfOracle) store(x string, min float64, now time.Time) {
+	o.entries[x] = oracleEntry{min, now}
+}
+
+func (o *halfOracle) invalidate(name string) int {
+	n := 0
+	for x := range o.entries {
+		if name == "w" || name == x {
+			delete(o.entries, x)
+			n++
+		}
+	}
+	return n
+}
+
+// oracleWorker is one scan worker of the property: a Measurer over the
+// shared cache with its own memo, and a prober whose next series the test
+// scripts.
+type oracleWorker struct {
+	m      *Measurer
+	probe  func() (float64, error)
+	calls  int
+	events []HalfCircuitEvent
+	waited chan struct{} // one send per HalfCircuitWait
+}
+
+func (w *oracleWorker) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	w.calls++
+	v, err := w.probe()
+	if err != nil {
+		return nil, err
+	}
+	return []float64{v}, nil
+}
+
+// halfMin asks the worker's memo, and through it the cache, for x's half
+// circuit, recording what the Observer hears and the prober calls it made.
+func (w *oracleWorker) halfMin(names []string, i int) (float64, error) {
+	w.events, w.calls = w.events[:0], 0
+	return w.m.halfMin(context.Background(), []string{"w", names[i]}, i)
+}
+
+// TestHalfCacheAgainstOracle runs random sequences through a HalfCache and
+// three workers' memos and checks each step against halfOracle: Do that
+// hits, misses, or fails; a waiter on a leader that succeeds or fails, with
+// a Seed or an InvalidateRelay landing mid-flight; Seed; InvalidateRelay of
+// one relay or of the shared first hop; clock jumps to either side of the
+// ttl. Every answer, error, Observer event, prober call, dropped count and
+// store-hook firing must be the oracle's. The seed is printed on failure.
+func TestHalfCacheAgainstOracle(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	names := []string{"x0", "x1", "x2", "x3", "x4"}
+	errProbe := errors.New("probe failed")
+	for run := 0; run < 40; run++ {
+		ttl := time.Duration(run%2) * time.Minute
+		now := time.Unix(1700000000, 0)
+		hc := NewHalfCache(ttl)
+		hc.now = func() time.Time { return now }
+		var mu sync.Mutex
+		var hooked, wantHooked []float64
+		hc.SetStoreHook(func(_ []string, _ int, min float64) {
+			mu.Lock()
+			hooked = append(hooked, min)
+			mu.Unlock()
+		})
+		o := &halfOracle{ttl: ttl, entries: map[string]oracleEntry{}}
+		workers := make([]*oracleWorker, 3)
+		for k := range workers {
+			w := &oracleWorker{waited: make(chan struct{}, 1)}
+			obs := &Observer{HalfCircuit: func(_ []string, ev HalfCircuitEvent) {
+				w.events = append(w.events, ev)
+				if ev == HalfCircuitWait {
+					w.waited <- struct{}{}
+				}
+			}}
+			m, err := NewMeasurer(Config{Prober: w, W: "w", Z: "z", Samples: 1, Observer: obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.hc, m.memo = hc, halfMemo{entries: make([]memoEntry, len(names))}
+			w.m = m
+			workers[k] = w
+		}
+		for op := 0; op < 150; op++ {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d, run %d (ttl %v), op %d: %s", seed, run, ttl, op, fmt.Sprintf(format, args...))
+			}
+			expect := func(w *oracleWorker, calls int, events ...HalfCircuitEvent) {
+				t.Helper()
+				if w.calls != calls || !slices.Equal(w.events, events) {
+					fail("%d prober calls, events %v; want %d, %v", w.calls, w.events, calls, events)
+				}
+			}
+			i := rng.Intn(len(names))
+			x := names[i]
+			v := float64(op) + 0.5
+			switch kind := rng.Intn(10); {
+			case kind < 4: // Do
+				w := workers[rng.Intn(len(workers))]
+				probeFails := rng.Intn(4) == 0
+				w.probe = func() (float64, error) {
+					if probeFails {
+						return 0, errProbe
+					}
+					return v, nil
+				}
+				want, fresh := o.lookup(x, now)
+				got, err := w.halfMin(names, i)
+				switch {
+				case fresh:
+					if got != want || err != nil {
+						fail("hit on %s = (%v, %v), want %v", x, got, err, want)
+					}
+					expect(w, 0, HalfCircuitHit)
+				case probeFails:
+					if !errors.Is(err, errProbe) {
+						fail("failed series on %s = (%v, %v)", x, got, err)
+					}
+					expect(w, 1, HalfCircuitMiss)
+				default:
+					if got != v || err != nil {
+						fail("miss on %s = (%v, %v), want %v", x, got, err, v)
+					}
+					expect(w, 1, HalfCircuitMiss)
+					o.store(x, v, now)
+					wantHooked = append(wantHooked, v)
+				}
+			case kind == 4:
+				hc.Seed([]string{"w", x}, 1, v)
+				o.store(x, v, now)
+			case kind == 5:
+				name := x
+				if rng.Intn(5) == 0 {
+					name = "w"
+				}
+				if got, want := hc.InvalidateRelay(name), o.invalidate(name); got != want {
+					fail("InvalidateRelay(%s) dropped %d, want %d", name, got, want)
+				}
+			case kind < 8:
+				now = now.Add([]time.Duration{time.Second, 30 * time.Second, time.Minute, time.Minute + 1}[rng.Intn(4)])
+			default: // a leader measures, a waiter joins its flight
+				if _, fresh := o.lookup(x, now); fresh {
+					continue
+				}
+				p := rng.Perm(len(workers))
+				a, b := workers[p[0]], workers[p[1]]
+				leaderFails := rng.Intn(2) == 0
+				entered, release := make(chan struct{}), make(chan struct{})
+				a.probe = func() (float64, error) {
+					close(entered)
+					<-release
+					if leaderFails {
+						return 0, errProbe
+					}
+					return v, nil
+				}
+				vb := v + 0.25
+				b.probe = func() (float64, error) { return vb, nil }
+				type result struct {
+					v   float64
+					err error
+				}
+				ra, rb := make(chan result, 1), make(chan result, 1)
+				go func() { v, err := a.halfMin(names, i); ra <- result{v, err} }()
+				select {
+				case <-entered:
+				case r := <-ra:
+					fail("leader answered (%v, %v) without measuring", r.v, r.err)
+				}
+				go func() { v, err := b.halfMin(names, i); rb <- result{v, err} }()
+				select {
+				case <-b.waited:
+				case r := <-rb:
+					close(release)
+					fail("waiter answered (%v, %v) without waiting on the flight", r.v, r.err)
+				}
+				dropped := false
+				switch rng.Intn(3) {
+				case 1:
+					name := x
+					if rng.Intn(3) == 0 {
+						name = "w"
+					}
+					if got, want := hc.InvalidateRelay(name), o.invalidate(name); got != want {
+						fail("mid-flight InvalidateRelay(%s) dropped %d, want %d", name, got, want)
+					}
+					dropped = true
+				case 2:
+					hc.Seed([]string{"w", x}, 1, v+0.125)
+					o.store(x, v+0.125, now)
+				}
+				close(release)
+				la, lb := <-ra, <-rb
+				expect(a, 1, HalfCircuitMiss)
+				switch {
+				case !leaderFails:
+					if la.v != v || la.err != nil || lb.v != v || lb.err != nil {
+						fail("leader (%v, %v), waiter (%v, %v), want both %v", la.v, la.err, lb.v, lb.err, v)
+					}
+					expect(b, 0, HalfCircuitWait)
+					if !dropped {
+						o.store(x, v, now)
+						wantHooked = append(wantHooked, v)
+					}
+				case !errors.Is(la.err, errProbe):
+					fail("failed leader = (%v, %v)", la.v, la.err)
+				default:
+					if want, fresh := o.lookup(x, now); fresh {
+						if lb.v != want || lb.err != nil {
+							fail("waiter after a failed leader = (%v, %v), want the seeded %v", lb.v, lb.err, want)
+						}
+						expect(b, 0, HalfCircuitWait, HalfCircuitHit)
+						break
+					}
+					if lb.v != vb || lb.err != nil {
+						fail("takeover = (%v, %v), want %v", lb.v, lb.err, vb)
+					}
+					expect(b, 1, HalfCircuitWait, HalfCircuitMiss)
+					o.store(x, vb, now)
+					wantHooked = append(wantHooked, vb)
+				}
+			}
+			mu.Lock()
+			same := slices.Equal(hooked, wantHooked)
+			mu.Unlock()
+			if !same {
+				fail("store hook fired with %v, want %v", hooked, wantHooked)
+			}
+		}
 	}
 }

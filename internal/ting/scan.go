@@ -153,7 +153,7 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 		}
 		sc.est = NewDeadlineEstimator(min, s.PairTimeout, s.Observer)
 	}
-	sc.backoff = stats.Backoff{Base: s.Backoff, Factor: 2, Jitter: 0.5}
+	sc.backoff = stats.Backoff{Base: s.Backoff}
 	sc.ctx, sc.cancel = context.WithCancel(ctx)
 	defer sc.cancel()
 

@@ -3,6 +3,7 @@ package ting
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,7 +111,7 @@ func TestScanPairsCheckpointsLikeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalNames(st.Names, names) {
+	if !slices.Equal(st.Names, names) {
 		t.Errorf("checkpoint header names = %v, want the full campaign set %v", st.Names, names)
 	}
 	if _, ok := st.Pairs[pairKey("x", "y")]; !ok {

@@ -115,7 +115,7 @@ func (f *faultFile) Truncate(size int64) error {
 
 // InjectFaults reroutes an open log through fs, so a log some other
 // package opened (a coordinator's journal) can be failed from a test.
-func (l *Log) InjectFaults(fs *FaultFS) {
+func (l *Log[T]) InjectFaults(fs *FaultFS) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.fs = fs

@@ -1,15 +1,17 @@
-// Package wal is the repo's one durable log: newline-framed records in an
-// append-only file. It owns the file discipline — one write(2) per Append,
-// which may carry a run of records, the fsync policy, torn-tail repair and
-// replay, atomic rewrite — and knows nothing of what a record means: the
-// scan checkpoint (internal/ting) and the coordinator journal
-// (internal/campaign) are record schemas over it. DESIGN.md, "Write-ahead
-// log", states the contract.
+// Package wal is the repo's one durable log: records of one Go type, each
+// a JSON line, in an append-only file. It owns the record codec — encoding
+// straight into a pending run, the size limit, decoding on replay — and the
+// file discipline — one write(2) per Flush, the fsync policy, torn-tail
+// repair and replay, atomic rewrite. What a record means is its caller's:
+// the scan checkpoint (internal/ting) and the coordinator journal
+// (internal/campaign) each choose a record type and when to flush.
+// DESIGN.md, "Write-ahead log", states the contract.
 package wal
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,18 +30,25 @@ const DefaultSyncEvery = 8
 
 var errClosed = errors.New("wal: closed")
 
-// Log is an open log's append handle, safe for concurrent use. Its first
+// Log is an open log of T records, safe for concurrent use. A record is
+// the bytes json.Marshal gives for it and a newline; encoding/json escapes
+// every newline inside a value, so a record is always one line. Its first
 // write, fsync or rename error is sticky: a failed write may have left a
 // fragment in the file and a failed fsync may have dropped the dirty pages,
-// so nothing more goes through this handle — every later Append and Rewrite
-// returns that error — and reopening repairs the tail.
-type Log struct {
+// so nothing more goes through this handle — every later call returns that
+// error — and reopening repairs the tail.
+type Log[T any] struct {
 	path string
 	fs   fsys
 
-	mu       sync.Mutex
-	f        file
-	buf      []byte // the run being written, each record's newline appended
+	mu sync.Mutex
+	f  file
+	// rec is the record enc encodes: a field, so Encode's argument is a
+	// pointer into the log rather than a boxed copy of the record.
+	rec      T
+	enc      *json.Encoder // writes into pending
+	pending  bytes.Buffer  // records appended since the last Flush, each ending in its newline
+	queued   int           // records in pending
 	unsynced int
 	fresh    bool  // created empty: the first fsync also syncs the directory
 	err      error // the sticky failure, or errClosed
@@ -50,9 +59,9 @@ type Log struct {
 // last newline is a torn tail — the partial write of a crash — and is cut
 // off here, before a new record can land behind it and turn it into
 // mid-file corruption.
-func Open(path string) (*Log, error) { return open(osFS{}, path) }
+func Open[T any](path string) (*Log[T], error) { return open[T](osFS{}, path) }
 
-func open(fs fsys, path string) (*Log, error) {
+func open[T any](fs fsys, path string) (*Log[T], error) {
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -62,12 +71,14 @@ func open(fs fsys, path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %s: %w", path, err)
 	}
-	return &Log{path: path, fs: fs, f: f, fresh: size == 0}, nil
+	l := &Log[T]{path: path, fs: fs, f: f, fresh: size == 0}
+	l.enc = json.NewEncoder(&l.pending)
+	return l, nil
 }
 
 // repairTail truncates f to just after its last newline and returns the
 // resulting size. It reads backwards from the end, and no further than the
-// longest fragment an Append can leave.
+// longest fragment a Flush can leave.
 func repairTail(f file) (int64, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -98,49 +109,65 @@ func repairTail(f file) (int64, error) {
 }
 
 // fail latches the handle's first failure and returns it.
-func (l *Log) fail(err error) error {
+func (l *Log[T]) fail(err error) error {
 	l.err = fmt.Errorf("wal: %s: %w", l.path, err)
 	return l.err
 }
 
-// frame returns recs, each followed by its newline, in l.buf, or why one of
-// them cannot be a record.
-func (l *Log) frame(recs [][]byte) ([]byte, error) {
-	buf := l.buf[:0]
-	for _, rec := range recs {
-		if len(rec) > MaxRecord {
-			return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(rec), MaxRecord)
-		}
-		if bytes.IndexByte(rec, '\n') >= 0 {
-			return nil, errors.New("wal: record contains a newline")
-		}
-		buf = append(append(buf, rec...), '\n')
+// encode appends rec's line to buf through enc, which writes into buf. A
+// record that does not encode, or is longer than MaxRecord, leaves buf as
+// it was.
+func encode[T any](enc *json.Encoder, buf *bytes.Buffer, rec *T) error {
+	n := buf.Len()
+	if err := enc.Encode(rec); err != nil { // writes nothing on failure
+		return fmt.Errorf("wal: %w", err)
 	}
-	l.buf = buf
-	return buf, nil
+	if size := buf.Len() - n - 1; size > MaxRecord {
+		buf.Truncate(n)
+		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", size, MaxRecord)
+	}
+	return nil
 }
 
-// Append writes a run of records, each followed by its newline, with a
-// single write(2), so a killed process loses nothing the kernel accepted. A
-// run with a record that cannot be one is refused whole, before a byte is
-// written. Each record counts toward syncEvery, and the log fsyncs once that
-// many are unsynced: 1 makes the run durable before Append returns, n
-// batches (a machine crash loses at most n-1 records some Append returned
-// for), and a non-positive value means DefaultSyncEvery.
-func (l *Log) Append(recs [][]byte, syncEvery int) error {
+// Append encodes rec onto the pending run; nothing reaches the file until
+// the next Flush or Close. A record that cannot be one — it does not
+// encode, or is longer than MaxRecord — is refused and leaves the run as it
+// was, and refusing it does not fail the log.
+func (l *Log[T]) Append(rec T) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return l.err
 	}
-	b, err := l.frame(recs)
-	if err != nil || len(b) == 0 {
+	l.rec = rec
+	err := encode(l.enc, &l.pending, &l.rec)
+	var zero T
+	l.rec = zero // hold nothing of rec past the call
+	if err != nil {
 		return err
 	}
-	if _, err := l.f.Write(b); err != nil {
-		return l.fail(err)
+	l.queued++
+	return nil
+}
+
+// Flush writes the pending run with a single write(2), so a killed process
+// loses nothing the kernel accepted. Each record counts toward syncEvery,
+// and the log fsyncs once that many are unsynced: 1 makes the run durable
+// before Flush returns, n batches (a machine crash loses at most n-1
+// records some Flush returned for), and a non-positive value means
+// DefaultSyncEvery. A failed Flush drops the run; the log is short of it.
+func (l *Log[T]) Flush(syncEvery int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
 	}
-	l.unsynced += len(recs)
+	if l.queued == 0 {
+		return nil
+	}
+	if err := l.write(); err != nil {
+		return err
+	}
 	if syncEvery <= 0 {
 		syncEvery = DefaultSyncEvery
 	}
@@ -150,7 +177,19 @@ func (l *Log) Append(recs [][]byte, syncEvery int) error {
 	return l.sync()
 }
 
-func (l *Log) sync() error {
+// write hands the pending run to the file.
+func (l *Log[T]) write() error {
+	_, err := l.f.Write(l.pending.Bytes())
+	l.unsynced += l.queued
+	l.pending.Reset()
+	l.queued = 0
+	if err != nil {
+		return l.fail(err)
+	}
+	return nil
+}
+
+func (l *Log[T]) sync() error {
 	if err := l.f.Sync(); err != nil {
 		return l.fail(err)
 	}
@@ -165,15 +204,19 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// Close syncs any unsynced batch and closes the handle; a failed handle
-// reports its failure. Appending afterwards errors; closing again does not.
-func (l *Log) Close() error {
+// Close writes the pending run, syncs whatever is unsynced and closes the
+// handle; a failed handle reports its failure. Appending afterwards errors;
+// closing again does not.
+func (l *Log[T]) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
 	err := l.err
+	if err == nil && l.queued > 0 {
+		err = l.write()
+	}
 	if err == nil && l.unsynced > 0 {
 		err = l.sync()
 	}
@@ -185,11 +228,12 @@ func (l *Log) Close() error {
 }
 
 // Rewrite atomically replaces the log's content with recs (a compacting
-// snapshot): write a temp file, fsync it, rename it over the log, fsync the
-// directory — or power loss could resurrect the old file beneath records
-// appended, and acknowledged, afterwards — and swap the append handle. A
-// crash at any point leaves either the old log or the new one, never a mix.
-func (l *Log) Rewrite(recs [][]byte) error {
+// snapshot): write a temp file record by record, fsync it, rename it over
+// the log, fsync the directory — or power loss could resurrect the old file
+// beneath records appended, and acknowledged, afterwards — and swap the
+// append handle. A crash at any point leaves either the old log or the new
+// one, never a mix. A pending run stays pending, to follow the snapshot.
+func (l *Log[T]) Rewrite(recs []T) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -200,12 +244,14 @@ func (l *Log) Rewrite(recs [][]byte) error {
 	if err != nil {
 		return l.fail(err)
 	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for i := range recs {
-		var b []byte
-		if b, err = l.frame(recs[i : i+1]); err != nil {
+		buf.Reset()
+		if err = encode(enc, &buf, &recs[i]); err != nil {
 			break
 		}
-		if _, err = tf.Write(b); err != nil {
+		if _, err = tf.Write(buf.Bytes()); err != nil {
 			break
 		}
 	}
@@ -228,22 +274,15 @@ func (l *Log) Rewrite(recs [][]byte) error {
 	return nil
 }
 
-// DecodeError is how a Replay callback says "this line is not a record of
-// my schema": Replay reports it as corruption, with the line number. Any
-// other error a callback returns is the caller's own and comes back as-is.
-type DecodeError struct{ Err error }
-
-func (e *DecodeError) Error() string { return e.Err.Error() }
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// Replay streams a log's non-blank lines to fn in order. A final line with
-// no newline is a torn tail and is dropped unseen: its write never
-// completed, so nobody was told it happened. Every line that has its
-// newline was written whole, so one fn rejects with a *DecodeError, or one
-// longer than MaxRecord, is corruption wherever it sits — dropping it would
-// forget a record that may have been acknowledged. Memory is bounded by
-// MaxRecord.
-func Replay(r io.Reader, fn func(rec []byte) error) error {
+// Replay decodes a log's records in order and hands each to fn. Blank lines
+// are skipped. A final line with no newline is a torn tail and is dropped
+// unseen: its write never completed, so nobody was told it happened. Every
+// line that has its newline was written whole, so one that does not decode
+// as a T, or is longer than MaxRecord, is corruption wherever it sits —
+// dropping it would forget a record that may have been acknowledged — and
+// Replay reports it with its line number. An error fn returns comes back
+// wrapped with the line number too. Memory is bounded by MaxRecord.
+func Replay[T any](r io.Reader, fn func(rec T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, MaxRecord+1) // room for a record and its newline
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
@@ -257,16 +296,16 @@ func Replay(r io.Reader, fn func(rec []byte) error) error {
 	})
 	line := 1
 	for ; sc.Scan(); line++ {
-		rec := bytes.TrimSpace(sc.Bytes())
-		if len(rec) == 0 {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
+		var rec T
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return fmt.Errorf("wal: corrupt record at line %d: %w", line, err)
+		}
 		if err := fn(rec); err != nil {
-			var de *DecodeError
-			if errors.As(err, &de) {
-				return fmt.Errorf("wal: corrupt record at line %d: %w", line, de.Err)
-			}
-			return err
+			return fmt.Errorf("wal: line %d: %w", line, err)
 		}
 	}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,34 +18,37 @@ import (
 	"time"
 )
 
-// replayFile returns the records of the log at path.
+// replayFile returns the records of the log at path, read as strings.
 func replayFile(t *testing.T, path string) []string {
 	t.Helper()
-	recs, err := tryReplayFile(path, func([]byte) error { return nil })
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := replayBytes[string](data)
 	if err != nil {
 		t.Fatalf("replay %s: %v", path, err)
 	}
 	return recs
 }
 
-func tryReplayFile(path string, decode func([]byte) error) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return replayBytes(data, decode)
-}
-
-func replayBytes(data []byte, decode func([]byte) error) ([]string, error) {
-	var recs []string
-	err := Replay(bytes.NewReader(data), func(rec []byte) error {
-		if err := decode(rec); err != nil {
-			return &DecodeError{Err: err}
-		}
-		recs = append(recs, string(rec))
+func replayBytes[T any](data []byte) ([]T, error) {
+	var recs []T
+	err := Replay(bytes.NewReader(data), func(rec T) error {
+		recs = append(recs, rec)
 		return nil
 	})
 	return recs, err
+}
+
+// put appends recs as one run and flushes it.
+func put[T any](l *Log[T], syncEvery int, recs ...T) error {
+	for _, rec := range recs {
+		if err := l.Append(rec); err != nil {
+			return err
+		}
+	}
+	return l.Flush(syncEvery)
 }
 
 // TestSyncPolicy counts fsyncs through the fake: syncEvery 1 syncs every
@@ -53,12 +57,12 @@ func replayBytes(data []byte, decode func([]byte) error) ([]string, error) {
 func TestSyncPolicy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	fs := &FaultFS{}
-	l, err := open(fs, path)
+	l, err := open[string](fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append([][]byte{[]byte("forced")}, 1); err != nil {
+		if err := put(l, 1, "forced"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +71,7 @@ func TestSyncPolicy(t *testing.T) {
 		t.Fatalf("forced appends: ops %v, want %v", fs.Ops, want)
 	}
 	for i := 0; i < 2*DefaultSyncEvery+1; i++ {
-		if err := l.Append([][]byte{[]byte("batched")}, 0); err != nil {
+		if err := put(l, 0, "batched"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,13 +79,13 @@ func TestSyncPolicy(t *testing.T) {
 		t.Fatalf("%d fsyncs after %d default-batched appends, want 2 more than 3", got, 2*DefaultSyncEvery+1)
 	}
 	// A forced record flushes the batch it joins.
-	if err := l.Append([][]byte{[]byte("forced")}, 1); err != nil {
+	if err := put(l, 1, "forced"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([][]byte{[]byte("tail")}, 4); err != nil {
+	if err := put(l, 4, "tail"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([][]byte{[]byte("last")}, 4); err != nil {
+	if err := put(l, 4, "last"); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Count("sync"); got != 6 {
@@ -96,53 +100,50 @@ func TestSyncPolicy(t *testing.T) {
 	if got, dirs := fs.Count("sync"), fs.Count("syncdir"); got != 7 || dirs != 1 {
 		t.Fatalf("%d fsyncs and %d directory fsyncs after Close, want 7 and 1", got, dirs)
 	}
-	if err := l.Append([][]byte{[]byte("late")}, 1); err == nil {
+	if err := l.Append("late"); err == nil {
 		t.Fatal("Append after Close accepted")
 	}
 
-	// Reopening an existing log creates nothing: no directory fsync.
+	// Reopening an existing log creates nothing: no directory fsync. Close
+	// writes what is pending and syncs it.
 	fs2 := &FaultFS{}
-	l2, err := open(fs2, path)
+	l2, err := open[string](fs2, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append([][]byte{[]byte("again")}, 1); err != nil {
+	if err := put(l2, 1, "again"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append("unflushed"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"write", "sync"}; !reflect.DeepEqual(fs2.Ops, want) {
+	if want := []string{"write", "sync", "write", "sync"}; !reflect.DeepEqual(fs2.Ops, want) {
 		t.Fatalf("reopened log: ops %v, want %v", fs2.Ops, want)
 	}
-	if n := len(replayFile(t, path)); n != 3+2*DefaultSyncEvery+1+4 {
+	if n := len(replayFile(t, path)); n != 3+2*DefaultSyncEvery+1+5 {
 		t.Fatalf("replayed %d records", n)
 	}
 }
 
-// TestAppendRun: a run of records is one write, each of its records counts
-// toward syncEvery as one appended alone would, a run holding a record that
-// cannot be one is refused whole without failing the log, and an empty run
-// touches nothing.
+// TestAppendRun: a flushed run of records is one write, each of its
+// records counts toward syncEvery as one flushed alone would, a record that
+// cannot be one is refused without failing the log or the run it joins,
+// and flushing nothing touches nothing.
 func TestAppendRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	fs := &FaultFS{}
-	l, err := open(fs, path)
+	l, err := open[any](fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(recs ...string) [][]byte {
-		out := make([][]byte, len(recs))
-		for i, r := range recs {
-			out[i] = []byte(r)
-		}
-		return out
-	}
-	if err := l.Append(nil, 1); err != nil || len(fs.Ops) != 0 {
+	if err := l.Flush(1); err != nil || len(fs.Ops) != 0 {
 		t.Fatalf("empty run: %v, ops %v", err, fs.Ops)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(run("a", "b", "c"), 8); err != nil {
+		if err := put(l, 8, "a", "b", "c"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,22 +151,76 @@ func TestAppendRun(t *testing.T) {
 	if want := []string{"write", "write", "write", "sync", "syncdir"}; !reflect.DeepEqual(fs.Ops, want) {
 		t.Fatalf("three runs of three: ops %v, want %v", fs.Ops, want)
 	}
-	for _, bad := range [][][]byte{run("ok", "a\nb"), {[]byte("ok"), make([]byte, MaxRecord+1)}} {
-		if err := l.Append(bad, 1); err == nil {
-			t.Fatal("run with a bad record accepted")
+	// json.Marshal refuses a NaN; the second record encodes one byte over.
+	for _, bad := range []any{math.NaN(), strings.Repeat("r", MaxRecord-1)} {
+		if err := l.Append("ok"); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(bad); err == nil {
+			t.Fatal("a record that cannot be one accepted")
+		}
+		if err := l.Flush(1); err != nil {
+			t.Fatalf("a refused record failed the log: %v", err)
 		}
 	}
-	if err := l.Append(run("d", "e"), 2); err != nil {
-		t.Fatalf("a refused run failed the log: %v", err)
+	if err := put(l, 2, "d", "e"); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := replayFile(t, path), []string{"a", "b", "c", "a", "b", "c", "a", "b", "c", "d", "e"}; !reflect.DeepEqual(got, want) {
+	if got, want := replayFile(t, path), []string{"a", "b", "c", "a", "b", "c", "a", "b", "c", "ok", "ok", "d", "e"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed %v, want %v", got, want)
 	}
-	if w := fs.Count("write"); w != 4 {
-		t.Fatalf("%d writes for four accepted runs", w)
+	if w := fs.Count("write"); w != 6 {
+		t.Fatalf("%d writes for six flushed runs", w)
+	}
+}
+
+// TestRecordsAreMarshal: a record's line is exactly json.Marshal's bytes
+// and a newline — HTML characters, line separators and control characters
+// escaped as Marshal escapes them — so no value can put a newline inside a
+// record, and Replay decodes every record back.
+func TestRecordsAreMarshal(t *testing.T) {
+	type rec struct {
+		S string            `json:"s"`
+		F float64           `json:"f,omitempty"`
+		M map[string]string `json:"m,omitempty"`
+	}
+	recs := []rec{
+		{S: "a\nb\r\n"},
+		{S: "<a&b>\u2028\u2029ünïcødé \"q\" \\ \x01", F: 1.0 / 3},
+		{S: "", F: math.SmallestNonzeroFloat64, M: map[string]string{"k\n": "v<"}},
+	}
+	path := filepath.Join(t.TempDir(), "log")
+	l, err := Open[rec](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, r := range recs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if err := put(l, 1, recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file\n%q\nwant json.Marshal's\n%q", got, want)
+	}
+	back, err := replayBytes[rec](got)
+	if err != nil || !reflect.DeepEqual(back, recs) {
+		t.Fatalf("replayed %+v (%v), want %+v", back, err, recs)
 	}
 }
 
@@ -174,24 +229,24 @@ func TestAppendRun(t *testing.T) {
 // afterwards land in the new file.
 func TestRewriteOrderAndSwap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, err := Open(path)
+	l, err := Open[string](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []string{"a", "b", "c"} {
-		if err := l.Append([][]byte{[]byte(r)}, 1); err != nil {
+		if err := put(l, 1, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fs := &FaultFS{}
 	l.InjectFaults(fs)
-	if err := l.Rewrite([][]byte{[]byte("snap1"), []byte("snap2")}); err != nil {
+	if err := l.Rewrite([]string{"snap1", "snap2"}); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"write", "write", "sync", "rename", "syncdir"}; !reflect.DeepEqual(fs.Ops, want) {
 		t.Fatalf("rewrite ops %v, want %v", fs.Ops, want)
 	}
-	if err := l.Append([][]byte{[]byte("after")}, 1); err != nil {
+	if err := put(l, 1, "after"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -223,7 +278,7 @@ func TestOpenCutsTornTail(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err := Open(path)
+			l, err := Open[string](path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,36 +299,63 @@ func TestOpenCutsTornTail(t *testing.T) {
 // names the limit, and a record of exactly MaxRecord bytes round-trips.
 func TestMaxRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, err := Open(path)
+	l, err := Open[string](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	long := bytes.Repeat([]byte("r"), MaxRecord+1)
-	if err := l.Append([][]byte{long}, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxRecord)) {
+	exact := strings.Repeat("r", MaxRecord-2) // and its two quotes
+	if err := l.Append(exact + "r"); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxRecord)) {
 		t.Fatalf("over-long Append: %v", err)
 	}
-	if err := l.Append([][]byte{[]byte("a\nb")}, 1); err == nil {
-		t.Fatal("record containing a newline accepted")
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Fatalf("refused appends wrote %d bytes (%v)", fi.Size(), err)
-	}
-	// The refusals are the caller's mistakes, not log failures.
-	if err := l.Append([][]byte{long[:MaxRecord]}, DefaultSyncEvery); err != nil {
-		t.Fatalf("MaxRecord-byte record refused: %v", err)
-	}
-	if err := l.Append([][]byte{[]byte("next")}, DefaultSyncEvery); err != nil {
+	if err := l.Flush(1); err != nil {
 		t.Fatal(err)
 	}
-	if recs := replayFile(t, path); len(recs) != 2 || len(recs[0]) != MaxRecord || recs[1] != "next" {
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("refused append wrote %d bytes (%v)", fi.Size(), err)
+	}
+	// The refusal is the caller's mistake, not a log failure.
+	if err := put(l, DefaultSyncEvery, exact, "next"); err != nil {
+		t.Fatalf("MaxRecord-byte record refused: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := replayFile(t, path); len(recs) != 2 || recs[0] != exact || recs[1] != "next" {
 		t.Fatalf("replayed %d records", len(recs))
 	}
 
-	doc := io.MultiReader(strings.NewReader("ok\n"), bytes.NewReader(long), strings.NewReader("\nok\n"))
-	err = Replay(doc, func([]byte) error { return nil })
+	long := bytes.Repeat([]byte("r"), MaxRecord+1)
+	doc := io.MultiReader(strings.NewReader(`"ok"`+"\n"), bytes.NewReader(long), strings.NewReader("\n"+`"ok"`+"\n"))
+	err = Replay(doc, func(string) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), fmt.Sprint(MaxRecord)) {
 		t.Fatalf("over-long line replayed: %v", err)
+	}
+}
+
+// TestReplayLinesAndErrors: blank lines are skipped but counted, a line
+// that does not decode as the record type is corruption at its line, and
+// an error the callback returns comes back as itself with its line.
+func TestReplayLinesAndErrors(t *testing.T) {
+	doc := "\n" + `{"i":1}` + "\n  \n" + `{"i":2}` + "\n"
+	var got []propRecord
+	if err := Replay(strings.NewReader(doc), func(r propRecord) error { got = append(got, r); return nil }); err != nil ||
+		!slices.Equal(got, []propRecord{{I: 1}, {I: 2}}) {
+		t.Fatalf("replayed %v (%v)", got, err)
+	}
+	err := Replay(strings.NewReader(doc+`{"i":"three"}`+"\n"), func(propRecord) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "corrupt record at line 5") {
+		t.Fatalf("a record of the wrong type: %v", err)
+	}
+	n := 0
+	err = Replay(strings.NewReader(doc), func(propRecord) error {
+		if n++; n == 2 {
+			return ErrInjected
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "line 4") {
+		t.Fatalf("callback error: %v", err)
 	}
 }
 
@@ -286,7 +368,7 @@ func TestFailureIsSticky(t *testing.T) {
 		name    string
 		op      string
 		fault   Fault
-		rewrite bool // the failing call is a Rewrite, not an Append
+		rewrite bool // the failing call is a Rewrite, not a Flush
 	}{
 		{"short write", "write", Fault{Err: io.ErrShortWrite, Partial: 4}, false},
 		{"ENOSPC", "write", Fault{Err: ErrNoSpace}, false},
@@ -298,13 +380,13 @@ func TestFailureIsSticky(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log")
-			l, err := Open(path)
+			l, err := Open[string](path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			acked := []string{"one", "two"}
 			for _, r := range acked {
-				if err := l.Append([][]byte{[]byte(r)}, 1); err != nil {
+				if err := put(l, 1, r); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,17 +395,18 @@ func TestFailureIsSticky(t *testing.T) {
 			l.InjectFaults(fs)
 			var first error
 			if tc.rewrite {
-				first = l.Rewrite([][]byte{[]byte("snapshot")})
+				first = l.Rewrite([]string{"snapshot"})
 			} else {
-				first = l.Append([][]byte{[]byte("three")}, 1)
+				first = put(l, 1, "three")
 			}
 			if !errors.Is(first, tc.fault.Err) {
 				t.Fatalf("failing call returned %v, want %v", first, tc.fault.Err)
 			}
 			ops := len(fs.Ops)
 			for name, err := range map[string]error{
-				"Append":  l.Append([][]byte{[]byte("four")}, 1),
-				"Rewrite": l.Rewrite([][]byte{[]byte("again")}),
+				"Append":  l.Append("four"),
+				"Flush":   l.Flush(1),
+				"Rewrite": l.Rewrite([]string{"again"}),
 				"Close":   l.Close(),
 			} {
 				if err != first {
@@ -334,11 +417,11 @@ func TestFailureIsSticky(t *testing.T) {
 				t.Errorf("a failed handle still touched the file: %v", fs.Ops[ops:])
 			}
 
-			l2, err := Open(path)
+			l2, err := Open[string](path)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if err := l2.Append([][]byte{[]byte("five")}, 1); err != nil {
+			if err := put(l2, 1, "five"); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Close(); err != nil {
@@ -363,10 +446,11 @@ func TestFailureIsSticky(t *testing.T) {
 }
 
 // TestConcurrentAppend: appenders on several goroutines, forced and batched
-// syncs interleaved, never tear or lose one another's records.
+// syncs interleaved, each flushing whatever run it finds pending, never
+// tear or lose one another's records.
 func TestConcurrentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, err := Open(path)
+	l, err := Open[string](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +462,7 @@ func TestConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				rec := fmt.Sprintf("writer %d record %d %s", w, i, strings.Repeat("-", i))
-				if err := l.Append([][]byte{[]byte(rec)}, 1+i%3*4); err != nil {
+				if err := put(l, 1+i%3*4, rec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -410,11 +494,6 @@ func TestConcurrentAppend(t *testing.T) {
 type propRecord struct {
 	I   int    `json:"i"`
 	Pad string `json:"pad,omitempty"`
-}
-
-func decodeProp(raw []byte) error {
-	var r propRecord
-	return json.Unmarshal(raw, &r)
 }
 
 // memFS is a one-directory filesystem in memory: the properties below are
@@ -460,26 +539,43 @@ func TestCrashPointProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
 	const logs, path = 500, "log"
+	added := propRecord{I: -1}
 	for n := 0; n < logs; n++ {
-		var data []byte
-		var recs []string
-		var ends []int // ends[i] is the offset just past record i's newline
+		// The log itself writes the file: one run, flushed or left to Close.
+		var recs []propRecord
+		written := memFS{}
+		wl, err := open[propRecord](written, path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, k := 0, 1+rng.Intn(4); i < k; i++ {
-			b, err := json.Marshal(propRecord{I: rng.Intn(1000), Pad: strings.Repeat("p", rng.Intn(8))})
-			if err != nil {
+			rec := propRecord{I: rng.Intn(1000), Pad: strings.Repeat("p", rng.Intn(8))}
+			recs = append(recs, rec)
+			if err := wl.Append(rec); err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, string(b))
-			data = append(append(data, b...), '\n')
-			ends = append(ends, len(data))
+		}
+		if rng.Intn(2) == 0 {
+			if err := wl.Flush(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := written[path].data
+		var ends []int // ends[i] is the offset just past record i's newline
+		for i, c := range data {
+			if c == '\n' {
+				ends = append(ends, i+1)
+			}
 		}
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d, log %d %q: %s", seed, n, data, fmt.Sprintf(format, args...))
 		}
-		added, err := json.Marshal(propRecord{I: -1})
-		if err != nil {
-			t.Fatal(err)
+		if len(ends) != len(recs) {
+			fail("%d lines for %d records", len(ends), len(recs))
 		}
 		for off := 0; off <= len(data); off++ {
 			fs := memFS{path: {data: append([]byte(nil), data[:off]...)}}
@@ -487,43 +583,46 @@ func TestCrashPointProperty(t *testing.T) {
 			for whole < len(ends) && ends[whole] <= off {
 				whole++
 			}
-			want := append([]string(nil), recs[:whole]...)
+			want := append([]propRecord(nil), recs[:whole]...)
 			// Replay tolerates the crash as it is found, before any repair.
-			if got, err := replayBytes(data[:off], decodeProp); err != nil || !slices.Equal(got, want) {
+			if got, err := replayBytes[propRecord](data[:off]); err != nil || !slices.Equal(got, want) {
 				fail("cut at %d: replayed %v (%v), want %v", off, got, err, want)
 			}
-			l, err := open(fs, path)
+			l, err := open[propRecord](fs, path)
 			if err != nil {
 				fail("cut at %d: open: %v", off, err)
 			}
-			if err := l.Append([][]byte{added}, 1); err != nil {
+			if err := put(l, 1, added); err != nil {
 				fail("cut at %d: append: %v", off, err)
 			}
 			if err := l.Close(); err != nil {
 				fail("cut at %d: close: %v", off, err)
 			}
-			want = append(want, string(added))
-			if got, err := replayBytes(fs[path].data, decodeProp); err != nil || !slices.Equal(got, want) {
+			want = append(want, added)
+			if got, err := replayBytes[propRecord](fs[path].data); err != nil || !slices.Equal(got, want) {
 				fail("cut at %d: after append replayed %v (%v), want %v", off, got, err, want)
 			}
 		}
 
 		// Cut one line short in place, keeping its newline and at least a byte.
 		i := rng.Intn(len(recs))
-		start := ends[i] - len(recs[i]) - 1
-		keep := 1 + rng.Intn(len(recs[i])-1)
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		keep := 1 + rng.Intn(ends[i]-start-2)
 		bad := append(append(append([]byte(nil), data[:start+keep]...), '\n'), data[ends[i]:]...)
 		fs := memFS{path: {data: bad}}
 		wantLine := fmt.Sprintf("line %d:", i+1)
 		for round := 0; round < 2; round++ {
-			if got, err := replayBytes(fs[path].data, decodeProp); err == nil || !strings.Contains(err.Error(), wantLine) || len(got) != i {
+			if got, err := replayBytes[propRecord](fs[path].data); err == nil || !strings.Contains(err.Error(), wantLine) || len(got) != i {
 				fail("line %d cut to %d bytes: replayed %v, err %v", i+1, keep, got, err)
 			}
-			l, err := open(fs, path)
+			l, err := open[propRecord](fs, path)
 			if err != nil {
 				fail("open over corruption: %v", err)
 			}
-			if err := l.Append([][]byte{added}, 1); err != nil {
+			if err := put(l, 1, added); err != nil {
 				fail("append over corruption: %v", err)
 			}
 			l.Close()
@@ -531,58 +630,77 @@ func TestCrashPointProperty(t *testing.T) {
 	}
 }
 
-// FuzzReplay: arbitrary bytes never panic Replay, every record it delivers
-// is a whole non-blank line of the input within MaxRecord, and a log built
-// by Open + Append from those records replays to exactly them.
+// FuzzReplay: arbitrary bytes never panic Replay; every record it delivers
+// comes from a whole non-blank line of the input within MaxRecord, and an
+// error is corruption at a line that exists; a callback's error comes back
+// as itself; and a log built by Open + Append from the delivered records
+// holds exactly json.Marshal's bytes for each and replays to them.
 func FuzzReplay(f *testing.F) {
-	f.Add([]byte("a\nb\n"))
-	f.Add([]byte("a\nb\nfrag"))
+	f.Add([]byte(`"a"` + "\n" + `"b"` + "\n"))
+	f.Add([]byte(`"a"` + "\n" + `"b"` + "\nfrag"))
 	f.Add([]byte("\n\n  \n"))
 	f.Add([]byte(`{"t":"pair","x":"a","y":` + "\n" + `{"t":"pair"}` + "\n"))
+	f.Add([]byte(`[1, 2,	3]` + "\r\n" + `{"s":"<&> "}` + "\n"))
 	f.Add([]byte("\r\n\x00\n"))
+	f.Add([]byte("a\nb\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		var recs [][]byte
-		err := Replay(bytes.NewReader(doc), func(rec []byte) error {
-			if len(rec) == 0 || len(rec) > MaxRecord || bytes.IndexByte(rec, '\n') >= 0 {
+		lines := bytes.Count(doc, []byte("\n"))
+		var recs []json.RawMessage
+		err := Replay(bytes.NewReader(doc), func(rec json.RawMessage) error {
+			if len(rec) == 0 || len(rec) > MaxRecord || bytes.IndexByte(rec, '\n') >= 0 || !json.Valid(rec) {
 				t.Fatalf("delivered %q", rec)
 			}
-			recs = append(recs, append([]byte(nil), rec...))
+			recs = append(recs, append(json.RawMessage(nil), rec...))
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("no callback error, no over-long line, yet Replay failed: %v", err)
-		}
-		if lines := bytes.Count(doc, []byte("\n")); len(recs) > lines {
+		if len(recs) > lines {
 			t.Fatalf("%d records from %d newline-terminated lines", len(recs), lines)
 		}
-		// A decoder that rejects everything turns the first record into
-		// corruption at a line that exists.
-		err = Replay(bytes.NewReader(doc), func([]byte) error { return &DecodeError{Err: ErrInjected} })
-		if (err != nil) != (len(recs) > 0) || (err != nil && !errors.Is(err, ErrInjected)) {
-			t.Fatalf("rejecting decoder over %d records: %v", len(recs), err)
+		if err != nil {
+			var at int
+			if _, serr := fmt.Sscanf(err.Error(), "wal: corrupt record at line %d:", &at); serr != nil || at < 1 || at > lines+1 {
+				t.Fatalf("Replay failed other than as corruption at a line: %v", err)
+			}
+		}
+		// A callback that rejects everything fails at the first record.
+		rerr := Replay(bytes.NewReader(doc), func(json.RawMessage) error { return ErrInjected })
+		if len(recs) > 0 && !errors.Is(rerr, ErrInjected) {
+			t.Fatalf("rejecting callback over %d records: %v", len(recs), rerr)
+		}
+		if len(recs) == 0 && err == nil && rerr != nil {
+			t.Fatalf("rejecting callback over no records: %v", rerr)
 		}
 
 		fs := memFS{}
-		l, err := open(fs, "log")
+		l, err := open[json.RawMessage](fs, "log")
 		if err != nil {
 			t.Fatal(err)
 		}
+		var want []byte
 		for _, rec := range recs {
-			if err := l.Append([][]byte{rec}, 0); err != nil {
+			if err := l.Append(rec); err != nil {
 				t.Fatalf("Append refused a record Replay delivered: %v", err)
 			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, b...), '\n')
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayBytes(fs["log"].data, func([]byte) error { return nil })
+		if !bytes.Equal(fs["log"].data, want) {
+			t.Fatalf("rebuilt log\n%q\nwant json.Marshal's\n%q", fs["log"].data, want)
+		}
+		got, err := replayBytes[json.RawMessage](fs["log"].data)
 		if err != nil || len(got) != len(recs) {
 			t.Fatalf("rebuilt log replayed %d of %d records: %v", len(got), len(recs), err)
 		}
-		for i := range got {
-			if got[i] != string(recs[i]) {
-				t.Fatalf("record %d changed: %q → %q", i, recs[i], got[i])
+		for i, line := range bytes.SplitAfter(want, []byte("\n"))[:len(got)] {
+			if string(got[i]) != string(bytes.TrimSuffix(line, []byte("\n"))) {
+				t.Fatalf("record %d changed: %q → %q", i, line, got[i])
 			}
 		}
 	})

@@ -51,7 +51,9 @@ fi
 pids=""
 cleanup() {
   for p in $pids; do kill "$p" 2>/dev/null || true; done
-  [ -n "$cleanup_dir" ] && rm -rf "$cleanup_dir"
+  # Not `[ -n … ] && rm`: with TING_SOAK_DIR set that test fails, and dash
+  # makes the trap's last status the script's.
+  [ -z "$cleanup_dir" ] || rm -rf "$cleanup_dir"
 }
 trap cleanup EXIT
 
