@@ -222,7 +222,7 @@ func TestTornTailSurvivesTwoResumes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume refused: %v", err)
 		}
-		return len(st.Pairs)
+		return st.Matrix.ProvCounts().Resumed
 	}
 	appendPairs := func(t *testing.T, path string, recs ...ting.CheckpointRecord) {
 		t.Helper()

@@ -197,20 +197,17 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// openLedger builds the matrix the worker measures into for its whole life,
-// over the campaign's names, and seeds it with every pair its checkpoint
-// already holds, as ProvResumed: crash recovery resumes finished work
-// rather than redoing it. The matrix is the worker's ledger — a lease's
-// scan writes its successes there, and what a shard still needs and what
-// its submission reports are read from there. A checkpoint whose header
-// names another relay set is refused.
+// openLedger returns the matrix the worker measures into for its whole
+// life, over the campaign's names: its checkpoint replayed (ReplayState), so
+// every pair the log holds is a ProvResumed cell and crash recovery resumes
+// finished work rather than redoing it, or a fresh matrix when the log has
+// no header. The matrix is the worker's ledger — a lease's scan writes its
+// successes there, and what a shard still needs and what its submission
+// reports are read from there. A checkpoint whose header names another relay
+// set is refused.
 func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
-	m, err := ting.NewMatrix(names)
-	if err != nil {
-		return nil, err
-	}
 	if w.Checkpoint == nil {
-		return m, nil
+		return ting.NewMatrix(names)
 	}
 	st, err := ting.ReplayState(w.Checkpoint)
 	if err != nil {
@@ -222,14 +219,14 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 		return nil, fmt.Errorf("checkpoint is another campaign's: %d relays in its header, %d in the coordinator's",
 			len(st.Names), len(names))
 	}
-	for p, rtt := range st.Pairs {
-		// A pair outside the campaign's relays is no shard's: skip it.
-		if m.Set(p[0], p[1], rtt) == nil {
-			_ = m.SetProv(p[0], p[1], ting.ProvResumed)
+	m := st.Matrix
+	if m == nil {
+		if m, err = ting.NewMatrix(names); err != nil {
+			return nil, err
 		}
 	}
 	if st.Records > 0 {
-		w.logf("worker %s: resumed %d measured pairs from checkpoint", w.Name, len(st.Pairs))
+		w.logf("worker %s: resumed %d measured pairs from checkpoint", w.Name, m.ProvCounts().Resumed)
 	}
 	return m, nil
 }
@@ -278,14 +275,14 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	// the shard was granted to this worker before: a previous life cut short
 	// by a crash (replayed into the ledger), or a lease it lost to a fence
 	// after measuring part of it. Those pairs are not measured again.
-	need := make([][2]string, 0, sh.PairCount())
+	need := make([][2]int, 0, sh.PairCount())
 	for c := sh.cursor(len(names)); ; {
 		i, j, ok := c.next()
 		if !ok {
 			break
 		}
 		if !measured(ledger, i, j) {
-			need = append(need, [2]string{names[i], names[j]})
+			need = append(need, [2]int{i, j})
 		}
 	}
 

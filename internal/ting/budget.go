@@ -33,12 +33,12 @@ const budgetFitPasses = 12
 // A budget of at least all pairs falls through to a plain Scan. The
 // scanner's Checkpoint and Directory are not used by the batch scans (a
 // budgeted campaign is cheap to re-run; churn reconciliation assumes an
-// all-pairs schedule); each batch is one restricted pass of the scan
-// engine (Scanner.run), so everything else — workers, retries, deadlines,
-// breaker, observer — applies per batch, and one half-circuit cache spans
-// all batches so bootstrap circuits keep paying off in the active rounds.
-// Progress, if set, is called with done/total across the whole campaign's
-// scheduled pairs.
+// all-pairs schedule); each batch is one ScanPairs pass of the scan engine
+// into the returned matrix, so everything else — workers, retries,
+// deadlines, breaker, observer — applies per batch, and one half-circuit
+// cache spans all batches so bootstrap circuits keep paying off in the
+// active rounds. Progress, if set, is called with done/total across the
+// whole campaign's scheduled pairs.
 func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*Matrix, []PairError, error) {
 	if budget <= 0 {
 		return nil, nil, errors.New("ting: ScanBudget needs a positive budget")
@@ -80,42 +80,33 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	progress := s.Progress
 	sub.Progress = nil
 
-	measured := make(map[[2]string]bool, budget)
-	measuredFn := func(i, j int) bool { return measured[pairKey(names[i], names[j])] }
+	// Every pair scheduled so far, smaller index first: the bootstrap's
+	// dedup, the active rounds' exclusion and the spent budget.
+	scheduled := make(map[[2]int]bool, budget)
+	key := func(i, j int) [2]int { return [2]int{min(i, j), max(i, j)} }
 
 	var (
 		failures []PairError
 		obs      []coords.Observation
 		doneOff  int
 	)
-	runBatch := func(batch [][2]string) error {
+	runBatch := func(batch [][2]int) error {
 		if len(batch) == 0 {
 			return nil
-		}
-		for _, p := range batch {
-			measured[pairKey(p[0], p[1])] = true
 		}
 		if progress != nil {
 			off := doneOff
 			total := doneOff + len(batch)
 			sub.Progress = func(done, _ int) { progress(off+done, total) }
 		}
-		bm, fails, err := sub.runFresh(ctx, names, nil, batch)
+		fails, err := sub.ScanPairs(ctx, master, batch)
 		doneOff += len(batch)
 		failures = append(failures, fails...)
-		if bm != nil {
-			for _, p := range batch {
-				if bm.Prov(p[0], p[1]) != ProvFresh {
-					continue
-				}
-				rtt, rerr := bm.RTT(p[0], p[1])
-				if rerr != nil {
-					continue
-				}
-				_ = master.Set(p[0], p[1], rtt)
-				i, _ := master.Index(p[0])
-				j, _ := master.Index(p[1])
-				obs = append(obs, coords.Observation{I: i, J: j, RTTMs: rtt})
+		// A batch pair was never scheduled before, so a fresh cell is this
+		// batch's measurement.
+		for _, p := range batch {
+			if master.provAt(p[0], p[1]) == ProvFresh {
+				obs = append(obs, coords.Observation{I: p[0], J: p[1], RTTMs: master.at(p[0], p[1])})
 			}
 		}
 		return err
@@ -128,20 +119,15 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	if k < 2 {
 		k = 2
 	}
-	boot := make([][2]string, 0, n*k/2+n)
-	bootSeen := make(map[[2]string]bool, n*k/2+n)
+	boot := make([][2]int, 0, n*k/2+n)
 	for i := 0; i < n; i++ {
 		for picked, tries := 0, 0; picked < k && tries < 4*k; tries++ {
 			j := rng.Intn(n)
-			if j == i {
+			if j == i || scheduled[key(i, j)] {
 				continue
 			}
-			key := pairKey(names[i], names[j])
-			if bootSeen[key] {
-				continue
-			}
-			bootSeen[key] = true
-			boot = append(boot, [2]string{names[i], names[j]})
+			scheduled[key(i, j)] = true
+			boot = append(boot, [2]int{i, j})
 			picked++
 			if len(boot) >= budget {
 				break
@@ -161,7 +147,7 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	// sure about, refitting after each batch so later rounds chase the
 	// model's current confusion, not its starting state.
 	for round := 0; round < budgetRounds; round++ {
-		remaining := budget - len(measured)
+		remaining := budget - len(scheduled)
 		if remaining <= 0 {
 			break
 		}
@@ -169,13 +155,14 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 		if size < 1 {
 			size = remaining
 		}
-		pairs := model.SelectUncertain(size, measuredFn, seed+int64(round)+1)
+		pairs := model.SelectUncertain(size, func(i, j int) bool { return scheduled[key(i, j)] }, seed+int64(round)+1)
 		if len(pairs) == 0 {
 			break
 		}
-		batch := make([][2]string, len(pairs))
+		batch := make([][2]int, len(pairs))
 		for bi, p := range pairs {
-			batch[bi] = [2]string{names[p.I], names[p.J]}
+			scheduled[key(p.I, p.J)] = true
+			batch[bi] = [2]int{p.I, p.J}
 		}
 		if err := runBatch(batch); err != nil {
 			s.completePredicted(master, model)
@@ -185,7 +172,7 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	}
 
 	s.completePredicted(master, model)
-	s.Observer.budgetComplete(len(measured), allPairs)
+	s.Observer.budgetComplete(len(scheduled), allPairs)
 	return master, failures, nil
 }
 
@@ -195,7 +182,7 @@ func (s *Scanner) completePredicted(m *Matrix, model *coords.Model) {
 	names := m.Names()
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
-			if m.Prov(names[i], names[j]) == ProvFresh {
+			if m.provAt(i, j) == ProvFresh {
 				continue
 			}
 			rtt, conf := model.PredictWithConfidence(i, j)

@@ -155,14 +155,16 @@ type HalfSeries struct {
 	Min     float64
 }
 
-// CheckpointState is the aggregated view of a campaign log: what Resume
-// seeds the matrix and half-circuit cache with.
+// CheckpointState is the aggregated view of a campaign log: the matrix
+// Resume continues and the half-circuit series it seeds its cache with.
 type CheckpointState struct {
 	// Names is the campaign's relay set, from the header record.
 	Names []string
-	// Pairs maps each completed pair to its measured RTT; later records
-	// win, so a pair re-measured across resumes keeps the newest value.
-	Pairs map[[2]string]float64
+	// Matrix is the log replayed: the header's relays, then each relay the
+	// log saw join, in join order, with every completed pair a ProvResumed
+	// cell. Later records win, so a pair re-measured across resumes keeps
+	// the newest value. Nil when the log has no header.
+	Matrix *Matrix
 	// Halves are the memoized half-circuit minima, deduplicated by series.
 	Halves []HalfSeries
 	// Records is how many log entries were replayed.
@@ -170,21 +172,48 @@ type CheckpointState struct {
 	// Fps are the onion-key fingerprints the log last associated with each
 	// relay (campaign header merged with churn records in order).
 	Fps map[string]string
-	// Joined are relays the log saw join mid-campaign, in join order.
-	Joined []string
 }
 
-// ReplayState replays a campaign log into its aggregated state. Shard and
-// leave records are validated but aggregate nothing: a crashed worker's log
-// still shows what it was holding, to whoever reads the log. Records of
-// unknown kinds are skipped (forward compatibility); malformed records of
-// known kinds are errors.
+// ReplayState replays a campaign log into its aggregated state. The first
+// header creates the matrix, a join adds its relay and a pair record writes
+// its cell. A pair record waits until the matrix holds both its relays — a
+// relay joining mid-scan can have pairs logged before its join — and a pair
+// of a relay the log never introduces seeds nothing. Shard and leave
+// records are validated but aggregate nothing: a crashed worker's log still
+// shows what it was holding, to whoever reads the log. Records of unknown
+// kinds are skipped (forward compatibility); malformed records of known
+// kinds are errors.
 func ReplayState(cp Checkpoint) (*CheckpointState, error) {
-	st := &CheckpointState{
-		Pairs: make(map[[2]string]float64),
-		Fps:   make(map[string]string),
-	}
+	st := &CheckpointState{Fps: make(map[string]string)}
 	halfAt := make(map[string]int)
+	var m *Matrix                  // nil until the header
+	var early []string             // relays joined before the header
+	var pending []CheckpointRecord // pair records waiting for a relay
+	// A join's relay is never empty and is added only when the matrix does
+	// not hold it, so AddName, which refuses nothing else, cannot fail.
+	// seed writes a pair record's cell and reports whether the matrix holds
+	// both its relays.
+	seed := func(rec CheckpointRecord) bool {
+		if m == nil {
+			return false
+		}
+		i, iok := m.Index(rec.X)
+		j, jok := m.Index(rec.Y)
+		if iok && jok {
+			m.write(i, j, rec.RTT, ProvResumed, 255)
+		}
+		return iok && jok
+	}
+	// place seeds the pending pairs a new relay completes, in log order.
+	place := func() {
+		kept := pending[:0]
+		for _, rec := range pending {
+			if !seed(rec) {
+				kept = append(kept, rec)
+			}
+		}
+		pending = kept
+	}
 	err := cp.Replay(func(rec CheckpointRecord) error {
 		st.Records++
 		switch rec.Kind {
@@ -192,7 +221,18 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			if len(rec.Names) < 2 {
 				return fmt.Errorf("ting: checkpoint: campaign header with %d relays", len(rec.Names))
 			}
-			if st.Names != nil && !slices.Equal(st.Names, rec.Names) {
+			if m == nil {
+				var err error
+				if m, err = NewMatrix(rec.Names); err != nil {
+					return fmt.Errorf("ting: checkpoint: %w", err)
+				}
+				for _, n := range early {
+					if _, ok := m.Index(n); !ok {
+						_ = m.AddName(n)
+					}
+				}
+				place()
+			} else if !slices.Equal(st.Names, rec.Names) {
 				return errors.New("ting: checkpoint: log spans campaigns with different relay sets")
 			}
 			st.Names = rec.Names
@@ -206,7 +246,9 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			if !finite(rec.RTT) {
 				return fmt.Errorf("ting: checkpoint: non-finite RTT for pair (%s,%s)", rec.X, rec.Y)
 			}
-			st.Pairs[pairKey(rec.X, rec.Y)] = rec.RTT
+			if !seed(rec) {
+				pending = append(pending, rec)
+			}
 		case RecordHalf:
 			if len(rec.Path) < 2 || rec.Samples <= 0 {
 				return errors.New("ting: checkpoint: invalid half-circuit record")
@@ -233,15 +275,11 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			case ChurnOpLeave:
 				// Resume reads departures off the live consensus.
 			case ChurnOpJoin:
-				joined := false
-				for _, n := range st.Joined {
-					if n == rec.Relay {
-						joined = true
-						break
-					}
-				}
-				if !joined {
-					st.Joined = append(st.Joined, rec.Relay)
+				if m == nil {
+					early = append(early, rec.Relay)
+				} else if _, ok := m.Index(rec.Relay); !ok {
+					_ = m.AddName(rec.Relay)
+					place()
 				}
 				if rec.Fp != "" {
 					st.Fps[rec.Relay] = rec.Fp
@@ -259,6 +297,7 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.Matrix = m
 	return st, nil
 }
 

@@ -2,9 +2,14 @@ package ting
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -95,10 +100,10 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 	if st.Records != len(recs) {
 		t.Errorf("Records = %d, want %d", st.Records, len(recs))
 	}
-	if v := st.Pairs[pairKey("y", "x")]; v != 73 {
-		t.Errorf("pair (x,y) = %v; pair keys must be unordered", v)
+	if v, _ := replayed(st, "y", "x"); v != 73 {
+		t.Errorf("pair (x,y) = %v; pairs must be unordered", v)
 	}
-	if v := st.Pairs[pairKey("x", "u")]; v != 51.5 {
+	if v, _ := replayed(st, "x", "u"); v != 51.5 {
 		t.Errorf("pair (x,u) = %v", v)
 	}
 	if len(st.Halves) != 1 || st.Halves[0].Min != 82 || st.Halves[0].Samples != 2 {
@@ -116,9 +121,27 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st2.Pairs) != 3 {
-		t.Errorf("pairs after reopen-append = %d, want 3", len(st2.Pairs))
+	if n := replayedPairs(st2); n != 3 {
+		t.Errorf("pairs after reopen-append = %d, want 3", n)
 	}
+}
+
+// replayed reads pair (x, y) off a replayed log's matrix: its RTT, and
+// whether the log held the pair.
+func replayed(st *CheckpointState, x, y string) (float64, bool) {
+	if st.Matrix == nil || st.Matrix.Prov(x, y) != ProvResumed {
+		return 0, false
+	}
+	v, _ := st.Matrix.RTT(x, y)
+	return v, true
+}
+
+// replayedPairs counts the pairs a replayed log seeds.
+func replayedPairs(st *CheckpointState) int {
+	if st.Matrix == nil {
+		return 0
+	}
+	return st.Matrix.ProvCounts().Resumed
 }
 
 func TestFileCheckpointMissingFileReplaysEmpty(t *testing.T) {
@@ -193,11 +216,192 @@ func TestReplayStateLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := st.Pairs[pairKey("a", "b")]; v != 12 {
+	if v, _ := replayed(st, "a", "b"); v != 12 {
 		t.Errorf("pair (a,b) = %v, want the newest value 12", v)
 	}
 	if len(st.Halves) != 1 || st.Halves[0].Min != 5 {
 		t.Errorf("Halves = %+v, want one deduped series with min 5", st.Halves)
+	}
+}
+
+// pairKey is the canonical (ordered) map key of an unordered pair of names.
+func pairKey(x, y string) [2]string {
+	if x > y {
+		x, y = y, x
+	}
+	return [2]string{x, y}
+}
+
+// replayOracle is ReplayState as it was when a replayed log was a
+// name-keyed pair map with a join list beside the header, and Resume framed
+// its matrix over the header and the joins: the oracle the replayed matrix
+// must match. names is that matrix's relay order, nil without a header;
+// pairs holds every pair record's last RTT.
+func replayOracle(recs []CheckpointRecord) (names []string, pairs map[[2]string]float64, fps map[string]string, halves []HalfSeries) {
+	pairs, fps = make(map[[2]string]float64), make(map[string]string)
+	var header, joined []string
+	halfAt := make(map[string]int)
+	for _, rec := range recs {
+		switch rec.Kind {
+		case RecordCampaign:
+			header = rec.Names
+			maps.Copy(fps, rec.Fps)
+		case RecordPair:
+			pairs[pairKey(rec.X, rec.Y)] = rec.RTT
+		case RecordHalf:
+			key := halfKey(rec.Path, rec.Samples)
+			if i, ok := halfAt[key]; ok {
+				halves[i].Min = rec.Min
+			} else {
+				halfAt[key] = len(halves)
+				halves = append(halves, HalfSeries{Path: rec.Path, Samples: rec.Samples, Min: rec.Min})
+			}
+		case RecordChurn:
+			if rec.Op == ChurnOpJoin && !slices.Contains(joined, rec.Relay) {
+				joined = append(joined, rec.Relay)
+			}
+			if rec.Op != ChurnOpLeave && rec.Fp != "" {
+				fps[rec.Relay] = rec.Fp
+			}
+		}
+	}
+	if header == nil {
+		return nil, pairs, fps, halves
+	}
+	names = slices.Clone(header)
+	for _, n := range joined {
+		if !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	return names, pairs, fps, halves
+}
+
+// randomLog writes a random valid campaign log: repeated headers, pairs
+// re-measured, relays joining (often with a pair logged before the join, as
+// a live scan can log it), leaving, rotating and rejoining, shard and half
+// records, pairs of relays the log never introduces, and now and then
+// records before the first header or no header at all.
+func randomLog(rng *rand.Rand) []CheckpointRecord {
+	header := make([]string, 2+rng.Intn(5))
+	for i := range header {
+		header[i] = fmt.Sprintf("h%d", i)
+	}
+	joiners := []string{"j0", "j1", "j2", "j3"}
+	ghosts := []string{"g0", "g1"}
+	known := slices.Clone(header) // relays pairs are mostly drawn from
+	var logged [][2]string
+	var recs []CheckpointRecord
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	pair := func(x, y string) {
+		if x == y {
+			return
+		}
+		recs = append(recs, CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: float64(rng.Intn(4000)) / 8})
+		logged = append(logged, [2]string{x, y})
+	}
+	fp := func(relay string) string {
+		if rng.Intn(3) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("fp-%s-%d", relay, rng.Intn(3))
+	}
+	writeHeader := func() {
+		fps := make(map[string]string)
+		for _, n := range header {
+			if f := fp(n); f != "" {
+				fps[n] = f
+			}
+		}
+		recs = append(recs, CheckpointRecord{Kind: RecordCampaign, Names: header, Epoch: uint64(rng.Intn(9)), Fps: fps})
+	}
+	headed := rng.Intn(20) == 0 // true: the log never gets a header
+	if rng.Intn(3) > 0 {
+		writeHeader()
+		headed = true
+	}
+	for steps := 5 + rng.Intn(40); steps > 0; steps-- {
+		if !headed && rng.Intn(4) == 0 {
+			writeHeader()
+			headed = true
+		}
+		switch rng.Intn(11) {
+		case 0, 1:
+			pair(pick(known), pick(known))
+		case 2:
+			if len(logged) > 0 {
+				p := logged[rng.Intn(len(logged))]
+				pair(p[1], p[0])
+			}
+		case 3:
+			j := pick(joiners)
+			for k := rng.Intn(3); k > 0; k-- {
+				pair(j, pick(known)) // logged before the join
+			}
+			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: j, Fp: fp(j)})
+			if !slices.Contains(known, j) {
+				known = append(known, j)
+			}
+		case 4:
+			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: pick(known)})
+		case 5:
+			r := pick(known)
+			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: r, Fp: fp(r)})
+		case 6:
+			r := pick(known) // a rejoin, or a header relay's join
+			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: r, Fp: fp(r)})
+		case 7:
+			recs = append(recs, CheckpointRecord{Kind: RecordShard, Shard: fmt.Sprintf("s%d", rng.Intn(3)), Lease: 1})
+		case 8:
+			path := []string{"w", pick(known)}
+			recs = append(recs, CheckpointRecord{Kind: RecordHalf, Path: path, Samples: 1 + rng.Intn(2), Min: float64(rng.Intn(100))})
+		case 9:
+			pair(pick(ghosts), pick(append(slices.Clone(ghosts), known...)))
+		case 10:
+			if headed {
+				writeHeader()
+			}
+		}
+	}
+	return recs
+}
+
+// TestReplayStateMatchesMapOracle: over random logs, the replayed matrix
+// holds exactly the relays, in order, and the pairs the name-keyed
+// aggregation seeded, and the fingerprints, half series and record count
+// agree.
+func TestReplayStateMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		recs := randomLog(rand.New(rand.NewSource(seed)))
+		st, err := ReplayState(&MemCheckpoint{recs: recs})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		names, pairs, fps, halves := replayOracle(recs)
+		if st.Records != len(recs) || !maps.Equal(st.Fps, fps) || !reflect.DeepEqual(st.Halves, halves) {
+			t.Fatalf("seed %d: replayed %d records, fps %v, halves %+v; oracle %d, %v, %+v",
+				seed, st.Records, st.Fps, st.Halves, len(recs), fps, halves)
+		}
+		var got []string // nil without a header, like the oracle's
+		if st.Matrix != nil {
+			got = st.Matrix.Names()
+		}
+		if !slices.Equal(got, names) {
+			t.Fatalf("seed %d: replayed matrix over %v, oracle names %v", seed, got, names)
+		}
+		if names == nil {
+			continue
+		}
+		for i := range names {
+			for j := i + 1; j < len(names); j++ {
+				rtt, ok := pairs[pairKey(names[i], names[j])]
+				prov, got := st.Matrix.ProvAt(i, j), st.Matrix.At(i, j)
+				if ok && (prov != ProvResumed || got != rtt) || !ok && prov != ProvMissing {
+					t.Fatalf("seed %d: pair (%s,%s) replayed %v %v; oracle holds it %v at %v",
+						seed, names[i], names[j], prov, got, ok, rtt)
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,8 +215,8 @@ func TestReplayStateFoldsChurnRecords(t *testing.T) {
 	if got := strings.Join(left, " "); got != "c@4 d@7" {
 		t.Errorf("leave records = %q, want \"c@4 d@7\"", got)
 	}
-	if len(st.Joined) != 1 || st.Joined[0] != "d" {
-		t.Errorf("Joined = %v, want [d] deduplicated", st.Joined)
+	if got := st.Matrix.Names(); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Errorf("replayed names = %v, want the header then d, deduplicated", got)
 	}
 	if st.Fps["a"] != "f9" || st.Fps["d"] != "f5" || st.Fps["b"] != "f2" {
 		t.Errorf("Fps = %v, want rotation and rejoin to win", st.Fps)

@@ -47,7 +47,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parent-format checkpoint does not replay: %v", err)
 	}
-	if st.Records != 6 || len(st.Pairs) != 2 || len(st.Halves) != 1 || st.Fps["y"] != "fpy2" {
+	if st.Records != 6 || replayedPairs(st) != 2 || len(st.Halves) != 1 || st.Fps["y"] != "fpy2" {
 		t.Fatalf("replayed state: %+v", st)
 	}
 	if recs := logRecords(t, cp); recs[1].Shard != "t0-0.p0-3" || recs[1].Lease != 7 || recs[4].Epoch != 4 {
@@ -87,7 +87,7 @@ func TestCheckpointHeaderOverOneMiB(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay refused the header the log accepted: %v", err)
 	}
-	if len(st.Names) != len(names) || len(st.Fps) != len(names) || len(st.Pairs) != 1 {
-		t.Fatalf("replayed %d names, %d fingerprints, %d pairs", len(st.Names), len(st.Fps), len(st.Pairs))
+	if len(st.Names) != len(names) || len(st.Fps) != len(names) || replayedPairs(st) != 1 {
+		t.Fatalf("replayed %d names, %d fingerprints, %d pairs", len(st.Names), len(st.Fps), replayedPairs(st))
 	}
 }

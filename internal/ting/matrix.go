@@ -701,11 +701,3 @@ func DecodeMatrix(r io.Reader) (*Matrix, error) {
 	}
 	return m, nil
 }
-
-// pairKey is the canonical (ordered) map key of an unordered pair.
-func pairKey(x, y string) [2]string {
-	if x > y {
-		x, y = y, x
-	}
-	return [2]string{x, y}
-}

@@ -48,7 +48,7 @@ type Monitor struct {
 	matrix *Matrix
 
 	mu    sync.Mutex
-	when  map[[2]string]time.Time
+	when  map[[2]int]time.Time // by index pair, smaller first
 	stats MonitorStats
 }
 
@@ -83,7 +83,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	return &Monitor{
 		cfg:    cfg,
 		matrix: m,
-		when:   make(map[[2]string]time.Time),
+		when:   make(map[[2]int]time.Time),
 	}, nil
 }
 
@@ -102,26 +102,27 @@ func (mon *Monitor) Stats() MonitorStats {
 }
 
 // stalePairsLocked lists the pairs older than MaxAge, stalest first.
-func (mon *Monitor) stalePairsLocked() [][2]string {
+func (mon *Monitor) stalePairsLocked() [][2]int {
 	type agedPair struct {
-		pair [2]string
+		pair [2]int
 		at   time.Time // zero when never measured
 	}
 	now := mon.cfg.now()
 	var stale []agedPair
-	names := mon.matrix.Names()
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			t, ok := mon.when[pairKey(names[i], names[j])]
+	n := mon.matrix.N()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := [2]int{i, j}
+			t, ok := mon.when[p]
 			if !ok || now.Sub(t) > mon.cfg.MaxAge {
-				stale = append(stale, agedPair{[2]string{names[i], names[j]}, t})
+				stale = append(stale, agedPair{p, t})
 			}
 		}
 	}
 	// Stalest first: never-measured pairs sort ahead, and pairs of one age
 	// keep their matrix order.
 	sort.SliceStable(stale, func(i, j int) bool { return stale[i].at.Before(stale[j].at) })
-	out := make([][2]string, len(stale))
+	out := make([][2]int, len(stale))
 	for i, s := range stale {
 		out[i] = s.pair
 	}
@@ -136,7 +137,7 @@ func (mon *Monitor) stalePairsLocked() [][2]string {
 // look does not claim probe slots: Health.Allow is the scan engine's call,
 // made when a pair is about to be measured. A relay due its half-open
 // probe gets one pair, since only one attempt can be that probe.
-func (mon *Monitor) selectPairs(stale [][2]string) (todo [][2]string, quarantined int) {
+func (mon *Monitor) selectPairs(stale [][2]int) (todo [][2]int, quarantined int) {
 	limit := mon.cfg.PairsPerSweep
 	if limit <= 0 || limit > len(stale) {
 		limit = len(stale)
@@ -145,15 +146,16 @@ func (mon *Monitor) selectPairs(stale [][2]string) (todo [][2]string, quarantine
 	if h == nil {
 		return stale[:limit], 0
 	}
-	todo = make([][2]string, 0, limit)
-	admits := make(map[string]admission)
+	todo = make([][2]int, 0, limit)
+	names := mon.matrix.Names()
+	admits := make(map[int]admission)
 	for _, p := range stale {
 		if len(todo) >= limit {
 			break
 		}
 		for _, relay := range p {
 			if _, seen := admits[relay]; !seen {
-				admits[relay] = h.admission(relay)
+				admits[relay] = h.admission(names[relay])
 			}
 		}
 		if admits[p[0]] == admitNone || admits[p[1]] == admitNone {
@@ -213,12 +215,11 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 	now := mon.cfg.now()
 	measured := 0
 	for _, p := range todo {
-		if m.Prov(p[0], p[1]) != ProvFresh {
+		if m.provAt(p[0], p[1]) != ProvFresh {
 			continue
 		}
-		rtt, _ := m.RTT(p[0], p[1])
-		_ = mon.matrix.Set(p[0], p[1], rtt)
-		mon.when[pairKey(p[0], p[1])] = now
+		mon.matrix.write(p[0], p[1], m.at(p[0], p[1]), ProvFresh, 255)
+		mon.when[p] = now
 		measured++
 	}
 	mon.stats.Measured += measured

@@ -12,7 +12,7 @@ import (
 )
 
 // stalePairs is what the next Sweep would choose from.
-func (mon *Monitor) stalePairs() [][2]string {
+func (mon *Monitor) stalePairs() [][2]int {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
 	return mon.stalePairsLocked()
@@ -149,7 +149,7 @@ func TestMonitorStalestFirst(t *testing.T) {
 	}
 	// Three sweeps must cycle through all three pairs (stalest first means
 	// never-measured pairs before re-measured ones).
-	seen := map[[2]string]int{}
+	seen := map[[2]int]int{}
 	for i := 0; i < 3; i++ {
 		before := mon.Stats().Measured
 		if _, err := mon.Sweep(context.Background()); err != nil {
@@ -391,22 +391,22 @@ func TestMonitorStalePairsOrder(t *testing.T) {
 	// few distinct ages (so ties matter), a third fresh.
 	rng := rand.New(rand.NewSource(7))
 	type aged struct {
-		pair [2]string
+		pair [2]int
 		at   time.Time
 	}
 	var want []aged
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			p := [2]string{names[i], names[j]}
+			p := [2]int{i, j}
 			switch rng.Intn(3) {
 			case 0:
 				want = append(want, aged{pair: p})
 			case 1:
 				at := now.Add(-time.Duration(2+rng.Intn(5)) * time.Hour)
-				mon.when[pairKey(p[0], p[1])] = at
+				mon.when[p] = at
 				want = append(want, aged{p, at})
 			case 2:
-				mon.when[pairKey(p[0], p[1])] = now.Add(-time.Duration(rng.Intn(59)) * time.Minute)
+				mon.when[p] = now.Add(-time.Duration(rng.Intn(59)) * time.Minute)
 			}
 		}
 	}
@@ -420,7 +420,7 @@ func TestMonitorStalePairsOrder(t *testing.T) {
 		order = append(order, at)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].Before(order[j]) })
-	var oracle [][2]string
+	var oracle [][2]int
 	for _, at := range order {
 		for _, a := range want {
 			if a.at.Equal(at) {

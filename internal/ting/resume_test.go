@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,42 @@ func (p *cancelAtPair) SampleCircuit(ctx context.Context, path []string, n int) 
 		}
 	}
 	return p.fakeProber.SampleCircuit(ctx, path, n)
+}
+
+// TestResumeKeepsJoinedRelaysWithoutDirectory: a relay the log saw join is
+// part of the resumed campaign even when the scan has no Directory to
+// reconcile against, and the pair measured against it before the crash is
+// resumed, not lost.
+func TestResumeKeepsJoinedRelaysWithoutDirectory(t *testing.T) {
+	cp := &MemCheckpoint{}
+	for _, rec := range []CheckpointRecord{
+		{Kind: RecordCampaign, Names: []string{"x", "y", "u"}},
+		{Kind: RecordChurn, Op: ChurnOpJoin, Relay: "v"},
+		{Kind: RecordPair, X: "x", Y: "v", RTT: 7},
+	} {
+		if err := cp.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: bigFakeWorld(), W: "w", Z: "z", Samples: 1})
+		},
+		Workers: 2,
+	}
+	m, failures, err := sc.Resume(context.Background(), cp)
+	if err != nil || len(failures) != 0 {
+		t.Fatalf("resume: %v %v", failures, err)
+	}
+	if got := m.Names(); !slices.Equal(got, []string{"x", "y", "u", "v"}) {
+		t.Fatalf("resumed names = %v, want the header then the joined v", got)
+	}
+	if v, err := m.RTT("x", "v"); err != nil || v != 7 || m.Prov("x", "v") != ProvResumed {
+		t.Errorf("pair (x,v) = %v %v %v, want the logged 7 ms, resumed", v, m.Prov("x", "v"), err)
+	}
+	if pc := m.ProvCounts(); pc.Resumed != 1 || pc.Fresh != 5 {
+		t.Errorf("provenance %+v, want 1 resumed and the other 5 pairs measured", pc)
+	}
 }
 
 // TestScannerResumeAfterCancel is the durability acceptance test: a scan
@@ -494,7 +531,7 @@ func TestChaosSoakFlapCancelResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after cancel: %v", err)
 	}
-	if len(st.Pairs) == 0 {
+	if replayedPairs(st) == 0 {
 		t.Fatal("no completed pairs reached the checkpoint before cancellation")
 	}
 
@@ -508,8 +545,8 @@ func TestChaosSoakFlapCancelResume(t *testing.T) {
 		t.Fatalf("resume err = %v (failures: %v)", err, failures)
 	}
 	pc := m.ProvCounts()
-	if pc.Resumed != len(st.Pairs) {
-		t.Errorf("resumed %d pairs, checkpoint held %d", pc.Resumed, len(st.Pairs))
+	if pc.Resumed != replayedPairs(st) {
+		t.Errorf("resumed %d pairs, checkpoint held %d", pc.Resumed, replayedPairs(st))
 	}
 	if pc.Fresh+pc.Resumed+pc.Missing != 6 {
 		t.Errorf("provenance %+v does not cover 6 pairs", pc)
@@ -519,12 +556,19 @@ func TestChaosSoakFlapCancelResume(t *testing.T) {
 	}
 	// Every replayed pair kept its checkpointed value — resume measured
 	// only the rest.
-	for key, rtt := range st.Pairs {
-		if v, _ := m.RTT(key[0], key[1]); v != rtt {
-			t.Errorf("replayed pair %v changed: %v -> %v", key, rtt, v)
-		}
-		if got := m.Prov(key[0], key[1]); got != ProvResumed {
-			t.Errorf("replayed pair %v provenance = %v", key, got)
+	names = st.Matrix.Names()
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			rtt, ok := replayed(st, names[i], names[j])
+			if !ok {
+				continue
+			}
+			if v, _ := m.RTT(names[i], names[j]); v != rtt {
+				t.Errorf("replayed pair (%s,%s) changed: %v -> %v", names[i], names[j], rtt, v)
+			}
+			if got := m.Prov(names[i], names[j]); got != ProvResumed {
+				t.Errorf("replayed pair (%s,%s) provenance = %v", names[i], names[j], got)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 //
 //	reconcile  snapshot the consensus; on resume, fold in what changed while
 //	           the campaign was down
-//	plan       list the runs of pairs to attempt; replayed pairs are seeded
+//	plan       list the runs of pairs to attempt; replayed pairs are skipped
 //	           and pairs of departed relays tombstoned without being
 //	           scheduled
 //	work       one worker's loop: claim a run of pairs, attempt each, flush
@@ -91,13 +91,14 @@ type scan struct {
 
 // run executes one scan over m's relays and writes its results into m.
 // With restrict nil every unordered pair is scheduled (the all-pairs
-// campaign); otherwise only the listed pairs are — a campaign shard, a
-// budgeted batch, a monitor sweep. A non-nil resumed is the replayed log of
-// the campaign cp continues, and the relays reconcile finds joined since
-// are added to m. Restricted pairs flow through the same replay, tombstone,
-// breaker and checkpoint machinery as the full sweep. It returns m, or nil
-// when the scan failed before measuring anything.
-func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, cp Checkpoint, restrict [][2]string) (*Matrix, []PairError, error) {
+// campaign); otherwise only the listed index pairs are — a campaign shard,
+// a budgeted batch, a monitor sweep. A non-nil resumed is the replayed log
+// of the campaign cp continues, and m is its matrix; the relays reconcile
+// finds joined since are added to m. Restricted pairs flow through the
+// same replay, tombstone, breaker and checkpoint machinery as the full
+// sweep. It returns m, or nil when the scan failed before measuring
+// anything.
+func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, cp Checkpoint, restrict [][2]int) (*Matrix, []PairError, error) {
 	if s.NewMeasurer == nil {
 		return nil, nil, errors.New("ting: scanner missing NewMeasurer")
 	}
@@ -105,14 +106,9 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 		ctx = context.Background()
 	}
 	sc := &scan{s: s, cp: cp, resumed: resumed, m: m}
-	names, joined, rotated := sc.reconcile(m.Names())
-	for _, n := range names[m.N():] {
-		if err := m.AddName(n); err != nil {
-			return nil, nil, err
-		}
-	}
-	all := m.Names()
-	sc.names.Store(&all)
+	joined, rotated := sc.reconcile()
+	names := m.Names()
+	sc.names.Store(&names)
 	todo, pairs, err := sc.plan(len(names), restrict)
 	if err != nil {
 		return nil, nil, err
@@ -226,16 +222,16 @@ func closeMeasurers(measurers []*Measurer) {
 	}
 }
 
-// reconcile snapshots the consensus into the churn roster and returns the
-// names the matrix is framed over. On resume the campaign's relay set is
-// first reconciled with what changed while it was down: relays that joined
-// (in the log, or since) extend names, relays that vanished are marked
-// removed so plan tombstones their unfinished pairs, and relays whose
-// fingerprint differs from the log's are returned as rotated.
-func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
+// reconcile snapshots the consensus into the churn roster. On resume the
+// replayed relay set is first reconciled with what changed while the
+// campaign was down: relays that joined since are added to the matrix and
+// returned, relays that vanished are marked removed so plan tombstones
+// their unfinished pairs, and relays whose fingerprint differs from the
+// log's are returned as rotated.
+func (sc *scan) reconcile() (joined, rotated []string) {
 	dir := sc.s.Directory
 	if dir == nil {
-		return names, nil, nil
+		return nil, nil
 	}
 	sc.epoch = dir.Epoch()
 	consensus := dir.Consensus()
@@ -245,30 +241,19 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 	}
 	sc.removed = make(map[string]uint64)
 	if sc.resumed != nil {
-		nameSet := make(map[string]bool, len(names))
-		for _, n := range names {
-			nameSet[n] = true
-		}
-		names = append([]string(nil), names...)
-		for _, n := range sc.resumed.Joined {
-			if !nameSet[n] {
-				names = append(names, n)
-				nameSet[n] = true
-			}
-		}
-		for _, n := range names {
+		for _, n := range sc.m.Names() {
 			if _, ok := current[n]; !ok {
 				sc.removed[n] = sc.epoch
 			}
 		}
 		// Joins are appended in consensus (publish) order — the same
 		// order a live scan appends them in as deltas arrive, so a
-		// resumed campaign converges to a bytewise-identical matrix.
+		// resumed campaign converges to a bytewise-identical matrix. A
+		// published nickname is unique and never empty: AddName takes it.
 		for _, d := range consensus {
-			if n := d.Nickname; !nameSet[n] {
-				names = append(names, n)
-				nameSet[n] = true
-				joined = append(joined, n)
+			if _, known := sc.m.Index(d.Nickname); !known {
+				_ = sc.m.AddName(d.Nickname)
+				joined = append(joined, d.Nickname)
 			}
 		}
 		for n, fp := range sc.resumed.Fps {
@@ -278,13 +263,13 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 		}
 		sort.Strings(rotated)
 	}
-	sc.fps = make(map[string]string, len(names))
-	for _, n := range names {
+	sc.fps = make(map[string]string, sc.m.N())
+	for _, n := range sc.m.Names() {
 		if fp, ok := current[n]; ok {
 			sc.fps[n] = fp
 		}
 	}
-	return names, joined, rotated
+	return joined, rotated
 }
 
 // plan lists the pairs this scan will attempt, in schedule order — every
@@ -295,7 +280,7 @@ func (sc *scan) reconcile(names []string) (all, joined, rotated []string) {
 // a restricted list its maximal runs of consecutive y in list order, and a
 // resumed scan's runs break at each pair the log settles. A shuffled
 // scan's runs are single pairs, shuffled as such.
-func (sc *scan) plan(n int, restrict [][2]string) (todo []pairJob, pairs int, err error) {
+func (sc *scan) plan(n int, restrict [][2]int) (todo []pairJob, pairs int, err error) {
 	if restrict != nil {
 		runs, err := sc.checkRestrict(restrict)
 		if err != nil {
@@ -303,9 +288,7 @@ func (sc *scan) plan(n int, restrict [][2]string) (todo []pairJob, pairs int, er
 		}
 		todo = make([]pairJob, 0, runs)
 		for _, p := range restrict {
-			i, _ := sc.m.Index(p[0])
-			j, _ := sc.m.Index(p[1])
-			todo, pairs = sc.addPair(todo, pairs, int32(i), int32(j))
+			todo, pairs = sc.addPair(todo, pairs, int32(p[0]), int32(p[1]))
 		}
 	} else {
 		size := n
@@ -326,26 +309,23 @@ func (sc *scan) plan(n int, restrict [][2]string) (todo []pairJob, pairs int, er
 	return todo, pairs, nil
 }
 
-// checkRestrict refuses a restricted pair list that names a relay outside
-// the matrix, pairs a relay with itself, or lists a pair twice in either
+// checkRestrict refuses a restricted pair list with an index outside the
+// matrix, a relay paired with itself, or a pair listed twice in either
 // order — which would be measured, counted and logged twice — and
 // otherwise counts the runs plan will make of it.
-func (sc *scan) checkRestrict(restrict [][2]string) (runs int, err error) {
-	// Each pair as its two indices, smaller first, packed in one word: a
-	// pair listed twice is two equal words once sorted.
+func (sc *scan) checkRestrict(restrict [][2]int) (runs int, err error) {
+	// Each pair smaller index first, packed in one word: a pair listed
+	// twice is two equal words once sorted.
 	keys := make([]uint64, len(restrict))
+	names := sc.m.Names()
 	var run pairJob
 	for k, p := range restrict {
-		if p[0] == p[1] {
-			return 0, fmt.Errorf("ting: self-pair (%s,%s)", p[0], p[1])
+		i, j := p[0], p[1]
+		if i < 0 || j < 0 || i >= len(names) || j >= len(names) {
+			return 0, fmt.Errorf("ting: pair (%d,%d) out of range for %d relays", i, j, len(names))
 		}
-		i, ok := sc.m.Index(p[0])
-		if !ok {
-			return 0, fmt.Errorf("ting: pair endpoint %q not in names", p[0])
-		}
-		j, ok := sc.m.Index(p[1])
-		if !ok {
-			return 0, fmt.Errorf("ting: pair endpoint %q not in names", p[1])
+		if i == j {
+			return 0, fmt.Errorf("ting: self-pair (%s,%s)", names[i], names[j])
 		}
 		if k == 0 || sc.s.Shuffle != 0 || !run.extend(int32(i), int32(j)) {
 			run = pairJob{x: int32(i), y: int32(j)}
@@ -356,7 +336,6 @@ func (sc *scan) checkRestrict(restrict [][2]string) (runs int, err error) {
 	slices.Sort(keys)
 	for k := 1; k < len(keys); k++ {
 		if keys[k] == keys[k-1] {
-			names := sc.m.Names()
 			return 0, fmt.Errorf("ting: pair (%s,%s) listed twice", names[keys[k]>>32], names[keys[k]&(1<<32-1)])
 		}
 	}
@@ -364,20 +343,19 @@ func (sc *scan) checkRestrict(restrict [][2]string) (runs int, err error) {
 }
 
 // addPair schedules pair (x, y) and counts it, extending the last run of
-// todo when y follows it, unless the log already holds the pair or one of
-// its relays left while the campaign was down. Either way that pair is
-// settled here, outside the progress totals — it is not work this run will
-// do — and the next pair starts a new run.
+// todo when y follows it, unless the log already holds the pair (the
+// replayed matrix's cell is ProvResumed) or one of its relays left while
+// the campaign was down. Either way that pair is settled here, outside the
+// progress totals — it is not work this run will do — and the next pair
+// starts a new run.
 func (sc *scan) addPair(todo []pairJob, pairs int, x, y int32) ([]pairJob, int) {
 	if sc.resumed != nil {
-		names := *sc.names.Load()
-		xn, yn := names[x], names[y]
-		if rtt, ok := sc.resumed.Pairs[pairKey(xn, yn)]; ok {
-			sc.m.write(int(x), int(y), rtt, ProvResumed, 255)
+		if sc.m.provAt(int(x), int(y)) == ProvResumed {
 			sc.replayedPairs++
 			return todo, pairs
 		}
-		if relay, epoch, gone := sc.removedRelay(xn, yn); gone {
+		names := *sc.names.Load()
+		if relay, epoch, gone := sc.removedRelay(names[x], names[y]); gone {
 			sc.markRemoved(pairJob{x: x, y: y}, relay, epoch)
 			return todo, pairs
 		}

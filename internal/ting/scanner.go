@@ -23,11 +23,11 @@ import (
 //
 // A Scanner is configuration only. Scan, ScanPairs, Resume, ScanBudget's
 // batches and Monitor.Sweep are adaptors over one engine: each calls run
-// with the matrix to measure into (ScanPairs the caller's, the others a
-// fresh one), and run allocates the scan state type (scan.go) and drives its
-// phases, with the pairs themselves — queued per worker, retried, parked
-// behind a breaker, added by a join — held by its one schedule
-// (schedule.go).
+// with the matrix to measure into (ScanPairs the caller's, ScanBudget its
+// master, Resume the replayed log's, Scan and Monitor.Sweep a fresh one),
+// and run allocates the scan state type (scan.go) and drives its phases,
+// with the pairs themselves — queued per worker, retried, parked behind a
+// breaker, added by a join — held by its one schedule (schedule.go).
 type Scanner struct {
 	// NewMeasurer builds one Measurer per worker. Probers are typically
 	// not safe for concurrent use, so each worker gets its own. Required.
@@ -199,7 +199,7 @@ func (s *Scanner) Scan(ctx context.Context, names []string) (*Matrix, []PairErro
 }
 
 // runFresh is run over a fresh matrix of names.
-func (s *Scanner) runFresh(ctx context.Context, names []string, cp Checkpoint, restrict [][2]string) (*Matrix, []PairError, error) {
+func (s *Scanner) runFresh(ctx context.Context, names []string, cp Checkpoint, restrict [][2]int) (*Matrix, []PairError, error) {
 	m, err := NewMatrix(names)
 	if err != nil {
 		return nil, nil, err
@@ -207,41 +207,38 @@ func (s *Scanner) runFresh(ctx context.Context, names []string, cp Checkpoint, r
 	return s.run(ctx, m, nil, cp, restrict)
 }
 
-// ScanPairs measures only the listed unordered pairs among m's relays and
-// writes each success into m as ProvFresh — the distributed-campaign entry
-// point. A worker measures every shard lease it holds into one matrix
-// framed over the whole campaign, so the matrix is its ledger: what a
-// re-granted shard still needs, what a restart replayed, and what a
-// submission reports are all read from it, and per-worker results merge
-// without re-indexing. Cells that are not listed are left as they are. The
-// checkpoint's campaign header is m's relay set. Every endpoint must be one
-// of m's relays, no pair may be a self-pair, and no pair may be listed
-// twice, in either order. Restricted pairs flow through the same retry,
+// ScanPairs measures only the listed unordered pairs among m's relays, each
+// named by its two matrix indices, and writes each success into m as
+// ProvFresh — the distributed-campaign entry point. A worker measures every
+// shard lease it holds into one matrix framed over the whole campaign, so
+// the matrix is its ledger: what a re-granted shard still needs, what a
+// restart replayed, and what a submission reports are all read from it, and
+// per-worker results merge without re-indexing. Cells that are not listed
+// are left as they are. The checkpoint's campaign header is m's relay set.
+// Every index must lie in [0, m.N()), no pair may be a self-pair, and no
+// pair may be listed twice, in either order; a nil list means every pair
+// and an empty one none. Restricted pairs flow through the same retry,
 // churn, breaker, and checkpoint machinery as a full Scan; a relay that
 // joins the consensus mid-scan is added to m. Nothing else may read or
 // write m while the scan runs. The failures and the error are Scan's; on
 // error, the pairs measured before it are already in m.
-func (s *Scanner) ScanPairs(ctx context.Context, m *Matrix, pairs [][2]string) ([]PairError, error) {
-	if pairs == nil {
-		// nil restrict means "all pairs" to run; an explicitly empty
-		// restriction must stay empty.
-		pairs = [][2]string{}
-	}
+func (s *Scanner) ScanPairs(ctx context.Context, m *Matrix, pairs [][2]int) ([]PairError, error) {
 	_, failures, err := s.run(ctx, m, nil, s.Checkpoint, pairs)
 	return failures, err
 }
 
 // Resume continues the interrupted campaign recorded in cp: the log is
-// replayed to seed the matrix (cells marked ProvResumed) and the
-// half-circuit cache, and only unfinished pairs are scheduled. New
-// completions are appended to the same log, so Resume itself is
-// interruptible — a campaign survives any number of crashes. The relay
-// set comes from the log's campaign header; with a Directory it is then
-// reconciled against the current consensus — relays that vanished while
-// the campaign was down are tombstoned (their replayed pairs are kept:
-// measured data is data), relays that appeared are appended, and a relay
-// whose onion-key fingerprint changed is treated as rotated (its replayed
-// half circuits are dropped, its breaker reset). The contract is Scan's.
+// replayed into the matrix the scan continues (ReplayState: the header's
+// relays, then those the log saw join, completed pairs marked ProvResumed)
+// and into the half-circuit cache, and only unfinished pairs are scheduled.
+// New completions are appended to the same log, so Resume itself is
+// interruptible — a campaign survives any number of crashes. With a
+// Directory the replayed relay set is then reconciled against the current
+// consensus — relays that vanished while the campaign was down are
+// tombstoned (their replayed pairs are kept: measured data is data), relays
+// that appeared are appended, and a relay whose onion-key fingerprint
+// changed is treated as rotated (its replayed half circuits are dropped,
+// its breaker reset). The contract is Scan's.
 func (s *Scanner) Resume(ctx context.Context, cp Checkpoint) (*Matrix, []PairError, error) {
 	if cp == nil {
 		return nil, nil, errors.New("ting: Resume needs a checkpoint")
@@ -250,12 +247,8 @@ func (s *Scanner) Resume(ctx context.Context, cp Checkpoint) (*Matrix, []PairErr
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(st.Names) == 0 {
+	if st.Matrix == nil {
 		return nil, nil, errors.New("ting: checkpoint has no campaign header; nothing to resume")
 	}
-	m, err := NewMatrix(st.Names)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.run(ctx, m, st, cp, nil)
+	return s.run(ctx, st.Matrix, st, cp, nil)
 }

@@ -35,7 +35,7 @@ func TestScanPairsRestrictsToListedPairs(t *testing.T) {
 	if err := m.SetProv("x", "u", ProvResumed); err != nil {
 		t.Fatal(err)
 	}
-	failures, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "y"}, {"u", "v"}})
+	failures, err := sc.ScanPairs(context.Background(), m, [][2]int{{0, 1}, {3, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,27 +70,40 @@ func TestScanPairsValidation(t *testing.T) {
 			return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 1})
 		},
 	}
-	m := mustMatrix(t, []string{"x", "y"})
-	if _, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "x"}}); err == nil || !strings.Contains(err.Error(), "self-pair") {
+	m := mustMatrix(t, []string{"x", "y", "u"})
+	if _, err := sc.ScanPairs(context.Background(), m, [][2]int{{0, 0}}); err == nil || !strings.Contains(err.Error(), "self-pair (x,x)") {
 		t.Errorf("self-pair err = %v", err)
 	}
-	if _, err := sc.ScanPairs(context.Background(), m, [][2]string{{"x", "nope"}}); err == nil || !strings.Contains(err.Error(), "not in names") {
-		t.Errorf("unknown endpoint err = %v", err)
+	for _, bad := range [][2]int{{0, 3}, {3, 0}, {0, -1}, {-1, 1}, {-1, -1}, {7, 7}} {
+		if _, err := sc.ScanPairs(context.Background(), m, [][2]int{{0, 1}, bad}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("pair %v: err = %v, want out of range", bad, err)
+		}
 	}
 	// A pair listed twice would be measured, counted and logged twice.
-	for _, dup := range [][][2]string{{{"x", "y"}, {"x", "y"}}, {{"x", "y"}, {"y", "x"}}} {
+	for _, dup := range [][][2]int{{{0, 1}, {0, 1}}, {{0, 1}, {1, 0}}, {{1, 2}, {0, 1}, {2, 1}}} {
 		if _, err := sc.ScanPairs(context.Background(), m, dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
 			t.Errorf("pairs %v: err = %v, want the duplicate refused", dup, err)
 		}
 	}
+	if n := m.ProvCounts().Missing; n != 3 {
+		t.Fatalf("refused lists measured %d pairs", 3-n)
+	}
 	// An explicitly empty restriction measures nothing — and is not an
 	// all-pairs scan.
-	failures, err := sc.ScanPairs(context.Background(), m, [][2]string{})
+	failures, err := sc.ScanPairs(context.Background(), m, [][2]int{})
 	if err != nil || len(failures) != 0 {
 		t.Fatalf("empty restriction: %v %v", failures, err)
 	}
-	if prov := m.Prov("x", "y"); prov != ProvMissing {
-		t.Errorf("empty restriction measured x-y (prov %v)", prov)
+	if n := m.ProvCounts().Missing; n != 3 {
+		t.Errorf("empty restriction measured %d pairs", 3-n)
+	}
+	// A nil list is every pair.
+	failures, err = sc.ScanPairs(context.Background(), m, nil)
+	if err != nil || len(failures) != 0 {
+		t.Fatalf("nil restriction: %v %v", failures, err)
+	}
+	if n := m.ProvCounts().Fresh; n != 3 {
+		t.Errorf("nil restriction measured %d of 3 pairs", n)
 	}
 }
 
@@ -104,7 +117,7 @@ func TestScanPairsCheckpointsLikeScan(t *testing.T) {
 		Checkpoint: cp,
 	}
 	names := []string{"x", "y", "u", "v"}
-	if _, err := sc.ScanPairs(context.Background(), mustMatrix(t, names), [][2]string{{"x", "y"}}); err != nil {
+	if _, err := sc.ScanPairs(context.Background(), mustMatrix(t, names), [][2]int{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ReplayState(cp)
@@ -114,11 +127,11 @@ func TestScanPairsCheckpointsLikeScan(t *testing.T) {
 	if !slices.Equal(st.Names, names) {
 		t.Errorf("checkpoint header names = %v, want the full campaign set %v", st.Names, names)
 	}
-	if _, ok := st.Pairs[pairKey("x", "y")]; !ok {
+	if _, ok := replayed(st, "x", "y"); !ok {
 		t.Error("measured pair not in checkpoint")
 	}
-	if len(st.Pairs) != 1 {
-		t.Errorf("checkpoint has %d pairs, want 1", len(st.Pairs))
+	if n := replayedPairs(st); n != 1 {
+		t.Errorf("checkpoint has %d pairs, want 1", n)
 	}
 }
 
@@ -150,8 +163,8 @@ func TestReplayShardRecords(t *testing.T) {
 	if fmt.Sprint(leases) != "[1 4 2]" {
 		t.Errorf("shard lease epochs in the log = %v, want [1 4 2]", leases)
 	}
-	if len(st.Pairs) != 1 {
-		t.Errorf("pairs = %d, want 1 (shard records must not eat pair records)", len(st.Pairs))
+	if n := replayedPairs(st); n != 1 {
+		t.Errorf("pairs = %d, want 1 (shard records must not eat pair records)", n)
 	}
 	// A shard record without an ID is malformed.
 	bad := &MemCheckpoint{}

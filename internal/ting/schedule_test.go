@@ -420,12 +420,12 @@ func randomPlan(t *testing.T, rng *rand.Rand) (todo, want []pairJob, shuffled bo
 	}
 	sc := &scan{s: &Scanner{}, m: m}
 	sc.names.Store(&names)
-	var restrict [][2]string
+	var restrict [][2]int
 	switch rng.Intn(4) {
 	case 0: // all pairs
 		want = allPairJobs(n)
 	case 1: // restricted
-		restrict = [][2]string{}
+		restrict = [][2]int{}
 		for _, job := range allPairJobs(n) {
 			if rng.Intn(4) == 0 {
 				continue
@@ -439,13 +439,13 @@ func randomPlan(t *testing.T, rng *rand.Rand) (todo, want []pairJob, shuffled bo
 			rng.Shuffle(len(want), func(a, b int) { want[a], want[b] = want[b], want[a] })
 		}
 		for _, job := range want {
-			restrict = append(restrict, [2]string{names[job.x], names[job.y]})
+			restrict = append(restrict, [2]int{int(job.x), int(job.y)})
 		}
 	case 2: // resumed
-		sc.resumed = &CheckpointState{Pairs: make(map[[2]string]float64)}
+		sc.resumed = &CheckpointState{Matrix: m}
 		for _, job := range allPairJobs(n) {
 			if rng.Intn(3) == 0 {
-				sc.resumed.Pairs[pairKey(names[job.x], names[job.y])] = 1
+				m.write(int(job.x), int(job.y), 1, ProvResumed, 255)
 				continue
 			}
 			want = append(want, job)
