@@ -190,7 +190,9 @@ func runCoordinator(ctx context.Context, world *experiments.World, reg *telemetr
 	fmt.Printf("coordinator: %s (%d relays, %d shards, %d already done, lease TTL %s)\n",
 		ln.Addr(), st.Relays, st.Total, st.Done, coord.TTL)
 	if *addrFile != "" {
-		writeAddrFile(*addrFile, ln.Addr().String())
+		if err := cliflags.WriteAddrFile(*addrFile, map[string]string{"camp": ln.Addr().String()}); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	writeState := func() {
@@ -202,7 +204,9 @@ func runCoordinator(ctx context.Context, world *experiments.World, reg *telemetr
 			log.Printf("state: %v", err)
 			return
 		}
-		writeFileAtomic(*stateFlag, append(b, '\n'))
+		if err := cliflags.WriteFileAtomic(*stateFlag, append(b, '\n')); err != nil {
+			log.Fatal(err)
+		}
 	}
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
@@ -376,20 +380,4 @@ func (p *slowProber) SampleCircuit(ctx context.Context, path []string, n int) ([
 	case <-time.After(p.delay):
 	}
 	return p.inner.SampleCircuit(ctx, path, n)
-}
-
-// writeAddrFile publishes the bound address atomically (write + rename),
-// so a watcher polling for the file never reads a half-written one.
-func writeAddrFile(path, addr string) {
-	writeFileAtomic(path, []byte("camp="+addr+"\n"))
-}
-
-func writeFileAtomic(path string, b []byte) {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -33,6 +33,7 @@ import (
 	"ting/internal/cliflags"
 	"ting/internal/directory"
 	"ting/internal/experiments"
+	"ting/internal/netutil"
 	"ting/internal/serve"
 	"ting/internal/ting"
 )
@@ -83,7 +84,15 @@ func main() {
 	defer stop()
 
 	// The measurement source: exactly one of -model, -control, -matrix.
-	var mon *ting.Monitor
+	// Both measuring sources sweep under one configuration; only the
+	// measurers, the relay set and the parallelism differ.
+	cfg := ting.MonitorConfig{
+		MaxAge:        *maxAge,
+		PairsPerSweep: *pairsPerSweep,
+		Workers:       *workers,
+		Health:        health,
+		Observer:      obs,
+	}
 	switch {
 	case *matrixFlag != "":
 		f, err := os.Open(*matrixFlag)
@@ -95,20 +104,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The document persists predicted provenance but not measured (it is
-		// runtime annotation): stamp every other nonzero cell as resumed so
-		// replayed measurements don't rank below model predictions — a
-		// confidence-floored consumer must prefer the real data.
-		names := m.Names()
-		for i := 0; i < len(names); i++ {
-			for j := i + 1; j < len(names); j++ {
-				if v := m.At(i, j); v > 0 && m.ProvAt(i, j) != ting.ProvPredicted {
-					if err := m.SetProv(names[i], names[j], ting.ProvResumed); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-		}
 		if _, err := pub.Publish(m); err != nil {
 			log.Fatal(err)
 		}
@@ -119,20 +114,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mon, err = ting.NewMonitor(ting.MonitorConfig{
-			NewMeasurer: func(worker int) (*ting.Measurer, error) {
-				return world.Measurer(*samples, *seedFlag+int64(worker)+1)
-			},
-			Names:         world.Names,
-			MaxAge:        *maxAge,
-			PairsPerSweep: *pairsPerSweep,
-			Workers:       *workers,
-			Health:        health,
-			Observer:      obs,
-		})
-		if err != nil {
-			log.Fatal(err)
+		cfg.NewMeasurer = func(worker int) (*ting.Measurer, error) {
+			return world.Measurer(*samples, *seedFlag+int64(worker)+1)
 		}
+		cfg.Names = world.Names
 		fmt.Printf("sweeping a synthetic %d-relay Internet (seed %d)\n", *modelFlag, *seedFlag)
 
 	case ctl.Addr != "":
@@ -150,28 +135,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		names := make([]string, 0, dir.Len())
 		for _, d := range dir.Consensus() {
-			names = append(names, d.Nickname)
+			cfg.Names = append(cfg.Names, d.Nickname)
 		}
-		mon, err = ting.NewMonitor(ting.MonitorConfig{
-			NewMeasurer: func(worker int) (*ting.Measurer, error) {
-				return ctl.NewMeasurer(conn, *samples, obs)
-			},
-			Names:         names,
-			MaxAge:        *maxAge,
-			PairsPerSweep: *pairsPerSweep,
-			// One control connection serializes circuit work.
-			Workers: 1,
-			Health:  health,
-		})
-		if err != nil {
-			log.Fatal(err)
+		cfg.NewMeasurer = func(worker int) (*ting.Measurer, error) {
+			return ctl.NewMeasurer(conn, *samples, obs)
 		}
-		fmt.Printf("sweeping %d relays through %s\n", len(names), ctl.Addr)
+		// One control connection serializes circuit work.
+		cfg.Workers = 1
+		fmt.Printf("sweeping %d relays through %s\n", len(cfg.Names), ctl.Addr)
 
 	default:
 		log.Fatal("need a measurement source: -model n, -control addr, or -matrix file")
+	}
+	var mon *ting.Monitor
+	if cfg.NewMeasurer != nil {
+		if mon, err = ting.NewMonitor(cfg); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Query surfaces. Both answer from the same publisher, so they are
@@ -195,7 +176,7 @@ func main() {
 			IdleTimeout:       2 * time.Minute,
 		}
 		go func() {
-			if err := srv.Serve(serve.LimitListener(ln)); err != nil && err != http.ErrServerClosed {
+			if err := srv.Serve(netutil.LimitListener(ln, netutil.MaxConns)); err != nil && err != http.ErrServerClosed {
 				log.Fatal(err)
 			}
 		}()
@@ -218,28 +199,26 @@ func main() {
 		log.Fatal("both -http and -bin disabled: nothing to serve")
 	}
 	if *addrFile != "" {
-		writeAddrFile(*addrFile, written)
+		if err := cliflags.WriteAddrFile(*addrFile, written); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	if mon != nil {
-		sw := &serve.Sweeper{
-			Monitor:   mon,
-			Publisher: pub,
-			Interval:  *sweepInterval,
-			OnSweep: func(stats ting.MonitorStats, snap *serve.Snapshot, err error) {
-				if err != nil && ctx.Err() == nil {
-					log.Printf("sweep error: %v", err)
-				}
-				if snap != nil && !*quiet {
-					pc := snap.ProvCounts()
-					log.Printf("epoch %d: %d measured total (pairs: %d fresh, %d resumed, %d removed, %d predicted, %d missing)",
-						snap.Epoch(), stats.Measured, pc.Fresh, pc.Resumed, pc.Removed, pc.Predicted, pc.Missing)
-				}
-			},
-		}
-		if err := sw.Run(ctx); err != nil {
-			log.Fatal(err)
-		}
+		mon.Run(ctx, *sweepInterval, func(m *ting.Matrix, stats ting.MonitorStats, err error) {
+			if err != nil && ctx.Err() == nil {
+				log.Printf("sweep error: %v", err)
+			}
+			if m == nil {
+				return
+			}
+			snap, _ := pub.Publish(m)
+			if !*quiet {
+				pc := snap.ProvCounts()
+				log.Printf("epoch %d: %d measured total (pairs: %d fresh, %d resumed, %d removed, %d predicted, %d missing)",
+					snap.Epoch(), stats.Measured, pc.Fresh, pc.Resumed, pc.Removed, pc.Predicted, pc.Missing)
+			}
+		})
 	} else {
 		<-ctx.Done()
 	}
@@ -252,25 +231,4 @@ func listen(addr string) net.Listener {
 		log.Fatalf("listen %s: %v", addr, err)
 	}
 	return ln
-}
-
-// writeAddrFile publishes the bound addresses atomically (write + rename),
-// so a watcher polling for the file never reads a half-written one.
-func writeAddrFile(path string, addrs map[string]string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, k := range []string{"http", "bin", "debug"} {
-		if v, ok := addrs[k]; ok {
-			fmt.Fprintf(f, "%s=%s\n", k, v)
-		}
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		log.Fatal(err)
-	}
 }

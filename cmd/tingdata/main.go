@@ -86,13 +86,11 @@ func runStats(path string) {
 	if unmeasured > 0 {
 		fmt.Printf("  WARNING: %d pairs unmeasured (zero)\n", unmeasured)
 	}
-	// Measured provenance is runtime-only, but predicted cells persist in
-	// the document: everything nonzero and not predicted was measured.
-	pc := m.ProvCounts()
-	if pc.Predicted > 0 {
-		measured := len(vals) - unmeasured - pc.Predicted
+	// Predicted cells persist in the document, and every positive cell
+	// that is not one decodes as resumed: measured.
+	if pc := m.ProvCounts(); pc.Predicted > 0 {
 		fmt.Printf("  provenance: %d measured, %d predicted (budgeted scan)\n",
-			measured, pc.Predicted)
+			pc.Resumed, pc.Predicted)
 	}
 }
 

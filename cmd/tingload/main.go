@@ -21,10 +21,10 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"ting/internal/cliflags"
 	"ting/internal/serve"
 )
 
@@ -256,15 +256,9 @@ func resolveAddrFile() {
 	if *binAddr != "" || *httpAddr != "" {
 		return
 	}
-	data, err := os.ReadFile(*addrFile)
+	addrs, err := cliflags.ReadAddrFile(*addrFile)
 	if err != nil {
 		log.Fatal(err)
-	}
-	addrs := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if k, v, ok := strings.Cut(line, "="); ok {
-			addrs[k] = v
-		}
 	}
 	switch {
 	case addrs["bin"] != "":

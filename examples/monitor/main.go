@@ -61,5 +61,5 @@ func main() {
 	}
 	fmt.Printf("\nmatrix ready: median inter-relay RTT %.1f ms; %.0f%% of pairs have a TIV detour\n",
 		med, 100*sum.FractionWithTIV())
-	fmt.Println("re-running Sweep() on a ticker keeps it fresh (serve.Sweeper.Run, as cmd/tingd does).")
+	fmt.Println("re-running Sweep() on a ticker keeps it fresh (Monitor.Run, as cmd/tingd does).")
 }

@@ -34,7 +34,8 @@ type Worker struct {
 	Addr string
 	// Scanner does the measuring. Its Checkpoint should be the same log as
 	// Checkpoint below; the worker appends shard records to it and the
-	// scanner appends pair records.
+	// scanner appends pair records. It must have no Directory: Run refuses
+	// one.
 	Scanner *ting.Scanner
 	// Checkpoint is the worker's durable log (may be nil: no durability).
 	Checkpoint ting.Checkpoint
@@ -107,6 +108,11 @@ func (r *reconnector) wait(ctx context.Context, err error) error {
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Scanner == nil {
 		return errors.New("campaign: worker needs a scanner")
+	}
+	// A Directory would add a relay joining mid-lease to the ledger, whose
+	// next header would then name a relay set the log cannot replay.
+	if w.Scanner.Directory != nil {
+		return errors.New("campaign: worker's scanner has a Directory; the relay set is the coordinator's")
 	}
 	poll := w.Poll
 	if poll <= 0 {

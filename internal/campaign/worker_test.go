@@ -101,6 +101,49 @@ func TestWorkerRunHonorsContext(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesScannerWithDirectory: a campaign's relay set is the
+// coordinator's. A scanner following a live consensus would add a relay
+// that joins mid-lease to the worker's ledger, its next lease's header would
+// name a longer relay set, and its log would stop replaying. Run refuses
+// such a scanner before it asks the coordinator for anything.
+func TestWorkerRefusesScannerWithDirectory(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dialed atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dialed.Add(1)
+			conn.Close()
+		}
+	}()
+	w := &Worker{
+		Name: "follower",
+		Addr: ln.Addr().String(),
+		Scanner: &ting.Scanner{
+			NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") },
+			Directory:   directory.NewRegistry(),
+		},
+		Poll:             5 * time.Millisecond,
+		UnreachableGrace: time.Hour,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil || !strings.Contains(err.Error(), "Directory") {
+		t.Fatalf("Run = %v, want a refusal naming the Directory", err)
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Errorf("worker dialed the coordinator %d times before refusing", n)
+	}
+}
+
 // peekCheckpoint reads the file behind its FileCheckpoint as the scan's
 // campaign header is appended — the moment a lease's scan starts.
 type peekCheckpoint struct {

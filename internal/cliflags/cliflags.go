@@ -1,8 +1,9 @@
 // Package cliflags holds the flag plumbing shared by the ting commands
 // (cmd/ting, cmd/tingnet, cmd/tingd): the -debug-addr telemetry surface,
 // the -dir directory-server address, repeatable flags, the
-// -crash/-flap/-churn fault-plan knobs, and the control-port boot of ting
-// and tingd (control.go). Each command used to grow its own
+// -crash/-flap/-churn fault-plan knobs, the control-port boot of ting
+// and tingd (control.go), and the -addr-file format tingd and tingcamp
+// write and tingload reads (addrfile.go). Each command used to grow its own
 // copy; one package means one spelling, one usage string, and one parser
 // for each knob.
 package cliflags

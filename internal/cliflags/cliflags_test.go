@@ -2,6 +2,9 @@ package cliflags
 
 import (
 	"flag"
+	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -118,4 +121,31 @@ func TestBootTelemetryBindsEphemeral(t *testing.T) {
 		t.Errorf("bound address %q not resolved", bound)
 	}
 	reg.Counter("x").Inc()
+}
+
+// TestAddrFileRoundTrip: what WriteAddrFile publishes, ReadAddrFile reads
+// back, one key=value line a surface, and no temporary file is left behind.
+func TestAddrFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tingd.addr")
+	want := map[string]string{"http": "127.0.0.1:7070", "bin": "127.0.0.1:7071", "debug": "127.0.0.1:6060"}
+	if err := WriteAddrFile(path, want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(data); s != "bin=127.0.0.1:7071\ndebug=127.0.0.1:6060\nhttp=127.0.0.1:7070\n" {
+		t.Errorf("addr file reads %q", s)
+	}
+	got, err := ReadAddrFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("read back %v, want %v", got, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind: %v", err)
+	}
 }

@@ -1,10 +1,13 @@
 package control
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -272,5 +275,69 @@ func TestServerConfigValidation(t *testing.T) {
 	cl, _ := client.New(client.Config{Dialer: link.NewPipeNet()})
 	if _, err := NewServer(ServerConfig{Client: cl}); err == nil {
 		t.Error("missing registry accepted")
+	}
+}
+
+// TestServerConnectionLimitAndClose: with both of two slots held by idle,
+// unauthenticated sessions, a third session's command gets no reply until
+// one of them closes; Close then hangs up on every session still open.
+func TestServerConnectionLimitAndClose(t *testing.T) {
+	cl, err := client.New(client.Config{Dialer: link.NewPipeNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Client: cl, Registry: directory.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.limit = 2
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeControl(ln) }()
+	defer srv.Close()
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn, bufio.NewReader(conn)
+	}
+	reply := func(conn net.Conn, br *bufio.Reader, wait time.Duration) (string, error) {
+		conn.SetReadDeadline(time.Now().Add(wait))
+		line, err := br.ReadString('\n')
+		return strings.TrimSpace(line), err
+	}
+	a, _ := dial()
+	b, bbr := dial()
+
+	third, tbr := dial()
+	if _, err := third.Write([]byte("AUTHENTICATE\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := reply(third, tbr, 200*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("third session answered with both slots held: %q, %v", line, err)
+	}
+	a.Close()
+	if line, err := reply(third, tbr, 5*time.Second); err != nil || line != "250 OK" {
+		t.Fatalf("third session after a slot freed: %q, %v", line, err)
+	}
+
+	srv.Close()
+	for name, c := range map[string]struct {
+		conn net.Conn
+		br   *bufio.Reader
+	}{"idle": {b, bbr}, "authenticated": {third, tbr}} {
+		if line, err := reply(c.conn, c.br, 5*time.Second); err != io.EOF {
+			t.Errorf("%s session after Close: read %q, %v; want EOF", name, line, err)
+		}
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Error("ServeControl still running after Close")
 	}
 }

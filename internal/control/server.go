@@ -29,6 +29,7 @@ import (
 
 	"ting/internal/client"
 	"ting/internal/directory"
+	"ting/internal/netutil"
 )
 
 // ServerConfig configures a control server.
@@ -43,13 +44,15 @@ type ServerConfig struct {
 
 // Server exposes an onion proxy over the control protocol.
 type Server struct {
-	cfg ServerConfig
+	cfg   ServerConfig
+	limit int // netutil.MaxConns open connections a listener; tests shorten it
 
 	mu       sync.Mutex
 	nextCirc int
 	circuits map[int]*client.Circuit
 	closed   bool
 	lns      []net.Listener
+	conns    map[net.Conn]struct{} // every open session and data connection
 }
 
 // NewServer creates a control server.
@@ -60,40 +63,48 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("control: config missing Registry")
 	}
-	return &Server{cfg: cfg, nextCirc: 1, circuits: make(map[int]*client.Circuit)}, nil
+	return &Server{cfg: cfg, limit: netutil.MaxConns, nextCirc: 1,
+		circuits: make(map[int]*client.Circuit), conns: make(map[net.Conn]struct{})}, nil
 }
 
 // ServeControl accepts control sessions on ln until it closes.
-func (s *Server) ServeControl(ln net.Listener) error {
-	s.track(ln)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go s.handleControl(conn)
-	}
-}
+func (s *Server) ServeControl(ln net.Listener) error { return s.serve(ln, s.handleControl) }
 
 // ServeData accepts stream-attach connections on ln until it closes.
-func (s *Server) ServeData(ln net.Listener) error {
-	s.track(ln)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go s.handleData(conn)
-	}
-}
+func (s *Server) ServeData(ln net.Listener) error { return s.serve(ln, s.handleData) }
 
-func (s *Server) track(ln net.Listener) {
+// serve runs handle on each connection ln accepts, at most limit at a time:
+// past that one waits in the kernel's backlog until a served one closes.
+// Close closes ln and every connection still being served.
+func (s *Server) serve(ln net.Listener, handle func(net.Conn)) error {
+	ln = netutil.LimitListener(ln, s.limit)
 	s.mu.Lock()
 	s.lns = append(s.lns, ln)
 	s.mu.Unlock()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			ln.Close() // if Close ran before this Serve began
+			return net.ErrClosed
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		go func() {
+			handle(conn) // closes conn
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+	}
 }
 
-// Close shuts down listeners and every circuit.
+// Close shuts down listeners, every open connection and every circuit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -101,12 +112,14 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	lns := s.lns
-	circs := s.circuits
-	s.circuits = make(map[int]*client.Circuit)
+	lns, conns, circs := s.lns, s.conns, s.circuits
+	s.conns, s.circuits = nil, make(map[int]*client.Circuit)
 	s.mu.Unlock()
 	for _, ln := range lns {
 		ln.Close()
+	}
+	for conn := range conns {
+		conn.Close()
 	}
 	for _, c := range circs {
 		c.Close()

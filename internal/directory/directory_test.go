@@ -1,13 +1,17 @@
 package directory
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unicode"
 
 	"ting/internal/onion"
@@ -199,6 +203,44 @@ func TestServerFetch(t *testing.T) {
 	n, _ := conn.Read(buf)
 	if !strings.HasPrefix(string(buf[:n]), "error") {
 		t.Errorf("unknown request answered with %q", buf[:n])
+	}
+}
+
+// TestServerConnectionLimit: with both of two slots held by idle
+// connections, a third connection's request gets no reply; once one of the
+// held connections closes, it is answered.
+func TestServerConnectionLimit(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewRegistry())
+	srv.limit = 2
+	go srv.Serve(ln)
+	defer srv.Close()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	held := []net.Conn{dial(), dial()}
+
+	third := dial()
+	if _, err := third.Write([]byte("GET consensus\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(third)
+	third.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if line, err := br.ReadString('\n'); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("third connection answered with both slots held: %q, %v", line, err)
+	}
+	held[0].Close()
+	third.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "consensus") {
+		t.Fatalf("third connection after a slot freed: %q, %v", line, err)
 	}
 }
 

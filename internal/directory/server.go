@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"ting/internal/netutil"
 	"ting/internal/stats"
 	"ting/internal/telemetry"
 )
@@ -32,6 +33,7 @@ type Server struct {
 	reg *Registry
 	// timeout bounds each connection's whole conversation.
 	timeout time.Duration
+	limit   int // netutil.MaxConns open connections; tests shorten it
 
 	mu  sync.Mutex
 	ln  net.Listener
@@ -47,7 +49,9 @@ type Server struct {
 type ExtensionFunc func(conn net.Conn, br *bufio.Reader, req string)
 
 // NewServer creates a directory server over reg.
-func NewServer(reg *Registry) *Server { return &Server{reg: reg, timeout: DefaultIOTimeout} }
+func NewServer(reg *Registry) *Server {
+	return &Server{reg: reg, timeout: DefaultIOTimeout, limit: netutil.MaxConns}
+}
 
 // Extend registers fn for request lines whose first word is verb, letting
 // other subsystems ride the directory transport — one listener, one
@@ -64,8 +68,11 @@ func (s *Server) Extend(verb string, fn ExtensionFunc) {
 	s.ext[verb] = fn
 }
 
-// Serve accepts and answers requests on ln until the listener closes.
+// Serve accepts and answers requests on ln until the listener closes. It
+// answers at most limit connections at a time; past that one waits in the
+// kernel's backlog until an answered one closes.
 func (s *Server) Serve(ln net.Listener) error {
+	ln = netutil.LimitListener(ln, s.limit)
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"ting/internal/netutil"
 	"ting/internal/telemetry"
 	"ting/internal/ting"
 )
@@ -81,7 +82,7 @@ const (
 	// closed within refuseTimeout, so it costs a goroutine and a few hundred
 	// bytes for at most that long instead of a serveConn's two 64 KiB
 	// buffers for connTimeout.
-	connLimit     = 1024
+	connLimit     = netutil.MaxConns
 	refuseTimeout = time.Second
 
 	// gatherChunk is how many cells a batch lookup reads from the matrix

@@ -1,15 +1,15 @@
 // Package serve is the serving plane of the latency matrix: it turns the
 // file-writing, exit-on-completion workflow of cmd/ting into a long-running
-// query service. A sweeper keeps an all-pairs matrix fresh with continuous
-// Monitor sweeps and publishes each completed sweep as an immutable epoch
-// snapshot; readers — an HTTP/JSON API under /v1 and a compact
-// length-prefixed binary protocol — resolve the current snapshot with one
-// atomic pointer load and never lock against the sweeper.
+// query service. A Publisher stamps each matrix it is handed (cmd/tingd
+// hands it every sweep of the monitor's Run loop that changed the data) as
+// an immutable epoch snapshot; readers — an HTTP/JSON API under /v1 and a
+// compact length-prefixed binary protocol — resolve the current snapshot
+// with one atomic pointer load and never lock against the writer.
 //
 // Epoch lifecycle:
 //
-//	sweep → Monitor.Matrix() (private clone) → Publisher.Publish (stamp
-//	      the next epoch, atomic swap) → readers pick it up lock-free
+//	Monitor.Run sweep → Monitor.Matrix() (private clone) → Publisher.Publish
+//	      (stamp the next epoch, atomic swap) → readers pick it up lock-free
 //
 // Old epochs stay valid for requests already holding them (readers capture
 // the snapshot once per request, so a swap mid-request can never produce a
@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -79,17 +78,15 @@ func (s *Snapshot) TIVs() ([]pathsel.TIV, error) {
 // is byte-identical for its whole lifetime.
 func etagFor(epoch uint64) string { return fmt.Sprintf("%q", fmt.Sprintf("e%d", epoch)) }
 
-// Publisher owns the current-epoch pointer. Publish (the sweeper, rare) is
+// Publisher owns the current-epoch pointer. Publish (once a sweep, rare) is
 // serialized by a mutex; Current (every query, hot) is a single atomic
 // load. This is the reader/writer separation the MatrixView split exists
-// for: the sweeper keeps mutating its own *Matrix, and only matrices it
+// for: the monitor keeps mutating its own *Matrix, and only matrices it
 // has given up (a Snapshot's) ever cross to the readers.
 type Publisher struct {
 	mu  sync.Mutex // serializes Publish: seq and cur move together
 	seq uint64
 	cur atomic.Pointer[Snapshot]
-
-	now func() time.Time
 
 	swaps      *telemetry.Counter
 	epochGauge *telemetry.Gauge
@@ -99,7 +96,6 @@ type Publisher struct {
 // metrics).
 func NewPublisher(reg *telemetry.Registry) *Publisher {
 	return &Publisher{
-		now:        time.Now,
 		swaps:      reg.Counter("serve.epoch_swaps"),
 		epochGauge: reg.Gauge("serve.epoch"),
 	}
@@ -119,7 +115,7 @@ func (p *Publisher) Publish(m *ting.Matrix) (*Snapshot, error) {
 		m:           m,
 		epoch:       seq,
 		etag:        etagFor(seq),
-		publishedAt: p.now(),
+		publishedAt: time.Now(),
 		prov:        m.ProvCounts(),
 	}
 	p.seq = seq
@@ -134,60 +130,3 @@ func (p *Publisher) Publish(m *ting.Matrix) (*Snapshot, error) {
 // returned snapshot stays valid (and internally consistent) no matter how
 // many epochs are published after it.
 func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
-
-// Sweeper runs continuous Monitor sweeps and publishes each completed
-// sweep that measured anything as a new epoch. Sweep errors do not stop
-// the loop: a dead relay must not wedge the serving plane, and the epoch
-// still advances with whatever the sweep did measure.
-type Sweeper struct {
-	// Monitor drives the measurements. Required.
-	Monitor *ting.Monitor
-	// Publisher receives each sweep's snapshot. Required.
-	Publisher *Publisher
-	// Interval is the pause between sweeps. Default 1s.
-	Interval time.Duration
-	// OnSweep, if non-nil, is called after every sweep (and its publish, if
-	// one happened) with the cumulative monitor stats, the published
-	// snapshot (nil when the sweep changed nothing), and the sweep error.
-	OnSweep func(stats ting.MonitorStats, snap *Snapshot, err error)
-}
-
-// Run sweeps until ctx is cancelled (which returns nil — a stopped sweeper
-// is a request, not a failure). The first sweep runs immediately, and the
-// first publish happens even if that sweep measured nothing, so a server
-// over an already-complete matrix still comes up serving epoch 1.
-func (s *Sweeper) Run(ctx context.Context) error {
-	if s.Monitor == nil || s.Publisher == nil {
-		return errors.New("serve: sweeper needs Monitor and Publisher")
-	}
-	interval := s.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	lastMeasured := -1 // forces the first publish
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		_, err := s.Monitor.Sweep(ctx)
-		if ctx.Err() != nil {
-			return nil
-		}
-		stats := s.Monitor.Stats()
-		var snap *Snapshot
-		// Publish only when the dataset can have changed: re-stamping an
-		// identical matrix would churn epochs and invalidate client caches
-		// for nothing.
-		if stats.Measured != lastMeasured {
-			lastMeasured = stats.Measured
-			snap, _ = s.Publisher.Publish(s.Monitor.Matrix())
-		}
-		if s.OnSweep != nil {
-			s.OnSweep(stats, snap, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-		}
-	}
-}

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"ting/internal/experiments"
 	"ting/internal/telemetry"
 	"ting/internal/ting"
 )
@@ -182,78 +179,5 @@ func TestEpochSwapRaceHammer(t *testing.T) {
 	}
 	if got := pub.Current().Epoch(); got != uint64(publishes) {
 		t.Fatalf("final epoch = %d, want %d", got, publishes)
-	}
-}
-
-// TestSweeperPublishesEpochs drives a real Monitor over the synthetic
-// Internet and checks the sweeper's publish policy: epochs advance while
-// sweeps measure, and the served matrix converges to the monitor's.
-func TestSweeperPublishesEpochs(t *testing.T) {
-	world, err := experiments.NewTestbedWorld(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := ting.NewMonitor(ting.MonitorConfig{
-		NewMeasurer: func(worker int) (*ting.Measurer, error) {
-			return world.Measurer(1, int64(worker)+100)
-		},
-		Names: world.Names,
-		// Every pair is always stale, so every sweep measures and every sweep
-		// publishes — the epoch-churn regime the serving plane must survive.
-		MaxAge: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := NewPublisher(nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	epochs := 0
-	sw := &Sweeper{
-		Monitor:   mon,
-		Publisher: pub,
-		Interval:  time.Millisecond,
-		OnSweep: func(stats ting.MonitorStats, snap *Snapshot, err error) {
-			if err != nil {
-				t.Errorf("sweep error: %v", err)
-			}
-			if snap != nil {
-				epochs++
-			}
-			if epochs >= 3 {
-				cancel()
-			}
-		},
-	}
-	if err := sw.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if epochs < 3 {
-		t.Fatalf("published %d epochs, want ≥ 3", epochs)
-	}
-	snap := pub.Current()
-	if snap == nil || snap.Epoch() < 3 {
-		t.Fatalf("current snapshot %+v", snap)
-	}
-	// The served data is a real measurement: nonzero and matching the
-	// monitor's own matrix.
-	x, y := world.Names[0], world.Names[1]
-	served, err := snap.View().RTT(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served <= 0 {
-		t.Fatalf("served RTT %v", served)
-	}
-	pc := snap.ProvCounts()
-	if pc.Missing != 0 || pc.Fresh == 0 {
-		t.Fatalf("prov counts fresh=%d missing=%d", pc.Fresh, pc.Missing)
-	}
-}
-
-func TestSweeperRequiresMonitorAndPublisher(t *testing.T) {
-	if err := (&Sweeper{}).Run(context.Background()); err == nil {
-		t.Fatal("empty sweeper ran")
 	}
 }

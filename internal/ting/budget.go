@@ -32,8 +32,9 @@ const budgetFitPasses = 12
 //
 // A budget of at least all pairs falls through to a plain Scan. The
 // scanner's Checkpoint and Directory are not used by the batch scans (a
-// budgeted campaign is cheap to re-run; churn reconciliation assumes an
-// all-pairs schedule); each batch is one ScanPairs pass of the scan engine
+// budgeted campaign is cheap to re-run; its relay set, and with it the
+// coordinate model's, is fixed at names, so no relay may join mid-batch);
+// each batch is one ScanPairs pass of the scan engine
 // into the returned matrix, so everything else — workers, retries,
 // deadlines, breaker, observer — applies per batch, and one half-circuit
 // cache spans all batches so bootstrap circuits keep paying off in the

@@ -85,7 +85,7 @@ const (
 	ProvMissing Provenance = iota
 	// ProvFresh: measured by this scan.
 	ProvFresh
-	// ProvResumed: replayed from a checkpoint by Scanner.Resume.
+	// ProvResumed: replayed from a checkpoint or a matrix document.
 	ProvResumed
 	// ProvRemoved: tombstoned — a relay of the pair left the consensus
 	// before the pair could be measured (churn, not failure).
@@ -560,7 +560,8 @@ func (m *Matrix) PairValues() []float64 {
 // the stored triangle, read in place, so no cell is ordered.
 //
 // Measured provenance (fresh/resumed/removed) is runtime annotation and
-// not persisted, but predicted cells are: a budgeted campaign's document
+// not persisted (DecodeMatrix reads every positive cell back as resumed),
+// but predicted cells are: a budgeted campaign's document
 // gains one "pred i j q" trailer line per model-completed pair (q the
 // quantized confidence, 0–255), so a consumer of the published dataset
 // can still tell measurement from model opinion. Fully-measured matrices
@@ -665,13 +666,18 @@ func DecodeMatrix(r io.Reader) (*Matrix, error) {
 			}
 			// The lower triangle repeats the upper one, which holds the
 			// pair. Zero cells stay unmaterialized: decoding a sparse
-			// campaign's dense document reconstructs a sparse matrix.
-			if j < i {
+			// campaign's dense document reconstructs a sparse matrix. A
+			// positive cell was measured (unless a pred record says
+			// otherwise); a negative one, like zero, stays missing.
+			switch {
+			case j < i:
 				if w := m.at(j, i); v != w {
 					return nil, fmt.Errorf("ting: asymmetric matrix: cell (%d,%d) is %s, (%d,%d) is %s",
 						i, j, f, j, i, strconv.FormatFloat(w, 'g', -1, 64))
 				}
-			} else if v != 0 {
+			case v > 0:
+				m.write(i, j, v, ProvResumed, 255)
+			case v != 0:
 				m.cellTile(i, j).r[tidx(i, j)] = v
 			}
 		}

@@ -209,6 +209,47 @@ func TestDecodeMatrixStaysSparse(t *testing.T) {
 	}
 }
 
+// TestDecodeMatrixStampsMeasuredCells: a document persists no measured
+// provenance, so every positive cell it holds reads back as resumed at full
+// confidence, where a confidence-floored consumer finds it. A zero or
+// negative cell, which no measurement yields, stays missing, and a pred
+// record keeps its cell predicted at its own confidence.
+func TestDecodeMatrixStampsMeasuredCells(t *testing.T) {
+	doc := "tingmatrix n=4\na b c d\n" +
+		"0 5 0 7\n" +
+		"5 0 -1 9\n" +
+		"0 -1 0 31.5\n" +
+		"7 9 31.5 0\n" +
+		"pred 2 3 186\n"
+	m, err := DecodeMatrix(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		i, j int
+		prov Provenance
+		conf float64
+	}{
+		{0, 1, ProvResumed, 1},
+		{1, 0, ProvResumed, 1},
+		{0, 3, ProvResumed, 1},
+		{1, 3, ProvResumed, 1},
+		{0, 2, ProvMissing, 0},
+		{1, 2, ProvMissing, 0},
+		{2, 3, ProvPredicted, 186.0 / 255},
+	} {
+		if p, conf := m.ProvAt(c.i, c.j), m.ConfAt(c.i, c.j); p != c.prov || conf != c.conf {
+			t.Errorf("cell (%d,%d) = %v at %v, want %v at %v", c.i, c.j, p, conf, c.prov, c.conf)
+		}
+	}
+	if pc := m.ProvCounts(); pc.Resumed != 3 || pc.Missing != 2 || pc.Predicted != 1 {
+		t.Errorf("ProvCounts %+v, want 3 resumed, 2 missing, 1 predicted", pc)
+	}
+	if v := m.At(1, 2); v != -1 {
+		t.Errorf("negative cell decoded as %v", v)
+	}
+}
+
 // TestDecodeMatrixRefusesAsymmetry: a document whose (i, j) and (j, i)
 // differ describes no matrix; it is refused with the cell and both values
 // named, across a tile boundary and with a zero on either side.

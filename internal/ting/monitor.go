@@ -42,7 +42,7 @@ type MonitorConfig struct {
 	now func() time.Time
 }
 
-// Monitor is created by NewMonitor and driven by Sweep.
+// Monitor is created by NewMonitor and driven by Sweep or Run.
 type Monitor struct {
 	cfg    MonitorConfig
 	matrix *Matrix
@@ -245,4 +245,37 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		return 0, firstFailure
 	}
 	return measured, nil
+}
+
+// Run sweeps until ctx ends, the first sweep at once and then one every
+// interval (≤ 0 means 1s), and calls publish after each with the stats, the
+// sweep's error, and a snapshot (Matrix) if the sweep measured anything or
+// is the first, else nil: an unchanged matrix is not worth a new epoch. A
+// sweep error does not stop the loop, so a dead relay cannot wedge the
+// serving plane; a sweep ctx cut short is not published.
+func (mon *Monitor) Run(ctx context.Context, interval time.Duration, publish func(m *Matrix, stats MonitorStats, err error)) {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	lastMeasured := -1 // forces the first publish
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		_, err := mon.Sweep(ctx)
+		if ctx.Err() != nil {
+			return
+		}
+		stats := mon.Stats()
+		var m *Matrix
+		if stats.Measured != lastMeasured {
+			lastMeasured = stats.Measured
+			m = mon.Matrix()
+		}
+		publish(m, stats, err)
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+	}
 }

@@ -16,12 +16,12 @@ import (
 )
 
 // TestChaosSoakMonitorSweeper puts the serving plane's data path — a
-// Monitor feeding a serve.Sweeper — under the fault plan of
+// Monitor's Run loop feeding a serve.Publisher — under the fault plan of
 // TestChaosSoakFlapCancelResume: a live in-process overlay with one relay
 // flapping. MaxAge is short, so every pair is re-measured throughout the
 // flapping, which then stops. Every sweep must return, published epochs
 // must only go up, every pair must end measured and fresh, and no engine or
-// sweeper goroutine may outlive Run.
+// serving goroutine may outlive Run.
 func TestChaosSoakMonitorSweeper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack soak is seconds-long; skipped in -short")
@@ -81,44 +81,41 @@ func TestChaosSoakMonitorSweeper(t *testing.T) {
 		clean     ting.MonitorStats // the stats when the current clean run began
 	)
 	start := time.Now()
-	sw := &serve.Sweeper{
-		Monitor:   mon,
-		Publisher: serve.NewPublisher(nil),
-		Interval:  10 * time.Millisecond,
-		OnSweep: func(stats ting.MonitorStats, snap *serve.Snapshot, err error) {
-			sweeps++
-			if snap != nil {
-				if snap.Epoch() <= lastEpoch {
-					t.Errorf("epoch went from %d to %d", lastEpoch, snap.Epoch())
-				}
-				lastEpoch = snap.Epoch()
+	pub := serve.NewPublisher(nil)
+	mon.Run(ctx, 10*time.Millisecond, func(m *ting.Matrix, stats ting.MonitorStats, err error) {
+		sweeps++
+		if m != nil {
+			snap, perr := pub.Publish(m)
+			if perr != nil {
+				t.Fatal(perr)
 			}
-			if !calmed {
-				if time.Since(start) >= flapFor {
-					plan.SetRelay(flappy, faults.RelaySchedule{})
-					calmed = true
-					clean = stats
-				}
-				return
+			if snap.Epoch() <= lastEpoch {
+				t.Errorf("epoch went from %d to %d", lastEpoch, snap.Epoch())
 			}
-			if err != nil || stats.Failed != clean.Failed || stats.Quarantined != clean.Quarantined {
+			lastEpoch = snap.Epoch()
+		}
+		if !calmed {
+			if time.Since(start) >= flapFor {
+				plan.SetRelay(flappy, faults.RelaySchedule{})
+				calmed = true
 				clean = stats
-				return
 			}
-			if stats.Measured-clean.Measured >= 12 {
-				cancel()
-			}
-		},
-	}
-	if err := sw.Run(ctx); err != nil {
-		t.Fatalf("Run = %v", err)
-	}
+			return
+		}
+		if err != nil || stats.Failed != clean.Failed || stats.Quarantined != clean.Quarantined {
+			clean = stats
+			return
+		}
+		if stats.Measured-clean.Measured >= 12 {
+			cancel()
+		}
+	})
 	if ctx.Err() != context.Canceled {
 		t.Fatalf("the overlay never calmed down: %d sweeps, stats %+v", sweeps, mon.Stats())
 	}
 
 	// Run sweeps synchronously, so its return means every sweep returned;
-	// the one it may start after cancel reports no OnSweep.
+	// the one it may start after cancel calls no publish.
 	st := mon.Stats()
 	if d := st.Sweeps - sweeps; d < 0 || d > 1 {
 		t.Errorf("%d sweeps started, %d reported", st.Sweeps, sweeps)
@@ -127,7 +124,7 @@ func TestChaosSoakMonitorSweeper(t *testing.T) {
 		t.Errorf("only %d measurements over the soak; MaxAge re-measurement did not happen", st.Measured)
 	}
 	t.Logf("%d sweeps, %d epochs, stats %+v", sweeps, lastEpoch, st)
-	if pc := sw.Publisher.Current().ProvCounts(); pc.Fresh != 6 {
+	if pc := pub.Current().ProvCounts(); pc.Fresh != 6 {
 		t.Errorf("published provenance %+v, want all 6 pairs fresh", pc)
 	}
 	m := mon.Matrix()
@@ -139,7 +136,7 @@ func TestChaosSoakMonitorSweeper(t *testing.T) {
 		}
 	}
 
-	// No goroutine running engine, monitor or sweeper code may outlive Run.
+	// No goroutine running engine, monitor or serving code may outlive Run.
 	// The overlay's own goroutines (relays, the client's links) live until
 	// n.Close and are not this test's subject.
 	deadline := time.Now().Add(5 * time.Second)

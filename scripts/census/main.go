@@ -7,7 +7,10 @@
 // node's edges are the objects its declaration names (types.Info.Uses, which
 // resolves selectors and promoted methods to the declaring object). Roots are
 // every func and var of every main package, and every init. Test files are not
-// loaded, so a func only tests call is unreachable.
+// loaded, so a func only tests call is unreachable. The main packages under
+// examples/ are walked last, and an exported func only they reach is flagged
+// like one nothing reaches: an example shows the API, it does not keep code
+// alive.
 //
 // A method nothing selects is still reached when a value of its type can be
 // behind an interface that has it. The census approximates "can be" by "the
@@ -56,6 +59,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -292,8 +296,10 @@ var _ = []any{
 type graph struct {
 	l      *loader
 	decl   map[types.Object]*declared
-	roots  []types.Object
+	roots  []types.Object // the commands', bench's and every init
+	demos  []types.Object // examples/' main packages, walked second
 	seen   map[types.Object]bool
+	core   map[types.Object]bool // seen before the demos were walked
 	work   []types.Object
 	types  []*types.Named            // reachable module types with methods to keep
 	ifaces map[*types.Interface]bool // interfaces in play
@@ -309,6 +315,10 @@ func newGraph(l *loader) *graph {
 	g := &graph{l: l, decl: map[types.Object]*declared{}, seen: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
 	for _, p := range l.order {
 		isMain := p.types.Name() == "main"
+		roots := &g.roots
+		if strings.HasPrefix(p.types.Path(), l.modpath+"/examples/") {
+			roots = &g.demos
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -316,7 +326,7 @@ func newGraph(l *loader) *graph {
 					obj := p.info.Defs[d.Name]
 					g.decl[obj] = g.mentions(p, d)
 					if isMain || (d.Recv == nil && d.Name.Name == "init") {
-						g.roots = append(g.roots, obj)
+						*roots = append(*roots, obj)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
@@ -331,7 +341,7 @@ func newGraph(l *loader) *graph {
 								if obj := p.info.Defs[name]; obj != nil && name.Name != "_" {
 									g.decl[obj] = m
 									if _, isVar := obj.(*types.Var); isVar && isMain {
-										g.roots = append(g.roots, obj)
+										*roots = append(*roots, obj)
 									}
 								}
 							}
@@ -416,7 +426,8 @@ func (g *graph) mark(obj types.Object) {
 	}
 }
 
-// reach marks everything the roots lead to.
+// reach marks everything the roots lead to, then everything the demos lead
+// to as well, keeping in core what the first walk alone reached.
 func (g *graph) reach() error {
 	std := &pkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
 	f, err := parser.ParseFile(g.l.fset, "calledbystdlib.go", calledByStdlib, parser.SkipObjectResolution)
@@ -433,6 +444,17 @@ func (g *graph) reach() error {
 	for _, r := range g.roots {
 		g.mark(r)
 	}
+	g.walk()
+	g.core = maps.Clone(g.seen)
+	for _, r := range g.demos {
+		g.mark(r)
+	}
+	g.walk()
+	return nil
+}
+
+// walk marks what the marked objects lead to.
+func (g *graph) walk() {
 	for len(g.work) > 0 {
 		obj := g.work[len(g.work)-1]
 		g.work = g.work[:len(g.work)-1]
@@ -455,7 +477,6 @@ func (g *graph) reach() error {
 			g.play(it)
 		}
 	}
-	return nil
 }
 
 // play puts an interface in play: every reachable type that implements it
@@ -512,12 +533,14 @@ func sortFindings(fs []finding) {
 	})
 }
 
+// unreached lists the exported funcs and methods under internal/ that no
+// command or benchmark reaches, whether or not an example does.
 func (g *graph) unreached() []finding {
 	var out []finding
 	for obj := range g.decl {
 		fn, isFunc := obj.(*types.Func)
 		path := obj.Pkg().Path()
-		if g.seen[obj] || !isFunc || !obj.Exported() || !strings.HasPrefix(path, g.l.modpath+"/internal/") {
+		if g.core[obj] || !isFunc || !obj.Exported() || !strings.HasPrefix(path, g.l.modpath+"/internal/") {
 			continue
 		}
 		short := strings.TrimPrefix(path, g.l.modpath+"/internal/")

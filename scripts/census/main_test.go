@@ -28,13 +28,14 @@ var (
 		"lib.DeadOuter  internal/lib/lib.go:28",    // no caller
 		"lib.DeadInner  internal/lib/lib.go:30",    // called only by DeadOuter
 		"lib.TestOnly  internal/lib/lib.go:35",     // called only by lib_test.go
+		"lib.DemoOnly  internal/lib/lib.go:79",     // called only by examples/demo
 		"lib.AllowedSeam  internal/lib/lib.go:41",  // flagged, and answered by the allowlist
 		"lib.Config.Knob  internal/lib/lib.go:47",  // set only by its package's guarded default
 		"lib.Fault.Drop  internal/lib/lib.go:72",   // set by nothing; the allowlist names the type
 		"lib.Fault.Stall  internal/lib/lib.go:73",
 	}
 	wantReached = []string{
-		"Square.Area", "NewSquare", "NewHandle", "Handle.Use", // Area only through a Shape value
+		"Square.Area", "NewSquare", "NewHandle", "Handle.Use", // Area only through a Shape value; examples/demo calls both too
 		"Config.Size",    // keyed by a literal in cmd/app
 		"Counter.Digest", // copy(c.Digest[:], b)
 		"Counter.Hits",   // c.Hits.Add(1)
@@ -46,6 +47,7 @@ lib.Handle.Close  r
 lib.DeadOuter     r
 lib.DeadInner     r
 lib.TestOnly      r
+lib.DemoOnly      r
 lib.AllowedSeam   a seam another package's tests use
 lib.Config.Knob   r
 lib.Fault         fault vocabulary nothing in the module sets
@@ -69,7 +71,7 @@ func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
 	if strings.Contains(stdout, "deadHelper") {
 		t.Errorf("an unexported func was listed:\n%s", stdout)
 	}
-	for _, name := range []string{"lib.Handle.Close", "lib.DeadOuter", "lib.DeadInner", "lib.TestOnly", "lib.Config.Knob"} {
+	for _, name := range []string{"lib.Handle.Close", "lib.DeadOuter", "lib.DeadInner", "lib.TestOnly", "lib.DemoOnly", "lib.Config.Knob"} {
 		if !strings.Contains(stderr, name) {
 			t.Errorf("stderr does not name %s as unlisted:\n%s", name, stderr)
 		}
@@ -83,7 +85,7 @@ func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
 
 func TestCensusPassesWhenEveryFlaggedNameIsListed(t *testing.T) {
 	status, stdout, stderr := census(t, allowAll)
-	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (7 allowlisted)\n") {
+	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (8 allowlisted)\n") {
 		t.Fatalf("status %d\nstdout:\n%sstderr:\n%s", status, stdout, stderr)
 	}
 }

@@ -74,3 +74,6 @@ type Fault struct {
 }
 
 func (f Fault) Lossy() bool { return f.Drop > 0 || f.Stall > 0 }
+
+// DemoOnly is reached from examples/demo alone: flagged.
+func DemoOnly() int { return 4 }
