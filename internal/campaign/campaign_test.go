@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -281,9 +283,65 @@ func TestCompleteDemandsFullCoverage(t *testing.T) {
 	}
 }
 
-// TestCompleteAllocs: checking a submission costs its shard, not the
-// campaign: an in-memory Complete of a whole shard allocates at most the
-// results' copy and one more, whatever the shard's size.
+// TestCompleteRefusesNonFiniteRTT: a NaN or infinite RTT is refused by the
+// submission check, failed pair or not, before anything is journaled or
+// written. Accepted, it would merge into a matrix document DecodeMatrix
+// refuses, or fail the journal's encoder with the worker's bad value. The
+// refused lease still completes with finite values.
+func TestCompleteRefusesNonFiniteRTT(t *testing.T) {
+	names := fakeNames(4)
+	shards := []Shard{NewShard(0, 0, 0, 6)}
+	for _, journaled := range []bool{false, true} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var c *Coordinator
+			if journaled {
+				c = newJournaled(t, names, shards, journalPath(t), newFakeClock())
+			} else {
+				var err error
+				if c, err = NewCoordinator(names, shards, time.Second, nil); err != nil {
+					t.Fatal(err)
+				}
+				c.clock = newFakeClock().now
+			}
+			l, _, err := c.Acquire("w1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := fullResults(t, l.Shard, names)
+			for _, failed := range []bool{false, true} {
+				res[2].RTT, res[2].Failed = bad, failed
+				err := c.Complete("w1", l.Shard.ID, l.Epoch, res)
+				if err == nil || strings.Contains(err.Error(), "journal") || !strings.Contains(err.Error(), "relay000,relay003") {
+					t.Fatalf("journaled %v, rtt %v, failed %v: Complete = %v, want the pair refused", journaled, bad, failed, err)
+				}
+			}
+			if st := c.Snapshot(); st.Done != 0 || st.Leased != 1 {
+				t.Fatalf("after a refused submission: %+v", st)
+			}
+			if err := c.Complete("w1", l.Shard.ID, l.Epoch, fullResults(t, l.Shard, names)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := c.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc bytes.Buffer
+			if err := m.Encode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ting.DecodeMatrix(&doc); err != nil {
+				t.Fatalf("merged matrix does not decode: %v", err)
+			}
+			if journaled {
+				c.Journal().Close()
+			}
+		}
+	}
+}
+
+// TestCompleteAllocs: checking a submission and writing it into the ledger
+// costs its shard, not the campaign: an in-memory Complete of a whole shard
+// whose tiles the ledger holds allocates nothing, whatever the shard's size.
 func TestCompleteAllocs(t *testing.T) {
 	names := fakeNames(200)
 	for _, target := range []int{1000, 4} { // 20-pair and 2016-pair first shards
@@ -304,8 +362,8 @@ func TestCompleteAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 2 {
-			t.Errorf("Complete of a %d-pair shard: %.1f allocations, want at most 2", len(results), allocs)
+		if allocs != 0 {
+			t.Errorf("Complete of a %d-pair shard: %.1f allocations, want 0", len(results), allocs)
 		}
 	}
 }

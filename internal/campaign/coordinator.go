@@ -60,12 +60,14 @@ type shardState struct {
 	epoch      uint64 // highest epoch ever granted for this shard
 	deadline   time.Time
 	reassigned int
-	results    []PairResult
+	failed     int // pairs the accepted submission marked failed
 }
 
 // Coordinator owns a campaign's shard ledger: it grants leases, renews
 // them on heartbeat, expires the silent, re-grants their shards at a
 // higher fencing epoch, and accepts exactly one submission per shard.
+// Accepted submissions live in one matrix over the campaign's names, each
+// written there once, so the merged matrix is that matrix's Clone.
 // All methods are safe for concurrent use; expiry is evaluated lazily on
 // every call against the clock, so no background ticker is needed and this
 // package's tests can drive the clock by hand.
@@ -76,7 +78,10 @@ type Coordinator struct {
 
 	names []string
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// ledger holds every accepted submission: a measured pair's cell is
+	// fresh, a failed pair's and a pending shard's are missing.
+	ledger    *ting.Matrix
 	order     []*shardState // canonical shard order — also the merge order
 	byID      map[string]*shardState
 	nextEpoch uint64
@@ -99,9 +104,19 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 	if ttl <= 0 {
 		return nil, errors.New("campaign: non-positive lease TTL")
 	}
+	ledger, err := ting.NewMatrix(names)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range names {
+		if len(n) > maxName {
+			return nil, fmt.Errorf("campaign: relay name of %d bytes; a reply line fits names of at most %d", len(n), maxName)
+		}
+	}
 	c := &Coordinator{
+		ledger:     ledger,
 		TTL:        ttl,
-		names:      append([]string(nil), names...),
+		names:      ledger.Names(), // the ledger's own copy, never grown
 		byID:       make(map[string]*shardState, len(shards)),
 		remaining:  len(shards),
 		done:       make(chan struct{}),
@@ -160,12 +175,12 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 // invariant everything rests on — push the fencing-epoch counter strictly
 // above the highest epoch ever granted, so a reborn coordinator can never
 // reissue an epoch a pre-crash worker might still hold. Complete records
-// restore done shards with their full submissions, so Merged after
-// recovery folds exactly the bytes the live coordinator accepted. Leases
-// whose journaled deadline has passed expire lazily on the next call,
-// exactly as if the coordinator had never died: a pre-crash holder that
-// heartbeats before its shard is re-granted resurrects its lease, and one
-// that shows up after gets ErrFenced.
+// restore done shards, each submission written into the ledger as Complete
+// writes it, so Merged after recovery holds exactly the bytes the live
+// coordinator accepted. Leases whose journaled deadline has passed expire
+// lazily on the next call, exactly as if the coordinator had never died: a
+// pre-crash holder that heartbeats before its shard is re-granted
+// resurrects its lease, and one that shows up after gets ErrFenced.
 func RecoverCoordinator(path string, treg *telemetry.Registry) (*Coordinator, error) {
 	c, records, err := replayJournal(path, treg)
 	if err != nil {
@@ -205,9 +220,12 @@ func (c *Coordinator) journalAppend(rec journalRecord) error {
 // CompactJournal atomically rewrites the journal as a snapshot of the
 // current ledger — header (carrying the epoch watermark), one grant per
 // ever-granted shard in epoch order, one complete per done shard — so
-// done-shard results stop replaying the long way forever. Safe to call on
-// any cadence; a crash mid-compaction leaves either the old journal or the
-// new one. No-op without a journal.
+// done-shard results stop replaying the long way forever. A complete
+// record is rebuilt from the ledger: names from the campaign's order, RTTs
+// from the cells, failed pairs from the cells still missing — the record
+// the accepted submission wrote. Safe to call on any cadence; a crash
+// mid-compaction leaves either the old journal or the new one. No-op
+// without a journal.
 func (c *Coordinator) CompactJournal() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,7 +261,8 @@ func (c *Coordinator) CompactJournal() error {
 			continue
 		}
 		recs = append(recs, journalRecord{
-			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch, Results: st.results,
+			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch,
+			Results: st.shard.submission(nil, c.names, c.ledger),
 		})
 	}
 	if err := c.journal.Rewrite(recs); err != nil {
@@ -330,9 +349,10 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 }
 
 // Heartbeat renews worker's lease on shardID. Only the shard's highest
-// granted epoch renews — a stale holder gets ErrFenced and must stop. A
-// lease that expired but was not yet re-granted still carries the highest
-// epoch, so a late-but-alive worker resurrects it instead of losing work.
+// granted epoch renews — a stale holder gets ErrFenced and must stop, and so
+// does epoch 0, which no grant carries. A lease that expired but was not
+// yet re-granted still carries the highest epoch, so a late-but-alive
+// worker resurrects it instead of losing work.
 func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -342,7 +362,7 @@ func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 	if !ok {
 		return ErrUnknownShard
 	}
-	if epoch != st.epoch || st.phase == shardDone {
+	if epoch == 0 || epoch != st.epoch || st.phase == shardDone {
 		c.fenced.Inc()
 		return ErrFenced
 	}
@@ -354,12 +374,15 @@ func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 }
 
 // Complete accepts worker's submission for shardID. The epoch must be the
-// shard's highest granted one (ErrFenced otherwise — last writer wins),
-// and results must list the shard's pairs exactly in its canonical order,
-// the order of Shard.Pairs and the order Worker submits in: every pair
-// once, measured or failed, nothing extra. The check walks the shard's
+// shard's highest granted one (ErrFenced otherwise — last writer wins — and
+// for epoch 0, so a shard never granted is never done), and results must
+// list the shard's pairs exactly in its canonical order, the order of
+// Shard.Pairs and the order Worker submits in: every pair once, measured or
+// failed, nothing extra, every RTT finite. The check walks the shard's
 // geometry beside the submission, so it allocates nothing and costs the
 // shard's pairs, not the campaign's; a journal replay makes the same check.
+// An accepted submission is written into the coordinator's ledger; results
+// is not retained, so the caller may reuse it once Complete returns.
 // Completing an already-done shard at its winning epoch is an idempotent
 // no-op, so a worker may safely retry a submission whose ack it lost.
 func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []PairResult) error {
@@ -370,7 +393,7 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	if !ok {
 		return ErrUnknownShard
 	}
-	if epoch != st.epoch {
+	if epoch == 0 || epoch != st.epoch {
 		c.fenced.Inc()
 		return ErrFenced
 	}
@@ -391,7 +414,7 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	}
 	st.phase = shardDone
 	st.worker = worker
-	st.results = append([]PairResult(nil), results...)
+	st.failed = st.shard.record(c.ledger, results)
 	c.remaining--
 	c.completed.Inc()
 	if c.remaining == 0 {
@@ -400,16 +423,15 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	return nil
 }
 
-// pairCount is how many pairs shard id covers, and whether the campaign
-// has such a shard.
-func (c *Coordinator) pairCount(id string) (int, bool) {
+// shard returns shard id, and whether the campaign has such a shard.
+func (c *Coordinator) shard(id string) (Shard, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.byID[id]
 	if !ok {
-		return 0, false
+		return Shard{}, false
 	}
-	return st.shard.PairCount(), true
+	return st.shard, true
 }
 
 // Done is closed once every shard has a submission.
@@ -420,34 +442,20 @@ func (c *Coordinator) Names() []string {
 	return append([]string(nil), c.names...)
 }
 
-// Merged folds every shard submission straight into one matrix, in
-// canonical shard order. Shards are disjoint (NewCoordinator checked) and
-// each has exactly one accepted submission covering its pairs exactly
-// (Complete checked), so every cell is written at most once: the result is
-// bytewise reproducible given the same submissions, and (with a
-// deterministic measurer) bytewise equal to a single-process scan. Requires
-// the campaign to be done.
+// Merged returns the campaign's matrix: a copy-on-write Clone of the
+// ledger, so it costs the tile grid, not the cells. Shards are disjoint
+// (NewCoordinator checked) and each has exactly one accepted submission
+// covering its pairs exactly (Complete checked), so every cell was written
+// at most once: the result is bytewise reproducible given the same
+// submissions, and (with a deterministic measurer) bytewise equal to a
+// single-process scan. Requires the campaign to be done.
 func (c *Coordinator) Merged() (*ting.Matrix, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.remaining != 0 {
 		return nil, fmt.Errorf("campaign: merge with %d shards outstanding", c.remaining)
 	}
-	dst, err := ting.NewMatrix(c.names)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range c.order {
-		for _, r := range st.results {
-			if r.Failed {
-				continue
-			}
-			if err := dst.Set(r.X, r.Y, r.RTT); err != nil {
-				return nil, fmt.Errorf("campaign: merging shard %s: %w", st.shard.ID, err)
-			}
-		}
-	}
-	return dst, nil
+	return c.ledger.Clone(), nil
 }
 
 // ShardStatus is one shard's row in a Status snapshot.
@@ -502,11 +510,7 @@ func (c *Coordinator) Snapshot() Status {
 		if st.phase != shardPending {
 			row.Worker = st.worker
 		}
-		for _, r := range st.results {
-			if r.Failed {
-				row.Failed++
-			}
-		}
+		row.Failed = st.failed
 		switch st.phase {
 		case shardDone:
 			s.Done++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -163,9 +164,10 @@ func blockPairs(sh Shard, names []string) [][2]string {
 }
 
 // FuzzComplete: Complete accepts a submission exactly when the set check
-// it replaced accepts it and it lists the pairs in canonical order. Each
-// submission starts as one shard's canonical list, then each 3-byte step of
-// ops permutes, drops, duplicates, renames, adds or flips a pair.
+// it replaced accepts it, it lists the pairs in canonical order and every
+// RTT is finite. Each submission starts as one shard's canonical list, then
+// each 3-byte step of ops permutes, drops, duplicates, renames, adds or
+// flips a pair, or gives one a NaN or infinite RTT.
 func FuzzComplete(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(0), []byte{})
 	f.Add(uint8(4), uint8(2), uint8(1), []byte{0, 0, 1})
@@ -175,6 +177,8 @@ func FuzzComplete(f *testing.F) {
 	f.Add(uint8(70), uint8(4), uint8(3), []byte{4, 2, 69})
 	f.Add(uint8(70), uint8(9), uint8(5), []byte{5, 1, 0, 5, 1, 0})
 	f.Add(uint8(130), uint8(20), uint8(11), []byte{0, 3, 5, 0, 3, 5})
+	f.Add(uint8(10), uint8(3), uint8(2), []byte{6, 1, 0})
+	f.Add(uint8(70), uint8(4), uint8(3), []byte{6, 0, 1, 5, 0, 0, 6, 2, 2})
 	f.Fuzz(func(t *testing.T, n, target, pick uint8, ops []byte) {
 		names := fakeNames(2 + int(n)%150)
 		shards := Partition(len(names), 1+int(target)%40)
@@ -189,10 +193,10 @@ func FuzzComplete(f *testing.F) {
 		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			a, b := int(ops[1]), int(ops[2])
-			if len(results) == 0 && ops[0]%6 != 4 {
+			if len(results) == 0 && ops[0]%7 != 4 {
 				continue
 			}
-			switch ops[0] % 6 {
+			switch ops[0] % 7 {
 			case 0: // permute
 				a, b = a%len(results), b%len(results)
 				results[a], results[b] = results[b], results[a]
@@ -213,12 +217,17 @@ func FuzzComplete(f *testing.F) {
 			case 5: // flip
 				r := &results[a%len(results)]
 				r.X, r.Y = r.Y, r.X
+			case 6: // a value no journal or matrix document can hold
+				results[a%len(results)].RTT = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[b%3]
 			}
 		}
 		canonical := slices.EqualFunc(results, pairs, func(r PairResult, p [2]string) bool {
 			return r.X == p[0] && r.Y == p[1]
 		})
-		want := completeReference(pairs, results) && canonical
+		finite := !slices.ContainsFunc(results, func(r PairResult) bool {
+			return math.IsNaN(r.RTT) || math.IsInf(r.RTT, 0)
+		})
+		want := completeReference(pairs, results) && canonical && finite
 
 		c, err := NewCoordinator(names, shards, time.Hour, nil)
 		if err != nil {

@@ -114,7 +114,9 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 // journal's own invariants: exactly one header, first; grant epochs
 // strictly increasing (coordinator-global monotonic fencing); no grant of a
 // completed shard; completes only at the shard's latest granted epoch, each
-// listing its shard's pairs in canonical order as Complete demands.
+// listing its shard's pairs in canonical order as Complete demands. A
+// complete record's submission is written into the ledger, as Complete
+// writes it.
 func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -168,11 +170,15 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 			if err := st.shard.checkResults(c.names, rec.Results); err != nil {
 				return fmt.Errorf("campaign: journal complete record: %w", err)
 			}
+			// A live coordinator journals one complete per shard; should a
+			// file hold a second at the winning epoch, the first stands, as it
+			// does against a retried submission.
 			if st.phase != shardDone {
 				st.phase = shardDone
+				st.worker = rec.Worker
+				st.failed = st.shard.record(c.ledger, rec.Results)
 				c.remaining--
 			}
-			st.worker, st.results = rec.Worker, rec.Results
 			return nil
 		}
 		// Grant records are strictly increasing by epoch within one journal

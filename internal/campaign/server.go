@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -19,12 +20,30 @@ import (
 // directory transport. Every campaign request is "CAMP <op> ...".
 const Verb = "CAMP"
 
+const (
+	// maxName bounds a relay name, so that every reply line fits
+	// maxReplyLine; NewCoordinator refuses a longer one.
+	maxName = 16 << 10
+	// maxReplyLine bounds a reply line a campaign client reads, its newline
+	// included. The longest line a coordinator sends is an error verdict: it
+	// quotes at most one request or completion line, which the server reads
+	// through a 4 KiB buffer and %q at most quadruples, beside at most two
+	// relay names. A names line is one name.
+	maxReplyLine = 64 << 10
+	// replyBuf is a client's read buffer: a lease line fits it, and a longer
+	// line is read in pieces up to maxReplyLine.
+	replyBuf = 256
+)
+
 // Server exposes a Coordinator over the directory server's line-text
 // protocol. One listener carries both consensus traffic and campaign
 // traffic; the campaign side claims the "CAMP" verb via
 // directory.Server.Extend.
 type Server struct {
 	c *Coordinator
+	// bufs holds *[]PairResult completion buffers: Complete keeps nothing
+	// of a submission, so a buffer is reused once its verdict is sent.
+	bufs sync.Pool
 }
 
 // NewServer wraps c for the wire.
@@ -81,16 +100,22 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 			fmt.Fprintf(conn, "error %v\n", err)
 			return
 		}
-		limit, ok := s.c.pairCount(id)
+		sh, ok := s.c.shard(id)
 		if !ok {
 			replyErr(conn, ErrUnknownShard)
 			return
 		}
-		results, err := readResults(br, limit)
+		buf, _ := s.bufs.Get().(*[]PairResult)
+		if buf == nil {
+			buf = new([]PairResult)
+		}
+		defer s.bufs.Put(buf)
+		results, err := readResults(br, s.c.names, sh, *buf)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
 			return
 		}
+		*buf = results
 		replyErr(conn, s.c.Complete(worker, id, epoch, results))
 	default:
 		fmt.Fprintf(conn, "error unknown campaign op %q\n", op)
@@ -108,14 +133,19 @@ func leaseArgs(args []string) (worker, id string, epoch uint64, err error) {
 	return args[0], args[1], epoch, nil
 }
 
-// readResults consumes a completion body: one "pair <x> <y> <rtt>" or
-// "fail <x> <y>" line per pair, terminated by "end". Fields are separated by
-// white space as strings.Fields separates them, without allocating.
-// Whatever the peer sends, the body costs bounded memory: a line longer than
-// br's buffer is refused, and so is a result line past limit, the shard's
-// pair count.
-func readResults(br *bufio.Reader, limit int) ([]PairResult, error) {
-	out := make([]PairResult, 0, limit)
+// readResults consumes a completion body for shard sh of a campaign over
+// names, appending to dst[:0]: one "pair <x> <y> <rtt>" or "fail <x> <y>"
+// line per pair, terminated by "end". Fields are separated by white space
+// as strings.Fields separates them, without allocating. A result's names
+// are the campaign's own strings wherever the wire bytes spell the pair the
+// shard lists at that position, and copies only where they do not (Complete
+// then refuses the submission by name), so a canonical body into a buffer
+// of its size allocates nothing, whatever its pair count. Whatever the peer
+// sends, the body costs bounded memory: a line longer than br's buffer is
+// refused, and so is a result line past the shard's pair count.
+func readResults(br *bufio.Reader, names []string, sh Shard, dst []PairResult) ([]PairResult, error) {
+	out, limit := dst[:0], sh.PairCount()
+	c := sh.cursor(len(names))
 	for {
 		line, err := br.ReadSlice('\n')
 		if errors.Is(err, bufio.ErrBufferFull) {
@@ -133,7 +163,8 @@ func readResults(br *bufio.Reader, limit int) ([]PairResult, error) {
 			if len(out) == limit {
 				return nil, fmt.Errorf("completion body has more than the shard's %d pairs", limit)
 			}
-			r := PairResult{X: string(f[1]), Y: string(f[2]), Failed: n == 3}
+			i, j, _ := c.next()
+			r := PairResult{X: canonical(f[1], names[i]), Y: canonical(f[2], names[j]), Failed: n == 3}
 			if n == 4 {
 				if r.RTT, err = strconv.ParseFloat(string(f[3]), 64); err != nil {
 					return nil, fmt.Errorf("bad rtt %q", f[3])
@@ -144,6 +175,14 @@ func readResults(br *bufio.Reader, limit int) ([]PairResult, error) {
 			return nil, fmt.Errorf("bad completion line %q", bytes.TrimSpace(line))
 		}
 	}
+}
+
+// canonical returns want when b spells it, and b as a new string otherwise.
+func canonical(b []byte, want string) string {
+	if string(b) == want {
+		return want
+	}
+	return string(b)
 }
 
 // fields splits line around runs of Unicode white space, as strings.Fields
@@ -240,23 +279,24 @@ func FetchNames(addr string) ([]string, error) {
 	if _, err := fmt.Fprintf(conn, "%s names\n", Verb); err != nil {
 		return nil, &TransportError{Op: "fetch names", Err: err}
 	}
-	br := bufio.NewReader(conn)
-	header, err := br.ReadString('\n')
+	br := bufio.NewReaderSize(conn, replyBuf)
+	header, err := readReply(br)
 	if err != nil {
 		return nil, &TransportError{Op: "fetch names", Err: err}
 	}
-	header = strings.TrimSpace(header)
 	var n int
-	if _, err := fmt.Sscanf(header, "names n=%d", &n); err != nil {
+	if _, err := fmt.Sscanf(header, "names n=%d", &n); err != nil || n < 0 {
 		return nil, fmt.Errorf("campaign: bad names header %q", header)
 	}
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := br.ReadString('\n')
+	// The count is the peer's claim: names are allocated as they arrive,
+	// and the reply must deliver every one it promised.
+	names := make([]string, 0, min(n, 1024))
+	for len(names) < n {
+		line, err := readReply(br)
 		if err != nil {
-			return nil, &TransportError{Op: "fetch names", Err: errors.New("truncated reply")}
+			return nil, &TransportError{Op: "fetch names", Err: fmt.Errorf("reply ended after %d of %d names: %w", len(names), n, err)}
 		}
-		names = append(names, strings.TrimSpace(line))
+		names = append(names, line)
 	}
 	return names, nil
 }
@@ -271,11 +311,11 @@ func Acquire(addr, worker string) (Lease, AcquireResult, error) {
 	if _, err := fmt.Fprintf(conn, "%s acquire %s\n", Verb, worker); err != nil {
 		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
 	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	line, err := readReply(bufio.NewReaderSize(conn, replyBuf))
 	if err != nil {
 		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
 	}
-	switch line = strings.TrimSpace(line); line {
+	switch line {
 	case "none":
 		return Lease{}, AcquireNone, nil
 	case "done":
@@ -342,16 +382,36 @@ func writeResults(bw *bufio.Writer, results []PairResult) {
 }
 
 func readVerdict(conn net.Conn, op string) error {
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	line, err := readReply(bufio.NewReaderSize(conn, replyBuf))
 	if err != nil {
 		return &TransportError{Op: op, Err: err}
 	}
-	switch line = strings.TrimSpace(line); {
+	switch {
 	case line == "ok":
 		return nil
 	case line == "fenced":
 		return ErrFenced
 	default:
 		return fmt.Errorf("campaign: %s: server said %q", op, line)
+	}
+}
+
+// readReply reads one reply line through br, trimmed of surrounding white
+// space — every line a campaign client reads comes through here. A line
+// longer than maxReplyLine, its newline included, is an error, never
+// truncated: a peer that never ends its line costs at most that much.
+func readReply(br *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if line = append(line, frag...); len(line) > maxReplyLine {
+			return "", fmt.Errorf("reply line longer than %d bytes", maxReplyLine)
+		}
+		if err == nil {
+			return string(bytes.TrimSpace(line)), nil
+		}
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return "", err
+		}
 	}
 }

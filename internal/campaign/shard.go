@@ -16,6 +16,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ting/internal/ting"
@@ -202,8 +203,10 @@ func (s Shard) Pairs(names []string) ([][2]string, error) {
 
 // checkResults accepts a submission that lists the shard's pairs exactly in
 // canonical order — every pair once, measured or failed, nothing missing,
-// nothing extra — by walking the shard beside it: no pair list, no set, no
-// allocation unless it refuses. The shard must fit len(names).
+// nothing extra — with finite RTTs, by walking the shard beside it: no pair
+// list, no set, no allocation unless it refuses. A NaN or infinite RTT is
+// refused even on a failed pair: the journal cannot encode it, and a matrix
+// document holding one does not decode. The shard must fit len(names).
 func (s Shard) checkResults(names []string, results []PairResult) error {
 	if len(results) != s.PairCount() {
 		return fmt.Errorf("campaign: shard %s submission lists %d pairs, the shard has %d", s.ID, len(results), s.PairCount())
@@ -211,12 +214,62 @@ func (s Shard) checkResults(names []string, results []PairResult) error {
 	c := s.cursor(len(names))
 	for k := range results {
 		i, j, _ := c.next()
-		if r := &results[k]; r.X != names[i] || r.Y != names[j] {
+		r := &results[k]
+		if r.X != names[i] || r.Y != names[j] {
 			return fmt.Errorf("campaign: shard %s submission's pair %d is (%s,%s), want (%s,%s)",
 				s.ID, k, r.X, r.Y, names[i], names[j])
 		}
+		if math.IsNaN(r.RTT) || math.IsInf(r.RTT, 0) {
+			return fmt.Errorf("campaign: shard %s submission's pair %d (%s,%s) has rtt %v",
+				s.ID, k, r.X, r.Y, r.RTT)
+		}
 	}
 	return nil
+}
+
+// record writes a checked submission into ledger, a matrix over the
+// campaign's names, by the indices the shard's cursor yields: a measured
+// pair's cell is stamped fresh, a failed pair's stays missing. It returns
+// how many pairs failed.
+func (s Shard) record(ledger *ting.Matrix, results []PairResult) (failed int) {
+	c := s.cursor(ledger.N())
+	for k := range results {
+		i, j, _ := c.next()
+		if results[k].Failed {
+			failed++
+			continue
+		}
+		ledger.SetAt(i, j, results[k].RTT)
+	}
+	return failed
+}
+
+// submission lists the shard's pairs in canonical order, as Complete
+// demands, into dst[:0], reading each from ledger: a pair the ledger holds
+// a measurement of carries its RTT, any other pair failed. On a worker's
+// ledger it is the lease's submission; on the coordinator's, a done shard's
+// complete record as the accepted submission journaled it.
+func (s Shard) submission(dst []PairResult, names []string, ledger *ting.Matrix) []PairResult {
+	dst = dst[:0]
+	for c := s.cursor(len(names)); ; {
+		i, j, ok := c.next()
+		if !ok {
+			return dst
+		}
+		r := PairResult{X: names[i], Y: names[j]}
+		if measured(ledger, i, j) {
+			r.RTT = ledger.At(i, j)
+		} else {
+			r.Failed = true
+		}
+		dst = append(dst, r)
+	}
+}
+
+// measured reports whether the ledger holds a measurement of pair (i, j).
+func measured(ledger *ting.Matrix, i, j int) bool {
+	p := ledger.ProvAt(i, j)
+	return p == ting.ProvFresh || p == ting.ProvResumed
 }
 
 // Partition slices the pair space of an n-relay campaign into shards,

@@ -155,6 +155,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("campaign: worker %s: %w", w.Name, err)
 	}
+	// Every lease's submission is built here: Complete keeps none of it.
+	var sub []PairResult
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -185,7 +187,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		if err := w.runLease(ctx, names, ledger, lease, rec); err != nil {
+		if err := w.runLease(ctx, names, ledger, lease, rec, &sub); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -237,12 +239,6 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 	return m, nil
 }
 
-// measured reports whether the ledger holds a measurement of pair (i, j).
-func measured(ledger *ting.Matrix, i, j int) bool {
-	p := ledger.ProvAt(i, j)
-	return p == ting.ProvFresh || p == ting.ProvResumed
-}
-
 // runLease measures one lease's shard into the ledger and submits it. The
 // heartbeat goroutine renews the lease while the scan runs; only a genuine
 // ErrFenced verdict cancels the scan, because measuring for a lease someone
@@ -251,8 +247,9 @@ func measured(ledger *ting.Matrix, i, j int) bool {
 // the coordinator may be mid-restart — so it is retried on the next TTL/3
 // tick while the scan keeps running; the recovered coordinator either
 // accepts the next beat (resurrecting the lease if it had lazily expired)
-// or finally fences us.
-func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector) error {
+// or finally fences us. The submission is built in *sub, which the worker
+// keeps for its whole life.
+func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, sub *[]PairResult) error {
 	sh := lease.Shard
 	if err := sh.fits(len(names)); err != nil {
 		return err
@@ -350,20 +347,8 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	// The submission: one entry per shard pair, in the shard's canonical
 	// order. A completed scan settled every pair it was given, so a pair the
 	// ledger holds no measurement of is one the scan gave up on.
-	results := make([]PairResult, 0, sh.PairCount())
-	for c := sh.cursor(len(names)); ; {
-		i, j, ok := c.next()
-		if !ok {
-			break
-		}
-		r := PairResult{X: names[i], Y: names[j]}
-		if measured(ledger, i, j) {
-			r.RTT = ledger.At(i, j)
-		} else {
-			r.Failed = true
-		}
-		results = append(results, r)
-	}
+	*sub = sh.submission(*sub, names, ledger)
+	results := *sub
 
 	// A fully-measured lease is too expensive to abandon to a transport
 	// blip: retry the submission with backoff while the coordinator is

@@ -297,7 +297,8 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				grace:   time.Minute,
 				rng:     rand.New(rand.NewSource(1)),
 			}
-			if err := w.runLease(ctx, names, ledger, l1, rec); !errors.Is(err, ErrFenced) {
+			var sub []PairResult // one buffer for every lease, as Run keeps it
+			if err := w.runLease(ctx, names, ledger, l1, rec, &sub); !errors.Is(err, ErrFenced) {
 				t.Fatalf("stale lease's submission: %v, want ErrFenced", err)
 			}
 			spent := series.Load()
@@ -318,7 +319,7 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				if err != nil || res != AcquireGranted {
 					t.Fatalf("re-grant to w1: %v %v", res, err)
 				}
-				if err := w.runLease(ctx, names, ledger, l3, rec); err != nil {
+				if err := w.runLease(ctx, names, ledger, l3, rec, &sub); err != nil {
 					t.Fatal(err)
 				}
 			}

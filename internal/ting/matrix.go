@@ -229,8 +229,19 @@ func (m *Matrix) Set(x, y string, ms float64) error {
 	if !ok {
 		return fmt.Errorf("ting: unknown relay %q", y)
 	}
-	m.write(i, j, ms, ProvFresh, 255)
+	m.SetAt(i, j, ms)
 	return nil
+}
+
+// SetAt is Set by index, for a writer that already holds a pair's indices
+// (a campaign coordinator's ledger). Like At, it panics on out-of-range
+// indices.
+func (m *Matrix) SetAt(i, j int, ms float64) {
+	n := len(m.names)
+	if i < 0 || j < 0 || i >= n || j >= n {
+		panic(fmt.Sprintf("ting: matrix index (%d,%d) out of range [0,%d)", i, j, n))
+	}
+	m.write(i, j, ms, ProvFresh, 255)
 }
 
 // write stores a pair's whole state in its one cell.
