@@ -433,15 +433,9 @@ func (r *runner) runFig11() error {
 	// Publish the dataset itself, as the paper did with its measured
 	// matrices.
 	path := filepath.Join(r.out, "allpairs.ting")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := res.Matrix.WriteFile(path); err != nil {
 		return err
 	}
-	if err := res.Matrix.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
 	fmt.Printf("  wrote %s (all-pairs dataset)\n", path)
 	return r.writeDat("fig11_cdf.dat", "rtt-ms cumulative-fraction", cdfPoints(res.RTTCDF()))
 }

@@ -289,14 +289,9 @@ func main() {
 					pc.Predicted, confSum/float64(pc.Predicted))
 			}
 			if *outFlag != "" {
-				f, err := os.Create(*outFlag)
-				if err != nil {
+				if err := matrix.WriteFile(*outFlag); err != nil {
 					log.Fatal(err)
 				}
-				if err := matrix.Encode(f); err != nil {
-					log.Fatal(err)
-				}
-				f.Close()
 				fmt.Printf("wrote %s\n", *outFlag)
 			}
 			fmt.Printf("mean inter-relay RTT: %.1f ms\n", matrix.Mean())

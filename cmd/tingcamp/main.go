@@ -254,16 +254,7 @@ wait:
 		return 2
 	}
 	if *outFlag != "" {
-		f, err := os.Create(*outFlag)
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		if err := m.Encode(f); err != nil {
-			log.Print(err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := m.WriteFile(*outFlag); err != nil {
 			log.Print(err)
 			return 2
 		}
@@ -347,16 +338,7 @@ func runSingle(ctx context.Context, world *experiments.World) int {
 		log.Print("-single needs -out")
 		return 2
 	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-	if err := m.Encode(f); err != nil {
-		log.Print(err)
-		return 2
-	}
-	if err := f.Close(); err != nil {
+	if err := m.WriteFile(*outFlag); err != nil {
 		log.Print(err)
 		return 2
 	}

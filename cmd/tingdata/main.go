@@ -8,6 +8,12 @@
 //	tingdata stats   matrix.ting          # distribution summary
 //	tingdata tivs    matrix.ting          # triangle inequality violations
 //	tingdata compare old.ting new.ting    # stability between two scans
+//	tingdata text    matrix.ting          # the readable text form, to stdout
+//
+// A matrix document is binary (ting.Matrix.Encode); "text" writes the
+// older text form of the same cells, which every command still reads: a
+// names header, one dense row per relay, and a "pred i j q" line per
+// model-completed pair.
 //
 // Matrices from budgeted scans (ting -budget) mix measured and
 // model-predicted cells. "tivs" skips violations whose direct leg is a
@@ -16,10 +22,16 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
+	"strconv"
+	"strings"
+	"unicode"
 
 	"ting/internal/pathsel"
 	"ting/internal/stats"
@@ -35,7 +47,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 2 {
-		log.Fatal("usage: tingdata stats|tivs|compare <matrix.ting> [matrix2.ting]")
+		log.Fatal("usage: tingdata stats|tivs|compare|text <matrix.ting> [matrix2.ting]")
 	}
 	switch args[0] {
 	case "stats":
@@ -47,6 +59,10 @@ func main() {
 			log.Fatal("usage: tingdata compare old.ting new.ting")
 		}
 		runCompare(args[1], args[2])
+	case "text":
+		if err := writeText(os.Stdout, load(args[1])); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		log.Fatalf("unknown command %q", args[0])
 	}
@@ -86,11 +102,11 @@ func runStats(path string) {
 	if unmeasured > 0 {
 		fmt.Printf("  WARNING: %d pairs unmeasured (zero)\n", unmeasured)
 	}
-	// Predicted cells persist in the document, and every positive cell
-	// that is not one decodes as resumed: measured.
+	// Provenance persists in the document (in the text form, every
+	// positive cell that is not predicted decodes as resumed: measured).
 	if pc := m.ProvCounts(); pc.Predicted > 0 {
 		fmt.Printf("  provenance: %d measured, %d predicted (budgeted scan)\n",
-			pc.Resumed, pc.Predicted)
+			pc.Measured(), pc.Predicted)
 	}
 }
 
@@ -196,4 +212,39 @@ func runCompare(oldPath, newPath string) {
 	fmt.Printf("  median new/old ratio %.3f; |Δ| median %.1fms, p90 %.1fms; %.1f%% within 10%%\n",
 		medR, medD, p90D, 100*within)
 	fmt.Println("  (§4.6: Ting scans stay stable for a week; large drift here means re-measure)")
+}
+
+// writeText writes m in the text form: "tingmatrix n=<n>", the names on one
+// line, one row of n cells per relay (each value in the shortest form that
+// parses back to it), and a "pred i j q" line for every predicted pair i < j
+// at confidence q/255. Measured provenance is not written; decoding the
+// text stamps every positive cell resumed.
+func writeText(w io.Writer, m ting.MatrixView) error {
+	names := m.Names()
+	for _, name := range names {
+		if strings.ContainsFunc(name, unicode.IsSpace) {
+			return fmt.Errorf("relay name %q holds white space, which the text form cannot", name)
+		}
+	}
+	n := len(names)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "tingmatrix n=%d\n%s\n", n, strings.Join(names, " "))
+	num := make([]byte, 0, 32)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if j > 0 {
+				bw.WriteByte(' ')
+			}
+			bw.Write(strconv.AppendFloat(num[:0], m.At(i, j), 'g', -1, 64))
+		}
+		bw.WriteByte('\n')
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.ProvAt(i, j) == ting.ProvPredicted {
+				fmt.Fprintf(bw, "pred %d %d %d\n", i, j, int(math.Round(m.ConfAt(i, j)*255)))
+			}
+		}
+	}
+	return bw.Flush()
 }

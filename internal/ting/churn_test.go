@@ -519,15 +519,8 @@ resume:
 			t.Errorf("resume pair (%s,%s) failed with %v, want churn tombstones only", pe.X, pe.Y, pe.Err)
 		}
 	}
-	var b1, b2 bytes.Buffer
-	if err := m1.Encode(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Encode(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Errorf("resumed matrix differs from the live scan's:\nlive:\n%s\nresumed:\n%s", b1.String(), b2.String())
+	if d := diffValues(m1, m2); d != "" {
+		t.Errorf("resumed matrix differs from the live scan's: %s", d)
 	}
 }
 

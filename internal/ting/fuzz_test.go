@@ -2,6 +2,8 @@ package ting
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -16,6 +18,18 @@ func FuzzDecodeMatrix(f *testing.F) {
 	var buf bytes.Buffer
 	m.Encode(&buf)
 	f.Add(buf.String())
+	f.Add(buf.String()[:buf.Len()-1]) // cut inside the end record
+	m.SetProv("a", "b", ProvResumed)
+	m.SetProv("a", "c", ProvRemoved)
+	m.SetPredicted("b", "c", 31.5, 0.73)
+	buf.Reset()
+	m.Encode(&buf)
+	f.Add(buf.String())
+	if golden, err := os.ReadFile("testdata/matrix-v2.ting"); err == nil {
+		f.Add(string(golden))
+	}
+	f.Add("tingmatrix/2 n=2\n")
+	f.Add("tingmatrix/2 n=70000\n")
 	f.Add("tingmatrix n=2\na b\n0 1\n1 0\n")
 	f.Add("")
 	f.Add("tingmatrix n=9999999\n")
@@ -26,15 +40,21 @@ func FuzzDecodeMatrix(f *testing.F) {
 	f.Add("tingmatrix n=2\na b\n0 1\n1 0\ntrailing junk") // data after the rows
 	f.Add("tingmatrix n=2\na b\n0 1\n2 0\n")              // (1,0) differs from (0,1)
 	f.Add("tingmatrix n=3\na b c\n0 0 5\n0 0 0\n0 0 0\n") // (2,0) is zero, (0,2) is not
+	f.Add("tingmatrix n=3\na b c\n0 5 0\n5 0 -1\n0 -1 0\npred 0 1 200\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		got, err := DecodeMatrix(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
-		// Anything decodable re-encodes and decodes to identical cells.
+		// Anything decodable re-encodes and decodes to identical cells:
+		// value, provenance and confidence. A binary document re-encodes
+		// to its own bytes, since only the canonical form decodes.
 		var out bytes.Buffer
 		if err := got.Encode(&out); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
+		}
+		if strings.HasPrefix(doc, docMagic+" ") && out.String() != doc {
+			t.Fatalf("binary document re-encodes to other bytes (%d vs %d)", out.Len(), len(doc))
 		}
 		again, err := DecodeMatrix(&out)
 		if err != nil {
@@ -45,9 +65,12 @@ func FuzzDecodeMatrix(f *testing.F) {
 		}
 		for i := 0; i < got.N(); i++ {
 			for j := 0; j < got.N(); j++ {
-				a, b := got.At(i, j), again.At(i, j)
-				if a != b && !(a != a && b != b) { // NaN-tolerant equality
+				if a, b := got.At(i, j), again.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("cell (%d,%d) changed: %v → %v", i, j, a, b)
+				}
+				if got.ProvAt(i, j) != again.ProvAt(i, j) || got.ConfAt(i, j) != again.ConfAt(i, j) {
+					t.Fatalf("cell (%d,%d) provenance changed: %v at %v → %v at %v", i, j,
+						got.ProvAt(i, j), got.ConfAt(i, j), again.ProvAt(i, j), again.ConfAt(i, j))
 				}
 			}
 		}

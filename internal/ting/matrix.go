@@ -1,13 +1,8 @@
 package ting
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"strconv"
-	"strings"
 )
 
 // TileShift is log2 of the matrix tile dimension: cells are stored in
@@ -171,12 +166,14 @@ func (m *Matrix) at(i, j int) float64 {
 }
 
 // cellTile returns the tile holding cell (i,j), i ≤ j, for writing — the
-// only way to a writable tile. It materializes the tile on first write and,
-// if a Clone shares it, replaces it with a private copy and clears the
-// mark, so the copy is written in place from then on. The whole function
-// fits the inlining budget (CI's "Inlining" step fails if it stops), so a
-// write to a materialized tile of a matrix that was never cloned pays two
-// compares and no call.
+// only writer of a tile but one: DecodeMatrix installs the tiles it reads
+// from a binary document directly, since a matrix being decoded was never
+// cloned and has no mark to honour. cellTile materializes the tile on first
+// write and, if a Clone shares it, replaces it with a private copy and
+// clears the mark, so the copy is written in place from then on. The whole
+// function fits the inlining budget (CI's "Inlining" step fails if it
+// stops), so a write to a materialized tile of a matrix that was never
+// cloned pays two compares and no call.
 func (m *Matrix) cellTile(i, j int) *tile {
 	ti, tj := i>>TileShift, j>>TileShift
 	t := m.tiles[ti][tj]
@@ -560,161 +557,4 @@ func (m *Matrix) PairValues() []float64 {
 		}
 	}
 	return out
-}
-
-// Encode writes the matrix as a text document (names header plus one row
-// per line), the published-dataset format. The encoder streams: each
-// number is appended to one reused scratch buffer and written through the
-// bufio.Writer, so encoding never builds a row's (let alone the
-// document's) text in memory — the dense-encode double-buffer a 10k-node
-// matrix cannot afford. Row i's cells left of the diagonal are column i of
-// the stored triangle, read in place, so no cell is ordered.
-//
-// Measured provenance (fresh/resumed/removed) is runtime annotation and
-// not persisted (DecodeMatrix reads every positive cell back as resumed),
-// but predicted cells are: a budgeted campaign's document
-// gains one "pred i j q" trailer line per model-completed pair (q the
-// quantized confidence, 0–255), so a consumer of the published dataset
-// can still tell measurement from model opinion. Fully-measured matrices
-// encode byte-identically to the pre-trailer format.
-func (m *Matrix) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "tingmatrix n=%d\n", len(m.names))
-	for i, name := range m.names {
-		if i > 0 {
-			bw.WriteByte(' ')
-		}
-		bw.WriteString(name)
-	}
-	bw.WriteByte('\n')
-	n := len(m.names)
-	num := make([]byte, 0, 32)
-	for i := 0; i < n; i++ {
-		ti := i >> TileShift
-		trow := m.tiles[ti]
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				bw.WriteByte(' ')
-			}
-			var v float64
-			if j < i {
-				if t := m.tiles[j>>TileShift][ti]; t != nil {
-					v = t.r[tidx(j, i)]
-				}
-			} else if t := trow[j>>TileShift]; t != nil {
-				v = t.r[tidx(i, j)]
-			}
-			num = strconv.AppendFloat(num[:0], v, 'g', -1, 64)
-			bw.Write(num)
-		}
-		bw.WriteByte('\n')
-	}
-	for i := 0; i < n; i++ {
-		trow := m.tiles[i>>TileShift]
-		for j := i + 1; j < n; j++ {
-			t := trow[j>>TileShift]
-			if t == nil || t.prov[tidx(i, j)] != ProvPredicted {
-				continue
-			}
-			fmt.Fprintf(bw, "pred %d %d %d\n", i, j, t.conf[tidx(i, j)])
-		}
-	}
-	return bw.Flush()
-}
-
-// DecodeMatrix parses a matrix document. Malformed documents — bad
-// header, truncated or oversized rows, non-finite cells, a cell (i, j)
-// that differs from (j, i), trailing data — are explicit errors, never
-// panics or silent truncation: a matrix that decodes is structurally sound.
-func DecodeMatrix(r io.Reader) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: matrix header: %w", err)
-		}
-		return nil, errors.New("ting: empty matrix document")
-	}
-	var n int
-	if _, err := fmt.Sscanf(sc.Text(), "tingmatrix n=%d", &n); err != nil {
-		return nil, fmt.Errorf("ting: bad matrix header %q", sc.Text())
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("ting: matrix dimension %d, need at least 2", n)
-	}
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: matrix names: %w", err)
-		}
-		return nil, errors.New("ting: matrix missing names")
-	}
-	names := strings.Fields(sc.Text())
-	if len(names) != n {
-		return nil, fmt.Errorf("ting: header says %d names, got %d", n, len(names))
-	}
-	m, err := NewMatrix(names)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, fmt.Errorf("ting: matrix row %d: %w", i, err)
-			}
-			return nil, fmt.Errorf("ting: matrix truncated at row %d", i)
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) != n {
-			return nil, fmt.Errorf("ting: row %d has %d values, want %d", i, len(fields), n)
-		}
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ting: row %d col %d: %w", i, j, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("ting: row %d col %d: non-finite cell %q", i, j, f)
-			}
-			// The lower triangle repeats the upper one, which holds the
-			// pair. Zero cells stay unmaterialized: decoding a sparse
-			// campaign's dense document reconstructs a sparse matrix. A
-			// positive cell was measured (unless a pred record says
-			// otherwise); a negative one, like zero, stays missing.
-			switch {
-			case j < i:
-				if w := m.at(j, i); v != w {
-					return nil, fmt.Errorf("ting: asymmetric matrix: cell (%d,%d) is %s, (%d,%d) is %s",
-						i, j, f, j, i, strconv.FormatFloat(w, 'g', -1, 64))
-				}
-			case v > 0:
-				m.write(i, j, v, ProvResumed, 255)
-			case v != 0:
-				m.cellTile(i, j).r[tidx(i, j)] = v
-			}
-		}
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		// Optional predicted-cell trailer: "pred i j q" marks cell (i,j) as
-		// model-completed with quantized confidence q. The raw 0–255 byte is
-		// persisted (not a dequantized float) so a round trip is exact.
-		var i, j, q int
-		if _, err := fmt.Sscanf(line, "pred %d %d %d", &i, &j, &q); err != nil {
-			return nil, fmt.Errorf("ting: trailing data after %d matrix rows: %q", n, line)
-		}
-		if i < 0 || j < 0 || i >= n || j >= n || i == j {
-			return nil, fmt.Errorf("ting: pred record (%d,%d) out of range for n=%d", i, j, n)
-		}
-		if q < 0 || q > 255 {
-			return nil, fmt.Errorf("ting: pred record (%d,%d) confidence %d outside [0,255]", i, j, q)
-		}
-		m.setMark(i, j, ProvPredicted, uint8(q))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ting: matrix document: %w", err)
-	}
-	return m, nil
 }

@@ -2,10 +2,12 @@ package ting
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,34 +53,48 @@ func (o *oracle) dense() []Cell {
 	return want
 }
 
-// encodeDense is the published document written straight from dense cells.
-func encodeDense(names []string, want []Cell) []byte {
-	n := len(names)
-	b := fmt.Appendf(nil, "tingmatrix n=%d\n", n)
-	for i, name := range names {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, name...)
+// encodeOracle is the matrix document written straight from the oracle's
+// cells by the layout DecodeMatrix documents, through no tile and no Matrix.
+func encodeOracle(o *oracle) []byte {
+	le, table := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	n := len(o.names)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "tingmatrix/2 n=%d\n", n)
+	for _, name := range o.names {
+		binary.Write(&b, le, uint32(len(name)))
+		b.WriteString(name)
 	}
-	b = append(b, '\n')
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				b = append(b, ' ')
+	binary.Write(&b, le, crc32.Checksum(b.Bytes(), table))
+	tn, count := (n+TileDim-1)/TileDim, uint64(0)
+	for ti := 0; ti < tn; ti++ {
+		for tj := ti; tj < tn; tj++ {
+			r := make([]float64, TileDim*TileDim)
+			prov, conf := make([]byte, len(r)), make([]byte, len(r))
+			set := false
+			for k := range r {
+				i, j := ti*TileDim+k/TileDim, tj*TileDim+k%TileDim
+				c := o.cells[[2]int{i, j}]
+				if i > j || math.Float64bits(c.RTT) == 0 && c.Prov == ProvMissing && c.Conf == 0 {
+					continue
+				}
+				r[k], prov[k], conf[k], set = c.RTT, byte(c.Prov), c.Conf, true
 			}
-			b = strconv.AppendFloat(b, want[i*n+j].RTT, 'g', -1, 64)
-		}
-		b = append(b, '\n')
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if c := want[i*n+j]; c.Prov == ProvPredicted {
-				b = fmt.Appendf(b, "pred %d %d %d\n", i, j, c.Conf)
+			if !set {
+				continue
 			}
+			var rec bytes.Buffer
+			binary.Write(&rec, le, []uint32{uint32(ti), uint32(tj)})
+			binary.Write(&rec, le, r)
+			rec.Write(prov)
+			rec.Write(conf)
+			binary.Write(&rec, le, crc32.Checksum(rec.Bytes(), table))
+			b.Write(rec.Bytes())
+			count++
 		}
 	}
-	return b
+	end := le.AppendUint64(le.AppendUint64(nil, math.MaxUint64), count)
+	b.Write(le.AppendUint32(end, crc32.Checksum(end, table)))
+	return b.Bytes()
 }
 
 // mirrored is a matrix under test beside its oracle, and what the oracle
@@ -99,7 +115,7 @@ func mirror(m *Matrix, o *oracle) *mirrored {
 
 func (p *mirrored) derive() {
 	p.want = p.o.dense()
-	p.doc = encodeDense(p.o.names, p.want)
+	p.doc = encodeOracle(p.o)
 }
 
 // check compares every cell of m with the oracle through each read path:

@@ -217,15 +217,8 @@ func TestScannerResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotBuf, wantBuf bytes.Buffer
-	if err := m.Encode(&gotBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Encode(&wantBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
-		t.Errorf("resumed matrix differs from uninterrupted run:\n%s\nvs\n%s", gotBuf.String(), wantBuf.String())
+	if d := diffValues(m, want); d != "" {
+		t.Errorf("resumed matrix differs from uninterrupted run: %s", d)
 	}
 }
 
