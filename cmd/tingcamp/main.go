@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -47,6 +48,7 @@ import (
 	"ting/internal/experiments"
 	"ting/internal/telemetry"
 	"ting/internal/ting"
+	"ting/internal/wal"
 )
 
 var (
@@ -204,7 +206,11 @@ func runCoordinator(ctx context.Context, world *experiments.World, reg *telemetr
 			log.Printf("state: %v", err)
 			return
 		}
-		if err := cliflags.WriteFileAtomic(*stateFlag, append(b, '\n')); err != nil {
+		err = wal.WriteFile(*stateFlag, func(w io.Writer) error {
+			_, err := w.Write(append(b, '\n'))
+			return err
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 	}

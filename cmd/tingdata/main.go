@@ -8,12 +8,12 @@
 //	tingdata stats   matrix.ting          # distribution summary
 //	tingdata tivs    matrix.ting          # triangle inequality violations
 //	tingdata compare old.ting new.ting    # stability between two scans
-//	tingdata text    matrix.ting          # the readable text form, to stdout
+//	tingdata text    matrix.ting          # the cells as text, to stdout
 //
-// A matrix document is binary (ting.Matrix.Encode); "text" writes the
-// older text form of the same cells, which every command still reads: a
-// names header, one dense row per relay, and a "pred i j q" line per
-// model-completed pair.
+// A matrix document is binary (ting.Matrix.Encode), the one form every
+// command reads. "text" prints its cells for a human to read — a names
+// header, one dense row per relay, and a "pred i j q" line per
+// model-completed pair — and nothing reads that text back.
 //
 // Matrices from budgeted scans (ting -budget) mix measured and
 // model-predicted cells. "tivs" skips violations whose direct leg is a
@@ -102,8 +102,7 @@ func runStats(path string) {
 	if unmeasured > 0 {
 		fmt.Printf("  WARNING: %d pairs unmeasured (zero)\n", unmeasured)
 	}
-	// Provenance persists in the document (in the text form, every
-	// positive cell that is not predicted decodes as resumed: measured).
+	// Provenance persists in the document, cell by cell.
 	if pc := m.ProvCounts(); pc.Predicted > 0 {
 		fmt.Printf("  provenance: %d measured, %d predicted (budgeted scan)\n",
 			pc.Measured(), pc.Predicted)
@@ -217,8 +216,8 @@ func runCompare(oldPath, newPath string) {
 // writeText writes m in the text form: "tingmatrix n=<n>", the names on one
 // line, one row of n cells per relay (each value in the shortest form that
 // parses back to it), and a "pred i j q" line for every predicted pair i < j
-// at confidence q/255. Measured provenance is not written; decoding the
-// text stamps every positive cell resumed.
+// at confidence q/255. Measured provenance is not written: the text is a
+// view of the document, not a second form of it.
 func writeText(w io.Writer, m ting.MatrixView) error {
 	names := m.Names()
 	for _, name := range names {

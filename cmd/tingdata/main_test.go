@@ -3,66 +3,58 @@ package main
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"ting/internal/ting"
 )
 
-// TestTextReproducesPublishedDataset: the committed dataset is text, and
-// "tingdata text" writes it back byte for byte from the matrix it decodes
-// to — and from the binary document of that matrix, so converting a
-// dataset to the binary form and back loses nothing the text form holds.
+// TestTextReproducesPublishedDataset: "tingdata text" of the published
+// binary dataset is testdata/allpairs.txt, the text the dataset was first
+// published as, byte for byte: converting it to the binary document lost
+// nothing the text held.
 func TestTextReproducesPublishedDataset(t *testing.T) {
-	want, err := os.ReadFile("../../data/allpairs.ting")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ting.DecodeMatrix(bytes.NewReader(want))
+	want, err := os.ReadFile("testdata/allpairs.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := writeText(&got, m); err != nil {
+	if err := writeText(&got, load("../../data/allpairs.ting")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("text form of data/allpairs.ting differs from the file (%d vs %d bytes)", got.Len(), len(want))
-	}
-
-	path := filepath.Join(t.TempDir(), "allpairs.ting")
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got.Reset()
-	if err := writeText(&got, load(path)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("text form of the binary document differs from data/allpairs.ting")
+		t.Fatalf("text form of data/allpairs.ting differs from testdata/allpairs.txt (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 
-// TestTextPredictedZeroNegative: a text document with a predicted pair, a
-// zero cell and a negative cell is written back as it was read.
+// TestTextPredictedZeroNegative: a predicted pair, a zero cell and a
+// negative cell each print as their cell holds them.
 func TestTextPredictedZeroNegative(t *testing.T) {
-	doc := "tingmatrix n=4\na b c d\n" +
+	m, err := ting.NewMatrix([]string{"a", "b", "c", "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		i, j int
+		v    float64
+	}{{0, 1, 5}, {0, 3, 7}, {1, 2, -1}, {1, 3, 9}} {
+		m.SetAt(c.i, c.j, c.v)
+	}
+	if err := m.SetPredicted("c", "d", 31.5, 186.0/255); err != nil {
+		t.Fatal(err)
+	}
+	want := "tingmatrix n=4\na b c d\n" +
 		"0 5 0 7\n" +
 		"5 0 -1 9\n" +
 		"0 -1 0 31.5\n" +
 		"7 9 31.5 0\n" +
 		"pred 2 3 186\n"
-	m, err := ting.DecodeMatrix(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got strings.Builder
 	if err := writeText(&got, m); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != doc {
-		t.Fatalf("text form:\n%s\nwant:\n%s", got.String(), doc)
+	if got.String() != want {
+		t.Fatalf("text form:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

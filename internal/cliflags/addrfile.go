@@ -2,10 +2,13 @@ package cliflags
 
 import (
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
 	"strings"
+
+	"ting/internal/wal"
 )
 
 // WriteAddrFile publishes bound addresses as key=value lines (tingd's
@@ -16,7 +19,10 @@ func WriteAddrFile(path string, addrs map[string]string) error {
 	for _, k := range slices.Sorted(maps.Keys(addrs)) {
 		fmt.Fprintf(&b, "%s=%s\n", k, addrs[k])
 	}
-	return WriteFileAtomic(path, []byte(b.String()))
+	return wal.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 // ReadAddrFile parses what WriteAddrFile wrote.
@@ -32,14 +38,4 @@ func ReadAddrFile(path string) (map[string]string, error) {
 		}
 	}
 	return addrs, nil
-}
-
-// WriteFileAtomic writes b to path through a temporary file and a rename,
-// so a reader polling for path never sees half of it.
-func WriteFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

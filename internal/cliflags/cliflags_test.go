@@ -149,3 +149,22 @@ func TestAddrFileRoundTrip(t *testing.T) {
 		t.Errorf("temporary file left behind: %v", err)
 	}
 }
+
+// TestAddrFileFailedRenameLeavesNoTemp: an addr file whose rename fails —
+// its path is a directory — reports the failure and leaves neither the
+// directory changed nor a temporary file beside it.
+func TestAddrFileFailedRenameLeavesNoTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tingd.addr")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAddrFile(path, map[string]string{"http": "127.0.0.1:7070"}); err == nil {
+		t.Fatal("addr file written over a directory")
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Errorf("failed write replaced the directory at its path: %v", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind: %v", err)
+	}
+}

@@ -176,9 +176,10 @@ type CheckpointState struct {
 
 // ReplayState replays a campaign log into its aggregated state. The first
 // header creates the matrix, a join adds its relay and a pair record writes
-// its cell. A pair record waits until the matrix holds both its relays — a
-// relay joining mid-scan can have pairs logged before its join — and a pair
-// of a relay the log never introduces seeds nothing. Shard and leave
+// its cell. A pair record waits until the matrix holds both its relays —
+// a scan logs a relay's join before its pairs, but logs written before it
+// did can hold a joining relay's pairs ahead of the join — and a pair of a
+// relay the log never introduces seeds nothing. Shard and leave
 // records are validated but aggregate nothing: a crashed worker's log still
 // shows what it was holding, to whoever reads the log. Records of unknown
 // kinds are skipped (forward compatibility); malformed records of known

@@ -524,6 +524,116 @@ resume:
 	}
 }
 
+// pairSignal is a MemCheckpoint that closes seen when the first pair record
+// naming relay is appended.
+type pairSignal struct {
+	*MemCheckpoint
+	relay string
+	seen  chan struct{}
+	once  sync.Once
+}
+
+func (c *pairSignal) Append(rec CheckpointRecord) error {
+	err := c.MemCheckpoint.Append(rec)
+	if rec.Kind == RecordPair && (rec.X == c.relay || rec.Y == c.relay) {
+		c.once.Do(func() { close(c.seen) })
+	}
+	return err
+}
+
+// TestCheckpointJoinPrecedesItsPairs: a relay that joins mid-scan has its
+// join logged before any of its pairs, so a log cut after a flush never
+// holds a pair of a relay it has not introduced. The observer holds q's
+// join until one of q's pair records is appended (or 200 ms pass): were
+// q's pairs scheduled before the join is logged, a second worker would
+// measure one and log it first.
+func TestCheckpointJoinPrecedesItsPairs(t *testing.T) {
+	f := bigFakeWorld()
+	f.fwd["q"] = 0.5
+	for _, peer := range []string{"h", "w", "z", "x", "y", "u", "v"} {
+		f.rtt[[2]string{peer, "q"}] = 30
+	}
+	reg := directory.NewRegistry()
+	for i, name := range []string{"x", "y", "u", "v"} {
+		if err := reg.Publish(churnDesc(t, name, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qDesc := churnDesc(t, "q", 99)
+
+	cp := &pairSignal{MemCheckpoint: &MemCheckpoint{}, relay: "q", seen: make(chan struct{})}
+	joining := make(chan struct{})
+	var joinOnce sync.Once
+	obs := &Observer{Churn: func(ev ChurnEvent) {
+		if ev.Kind != ChurnJoined || ev.Relay != "q" {
+			return
+		}
+		joinOnce.Do(func() { close(joining) })
+		select {
+		case <-cp.seen:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}}
+	// The first circuit publishes q and holds its pair until the scan is
+	// logging q's join, so the scan cannot finish before q joins; the
+	// other worker stays free to measure whatever is scheduled.
+	var fired atomic.Bool
+	hook := func([]string) {
+		if !fired.CompareAndSwap(false, true) {
+			return
+		}
+		if err := reg.Publish(qDesc); err != nil {
+			t.Error(err)
+			return
+		}
+		select {
+		case <-joining:
+		case <-time.After(10 * time.Second):
+			t.Error("q's join never reached the observer")
+		}
+	}
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			return NewMeasurer(Config{Prober: &hookProber{f: f, hook: hook}, W: "w", Z: "z", Samples: 1})
+		},
+		Workers:    2,
+		Directory:  reg,
+		Checkpoint: cp,
+		Observer:   obs,
+	}
+	m, _, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Index("q"); !ok {
+		t.Fatal("q never joined the scan")
+	}
+	known := map[string]bool{}
+	qPairs := 0
+	for k, rec := range logRecords(t, cp) {
+		switch rec.Kind {
+		case RecordCampaign:
+			for _, n := range rec.Names {
+				known[n] = true
+			}
+		case RecordChurn:
+			if rec.Op == ChurnOpJoin {
+				known[rec.Relay] = true
+			}
+		case RecordPair:
+			if !known[rec.X] || !known[rec.Y] {
+				t.Errorf("record %d: pair (%s,%s) logged before the header or a join introduced it", k, rec.X, rec.Y)
+			}
+			if rec.X == "q" || rec.Y == "q" {
+				qPairs++
+			}
+		}
+	}
+	if qPairs == 0 {
+		t.Error("no pair of q reached the log")
+	}
+}
+
 // TestScanChurnRotationInvalidatesHalves: a mid-scan key rotation (same
 // nickname, new onion key) must drop the relay's memoized half circuits —
 // they describe the old incarnation — while completed pair RTTs are kept.

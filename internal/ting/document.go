@@ -2,18 +2,17 @@ package ting
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+
+	"ting/internal/wal"
 )
 
 // The matrix document is the published dataset: what Encode writes,
@@ -38,8 +37,8 @@ import (
 // writer happened to materialize, nor in what order. Value, provenance and
 // confidence round-trip bit for bit.
 //
-// The older text form — "tingmatrix n=<n>", a names line, n dense rows and
-// optional "pred i j q" lines — still decodes; `tingdata text` writes it.
+// This is the only form DecodeMatrix reads. `tingdata text` prints the same
+// cells as text for a human to read; nothing reads that back.
 const (
 	docMagic  = "tingmatrix/2"
 	tileCells = TileDim * TileDim
@@ -48,11 +47,11 @@ const (
 	// endRecordSize is the end record: the end mark, tile count and CRC.
 	endRecordSize = 8 + 8 + 4
 	endMark       = ^uint32(0)
-	// maxDocRelays caps a document's n, in either form, and is checked
-	// before anything is sized from n: 65 536 relays, about nine times
-	// Tor's relay count. It bounds the constant part of what DecodeMatrix
-	// allocates — the rest is proportional to the document — at the tile
-	// grid (1024² pointers, 8 MiB) and name index of that many relays.
+	// maxDocRelays caps a document's n and is checked before anything is
+	// sized from n: 65 536 relays, about nine times Tor's relay count. It
+	// bounds the constant part of what DecodeMatrix allocates — the rest is
+	// proportional to the document — at the tile grid (1024² pointers,
+	// 8 MiB) and name index of that many relays.
 	maxDocRelays = 1 << 16
 )
 
@@ -126,88 +125,45 @@ func putTile(rec []byte, ti, tj int, t *tile) bool {
 	return true
 }
 
-// WriteFile publishes the matrix document at path: it encodes into a
-// temporary file in path's directory, syncs and closes it, and renames it
-// onto path. A reader of path sees the old document or the new one, never
-// part of either, and a failed write returns its error and leaves path as
-// it was, with no temporary file beside it.
-func (m *Matrix) WriteFile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
-	if err != nil {
-		return err
-	}
-	err = m.Encode(f)
-	if err == nil {
-		// CreateTemp's 0600 would hide a published dataset from its readers.
-		err = f.Chmod(0o644)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
-}
+// WriteFile publishes the matrix document at path through wal.WriteFile:
+// it encodes into a temporary file beside path, fsyncs it, renames it onto
+// path and fsyncs the directory. A reader of path sees the old document or
+// the new one, never part of either, and a failure before the rename
+// returns its error and leaves path as it was, with no temporary file
+// beside it. A failed directory fsync is reported after the rename, as
+// wal.Log.Rewrite reports it: path holds the new document, which power
+// loss could yet undo.
+func (m *Matrix) WriteFile(path string) error { return wal.WriteFile(path, m.Encode) }
 
-// DecodeMatrix reads a matrix document in either form, telling the two
-// apart by the first line. A malformed document is an explicit error, never
-// a panic or a silent truncation: a matrix that decodes is structurally
-// sound. Either form is refused when its n is under 2 or over maxDocRelays,
-// before anything is sized from n.
-//
-// The binary form is refused on a bad header; a CRC mismatch; a tile
-// record out of order, repeated or outside the stored triangle; a record
-// with no cell set; a set cell below the diagonal or past n; a non-finite
-// value; an unknown provenance; an end record whose count disagrees with
-// the records; a document cut anywhere, even at a record boundary; and
-// bytes after the end record. Its cells decode exactly as written.
-//
-// The text form is refused on a bad header, missing, truncated or
-// oversized rows, a non-finite cell, a cell (i, j) that differs from
-// (j, i), and trailing data. It persists no measured provenance: every
-// positive cell decodes ProvResumed at full confidence, a zero or negative
-// one stays ProvMissing, and a "pred i j q" line marks its cell
-// ProvPredicted at confidence q/255.
+// DecodeMatrix reads the matrix document Encode writes. A malformed
+// document is an explicit error, never a panic or a silent truncation: a
+// matrix that decodes is structurally sound. It is refused on a bad header
+// (the older text form included); an n under 2 or over maxDocRelays, before
+// anything is sized from n; a CRC mismatch; a tile record out of order,
+// repeated or outside the stored triangle; a record with no cell set; a set
+// cell below the diagonal or past n; a non-finite value; an unknown
+// provenance; an end record whose count disagrees with the records; a
+// document cut anywhere, even at a record boundary; and bytes after the end
+// record. Its cells decode exactly as written: value, provenance and
+// confidence.
 func DecodeMatrix(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReader(r)
-	head, err := br.ReadSlice('\n')
+	line, err := br.ReadSlice('\n')
+	head := string(line)
 	switch {
 	case len(head) == 0 && err == io.EOF:
 		return nil, errors.New("ting: empty matrix document")
 	case err != nil && err != io.EOF:
 		return nil, fmt.Errorf("ting: matrix header: %w", err)
 	}
-	if bytes.HasPrefix(head, []byte(docMagic+" ")) {
-		return decodeBinary(br, string(head))
-	}
-	return decodeText(br, strings.TrimSuffix(strings.TrimSuffix(string(head), "\n"), "\r"))
-}
-
-// checkRelays refuses a document's n before anything is sized from it.
-func checkRelays(n int) error {
-	if n < 2 || n > maxDocRelays {
-		return fmt.Errorf("ting: matrix dimension %d, need 2 to %d", n, maxDocRelays)
-	}
-	return nil
-}
-
-// decodeBinary reads the binary form after its header line.
-func decodeBinary(br *bufio.Reader, head string) (*Matrix, error) {
-	v, _ := strings.CutPrefix(head, docMagic+" n=")
-	v, ok := strings.CutSuffix(v, "\n")
+	v, ok := strings.CutPrefix(head, docMagic+" n=")
+	v, cut := strings.CutSuffix(v, "\n")
 	n, err := strconv.Atoi(v)
-	if !ok || err != nil || strconv.Itoa(n) != v {
+	if !ok || !cut || err != nil || strconv.Itoa(n) != v {
 		return nil, fmt.Errorf("ting: bad matrix header %q", head)
 	}
-	if err := checkRelays(n); err != nil {
-		return nil, err
+	if n < 2 || n > maxDocRelays {
+		return nil, fmt.Errorf("ting: matrix dimension %d, need 2 to %d", n, maxDocRelays)
 	}
 	names, crc, err := readNames(br, n, crc32.Checksum([]byte(head), castagnoli))
 	if err != nil {
@@ -372,92 +328,4 @@ func readEnd(br *bufio.Reader, end []byte, count uint64) error {
 		return fmt.Errorf("ting: matrix document: %w", err)
 	}
 	return nil
-}
-
-// decodeText reads the text form after its header line, head.
-func decodeText(br *bufio.Reader, head string) (*Matrix, error) {
-	var n int
-	if _, err := fmt.Sscanf(head, "tingmatrix n=%d", &n); err != nil {
-		return nil, fmt.Errorf("ting: bad matrix header %q", head)
-	}
-	if err := checkRelays(n); err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(nil, 1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("ting: matrix names: %w", err)
-		}
-		return nil, errors.New("ting: matrix missing names")
-	}
-	names := strings.Fields(sc.Text())
-	if len(names) != n {
-		return nil, fmt.Errorf("ting: header says %d names, got %d", n, len(names))
-	}
-	m, err := NewMatrix(names)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, fmt.Errorf("ting: matrix row %d: %w", i, err)
-			}
-			return nil, fmt.Errorf("ting: matrix truncated at row %d", i)
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) != n {
-			return nil, fmt.Errorf("ting: row %d has %d values, want %d", i, len(fields), n)
-		}
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ting: row %d col %d: %w", i, j, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("ting: row %d col %d: non-finite cell %q", i, j, f)
-			}
-			// The lower triangle repeats the upper one, which holds the
-			// pair. Zero cells stay unmaterialized: decoding a sparse
-			// campaign's dense document reconstructs a sparse matrix. A
-			// positive cell was measured (unless a pred record says
-			// otherwise); a negative one, like zero, stays missing.
-			switch {
-			case j < i:
-				if w := m.at(j, i); v != w {
-					return nil, fmt.Errorf("ting: asymmetric matrix: cell (%d,%d) is %s, (%d,%d) is %s",
-						i, j, f, j, i, strconv.FormatFloat(w, 'g', -1, 64))
-				}
-			case v > 0:
-				m.write(i, j, v, ProvResumed, 255)
-			case v != 0:
-				m.cellTile(i, j).r[tidx(i, j)] = v
-			}
-		}
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		// Optional predicted-cell trailer: "pred i j q" marks cell (i,j) as
-		// model-completed with quantized confidence q. The raw 0–255 byte is
-		// persisted (not a dequantized float) so a round trip is exact.
-		var i, j, q int
-		if _, err := fmt.Sscanf(line, "pred %d %d %d", &i, &j, &q); err != nil {
-			return nil, fmt.Errorf("ting: trailing data after %d matrix rows: %q", n, line)
-		}
-		if i < 0 || j < 0 || i >= n || j >= n || i == j {
-			return nil, fmt.Errorf("ting: pred record (%d,%d) out of range for n=%d", i, j, n)
-		}
-		if q < 0 || q > 255 {
-			return nil, fmt.Errorf("ting: pred record (%d,%d) confidence %d outside [0,255]", i, j, q)
-		}
-		m.setMark(i, j, ProvPredicted, uint8(q))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ting: matrix document: %w", err)
-	}
-	return m, nil
 }

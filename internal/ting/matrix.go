@@ -80,7 +80,9 @@ const (
 	ProvMissing Provenance = iota
 	// ProvFresh: measured by this scan.
 	ProvFresh
-	// ProvResumed: replayed from a checkpoint or a matrix document.
+	// ProvResumed: measured by an earlier run and replayed from its
+	// checkpoint log. A matrix document keeps it, like every provenance,
+	// as written.
 	ProvResumed
 	// ProvRemoved: tombstoned — a relay of the pair left the consensus
 	// before the pair could be measured (churn, not failure).
@@ -352,11 +354,6 @@ func (m *Matrix) setProv(i, j int, p Provenance) {
 	if p == ProvFresh || p == ProvResumed {
 		conf = 255
 	}
-	m.setMark(i, j, p, conf)
-}
-
-// setMark stores a pair's provenance and confidence, leaving its value.
-func (m *Matrix) setMark(i, j int, p Provenance, conf uint8) {
 	i, j = ordered(i, j)
 	t, off := m.cellTile(i, j), tidx(i, j)
 	t.prov[off], t.conf[off] = p, conf

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -19,38 +18,6 @@ func tileNames(n int) []string {
 		names[i] = fmt.Sprintf("r%03d", i)
 	}
 	return names
-}
-
-// TestMatrixEncodeGoldenDenseFormat: the dense text document published
-// before the binary form is a reader golden now: datasets in it predate the
-// binary form, and they must keep decoding to the cells they spell out.
-func TestMatrixEncodeGoldenDenseFormat(t *testing.T) {
-	doc := "tingmatrix n=3\n" +
-		"a b c\n" +
-		"0 1.5 0\n" +
-		"1.5 0 42\n" +
-		"0 42 0\n"
-	m, err := DecodeMatrix(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(m.Names(), " "); got != "a b c" {
-		t.Errorf("names %q, want \"a b c\"", got)
-	}
-	for _, c := range []struct {
-		i, j int
-		v    float64
-		prov Provenance
-	}{
-		{0, 1, 1.5, ProvResumed},
-		{1, 2, 42, ProvResumed},
-		{0, 2, 0, ProvMissing},
-		{2, 1, 42, ProvResumed},
-	} {
-		if v, p := m.At(c.i, c.j), m.ProvAt(c.i, c.j); v != c.v || p != c.prov {
-			t.Errorf("cell (%d,%d) = %v %v, want %v %v", c.i, c.j, v, p, c.v, c.prov)
-		}
-	}
 }
 
 // diffValues describes the first difference between the names or cell
@@ -232,94 +199,6 @@ func TestDecodeMatrixStaysSparse(t *testing.T) {
 	}
 }
 
-// TestDecodeMatrixStampsMeasuredCells: a document persists no measured
-// provenance, so every positive cell it holds reads back as resumed at full
-// confidence, where a confidence-floored consumer finds it. A zero or
-// negative cell, which no measurement yields, stays missing, and a pred
-// record keeps its cell predicted at its own confidence.
-func TestDecodeMatrixStampsMeasuredCells(t *testing.T) {
-	doc := "tingmatrix n=4\na b c d\n" +
-		"0 5 0 7\n" +
-		"5 0 -1 9\n" +
-		"0 -1 0 31.5\n" +
-		"7 9 31.5 0\n" +
-		"pred 2 3 186\n"
-	m, err := DecodeMatrix(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		i, j int
-		prov Provenance
-		conf float64
-	}{
-		{0, 1, ProvResumed, 1},
-		{1, 0, ProvResumed, 1},
-		{0, 3, ProvResumed, 1},
-		{1, 3, ProvResumed, 1},
-		{0, 2, ProvMissing, 0},
-		{1, 2, ProvMissing, 0},
-		{2, 3, ProvPredicted, 186.0 / 255},
-	} {
-		if p, conf := m.ProvAt(c.i, c.j), m.ConfAt(c.i, c.j); p != c.prov || conf != c.conf {
-			t.Errorf("cell (%d,%d) = %v at %v, want %v at %v", c.i, c.j, p, conf, c.prov, c.conf)
-		}
-	}
-	if pc := m.ProvCounts(); pc.Resumed != 3 || pc.Missing != 2 || pc.Predicted != 1 {
-		t.Errorf("ProvCounts %+v, want 3 resumed, 2 missing, 1 predicted", pc)
-	}
-	if v := m.At(1, 2); v != -1 {
-		t.Errorf("negative cell decoded as %v", v)
-	}
-}
-
-// TestDecodeMatrixRefusesAsymmetry: a document whose (i, j) and (j, i)
-// differ describes no matrix; it is refused with the cell and both values
-// named, across a tile boundary and with a zero on either side.
-func TestDecodeMatrixRefusesAsymmetry(t *testing.T) {
-	names := tileNames(TileDim + 2)
-	for _, c := range []struct {
-		i, j   int
-		ij, ji string
-	}{
-		{0, 1, "2.5", "3"},
-		{1, 0, "7", "0"},
-		{3, TileDim + 1, "0", "1e-3"},
-		{TileDim + 1, 2, "4", "-4"},
-	} {
-		rows := []string{"tingmatrix n=" + strconv.Itoa(len(names)), strings.Join(names, " ")}
-		for range names {
-			rows = append(rows, strings.TrimSuffix(strings.Repeat("0 ", len(names)), " "))
-		}
-		for _, cell := range []struct {
-			r, c int
-			v    string
-		}{{c.i, c.j, c.ij}, {c.j, c.i, c.ji}} {
-			fields := strings.Fields(rows[2+cell.r])
-			fields[cell.c] = cell.v
-			rows[2+cell.r] = strings.Join(fields, " ")
-		}
-		doc := strings.Join(rows, "\n") + "\n"
-		_, err := DecodeMatrix(strings.NewReader(doc))
-		if err == nil {
-			t.Errorf("(%d,%d) = %s beside (%d,%d) = %s decoded", c.i, c.j, c.ij, c.j, c.i, c.ji)
-			continue
-		}
-		// Row max(i, j) is read second: its cell is the one refused, quoted
-		// as written, beside the stored cell as the matrix holds it.
-		lo, hi := min(c.i, c.j), max(c.i, c.j)
-		read, stored := c.ji, c.ij
-		if c.i > c.j {
-			read, stored = c.ij, c.ji
-		}
-		v, _ := strconv.ParseFloat(stored, 64)
-		want := fmt.Sprintf("cell (%d,%d) is %s, (%d,%d) is %s", hi, lo, read, lo, hi, strconv.FormatFloat(v, 'g', -1, 64))
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not say %q", err, want)
-		}
-	}
-}
-
 func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 	m, err := NewMatrix(tileNames(TileDim + 3)) // span a tile boundary
 	if err != nil {
@@ -404,8 +283,7 @@ func TestMatrixSetPredictedAndConfidence(t *testing.T) {
 
 // TestMatrixEncodePredictedRoundTrip: the document carries predicted
 // provenance and confidence through a round trip exactly — the quantized
-// byte is persisted, not a float — and measured provenance with them. A
-// text document's pred trailer is checked: a malformed one is an error.
+// byte is persisted, not a float — and measured provenance with them.
 func TestMatrixEncodePredictedRoundTrip(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	m, err := NewMatrix(names)
@@ -451,17 +329,6 @@ func TestMatrixEncodePredictedRoundTrip(t *testing.T) {
 		t.Errorf("a-b provenance %v after round trip, want fresh", p)
 	}
 
-	// Malformed trailers are errors, not silent skips.
-	text := "tingmatrix n=4\na b c d\n0 5 0 0\n5 0 0 0\n0 0 0 0\n0 0 0 0\n"
-	if _, err := DecodeMatrix(strings.NewReader(text)); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"pred 0 9 100", "pred 1 1 100", "pred 0 2 300", "junk"} {
-		doc := text + bad + "\n"
-		if _, err := DecodeMatrix(strings.NewReader(doc)); err == nil {
-			t.Errorf("trailer %q accepted", bad)
-		}
-	}
 }
 
 // allocated reports the bytes and objects f allocates.

@@ -588,8 +588,10 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 	sc.names.Store(&grown)
 	sc.total += len(jobs)
 	sc.mu.Unlock()
-	sc.sched.push(0, jobs...)
+	// The join is logged before its pairs can be measured, so a log never
+	// holds a pair record naming a relay it has not introduced.
 	sc.logChurn(ChurnJoined, ChurnOpJoin, relay, fp, epoch, 0)
+	sc.sched.push(0, jobs...)
 }
 
 // rotate forgets everything remembered about relay's previous identity: a

@@ -488,6 +488,7 @@ func TestDecodeMatrixErrors(t *testing.T) {
 		"tingmatrix n=2\na b\n1 2\n3\n",   // short row
 		"tingmatrix n=2\na b\n1 x\n3 4\n", // bad float
 		"tingmatrix n=1\na\n0\n",          // too few relays
+		"tingmatrix n=2\na b\n0 1\n1 0\n", // the text form, though valid
 	}
 	for _, in := range bad {
 		if _, err := DecodeMatrix(strings.NewReader(in)); err == nil {

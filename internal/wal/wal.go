@@ -5,6 +5,8 @@
 // repair and replay, atomic rewrite. What a record means is its caller's:
 // the scan checkpoint (internal/ting) and the coordinator journal
 // (internal/campaign) each choose a record type and when to flush.
+// WriteFile is the same atomic rewrite for any file: the matrix document,
+// the commands' address and state files.
 // DESIGN.md, "Write-ahead log", states the contract.
 package wal
 
@@ -228,50 +230,83 @@ func (l *Log[T]) Close() error {
 }
 
 // Rewrite atomically replaces the log's content with recs (a compacting
-// snapshot): write a temp file record by record, fsync it, rename it over
-// the log, fsync the directory — or power loss could resurrect the old file
-// beneath records appended, and acknowledged, afterwards — and swap the
-// append handle. A crash at any point leaves either the old log or the new
-// one, never a mix. A pending run stays pending, to follow the snapshot.
+// snapshot) through replace, one write per record, and swaps the append
+// handle for the new file's. A crash at any point leaves either the old log
+// or the new one, never a mix. A pending run stays pending, to follow the
+// snapshot.
 func (l *Log[T]) Rewrite(recs []T) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return l.err
 	}
-	tmp := l.path + ".tmp"
-	tf, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return l.fail(err)
-	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for i := range recs {
-		buf.Reset()
-		if err = encode(enc, &buf, &recs[i]); err != nil {
-			break
+	f, err := replace(l.fs, l.path, func(w io.Writer) error {
+		for i := range recs {
+			buf.Reset()
+			if err := encode(enc, &buf, &recs[i]); err != nil {
+				return err
+			}
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return err
+			}
 		}
-		if _, err = tf.Write(buf.Bytes()); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = tf.Sync()
-	}
-	if err == nil {
-		err = l.fs.Rename(tmp, l.path)
+		return nil
+	})
+	if f != nil {
+		l.f.Close() // the old handle points at an unlinked inode
+		l.f, l.unsynced, l.fresh = f, 0, false
 	}
 	if err != nil {
-		tf.Close()
-		os.Remove(tmp) // best effort: the next Rewrite truncates a leftover
-		return l.fail(err)
-	}
-	l.f.Close() // the old handle points at an unlinked inode
-	l.f, l.unsynced, l.fresh = tf, 0, false
-	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
 		return l.fail(err)
 	}
 	return nil
+}
+
+// WriteFile replaces the file at path with what write writes, the way
+// Rewrite replaces a log: a reader of path sees the old content or the new,
+// never part of either, and a crash leaves one of them. A failure before
+// the rename returns its error and leaves path as it was, with no temporary
+// file beside it. A failed directory fsync is reported though the rename
+// happened: path holds the new content, which power loss could yet undo.
+// Writers of one path must not overlap; each writes through path + ".tmp".
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := replace(osFS{}, path, write)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// replace writes write's output to path + ".tmp", fsyncs it, renames it
+// onto path and fsyncs path's directory — or power loss could resurrect the
+// old file, beneath whatever was appended to the new one and acknowledged.
+// A failure before the rename closes and removes the temporary file and
+// returns no handle. Once the rename is done it returns the new file's
+// handle, open for appending, with the directory fsync's error if that
+// failed.
+func replace(fs fsys, path string, write func(io.Writer) error) (file, error) {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp) // best effort: the next replace truncates a leftover
+		return nil, err
+	}
+	return f, fs.SyncDir(filepath.Dir(path))
 }
 
 // Replay decodes a log's records in order and hands each to fn. Blank lines

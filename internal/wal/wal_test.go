@@ -260,6 +260,68 @@ func TestRewriteOrderAndSwap(t *testing.T) {
 	}
 }
 
+// TestWriteFileOrderAndFaults: WriteFile's replacement writes the temporary
+// file, fsyncs it, renames it onto path and fsyncs the directory, in that
+// order. A fault before the rename leaves path as it was with no temporary
+// file and returns no handle; a directory fsync fault comes back after the
+// rename, with path holding the new content.
+func TestWriteFileOrderAndFaults(t *testing.T) {
+	write := func(w io.Writer) error {
+		for _, s := range []string{"new ", "content\n"} {
+			if _, err := io.WriteString(w, s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct{ op, want string }{
+		{"", "new content\n"},
+		{"write", "old\n"},
+		{"sync", "old\n"},
+		{"rename", "old\n"},
+		{"syncdir", "new content\n"},
+	} {
+		path := filepath.Join(t.TempDir(), "file")
+		if err := os.WriteFile(path, []byte("old\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := &FaultFS{}
+		if tc.op != "" {
+			fs.FailAt(tc.op, 1, Fault{Err: ErrInjected})
+		}
+		f, err := replace(fs, path, write)
+		if f != nil {
+			f.Close()
+		}
+		switch {
+		case tc.op == "" && err != nil:
+			t.Fatalf("fault-free replace: %v", err)
+		case tc.op != "" && !errors.Is(err, ErrInjected):
+			t.Errorf("%s fault: replace returned %v, want the fault", tc.op, err)
+		}
+		if renamed := tc.op == "" || tc.op == "syncdir"; (f != nil) != renamed {
+			t.Errorf("%q fault: handle returned %v, want %v", tc.op, f != nil, renamed)
+		}
+		if want := []string{"write", "write", "sync", "rename", "syncdir"}; tc.op == "" && !reflect.DeepEqual(fs.Ops, want) {
+			t.Errorf("replace ops %v, want %v", fs.Ops, want)
+		}
+		if got, _ := os.ReadFile(path); string(got) != tc.want {
+			t.Errorf("%q fault: path reads %q, want %q", tc.op, got, tc.want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%q fault: temporary file left behind: %v", tc.op, err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "file")
+	if err := WriteFile(path, write); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new content\n" {
+		t.Errorf("WriteFile wrote %q", got)
+	}
+}
+
 // TestOpenCutsTornTail: whatever follows the last newline goes, and
 // nothing else does.
 func TestOpenCutsTornTail(t *testing.T) {
