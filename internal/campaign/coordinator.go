@@ -26,7 +26,8 @@ var ErrUnknownShard = errors.New("campaign: unknown shard")
 // marks a pair the worker gave up on (scanner PairError); it still counts
 // as covered, so the coordinator can tell "worker skipped pairs" (a
 // protocol violation) from "worker measured and failed" (a fact about the
-// network). The json tags are the journal's complete-record encoding.
+// network). The json tags are the older, named form of a journal complete
+// record, which recovery still reads; no writer produces it.
 type PairResult struct {
 	X      string  `json:"x"`
 	Y      string  `json:"y"`
@@ -89,6 +90,10 @@ type Coordinator struct {
 	done      chan struct{}
 	journal   *wal.Log[journalRecord]
 	recovered bool
+	// rtts and failedAt hold the submission Complete is accepting in its
+	// index form, reused from one call to the next.
+	rtts     []float64
+	failedAt []int
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
 
@@ -182,9 +187,14 @@ func NewJournaledCoordinator(names []string, shards []Shard, ttl time.Duration, 
 // pre-crash holder that heartbeats before its shard is re-granted
 // resurrects its lease, and one that shows up after gets ErrFenced.
 func RecoverCoordinator(path string, treg *telemetry.Registry) (*Coordinator, error) {
-	c, records, err := replayJournal(path, treg)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: journal: %w", err)
+	}
+	c, records, err := replayJournal(f, treg)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: journal %s: %w", path, err)
 	}
 	c.recovered = true
 	if c.remaining == 0 {
@@ -221,17 +231,25 @@ func (c *Coordinator) journalAppend(rec journalRecord) error {
 // current ledger — header (carrying the epoch watermark), one grant per
 // ever-granted shard in epoch order, one complete per done shard — so
 // done-shard results stop replaying the long way forever. A complete
-// record is rebuilt from the ledger: names from the campaign's order, RTTs
-// from the cells, failed pairs from the cells still missing — the record
-// the accepted submission wrote. Safe to call on any cadence; a crash
-// mid-compaction leaves either the old journal or the new one. No-op
-// without a journal.
+// record is read off the ledger by walking the shard: RTTs from the cells,
+// failed positions from the cells still missing — the record the accepted
+// submission wrote. Safe to call on any cadence; a crash mid-compaction
+// leaves either the old journal or the new one. No-op without a journal.
 func (c *Coordinator) CompactJournal() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal == nil {
 		return nil
 	}
+	if err := c.journal.Rewrite(c.snapshotLocked()); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	c.jCompacted.Inc()
+	return nil
+}
+
+// snapshotLocked lists the records CompactJournal writes. Called under c.mu.
+func (c *Coordinator) snapshotLocked() []journalRecord {
 	shards := make([]Shard, len(c.order))
 	for i, st := range c.order {
 		shards[i] = st.shard
@@ -260,16 +278,13 @@ func (c *Coordinator) CompactJournal() error {
 		if st.phase != shardDone {
 			continue
 		}
+		rtts, failed := st.shard.ledgerValues(c.ledger)
 		recs = append(recs, journalRecord{
 			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch,
-			Results: st.shard.submission(nil, c.names, c.ledger),
+			RTTs: rtts, Failed: failed,
 		})
 	}
-	if err := c.journal.Rewrite(recs); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	c.jCompacted.Inc()
-	return nil
+	return recs
 }
 
 func (c *Coordinator) now() time.Time {
@@ -381,8 +396,10 @@ func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 // failed, nothing extra, every RTT finite. The check walks the shard's
 // geometry beside the submission, so it allocates nothing and costs the
 // shard's pairs, not the campaign's; a journal replay makes the same check.
-// An accepted submission is written into the coordinator's ledger; results
-// is not retained, so the caller may reuse it once Complete returns.
+// An accepted submission is journaled in its index form — the shard's
+// values in canonical order and the positions of its failed pairs — and
+// written into the coordinator's ledger from that form; results is not
+// retained, so the caller may reuse it once Complete returns.
 // Completing an already-done shard at its winning epoch is an idempotent
 // no-op, so a worker may safely retry a submission whose ack it lost.
 func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []PairResult) error {
@@ -403,18 +420,19 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	if err := st.shard.checkResults(c.names, results); err != nil {
 		return err
 	}
+	c.rtts, c.failedAt = values(results, c.rtts, c.failedAt)
 	if c.journal != nil {
 		// WAL discipline: the winning submission reaches disk before the
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
-		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, Results: results}
+		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, RTTs: c.rtts, Failed: c.failedAt}
 		if err := c.journalAppend(rec); err != nil {
 			return err
 		}
 	}
 	st.phase = shardDone
 	st.worker = worker
-	st.failed = st.shard.record(c.ledger, results)
+	st.failed = st.shard.record(c.ledger, c.rtts, c.failedAt)
 	c.remaining--
 	c.completed.Inc()
 	if c.remaining == 0 {

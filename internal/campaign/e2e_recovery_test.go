@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -156,7 +157,12 @@ func TestCampaignSurvivesCoordinatorCrash(t *testing.T) {
 	// The journal itself is the last witness: replaying it re-checks that
 	// grant epochs only ever went up — across the crash included — and that
 	// its final watermark matches the ledger's.
-	js, _, err := replayJournal(journal, nil)
+	f, err := os.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	js, _, err := replayJournal(f, nil)
 	if err != nil {
 		t.Fatalf("post-campaign journal scan: %v", err)
 	}

@@ -3,8 +3,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -51,33 +51,31 @@ func FuzzDecodeLease(f *testing.F) {
 	})
 }
 
-// decodeJournalLine decodes raw as one journal line the way recovery does:
-// wal.Replay's decoding, then the record's own check.
-func decodeJournalLine(raw []byte) (rec journalRecord, err error) {
-	n := 0
+// decodeJournal decodes raw as journal lines the way recovery does:
+// wal.Replay's decoding, then each record's own check.
+func decodeJournal(raw []byte) (recs []journalRecord, err error) {
 	err = wal.Replay(bytes.NewReader(append(raw[:len(raw):len(raw)], '\n')), func(r journalRecord) error {
-		rec, n = r, n+1
+		recs = append(recs, r)
 		return r.check()
 	})
-	if err == nil && n != 1 {
-		err = fmt.Errorf("%d records in one line", n)
-	}
-	return rec, err
+	return recs, err
 }
 
-// FuzzDecodeJournal: arbitrary journal lines must never panic, and
+// FuzzDecodeJournal: arbitrary journals must never panic recovery, and
 // anything recovery's decoding (wal.Replay, then journalRecord.check)
 // accepts must re-encode and re-decode to the identical record — the
-// journal is canonical JSONL, so compaction (re-encoding replayed records)
-// can never change their meaning.
+// journal is canonical JSONL. A journal recovery accepts, in either
+// complete-record form or both, compacts to a snapshot that recovers the
+// same ledger: compaction can never change what a journal means.
 func FuzzDecodeJournal(f *testing.F) {
-	seed := func(rec journalRecord) {
+	line := func(rec journalRecord) []byte {
 		b, err := json.Marshal(rec) // the journal's bytes for rec (TestGoldenJournal)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		return b
 	}
+	seed := func(rec journalRecord) { f.Add(line(rec)) }
 	seed(journalHeader(fakeNames(3), []Shard{NewShard(0, 0, 0, 3)}, time.Second, 0))
 	seed(journalHeader(fakeNames(5), Partition(5, 3), 30*time.Second, 42))
 	seed(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Deadline: 1700000000000000000})
@@ -97,18 +95,30 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
+	// The index form, alone and in whole journals: all by index, and mixed —
+	// the older named form first, as an upgraded coordinator leaves it.
+	seed(journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, RTTs: []float64{1.25, 0, 3}, Failed: []int{1}})
+	f.Add([]byte(`{"t":"complete","shard":"s","epoch":1,"rtts":[1],"results":[{"x":"a","y":"b"}]}`))
+	names := fakeNames(4)
+	head := line(journalHeader(names, Partition(4, 2), time.Second, 0))
+	grants := append(append(line(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Deadline: 1}), '\n'),
+		line(journalRecord{Kind: journalGrant, Shard: "t0-0.p3-6", Worker: "w2", Epoch: 2, Deadline: 1})...)
+	byIndex := line(journalRecord{Kind: journalComplete, Shard: "t0-0.p3-6", Worker: "w2", Epoch: 2, RTTs: []float64{4, 5.5, 0}, Failed: []int{2}})
+	named := line(journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Results: []PairResult{
+		{X: names[0], Y: names[1], RTT: 1}, {X: names[0], Y: names[2], Failed: true}, {X: names[0], Y: names[3], RTT: 3}}})
+	f.Add(bytes.Join([][]byte{head, grants, byIndex}, []byte("\n")))
+	f.Add(bytes.Join([][]byte{head, grants, named, byIndex}, []byte("\n")))
+	for _, golden := range []string{"testdata/v2.journal", "testdata/parent-format.journal"} {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		rec, err := decodeJournalLine(raw)
+		recs, err := decodeJournal(raw)
 		if err != nil {
 			return
-		}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatalf("accepted record does not re-encode: %v", err)
-		}
-		again, err := decodeJournalLine(b)
-		if err != nil {
-			t.Fatalf("canonical record does not decode: %v", err)
 		}
 		// omitempty drops empty-but-non-nil slices, so "[]" canonicalizes to
 		// absent — same meaning, different Go representation.
@@ -122,10 +132,51 @@ func FuzzDecodeJournal(f *testing.F) {
 			if len(r.Results) == 0 {
 				r.Results = nil
 			}
+			if len(r.RTTs) == 0 {
+				r.RTTs = nil
+			}
+			if len(r.Failed) == 0 {
+				r.Failed = nil
+			}
 			return r
 		}
-		if !reflect.DeepEqual(norm(rec), norm(again)) {
-			t.Fatalf("round trip changed the record:\n%+v\n%+v", rec, again)
+		for _, rec := range recs {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("accepted record does not re-encode: %v", err)
+			}
+			again, err := decodeJournal(b)
+			if err != nil || len(again) != 1 {
+				t.Fatalf("canonical record does not decode to one: %v", err)
+			}
+			if !reflect.DeepEqual(norm(rec), norm(again[0])) {
+				t.Fatalf("round trip changed the record:\n%+v\n%+v", rec, again[0])
+			}
+		}
+		c, _, err := replayJournal(bytes.NewReader(raw), nil)
+		if err != nil {
+			return
+		}
+		var snap bytes.Buffer
+		for _, rec := range c.snapshotLocked() {
+			snap.Write(append(line(rec), '\n'))
+		}
+		c2, _, err := replayJournal(&snap, nil)
+		if err != nil {
+			t.Fatalf("the snapshot of an accepted journal does not recover: %v\n%s", err, snap.Bytes())
+		}
+		// Snapshot expires leases by the clock: one fixed instant for both.
+		fixed := func() time.Time { return time.Unix(0, 0) }
+		c.clock, c2.clock = fixed, fixed
+		var a, b bytes.Buffer
+		if err := c.ledger.Encode(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.ledger.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) || !reflect.DeepEqual(c.Snapshot(), c2.Snapshot()) {
+			t.Fatalf("the snapshot recovers another ledger:\n%+v\n%+v", c.Snapshot(), c2.Snapshot())
 		}
 	})
 }

@@ -9,14 +9,17 @@ import (
 	"time"
 
 	"ting/internal/telemetry"
+	"ting/internal/ting"
 )
 
-// TestGoldenJournal pins the journal's bytes to the format the parent of
-// internal/wal wrote (testdata/parent-format*.journal, generated at that
-// commit): the same calls write the same file but for the "lost" line,
-// a kind no longer written; that file, lost line and all, recovers to the
-// same ledger; compaction rewrites it to the same snapshot, which recovers
-// too.
+// TestGoldenJournal pins the journal's bytes: the calls below write
+// testdata/v2.journal, whose complete record carries the shard's values by
+// index. The parent-format files stay as reader tests: parent-format.journal
+// (the same calls, written when a complete record listed named results,
+// with a retired "lost" line) and parent-format-compacted.journal (its
+// compaction as written then) recover to the same ledger as v2.journal, and
+// compacting any of the three writes the same index-form snapshot, which
+// recovers too.
 func TestGoldenJournal(t *testing.T) {
 	names := []string{"relayA", "relayB", "relayC", "relayD"}
 	path := journalPath(t)
@@ -44,55 +47,71 @@ func TestGoldenJournal(t *testing.T) {
 	if err := c.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := os.ReadFile("testdata/parent-format.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept [][]byte
-	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte(`{"t":"lost"`)) {
-			kept = append(kept, line)
+	sameFile(t, path, "testdata/v2.journal")
+
+	var ledger, snapshot []byte
+	for _, golden := range []string{"testdata/v2.journal", "testdata/parent-format.journal", "testdata/parent-format-compacted.journal"} {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		treg := telemetry.New()
+		c2, err := RecoverCoordinator(path, treg)
+		if err != nil {
+			t.Fatalf("%s does not recover: %v", golden, err)
+		}
+		c2.clock = now
+		// One pass: every record is decoded where it is counted, and nowhere else.
+		if n, lines := treg.Counter("campaign.journal.replayed").Value(), bytes.Count(data, []byte("\n")); n != int64(lines) {
+			t.Fatalf("%s: recovery replayed %d records of a %d-record journal", golden, n, lines)
+		}
+		if st := c2.Snapshot(); st.Done != 1 || st.Leased != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
+			t.Fatalf("%s: recovered ledger: %+v", golden, st)
+		}
+		if v, p := c2.ledger.At(0, 3), c2.ledger.ProvAt(0, 2); v != 12.5 || p != ting.ProvMissing {
+			t.Fatalf("%s: recovered (A,D) = %v and (A,C) %v", golden, v, p)
+		}
+		var enc bytes.Buffer
+		if err := c2.ledger.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if ledger == nil {
+			ledger = enc.Bytes()
+		} else if !bytes.Equal(enc.Bytes(), ledger) {
+			t.Fatalf("%s recovers another ledger than v2.journal", golden)
+		}
+		if err := c2.CompactJournal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.Journal().Close(); err != nil {
+			t.Fatal(err)
+		}
+		compacted, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshot == nil {
+			snapshot = compacted
+		} else if !bytes.Equal(compacted, snapshot) {
+			t.Fatalf("%s compacts to\n%s\nwant:\n%s", golden, compacted, snapshot)
+		}
+		c3, err := RecoverCoordinator(path, nil)
+		if err != nil {
+			t.Fatalf("%s's snapshot does not recover: %v", golden, err)
+		}
+		c3.Journal().Close()
+		if st := c3.Snapshot(); st.Done != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
+			t.Fatalf("ledger recovered from %s's snapshot: %+v", golden, st)
 		}
 	}
-	if want := bytes.Join(kept, nil); !bytes.Equal(written, want) || len(want) == len(golden) {
-		t.Fatalf("journal differs from the parent's minus its lost line:\n%s\nwant:\n%s", written, want)
-	}
-
-	// The parent's own file is what must keep recovering.
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	treg := telemetry.New()
-	c2, err := RecoverCoordinator(path, treg)
-	if err != nil {
-		t.Fatalf("parent-format journal does not recover: %v", err)
-	}
-	c2.clock = now
-	// One pass: every record is decoded where it is counted, and nowhere else.
-	if n := treg.Counter("campaign.journal.replayed").Value(); n != 5 {
-		t.Fatalf("recovery replayed %d records of a 5-record journal", n)
-	}
-	if st := c2.Snapshot(); st.Done != 1 || st.Leased != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
-		t.Fatalf("recovered ledger: %+v", st)
-	}
-	if err := c2.CompactJournal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Journal().Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameFile(t, path, "testdata/parent-format-compacted.journal")
-	c3, err := RecoverCoordinator(path, nil)
-	if err != nil {
-		t.Fatalf("parent-format snapshot does not recover: %v", err)
-	}
-	defer c3.Journal().Close()
-	if st := c3.Snapshot(); st.Done != 1 || st.EpochWatermark != 2 {
-		t.Fatalf("ledger recovered from the snapshot: %+v", st)
+	// The snapshot's complete record is the one the live coordinator wrote.
+	v2, _ := os.ReadFile("testdata/v2.journal")
+	last := v2[bytes.LastIndexByte(v2[:len(v2)-1], '\n')+1:]
+	if !bytes.HasSuffix(snapshot, last) {
+		t.Fatalf("snapshot\n%s\ndoes not end in v2.journal's complete record\n%s", snapshot, last)
 	}
 }
 

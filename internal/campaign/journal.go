@@ -3,7 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"ting/internal/telemetry"
@@ -12,11 +12,15 @@ import (
 
 // Journal record kinds. A coordinator journal is a write-ahead log: the
 // campaign header (canonical names, shard geometry, lease TTL) followed by
-// one grant record per lease issued and one complete record (carrying the
-// winning submission's results) per finished shard. Grants and completes
-// reach disk before the state change they describe is acknowledged, so a
-// coordinator rebuilt from the journal can never contradict anything a
-// worker was told.
+// one grant record per lease issued and one complete record per finished
+// shard. A complete record carries the winning submission by index: the
+// shard's RTTs in its canonical cursor order and the positions of its
+// failed pairs, so no relay name is spelled per pair. Journals written
+// before carried a results list of named pairs instead; recovery still
+// reads those, record by record, so one file may hold both forms.
+// Grants and completes reach disk before the state change they describe is
+// acknowledged, so a coordinator rebuilt from the journal can never
+// contradict anything a worker was told.
 const (
 	journalCampaign = "campaign"
 	journalGrant    = "grant"
@@ -34,7 +38,9 @@ type journalShard struct {
 
 // journalRecord is one line of the coordinator journal. encoding/json
 // round-trips float64 exactly, so replayed submissions merge bytewise
-// identically to the live ones.
+// identically to the live ones. A complete record's form is told by its own
+// fields: RTTs/Failed (the form every writer writes) or Results (the form
+// journals held before, read only), never both.
 type journalRecord struct {
 	Kind string `json:"t"`
 	// Campaign header.
@@ -45,19 +51,25 @@ type journalRecord struct {
 	// time, covering grants whose records the compaction dropped.
 	Watermark uint64 `json:"watermark,omitempty"`
 	// Grant/complete.
-	Shard    string       `json:"shard,omitempty"`
-	Worker   string       `json:"worker,omitempty"`
-	Epoch    uint64       `json:"epoch,omitempty"`
-	Deadline int64        `json:"deadline,omitempty"` // grant: lease deadline, unix nanos
-	Results  []PairResult `json:"results,omitempty"`
+	Shard    string `json:"shard,omitempty"`
+	Worker   string `json:"worker,omitempty"`
+	Epoch    uint64 `json:"epoch,omitempty"`
+	Deadline int64  `json:"deadline,omitempty"` // grant: lease deadline, unix nanos
+	// Complete: one value per shard pair in canonical order (0 at a failed
+	// pair) and the strictly increasing positions of the failed pairs.
+	RTTs   []float64 `json:"rtts,omitempty"`
+	Failed []int     `json:"failed,omitempty"`
+	// Complete, the older form: the submission as named pairs.
+	Results []PairResult `json:"results,omitempty"`
 	// Grant (compacted snapshots only): re-grants folded away by
 	// compaction, so Status.Reassigned survives a recovery.
 	Regrants int `json:"regrants,omitempty"`
 }
 
-// check validates a replayed record. Unknown record kinds pass, for the
-// replay to skip (forward compatibility); known kinds with impossible
-// fields are errors.
+// check validates a replayed record on its own fields; what a complete
+// record's values must fit is its shard's to say, at replay. Unknown record
+// kinds pass, for the replay to skip; known kinds with impossible fields
+// are errors.
 func (rec *journalRecord) check() error {
 	switch rec.Kind {
 	case journalCampaign:
@@ -86,6 +98,11 @@ func (rec *journalRecord) check() error {
 		if rec.Shard == "" || rec.Epoch == 0 {
 			return fmt.Errorf("campaign: journal complete %q epoch %d", rec.Shard, rec.Epoch)
 		}
+		byIndex := len(rec.RTTs) > 0 || len(rec.Failed) > 0
+		if byIndex == (len(rec.Results) > 0) {
+			return fmt.Errorf("campaign: journal complete %s carries %d results and %d values: want one form",
+				rec.Shard, len(rec.Results), len(rec.RTTs))
+		}
 		for _, r := range rec.Results {
 			if r.X == "" || r.Y == "" || r.X == r.Y {
 				return fmt.Errorf("campaign: journal result pair (%q,%q)", r.X, r.Y)
@@ -109,22 +126,21 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 	}
 }
 
-// replayJournal rebuilds a coordinator's ledger from the journal at path,
+// replayJournal rebuilds a coordinator's ledger from a journal,
 // torn-tail-tolerantly, and counts the records read. It enforces the
 // journal's own invariants: exactly one header, first; grant epochs
 // strictly increasing (coordinator-global monotonic fencing); no grant of a
 // completed shard; completes only at the shard's latest granted epoch, each
-// listing its shard's pairs in canonical order as Complete demands. A
-// complete record's submission is written into the ledger, as Complete
-// writes it.
-func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: journal: %w", err)
-	}
-	defer f.Close()
+// holding one value per shard pair and increasing failed positions within
+// the shard. A complete record's values are written into the ledger as the
+// shard's cursor walks, as Complete writes them. A record in the older
+// named form is checked as Complete checks a submission and translated to
+// the index form, then takes the same path.
+func replayJournal(r io.Reader, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	lastGrant := uint64(0)
-	err = wal.Replay(f, func(rec journalRecord) error {
+	var rtts []float64 // an older record's values
+	var failed []int
+	err = wal.Replay(r, func(rec journalRecord) error {
 		if err := rec.check(); err != nil {
 			return err
 		}
@@ -164,10 +180,18 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 				return fmt.Errorf("campaign: journal complete for shard %s at epoch %d, latest grant %d",
 					rec.Shard, rec.Epoch, st.epoch)
 			}
-			// The check Complete made before journaling the record: a record
-			// that misses a pair would recover a hole LostPairs never counts,
-			// and one with another shard's pair would overwrite its cell.
-			if err := st.shard.checkResults(c.names, rec.Results); err != nil {
+			if len(rec.Results) > 0 {
+				// The check Complete made before journaling the record: a
+				// record that misses a pair would recover a hole LostPairs
+				// never counts, and one with another shard's pair would
+				// overwrite its cell.
+				if err := st.shard.checkResults(c.names, rec.Results); err != nil {
+					return fmt.Errorf("campaign: journal complete record: %w", err)
+				}
+				rtts, failed = values(rec.Results, rtts, failed)
+				rec.RTTs, rec.Failed = rtts, failed
+			}
+			if err := st.shard.checkValues(rec.RTTs, rec.Failed); err != nil {
 				return fmt.Errorf("campaign: journal complete record: %w", err)
 			}
 			// A live coordinator journals one complete per shard; should a
@@ -176,7 +200,7 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 			if st.phase != shardDone {
 				st.phase = shardDone
 				st.worker = rec.Worker
-				st.failed = st.shard.record(c.ledger, rec.Results)
+				st.failed = st.shard.record(c.ledger, rec.RTTs, rec.Failed)
 				c.remaining--
 			}
 			return nil
@@ -207,7 +231,7 @@ func replayJournal(path string, treg *telemetry.Registry) (c *Coordinator, recor
 		return nil, 0, err
 	}
 	if c == nil {
-		return nil, 0, fmt.Errorf("campaign: journal %s has no campaign header", path)
+		return nil, 0, errors.New("campaign: journal has no campaign header")
 	}
 	return c, records, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -519,25 +520,39 @@ func TestRecoveredDoneCampaign(t *testing.T) {
 }
 
 // TestRecoverRefusesBadCompleteRecord: replay checks a complete record as
-// Complete checks a submission. A record that misses a pair of its shard
-// would recover a hole LostPairs never counts, one carrying another shard's
-// pair would overwrite that shard's cell in Merged, and one out of canonical
-// order is a submission Complete never accepted. Each is refused by name.
+// Complete checks a submission, in either form. A record that misses a pair
+// of its shard would recover a hole LostPairs never counts, one carrying
+// another shard's pair would overwrite that shard's cell in Merged, and one
+// out of canonical order is a submission Complete never accepted; a record
+// by index must hold one value per shard pair and failed positions that
+// are positions of the shard, strictly increasing; and a record carries
+// exactly one form. Each is refused by name.
 func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 	const head = `{"t":"campaign","names":["relayA","relayB","relayC","relayD"],"shards":[{"ti":0,"tj":0,"lo":0,"hi":3},{"ti":0,"tj":0,"lo":3,"hi":6}],"ttl_ms":30000}
 {"t":"grant","shard":"t0-0.p0-3","worker":"w1","epoch":1,"deadline":1700000030000000000}
 `
-	complete := func(results string) string {
-		return `{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1,"results":[` + results + "]}\n"
+	complete := func(body string) string {
+		return `{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1` + body + "}\n"
 	}
-	for _, tc := range []struct{ name, results string }{
-		{"missing pair", `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}`},
-		{"foreign pair", `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayB","y":"relayC","rtt":9}`},
-		{"out of order", `{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}`},
+	const named = `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayD","rtt":12.5}]`
+	// want is what the refusal must say: the rule that refused the record.
+	for _, tc := range []struct{ name, body, want string }{
+		{"missing pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, "lists 2 pairs"},
+		{"foreign pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayB","y":"relayC","rtt":9}]`, "want (relayA,relayD)"},
+		{"out of order", `,"results":[{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, "want (relayA,relayB)"},
+		{"too few values", `,"rtts":[10.5,11.5]`, "holds 2 values"},
+		{"too many values", `,"rtts":[10.5,11.5,12.5,13.5]`, "holds 4 values"},
+		{"failed positions without values", `,"failed":[0]`, "holds 0 values"},
+		{"failed position past the shard", `,"rtts":[10.5,0,12.5],"failed":[3]`, "failed positions [3]"},
+		{"negative failed position", `,"rtts":[10.5,0,12.5],"failed":[-1]`, "failed positions [-1]"},
+		{"repeated failed position", `,"rtts":[10.5,0,0],"failed":[1,1]`, "failed positions [1 1]"},
+		{"unsorted failed positions", `,"rtts":[10.5,0,0],"failed":[2,1]`, "failed positions [2 1]"},
+		{"both forms", named + `,"rtts":[10.5,11.5,12.5]`, "want one form"},
+		{"neither form", ``, "want one form"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := journalPath(t)
-			if err := os.WriteFile(path, []byte(head+complete(tc.results)), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(head+complete(tc.body)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			c, err := RecoverCoordinator(path, nil)
@@ -545,23 +560,130 @@ func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 				c.Journal().Close()
 				t.Fatalf("recovered a journal with a bad complete record (%s): %+v", tc.name, c.Snapshot())
 			}
-			if !strings.Contains(err.Error(), "t0-0.p0-3") {
-				t.Errorf("refusal %q does not name the shard", err)
+			if !strings.Contains(err.Error(), "t0-0.p0-3") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("refusal %q does not name the shard and say %q", err, tc.want)
 			}
 		})
 	}
-	// The shard's pairs in canonical order recover.
+	// The shard's pairs in canonical order recover, in either form.
+	for body, lost := range map[string]int{named: 0, `,"rtts":[10.5,0,12.5],"failed":[1]`: 1, `,"rtts":[10.5,11.5,12.5]`: 0} {
+		path := journalPath(t)
+		if err := os.WriteFile(path, []byte(head+complete(body)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := RecoverCoordinator(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Journal().Close()
+		if st := c.Snapshot(); st.Done != 1 || st.LostPairs != lost {
+			t.Errorf("%s recovered ledger %+v, want one done shard and %d lost pairs", body, st, lost)
+		}
+		if v := c.ledger.At(0, 3); v != 12.5 {
+			t.Errorf("%s recovered (relayA,relayD) = %v, want 12.5", body, v)
+		}
+	}
+}
+
+// TestRecoverMixedJournal: a journal whose complete records switch from the
+// named form to the index form part-way — a coordinator upgraded
+// mid-campaign — recovers to the ledger the all-index journal of the same
+// campaign recovers to, which is the live coordinator's: the same Merged
+// bytes and the same Snapshot.
+func TestRecoverMixedJournal(t *testing.T) {
+	names := fakeNames(70) // two tile bands: diagonal and off-diagonal blocks
 	path := journalPath(t)
-	ok := `{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayD","rtt":12.5}`
-	if err := os.WriteFile(path, []byte(head+complete(ok)), 0o644); err != nil {
+	clock := newFakeClock()
+	c := newJournaled(t, names, Partition(len(names), 9), path, clock)
+	for k := 0; ; k++ {
+		l, res, err := c.Acquire("w1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == AcquireDone {
+			break
+		}
+		results := fullResults(t, l.Shard, names)
+		results[k%len(results)].Failed = true
+		if err := c.Complete("w1", l.Shard.ID, l.Epoch, results); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := RecoverCoordinator(path, nil)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Journal().Close()
-	if st := c.Snapshot(); st.Done != 1 || st.LostPairs != 0 {
-		t.Errorf("recovered ledger %+v, want one done shard", st)
+	var recs []journalRecord
+	err = wal.Replay(f, func(rec journalRecord) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first half of the complete records as a coordinator that spelled
+	// names wrote them.
+	mixed := journalPath(t)
+	j, err := wal.Open[journalRecord](mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completes := 0
+	for _, rec := range recs {
+		if rec.Kind == journalComplete && completes < len(recs)/4 {
+			completes++
+			sh, _ := c.shard(rec.Shard)
+			pairs, err := sh.Pairs(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make([]PairResult, len(pairs))
+			for k, p := range pairs {
+				results[k] = PairResult{X: p[0], Y: p[1], RTT: rec.RTTs[k]}
+			}
+			for _, k := range rec.Failed {
+				results[k] = PairResult{X: pairs[k][0], Y: pairs[k][1], Failed: true}
+			}
+			rec.RTTs, rec.Failed, rec.Results = nil, nil, results
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if completes == 0 {
+		t.Fatal("no complete record was rewritten")
+	}
+
+	ledger := func(c *Coordinator) ([]byte, Status) {
+		t.Helper()
+		m, err := c.Merged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := m.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes(), c.Snapshot()
+	}
+	wantBytes, wantStatus := ledger(c)
+	for name, p := range map[string]string{"all-index journal": path, "mixed journal": mixed} {
+		rc := recoverJournaled(t, p, clock)
+		rc.Journal().Close()
+		got, st := ledger(rc)
+		st.Recoveries = wantStatus.Recoveries
+		if !bytes.Equal(got, wantBytes) {
+			t.Errorf("the %s recovers another matrix than the live coordinator's", name)
+		}
+		if !reflect.DeepEqual(st, wantStatus) {
+			t.Errorf("the %s recovers status %+v, live %+v", name, st, wantStatus)
+		}
 	}
 }

@@ -301,7 +301,8 @@ func FetchNames(addr string) ([]string, error) {
 	return names, nil
 }
 
-// Acquire asks the coordinator at addr for a lease on behalf of worker.
+// Acquire asks the coordinator at addr for a lease on behalf of worker. A
+// coordinator's "error <msg>" reply comes back as an error carrying msg.
 func Acquire(addr, worker string) (Lease, AcquireResult, error) {
 	conn, err := dial(addr, 0)
 	if err != nil {
@@ -320,6 +321,9 @@ func Acquire(addr, worker string) (Lease, AcquireResult, error) {
 		return Lease{}, AcquireNone, nil
 	case "done":
 		return Lease{}, AcquireDone, nil
+	}
+	if msg, ok := strings.CutPrefix(line, "error "); ok {
+		return Lease{}, AcquireNone, fmt.Errorf("campaign: acquire: %s", msg)
 	}
 	lease, err := DecodeLease(line)
 	if err != nil {

@@ -227,28 +227,84 @@ func (s Shard) checkResults(names []string, results []PairResult) error {
 	return nil
 }
 
+// checkValues accepts a complete record's index form for the shard: one
+// value per pair, in the shard's canonical order, and the positions of its
+// failed pairs, strictly increasing and each a position of the shard.
+func (s Shard) checkValues(rtts []float64, failed []int) error {
+	if len(rtts) != s.PairCount() {
+		return fmt.Errorf("campaign: shard %s record holds %d values, the shard has %d pairs", s.ID, len(rtts), s.PairCount())
+	}
+	prev := -1
+	for _, k := range failed {
+		if k <= prev || k >= len(rtts) {
+			return fmt.Errorf("campaign: shard %s record's failed positions %v are not increasing positions below %d",
+				s.ID, failed, len(rtts))
+		}
+		prev = k
+	}
+	return nil
+}
+
 // record writes a checked submission into ledger, a matrix over the
-// campaign's names, by the indices the shard's cursor yields: a measured
-// pair's cell is stamped fresh, a failed pair's stays missing. It returns
-// how many pairs failed.
-func (s Shard) record(ledger *ting.Matrix, results []PairResult) (failed int) {
+// campaign's names, by the indices the shard's cursor yields: rtts holds a
+// value per pair in canonical order and failed the increasing positions of
+// the pairs that failed. A measured pair's cell is stamped fresh, a failed
+// pair's stays missing and its value is not read. It returns how many pairs
+// failed.
+func (s Shard) record(ledger *ting.Matrix, rtts []float64, failed []int) int {
 	c := s.cursor(ledger.N())
-	for k := range results {
+	f := 0
+	for k, rtt := range rtts {
 		i, j, _ := c.next()
-		if results[k].Failed {
-			failed++
+		if f < len(failed) && failed[f] == k {
+			f++
 			continue
 		}
-		ledger.SetAt(i, j, results[k].RTT)
+		ledger.SetAt(i, j, rtt)
 	}
-	return failed
+	return len(failed)
+}
+
+// values is a checked submission's index form, appended to rtts[:0] and
+// failed[:0]: each result's RTT in order, 0 for a failed pair, and the
+// failed pairs' positions.
+func values(results []PairResult, rtts []float64, failed []int) ([]float64, []int) {
+	rtts, failed = rtts[:0], failed[:0]
+	for k, r := range results {
+		if r.Failed {
+			failed = append(failed, k)
+			rtts = append(rtts, 0)
+			continue
+		}
+		rtts = append(rtts, r.RTT)
+	}
+	return rtts, failed
+}
+
+// ledgerValues reads the shard's index form off ledger, a matrix over the
+// campaign's names: a pair the ledger holds a measurement of carries its
+// RTT, any other pair failed — the form the accepted submission was
+// journaled in.
+func (s Shard) ledgerValues(ledger *ting.Matrix) (rtts []float64, failed []int) {
+	rtts = make([]float64, 0, s.PairCount())
+	for c := s.cursor(ledger.N()); ; {
+		i, j, ok := c.next()
+		if !ok {
+			return rtts, failed
+		}
+		if measured(ledger, i, j) {
+			rtts = append(rtts, ledger.At(i, j))
+		} else {
+			failed = append(failed, len(rtts))
+			rtts = append(rtts, 0)
+		}
+	}
 }
 
 // submission lists the shard's pairs in canonical order, as Complete
 // demands, into dst[:0], reading each from ledger: a pair the ledger holds
 // a measurement of carries its RTT, any other pair failed. On a worker's
-// ledger it is the lease's submission; on the coordinator's, a done shard's
-// complete record as the accepted submission journaled it.
+// ledger it is the lease's submission.
 func (s Shard) submission(dst []PairResult, names []string, ledger *ting.Matrix) []PairResult {
 	dst = dst[:0]
 	for c := s.cursor(len(names)); ; {

@@ -8,7 +8,9 @@ import (
 	"log"
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
+	"unicode"
 
 	"ting/internal/stats"
 	"ting/internal/ting"
@@ -28,7 +30,9 @@ const DefaultUnreachableGrace = 2 * time.Minute
 // worker or any other holding the same log.
 type Worker struct {
 	// Name identifies the worker to the coordinator (logs and lease
-	// ownership only; not a credential).
+	// ownership only; not a credential). It travels as one field of a CAMP
+	// request line, so it is not empty and holds no white space; Run
+	// refuses any other.
 	Name string
 	// Addr is the coordinator's directory-transport address.
 	Addr string
@@ -108,6 +112,11 @@ func (r *reconnector) wait(ctx context.Context, err error) error {
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Scanner == nil {
 		return errors.New("campaign: worker needs a scanner")
+	}
+	// The coordinator would refuse every acquire of such a name, and the
+	// worker would retry that refusal for the whole grace window.
+	if w.Name == "" || strings.ContainsFunc(w.Name, unicode.IsSpace) {
+		return fmt.Errorf("campaign: worker name %q is not one field of a CAMP request line", w.Name)
 	}
 	// A Directory would add a relay joining mid-lease to the ledger, whose
 	// next header would then name a relay set the log cannot replay.

@@ -107,12 +107,38 @@ func TestWorkerRunHonorsContext(t *testing.T) {
 // name a longer relay set, and its log would stop replaying. Run refuses
 // such a scanner before it asks the coordinator for anything.
 func TestWorkerRefusesScannerWithDirectory(t *testing.T) {
+	addr, dialed := countDials(t)
+	w := &Worker{
+		Name: "follower",
+		Addr: addr,
+		Scanner: &ting.Scanner{
+			NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") },
+			Directory:   directory.NewRegistry(),
+		},
+		Poll:             5 * time.Millisecond,
+		UnreachableGrace: time.Hour,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	err := w.Run(ctx)
+	if err == nil || !strings.Contains(err.Error(), "Directory") {
+		t.Fatalf("Run = %v, want a refusal naming the Directory", err)
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Errorf("worker dialed the coordinator %d times before refusing", n)
+	}
+}
+
+// countDials accepts and closes every connection on a loopback listener,
+// counting them, and returns its address.
+func countDials(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	var dialed atomic.Int64
+	t.Cleanup(func() { ln.Close() })
+	dialed := new(atomic.Int64)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -123,24 +149,44 @@ func TestWorkerRefusesScannerWithDirectory(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	w := &Worker{
-		Name: "follower",
-		Addr: ln.Addr().String(),
-		Scanner: &ting.Scanner{
-			NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") },
-			Directory:   directory.NewRegistry(),
-		},
-		Poll:             5 * time.Millisecond,
-		UnreachableGrace: time.Hour,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	err = w.Run(ctx)
-	if err == nil || !strings.Contains(err.Error(), "Directory") {
-		t.Fatalf("Run = %v, want a refusal naming the Directory", err)
+	return ln.Addr().String(), dialed
+}
+
+// TestWorkerRefusesNameOffTheWire: a worker name travels as one field of a
+// CAMP request line. Run refuses an empty name, or one white space splits,
+// before it dials anything — a coordinator would refuse every acquire, and
+// the worker would retry the refusal for its whole grace window — and
+// Acquire returns a coordinator's refusal as the coordinator worded it.
+func TestWorkerRefusesNameOffTheWire(t *testing.T) {
+	addr, dialed := countDials(t)
+	for _, name := range []string{"", "w 1", "w\t1", " w1", "w1\n"} {
+		w := &Worker{
+			Name: name,
+			Addr: addr,
+			Scanner: &ting.Scanner{
+				NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") },
+			},
+			Poll:             5 * time.Millisecond,
+			UnreachableGrace: time.Hour,
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		err := w.Run(ctx)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "worker name") {
+			t.Errorf("Run as %q = %v, want a refusal naming the worker name", name, err)
+		}
 	}
 	if n := dialed.Load(); n != 0 {
-		t.Errorf("worker dialed the coordinator %d times before refusing", n)
+		t.Errorf("workers dialed the coordinator %d times before refusing", n)
+	}
+
+	coord, err := NewCoordinator(fakeNames(4), Partition(4, 2), time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Acquire(serveCoordinator(t, coord), "w 1")
+	if err == nil || err.Error() != "campaign: acquire: acquire wants: CAMP acquire <worker>" {
+		t.Fatalf("Acquire as \"w 1\" = %v, want the coordinator's refusal", err)
 	}
 }
 

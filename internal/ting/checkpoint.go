@@ -13,9 +13,13 @@ import (
 // Checkpoint record kinds. A campaign log is a sequence of records: one
 // (or more, idempotent) campaign headers naming the relay set, then one
 // pair record per completed measurement and one half record per memoized
-// half-circuit series. The log is append-only: a crashed or cancelled
-// scan never has to undo anything, and Resume replays whatever prefix
-// survived.
+// half-circuit series. A pair record names its relays by matrix index, in
+// the index space the log itself builds: the header's names, then each
+// relay a join record introduces, in log order. Logs written before carry
+// the two relay names instead; ReplayState reads both, record by record,
+// so one log may hold both forms. The log is append-only: a crashed or
+// cancelled scan never has to undo anything, and Resume replays whatever
+// prefix survived.
 const (
 	RecordCampaign = "campaign"
 	RecordPair     = "pair"
@@ -49,9 +53,14 @@ type CheckpointRecord struct {
 	// Campaign: onion-key fingerprints per relay, so a same-nickname
 	// rejoin with a new key is detected as a rotation on resume.
 	Fps map[string]string `json:"fps,omitempty"`
-	// Pair: one completed measurement.
+	// Pair: one completed measurement of relays I < J in the log's index
+	// space. Zero fields are omitted, so pair (0, j) carries no "i".
+	// X and Y name the relays instead in logs written before pair records
+	// went by index; a record carries one form, never both.
 	X   string  `json:"x,omitempty"`
 	Y   string  `json:"y,omitempty"`
+	I   int     `json:"i,omitempty"`
+	J   int     `json:"j,omitempty"`
 	RTT float64 `json:"rtt,omitempty"`
 	// Half: one memoized half-circuit series (min R_Cx), so a resumed
 	// scan's HalfCache rehydrates instead of re-sampling (§3.3/§4.6).
@@ -176,13 +185,14 @@ type CheckpointState struct {
 
 // ReplayState replays a campaign log into its aggregated state. The first
 // header creates the matrix, a join adds its relay and a pair record writes
-// its cell. A pair record waits until the matrix holds both its relays —
-// a scan logs a relay's join before its pairs, but logs written before it
-// did can hold a joining relay's pairs ahead of the join — and a pair of a
-// relay the log never introduces seeds nothing. Shard and leave
-// records are validated but aggregate nothing: a crashed worker's log still
-// shows what it was holding, to whoever reads the log. Records of unknown
-// kinds are skipped (forward compatibility); malformed records of known
+// its cell. A pair record by index must name two relays the log has
+// introduced before it. A pair record by name is translated to indices: it
+// waits until the matrix holds both its relays — logs written before the
+// scan logged a relay's join ahead of its pairs can hold a joining relay's
+// pairs first — and a pair of a relay the log never introduces seeds
+// nothing. Shard and leave records are validated but aggregate nothing: a
+// crashed worker's log still shows what it was holding, to whoever reads
+// the log. Records of unknown kinds are skipped; malformed records of known
 // kinds are errors.
 func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	st := &CheckpointState{Fps: make(map[string]string)}
@@ -192,8 +202,8 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	var pending []CheckpointRecord // pair records waiting for a relay
 	// A join's relay is never empty and is added only when the matrix does
 	// not hold it, so AddName, which refuses nothing else, cannot fail.
-	// seed writes a pair record's cell and reports whether the matrix holds
-	// both its relays.
+	// seed writes a named pair record's cell and reports whether the matrix
+	// holds both its relays.
 	seed := func(rec CheckpointRecord) bool {
 		if m == nil {
 			return false
@@ -241,13 +251,27 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 				st.Fps[name] = fp
 			}
 		case RecordPair:
-			if rec.X == "" || rec.Y == "" || rec.X == rec.Y {
-				return fmt.Errorf("ting: checkpoint: invalid pair record (%q,%q)", rec.X, rec.Y)
-			}
 			if !finite(rec.RTT) {
 				return fmt.Errorf("ting: checkpoint: non-finite RTT for pair (%s,%s)", rec.X, rec.Y)
 			}
-			if !seed(rec) {
+			byName := rec.X != "" || rec.Y != ""
+			if byName == (rec.I != 0 || rec.J != 0) {
+				return fmt.Errorf("ting: checkpoint: pair record (%q,%q) (%d,%d) names its relays in neither form or both",
+					rec.X, rec.Y, rec.I, rec.J)
+			}
+			if !byName {
+				introduced := 0
+				if m != nil {
+					introduced = m.N()
+				}
+				if rec.I == rec.J || min(rec.I, rec.J) < 0 || max(rec.I, rec.J) >= introduced {
+					return fmt.Errorf("ting: checkpoint: pair record (%d,%d) is not a pair of the %d relays introduced so far",
+						rec.I, rec.J, introduced)
+				}
+				m.write(rec.I, rec.J, rec.RTT, ProvResumed, 255)
+			} else if rec.X == "" || rec.Y == "" || rec.X == rec.Y {
+				return fmt.Errorf("ting: checkpoint: invalid pair record (%q,%q)", rec.X, rec.Y)
+			} else if !seed(rec) {
 				pending = append(pending, rec)
 			}
 		case RecordHalf:

@@ -47,6 +47,32 @@ func (c *MemCheckpoint) Replay(fn func(rec CheckpointRecord) error) error {
 	return nil
 }
 
+// indexSpace is a log's relay index space as ReplayState builds it: the
+// first header's names, then each relay a join introduces, in log order.
+// Feed it every record in order with add.
+type indexSpace struct{ names []string }
+
+func (s *indexSpace) add(rec CheckpointRecord) {
+	switch {
+	case rec.Kind == RecordCampaign && s.names == nil:
+		s.names = slices.Clone(rec.Names)
+	case rec.Kind == RecordChurn && rec.Op == ChurnOpJoin && s.names != nil && !slices.Contains(s.names, rec.Relay):
+		s.names = append(s.names, rec.Relay)
+	}
+}
+
+// pair names a pair record's relays — its own names, or its indices looked
+// up in the space so far — and reports whether the space holds them.
+func (s *indexSpace) pair(rec CheckpointRecord) (x, y string, ok bool) {
+	if rec.X != "" {
+		return rec.X, rec.Y, true
+	}
+	if rec.I < 0 || rec.J < 0 || rec.I >= len(s.names) || rec.J >= len(s.names) {
+		return "", "", false
+	}
+	return s.names[rec.I], s.names[rec.J], true
+}
+
 // logRecords returns every record cp replays, in log order.
 func logRecords(t *testing.T, cp Checkpoint) []CheckpointRecord {
 	t.Helper()
@@ -415,6 +441,7 @@ func TestReplayStateRejectsMalformedRecords(t *testing.T) {
 		{Kind: RecordHalf, Path: []string{"w"}, Samples: 3, Min: 4},
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 0, Min: 4},
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 3, Min: math.Inf(-1)},
+		{Kind: RecordPair, I: 0, J: 1, RTT: math.NaN()},
 	}
 	for i, bad := range cases {
 		cp := &MemCheckpoint{}
@@ -422,6 +449,142 @@ func TestReplayStateRejectsMalformedRecords(t *testing.T) {
 		cp.Append(bad)
 		if _, err := ReplayState(cp); err == nil {
 			t.Errorf("case %d: malformed record %+v accepted", i, bad)
+		}
+	}
+}
+
+// TestReplayStateRefusesBadPairForms: a pair record by index names two
+// distinct relays among those introduced so far, none negative, and a pair
+// record carries its relays in exactly one form. Each refusal says which
+// rule refused it.
+func TestReplayStateRefusesBadPairForms(t *testing.T) {
+	const form, pair = "neither form or both", "not a pair of the 2 relays"
+	for _, tc := range []struct {
+		rec  CheckpointRecord
+		want string
+	}{
+		{CheckpointRecord{Kind: RecordPair, I: 1, J: 1, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, I: -1, J: 1, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, I: 1, J: -1, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, I: 0, J: 2, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, I: 2, J: 0, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", I: 0, J: 1, RTT: 1}, form},
+		{CheckpointRecord{Kind: RecordPair, X: "a", I: 0, J: 1, RTT: 1}, form},
+		{CheckpointRecord{Kind: RecordPair, RTT: 1}, form},
+	} {
+		cp := &MemCheckpoint{}
+		cp.Append(CheckpointRecord{Kind: RecordCampaign, Names: []string{"a", "b"}})
+		cp.Append(tc.rec)
+		if _, err := ReplayState(cp); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("record %+v: %v, want a refusal saying %q", tc.rec, err, tc.want)
+		}
+	}
+}
+
+// TestReplayStateIndexSpace: a pair record by index names relays the log
+// has introduced before it — the first header's relays, then each join in
+// log order — so one before the header, or of a relay whose join comes
+// later, is refused; after the join it is that relay's pair, and a second
+// header does not move the space.
+func TestReplayStateIndexSpace(t *testing.T) {
+	header := CheckpointRecord{Kind: RecordCampaign, Names: []string{"a", "b"}}
+	join := CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: "c"}
+	pair := CheckpointRecord{Kind: RecordPair, I: 0, J: 2, RTT: 7}
+	for name, recs := range map[string][]CheckpointRecord{
+		"before the header":                      {{Kind: RecordPair, I: 0, J: 1, RTT: 7}, header},
+		"before the relay joins":                 {header, pair, join},
+		"before the header, after an early join": {join, {Kind: RecordPair, I: 0, J: 1, RTT: 7}, header},
+	} {
+		cp := &MemCheckpoint{}
+		for _, rec := range recs {
+			cp.Append(rec)
+		}
+		if _, err := ReplayState(cp); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	cp := &MemCheckpoint{}
+	for _, rec := range []CheckpointRecord{header, join, header, pair, {Kind: RecordPair, I: 2, J: 1, RTT: 9}} {
+		cp.Append(rec)
+	}
+	st, err := ReplayState(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := replayed(st, "a", "c"); v != 7 {
+		t.Errorf("(a,c) = %v, want 7", v)
+	}
+	if v, _ := replayed(st, "c", "b"); v != 9 {
+		t.Errorf("(b,c) = %v, want 9", v)
+	}
+}
+
+// TestReplayStateMixedForms: a log whose pair records switch from names to
+// indices part-way — a scan upgraded mid-campaign appending to its old log
+// — replays to the state the same log replays to with every pair record by
+// index, and with every one by name. Each seed is a random log of headers,
+// joins, leaves, rotations, shard and half records and pairs of introduced
+// relays.
+func TestReplayStateMixedForms(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		header := []string{"h0", "h1", "h2", "h3"}[:2+rng.Intn(3)]
+		space := indexSpace{}
+		var recs []CheckpointRecord
+		add := func(rec CheckpointRecord) {
+			space.add(rec)
+			recs = append(recs, rec)
+		}
+		add(CheckpointRecord{Kind: RecordCampaign, Names: header, Fps: map[string]string{header[0]: "fp"}})
+		for steps := 10 + rng.Intn(40); steps > 0; steps-- {
+			switch n := len(space.names); rng.Intn(8) {
+			case 0:
+				add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: fmt.Sprintf("j%d", rng.Intn(4)), Fp: "fpj"})
+			case 1:
+				add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: space.names[rng.Intn(n)]})
+			case 2:
+				add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: space.names[rng.Intn(n)], Fp: "fpr"})
+			case 3:
+				add(CheckpointRecord{Kind: RecordHalf, Path: []string{"w", space.names[rng.Intn(n)]}, Samples: 3, Min: float64(rng.Intn(50))})
+			case 4:
+				add(CheckpointRecord{Kind: RecordCampaign, Names: header})
+			default:
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i != j {
+					add(CheckpointRecord{Kind: RecordPair, I: min(i, j), J: max(i, j), RTT: float64(rng.Intn(4000)) / 8})
+				}
+			}
+		}
+		// named spells the pair records at positions [from, to) by name.
+		named := func(from, to int) *MemCheckpoint {
+			cp := &MemCheckpoint{}
+			var s indexSpace
+			for k, rec := range recs {
+				s.add(rec)
+				if rec.Kind == RecordPair && k >= from && k < to {
+					x, y, _ := s.pair(rec)
+					if rng.Intn(2) == 0 {
+						x, y = y, x
+					}
+					rec = CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: rec.RTT}
+				}
+				cp.Append(rec)
+			}
+			return cp
+		}
+		want, err := ReplayState(named(0, 0))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cut := rng.Intn(len(recs) + 1)
+		for name, cp := range map[string]*MemCheckpoint{"mixed": named(0, cut), "all by name": named(0, len(recs))} {
+			got, err := ReplayState(cp)
+			if err != nil {
+				t.Fatalf("seed %d: %s log: %v", seed, name, err)
+			}
+			if d := stateDiff(want, got); d != "" {
+				t.Fatalf("seed %d: %s log (cut at %d) replays to another state: %s", seed, name, cut, d)
+			}
 		}
 	}
 }

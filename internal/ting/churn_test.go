@@ -525,17 +525,17 @@ resume:
 }
 
 // pairSignal is a MemCheckpoint that closes seen when the first pair record
-// naming relay is appended.
+// of relay index relay is appended.
 type pairSignal struct {
 	*MemCheckpoint
-	relay string
+	relay int
 	seen  chan struct{}
 	once  sync.Once
 }
 
 func (c *pairSignal) Append(rec CheckpointRecord) error {
 	err := c.MemCheckpoint.Append(rec)
-	if rec.Kind == RecordPair && (rec.X == c.relay || rec.Y == c.relay) {
+	if rec.Kind == RecordPair && (rec.I == c.relay || rec.J == c.relay) {
 		c.once.Do(func() { close(c.seen) })
 	}
 	return err
@@ -561,7 +561,8 @@ func TestCheckpointJoinPrecedesItsPairs(t *testing.T) {
 	}
 	qDesc := churnDesc(t, "q", 99)
 
-	cp := &pairSignal{MemCheckpoint: &MemCheckpoint{}, relay: "q", seen: make(chan struct{})}
+	// q is the first relay to join x, y, u, v: index 4.
+	cp := &pairSignal{MemCheckpoint: &MemCheckpoint{}, relay: 4, seen: make(chan struct{})}
 	joining := make(chan struct{})
 	var joinOnce sync.Once
 	obs := &Observer{Churn: func(ev ChurnEvent) {
@@ -608,25 +609,19 @@ func TestCheckpointJoinPrecedesItsPairs(t *testing.T) {
 	if _, ok := m.Index("q"); !ok {
 		t.Fatal("q never joined the scan")
 	}
-	known := map[string]bool{}
+	var space indexSpace
 	qPairs := 0
 	for k, rec := range logRecords(t, cp) {
-		switch rec.Kind {
-		case RecordCampaign:
-			for _, n := range rec.Names {
-				known[n] = true
-			}
-		case RecordChurn:
-			if rec.Op == ChurnOpJoin {
-				known[rec.Relay] = true
-			}
-		case RecordPair:
-			if !known[rec.X] || !known[rec.Y] {
-				t.Errorf("record %d: pair (%s,%s) logged before the header or a join introduced it", k, rec.X, rec.Y)
-			}
-			if rec.X == "q" || rec.Y == "q" {
-				qPairs++
-			}
+		space.add(rec)
+		if rec.Kind != RecordPair {
+			continue
+		}
+		x, y, ok := space.pair(rec)
+		if !ok {
+			t.Errorf("record %d: pair (%d,%d) logged before the header or a join introduced it", k, rec.I, rec.J)
+		}
+		if x == "q" || y == "q" {
+			qPairs++
 		}
 	}
 	if qPairs == 0 {

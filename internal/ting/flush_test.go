@@ -105,20 +105,18 @@ func TestCheckpointFailedFlushEndsScan(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "checkpoint append") || !strings.Contains(err.Error(), "injected flush failure") {
 		t.Fatalf("scan over a failing flush: %v", err)
 	}
-	var lost [][2]string
+	var lost [][2]int
 	for _, rec := range cp.dropped {
 		if rec.Kind == RecordPair {
-			lost = append(lost, [2]string{rec.X, rec.Y})
+			lost = append(lost, [2]int{rec.I, rec.J})
 		}
 	}
 	if len(lost) == 0 {
 		t.Fatal("the failed flush held no pair record")
 	}
 	for _, p := range lost {
-		i, _ := m.Index(p[0])
-		j, _ := m.Index(p[1])
-		if m.ProvAt(i, j) == ProvFresh {
-			t.Errorf("pair (%s,%s) is fresh, but its record never reached the log", p[0], p[1])
+		if m.ProvAt(p[0], p[1]) == ProvFresh {
+			t.Errorf("pair (%d,%d) is fresh, but its record never reached the log", p[0], p[1])
 		}
 	}
 	st, err := ReplayState(&cp.MemCheckpoint)

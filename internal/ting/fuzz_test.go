@@ -80,7 +80,8 @@ func FuzzDecodeMatrix(f *testing.F) {
 
 // FuzzReplayCheckpoint: arbitrary bytes fed to the campaign-log replayer
 // must never panic, and whatever it accepts must also survive ReplayState's
-// stricter aggregation path without crashing.
+// stricter aggregation path without crashing — pair records by name, by
+// index, and logs that mix the two.
 func FuzzReplayCheckpoint(f *testing.F) {
 	f.Add(`{"t":"campaign","names":["a","b"]}` + "\n" +
 		`{"t":"pair","x":"a","y":"b","rtt":73}` + "\n" +
@@ -90,6 +91,25 @@ func FuzzReplayCheckpoint(f *testing.F) {
 	f.Add(`{"t":"campaign","names":["a"]}` + "\n")
 	f.Add(`{"t":"pair","x":"a","y":"b","rtt":1e999}` + "\n")
 	f.Add("\n\n")
+	// Pair records by index, alone and after named ones, as a scan upgraded
+	// mid-campaign appends them; a join grows the index space.
+	f.Add(`{"t":"campaign","names":["a","b"]}` + "\n" +
+		`{"t":"pair","j":1,"rtt":73}` + "\n" +
+		`{"t":"churn","op":"join","relay":"c"}` + "\n" +
+		`{"t":"pair","i":1,"j":2,"rtt":9}` + "\n")
+	f.Add(`{"t":"campaign","names":["a","b","c"]}` + "\n" +
+		`{"t":"pair","x":"a","y":"b","rtt":73}` + "\n" +
+		`{"t":"pair","x":"c","y":"b","rtt":5}` + "\n" +
+		`{"t":"pair","j":2,"rtt":8}` + "\n")
+	f.Add(`{"t":"campaign","names":["a","b"]}` + "\n" + `{"t":"pair","x":"a","j":1,"rtt":1}` + "\n")
+	f.Add(`{"t":"pair","i":-1,"j":3}` + "\n" + `{"t":"campaign","names":["a","b"]}` + "\n")
+	for _, golden := range []string{"testdata/v2.ckpt", "testdata/parent-format.ckpt"} {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(raw))
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		var recs []CheckpointRecord
 		err := wal.Replay(strings.NewReader(doc), func(rec CheckpointRecord) error {

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// TestGoldenCheckpoint pins the checkpoint's bytes to the format the
-// parent of internal/wal wrote (testdata/parent-format.ckpt, generated at
-// that commit): the same records write the same file, and it replays.
+// TestGoldenCheckpoint pins the checkpoint's bytes: the records below, the
+// scan's form with pair records by index, write testdata/v2.ckpt. The
+// parent-format file stays as a reader test: parent-format.ckpt (the same
+// log, written when pair records named their relays) and a log that switches
+// from that form to this one part-way replay to the same state as v2.ckpt.
 func TestGoldenCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	cp, err := OpenFileCheckpoint(path)
@@ -21,9 +24,9 @@ func TestGoldenCheckpoint(t *testing.T) {
 		{Kind: RecordCampaign, Names: []string{"x", "y", "u"}, Epoch: 3, Fps: map[string]string{"x": "fpx", "y": "fpy"}},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 7, Worker: "w1"},
 		{Kind: RecordHalf, Path: []string{"w", "x"}, Samples: 200, Min: 41.25},
-		{Kind: RecordPair, X: "x", Y: "y", RTT: 73},
+		{Kind: RecordPair, I: 0, J: 1, RTT: 73},
 		{Kind: RecordChurn, Op: ChurnOpRotate, Relay: "y", Fp: "fpy2", Epoch: 4},
-		{Kind: RecordPair, X: "x", Y: "u", RTT: 51.5},
+		{Kind: RecordPair, I: 0, J: 2, RTT: 51.5},
 	} {
 		if err := cp.Append(rec); err != nil {
 			t.Fatal(err)
@@ -36,7 +39,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/parent-format.ckpt")
+	want, err := os.ReadFile("testdata/v2.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +48,59 @@ func TestGoldenCheckpoint(t *testing.T) {
 	}
 	st, err := ReplayState(cp)
 	if err != nil {
-		t.Fatalf("parent-format checkpoint does not replay: %v", err)
+		t.Fatalf("v2 checkpoint does not replay: %v", err)
 	}
 	if st.Records != 6 || replayedPairs(st) != 2 || len(st.Halves) != 1 || st.Fps["y"] != "fpy2" {
 		t.Fatalf("replayed state: %+v", st)
 	}
+	if v, _ := replayed(st, "u", "x"); v != 51.5 {
+		t.Fatalf("replayed (x,u) = %v, want 51.5", v)
+	}
 	if recs := logRecords(t, cp); recs[1].Shard != "t0-0.p0-3" || recs[1].Lease != 7 || recs[4].Epoch != 4 {
 		t.Fatalf("replayed shard %+v and churn %+v", recs[1], recs[4])
 	}
+
+	parent, err := os.ReadFile("testdata/parent-format.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func(b []byte) [][]byte { return bytes.SplitAfter(b, []byte("\n")) }
+	mixed := bytes.Join(append(lines(parent)[:4:4], lines(want)[4:]...), nil)
+	for name, log := range map[string][]byte{"parent-format.ckpt": parent, "mixed": mixed} {
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		other, err := ReplayState(cp)
+		if err != nil {
+			t.Fatalf("%s does not replay: %v", name, err)
+		}
+		if d := stateDiff(st, other); d != "" {
+			t.Fatalf("%s replays to another state than v2.ckpt: %s", name, d)
+		}
+	}
+}
+
+// stateDiff describes how two replayed states differ, "" when they do not:
+// their matrices by encoded bytes, the rest field by field.
+func stateDiff(a, b *CheckpointState) string {
+	enc := func(st *CheckpointState) []byte {
+		var buf bytes.Buffer
+		if st.Matrix != nil {
+			if err := st.Matrix.Encode(&buf); err != nil {
+				return []byte(err.Error())
+			}
+		}
+		return buf.Bytes()
+	}
+	switch {
+	case !bytes.Equal(enc(a), enc(b)):
+		return "matrices differ"
+	case !reflect.DeepEqual(a.Names, b.Names), !reflect.DeepEqual(a.Halves, b.Halves),
+		a.Records != b.Records, !reflect.DeepEqual(a.Fps, b.Fps):
+		return fmt.Sprintf("names %v halves %+v records %d fps %v, against %v %+v %d %v",
+			a.Names, a.Halves, a.Records, a.Fps, b.Names, b.Halves, b.Records, b.Fps)
+	}
+	return ""
 }
 
 // TestCheckpointHeaderOverOneMiB: a campaign header past the old reader's

@@ -778,7 +778,8 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 		sc.est.Observe(x, y, elapsed)
 	}
 	if sc.cp != nil { // appendRec takes the record by value: build it only for a log
-		sc.appendRec(CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: rtt})
+		i, j := int(job.x), int(job.y)
+		sc.appendRec(CheckpointRecord{Kind: RecordPair, I: min(i, j), J: max(i, j), RTT: rtt})
 	}
 	if h := sc.s.Health; h != nil {
 		h.Success(x)

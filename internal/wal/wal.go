@@ -4,7 +4,11 @@
 // file discipline — one write(2) per Flush, the fsync policy, torn-tail
 // repair and replay, atomic rewrite. What a record means is its caller's:
 // the scan checkpoint (internal/ting) and the coordinator journal
-// (internal/campaign) each choose a record type and when to flush.
+// (internal/campaign) each choose a record type and when to flush. A log
+// has no version: a caller that changes what a record carries tells the
+// forms apart by each record's own fields, and keeps reading the older
+// form, because one file can hold both — a checkpoint's pair records and a
+// journal's complete records went from relay names to matrix indices so.
 // WriteFile is the same atomic rewrite for any file: the matrix document,
 // the commands' address and state files.
 // DESIGN.md, "Write-ahead log", states the contract.
