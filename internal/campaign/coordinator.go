@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"ting/internal/telemetry"
 	"ting/internal/ting"
@@ -116,6 +118,11 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 	for _, n := range names {
 		if len(n) > maxName {
 			return nil, fmt.Errorf("campaign: relay name of %d bytes; a reply line fits names of at most %d", len(n), maxName)
+		}
+		// A completion line's fields are split on white space: a shard
+		// touching such a name could never be submitted over the wire.
+		if strings.ContainsFunc(n, unicode.IsSpace) {
+			return nil, fmt.Errorf("campaign: relay name %q holds white space; a completion line could not carry it", n)
 		}
 	}
 	c := &Coordinator{

@@ -382,6 +382,22 @@ func TestLongestVerdictFits(t *testing.T) {
 	}
 }
 
+// TestNewCoordinatorRefusesWhiteSpaceNames: a completion line's fields are
+// split on white space, so a relay name holding any — a space, a tab, a
+// newline — would make every submission of a shard touching it refused, and
+// the shard re-granted forever. NewCoordinator refuses such a name up front.
+func TestNewCoordinatorRefusesWhiteSpaceNames(t *testing.T) {
+	for _, bad := range []string{"a b", "a\tb", "a\nb", " a", "a\u00a0b"} {
+		names := []string{"r0", "r1", bad, "r3"}
+		if _, err := NewCoordinator(names, Partition(len(names), 2), time.Second, nil); err == nil {
+			t.Errorf("relay name %q accepted", bad)
+		}
+	}
+	if _, err := NewCoordinator([]string{"r0", "r1", "a-b", "r3"}, Partition(4, 2), time.Second, nil); err != nil {
+		t.Fatalf("plain names refused: %v", err)
+	}
+}
+
 // TestConcurrentCompletes: workers completing their shards at once through
 // one CAMP server share its pooled completion buffers, and each submission
 // still lands in the ledger whole.

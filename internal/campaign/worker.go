@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"log"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"time"
@@ -36,10 +37,10 @@ type Worker struct {
 	Name string
 	// Addr is the coordinator's directory-transport address.
 	Addr string
-	// Scanner does the measuring. Its Checkpoint should be the same log as
-	// Checkpoint below; the worker appends shard records to it and the
-	// scanner appends pair records. It must have no Directory: Run refuses
-	// one.
+	// Scanner does the measuring. Its Checkpoint must be the same log as
+	// Checkpoint below (both nil, or the same comparable value); the worker
+	// appends shard records to it and the scanner appends pair records. It
+	// must have no Directory. Run refuses either.
 	Scanner *ting.Scanner
 	// Checkpoint is the worker's durable log (may be nil: no durability).
 	Checkpoint ting.Checkpoint
@@ -122,6 +123,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	// next header would then name a relay set the log cannot replay.
 	if w.Scanner.Directory != nil {
 		return errors.New("campaign: worker's scanner has a Directory; the relay set is the coordinator's")
+	}
+	// Shard records and pair records in two logs would leave openLedger a
+	// log without the pairs: a restarted worker would measure them again.
+	if !sameLog(w.Scanner.Checkpoint, w.Checkpoint) {
+		return errors.New("campaign: worker's scanner writes another Checkpoint than the worker's")
 	}
 	poll := w.Poll
 	if poll <= 0 {
@@ -212,6 +218,17 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// sameLog reports whether a and b are one log: both nil, or equal values of
+// a comparable type. A value that is not comparable (a struct holding a
+// slice, say) cannot be shown to be the same log and is refused rather than
+// compared, which would panic.
+func sameLog(a, b ting.Checkpoint) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // openLedger returns the matrix the worker measures into for its whole

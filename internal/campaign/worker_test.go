@@ -152,6 +152,74 @@ func countDials(t *testing.T) (string, *atomic.Int64) {
 	return ln.Addr().String(), dialed
 }
 
+// funcCheckpoint is a Checkpoint whose value is not comparable: comparing
+// two of them with == panics.
+type funcCheckpoint struct{ flush func() error }
+
+func (c funcCheckpoint) Append(ting.CheckpointRecord) error                 { return nil }
+func (c funcCheckpoint) Flush() error                                       { return c.flush() }
+func (c funcCheckpoint) Replay(func(rec ting.CheckpointRecord) error) error { return nil }
+
+// TestWorkerRefusesTwoLogs: the worker's shard records and its scanner's
+// pair records are one log, which a restarted worker replays. Run refuses a
+// worker whose scanner writes another log, or none, before it dials
+// anything, and a checkpoint value that cannot be compared is refused, not
+// compared with a panic. A worker whose two fields hold the same log is not
+// refused.
+func TestWorkerRefusesTwoLogs(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) *ting.FileCheckpoint {
+		cp, err := ting.OpenFileCheckpoint(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cp.Close() })
+		return cp
+	}
+	a, b := open("a.ckpt"), open("b.ckpt")
+	odd := funcCheckpoint{flush: func() error { return nil }}
+	run := func(worker, scanner ting.Checkpoint) (int64, error) {
+		addr, dialed := countDials(t)
+		w := &Worker{
+			Name:       "w1",
+			Addr:       addr,
+			Checkpoint: worker,
+			Scanner: &ting.Scanner{
+				NewMeasurer: func(int) (*ting.Measurer, error) { return nil, errors.New("unused") },
+				Checkpoint:  scanner,
+			},
+			Poll:             5 * time.Millisecond,
+			UnreachableGrace: time.Hour,
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		err := w.Run(ctx)
+		return dialed.Load(), err
+	}
+	for _, c := range []struct {
+		name            string
+		worker, scanner ting.Checkpoint
+	}{
+		{"two files", a, b},
+		{"scanner without a log", a, nil},
+		{"worker without a log", nil, a},
+		{"non-comparable", odd, odd},
+	} {
+		dialed, err := run(c.worker, c.scanner)
+		if err == nil || !strings.Contains(err.Error(), "Checkpoint") {
+			t.Errorf("%s: Run = %v, want a refusal naming the Checkpoint", c.name, err)
+		}
+		if dialed != 0 {
+			t.Errorf("%s: worker dialed the coordinator %d times before refusing", c.name, dialed)
+		}
+	}
+	for _, cp := range []ting.Checkpoint{a, nil} {
+		if dialed, err := run(cp, cp); !errors.Is(err, context.DeadlineExceeded) || dialed == 0 {
+			t.Errorf("one log (%v): Run = %v after %d dials, want it to reach the coordinator", cp, err, dialed)
+		}
+	}
+}
+
 // TestWorkerRefusesNameOffTheWire: a worker name travels as one field of a
 // CAMP request line. Run refuses an empty name, or one white space splits,
 // before it dials anything — a coordinator would refuse every acquire, and

@@ -10,7 +10,8 @@ import (
 
 // MaxConns is the bound on open connections one listener serves: tingd's
 // binary and HTTP listeners, the directory transport (which carries a
-// campaign's CAMP verbs) and each control-port listener.
+// campaign's CAMP verbs), each control-port listener and the debug
+// listener behind -debug-addr (telemetry.Serve).
 const MaxConns = 1024
 
 // LimitListener bounds the connections accepted through ln to n open at a

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+
+	"ting/internal/netutil"
 )
 
 // HistogramSnapshot is the exposition form of one histogram.
@@ -161,13 +163,14 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Serve starts the debug HTTP server on addr in the background and returns
-// the bound address (useful with ":0") and a shutdown function.
+// the bound address (useful with ":0") and a shutdown function. Like every
+// socket server here it holds at most netutil.MaxConns connections open.
 func Serve(addr string, r *Registry) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: r.Handler()}
-	go srv.Serve(ln)
+	go srv.Serve(netutil.LimitListener(ln, netutil.MaxConns))
 	return ln.Addr().String(), srv.Close, nil
 }

@@ -1,15 +1,21 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ting/internal/netutil"
 )
 
 // TestNilRegistryIsNoOp pins the disabled mode: a nil registry hands out
@@ -348,6 +354,52 @@ func TestServe(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("server still answering after shutdown")
+	}
+}
+
+// TestServeConnectionLimit: the debug listener is bounded like every other
+// socket server. With netutil.MaxConns keep-alive connections held idle,
+// one more connection's request gets no reply; once a held connection
+// closes, it is answered.
+func TestServeConnectionLimit(t *testing.T) {
+	addr, shutdown, err := Serve("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	const req = "GET /no-such-page HTTP/1.1\r\nHost: debug\r\n\r\n"
+	ask := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write([]byte(req)); err != nil {
+			t.Fatal(err)
+		}
+		return conn, bufio.NewReader(conn)
+	}
+	status := func(conn net.Conn, br *bufio.Reader, wait time.Duration) (string, error) {
+		conn.SetReadDeadline(time.Now().Add(wait))
+		line, err := br.ReadString('\n')
+		return strings.TrimSpace(line), err
+	}
+	const answered = "HTTP/1.1 404 Not Found"
+	held := make([]net.Conn, 0, netutil.MaxConns)
+	for i := 0; i < netutil.MaxConns; i++ {
+		conn, br := ask()
+		if line, err := status(conn, br, 5*time.Second); err != nil || line != answered {
+			t.Fatalf("held connection %d: %q, %v", i, line, err)
+		}
+		held = append(held, conn) // keep-alive: its slot stays taken
+	}
+	extra, br := ask()
+	if line, err := status(extra, br, 200*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection %d answered with every slot held: %q, %v", netutil.MaxConns+1, line, err)
+	}
+	held[0].Close()
+	if line, err := status(extra, br, 5*time.Second); err != nil || line != answered {
+		t.Fatalf("connection %d after a slot freed: %q, %v", netutil.MaxConns+1, line, err)
 	}
 }
 

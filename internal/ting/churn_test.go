@@ -41,21 +41,49 @@ func churnDesc(t testing.TB, name string, seed int64) *directory.Descriptor {
 	}
 }
 
+// statScan is a scan over names carrying only what its per-relay state
+// needs: adaptive deadlines clamped to [50ms, 1s], the matrix and the
+// schedule a join grows, and no Directory, log or cache.
+func statScan(t *testing.T, obs *Observer, names ...string) *scan {
+	t.Helper()
+	m, err := NewMatrix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &scan{
+		s:      &Scanner{AdaptiveDeadline: true, MinPairTimeout: 50 * time.Millisecond, PairTimeout: time.Second, Observer: obs},
+		m:      m,
+		relays: make([]relayState, len(names)),
+		fps:    make(map[string]string),
+		// One pair still open, so a join is not too late to be scheduled.
+		sched: newSchedule([]pairJob{{x: 0, y: 1}}, 1, false),
+	}
+	sc.names.Store(&names)
+	return sc
+}
+
+// observeN feeds n identical attempt durations of pair (x, y).
+func observeN(sc *scan, x, y int32, n int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		sc.observe(pairJob{x: x, y: y}, d)
+	}
+}
+
 func TestDeadlineEstimator(t *testing.T) {
 	var sets atomic.Int64
 	obs := &Observer{DeadlineSet: func(x, y string, d time.Duration) { sets.Add(1) }}
-	est := NewDeadlineEstimator(50*time.Millisecond, time.Second, obs)
+	sc := statScan(t, obs, "a", "b", "c", "d", "e", "f", "g", "h")
+	deadline := func(x, y int32) (time.Duration, bool) { return sc.deadline(pairJob{x: x, y: y}) }
 
-	if _, ok := est.Deadline("a", "b"); ok {
+	if _, ok := deadline(0, 1); ok {
 		t.Fatal("estimator ready before any observation")
 	}
-	est.Observe("a", "b", 100*time.Millisecond)
-	est.Observe("a", "b", 100*time.Millisecond)
-	if _, ok := est.Deadline("a", "b"); ok {
+	observeN(sc, 0, 1, 2, 100*time.Millisecond)
+	if _, ok := deadline(0, 1); ok {
 		t.Fatal("estimator ready before warmup")
 	}
-	est.Observe("a", "b", 100*time.Millisecond)
-	d, ok := est.Deadline("a", "b")
+	observeN(sc, 0, 1, 1, 100*time.Millisecond)
+	d, ok := deadline(0, 1)
 	if !ok {
 		t.Fatal("estimator not ready after warmup")
 	}
@@ -70,42 +98,84 @@ func TestDeadlineEstimator(t *testing.T) {
 
 	// The pair is bounded by its SLOWER relay, so an asymmetric pair is
 	// not strangled by its fast end.
-	for i := 0; i < 3; i++ {
-		est.Observe("c", "d", 400*time.Millisecond)
-	}
-	if d, _ := est.Deadline("a", "c"); d != 400*time.Millisecond {
+	observeN(sc, 2, 3, 3, 400*time.Millisecond)
+	if d, _ := deadline(0, 2); d != 400*time.Millisecond {
 		t.Errorf("mixed-pair deadline = %v, want the slower relay's 400ms", d)
 	}
 
 	// Floor clamp: a streak of near-zero observations cannot emit less
-	// than Min.
-	for i := 0; i < 3; i++ {
-		est.Observe("e", "f", time.Millisecond)
-	}
-	if d, _ := est.Deadline("e", "f"); d != 50*time.Millisecond {
+	// than the floor.
+	observeN(sc, 4, 5, 3, time.Millisecond)
+	if d, _ := deadline(4, 5); d != 50*time.Millisecond {
 		t.Errorf("deadline = %v, want the 50ms floor", d)
 	}
 
 	// Ceiling clamp.
-	for i := 0; i < 3; i++ {
-		est.Observe("g", "h", 10*time.Second)
-	}
-	if d, _ := est.Deadline("g", "h"); d != time.Second {
+	observeN(sc, 6, 7, 3, 10*time.Second)
+	if d, _ := deadline(6, 7); d != time.Second {
 		t.Errorf("deadline = %v, want the 1s ceiling", d)
 	}
 
-	// Forget drops the relay's history; the pair falls back to the global
-	// statistic instead of the forgotten one.
-	est.Forget("g")
-	est.Forget("h")
-	if _, ok := est.Deadline("g", "h"); !ok {
-		t.Error("after Forget, the global statistic should still answer")
+	// A rotation drops the relay's history; the pair falls back to the
+	// global statistic instead of the forgotten one.
+	sc.rotate("g", "", 1)
+	sc.rotate("h", "", 1)
+	if _, ok := deadline(6, 7); !ok {
+		t.Error("after a rotation, the global statistic should still answer")
 	}
-	est.mu.Lock()
-	_, gKept := est.relays["g"]
-	est.mu.Unlock()
-	if gKept {
-		t.Error("Forget left the relay's statistics behind")
+	if sc.relays[6].lat.n != 0 {
+		t.Error("the rotation left the relay's statistics behind")
+	}
+}
+
+// TestDeadlineStatsFollowJoinAndRotation drives the per-relay statistics
+// through a join and a rotation: the joined relay's statistic lives at its
+// new matrix index, past the slice the scan began with, and a rotation
+// forgets only the rotated relay, which falls back to the global statistic
+// while its pair partner keeps its history.
+func TestDeadlineStatsFollowJoinAndRotation(t *testing.T) {
+	sc := statScan(t, nil, "a", "b", "c")
+	deadline := func(x, y int32) time.Duration {
+		t.Helper()
+		d, ok := sc.deadline(pairJob{x: x, y: y})
+		if !ok {
+			t.Fatalf("no deadline for (%d,%d)", x, y)
+		}
+		return d
+	}
+	observeN(sc, 0, 1, 3, 100*time.Millisecond)
+
+	sc.join("d", "fp-d", 1)
+	d, ok := sc.m.Index("d")
+	if !ok || d != 3 || len(sc.relays) != 4 {
+		t.Fatalf("join: d at %d (%v), %d relay states; want index 3 of 4", d, ok, len(sc.relays))
+	}
+	observeN(sc, 3, 2, 3, 400*time.Millisecond)
+	if got := deadline(3, 0); got != 400*time.Millisecond {
+		t.Errorf("joined relay's deadline against a = %v, want its own 400ms", got)
+	}
+	sc.join("e", "fp-e", 2) // never observed: a pair with e reads d's statistic alone
+	if got := deadline(3, 4); got != 400*time.Millisecond {
+		t.Errorf("deadline (d,e) before the rotation = %v, want d's 400ms", got)
+	}
+
+	sc.rotate("d", "fp-d2", 3)
+	for i, want := range []int{3, 3, 3, 0, 0} {
+		if n := sc.relays[i].lat.n; n != want {
+			t.Errorf("after rotating d: relay %d has %d observations, want %d", i, n, want)
+		}
+	}
+	// d falls back to the global statistic: 100ms three times, then 400ms
+	// three times.
+	var g ewmaStat
+	for _, ms := range []time.Duration{100, 100, 100, 400, 400, 400} {
+		g.observe(ms * time.Millisecond)
+	}
+	if got, want := deadline(3, 4), time.Duration(g.bound()*float64(time.Millisecond)); got != want {
+		t.Errorf("deadline (d,e) after the rotation = %v, want the global %v", got, want)
+	}
+	if got := deadline(3, 2); got != 400*time.Millisecond {
+		t.Errorf("deadline (d,c) after the rotation = %v, want c's kept 400ms", got)
 	}
 }
 

@@ -322,21 +322,19 @@ func (h *Health) Snapshot() []RelayHealth {
 	return out
 }
 
-// culprits attributes a pair failure to the relays actually implicated:
-// the pair's relays on the failing circuit's path when the error names
-// one (a *CircuitError from MeasurePair — C_x charges x, C_y charges y,
-// C_xy both), or both endpoints when it does not.
+// culprits attributes a pair failure to the relays actually implicated, by
+// the role of the circuit that failed (a *CircuitError from MeasurePair):
+// C_x charges x, C_y charges y, and C_xy — or an error that names no
+// circuit — charges both. The local relays w and z are never charged:
+// checkPair keeps them out of every pair.
 func culprits(x, y string, err error) []string {
 	var ce *CircuitError
 	if errors.As(err, &ce) {
-		var out []string
-		for _, r := range ce.Path {
-			if r == x || r == y {
-				out = append(out, r)
-			}
-		}
-		if len(out) > 0 {
-			return out
+		switch ce.Circuit {
+		case "C_x":
+			return []string{x}
+		case "C_y":
+			return []string{y}
 		}
 	}
 	return []string{x, y}

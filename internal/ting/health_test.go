@@ -215,15 +215,15 @@ func TestBreakerObserverSeesTransitions(t *testing.T) {
 }
 
 func TestCulpritsAttribution(t *testing.T) {
-	cx := &CircuitError{Circuit: "C_x", Path: []string{"w", "x"}, Err: errors.New("boom")}
+	cx := &CircuitError{Circuit: "C_x", Err: errors.New("boom")}
 	if got := culprits("x", "y", cx); len(got) != 1 || got[0] != "x" {
 		t.Errorf("C_x culprits = %v, want [x]", got)
 	}
-	cy := &CircuitError{Circuit: "C_y", Path: []string{"w", "y"}, Err: errors.New("boom")}
+	cy := &CircuitError{Circuit: "C_y", Err: errors.New("boom")}
 	if got := culprits("x", "y", cy); len(got) != 1 || got[0] != "y" {
 		t.Errorf("C_y culprits = %v, want [y]", got)
 	}
-	cxy := &CircuitError{Circuit: "C_xy", Path: []string{"w", "x", "y", "z"}, Err: errors.New("boom")}
+	cxy := &CircuitError{Circuit: "C_xy", Err: errors.New("boom")}
 	if got := culprits("x", "y", cxy); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Errorf("C_xy culprits = %v, want [x y]", got)
 	}

@@ -35,8 +35,7 @@ type Config struct {
 // scan loop allocation-free. The Scanner gives each worker its own Measurer
 // via Config.NewMeasurer. Path slices handed to observers and probers alias
 // that scratch and are only valid until the next measurement; anything that
-// outlives the call (CircuitError, the half-circuit store hook) gets a
-// private copy.
+// outlives the call (the half-circuit store hook) gets a private copy.
 type Measurer struct {
 	cfg Config
 	// pathBuf backs the three circuit paths of one pair measurement:
@@ -123,15 +122,13 @@ type Measurement struct {
 }
 
 // CircuitError reports which of a pair measurement's three circuits
-// failed. The health scoreboard uses Path to attribute the failure to the
-// relay actually implicated (C_x charges x, C_y charges y, C_xy both)
+// failed. The health scoreboard uses Circuit to attribute the failure to
+// the relay actually implicated (C_x charges x, C_y charges y, C_xy both)
 // instead of blaming both endpoints of the pair.
 type CircuitError struct {
 	// Circuit is "C_x", "C_xy", or "C_y" (§3.3 naming).
 	Circuit string
-	// Path is the failing circuit's relay path.
-	Path []string
-	Err  error
+	Err     error
 }
 
 func (e *CircuitError) Error() string { return "ting: " + e.Circuit + ": " + e.Err.Error() }
@@ -147,18 +144,37 @@ func (e *CircuitError) Unwrap() error { return e.Err }
 // few samples rather than burning the rest of the campaign. Failures are
 // reported as *CircuitError naming the circuit that broke.
 func (m *Measurer) MeasurePair(ctx context.Context, x, y string) (*Measurement, error) {
+	_, res, err := m.measurePair(ctx, x, y, -1, -1, true)
+	return res, err
+}
+
+// measurePair is the one pair path, MeasurePair's and the scan's: it
+// returns the Eq. (4) estimate and, when keep is set or a PairDone
+// observer listens, the full Measurement. Only then is the clock read and
+// the Measurement allocated, so a scan without that observer measures each
+// pair allocation-free. xi and yi are x's and y's matrix indices, the keys
+// of the half-circuit memo, or -1 outside a scan.
+func (m *Measurer) measurePair(ctx context.Context, x, y string, xi, yi int, keep bool) (float64, *Measurement, error) {
 	if err := m.checkPair(x, y); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	start := time.Now()
-	minFull, minX, minY, cerr := m.measureMins(ctx, x, y, -1, -1)
+	keep = keep || m.cfg.Observer != nil && m.cfg.Observer.PairDone != nil
+	var start time.Time
+	if keep {
+		start = time.Now()
+	}
+	minFull, minX, minY, cerr := m.measureMins(ctx, x, y, xi, yi)
 	if cerr != nil {
 		m.cfg.Observer.pairDone(x, y, nil, cerr.Err)
-		return nil, cerr
+		return 0, nil, cerr
+	}
+	rtt := Estimate(minFull, minX, minY)
+	if !keep {
+		return rtt, nil, nil
 	}
 	res := &Measurement{
 		X: x, Y: y,
-		RTT:               Estimate(minFull, minX, minY),
+		RTT:               rtt,
 		MinFull:           minFull,
 		MinX:              minX,
 		MinY:              minY,
@@ -166,47 +182,12 @@ func (m *Measurer) MeasurePair(ctx context.Context, x, y string) (*Measurement, 
 		Elapsed:           time.Since(start),
 	}
 	m.cfg.Observer.pairDone(x, y, res, nil)
-	return res, nil
-}
-
-// measurePairRTT is the scanner's fast path: just the Eq. (4) estimate,
-// with the full Measurement materialized only when an observer is
-// listening for it — otherwise the per-pair loop performs no heap
-// allocation at all. xi and yi are x's and y's matrix indices, the keys
-// of the half-circuit memo.
-func (m *Measurer) measurePairRTT(ctx context.Context, x, y string, xi, yi int) (float64, error) {
-	if err := m.checkPair(x, y); err != nil {
-		return 0, err
-	}
-	wantPair := m.cfg.Observer != nil && m.cfg.Observer.PairDone != nil
-	var start time.Time
-	if wantPair {
-		start = time.Now()
-	}
-	minFull, minX, minY, cerr := m.measureMins(ctx, x, y, xi, yi)
-	if cerr != nil {
-		m.cfg.Observer.pairDone(x, y, nil, cerr.Err)
-		return 0, cerr
-	}
-	rtt := Estimate(minFull, minX, minY)
-	if wantPair {
-		m.cfg.Observer.PairDone(x, y, &Measurement{
-			X: x, Y: y,
-			RTT:               rtt,
-			MinFull:           minFull,
-			MinX:              minX,
-			MinY:              minY,
-			SamplesPerCircuit: m.cfg.Samples,
-			Elapsed:           time.Since(start),
-		}, nil)
-	}
-	return rtt, nil
+	return rtt, res, nil
 }
 
 // measureMins runs the three circuit series of one pair over scratch-backed
-// paths; xi and yi are as for measurePairRTT, or -1 outside a scan. A
-// non-nil *CircuitError names the failing circuit and carries a private
-// copy of its path (the scratch is overwritten by the next pair).
+// paths; xi and yi are as for measurePair. A non-nil *CircuitError names
+// the failing circuit.
 func (m *Measurer) measureMins(ctx context.Context, x, y string, xi, yi int) (minFull, minX, minY float64, cerr *CircuitError) {
 	// C_x first, then the full circuit: the full path extends C_x's, so a
 	// reusing prober (leaky-pipe extension) grows one circuit instead of
@@ -218,15 +199,15 @@ func (m *Measurer) measureMins(ctx context.Context, x, y string, xi, yi int) (mi
 	pathY := m.pathBuf[6:8:8]
 	minX, err := m.halfMin(ctx, pathX, xi)
 	if err != nil {
-		return 0, 0, 0, &CircuitError{Circuit: "C_x", Path: clonePath(pathX), Err: err}
+		return 0, 0, 0, &CircuitError{Circuit: "C_x", Err: err}
 	}
 	minFull, err = m.measureMin(ctx, pathFull)
 	if err != nil {
-		return 0, 0, 0, &CircuitError{Circuit: "C_xy", Path: clonePath(pathFull), Err: err}
+		return 0, 0, 0, &CircuitError{Circuit: "C_xy", Err: err}
 	}
 	minY, err = m.halfMin(ctx, pathY, yi)
 	if err != nil {
-		return 0, 0, 0, &CircuitError{Circuit: "C_y", Path: clonePath(pathY), Err: err}
+		return 0, 0, 0, &CircuitError{Circuit: "C_y", Err: err}
 	}
 	return minFull, minX, minY, nil
 }

@@ -50,8 +50,8 @@ type Observer struct {
 	// Churn fires once per consensus delta the scanner reconciled
 	// mid-scan: a relay joined, left, or rotated its key.
 	Churn func(ev ChurnEvent)
-	// DeadlineSet fires when the adaptive deadline estimator bounds a
-	// pair's attempt at d instead of the fixed PairTimeout.
+	// DeadlineSet fires when an adaptive deadline (Scanner.AdaptiveDeadline)
+	// bounds a pair's attempt at d instead of the fixed PairTimeout.
 	DeadlineSet func(x, y string, d time.Duration)
 	// BudgetComplete fires once at the end of a ScanBudget campaign with
 	// how many pairs were actually measured out of the full pair space —
@@ -137,12 +137,6 @@ func (o *Observer) quarantine(x, y, relay string, final bool) {
 func (o *Observer) churn(ev ChurnEvent) {
 	if o != nil && o.Churn != nil {
 		o.Churn(ev)
-	}
-}
-
-func (o *Observer) deadlineSet(x, y string, d time.Duration) {
-	if o != nil && o.DeadlineSet != nil {
-		o.DeadlineSet(x, y, d)
 	}
 }
 

@@ -39,15 +39,15 @@ import (
 // Where a scheduled pair is — queued, in a worker's hands, parked — is the
 // schedule's business (schedule.go). A pair is its two matrix indices; names
 // are looked up (name) only where they leave the engine — the probers, the
-// log, PairError, the breaker, the deadline estimator and the churn gate.
-// Each mutex below guards the fields listed under it, and neither they nor
-// the schedule's is held while taking another.
+// log, PairError, the breaker and the observer — and what the scan keeps per
+// relay (relays) is by index too. Each mutex below guards the fields listed
+// under it, and neither they nor the schedule's is held while taking
+// another.
 type scan struct {
 	s       *Scanner
 	cp      Checkpoint       // nil when the scan is not durable
 	resumed *CheckpointState // the replayed log; nil unless resuming
 	hc      *HalfCache       // nil when half-circuit memoization is off
-	est     *DeadlineEstimator
 	// ctx is the scan's own context: done when the caller's is, when a
 	// non-tolerant scan meets its first failure, when a checkpoint append or
 	// flush fails, or when the consensus history is lost.
@@ -79,14 +79,26 @@ type scan struct {
 	// epoch is the consensus epoch reconcile snapshotted, where the delta
 	// goroutine's cursor starts. Kept only with a Directory, like the roster.
 	epoch uint64
-	// rosterMu guards the live churn roster: the relays that left
-	// (pre-seeded with resume-time removals so a joining relay never pairs
-	// against a ghost) and each relay's onion-key fingerprint. Only the
-	// delta goroutine writes it once workers run, and it alone grows the
-	// matrix's relay set, which it therefore reads without a lock.
+	// rosterMu guards the per-relay state and each relay's onion-key
+	// fingerprint. relays is kept only with a Directory or AdaptiveDeadline,
+	// one entry per matrix index; the delta goroutine alone grows it, with
+	// the matrix's relay set, which it therefore reads without a lock.
 	rosterMu sync.Mutex
-	removed  map[string]uint64
+	relays   []relayState
+	global   ewmaStat // every relay's attempt durations, the deadlines' fallback
 	fps      map[string]string
+}
+
+// relayState is what a scan keeps about one relay, at its matrix index.
+type relayState struct {
+	// left says the relay left the consensus, at epoch leftAt: the churn
+	// gate tombstones its pairs. Resume-time departures are set before any
+	// pair is planned, so a joining relay never pairs against a ghost.
+	left   bool
+	leftAt uint64
+	// lat is the relay's attempt-duration statistic, which adaptive
+	// deadlines read; a rotation resets it.
+	lat ewmaStat
 }
 
 // run executes one scan over m's relays and writes its results into m.
@@ -106,6 +118,9 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 		ctx = context.Background()
 	}
 	sc := &scan{s: s, cp: cp, resumed: resumed, m: m}
+	if s.Directory != nil || s.AdaptiveDeadline {
+		sc.relays = make([]relayState, m.N())
+	}
 	joined, rotated := sc.reconcile()
 	names := m.Names()
 	sc.names.Store(&names)
@@ -139,15 +154,6 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	for _, meas := range measurers {
 		meas.hc = sc.hc
 		meas.memo = halfMemo{entries: make([]memoEntry, len(names))}
-	}
-	if s.AdaptiveDeadline {
-		// Bounded below so a run of fast pairs cannot strangle a
-		// legitimately slow one, above by the fixed PairTimeout.
-		min := s.MinPairTimeout
-		if min <= 0 {
-			min = 100 * time.Millisecond
-		}
-		sc.est = NewDeadlineEstimator(min, s.PairTimeout, s.Observer)
 	}
 	sc.backoff = stats.Backoff{Base: s.Backoff}
 	sc.ctx, sc.cancel = context.WithCancel(ctx)
@@ -224,9 +230,9 @@ func closeMeasurers(measurers []*Measurer) {
 
 // reconcile snapshots the consensus into the churn roster. On resume the
 // replayed relay set is first reconciled with what changed while the
-// campaign was down: relays that joined since are added to the matrix and
-// returned, relays that vanished are marked removed so plan tombstones
-// their unfinished pairs, and relays whose fingerprint differs from the
+// campaign was down: relays that vanished are marked as left so plan
+// tombstones their unfinished pairs, relays that joined since are added to
+// the matrix and returned, and relays whose fingerprint differs from the
 // log's are returned as rotated.
 func (sc *scan) reconcile() (joined, rotated []string) {
 	dir := sc.s.Directory
@@ -239,11 +245,10 @@ func (sc *scan) reconcile() (joined, rotated []string) {
 	for _, d := range consensus {
 		current[d.Nickname] = d.Fingerprint()
 	}
-	sc.removed = make(map[string]uint64)
 	if sc.resumed != nil {
-		for _, n := range sc.m.Names() {
+		for i, n := range sc.m.Names() {
 			if _, ok := current[n]; !ok {
-				sc.removed[n] = sc.epoch
+				sc.relays[i] = relayState{left: true, leftAt: sc.epoch}
 			}
 		}
 		// Joins are appended in consensus (publish) order — the same
@@ -253,6 +258,7 @@ func (sc *scan) reconcile() (joined, rotated []string) {
 		for _, d := range consensus {
 			if _, known := sc.m.Index(d.Nickname); !known {
 				_ = sc.m.AddName(d.Nickname)
+				sc.relays = append(sc.relays, relayState{})
 				joined = append(joined, d.Nickname)
 			}
 		}
@@ -354,9 +360,9 @@ func (sc *scan) addPair(todo []pairJob, pairs int, x, y int32) ([]pairJob, int) 
 			sc.replayedPairs++
 			return todo, pairs
 		}
-		names := *sc.names.Load()
-		if relay, epoch, gone := sc.removedRelay(names[x], names[y]); gone {
-			sc.markRemoved(pairJob{x: x, y: y}, relay, epoch)
+		job := pairJob{x: x, y: y}
+		if relay, epoch, gone := sc.removedRelay(job); gone {
+			sc.markRemoved(job, relay, epoch)
 			return todo, pairs
 		}
 	}
@@ -465,13 +471,18 @@ func (sc *scan) announceResume(joined, rotated []string) {
 			tombstoned[ce.Relay]++
 		}
 	}
-	left := make([]string, 0, len(sc.removed))
-	for n := range sc.removed {
-		left = append(left, n)
+	// Every relay that left did so while the campaign was down, at the
+	// epoch reconcile snapshotted.
+	names := *sc.names.Load()
+	var left []string
+	for i, r := range sc.relays {
+		if r.left {
+			left = append(left, names[i])
+		}
 	}
 	sort.Strings(left)
 	for _, relay := range left {
-		sc.logChurn(ChurnRemoved, ChurnOpLeave, relay, "", sc.removed[relay], tombstoned[relay])
+		sc.logChurn(ChurnRemoved, ChurnOpLeave, relay, "", sc.epoch, tombstoned[relay])
 	}
 	for _, relay := range joined {
 		sc.logChurn(ChurnJoined, ChurnOpJoin, relay, sc.fps[relay], sc.epoch, 0)
@@ -532,14 +543,17 @@ func (sc *scan) handleDelta(d directory.ConsensusDelta) {
 // leave marks a campaign relay as gone. Its pending pairs are tombstoned
 // one by one as workers reach them (the churn gate in attempt).
 func (sc *scan) leave(relay string, epoch uint64) {
-	_, known := sc.m.Index(relay)
+	i, known := sc.m.Index(relay)
+	if !known {
+		return
+	}
 	sc.rosterMu.Lock()
-	_, gone := sc.removed[relay]
-	if !known || gone {
+	r := &sc.relays[i]
+	if r.left {
 		sc.rosterMu.Unlock()
 		return
 	}
-	sc.removed[relay] = epoch
+	r.left, r.leftAt = true, epoch
 	sc.rosterMu.Unlock()
 	sc.logChurn(ChurnRemoved, ChurnOpLeave, relay, "", epoch, 0)
 }
@@ -550,10 +564,11 @@ func (sc *scan) leave(relay string, epoch uint64) {
 // it a new incarnation: a rotation. A relay the campaign has never seen
 // extends the matrix and is paired against every live campaign relay.
 func (sc *scan) join(relay, fp string, epoch uint64) {
-	if _, known := sc.m.Index(relay); known {
+	if i, known := sc.m.Index(relay); known {
 		sc.rosterMu.Lock()
-		_, wasRemoved := sc.removed[relay]
-		delete(sc.removed, relay)
+		r := &sc.relays[i]
+		wasRemoved := r.left
+		r.left, r.leftAt = false, 0
 		oldFp := sc.fps[relay]
 		sc.fps[relay] = fp
 		sc.rosterMu.Unlock()
@@ -568,8 +583,8 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 	at := int32(len(names)) // the index AddName will give relay
 	jobs := make([]pairJob, 0, len(names))
 	sc.rosterMu.Lock()
-	for i, n := range names {
-		if _, gone := sc.removed[n]; !gone {
+	for i := range names {
+		if !sc.relays[i].left {
 			jobs = append(jobs, pairJob{x: at, y: int32(i)})
 		}
 	}
@@ -579,8 +594,10 @@ func (sc *scan) join(relay, fp string, epoch uint64) {
 		// pair with): too late to measure this relay in this campaign.
 		return
 	}
+	// The relay's state exists before any of its pairs can be taken.
 	sc.rosterMu.Lock()
 	sc.fps[relay] = fp
+	sc.relays = append(sc.relays, relayState{})
 	sc.rosterMu.Unlock()
 	sc.mu.Lock()
 	_ = sc.m.AddName(relay)
@@ -607,28 +624,60 @@ func (sc *scan) rotate(relay, fp string, epoch uint64) {
 	if sc.s.Health != nil {
 		sc.s.Health.Reset(relay)
 	}
-	if sc.est != nil {
-		sc.est.Forget(relay)
+	if i, known := sc.m.Index(relay); known {
+		sc.rosterMu.Lock()
+		sc.relays[i].lat = ewmaStat{}
+		sc.rosterMu.Unlock()
 	}
 	sc.logChurn(ChurnRotated, ChurnOpRotate, relay, fp, epoch, 0)
 }
 
-// removedRelay names the endpoint of (x, y) the consensus dropped, if any —
-// the churn gate. Without a Directory nothing is ever dropped and the
-// roster is not consulted.
-func (sc *scan) removedRelay(x, y string) (string, uint64, bool) {
+// removedRelay is the churn gate: the index of job's relay that left the
+// consensus, if any (x before y), and the epoch it left at. Without a
+// Directory nothing ever leaves and no lock is taken.
+func (sc *scan) removedRelay(job pairJob) (relay int32, epoch uint64, gone bool) {
 	if sc.s.Directory == nil {
-		return "", 0, false
+		return 0, 0, false
 	}
 	sc.rosterMu.Lock()
 	defer sc.rosterMu.Unlock()
-	if ep, ok := sc.removed[x]; ok {
-		return x, ep, true
+	for _, i := range [2]int32{job.x, job.y} {
+		if r := &sc.relays[i]; r.left {
+			return i, r.leftAt, true
+		}
 	}
-	if ep, ok := sc.removed[y]; ok {
-		return y, ep, true
+	return 0, 0, false
+}
+
+// deadline is the adaptive deadline of job's attempt from its relays'
+// statistics, reported to the observer's DeadlineSet, or ok=false until
+// they or the global one have warmed up. It is bounded below by
+// MinPairTimeout (default 100ms), so a run of fast pairs cannot strangle a
+// legitimately slow one, and above by the fixed PairTimeout.
+func (sc *scan) deadline(job pairJob) (time.Duration, bool) {
+	sc.rosterMu.Lock()
+	x, y, global := sc.relays[job.x].lat, sc.relays[job.y].lat, sc.global
+	sc.rosterMu.Unlock()
+	lo := sc.s.MinPairTimeout
+	if lo <= 0 {
+		lo = 100 * time.Millisecond
 	}
-	return "", 0, false
+	d, ok := adaptiveDeadline(x, y, global, lo, sc.s.PairTimeout)
+	if o := sc.s.Observer; ok && o != nil && o.DeadlineSet != nil {
+		x, y := sc.name(job)
+		o.DeadlineSet(x, y, d)
+	}
+	return d, ok
+}
+
+// observe feeds one successful attempt's duration into its two relays'
+// statistics and the global one.
+func (sc *scan) observe(job pairJob, elapsed time.Duration) {
+	sc.rosterMu.Lock()
+	sc.global.observe(elapsed)
+	sc.relays[job.x].lat.observe(elapsed)
+	sc.relays[job.y].lat.observe(elapsed)
+	sc.rosterMu.Unlock()
 }
 
 // name looks up a job's two relays in the names snapshot.
@@ -719,14 +768,14 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 		// progress must not count them as done.
 		return measured, true
 	}
-	x, y := sc.name(job)
 	// Churn gate: a pair touching a relay the consensus dropped is
 	// tombstoned, not measured — no circuits, no retries, no breaker
 	// charges against a relay that is simply gone.
-	if relay, ep, gone := sc.removedRelay(x, y); gone {
+	if relay, ep, gone := sc.removedRelay(job); gone {
 		sc.tombstone(job, relay, ep)
 		return measured, true
 	}
+	x, y := sc.name(job)
 	// Breaker gate, the engine's only Health.Allow: a pair touching a
 	// quarantined relay is parked on first contact and given up on second.
 	if h := sc.s.Health; h != nil {
@@ -744,8 +793,8 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 	var cancelAttempt context.CancelFunc
 	timeout := sc.s.PairTimeout
 	adaptive := false
-	if sc.est != nil && !job.fullDeadline {
-		if d, ok := sc.est.Deadline(x, y); ok && (timeout <= 0 || d < timeout) {
+	if sc.s.AdaptiveDeadline && !job.fullDeadline {
+		if d, ok := sc.deadline(job); ok && (timeout <= 0 || d < timeout) {
 			timeout = d
 			adaptive = true
 		}
@@ -754,14 +803,14 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 		ctx, cancelAttempt = context.WithTimeout(sc.ctx, timeout)
 	}
 	// The attempt's duration is for the breaker and the deadline
-	// estimator; without either the clock is not read.
-	timed := sc.s.Health != nil || sc.est != nil
+	// statistics; without either the clock is not read.
+	timed := sc.s.Health != nil || sc.s.AdaptiveDeadline
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
 	sc.s.Observer.workerActive(1)
-	rtt, err := meas.measurePairRTT(ctx, x, y, int(job.x), int(job.y))
+	rtt, _, err := meas.measurePair(ctx, x, y, int(job.x), int(job.y), false)
 	sc.s.Observer.workerActive(-1)
 	var elapsed time.Duration
 	if timed {
@@ -774,8 +823,8 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 	if err != nil {
 		return measured, sc.failed(w, job, err, elapsed, adaptive)
 	}
-	if sc.est != nil {
-		sc.est.Observe(x, y, elapsed)
+	if sc.s.AdaptiveDeadline {
+		sc.observe(job, elapsed)
 	}
 	if sc.cp != nil { // appendRec takes the record by value: build it only for a log
 		i, j := int(job.x), int(job.y)
@@ -791,16 +840,16 @@ func (sc *scan) attempt(w int, meas *Measurer, job pairJob, measured []success) 
 // failed disposes of an attempt that returned err after elapsed, reporting
 // as attempt does.
 func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, adaptive bool) (release bool) {
-	x, y := sc.name(job)
 	// A failure whose relay left the consensus mid-attempt is churn
 	// fallout (the relay DESTROYed its circuits on the way out), not
 	// evidence against anyone still present.
-	if relay, ep, gone := sc.removedRelay(x, y); gone {
+	if relay, ep, gone := sc.removedRelay(job); gone {
 		sc.tombstone(job, relay, ep)
 		return true
 	}
+	x, y := sc.name(job)
 	if h := sc.s.Health; h != nil && !ended(sc.ctx) {
-		// Charge only the relays on the failing circuit's path
+		// Charge only the relays the failing circuit implicates
 		// (CircuitError), not both pair endpoints blindly.
 		for _, relay := range culprits(x, y, err) {
 			h.Failure(relay, err, elapsed)
@@ -808,7 +857,7 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 	}
 	if !job.deferred && int(job.attempt) <= min(sc.s.Retry, math.MaxInt16-1) && !ended(sc.ctx) {
 		if adaptive && errors.Is(err, context.DeadlineExceeded) {
-			// The estimator may have strangled a legitimately slow pair:
+			// The adaptive deadline may have strangled a legitimately slow pair:
 			// the retry gets the full PairTimeout.
 			job.fullDeadline = true
 		}
@@ -840,10 +889,7 @@ func (sc *scan) failed(w int, job pairJob, err error, elapsed time.Duration, ada
 		// A deferred pair got exactly one end-of-scan attempt (often the
 		// breaker's half-open probe); its failure is part of the
 		// quarantine story, not a fresh one.
-		relay := x
-		if c := culprits(x, y, err); len(c) > 0 {
-			relay = c[0]
-		}
+		relay := culprits(x, y, err)[0]
 		sc.s.Observer.quarantine(x, y, relay, true)
 		err = &QuarantineError{Relay: relay, Cause: err}
 	}
@@ -880,32 +926,32 @@ func (sc *scan) advance() {
 	}
 }
 
-// markRemoved records that a pair will not be measured because relay left
-// the consensus at epoch — the tombstone itself, shared by pairs dropped
-// at plan time and pairs abandoned mid-scan. It burns no retry budget and
-// never fails the scan, tolerant or not. Once workers run, callers hold
-// sc.mu.
-func (sc *scan) markRemoved(job pairJob, relay string, epoch uint64) {
+// markRemoved records that a pair will not be measured because its relay
+// at index relay left the consensus at epoch — the tombstone itself, shared
+// by pairs dropped at plan time and pairs abandoned mid-scan. It burns no
+// retry budget and never fails the scan, tolerant or not. Once workers run,
+// callers hold sc.mu.
+func (sc *scan) markRemoved(job pairJob, relay int32, epoch uint64) {
 	sc.m.setProv(int(job.x), int(job.y), ProvRemoved)
-	x, y := sc.name(job)
+	names := *sc.names.Load()
 	sc.failures = append(sc.failures, PairError{
-		X: x, Y: y,
-		Err:      &ChurnError{Relay: relay, Epoch: epoch},
+		X: names[job.x], Y: names[job.y],
+		Err:      &ChurnError{Relay: names[relay], Epoch: epoch},
 		Attempts: int(job.attempt),
 	})
 }
 
 // tombstone settles one scheduled pair abandoned to churn. It counts as
 // completed work: it was scheduled.
-func (sc *scan) tombstone(job pairJob, relay string, epoch uint64) {
+func (sc *scan) tombstone(job pairJob, relay int32, epoch uint64) {
 	sc.mu.Lock()
 	sc.markRemoved(job, relay, epoch)
 	sc.advance()
 	sc.mu.Unlock()
-	x, y := sc.name(job)
+	names := *sc.names.Load()
 	sc.s.Observer.churn(ChurnEvent{
-		Kind: ChurnTombstoned, Relay: relay, Epoch: epoch,
-		X: x, Y: y, Tombstoned: 1,
+		Kind: ChurnTombstoned, Relay: names[relay], Epoch: epoch,
+		X: names[job.x], Y: names[job.y], Tombstoned: 1,
 	})
 }
 

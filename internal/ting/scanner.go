@@ -162,8 +162,8 @@ type pairJob struct {
 	// rather than parked again, so the scan always terminates.
 	deferred bool
 	// fullDeadline marks a retry of an attempt that timed out under an
-	// adaptive deadline: this attempt gets the full PairTimeout, so the
-	// estimator being wrong about a slow pair costs one retry, not the
+	// adaptive deadline: this attempt gets the full PairTimeout, so a
+	// deadline that was wrong about a slow pair costs one retry, not the
 	// pair.
 	fullDeadline bool
 }
