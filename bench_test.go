@@ -313,6 +313,7 @@ func BenchmarkHandshake(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch, err := onion.StartHandshake(id.Public(), rnd)

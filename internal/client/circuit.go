@@ -29,8 +29,11 @@ type Circuit struct {
 	cryptoMu sync.Mutex
 	fwd      cell.Cell
 
-	created chan []byte         // CREATED payload during build
-	ctrl    chan cell.RelayCell // stream-0 relay cells (EXTENDED / END)
+	created chan [onion.ReplyLen]byte // CREATED reply during build
+	// ctrl carries stream-0 relay cells (EXTENDED / TRUNCATED / END) to
+	// the waiting Extend or Truncate, which returns each one's pooled data
+	// buffer once it has read it.
+	ctrl chan cell.RelayCell
 
 	mu        sync.Mutex
 	streams   map[cell.StreamID]*Stream
@@ -48,7 +51,7 @@ func newCircuit(c *Client, lk link.Link, id cell.CircID, path []*directory.Descr
 		lk:      lk,
 		id:      id,
 		path:    append([]*directory.Descriptor(nil), path...),
-		created: make(chan []byte, 1),
+		created: make(chan [onion.ReplyLen]byte, 1),
 		ctrl:    make(chan cell.RelayCell, 16),
 		streams: make(map[cell.StreamID]*Stream),
 		nextSID: 1,
@@ -113,6 +116,7 @@ func (circ *Circuit) extendThrough(last int, d *directory.Descriptor) error {
 	if err != nil {
 		return fmt.Errorf("client: extend to %s: %w", d.Nickname, err)
 	}
+	defer cell.PutBuf(rc.Data)
 	switch rc.Cmd {
 	case cell.RelayExtended:
 		hop, err := hs.Complete(rc.Data)
@@ -139,18 +143,14 @@ func (circ *Circuit) build() error {
 	if err != nil {
 		return err
 	}
-	var create cell.Cell
-	create.Circ = circ.id
-	create.Cmd = cell.Create
-	copy(create.Payload[:], hs.Onionskin())
-	if err := circ.lk.Send(&create); err != nil {
+	if err := link.SendControl(circ.lk, circ.id, cell.Create, hs.Onionskin()); err != nil {
 		return fmt.Errorf("client: send CREATE: %w", err)
 	}
 	reply, err := circ.waitCreated()
 	if err != nil {
 		return fmt.Errorf("client: hop 1 (%s): %w", circ.path[0].Nickname, err)
 	}
-	hop, err := hs.Complete(reply)
+	hop, err := hs.Complete(reply[:])
 	if err != nil {
 		return fmt.Errorf("client: hop 1 (%s): %w", circ.path[0].Nickname, err)
 	}
@@ -210,6 +210,7 @@ func (circ *Circuit) truncateAt(n int) error {
 	if err != nil {
 		return err
 	}
+	cell.PutBuf(rc.Data)
 	if rc.Cmd != cell.RelayTruncated {
 		return fmt.Errorf("unexpected %s", rc.Cmd)
 	}
@@ -239,23 +240,44 @@ func (circ *Circuit) truncateAt(n int) error {
 
 // Every protocol wait below stops its timer on the way out: at scan rates
 // a time.After per wait would leave thousands of 15–30 s timers pending.
+// The timers are pooled, as a new one per wait was a scan's largest
+// allocation after the handshakes; a timer stopped before it goes back
+// delivers nothing stale to the next wait (Go 1.23 timer semantics).
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
-func (circ *Circuit) waitCreated() ([]byte, error) {
-	t := time.NewTimer(circ.c.cfg.Timeout)
-	defer t.Stop()
+// startWait returns a pooled timer that fires after the client's Timeout;
+// endWait stops it and returns it to the pool.
+func (c *Client) startWait() *time.Timer {
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(c.cfg.Timeout)
+	return t
+}
+
+func endWait(t *time.Timer) {
+	t.Stop()
+	waitTimers.Put(t)
+}
+
+func (circ *Circuit) waitCreated() (reply [onion.ReplyLen]byte, err error) {
+	t := circ.c.startWait()
+	defer endWait(t)
 	select {
-	case reply := <-circ.created:
+	case reply = <-circ.created:
 		return reply, nil
 	case <-circ.closed:
-		return nil, circ.closeErr()
+		return reply, circ.closeErr()
 	case <-t.C:
-		return nil, errors.New("timeout waiting for CREATED")
+		return reply, errors.New("timeout waiting for CREATED")
 	}
 }
 
 func (circ *Circuit) waitCtrl() (cell.RelayCell, error) {
-	t := time.NewTimer(circ.c.cfg.Timeout)
-	defer t.Stop()
+	t := circ.c.startWait()
+	defer endWait(t)
 	select {
 	case rc := <-circ.ctrl:
 		return rc, nil
@@ -307,7 +329,7 @@ func (circ *Circuit) readLoop() {
 		switch c.Cmd {
 		case cell.Created:
 			select {
-			case circ.created <- append([]byte(nil), c.Payload[:onion.ReplyLen]...):
+			case circ.created <- [onion.ReplyLen]byte(c.Payload[:onion.ReplyLen]):
 			default:
 			}
 		case cell.Relay:
@@ -338,15 +360,18 @@ func (circ *Circuit) handleRelay(c *cell.Cell) {
 		select {
 		case circ.ctrl <- rc:
 		default: // nobody is waiting for a control cell: dropped
+			cell.PutBuf(rc.Data)
 		}
 		return
 	}
 	circ.mu.Lock()
 	st := circ.streams[rc.Stream]
 	circ.mu.Unlock()
-	if st != nil { // else a stream already closed here
-		st.deliver(rc)
+	if st == nil { // a stream already closed here
+		cell.PutBuf(rc.Data)
+		return
 	}
+	st.deliver(rc)
 }
 
 // OpenStream asks the last hop to connect to target and returns the
@@ -386,8 +411,8 @@ func (circ *Circuit) OpenStreamAt(hop int, target string) (*Stream, error) {
 		circ.c.tm.streamFailures.Inc()
 		return nil, err
 	}
-	t := time.NewTimer(circ.c.cfg.Timeout)
-	defer t.Stop()
+	t := circ.c.startWait()
+	defer endWait(t)
 	var err error
 	select {
 	case <-st.connected:
@@ -432,8 +457,7 @@ func (circ *Circuit) shutdown(notify bool) {
 			st.closeLocal()
 		}
 		if notify {
-			dc := cell.Cell{Circ: circ.id, Cmd: cell.Destroy}
-			_ = circ.lk.Send(&dc)
+			_ = link.SendControl(circ.lk, circ.id, cell.Destroy, nil)
 		}
 		close(circ.closed)
 		circ.lk.Close()

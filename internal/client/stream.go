@@ -24,8 +24,12 @@ type Stream struct {
 	// flow is this end's half of the stream's flow control: the credit
 	// Write spends, and the DATA the circuit's read loop has delivered and
 	// Read has not yet taken.
-	flow     link.Flow
-	leftover []byte // what a short Read left of the chunk it took
+	flow link.Flow
+	// chunk is the pooled buffer a short Read took and did not finish, and
+	// off how much of it has been read: the whole buffer goes back to the
+	// pool once the last of it is read.
+	chunk []byte
+	off   int
 
 	closeOnce sync.Once
 	closedCh  chan struct{}
@@ -45,21 +49,28 @@ func newStream(circ *Circuit, id cell.StreamID, hop int) *Stream {
 }
 
 // deliver handles an inbound relay cell for this stream. It is called from
-// the circuit's read loop and so must not wait on the application.
+// the circuit's read loop and so must not wait on the application. A DATA
+// cell's pooled buffer passes to the flow queue and from there to Read;
+// every other cell's goes back to the pool here.
 func (s *Stream) deliver(rc cell.RelayCell) {
+	if rc.Cmd == cell.RelayData {
+		if !s.flow.Deliver(rc.Data) {
+			// Not queued: the stream is closed, or the exit sent past a
+			// whole unread window and is violating flow control. End this
+			// stream, as the exit would; the circuit and its other streams
+			// carry on.
+			cell.PutBuf(rc.Data)
+			s.end(true, "flow control violation")
+		}
+		return
+	}
+	defer cell.PutBuf(rc.Data)
 	switch rc.Cmd {
 	case cell.RelayConnected:
 		select {
 		case <-s.connected:
 		default:
 			close(s.connected)
-		}
-	case cell.RelayData:
-		if !s.flow.Deliver(rc.Data) {
-			// The exit sent past a whole unread window: it is violating
-			// flow control. End this stream, as the exit would; the circuit
-			// and its other streams carry on.
-			s.end(true, "flow control violation")
 		}
 	case cell.RelaySendme:
 		s.flow.Refill()
@@ -74,27 +85,23 @@ func (s *Stream) deliver(rc cell.RelayCell) {
 // from here, not when the chunk arrived, so an application that stops
 // reading stops the exit after one window.
 func (s *Stream) Read(p []byte) (int, error) {
-	if len(s.leftover) > 0 {
-		n := copy(p, s.leftover)
-		s.leftover = s.leftover[n:]
-		return n, nil
+	if s.chunk == nil {
+		chunk, sendme, err := s.flow.Take()
+		if err != nil {
+			return 0, err
+		}
+		if sendme {
+			_ = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelaySendme, Stream: s.id})
+		}
+		s.chunk, s.off = chunk, 0
 	}
-	chunk, sendme, err := s.flow.Take()
-	if err != nil {
-		return 0, err
-	}
-	if sendme {
-		_ = s.circ.sendForward(s.hop, cell.RelayCell{Cmd: cell.RelaySendme, Stream: s.id})
-	}
-	n := copy(p, chunk)
-	if n < len(chunk) {
-		// The tail survives as leftover, whose subslice the pool rejects
-		// later; it is simply collected.
-		s.leftover = chunk[n:]
-	} else {
+	n := copy(p, s.chunk[s.off:])
+	s.off += n
+	if s.off == len(s.chunk) {
 		// Fully consumed: this reader is the chunk's only owner, so it goes
 		// back to the cell buffer pool.
-		cell.PutBuf(chunk)
+		cell.PutBuf(s.chunk)
+		s.chunk = nil
 	}
 	return n, nil
 }

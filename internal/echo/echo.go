@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"ting/internal/cell"
 )
 
 // ProbeSize is the size of one echo probe: an 8-byte sequence number plus
@@ -26,10 +28,13 @@ const ProbeSize = 16
 // logic — "an extremely minimal TCP-based echo server" (§4.1).
 func Handle(conn io.ReadWriteCloser) {
 	defer conn.Close()
-	// One relay cell's worth: probes are ProbeSize bytes, and the 32 KiB
-	// io.Copy would allocate per connection dwarfs a whole probe series.
-	var buf [512]byte
-	_, _ = io.CopyBuffer(conn, conn, buf[:])
+	// One relay cell's worth, from the cell buffer pool: probes are
+	// ProbeSize bytes, the 32 KiB io.Copy would allocate per connection
+	// dwarfs a whole probe series, and a buffer handed to conn's methods
+	// escapes to the heap wherever it is declared.
+	buf := cell.GetBuf()
+	defer cell.PutBuf(buf)
+	_, _ = io.CopyBuffer(conn, conn, buf[:cap(buf)])
 }
 
 // Client sends echo probes over rw and measures round-trip times.

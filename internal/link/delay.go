@@ -14,7 +14,8 @@ import (
 // This is how the loopback overlay acquires the synthetic Internet's
 // ground-truth latencies.
 //
-// The returned Link owns the inner link: closing it closes the inner link.
+// The returned Link owns the inner link: closing it closes the inner link,
+// once the cells already sent have reached it (see Link.Close).
 //
 // An in-process pipe half carries the delays itself — its two queues stamp
 // each cell at the sender's clock — and is returned as is. Any other link
@@ -49,7 +50,10 @@ type delayedLink struct {
 
 func (d *delayedLink) Send(c *cell.Cell) error { return d.sendQ.put(c) }
 
+// sendPump closes the inner link when it is done: after Close, once the
+// queue has drained, or at once when the peer is gone.
 func (d *delayedLink) sendPump() {
+	defer d.inner.Close()
 	var c cell.Cell
 	for d.sendQ.take(&c) == nil {
 		if d.inner.Send(&c) != nil {
@@ -60,6 +64,10 @@ func (d *delayedLink) sendPump() {
 	}
 }
 
+// recvPump reads the inner link until it fails. After Close it still
+// reads, dropping what it gets (put fails at once): while this end's send
+// queue drains, the peer's own sends must not back up behind a socket
+// nobody reads, or two ends closing under traffic could block each other.
 func (d *delayedLink) recvPump() {
 	var c cell.Cell
 	for {
@@ -67,25 +75,23 @@ func (d *delayedLink) recvPump() {
 			d.recvQ.closeSend(err)
 			return
 		}
-		if d.recvQ.put(&c) != nil {
-			return
-		}
+		_ = d.recvQ.put(&c)
 	}
 }
 
 func (d *delayedLink) Recv(c *cell.Cell) error { return d.recvQ.take(c) }
 
-// Close drops what is still queued in either direction, as a path that
-// fails under traffic does.
+// Close keeps the Link contract: Send and Recv fail from here on, and the
+// cells already sent still go out, each when it is due, before sendPump
+// closes the inner link. What the peer sent and this end had not yet
+// received is dropped. A peer that stops reading holds the inner link open
+// until it reads again or goes away.
 func (d *delayedLink) Close() error {
-	var err error
 	d.closeOnce.Do(func() {
 		d.sendQ.closeSend(ErrClosed)
-		d.sendQ.closeRecv()
 		d.recvQ.closeRecv()
-		err = d.inner.Close()
 	})
-	return err
+	return nil
 }
 
 func (d *delayedLink) RemoteAddr() string { return d.inner.RemoteAddr() }

@@ -47,7 +47,12 @@ type Link interface {
 	// Recv blocks for the next cell and decodes it into *c. One caller at a
 	// time.
 	Recv(c *cell.Cell) error
-	// Close tears the link down; pending Recv calls fail.
+	// Close tears the link down: Send and Recv fail from then on, blocked
+	// or not, and what the peer sent and this end did not receive is
+	// dropped. Close loses nothing already sent: once every Send has
+	// returned, the peer receives each cell they sent, in order, before it
+	// sees the link closed — on every shape, delayed or not, in-process or
+	// TCP. Close itself does not wait for that.
 	Close() error
 	// RemoteAddr names the peer, for logs and circuit bookkeeping.
 	RemoteAddr() string
@@ -178,4 +183,21 @@ func (TCPDialer) Dial(addr string) (Link, error) {
 		return nil, fmt.Errorf("link: dial %s: %w", addr, err)
 	}
 	return NewNetLink(conn), nil
+}
+
+// controlCells holds the cells SendControl builds control messages in.
+var controlCells = sync.Pool{New: func() any { return new(cell.Cell) }}
+
+// SendControl sends a control cell — CREATE, CREATED or DESTROY — for
+// circuit id on lk, carrying payload at the front of its body. The cell is
+// pooled: Send does not retain its cell, so it is free again when Send
+// returns, where a cell literal would escape through the interface call and
+// cost 512 bytes of heap per message.
+func SendControl(lk Link, id cell.CircID, cmd cell.Command, payload []byte) error {
+	c := controlCells.Get().(*cell.Cell)
+	c.Circ, c.Cmd = id, cmd
+	clear(c.Payload[copy(c.Payload[:], payload):])
+	err := lk.Send(c)
+	controlCells.Put(c)
+	return err
 }

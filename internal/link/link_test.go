@@ -1,8 +1,12 @@
 package link
 
 import (
+	"bytes"
 	"errors"
+	"runtime/pprof"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,6 +383,83 @@ func TestConcurrentSendRecv(t *testing.T) {
 	wg.Wait()
 }
 
+// linkShapes is every shape of Link a relay can hold, each as a sending and
+// a receiving end: a delayed in-process pipe and a delayed TCP link (what
+// the overlay dials), a bare pipe small enough that senders meet
+// back-pressure, and a bare TCP link.
+func linkShapes(t *testing.T, oneWay time.Duration) map[string][2]Link {
+	t.Helper()
+	shapes := map[string][2]Link{}
+	for name, pair := range delayedPairs(t, oneWay) {
+		shapes["delayed "+name] = pair
+	}
+	pa, pb := Pipe(8, "a", "b")
+	shapes["pipe"] = [2]Link{pa, pb}
+	ta, tb := tcpPair(t)
+	shapes["tcp"] = [2]Link{ta, tb}
+	return shapes
+}
+
+// TestCloseDeliversSent pins Link.Close on every shape: Close returns at
+// once, Send and a blocked Recv at the closed end fail, and the peer still
+// receives every cell sent before the close, in order and each one delay
+// after it was sent on a delayed shape, and only then sees the link
+// closed.
+func TestCloseDeliversSent(t *testing.T) {
+	const (
+		sent   = 5
+		oneWay = 50 * time.Millisecond
+	)
+	for name, pair := range linkShapes(t, oneWay) {
+		send, recv := pair[0], pair[1]
+		t.Run(name, func(t *testing.T) {
+			watchdog := time.AfterFunc(10*time.Second, func() { recv.Close() })
+			defer watchdog.Stop()
+			blocked := make(chan error, 1)
+			go func() {
+				var c cell.Cell
+				blocked <- send.Recv(&c)
+			}()
+			start := time.Now()
+			for i := 1; i <= sent; i++ {
+				if err := sendCell(send, testCell(uint32(i), byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send.Close()
+			if took := time.Since(start); took >= oneWay {
+				t.Errorf("sending and closing took %v: Close waited for the queue to drain", took)
+			}
+			if err := sendCell(send, testCell(99, 0)); err == nil {
+				t.Error("Send after Close succeeded")
+			}
+			select {
+			case err := <-blocked:
+				if err == nil {
+					t.Error("a Recv blocked at the closed end returned a cell")
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a Recv blocked at the closed end did not fail on Close")
+			}
+			for i := 1; i <= sent; i++ {
+				got, err := recvCell(recv)
+				if err != nil {
+					t.Fatalf("cell %d of %d lost to the close: %v", i, sent, err)
+				}
+				if got.Circ != cell.CircID(i) || got.Payload[0] != byte(i) {
+					t.Fatalf("cell %d arrived as circ %d payload %d", i, got.Circ, got.Payload[0])
+				}
+				if took := time.Since(start); i == 1 && strings.HasPrefix(name, "delayed") && took < oneWay {
+					t.Errorf("first cell arrived %v after it was sent, under the one-way delay %v", took, oneWay)
+				}
+			}
+			if _, err := recvCell(recv); err == nil {
+				t.Error("Recv after the sent cells drained did not report the close")
+			}
+		})
+	}
+}
+
 // TestConcurrentSenders pins the Link contract on every shape a relay can
 // hold: any number of goroutines Send at once, and the one receiver gets
 // every cell exactly once, whole, each sender's cells in the order it sent
@@ -391,15 +472,7 @@ func TestConcurrentSenders(t *testing.T) {
 		perSend = 200
 		oneWay  = 2 * time.Millisecond
 	)
-	shapes := map[string][2]Link{}
-	for name, pair := range delayedPairs(t, oneWay) {
-		shapes["delayed "+name] = pair
-	}
-	// A small pipe, so that senders also meet back-pressure.
-	pa, pb := Pipe(8, "a", "b")
-	shapes["pipe"] = [2]Link{pa, pb}
-	ta, tb := tcpPair(t)
-	shapes["tcp"] = [2]Link{ta, tb}
+	shapes := linkShapes(t, oneWay)
 	// A cell carries its sender in Circ, its sequence number in the first
 	// two payload bytes, and a fill byte derived from both everywhere else,
 	// so a cell stitched together from two Sends cannot pass for either.
@@ -480,5 +553,52 @@ func TestDialerFunc(t *testing.T) {
 	}
 	if len(dialed) != 2 || dialed[0] != "relay" || dialed[1] != "ghost" {
 		t.Errorf("adapter not transparent: %v", dialed)
+	}
+}
+
+// TestDelayedTCPClosesUnderTraffic: two delayed TCP ends that close while
+// each has more queued for the other than the sockets hold still shut
+// down. Each end reads, and drops, what arrives after its Close, so both
+// send queues drain and both pumps exit; an end that stopped reading at
+// Close would leave the two pumps blocked on each other's full socket.
+func TestDelayedTCPClosesUnderTraffic(t *testing.T) {
+	pumps := func() int {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), "(*delayedLink).sendPump") + strings.Count(buf.String(), "(*delayedLink).recvPump")
+	}
+	before := pumps()
+	ta, tb := tcpPair(t)
+	ends := [2]Link{Delayed(ta, 0, 0), Delayed(tb, 0, 0)}
+	// Far more than a loopback socket pair buffers: every Send blocks in
+	// the end, with nothing reading on either side but the pumps.
+	const cells = 40000
+	var sent [2]atomic.Int64
+	for i, lk := range ends {
+		go func() {
+			c := cell.Cell{Cmd: cell.Relay}
+			for n := 0; n < cells && lk.Send(&c) == nil; n++ {
+				sent[i].Add(1)
+			}
+		}()
+	}
+	// Close once both senders have stopped making progress.
+	for last := [2]int64{-1, -1}; ; time.Sleep(50 * time.Millisecond) {
+		now := [2]int64{sent[0].Load(), sent[1].Load()}
+		if now == last {
+			break
+		}
+		last = now
+	}
+	ends[0].Close()
+	ends[1].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for pumps() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("pumps still running 10s after both ends closed (%d and %d cells sent)", sent[0].Load(), sent[1].Load())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -2,6 +2,8 @@ package link
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -268,5 +270,137 @@ func TestIdleLinkIsCheap(t *testing.T) {
 	// 1361 KiB.
 	if perDial > 1 {
 		t.Errorf("a dialed, delayed link allocates %.2f KiB, want ≤ 1", perDial)
+	}
+}
+
+// fifoModel is the serial reference for a zero-delay queue: a bounded
+// FIFO with its two close flags, where nothing is shared and nothing
+// blocks. Where the queue would block, the model says so and the test does
+// not make the call.
+type fifoModel struct {
+	vals       []int
+	limit      int
+	sendErr    error
+	recvClosed bool
+}
+
+// add is put and offer: the error they return, or blocks for a put that
+// would wait for room.
+func (m *fifoModel) add(v int, wait bool) (blocks bool, err error) {
+	switch {
+	case len(m.vals) == m.limit && m.sendErr == nil && !m.recvClosed:
+		if wait {
+			return true, nil
+		}
+		return false, errFull
+	case m.sendErr != nil:
+		return false, ErrClosed
+	case m.recvClosed:
+		return false, errPeerClosed
+	}
+	m.vals = append(m.vals, v)
+	return false, nil
+}
+
+// take is the queue's take: the head, or the error, or blocks for an open,
+// empty queue.
+func (m *fifoModel) take() (v int, blocks bool, err error) {
+	switch {
+	case m.recvClosed:
+		return 0, false, ErrClosed
+	case len(m.vals) > 0:
+		v, m.vals = m.vals[0], m.vals[1:]
+		return v, false, nil
+	case m.sendErr != nil:
+		return 0, false, m.sendErr
+	}
+	return 0, true, nil
+}
+
+// runQueueOps drives a queue and the model through random operations at
+// zero delay and compares them after every step.
+func runQueueOps(rng *rand.Rand, steps int) error {
+	var q queue[int]
+	m := fifoModel{limit: 1 + rng.Intn(9)}
+	q.init(m.limit, 0)
+	errSent := errors.New("sender done")
+	next := 0
+	for step := 0; step < steps; step++ {
+		op := rng.Intn(100)
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("step %d (op %d, limit %d): %s", step, op, m.limit, fmt.Sprintf(format, args...))
+		}
+		switch {
+		case op < 40: // put or offer
+			wait := op < 20
+			blocks, want := m.add(next, wait)
+			if blocks {
+				continue
+			}
+			v := next
+			var got error
+			if wait {
+				got = q.put(&v)
+			} else {
+				got = q.offer(&v)
+			}
+			if got != want {
+				return fail("add(wait %v) = %v, model %v", wait, got, want)
+			}
+			next++
+		case op < 90:
+			want, blocks, wantErr := m.take()
+			if blocks {
+				continue
+			}
+			var got int
+			if err := q.take(&got); err != wantErr {
+				return fail("take = %v, model %v", err, wantErr)
+			}
+			if wantErr == nil && got != want {
+				return fail("took %d, model %d", got, want)
+			}
+		case op < 95:
+			q.closeSend(errSent)
+			if m.sendErr == nil {
+				m.sendErr = errSent
+			}
+		default:
+			q.closeRecv()
+			m.recvClosed = true
+		}
+		if q.n != len(m.vals) || q.n > q.limit || len(q.buf) > q.limit {
+			return fail("%d queued in a ring of %d (limit %d), model %d", q.n, len(q.buf), q.limit, len(m.vals))
+		}
+	}
+	return nil
+}
+
+// TestQueueAgainstFIFO runs the timed queue at zero delay against a serial
+// bounded FIFO: random puts, offers, takes and closes of either side, with
+// no sleeps. Every call the model says would not block must return at
+// once, with the model's value or error; a call that blocks trips the
+// watchdog. The seed is printed so that a failure can be replayed.
+func TestQueueAgainstFIFO(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	done := make(chan error, 1)
+	go func() {
+		for run := 0; run < 300; run++ {
+			if err := runQueueOps(rng, 20+rng.Intn(200)); err != nil {
+				done <- fmt.Errorf("run %d: %w", run, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("seed %d: a call the model says returns at once blocked", seed)
 	}
 }

@@ -3,12 +3,16 @@ package link
 import (
 	"io"
 	"time"
+
+	"ting/internal/cell"
 )
 
 // StreamPipe returns a connected pair of in-process byte streams, the
 // stream counterpart of a delayed Pipe: bytes written to a can be read from
-// b aToB later, bytes written to b from a bToA later. Each Write is queued
-// as one chunk, so writes in flight overlap like cells on a delayed link.
+// b aToB later, bytes written to b from a bToA later. A Write is queued as
+// chunks of at most one relay cell's data, so writes in flight overlap like
+// cells on a delayed link. Chunks are pooled cell buffers (cell.GetBuf):
+// Write fills them, and Read returns each one once it has read it all.
 // Read and Write may be used concurrently with each other; Read may not be
 // called concurrently with itself.
 //
@@ -22,35 +26,45 @@ func StreamPipe(aToB, bToA time.Duration) (a, b io.ReadWriteCloser) {
 
 type streamHalf struct {
 	ends[[]byte]
-	// rest is what a short Read left of the chunk it took.
-	rest []byte
+	// chunk is what a short Read left unread, from off on.
+	chunk []byte
+	off   int
 }
 
 func (s *streamHalf) Write(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	chunk := append([]byte(nil), p...) // the caller may reuse p
-	if err := s.out.put(&chunk); err != nil {
-		if err == errPeerClosed {
-			err = io.ErrClosedPipe
+	written := 0
+	for written < len(p) {
+		// The caller may reuse p: the bytes go into a buffer the queue owns.
+		chunk := cell.GetBuf()
+		chunk = append(chunk, p[written:min(len(p), written+cap(chunk))]...)
+		if err := s.out.put(&chunk); err != nil {
+			cell.PutBuf(chunk)
+			if err == errPeerClosed {
+				err = io.ErrClosedPipe
+			}
+			return written, err
 		}
-		return 0, err
+		written += len(chunk)
 	}
-	return len(p), nil
+	return written, nil
 }
 
 func (s *streamHalf) Read(p []byte) (int, error) {
-	if len(s.rest) == 0 {
-		if err := s.in.take(&s.rest); err != nil {
+	if s.chunk == nil {
+		if err := s.in.take(&s.chunk); err != nil {
 			if err == errPeerClosed {
 				err = io.EOF
 			}
 			return 0, err
 		}
+		s.off = 0
 	}
-	n := copy(p, s.rest)
-	s.rest = s.rest[n:]
+	n := copy(p, s.chunk[s.off:])
+	s.off += n
+	if s.off == len(s.chunk) {
+		cell.PutBuf(s.chunk)
+		s.chunk = nil
+	}
 	return n, nil
 }
 

@@ -23,6 +23,7 @@ var ErrHandshakeAuth = errors.New("onion: handshake authentication failed")
 type ClientHandshake struct {
 	relayPub PublicKey
 	eph      *ecdh.PrivateKey
+	skin     [KeyLen]byte // eph's public key: the onionskin
 }
 
 // StartHandshake begins a handshake with the relay owning relayPub.
@@ -38,13 +39,15 @@ func StartHandshake(relayPub PublicKey, rnd io.Reader) (*ClientHandshake, error)
 	if err != nil {
 		return nil, fmt.Errorf("onion: ephemeral key: %w", err)
 	}
-	return &ClientHandshake{relayPub: relayPub, eph: eph}, nil
+	ch := &ClientHandshake{relayPub: relayPub, eph: eph}
+	copy(ch.skin[:], eph.PublicKey().Bytes())
+	return ch, nil
 }
 
 // Onionskin returns the client's handshake message (its ephemeral public
 // key), exactly KeyLen bytes.
 func (ch *ClientHandshake) Onionskin() []byte {
-	return ch.eph.PublicKey().Bytes()
+	return ch.skin[:]
 }
 
 // Complete processes the relay's reply and returns the established hop
@@ -71,12 +74,13 @@ func (ch *ClientHandshake) Complete(reply []byte) (*HopState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("onion: ecdh: %w", err)
 	}
-	ks := deriveKeys(secretInput(s1, s2, ch.relayPub[:], ch.Onionskin(), serverEph[:]))
-	want := computeAuth(ks.auth)
+	in := secretInput(s1, s2, ch.relayPub[:], ch.Onionskin(), serverEph[:])
+	ks := deriveKeys(in[:])
+	want := computeAuth(&ks)
 	if !hmac.Equal(want[:], reply[KeyLen:]) {
 		return nil, ErrHandshakeAuth
 	}
-	return newHopState(ks)
+	return newHopState(&ks)
 }
 
 // ServerHandshake processes a client onionskin at a relay holding id,
@@ -106,27 +110,32 @@ func ServerHandshake(id *Identity, onionskin []byte, rnd io.Reader) (reply []byt
 		return nil, nil, fmt.Errorf("onion: ecdh: %w", err)
 	}
 	pub := id.Public()
-	ks := deriveKeys(secretInput(s1, s2, pub[:], onionskin, eph.PublicKey().Bytes()))
-	hop, err = newHopState(ks)
+	ephPub := eph.PublicKey().Bytes()
+	in := secretInput(s1, s2, pub[:], onionskin, ephPub)
+	ks := deriveKeys(in[:])
+	hop, err = newHopState(&ks)
 	if err != nil {
 		return nil, nil, err
 	}
-	auth := computeAuth(ks.auth)
+	auth := computeAuth(&ks)
 	reply = make([]byte, 0, ReplyLen)
-	reply = append(reply, eph.PublicKey().Bytes()...)
+	reply = append(reply, ephPub...)
 	reply = append(reply, auth[:]...)
 	return reply, hop, nil
 }
 
-// secretInput builds the transcript-bound secret for the KDF:
-// ECDH results followed by all public values, as in ntor.
-func secretInput(s1, s2, relayPub, clientEph, serverEph []byte) []byte {
-	in := make([]byte, 0, len(s1)+len(s2)+3*KeyLen+len(protoID))
-	in = append(in, s1...)
-	in = append(in, s2...)
-	in = append(in, relayPub...)
-	in = append(in, clientEph...)
-	in = append(in, serverEph...)
-	in = append(in, protoID...)
+// secretLen is the length of the KDF's secret input: two X25519 shared
+// secrets, three public keys and the protocol name.
+const secretLen = 5*KeyLen + len(protoID)
+
+// secretInput builds the transcript-bound secret for the KDF — ECDH
+// results followed by all public values, as in ntor — as a value, so it
+// lives on the handshake's stack.
+func secretInput(s1, s2, relayPub, clientEph, serverEph []byte) [secretLen]byte {
+	var in [secretLen]byte
+	n := 0
+	for _, part := range [...][]byte{s1, s2, relayPub, clientEph, serverEph, []byte(protoID)} {
+		n += copy(in[n:], part)
+	}
 	return in
 }

@@ -28,24 +28,33 @@ type HopState struct {
 	bwdDigest runningDigest
 }
 
-func newHopState(ks keySchedule) (*HopState, error) {
-	fwdBlock, err := aes.NewCipher(ks.kf)
+func newHopState(ks *keySchedule) (*HopState, error) {
+	fwdBlock, err := aes.NewCipher(ks.kf[:])
 	if err != nil {
 		return nil, fmt.Errorf("onion: forward cipher: %w", err)
 	}
-	bwdBlock, err := aes.NewCipher(ks.kb)
+	bwdBlock, err := aes.NewCipher(ks.kb[:])
 	if err != nil {
 		return nil, fmt.Errorf("onion: backward cipher: %w", err)
 	}
+	// As far as the compiler can tell, cipher.NewCTR keeps its iv (it
+	// copies it), so the IVs go in as a copy of their own: slicing ks would
+	// take the whole schedule to the heap.
+	iv := [2][aesKeyLen]byte{ks.ivf, ks.ivb}
 	h := &HopState{
-		fwd:       cipher.NewCTR(fwdBlock, ks.ivf),
-		bwd:       cipher.NewCTR(bwdBlock, ks.ivb),
-		fwdDigest: runningDigest{h: sha256.New()},
-		bwdDigest: runningDigest{h: sha256.New()},
+		fwd:       cipher.NewCTR(fwdBlock, iv[0][:]),
+		bwd:       cipher.NewCTR(bwdBlock, iv[1][:]),
+		fwdDigest: runningDigest{h: seeded(ks.df[:])},
+		bwdDigest: runningDigest{h: seeded(ks.db[:])},
 	}
-	h.fwdDigest.h.Write(ks.df)
-	h.bwdDigest.h.Write(ks.db)
 	return h, nil
+}
+
+// seeded returns a running hash that has absorbed seed.
+func seeded(seed []byte) hash.Hash {
+	d := sha256.New()
+	d.Write(seed)
+	return d
 }
 
 // CryptForward applies (or removes — CTR is an XOR) this hop's forward

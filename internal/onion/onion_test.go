@@ -335,7 +335,7 @@ func TestVerifyMismatchRollsBack(t *testing.T) {
 
 // bytes concatenates a key schedule's parts in HKDF-output order.
 func (ks keySchedule) bytes() []byte {
-	return slices.Concat(ks.kf, ks.kb, ks.ivf, ks.ivb, ks.df, ks.db, ks.auth)
+	return slices.Concat(ks.kf[:], ks.kb[:], ks.ivf[:], ks.ivb[:], ks.df[:], ks.db[:], ks.auth[:])
 }
 
 // TestHKDFProperties pins the key derivation: HKDF-SHA256 as RFC 5869
@@ -373,8 +373,8 @@ func TestHKDFLengthProperty(t *testing.T) {
 		for _, part := range []struct {
 			b []byte
 			n int
-		}{{ks.kf, aesKeyLen}, {ks.kb, aesKeyLen}, {ks.ivf, aesKeyLen}, {ks.ivb, aesKeyLen},
-			{ks.df, digestSeed}, {ks.db, digestSeed}, {ks.auth, authKeyLen}} {
+		}{{ks.kf[:], aesKeyLen}, {ks.kb[:], aesKeyLen}, {ks.ivf[:], aesKeyLen}, {ks.ivb[:], aesKeyLen},
+			{ks.df[:], digestSeed}, {ks.db[:], digestSeed}, {ks.auth[:], authKeyLen}} {
 			if len(part.b) != part.n {
 				return false
 			}
@@ -524,11 +524,11 @@ func twinHops(t *testing.T, label byte) (a, b *HopState) {
 	t.Helper()
 	secret := bytes.Repeat([]byte{label}, 64)
 	ks := deriveKeys(secret)
-	a, err := newHopState(ks)
+	a, err := newHopState(&ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = newHopState(ks)
+	b, err = newHopState(&ks)
 	if err != nil {
 		t.Fatal(err)
 	}

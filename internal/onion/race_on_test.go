@@ -1,0 +1,5 @@
+//go:build race
+
+package onion
+
+const raceEnabled = true

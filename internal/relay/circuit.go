@@ -37,7 +37,10 @@ type circuit struct {
 	streams         map[cell.StreamID]*exitStream
 }
 
-// handleOwnCell processes a relay cell addressed to this hop.
+// handleOwnCell processes a relay cell addressed to this hop. The cell's
+// data is a pooled buffer (cell.UnmarshalPayload): handleData hands it on
+// to the stream, and every other handler is done with it when it returns,
+// so it goes back to the pool here.
 func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 	rc, err := cell.UnmarshalPayload(p)
 	if err != nil {
@@ -45,14 +48,15 @@ func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 		return
 	}
 	switch rc.Cmd {
+	case cell.RelayData:
+		c.handleData(rc)
+		return
 	case cell.RelayExtend:
 		c.handleExtend(rc)
 	case cell.RelayTruncate:
 		c.handleTruncate()
 	case cell.RelayBegin:
 		c.handleBegin(rc)
-	case cell.RelayData:
-		c.handleData(rc)
 	case cell.RelayEnd:
 		c.closeStream(rc.Stream)
 	case cell.RelaySendme:
@@ -61,6 +65,7 @@ func (c *circuit) handleOwnCell(p *[cell.PayloadLen]byte) {
 		// RelayDrop is padding at the circuit layer; nothing else is
 		// addressed to a relay. Discard.
 	}
+	cell.PutBuf(rc.Data)
 }
 
 // sendBackward seals and layers a relay cell from this hop toward the
@@ -146,11 +151,7 @@ func (c *circuit) handleExtend(rc cell.RelayCell) {
 	c.extendTimer = time.AfterFunc(extendTimeout, func() { c.extendTimedOut(nextID) })
 	c.mu.Unlock()
 
-	var create cell.Cell
-	create.Circ = nextID
-	create.Cmd = cell.Create
-	copy(create.Payload[:], onionskin)
-	if err := oc.send(&create); err != nil {
+	if err := link.SendControl(oc.lk, nextID, cell.Create, onionskin); err != nil {
 		c.detachNext()
 		c.extendFailed(fmt.Sprintf("create to %s: %v", addr, err))
 	}
@@ -337,7 +338,8 @@ func (c *circuit) streamWriteLoop(id cell.StreamID, st *exitStream) {
 // streamReadLoop pumps destination→client data as RELAY_DATA cells,
 // pausing whenever the flow-control window is exhausted.
 func (c *circuit) streamReadLoop(id cell.StreamID, st *exitStream) {
-	buf := make([]byte, cell.RelayDataLen)
+	buf := cell.GetBuf()[:cell.RelayDataLen]
+	defer cell.PutBuf(buf)
 	for {
 		// One cell of credit per DATA cell we are about to emit.
 		if st.flow.Acquire() != nil {
@@ -362,17 +364,21 @@ func (c *circuit) streamReadLoop(id cell.StreamID, st *exitStream) {
 	}
 }
 
+// handleData queues a DATA cell's buffer for the stream's writer, which
+// owns it from then on; a buffer nobody queued goes back to the pool.
 func (c *circuit) handleData(rc cell.RelayCell) {
 	c.mu.Lock()
 	st := c.streams[rc.Stream]
 	c.mu.Unlock()
 	if st == nil {
+		cell.PutBuf(rc.Data)
 		c.streamEnd(rc.Stream, "no such stream")
 		return
 	}
 	if !st.flow.Deliver(rc.Data) {
 		// More unacknowledged cells than the window permits: the peer is
 		// violating flow control.
+		cell.PutBuf(rc.Data)
 		c.endStream(rc.Stream, st, "flow control violation")
 	}
 }
@@ -437,7 +443,7 @@ func (c *circuit) destroy(notifyPrev, notifyNext bool) {
 		st.close()
 	}
 	if notifyPrev {
-		_ = c.prevCS.sendControl(c.prevID, cell.Destroy)
+		_ = link.SendControl(c.prevCS.lk, c.prevID, cell.Destroy, nil)
 	}
 	if next != nil {
 		next.unregister(nextID)

@@ -164,12 +164,8 @@ func (oc *outConn) teardown() {
 	}
 }
 
-// send transmits a cell on the shared link.
-func (oc *outConn) send(c *cell.Cell) error { return oc.lk.Send(c) }
-
 // sendDestroy tells the next relay to tear down circuit id. Best effort: if
 // the link is gone, so is the circuit.
 func (oc *outConn) sendDestroy(id cell.CircID) {
-	dc := cell.Cell{Circ: id, Cmd: cell.Destroy}
-	_ = oc.lk.Send(&dc)
+	_ = link.SendControl(oc.lk, id, cell.Destroy, nil)
 }

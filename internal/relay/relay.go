@@ -334,7 +334,7 @@ func (cs *connState) handleRelay(c *cell.Cell) {
 	}
 	c.Circ = nextID
 	r.countRelayed()
-	if err := next.send(c); err != nil {
+	if err := next.lk.Send(c); err != nil {
 		circ.destroy(true, false)
 	}
 }
@@ -377,13 +377,13 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 	if r.Draining() {
 		// Graceful departure: refuse new circuits so clients re-path
 		// instead of building through a relay about to vanish.
-		_ = cs.sendControl(c.Circ, cell.Destroy)
+		_ = link.SendControl(cs.lk, c.Circ, cell.Destroy, nil)
 		return
 	}
 	cs.mu.Lock()
 	if _, dup := cs.circuits[c.Circ]; dup {
 		cs.mu.Unlock()
-		_ = cs.sendControl(c.Circ, cell.Destroy)
+		_ = link.SendControl(cs.lk, c.Circ, cell.Destroy, nil)
 		return
 	}
 	cs.mu.Unlock()
@@ -391,7 +391,7 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 	reply, hop, err := onion.ServerHandshake(r.cfg.Identity, c.Payload[:onion.KeyLen], nil)
 	if err != nil {
 		r.tm.handshakeFailures.Inc()
-		_ = cs.sendControl(c.Circ, cell.Destroy)
+		_ = link.SendControl(cs.lk, c.Circ, cell.Destroy, nil)
 		return
 	}
 	circ := &circuit{
@@ -405,11 +405,7 @@ func (cs *connState) handleCreate(c *cell.Cell) {
 	cs.circuits[c.Circ] = circ
 	cs.mu.Unlock()
 
-	var created cell.Cell
-	created.Circ = c.Circ
-	created.Cmd = cell.Created
-	copy(created.Payload[:], reply)
-	if err := cs.lk.Send(&created); err != nil {
+	if err := link.SendControl(cs.lk, c.Circ, cell.Created, reply); err != nil {
 		circ.destroy(false, false)
 		return
 	}
@@ -421,11 +417,4 @@ func (cs *connState) handleDestroy(id cell.CircID) {
 	if circ := cs.lookup(id); circ != nil {
 		circ.destroy(false, true)
 	}
-}
-
-// sendControl sends a payload-less control cell (DESTROY) on the inbound
-// link without the caller building a 512-byte literal on its stack.
-func (cs *connState) sendControl(id cell.CircID, cmd cell.Command) error {
-	c := cell.Cell{Circ: id, Cmd: cmd}
-	return cs.lk.Send(&c)
 }

@@ -54,5 +54,9 @@ func (p *ControlProber) SampleCircuit(ctx context.Context, path []string, n int)
 	}
 	defer conn.Close()
 
-	return probeSeries(ctx, conn, n, p.ToMs)
+	out := make([]float64, n)
+	if err := probeSeries(ctx, conn, out, p.ToMs); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -236,30 +236,41 @@ type StackProber struct {
 	lastCirc *client.Circuit
 }
 
-// SampleCircuit implements CircuitProber. Probes run in batches so a
-// cancelled scan stops after at most stackProbeBatch samples rather than
-// finishing the whole series.
+// SampleCircuit implements CircuitProber.
 func (p *StackProber) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, errors.New("ting: sample count must be positive")
 	}
+	out := make([]float64, n)
+	if err := p.SampleCircuitInto(ctx, path, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SampleCircuitInto implements SamplerInto: the series is probed straight
+// into out. Probes run in batches so a cancelled scan stops after at most
+// stackProbeBatch samples rather than finishing the whole series.
+func (p *StackProber) SampleCircuitInto(ctx context.Context, path []string, out []float64) error {
+	if len(out) == 0 {
+		return errors.New("ting: sample count must be positive")
+	}
 	if ended(ctx) {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	circ, err := p.circuitFor(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !p.Reuse {
 		defer circ.Close()
 	}
 	st, err := circ.OpenStream(p.Target)
 	if err != nil {
-		return nil, fmt.Errorf("ting: attach stream: %w", err)
+		return fmt.Errorf("ting: attach stream: %w", err)
 	}
 	defer st.Close()
-
-	return probeSeries(ctx, st, n, p.ToMs)
+	return probeSeries(ctx, st, out, p.ToMs)
 }
 
 // stackProbeBatch is how many samples a prober takes between ctx checks.
@@ -279,29 +290,26 @@ func ended(ctx context.Context) bool {
 	}
 }
 
-// probeSeries takes n echo round trips over rw, an open stream to the echo
-// server, and converts them through toMs (nil means plain milliseconds). ctx
-// is checked between batches of stackProbeBatch probes, so cancellation lands
-// within a few samples even when each round trip is fast.
-func probeSeries(ctx context.Context, rw io.ReadWriter, n int, toMs func(time.Duration) float64) ([]float64, error) {
+// probeSeries fills out with echo round trips over rw, an open stream to
+// the echo server, converted through toMs (nil means plain milliseconds).
+// ctx is checked between batches of stackProbeBatch probes, so cancellation
+// lands within a few samples even when each round trip is fast.
+func probeSeries(ctx context.Context, rw io.ReadWriter, out []float64, toMs func(time.Duration) float64) error {
 	if toMs == nil {
 		toMs = func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	}
 	ec := echo.NewClient(rw)
-	out := make([]float64, 0, n)
-	for len(out) < n {
-		if ended(ctx) {
-			return nil, ctx.Err()
+	for i := range out {
+		if i%stackProbeBatch == 0 && ended(ctx) {
+			return ctx.Err()
 		}
-		rtts, err := ec.ProbeN(min(n-len(out), stackProbeBatch))
+		d, err := ec.Probe()
 		if err != nil {
-			return nil, fmt.Errorf("ting: probe: %w", err)
+			return fmt.Errorf("ting: probe: %w", err)
 		}
-		for _, d := range rtts {
-			out = append(out, toMs(d))
-		}
+		out[i] = toMs(d)
 	}
-	return out, nil
+	return nil
 }
 
 // circuitFor returns a circuit through exactly path, reusing or extending
