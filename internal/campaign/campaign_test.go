@@ -109,13 +109,15 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 		"",
 		"lease",
 		"nonsense id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100",
-		"lease id=wrong ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100",       // ID mismatch
-		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=0 ttl_ms=100",   // epoch 0
-		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=0",     // no TTL
-		"lease id=t0-0.p1-0 ti=0 tj=0 lo=1 hi=0 epoch=1 ttl_ms=100",   // hi <= lo
-		"lease id=t1-0.p0-1 ti=1 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100",   // tj < ti
-		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=x ttl_ms=100",   // bad int
-		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100 x", // extra field
+		"lease id=wrong ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100",                     // ID mismatch
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=0 ttl_ms=100",                 // epoch 0
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=0",                   // no TTL
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=9223372036854775807", // overflows to -1 ms
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=9223372036854776",    // overflows to 192 µs
+		"lease id=t0-0.p1-0 ti=0 tj=0 lo=1 hi=0 epoch=1 ttl_ms=100",                 // hi <= lo
+		"lease id=t1-0.p0-1 ti=1 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100",                 // tj < ti
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=x ttl_ms=100",                 // bad int
+		"lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=100 x",               // extra field
 	} {
 		if _, err := DecodeLease(bad); err == nil {
 			t.Errorf("DecodeLease(%q) succeeded, want error", bad)
@@ -273,9 +275,7 @@ func TestCompleteDemandsFullCoverage(t *testing.T) {
 		t.Errorf("unknown shard: %v", err)
 	}
 	// A failed pair still counts as coverage.
-	full[0].Failed = true
-	full[0].RTT = 0
-	if err := c.Complete("w1", l.Shard.ID, l.Epoch, full); err != nil {
+	if err := c.completeValues("w1", l.Shard.ID, l.Epoch, []float64{0, 11, 12}, []int{0}); err != nil {
 		t.Fatalf("submission with failed pair: %v", err)
 	}
 	if st := c.Snapshot(); st.LostPairs != 1 {
@@ -284,8 +284,7 @@ func TestCompleteDemandsFullCoverage(t *testing.T) {
 }
 
 // TestCompleteRefusesNonFiniteRTT: a NaN or infinite RTT is refused by the
-// submission check, failed pair or not, before anything is journaled or
-// written. Accepted, it would merge into a matrix document DecodeMatrix
+// submission check before anything is journaled or written. Accepted, it would merge into a matrix document DecodeMatrix
 // refuses, or fail the journal's encoder with the worker's bad value. The
 // refused lease still completes with finite values.
 func TestCompleteRefusesNonFiniteRTT(t *testing.T) {
@@ -308,12 +307,10 @@ func TestCompleteRefusesNonFiniteRTT(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := fullResults(t, l.Shard, names)
-			for _, failed := range []bool{false, true} {
-				res[2].RTT, res[2].Failed = bad, failed
-				err := c.Complete("w1", l.Shard.ID, l.Epoch, res)
-				if err == nil || strings.Contains(err.Error(), "journal") || !strings.Contains(err.Error(), "relay000,relay003") {
-					t.Fatalf("journaled %v, rtt %v, failed %v: Complete = %v, want the pair refused", journaled, bad, failed, err)
-				}
+			res[2].RTT = bad
+			err = c.Complete("w1", l.Shard.ID, l.Epoch, res)
+			if err == nil || strings.Contains(err.Error(), "journal") || !strings.Contains(err.Error(), "relay000,relay003") {
+				t.Fatalf("journaled %v, rtt %v: Complete = %v, want the pair refused", journaled, bad, err)
 			}
 			if st := c.Snapshot(); st.Done != 0 || st.Leased != 1 {
 				t.Fatalf("after a refused submission: %+v", st)
@@ -400,9 +397,8 @@ func TestMergedMatchesSubmissions(t *testing.T) {
 			want[[2]string{results[i].X, results[i].Y}] = results[i].RTT
 		}
 		// One pair per shard the worker gave up on: covered, but no cell.
-		results[0] = PairResult{X: results[0].X, Y: results[0].Y, RTT: 99, Failed: true}
 		want[[2]string{results[0].X, results[0].Y}] = 0
-		if err := c.Complete("w", l.Shard.ID, l.Epoch, results); err != nil {
+		if err := c.completeValues("w", l.Shard.ID, l.Epoch, values(results, nil), []int{0}); err != nil {
 			t.Fatal(err)
 		}
 	}

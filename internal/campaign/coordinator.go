@@ -24,17 +24,15 @@ var ErrFenced = errors.New("campaign: lease fenced")
 // issued.
 var ErrUnknownShard = errors.New("campaign: unknown shard")
 
-// PairResult is one pair's outcome inside a shard submission. Failed
-// marks a pair the worker gave up on (scanner PairError); it still counts
-// as covered, so the coordinator can tell "worker skipped pairs" (a
-// protocol violation) from "worker measured and failed" (a fact about the
-// network). The json tags are the older, named form of a journal complete
-// record, which recovery still reads; no writer produces it.
+// PairResult is one measured pair inside a shard submission as named
+// pairs, the form Complete takes. The CAMP wire, the worker and the journal
+// carry a submission by index instead, where a pair the worker gave up on
+// is marked failed; only the benchmark builds PairResults, and its pairs
+// never fail.
 type PairResult struct {
-	X      string  `json:"x"`
-	Y      string  `json:"y"`
-	RTT    float64 `json:"rtt,omitempty"`
-	Failed bool    `json:"failed,omitempty"`
+	X   string
+	Y   string
+	RTT float64
 }
 
 type shardPhase int
@@ -92,10 +90,9 @@ type Coordinator struct {
 	done      chan struct{}
 	journal   *wal.Log[journalRecord]
 	recovered bool
-	// rtts and failedAt hold the submission Complete is accepting in its
-	// index form, reused from one call to the next.
-	rtts     []float64
-	failedAt []int
+	// rtts holds the named submission Complete is accepting in its index
+	// form, reused from one call to the next.
+	rtts []float64
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
 
@@ -119,10 +116,11 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		if len(n) > maxName {
 			return nil, fmt.Errorf("campaign: relay name of %d bytes; a reply line fits names of at most %d", len(n), maxName)
 		}
-		// A completion line's fields are split on white space: a shard
-		// touching such a name could never be submitted over the wire.
+		// A names reply carries a name as one trimmed line, and a consensus
+		// line (directory.ParseLine) a nickname as one field: a name
+		// holding white space survives neither.
 		if strings.ContainsFunc(n, unicode.IsSpace) {
-			return nil, fmt.Errorf("campaign: relay name %q holds white space; a completion line could not carry it", n)
+			return nil, fmt.Errorf("campaign: relay name %q holds white space; a names reply could not carry it", n)
 		}
 	}
 	c := &Coordinator{
@@ -285,7 +283,7 @@ func (c *Coordinator) snapshotLocked() []journalRecord {
 		if st.phase != shardDone {
 			continue
 		}
-		rtts, failed := st.shard.ledgerValues(c.ledger)
+		rtts, failed := st.shard.ledgerValues(c.ledger, make([]float64, 0, st.shard.PairCount()), nil)
 		recs = append(recs, journalRecord{
 			Kind: journalComplete, Shard: st.shard.ID, Worker: st.worker, Epoch: st.epoch,
 			RTTs: rtts, Failed: failed,
@@ -395,21 +393,34 @@ func (c *Coordinator) Heartbeat(worker, shardID string, epoch uint64) error {
 	return nil
 }
 
-// Complete accepts worker's submission for shardID. The epoch must be the
-// shard's highest granted one (ErrFenced otherwise — last writer wins — and
-// for epoch 0, so a shard never granted is never done), and results must
-// list the shard's pairs exactly in its canonical order, the order of
-// Shard.Pairs and the order Worker submits in: every pair once, measured or
-// failed, nothing extra, every RTT finite. The check walks the shard's
-// geometry beside the submission, so it allocates nothing and costs the
-// shard's pairs, not the campaign's; a journal replay makes the same check.
-// An accepted submission is journaled in its index form — the shard's
-// values in canonical order and the positions of its failed pairs — and
-// written into the coordinator's ledger from that form; results is not
-// retained, so the caller may reuse it once Complete returns.
-// Completing an already-done shard at its winning epoch is an idempotent
-// no-op, so a worker may safely retry a submission whose ack it lost.
+// Complete accepts worker's submission for shardID as named pairs. The
+// epoch must be the shard's highest granted one (ErrFenced otherwise — last
+// writer wins — and for epoch 0, so a shard never granted is never done),
+// and results must list the shard's pairs exactly in its canonical order,
+// the order of Shard.Pairs: every pair once, nothing extra, every RTT
+// finite. The check walks the shard's geometry beside the submission, so it
+// allocates nothing and costs the shard's pairs, not the campaign's. The
+// submission is then accepted in its index form, as completeValues accepts
+// one; results is not retained, so the caller may reuse it once Complete
+// returns. Completing an already-done shard at its winning epoch is an
+// idempotent no-op, so a worker may safely retry a submission whose ack it
+// lost.
 func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []PairResult) error {
+	return c.complete(worker, shardID, epoch, results, nil, nil)
+}
+
+// completeValues is Complete for a submission by index, the form the CAMP
+// wire carries: rtts holds one value per shard pair in canonical order and
+// failed the strictly increasing positions of the failed pairs, which
+// checkValues checks, as journal replay does. Neither is retained.
+func (c *Coordinator) completeValues(worker, shardID string, epoch uint64, rtts []float64, failed []int) error {
+	return c.complete(worker, shardID, epoch, nil, rtts, failed)
+}
+
+// complete accepts a submission: results when it is not nil, and rtts and
+// failed otherwise. An accepted submission is journaled in its index form,
+// then written into the ledger from that form.
+func (c *Coordinator) complete(worker, shardID string, epoch uint64, results []PairResult, rtts []float64, failed []int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(c.now())
@@ -424,22 +435,27 @@ func (c *Coordinator) Complete(worker, shardID string, epoch uint64, results []P
 	if st.phase == shardDone {
 		return nil
 	}
-	if err := st.shard.checkResults(c.names, results); err != nil {
+	if results != nil {
+		if err := st.shard.checkResults(c.names, results); err != nil {
+			return err
+		}
+		c.rtts = values(results, c.rtts)
+		rtts = c.rtts
+	} else if err := st.shard.checkValues(rtts, failed); err != nil {
 		return err
 	}
-	c.rtts, c.failedAt = values(results, c.rtts, c.failedAt)
 	if c.journal != nil {
 		// WAL discipline: the winning submission reaches disk before the
 		// worker's ack — a recovered coordinator knows every shard it ever
 		// called done, and Merged after recovery folds the same bytes.
-		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, RTTs: c.rtts, Failed: c.failedAt}
+		rec := journalRecord{Kind: journalComplete, Shard: shardID, Worker: worker, Epoch: epoch, RTTs: rtts, Failed: failed}
 		if err := c.journalAppend(rec); err != nil {
 			return err
 		}
 	}
 	st.phase = shardDone
 	st.worker = worker
-	st.failed = st.shard.record(c.ledger, c.rtts, c.failedAt)
+	st.failed = st.shard.record(c.ledger, rtts, failed)
 	c.remaining--
 	c.completed.Inc()
 	if c.remaining == 0 {

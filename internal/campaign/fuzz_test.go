@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -30,6 +31,10 @@ func FuzzDecodeLease(f *testing.F) {
 	f.Add("")
 	f.Add("done")
 	f.Add("none")
+	// TTLs past what a time.Duration holds in nanoseconds: these decoded to
+	// -1 ms and to 192 µs before DecodeLease bounded them.
+	f.Add("lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=9223372036854775807")
+	f.Add("lease id=t0-0.p0-1 ti=0 tj=0 lo=0 hi=1 epoch=1 ttl_ms=9223372036854776")
 	f.Fuzz(func(t *testing.T, line string) {
 		l, err := DecodeLease(line)
 		if err != nil {
@@ -64,9 +69,10 @@ func decodeJournal(raw []byte) (recs []journalRecord, err error) {
 // FuzzDecodeJournal: arbitrary journals must never panic recovery, and
 // anything recovery's decoding (wal.Replay, then journalRecord.check)
 // accepts must re-encode and re-decode to the identical record — the
-// journal is canonical JSONL. A journal recovery accepts, in either
-// complete-record form or both, compacts to a snapshot that recovers the
-// same ledger: compaction can never change what a journal means.
+// journal is canonical JSONL — and is no complete record in the named
+// form. A journal recovery accepts compacts to a snapshot that recovers the
+// same ledger: compaction can never change what a journal means. The named
+// seeds exercise refusal.
 func FuzzDecodeJournal(f *testing.F) {
 	line := func(rec journalRecord) []byte {
 		b, err := json.Marshal(rec) // the journal's bytes for rec (TestGoldenJournal)
@@ -80,10 +86,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	seed(journalHeader(fakeNames(5), Partition(5, 3), 30*time.Second, 42))
 	seed(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Deadline: 1700000000000000000})
 	seed(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w2", Epoch: 7, Deadline: 1, Regrants: 3})
-	seed(journalRecord{
-		Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1,
-		Results: []PairResult{{X: "a", Y: "b", RTT: 1.25}, {X: "a", Y: "c", Failed: true}},
-	})
+	f.Add([]byte(`{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1,"results":[{"x":"a","y":"b","rtt":1.25},{"x":"a","y":"c","failed":true}]}`))
 	// A retired kind older journals carry: skipped like any unknown one.
 	f.Add([]byte(`{"t":"lost","shard":"t0-0.p0-3","worker":"w1","epoch":1,"x":"a","y":"c"}`))
 	f.Add([]byte(`{"t":"campaign","names":["a"],"shards":[],"ttl_ms":0}`))
@@ -95,8 +98,8 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
-	// The index form, alone and in whole journals: all by index, and mixed —
-	// the older named form first, as an upgraded coordinator leaves it.
+	// The index form, alone and in whole journals: all by index, and mixed
+	// with the named form, which recovery refuses.
 	seed(journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, RTTs: []float64{1.25, 0, 3}, Failed: []int{1}})
 	f.Add([]byte(`{"t":"complete","shard":"s","epoch":1,"rtts":[1],"results":[{"x":"a","y":"b"}]}`))
 	names := fakeNames(4)
@@ -104,8 +107,8 @@ func FuzzDecodeJournal(f *testing.F) {
 	grants := append(append(line(journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Deadline: 1}), '\n'),
 		line(journalRecord{Kind: journalGrant, Shard: "t0-0.p3-6", Worker: "w2", Epoch: 2, Deadline: 1})...)
 	byIndex := line(journalRecord{Kind: journalComplete, Shard: "t0-0.p3-6", Worker: "w2", Epoch: 2, RTTs: []float64{4, 5.5, 0}, Failed: []int{2}})
-	named := line(journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, Results: []PairResult{
-		{X: names[0], Y: names[1], RTT: 1}, {X: names[0], Y: names[2], Failed: true}, {X: names[0], Y: names[3], RTT: 3}}})
+	named := []byte(fmt.Sprintf(`{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1,"results":[{"x":%q,"y":%q,"rtt":1},{"x":%q,"y":%q,"failed":true},{"x":%q,"y":%q,"rtt":3}]}`,
+		names[0], names[1], names[0], names[2], names[0], names[3]))
 	f.Add(bytes.Join([][]byte{head, grants, byIndex}, []byte("\n")))
 	f.Add(bytes.Join([][]byte{head, grants, named, byIndex}, []byte("\n")))
 	for _, golden := range []string{"testdata/v2.journal", "testdata/parent-format.journal"} {
@@ -129,8 +132,8 @@ func FuzzDecodeJournal(f *testing.F) {
 			if len(r.Shards) == 0 {
 				r.Shards = nil
 			}
-			if len(r.Results) == 0 {
-				r.Results = nil
+			if len(r.Named) == 0 {
+				r.Named = nil
 			}
 			if len(r.RTTs) == 0 {
 				r.RTTs = nil
@@ -141,6 +144,9 @@ func FuzzDecodeJournal(f *testing.F) {
 			return r
 		}
 		for _, rec := range recs {
+			if rec.Kind == journalComplete && rec.Named != nil {
+				t.Fatalf("accepted a complete record in the named form: %+v", rec)
+			}
 			b, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatalf("accepted record does not re-encode: %v", err)
@@ -264,7 +270,7 @@ func FuzzComplete(f *testing.F) {
 					r.Y = names[b%len(names)]
 				}
 			case 4: // add any pair
-				results = append(results, PairResult{X: names[a%len(names)], Y: names[b%len(names)], Failed: true})
+				results = append(results, PairResult{X: names[a%len(names)], Y: names[b%len(names)]})
 			case 5: // flip
 				r := &results[a%len(results)]
 				r.X, r.Y = r.Y, r.X

@@ -14,12 +14,12 @@ import (
 
 // TestGoldenJournal pins the journal's bytes: the calls below write
 // testdata/v2.journal, whose complete record carries the shard's values by
-// index. The parent-format files stay as reader tests: parent-format.journal
-// (the same calls, written when a complete record listed named results,
-// with a retired "lost" line) and parent-format-compacted.journal (its
-// compaction as written then) recover to the same ledger as v2.journal, and
-// compacting any of the three writes the same index-form snapshot, which
-// recovers too.
+// index; it recovers, and its compaction recovers to the same ledger. The
+// parent-format files stay as refusal rows: parent-format.journal (the same
+// calls, written when a complete record listed named results, with a
+// retired "lost" line) and parent-format-compacted.journal (its compaction
+// as written then) are each refused at their complete record, with the
+// form named, and recover no coordinator.
 func TestGoldenJournal(t *testing.T) {
 	names := []string{"relayA", "relayB", "relayC", "relayD"}
 	path := journalPath(t)
@@ -36,12 +36,7 @@ func TestGoldenJournal(t *testing.T) {
 	if _, _, err := c.Acquire("w2"); err != nil {
 		t.Fatal(err)
 	}
-	res := fullResults(t, l1.Shard, names)
-	for i := range res {
-		res[i].RTT = 10.5 + float64(i)
-	}
-	res[1] = PairResult{X: res[1].X, Y: res[1].Y, Failed: true}
-	if err := c.Complete("w1", l1.Shard.ID, l1.Epoch, res); err != nil {
+	if err := c.completeValues("w1", l1.Shard.ID, l1.Epoch, []float64{10.5, 0, 12.5}, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Journal().Close(); err != nil {
@@ -49,8 +44,59 @@ func TestGoldenJournal(t *testing.T) {
 	}
 	sameFile(t, path, "testdata/v2.journal")
 
-	var ledger, snapshot []byte
-	for _, golden := range []string{"testdata/v2.journal", "testdata/parent-format.journal", "testdata/parent-format-compacted.journal"} {
+	data, err := os.ReadFile("testdata/v2.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	treg := telemetry.New()
+	c2, err := RecoverCoordinator(path, treg)
+	if err != nil {
+		t.Fatalf("v2.journal does not recover: %v", err)
+	}
+	c2.clock = now
+	// One pass: every record is decoded where it is counted, and nowhere else.
+	if n, lines := treg.Counter("campaign.journal.replayed").Value(), bytes.Count(data, []byte("\n")); n != int64(lines) {
+		t.Fatalf("recovery replayed %d records of a %d-record journal", n, lines)
+	}
+	if st := c2.Snapshot(); st.Done != 1 || st.Leased != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
+		t.Fatalf("recovered ledger: %+v", st)
+	}
+	if v, p := c2.ledger.At(0, 3), c2.ledger.ProvAt(0, 2); v != 12.5 || p != ting.ProvMissing {
+		t.Fatalf("recovered (A,D) = %v and (A,C) %v", v, p)
+	}
+	var ledger bytes.Buffer
+	if err := c2.ledger.Encode(&ledger); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.CompactJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3, err := RecoverCoordinator(path, nil)
+	if err != nil {
+		t.Fatalf("the snapshot does not recover: %v", err)
+	}
+	c3.Journal().Close()
+	var again bytes.Buffer
+	if err := c3.ledger.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if st := c3.Snapshot(); st.Done != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 || !bytes.Equal(again.Bytes(), ledger.Bytes()) {
+		t.Fatalf("ledger recovered from the snapshot: %+v", st)
+	}
+	// The snapshot's complete record is the one the live coordinator wrote.
+	last := data[bytes.LastIndexByte(data[:len(data)-1], '\n')+1:]
+	if !bytes.HasSuffix(snapshot, last) {
+		t.Fatalf("snapshot\n%s\ndoes not end in v2.journal's complete record\n%s", snapshot, last)
+	}
+
+	for _, golden := range []string{"testdata/parent-format.journal", "testdata/parent-format-compacted.journal"} {
 		data, err := os.ReadFile(golden)
 		if err != nil {
 			t.Fatal(err)
@@ -58,60 +104,10 @@ func TestGoldenJournal(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		treg := telemetry.New()
-		c2, err := RecoverCoordinator(path, treg)
-		if err != nil {
-			t.Fatalf("%s does not recover: %v", golden, err)
+		const want = "line 4: campaign: journal complete t0-0.p0-3 lists named results: the named form is refused"
+		if c, err := RecoverCoordinator(path, nil); err == nil || c != nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s recovers %v, %v; want a refusal saying %q", golden, c, err, want)
 		}
-		c2.clock = now
-		// One pass: every record is decoded where it is counted, and nowhere else.
-		if n, lines := treg.Counter("campaign.journal.replayed").Value(), bytes.Count(data, []byte("\n")); n != int64(lines) {
-			t.Fatalf("%s: recovery replayed %d records of a %d-record journal", golden, n, lines)
-		}
-		if st := c2.Snapshot(); st.Done != 1 || st.Leased != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
-			t.Fatalf("%s: recovered ledger: %+v", golden, st)
-		}
-		if v, p := c2.ledger.At(0, 3), c2.ledger.ProvAt(0, 2); v != 12.5 || p != ting.ProvMissing {
-			t.Fatalf("%s: recovered (A,D) = %v and (A,C) %v", golden, v, p)
-		}
-		var enc bytes.Buffer
-		if err := c2.ledger.Encode(&enc); err != nil {
-			t.Fatal(err)
-		}
-		if ledger == nil {
-			ledger = enc.Bytes()
-		} else if !bytes.Equal(enc.Bytes(), ledger) {
-			t.Fatalf("%s recovers another ledger than v2.journal", golden)
-		}
-		if err := c2.CompactJournal(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c2.Journal().Close(); err != nil {
-			t.Fatal(err)
-		}
-		compacted, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snapshot == nil {
-			snapshot = compacted
-		} else if !bytes.Equal(compacted, snapshot) {
-			t.Fatalf("%s compacts to\n%s\nwant:\n%s", golden, compacted, snapshot)
-		}
-		c3, err := RecoverCoordinator(path, nil)
-		if err != nil {
-			t.Fatalf("%s's snapshot does not recover: %v", golden, err)
-		}
-		c3.Journal().Close()
-		if st := c3.Snapshot(); st.Done != 1 || st.LostPairs != 1 || st.EpochWatermark != 2 {
-			t.Fatalf("ledger recovered from %s's snapshot: %+v", golden, st)
-		}
-	}
-	// The snapshot's complete record is the one the live coordinator wrote.
-	v2, _ := os.ReadFile("testdata/v2.journal")
-	last := v2[bytes.LastIndexByte(v2[:len(v2)-1], '\n')+1:]
-	if !bytes.HasSuffix(snapshot, last) {
-		t.Fatalf("snapshot\n%s\ndoes not end in v2.journal's complete record\n%s", snapshot, last)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // one grant record per lease issued and one complete record per finished
 // shard. A complete record carries the winning submission by index: the
 // shard's RTTs in its canonical cursor order and the positions of its
-// failed pairs, so no relay name is spelled per pair. Journals written
-// before carried a results list of named pairs instead; recovery still
-// reads those, record by record, so one file may hold both forms.
+// failed pairs, so no relay name is spelled per pair. A complete record in
+// the named form (a results list of named pairs) is refused, never read.
 // Grants and completes reach disk before the state change they describe is
 // acknowledged, so a coordinator rebuilt from the journal can never
 // contradict anything a worker was told.
@@ -38,9 +37,7 @@ type journalShard struct {
 
 // journalRecord is one line of the coordinator journal. encoding/json
 // round-trips float64 exactly, so replayed submissions merge bytewise
-// identically to the live ones. A complete record's form is told by its own
-// fields: RTTs/Failed (the form every writer writes) or Results (the form
-// journals held before, read only), never both.
+// identically to the live ones.
 type journalRecord struct {
 	Kind string `json:"t"`
 	// Campaign header.
@@ -59,8 +56,9 @@ type journalRecord struct {
 	// pair) and the strictly increasing positions of the failed pairs.
 	RTTs   []float64 `json:"rtts,omitempty"`
 	Failed []int     `json:"failed,omitempty"`
-	// Complete, the older form: the submission as named pairs.
-	Results []PairResult `json:"results,omitempty"`
+	// Complete, the named form's results list, each entry decoded to
+	// nothing: only its presence is read, so that check refuses the record.
+	Named []struct{} `json:"results,omitempty"`
 	// Grant (compacted snapshots only): re-grants folded away by
 	// compaction, so Status.Reassigned survives a recovery.
 	Regrants int `json:"regrants,omitempty"`
@@ -79,8 +77,8 @@ func (rec *journalRecord) check() error {
 		if len(rec.Shards) == 0 {
 			return errors.New("campaign: journal header without shards")
 		}
-		if rec.TTLMs <= 0 {
-			return errors.New("campaign: journal header with non-positive TTL")
+		if rec.TTLMs <= 0 || rec.TTLMs > maxTTLMs {
+			return fmt.Errorf("campaign: journal header with TTL %d ms, want 1 to %d", rec.TTLMs, maxTTLMs)
 		}
 		for _, g := range rec.Shards {
 			if err := (NewShard(g.TI, g.TJ, g.Lo, g.Hi)).Validate(); err != nil {
@@ -98,15 +96,9 @@ func (rec *journalRecord) check() error {
 		if rec.Shard == "" || rec.Epoch == 0 {
 			return fmt.Errorf("campaign: journal complete %q epoch %d", rec.Shard, rec.Epoch)
 		}
-		byIndex := len(rec.RTTs) > 0 || len(rec.Failed) > 0
-		if byIndex == (len(rec.Results) > 0) {
-			return fmt.Errorf("campaign: journal complete %s carries %d results and %d values: want one form",
-				rec.Shard, len(rec.Results), len(rec.RTTs))
-		}
-		for _, r := range rec.Results {
-			if r.X == "" || r.Y == "" || r.X == r.Y {
-				return fmt.Errorf("campaign: journal result pair (%q,%q)", r.X, r.Y)
-			}
+		if rec.Named != nil {
+			return fmt.Errorf("campaign: journal complete %s lists named results: the named form is refused; a record holds rtts and failed positions",
+				rec.Shard)
 		}
 	}
 	return nil
@@ -133,13 +125,10 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 // completed shard; completes only at the shard's latest granted epoch, each
 // holding one value per shard pair and increasing failed positions within
 // the shard. A complete record's values are written into the ledger as the
-// shard's cursor walks, as Complete writes them. A record in the older
-// named form is checked as Complete checks a submission and translated to
-// the index form, then takes the same path.
+// shard's cursor walks, as Complete writes them. A complete record in the
+// named form is refused (journalRecord.check).
 func replayJournal(r io.Reader, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	lastGrant := uint64(0)
-	var rtts []float64 // an older record's values
-	var failed []int
 	err = wal.Replay(r, func(rec journalRecord) error {
 		if err := rec.check(); err != nil {
 			return err
@@ -163,9 +152,7 @@ func replayJournal(r io.Reader, treg *telemetry.Registry) (c *Coordinator, recor
 		case journalGrant, journalComplete:
 			// Applied to their shard, below.
 		default:
-			// Another writer's kind: a newer one's, or the "lost" lines
-			// journals carried until the complete record's Failed flags
-			// made them redundant.
+			// Another writer's kind: a newer one's, or a retired one's.
 			return nil
 		}
 		if c == nil {
@@ -180,17 +167,8 @@ func replayJournal(r io.Reader, treg *telemetry.Registry) (c *Coordinator, recor
 				return fmt.Errorf("campaign: journal complete for shard %s at epoch %d, latest grant %d",
 					rec.Shard, rec.Epoch, st.epoch)
 			}
-			if len(rec.Results) > 0 {
-				// The check Complete made before journaling the record: a
-				// record that misses a pair would recover a hole LostPairs
-				// never counts, and one with another shard's pair would
-				// overwrite its cell.
-				if err := st.shard.checkResults(c.names, rec.Results); err != nil {
-					return fmt.Errorf("campaign: journal complete record: %w", err)
-				}
-				rtts, failed = values(rec.Results, rtts, failed)
-				rec.RTTs, rec.Failed = rtts, failed
-			}
+			// The check the coordinator made before journaling the record: one
+			// that misses a pair would recover a hole LostPairs never counts.
 			if err := st.shard.checkValues(rec.RTTs, rec.Failed); err != nil {
 				return fmt.Errorf("campaign: journal complete record: %w", err)
 			}

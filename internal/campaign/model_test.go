@@ -16,8 +16,9 @@ import (
 // TestCoordinatorAgainstLeaseModel. A grant takes the first pending shard
 // at the next epoch; a lease expires once the clock passes its deadline; a
 // heartbeat or a completion counts only at the shard's granted epoch; a
-// shard takes one submission, every pair once in canonical order, with
-// finite RTTs. Heartbeats are not journaled, so a recovery restores the
+// shard takes one submission: by name, every pair once in canonical order
+// with finite RTTs, or by index, one value per pair and the strictly
+// increasing positions of its failed pairs. Heartbeats are not journaled, so a recovery restores the
 // deadline of a shard's last grant record — or of its compaction.
 type leaseModel struct {
 	names  []string
@@ -73,7 +74,17 @@ func (m *leaseModel) heartbeat(s *modelShard, epoch uint64) error {
 
 var errRefused = errors.New("refused")
 
-func (m *leaseModel) complete(s *modelShard, epoch uint64, results []PairResult) error {
+// submission is one completion TestCoordinatorAgainstLeaseModel sends: by
+// name through Complete, the form the benchmark builds, or by index through
+// completeValues, the form the CAMP server reads.
+type submission struct {
+	byName bool
+	named  []PairResult
+	rtts   []float64
+	failed []int
+}
+
+func (m *leaseModel) complete(s *modelShard, epoch uint64, sub submission) error {
 	m.expire()
 	if epoch == 0 || epoch != s.epoch {
 		return ErrFenced
@@ -81,21 +92,36 @@ func (m *leaseModel) complete(s *modelShard, epoch uint64, results []PairResult)
 	if s.phase == shardDone {
 		return nil
 	}
-	if len(results) != len(s.pairs) {
-		return errRefused
-	}
-	for k, p := range s.pairs {
-		r := results[k]
-		if r.X != m.names[p[0]] || r.Y != m.names[p[1]] || math.IsNaN(r.RTT) || math.IsInf(r.RTT, 0) {
+	rtts, failed := sub.rtts, sub.failed
+	if sub.byName {
+		if len(sub.named) != len(s.pairs) {
 			return errRefused
 		}
+		rtts = nil
+		for k, p := range s.pairs {
+			r := sub.named[k]
+			if r.X != m.names[p[0]] || r.Y != m.names[p[1]] || math.IsNaN(r.RTT) || math.IsInf(r.RTT, 0) {
+				return errRefused
+			}
+			rtts = append(rtts, r.RTT)
+		}
+	}
+	if len(rtts) != len(s.pairs) {
+		return errRefused
+	}
+	isFailed := map[int]bool{}
+	for k, f := range failed {
+		if f < 0 || f >= len(rtts) || k > 0 && f <= failed[k-1] {
+			return errRefused
+		}
+		isFailed[f] = true
 	}
 	s.phase = shardDone
 	for k, p := range s.pairs {
-		if results[k].Failed {
+		if isFailed[k] {
 			s.failed++
 		} else {
-			m.cells[p] = results[k].RTT
+			m.cells[p] = rtts[k]
 		}
 	}
 	return nil
@@ -129,9 +155,10 @@ func verdict(err error) string {
 
 // TestCoordinatorAgainstLeaseModel drives coordinators, in memory and
 // journaled, through random sequences of grants, heartbeats, completions
-// (at the granted epoch, a stale one or none, with failed pairs, with wrong
-// pairs, with non-finite RTTs), clock jumps past the TTL, compactions and
-// recoveries, and holds each to leaseModel: every verdict, every shard's
+// (by name or by index; at the granted epoch, a stale one or none; by name
+// with a pair missing or out of place or a non-finite RTT, by index with
+// failed pairs, a value missing or too many, or a failed position past the
+// shard), clock jumps past the TTL, compactions and recoveries, and holds each to leaseModel: every verdict, every shard's
 // state, epoch and failed count. Throughout, each pair is in at most one
 // done shard — exactly one once the campaign is done — and granted epochs
 // strictly increase across recoveries. A done campaign's Merged equals the
@@ -187,15 +214,27 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 			c.clock = clock.now
 			m.recover()
 		}
-		results := func(s *modelShard) []PairResult {
-			out := make([]PairResult, len(s.pairs))
+		submit := func(s *modelShard) submission {
+			var sub submission
+			sub.byName = rng.Intn(2) == 0
 			for k, p := range s.pairs {
-				out[k] = PairResult{X: names[p[0]], Y: names[p[1]], RTT: float64(1+rng.Intn(1e6)) / 1024}
-				if rng.Intn(8) == 0 {
-					out[k] = PairResult{X: out[k].X, Y: out[k].Y, Failed: true}
+				rtt := float64(1+rng.Intn(1e6)) / 1024
+				switch {
+				case sub.byName:
+					sub.named = append(sub.named, PairResult{X: names[p[0]], Y: names[p[1]], RTT: rtt})
+				case rng.Intn(8) == 0:
+					sub.rtts, sub.failed = append(sub.rtts, 0), append(sub.failed, k)
+				default:
+					sub.rtts = append(sub.rtts, rtt)
 				}
 			}
-			return out
+			return sub
+		}
+		send := func(worker, id string, epoch uint64, sub submission) error {
+			if sub.byName {
+				return c.Complete(worker, id, epoch, sub.named)
+			}
+			return c.completeValues(worker, id, epoch, sub.rtts, sub.failed)
 		}
 		var lastGrant uint64
 		check := func() {
@@ -280,20 +319,30 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 					fail("heartbeat %s at %d: %s, model %s", id, epoch, got, want)
 				}
 			case op < 8:
-				res := results(s)
-				switch rng.Intn(6) {
-				case 0: // a pair missing
-					res = res[:len(res)-1]
-				case 1: // a pair out of place
-					if len(res) > 1 {
-						res[0], res[len(res)-1] = res[len(res)-1], res[0]
+				sub := submit(s)
+				switch res := sub.named; rng.Intn(6) {
+				case 0: // a pair or a value missing
+					if sub.byName {
+						sub.named = res[:len(res)-1]
+					} else {
+						sub.rtts = sub.rtts[:len(sub.rtts)-1]
 					}
-				case 2: // a value no journal can hold
-					res[rng.Intn(len(res))].RTT = math.Inf(1)
+				case 1: // a pair out of place, or a value too many
+					if sub.byName && len(res) > 1 {
+						res[0], res[len(res)-1] = res[len(res)-1], res[0]
+					} else if !sub.byName {
+						sub.rtts = append(sub.rtts, 1)
+					}
+				case 2: // a value no journal can hold, or a failed pair past the shard
+					if sub.byName {
+						res[rng.Intn(len(res))].RTT = math.Inf(1)
+					} else {
+						sub.failed = append(sub.failed, len(sub.rtts))
+					}
 				}
 				worker := fmt.Sprint("w", rng.Intn(3))
-				got := verdict(c.Complete(worker, id, epoch, res))
-				if want := verdict(m.complete(s, epoch, res)); got != want {
+				got := verdict(send(worker, id, epoch, sub))
+				if want := verdict(m.complete(s, epoch, sub)); got != want {
 					fail("complete %s at %d: %s, model %s", id, epoch, got, want)
 				}
 			case op < 10:
@@ -323,8 +372,8 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 				clock.advance(2 * time.Second)
 				continue
 			}
-			r := results(ms)
-			if err := c.Complete("w9", l.Shard.ID, l.Epoch, r); err != nil || m.complete(ms, l.Epoch, r) != nil {
+			sub := submit(ms)
+			if err := send("w9", l.Shard.ID, l.Epoch, sub); err != nil || m.complete(ms, l.Epoch, sub) != nil {
 				fail("completing %s: %v", l.Shard.ID, err)
 			}
 		}

@@ -12,8 +12,8 @@ import (
 
 // BenchmarkRecoverCoordinator times crash recovery at the scale of a
 // 2000-relay campaign (1 999 000 pairs): a journaled coordinator completes
-// every shard through Complete — finite full-precision RTTs, every
-// 10 007th pair failed — its journal is closed, and each iteration recovers
+// every shard by index, as the CAMP server does — finite full-precision
+// RTTs, every 10 007th pair failed — its journal is closed, and each iteration recovers
 // a coordinator from that file. It fails unless the recovered Merged
 // encodes to the live coordinator's bytes and LostPairs matches, and
 // reports recover_ms, journal_mb and the bytes recovery allocates per
@@ -29,7 +29,8 @@ func BenchmarkRecoverCoordinator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var results []PairResult
+	var rtts []float64
+	var failed []int
 	pairs := 0
 	for {
 		lease, res, err := c.Acquire("w1")
@@ -39,20 +40,16 @@ func BenchmarkRecoverCoordinator(b *testing.B) {
 		if res == AcquireDone {
 			break
 		}
-		shardPairs, err := lease.Shard.Pairs(names)
-		if err != nil {
-			b.Fatal(err)
-		}
-		results = results[:0]
-		for _, p := range shardPairs {
-			r := PairResult{X: p[0], Y: p[1], RTT: 1 + 300*math.Mod(float64(pairs)*0.6180339887498949, 1)}
+		rtts, failed = rtts[:0], failed[:0]
+		for range lease.Shard.PairCount() {
+			rtt := 1 + 300*math.Mod(float64(pairs)*0.6180339887498949, 1)
 			if pairs%10007 == 0 {
-				r = PairResult{X: p[0], Y: p[1], Failed: true}
+				rtt, failed = 0, append(failed, len(rtts))
 			}
-			results = append(results, r)
+			rtts = append(rtts, rtt)
 			pairs++
 		}
-		if err := c.Complete("w1", lease.Shard.ID, lease.Epoch, results); err != nil {
+		if err := c.completeValues("w1", lease.Shard.ID, lease.Epoch, rtts, failed); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -241,7 +243,7 @@ func TestTornTailSurvivesTwoResumes(t *testing.T) {
 		}
 	}
 	pair := func(x, y int) ting.CheckpointRecord {
-		return ting.CheckpointRecord{Kind: ting.RecordPair, X: names[x], Y: names[y], RTT: float64(10*x + y)}
+		return ting.CheckpointRecord{Kind: ting.RecordPair, I: x, J: y, RTT: float64(10*x + y)}
 	}
 
 	for _, tc := range []struct {
@@ -520,13 +522,13 @@ func TestRecoveredDoneCampaign(t *testing.T) {
 }
 
 // TestRecoverRefusesBadCompleteRecord: replay checks a complete record as
-// Complete checks a submission, in either form. A record that misses a pair
-// of its shard would recover a hole LostPairs never counts, one carrying
-// another shard's pair would overwrite that shard's cell in Merged, and one
-// out of canonical order is a submission Complete never accepted; a record
-// by index must hold one value per shard pair and failed positions that
-// are positions of the shard, strictly increasing; and a record carries
-// exactly one form. Each is refused by name.
+// the coordinator checks a submission by index: it must hold one value per
+// shard pair — a record that misses one would recover a hole LostPairs
+// never counts — and failed positions that are positions of the shard,
+// strictly increasing. A record in the named form is refused as such,
+// whatever its pairs and whether or not it carries values too, and never
+// read. Each refusal names the shard and the rule, and recovers no
+// coordinator.
 func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 	const head = `{"t":"campaign","names":["relayA","relayB","relayC","relayD"],"shards":[{"ti":0,"tj":0,"lo":0,"hi":3},{"ti":0,"tj":0,"lo":3,"hi":6}],"ttl_ms":30000}
 {"t":"grant","shard":"t0-0.p0-3","worker":"w1","epoch":1,"deadline":1700000030000000000}
@@ -535,11 +537,14 @@ func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 		return `{"t":"complete","shard":"t0-0.p0-3","worker":"w1","epoch":1` + body + "}\n"
 	}
 	const named = `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayD","rtt":12.5}]`
+	const namedForm = "lists named results: the named form is refused"
 	// want is what the refusal must say: the rule that refused the record.
 	for _, tc := range []struct{ name, body, want string }{
-		{"missing pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, "lists 2 pairs"},
-		{"foreign pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayB","y":"relayC","rtt":9}]`, "want (relayA,relayD)"},
-		{"out of order", `,"results":[{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, "want (relayA,relayB)"},
+		{"named", named, namedForm},
+		{"missing pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, namedForm},
+		{"foreign pair", `,"results":[{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayB","y":"relayC","rtt":9}]`, namedForm},
+		{"out of order", `,"results":[{"x":"relayA","y":"relayC","rtt":11.5},{"x":"relayA","y":"relayB","rtt":10.5},{"x":"relayA","y":"relayD","rtt":12.5}]`, namedForm},
+		{"empty named list", `,"results":[]`, namedForm},
 		{"too few values", `,"rtts":[10.5,11.5]`, "holds 2 values"},
 		{"too many values", `,"rtts":[10.5,11.5,12.5,13.5]`, "holds 4 values"},
 		{"failed positions without values", `,"failed":[0]`, "holds 0 values"},
@@ -547,8 +552,8 @@ func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 		{"negative failed position", `,"rtts":[10.5,0,12.5],"failed":[-1]`, "failed positions [-1]"},
 		{"repeated failed position", `,"rtts":[10.5,0,0],"failed":[1,1]`, "failed positions [1 1]"},
 		{"unsorted failed positions", `,"rtts":[10.5,0,0],"failed":[2,1]`, "failed positions [2 1]"},
-		{"both forms", named + `,"rtts":[10.5,11.5,12.5]`, "want one form"},
-		{"neither form", ``, "want one form"},
+		{"both forms", named + `,"rtts":[10.5,11.5,12.5]`, namedForm},
+		{"neither form", ``, "holds 0 values"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := journalPath(t)
@@ -560,13 +565,16 @@ func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 				c.Journal().Close()
 				t.Fatalf("recovered a journal with a bad complete record (%s): %+v", tc.name, c.Snapshot())
 			}
+			if c != nil {
+				t.Errorf("a refused journal recovered a coordinator")
+			}
 			if !strings.Contains(err.Error(), "t0-0.p0-3") || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("refusal %q does not name the shard and say %q", err, tc.want)
 			}
 		})
 	}
-	// The shard's pairs in canonical order recover, in either form.
-	for body, lost := range map[string]int{named: 0, `,"rtts":[10.5,0,12.5],"failed":[1]`: 1, `,"rtts":[10.5,11.5,12.5]`: 0} {
+	// The shard's values in canonical order recover.
+	for body, lost := range map[string]int{`,"rtts":[10.5,0,12.5],"failed":[1]`: 1, `,"rtts":[10.5,11.5,12.5]`: 0} {
 		path := journalPath(t)
 		if err := os.WriteFile(path, []byte(head+complete(body)), 0o644); err != nil {
 			t.Fatal(err)
@@ -585,11 +593,41 @@ func TestRecoverRefusesBadCompleteRecord(t *testing.T) {
 	}
 }
 
-// TestRecoverMixedJournal: a journal whose complete records switch from the
-// named form to the index form part-way — a coordinator upgraded
-// mid-campaign — recovers to the ledger the all-index journal of the same
-// campaign recovers to, which is the live coordinator's: the same Merged
-// bytes and the same Snapshot.
+// TestRecoverRefusesBadHeader: a journal header recovery cannot build a
+// coordinator from is refused, naming what is wrong with it — among them a
+// TTL past what a time.Duration holds, which would otherwise recover as a
+// negative or near-zero lease TTL.
+func TestRecoverRefusesBadHeader(t *testing.T) {
+	const names, shards = `"names":["relayA","relayB","relayC"]`, `"shards":[{"ti":0,"tj":0,"lo":0,"hi":3}]`
+	for _, tc := range []struct{ name, header, want string }{
+		{"no TTL", `{"t":"campaign",` + names + `,` + shards + `}`, "TTL 0 ms"},
+		{"negative TTL", `{"t":"campaign",` + names + `,` + shards + `,"ttl_ms":-5}`, "TTL -5 ms"},
+		{"TTL overflowing to -1 ms", `{"t":"campaign",` + names + `,` + shards + `,"ttl_ms":9223372036854775807}`, "TTL 9223372036854775807 ms"},
+		{"TTL overflowing to 192 µs", `{"t":"campaign",` + names + `,` + shards + `,"ttl_ms":9223372036854776}`, "TTL 9223372036854776 ms"},
+		{"one relay", `{"t":"campaign","names":["relayA"],` + shards + `,"ttl_ms":1000}`, "header with 1 relays"},
+		{"no shards", `{"t":"campaign",` + names + `,"ttl_ms":1000}`, "header without shards"},
+	} {
+		path := journalPath(t)
+		if err := os.WriteFile(path, []byte(tc.header+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := RecoverCoordinator(path, nil)
+		if err == nil {
+			c.Journal().Close()
+			t.Errorf("%s: recovered with TTL %v", tc.name, c.TTL)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRecoverMixedJournal: a campaign's all-index journal recovers to the
+// live coordinator's ledger — the same Merged bytes and the same Snapshot —
+// and the same journal with its first complete records rewritten in the
+// named form, as an older coordinator wrote them, is refused at the first
+// of them, with the form named, and recovers no coordinator.
 func TestRecoverMixedJournal(t *testing.T) {
 	names := fakeNames(70) // two tile bands: diagonal and off-diagonal blocks
 	path := journalPath(t)
@@ -603,87 +641,77 @@ func TestRecoverMixedJournal(t *testing.T) {
 		if res == AcquireDone {
 			break
 		}
-		results := fullResults(t, l.Shard, names)
-		results[k%len(results)].Failed = true
-		if err := c.Complete("w1", l.Shard.ID, l.Epoch, results); err != nil {
+		rtts := values(fullResults(t, l.Shard, names), nil)
+		if err := c.completeValues("w1", l.Shard.ID, l.Epoch, rtts, []int{k % len(rtts)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	m, err := c.Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []journalRecord
-	err = wal.Replay(f, func(rec journalRecord) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	f.Close()
+	var want bytes.Buffer
+	if err := m.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus := c.Snapshot()
+	rc := recoverJournaled(t, path, clock)
+	rc.Journal().Close()
+	rm, err := rc.Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first half of the complete records as a coordinator that spelled
-	// names wrote them.
-	mixed := journalPath(t)
-	j, err := wal.Open[journalRecord](mixed)
+	var got bytes.Buffer
+	if err := rm.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	st := rc.Snapshot()
+	st.Recoveries = wantStatus.Recoveries
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || !reflect.DeepEqual(st, wantStatus) {
+		t.Fatalf("the all-index journal recovers status %+v, live %+v (matrices equal: %v)",
+			st, wantStatus, bytes.Equal(got.Bytes(), want.Bytes()))
+	}
+
+	// The first quarter of the complete records as a coordinator that
+	// spelled names wrote them.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	completes := 0
-	for _, rec := range recs {
-		if rec.Kind == journalComplete && completes < len(recs)/4 {
-			completes++
-			sh, _ := c.shard(rec.Shard)
-			pairs, err := sh.Pairs(names)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results := make([]PairResult, len(pairs))
-			for k, p := range pairs {
-				results[k] = PairResult{X: p[0], Y: p[1], RTT: rec.RTTs[k]}
-			}
-			for _, k := range rec.Failed {
-				results[k] = PairResult{X: pairs[k][0], Y: pairs[k][1], Failed: true}
-			}
-			rec.RTTs, rec.Failed, rec.Results = nil, nil, results
+	lines := strings.SplitAfter(string(raw), "\n")
+	completes, first := 0, ""
+	for k, line := range lines {
+		var rec journalRecord
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Kind != journalComplete || completes >= len(lines)/8 {
+			continue
 		}
-		if err := j.Append(rec); err != nil {
+		sh, _ := c.shard(rec.Shard)
+		pairs, err := sh.Pairs(names)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+		named := make([]string, len(pairs))
+		for p, pair := range pairs {
+			named[p] = fmt.Sprintf(`{"x":%q,"y":%q,"rtt":%v}`, pair[0], pair[1], rec.RTTs[p])
+		}
+		lines[k] = fmt.Sprintf(`{"t":"complete","shard":%q,"worker":%q,"epoch":%d,"results":[%s]}`+"\n",
+			rec.Shard, rec.Worker, rec.Epoch, strings.Join(named, ","))
+		if completes == 0 {
+			first = fmt.Sprintf("line %d: campaign: journal complete %s lists named results", k+1, rec.Shard)
+		}
+		completes++
 	}
 	if completes == 0 {
 		t.Fatal("no complete record was rewritten")
 	}
-
-	ledger := func(c *Coordinator) ([]byte, Status) {
-		t.Helper()
-		m, err := c.Merged()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := m.Encode(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes(), c.Snapshot()
+	mixed := journalPath(t)
+	if err := os.WriteFile(mixed, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	wantBytes, wantStatus := ledger(c)
-	for name, p := range map[string]string{"all-index journal": path, "mixed journal": mixed} {
-		rc := recoverJournaled(t, p, clock)
-		rc.Journal().Close()
-		got, st := ledger(rc)
-		st.Recoveries = wantStatus.Recoveries
-		if !bytes.Equal(got, wantBytes) {
-			t.Errorf("the %s recovers another matrix than the live coordinator's", name)
-		}
-		if !reflect.DeepEqual(st, wantStatus) {
-			t.Errorf("the %s recovers status %+v, live %+v", name, st, wantStatus)
-		}
+	if rc, err := RecoverCoordinator(mixed, nil); err == nil || rc != nil || !strings.Contains(err.Error(), first) {
+		t.Fatalf("the mixed journal recovers %v, %v; want a refusal saying %q", rc, err, first)
 	}
 }

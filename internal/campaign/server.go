@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
-	"unicode/utf8"
 
 	"ting/internal/directory"
 )
@@ -27,8 +27,8 @@ const (
 	// maxReplyLine bounds a reply line a campaign client reads, its newline
 	// included. The longest line a coordinator sends is an error verdict: it
 	// quotes at most one request or completion line, which the server reads
-	// through a 4 KiB buffer and %q at most quadruples, beside at most two
-	// relay names. A names line is one name.
+	// through a 4 KiB buffer and %q at most quadruples. A names line is one
+	// name.
 	maxReplyLine = 64 << 10
 	// replyBuf is a client's read buffer: a lease line fits it, and a longer
 	// line is read in pieces up to maxReplyLine.
@@ -41,9 +41,17 @@ const (
 // directory.Server.Extend.
 type Server struct {
 	c *Coordinator
-	// bufs holds *[]PairResult completion buffers: Complete keeps nothing
-	// of a submission, so a buffer is reused once its verdict is sent.
+	// bufs holds *shardValues completion buffers: completeValues keeps
+	// nothing of a submission, so a buffer is reused once its verdict is
+	// sent.
 	bufs sync.Pool
+}
+
+// shardValues is a submission by index: one value per shard pair in
+// canonical order, 0 at a failed pair, and the failed pairs' positions.
+type shardValues struct {
+	rtts   []float64
+	failed []int
 }
 
 // NewServer wraps c for the wire.
@@ -105,18 +113,17 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 			replyErr(conn, ErrUnknownShard)
 			return
 		}
-		buf, _ := s.bufs.Get().(*[]PairResult)
-		if buf == nil {
-			buf = new([]PairResult)
+		v, _ := s.bufs.Get().(*shardValues)
+		if v == nil {
+			v = new(shardValues)
 		}
-		defer s.bufs.Put(buf)
-		results, err := readResults(br, s.c.names, sh, *buf)
+		defer s.bufs.Put(v)
+		v.rtts, v.failed, err = readValues(br, sh, v.rtts, v.failed)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
 			return
 		}
-		*buf = results
-		replyErr(conn, s.c.Complete(worker, id, epoch, results))
+		replyErr(conn, s.c.completeValues(worker, id, epoch, v.rtts, v.failed))
 	default:
 		fmt.Fprintf(conn, "error unknown campaign op %q\n", op)
 	}
@@ -133,88 +140,47 @@ func leaseArgs(args []string) (worker, id string, epoch uint64, err error) {
 	return args[0], args[1], epoch, nil
 }
 
-// readResults consumes a completion body for shard sh of a campaign over
-// names, appending to dst[:0]: one "pair <x> <y> <rtt>" or "fail <x> <y>"
-// line per pair, terminated by "end". Fields are separated by white space
-// as strings.Fields separates them, without allocating. A result's names
-// are the campaign's own strings wherever the wire bytes spell the pair the
-// shard lists at that position, and copies only where they do not (Complete
-// then refuses the submission by name), so a canonical body into a buffer
-// of its size allocates nothing, whatever its pair count. Whatever the peer
-// sends, the body costs bounded memory: a line longer than br's buffer is
-// refused, and so is a result line past the shard's pair count.
-func readResults(br *bufio.Reader, names []string, sh Shard, dst []PairResult) ([]PairResult, error) {
-	out, limit := dst[:0], sh.PairCount()
-	c := sh.cursor(len(names))
+// readValues consumes a completion body for shard sh, appending to rtts[:0]
+// and failed[:0], which it returns grown even when it refuses the body: one
+// line per shard pair in canonical order, holding the pair's RTT as a
+// decimal or "fail", then "end" — the journal complete record's form, so a
+// failed pair's value is 0 and its position joins failed. Surrounding white
+// space is ignored. Whatever the peer sends, the body costs bounded memory:
+// a line longer than br's buffer is refused, and so is a value line past the
+// shard's pair count. A value that is not finite is refused, as neither the
+// journal nor a matrix document can hold it, and so is a line of the named
+// form ("pair <x> <y> <rtt>" or "fail <x> <y>"), never read as a value. A
+// canonical body into buffers of its size allocates nothing.
+func readValues(br *bufio.Reader, sh Shard, rtts []float64, failed []int) ([]float64, []int, error) {
+	rtts, failed = rtts[:0], failed[:0]
 	for {
 		line, err := br.ReadSlice('\n')
 		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, fmt.Errorf("completion line longer than %d bytes", br.Size())
+			return rtts, failed, fmt.Errorf("completion line longer than %d bytes", br.Size())
 		}
 		if err != nil {
-			return nil, errors.New("truncated completion body")
+			return rtts, failed, errors.New("truncated completion body")
 		}
-		var f [4][]byte
-		n := fields(line, f[:])
-		switch {
-		case n == 1 && string(f[0]) == "end":
-			return out, nil
-		case n == 4 && string(f[0]) == "pair", n == 3 && string(f[0]) == "fail":
-			if len(out) == limit {
-				return nil, fmt.Errorf("completion body has more than the shard's %d pairs", limit)
+		v := bytes.TrimSpace(line)
+		if string(v) == "end" {
+			return rtts, failed, nil
+		}
+		if len(rtts) == sh.PairCount() {
+			return rtts, failed, fmt.Errorf("completion body has more than the shard's %d pairs", sh.PairCount())
+		}
+		rtt := 0.0
+		if string(v) == "fail" {
+			failed = append(failed, len(rtts))
+		} else if rtt, err = strconv.ParseFloat(string(v), 64); err != nil {
+			if k := bytes.IndexFunc(v, unicode.IsSpace); k > 0 && (string(v[:k]) == "pair" || string(v[:k]) == "fail") {
+				return rtts, failed, fmt.Errorf("completion line %q is in the named form; a line holds one pair's value or \"fail\"", v)
 			}
-			i, j, _ := c.next()
-			r := PairResult{X: canonical(f[1], names[i]), Y: canonical(f[2], names[j]), Failed: n == 3}
-			if n == 4 {
-				if r.RTT, err = strconv.ParseFloat(string(f[3]), 64); err != nil {
-					return nil, fmt.Errorf("bad rtt %q", f[3])
-				}
-			}
-			out = append(out, r)
-		default:
-			return nil, fmt.Errorf("bad completion line %q", bytes.TrimSpace(line))
+			return rtts, failed, fmt.Errorf("bad completion line %q", v)
+		} else if math.IsNaN(rtt) || math.IsInf(rtt, 0) {
+			return rtts, failed, fmt.Errorf("completion value %q at position %d is not finite", v, len(rtts))
 		}
+		rtts = append(rtts, rtt)
 	}
-}
-
-// canonical returns want when b spells it, and b as a new string otherwise.
-func canonical(b []byte, want string) string {
-	if string(b) == want {
-		return want
-	}
-	return string(b)
-}
-
-// fields splits line around runs of Unicode white space, as strings.Fields
-// does, into f, and returns how many fields the line has — more than len(f)
-// when they do not all fit.
-func fields(line []byte, f [][]byte) int {
-	n, start := 0, -1
-	for i := 0; i < len(line); {
-		r, size := rune(line[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRune(line[i:])
-		}
-		switch {
-		case !unicode.IsSpace(r):
-			if start < 0 {
-				start = i
-			}
-		case start >= 0:
-			if n < len(f) {
-				f[n] = line[start:i]
-			}
-			n, start = n+1, -1
-		}
-		i += size
-	}
-	if start >= 0 {
-		if n < len(f) {
-			f[n] = line[start:]
-		}
-		n++
-	}
-	return n
 }
 
 // replyErr maps a coordinator verdict onto the wire: nil → "ok", fencing
@@ -347,10 +313,16 @@ func Heartbeat(addr, worker string, l Lease) error {
 }
 
 // Complete submits worker's results for lease l to the coordinator at
-// addr. RTTs travel as shortest-round-trip decimal strings, which
-// round-trip float64 exactly — the wire cannot break bytewise merge
-// equality. Returns ErrFenced when a newer epoch owns the shard.
+// addr. Results must list the shard's pairs in canonical order: the wire
+// carries each pair's position, not its names, so only its RTT travels.
+// Returns ErrFenced when a newer epoch owns the shard.
 func Complete(addr, worker string, l Lease, results []PairResult) error {
+	return submit(addr, worker, l, values(results, nil), nil)
+}
+
+// submit sends a completion by index for lease l: the request line, then
+// the body writeValues writes.
+func submit(addr, worker string, l Lease, rtts []float64, failed []int) error {
 	conn, err := dial(addr, 0)
 	if err != nil {
 		return err
@@ -358,27 +330,26 @@ func Complete(addr, worker string, l Lease, results []PairResult) error {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	fmt.Fprintf(bw, "%s complete %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
-	writeResults(bw, results)
+	writeValues(bw, rtts, failed)
 	if err := bw.Flush(); err != nil {
 		return &TransportError{Op: "complete", Err: err}
 	}
 	return readVerdict(conn, "complete")
 }
 
-// writeResults writes the completion body readResults reads: a "pair" or
-// "fail" line per result, each appended straight into bw's buffer, then
-// "end". A write error sticks in bw for its Flush to report.
-func writeResults(bw *bufio.Writer, results []PairResult) {
-	for _, r := range results {
+// writeValues writes the completion body readValues reads: a line per
+// value, "fail" at each failed position and otherwise the RTT as a
+// shortest-round-trip decimal, which round-trips float64 exactly, so the
+// wire cannot break bytewise merge equality; then "end". Each line is
+// appended straight into bw's buffer; a write error sticks in bw for its
+// Flush to report.
+func writeValues(bw *bufio.Writer, rtts []float64, failed []int) {
+	for k, rtt := range rtts {
 		b := bw.AvailableBuffer()
-		if r.Failed {
-			b = append(b, "fail "...)
+		if len(failed) > 0 && failed[0] == k {
+			b, failed = append(b, "fail"...), failed[1:]
 		} else {
-			b = append(b, "pair "...)
-		}
-		b = append(append(append(b, r.X...), ' '), r.Y...)
-		if !r.Failed {
-			b = strconv.AppendFloat(append(b, ' '), r.RTT, 'g', -1, 64)
+			b = strconv.AppendFloat(b, rtt, 'g', -1, 64)
 		}
 		bw.Write(append(b, '\n'))
 	}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -14,84 +15,73 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"ting/internal/ting"
 )
 
-// readResultsReference is the completion-body parser the CAMP wire had
-// before readResults was bounded: ReadString and strings.Fields, no limit on
-// a line's length or on the number of lines. FuzzReadResults holds
-// readResults to it.
-func readResultsReference(br *bufio.Reader) ([]PairResult, error) {
-	var out []PairResult
+// readValuesReference is a plain parse of a completion body: ReadString,
+// each line trimmed and read as "end", "fail" or a finite strconv float,
+// with no limit on a line's length or on the number of lines.
+// FuzzReadResults holds readValues to it.
+func readValuesReference(br *bufio.Reader) (rtts []float64, failed []int, err error) {
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
-			return nil, errors.New("truncated completion body")
+			return nil, nil, errors.New("truncated completion body")
 		}
-		f := strings.Fields(line)
-		switch {
-		case len(f) == 1 && f[0] == "end":
-			return out, nil
-		case len(f) == 4 && f[0] == "pair":
-			rtt, err := strconv.ParseFloat(f[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad rtt %q", f[3])
-			}
-			out = append(out, PairResult{X: f[1], Y: f[2], RTT: rtt})
-		case len(f) == 3 && f[0] == "fail":
-			out = append(out, PairResult{X: f[1], Y: f[2], Failed: true})
+		switch v := strings.TrimSpace(line); v {
+		case "end":
+			return rtts, failed, nil
+		case "fail":
+			failed = append(failed, len(rtts))
+			rtts = append(rtts, 0)
 		default:
-			return nil, fmt.Errorf("bad completion line %q", strings.TrimSpace(line))
+			rtt, err := strconv.ParseFloat(v, 64)
+			if err != nil || math.IsNaN(rtt) || math.IsInf(rtt, 0) {
+				return nil, nil, fmt.Errorf("bad completion line %q", v)
+			}
+			rtts = append(rtts, rtt)
 		}
 	}
 }
 
-// goldenNames are the campaign goldenResults belongs to: its pairs are the
-// first five of shard t0-0.p0-5.
-var goldenNames = []string{"relayA", "relayB", "relayC", "relayD"}
+// goldenRTTs and goldenFailed are the submission the golden completion body
+// carries for the five pairs of shard t0-0.p0-5: RTTs of zero, the smallest
+// subnormal, one third and 1e21, and a failed pair.
+var (
+	goldenRTTs   = []float64{0, math.SmallestNonzeroFloat64, 0, 1.0 / 3, 1e21}
+	goldenFailed = []int{2}
+)
 
-// goldenResults are the results the golden completion body carries: RTTs
-// of zero, the smallest subnormal, one third and 1e21, and a failed pair.
-var goldenResults = []PairResult{
-	{X: "relayA", Y: "relayB", RTT: 0},
-	{X: "relayA", Y: "relayC", RTT: math.SmallestNonzeroFloat64},
-	{X: "relayA", Y: "relayD", Failed: true},
-	{X: "relayB", Y: "relayC", RTT: 1.0 / 3},
-	{X: "relayB", Y: "relayD", RTT: 1e21},
-}
-
-// goldenCompletion is what Complete sends for goldenResults: the bytes the
-// wire carried when the body was written with Fprintf and FormatFloat.
+// goldenCompletion is what a worker sends for goldenRTTs and goldenFailed:
+// a line per pair by position, its RTT as FormatFloat writes it or "fail".
 const goldenCompletion = "CAMP complete w1 t0-0.p0-5 7\n" +
-	"pair relayA relayB 0\n" +
-	"pair relayA relayC 5e-324\n" +
-	"fail relayA relayD\n" +
-	"pair relayB relayC 0.3333333333333333\n" +
-	"pair relayB relayD 1e+21\n" +
+	"0\n" +
+	"5e-324\n" +
+	"fail\n" +
+	"0.3333333333333333\n" +
+	"1e+21\n" +
 	"end\n"
 
-// sameResults reports whether got is want bit for bit (every NaN reads back
-// as a NaN).
-func sameResults(got, want []PairResult) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.X != w.X || g.Y != w.Y || g.Failed != w.Failed {
-			return false
-		}
-		if math.Float64bits(g.RTT) != math.Float64bits(w.RTT) && !(math.IsNaN(g.RTT) && math.IsNaN(w.RTT)) {
-			return false
-		}
-	}
-	return true
+// sameValues reports whether a body read as (rtts, failed) is (wantRTTs,
+// wantFailed) bit for bit.
+func sameValues(rtts []float64, failed []int, wantRTTs []float64, wantFailed []int) bool {
+	return slices.Equal(failed, wantFailed) && slices.EqualFunc(rtts, wantRTTs, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
 }
 
-// TestCompleteWireGolden pins the bytes Complete puts on the wire, and
-// reads them back through the server's parser bit for bit.
+// body writes rtts and failed as a completion body.
+func body(rtts []float64, failed []int) string {
+	var wire strings.Builder
+	bw := bufio.NewWriter(&wire)
+	writeValues(bw, rtts, failed)
+	bw.Flush()
+	return wire.String()
+}
+
+// TestCompleteWireGolden pins the bytes a worker's completion puts on the
+// wire, and reads them back through the server's parser bit for bit.
 func TestCompleteWireGolden(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -119,88 +109,94 @@ func TestCompleteWireGolden(t *testing.T) {
 		got <- sent.String()
 	}()
 	lease := Lease{Shard: NewShard(0, 0, 0, 5), Epoch: 7}
-	if err := Complete(ln.Addr().String(), "w1", lease, goldenResults); err != nil {
+	if err := submit(ln.Addr().String(), "w1", lease, goldenRTTs, goldenFailed); err != nil {
 		t.Fatal(err)
 	}
 	sent := <-got
 	if sent != goldenCompletion {
-		t.Fatalf("Complete sent\n%s\nwant\n%s", sent, goldenCompletion)
+		t.Fatalf("the completion sent\n%s\nwant\n%s", sent, goldenCompletion)
 	}
 	body := bufio.NewReader(strings.NewReader(strings.SplitAfterN(sent, "\n", 2)[1]))
-	res, err := readResults(body, goldenNames, lease.Shard, nil)
-	if err != nil || !sameResults(res, goldenResults) {
-		t.Fatalf("read back %+v, %v", res, err)
+	rtts, failed, err := readValues(body, lease.Shard, nil, nil)
+	if err != nil || !sameValues(rtts, failed, goldenRTTs, goldenFailed) {
+		t.Fatalf("read back %v %v, %v", rtts, failed, err)
 	}
 }
 
-// TestReadResultsBounds: a body is refused once it has more result lines
-// than the shard has pairs, or a line longer than the reader's buffer; a
-// name the wire spells as the shard's pair is the campaign's own string,
-// and one it does not is read as sent.
+// TestReadResultsBounds: the completion body reader refuses, each with a
+// message saying why, a body with more lines than the shard has pairs, a
+// line longer than the reader's buffer, a value that is not finite, and a
+// line of the named form, which it never reads as a value; surrounding
+// white space is ignored.
 func TestReadResultsBounds(t *testing.T) {
-	body := "pair relayA relayB 1\nfail relayA relayC\nend\n"
-	if _, err := readResults(bufio.NewReader(strings.NewReader(body)), goldenNames, NewShard(0, 0, 0, 1), nil); err == nil || !strings.Contains(err.Error(), "more than the shard's 1 pairs") {
-		t.Fatalf("two results for a one-pair shard: %v", err)
-	}
-	long := "pair a b " + strings.Repeat("1", 64) + "\nend\n"
-	if _, err := readResults(bufio.NewReaderSize(strings.NewReader(long), 32), goldenNames, NewShard(0, 0, 0, 1), nil); err == nil || !strings.Contains(err.Error(), "longer than 32 bytes") {
-		t.Fatalf("line over the buffer: %v", err)
-	}
-	res, err := readResults(bufio.NewReader(strings.NewReader(body)), goldenNames, NewShard(0, 0, 0, 2), nil)
-	if err != nil || len(res) != 2 {
-		t.Fatalf("read %+v, %v", res, err)
-	}
-	if res[0].X != "relayA" || res[1].Y != "relayC" || !res[1].Failed || res[0].RTT != 1 {
-		t.Fatalf("read %+v", res)
-	}
-	if unsafe.StringData(res[1].Y) != unsafe.StringData(goldenNames[2]) {
-		t.Error("a canonical name was read as a copy")
-	}
-	// The shard's second pair is (relayA, relayC): relayD is read as sent.
-	res, err = readResults(bufio.NewReader(strings.NewReader("pair relayA relayB 1\nfail relayA relayD\nend\n")), goldenNames, NewShard(0, 0, 0, 2), nil)
-	if err != nil || res[1].Y != "relayD" {
-		t.Fatalf("read %+v, %v", res, err)
+	for _, tc := range []struct {
+		name, body string
+		pairs, buf int
+		want       string // the refusal, or "" when the body is accepted
+	}{
+		{"a value and a fail", "1.5\nfail\nend\n", 2, 4096, ""},
+		{"white space", " 1.5\t\r\n\vfail \n end\n", 2, 4096, ""},
+		{"more lines than pairs", "1\nfail\nend\n", 1, 4096, "more than the shard's 1 pairs"},
+		{"a line over the buffer", strings.Repeat("1", 64) + "\nend\n", 1, 32, "longer than 32 bytes"},
+		{"truncated", "1\n", 2, 4096, "truncated completion body"},
+		{"NaN", "1\nNaN\nend\n", 2, 4096, `"NaN" at position 1 is not finite`},
+		{"+Inf", "+Inf\nend\n", 1, 4096, `"+Inf" at position 0 is not finite`},
+		{"-Inf", "-Inf\nend\n", 1, 4096, "not finite"},
+		{"infinity", "infinity\nend\n", 1, 4096, "not finite"},
+		{"out of range", "1e999\nend\n", 1, 4096, `bad completion line "1e999"`},
+		{"not a number", "x\nend\n", 1, 4096, `bad completion line "x"`},
+		{"named pair line", "pair relayA relayB 1\nend\n", 1, 4096, `completion line "pair relayA relayB 1" is in the named form`},
+		{"named fail line", "1\nfail relayA relayC\nend\n", 2, 4096, `completion line "fail relayA relayC" is in the named form`},
+		{"named line, tab-separated", "pair\trelayA\trelayB\t1\nend\n", 1, 4096, "in the named form"},
+	} {
+		br := bufio.NewReaderSize(strings.NewReader(tc.body), tc.buf)
+		rtts, failed, err := readValues(br, NewShard(0, 0, 0, tc.pairs), nil, nil)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want == "" && !sameValues(rtts, failed, []float64{1.5, 0}, []int{1}):
+			t.Errorf("%s: read %v %v", tc.name, rtts, failed)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// TestReadResultsAllocs: parsing a canonical completion body into a buffer
-// of its size allocates the same — nothing — whatever its pair count.
+// TestReadResultsAllocs: reading a canonical completion body into buffers
+// of its size allocates nothing, whatever its pair count.
 func TestReadResultsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	names := fakeNames(64)
 	for _, sh := range []Shard{NewShard(0, 0, 0, 2), NewShard(0, 0, 0, 2016)} {
-		results := fullResults(t, sh, names)
-		for k := range results {
-			results[k].RTT = 1 + float64(k)/7
+		rtts := make([]float64, sh.PairCount())
+		for k := range rtts {
+			rtts[k] = 1 + float64(k)/7
 		}
-		results[1] = PairResult{X: results[1].X, Y: results[1].Y, Failed: true}
-		var wire bytes.Buffer
-		bw := bufio.NewWriter(&wire)
-		writeResults(bw, results)
-		bw.Flush()
-		body := wire.String()
+		rtts[1] = 0
+		failed := []int{1}
+		body := body(rtts, failed)
 		br, r := bufio.NewReader(nil), strings.NewReader(body)
-		buf := make([]PairResult, 0, len(results))
+		gotRTTs, gotFailed := make([]float64, 0, len(rtts)), make([]int, 0, len(failed))
 		allocs := testing.AllocsPerRun(20, func() {
 			r.Reset(body)
 			br.Reset(r)
-			if _, err := readResults(br, names, sh, buf); err != nil {
+			if _, _, err := readValues(br, sh, gotRTTs, gotFailed); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%.1f allocations for a %d-pair body, want 0", allocs, len(results))
+			t.Errorf("%.1f allocations for a %d-pair body, want 0", allocs, len(rtts))
 		}
 	}
 }
 
-// withinBounds reports whether readResults with limit may refuse nothing
-// that the reference accepts in doc: every line up to and including "end"
-// fits a default-size reader's buffer, and there are at most limit results.
-func withinBounds(doc []byte, limit int, results int) bool {
-	if results > limit {
+// withinBounds reports whether readValues may refuse nothing that the
+// reference accepts in doc for a shard of limit pairs: every line up to and
+// including "end" fits a default-size reader's buffer, and there are at
+// most limit values.
+func withinBounds(doc []byte, limit int, values int) bool {
+	if values > limit {
 		return false
 	}
 	for len(doc) > 0 {
@@ -208,7 +204,7 @@ func withinBounds(doc []byte, limit int, results int) bool {
 		if i < 0 || i+1 > 4096 {
 			return false
 		}
-		if f := strings.Fields(string(doc[:i])); len(f) == 1 && f[0] == "end" {
+		if string(bytes.TrimSpace(doc[:i])) == "end" {
 			return true
 		}
 		doc = doc[i+1:]
@@ -216,59 +212,60 @@ func withinBounds(doc []byte, limit int, results int) bool {
 	return false
 }
 
-// FuzzReadResults: on any body readResults never panics; whatever it
-// accepts, the reference parser accepts with the same results; whatever the
-// reference accepts within the bounds, readResults accepts; and a body
-// writeResults writes reads back bit for bit.
+// FuzzReadResults: on any completion body readValues never panics and
+// holds at most a value and a failed position per shard pair; whatever it
+// accepts, the reference parser accepts with the same values; whatever the
+// reference accepts within the bounds, readValues accepts; a body of any
+// finite float64 bit patterns writeValues writes reads back bit for bit,
+// and one holding a NaN or an infinity is refused. The named lines of the
+// older body are seeds, each of which must be refused.
 func FuzzReadResults(f *testing.F) {
 	f.Add([]byte(strings.SplitAfterN(goldenCompletion, "\n", 2)[1]), uint16(5))
 	f.Add([]byte("end\n"), uint16(0))
 	f.Add([]byte(""), uint16(3))
-	f.Add([]byte("pair a b 1\npair a c 2\nend\n"), uint16(1))
-	f.Add([]byte("pair a b "+strings.Repeat("9", 5000)+"\nend\n"), uint16(1))
-	f.Add([]byte("pair a b 1\nfail\ta\vb\r\n end \n"), uint16(2))
-	f.Add([]byte("pair a b 1 \nfail a \xff\nend"), uint16(2))
-	f.Add([]byte("pair a b x\nend\n"), uint16(1))
-	f.Add([]byte("fail a b c\nend\n"), uint16(1))
+	f.Add([]byte("1\n2\nend\n"), uint16(1))
+	f.Add([]byte(strings.Repeat("9", 5000)+"\nend\n"), uint16(1))
+	f.Add([]byte("1\nfail\t\v\r\n end \n"), uint16(2))
+	f.Add([]byte("1 \n\xff\nend"), uint16(2))
+	f.Add([]byte("pair a b 1\npair a c 2\nend\n"), uint16(2))
+	f.Add([]byte("fail a b\nend\n"), uint16(1))
 	f.Add([]byte("end\ngarbage"), uint16(1))
-	f.Add([]byte("pair a b NaN\npair a c -0\npair a d +Inf\npair b c 0x1p-3\nend\n"), uint16(4))
-	// A 2016-pair diagonal block, so every limit is a shard, whose first
-	// pairs are the golden body's first three.
-	names := append(slices.Clone(goldenNames), fakeNames(60)...)
+	f.Add([]byte("NaN\n-0\n+Inf\n0x1p-3\nend\n"), uint16(4))
 	f.Fuzz(func(t *testing.T, doc []byte, limit uint16) {
 		lim := max(1, int(limit%512))
-		got, err := readResults(bufio.NewReader(bytes.NewReader(doc)), names, NewShard(0, 0, 0, lim), nil)
-		want, werr := readResultsReference(bufio.NewReader(bytes.NewReader(doc)))
-		if err == nil && (werr != nil || !sameResults(got, want)) {
-			t.Fatalf("accepted %+v; the reference gave %+v, %v", got, want, werr)
+		rtts, failed, err := readValues(bufio.NewReader(bytes.NewReader(doc)), NewShard(0, 0, 0, lim), nil, nil)
+		if len(rtts) > lim || len(failed) > len(rtts) {
+			t.Fatalf("a %d-pair shard's body read into %d values and %d failed positions", lim, len(rtts), len(failed))
 		}
-		if err != nil && werr == nil && withinBounds(doc, lim, len(want)) {
+		wantRTTs, wantFailed, werr := readValuesReference(bufio.NewReader(bytes.NewReader(doc)))
+		if err == nil && (werr != nil || !sameValues(rtts, failed, wantRTTs, wantFailed)) {
+			t.Fatalf("accepted %v %v; the reference gave %v %v, %v", rtts, failed, wantRTTs, wantFailed, werr)
+		}
+		if err != nil && werr == nil && withinBounds(doc, lim, len(wantRTTs)) {
 			t.Fatalf("refused a body the reference accepts within the bounds: %v", err)
 		}
 
-		// Round trip: results built from the input's bytes, every RTT bit
-		// pattern included, come back from what writeResults wrote.
-		var results []PairResult
-		for i := 0; i+8 <= len(doc) && len(results) < 64; i += 8 {
-			var bits uint64
-			for _, b := range doc[i : i+8] {
-				bits = bits<<8 | uint64(b)
-			}
-			r := PairResult{X: fmt.Sprint("relay", i), Y: fmt.Sprint("relay", i+1), RTT: math.Float64frombits(bits)}
+		// Round trip: values built from the input's bytes, every bit
+		// pattern included; a non-finite one is refused, not read.
+		var vals []float64
+		var fails []int
+		for i := 0; i+8 <= len(doc) && len(vals) < 64; i += 8 {
+			v := math.Float64frombits(binary.BigEndian.Uint64(doc[i:]))
 			if doc[i]&1 == 1 {
-				r = PairResult{X: r.X, Y: r.Y, Failed: true}
+				fails, v = append(fails, len(vals)), 0
 			}
-			results = append(results, r)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				one := body([]float64{v}, nil)
+				if _, _, err := readValues(bufio.NewReader(strings.NewReader(one)), NewShard(0, 0, 0, 1), nil, nil); err == nil || !strings.Contains(err.Error(), "not finite") {
+					t.Fatalf("read %q back: %v, want it refused as not finite", one, err)
+				}
+				continue
+			}
+			vals = append(vals, v)
 		}
-		var wire bytes.Buffer
-		bw := bufio.NewWriter(&wire)
-		writeResults(bw, results)
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		back, err := readResults(bufio.NewReader(&wire), names, NewShard(0, 0, 0, max(1, len(results))), nil)
-		if err != nil || !sameResults(back, results) {
-			t.Fatalf("wrote %+v, read back %+v, %v", results, back, err)
+		back, backFailed, err := readValues(bufio.NewReader(strings.NewReader(body(vals, fails))), NewShard(0, 0, 0, max(1, len(vals))), nil, nil)
+		if err != nil || !sameValues(back, backFailed, vals, fails) {
+			t.Fatalf("wrote %v %v, read back %v %v, %v", vals, fails, back, backFailed, err)
 		}
 	})
 }
@@ -333,7 +330,7 @@ func TestReplyLinesBounded(t *testing.T) {
 		"names":     func() error { _, err := FetchNames(addr); return err },
 		"acquire":   func() error { _, _, err := Acquire(addr, "w1"); return err },
 		"heartbeat": func() error { return Heartbeat(addr, "w1", lease) },
-		"complete":  func() error { return Complete(addr, "w1", lease, goldenResults) },
+		"complete":  func() error { return Complete(addr, "w1", lease, []PairResult{{X: "relayA", Y: "relayB", RTT: 1}}) },
 	}
 	for op, call := range calls {
 		if err := call(); err == nil || !IsTransient(err) || !strings.Contains(err.Error(), "reply line longer than 65536 bytes") {
@@ -348,9 +345,10 @@ func TestReplyLinesBounded(t *testing.T) {
 }
 
 // TestLongestVerdictFits: the longest verdict a coordinator sends — a
-// refused submission quoting a completion line's names beside two relay
-// names of the longest length a campaign takes — reaches the worker as a
-// verdict, not as an over-long line; a longer relay name is refused up
+// refused completion line as long as the server's 4 KiB buffer reads, each
+// of its bytes one that %q quadruples — reaches the worker as a verdict,
+// not as an over-long line; a relay name of the longest length a campaign
+// takes reaches the worker in a names reply, and a longer one is refused up
 // front.
 func TestLongestVerdictFits(t *testing.T) {
 	names := make([]string, 4)
@@ -365,27 +363,33 @@ func TestLongestVerdictFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := serveCoordinator(t, c)
+	if got, err := FetchNames(addr); err != nil || !slices.Equal(got, names) {
+		t.Fatalf("names reply of the longest names: %d names, %v", len(got), err)
+	}
 	l, _, err := Acquire(addr, "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A result line must fit the server's 4 KiB buffer, so the wrong names
-	// are as long as two on one line can be.
-	wrong := strings.Repeat("z", 2000)
-	results := slices.Repeat([]PairResult{{X: wrong, Y: wrong + "z", RTT: 1}}, 6)
-	err = Complete(addr, "w1", l, results)
-	if err == nil || IsTransient(err) || !strings.Contains(err.Error(), names[1]) {
-		t.Fatalf("refused submission: %v", err)
+	conn, err := dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(err.Error()); n < 2*maxName {
-		t.Fatalf("the verdict is %d bytes, want the two names it quotes", n)
+	defer conn.Close()
+	line := strings.Repeat("\x01", 4096-len("\n"))
+	fmt.Fprintf(conn, "%s complete w1 %s %d\n%s\n", Verb, l.Shard.ID, l.Epoch, line)
+	err = readVerdict(conn, "complete")
+	if err == nil || IsTransient(err) || !strings.Contains(err.Error(), "bad completion line") {
+		t.Fatalf("refused submission: %.200v", err)
+	}
+	if n := len(err.Error()); n < 4*len(line) {
+		t.Fatalf("the verdict is %d bytes, want the line it quotes", n)
 	}
 }
 
-// TestNewCoordinatorRefusesWhiteSpaceNames: a completion line's fields are
-// split on white space, so a relay name holding any — a space, a tab, a
-// newline — would make every submission of a shard touching it refused, and
-// the shard re-granted forever. NewCoordinator refuses such a name up front.
+// TestNewCoordinatorRefusesWhiteSpaceNames: a names reply carries each
+// relay name as one trimmed line, so a relay name holding white space — a
+// space, a tab, a newline — could reach a worker as another name, or as
+// two. NewCoordinator refuses such a name up front.
 func TestNewCoordinatorRefusesWhiteSpaceNames(t *testing.T) {
 	for _, bad := range []string{"a b", "a\tb", "a\nb", " a", "a\u00a0b"} {
 		names := []string{"r0", "r1", bad, "r3"}

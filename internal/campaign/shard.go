@@ -201,12 +201,13 @@ func (s Shard) Pairs(names []string) ([][2]string, error) {
 	}
 }
 
-// checkResults accepts a submission that lists the shard's pairs exactly in
-// canonical order — every pair once, measured or failed, nothing missing,
-// nothing extra — with finite RTTs, by walking the shard beside it: no pair
-// list, no set, no allocation unless it refuses. A NaN or infinite RTT is
-// refused even on a failed pair: the journal cannot encode it, and a matrix
-// document holding one does not decode. The shard must fit len(names).
+// checkResults accepts a submission as named pairs (Coordinator.Complete)
+// that lists the shard's pairs exactly in canonical order — every pair
+// once, nothing missing, nothing extra — with finite RTTs, by walking the
+// shard beside it: no pair list, no set, no allocation unless it refuses. A
+// NaN or infinite RTT is refused: the journal cannot encode it, and a
+// matrix document holding one does not decode. The shard must fit
+// len(names).
 func (s Shard) checkResults(names []string, results []PairResult) error {
 	if len(results) != s.PairCount() {
 		return fmt.Errorf("campaign: shard %s submission lists %d pairs, the shard has %d", s.ID, len(results), s.PairCount())
@@ -227,17 +228,18 @@ func (s Shard) checkResults(names []string, results []PairResult) error {
 	return nil
 }
 
-// checkValues accepts a complete record's index form for the shard: one
-// value per pair, in the shard's canonical order, and the positions of its
-// failed pairs, strictly increasing and each a position of the shard.
+// checkValues accepts a submission's index form for the shard, off the
+// wire or a journal complete record: one value per pair, in the shard's
+// canonical order, and the positions of its failed pairs, strictly
+// increasing and each a position of the shard.
 func (s Shard) checkValues(rtts []float64, failed []int) error {
 	if len(rtts) != s.PairCount() {
-		return fmt.Errorf("campaign: shard %s record holds %d values, the shard has %d pairs", s.ID, len(rtts), s.PairCount())
+		return fmt.Errorf("campaign: shard %s submission holds %d values, the shard has %d pairs", s.ID, len(rtts), s.PairCount())
 	}
 	prev := -1
 	for _, k := range failed {
 		if k <= prev || k >= len(rtts) {
-			return fmt.Errorf("campaign: shard %s record's failed positions %v are not increasing positions below %d",
+			return fmt.Errorf("campaign: shard %s submission's failed positions %v are not increasing positions below %d",
 				s.ID, failed, len(rtts))
 		}
 		prev = k
@@ -265,28 +267,23 @@ func (s Shard) record(ledger *ting.Matrix, rtts []float64, failed []int) int {
 	return len(failed)
 }
 
-// values is a checked submission's index form, appended to rtts[:0] and
-// failed[:0]: each result's RTT in order, 0 for a failed pair, and the
-// failed pairs' positions.
-func values(results []PairResult, rtts []float64, failed []int) ([]float64, []int) {
-	rtts, failed = rtts[:0], failed[:0]
-	for k, r := range results {
-		if r.Failed {
-			failed = append(failed, k)
-			rtts = append(rtts, 0)
-			continue
-		}
+// values is a named submission's index form, appended to rtts[:0]: each
+// result's RTT in order. No pair of it failed.
+func values(results []PairResult, rtts []float64) []float64 {
+	rtts = rtts[:0]
+	for _, r := range results {
 		rtts = append(rtts, r.RTT)
 	}
-	return rtts, failed
+	return rtts
 }
 
 // ledgerValues reads the shard's index form off ledger, a matrix over the
-// campaign's names: a pair the ledger holds a measurement of carries its
-// RTT, any other pair failed — the form the accepted submission was
-// journaled in.
-func (s Shard) ledgerValues(ledger *ting.Matrix) (rtts []float64, failed []int) {
-	rtts = make([]float64, 0, s.PairCount())
+// campaign's names, appending to rtts[:0] and failed[:0]: a pair the ledger
+// holds a measurement of carries its RTT, any other pair failed. On a
+// worker's ledger it is the lease's submission; on the coordinator's, the
+// form the accepted submission was journaled in.
+func (s Shard) ledgerValues(ledger *ting.Matrix, rtts []float64, failed []int) ([]float64, []int) {
+	rtts, failed = rtts[:0], failed[:0]
 	for c := s.cursor(ledger.N()); ; {
 		i, j, ok := c.next()
 		if !ok {
@@ -298,27 +295,6 @@ func (s Shard) ledgerValues(ledger *ting.Matrix) (rtts []float64, failed []int) 
 			failed = append(failed, len(rtts))
 			rtts = append(rtts, 0)
 		}
-	}
-}
-
-// submission lists the shard's pairs in canonical order, as Complete
-// demands, into dst[:0], reading each from ledger: a pair the ledger holds
-// a measurement of carries its RTT, any other pair failed. On a worker's
-// ledger it is the lease's submission.
-func (s Shard) submission(dst []PairResult, names []string, ledger *ting.Matrix) []PairResult {
-	dst = dst[:0]
-	for c := s.cursor(len(names)); ; {
-		i, j, ok := c.next()
-		if !ok {
-			return dst
-		}
-		r := PairResult{X: names[i], Y: names[j]}
-		if measured(ledger, i, j) {
-			r.RTT = ledger.At(i, j)
-		} else {
-			r.Failed = true
-		}
-		dst = append(dst, r)
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -18,6 +19,10 @@ type Lease struct {
 	Epoch uint64
 	TTL   time.Duration
 }
+
+// maxTTLMs is the longest TTL, in milliseconds, a time.Duration holds: a
+// lease line or journal header asking for more would overflow it.
+const maxTTLMs = math.MaxInt64 / int64(time.Millisecond)
 
 // EncodeLease renders l as its one-line wire form:
 //
@@ -83,8 +88,8 @@ func DecodeLease(line string) (Lease, error) {
 	if l.Epoch == 0 {
 		return Lease{}, fmt.Errorf("campaign: lease %s has epoch 0", id)
 	}
-	if ttlMs <= 0 {
-		return Lease{}, fmt.Errorf("campaign: lease %s has non-positive TTL", id)
+	if ttlMs <= 0 || ttlMs > maxTTLMs {
+		return Lease{}, fmt.Errorf("campaign: lease %s has TTL %d ms, want 1 to %d", id, ttlMs, maxTTLMs)
 	}
 	l.TTL = time.Duration(ttlMs) * time.Millisecond
 	return l, nil

@@ -170,8 +170,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("campaign: worker %s: %w", w.Name, err)
 	}
-	// Every lease's submission is built here: Complete keeps none of it.
-	var sub []PairResult
+	// Every lease's submission is built here: the coordinator keeps none
+	// of it.
+	var sub shardValues
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -275,7 +276,7 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 // accepts the next beat (resurrecting the lease if it had lazily expired)
 // or finally fences us. The submission is built in *sub, which the worker
 // keeps for its whole life.
-func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, sub *[]PairResult) error {
+func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, sub *shardValues) error {
 	sh := lease.Shard
 	if err := sh.fits(len(names)); err != nil {
 		return err
@@ -370,11 +371,10 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 		return err
 	}
 
-	// The submission: one entry per shard pair, in the shard's canonical
+	// The submission: one value per shard pair, in the shard's canonical
 	// order. A completed scan settled every pair it was given, so a pair the
 	// ledger holds no measurement of is one the scan gave up on.
-	*sub = sh.submission(*sub, names, ledger)
-	results := *sub
+	sub.rtts, sub.failed = sh.ledgerValues(ledger, sub.rtts, sub.failed)
 
 	// A fully-measured lease is too expensive to abandon to a transport
 	// blip: retry the submission with backoff while the coordinator is
@@ -382,7 +382,7 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	// recovery (the journal replays it), so a late submission lands unless
 	// the shard was genuinely re-granted — which only ErrFenced proves.
 	for {
-		err := Complete(w.Addr, w.Name, lease, results)
+		err := submit(w.Addr, w.Name, lease, sub.rtts, sub.failed)
 		if err == nil {
 			rec.reset()
 			break

@@ -411,7 +411,7 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				grace:   time.Minute,
 				rng:     rand.New(rand.NewSource(1)),
 			}
-			var sub []PairResult // one buffer for every lease, as Run keeps it
+			var sub shardValues // one buffer for every lease, as Run keeps it
 			if err := w.runLease(ctx, names, ledger, l1, rec, &sub); !errors.Is(err, ErrFenced) {
 				t.Fatalf("stale lease's submission: %v, want ErrFenced", err)
 			}
@@ -469,7 +469,7 @@ func TestOpenLedgerRefusesAnotherCampaignsLog(t *testing.T) {
 	}
 	for _, rec := range []ting.CheckpointRecord{
 		{Kind: ting.RecordCampaign, Names: old},
-		{Kind: ting.RecordPair, X: old[0], Y: old[1], RTT: 5},
+		{Kind: ting.RecordPair, J: 1, RTT: 5},
 	} {
 		if err := cp.Append(rec); err != nil {
 			t.Fatal(err)

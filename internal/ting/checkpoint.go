@@ -15,11 +15,9 @@ import (
 // pair record per completed measurement and one half record per memoized
 // half-circuit series. A pair record names its relays by matrix index, in
 // the index space the log itself builds: the header's names, then each
-// relay a join record introduces, in log order. Logs written before carry
-// the two relay names instead; ReplayState reads both, record by record,
-// so one log may hold both forms. The log is append-only: a crashed or
-// cancelled scan never has to undo anything, and Resume replays whatever
-// prefix survived.
+// relay a join record introduces, in log order. The log is append-only: a
+// crashed or cancelled scan never has to undo anything, and Resume replays
+// whatever prefix survived.
 const (
 	RecordCampaign = "campaign"
 	RecordPair     = "pair"
@@ -55,8 +53,8 @@ type CheckpointRecord struct {
 	Fps map[string]string `json:"fps,omitempty"`
 	// Pair: one completed measurement of relays I < J in the log's index
 	// space. Zero fields are omitted, so pair (0, j) carries no "i".
-	// X and Y name the relays instead in logs written before pair records
-	// went by index; a record carries one form, never both.
+	// X and Y are the named form's relays, which ReplayState refuses; only
+	// the benchmark's append timing (bench/layers.go) still sets them.
 	X   string  `json:"x,omitempty"`
 	Y   string  `json:"y,omitempty"`
 	I   int     `json:"i,omitempty"`
@@ -185,46 +183,17 @@ type CheckpointState struct {
 
 // ReplayState replays a campaign log into its aggregated state. The first
 // header creates the matrix, a join adds its relay and a pair record writes
-// its cell. A pair record by index must name two relays the log has
-// introduced before it. A pair record by name is translated to indices: it
-// waits until the matrix holds both its relays — logs written before the
-// scan logged a relay's join ahead of its pairs can hold a joining relay's
-// pairs first — and a pair of a relay the log never introduces seeds
-// nothing. Shard and leave records are validated but aggregate nothing: a
+// its cell. A pair record must name, by index, two relays the log has
+// introduced before it; one that names its relays (the named form) is
+// refused, and so is a join before the first header: no writer logs
+// either. Shard and leave records are validated but aggregate nothing: a
 // crashed worker's log still shows what it was holding, to whoever reads
 // the log. Records of unknown kinds are skipped; malformed records of known
 // kinds are errors.
 func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	st := &CheckpointState{Fps: make(map[string]string)}
 	halfAt := make(map[string]int)
-	var m *Matrix                  // nil until the header
-	var early []string             // relays joined before the header
-	var pending []CheckpointRecord // pair records waiting for a relay
-	// A join's relay is never empty and is added only when the matrix does
-	// not hold it, so AddName, which refuses nothing else, cannot fail.
-	// seed writes a named pair record's cell and reports whether the matrix
-	// holds both its relays.
-	seed := func(rec CheckpointRecord) bool {
-		if m == nil {
-			return false
-		}
-		i, iok := m.Index(rec.X)
-		j, jok := m.Index(rec.Y)
-		if iok && jok {
-			m.write(i, j, rec.RTT, ProvResumed, 255)
-		}
-		return iok && jok
-	}
-	// place seeds the pending pairs a new relay completes, in log order.
-	place := func() {
-		kept := pending[:0]
-		for _, rec := range pending {
-			if !seed(rec) {
-				kept = append(kept, rec)
-			}
-		}
-		pending = kept
-	}
+	var m *Matrix // nil until the header
 	err := cp.Replay(func(rec CheckpointRecord) error {
 		st.Records++
 		switch rec.Kind {
@@ -237,12 +206,6 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 				if m, err = NewMatrix(rec.Names); err != nil {
 					return fmt.Errorf("ting: checkpoint: %w", err)
 				}
-				for _, n := range early {
-					if _, ok := m.Index(n); !ok {
-						_ = m.AddName(n)
-					}
-				}
-				place()
 			} else if !slices.Equal(st.Names, rec.Names) {
 				return errors.New("ting: checkpoint: log spans campaigns with different relay sets")
 			}
@@ -251,29 +214,21 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 				st.Fps[name] = fp
 			}
 		case RecordPair:
+			if rec.X != "" || rec.Y != "" {
+				return fmt.Errorf("ting: checkpoint: pair record (%q,%q) is in the named form; pair records name their relays by index", rec.X, rec.Y)
+			}
 			if !finite(rec.RTT) {
-				return fmt.Errorf("ting: checkpoint: non-finite RTT for pair (%s,%s)", rec.X, rec.Y)
+				return fmt.Errorf("ting: checkpoint: non-finite RTT for pair (%d,%d)", rec.I, rec.J)
 			}
-			byName := rec.X != "" || rec.Y != ""
-			if byName == (rec.I != 0 || rec.J != 0) {
-				return fmt.Errorf("ting: checkpoint: pair record (%q,%q) (%d,%d) names its relays in neither form or both",
-					rec.X, rec.Y, rec.I, rec.J)
+			introduced := 0
+			if m != nil {
+				introduced = m.N()
 			}
-			if !byName {
-				introduced := 0
-				if m != nil {
-					introduced = m.N()
-				}
-				if rec.I == rec.J || min(rec.I, rec.J) < 0 || max(rec.I, rec.J) >= introduced {
-					return fmt.Errorf("ting: checkpoint: pair record (%d,%d) is not a pair of the %d relays introduced so far",
-						rec.I, rec.J, introduced)
-				}
-				m.write(rec.I, rec.J, rec.RTT, ProvResumed, 255)
-			} else if rec.X == "" || rec.Y == "" || rec.X == rec.Y {
-				return fmt.Errorf("ting: checkpoint: invalid pair record (%q,%q)", rec.X, rec.Y)
-			} else if !seed(rec) {
-				pending = append(pending, rec)
+			if rec.I == rec.J || min(rec.I, rec.J) < 0 || max(rec.I, rec.J) >= introduced {
+				return fmt.Errorf("ting: checkpoint: pair record (%d,%d) is not a pair of the %d relays introduced so far",
+					rec.I, rec.J, introduced)
 			}
+			m.write(rec.I, rec.J, rec.RTT, ProvResumed, 255)
 		case RecordHalf:
 			if len(rec.Path) < 2 || rec.Samples <= 0 {
 				return errors.New("ting: checkpoint: invalid half-circuit record")
@@ -301,10 +256,13 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 				// Resume reads departures off the live consensus.
 			case ChurnOpJoin:
 				if m == nil {
-					early = append(early, rec.Relay)
-				} else if _, ok := m.Index(rec.Relay); !ok {
+					return fmt.Errorf("ting: checkpoint: join of %s before the campaign header", rec.Relay)
+				}
+				// A join's relay is never empty and is added only when the
+				// matrix does not hold it, so AddName, which refuses nothing
+				// else, cannot fail.
+				if _, ok := m.Index(rec.Relay); !ok {
 					_ = m.AddName(rec.Relay)
-					place()
 				}
 				if rec.Fp != "" {
 					st.Fps[rec.Relay] = rec.Fp

@@ -61,12 +61,9 @@ func (s *indexSpace) add(rec CheckpointRecord) {
 	}
 }
 
-// pair names a pair record's relays — its own names, or its indices looked
-// up in the space so far — and reports whether the space holds them.
+// pair names a pair record's relays, its indices looked up in the space so
+// far, and reports whether the space holds them.
 func (s *indexSpace) pair(rec CheckpointRecord) (x, y string, ok bool) {
-	if rec.X != "" {
-		return rec.X, rec.Y, true
-	}
 	if rec.I < 0 || rec.J < 0 || rec.I >= len(s.names) || rec.J >= len(s.names) {
 		return "", "", false
 	}
@@ -94,9 +91,9 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 	}
 	recs := []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{"x", "y", "u"}},
-		{Kind: RecordPair, X: "x", Y: "y", RTT: 73},
+		{Kind: RecordPair, J: 1, RTT: 73},
 		{Kind: RecordHalf, Path: []string{"w", "x"}, Samples: 2, Min: 82},
-		{Kind: RecordPair, X: "x", Y: "u", RTT: 51.5},
+		{Kind: RecordPair, J: 2, RTT: 51.5},
 	}
 	for _, rec := range recs {
 		if err := cp.Append(rec); err != nil {
@@ -106,7 +103,7 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Append(CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: 1}); err == nil {
+	if err := cp.Append(CheckpointRecord{Kind: RecordPair, J: 1, RTT: 1}); err == nil {
 		t.Error("Append after Close accepted")
 	}
 
@@ -137,7 +134,7 @@ func TestFileCheckpointRoundtrip(t *testing.T) {
 	}
 
 	// Appending across reopens extends the same campaign, once flushed.
-	if err := cp2.Append(CheckpointRecord{Kind: RecordPair, X: "y", Y: "u", RTT: 9}); err != nil {
+	if err := cp2.Append(CheckpointRecord{Kind: RecordPair, I: 1, J: 2, RTT: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp2.Flush(); err != nil {
@@ -183,8 +180,8 @@ func TestFileCheckpointMissingFileReplaysEmpty(t *testing.T) {
 
 func TestReplayRecordsTornTailTolerated(t *testing.T) {
 	in := `{"t":"campaign","names":["a","b"]}
-{"t":"pair","x":"a","y":"b","rtt":5}
-{"t":"pair","x":"a","y":`
+{"t":"pair","j":1,"rtt":5}
+{"t":"pair","j":`
 	var kinds []string
 	err := wal.Replay(strings.NewReader(in), func(rec CheckpointRecord) error {
 		kinds = append(kinds, rec.Kind)
@@ -201,7 +198,7 @@ func TestReplayRecordsTornTailTolerated(t *testing.T) {
 func TestReplayRecordsCorruptMiddleErrors(t *testing.T) {
 	in := `{"t":"campaign","names":["a","b"]}
 this is not json
-{"t":"pair","x":"a","y":"b","rtt":5}
+{"t":"pair","j":1,"rtt":5}
 `
 	err := wal.Replay(strings.NewReader(in), func(CheckpointRecord) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
@@ -210,7 +207,7 @@ this is not json
 }
 
 func TestReplayRecordsSkipsBlankLines(t *testing.T) {
-	in := "\n{\"t\":\"pair\",\"x\":\"a\",\"y\":\"b\",\"rtt\":5}\n\n"
+	in := "\n{\"t\":\"pair\",\"j\":1,\"rtt\":5}\n\n"
 	n := 0
 	if err := wal.Replay(strings.NewReader(in), func(CheckpointRecord) error { n++; return nil }); err != nil {
 		t.Fatal(err)
@@ -224,10 +221,10 @@ func TestReplayStateLastRecordWins(t *testing.T) {
 	cp := &MemCheckpoint{}
 	for _, rec := range []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{"a", "b"}},
-		{Kind: RecordPair, X: "a", Y: "b", RTT: 10},
+		{Kind: RecordPair, J: 1, RTT: 10},
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 3, Min: 4},
 		{Kind: RecordCampaign, Names: []string{"a", "b"}}, // idempotent header
-		{Kind: RecordPair, X: "b", Y: "a", RTT: 12},       // re-measured across resumes
+		{Kind: RecordPair, J: 1, RTT: 12},                 // re-measured across resumes
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 3, Min: 5},
 		{Kind: "future-kind"}, // unknown kinds skipped, not errors
 	} {
@@ -262,18 +259,20 @@ func pairKey(x, y string) [2]string {
 // name-keyed pair map with a join list beside the header, and Resume framed
 // its matrix over the header and the joins: the oracle the replayed matrix
 // must match. names is that matrix's relay order, nil without a header;
-// pairs holds every pair record's last RTT.
+// pairs holds every pair record's last RTT, keyed by the names its indices
+// had when it was logged.
 func replayOracle(recs []CheckpointRecord) (names []string, pairs map[[2]string]float64, fps map[string]string, halves []HalfSeries) {
 	pairs, fps = make(map[[2]string]float64), make(map[string]string)
-	var header, joined []string
+	var space indexSpace
 	halfAt := make(map[string]int)
 	for _, rec := range recs {
+		space.add(rec)
 		switch rec.Kind {
 		case RecordCampaign:
-			header = rec.Names
 			maps.Copy(fps, rec.Fps)
 		case RecordPair:
-			pairs[pairKey(rec.X, rec.Y)] = rec.RTT
+			x, y, _ := space.pair(rec)
+			pairs[pairKey(x, y)] = rec.RTT
 		case RecordHalf:
 			key := halfKey(rec.Path, rec.Samples)
 			if i, ok := halfAt[key]; ok {
@@ -283,48 +282,47 @@ func replayOracle(recs []CheckpointRecord) (names []string, pairs map[[2]string]
 				halves = append(halves, HalfSeries{Path: rec.Path, Samples: rec.Samples, Min: rec.Min})
 			}
 		case RecordChurn:
-			if rec.Op == ChurnOpJoin && !slices.Contains(joined, rec.Relay) {
-				joined = append(joined, rec.Relay)
-			}
 			if rec.Op != ChurnOpLeave && rec.Fp != "" {
 				fps[rec.Relay] = rec.Fp
 			}
 		}
 	}
-	if header == nil {
-		return nil, pairs, fps, halves
-	}
-	names = slices.Clone(header)
-	for _, n := range joined {
-		if !slices.Contains(names, n) {
-			names = append(names, n)
-		}
-	}
-	return names, pairs, fps, halves
+	return space.names, pairs, fps, halves
 }
 
-// randomLog writes a random valid campaign log: repeated headers, pairs
-// re-measured, relays joining (often with a pair logged before the join, as
-// a live scan can log it), leaving, rotating and rejoining, shard and half
-// records, pairs of relays the log never introduces, and now and then
-// records before the first header or no header at all.
+// randomLog writes a random valid campaign log, as the scan writes one:
+// repeated headers, pairs by index re-measured, relays joining, leaving,
+// rotating and rejoining, shard and half records, and now and then leaves,
+// rotations, shard and half records before the first header, or no header
+// at all. Every pair record names relays the log has introduced before it.
 func randomLog(rng *rand.Rand) []CheckpointRecord {
 	header := make([]string, 2+rng.Intn(5))
 	for i := range header {
 		header[i] = fmt.Sprintf("h%d", i)
 	}
 	joiners := []string{"j0", "j1", "j2", "j3"}
-	ghosts := []string{"g0", "g1"}
-	known := slices.Clone(header) // relays pairs are mostly drawn from
-	var logged [][2]string
+	var space indexSpace
+	var logged [][2]int
 	var recs []CheckpointRecord
+	add := func(rec CheckpointRecord) {
+		space.add(rec)
+		recs = append(recs, rec)
+	}
+	// known is the relays records other than pairs draw from: the header's
+	// until the log has an index space.
+	known := func() []string {
+		if space.names == nil {
+			return header
+		}
+		return space.names
+	}
 	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
-	pair := func(x, y string) {
-		if x == y {
+	pair := func(i, j int) {
+		if i == j {
 			return
 		}
-		recs = append(recs, CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: float64(rng.Intn(4000)) / 8})
-		logged = append(logged, [2]string{x, y})
+		add(CheckpointRecord{Kind: RecordPair, I: min(i, j), J: max(i, j), RTT: float64(rng.Intn(4000)) / 8})
+		logged = append(logged, [2]int{i, j})
 	}
 	fp := func(relay string) string {
 		if rng.Intn(3) == 0 {
@@ -339,7 +337,7 @@ func randomLog(rng *rand.Rand) []CheckpointRecord {
 				fps[n] = f
 			}
 		}
-		recs = append(recs, CheckpointRecord{Kind: RecordCampaign, Names: header, Epoch: uint64(rng.Intn(9)), Fps: fps})
+		add(CheckpointRecord{Kind: RecordCampaign, Names: header, Epoch: uint64(rng.Intn(9)), Fps: fps})
 	}
 	headed := rng.Intn(20) == 0 // true: the log never gets a header
 	if rng.Intn(3) > 0 {
@@ -351,45 +349,74 @@ func randomLog(rng *rand.Rand) []CheckpointRecord {
 			writeHeader()
 			headed = true
 		}
-		switch rng.Intn(11) {
+		n := len(space.names)
+		switch rng.Intn(10) {
 		case 0, 1:
-			pair(pick(known), pick(known))
+			if n > 0 {
+				pair(rng.Intn(n), rng.Intn(n))
+			}
 		case 2:
 			if len(logged) > 0 {
 				p := logged[rng.Intn(len(logged))]
 				pair(p[1], p[0])
 			}
 		case 3:
-			j := pick(joiners)
-			for k := rng.Intn(3); k > 0; k-- {
-				pair(j, pick(known)) // logged before the join
-			}
-			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: j, Fp: fp(j)})
-			if !slices.Contains(known, j) {
-				known = append(known, j)
+			if n > 0 {
+				j := pick(joiners)
+				add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: j, Fp: fp(j)})
 			}
 		case 4:
-			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: pick(known)})
+			add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: pick(known())})
 		case 5:
-			r := pick(known)
-			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: r, Fp: fp(r)})
+			r := pick(known())
+			add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: r, Fp: fp(r)})
 		case 6:
-			r := pick(known) // a rejoin, or a header relay's join
-			recs = append(recs, CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: r, Fp: fp(r)})
+			if n > 0 {
+				r := pick(space.names) // a rejoin, or a header relay's join
+				add(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: r, Fp: fp(r)})
+			}
 		case 7:
-			recs = append(recs, CheckpointRecord{Kind: RecordShard, Shard: fmt.Sprintf("s%d", rng.Intn(3)), Lease: 1})
+			add(CheckpointRecord{Kind: RecordShard, Shard: fmt.Sprintf("s%d", rng.Intn(3)), Lease: 1})
 		case 8:
-			path := []string{"w", pick(known)}
-			recs = append(recs, CheckpointRecord{Kind: RecordHalf, Path: path, Samples: 1 + rng.Intn(2), Min: float64(rng.Intn(100))})
+			path := []string{"w", pick(known())}
+			add(CheckpointRecord{Kind: RecordHalf, Path: path, Samples: 1 + rng.Intn(2), Min: float64(rng.Intn(100))})
 		case 9:
-			pair(pick(ghosts), pick(append(slices.Clone(ghosts), known...)))
-		case 10:
 			if headed {
 				writeHeader()
 			}
 		}
 	}
 	return recs
+}
+
+// matchesOracle reports how st, the replay of recs, differs from what the
+// name-keyed oracle makes of recs, "" when it does not: the same relays in
+// the same order, exactly the oracle's pairs, and the same fingerprints,
+// half series and record count.
+func matchesOracle(recs []CheckpointRecord, st *CheckpointState) string {
+	names, pairs, fps, halves := replayOracle(recs)
+	if st.Records != len(recs) || !maps.Equal(st.Fps, fps) || !reflect.DeepEqual(st.Halves, halves) {
+		return fmt.Sprintf("replayed %d records, fps %v, halves %+v; oracle %d, %v, %+v",
+			st.Records, st.Fps, st.Halves, len(recs), fps, halves)
+	}
+	var got []string // nil without a header, like the oracle's
+	if st.Matrix != nil {
+		got = st.Matrix.Names()
+	}
+	if !slices.Equal(got, names) {
+		return fmt.Sprintf("replayed matrix over %v, oracle names %v", got, names)
+	}
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			rtt, ok := pairs[pairKey(names[i], names[j])]
+			prov, got := st.Matrix.ProvAt(i, j), st.Matrix.At(i, j)
+			if ok && (prov != ProvResumed || got != rtt) || !ok && prov != ProvMissing {
+				return fmt.Sprintf("pair (%s,%s) replayed %v %v; oracle holds it %v at %v",
+					names[i], names[j], prov, got, ok, rtt)
+			}
+		}
+	}
+	return ""
 }
 
 // TestReplayStateMatchesMapOracle: over random logs, the replayed matrix
@@ -403,30 +430,8 @@ func TestReplayStateMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		names, pairs, fps, halves := replayOracle(recs)
-		if st.Records != len(recs) || !maps.Equal(st.Fps, fps) || !reflect.DeepEqual(st.Halves, halves) {
-			t.Fatalf("seed %d: replayed %d records, fps %v, halves %+v; oracle %d, %v, %+v",
-				seed, st.Records, st.Fps, st.Halves, len(recs), fps, halves)
-		}
-		var got []string // nil without a header, like the oracle's
-		if st.Matrix != nil {
-			got = st.Matrix.Names()
-		}
-		if !slices.Equal(got, names) {
-			t.Fatalf("seed %d: replayed matrix over %v, oracle names %v", seed, got, names)
-		}
-		if names == nil {
-			continue
-		}
-		for i := range names {
-			for j := i + 1; j < len(names); j++ {
-				rtt, ok := pairs[pairKey(names[i], names[j])]
-				prov, got := st.Matrix.ProvAt(i, j), st.Matrix.At(i, j)
-				if ok && (prov != ProvResumed || got != rtt) || !ok && prov != ProvMissing {
-					t.Fatalf("seed %d: pair (%s,%s) replayed %v %v; oracle holds it %v at %v",
-						seed, names[i], names[j], prov, got, ok, rtt)
-				}
-			}
+		if d := matchesOracle(recs, st); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
 }
@@ -434,10 +439,8 @@ func TestReplayStateMatchesMapOracle(t *testing.T) {
 func TestReplayStateRejectsMalformedRecords(t *testing.T) {
 	cases := []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{"solo"}},
-		{Kind: RecordPair, X: "", Y: "b", RTT: 1},
-		{Kind: RecordPair, X: "a", Y: "a", RTT: 1},
-		{Kind: RecordPair, X: "a", Y: "b", RTT: math.NaN()},
-		{Kind: RecordPair, X: "a", Y: "b", RTT: math.Inf(1)},
+		{Kind: RecordPair, I: 0, J: 0, RTT: 1},
+		{Kind: RecordPair, I: 0, J: 1, RTT: math.Inf(1)},
 		{Kind: RecordHalf, Path: []string{"w"}, Samples: 3, Min: 4},
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 0, Min: 4},
 		{Kind: RecordHalf, Path: []string{"w", "a"}, Samples: 3, Min: math.Inf(-1)},
@@ -453,12 +456,12 @@ func TestReplayStateRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// TestReplayStateRefusesBadPairForms: a pair record by index names two
+// TestReplayStateRefusesBadPairForms: a pair record names, by index, two
 // distinct relays among those introduced so far, none negative, and a pair
-// record carries its relays in exactly one form. Each refusal says which
-// rule refused it.
+// record that names its relays — the named form, alone or beside indices —
+// is refused as such, never read. Each refusal says which rule refused it.
 func TestReplayStateRefusesBadPairForms(t *testing.T) {
-	const form, pair = "neither form or both", "not a pair of the 2 relays"
+	const named, pair = "in the named form", "not a pair of the 2 relays"
 	for _, tc := range []struct {
 		rec  CheckpointRecord
 		want string
@@ -468,14 +471,17 @@ func TestReplayStateRefusesBadPairForms(t *testing.T) {
 		{CheckpointRecord{Kind: RecordPair, I: 1, J: -1, RTT: 1}, pair},
 		{CheckpointRecord{Kind: RecordPair, I: 0, J: 2, RTT: 1}, pair},
 		{CheckpointRecord{Kind: RecordPair, I: 2, J: 0, RTT: 1}, pair},
-		{CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", I: 0, J: 1, RTT: 1}, form},
-		{CheckpointRecord{Kind: RecordPair, X: "a", I: 0, J: 1, RTT: 1}, form},
-		{CheckpointRecord{Kind: RecordPair, RTT: 1}, form},
+		{CheckpointRecord{Kind: RecordPair, RTT: 1}, pair},
+		{CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: 1}, named},
+		{CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: math.NaN()}, named},
+		{CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", I: 0, J: 1, RTT: 1}, named},
+		{CheckpointRecord{Kind: RecordPair, X: "a", I: 0, J: 1, RTT: 1}, named},
+		{CheckpointRecord{Kind: RecordPair, Y: "b", J: 1, RTT: 1}, named},
 	} {
 		cp := &MemCheckpoint{}
 		cp.Append(CheckpointRecord{Kind: RecordCampaign, Names: []string{"a", "b"}})
 		cp.Append(tc.rec)
-		if _, err := ReplayState(cp); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if st, err := ReplayState(cp); err == nil || !strings.Contains(err.Error(), tc.want) || st != nil {
 			t.Errorf("record %+v: %v, want a refusal saying %q", tc.rec, err, tc.want)
 		}
 	}
@@ -484,23 +490,28 @@ func TestReplayStateRefusesBadPairForms(t *testing.T) {
 // TestReplayStateIndexSpace: a pair record by index names relays the log
 // has introduced before it — the first header's relays, then each join in
 // log order — so one before the header, or of a relay whose join comes
-// later, is refused; after the join it is that relay's pair, and a second
-// header does not move the space.
+// later, is refused, and so is a join before the header, which no writer
+// logs; after the join it is that relay's pair, and a second header does
+// not move the space.
 func TestReplayStateIndexSpace(t *testing.T) {
 	header := CheckpointRecord{Kind: RecordCampaign, Names: []string{"a", "b"}}
 	join := CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: "c"}
 	pair := CheckpointRecord{Kind: RecordPair, I: 0, J: 2, RTT: 7}
-	for name, recs := range map[string][]CheckpointRecord{
-		"before the header":                      {{Kind: RecordPair, I: 0, J: 1, RTT: 7}, header},
-		"before the relay joins":                 {header, pair, join},
-		"before the header, after an early join": {join, {Kind: RecordPair, I: 0, J: 1, RTT: 7}, header},
+	for _, tc := range []struct {
+		name string
+		recs []CheckpointRecord
+		want string
+	}{
+		{"before the header", []CheckpointRecord{{Kind: RecordPair, I: 0, J: 1, RTT: 7}, header}, "(0,1) is not a pair of the 0 relays"},
+		{"before the relay joins", []CheckpointRecord{header, pair, join}, "(0,2) is not a pair of the 2 relays"},
+		{"an early join", []CheckpointRecord{join, header, pair}, "join of c before the campaign header"},
 	} {
 		cp := &MemCheckpoint{}
-		for _, rec := range recs {
+		for _, rec := range tc.recs {
 			cp.Append(rec)
 		}
-		if _, err := ReplayState(cp); err == nil {
-			t.Errorf("%s: accepted", name)
+		if st, err := ReplayState(cp); err == nil || st != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.want)
 		}
 	}
 	cp := &MemCheckpoint{}
@@ -519,12 +530,12 @@ func TestReplayStateIndexSpace(t *testing.T) {
 	}
 }
 
-// TestReplayStateMixedForms: a log whose pair records switch from names to
-// indices part-way — a scan upgraded mid-campaign appending to its old log
-// — replays to the state the same log replays to with every pair record by
-// index, and with every one by name. Each seed is a random log of headers,
-// joins, leaves, rotations, shard and half records and pairs of introduced
-// relays.
+// TestReplayStateMixedForms: a log whose pair records switch from indices
+// to names part-way — an older scan appending to a newer log — is refused
+// at its first named record, with the form named, and replays to no state;
+// the same log all by index replays to the oracle's state. Each seed is a
+// random log of headers, joins, leaves, rotations, shard and half records
+// and pairs of introduced relays.
 func TestReplayStateMixedForms(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -555,36 +566,40 @@ func TestReplayStateMixedForms(t *testing.T) {
 				}
 			}
 		}
-		// named spells the pair records at positions [from, to) by name.
-		named := func(from, to int) *MemCheckpoint {
-			cp := &MemCheckpoint{}
-			var s indexSpace
-			for k, rec := range recs {
-				s.add(rec)
-				if rec.Kind == RecordPair && k >= from && k < to {
-					x, y, _ := s.pair(rec)
-					if rng.Intn(2) == 0 {
-						x, y = y, x
-					}
-					rec = CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: rec.RTT}
-				}
-				cp.Append(rec)
-			}
-			return cp
-		}
-		want, err := ReplayState(named(0, 0))
+		st, err := ReplayState(&MemCheckpoint{recs: recs})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cut := rng.Intn(len(recs) + 1)
-		for name, cp := range map[string]*MemCheckpoint{"mixed": named(0, cut), "all by name": named(0, len(recs))} {
-			got, err := ReplayState(cp)
-			if err != nil {
-				t.Fatalf("seed %d: %s log: %v", seed, name, err)
+		if d := matchesOracle(recs, st); d != "" {
+			t.Fatalf("seed %d: the all-index log: %s", seed, d)
+		}
+		// The pair records from a random one on spelled by name, as the
+		// older scan logged them: the first of them is the one refused.
+		cut := rng.Intn(len(recs))
+		mixed := &MemCheckpoint{}
+		var s indexSpace
+		refused := ""
+		for k, rec := range recs {
+			s.add(rec)
+			if rec.Kind == RecordPair && k >= cut {
+				x, y, _ := s.pair(rec)
+				if rng.Intn(2) == 0 {
+					x, y = y, x
+				}
+				rec = CheckpointRecord{Kind: RecordPair, X: x, Y: y, RTT: rec.RTT}
+				if refused == "" {
+					refused = fmt.Sprintf("pair record (%q,%q) is in the named form", x, y)
+				}
 			}
-			if d := stateDiff(want, got); d != "" {
-				t.Fatalf("seed %d: %s log (cut at %d) replays to another state: %s", seed, name, cut, d)
-			}
+			mixed.Append(rec)
+		}
+		if refused == "" {
+			continue
+		}
+		got, err := ReplayState(mixed)
+		if err == nil || got != nil || !strings.Contains(err.Error(), refused) {
+			t.Fatalf("seed %d: the log named from record %d replays to %v, %v; want a refusal saying %s",
+				seed, cut+1, got, err, refused)
 		}
 	}
 }
@@ -615,7 +630,7 @@ func TestFileCheckpointSyncBatching(t *testing.T) {
 		return strings.Count(string(data), "\n")
 	}
 	for i := 0; i < 5; i++ {
-		if err := cp.Append(CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: float64(i + 1)}); err != nil {
+		if err := cp.Append(CheckpointRecord{Kind: RecordPair, J: 1, RTT: float64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

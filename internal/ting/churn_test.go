@@ -263,7 +263,7 @@ func TestReplayStateFoldsChurnRecords(t *testing.T) {
 	}
 	must(CheckpointRecord{Kind: RecordCampaign, Names: []string{"a", "b", "c"},
 		Epoch: 3, Fps: map[string]string{"a": "f1", "b": "f2", "c": "f3"}})
-	must(CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: 1.5})
+	must(CheckpointRecord{Kind: RecordPair, J: 1, RTT: 1.5})
 	must(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpLeave, Relay: "c", Epoch: 4})
 	must(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpJoin, Relay: "d", Fp: "f4", Epoch: 5})
 	must(CheckpointRecord{Kind: RecordChurn, Op: ChurnOpRotate, Relay: "a", Fp: "f9", Epoch: 6})

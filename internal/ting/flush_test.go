@@ -222,8 +222,8 @@ func TestFileCheckpointMatchesMarshal(t *testing.T) {
 	odd := "<a&b>\u2028\u2029ünïcødé 中继 \"q\" \\ \x01"
 	recs := []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{odd, "relay<1>", "x&y"}, Epoch: 9, Fps: map[string]string{odd: "fp<&>", "x&y": " "}},
-		{Kind: RecordPair, X: odd, Y: "relay<1>", RTT: 1.0 / 3},
-		{Kind: RecordPair, X: "a", Y: "b", RTT: math.SmallestNonzeroFloat64},
+		{Kind: RecordPair, I: 1, J: 2, RTT: 1.0 / 3},
+		{Kind: RecordPair, J: 1, RTT: math.SmallestNonzeroFloat64},
 		{Kind: RecordHalf, Path: []string{"w", odd}, Samples: 200, Min: 1e21},
 		{Kind: RecordChurn, Op: ChurnOpJoin, Relay: odd, Fp: "fp ", Epoch: 3},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 7, Worker: "wörker<&>"},
@@ -250,7 +250,7 @@ func TestFileCheckpointMatchesMarshal(t *testing.T) {
 			}
 		}
 	}
-	if err := cp.Append(CheckpointRecord{Kind: RecordPair, X: "a", Y: "b", RTT: math.NaN()}); err == nil {
+	if err := cp.Append(CheckpointRecord{Kind: RecordPair, J: 1, RTT: math.NaN()}); err == nil {
 		t.Fatal("a NaN RTT was encoded")
 	}
 	if err := cp.Close(); err != nil {

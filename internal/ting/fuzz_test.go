@@ -80,8 +80,9 @@ func FuzzDecodeMatrix(f *testing.F) {
 
 // FuzzReplayCheckpoint: arbitrary bytes fed to the campaign-log replayer
 // must never panic, and whatever it accepts must also survive ReplayState's
-// stricter aggregation path without crashing — pair records by name, by
-// index, and logs that mix the two.
+// stricter aggregation path without crashing. The named seeds — pair
+// records by name, alone and beside ones by index — exercise refusal:
+// ReplayState accepts no log holding a named pair record.
 func FuzzReplayCheckpoint(f *testing.F) {
 	f.Add(`{"t":"campaign","names":["a","b"]}` + "\n" +
 		`{"t":"pair","x":"a","y":"b","rtt":73}` + "\n" +
@@ -91,8 +92,8 @@ func FuzzReplayCheckpoint(f *testing.F) {
 	f.Add(`{"t":"campaign","names":["a"]}` + "\n")
 	f.Add(`{"t":"pair","x":"a","y":"b","rtt":1e999}` + "\n")
 	f.Add("\n\n")
-	// Pair records by index, alone and after named ones, as a scan upgraded
-	// mid-campaign appends them; a join grows the index space.
+	// Pair records by index, alone and after named ones; a join grows the
+	// index space.
 	f.Add(`{"t":"campaign","names":["a","b"]}` + "\n" +
 		`{"t":"pair","j":1,"rtt":73}` + "\n" +
 		`{"t":"churn","op":"join","relay":"c"}` + "\n" +
@@ -125,8 +126,17 @@ func FuzzReplayCheckpoint(f *testing.F) {
 		for _, rec := range recs {
 			cp.Append(rec)
 		}
-		if st, err := ReplayState(cp); err == nil && st.Records != len(recs) {
+		st, err := ReplayState(cp)
+		if err != nil {
+			return
+		}
+		if st.Records != len(recs) {
 			t.Fatalf("aggregated %d records from %d replayed", st.Records, len(recs))
+		}
+		for _, rec := range recs {
+			if rec.Kind == RecordPair && (rec.X != "" || rec.Y != "") {
+				t.Fatalf("accepted a log holding the named pair record %+v", rec)
+			}
 		}
 	})
 }

@@ -24,7 +24,7 @@ func TestObserverNilSafe(t *testing.T) {
 		o.halfCircuit([]string{"w", "x"}, HalfCircuitHit)
 		o.halfCircuit([]string{"w", "x"}, HalfCircuitMiss)
 		o.halfCircuit([]string{"w", "x"}, HalfCircuitWait)
-		o.checkpointAppend(&CheckpointRecord{Kind: RecordPair, X: "x", Y: "y", RTT: 73})
+		o.checkpointAppend(&CheckpointRecord{Kind: RecordPair, J: 1, RTT: 73})
 		o.checkpointReplay(3, 4)
 		o.breakerChange("x", BreakerClosed, BreakerOpen)
 		o.quarantine("x", "y", "x", true)

@@ -81,7 +81,7 @@ func TestResumeKeepsJoinedRelaysWithoutDirectory(t *testing.T) {
 	for _, rec := range []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{"x", "y", "u"}},
 		{Kind: RecordChurn, Op: ChurnOpJoin, Relay: "v"},
-		{Kind: RecordPair, X: "x", Y: "v", RTT: 7},
+		{Kind: RecordPair, I: 0, J: 3, RTT: 7},
 	} {
 		if err := cp.Append(rec); err != nil {
 			t.Fatal(err)

@@ -140,7 +140,7 @@ func TestReplayShardRecords(t *testing.T) {
 	recs := []CheckpointRecord{
 		{Kind: RecordCampaign, Names: []string{"a", "b", "c"}},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 1, Worker: "w1"},
-		{Kind: RecordPair, X: "a", Y: "b", RTT: 5},
+		{Kind: RecordPair, J: 1, RTT: 5},
 		// Re-granted at a higher epoch after an expiry: the log keeps both.
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 4, Worker: "w1"},
 		{Kind: RecordShard, Shard: "t0-0.p0-3", Lease: 2, Worker: "w1"},

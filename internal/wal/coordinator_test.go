@@ -1,13 +1,18 @@
 package wal_test
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ting/internal/campaign"
+	"ting/internal/directory"
 	"ting/internal/wal"
 )
 
@@ -173,11 +178,26 @@ func TestCoordinatorSyncsPerRecord(t *testing.T) {
 	if got := fs.Count("sync"); got != len(leases) || fs.Count("write") != len(leases) {
 		t.Fatalf("%d fsyncs, %d writes for %d grants", got, fs.Count("write"), len(leases))
 	}
-	// One completion with a failed pair: one record, synced.
-	res := results(t, leases[0].Shard, names)
-	res[0] = campaign.PairResult{X: res[0].X, Y: res[0].Y, Failed: true}
-	if err := coord.Complete("w1", leases[0].Shard.ID, leases[0].Epoch, res); err != nil {
+	// One completion with a failed pair, as a worker sends it over the CAMP
+	// wire: one record, synced.
+	ds := directory.NewServer(directory.NewRegistry())
+	campaign.NewServer(coord).Register(ds)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
+	}
+	go ds.Serve(ln)
+	defer ds.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	l := leases[0]
+	body := "fail\n" + strings.Repeat("11\n", l.Shard.PairCount()-1) + "end\n"
+	fmt.Fprintf(conn, "%s complete w1 %s %d\n%s", campaign.Verb, l.Shard.ID, l.Epoch, body)
+	if verdict, err := bufio.NewReader(conn).ReadString('\n'); verdict != "ok\n" {
+		t.Fatalf("completion with a failed pair: %q, %v", verdict, err)
 	}
 	if syncs, writes := fs.Count("sync"), fs.Count("write"); syncs != len(leases)+1 || writes != len(leases)+1 {
 		t.Fatalf("after a completion with one failed pair: %d fsyncs, %d writes", syncs, writes)
