@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strconv"
@@ -245,7 +246,14 @@ func FetchNames(addr string) ([]string, error) {
 	if _, err := fmt.Fprintf(conn, "%s names\n", Verb); err != nil {
 		return nil, &TransportError{Op: "fetch names", Err: err}
 	}
-	br := bufio.NewReaderSize(conn, replyBuf)
+	return readNames(conn)
+}
+
+// readNames reads a names reply from r: a "names n=<n>" header, then n
+// lines of one name each.
+func readNames(r io.Reader) ([]string, error) {
+	br := replyReader(r)
+	defer releaseReplyReader(br)
 	header, err := readReply(br)
 	if err != nil {
 		return nil, &TransportError{Op: "fetch names", Err: err}
@@ -278,7 +286,15 @@ func Acquire(addr, worker string) (Lease, AcquireResult, error) {
 	if _, err := fmt.Fprintf(conn, "%s acquire %s\n", Verb, worker); err != nil {
 		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
 	}
-	line, err := readReply(bufio.NewReaderSize(conn, replyBuf))
+	return readAcquire(conn)
+}
+
+// readAcquire reads an acquire reply from r: a lease line, "none", "done"
+// or "error <msg>".
+func readAcquire(r io.Reader) (Lease, AcquireResult, error) {
+	br := replyReader(r)
+	line, err := readReply(br)
+	releaseReplyReader(br)
 	if err != nil {
 		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
 	}
@@ -328,10 +344,14 @@ func submit(addr, worker string, l Lease, rtts []float64, failed []int) error {
 		return err
 	}
 	defer conn.Close()
-	bw := bufio.NewWriter(conn)
+	bw := submitWriters.Get().(*bufio.Writer)
+	bw.Reset(conn)
 	fmt.Fprintf(bw, "%s complete %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
 	writeValues(bw, rtts, failed)
-	if err := bw.Flush(); err != nil {
+	err = bw.Flush()
+	bw.Reset(nil)
+	submitWriters.Put(bw)
+	if err != nil {
 		return &TransportError{Op: "complete", Err: err}
 	}
 	return readVerdict(conn, "complete")
@@ -356,8 +376,12 @@ func writeValues(bw *bufio.Writer, rtts []float64, failed []int) {
 	bw.WriteString("end\n")
 }
 
-func readVerdict(conn net.Conn, op string) error {
-	line, err := readReply(bufio.NewReaderSize(conn, replyBuf))
+// readVerdict reads a heartbeat or completion reply from r: "ok" is nil,
+// "fenced" is ErrFenced, and any other line is an error quoting it.
+func readVerdict(r io.Reader, op string) error {
+	br := replyReader(r)
+	line, err := readReply(br)
+	releaseReplyReader(br)
 	if err != nil {
 		return &TransportError{Op: op, Err: err}
 	}
@@ -371,14 +395,40 @@ func readVerdict(conn net.Conn, op string) error {
 	}
 }
 
+// replyReaders holds the clients' *bufio.Reader of replyBuf bytes, and
+// submitWriters the completion body's *bufio.Writer: a worker makes an RPC
+// or two a lease, each on a new connection, and each borrows its buffer
+// for the one call. A buffer goes back reset to nil, holding no
+// connection.
+var (
+	replyReaders  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, replyBuf) }}
+	submitWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+)
+
+// replyReader borrows a reply reader over r; releaseReplyReader returns it.
+func replyReader(r io.Reader) *bufio.Reader {
+	br := replyReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func releaseReplyReader(br *bufio.Reader) {
+	br.Reset(nil)
+	replyReaders.Put(br)
+}
+
 // readReply reads one reply line through br, trimmed of surrounding white
 // space — every line a campaign client reads comes through here. A line
 // longer than maxReplyLine, its newline included, is an error, never
-// truncated: a peer that never ends its line costs at most that much.
+// truncated: a peer that never ends its line costs at most that much. A
+// line that fits br's buffer is copied once, into the string returned.
 func readReply(br *bufio.Reader) (string, error) {
+	frag, err := br.ReadSlice('\n')
+	if err == nil {
+		return string(bytes.TrimSpace(frag)), nil
+	}
 	var line []byte
 	for {
-		frag, err := br.ReadSlice('\n')
 		if line = append(line, frag...); len(line) > maxReplyLine {
 			return "", fmt.Errorf("reply line longer than %d bytes", maxReplyLine)
 		}
@@ -388,5 +438,6 @@ func readReply(br *bufio.Reader) (string, error) {
 		if !errors.Is(err, bufio.ErrBufferFull) {
 			return "", err
 		}
+		frag, err = br.ReadSlice('\n')
 	}
 }

@@ -270,6 +270,118 @@ func FuzzReadResults(f *testing.F) {
 	})
 }
 
+// FuzzReadReply: whatever a coordinator answers, the readers a client
+// reads it through — the pooled ones behind Acquire, Heartbeat, Complete
+// and FetchNames — never panic. A reply line longer than maxReplyLine, its
+// newline included, is refused and one that fits is read whole. An acquire
+// reply is a lease exactly when its line decodes as one, and otherwise
+// "none", "done" or an error. A verdict is nil exactly for "ok", ErrFenced
+// exactly for "fenced", and otherwise another error. A names reply is
+// accepted only with every name its header counts, and what it allocates
+// follows the reply's bytes, not the count it claims.
+func FuzzReadReply(f *testing.F) {
+	const (
+		acquireReply = iota
+		verdictReply
+		namesReply
+	)
+	lease := Lease{Shard: NewShard(0, 1, 0, 7), Epoch: 3, TTL: time.Second}
+	f.Add(uint8(acquireReply), []byte(EncodeLease(lease)+"\n"))
+	f.Add(uint8(acquireReply), []byte("none\n"))
+	f.Add(uint8(acquireReply), []byte(" done \r\n"))
+	f.Add(uint8(acquireReply), []byte("error journal append: disk full\n"))
+	f.Add(uint8(acquireReply), []byte("lease id=x ti=0 tj=0 lo=0 hi=1 epoch=0 ttl_ms=5\n"))
+	f.Add(uint8(verdictReply), []byte("ok\n"))
+	f.Add(uint8(verdictReply), []byte("fenced\n"))
+	f.Add(uint8(verdictReply), []byte("error unknown shard\n"))
+	f.Add(uint8(verdictReply), []byte("ok"))
+	f.Add(uint8(verdictReply), []byte("error "+strings.Repeat("y", maxReplyLine-len("error \n"))+"\n"))
+	f.Add(uint8(verdictReply), []byte(strings.Repeat("x", maxReplyLine)+"\n"))
+	f.Add(uint8(namesReply), []byte("names n=3\nrelayA\n relayB \nrelayC\n"))
+	f.Add(uint8(namesReply), []byte("names n=0\n"))
+	f.Add(uint8(namesReply), []byte("names n=-1\n"))
+	f.Add(uint8(namesReply), []byte("names n=1000000000\nrelayA\n"))
+	f.Add(uint8(namesReply), []byte("names n=2\n"+strings.Repeat("n", 300)+"\nrelayB"))
+	f.Fuzz(func(t *testing.T, kind uint8, reply []byte) {
+		br := replyReader(bytes.NewReader(reply))
+		line, lineErr := readReply(br)
+		releaseReplyReader(br)
+		nl := bytes.IndexByte(reply, '\n')
+		switch {
+		case nl < 0 || nl+1 > maxReplyLine:
+			if lineErr == nil {
+				t.Fatalf("read a reply line of %d bytes (newline at %d) as %d bytes, want it refused", len(reply), nl, len(line))
+			}
+		case lineErr != nil || line != string(bytes.TrimSpace(reply[:nl+1])):
+			t.Fatalf("a %d-byte reply line read as %q, %v", nl+1, line, lineErr)
+		}
+
+		switch kind % 3 {
+		case acquireReply:
+			got, res, err := readAcquire(bytes.NewReader(reply))
+			want, decodeErr := DecodeLease(line)
+			switch {
+			case lineErr != nil:
+				if !IsTransient(err) || res != AcquireNone {
+					t.Fatalf("unreadable acquire reply: %v, %v, want a transport error", res, err)
+				}
+			case line == "none" || line == "done":
+				if err != nil || (res == AcquireDone) != (line == "done") || res == AcquireGranted {
+					t.Fatalf("acquire reply %q: %v, %v", line, res, err)
+				}
+			case decodeErr == nil:
+				if err != nil || res != AcquireGranted || got != want {
+					t.Fatalf("acquire reply %q: %+v, %v, %v, want the lease it encodes", line, got, res, err)
+				}
+			default:
+				if err == nil || IsTransient(err) || res != AcquireNone {
+					t.Fatalf("acquire reply %q: %v, %v, want a refusal", line, res, err)
+				}
+			}
+		case verdictReply:
+			err := readVerdict(bytes.NewReader(reply), "heartbeat")
+			switch {
+			case lineErr != nil:
+				if !IsTransient(err) {
+					t.Fatalf("unreadable verdict: %v, want a transport error", err)
+				}
+			case line == "ok":
+				if err != nil {
+					t.Fatalf("verdict %q: %v, want nil", line, err)
+				}
+			case line == "fenced":
+				if !errors.Is(err, ErrFenced) {
+					t.Fatalf("verdict %q: %v, want ErrFenced", line, err)
+				}
+			default:
+				if err == nil || errors.Is(err, ErrFenced) || IsTransient(err) {
+					t.Fatalf("verdict %q: %v, want an error verdict", line, err)
+				}
+			}
+		case namesReply:
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			names, err := readNames(bytes.NewReader(reply))
+			runtime.ReadMemStats(&after)
+			var n int
+			if _, serr := fmt.Sscanf(line, "names n=%d", &n); err == nil && (lineErr != nil || serr != nil || len(names) != n) {
+				t.Fatalf("names reply with header %q accepted as %d names", line, len(names))
+			}
+			// Each name is a line of the reply: the names read are at most
+			// the lines after the header, whatever the header claims.
+			if lines := bytes.Count(reply, []byte("\n")); len(names) > max(lines-1, 0) {
+				t.Fatalf("%d names read from %d lines", len(names), lines)
+			}
+			// The reply's lines, each read and copied a few times over,
+			// the error's quote of the header, and the first 1024 names'
+			// slots: nothing in proportion to the count claimed.
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, 16*uint64(len(reply))+32<<10; !raceEnabled && grew > limit {
+				t.Fatalf("a %d-byte names reply (header %.40q) allocated %d bytes, want ≤ %d", len(reply), line, grew, limit)
+			}
+		}
+	})
+}
+
 // peer serves every connection on a loopback listener with reply: it reads
 // the request line, writes reply and closes, standing in for a coordinator
 // that answers as no coordinator would.

@@ -170,9 +170,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("campaign: worker %s: %w", w.Name, err)
 	}
-	// Every lease's submission is built here: the coordinator keeps none
-	// of it.
-	var sub shardValues
+	// Every lease's pair list and submission are built here: the scan and
+	// the coordinator keep none of either.
+	var (
+		need [][2]int
+		sub  shardValues
+	)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -203,7 +206,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		if err := w.runLease(ctx, names, ledger, lease, rec, &sub); err != nil {
+		if err := w.runLease(ctx, names, ledger, lease, rec, &need, &sub); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -274,9 +277,10 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 // the coordinator may be mid-restart — so it is retried on the next TTL/3
 // tick while the scan keeps running; the recovered coordinator either
 // accepts the next beat (resurrecting the lease if it had lazily expired)
-// or finally fences us. The submission is built in *sub, which the worker
-// keeps for its whole life.
-func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, sub *shardValues) error {
+// or finally fences us. The pairs to measure are listed in *need and the
+// submission is built in *sub, both of which the worker keeps for its whole
+// life.
+func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, need *[][2]int, sub *shardValues) error {
 	sh := lease.Shard
 	if err := sh.fits(len(names)); err != nil {
 		return err
@@ -305,16 +309,17 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	// the shard was granted to this worker before: a previous life cut short
 	// by a crash (replayed into the ledger), or a lease it lost to a fence
 	// after measuring part of it. Those pairs are not measured again.
-	need := make([][2]int, 0, sh.PairCount())
+	todo := slices.Grow((*need)[:0], sh.PairCount())
 	for c := sh.cursor(len(names)); ; {
 		i, j, ok := c.next()
 		if !ok {
 			break
 		}
 		if !measured(ledger, i, j) {
-			need = append(need, [2]int{i, j})
+			todo = append(todo, [2]int{i, j})
 		}
 	}
+	*need = todo
 
 	leaseCtx, cancelLease := context.WithCancel(ctx)
 	defer cancelLease()
@@ -359,8 +364,8 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	}()
 
 	var scanErr error
-	if len(need) > 0 {
-		_, scanErr = w.Scanner.ScanPairs(leaseCtx, ledger, need)
+	if len(todo) > 0 {
+		_, scanErr = w.Scanner.ScanPairs(leaseCtx, ledger, todo)
 	}
 	cancelLease()
 	<-hbDone
@@ -402,6 +407,6 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 		}
 	}
 	w.logf("worker %s: completed shard %s (%d pairs, %d replayed)",
-		w.Name, sh.ID, sh.PairCount(), sh.PairCount()-len(need))
+		w.Name, sh.ID, sh.PairCount(), sh.PairCount()-len(todo))
 	return nil
 }

@@ -411,8 +411,13 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				grace:   time.Minute,
 				rng:     rand.New(rand.NewSource(1)),
 			}
-			var sub shardValues // one buffer for every lease, as Run keeps it
-			if err := w.runLease(ctx, names, ledger, l1, rec, &sub); !errors.Is(err, ErrFenced) {
+			// One pair list and one submission buffer for every lease, as
+			// Run keeps them.
+			var (
+				need [][2]int
+				sub  shardValues
+			)
+			if err := w.runLease(ctx, names, ledger, l1, rec, &need, &sub); !errors.Is(err, ErrFenced) {
 				t.Fatalf("stale lease's submission: %v, want ErrFenced", err)
 			}
 			spent := series.Load()
@@ -433,7 +438,7 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				if err != nil || res != AcquireGranted {
 					t.Fatalf("re-grant to w1: %v %v", res, err)
 				}
-				if err := w.runLease(ctx, names, ledger, l3, rec, &sub); err != nil {
+				if err := w.runLease(ctx, names, ledger, l3, rec, &need, &sub); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -436,6 +436,38 @@ func TestServerRefusesOverlongRequestLine(t *testing.T) {
 	}
 }
 
+// TestReusedRequestReaderKeepsBound: connections borrow their request
+// reader from a pool, and a reader that has served a short request still
+// reads a request line of exactly 4096 bytes, its newline included, and
+// still refuses a longer one. handle runs over an in-memory pipe, so the
+// refusal is read whole, never lost to a reset.
+func TestReusedRequestReaderKeepsBound(t *testing.T) {
+	srv := NewServer(NewRegistry())
+	ask := func(req string) string {
+		client, server := net.Pipe()
+		defer client.Close()
+		go func() { client.Write([]byte(req)) }() // fails once handle hangs up
+		go srv.handle(server)
+		_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := bufio.NewReader(client).ReadString('\n')
+		if err != nil {
+			t.Fatalf("request of %d bytes: %v", len(req), err)
+		}
+		return reply
+	}
+	for round := 0; round < 4; round++ {
+		if reply := ask("GET delta 0\n"); !strings.HasPrefix(reply, "deltas from=0") {
+			t.Fatalf("round %d: short request answered %q", round, reply)
+		}
+		if reply := ask(strings.Repeat("x", 4095) + "\n"); reply != "error unknown request\n" {
+			t.Fatalf("round %d: request line at the bound answered %q", round, reply)
+		}
+		if reply := ask(strings.Repeat("x", 4096) + "\n"); reply != "error request line longer than 4096 bytes\n" {
+			t.Fatalf("round %d: request line past the bound answered %q", round, reply)
+		}
+	}
+}
+
 // TestMirrorFollowsOrigin polls a live directory server and checks that
 // origin churn — join, leave, rotate — lands in the mirror with origin
 // epochs, readable from the mirror's own history.

@@ -45,7 +45,8 @@ type Server struct {
 // positioned after the request line — multi-line requests must read their
 // body from br, not conn, or they would lose bytes the server already
 // buffered. The handler writes its reply to conn and returns; the server
-// closes the connection.
+// closes the connection and reuses br for another, so a handler keeps
+// neither past its return.
 type ExtensionFunc func(conn net.Conn, br *bufio.Reader, req string)
 
 // NewServer creates a directory server over reg.
@@ -95,10 +96,24 @@ func (s *Server) Close() error {
 	return s.ln.Close()
 }
 
+// requestReaders holds the connections' *bufio.Reader of requestBuf bytes:
+// every request is a new connection, and each borrows a reader for its
+// conversation. A reader goes back reset to nil, holding no connection.
+var requestReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, requestBuf) }}
+
+// requestBuf is a connection's read buffer, and so the longest request line
+// the server reads.
+const requestBuf = 4096
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(s.timeout))
-	br := bufio.NewReader(conn)
+	br := requestReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil)
+		requestReaders.Put(br)
+	}()
 	// The request line must fit the reader's buffer: a peer that sends more
 	// without a newline is refused, not buffered without bound.
 	line, err := br.ReadSlice('\n')

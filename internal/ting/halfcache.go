@@ -74,6 +74,31 @@ func NewHalfCache(ttl time.Duration) *HalfCache {
 	}
 }
 
+// scanCaches holds the *HalfCache of scans that owned theirs, emptied: a
+// campaign worker scans one lease after another, and each lease's cache
+// then reuses the last one's map buckets instead of growing its own.
+var scanCaches = sync.Pool{New: func() any { return NewHalfCache(0) }}
+
+// ownedHalfCache takes an empty cache for a scan to own.
+func ownedHalfCache() *HalfCache { return scanCaches.Get().(*HalfCache) }
+
+// releaseHalfCache empties a cache a scan owned and returns it to the pool.
+// The scan's workers have all exited, so nothing measures through it any
+// more; clearing the store hook here is what keeps a finished scan's
+// checkpoint from hearing the next scan's series. The generation moves, so
+// a memo filled against the old entries trusts none of them.
+func releaseHalfCache(c *HalfCache) {
+	c.mu.Lock()
+	clear(c.entries)
+	clear(c.flights)
+	c.onStore = nil
+	c.ttl = 0
+	c.now = time.Now
+	c.mu.Unlock()
+	c.gen.Add(1)
+	scanCaches.Put(c)
+}
+
 // halfKey identifies one half-circuit series: the exact path plus the
 // sample count it was measured with.
 func halfKey(path []string, samples int) string {

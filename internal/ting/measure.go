@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"ting/internal/stats"
@@ -69,6 +70,21 @@ type halfMemo struct {
 type memoEntry struct {
 	min float64
 	ok  bool
+}
+
+// memoPool holds *[]memoEntry: the memos of finished scans, which the next
+// scan's workers take instead of allocating one entry per relay each.
+var memoPool sync.Pool
+
+// memoEntries returns n cleared memo entries, from the pool when it holds a
+// slice that large.
+func memoEntries(n int) []memoEntry {
+	if p, _ := memoPool.Get().(*[]memoEntry); p != nil && cap(*p) >= n {
+		e := (*p)[:n]
+		clear(e)
+		return e
+	}
+	return make([]memoEntry, n)
 }
 
 // SamplerInto is an optional CircuitProber extension: SampleCircuitInto

@@ -145,15 +145,19 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 
 	// Half-circuit memoization (§3.3/§4.6): the scan owns a cache unless
 	// a budgeted campaign supplied its cross-batch one or the caller opted
-	// out. Each measurer starts with an empty memo: its indices are this
-	// scan's.
+	// out. An owned cache comes from the pool empty and goes back, store
+	// hook and all, when run returns: every worker and the delta goroutine
+	// have exited by then. Each measurer starts with an empty memo: its
+	// indices are this scan's.
 	sc.hc = s.halfCircuits
-	if sc.hc == nil && !s.DisableHalfCache {
-		sc.hc = NewHalfCache(0)
+	owned := sc.hc == nil && !s.DisableHalfCache
+	if owned {
+		sc.hc = ownedHalfCache()
+		defer releaseHalfCache(sc.hc)
 	}
 	for _, meas := range measurers {
 		meas.hc = sc.hc
-		meas.memo = halfMemo{entries: make([]memoEntry, len(names))}
+		meas.memo = halfMemo{entries: memoEntries(len(names))}
 	}
 	sc.backoff = stats.Backoff{Base: s.Backoff}
 	sc.ctx, sc.cancel = context.WithCancel(ctx)
@@ -164,10 +168,13 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	}
 	if cp != nil && sc.hc != nil {
 		// Freshly measured half circuits go to the log as they are stored.
+		// An owned cache's hook is cleared as the cache goes back to the pool.
 		sc.hc.SetStoreHook(func(path []string, samples int, min float64) {
 			sc.appendRec(CheckpointRecord{Kind: RecordHalf, Path: path, Samples: samples, Min: min})
 		})
-		defer sc.hc.SetStoreHook(nil)
+		if !owned {
+			defer sc.hc.SetStoreHook(nil)
+		}
 	}
 	if s.Directory != nil && resumed != nil {
 		sc.announceResume(joined, rotated)
@@ -220,10 +227,14 @@ func (s *Scanner) openMeasurers(workers int) ([]*Measurer, error) {
 }
 
 // closeMeasurers ends a scan's hold on its measurers: each lets go of the
-// scan's half-circuit cache and is closed.
+// scan's half-circuit cache, returns its memo to the pool, and is closed.
 func closeMeasurers(measurers []*Measurer) {
 	for _, m := range measurers {
 		m.hc = nil
+		if e := m.memo.entries; e != nil {
+			memoPool.Put(&e)
+		}
+		m.memo = halfMemo{}
 		m.Close()
 	}
 }
@@ -315,6 +326,10 @@ func (sc *scan) plan(n int, restrict [][2]int) (todo []pairJob, pairs int, err e
 	return todo, pairs, nil
 }
 
+// restrictKeys holds *[]uint64, checkRestrict's sort buffers: a campaign
+// worker checks one lease's pair list after another.
+var restrictKeys sync.Pool
+
 // checkRestrict refuses a restricted pair list with an index outside the
 // matrix, a relay paired with itself, or a pair listed twice in either
 // order — which would be measured, counted and logged twice — and
@@ -322,7 +337,13 @@ func (sc *scan) plan(n int, restrict [][2]int) (todo []pairJob, pairs int, err e
 func (sc *scan) checkRestrict(restrict [][2]int) (runs int, err error) {
 	// Each pair smaller index first, packed in one word: a pair listed
 	// twice is two equal words once sorted.
-	keys := make([]uint64, len(restrict))
+	p, _ := restrictKeys.Get().(*[]uint64)
+	if p == nil {
+		p = new([]uint64)
+	}
+	defer restrictKeys.Put(p)
+	keys := slices.Grow((*p)[:0], len(restrict))[:len(restrict)]
+	*p = keys
 	names := sc.m.Names()
 	var run pairJob
 	for k, p := range restrict {
