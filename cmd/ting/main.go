@@ -40,7 +40,7 @@ var (
 	retryFlag    = flag.Int("retry", 2, "all-pairs: extra attempts per failed pair")
 	backoffFlag  = flag.Duration("backoff", time.Second, "all-pairs: base retry backoff (doubled per attempt, jittered)")
 	pairTimeout  = flag.Duration("pair-timeout", 0, "all-pairs: per-attempt deadline (0 = none)")
-	adaptiveFlag = flag.Bool("adaptive-deadline", false, "all-pairs: bound each attempt by an RTT-derived per-pair deadline (EWMA + 4×deviation, clamped to [-min-pair-timeout, -pair-timeout]) instead of the fixed -pair-timeout; a strangled slow pair retries with the full timeout")
+	adaptiveFlag = flag.Bool("adaptive-deadline", false, "all-pairs: bound each attempt by an RTT-derived per-pair deadline (EWMA + 4×deviation, clamped to [-min-pair-timeout, -pair-timeout]) instead of the fixed -pair-timeout; a strangled slow pair retries with the full timeout if -retry allows")
 	minPairFlag  = flag.Duration("min-pair-timeout", 100*time.Millisecond, "all-pairs: floor of the adaptive deadline, so fast pairs cannot strangle a legitimately slow one")
 	halfCache    = flag.Bool("half-cache", true, "all-pairs: memoize half-circuit minima (§4.6) so each C_x series is measured once per scan; false re-measures C_x and C_y for every pair")
 
@@ -95,6 +95,9 @@ func main() {
 
 	if *resumeFlag && *checkpointFlag == "" {
 		log.Fatal("-resume needs -checkpoint pointing at the interrupted campaign's log")
+	}
+	if *budgetFlag > 0 && *checkpointFlag != "" {
+		log.Fatal("-budget writes no checkpoint, so -checkpoint would leave nothing to -resume: a budgeted campaign is re-run, not resumed")
 	}
 
 	conn, err := ctl.Dial()
@@ -174,13 +177,18 @@ func main() {
 			log.Fatal(err)
 		}
 		// Tally churn reconciliations for the end-of-scan summary, on top
-		// of whatever telemetry is already watching.
+		// of whatever telemetry is already watching; with telemetry off
+		// (a nil obs) the scan gets an Observer of its own for it.
 		var churnMu sync.Mutex
 		churnCount := map[ting.ChurnKind]int{}
 		tombstonedPairs := 0
 		var epochLo, epochHi uint64
-		innerChurn := obs.Churn
-		obs.Churn = func(ev ting.ChurnEvent) {
+		scanObs := obs
+		if scanObs == nil {
+			scanObs = &ting.Observer{}
+		}
+		innerChurn := scanObs.Churn
+		scanObs.Churn = func(ev ting.ChurnEvent) {
 			if innerChurn != nil {
 				innerChurn(ev)
 			}
@@ -229,7 +237,7 @@ func main() {
 			// 3·pairs. -half-cache=false restores the literal per-pair
 			// procedure of §4.2.
 			DisableHalfCache: !*halfCache,
-			Observer:         obs,
+			Observer:         scanObs,
 			Checkpoint:       cp,
 			Health:           health,
 		}

@@ -2,12 +2,14 @@ package control
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +236,35 @@ func TestDataPortErrors(t *testing.T) {
 	n, _ := raw.Read(buf)
 	if !strings.HasPrefix(string(buf[:n]), "500") {
 		t.Errorf("malformed attach answered %q", buf[:n])
+	}
+}
+
+// TestDataPortRefusesOverlongLine: a data-port peer that sends 1 MiB with
+// no newline is refused with the line bound named, having buffered about
+// the bound, not the megabyte. handleData runs over an in-memory pipe, so
+// the refusal is read whole, never lost to a reset.
+func TestDataPortRefusesOverlongLine(t *testing.T) {
+	junk := bytes.Repeat([]byte("x"), 1<<20)
+	client, server := net.Pipe()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		(&Server{}).handleData(server)
+		close(done)
+	}()
+	go client.Write(junk) // fails once handleData hangs up
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := bufio.NewReader(client).ReadString('\n')
+	client.Close()
+	<-done
+	runtime.ReadMemStats(&after)
+	if err != nil || reply != "500 request line longer than 65536 bytes\r\n" {
+		t.Errorf("overlong request line answered (%q, %v)", reply, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 512<<10 {
+		t.Errorf("handleData allocated %d bytes on a 1 MiB line, want well under 1 MiB", grew)
 	}
 }
 

@@ -26,11 +26,20 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"ting/internal/client"
 	"ting/internal/directory"
 	"ting/internal/netutil"
 )
+
+// maxLine bounds one line a peer sends, on the control port and the data
+// port alike.
+const maxLine = 64 << 10
+
+// dataRequestTimeout bounds how long a data-port connection may take to
+// send its request line.
+const dataRequestTimeout = 10 * time.Second
 
 // ServerConfig configures a control server.
 type ServerConfig struct {
@@ -139,7 +148,7 @@ func (s *Server) handleControl(conn net.Conn) {
 	sess := &session{s: s, conn: conn}
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	sc.Buffer(make([]byte, maxLine), maxLine)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -289,11 +298,20 @@ func (sess *session) handleGetInfo(args []string) {
 // handleData bridges one data-port connection to a circuit stream.
 func (s *Server) handleData(conn net.Conn) {
 	defer conn.Close()
-	rd := bufio.NewReader(conn)
+	// The request line is read through a limit, so a peer that sends more
+	// than maxLine bytes without a newline is refused, not buffered. The
+	// limit and the deadline cover only that line: the bridge reads conn
+	// itself, with no deadline.
+	_ = conn.SetReadDeadline(time.Now().Add(dataRequestTimeout))
+	rd := bufio.NewReader(io.LimitReader(conn, maxLine))
 	line, err := rd.ReadString('\n')
 	if err != nil {
+		if len(line) >= maxLine {
+			fmt.Fprintf(conn, "500 request line longer than %d bytes\r\n", maxLine)
+		}
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	fields := strings.Fields(strings.TrimSpace(line))
 	if len(fields) != 4 || !strings.EqualFold(fields[0], "CONNECT") || !strings.EqualFold(fields[2], "VIA") {
 		fmt.Fprintf(conn, "500 usage: CONNECT <target> VIA <circID>\r\n")

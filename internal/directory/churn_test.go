@@ -436,6 +436,42 @@ func TestServerRefusesOverlongRequestLine(t *testing.T) {
 	}
 }
 
+// TestFetchDeltasRefusesOverlongLine: a hostile directory server that
+// answers a delta request with 1 MiB and no newline — as the header, or as
+// a delta line after a valid header — is refused with the line bound
+// named, having buffered about the bound, not the megabyte.
+func TestFetchDeltasRefusesOverlongLine(t *testing.T) {
+	junk := bytes.Repeat([]byte("x"), 1<<20)
+	for _, prefix := range []string{"", "deltas from=0 to=1 count=1\n"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			bufio.NewReader(conn).ReadString('\n')
+			conn.Write([]byte(prefix))
+			conn.Write(junk) // fails once the client hangs up
+		}()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, err = FetchDeltas(ln.Addr().String(), 0)
+		runtime.ReadMemStats(&after)
+		ln.Close()
+		if err == nil || !strings.Contains(err.Error(), "longer than 65536 bytes") {
+			t.Errorf("prefix %q: FetchDeltas = %v, want the 65536-byte line bound named", prefix, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 512<<10 {
+			t.Errorf("prefix %q: FetchDeltas allocated %d bytes on a 1 MiB line, want well under 1 MiB", prefix, grew)
+		}
+	}
+}
+
 // TestReusedRequestReaderKeepsBound: connections borrow their request
 // reader from a pool, and a reader that has served a short request still
 // reads a request line of exactly 4096 bytes, its newline included, and

@@ -211,7 +211,7 @@ func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error)
 		return nil, nil, fmt.Errorf("directory: fetch deltas: %w", err)
 	}
 	br := bufio.NewReader(conn)
-	header, err := br.ReadString('\n')
+	header, err := readLine(br)
 	if err != nil {
 		return nil, nil, fmt.Errorf("directory: fetch deltas: %w", err)
 	}
@@ -228,7 +228,7 @@ func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error)
 	}
 	deltas := []ConsensusDelta{}
 	for {
-		line, err := br.ReadString('\n')
+		line, err := readLine(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil, nil, errors.New("directory: truncated delta stream")
@@ -244,6 +244,26 @@ func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error)
 			return nil, nil, err
 		}
 		deltas = append(deltas, d)
+	}
+}
+
+// maxLine bounds one line of a directory reply, as DecodeConsensus's
+// scanner bounds a consensus line.
+const maxLine = bufio.MaxScanTokenSize
+
+// readLine reads one line from br, newline included, refusing a line
+// longer than maxLine once that much of it has arrived.
+func readLine(br *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		line = append(line, frag...)
+		if len(line) > maxLine {
+			return "", fmt.Errorf("line longer than %d bytes", maxLine)
+		}
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return string(line), err
+		}
 	}
 }
 

@@ -30,10 +30,12 @@ const budgetFitPasses = 12
 // (Matrix.ConfAt); failed pairs degrade to predictions the same way, so
 // the returned matrix is always complete.
 //
-// A budget of at least all pairs falls through to a plain Scan. The
-// scanner's Checkpoint and Directory are not used by the batch scans (a
-// budgeted campaign is cheap to re-run; its relay set, and with it the
-// coordinate model's, is fixed at names, so no relay may join mid-batch);
+// A budget of at least all pairs falls through to a plain Scan. Below
+// that the batch scans write no checkpoint (a budgeted campaign is cheap
+// to re-run), so a scanner with a Checkpoint is refused rather than left
+// with a log nothing can resume from; nor do they use the Directory (the
+// relay set, and with it the coordinate model's, is fixed at names, so no
+// relay may join mid-batch);
 // each batch is one ScanPairs pass of the scan engine
 // into the returned matrix, so everything else — workers, retries,
 // deadlines, breaker, observer — applies per batch, and one half-circuit
@@ -48,6 +50,9 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	allPairs := n * (n - 1) / 2
 	if budget >= allPairs {
 		return s.Scan(ctx, names)
+	}
+	if s.Checkpoint != nil {
+		return nil, nil, errors.New("ting: a budgeted scan writes no checkpoint; clear Checkpoint")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -71,7 +76,6 @@ func (s *Scanner) ScanBudget(ctx context.Context, names []string, budget int) (*
 	// the caller opted out): a node's C_x series from the bootstrap answers
 	// its active-round pairs too.
 	sub := *s
-	sub.Checkpoint = nil
 	sub.Directory = nil
 	if sub.halfCircuits == nil && !sub.DisableHalfCache {
 		sub.halfCircuits = NewHalfCache(0)

@@ -145,6 +145,29 @@ func TestScanBudgetFallsThroughToScan(t *testing.T) {
 	}
 }
 
+// TestScanBudgetCheckpoint: a budget below all pairs writes no
+// checkpoint, so a scanner with one is refused before anything is measured
+// — not left with a log that a resume then finds without a campaign
+// header. A budget of all pairs is a plain scan and writes its log.
+func TestScanBudgetCheckpoint(t *testing.T) {
+	sc, names := budgetScanner(t, 6, 902, 1)
+	allPairs := 6 * 5 / 2
+	cp := &MemCheckpoint{}
+	sc.Checkpoint = cp
+	if m, _, err := sc.ScanBudget(context.Background(), names, allPairs-1); err == nil || m != nil {
+		t.Errorf("budgeted scan with a checkpoint = (%v, %v), want refused", m, err)
+	}
+	if n := len(cp.recs); n != 0 {
+		t.Errorf("refused scan logged %d records", n)
+	}
+	if _, _, err := sc.ScanBudget(context.Background(), names, allPairs); err != nil {
+		t.Fatal(err)
+	}
+	if _, pairs := countRecords(cp); pairs != allPairs {
+		t.Errorf("full-budget scan logged %d pair records, want all %d", pairs, allPairs)
+	}
+}
+
 // TestScanBudgetRejectsNonPositive pins the argument contract.
 func TestScanBudgetRejectsNonPositive(t *testing.T) {
 	sc, names := budgetScanner(t, 6, 901, 1)

@@ -30,37 +30,36 @@ import (
 // relay's), so transient errors do not poison the cache — errors are never
 // stored.
 //
-// A scan's Measurer keeps a private memo in front of the cache (halfMemo,
-// measure.go): minima by relay index, filled through Do, so the all-pairs
-// steady state takes no lock and builds no key. gen is how the memos learn
-// that an answer they hold may no longer be the cache's: Seed and
-// InvalidateRelay bump it, and a memo that sees it move forgets everything
-// and asks Do again.
+// A scan also reads the cache by relay matrix index without the lock
+// (index, measure.go's halfMin): a slot points at the series the map
+// stores, and only the lock holder writes one — do when it answers from or
+// stores into the map; Seed, InvalidateRelay and a starting scan when they
+// clear slots. A reader trusts a slot only if its path, sample count and
+// age fit the request, so scans sharing a cache stay correct.
 type HalfCache struct {
 	ttl time.Duration
 	now func() time.Time
-	gen atomic.Uint64
 
 	mu      sync.Mutex
-	entries map[string]halfEntry
-	flights map[string]*halfFlight
+	entries map[string]*halfSeries
+	flights map[string]*halfSeries
+	index   atomic.Pointer[[]atomic.Pointer[halfSeries]] // only grows
 	onStore func(path []string, samples int, min float64)
 }
 
-type halfEntry struct {
-	path []string // the cache's own copy; InvalidateRelay looks through it
-	min  float64
-	when time.Time
-}
-
-// halfFlight is one in-progress measurement; min and err are written
-// exactly once before done is closed.
-type halfFlight struct {
-	done chan struct{}
-	path []string // the cache's own copy, as an entry's
-	min  float64
-	when time.Time
-	err  error
+// halfSeries is one half-circuit series: a flight until done is closed
+// (min and failed are written once before), and, when it succeeded and was
+// still current, the entry the map and the index point at. What an index
+// reader checks comes first, and a two-hop path is kept in hops, so a hit
+// reads one object.
+type halfSeries struct {
+	samples int
+	min     float64
+	hops    [2]string
+	path    []string      // the cache's own copy, in hops when it fits; InvalidateRelay looks through it
+	done    chan struct{} // nil for a seeded series
+	when    int64         // when stored, in Unix nanoseconds
+	failed  bool
 }
 
 // NewHalfCache creates a half-circuit cache whose entries expire after
@@ -69,14 +68,15 @@ func NewHalfCache(ttl time.Duration) *HalfCache {
 	return &HalfCache{
 		ttl:     ttl,
 		now:     time.Now,
-		entries: make(map[string]halfEntry, 64),
-		flights: make(map[string]*halfFlight, 8),
+		entries: make(map[string]*halfSeries, 64),
+		flights: make(map[string]*halfSeries, 8),
 	}
 }
 
 // scanCaches holds the *HalfCache of scans that owned theirs, emptied: a
 // campaign worker scans one lease after another, and each lease's cache
-// then reuses the last one's map buckets instead of growing its own.
+// then reuses the last one's map buckets and index instead of growing its
+// own.
 var scanCaches = sync.Pool{New: func() any { return NewHalfCache(0) }}
 
 // ownedHalfCache takes an empty cache for a scan to own.
@@ -85,18 +85,58 @@ func ownedHalfCache() *HalfCache { return scanCaches.Get().(*HalfCache) }
 // releaseHalfCache empties a cache a scan owned and returns it to the pool.
 // The scan's workers have all exited, so nothing measures through it any
 // more; clearing the store hook here is what keeps a finished scan's
-// checkpoint from hearing the next scan's series. The generation moves, so
-// a memo filled against the old entries trusts none of them.
+// checkpoint from hearing the next scan's series.
 func releaseHalfCache(c *HalfCache) {
 	c.mu.Lock()
+	c.clearIndex()
 	clear(c.entries)
 	clear(c.flights)
 	c.onStore = nil
 	c.ttl = 0
 	c.now = time.Now
 	c.mu.Unlock()
-	c.gen.Add(1)
 	scanCaches.Put(c)
+}
+
+// sizeIndex empties the index and gives it at least n slots, before a
+// scan's workers start; a relay that joins past it is answered by the map.
+func (c *HalfCache) sizeIndex(n int) {
+	c.mu.Lock()
+	c.clearIndex()
+	if len(c.slots()) < n {
+		slots := make([]atomic.Pointer[halfSeries], n)
+		c.index.Store(&slots)
+	}
+	c.mu.Unlock()
+}
+
+func (c *HalfCache) slots() []atomic.Pointer[halfSeries] {
+	if p := c.index.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// clearIndex empties every slot; the caller holds mu.
+func (c *HalfCache) clearIndex() {
+	slots := c.slots()
+	for i := range slots {
+		slots[i].Store(nil)
+	}
+}
+
+// indexed answers for relay index i from the index, without the lock: the
+// slot's series must be path's, measured with samples, and not lapsed.
+func (c *HalfCache) indexed(path []string, samples, i int) (float64, bool) {
+	slots := c.slots()
+	if uint(i) >= uint(len(slots)) {
+		return 0, false
+	}
+	s := slots[i].Load()
+	if s == nil || s.samples != samples || !slices.Equal(s.path, path) || c.expired(s) {
+		return 0, false
+	}
+	return s.min, true
 }
 
 // halfKey identifies one half-circuit series: the exact path plus the
@@ -107,8 +147,8 @@ func halfKey(path []string, samples int) string {
 
 // halfKeyInto appends the same key to a caller-owned buffer. Do builds its
 // key on the stack and looks it up via map[string(buf)] — which the
-// compiler performs without materializing the string — so cache hits, the
-// all-pairs steady state, allocate nothing.
+// compiler performs without materializing the string — so cache hits
+// allocate nothing.
 func halfKeyInto(buf []byte, path []string, samples int) []byte {
 	for i, hop := range path {
 		if i > 0 {
@@ -122,11 +162,14 @@ func halfKeyInto(buf []byte, path []string, samples int) []byte {
 
 // Seed installs a series without measuring — checkpoint replay. The entry
 // is stored as freshly measured and does not fire the store hook (it is
-// already in the log it came from).
+// already in the log it came from). The index is cleared, so no slot keeps
+// answering with the series it replaces.
 func (c *HalfCache) Seed(path []string, samples int, min float64) {
 	c.mu.Lock()
-	c.entries[halfKey(path, samples)] = halfEntry{path: clonePath(path), min: min, when: c.now()}
-	c.gen.Add(1)
+	s := &halfSeries{samples: samples, min: min, when: c.now().UnixNano()}
+	s.path = append(s.hops[:0], path...)
+	c.entries[halfKey(path, samples)] = s
+	c.clearIndex()
 	c.mu.Unlock()
 }
 
@@ -146,8 +189,8 @@ func (c *HalfCache) SetStoreHook(fn func(path []string, samples int, min float64
 // nickname, so its cached minima no longer describe the relay. In-flight
 // measurements through the relay are dropped too: each finishes and
 // answers the callers already waiting on it, but a flight no longer in the
-// map stores nothing and fires no hook, and the next Do measures the new
-// identity.
+// map stores nothing, in the map or the index, and fires no hook, and the
+// next Do measures the new identity.
 func (c *HalfCache) InvalidateRelay(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,9 +206,12 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 			delete(c.flights, key)
 		}
 	}
-	// Bumped under the lock, after the deletes: a memo that reads the new
-	// generation and asks Do finds the entry gone.
-	c.gen.Add(1)
+	slots := c.slots()
+	for i := range slots {
+		if s := slots[i].Load(); s != nil && slices.Contains(s.path, name) {
+			slots[i].Store(nil)
+		}
+	}
 	return dropped
 }
 
@@ -174,13 +220,12 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 // measurement; obs (nil-safe) is told whether this call hit, measured, or
 // waited on another worker's in-flight series.
 func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Observer, fn func(context.Context) (float64, error)) (float64, error) {
-	min, _, err := c.do(ctx, path, samples, obs, fn)
-	return min, err
+	return c.do(ctx, path, samples, -1, obs, fn)
 }
 
-// do is Do, also returning when the series it answers with was stored —
-// what a memo in front of a ttl'd cache needs to lapse with the entry.
-func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Observer, fn func(context.Context) (float64, error)) (float64, time.Time, error) {
+// do is Do for the relay at index i (-1 for none): the series it answers
+// from the map or stores there also fills i's slot.
+func (c *HalfCache) do(ctx context.Context, path []string, samples, i int, obs *Observer, fn func(context.Context) (float64, error)) (float64, error) {
 	// The key lives on the stack; the string conversions inside the map
 	// indexes below do not allocate. A real string is only made on the miss
 	// path, where a measurement is about to dwarf it.
@@ -189,23 +234,24 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[string(key)]; ok && !c.expired(e) {
+			c.setSlot(i, e)
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitHit)
-			return e.min, e.when, nil
+			return e.min, nil
 		}
 		if f, ok := c.flights[string(key)]; ok {
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitWait)
 			select {
 			case <-ctx.Done():
-				return 0, time.Time{}, ctx.Err()
+				return 0, ctx.Err()
 			case <-f.done:
 			}
-			if f.err == nil {
-				return f.min, f.when, nil
+			if !f.failed {
+				return f.min, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return 0, time.Time{}, err
+				return 0, err
 			}
 			// The leader failed but we are still live: loop and either find
 			// a fresher flight to join or measure ourselves.
@@ -214,13 +260,14 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 		// The flight, the entry and the hook all outlive this call, so none
 		// may alias the Measurer's scratch path.
 		skey := string(key)
-		f := &halfFlight{done: make(chan struct{}), path: clonePath(path)}
+		f := &halfSeries{done: make(chan struct{}), samples: samples}
+		f.path = append(f.hops[:0], path...)
 		c.flights[skey] = f
 		c.mu.Unlock()
 
 		obs.halfCircuit(path, HalfCircuitMiss)
 		min, err := fn(ctx)
-		f.min, f.err = min, err
+		f.min, f.failed = min, err != nil
 		c.mu.Lock()
 		// A flight InvalidateRelay dropped — the map holds another flight
 		// for the key, or none — measured a relay's old identity.
@@ -230,8 +277,9 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 		}
 		var hook func(path []string, samples int, min float64)
 		if err == nil && current {
-			f.when = c.now()
-			c.entries[skey] = halfEntry{path: f.path, min: min, when: f.when}
+			f.when = c.now().UnixNano()
+			c.entries[skey] = f
+			c.setSlot(i, f)
 			hook = c.onStore
 		}
 		c.mu.Unlock()
@@ -239,10 +287,17 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples int, obs *Obs
 		if hook != nil {
 			hook(f.path, samples, min)
 		}
-		return min, f.when, err
+		return min, err
 	}
 }
 
-func (c *HalfCache) expired(e halfEntry) bool {
-	return c.ttl > 0 && c.now().Sub(e.when) > c.ttl
+// setSlot points slot i, if the index has it, at s; the caller holds mu.
+func (c *HalfCache) setSlot(i int, s *halfSeries) {
+	if slots := c.slots(); uint(i) < uint(len(slots)) {
+		slots[i].Store(s)
+	}
+}
+
+func (c *HalfCache) expired(s *halfSeries) bool {
+	return c.ttl > 0 && c.now().UnixNano()-s.when > int64(c.ttl)
 }

@@ -215,8 +215,8 @@ func TestHalfCacheTTL(t *testing.T) {
 	}
 }
 
-// TestScanMemoLapsesWithCacheTTL: a worker's memo answers for a ttl'd cache
-// only while the cache's entry would. One worker, pairs in plan order; the
+// TestScanMemoLapsesWithCacheTTL: the cache's index answers for a ttl'd
+// cache only while the cache's entry would. One worker, pairs in plan order; the
 // clock jumps past the ttl during (x,u)'s full circuit, so x and y lapse
 // and are re-measured when next consulted, at (x,v) and (y,u): six misses,
 // N + 2.
@@ -658,8 +658,8 @@ func TestHalfCacheInvalidateSeparatorNames(t *testing.T) {
 	}
 }
 
-// halfOracle is the serial model of HalfCache seen through the workers'
-// memos. Every path in the property is [w, x], so an entry is keyed by x:
+// halfOracle is the serial model of HalfCache seen through the index the
+// workers share. Every path in the property is [w, x], so an entry is keyed by x:
 // the last stored minimum and when it was stored, an answer while no older
 // than the ttl (ttl ≤ 0: forever). InvalidateRelay("w") drops everything.
 type halfOracle struct {
@@ -693,7 +693,7 @@ func (o *halfOracle) invalidate(name string) int {
 }
 
 // oracleWorker is one scan worker of the property: a Measurer over the
-// shared cache with its own memo, and a prober whose next series the test
+// shared cache and its index, and a prober whose next series the test
 // scripts.
 type oracleWorker struct {
 	m      *Measurer
@@ -712,15 +712,15 @@ func (w *oracleWorker) SampleCircuit(ctx context.Context, path []string, n int) 
 	return []float64{v}, nil
 }
 
-// halfMin asks the worker's memo, and through it the cache, for x's half
-// circuit, recording what the Observer hears and the prober calls it made.
+// halfMin asks the cache's index, and then its map, for x's half circuit,
+// recording what the Observer hears and the prober calls it made.
 func (w *oracleWorker) halfMin(names []string, i int) (float64, error) {
 	w.events, w.calls = w.events[:0], 0
 	return w.m.halfMin(context.Background(), []string{"w", names[i]}, i)
 }
 
 // TestHalfCacheAgainstOracle runs random sequences through a HalfCache and
-// three workers' memos and checks each step against halfOracle: Do that
+// the index its three workers share and checks each step against halfOracle: Do that
 // hits, misses, or fails; a waiter on a leader that succeeds or fails, with
 // a Seed or an InvalidateRelay landing mid-flight; Seed; InvalidateRelay of
 // one relay or of the shared first hop; clock jumps to either side of the
@@ -736,6 +736,7 @@ func TestHalfCacheAgainstOracle(t *testing.T) {
 		now := time.Unix(1700000000, 0)
 		hc := NewHalfCache(ttl)
 		hc.now = func() time.Time { return now }
+		hc.sizeIndex(len(names))
 		var mu sync.Mutex
 		var hooked, wantHooked []float64
 		hc.SetStoreHook(func(_ []string, _ int, min float64) {
@@ -757,7 +758,7 @@ func TestHalfCacheAgainstOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.hc, m.memo = hc, halfMemo{entries: make([]memoEntry, len(names))}
+			m.hc = hc
 			w.m = m
 			workers[k] = w
 		}
@@ -908,5 +909,93 @@ func TestHalfCacheAgainstOracle(t *testing.T) {
 				fail("store hook fired with %v, want %v", hooked, wantHooked)
 			}
 		}
+	}
+}
+
+// TestHalfCacheIndexAfterRotation: a rotation clears only the rotated
+// relay's slot, so every other relay still answers from the index with the
+// cache lock held — a locked consultation would block — and a leader whose
+// flight the rotation dropped answers its caller but writes neither the
+// map nor the index.
+func TestHalfCacheIndexAfterRotation(t *testing.T) {
+	names := []string{"x0", "x1", "x2", "x3", "x4"}
+	hc := NewHalfCache(0)
+	hc.sizeIndex(len(names))
+	w := &oracleWorker{waited: make(chan struct{}, 1)}
+	obs := &Observer{HalfCircuit: func(_ []string, ev HalfCircuitEvent) { w.events = append(w.events, ev) }}
+	m, err := NewMeasurer(Config{Prober: w, W: "w", Z: "z", Samples: 1, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.hc, w.m = hc, m
+	for i := range names {
+		w.probe = func() (float64, error) { return float64(10 + i), nil }
+		if v, err := w.halfMin(names, i); v != float64(10+i) || err != nil {
+			t.Fatalf("first %s = (%v, %v)", names[i], v, err)
+		}
+	}
+
+	// While rotated's leader is measuring its new identity, its key rotates
+	// again: the flight is dropped.
+	const rotated = 2
+	entered, release := make(chan struct{}), make(chan struct{})
+	w.probe = func() (float64, error) {
+		close(entered)
+		<-release
+		return 99, nil
+	}
+	hc.InvalidateRelay(names[rotated])
+	led := make(chan float64, 1)
+	go func() {
+		v, _ := m.halfMin(context.Background(), []string{"w", names[rotated]}, rotated)
+		led <- v
+	}()
+	select {
+	case <-entered:
+	case v := <-led:
+		t.Fatalf("rotated %s answered %v from its old identity's slot", names[rotated], v)
+	}
+	if got := hc.InvalidateRelay(names[rotated]); got != 0 {
+		t.Errorf("second rotation dropped %d entries, want 0: only a flight was left", got)
+	}
+	close(release)
+	if v := <-led; v != 99 {
+		t.Errorf("dropped leader answered %v, want its own series 99", v)
+	}
+	if s := hc.slots()[rotated].Load(); s != nil {
+		t.Errorf("slot %d holds %v after its relay rotated, want empty", rotated, s.min)
+	}
+
+	others := make(chan error, 1)
+	hc.mu.Lock()
+	go func() {
+		for i := range names {
+			if i == rotated {
+				continue
+			}
+			w.events = w.events[:0]
+			v, err := m.halfMin(context.Background(), []string{"w", names[i]}, i)
+			if v != float64(10+i) || err != nil || !slices.Equal(w.events, []HalfCircuitEvent{HalfCircuitHit}) {
+				others <- fmt.Errorf("%s = (%v, %v), events %v; want %v from the index", names[i], v, err, w.events, 10+i)
+				return
+			}
+		}
+		others <- nil
+	}()
+	select {
+	case err := <-others:
+		hc.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		hc.mu.Unlock()
+		<-others
+		t.Fatal("an unrotated relay consulted the locked map")
+	}
+
+	w.probe = func() (float64, error) { return 50, nil }
+	if v, err := w.halfMin(names, rotated); v != 50 || err != nil || w.calls != 1 {
+		t.Errorf("rotated relay = (%v, %v) after %d prober calls, want its next series 50, measured once", v, err, w.calls)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ting/internal/stats"
@@ -49,42 +48,6 @@ type Measurer struct {
 	// reuse the series (§3.3/§4.6). Outside a scan it is nil and every
 	// series is measured.
 	hc *HalfCache
-	// memo is this worker's view of hc within one scan. The scan resets it
-	// before its workers start, so a relay index never outlives the names
-	// it indexes.
-	memo halfMemo
-}
-
-// halfMemo holds half-circuit minima by relay index, each one an answer
-// HalfCache.Do gave. It is private to one worker — no lock, no atomics, no
-// key — and trusted only while the cache's generation is the one the memo
-// was filled under.
-type halfMemo struct {
-	gen     uint64
-	entries []memoEntry
-	// expires is when each entry's cache entry lapses, kept only when the
-	// cache has a ttl; without one the clock is never read.
-	expires []time.Time
-}
-
-type memoEntry struct {
-	min float64
-	ok  bool
-}
-
-// memoPool holds *[]memoEntry: the memos of finished scans, which the next
-// scan's workers take instead of allocating one entry per relay each.
-var memoPool sync.Pool
-
-// memoEntries returns n cleared memo entries, from the pool when it holds a
-// slice that large.
-func memoEntries(n int) []memoEntry {
-	if p, _ := memoPool.Get().(*[]memoEntry); p != nil && cap(*p) >= n {
-		e := (*p)[:n]
-		clear(e)
-		return e
-	}
-	return make([]memoEntry, n)
 }
 
 // SamplerInto is an optional CircuitProber extension: SampleCircuitInto
@@ -169,7 +132,7 @@ func (m *Measurer) MeasurePair(ctx context.Context, x, y string) (*Measurement, 
 // observer listens, the full Measurement. Only then is the clock read and
 // the Measurement allocated, so a scan without that observer measures each
 // pair allocation-free. xi and yi are x's and y's matrix indices, the keys
-// of the half-circuit memo, or -1 outside a scan.
+// of the half-circuit cache's index, or -1 outside a scan.
 func (m *Measurer) measurePair(ctx context.Context, x, y string, xi, yi int, keep bool) (float64, *Measurement, error) {
 	if err := m.checkPair(x, y); err != nil {
 		return 0, nil, err
@@ -228,8 +191,6 @@ func (m *Measurer) measureMins(ctx context.Context, x, y string, xi, yi int) (mi
 	return minFull, minX, minY, nil
 }
 
-func clonePath(path []string) []string { return append([]string(nil), path...) }
-
 // Estimate applies Eq. (4): R(x,y) = R_Cxy − ½R_Cx − ½R_Cy.
 func Estimate(minFull, minX, minY float64) float64 {
 	return minFull - minX/2 - minY/2
@@ -250,44 +211,22 @@ func (m *Measurer) checkPair(x, y string) error {
 // halfMin returns the minimum of a two-hop circuit's series. Within a scan
 // half circuits are memoized through the scan's cache: min R_Cx depends
 // only on x, so the series is worth exactly one measurement per freshness
-// window. i is x's matrix index, and the memo answers first while the
-// cache's generation stands and (with a ttl) the entry has not lapsed; the
-// Observer hears exactly one hit, wait or miss. Outside a scan the series
-// is measured.
+// window. i is x's matrix index: the cache's index answers first, before
+// any closure is built or lock taken, and the Observer hears exactly one
+// hit, wait or miss. Outside a scan the series is measured.
 func (m *Measurer) halfMin(ctx context.Context, path []string, i int) (float64, error) {
 	hc := m.hc
 	if hc == nil {
 		return m.measureMin(ctx, path)
 	}
-	memo := &m.memo
-	if g := hc.gen.Load(); g != memo.gen {
-		clear(memo.entries)
-		memo.gen = g
+	if min, ok := hc.indexed(path, m.cfg.Samples, i); ok {
+		m.cfg.Observer.halfCircuit(path, HalfCircuitHit)
+		return min, nil
 	}
-	if i < len(memo.entries) {
-		if e := memo.entries[i]; e.ok && (hc.ttl <= 0 || !hc.now().After(memo.expires[i])) {
-			m.cfg.Observer.halfCircuit(path, HalfCircuitHit)
-			return e.min, nil
-		}
-	}
-	min, when, err := hc.do(ctx, path, m.cfg.Samples, m.cfg.Observer,
+	return hc.do(ctx, path, m.cfg.Samples, i, m.cfg.Observer,
 		func(ctx context.Context) (float64, error) {
 			return m.measureMin(ctx, path)
 		})
-	if err != nil {
-		return min, err
-	}
-	if i >= len(memo.entries) {
-		memo.entries = append(memo.entries, make([]memoEntry, i+1-len(memo.entries))...)
-	}
-	memo.entries[i] = memoEntry{min: min, ok: true}
-	if hc.ttl > 0 {
-		if len(memo.expires) < len(memo.entries) {
-			memo.expires = append(memo.expires, make([]time.Time, len(memo.entries)-len(memo.expires))...)
-		}
-		memo.expires[i] = when.Add(hc.ttl)
-	}
-	return min, nil
 }
 
 // measureMin takes the configured number of samples through path and

@@ -32,6 +32,37 @@ func TestObserverNilSafe(t *testing.T) {
 	}
 }
 
+// TestTelemetryOffAllocParity: telemetry that is off is free. A scan whose
+// measurers hold NewTelemetryObserver(nil) allocates what one with no
+// Observer does — not a Measurement a pair, nor a joined path a circuit
+// and a half-circuit hit, all for a trace ring that is not there.
+func TestTelemetryOffAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 100
+	names, _ := nullScan(n)
+	perPair := func(obs *Observer) float64 {
+		sc := &Scanner{
+			NewMeasurer: func(int) (*Measurer, error) {
+				return NewMeasurer(Config{Prober: nullProber{}, W: "w", Z: "z", Samples: 8, Observer: obs})
+			},
+			Workers:  1,
+			Observer: obs,
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := sc.Scan(context.Background(), names); err != nil {
+				t.Fatal(err)
+			}
+		}) / (n * (n - 1) / 2)
+	}
+	none, off := perPair(nil), perPair(NewTelemetryObserver(nil))
+	t.Logf("%.3f allocations a pair with no Observer, %.3f with telemetry off", none, off)
+	if off > none+0.01 {
+		t.Errorf("telemetry off allocates %.3f times a pair, want what no Observer does (%.3f)", off, none)
+	}
+}
+
 // TestDurabilityTelemetry drives a checkpointed, breaker-guarded scan and a
 // resume through a telemetry observer and checks the four durability
 // metrics: checkpoint appends/replays, the open-breaker gauge, and the

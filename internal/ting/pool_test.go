@@ -100,7 +100,7 @@ func countRecords(cp *MemCheckpoint) (halves, pairs int) {
 }
 
 // TestPooledScanIsolation holds the scans that share pooled scratch — the
-// half-circuit cache a scan owns, its workers' memos, its pair-list check —
+// half-circuit cache a scan owns and its index, its pair-list check —
 // to what separate allocations gave them: every ScanPairs takes exactly
 // pairs + relays series, one after another on one Scanner and interleaved
 // on two, and a scan cancelled mid-flight leaves nothing behind: no half
@@ -199,12 +199,13 @@ func TestPooledScanIsolation(t *testing.T) {
 // TestScanPairsAllocs pins what a warm campaign lease costs the scan
 // engine: a one-worker ScanPairs of a 312-pair tile shard over 400 relays,
 // the campaign workload's shard, through a prober that allocates nothing.
-// The lease's half-circuit cache, its worker's memo (one entry per relay)
-// and its pair-list check reuse the last lease's, so what is left is the
-// scan's own state, the measurer, and about 190 bytes per half-circuit miss
-// (the flight, its channel, the path and key the cache keeps): 38 misses
-// here. Before that reuse the lease took 181 allocations and 29 962 bytes;
-// it takes 173 and about 10 900, and the ceilings sit just above.
+// The lease's half-circuit cache, its index by relay and its pair-list
+// check reuse the last lease's, so what is left is the scan's own state,
+// the measurer, and about 200 bytes per half-circuit miss (the series with
+// its path, its channel and the key the cache keeps): 38 misses here.
+// Before that reuse the lease took 181 allocations and 29 962 bytes; it
+// took 173 and about 10 900 with the workers' memos, and takes 134 and
+// about 10 200 without them, under ceilings set at the former.
 func TestScanPairsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -147,8 +147,7 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	// a budgeted campaign supplied its cross-batch one or the caller opted
 	// out. An owned cache comes from the pool empty and goes back, store
 	// hook and all, when run returns: every worker and the delta goroutine
-	// have exited by then. Each measurer starts with an empty memo: its
-	// indices are this scan's.
+	// have exited by then.
 	sc.hc = s.halfCircuits
 	owned := sc.hc == nil && !s.DisableHalfCache
 	if owned {
@@ -157,7 +156,6 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	}
 	for _, meas := range measurers {
 		meas.hc = sc.hc
-		meas.memo = halfMemo{entries: memoEntries(len(names))}
 	}
 	sc.backoff = stats.Backoff{Base: s.Backoff}
 	sc.ctx, sc.cancel = context.WithCancel(ctx)
@@ -178,6 +176,10 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 	}
 	if s.Directory != nil && resumed != nil {
 		sc.announceResume(joined, rotated)
+	}
+	if sc.hc != nil {
+		// The cache's index is this scan's, one empty slot per relay.
+		sc.hc.sizeIndex(len(names))
 	}
 
 	sc.sched = newSchedule(todo, workers, s.Shuffle != 0)
@@ -227,14 +229,10 @@ func (s *Scanner) openMeasurers(workers int) ([]*Measurer, error) {
 }
 
 // closeMeasurers ends a scan's hold on its measurers: each lets go of the
-// scan's half-circuit cache, returns its memo to the pool, and is closed.
+// scan's half-circuit cache and is closed.
 func closeMeasurers(measurers []*Measurer) {
 	for _, m := range measurers {
 		m.hc = nil
-		if e := m.memo.entries; e != nil {
-			memoPool.Put(&e)
-		}
-		m.memo = halfMemo{}
 		m.Close()
 	}
 }
@@ -394,7 +392,7 @@ func (sc *scan) addPair(todo []pairJob, pairs int, x, y int32) ([]pairJob, int) 
 }
 
 // openLog writes the campaign header (a fresh campaign) or rehydrates the
-// half-circuit memo from the replayed log (a resumed one).
+// half-circuit cache from the replayed log (a resumed one).
 func (sc *scan) openLog(names []string) error {
 	if sc.resumed != nil {
 		// A resumed scan's unfinished pairs reuse the interrupted run's
@@ -481,7 +479,7 @@ func (sc *scan) logChurn(kind ChurnKind, op, relay, fp string, epoch uint64, tom
 }
 
 // announceResume reports and logs what reconcile found, after the
-// half-circuit memo was seeded — so a rotated relay's replayed series are
+// half-circuit cache was seeded — so a rotated relay's replayed series are
 // dropped, not resurrected — and before any worker runs, so the failure
 // list holds exactly plan's tombstones.
 func (sc *scan) announceResume(joined, rotated []string) {

@@ -84,9 +84,11 @@ type Scanner struct {
 	// estimate — EWMA of observed attempt durations plus K× their EWMA
 	// absolute deviation, clamped to [MinPairTimeout, PairTimeout] — once
 	// enough attempts have been observed. A pair that times out under an
-	// adaptive deadline retries with the full PairTimeout, so a
-	// legitimately slow pair is bounded, not lost. Cuts the tail cost of
-	// wedged pairs from PairTimeout to roughly MinPairTimeout each.
+	// adaptive deadline retries with the full PairTimeout when Retry allows
+	// a retry, so a legitimately slow pair is bounded, not lost. With Retry
+	// 0 it is forfeited instead: a wedged pair and a slow one look alike
+	// when the deadline fires, and that forfeit is what cuts the tail cost
+	// of wedged pairs from PairTimeout to roughly MinPairTimeout each.
 	AdaptiveDeadline bool
 	// MinPairTimeout is the adaptive deadline's floor; default 100ms. It
 	// keeps a streak of fast pairs from strangling a legitimately slow

@@ -32,6 +32,11 @@
 // condition compares that field with its zero value (== 0, == "", == nil,
 // <= 0). That is the package's default, not a caller.
 //
+// bench/ is walked after the commands and before examples/. It keeps code
+// alive, but what only it reaches or sets is printed after the findings,
+// each as "bench only: name  file:line", for information: it does not
+// change the exit status.
+//
 // It cannot see wire verbs or record kinds: a command no client sends and a
 // record no reader wants both pass.
 //
@@ -91,7 +96,8 @@ func run(dir, allowPath string, stdout, stderr io.Writer) int {
 
 	var unlisted, stale []string
 	used := map[string]bool{}
-	findings := append(g.unreached(), unsetFields(l)...)
+	unset := unsetFields(l, true)
+	findings := append(g.funcs(func(obj types.Object) bool { return !g.core[obj] }), unset...)
 	sortFindings(findings)
 	for _, f := range findings {
 		fmt.Fprintf(stdout, "%s  %s\n", f.name, f.pos)
@@ -110,6 +116,9 @@ func run(dir, allowPath string, stdout, stderr io.Writer) int {
 		}
 	}
 	sort.Strings(stale)
+	for _, f := range benchOnly(g, unset) {
+		fmt.Fprintf(stdout, "bench only: %s  %s\n", f.name, f.pos)
+	}
 	if len(unlisted) > 0 {
 		fmt.Fprintf(stderr, "census: no command reaches or sets %s: give each a caller, unexport it, delete it, or list it in %s with the reason it stays\n", strings.Join(unlisted, ", "), allowPath)
 	}
@@ -221,6 +230,10 @@ func (l *loader) inModule(path string) bool {
 	return path == l.modpath || strings.HasPrefix(path, l.modpath+"/")
 }
 
+func (l *loader) isBench(path string) bool {
+	return path == l.modpath+"/bench" || strings.HasPrefix(path, l.modpath+"/bench/")
+}
+
 // Import implements types.Importer.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if !l.inModule(path) {
@@ -296,9 +309,11 @@ var _ = []any{
 type graph struct {
 	l      *loader
 	decl   map[types.Object]*declared
-	roots  []types.Object // the commands', bench's and every init
-	demos  []types.Object // examples/' main packages, walked second
+	roots  []types.Object // the commands' and every init
+	bench  []types.Object // bench/'s, walked second
+	demos  []types.Object // examples/' main packages, walked last
 	seen   map[types.Object]bool
+	cmds   map[types.Object]bool // seen before bench/ was walked
 	core   map[types.Object]bool // seen before the demos were walked
 	work   []types.Object
 	types  []*types.Named            // reachable module types with methods to keep
@@ -316,8 +331,11 @@ func newGraph(l *loader) *graph {
 	for _, p := range l.order {
 		isMain := p.types.Name() == "main"
 		roots := &g.roots
-		if strings.HasPrefix(p.types.Path(), l.modpath+"/examples/") {
+		switch path := p.types.Path(); {
+		case strings.HasPrefix(path, l.modpath+"/examples/"):
 			roots = &g.demos
+		case l.isBench(path):
+			roots = &g.bench
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
@@ -426,8 +444,9 @@ func (g *graph) mark(obj types.Object) {
 	}
 }
 
-// reach marks everything the roots lead to, then everything the demos lead
-// to as well, keeping in core what the first walk alone reached.
+// reach marks everything the roots lead to, then what bench/ leads to, then
+// what the demos lead to, keeping in cmds what the first walk reached and
+// in core what the first two did.
 func (g *graph) reach() error {
 	std := &pkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
 	f, err := parser.ParseFile(g.l.fset, "calledbystdlib.go", calledByStdlib, parser.SkipObjectResolution)
@@ -442,6 +461,11 @@ func (g *graph) reach() error {
 		g.play(it)
 	}
 	for _, r := range g.roots {
+		g.mark(r)
+	}
+	g.walk()
+	g.cmds = maps.Clone(g.seen)
+	for _, r := range g.bench {
 		g.mark(r)
 	}
 	g.walk()
@@ -533,14 +557,15 @@ func sortFindings(fs []finding) {
 	})
 }
 
-// unreached lists the exported funcs and methods under internal/ that no
-// command or benchmark reaches, whether or not an example does.
-func (g *graph) unreached() []finding {
+// funcs lists the exported funcs and methods under internal/ that pick
+// picks: those no command or benchmark reaches (whether or not an example
+// does) are the census's findings.
+func (g *graph) funcs(pick func(types.Object) bool) []finding {
 	var out []finding
 	for obj := range g.decl {
 		fn, isFunc := obj.(*types.Func)
 		path := obj.Pkg().Path()
-		if g.core[obj] || !isFunc || !obj.Exported() || !strings.HasPrefix(path, g.l.modpath+"/internal/") {
+		if !isFunc || !obj.Exported() || !strings.HasPrefix(path, g.l.modpath+"/internal/") || !pick(obj) {
 			continue
 		}
 		short := strings.TrimPrefix(path, g.l.modpath+"/internal/")
@@ -559,11 +584,33 @@ func (g *graph) unreached() []finding {
 	return out
 }
 
+// benchOnly lists what only bench/ keeps alive: the funcs and methods the
+// commands do not reach and bench/ does, and the fields only bench/ sets
+// (unset is unsetFields with bench/ counted).
+func benchOnly(g *graph, unset []finding) []finding {
+	out := g.funcs(func(obj types.Object) bool { return g.core[obj] && !g.cmds[obj] })
+	stillUnset := map[string]bool{}
+	for _, f := range unset {
+		stillUnset[f.name] = true
+	}
+	for _, f := range unsetFields(g.l, false) {
+		if !stillUnset[f.name] {
+			out = append(out, f)
+		}
+	}
+	sortFindings(out)
+	return out
+}
+
 // unsetFields returns the exported fields of exported struct types under
-// internal/ that no non-test code sets.
-func unsetFields(l *loader) []finding {
+// internal/ that no non-test code sets, counting bench/'s code as a setter
+// only with bench.
+func unsetFields(l *loader, bench bool) []finding {
 	set := map[*types.Var]bool{}
 	for _, p := range l.order {
+		if !bench && l.isBench(p.types.Path()) {
+			continue
+		}
 		info := p.info
 		write := func(e ast.Expr) {
 			for _, v := range written(info, e) {

@@ -83,9 +83,14 @@ func TestCensusFlagsWhatNoCommandReaches(t *testing.T) {
 	}
 }
 
+// What bench/ alone reaches or sets is kept alive — not flagged, the exit
+// status unchanged — and printed, each name once, after the findings.
 func TestCensusPassesWhenEveryFlaggedNameIsListed(t *testing.T) {
 	status, stdout, stderr := census(t, allowAll)
-	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, "census: ok (8 allowlisted)\n") {
+	want := "bench only: lib.BenchOnly  internal/lib/lib.go:83\n" +
+		"bench only: lib.Tuning.Depth  internal/lib/lib.go:85\n" +
+		"census: ok (8 allowlisted)\n"
+	if status != 0 || stderr != "" || !strings.HasSuffix(stdout, want) || strings.Count(stdout, "bench only:") != 2 {
 		t.Fatalf("status %d\nstdout:\n%sstderr:\n%s", status, stdout, stderr)
 	}
 }

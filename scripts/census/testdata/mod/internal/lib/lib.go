@@ -77,3 +77,9 @@ func (f Fault) Lossy() bool { return f.Drop > 0 || f.Stall > 0 }
 
 // DemoOnly is reached from examples/demo alone: flagged.
 func DemoOnly() int { return 4 }
+
+// BenchOnly is reached from bench alone, and Tuning.Depth is set by bench
+// alone: neither is flagged, and both are printed as bench only.
+func BenchOnly() int { return 5 }
+
+type Tuning struct{ Depth int }
