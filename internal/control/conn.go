@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -23,10 +24,16 @@ type Conn struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
+	cause     error // why the Conn closed: set once, before closed closes
 }
 
-// replyTimeout bounds each request/response exchange.
+// replyTimeout bounds each request/response exchange. A reply that misses
+// it closes the Conn, so it cannot answer the next request.
 const replyTimeout = 15 * time.Second
+
+// maxReplyBody bounds a multi-line ("250+") reply body in bytes, about
+// twenty times a 7000-relay ns/all.
+const maxReplyBody = 16 << 20
 
 type reply struct {
 	code  int
@@ -55,9 +62,14 @@ func NewConn(conn net.Conn) *Conn {
 }
 
 // Close shuts the controller connection down.
-func (c *Conn) Close() error {
+func (c *Conn) Close() error { return c.fail(errors.New("control: connection closed")) }
+
+// fail closes the connection once, keeping cause as the error every later
+// request fails with.
+func (c *Conn) fail(cause error) error {
 	var err error
 	c.closeOnce.Do(func() {
+		c.cause = cause
 		close(c.closed)
 		err = c.conn.Close()
 	})
@@ -69,6 +81,7 @@ func (c *Conn) readLoop() {
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
 	var multi []string
 	inMulti := false
+	body := 0
 	for sc.Scan() {
 		line := strings.TrimRight(sc.Text(), "\r")
 		switch {
@@ -79,10 +92,15 @@ func (c *Conn) readLoop() {
 				// accumulated body.
 				continue
 			}
+			if body += len(line) + 1; body > maxReplyBody {
+				c.fail(fmt.Errorf("control: reply body over %d bytes", maxReplyBody))
+				return
+			}
 			multi = append(multi, line)
 		case strings.HasPrefix(line, "250+"):
 			inMulti = true
 			multi = nil
+			body = 0
 		default:
 			code := 0
 			text := line
@@ -101,9 +119,19 @@ func (c *Conn) readLoop() {
 			}
 		}
 	}
+	err := sc.Err()
+	if err == nil {
+		err = io.EOF
+	}
+	c.fail(fmt.Errorf("control: connection lost: %w", err))
 }
 
 func (c *Conn) roundTrip(cmd string) (reply, error) {
+	select {
+	case <-c.closed:
+		return reply{}, c.cause
+	default:
+	}
 	c.wmu.Lock()
 	_, err := fmt.Fprintf(c.conn, "%s\r\n", cmd)
 	c.wmu.Unlock()
@@ -114,9 +142,16 @@ func (c *Conn) roundTrip(cmd string) (reply, error) {
 	case r := <-c.replies:
 		return r, nil
 	case <-c.closed:
-		return reply{}, errors.New("control: connection closed")
+		select {
+		case r := <-c.replies: // the reply came just before the end
+			return r, nil
+		default:
+		}
+		return reply{}, c.cause
 	case <-time.After(replyTimeout):
-		return reply{}, fmt.Errorf("control: timeout awaiting reply to %q", cmd)
+		err := fmt.Errorf("control: timeout awaiting reply to %q", cmd)
+		c.fail(err)
+		return reply{}, err
 	}
 }
 

@@ -372,3 +372,91 @@ func TestServerConnectionLimitAndClose(t *testing.T) {
 		t.Error("ServeControl still running after Close")
 	}
 }
+
+// fakePort listens on loopback and runs serve on the first connection; the
+// returned channel closes when serve returns.
+func fakePort(t *testing.T, serve func(conn net.Conn)) (string, <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		serve(conn)
+	}()
+	return ln.Addr().String(), done
+}
+
+// TestConnFailsFastAfterPortCloses: once the control port hangs up, every
+// later request fails at once with the cause instead of waiting out the
+// reply timeout.
+func TestConnFailsFastAfterPortCloses(t *testing.T) {
+	addr, _ := fakePort(t, func(conn net.Conn) {
+		bufio.NewReader(conn).ReadString('\n') // AUTHENTICATE
+		fmt.Fprint(conn, "250 OK\r\n")
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Authenticate(""); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := c.ExtendCircuit([]string{"r0", "r1"})
+		if elapsed := time.Since(start); err == nil || elapsed > 500*time.Millisecond {
+			t.Fatalf("call %d after the port closed: %v after %v, want an error at once", i+1, err, elapsed)
+		}
+		if !strings.Contains(err.Error(), "connection lost") {
+			t.Errorf("call %d failed with %q, want the lost connection named", i+1, err)
+		}
+	}
+}
+
+// TestConnRefusesEndlessBody: a "250+" body that never ends is refused
+// once it passes maxReplyBody, with an error that names the bound, and the
+// connection is dropped instead of buffering it.
+func TestConnRefusesEndlessBody(t *testing.T) {
+	addr, served := fakePort(t, func(conn net.Conn) {
+		bufio.NewReader(conn).ReadString('\n') // GETINFO
+		fmt.Fprint(conn, "250+ns/all=\r\n")
+		line := []byte(strings.Repeat("x", 1022) + "\r\n")
+		for {
+			if _, err := conn.Write(line); err != nil {
+				return
+			}
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = c.GetInfo("ns/all")
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxReplyBody)) {
+		t.Fatalf("endless body: %v, want an error naming the %d-byte bound", err, maxReplyBody)
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client still reads the endless body")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > maxReplyBody {
+		t.Errorf("heap grew %d bytes, want under the %d-byte bound", growth, maxReplyBody)
+	}
+}

@@ -1,9 +1,10 @@
 package ting
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -48,7 +49,7 @@ type Monitor struct {
 	matrix *Matrix
 
 	mu    sync.Mutex
-	when  map[[2]int]time.Time // by index pair, smaller first
+	when  []int64 // last measurement by pairIndex, Unix ns; 0 if never
 	stats MonitorStats
 }
 
@@ -80,10 +81,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := m.N()
 	return &Monitor{
 		cfg:    cfg,
 		matrix: m,
-		when:   make(map[[2]int]time.Time),
+		when:   make([]int64, n*(n-1)/2),
 	}, nil
 }
 
@@ -101,62 +103,57 @@ func (mon *Monitor) Stats() MonitorStats {
 	return mon.stats
 }
 
-// stalePairsLocked lists the pairs older than MaxAge, stalest first.
+// pairIndex is pair (i, j), i < j, of n relays in row-major upper-triangle
+// order: the monitor's age column is indexed by it.
+func pairIndex(n, i, j int) int { return i*(2*n-i-1)/2 + j - i - 1 }
+
+// stalePairsLocked lists the pairs older than MaxAge, stalest first:
+// never-measured pairs (age 0, stale whatever the cutoff, which a fake
+// clock near Unix 0 makes negative) sort ahead, and pairs of one age keep
+// their matrix order.
 func (mon *Monitor) stalePairsLocked() [][2]int {
-	type agedPair struct {
-		pair [2]int
-		at   time.Time // zero when never measured
-	}
-	now := mon.cfg.now()
-	var stale []agedPair
-	n := mon.matrix.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			p := [2]int{i, j}
-			t, ok := mon.when[p]
-			if !ok || now.Sub(t) > mon.cfg.MaxAge {
-				stale = append(stale, agedPair{p, t})
-			}
+	cutoff := mon.cfg.now().Add(-mon.cfg.MaxAge).UnixNano()
+	count := 0
+	for _, at := range mon.when {
+		if at == 0 || at < cutoff {
+			count++
 		}
 	}
-	// Stalest first: never-measured pairs sort ahead, and pairs of one age
-	// keep their matrix order.
-	sort.SliceStable(stale, func(i, j int) bool { return stale[i].at.Before(stale[j].at) })
-	out := make([][2]int, len(stale))
-	for i, s := range stale {
-		out[i] = s.pair
+	stale := make([][2]int, 0, count)
+	n, i, j := mon.matrix.N(), 0, 1
+	for _, at := range mon.when {
+		if at == 0 || at < cutoff {
+			stale = append(stale, [2]int{i, j})
+		}
+		if j++; j == n {
+			i, j = i+1, i+2
+		}
 	}
-	return out
+	slices.SortStableFunc(stale, func(a, b [2]int) int {
+		return cmp.Compare(mon.when[pairIndex(n, a[0], a[1])], mon.when[pairIndex(n, b[0], b[1])])
+	})
+	return stale
 }
 
-// selectPairs picks the pairs one sweep will attempt from the stale ones
-// (stalest first): at most PairsPerSweep of them, stepping over — and
-// counting — pairs the breaker scoreboard would refuse, so a dead relay's
-// pairs (always the stalest) stay stale for a later sweep instead of
-// consuming the budget. Each relay is looked up once per sweep, and the
-// look does not claim probe slots: Health.Allow is the scan engine's call,
-// made when a pair is about to be measured. A relay due its half-open
-// probe gets one pair, since only one attempt can be that probe.
-func (mon *Monitor) selectPairs(stale [][2]int) (todo [][2]int, quarantined int) {
+// selectLocked lists the pairs one sweep will attempt from the stale ones
+// (stalest first) and counts the stale ones: at most PairsPerSweep of them,
+// stepping over — and counting — pairs the breaker scoreboard would refuse,
+// so a dead relay's pairs (always the stalest) stay stale for a later sweep
+// instead of consuming the budget. admits is each relay's admission by
+// index, read once a sweep without claiming probe slots: Health.Allow is
+// the scan engine's call, made when a pair is about to be measured. A relay
+// due its half-open probe gets one pair, since only one attempt can be it.
+func (mon *Monitor) selectLocked(admits []admission) (todo [][2]int, stale, quarantined int) {
+	todo = mon.stalePairsLocked()
+	stale = len(todo)
 	limit := mon.cfg.PairsPerSweep
-	if limit <= 0 || limit > len(stale) {
-		limit = len(stale)
+	if limit <= 0 || limit > stale {
+		limit = stale
 	}
-	h := mon.cfg.Health
-	if h == nil {
-		return stale[:limit], 0
-	}
-	todo = make([][2]int, 0, limit)
-	names := mon.matrix.Names()
-	admits := make(map[int]admission)
-	for _, p := range stale {
-		if len(todo) >= limit {
+	kept := 0
+	for _, p := range todo {
+		if kept == limit {
 			break
-		}
-		for _, relay := range p {
-			if _, seen := admits[relay]; !seen {
-				admits[relay] = h.admission(names[relay])
-			}
 		}
 		if admits[p[0]] == admitNone || admits[p[1]] == admitNone {
 			quarantined++
@@ -167,9 +164,10 @@ func (mon *Monitor) selectPairs(stale [][2]int) (todo [][2]int, quarantined int)
 				admits[relay] = admitNone // this pair is its probe
 			}
 		}
-		todo = append(todo, p)
+		todo[kept] = p
+		kept++
 	}
-	return todo, quarantined
+	return todo[:kept], stale, quarantined
 }
 
 // Sweep refreshes up to PairsPerSweep stale pairs and returns how many it
@@ -180,17 +178,20 @@ func (mon *Monitor) selectPairs(stale [][2]int) (todo [][2]int, quarantined int)
 // and the next sweep is its retry. Cancelling ctx stops the sweep
 // cooperatively: in-flight pairs finish, what was measured is kept,
 // unmeasured pairs stay stale, and ctx.Err() is returned. When pairs
-// failed, the first failure (by pair name) is returned as the error.
+// failed, the first failure (by pair name) is returned as the error. The
+// count is returned with an error too: what was measured is kept.
 func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
+	names := mon.matrix.Names()
+	admits := make([]admission, len(names)) // admitFreely without a Health
+	if h := mon.cfg.Health; h != nil {
+		for i, name := range names {
+			admits[i] = h.admission(name)
+		}
+	}
 	mon.mu.Lock()
-	stale := mon.stalePairsLocked()
-	mon.mu.Unlock()
-	todo, quarantined := mon.selectPairs(stale)
-
-	mon.mu.Lock()
-	total := mon.matrix.N() * (mon.matrix.N() - 1) / 2
+	todo, stale, quarantined := mon.selectLocked(admits)
 	mon.stats.Sweeps++
-	mon.stats.Skipped += total - len(todo) - quarantined
+	mon.stats.Skipped += len(mon.when) - stale
 	mon.stats.Quarantined += quarantined
 	mon.stats.LastSweep = mon.cfg.now()
 	mon.mu.Unlock()
@@ -206,20 +207,20 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 		Health:       mon.cfg.Health,
 		SkipFailures: true,
 	}
-	m, failures, err := engine.runFresh(ctx, mon.matrix.Names(), nil, todo)
+	m, failures, err := engine.runFresh(ctx, names, nil, todo)
 	if m == nil {
 		return 0, err
 	}
 
 	mon.mu.Lock()
-	now := mon.cfg.now()
+	now := mon.cfg.now().UnixNano()
 	measured := 0
 	for _, p := range todo {
 		if m.provAt(p[0], p[1]) != ProvFresh {
 			continue
 		}
 		mon.matrix.write(p[0], p[1], m.at(p[0], p[1]), ProvFresh, 255)
-		mon.when[p] = now
+		mon.when[pairIndex(len(names), p[0], p[1])] = now
 		measured++
 	}
 	mon.stats.Measured += measured
@@ -227,7 +228,7 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 	for _, pe := range failures {
 		if pe.Attempts == 0 {
 			// Parked behind a breaker that opened mid-sweep and never
-			// attempted: stepped over, like the pairs selectPairs skipped.
+			// attempted: stepped over, like the pairs selectLocked skipped.
 			mon.stats.Quarantined++
 			continue
 		}
@@ -238,13 +239,10 @@ func (mon *Monitor) Sweep(ctx context.Context) (int, error) {
 	}
 	mon.mu.Unlock()
 	mon.cfg.Observer.sweepDone(mon.Stats())
-	if err != nil {
-		return 0, err
+	if err == nil {
+		err = firstFailure
 	}
-	if firstFailure != nil {
-		return 0, firstFailure
-	}
-	return measured, nil
+	return measured, err
 }
 
 // Run sweeps until ctx ends, the first sweep at once and then one every
