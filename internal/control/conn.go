@@ -2,6 +2,7 @@ package control
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -78,7 +79,7 @@ func (c *Conn) fail(cause error) error {
 
 func (c *Conn) readLoop() {
 	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	sc.Buffer(make([]byte, 4096), maxLine)
 	var multi []string
 	inMulti := false
 	body := 0
@@ -120,22 +121,39 @@ func (c *Conn) readLoop() {
 		}
 	}
 	err := sc.Err()
+	if errors.Is(err, bufio.ErrTooLong) {
+		c.fail(fmt.Errorf("control: reply line over %d bytes", maxLine))
+		return
+	}
 	if err == nil {
 		err = io.EOF
 	}
 	c.fail(fmt.Errorf("control: connection lost: %w", err))
 }
 
-func (c *Conn) roundTrip(cmd string) (reply, error) {
+// ended returns why the Conn closed, or nil while it is open.
+func (c *Conn) ended() error {
 	select {
 	case <-c.closed:
-		return reply{}, c.cause
+		return c.cause
 	default:
+		return nil
+	}
+}
+
+func (c *Conn) roundTrip(cmd string) (reply, error) {
+	if err := c.ended(); err != nil {
+		return reply{}, err
 	}
 	c.wmu.Lock()
 	_, err := fmt.Fprintf(c.conn, "%s\r\n", cmd)
 	c.wmu.Unlock()
 	if err != nil {
+		// A send that failed because the Conn closed under it reports why
+		// it closed, not the closed socket.
+		if cause := c.ended(); cause != nil {
+			return reply{}, cause
+		}
 		return reply{}, fmt.Errorf("control: send %q: %w", cmd, err)
 	}
 	select {
@@ -230,36 +248,53 @@ func (c *Conn) Consensus() (*directory.Registry, error) {
 
 // DialStream connects to the data port and attaches a raw byte stream to
 // circuit id toward target. The returned connection carries application
-// bytes end to end.
-func DialStream(dataAddr string, circID int, target string) (net.Conn, error) {
-	conn, err := net.Dial("tcp", dataAddr)
+// bytes end to end. The dial and the status line are bounded by ctx and by
+// replyTimeout, whichever ends first, and a status line longer than
+// maxLine is refused.
+func DialStream(ctx context.Context, dataAddr string, circID int, target string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", dataAddr)
 	if err != nil {
 		return nil, fmt.Errorf("control: dial data port: %w", err)
 	}
-	if _, err := fmt.Fprintf(conn, "CONNECT %s VIA %d\n", target, circID); err != nil {
+	_ = conn.SetDeadline(time.Now().Add(replyTimeout))
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })
+	status, err := attach(conn, circID, target)
+	stop()
+	if ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("control: attach: %w", err)
 	}
-	status, err := bufio.NewReader(&oneByteReader{c: conn}).ReadString('\n')
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("control: attach reply: %w", err)
-	}
-	status = strings.TrimSpace(status)
 	if !strings.HasPrefix(status, "250") {
 		conn.Close()
 		return nil, fmt.Errorf("control: attach refused: %s", status)
 	}
+	_ = conn.SetDeadline(time.Time{})
 	return conn, nil
 }
 
-// oneByteReader prevents bufio from reading past the status line into the
-// application byte stream.
-type oneByteReader struct{ c net.Conn }
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
+// attach sends the CONNECT request and reads the status line one byte at a
+// time, so no byte of the stream behind it is consumed. Only the line's
+// first 512 bytes are kept, for a refusal's text.
+func attach(conn net.Conn, circID int, target string) (string, error) {
+	if _, err := fmt.Fprintf(conn, "CONNECT %s VIA %d\n", target, circID); err != nil {
+		return "", err
 	}
-	return r.c.Read(p)
+	var b [1]byte
+	line := make([]byte, 0, 64)
+	for n := 0; n < maxLine; n++ {
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
+			return "", fmt.Errorf("reply: %w", err)
+		}
+		if b[0] == '\n' {
+			return strings.TrimSpace(string(line)), nil
+		}
+		if len(line) < 512 {
+			line = append(line, b[0])
+		}
+	}
+	return "", fmt.Errorf("status line longer than %d bytes", maxLine)
 }

@@ -3,6 +3,7 @@ package control
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -188,7 +189,7 @@ func TestDataPortEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := DialStream(env.dataAddr, id, "echo")
+	conn, err := DialStream(context.Background(), env.dataAddr, id, "echo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestDataPortEcho(t *testing.T) {
 
 func TestDataPortErrors(t *testing.T) {
 	env := newTestEnv(t, 2, "")
-	if _, err := DialStream(env.dataAddr, 999, "echo"); err == nil {
+	if _, err := DialStream(context.Background(), env.dataAddr, 999, "echo"); err == nil {
 		t.Error("attach to unknown circuit accepted")
 	}
 	c := dialAuthed(t, env, "")
@@ -221,7 +222,7 @@ func TestDataPortErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DialStream(env.dataAddr, id, "no-such-target"); err == nil {
+	if _, err := DialStream(context.Background(), env.dataAddr, id, "no-such-target"); err == nil {
 		t.Error("attach to unknown target accepted")
 	}
 
@@ -458,5 +459,90 @@ func TestConnRefusesEndlessBody(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > maxReplyBody {
 		t.Errorf("heap grew %d bytes, want under the %d-byte bound", growth, maxReplyBody)
+	}
+}
+
+// TestConnRefusesLongReplyLine: a reply line that reaches maxLine without
+// a newline fails the Conn with the bound named.
+func TestConnRefusesLongReplyLine(t *testing.T) {
+	junk := bytes.Repeat([]byte("x"), 1<<20)
+	addr, _ := fakePort(t, func(conn net.Conn) {
+		bufio.NewReader(conn).ReadString('\n') // EXTENDCIRCUIT
+		conn.Write(junk)
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.ExtendCircuit([]string{"r0", "r1"})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxLine)) {
+		t.Fatalf("long reply line: %v, want an error naming the %d-byte bound", err, maxLine)
+	}
+}
+
+// TestControlPortRefusesOverlongLine: a control-port peer that sends 1 MiB
+// with no newline is answered with a 500 line naming the bound before the
+// port hangs up, as the data port answers its own overlong request line.
+func TestControlPortRefusesOverlongLine(t *testing.T) {
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		(&Server{}).handleControl(server)
+		close(done)
+	}()
+	go client.Write(bytes.Repeat([]byte("x"), 1<<20)) // fails once the port hangs up
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := bufio.NewReader(client).ReadString('\n')
+	client.Close()
+	<-done
+	if err != nil || reply != "500 command line longer than 65536 bytes\r\n" {
+		t.Errorf("overlong command line answered (%q, %v)", reply, err)
+	}
+}
+
+// TestDialStreamRefusesLongStatusLine: a data port that answers CONNECT
+// with 1 MiB and no newline is refused once the line passes maxLine, with
+// the bound named, having buffered about the bound, not the megabyte.
+func TestDialStreamRefusesLongStatusLine(t *testing.T) {
+	junk := bytes.Repeat([]byte("x"), 1<<20)
+	addr, _ := fakePort(t, func(conn net.Conn) {
+		bufio.NewReader(conn).ReadString('\n') // CONNECT
+		conn.Write(junk)
+	})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := DialStream(context.Background(), addr, 1, "echo")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		conn.Close()
+		t.Fatal("a 1 MiB status line was accepted")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(maxLine)) {
+		t.Errorf("long status line: %v, want an error naming the %d-byte bound", err, maxLine)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+		t.Errorf("DialStream allocated %d bytes on a 1 MiB status line, want under 256 KiB", grew)
+	}
+}
+
+// TestDialStreamSilentPortHonoursContext: a data port that never answers
+// CONNECT holds DialStream only until its context is cancelled.
+func TestDialStreamSilentPortHonoursContext(t *testing.T) {
+	addr, _ := fakePort(t, func(conn net.Conn) { io.Copy(io.Discard, conn) })
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	conn, err := DialStream(ctx, addr, 1, "echo")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("silent port held DialStream %v after its context ended", elapsed)
+	}
+	if err == nil {
+		conn.Close()
+		t.Fatal("a silent port attached a stream")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("silent port: %v, want context.Canceled", err)
 	}
 }

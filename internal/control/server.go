@@ -34,7 +34,8 @@ import (
 )
 
 // maxLine bounds one line a peer sends, on the control port and the data
-// port alike.
+// port alike, and one line the controller reads back: a control reply
+// (Conn) or a data port's status line (DialStream).
 const maxLine = 64 << 10
 
 // dataRequestTimeout bounds how long a data-port connection may take to
@@ -155,6 +156,9 @@ func (s *Server) handleControl(conn net.Conn) {
 			continue
 		}
 		sess.dispatch(line)
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		sess.writeLine(fmt.Sprintf("500 command line longer than %d bytes", maxLine))
 	}
 }
 

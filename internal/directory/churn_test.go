@@ -472,6 +472,44 @@ func TestFetchDeltasRefusesOverlongLine(t *testing.T) {
 	}
 }
 
+// TestFetchDeltasHeldToHeader: a delta reply is held to its header's
+// count: a delta past it, or an end before it, is refused with the count
+// named, and a reply that keeps its count is accepted.
+func TestFetchDeltasHeldToHeader(t *testing.T) {
+	leave := "1 leave a\n"
+	for _, tc := range []struct {
+		reply string
+		want  string // "" for accepted
+	}{
+		{"deltas from=0 to=1 count=1\n" + leave + "end\n", ""},
+		{"deltas from=0 to=2 count=1\n" + leave + leave + "end\n", "header says 1 deltas, got more"},
+		{"deltas from=0 to=2 count=2\n" + leave + "end\n", "header says 2 deltas, got 1"},
+		{"deltas from=0 to=1\n" + leave + "end\n", "bad delta header"},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			bufio.NewReader(conn).ReadString('\n')
+			conn.Write([]byte(tc.reply))
+		}()
+		deltas, _, err := FetchDeltas(ln.Addr().String(), 0)
+		ln.Close()
+		switch {
+		case tc.want == "" && (err != nil || len(deltas) != 1):
+			t.Errorf("reply %q: %d deltas, %v; want 1 delta", tc.reply, len(deltas), err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("reply %q: %d deltas, %v; want an error saying %q", tc.reply, len(deltas), err, tc.want)
+		}
+	}
+}
+
 // TestReusedRequestReaderKeepsBound: connections borrow their request
 // reader from a pool, and a reader that has served a short request still
 // reads a request line of exactly 4096 bytes, its newline included, and

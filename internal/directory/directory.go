@@ -461,7 +461,9 @@ func (r *Registry) EncodeConsensus(w io.Writer) error {
 }
 
 // DecodeConsensus parses a consensus document into a fresh registry at the
-// epoch its header carries.
+// epoch its header carries. A relay line past the header's count is
+// refused as it arrives, so a reply cannot grow the registry past what it
+// declared.
 func DecodeConsensus(rd io.Reader) (*Registry, error) {
 	sc := bufio.NewScanner(rd)
 	if !sc.Scan() {
@@ -482,7 +484,7 @@ func DecodeConsensus(rd io.Reader) (*Registry, error) {
 		return nil, fmt.Errorf("directory: bad header %q", header)
 	}
 	reg := NewRegistry()
-	for sc.Scan() {
+	for n := 0; sc.Scan(); n++ {
 		line := sc.Text()
 		if line == "end" {
 			if reg.Len() != want {
@@ -497,6 +499,9 @@ func DecodeConsensus(rd io.Reader) (*Registry, error) {
 			reg.logFrom = epoch
 			reg.mu.Unlock()
 			return reg, nil
+		}
+		if n == want {
+			return nil, fmt.Errorf("directory: header says %d relays, got more", want)
 		}
 		d, err := ParseLine(line)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -163,6 +164,27 @@ func TestDecodeConsensusErrors(t *testing.T) {
 		if _, err := DecodeConsensus(strings.NewReader(in)); err == nil {
 			t.Errorf("DecodeConsensus(%q) succeeded", in)
 		}
+	}
+}
+
+// TestDecodeConsensusHeldToHeader: a document whose header declares 2
+// relays and then streams 50 000 relay lines with no end is refused at the
+// first line past the count, having read a few KiB of the 5 MB it sent,
+// not after publishing every line.
+func TestDecodeConsensusHeldToHeader(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("consensus relays=2 epoch=1\n")
+	key := strings.Repeat("ab", 32)
+	for i := 0; i < 50000; i++ {
+		fmt.Fprintf(&sb, "relay r%d 10.0.%d.%d:9001 %s 1.0 exit\n", i, i/256%256, i%256, key)
+	}
+	doc := strings.NewReader(sb.String())
+	_, err := DecodeConsensus(doc)
+	if err == nil || !strings.Contains(err.Error(), "header says 2 relays") {
+		t.Errorf("DecodeConsensus = %v, want the header's count of 2 named", err)
+	}
+	if read := doc.Size() - int64(doc.Len()); read > 64<<10 {
+		t.Errorf("DecodeConsensus read %d of %d bytes before refusing, want under 64 KiB", read, doc.Size())
 	}
 }
 

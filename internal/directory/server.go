@@ -199,8 +199,9 @@ func Fetch(addr string) (*Registry, error) {
 // FetchDeltas asks the directory server for every consensus change after
 // epoch since. When the server still has that span, it returns the deltas
 // (possibly empty) and a nil registry; when the server demands a resync it
-// returns a nil delta slice and the full consensus instead. Bounded by
-// DefaultIOTimeout.
+// returns a nil delta slice and the full consensus instead. The reply is
+// held to its header's count: a delta past it, or an end before it, is
+// refused. Bounded by DefaultIOTimeout.
 func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error) {
 	conn, err := dialDirectory(addr, DefaultIOTimeout)
 	if err != nil {
@@ -223,7 +224,9 @@ func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error)
 		}
 		return nil, reg, nil
 	}
-	if !strings.HasPrefix(header, "deltas ") {
+	var from, to uint64
+	var count int
+	if n, _ := fmt.Sscanf(header, "deltas from=%d to=%d count=%d", &from, &to, &count); n != 3 || count < 0 {
 		return nil, nil, fmt.Errorf("directory: bad delta header %q", header)
 	}
 	deltas := []ConsensusDelta{}
@@ -237,7 +240,13 @@ func FetchDeltas(addr string, since uint64) ([]ConsensusDelta, *Registry, error)
 		}
 		line = strings.TrimSpace(line)
 		if line == "end" {
+			if len(deltas) != count {
+				return nil, nil, fmt.Errorf("directory: header says %d deltas, got %d", count, len(deltas))
+			}
 			return deltas, nil, nil
+		}
+		if len(deltas) == count {
+			return nil, nil, fmt.Errorf("directory: header says %d deltas, got more", count)
 		}
 		d, err := parseDeltaLine(line)
 		if err != nil {

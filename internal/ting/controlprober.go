@@ -26,9 +26,10 @@ type ControlProber struct {
 }
 
 // SampleCircuit implements CircuitProber over the control protocol.
-// Cancellation is checked between protocol steps and between probe
-// batches, so a cancelled scan releases its circuit and its control
-// connection promptly instead of finishing the full sample count.
+// Cancellation is checked between protocol steps, and the data connection
+// is tied to ctx: when ctx ends, a stalled attach or probe returns at once
+// with ctx's error, so a pair timeout cuts a stalled series and a
+// cancelled scan releases its circuit and its control connection promptly.
 func (p *ControlProber) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
 	if p.Conn == nil || p.DataAddr == "" || p.Target == "" {
 		return nil, errors.New("ting: control prober misconfigured")
@@ -48,14 +49,18 @@ func (p *ControlProber) SampleCircuit(ctx context.Context, path []string, n int)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	conn, err := control.DialStream(p.DataAddr, circID, p.Target)
+	conn, err := control.DialStream(ctx, p.DataAddr, circID, p.Target)
 	if err != nil {
 		return nil, fmt.Errorf("ting: attach stream: %w", err)
 	}
 	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })()
 
 	out := make([]float64, n)
 	if err := probeSeries(ctx, conn, out, p.ToMs); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, err
 	}
 	return out, nil

@@ -33,9 +33,11 @@ import (
 // A scan also reads the cache by relay matrix index without the lock
 // (index, measure.go's halfMin): a slot points at the series the map
 // stores, and only the lock holder writes one — do when it answers from or
-// stores into the map; Seed, InvalidateRelay and a starting scan when they
-// clear slots. A reader trusts a slot only if its path, sample count and
-// age fit the request, so scans sharing a cache stay correct.
+// stores into the map; Seed and InvalidateRelay when they clear slots. A
+// cache serves one scan at a time (ScanBudget's batches take turns), which
+// sizes the index before its workers start. A reader trusts a slot only if
+// its path, sample count and age fit the request, so a slot an earlier
+// scan left is either a valid answer or a miss.
 type HalfCache struct {
 	ttl time.Duration
 	now func() time.Time
@@ -43,7 +45,7 @@ type HalfCache struct {
 	mu      sync.Mutex
 	entries map[string]*halfSeries
 	flights map[string]*halfSeries
-	index   atomic.Pointer[[]atomic.Pointer[halfSeries]] // only grows
+	index   []atomic.Pointer[halfSeries] // by relay index; grows between scans
 	onStore func(path []string, samples int, min float64)
 }
 
@@ -83,56 +85,41 @@ var scanCaches = sync.Pool{New: func() any { return NewHalfCache(0) }}
 func ownedHalfCache() *HalfCache { return scanCaches.Get().(*HalfCache) }
 
 // releaseHalfCache empties a cache a scan owned and returns it to the pool.
-// The scan's workers have all exited, so nothing measures through it any
-// more; clearing the store hook here is what keeps a finished scan's
-// checkpoint from hearing the next scan's series.
+// The scan's workers have all exited and its store hook is cleared, so
+// nothing measures through it any more.
 func releaseHalfCache(c *HalfCache) {
 	c.mu.Lock()
 	c.clearIndex()
 	clear(c.entries)
 	clear(c.flights)
-	c.onStore = nil
-	c.ttl = 0
-	c.now = time.Now
 	c.mu.Unlock()
 	scanCaches.Put(c)
 }
 
-// sizeIndex empties the index and gives it at least n slots, before a
-// scan's workers start; a relay that joins past it is answered by the map.
+// sizeIndex gives the index at least n slots, before a scan's workers
+// start; a relay that joins past it is answered by the map.
 func (c *HalfCache) sizeIndex(n int) {
 	c.mu.Lock()
-	c.clearIndex()
-	if len(c.slots()) < n {
-		slots := make([]atomic.Pointer[halfSeries], n)
-		c.index.Store(&slots)
+	if len(c.index) < n {
+		c.index = make([]atomic.Pointer[halfSeries], n)
 	}
 	c.mu.Unlock()
 }
 
-func (c *HalfCache) slots() []atomic.Pointer[halfSeries] {
-	if p := c.index.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // clearIndex empties every slot; the caller holds mu.
 func (c *HalfCache) clearIndex() {
-	slots := c.slots()
-	for i := range slots {
-		slots[i].Store(nil)
+	for i := range c.index {
+		c.index[i].Store(nil)
 	}
 }
 
 // indexed answers for relay index i from the index, without the lock: the
 // slot's series must be path's, measured with samples, and not lapsed.
 func (c *HalfCache) indexed(path []string, samples, i int) (float64, bool) {
-	slots := c.slots()
-	if uint(i) >= uint(len(slots)) {
+	if uint(i) >= uint(len(c.index)) {
 		return 0, false
 	}
-	s := slots[i].Load()
+	s := c.index[i].Load()
 	if s == nil || s.samples != samples || !slices.Equal(s.path, path) || c.expired(s) {
 		return 0, false
 	}
@@ -206,10 +193,9 @@ func (c *HalfCache) InvalidateRelay(name string) int {
 			delete(c.flights, key)
 		}
 	}
-	slots := c.slots()
-	for i := range slots {
-		if s := slots[i].Load(); s != nil && slices.Contains(s.path, name) {
-			slots[i].Store(nil)
+	for i := range c.index {
+		if s := c.index[i].Load(); s != nil && slices.Contains(s.path, name) {
+			c.index[i].Store(nil)
 		}
 	}
 	return dropped
@@ -293,8 +279,8 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples, i int, obs *
 
 // setSlot points slot i, if the index has it, at s; the caller holds mu.
 func (c *HalfCache) setSlot(i int, s *halfSeries) {
-	if slots := c.slots(); uint(i) < uint(len(slots)) {
-		slots[i].Store(s)
+	if uint(i) < uint(len(c.index)) {
+		c.index[i].Store(s)
 	}
 }
 

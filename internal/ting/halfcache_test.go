@@ -962,7 +962,7 @@ func TestHalfCacheIndexAfterRotation(t *testing.T) {
 	if v := <-led; v != 99 {
 		t.Errorf("dropped leader answered %v, want its own series 99", v)
 	}
-	if s := hc.slots()[rotated].Load(); s != nil {
+	if s := hc.index[rotated].Load(); s != nil {
 		t.Errorf("slot %d holds %v after its relay rotated, want empty", rotated, s.min)
 	}
 

@@ -146,7 +146,13 @@ func TestReshapingScanMatchesNonReusing(t *testing.T) {
 	for i := range names {
 		names[i], _ = n.NodeName(inet.NodeID(i))
 	}
+	var reshapedPairs, literalPairs pairLog
 	scan := func(reuse bool) *Matrix {
+		pairs := &literalPairs
+		if reuse {
+			pairs = &reshapedPairs
+		}
+		obs := pairs.observer()
 		sc := &Scanner{
 			Workers: 2,
 			NewMeasurer: func(int) (*Measurer, error) {
@@ -154,7 +160,7 @@ func TestReshapingScanMatchesNonReusing(t *testing.T) {
 					Client: n.Client, Registry: n.Registry, Target: tornet.EchoTarget,
 					ToMs: n.VirtualMs, Reuse: reuse,
 				}
-				return NewMeasurer(Config{Prober: p, W: tornet.WName, Z: tornet.ZName, Samples: 4})
+				return NewMeasurer(Config{Prober: p, W: tornet.WName, Z: tornet.ZName, Samples: 4, Observer: obs})
 			},
 		}
 		m, failures, err := sc.Scan(context.Background(), names)
@@ -171,6 +177,8 @@ func TestReshapingScanMatchesNonReusing(t *testing.T) {
 			if math.Abs(a-b) > 12 || math.Abs(a-truth) > 12 {
 				t.Errorf("pair (%s,%s): reshaped %.2f ms, literal %.2f ms, truth %.2f ms",
 					names[i], names[j], a, b, truth)
+				reshapedPairs.log(t, "reshaped", names[i], names[j])
+				literalPairs.log(t, "literal", names[i], names[j])
 			}
 		}
 	}

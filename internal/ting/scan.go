@@ -145,12 +145,10 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 
 	// Half-circuit memoization (§3.3/§4.6): the scan owns a cache unless
 	// a budgeted campaign supplied its cross-batch one or the caller opted
-	// out. An owned cache comes from the pool empty and goes back, store
-	// hook and all, when run returns: every worker and the delta goroutine
-	// have exited by then.
+	// out. An owned cache comes from the pool empty and goes back when run
+	// returns: every worker and the delta goroutine have exited by then.
 	sc.hc = s.halfCircuits
-	owned := sc.hc == nil && !s.DisableHalfCache
-	if owned {
+	if sc.hc == nil && !s.DisableHalfCache {
 		sc.hc = ownedHalfCache()
 		defer releaseHalfCache(sc.hc)
 	}
@@ -165,20 +163,19 @@ func (s *Scanner) run(ctx context.Context, m *Matrix, resumed *CheckpointState, 
 		return nil, nil, err
 	}
 	if cp != nil && sc.hc != nil {
-		// Freshly measured half circuits go to the log as they are stored.
-		// An owned cache's hook is cleared as the cache goes back to the pool.
+		// Freshly measured half circuits go to the log as they are stored,
+		// until run returns: no later scan's series reaches this log.
 		sc.hc.SetStoreHook(func(path []string, samples int, min float64) {
 			sc.appendRec(CheckpointRecord{Kind: RecordHalf, Path: path, Samples: samples, Min: min})
 		})
-		if !owned {
-			defer sc.hc.SetStoreHook(nil)
-		}
+		defer sc.hc.SetStoreHook(nil)
 	}
 	if s.Directory != nil && resumed != nil {
 		sc.announceResume(joined, rotated)
 	}
 	if sc.hc != nil {
-		// The cache's index is this scan's, one empty slot per relay.
+		// One slot per relay; the cache serves this scan alone until run
+		// returns.
 		sc.hc.sizeIndex(len(names))
 	}
 

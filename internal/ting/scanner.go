@@ -37,7 +37,9 @@ type Scanner struct {
 	Workers int
 	// halfCircuits, if non-nil, is a cross-scan half-circuit cache: min
 	// R_Cx series memoized in one scan answer the next (ScanBudget's
-	// batches share one). If nil, each Scan owns a private HalfCache for its
+	// batches share one, taking turns: a cache serves one scan at a time,
+	// which sizes its index by relay before the workers start). If nil,
+	// each Scan owns a private HalfCache for its
 	// own duration (unless DisableHalfCache is set), which alone cuts an
 	// N-node all-pairs scan from 3·pairs circuit series to pairs + N
 	// (§3.3/§4.6).

@@ -403,45 +403,43 @@ func TestScannerFaultPlanReproducible(t *testing.T) {
 	}
 }
 
-// TestScannerSharedCacheConcurrent runs two scans concurrently against one
-// HalfCache — the -race test for the scanner's and cache's locking.
+// TestScannerSharedCacheConcurrent runs two 4-worker scans against one
+// HalfCache in turn, as ScanBudget's batches share theirs: the -race test
+// for the workers' lock-free reads of the index beside the locked writes,
+// and for a second scan reading the slots the first one left.
 func TestScannerSharedCacheConcurrent(t *testing.T) {
 	f := bigFakeWorld()
 	cache := NewHalfCache(time.Hour)
 	names := []string{"x", "y", "u", "v"}
-	scan := func() (*Matrix, error) {
+	var misses atomic.Int64
+	obs := &Observer{HalfCircuit: func(_ []string, ev HalfCircuitEvent) {
+		if ev == HalfCircuitMiss {
+			misses.Add(1)
+		}
+	}}
+	for i := 0; i < 2; i++ {
+		misses.Store(0)
 		sc := &Scanner{
 			NewMeasurer: func(worker int) (*Measurer, error) {
-				return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 2})
+				return NewMeasurer(Config{Prober: f, W: "w", Z: "z", Samples: 2, Observer: obs})
 			},
 			Workers:      4,
 			halfCircuits: cache,
 			Shuffle:      5,
 		}
 		m, _, err := sc.Scan(context.Background(), names)
-		return m, err
-	}
-	var wg sync.WaitGroup
-	results := make([]*Matrix, 2)
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = scan()
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+		if err != nil {
+			t.Fatal(err)
 		}
 		for a := 0; a < len(names); a++ {
 			for b := a + 1; b < len(names); b++ {
-				if v, _ := results[i].RTT(names[a], names[b]); v <= 0 {
+				if v, _ := m.RTT(names[a], names[b]); v <= 0 {
 					t.Errorf("scan %d: pair (%s,%s) unmeasured", i, names[a], names[b])
 				}
 			}
+		}
+		if i == 1 && misses.Load() != 0 {
+			t.Errorf("second scan measured %d half series, want 0", misses.Load())
 		}
 	}
 	if len(cache.entries) != 4 {

@@ -1,9 +1,15 @@
 package ting
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,6 +149,58 @@ func TestControlProberValidation(t *testing.T) {
 	}
 }
 
+// TestControlProberStalledStream: a data port that attaches the stream and
+// then swallows every probe holds SampleCircuit only until the pair's
+// context ends, and the error is that context's, as the adaptive
+// deadline's retry expects. The port gives up after 3 s on its own.
+func TestControlProberStalledStream(t *testing.T) {
+	ctrl, peer := net.Pipe()
+	go func() {
+		br := bufio.NewReader(peer)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			reply := "250 OK"
+			if strings.HasPrefix(line, "EXTENDCIRCUIT") {
+				reply = "250 EXTENDED 1"
+			}
+			fmt.Fprintf(peer, "%s\r\n", reply)
+		}
+	}()
+	conn := control.NewConn(ctrl)
+	defer conn.Close()
+	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dataLn.Close()
+	go func() {
+		c, err := dataLn.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		bufio.NewReader(c).ReadString('\n') // CONNECT
+		fmt.Fprint(c, "250 OK\r\n")
+		c.SetReadDeadline(time.Now().Add(3 * time.Second))
+		io.Copy(io.Discard, c)
+	}()
+
+	p := &ControlProber{Conn: conn, DataAddr: dataLn.Addr().String(), Target: "echo"}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = p.SampleCircuit(ctx, []string{"w", "x"}, 50)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("stalled stream held SampleCircuit %v under a 200 ms context", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("stalled stream: %v, want context.DeadlineExceeded", err)
+	}
+}
+
 func TestReusingStackProber(t *testing.T) {
 	n, xName, yName, truth := buildOverlay(t, 1.0)
 	prober := &StackProber{
@@ -210,6 +268,47 @@ func TestNonReusingProberBuildsThree(t *testing.T) {
 	}
 }
 
+// pairLog keeps each pair's Measurement as Observer.PairDone reports it, so
+// a full-stack test that fails can log the Eq. (4) minima behind a bad
+// estimate: a cell at or below zero, or compressed-time noise in one of
+// the three series.
+type pairLog struct {
+	mu   sync.Mutex
+	ms   map[[2]string]*Measurement
+	errs map[[2]string]error
+}
+
+// observer returns a Measurer observer that records into l.
+func (l *pairLog) observer() *Observer {
+	l.ms, l.errs = make(map[[2]string]*Measurement), make(map[[2]string]error)
+	return &Observer{PairDone: func(x, y string, m *Measurement, err error) {
+		l.mu.Lock()
+		l.ms[[2]string{x, y}], l.errs[[2]string{x, y}] = m, err
+		l.mu.Unlock()
+	}}
+}
+
+// log writes what the last attempt at (x, y) was made of, under label.
+func (l *pairLog) log(t *testing.T, label, x, y string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	key := [2]string{x, y}
+	if _, ok := l.errs[key]; !ok {
+		key = [2]string{y, x}
+	}
+	m, err := l.ms[key], l.errs[key]
+	switch {
+	case m != nil:
+		t.Logf("%s (%s,%s): RTT %.3f = MinFull %.3f − MinX/2 %.3f − MinY/2 %.3f",
+			label, x, y, m.RTT, m.MinFull, m.MinX/2, m.MinY/2)
+	case err != nil:
+		t.Logf("%s (%s,%s): failed: %v", label, x, y, err)
+	default:
+		t.Logf("%s (%s,%s): never measured", label, x, y)
+	}
+}
+
 // TestFullStackAllPairsScan is the capstone integration test: the complete
 // §4.2-style workflow — parallel scanner, reusing probers, real circuits —
 // over a compressed-time overlay, validated against exact ground truth by
@@ -234,6 +333,8 @@ func TestFullStackAllPairsScan(t *testing.T) {
 		names[i], _ = n.NodeName(inet.NodeID(i))
 	}
 	var probers []*StackProber
+	var pairs pairLog
+	obs := pairs.observer()
 	sc := &Scanner{
 		NewMeasurer: func(worker int) (*Measurer, error) {
 			p := &StackProber{
@@ -244,7 +345,7 @@ func TestFullStackAllPairsScan(t *testing.T) {
 				Reuse:    true,
 			}
 			probers = append(probers, p)
-			return NewMeasurer(Config{Prober: p, W: tornet.WName, Z: tornet.ZName, Samples: 4})
+			return NewMeasurer(Config{Prober: p, W: tornet.WName, Z: tornet.ZName, Samples: 4, Observer: obs})
 		},
 		Workers: 3,
 		Shuffle: 33,
@@ -265,11 +366,15 @@ func TestFullStackAllPairsScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if v <= 0 {
-				t.Fatalf("pair (%s,%s) unmeasured", names[i], names[j])
+				t.Errorf("pair (%s,%s) unmeasured", names[i], names[j])
+				pairs.log(t, "unmeasured", names[i], names[j])
 			}
 			est = append(est, v)
 			truth = append(truth, topo.RTT(inet.NodeID(i), inet.NodeID(j)))
 		}
+	}
+	if t.Failed() {
+		return
 	}
 	sp, err := stats.Spearman(est, truth)
 	if err != nil {
@@ -280,6 +385,12 @@ func TestFullStackAllPairsScan(t *testing.T) {
 	// order must still be essentially right.
 	if sp < 0.85 {
 		t.Errorf("spearman %.3f too low for a full-stack scan", sp)
+		for i, k := 0, 0; i < 6; i++ {
+			for j := i + 1; j < 6; j++ {
+				pairs.log(t, fmt.Sprintf("truth %.3f", truth[k]), names[i], names[j])
+				k++
+			}
+		}
 	}
 }
 
