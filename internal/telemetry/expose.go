@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 
 	"ting/internal/netutil"
 )
@@ -26,8 +25,8 @@ type HistogramSnapshot struct {
 // SchemaVersion is the version of the JSON exposition format, carried as
 // the top-level "schema" field so consumers can detect incompatible
 // changes. Bump it when a field is renamed, retyped, or removed — not for
-// additions, which versioned consumers must tolerate. The plain-text
-// format (WriteText) is the stable scrape surface and is not versioned.
+// additions, which versioned consumers must tolerate. The OpenMetrics
+// exposition at /metrics follows its own spec and is not versioned here.
 const SchemaVersion = 1
 
 // Snapshot is a point-in-time view of a registry. Encoding to JSON is
@@ -87,38 +86,11 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteText writes the snapshot as sorted "family name value" lines — the
-// plain-text exposition format.
-func (s Snapshot) WriteText(w io.Writer) error {
-	for _, k := range sortedKeys(s.Counters) {
-		if _, err := fmt.Fprintf(w, "counter %s %d\n", k, s.Counters[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Gauges) {
-		if _, err := fmt.Fprintf(w, "gauge %s %d\n", k, s.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Histograms) {
-		h := s.Histograms[k]
-		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%s min=%s max=%s p50=%s p90=%s p99=%s\n",
-			k, h.Count, ftoa(h.Sum), ftoa(h.Min), ftoa(h.Max),
-			ftoa(h.P50), ftoa(h.P90), ftoa(h.P99)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // Handler returns the debug surface for the registry:
 //
 //	/               index
-//	/metrics        plain-text snapshot
-//	/metrics.json   JSON snapshot
-//	/metrics.prom   OpenMetrics/Prometheus text exposition
+//	/metrics        OpenMetrics text exposition (Prometheus's default path)
+//	/metrics.json   JSON snapshot, with histogram min and max
 //	/trace.json     the event trace, oldest first
 //	/debug/pprof/   the standard pprof handlers
 //
@@ -130,19 +102,15 @@ func (r *Registry) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		io.WriteString(w, "ting telemetry\n\n/metrics\n/metrics.json\n/metrics.prom\n/trace.json\n/debug/pprof/\n")
+		io.WriteString(w, "ting telemetry\n\n/metrics\n/metrics.json\n/trace.json\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.Snapshot().WriteText(w)
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		r.Snapshot().WriteOpenMetrics(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		r.Snapshot().WriteJSON(w)
-	})
-	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		r.Snapshot().WriteOpenMetrics(w)
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

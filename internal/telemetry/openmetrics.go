@@ -3,21 +3,23 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
-// OpenMetrics/Prometheus text exposition (the scrape format every
-// Prometheus-compatible collector speaks), alongside the repo's own
-// /metrics text and schema-versioned /metrics.json. Mapping:
+// OpenMetrics text exposition (the scrape format every
+// Prometheus-compatible collector speaks), served at /metrics beside the
+// schema-versioned /metrics.json. Mapping:
 //
-//   - counters  → `# TYPE <name>_total counter` + one sample. The `_total`
-//     suffix is the OpenMetrics counter convention; collectors strip it.
+//   - counters  → `# TYPE <name> counter` + one `<name>_total` sample:
+//     in OpenMetrics the family is bare and only the sample carries the
+//     `_total` suffix.
 //   - gauges    → `# TYPE <name> gauge` + one sample.
 //   - histograms → `# TYPE <name> summary`: three quantile samples
 //     (0.5/0.9/0.99, as `{quantile="0.5"}` labels) plus `_sum` and
-//     `_count`. A summary, not a histogram: the registry keeps exact
-//     quantiles, not cumulative buckets, and inventing bucket bounds at
-//     exposition time would be a lie.
+//     `_count`. A summary, not a histogram: a Snapshot carries the p50,
+//     p90 and p99 that Histogram interpolates from its bucket counts, not
+//     the buckets themselves.
 //
 // Metric names are sanitized to the [a-zA-Z_:][a-zA-Z0-9_:]* charset
 // (dots — this repo's namespace separator — become underscores), and label
@@ -29,8 +31,8 @@ import (
 // sorted by name.
 func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
 	for _, k := range sortedKeys(s.Counters) {
-		name := promName(k) + "_total"
-		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative counter %s.\n# TYPE %s counter\n%s %d\n",
+		name := promName(k)
+		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative counter %s.\n# TYPE %s counter\n%s_total %d\n",
 			name, promLabelEscape(k), name, name, s.Counters[k]); err != nil {
 			return err
 		}
@@ -64,6 +66,8 @@ func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
 	_, err := io.WriteString(w, "# EOF\n")
 	return err
 }
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // promName sanitizes a registry metric name into the Prometheus name
 // charset [a-zA-Z_:][a-zA-Z0-9_:]*. Dots (this repo's namespace separator)

@@ -10,8 +10,9 @@ import (
 )
 
 // TestOpenMetricsGolden pins the OpenMetrics exposition byte-for-byte:
-// sanitized names, _total counter suffix, summary quantile lines, and the
-// # EOF terminator. Change the golden only for a deliberate format change.
+// sanitized names, bare counter families with _total samples, summary
+// quantile lines, and the # EOF terminator. Change the golden only for a
+// deliberate format change.
 func TestOpenMetricsGolden(t *testing.T) {
 	r := New()
 	r.Counter("ting.pairs_measured").Add(3)
@@ -24,8 +25,8 @@ func TestOpenMetricsGolden(t *testing.T) {
 	if err := r.Snapshot().WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := "# HELP ting_pairs_measured_total Cumulative counter ting.pairs_measured.\n" +
-		"# TYPE ting_pairs_measured_total counter\n" +
+	golden := "# HELP ting_pairs_measured Cumulative counter ting.pairs_measured.\n" +
+		"# TYPE ting_pairs_measured counter\n" +
 		"ting_pairs_measured_total 3\n" +
 		"# HELP ting_scanner_active_workers Gauge ting.scanner_active_workers.\n" +
 		"# TYPE ting_scanner_active_workers gauge\n" +
@@ -70,42 +71,30 @@ func TestPromLabelEscape(t *testing.T) {
 	}
 }
 
-// TestMetricsPromEndpoint checks the /metrics.prom route serves the
-// OpenMetrics document with the right content type, and that the JSON and
-// plain-text surfaces are untouched by its addition.
+// TestMetricsPromEndpoint checks that /metrics, Prometheus's default scrape
+// path, serves the OpenMetrics document with a conforming counter family.
 func TestMetricsPromEndpoint(t *testing.T) {
 	r := New()
 	r.Counter("ting.pairs_measured").Add(4)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/metrics.prom")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("/metrics.prom: code %d", resp.StatusCode)
+		t.Fatalf("/metrics: code %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
-		t.Errorf("/metrics.prom content type = %q", ct)
+		t.Errorf("/metrics content type = %q", ct)
 	}
 	s := string(body)
-	if !strings.Contains(s, "# TYPE ting_pairs_measured_total counter\n") ||
+	if !strings.Contains(s, "# TYPE ting_pairs_measured counter\n") ||
 		!strings.Contains(s, "ting_pairs_measured_total 4\n") ||
 		!strings.HasSuffix(s, "# EOF\n") {
-		t.Errorf("/metrics.prom body = %q", s)
-	}
-
-	// The pre-existing surfaces keep their formats.
-	resp2, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if !strings.Contains(string(body2), "counter ting.pairs_measured 4") {
-		t.Errorf("/metrics body = %q", body2)
+		t.Errorf("/metrics body = %q", s)
 	}
 }

@@ -17,8 +17,8 @@
 //     updates are atomic; registration is guarded by a lock but happens
 //     once per name.
 //   - Exposition is pull-based: Snapshot() captures a consistent-enough
-//     view that encodes to JSON (stable key order) and plain text; see
-//     expose.go for the HTTP surface with net/http/pprof wired in.
+//     view that encodes to JSON (stable key order) and OpenMetrics text;
+//     see expose.go for the HTTP surface with net/http/pprof wired in.
 package telemetry
 
 import (
@@ -90,11 +90,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	// TraceLog, if non-nil, records measurement-lifecycle events; New
-	// installs one with a default capacity. Replace or nil it before
-	// first use.
-	TraceLog *Trace
+	trace    *Trace // measurement-lifecycle events, DefaultTraceCap of them
 }
 
 // New creates an empty registry with a default trace buffer.
@@ -103,7 +99,7 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		TraceLog: NewTrace(DefaultTraceCap),
+		trace:    NewTrace(DefaultTraceCap),
 	}
 }
 
@@ -162,13 +158,13 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Trace returns the registry's trace buffer (nil when tracing is off or
-// the registry is nil). Record through it directly: reg.Trace().Record(...).
+// Trace returns the registry's trace buffer (nil on a nil registry).
+// Record through it directly: reg.Trace().Record(...).
 func (r *Registry) Trace() *Trace {
 	if r == nil {
 		return nil
 	}
-	return r.TraceLog
+	return r.trace
 }
 
 // names returns the sorted names of one metric family.

@@ -26,8 +26,6 @@ type Event struct {
 // Trace is a bounded ring of Events. Recording overwrites the oldest entry
 // once full; a nil Trace ignores records. Safe for concurrent use.
 type Trace struct {
-	now func() time.Time // time.Now, except in this package's tests
-
 	mu   sync.Mutex
 	buf  []Event
 	next int
@@ -39,7 +37,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Trace{now: time.Now, buf: make([]Event, capacity)}
+	return &Trace{buf: make([]Event, capacity)}
 }
 
 // Record appends one event, stamping the time.
@@ -47,7 +45,7 @@ func (t *Trace) Record(kind, detail string, ms float64) {
 	if t == nil {
 		return
 	}
-	ev := Event{At: t.now(), Kind: kind, Detail: detail, Ms: ms}
+	ev := Event{At: time.Now(), Kind: kind, Detail: detail, Ms: ms}
 	t.mu.Lock()
 	t.buf[t.next] = ev
 	t.next++

@@ -858,12 +858,13 @@ func TestScanRotationMidGroupRemeasuresHalfOnce(t *testing.T) {
 }
 
 // wedgeProber wedges the full circuit of one pair until its context
-// deadline; everything else answers from the link map instantly. delay > 0
-// turns the wedge into a legitimate slow pair instead.
+// deadline; everything else answers from the link map instantly. A delay
+// turns the wedge into a legitimate slow pair instead, stalling for what
+// it returns at the time of the call.
 type wedgeProber struct {
 	f          *fakeProber
 	x, y       string
-	delay      time.Duration
+	delay      func() time.Duration
 	slowCalls  atomic.Int64
 	totalCalls atomic.Int64
 }
@@ -872,14 +873,14 @@ func (p *wedgeProber) SampleCircuit(ctx context.Context, path []string, n int) (
 	p.totalCalls.Add(1)
 	if pathHas(path, p.x) && pathHas(path, p.y) {
 		p.slowCalls.Add(1)
-		if p.delay <= 0 {
+		if p.delay == nil {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(p.delay):
+		case <-time.After(p.delay()):
 		}
 	}
 	return p.f.SampleCircuit(ctx, path, n)
@@ -926,10 +927,15 @@ func TestScannerAdaptiveDeadlineCutsTail(t *testing.T) {
 
 // TestScannerAdaptiveDeadlineRetryGetsFullTimeout: when the estimator
 // strangles a legitimately slow pair, the retry runs with the full
-// PairTimeout, so the pair is measured, not lost.
+// PairTimeout, so the pair is measured, not lost. The slow pair takes
+// twice the adaptive deadline the scan handed it, so its first attempt is
+// strangled however far load has stretched what the estimator learned. The
+// floor sits well above a loaded host's scheduling stalls, so no fast pair
+// is strangled beside it.
 func TestScannerAdaptiveDeadlineRetryGetsFullTimeout(t *testing.T) {
 	f := bigFakeWorld()
-	p := &wedgeProber{f: f, x: "u", y: "v", delay: 120 * time.Millisecond}
+	var uvDeadline atomic.Int64 // the last adaptive deadline set for (u,v)
+	p := &wedgeProber{f: f, x: "u", y: "v", delay: func() time.Duration { return 2 * time.Duration(uvDeadline.Load()) }}
 	var retries atomic.Int64
 	sc := &Scanner{
 		NewMeasurer: func(worker int) (*Measurer, error) {
@@ -941,12 +947,22 @@ func TestScannerAdaptiveDeadlineRetryGetsFullTimeout(t *testing.T) {
 		Backoff:          time.Millisecond,
 		PairTimeout:      10 * time.Second,
 		AdaptiveDeadline: true,
-		MinPairTimeout:   20 * time.Millisecond,
-		Observer:         &Observer{Retry: func(x, y string, attempt int, delay time.Duration, err error) { retries.Add(1) }},
+		MinPairTimeout:   200 * time.Millisecond,
+		Observer: &Observer{
+			Retry: func(x, y string, attempt int, delay time.Duration, err error) { retries.Add(1) },
+			DeadlineSet: func(x, y string, d time.Duration) {
+				if (x == "u" && y == "v") || (x == "v" && y == "u") {
+					uvDeadline.Store(int64(d))
+				}
+			},
+		},
 	}
 	m, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if uvDeadline.Load() == 0 {
+		t.Fatal("the scan never set an adaptive deadline for (u,v)")
 	}
 	if len(failures) != 0 {
 		t.Fatalf("failures = %v, want none — the full-timeout retry must rescue the slow pair", failures)

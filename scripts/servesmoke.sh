@@ -2,7 +2,9 @@
 # servesmoke.sh — the serving-plane smoke test: boot tingd in self-contained
 # model mode with a fast sweep, hammer it with tingload over the binary
 # protocol, and assert it sustains a lookup rate while epochs churn
-# underneath, with zero errors and zero 5xx (tingload exits nonzero on any).
+# underneath, with zero errors and zero 5xx (tingload exits nonzero on any);
+# then scrape tingd's debug /metrics and require an OpenMetrics document
+# that counted the lookups (needs curl).
 #
 # Usage: servesmoke.sh [min_rate] [min_epochs] [duration]
 #
@@ -51,6 +53,23 @@ status=0
 http_addr="$(sed -n 's/^http=//p' "$workdir/tingd.addr")"
 "$workdir/tingload" -http "$http_addr" -duration 2s -conns 2 \
   -min-epochs "$MIN_EPOCHS" || status=$?
+
+# The debug surface's /metrics is an OpenMetrics document that saw the load.
+debug_addr="$(sed -n 's/^debug=//p' "$workdir/tingd.addr")"
+if curl -sf "http://$debug_addr/metrics" > "$workdir/metrics"; then
+  lookups="$(sed -n 's/^serve_lookups_total //p' "$workdir/metrics")"
+  if [ "$(tail -n 1 "$workdir/metrics")" != "# EOF" ] ||
+    ! grep -qx '# TYPE serve_lookups counter' "$workdir/metrics" ||
+    [ "${lookups:-0}" -le 0 ] ||
+    ! grep -qx '# TYPE serve_bin_ms summary' "$workdir/metrics"; then
+    echo "debug /metrics is not the OpenMetrics document of a loaded tingd:" >&2
+    cat "$workdir/metrics" >&2
+    status=1
+  fi
+else
+  echo "debug /metrics at $debug_addr did not answer" >&2
+  status=1
+fi
 
 if [ "$status" -ne 0 ]; then
   echo "serve smoke failed; tingd log:" >&2
