@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ting -control 127.0.0.1:9051 -data 127.0.0.1:9052 -pair relay000,relay003
-//	ting -control 127.0.0.1:9051 -data 127.0.0.1:9052 -all -out matrix.ting
+//	ting -control 127.0.0.1:9051 -data 127.0.0.1:9052 -all -parallel 4 -out matrix.ting
 //	ting -plan -relays 6600 -samples 200 -parallel 8   (no network needed)
 package main
 
@@ -32,6 +32,7 @@ var (
 	ctl cliflags.Control // -control -data -password -w -z -target -scale
 
 	samples    = flag.Int("samples", 50, "samples per circuit")
+	parallel   = flag.Int("parallel", 1, "concurrent measurements: -all's scan workers, which share the one control session, and the parallelism -plan prices")
 	pairFlag   = flag.String("pair", "", "comma-separated relay pair to measure")
 	allFlag    = flag.Bool("all", false, "measure all pairs from the consensus")
 	budgetFlag = flag.Int("budget", 0, "with -all: measure at most this many pairs and complete the rest from a Vivaldi coordinate embedding (active learning picks the pairs; completed cells carry provenance 'predicted' plus a confidence)")
@@ -52,11 +53,10 @@ var (
 
 	debugAddr = cliflags.DebugAddr(flag.CommandLine)
 
-	planFlag     = flag.Bool("plan", false, "project campaign cost instead of measuring")
-	planRelays   = flag.Int("relays", 0, "plan: relay population (all pairs)")
-	planPairs    = flag.Int("pairs", 0, "plan: explicit pair count")
-	planParallel = flag.Int("parallel", 1, "plan: concurrent measurements")
-	planRTT      = flag.Duration("rtt", 300*time.Millisecond, "plan: mean circuit RTT")
+	planFlag   = flag.Bool("plan", false, "project campaign cost instead of measuring")
+	planRelays = flag.Int("relays", 0, "plan: relay population (all pairs)")
+	planPairs  = flag.Int("pairs", 0, "plan: explicit pair count")
+	planRTT    = flag.Duration("rtt", 300*time.Millisecond, "plan: mean circuit RTT")
 )
 
 func main() {
@@ -76,7 +76,7 @@ func main() {
 			Pairs:    *planPairs,
 			Samples:  *samples,
 			MeanRTT:  *planRTT,
-			Parallel: *planParallel,
+			Parallel: *parallel,
 			Memoized: memoized,
 			Budget:   *budgetFlag,
 		})
@@ -88,7 +88,7 @@ func main() {
 			series = "half circuits memoized: pairs + relays series"
 		}
 		fmt.Printf("campaign: %d pairs, %v per pair, %v total at parallelism %d (%s)\n",
-			plan.Pairs, plan.PerPair.Round(time.Second), plan.Total.Round(time.Minute), *planParallel, series)
+			plan.Pairs, plan.PerPair.Round(time.Second), plan.Total.Round(time.Minute), *parallel, series)
 		fmt.Println("anchors (§4.4): ~2.5 min/pair at 200 samples; <15 s at the 5 percent error point (~15 samples)")
 		return
 	}
@@ -211,11 +211,8 @@ func main() {
 			go directory.Mirror(ctx, *dirFlag, dir, time.Second, reg)
 		}
 		sc := &ting.Scanner{
-			// The control connection serializes circuit work, so scan with
-			// one worker; parallel scanning needs parallel control
-			// sessions.
 			NewMeasurer: func(worker int) (*ting.Measurer, error) { return newMeasurer() },
-			Workers:     1,
+			Workers:     max(*parallel, 1), // as -plan reads it
 			Progress: func(done, total int) {
 				fmt.Printf("\r  %d/%d", done, total)
 			},

@@ -53,7 +53,7 @@ var (
 	samples       = flag.Int("samples", 10, "samples per circuit per measurement")
 	maxAge        = flag.Duration("max-age", time.Minute, "re-measure a pair once its measurement is older than this")
 	pairsPerSweep = flag.Int("pairs-per-sweep", 0, "bound how many pairs one sweep refreshes (0 = all stale pairs)")
-	workers       = flag.Int("workers", 2, "sweep parallelism (forced to 1 in control mode: one control connection serializes circuit work)")
+	workers       = flag.Int("workers", 2, "sweep parallelism")
 	sweepInterval = flag.Duration("sweep-interval", time.Second, "pause between sweeps")
 	quiet         = flag.Bool("quiet", false, "do not log epoch swaps")
 
@@ -85,7 +85,7 @@ func main() {
 
 	// The measurement source: exactly one of -model, -control, -matrix.
 	// Both measuring sources sweep under one configuration; only the
-	// measurers, the relay set and the parallelism differ.
+	// measurers and the relay set differ.
 	cfg := ting.MonitorConfig{
 		MaxAge:        *maxAge,
 		PairsPerSweep: *pairsPerSweep,
@@ -141,8 +141,6 @@ func main() {
 		cfg.NewMeasurer = func(worker int) (*ting.Measurer, error) {
 			return ctl.NewMeasurer(conn, *samples, obs)
 		}
-		// One control connection serializes circuit work.
-		cfg.Workers = 1
 		fmt.Printf("sweeping %d relays through %s\n", len(cfg.Names), ctl.Addr)
 
 	default:

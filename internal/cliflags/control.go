@@ -11,8 +11,8 @@ import (
 
 // Control is the control-port boot cmd/ting and cmd/tingd share: the seven
 // flags that say where the onion proxy is and which of its relays are the
-// measurer's own, the dial and authentication, and the measurer that
-// probes through the session.
+// measurer's own, the dial and authentication, and the measurers that
+// probe through the session: one per worker, all sharing it.
 type Control struct {
 	Addr string // -control; empty when a command that makes it optional was not given it
 
@@ -52,7 +52,8 @@ func (c *Control) Dial() (*control.Conn, error) {
 }
 
 // NewMeasurer returns a measurer that builds its circuits over conn and
-// reports RTTs in the network's virtual milliseconds.
+// reports RTTs in the network's virtual milliseconds. Every worker's
+// measurer may share one conn.
 func (c *Control) NewMeasurer(conn *control.Conn, samples int, obs *ting.Observer) (*ting.Measurer, error) {
 	return ting.NewMeasurer(ting.Config{
 		Prober: &ting.ControlProber{

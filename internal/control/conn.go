@@ -7,34 +7,39 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ting/internal/directory"
 )
 
 // Conn is a controller-side control connection — the role Stem played for
-// the paper's measurement client.
+// the paper's measurement client. Each request and its reply are one
+// exchange under one lock, read on the caller's goroutine, so goroutines
+// may share a Conn; the first failure ends it, and every later request
+// fails with that error.
 type Conn struct {
+	mu   sync.Mutex // held for a whole exchange
 	conn net.Conn
-	wmu  sync.Mutex
+	rd   *bufio.Reader
+	err  error // the failure that ended the Conn
 
-	replies chan reply
-
-	closeOnce sync.Once
-	closed    chan struct{}
-	cause     error // why the Conn closed: set once, before closed closes
+	closed atomic.Bool // set once the socket is closed; Close does not wait for mu
 }
 
 // replyTimeout bounds each request/response exchange. A reply that misses
-// it closes the Conn, so it cannot answer the next request.
+// it ends the Conn, so it cannot answer the next request.
 const replyTimeout = 15 * time.Second
 
 // maxReplyBody bounds a multi-line ("250+") reply body in bytes, about
 // twenty times a 7000-relay ns/all.
 const maxReplyBody = 16 << 20
+
+var errClosed = errors.New("control: connection closed")
 
 type reply struct {
 	code  int
@@ -53,124 +58,95 @@ func Dial(addr string) (*Conn, error) {
 
 // NewConn wraps an established connection as a controller.
 func NewConn(conn net.Conn) *Conn {
-	c := &Conn{
-		conn:    conn,
-		replies: make(chan reply, 4),
-		closed:  make(chan struct{}),
-	}
-	go c.readLoop()
-	return c
+	return &Conn{conn: conn, rd: bufio.NewReaderSize(conn, maxLine)}
 }
 
-// Close shuts the controller connection down.
-func (c *Conn) Close() error { return c.fail(errors.New("control: connection closed")) }
-
-// fail closes the connection once, keeping cause as the error every later
-// request fails with.
-func (c *Conn) fail(cause error) error {
-	var err error
-	c.closeOnce.Do(func() {
-		c.cause = cause
-		close(c.closed)
-		err = c.conn.Close()
-	})
-	return err
-}
-
-func (c *Conn) readLoop() {
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 4096), maxLine)
-	var multi []string
-	inMulti := false
-	body := 0
-	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), "\r")
-		switch {
-		case inMulti:
-			if line == "." {
-				inMulti = false
-				// The terminating "250 OK" arrives next and carries the
-				// accumulated body.
-				continue
-			}
-			if body += len(line) + 1; body > maxReplyBody {
-				c.fail(fmt.Errorf("control: reply body over %d bytes", maxReplyBody))
-				return
-			}
-			multi = append(multi, line)
-		case strings.HasPrefix(line, "250+"):
-			inMulti = true
-			multi = nil
-			body = 0
-		default:
-			code := 0
-			text := line
-			if len(line) >= 3 {
-				if n, err := strconv.Atoi(line[:3]); err == nil {
-					code = n
-					text = strings.TrimSpace(line[3:])
-				}
-			}
-			r := reply{code: code, text: text, multi: multi}
-			multi = nil
-			select {
-			case c.replies <- r:
-			case <-c.closed:
-				return
-			}
-		}
-	}
-	err := sc.Err()
-	if errors.Is(err, bufio.ErrTooLong) {
-		c.fail(fmt.Errorf("control: reply line over %d bytes", maxLine))
-		return
-	}
-	if err == nil {
-		err = io.EOF
-	}
-	c.fail(fmt.Errorf("control: connection lost: %w", err))
-}
-
-// ended returns why the Conn closed, or nil while it is open.
-func (c *Conn) ended() error {
-	select {
-	case <-c.closed:
-		return c.cause
-	default:
+// Close shuts the controller connection down. An exchange in progress on
+// another goroutine returns at once with "connection closed".
+func (c *Conn) Close() error {
+	if c.closed.Swap(true) {
 		return nil
 	}
+	return c.conn.Close()
 }
 
 func (c *Conn) roundTrip(cmd string) (reply, error) {
-	if err := c.ended(); err != nil {
-		return reply{}, err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && c.closed.Load() {
+		c.err = errClosed
 	}
-	c.wmu.Lock()
-	_, err := fmt.Fprintf(c.conn, "%s\r\n", cmd)
-	c.wmu.Unlock()
+	if c.err != nil {
+		return reply{}, c.err
+	}
+	// Only a closed socket refuses a deadline, and the exchange fails on it.
+	_ = c.conn.SetDeadline(time.Now().Add(replyTimeout))
+	r, err := c.exchange(cmd)
 	if err != nil {
-		// A send that failed because the Conn closed under it reports why
-		// it closed, not the closed socket.
-		if cause := c.ended(); cause != nil {
-			return reply{}, cause
+		switch {
+		case c.closed.Load():
+			err = errClosed
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			err = fmt.Errorf("control: timeout awaiting reply to %q", cmd)
 		}
+		c.err = err
+		c.Close()
+	}
+	return r, err
+}
+
+// exchange sends cmd and reads its reply. A "250+" line opens a body that
+// runs to a "." line; the line after it ends the reply and carries the
+// body.
+func (c *Conn) exchange(cmd string) (reply, error) {
+	if _, err := fmt.Fprintf(c.conn, "%s\r\n", cmd); err != nil {
 		return reply{}, fmt.Errorf("control: send %q: %w", cmd, err)
 	}
-	select {
-	case r := <-c.replies:
-		return r, nil
-	case <-c.closed:
-		select {
-		case r := <-c.replies: // the reply came just before the end
-			return r, nil
-		default:
+	var multi []string
+	for {
+		line, err := c.readLine()
+		if err != nil {
+			return reply{}, err
 		}
-		return reply{}, c.cause
-	case <-time.After(replyTimeout):
-		err := fmt.Errorf("control: timeout awaiting reply to %q", cmd)
-		c.fail(err)
-		return reply{}, err
+		if !strings.HasPrefix(line, "250+") {
+			return parseReply(line, multi), nil
+		}
+		multi = nil
+		for body := 0; ; {
+			if line, err = c.readLine(); err != nil {
+				return reply{}, err
+			}
+			if line == "." {
+				break
+			}
+			if body += len(line) + 1; body > maxReplyBody {
+				return reply{}, fmt.Errorf("control: reply body over %d bytes", maxReplyBody)
+			}
+			multi = append(multi, line)
+		}
 	}
+}
+
+// readLine reads one reply line, without its line ending.
+func (c *Conn) readLine() (string, error) {
+	line, err := c.rd.ReadSlice('\n')
+	switch {
+	case errors.Is(err, bufio.ErrBufferFull):
+		return "", fmt.Errorf("control: reply line over %d bytes", maxLine)
+	case err != nil:
+		return "", fmt.Errorf("control: connection lost: %w", err)
+	}
+	return strings.TrimRight(string(line[:len(line)-1]), "\r"), nil
+}
+
+func parseReply(line string, multi []string) reply {
+	r := reply{text: line, multi: multi}
+	if len(line) >= 3 {
+		if n, err := strconv.Atoi(line[:3]); err == nil {
+			r.code, r.text = n, strings.TrimSpace(line[3:])
+		}
+	}
+	return r
 }
 
 func (c *Conn) expect250(cmd string) (reply, error) {

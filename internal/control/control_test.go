@@ -12,6 +12,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,6 +426,27 @@ func TestConnFailsFastAfterPortCloses(t *testing.T) {
 	}
 }
 
+// TestConnCloseCutsExchangeShort: Close from another goroutine ends an
+// exchange waiting on a silent port at once, with "connection closed",
+// and every later request fails with the same.
+func TestConnCloseCutsExchangeShort(t *testing.T) {
+	addr, _ := fakePort(t, func(conn net.Conn) { io.Copy(io.Discard, conn) })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(100*time.Millisecond, func() { c.Close() })
+	start := time.Now()
+	_, err = c.ExtendCircuit([]string{"r0", "r1"})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("Close took %v to end the exchange", elapsed)
+	}
+	if _, again := c.GetInfo("ns/all"); err == nil || again == nil ||
+		!strings.Contains(err.Error(), "connection closed") || again.Error() != err.Error() {
+		t.Errorf("exchange cut by Close: %v, then %v; want connection closed both times", err, again)
+	}
+}
+
 // TestConnRefusesEndlessBody: a "250+" body that never ends is refused
 // once it passes maxReplyBody, with an error that names the bound, and the
 // connection is dropped instead of buffering it.
@@ -545,4 +568,105 @@ func TestDialStreamSilentPortHonoursContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("silent port: %v, want context.Canceled", err)
 	}
+}
+
+// TestConnSharedAcrossGoroutines: goroutines that share one Conn each get
+// their own replies. Against the server, every goroutine extends and
+// closes its own circuits with no error, and no two circuits share an ID.
+// Against a port that answers each EXTENDCIRCUIT with the number at the
+// end of its path, every goroutine reads back the number it sent, while
+// stalled writes keep the senders queued (a Conn that pairs replies with
+// requests apart from the send fails this at once).
+func TestConnSharedAcrossGoroutines(t *testing.T) {
+	const goroutines = 16
+	// share runs the goroutines, each extending rounds circuits along
+	// path(n), n numbering its requests apart from every other's, and
+	// closing each after check accepts its ID.
+	share := func(t *testing.T, c *Conn, rounds int, path func(n int) []string, check func(n, id int) error) {
+		t.Helper()
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func() {
+				for k := 0; k < rounds; k++ {
+					n := g*rounds + k
+					id, err := c.ExtendCircuit(path(n))
+					if err == nil {
+						err = check(n, id)
+					}
+					if err == nil {
+						err = c.CloseCircuit(id)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("goroutine %d, round %d: %w", g, k, err)
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < goroutines; g++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	t.Run("server", func(t *testing.T) {
+		env := newTestEnv(t, 3, "")
+		c := dialAuthed(t, env, "")
+		var mu sync.Mutex
+		owner := map[int]int{}
+		path := func(n int) []string { return []string{"r0", fmt.Sprintf("r%d", 1+n%2)} }
+		share(t, c, 10, path, func(n, id int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := owner[id]; ok {
+				return fmt.Errorf("circuit %d also answered request %d", id, prev)
+			}
+			owner[id] = n
+			return nil
+		})
+	})
+
+	t.Run("tagged", func(t *testing.T) {
+		addr, _ := fakePort(t, func(conn net.Conn) {
+			sc := bufio.NewScanner(conn)
+			for sc.Scan() {
+				r := "250 OK"
+				if f := strings.Split(sc.Text(), ","); strings.HasPrefix(sc.Text(), "EXTENDCIRCUIT") {
+					r = "250 EXTENDED " + f[len(f)-1]
+				}
+				fmt.Fprintf(conn, "%s\r\n", r)
+			}
+		})
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConn(&stallingConn{Conn: raw})
+		defer c.Close()
+		path := func(n int) []string { return []string{"r0", fmt.Sprint(n)} }
+		share(t, c, 50, path, func(n, id int) error {
+			if id != n {
+				return fmt.Errorf("EXTENDED %d answered the request for %d", id, n)
+			}
+			return nil
+		})
+	})
+}
+
+// stallingConn holds every eighth write for 2 ms after it is sent, so
+// the goroutines queued behind it wait long enough to put the writer's
+// lock into starvation mode.
+type stallingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *stallingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if c.writes.Add(1)%8 == 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return n, err
 }

@@ -14,7 +14,9 @@ import (
 // build each circuit, the data port to attach an echo stream, CLOSECIRCUIT
 // when done.
 type ControlProber struct {
-	// Conn is an authenticated control connection. Required.
+	// Conn is an authenticated control connection. Several probers may
+	// share it: each request waits for the one before it to be answered.
+	// Required.
 	Conn *control.Conn
 	// DataAddr is the onion proxy's data-port address. Required.
 	DataAddr string

@@ -85,43 +85,8 @@ func TestFullStackTingMeasurement(t *testing.T) {
 // control port — the deployment mode the paper used with Stem.
 func TestControlProberTing(t *testing.T) {
 	n, xName, yName, truth := buildOverlay(t, 1.0)
-
-	srv, err := control.NewServer(control.ServerConfig{
-		Client:   n.Client,
-		Registry: n.Registry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctrlLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeControl(ctrlLn)
-	go srv.ServeData(dataLn)
-
-	conn, err := control.Dial(ctrlLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Authenticate(""); err != nil {
-		t.Fatal(err)
-	}
-
-	prober := &ControlProber{
-		Conn:     conn,
-		DataAddr: dataLn.Addr().String(),
-		Target:   tornet.EchoTarget,
-		ToMs:     n.VirtualMs,
-	}
 	m, err := NewMeasurer(Config{
-		Prober:  prober,
+		Prober:  controlSession(t, n),
 		W:       tornet.WName,
 		Z:       tornet.ZName,
 		Samples: 4,
@@ -139,6 +104,75 @@ func TestControlProberTing(t *testing.T) {
 	}
 	if res.Elapsed <= 0 || time.Since(start) < res.Elapsed {
 		t.Errorf("Elapsed bookkeeping wrong: %v", res.Elapsed)
+	}
+}
+
+// controlSession serves n's onion proxy on loopback control and data
+// ports and returns a prober over one authenticated control connection.
+func controlSession(t *testing.T, n *tornet.Net) *ControlProber {
+	t.Helper()
+	srv, err := control.NewServer(control.ServerConfig{
+		Client:   n.Client,
+		Registry: n.Registry,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ctrlLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeControl(ctrlLn)
+	go srv.ServeData(dataLn)
+
+	conn, err := control.Dial(ctrlLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Authenticate(""); err != nil {
+		t.Fatal(err)
+	}
+	return &ControlProber{
+		Conn:     conn,
+		DataAddr: dataLn.Addr().String(),
+		Target:   tornet.EchoTarget,
+		ToMs:     n.VirtualMs,
+	}
+}
+
+// TestControlProberParallelScan: a scan whose workers build their circuits
+// over one shared control connection, as ting -all -parallel and tingd
+// -control do, measures every pair fresh with no failure. Accuracy is
+// TestControlProberTing's to check.
+func TestControlProberParallelScan(t *testing.T) {
+	n, _, _, _ := buildOverlay(t, 1.0)
+	shared := controlSession(t, n)
+	names := make([]string, 3)
+	for i := range names {
+		names[i], _ = n.NodeName(inet.NodeID(i))
+	}
+	sc := &Scanner{
+		NewMeasurer: func(worker int) (*Measurer, error) {
+			p := *shared
+			return NewMeasurer(Config{Prober: &p, W: tornet.WName, Z: tornet.ZName, Samples: 2})
+		},
+		Workers: 3,
+	}
+	m, failures, err := sc.Scan(t.Context(), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range failures {
+		t.Errorf("pair %s-%s failed after %d attempts: %v", f.X, f.Y, f.Attempts, f.Err)
+	}
+	if pc, pairs := m.ProvCounts(), len(names)*(len(names)-1)/2; pc.Fresh != pairs {
+		t.Errorf("%d of %d pairs fresh: %+v", pc.Fresh, pairs, pc)
 	}
 }
 
@@ -322,7 +356,7 @@ func TestFullStackAllPairsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := topo.AddHost("host", geo.Coord{Lat: 40, Lon: -74}, 32)
-	n, err := tornet.Build(tornet.Config{Topology: topo, Host: host, TimeScale: 0.06})
+	n, err := tornet.Build(tornet.Config{Topology: topo, Host: host, TimeScale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
