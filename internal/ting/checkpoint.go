@@ -84,6 +84,9 @@ type CheckpointRecord struct {
 // file-backed implementation documents.
 type Checkpoint interface {
 	// Append records one entry, possibly only until the next Flush.
+	// rec.Path is valid only for the call: a half record's path is the
+	// half-circuit cache's own, which a pooled cache reuses for a later
+	// scan, so an Append that keeps the record keeps a copy of it.
 	Append(rec CheckpointRecord) error
 	// Flush writes every entry appended so far to the log.
 	Flush() error
@@ -192,7 +195,7 @@ type CheckpointState struct {
 // kinds are errors.
 func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 	st := &CheckpointState{Fps: make(map[string]string)}
-	halfAt := make(map[string]int)
+	halfAt := make(map[halfKey]int)
 	var m *Matrix // nil until the header
 	err := cp.Replay(func(rec CheckpointRecord) error {
 		st.Records++
@@ -236,7 +239,7 @@ func ReplayState(cp Checkpoint) (*CheckpointState, error) {
 			if !finite(rec.Min) {
 				return errors.New("ting: checkpoint: non-finite half-circuit minimum")
 			}
-			key := halfKey(rec.Path, rec.Samples)
+			key := keyOf(rec.Path, rec.Samples)
 			if i, ok := halfAt[key]; ok {
 				st.Halves[i].Min = rec.Min
 			} else {

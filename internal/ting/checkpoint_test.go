@@ -23,8 +23,10 @@ type MemCheckpoint struct {
 	recs []CheckpointRecord
 }
 
-// Append records one entry.
+// Append records one entry. rec.Path is valid only for the call, so it
+// keeps a copy.
 func (c *MemCheckpoint) Append(rec CheckpointRecord) error {
+	rec.Path = slices.Clone(rec.Path)
 	c.mu.Lock()
 	c.recs = append(c.recs, rec)
 	c.mu.Unlock()
@@ -264,7 +266,7 @@ func pairKey(x, y string) [2]string {
 func replayOracle(recs []CheckpointRecord) (names []string, pairs map[[2]string]float64, fps map[string]string, halves []HalfSeries) {
 	pairs, fps = make(map[[2]string]float64), make(map[string]string)
 	var space indexSpace
-	halfAt := make(map[string]int)
+	halfAt := make(map[halfKey]int)
 	for _, rec := range recs {
 		space.add(rec)
 		switch rec.Kind {
@@ -274,7 +276,7 @@ func replayOracle(recs []CheckpointRecord) (names []string, pairs map[[2]string]
 			x, y, _ := space.pair(rec)
 			pairs[pairKey(x, y)] = rec.RTT
 		case RecordHalf:
-			key := halfKey(rec.Path, rec.Samples)
+			key := keyOf(rec.Path, rec.Samples)
 			if i, ok := halfAt[key]; ok {
 				halves[i].Min = rec.Min
 			} else {

@@ -30,6 +30,7 @@ type flushLog struct {
 }
 
 func (c *flushLog) Append(rec CheckpointRecord) error {
+	rec.Path = slices.Clone(rec.Path) // valid only for the call
 	c.mu.Lock()
 	c.pending = append(c.pending, rec)
 	c.mu.Unlock()

@@ -3,7 +3,7 @@ package ting
 import (
 	"context"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,30 +38,55 @@ import (
 // sizes the index before its workers start. A reader trusts a slot only if
 // its path, sample count and age fit the request, so a slot an earlier
 // scan left is either a valid answer or a miss.
+//
+// A miss on a warm pooled cache allocates nothing: the key is the path's own
+// strings, the flight's channel is made only when a second caller waits on
+// it, and the series is one the last scan to own the cache left in spare.
+// So a series lives only until the scan that owns the cache releases it,
+// and the path the store hook gets is valid only for the call.
 type HalfCache struct {
 	ttl time.Duration
 	now func() time.Time
 
 	mu      sync.Mutex
-	entries map[string]*halfSeries
-	flights map[string]*halfSeries
+	entries map[halfKey]*halfSeries
+	flights map[halfKey]*halfSeries
 	index   []atomic.Pointer[halfSeries] // by relay index; grows between scans
+	spare   []*halfSeries                // what the last released scan stored, zeroed, for this one's misses
 	onStore func(path []string, samples int, min float64)
 }
 
-// halfSeries is one half-circuit series: a flight until done is closed
-// (min and failed are written once before), and, when it succeeded and was
-// still current, the entry the map and the index point at. What an index
-// reader checks comes first, and a two-hop path is kept in hops, so a hit
-// reads one object.
+// halfSeries is one half-circuit series: a flight until its leader has
+// written min and failed and, if a waiter made done, closed it; and, when it
+// succeeded and was still current, the entry the map and the index point
+// at. What an index reader checks comes first, and a two-hop path is kept
+// in hops, so a hit reads one object.
 type halfSeries struct {
 	samples int
 	min     float64
 	hops    [2]string
 	path    []string      // the cache's own copy, in hops when it fits; InvalidateRelay looks through it
-	done    chan struct{} // nil for a seeded series
+	done    chan struct{} // made, under mu, by the flight's first waiter; nil if none came
 	when    int64         // when stored, in Unix nanoseconds
 	failed  bool
+}
+
+// halfKey identifies one half-circuit series: the exact path plus the
+// sample count it was measured with. A two-hop path, every half circuit a
+// Measurer asks for, is its two hops, the caller's own strings, so building
+// a key allocates nothing; any other length (Do takes any path) is joined
+// into long, which is never empty.
+type halfKey struct {
+	w, x    string
+	long    string
+	samples int
+}
+
+func keyOf(path []string, samples int) halfKey {
+	if len(path) == 2 {
+		return halfKey{w: path[0], x: path[1], samples: samples}
+	}
+	return halfKey{long: strings.Join(path, ",") + "#", samples: samples}
 }
 
 // NewHalfCache creates a half-circuit cache whose entries expire after
@@ -70,8 +95,8 @@ func NewHalfCache(ttl time.Duration) *HalfCache {
 	return &HalfCache{
 		ttl:     ttl,
 		now:     time.Now,
-		entries: make(map[string]*halfSeries, 64),
-		flights: make(map[string]*halfSeries, 8),
+		entries: make(map[halfKey]*halfSeries, 64),
+		flights: make(map[halfKey]*halfSeries, 8),
 	}
 }
 
@@ -88,12 +113,38 @@ func ownedHalfCache() *HalfCache { return scanCaches.Get().(*HalfCache) }
 // The scan's workers have all exited and its store hook is cleared, so
 // nothing measures through it any more.
 func releaseHalfCache(c *HalfCache) {
+	c.reset()
+	scanCaches.Put(c)
+}
+
+// reset empties the cache and keeps the series its map held, zeroed, as
+// spares for the next scan's misses. Only a cache nothing measures through
+// may be reset: once its index is cleared and its map emptied, no worker,
+// slot or entry reaches those series.
+func (c *HalfCache) reset() {
 	c.mu.Lock()
 	c.clearIndex()
+	for _, s := range c.entries {
+		*s = halfSeries{}
+		c.spare = append(c.spare, s)
+	}
 	clear(c.entries)
 	clear(c.flights)
 	c.mu.Unlock()
-	scanCaches.Put(c)
+}
+
+// newSeries returns a series of path measured with samples, a spare if
+// there is one; the caller holds mu.
+func (c *HalfCache) newSeries(path []string, samples int) *halfSeries {
+	var s *halfSeries
+	if n := len(c.spare); n > 0 {
+		s, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		s = new(halfSeries)
+	}
+	s.samples = samples
+	s.path = append(s.hops[:0], path...)
+	return s
 }
 
 // sizeIndex gives the index at least n slots, before a scan's workers
@@ -126,36 +177,15 @@ func (c *HalfCache) indexed(path []string, samples, i int) (float64, bool) {
 	return s.min, true
 }
 
-// halfKey identifies one half-circuit series: the exact path plus the
-// sample count it was measured with.
-func halfKey(path []string, samples int) string {
-	return string(halfKeyInto(nil, path, samples))
-}
-
-// halfKeyInto appends the same key to a caller-owned buffer. Do builds its
-// key on the stack and looks it up via map[string(buf)] — which the
-// compiler performs without materializing the string — so cache hits
-// allocate nothing.
-func halfKeyInto(buf []byte, path []string, samples int) []byte {
-	for i, hop := range path {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, hop...)
-	}
-	buf = append(buf, '#')
-	return strconv.AppendInt(buf, int64(samples), 10)
-}
-
 // Seed installs a series without measuring — checkpoint replay. The entry
 // is stored as freshly measured and does not fire the store hook (it is
 // already in the log it came from). The index is cleared, so no slot keeps
 // answering with the series it replaces.
 func (c *HalfCache) Seed(path []string, samples int, min float64) {
 	c.mu.Lock()
-	s := &halfSeries{samples: samples, min: min, when: c.now().UnixNano()}
-	s.path = append(s.hops[:0], path...)
-	c.entries[halfKey(path, samples)] = s
+	s := c.newSeries(path, samples)
+	s.min, s.when = min, c.now().UnixNano()
+	c.entries[keyOf(path, samples)] = s
 	c.clearIndex()
 	c.mu.Unlock()
 }
@@ -163,7 +193,8 @@ func (c *HalfCache) Seed(path []string, samples int, min float64) {
 // SetStoreHook registers fn to run after each freshly measured series is
 // stored — the scanner's checkpoint append hook. A nil fn unregisters.
 // The hook runs outside the cache lock and must be safe for concurrent
-// calls from scanner workers.
+// calls from scanner workers. path is the cache's own and valid only for
+// the call: a pooled cache reuses it for a later scan's series.
 func (c *HalfCache) SetStoreHook(fn func(path []string, samples int, min float64)) {
 	c.mu.Lock()
 	c.onStore = fn
@@ -212,26 +243,29 @@ func (c *HalfCache) Do(ctx context.Context, path []string, samples int, obs *Obs
 // do is Do for the relay at index i (-1 for none): the series it answers
 // from the map or stores there also fills i's slot.
 func (c *HalfCache) do(ctx context.Context, path []string, samples, i int, obs *Observer, fn func(context.Context) (float64, error)) (float64, error) {
-	// The key lives on the stack; the string conversions inside the map
-	// indexes below do not allocate. A real string is only made on the miss
-	// path, where a measurement is about to dwarf it.
-	var kb [96]byte
-	key := halfKeyInto(kb[:0], path, samples)
+	key := keyOf(path, samples)
 	for {
 		c.mu.Lock()
-		if e, ok := c.entries[string(key)]; ok && !c.expired(e) {
+		if e, ok := c.entries[key]; ok && !c.expired(e) {
 			c.setSlot(i, e)
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitHit)
 			return e.min, nil
 		}
-		if f, ok := c.flights[string(key)]; ok {
+		if f, ok := c.flights[key]; ok {
+			// Its leader reads done under mu once it has measured, so the
+			// first waiter makes the channel here and the leader closes it;
+			// a flight nobody joins never has one.
+			if f.done == nil {
+				f.done = make(chan struct{})
+			}
+			done := f.done
 			c.mu.Unlock()
 			obs.halfCircuit(path, HalfCircuitWait)
 			select {
 			case <-ctx.Done():
 				return 0, ctx.Err()
-			case <-f.done:
+			case <-done:
 			}
 			if !f.failed {
 				return f.min, nil
@@ -245,10 +279,8 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples, i int, obs *
 		}
 		// The flight, the entry and the hook all outlive this call, so none
 		// may alias the Measurer's scratch path.
-		skey := string(key)
-		f := &halfSeries{done: make(chan struct{}), samples: samples}
-		f.path = append(f.hops[:0], path...)
-		c.flights[skey] = f
+		f := c.newSeries(path, samples)
+		c.flights[key] = f
 		c.mu.Unlock()
 
 		obs.halfCircuit(path, HalfCircuitMiss)
@@ -257,19 +289,22 @@ func (c *HalfCache) do(ctx context.Context, path []string, samples, i int, obs *
 		c.mu.Lock()
 		// A flight InvalidateRelay dropped — the map holds another flight
 		// for the key, or none — measured a relay's old identity.
-		current := c.flights[skey] == f
+		current := c.flights[key] == f
 		if current {
-			delete(c.flights, skey)
+			delete(c.flights, key)
 		}
 		var hook func(path []string, samples int, min float64)
 		if err == nil && current {
 			f.when = c.now().UnixNano()
-			c.entries[skey] = f
+			c.entries[key] = f
 			c.setSlot(i, f)
 			hook = c.onStore
 		}
+		done := f.done
 		c.mu.Unlock()
-		close(f.done)
+		if done != nil {
+			close(done)
+		}
 		if hook != nil {
 			hook(f.path, samples, min)
 		}

@@ -109,71 +109,142 @@ func TestHalfCacheKeying(t *testing.T) {
 	}
 }
 
-// TestHalfCacheLeaderFailureTakeover: a waiter whose leader fails measures
-// with its own fn instead of inheriting the error, and the failed series is
-// never cached.
-func TestHalfCacheLeaderFailureTakeover(t *testing.T) {
-	c := NewHalfCache(0)
-	ev := &halfEvents{}
-	obs := ev.observer()
-	path := []string{"w", "x"}
-
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := c.Do(context.Background(), path, 5, obs,
-			func(context.Context) (float64, error) {
-				close(leaderIn)
-				<-leaderGo
-				return 0, errors.New("leader's prober wedged")
+// TestHalfCacheFlightWaiters: a caller that finds a series in flight
+// waits for it, and the first such waiter makes the flight's channel (a
+// flight nobody joins has none). The waiter takes the leader's answer; takes
+// over with its own fn when the leader fails, since the failure may be the
+// leader's prober's, and errors are never stored; returns promptly with its
+// context's error when that ends mid-wait, the leader unaffected; and still
+// gets the answer of a flight that InvalidateRelay dropped, whose
+// pre-rotation minimum is neither stored nor handed to the store hook, so
+// the next Do measures the relay's new identity.
+func TestHalfCacheFlightWaiters(t *testing.T) {
+	cases := []struct {
+		name      string
+		leaderErr error                             // the leader's measurement fails with it; else it reads 40
+		mid       func(c *HalfCache, cancel func()) // with the waiter blocked, before the leader finishes
+		waiter    float64                           // what the waiter gets: the flight's 40 or its takeover's 77
+		waiterErr error                             // or this error instead
+		misses    int64                             // the leader, and a takeover
+		next      float64                           // what the next Do answers: a hit, or 45 if it measures
+		hooked    []float64                         // every series the store hook saw
+	}{
+		{name: "joins", waiter: 40, misses: 1, next: 40, hooked: []float64{40}},
+		{name: "leader fails", leaderErr: errors.New("leader's prober wedged"), waiter: 77, misses: 2, next: 77, hooked: []float64{77}},
+		{name: "waiter cancelled", mid: func(_ *HalfCache, cancel func()) { cancel() }, waiterErr: context.Canceled, misses: 1, next: 40, hooked: []float64{40}},
+		{name: "rotation", mid: func(c *HalfCache, _ func()) { c.InvalidateRelay("x") }, waiter: 40, misses: 1, next: 45, hooked: []float64{45}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewHalfCache(0)
+			var mu sync.Mutex
+			var hooked []float64
+			c.SetStoreHook(func(_ []string, _ int, min float64) {
+				mu.Lock()
+				hooked = append(hooked, min)
+				mu.Unlock()
 			})
-		leaderDone <- err
-	}()
-	<-leaderIn // the flight is registered and in fn
+			ev := &halfEvents{}
+			obs := ev.observer()
+			path := []string{"w", "x"}
+			flightDone := func() (chan struct{}, bool) {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				f, ok := c.flights[keyOf(path, 5)]
+				if !ok {
+					return nil, false
+				}
+				return f.done, true
+			}
 
-	var takeoverCalls atomic.Int64
-	waiterDone := make(chan struct{})
-	var waiterVal float64
-	var waiterErr error
-	go func() {
-		defer close(waiterDone)
-		waiterVal, waiterErr = c.Do(context.Background(), path, 5, obs,
-			func(context.Context) (float64, error) {
-				takeoverCalls.Add(1)
-				return 77, nil
+			leaderIn, leaderGo := make(chan struct{}), make(chan struct{})
+			leaderDone := make(chan error, 1)
+			go func() {
+				v, err := c.Do(t.Context(), path, 5, obs, func(context.Context) (float64, error) {
+					close(leaderIn)
+					<-leaderGo
+					return 40, tc.leaderErr
+				})
+				if err == nil && v != 40 {
+					err = fmt.Errorf("leader = %v, want its own 40", v)
+				}
+				leaderDone <- err
+			}()
+			<-leaderIn // the flight is registered and in fn
+			if done, ok := flightDone(); !ok || done != nil {
+				t.Fatalf("before any waiter the flight is registered %v with channel %v, want registered without one", ok, done)
+			}
+
+			ctx, cancel := context.WithCancel(t.Context())
+			defer cancel()
+			var takeovers atomic.Int64
+			type result struct {
+				v   float64
+				err error
+			}
+			waiterDone := make(chan result, 1)
+			go func() {
+				v, err := c.Do(ctx, path, 5, obs, func(context.Context) (float64, error) {
+					if tc.leaderErr == nil {
+						t.Error("waiter measured instead of taking the flight's answer")
+					}
+					takeovers.Add(1)
+					return 77, nil
+				})
+				waiterDone <- result{v, err}
+			}()
+			for ev.waits.Load() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if done, ok := flightDone(); !ok || done == nil {
+				t.Fatalf("with a waiter the flight is registered %v with channel %v, want one made", ok, done)
+			}
+			if tc.mid != nil {
+				tc.mid(c, cancel)
+			}
+			var got result
+			if ctx.Err() != nil {
+				// A cancelled waiter returns while the leader still measures.
+				select {
+				case got = <-waiterDone:
+				case <-time.After(5 * time.Second):
+					t.Fatal("cancelled waiter still blocked on the flight")
+				}
+			}
+			close(leaderGo)
+			if err := <-leaderDone; tc.leaderErr == nil && err != nil || tc.leaderErr != nil && err != tc.leaderErr {
+				t.Errorf("leader error = %v, want %v", err, tc.leaderErr)
+			}
+			if ctx.Err() == nil {
+				got = <-waiterDone
+			}
+			if tc.waiterErr != nil && !errors.Is(got.err, tc.waiterErr) || tc.waiterErr == nil && (got.err != nil || got.v != tc.waiter) {
+				t.Errorf("waiter = (%v, %v), want (%v, %v)", got.v, got.err, tc.waiter, tc.waiterErr)
+			}
+			if want := tc.misses - 1; takeovers.Load() != want {
+				t.Errorf("the waiter measured %d times, want %d", takeovers.Load(), want)
+			}
+			if ev.misses.Load() != tc.misses {
+				t.Errorf("misses = %d, want %d", ev.misses.Load(), tc.misses)
+			}
+
+			measured := false
+			v, err := c.Do(t.Context(), path, 5, obs, func(context.Context) (float64, error) {
+				measured = true
+				return 45, nil
 			})
-	}()
-	// The waiter must be blocked on the flight before the leader fails.
-	for ev.waits.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(leaderGo)
-
-	if err := <-leaderDone; err == nil || !strings.Contains(err.Error(), "wedged") {
-		t.Fatalf("leader error = %v", err)
-	}
-	<-waiterDone
-	if waiterErr != nil || waiterVal != 77 {
-		t.Fatalf("waiter = (%v, %v), want (77, nil)", waiterVal, waiterErr)
-	}
-	if takeoverCalls.Load() != 1 {
-		t.Errorf("takeover measured %d times", takeoverCalls.Load())
-	}
-	// The takeover shows up as a second miss; the failed series was not
-	// cached, the successful one was.
-	if ev.misses.Load() != 2 {
-		t.Errorf("misses = %d, want 2 (leader + takeover)", ev.misses.Load())
-	}
-	if len(c.entries) != 1 {
-		t.Errorf("Len = %d, want 1 (errors never cached)", len(c.entries))
-	}
-	if v, err := c.Do(context.Background(), path, 5, obs,
-		func(context.Context) (float64, error) {
-			t.Error("cached series re-measured after takeover")
-			return 0, nil
-		}); err != nil || v != 77 {
-		t.Errorf("post-takeover hit = (%v, %v)", v, err)
+			if err != nil || v != tc.next || measured != (tc.next == 45) {
+				t.Errorf("next Do = (%v, %v), measured %v; want %v", v, err, measured, tc.next)
+			}
+			if len(c.entries) != 1 {
+				t.Errorf("the cache holds %d series, want 1 (errors and dropped flights never stored)", len(c.entries))
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !slices.Equal(hooked, tc.hooked) {
+				t.Errorf("store hook saw %v, want %v", hooked, tc.hooked)
+			}
+		})
 	}
 }
 
@@ -245,125 +316,6 @@ func TestScanMemoLapsesWithCacheTTL(t *testing.T) {
 	}
 	if got := ev.hits.Load() + ev.misses.Load(); got != 12 {
 		t.Errorf("hits + misses = %d, want 2·pairs = 12", got)
-	}
-}
-
-// TestHalfCacheCancelledWaiter: a waiter whose own context dies while the
-// leader is still measuring returns promptly with the context error; the
-// leader is unaffected.
-func TestHalfCacheCancelledWaiter(t *testing.T) {
-	c := NewHalfCache(0)
-	ev := &halfEvents{}
-	obs := ev.observer()
-	path := []string{"w", "x"}
-
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-	leaderDone := make(chan float64, 1)
-	go func() {
-		v, _ := c.Do(context.Background(), path, 5, obs,
-			func(context.Context) (float64, error) {
-				close(leaderIn)
-				<-leaderGo
-				return 55, nil
-			})
-		leaderDone <- v
-	}()
-	<-leaderIn
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, err := c.Do(ctx, path, 5, obs,
-			func(context.Context) (float64, error) {
-				t.Error("cancelled waiter measured")
-				return 0, nil
-			})
-		waiterDone <- err
-	}()
-	for ev.waits.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	cancel()
-	select {
-	case err := <-waiterDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("waiter error = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter still blocked on the flight")
-	}
-	close(leaderGo)
-	if v := <-leaderDone; v != 55 {
-		t.Errorf("leader = %v, want 55", v)
-	}
-}
-
-// TestHalfCacheRotationDropsFlight: a half series in flight when its relay
-// rotates still answers the caller waiting on it, but its pre-rotation
-// minimum is neither stored nor handed to the store hook (the checkpoint),
-// so the next Do measures the relay's new identity.
-func TestHalfCacheRotationDropsFlight(t *testing.T) {
-	c := NewHalfCache(0)
-	var stored []float64
-	var storedMu sync.Mutex
-	c.SetStoreHook(func(_ []string, _ int, min float64) {
-		storedMu.Lock()
-		stored = append(stored, min)
-		storedMu.Unlock()
-	})
-	ev := &halfEvents{}
-	obs := ev.observer()
-	path := []string{"w", "x"}
-
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-	leaderDone := make(chan float64, 1)
-	go func() {
-		v, _ := c.Do(context.Background(), path, 5, obs,
-			func(context.Context) (float64, error) {
-				close(leaderIn)
-				<-leaderGo
-				return 40, nil
-			})
-		leaderDone <- v
-	}()
-	<-leaderIn
-	waiterDone := make(chan float64, 1)
-	go func() {
-		v, _ := c.Do(context.Background(), path, 5, obs,
-			func(context.Context) (float64, error) {
-				t.Error("waiter measured instead of joining the flight")
-				return 0, nil
-			})
-		waiterDone <- v
-	}()
-	for ev.waits.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	c.InvalidateRelay("x")
-	close(leaderGo)
-	if v := <-leaderDone; v != 40 {
-		t.Errorf("leader = %v, want its own series, 40", v)
-	}
-	if v := <-waiterDone; v != 40 {
-		t.Errorf("waiter = %v, want the flight's answer, 40", v)
-	}
-
-	measured := false
-	v, err := c.Do(context.Background(), path, 5, obs,
-		func(context.Context) (float64, error) {
-			measured = true
-			return 45, nil
-		})
-	if err != nil || !measured || v != 45 {
-		t.Errorf("Do after the rotation = (%v, %v), measured %v; want the new identity measured, 45", v, err, measured)
-	}
-	storedMu.Lock()
-	defer storedMu.Unlock()
-	if len(stored) != 1 || stored[0] != 45 {
-		t.Errorf("store hook saw %v, want only the post-rotation series [45]", stored)
 	}
 }
 
@@ -725,17 +677,22 @@ func (w *oracleWorker) halfMin(names []string, i int) (float64, error) {
 // a Seed or an InvalidateRelay landing mid-flight; Seed; InvalidateRelay of
 // one relay or of the shared first hop; clock jumps to either side of the
 // ttl. Every answer, error, Observer event, prober call, dropped count and
-// store-hook firing must be the oracle's. The seed is printed on failure.
+// store-hook firing must be the oracle's. The runs share one cache, reset
+// between them, so all but the first reuse its series. The seed is printed
+// on failure.
 func TestHalfCacheAgainstOracle(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{"x0", "x1", "x2", "x3", "x4"}
 	errProbe := errors.New("probe failed")
+	hc := NewHalfCache(0)
 	for run := 0; run < 40; run++ {
 		ttl := time.Duration(run%2) * time.Minute
 		now := time.Unix(1700000000, 0)
-		hc := NewHalfCache(ttl)
-		hc.now = func() time.Time { return now }
+		// Each run after the first measures into the series the last one
+		// stored, as a pooled cache's next scan does.
+		hc.reset()
+		hc.ttl, hc.now = ttl, func() time.Time { return now }
 		hc.sizeIndex(len(names))
 		var mu sync.Mutex
 		var hooked, wantHooked []float64

@@ -143,6 +143,8 @@ func (mon *Monitor) stalePairsLocked() [][2]int {
 // index, read once a sweep without claiming probe slots: Health.Allow is
 // the scan engine's call, made when a pair is about to be measured. A relay
 // due its half-open probe gets one pair, since only one attempt can be it.
+// The kept pairs are a copy: the sweep holds them through its scan, and
+// the stale list is 16 bytes for every stale pair, kept or not.
 func (mon *Monitor) selectLocked(admits []admission) (todo [][2]int, stale, quarantined int) {
 	todo = mon.stalePairsLocked()
 	stale = len(todo)
@@ -167,7 +169,7 @@ func (mon *Monitor) selectLocked(admits []admission) (todo [][2]int, stale, quar
 		todo[kept] = p
 		kept++
 	}
-	return todo[:kept], stale, quarantined
+	return slices.Clone(todo[:kept]), stale, quarantined
 }
 
 // Sweep refreshes up to PairsPerSweep stale pairs and returns how many it

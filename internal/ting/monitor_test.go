@@ -520,3 +520,39 @@ func TestMonitorSweepAllocs(t *testing.T) {
 		t.Errorf("%.1f bytes a sweep per pair of the relay set, want ≤ 22", perPair)
 	}
 }
+
+// TestMonitorSweepDropsStaleList: a sweep holds the pairs it kept through
+// its scan, not the stale list it chose them from, 16 bytes for every stale
+// pair (8 MB on a first sweep of 1000 relays). The live heap is read as the
+// sweep builds its first measurer, after the selection, and may grow by no
+// more than 1 MB over the live heap before the sweep.
+func TestMonitorSweepDropsStaleList(t *testing.T) {
+	names, sc := nullScan(1000)
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var during int64
+	mon, err := NewMonitor(MonitorConfig{
+		NewMeasurer: func(w int) (*Measurer, error) {
+			if w == 0 {
+				during = liveHeap()
+			}
+			return sc.NewMeasurer(w)
+		},
+		Names:         names,
+		PairsPerSweep: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	if n, err := mon.Sweep(t.Context()); err != nil || n != 100 {
+		t.Fatalf("Sweep = %d, %v; want 100 measured", n, err)
+	}
+	if grown := during - before; grown >= 1<<20 {
+		t.Errorf("the live heap grew by %d bytes from before the sweep to its scan, want < 1 MB", grown)
+	}
+}

@@ -36,7 +36,8 @@ type Observer struct {
 	// CheckpointAppend fires after each record is appended to the campaign
 	// log, which may hold it until the scan's next flush: a run's records
 	// reach the file before any of its pairs counts. The record is a copy
-	// made for the observer, and only when this field is set.
+	// made for the observer, and only when this field is set; its Path is
+	// valid only for the call, as Checkpoint.Append's is.
 	CheckpointAppend func(rec *CheckpointRecord)
 	// CheckpointReplay fires once per Resume with how many completed
 	// pairs and memoized half-circuit series were rehydrated.

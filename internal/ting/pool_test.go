@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,13 +202,12 @@ func TestPooledScanIsolation(t *testing.T) {
 // TestScanPairsAllocs pins what a warm campaign lease costs the scan
 // engine: a one-worker ScanPairs of a 312-pair tile shard over 400 relays,
 // the campaign workload's shard, through a prober that allocates nothing.
-// The lease's half-circuit cache, its index by relay and its pair-list
-// check reuse the last lease's, so what is left is the scan's own state,
-// the measurer, and about 200 bytes per half-circuit miss (the series with
-// its path, its channel and the key the cache keeps): 38 misses here.
-// Before that reuse the lease took 181 allocations and 29 962 bytes; it
-// took 173 and about 10 900 with the workers' memos, and takes 134 and
-// about 10 200 without them, under ceilings set at the former.
+// The lease's half-circuit cache, its index by relay, the series its 38
+// misses measure into and its pair-list check reuse the last lease's, so
+// what is left is the scan's own state and the measurer. Before that reuse
+// the lease took 181 allocations and 29 962 bytes; with a fresh series,
+// channel and key string per miss it took 134 and about 10 200; it takes
+// 20 and about 1700.
 func TestScanPairsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -230,7 +232,159 @@ func TestScanPairsAllocs(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("%.0f allocations and %.0f bytes a %d-pair lease", allocs, bytes, len(pairs))
-	if allocs > 175 || bytes > 11264 {
-		t.Errorf("%.0f allocations and %.0f bytes a warm lease, want ≤ 175 and ≤ 11264", allocs, bytes)
+	if allocs > 32 || bytes > 3072 {
+		t.Errorf("%.0f allocations and %.0f bytes a warm lease, want ≤ 32 and ≤ 3072", allocs, bytes)
+	}
+}
+
+// TestHalfCacheMissAllocs: a warm pooled cache measures a lease's half
+// circuits without allocating. Each round takes a cache from the pool,
+// misses on every relay of a 38-relay lease through one measurer and
+// releases the cache, whose series the next round's misses reuse.
+func TestHalfCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	names, _ := nullScan(38)
+	ev := &halfEvents{}
+	meas, err := NewMeasurer(Config{Prober: nullProber{}, W: "w", Z: "z", Samples: 8, Observer: ev.observer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := make([]string, 2)
+	lease := func() {
+		meas.hc = ownedHalfCache()
+		meas.hc.sizeIndex(len(names))
+		for i, x := range names {
+			path[0], path[1] = "w", x
+			if _, err := meas.halfMin(context.Background(), path, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		releaseHalfCache(meas.hc)
+		meas.hc = nil
+	}
+	lease() // warm: the pooled cache's map, index and spare series
+	ev.misses.Store(0)
+	allocs := testing.AllocsPerRun(50, lease)
+	if misses := ev.misses.Load(); misses != 51*int64(len(names)) {
+		t.Fatalf("%d misses in 51 leases of %d relays, want every half measured", misses, len(names))
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocations a warm lease of %d half-circuit misses, want 0", allocs, len(names))
+	}
+}
+
+// relayProber answers a half circuit (w, x) with x's relay number and a
+// full circuit (w, x, y, z) with 100 plus half of each, so every pair's
+// estimate is 100 and a half minimum names the relay it came from. It
+// counts the half series it takes; gate, if set, runs before each full
+// series and may fail it.
+type relayProber struct {
+	halves, fulls atomic.Int64
+	gate          func(ctx context.Context) error
+}
+
+// relayNumber is the number a relayNN name ends in.
+func relayNumber(name string) float64 {
+	n, _ := strconv.Atoi(strings.TrimPrefix(name, "relay"))
+	return float64(n)
+}
+
+func (p *relayProber) SampleCircuit(ctx context.Context, path []string, n int) ([]float64, error) {
+	out := make([]float64, n)
+	return out, p.SampleCircuitInto(ctx, path, out)
+}
+
+func (p *relayProber) SampleCircuitInto(ctx context.Context, path []string, out []float64) error {
+	v := relayNumber(path[1])
+	if len(path) == 2 {
+		p.halves.Add(1)
+	} else {
+		if p.gate != nil {
+			if err := p.gate(ctx); err != nil {
+				return err
+			}
+		}
+		p.fulls.Add(1)
+		v = 100 + v/2 + relayNumber(path[2])/2
+	}
+	for i := range out {
+		out[i] = v
+	}
+	return nil
+}
+
+// TestPooledLogKeepsItsHalves: the path a half record carries is valid only
+// for the append, since the pooled cache whose series it names serves the
+// next scan's misses with that series. Scan A logs to a MemCheckpoint and is
+// cancelled part way; scan B, over other relays, measures into A's series;
+// A's log must still replay each half A measured with A's minimum for its
+// path, and Resume from it must seed those, measuring only the halves A
+// never logged and estimating every pair at 100.
+func TestPooledLogKeepsItsHalves(t *testing.T) {
+	namesA, namesB := make([]string, 10), make([]string, 10)
+	for i := range namesA {
+		namesA[i], namesB[i] = fmt.Sprintf("relay%02d", i), fmt.Sprintf("relay%02d", 10+i)
+	}
+	scanner := func(p *relayProber, cp Checkpoint) *Scanner {
+		return &Scanner{
+			NewMeasurer: func(int) (*Measurer, error) {
+				return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 2})
+			},
+			Workers:    1,
+			Checkpoint: cp,
+		}
+	}
+	ctx := t.Context()
+	for round := 0; round < 5; round++ {
+		cctx, cancel := context.WithCancel(ctx)
+		a := &relayProber{}
+		a.gate = func(ctx context.Context) error {
+			if a.fulls.Load() >= 4 {
+				cancel()
+				return ctx.Err()
+			}
+			return nil
+		}
+		logA := &MemCheckpoint{}
+		_, _, err := scanner(a, logA).Scan(cctx, namesA)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: scan A returned %v, want context.Canceled", round, err)
+		}
+		if _, _, err := scanner(&relayProber{}, nil).Scan(ctx, namesB); err != nil {
+			t.Fatalf("round %d: scan B: %v", round, err)
+		}
+
+		st, err := ReplayState(logA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged := 0
+		for _, h := range st.Halves {
+			if len(h.Path) != 2 || h.Path[0] != "w" || !slices.Contains(namesA, h.Path[1]) || h.Min != relayNumber(h.Path[1]) {
+				t.Fatalf("round %d: A's log replays half %v at %v, want one of A's relays at its own minimum", round, h.Path, h.Min)
+			}
+			logged++
+		}
+		if logged == 0 || logged == len(namesA) {
+			t.Fatalf("round %d: A logged %d of %d halves, want the cancellation mid-scan", round, logged, len(namesA))
+		}
+		r := &relayProber{}
+		m, failures, err := scanner(r, logA).Resume(ctx, logA)
+		if err != nil || len(failures) != 0 {
+			t.Fatalf("round %d: Resume = %v, %v", round, failures, err)
+		}
+		for i, x := range namesA {
+			for _, y := range namesA[i+1:] {
+				if v, err := m.RTT(x, y); err != nil || v != 100 {
+					t.Fatalf("round %d: resumed (%s,%s) = %v, %v; want 100", round, x, y, v, err)
+				}
+			}
+		}
+		if got, want := r.halves.Load(), int64(len(namesA)-logged); got != want {
+			t.Errorf("round %d: Resume measured %d half series, want the %d A never logged", round, got, want)
+		}
 	}
 }
