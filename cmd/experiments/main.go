@@ -12,19 +12,64 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ting/internal/experiments"
 	"ting/internal/stats"
+	"ting/internal/wal"
 )
 
+// figure is one name -fig accepts and what regenerates it.
+type figure struct {
+	name string
+	run  func(*runner) error
+}
+
+// figures is every figure the command regenerates, in the order -fig all
+// runs them; it also spells out the -fig usage.
+var figures = []figure{
+	{"3", (*runner).runFig3},
+	{"4", (*runner).runFig4},
+	{"5", (*runner).runFig5},
+	{"6", (*runner).runFig6},
+	{"7", (*runner).runFig7},
+	{"8", (*runner).runFig8},
+	{"9", (*runner).runFig9},
+	{"10", (*runner).runFig10},
+	{"11", (*runner).runFig11},
+	{"12", (*runner).runFig12},
+	{"13", (*runner).runFig13},
+	{"14", (*runner).runFig14},
+	{"15", (*runner).runFig15},
+	{"16", (*runner).runFig16},
+	{"17", (*runner).runFig17},
+	{"18", (*runner).runFig18},
+	{"headlines", (*runner).runHeadlines},
+	{"ablations", (*runner).runAblations},
+	{"king", (*runner).runKing},
+	{"defenses", (*runner).runDefenses},
+	{"selection", (*runner).runSelection},
+	{"completion", (*runner).runCompletion},
+}
+
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
 var (
-	figFlag   = flag.String("fig", "all", "figure to regenerate: 3..18, headlines, ablations, king, defenses, selection, completion, or all")
+	figFlag   = flag.String("fig", "all", "figures to regenerate, comma-separated: "+strings.Join(figureNames(), ", ")+", or all")
 	outFlag   = flag.String("out", "data", "directory for .dat series")
 	quickFlag = flag.Bool("quick", false, "run at reduced scale (for smoke tests)")
 	seedFlag  = flag.Int64("seed", 42, "base random seed")
@@ -38,17 +83,8 @@ func main() {
 		log.Fatal(err)
 	}
 	r := &runner{out: *outFlag, quick: *quickFlag, seed: *seedFlag}
-
-	figs := strings.Split(*figFlag, ",")
-	if *figFlag == "all" {
-		figs = []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
-			"14", "15", "16", "17", "18", "headlines", "ablations",
-			"king", "defenses", "selection", "completion"}
-	}
-	for _, f := range figs {
-		if err := r.run(strings.TrimSpace(f)); err != nil {
-			log.Fatalf("fig %s: %v", f, err)
-		}
+	if err := r.run(*figFlag); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -68,6 +104,39 @@ type runner struct {
 	f18 *experiments.Fig18Result
 }
 
+// run regenerates a comma-separated list of figures, or every figure in
+// table order for "all".
+func (r *runner) run(list string) error {
+	names := strings.Split(list, ",")
+	if list == "all" {
+		names = figureNames()
+	}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(figures, func(f figure) bool { return f.name == name })
+		if i < 0 {
+			return fmt.Errorf("fig %s: unknown figure %q", name, name)
+		}
+		if err := figures[i].run(r); err != nil {
+			return fmt.Errorf("fig %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// memo returns *slot, computing and storing it on first use. A failed
+// computation stores nothing.
+func memo[T any](slot **T, compute func() (*T, error)) (*T, error) {
+	if *slot == nil {
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		*slot = v
+	}
+	return *slot, nil
+}
+
 func (r *runner) fig3cfg() experiments.Fig3Config {
 	cfg := experiments.Fig3Config{Ordered: true, Seed: r.seed}
 	if r.quick {
@@ -77,48 +146,31 @@ func (r *runner) fig3cfg() experiments.Fig3Config {
 }
 
 func (r *runner) ensureF3() (*experiments.Fig3Result, error) {
-	if r.f3 == nil {
-		res, err := experiments.Fig3(r.fig3cfg())
-		if err != nil {
-			return nil, err
-		}
-		r.f3 = res
-	}
-	return r.f3, nil
+	return memo(&r.f3, func() (*experiments.Fig3Result, error) { return experiments.Fig3(r.fig3cfg()) })
 }
 
 func (r *runner) ensureF9() (*experiments.Fig9Result, error) {
-	if r.f9 == nil {
+	return memo(&r.f9, func() (*experiments.Fig9Result, error) {
 		cfg := experiments.Fig9Config{Seed: r.seed}
 		if r.quick {
 			cfg = experiments.Fig9Config{WorldNodes: 40, PairCount: 12, Hours: 24, Samples: 80, Seed: r.seed}
 		}
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.f9 = res
-	}
-	return r.f9, nil
+		return experiments.Fig9(cfg)
+	})
 }
 
 func (r *runner) ensureF11() (*experiments.Fig11Result, error) {
-	if r.f11 == nil {
+	return memo(&r.f11, func() (*experiments.Fig11Result, error) {
 		cfg := experiments.Fig11Config{Seed: r.seed}
 		if r.quick {
 			cfg = experiments.Fig11Config{Nodes: 25, Samples: 60, Seed: r.seed}
 		}
-		res, err := experiments.Fig11(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.f11 = res
-	}
-	return r.f11, nil
+		return experiments.Fig11(cfg)
+	})
 }
 
 func (r *runner) ensureF12() (*experiments.Fig12Result, error) {
-	if r.f12 == nil {
+	return memo(&r.f12, func() (*experiments.Fig12Result, error) {
 		f11, err := r.ensureF11()
 		if err != nil {
 			return nil, err
@@ -127,32 +179,22 @@ func (r *runner) ensureF12() (*experiments.Fig12Result, error) {
 		if r.quick {
 			cfg.Trials = 200
 		}
-		res, err := experiments.Fig12(f11, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.f12 = res
-	}
-	return r.f12, nil
+		return experiments.Fig12(f11, cfg)
+	})
 }
 
 func (r *runner) ensureF14() (*experiments.Fig14Result, error) {
-	if r.f14 == nil {
+	return memo(&r.f14, func() (*experiments.Fig14Result, error) {
 		f11, err := r.ensureF11()
 		if err != nil {
 			return nil, err
 		}
-		res, err := experiments.Fig14(f11)
-		if err != nil {
-			return nil, err
-		}
-		r.f14 = res
-	}
-	return r.f14, nil
+		return experiments.Fig14(f11)
+	})
 }
 
 func (r *runner) ensureF16() (*experiments.Fig16Result, error) {
-	if r.f16 == nil {
+	return memo(&r.f16, func() (*experiments.Fig16Result, error) {
 		f11, err := r.ensureF11()
 		if err != nil {
 			return nil, err
@@ -161,96 +203,36 @@ func (r *runner) ensureF16() (*experiments.Fig16Result, error) {
 		if r.quick {
 			cfg.Samples = 3000
 		}
-		res, err := experiments.Fig16(f11, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.f16 = res
-	}
-	return r.f16, nil
+		return experiments.Fig16(f11, cfg)
+	})
 }
 
 func (r *runner) ensureF18() (*experiments.Fig18Result, error) {
-	if r.f18 == nil {
+	return memo(&r.f18, func() (*experiments.Fig18Result, error) {
 		cfg := experiments.Fig18Config{Seed: r.seed}
 		if r.quick {
 			cfg = experiments.Fig18Config{Days: 20, Relays: 2000, Seed: r.seed}
 		}
-		res, err := experiments.Fig18(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.f18 = res
-	}
-	return r.f18, nil
+		return experiments.Fig18(cfg)
+	})
 }
 
-func (r *runner) run(fig string) error {
-	switch fig {
-	case "3":
-		return r.runFig3()
-	case "4":
-		return r.runFig4()
-	case "5":
-		return r.runFig5()
-	case "6":
-		return r.runFig6()
-	case "7":
-		return r.runFig7()
-	case "8":
-		return r.runFig8()
-	case "9":
-		return r.runFig9()
-	case "10":
-		return r.runFig10()
-	case "11":
-		return r.runFig11()
-	case "12":
-		return r.runFig12()
-	case "13":
-		return r.runFig13()
-	case "14":
-		return r.runFig14()
-	case "15":
-		return r.runFig15()
-	case "16":
-		return r.runFig16()
-	case "17":
-		return r.runFig17()
-	case "18":
-		return r.runFig18()
-	case "headlines":
-		return r.runHeadlines()
-	case "ablations":
-		return r.runAblations()
-	case "king":
-		return r.runKing()
-	case "defenses":
-		return r.runDefenses()
-	case "selection":
-		return r.runSelection()
-	case "completion":
-		return r.runCompletion()
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
-	}
-}
-
-// writeDat writes whitespace-separated rows.
+// writeDat publishes whitespace-separated rows under a "# header" line
+// through wal.WriteFile: a failed write or close is returned, and a crash
+// leaves the old file or the new one, never part of either.
 func (r *runner) writeDat(name, header string, rows [][]float64) error {
 	path := filepath.Join(r.out, name)
-	f, err := os.Create(path)
+	err := wal.WriteFile(path, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		fmt.Fprintf(bw, "# %s\n", header)
+		for _, row := range rows {
+			// fmt prints a []float64 as "[v1 v2 …]", each value %g.
+			fmt.Fprintln(bw, strings.Trim(fmt.Sprint(row), "[]"))
+		}
+		return bw.Flush()
+	})
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# %s\n", header)
-	for _, row := range rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = fmt.Sprintf("%g", v)
-		}
-		fmt.Fprintln(f, strings.Join(parts, " "))
 	}
 	fmt.Printf("  wrote %s (%d rows)\n", path, len(rows))
 	return nil
@@ -451,12 +433,7 @@ func (r *runner) runFig12() error {
 		if err != nil {
 			return err
 		}
-		vals, ps := c.Points()
-		rows := make([][]float64, len(vals))
-		for i := range vals {
-			rows[i] = []float64{vals[i], ps[i]}
-		}
-		if err := r.writeDat("fig12_"+s+".dat", "fraction-tested cumulative-fraction", rows); err != nil {
+		if err := r.writeDat("fig12_"+s+".dat", "fraction-tested cumulative-fraction", cdfPoints(c, nil)); err != nil {
 			return err
 		}
 	}
@@ -466,13 +443,10 @@ func (r *runner) runFig12() error {
 	}
 	fmt.Printf("Fig 12: speedup %.2fx (paper: 1.5x unweighted)\n", sp)
 
-	// Footnote 5: the same attack when circuits are bandwidth-weighted.
-	f11, err := r.ensureF11()
-	if err != nil {
-		return err
-	}
+	// Footnote 5: the same attack when circuits are bandwidth-weighted,
+	// over the Fig 11 data ensureF12 has computed.
 	cfg := experiments.Fig12Config{Trials: len(res.Trials), Seed: r.seed, Weighted: true}
-	wres, err := experiments.Fig12(f11, cfg)
+	wres, err := experiments.Fig12(r.f11, cfg)
 	if err != nil {
 		return err
 	}
@@ -504,10 +478,7 @@ func (r *runner) runFig14() error {
 	if err != nil {
 		return err
 	}
-	med := 0.0
-	if len(res.Summary.Savings) > 0 {
-		med, _ = stats.Median(res.Summary.Savings)
-	}
+	med, _ := stats.Median(res.Summary.Savings) // 0 with no savings
 	fmt.Printf("Fig 14: %.1f%% of pairs have a TIV (paper 69%%); median saving %.1f%% (paper 7.5%%)\n",
 		100*res.Summary.FractionWithTIV(), 100*med)
 	pct := make([]float64, len(res.Summary.Savings))

@@ -327,6 +327,10 @@ func runWorker(ctx context.Context, world *experiments.World) int {
 }
 
 func runSingle(ctx context.Context, world *experiments.World) int {
+	if *outFlag == "" {
+		log.Print("-single needs -out")
+		return 2
+	}
 	sc := &ting.Scanner{
 		NewMeasurer: func(int) (*ting.Measurer, error) { return world.ExactMeasurer(*samples) },
 		Workers:     *scanWk,
@@ -338,10 +342,6 @@ func runSingle(ctx context.Context, world *experiments.World) int {
 	}
 	if len(failures) > 0 {
 		log.Printf("%d pairs failed", len(failures))
-		return 2
-	}
-	if *outFlag == "" {
-		log.Print("-single needs -out")
 		return 2
 	}
 	if err := m.WriteFile(*outFlag); err != nil {

@@ -504,6 +504,50 @@ func TestConnRefusesLongReplyLine(t *testing.T) {
 	}
 }
 
+// TestControlSessionBufferGrowsOnDemand: a control session's line buffer
+// starts small and grows toward maxLine only for a long line, so 32
+// sessions that each complete one short exchange allocate well under one
+// maxLine buffer apiece.
+func TestControlSessionBufferGrowsOnDemand(t *testing.T) {
+	cl, err := client.New(client.Config{Dialer: link.NewPipeNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Client: cl, Registry: directory.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeControl(ln)
+	defer srv.Close()
+	const sessions = 32
+	reply := make([]byte, len("250 OK\r\n"))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte("AUTHENTICATE\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil || string(reply) != "250 OK\r\n" {
+			t.Fatalf("session %d: %q, %v", i, reply, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(sessions*16<<10); grew >= limit {
+		t.Errorf("%d one-exchange control sessions allocated %d bytes, want under %d", sessions, grew, limit)
+	}
+}
+
 // TestControlPortRefusesOverlongLine: a control-port peer that sends 1 MiB
 // with no newline is answered with a 500 line naming the bound before the
 // port hangs up, as the data port answers its own overlong request line.

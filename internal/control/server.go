@@ -149,7 +149,7 @@ func (s *Server) handleControl(conn net.Conn) {
 	sess := &session{s: s, conn: conn}
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, maxLine), maxLine)
+	sc.Buffer(nil, maxLine) // starts at 4 KiB; grows only for a long line
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

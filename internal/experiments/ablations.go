@@ -66,12 +66,7 @@ func AblationAggregator(cfg AblationConfig) ([]AggregatorResult, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	for p := 0; p < cfg.Pairs; p++ {
-		xi := rng.Intn(len(w.Names))
-		yi := xi
-		for yi == xi {
-			yi = rng.Intn(len(w.Names))
-		}
-		x, y := w.Names[xi], w.Names[yi]
+		x, y := w.randomPair(rng)
 		full, err := prober.SampleCircuit(context.Background(), []string{w.W, x, y, w.Z}, cfg.Samples)
 		if err != nil {
 			return nil, err
@@ -146,12 +141,7 @@ func AblationStrawman(cfg AblationConfig) (*StrawmanResult, error) {
 	var tingRatios, strawRatios, biasedStraw, cleanStraw []float64
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	for p := 0; p < cfg.Pairs; p++ {
-		xi := rng.Intn(len(w.Names))
-		yi := xi
-		for yi == xi {
-			yi = rng.Intn(len(w.Names))
-		}
-		x, y := w.Names[xi], w.Names[yi]
+		x, y := w.randomPair(rng)
 		truth, err := w.TrueRTT(x, y)
 		if err != nil {
 			return nil, err
@@ -234,12 +224,7 @@ func AblationSamples(cfg AblationConfig, counts []int) ([]SamplesSweepPoint, err
 	type pair struct{ x, y string }
 	pairs := make([]pair, cfg.Pairs)
 	for p := range pairs {
-		xi := rng.Intn(len(w.Names))
-		yi := xi
-		for yi == xi {
-			yi = rng.Intn(len(w.Names))
-		}
-		pairs[p] = pair{w.Names[xi], w.Names[yi]}
+		pairs[p].x, pairs[p].y = w.randomPair(rng)
 	}
 
 	var out []SamplesSweepPoint

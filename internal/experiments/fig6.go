@@ -84,12 +84,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 
 	res := &Fig6Result{Samples: cfg.Samples}
 	for p := 0; p < cfg.Pairs; p++ {
-		xi := rng.Intn(len(w.Names))
-		yi := xi
-		for yi == xi {
-			yi = rng.Intn(len(w.Names))
-		}
-		x, y := w.Names[xi], w.Names[yi]
+		x, y := w.randomPair(rng)
 		series, err := m.SampleSeries(context.Background(), x, y, cfg.Samples)
 		if err != nil {
 			return nil, err

@@ -91,12 +91,7 @@ func KingComparison(cfg KingConfig) (*KingResult, error) {
 
 	res := &KingResult{}
 	for p := 0; p < cfg.Pairs; p++ {
-		xi := rng.Intn(len(w.Names))
-		yi := xi
-		for yi == xi {
-			yi = rng.Intn(len(w.Names))
-		}
-		x, y := w.Names[xi], w.Names[yi]
+		x, y := w.randomPair(rng)
 		truth, err := w.TrueRTT(x, y)
 		if err != nil {
 			return nil, err

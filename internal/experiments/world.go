@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ting/internal/geo"
 	"ting/internal/inet"
@@ -108,6 +109,17 @@ func (w *World) TrueRTT(x, y string) (float64, error) {
 		return 0, fmt.Errorf("experiments: unknown relay %q", y)
 	}
 	return w.Topo.RTT(xi, yi), nil
+}
+
+// randomPair draws two distinct relay names uniformly, redrawing the second
+// until it differs from the first.
+func (w *World) randomPair(rng *rand.Rand) (x, y string) {
+	xi := rng.Intn(len(w.Names))
+	yi := xi
+	for yi == xi {
+		yi = rng.Intn(len(w.Names))
+	}
+	return w.Names[xi], w.Names[yi]
 }
 
 // PingTruth returns the paper's notion of "real" RTT for a pair: the

@@ -1,6 +1,10 @@
-// Package netutil bounds the servers' listeners: every socket server in
-// the repository accepts through LimitListener, so none holds more than
-// MaxConns open connections however many peers connect.
+// Package netutil bounds the servers' listeners. tingd's HTTP listener,
+// the directory transport, the control ports and the debug listener
+// (telemetry.Serve) accept through LimitListener, so none holds more than
+// MaxConns open connections however many peers connect. serve.BinaryServer
+// does not: it admits connections itself, up to the same MaxConns, so that
+// one over the limit is answered statusOverloaded instead of waiting
+// unanswered in the backlog.
 package netutil
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"ting/internal/stats"
 	"ting/internal/ting"
 )
 
@@ -123,21 +124,5 @@ func MedianRTT(circs []CircuitSample) (float64, error) {
 	for i, c := range circs {
 		vals[i] = c.RTTms
 	}
-	// Inline median to avoid a stats import cycle concern (none exists,
-	// but the computation is two lines).
-	return medianOf(vals), nil
-}
-
-func medianOf(vals []float64) float64 {
-	cp := append([]float64(nil), vals...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	m := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[m]
-	}
-	return (cp[m-1] + cp[m]) / 2
+	return stats.Median(vals)
 }

@@ -131,8 +131,9 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Serve starts the debug HTTP server on addr in the background and returns
-// the bound address (useful with ":0") and a shutdown function. Like every
-// socket server here it holds at most netutil.MaxConns connections open.
+// the bound address (useful with ":0") and a shutdown function. It accepts
+// through netutil.LimitListener, so it holds at most netutil.MaxConns
+// connections open.
 func Serve(addr string, r *Registry) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
