@@ -20,21 +20,11 @@ func (t *Topology) AddColocated(base NodeID, name string) NodeID {
 		BandwidthKBps: bn.BandwidthKBps,
 	}
 	t.Nodes = append(t.Nodes, n)
-	for i := range t.rtt {
-		var v float64
-		switch NodeID(i) {
-		case base:
-			v = 0.05
-		default:
-			v = t.rtt[i][base]
-		}
-		t.rtt[i] = append(t.rtt[i], v)
+	row := make([]float64, id+1)
+	for i := range id {
+		row[i] = t.RTT(i, base)
 	}
-	row := make([]float64, len(t.Nodes))
-	for i := range t.rtt {
-		row[i] = t.rtt[i][id]
-	}
-	row[id] = 0
+	row[base] = 0.05
 	t.rtt = append(t.rtt, row)
 	return id
 }

@@ -1,8 +1,12 @@
 package inet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -347,21 +351,96 @@ func TestAddHostAndColocated(t *testing.T) {
 	if topo.N() != 13 {
 		t.Fatalf("N after AddHost = %d", topo.N())
 	}
-	if topo.RTT(host, host) != 0.05 {
-		t.Errorf("host self-RTT = %v, want loopback 0.05", topo.RTT(host, host))
-	}
 	w := topo.AddColocated(host, "w")
-	if topo.RTT(host, w) != 0.05 {
-		t.Errorf("host-w RTT = %v, want 0.05", topo.RTT(host, w))
+	z := topo.AddColocated(host, "z")
+	if topo.N() != 15 {
+		t.Fatalf("N after AddColocated twice = %d", topo.N())
 	}
-	for i := NodeID(0); i < 12; i++ {
-		if topo.RTT(w, i) != topo.RTT(host, i) {
-			t.Errorf("colocated RTT mismatch at node %d: %v vs %v",
-				i, topo.RTT(w, i), topo.RTT(host, i))
+	local := map[NodeID]bool{host: true, w: true, z: true}
+	for i := NodeID(0); int(i) < topo.N(); i++ {
+		for j := NodeID(0); int(j) < topo.N(); j++ {
+			if topo.RTT(i, j) != topo.RTT(j, i) {
+				t.Errorf("RTT(%d,%d) = %v but RTT(%d,%d) = %v", i, j, topo.RTT(i, j), j, i, topo.RTT(j, i))
+			}
 		}
-		if topo.RTT(i, w) != topo.RTT(w, i) {
-			t.Errorf("colocated RTT asymmetric at node %d", i)
+		want := 0.0
+		if i == host {
+			want = 0.05 // loopback
 		}
+		if got := topo.RTT(i, i); got != want {
+			t.Errorf("self-RTT(%d) = %v, want %v", i, got, want)
+		}
+		if local[i] {
+			continue
+		}
+		for _, c := range []NodeID{w, z} {
+			if topo.RTT(i, c) != topo.RTT(i, host) {
+				t.Errorf("RTT(%d,%d) = %v, want the host's %v", i, c, topo.RTT(i, c), topo.RTT(i, host))
+			}
+		}
+	}
+	for _, p := range [][2]NodeID{{host, w}, {host, z}, {w, z}} {
+		if got := topo.RTT(p[0], p[1]); got != 0.05 {
+			t.Errorf("RTT(%d,%d) = %v, want 0.05", p[0], p[1], got)
+		}
+	}
+	// Colocated with a relay, a node is one loopback hop from it, too.
+	v := topo.AddColocated(5, "v")
+	if topo.RTT(5, v) != 0.05 || topo.RTT(v, v) != 0 || topo.RTT(v, 7) != topo.RTT(5, 7) {
+		t.Errorf("colocated with relay 5: RTT(5,v) = %v, RTT(v,v) = %v, RTT(v,7) = %v vs %v",
+			topo.RTT(5, v), topo.RTT(v, v), topo.RTT(v, 7), topo.RTT(5, 7))
+	}
+	topo.OverrideRTT(3, 9, 123)
+	topo.OverrideRTT(z, 4, 7)
+	if topo.RTT(3, 9) != 123 || topo.RTT(9, 3) != 123 || topo.RTT(4, z) != 7 || topo.RTT(z, 4) != 7 {
+		t.Errorf("override not seen from both orders: %v %v %v %v",
+			topo.RTT(3, 9), topo.RTT(9, 3), topo.RTT(4, z), topo.RTT(z, 4))
+	}
+}
+
+// TestWorldRTTsUnchanged pins every ground-truth RTT of a small world — a
+// generated topology plus a host and two relays colocated with it, the
+// shape experiments build — to a hash of its values, so a change to how
+// the matrix is stored or grown cannot move one.
+func TestWorldRTTsUnchanged(t *testing.T) {
+	topo := mustGenerate(t, Config{N: 64, Seed: 1})
+	host := topo.AddHost("h", geo.Coord{Lat: 38.99, Lon: -76.94}, 1)
+	topo.AddColocated(host, "w")
+	topo.AddColocated(host, "z")
+	h := sha256.New()
+	var buf [8]byte
+	for i := NodeID(0); int(i) < topo.N(); i++ {
+		for j := i; int(j) < topo.N(); j++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(topo.RTT(i, j)))
+			h.Write(buf[:])
+		}
+	}
+	const want = "cb6ae9eb90cdedebcbd167ecf19ce60d80eec3a119d271b872a996caf9dac7d0"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("RTT hash = %s, want %s", got, want)
+	}
+}
+
+// TestWorldBuildAllocs holds a world's build to one triangle of RTTs: a
+// 2000-relay Generate plus a host and two colocated relays stores about two
+// million distinct values, 16 MB, and may allocate 20 MB in all. Both
+// triangles would take 32 MB, and regrowing every row to append one more.
+func TestWorldBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	topo := mustGenerate(t, Config{N: 2000, Seed: 1})
+	host := topo.AddHost("h", geo.Coord{Lat: 38.99, Lon: -76.94}, 1)
+	topo.AddColocated(host, "w")
+	topo.AddColocated(host, "z")
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%.1f MB to build a 2000-relay world", mb)
+	if mb >= 20 {
+		t.Errorf("%.1f MB to build a 2000-relay world, want < 20", mb)
 	}
 }
 

@@ -194,18 +194,15 @@ func (t *Topology) AddHost(name string, coord geo.Coord, seed int64) NodeID {
 		BandwidthKBps: 50000,
 	}
 	t.Nodes = append(t.Nodes, n)
-	for i := range t.rtt {
+	row := make([]float64, id+1)
+	for i := range id {
 		base := geo.MinRTTMs(t.Nodes[i].Coord, coord)
 		infl := 1 + lognormal(inflationMu, inflationSigma, rng)
 		rtt := base*infl + t.Nodes[i].AccessMs + n.AccessMs
 		if rtt < 0.2 {
 			rtt = 0.2
 		}
-		t.rtt[i] = append(t.rtt[i], rtt)
-	}
-	row := make([]float64, len(t.Nodes))
-	for i := range t.rtt {
-		row[i] = t.rtt[i][id]
+		row[i] = rtt
 	}
 	row[id] = 0.05 // loopback
 	t.rtt = append(t.rtt, row)

@@ -1,0 +1,5 @@
+//go:build race
+
+package inet
+
+const raceEnabled = true

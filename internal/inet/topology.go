@@ -97,7 +97,10 @@ type Node struct {
 // between them.
 type Topology struct {
 	Nodes []*Node
-	rtt   [][]float64 // milliseconds, symmetric, zero diagonal
+	// rtt is the matrix's lower triangle in milliseconds: row i holds
+	// RTT(i, j) for j ≤ i, so each pair is stored once and symmetry holds
+	// by construction. The diagonal is 0 but for a host's loopback 0.05.
+	rtt [][]float64
 }
 
 // Config parameterizes topology generation.
@@ -179,7 +182,7 @@ func Generate(cfg Config) (*Topology, error) {
 
 	t := &Topology{Nodes: nodes, rtt: make([][]float64, cfg.N)}
 	for i := range t.rtt {
-		t.rtt[i] = make([]float64, cfg.N)
+		t.rtt[i] = make([]float64, i+1)
 	}
 	for i := 0; i < cfg.N; i++ {
 		for j := i + 1; j < cfg.N; j++ {
@@ -191,7 +194,6 @@ func Generate(cfg Config) (*Topology, error) {
 			if rtt < 0.2 {
 				rtt = 0.2
 			}
-			t.rtt[i][j] = rtt
 			t.rtt[j][i] = rtt
 		}
 	}
@@ -283,7 +285,7 @@ func (t *Topology) N() int { return len(t.Nodes) }
 
 // RTT returns the ground-truth Tor-path round-trip time between nodes i and
 // j in milliseconds. It panics on out-of-range IDs, matching slice semantics.
-func (t *Topology) RTT(i, j NodeID) float64 { return t.rtt[i][j] }
+func (t *Topology) RTT(i, j NodeID) float64 { return t.rtt[max(i, j)][min(i, j)] }
 
 // Node returns the node with the given ID, or nil if out of range.
 func (t *Topology) Node(id NodeID) *Node {
@@ -296,6 +298,5 @@ func (t *Topology) Node(id NodeID) *Node {
 // OverrideRTT replaces the ground-truth RTT for a pair; tests use this to
 // construct exact scenarios.
 func (t *Topology) OverrideRTT(i, j NodeID, ms float64) {
-	t.rtt[i][j] = ms
-	t.rtt[j][i] = ms
+	t.rtt[max(i, j)][min(i, j)] = ms
 }
