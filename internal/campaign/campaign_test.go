@@ -365,6 +365,120 @@ func TestCompleteAllocs(t *testing.T) {
 	}
 }
 
+// TestLeaseAffinity: two workers that each hold a lease while the other
+// acquires, over Partition(400, 256), keep to tile blocks of their own:
+// each block's shards go to one worker, but for at most one block per
+// worker, where one ran out of blocks of its own and finished the other's.
+// Affinity never holds up expiry: a silent worker's shard is re-granted at
+// a higher epoch, and its late completion is fenced. Acquire allocates
+// nothing for a worker it has granted to before.
+func TestLeaseAffinity(t *testing.T) {
+	names := fakeNames(400)
+	shards := Partition(len(names), 256)
+	clock := newFakeClock()
+	c, err := NewCoordinator(names, shards, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.clock = clock.now
+	workers := []string{"w1", "w2"}
+	owners := map[[2]int]map[string]bool{}
+	held := map[string]Lease{}
+	acquire := func(w string) bool {
+		t.Helper()
+		l, res, err := c.Acquire(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != AcquireGranted {
+			return false
+		}
+		block := [2]int{l.Shard.TI, l.Shard.TJ}
+		if owners[block] == nil {
+			owners[block] = map[string]bool{}
+		}
+		owners[block][w] = true
+		held[w] = l
+		return true
+	}
+	complete := func(w string) {
+		t.Helper()
+		l := held[w]
+		if err := c.Complete(w, l.Shard.ID, l.Epoch, fullResults(t, l.Shard, names)); err != nil {
+			t.Fatal(err)
+		}
+		delete(held, w)
+	}
+	for _, w := range workers {
+		acquire(w)
+	}
+	for len(held) > 0 {
+		for _, w := range workers {
+			if _, ok := held[w]; ok {
+				complete(w)
+				acquire(w)
+			}
+		}
+	}
+	if st := c.Snapshot(); st.Done != len(shards) {
+		t.Fatalf("%d of %d shards done", st.Done, len(shards))
+	}
+	shared := map[string]int{}
+	for block, by := range owners {
+		if len(by) > 1 {
+			t.Logf("block %v shared by %v", block, by)
+			for w := range by {
+				shared[w]++
+			}
+		}
+	}
+	for _, w := range workers {
+		if shared[w] > 1 {
+			t.Errorf("%s shares %d of %d blocks, want at most 1", w, shared[w], len(owners))
+		}
+	}
+
+	// Expiry: w1 goes silent inside its block, w2 keeps working; the
+	// first grant of w1's shard after the TTL is at a higher epoch.
+	c, err = NewCoordinator(names, shards, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.clock = clock.now
+	clear(held)
+	acquire("w1")
+	acquire("w2")
+	silent := held["w1"]
+	clock.advance(2 * time.Second)
+	for {
+		complete("w2")
+		if !acquire("w2") {
+			t.Fatalf("w2 ran out of shards before %s was re-granted", silent.Shard.ID)
+		}
+		if held["w2"].Shard.ID == silent.Shard.ID {
+			break
+		}
+	}
+	if again := held["w2"]; again.Epoch <= silent.Epoch {
+		t.Fatalf("expired shard %s re-granted at epoch %d, not above %d", silent.Shard.ID, again.Epoch, silent.Epoch)
+	}
+	if err := c.Complete("w1", silent.Shard.ID, silent.Epoch, fullResults(t, silent.Shard, names)); !errors.Is(err, ErrFenced) {
+		t.Fatalf("the silent worker's late completion: %v, want ErrFenced", err)
+	}
+
+	// A warm worker's grant: no map entry, no scratch, no lease to build.
+	l := held["w2"]
+	st := c.byID[l.Shard.ID]
+	if allocs := testing.AllocsPerRun(20, func() {
+		st.phase = shardPending // grant it again
+		if got, _, err := c.Acquire("w2"); err != nil || got.Shard.ID != l.Shard.ID {
+			t.Fatalf("re-grant of %s: %s, %v", l.Shard.ID, got.Shard.ID, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Acquire: %.1f allocations, want 0", allocs)
+	}
+}
+
 // TestMergedMatchesSubmissions: the coordinator's merge output holds
 // exactly the submitted values, with failed pairs left missing.
 func TestMergedMatchesSubmissions(t *testing.T) {

@@ -62,6 +62,7 @@ type shardState struct {
 	deadline   time.Time
 	reassigned int
 	failed     int // pairs the accepted submission marked failed
+	block      int // the shard's tile block, numbered by first appearance in canonical order
 }
 
 // Coordinator owns a campaign's shard ledger: it grants leases, renews
@@ -93,6 +94,13 @@ type Coordinator struct {
 	// rtts holds the named submission Complete is accepting in its index
 	// form, reused from one call to the next.
 	rtts []float64
+	// lastBlock is the tile block of each worker's latest grant, which
+	// Acquire prefers to grant it from again. It lives in memory only: a
+	// recovered coordinator starts without it.
+	lastBlock map[string]int
+	// busy is Acquire's scratch, one flag per tile block: does another
+	// worker hold a live lease there.
+	busy []bool
 
 	granted, renewed, expired, fenced, completed *telemetry.Counter
 
@@ -128,6 +136,7 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		TTL:        ttl,
 		names:      ledger.Names(), // the ledger's own copy, never grown
 		byID:       make(map[string]*shardState, len(shards)),
+		lastBlock:  map[string]int{},
 		remaining:  len(shards),
 		done:       make(chan struct{}),
 		granted:    treg.Counter("campaign.lease.granted"),
@@ -140,15 +149,22 @@ func NewCoordinator(names []string, shards []Shard, ttl time.Duration, treg *tel
 		jCompacted: treg.Counter("campaign.journal.compacted"),
 		recoveries: treg.Counter("campaign.coordinator.recoveries"),
 	}
+	blocks := map[[2]int]int{}
 	for _, sh := range shards {
 		// Reject shards that don't fit the name set now, not at merge time.
 		if err := sh.fits(len(c.names)); err != nil {
 			return nil, err
 		}
-		st := &shardState{shard: sh}
+		b, ok := blocks[[2]int{sh.TI, sh.TJ}]
+		if !ok {
+			b = len(blocks)
+			blocks[[2]int{sh.TI, sh.TJ}] = b
+		}
+		st := &shardState{shard: sh, block: b}
 		c.order = append(c.order, st)
 		c.byID[sh.ID] = st
 	}
+	c.busy = make([]bool, len(blocks))
 	if err := checkDisjoint(shards); err != nil {
 		return nil, err
 	}
@@ -325,8 +341,13 @@ const (
 	AcquireDone
 )
 
-// Acquire grants the first pending shard (canonical order) to worker,
-// stamping a fresh fencing epoch and a TTL deadline. On a journaled
+// Acquire grants worker a pending shard, stamping a fresh fencing epoch
+// and a TTL deadline. It keeps a worker to one tile block, so a worker's
+// ledger allocates the tiles of its own blocks rather than nearly every
+// tile of the matrix: it grants the first pending shard, in canonical
+// order, of the block of worker's previous grant; else of a block where no
+// other worker holds a live lease; else the first pending shard. Which
+// shard a worker gets never changes what a shard measures. On a journaled
 // coordinator the grant record — which carries the epoch watermark — is
 // fsynced to the journal before the lease is handed out, so a recovered
 // coordinator can never reissue an epoch any worker has ever seen. A
@@ -339,33 +360,64 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireResult, error) {
 	if c.remaining == 0 {
 		return Lease{}, AcquireDone, nil
 	}
+	st := c.pickLocked(worker)
+	if st == nil {
+		return Lease{}, AcquireNone, nil
+	}
+	epoch := c.nextEpoch + 1
+	deadline := now.Add(c.TTL)
+	if c.journal != nil {
+		rec := journalRecord{
+			Kind:     journalGrant,
+			Shard:    st.shard.ID,
+			Worker:   worker,
+			Epoch:    epoch,
+			Deadline: deadline.UnixNano(),
+		}
+		if err := c.journalAppend(rec); err != nil {
+			return Lease{}, AcquireNone, err
+		}
+	}
+	c.nextEpoch = epoch
+	st.phase = shardLeased
+	st.worker = worker
+	st.epoch = epoch
+	st.deadline = deadline
+	c.lastBlock[worker] = st.block
+	c.granted.Inc()
+	return Lease{Shard: st.shard, Epoch: st.epoch, TTL: c.TTL}, AcquireGranted, nil
+}
+
+// pickLocked is the pending shard Acquire grants worker, nil when there is
+// none. Two passes over the shards, no allocation. Called under c.mu, after
+// an expiry pass.
+func (c *Coordinator) pickLocked(worker string) *shardState {
+	clear(c.busy)
+	for _, st := range c.order {
+		if st.phase == shardLeased && st.worker != worker {
+			c.busy[st.block] = true
+		}
+	}
+	prev, ok := c.lastBlock[worker]
+	var first, free *shardState
 	for _, st := range c.order {
 		if st.phase != shardPending {
 			continue
 		}
-		epoch := c.nextEpoch + 1
-		deadline := now.Add(c.TTL)
-		if c.journal != nil {
-			rec := journalRecord{
-				Kind:     journalGrant,
-				Shard:    st.shard.ID,
-				Worker:   worker,
-				Epoch:    epoch,
-				Deadline: deadline.UnixNano(),
-			}
-			if err := c.journalAppend(rec); err != nil {
-				return Lease{}, AcquireNone, err
-			}
+		if ok && st.block == prev {
+			return st
 		}
-		c.nextEpoch = epoch
-		st.phase = shardLeased
-		st.worker = worker
-		st.epoch = epoch
-		st.deadline = deadline
-		c.granted.Inc()
-		return Lease{Shard: st.shard, Epoch: st.epoch, TTL: c.TTL}, AcquireGranted, nil
+		if first == nil {
+			first = st
+		}
+		if free == nil && !c.busy[st.block] {
+			free = st
+		}
 	}
-	return Lease{}, AcquireNone, nil
+	if free != nil {
+		return free
+	}
+	return first
 }
 
 // Heartbeat renews worker's lease on shardID. Only the shard's highest

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"slices"
@@ -57,13 +58,98 @@ func FuzzDecodeLease(f *testing.F) {
 }
 
 // decodeJournal decodes raw as journal lines the way recovery does:
-// wal.Replay's decoding, then each record's own check.
+// wal.Replay's decoding, then each record's own check. It keeps copies of
+// the slices a replayed record reuses.
 func decodeJournal(raw []byte) (recs []journalRecord, err error) {
 	err = wal.Replay(bytes.NewReader(append(raw[:len(raw):len(raw)], '\n')), func(r journalRecord) error {
+		r.RTTs, r.Failed = slices.Clone(r.RTTs), slices.Clone(r.Failed)
 		recs = append(recs, r)
 		return r.check()
 	})
 	return recs, err
+}
+
+// plainRecord is journalRecord without its methods: wal.Replay decodes a
+// fresh one per line, the reference replayTwoWays holds the reused record to.
+type plainRecord journalRecord
+
+// replayTwoWays replays raw through journalRecord's reused record and
+// through a fresh decode per line, and fails unless both deliver the same
+// records, deep-equal, and agree on failing. Only RTTs and Failed are
+// reused, so every other field a callback kept — the header's Names among
+// them — must still hold its own line's values once the replay is over.
+func replayTwoWays(t *testing.T, raw []byte) {
+	t.Helper()
+	var fresh []plainRecord
+	ferr := wal.Replay(bytes.NewReader(raw), func(r plainRecord) error {
+		fresh = append(fresh, r)
+		return nil
+	})
+	var kept []journalRecord
+	rerr := wal.Replay(bytes.NewReader(raw), func(r journalRecord) error {
+		k := len(kept)
+		if k >= len(fresh) {
+			t.Fatalf("record %d replays through the reused record only: %+v", k, r)
+		}
+		if !reflect.DeepEqual(r, journalRecord(fresh[k])) {
+			t.Fatalf("record %d replays as\n%#v\nthrough the reused record, and as\n%#v\nfreshly decoded", k, r, fresh[k])
+		}
+		kept = append(kept, r)
+		return nil
+	})
+	if (ferr == nil) != (rerr == nil) || len(kept) != len(fresh) {
+		t.Fatalf("reused replay: %d records, %v; fresh: %d records, %v", len(kept), rerr, len(fresh), ferr)
+	}
+	for k, r := range kept {
+		want := journalRecord(fresh[k])
+		r.RTTs, r.Failed, want.RTTs, want.Failed = nil, nil, nil, nil
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("record %d changed after its callback returned:\n%#v\nwant\n%#v", k, r, want)
+		}
+	}
+}
+
+// TestReusedReplayMatchesFresh: random journals that interleave every kind
+// — headers with names, grants, completes long and short with and without
+// failed pairs, complete records in the named form, kinds no coordinator
+// writes — replay to the same records through the reused record as through
+// a fresh decode per line. The seed is printed on failure.
+func TestReusedReplayMatchesFresh(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("seed %d", seed)
+	for range 50 {
+		var doc bytes.Buffer
+		for range 1 + rng.Intn(40) {
+			var rec journalRecord
+			switch rng.Intn(5) {
+			case 0:
+				rec = journalHeader(fakeNames(2+rng.Intn(6)), Partition(2+rng.Intn(6), 1+rng.Intn(3)), time.Second, uint64(rng.Intn(3)))
+			case 1:
+				rec = journalRecord{Kind: journalGrant, Shard: "t0-0.p0-3", Worker: fmt.Sprint("w", rng.Intn(3)), Epoch: uint64(1 + rng.Intn(9)), Deadline: rng.Int63(), Regrants: rng.Intn(2)}
+			case 2:
+				rec = journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: uint64(1 + rng.Intn(9))}
+				for k := range rng.Intn(20) {
+					rec.RTTs = append(rec.RTTs, rng.Float64()*300)
+					if rng.Intn(4) == 0 {
+						rec.Failed = append(rec.Failed, k)
+					}
+				}
+			case 3:
+				doc.WriteString(`{"t":"complete","shard":"s","epoch":1,"results":[{"x":"a","y":"b"}]}` + "\n")
+				continue
+			default:
+				doc.WriteString(`{"t":"future-kind","rtts":[],"failed":null,"names":["a"]}` + "\n")
+				continue
+			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc.Write(append(b, '\n'))
+		}
+		replayTwoWays(t, doc.Bytes())
+	}
 }
 
 // FuzzDecodeJournal: arbitrary journals must never panic recovery, and
@@ -118,7 +204,19 @@ func FuzzDecodeJournal(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	// Interleaved kinds for replayTwoWays: a complete with values, then a
+	// grant without them, a shorter complete, and a header with names.
+	f.Add(bytes.Join([][]byte{
+		head,
+		line(journalRecord{Kind: journalComplete, Shard: "t0-0.p0-3", Worker: "w1", Epoch: 1, RTTs: []float64{1, 2, 3}, Failed: []int{0, 2}}),
+		line(journalRecord{Kind: journalGrant, Shard: "t0-0.p3-6", Epoch: 2, Deadline: 1}),
+		line(journalRecord{Kind: journalComplete, Shard: "t0-0.p3-6", Epoch: 2, RTTs: []float64{4}}),
+		line(journalHeader(fakeNames(3), Partition(3, 1), time.Second, 0)),
+		[]byte(`{"t":"complete","shard":"s","epoch":1,"rtts":[],"failed":null}`),
+		nil, // the last record's newline
+	}, []byte("\n")))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		replayTwoWays(t, raw)
 		recs, err := decodeJournal(raw)
 		if err != nil {
 			return

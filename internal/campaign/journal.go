@@ -64,6 +64,20 @@ type journalRecord struct {
 	Regrants int `json:"regrants,omitempty"`
 }
 
+// Reset readies rec for wal.Replay's next line: a zero record, but for
+// RTTs and Failed, which keep their backing arrays so a recovery does not
+// regrow them for every complete record. Every other slice starts nil: the
+// header's Names, which NewCoordinator keeps, are never written over.
+func (rec *journalRecord) Reset() {
+	*rec = journalRecord{RTTs: wal.Emptied(rec.RTTs), Failed: wal.Emptied(rec.Failed)}
+}
+
+// Settle makes rec, a copy of the reused record, what a fresh decode of
+// its line gives: RTTs and Failed are nil unless the line held them.
+func (rec *journalRecord) Settle() {
+	rec.RTTs, rec.Failed = wal.Unfilled(rec.RTTs), wal.Unfilled(rec.Failed)
+}
+
 // check validates a replayed record on its own fields; what a complete
 // record's values must fit is its shard's to say, at replay. Unknown record
 // kinds pass, for the replay to skip; known kinds with impossible fields
@@ -125,8 +139,9 @@ func journalHeader(names []string, shards []Shard, ttl time.Duration, watermark 
 // completed shard; completes only at the shard's latest granted epoch, each
 // holding one value per shard pair and increasing failed positions within
 // the shard. A complete record's values are written into the ledger as the
-// shard's cursor walks, as Complete writes them. A complete record in the
-// named form is refused (journalRecord.check).
+// shard's cursor walks, as Complete writes them, and are not kept: the
+// record's RTTs and Failed are the next line's too. A complete record in
+// the named form is refused (journalRecord.check).
 func replayJournal(r io.Reader, treg *telemetry.Registry) (c *Coordinator, records int, err error) {
 	lastGrant := uint64(0)
 	err = wal.Replay(r, func(rec journalRecord) error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,13 +14,18 @@ import (
 )
 
 // leaseModel is the coordinator reduced to its lease rules, for
-// TestCoordinatorAgainstLeaseModel. A grant takes the first pending shard
-// at the next epoch; a lease expires once the clock passes its deadline; a
-// heartbeat or a completion counts only at the shard's granted epoch; a
-// shard takes one submission: by name, every pair once in canonical order
-// with finite RTTs, or by index, one value per pair and the strictly
-// increasing positions of its failed pairs. Heartbeats are not journaled, so a recovery restores the
-// deadline of a shard's last grant record — or of its compaction.
+// TestCoordinatorAgainstLeaseModel. A grant takes, at the next epoch, the
+// first pending shard in the tile block of the worker's previous grant,
+// else the first pending one in a block where no other worker holds a live
+// lease, else the first pending one; the previous grants are not
+// journaled, so a recovery forgets them. A lease expires once the clock
+// passes its deadline; a heartbeat or a completion counts only at the
+// shard's granted epoch, and makes its worker the shard's; a shard takes
+// one submission: by name, every pair once in canonical order with finite
+// RTTs, or by index, one value per pair and the strictly increasing
+// positions of its failed pairs. Heartbeats are not journaled, so a
+// recovery restores the deadline and the worker of a shard's last grant
+// record — or of its compaction.
 type leaseModel struct {
 	names  []string
 	ttl    time.Duration
@@ -27,14 +33,17 @@ type leaseModel struct {
 	epoch  uint64 // the highest epoch ever granted
 	shards []*modelShard
 	cells  map[[2]int]float64 // every measured pair of a done shard
+	last   map[string][2]int  // the tile block of each worker's previous grant
 }
 
 type modelShard struct {
 	id                  string
+	block               [2]int // TI, TJ
 	pairs               [][2]int
 	phase               shardPhase
 	epoch               uint64
 	deadline, journaled time.Time
+	worker, journaledBy string // the lease's holder, and the one its journal names
 	failed              int
 }
 
@@ -46,29 +55,45 @@ func (m *leaseModel) expire() {
 	}
 }
 
-func (m *leaseModel) acquire() (*modelShard, AcquireResult) {
+func (m *leaseModel) acquire(worker string) (*modelShard, AcquireResult) {
 	m.expire()
 	res := AcquireDone
+	var pending []*modelShard
+	busy := map[[2]int]bool{}
 	for _, s := range m.shards {
 		switch s.phase {
 		case shardPending:
-			m.epoch++
-			s.phase, s.epoch, s.deadline = shardLeased, m.epoch, m.now().Add(m.ttl)
-			s.journaled = s.deadline
-			return s, AcquireGranted
+			pending = append(pending, s)
 		case shardLeased:
 			res = AcquireNone
+			if s.worker != worker {
+				busy[s.block] = true
+			}
 		}
 	}
-	return nil, res
+	if len(pending) == 0 {
+		return nil, res
+	}
+	pick := pending[0]
+	last, ok := m.last[worker]
+	if i := slices.IndexFunc(pending, func(s *modelShard) bool { return ok && s.block == last }); i >= 0 {
+		pick = pending[i]
+	} else if i := slices.IndexFunc(pending, func(s *modelShard) bool { return !busy[s.block] }); i >= 0 {
+		pick = pending[i]
+	}
+	m.epoch++
+	pick.phase, pick.epoch, pick.deadline = shardLeased, m.epoch, m.now().Add(m.ttl)
+	pick.worker, pick.journaled, pick.journaledBy = worker, pick.deadline, worker
+	m.last[worker] = pick.block
+	return pick, AcquireGranted
 }
 
-func (m *leaseModel) heartbeat(s *modelShard, epoch uint64) error {
+func (m *leaseModel) heartbeat(s *modelShard, worker string, epoch uint64) error {
 	m.expire()
 	if epoch == 0 || epoch != s.epoch || s.phase == shardDone {
 		return ErrFenced
 	}
-	s.phase, s.deadline = shardLeased, m.now().Add(m.ttl)
+	s.phase, s.deadline, s.worker = shardLeased, m.now().Add(m.ttl), worker
 	return nil
 }
 
@@ -84,7 +109,7 @@ type submission struct {
 	failed []int
 }
 
-func (m *leaseModel) complete(s *modelShard, epoch uint64, sub submission) error {
+func (m *leaseModel) complete(s *modelShard, worker string, epoch uint64, sub submission) error {
 	m.expire()
 	if epoch == 0 || epoch != s.epoch {
 		return ErrFenced
@@ -116,7 +141,7 @@ func (m *leaseModel) complete(s *modelShard, epoch uint64, sub submission) error
 		}
 		isFailed[f] = true
 	}
-	s.phase = shardDone
+	s.phase, s.worker = shardDone, worker
 	for k, p := range s.pairs {
 		if isFailed[k] {
 			s.failed++
@@ -129,16 +154,17 @@ func (m *leaseModel) complete(s *modelShard, epoch uint64, sub submission) error
 
 func (m *leaseModel) compact() {
 	for _, s := range m.shards {
-		s.journaled = s.deadline
+		s.journaled, s.journaledBy = s.deadline, s.worker
 	}
 }
 
 func (m *leaseModel) recover() {
 	for _, s := range m.shards {
 		if s.epoch > 0 && s.phase != shardDone {
-			s.phase, s.deadline = shardLeased, s.journaled
+			s.phase, s.deadline, s.worker = shardLeased, s.journaled, s.journaledBy
 		}
 	}
+	m.last = map[string][2]int{}
 }
 
 // verdict names an error's kind: accepted, fenced, or refused otherwise.
@@ -180,13 +206,13 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 				seed, seq, n, len(shards), journaled, step, fmt.Sprintf(format, args...))
 		}
 		clock := newFakeClock()
-		m := &leaseModel{names: names, ttl: time.Second, now: clock.now, cells: map[[2]int]float64{}}
+		m := &leaseModel{names: names, ttl: time.Second, now: clock.now, cells: map[[2]int]float64{}, last: map[string][2]int{}}
 		index := map[string]int{}
 		for i, name := range names {
 			index[name] = i
 		}
 		for _, sh := range shards {
-			s := &modelShard{id: sh.ID}
+			s := &modelShard{id: sh.ID, block: [2]int{sh.TI, sh.TJ}}
 			for _, p := range blockPairs(sh, names) {
 				s.pairs = append(s.pairs, [2]int{index[p[0]], index[p[1]]})
 			}
@@ -299,7 +325,7 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 			case op < 3:
 				worker := fmt.Sprint("w", rng.Intn(3))
 				l, res, err := c.Acquire(worker)
-				ms, mres := m.acquire()
+				ms, mres := m.acquire(worker)
 				if err != nil || res != mres {
 					fail("acquire = %v, %v; model %v", res, err, mres)
 				}
@@ -315,7 +341,7 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 				lastGrant = l.Epoch
 			case op < 4:
 				worker := fmt.Sprint("w", rng.Intn(3))
-				if got, want := verdict(c.Heartbeat(worker, id, epoch)), verdict(m.heartbeat(s, epoch)); got != want {
+				if got, want := verdict(c.Heartbeat(worker, id, epoch)), verdict(m.heartbeat(s, worker, epoch)); got != want {
 					fail("heartbeat %s at %d: %s, model %s", id, epoch, got, want)
 				}
 			case op < 8:
@@ -342,7 +368,7 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 				}
 				worker := fmt.Sprint("w", rng.Intn(3))
 				got := verdict(send(worker, id, epoch, sub))
-				if want := verdict(m.complete(s, epoch, sub)); got != want {
+				if want := verdict(m.complete(s, worker, epoch, sub)); got != want {
 					fail("complete %s at %d: %s, model %s", id, epoch, got, want)
 				}
 			case op < 10:
@@ -361,7 +387,7 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 		// Finish the campaign, then merge it live, recovered and compacted.
 		for ; ; step++ {
 			l, res, err := c.Acquire("w9")
-			ms, mres := m.acquire()
+			ms, mres := m.acquire("w9")
 			if err != nil || res != mres {
 				fail("acquire = %v, %v; model %v", res, err, mres)
 			}
@@ -373,7 +399,7 @@ func TestCoordinatorAgainstLeaseModel(t *testing.T) {
 				continue
 			}
 			sub := submit(ms)
-			if err := send("w9", l.Shard.ID, l.Epoch, sub); err != nil || m.complete(ms, l.Epoch, sub) != nil {
+			if err := send("w9", l.Shard.ID, l.Epoch, sub); err != nil || m.complete(ms, "w9", l.Epoch, sub) != nil {
 				fail("completing %s: %v", l.Shard.ID, err)
 			}
 		}

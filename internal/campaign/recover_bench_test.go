@@ -13,15 +13,20 @@ import (
 // BenchmarkRecoverCoordinator times crash recovery at the scale of a
 // 2000-relay campaign (1 999 000 pairs): a journaled coordinator completes
 // every shard by index, as the CAMP server does — finite full-precision
-// RTTs, every 10 007th pair failed — its journal is closed, and each iteration recovers
-// a coordinator from that file. It fails unless the recovered Merged
-// encodes to the live coordinator's bytes and LostPairs matches, and
-// reports recover_ms, journal_mb and the bytes recovery allocates per
-// pair. The whole run takes about 2 s and peaks under 200 MB resident on a
-// 2-vCPU guest; run it with
+// RTTs, every 10 007th pair failed — its journal is closed, and each
+// iteration recovers a coordinator from that file. It fails unless the
+// recovered Merged encodes to the live coordinator's bytes, LostPairs
+// matches, and recovery allocates at most maxRecoverBytesPerPair a pair; it
+// reports recover_ms, journal_mb and that figure as B/pair. The whole run
+// takes about 2 s and peaks under 200 MB resident on a 2-vCPU guest; run
+// it with
 //
 //	go test -run '^$' -bench '^BenchmarkRecoverCoordinator$' -benchtime 1x ./internal/campaign
 func BenchmarkRecoverCoordinator(b *testing.B) {
+	// Recovery allocates about 11.7 B a pair, nearly all of it the
+	// recovered ledger's tiles. Decoding each journal line into a fresh
+	// record, which regrew a complete record's values from nil, took 43.9.
+	const maxRecoverBytesPerPair = 16
 	const n = 2000
 	names := fakeNames(n)
 	path := filepath.Join(b.TempDir(), "campaign.journal")
@@ -102,5 +107,9 @@ func BenchmarkRecoverCoordinator(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "recover_ms")
 	b.ReportMetric(float64(fi.Size())/1e6, "journal_mb")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(pairs), "B/pair")
+	perPair := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N) / float64(pairs)
+	b.ReportMetric(perPair, "B/pair")
+	if perPair > maxRecoverBytesPerPair {
+		b.Fatalf("recovery allocated %.2f B a pair, over the %d B ceiling", perPair, maxRecoverBytesPerPair)
+	}
 }

@@ -17,8 +17,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,12 +66,19 @@ func (s *Snapshot) PublishedAt() time.Time { return s.publishedAt }
 func (s *Snapshot) ProvCounts() ting.ProvCount { return s.prov }
 
 // TIVs returns the epoch's triangle-inequality violations, best detour per
-// violating pair. The O(N³) scan runs on first call and is memoized for
-// the snapshot's lifetime — an epoch's TIV answer never changes, so every
-// subsequent request is a slice read.
+// violating pair, biggest savings first; equal savings are ordered by
+// (S, D, R). The O(N³) scan and the sort run on first call and are
+// memoized for the snapshot's lifetime — an epoch's TIV answer never
+// changes, so every subsequent request is a slice read. The slice is
+// shared: callers must not modify it.
 func (s *Snapshot) TIVs() ([]pathsel.TIV, error) {
 	s.tivOnce.Do(func() {
 		s.tivs, s.tivErr = pathsel.FindTIVs(s.m)
+		slices.SortFunc(s.tivs, func(a, b pathsel.TIV) int {
+			return cmp.Or(
+				cmp.Compare(b.SavingsFraction(), a.SavingsFraction()),
+				cmp.Compare(a.S, b.S), cmp.Compare(a.D, b.D), cmp.Compare(a.R, b.R))
+		})
 	})
 	return s.tivs, s.tivErr
 }

@@ -20,7 +20,7 @@ import (
 //	GET /v1/names                  the relay name table, index-aligned
 //	GET /v1/rtt?x=A&y=B            one pair's RTT + provenance + epoch
 //	GET /v1/paths?length=&budget_ms=&k=   k lowest-RTT circuits within budget
-//	GET /v1/tiv?top=N              TIV summary + the N biggest detour wins
+//	GET /v1/tiv?top=N              TIV summary + the N biggest detour wins (N ≤ maxTIVTop)
 //
 // Every 200 carries the epoch's ETag; a request presenting it back via
 // If-None-Match is answered 304 with no body — the epoch-based client
@@ -28,6 +28,10 @@ import (
 
 // pathAttempts bounds the rejection sampler behind /v1/paths.
 const pathAttempts = 2000
+
+// maxTIVTop caps /v1/tiv's top: a larger one is served as this many, so a
+// request's work stays bounded however many TIVs an epoch has.
+const maxTIVTop = 1000
 
 // Server serves the /v1 query API over one Publisher.
 type Server struct {
@@ -307,17 +311,9 @@ func (s *Server) handleTIV(w http.ResponseWriter, r *http.Request, snap *Snapsho
 	if reply.Pairs > 0 {
 		reply.Fraction = float64(reply.WithTIV) / float64(reply.Pairs)
 	}
-	// Top detours by savings; copy before sorting — the snapshot's TIV
-	// slice is shared across requests.
-	byWin := append([]pathsel.TIV(nil), tivs...)
-	sort.Slice(byWin, func(a, b int) bool {
-		return byWin[a].SavingsFraction() > byWin[b].SavingsFraction()
-	})
-	if len(byWin) > top {
-		byWin = byWin[:top]
-	}
+	// The snapshot keeps its TIVs sorted by savings: the top is the front.
 	names := view.Names()
-	for _, t := range byWin {
+	for _, t := range tivs[:min(top, maxTIVTop, len(tivs))] {
 		reply.Top = append(reply.Top, tivEntry{
 			X: names[t.S], Y: names[t.D], Via: names[t.R],
 			DirectMs: t.DirectMs, DetourMs: t.DetourMs,

@@ -2,11 +2,17 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"ting/internal/telemetry"
+	"ting/internal/ting"
 )
 
 func get(t *testing.T, h http.Handler, url string, hdr map[string]string) (*httptest.ResponseRecorder, map[string]any) {
@@ -253,5 +259,78 @@ func TestHTTPTIV(t *testing.T) {
 	}
 	if best["savings"].(float64) < 0.9 {
 		t.Errorf("savings %v", best["savings"])
+	}
+}
+
+// TestTIVRequestAllocs: once an epoch's TIVs are found, a /v1/tiv request
+// costs its top, not the epoch's TIVs. On a warm 500-relay snapshot with
+// tens of thousands of TIVs, a top=5 request allocates a few KiB, where a
+// per-request copy of the TIVs alone is over a megabyte; top=50 costs
+// little more; a top past maxTIVTop is served as maxTIVTop; and the top is
+// the sorted front: savings never rise, and equal savings keep (S, D, R)
+// order.
+func TestTIVRequestAllocs(t *testing.T) {
+	const n = 500
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("relay%03d", i)
+	}
+	m, err := ting.NewMatrix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.SetAt(i, j, float64(10+rng.Intn(290)))
+		}
+	}
+	pub := NewPublisher(nil)
+	snap, err := pub.Publish(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(pub, nil).Handler()
+	if rec, _ := get(t, h, "/v1/tiv?top=5", nil); rec.Code != http.StatusOK {
+		t.Fatalf("tiv status %d", rec.Code)
+	}
+	tivs, err := snap.TIVs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(tivs); k++ {
+		a, b := tivs[k-1], tivs[k]
+		sa, sb := a.SavingsFraction(), b.SavingsFraction()
+		if sa < sb || sa == sb && slices.Compare([]int{a.S, a.D, a.R}, []int{b.S, b.D, b.R}) > 0 {
+			t.Fatalf("TIVs %d and %d out of order: %+v, %+v", k-1, k, a, b)
+		}
+	}
+	perRequest := func(top int) float64 {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/tiv?top=%d", top), nil)
+		const reqs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reqs {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("tiv status %d", rec.Code)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / reqs
+	}
+	copyBytes := len(tivs) * int(unsafe.Sizeof(tivs[0]))
+	top5, top50 := perRequest(5), perRequest(50)
+	t.Logf("%d TIVs (%d B a copy): top=5 %.0f B a request, top=50 %.0f B", len(tivs), copyBytes, top5, top50)
+	if copyBytes < 1<<20 {
+		t.Fatalf("only %d TIVs: too few to tell O(top) from O(TIVs)", len(tivs))
+	}
+	if top5 > 16<<10 || top50 > 64<<10 {
+		t.Errorf("a request allocates %.0f B at top=5 and %.0f B at top=50, want at most 16 KiB and 64 KiB", top5, top50)
+	}
+	// A top past the cap is served as the cap.
+	if _, body := get(t, h, "/v1/tiv?top=1000000", nil); len(body["top"].([]any)) != maxTIVTop {
+		t.Errorf("top=1000000 served %d entries, want %d", len(body["top"].([]any)), maxTIVTop)
 	}
 }

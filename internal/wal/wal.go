@@ -313,6 +313,43 @@ func replace(fs fsys, path string, write func(io.Writer) error) (file, error) {
 	return f, fs.SyncDir(filepath.Dir(path))
 }
 
+// Reusable is a record type that keeps the backing arrays of some of its
+// slices from one replayed line to the next, so a log of long records does
+// not regrow them from nil on every line. Replay decodes every line into
+// one value of such a type, where it gives any other type a fresh zero
+// value per line. Reset readies that value for the next line: it zeroes
+// every field — encoding/json leaves a field whose key the line lacks as it
+// was — except that a slice it keeps is emptied to Emptied's, array and
+// all. Settle is called on the copy fn gets, after the decode: it sets each
+// kept slice the line did not fill (Unfilled) back to nil, so the copy is
+// deep-equal to a fresh decode of the line, and the reused value keeps its
+// arrays. A kept slice is valid only for fn's call; a caller that keeps it
+// longer keeps a copy.
+type Reusable interface {
+	Reset()
+	Settle()
+}
+
+// Emptied is s emptied for Reusable.Reset: its array kept at length zero,
+// or nil when it has none, as a fresh decode starts.
+func Emptied[S ~[]E, E any](s S) S {
+	if cap(s) == 0 {
+		return nil
+	}
+	return s[:0]
+}
+
+// Unfilled is s for Reusable.Settle: nil if it is Emptied's and the line
+// left it so, as a fresh decode leaves a slice whose key is absent. A line
+// that holds the slice leaves it non-empty, nil (null) or with no array
+// ([]).
+func Unfilled[S ~[]E, E any](s S) S {
+	if len(s) == 0 && cap(s) > 0 {
+		return nil
+	}
+	return s
+}
+
 // Replay decodes a log's records in order and hands each to fn. Blank lines
 // are skipped. A final line with no newline is a torn tail and is dropped
 // unseen: its write never completed, so nobody was told it happened. Every
@@ -320,7 +357,9 @@ func replace(fs fsys, path string, write func(io.Writer) error) (file, error) {
 // as a T, or is longer than MaxRecord, is corruption wherever it sits —
 // dropping it would forget a record that may have been acknowledged — and
 // Replay reports it with its line number. An error fn returns comes back
-// wrapped with the line number too. Memory is bounded by MaxRecord.
+// wrapped with the line number too. Memory is bounded by MaxRecord. Every
+// line is decoded into one record: a fresh zero T each time, unless *T is
+// Reusable.
 func Replay[T any](r io.Reader, fn func(rec T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, MaxRecord+1) // room for a record and its newline
@@ -333,17 +372,29 @@ func Replay[T any](r io.Reader, fn func(rec T) error) error {
 		}
 		return 0, nil, nil
 	})
+	var rec, out T
+	reuse, _ := any(&rec).(Reusable)
+	settle, _ := any(&out).(Reusable)
 	line := 1
 	for ; sc.Scan(); line++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		var rec T
+		if reuse != nil {
+			reuse.Reset()
+		} else {
+			var zero T
+			rec = zero
+		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("wal: corrupt record at line %d: %w", line, err)
 		}
-		if err := fn(rec); err != nil {
+		out = rec
+		if reuse != nil {
+			settle.Settle()
+		}
+		if err := fn(out); err != nil {
 			return fmt.Errorf("wal: line %d: %w", line, err)
 		}
 	}

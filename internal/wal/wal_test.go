@@ -692,11 +692,28 @@ func TestCrashPointProperty(t *testing.T) {
 	}
 }
 
+// reuseRecord is a Reusable record: Vals keeps its array from one line to
+// the next, Names does not. freshRecord is the same record without the
+// methods, decoded fresh per line.
+type reuseRecord struct {
+	Kind  string    `json:"t"`
+	Names []string  `json:"names,omitempty"`
+	Vals  []float64 `json:"vals,omitempty"`
+}
+
+type freshRecord reuseRecord
+
+func (r *reuseRecord) Reset() { *r = reuseRecord{Vals: Emptied(r.Vals)} }
+
+func (r *reuseRecord) Settle() { r.Vals = Unfilled(r.Vals) }
+
 // FuzzReplay: arbitrary bytes never panic Replay; every record it delivers
 // comes from a whole non-blank line of the input within MaxRecord, and an
 // error is corruption at a line that exists; a callback's error comes back
 // as itself; and a log built by Open + Append from the delivered records
-// holds exactly json.Marshal's bytes for each and replays to them.
+// holds exactly json.Marshal's bytes for each and replays to them. A
+// Reusable record replays deep-equal, line by line, to a fresh decode of
+// each line, and fails where it fails.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`"a"` + "\n" + `"b"` + "\n"))
 	f.Add([]byte(`"a"` + "\n" + `"b"` + "\nfrag"))
@@ -706,7 +723,22 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("\r\n\x00\n"))
 	f.Add([]byte("a\nb\n"))
 	f.Add([]byte(""))
+	f.Add([]byte(`{"t":"v","vals":[1,2,3]}` + "\n" + `{"t":"g"}` + "\n" + `{"vals":[4]}` + "\n" +
+		`{"t":"h","names":["a","b"]}` + "\n" + `{"vals":[]}` + "\n" + `{"vals":null,"t":"n"}` + "\n" + `{"vals":[5],"vals":[6,7]}` + "\n"))
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		fresh, freshErr := replayBytes[freshRecord](doc)
+		k := 0
+		reuseErr := Replay(bytes.NewReader(doc), func(rec reuseRecord) error {
+			if k >= len(fresh) || !reflect.DeepEqual(rec, reuseRecord(fresh[k])) {
+				t.Fatalf("record %d replays as %#v through the reused record; fresh: %#v", k, rec, fresh)
+			}
+			k++
+			return nil
+		})
+		if (freshErr == nil) != (reuseErr == nil) || k != len(fresh) {
+			t.Fatalf("reused replay: %d records, %v; fresh: %d records, %v", k, reuseErr, len(fresh), freshErr)
+		}
+
 		lines := bytes.Count(doc, []byte("\n"))
 		var recs []json.RawMessage
 		err := Replay(bytes.NewReader(doc), func(rec json.RawMessage) error {
