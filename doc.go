@@ -17,6 +17,5 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate each figure at
-// reduced scale; `go run ./cmd/experiments -fig all` runs paper scale.
+// results. `go run ./cmd/experiments -fig all` regenerates every figure.
 package ting

@@ -286,3 +286,38 @@ func TestNewRejectsTinyModels(t *testing.T) {
 		t.Error("n=0 accepted")
 	}
 }
+
+// BenchmarkEmbedFit times one full coordinate fit: 200 nodes, 15% of pairs
+// observed, 10 passes — the per-batch refit cost inside a budgeted campaign.
+func BenchmarkEmbedFit(b *testing.B) {
+	const n = 200
+	topo, err := inet.Generate(inet.Config{N: n, Seed: 31})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	all := n * (n - 1) / 2
+	obs := make([]Observation, 0, all*15/100)
+	seen := make(map[[2]int]bool)
+	for len(obs) < all*15/100 {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		if seen[[2]int{i, j}] {
+			continue
+		}
+		seen[[2]int{i, j}] = true
+		obs = append(obs, Observation{I: i, J: j, RTTMs: topo.RTT(inet.NodeID(i), inet.NodeID(j))})
+	}
+	for b.Loop() {
+		m, err := New(n, Config{Seed: 33})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Fit(obs, 10)
+	}
+}

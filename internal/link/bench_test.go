@@ -8,8 +8,8 @@ import (
 )
 
 // One round trip per iteration against an echoing peer: the cost of a link
-// crossing and back, per transport. The CI bench job diffs these against
-// the committed baseline (scripts/benchdiff.sh).
+// crossing and back, per transport. CI's benchmark gate
+// (scripts/benchgate) times these against the base revision.
 
 func benchCellRoundTrip(b *testing.B, near, far Link) {
 	done := make(chan struct{})

@@ -615,3 +615,27 @@ func TestCircuitCryptoTruncateThenAddHop(t *testing.T) {
 		onionRoundTrip(t, &cc, relays, hop)
 	}
 }
+
+// BenchmarkHandshake is one client+server handshake; CI's allocation step
+// prints its B/op beside TestHandshakeAllocs.
+func BenchmarkHandshake(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	id, err := NewIdentity(rnd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		ch, err := StartHandshake(id.Public(), rnd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reply, _, err := ServerHandshake(id, ch.Onionskin(), rnd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ch.Complete(reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
