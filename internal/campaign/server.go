@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"strconv"
@@ -61,11 +60,14 @@ func NewServer(c *Coordinator) *Server { return &Server{c: c} }
 // Register claims the campaign verb on ds.
 func (s *Server) Register(ds *directory.Server) { ds.Extend(Verb, s.handle) }
 
-func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
+// handle answers one CAMP request and reports whether the connection is
+// still framed: every reply leaves it so but a refused completion body,
+// whose unread lines the server must not take for requests.
+func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) bool {
 	fields := strings.Fields(req)
 	if len(fields) < 2 || fields[0] != Verb {
 		fmt.Fprintln(conn, "error malformed campaign request")
-		return
+		return true
 	}
 	switch op, args := fields[1], fields[2:]; op {
 	case "names":
@@ -79,14 +81,14 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 	case "acquire":
 		if len(args) != 1 {
 			fmt.Fprintln(conn, "error acquire wants: CAMP acquire <worker>")
-			return
+			return true
 		}
 		lease, res, err := s.c.Acquire(args[0])
 		if err != nil {
 			// A journal write failed: the grant never happened. The worker
 			// retries; no epoch was burned.
 			fmt.Fprintf(conn, "error %v\n", err)
-			return
+			return true
 		}
 		switch res {
 		case AcquireGranted:
@@ -100,19 +102,22 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 		worker, id, epoch, err := leaseArgs(args)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
-			return
+			return true
 		}
 		replyErr(conn, s.c.Heartbeat(worker, id, epoch))
 	case "complete":
+		// A body follows the request line: a refusal that leaves it unread,
+		// or read partway, ends the connection, so that no body line is
+		// read as a request.
 		worker, id, epoch, err := leaseArgs(args)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
-			return
+			return false
 		}
 		sh, ok := s.c.shard(id)
 		if !ok {
 			replyErr(conn, ErrUnknownShard)
-			return
+			return false
 		}
 		v, _ := s.bufs.Get().(*shardValues)
 		if v == nil {
@@ -122,12 +127,13 @@ func (s *Server) handle(conn net.Conn, br *bufio.Reader, req string) {
 		v.rtts, v.failed, err = readValues(br, sh, v.rtts, v.failed)
 		if err != nil {
 			fmt.Fprintf(conn, "error %v\n", err)
-			return
+			return false
 		}
 		replyErr(conn, s.c.completeValues(worker, id, epoch, v.rtts, v.failed))
 	default:
 		fmt.Fprintf(conn, "error unknown campaign op %q\n", op)
 	}
+	return true
 }
 
 func leaseArgs(args []string) (worker, id string, epoch uint64, err error) {
@@ -223,37 +229,113 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-func dial(addr string, timeout time.Duration) (net.Conn, error) {
-	if timeout <= 0 {
-		timeout = directory.DefaultIOTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, &TransportError{Op: "dial", Err: err}
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	return conn, nil
+// session is a caller's connection to the coordinator at addr. Each call is
+// one exchange under mu, its reply read on the caller's goroutine, so a
+// worker's lease loop and its heartbeat goroutine share one session. The
+// session dials on the first call after it was made or closed. A call that
+// returns an error closes the connection, and the next call dials again: a
+// transport failure leaves the framing unknown, and an error verdict is
+// rare enough to take the same path.
+//
+// A connection that has carried a reply may have been closed by the server
+// while idle (DefaultIOTimeout, which a lease's heartbeat cadence may
+// outlast). A call that fails on such a connection before any byte of its
+// reply arrives is sent once more, straight away, on a new connection; only
+// a failure there is a TransportError. The resend is safe for every call: a
+// repeated names or heartbeat asks again, a repeated complete at the same
+// epoch is answered ok, and an acquire whose grant was lost leaves a lease
+// that expires unrenewed.
+type session struct {
+	addr string
+
+	mu   sync.Mutex // held for a whole exchange
+	conn net.Conn   // nil until dialed, and after a failure or close
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
-// FetchNames asks the coordinator at addr for the campaign's canonical
-// relay name order. Workers must scan against exactly this list.
-func FetchNames(addr string) ([]string, error) {
-	conn, err := dial(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s names\n", Verb); err != nil {
-		return nil, &TransportError{Op: "fetch names", Err: err}
-	}
-	return readNames(conn)
+// close hangs the connection up, if one is open; the next call dials again.
+func (s *session) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hangUp()
 }
 
-// readNames reads a names reply from r: a "names n=<n>" header, then n
+func (s *session) hangUp() {
+	if s.conn != nil {
+		s.conn.Close()
+		s.conn = nil
+	}
+}
+
+// call sends one request, which send writes to bw, and reads its reply
+// through read. op names the call in a TransportError.
+func (s *session) call(op string, send func(bw *bufio.Writer), read func(br *bufio.Reader) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		// A connection open before this exchange has carried a reply.
+		reused := s.conn != nil
+		if err := s.dial(); err != nil {
+			return err
+		}
+		_ = s.conn.SetDeadline(time.Now().Add(directory.DefaultIOTimeout))
+		send(s.bw)
+		err := s.bw.Flush()
+		if err == nil {
+			_, err = s.br.Peek(1)
+		}
+		if err != nil {
+			s.hangUp()
+			if reused {
+				continue
+			}
+			return &TransportError{Op: op, Err: err}
+		}
+		if err := read(s.br); err != nil {
+			s.hangUp()
+			return err
+		}
+		return nil
+	}
+}
+
+// dial opens the session's connection unless one is open.
+func (s *session) dial() error {
+	if s.conn != nil {
+		return nil
+	}
+	conn, err := net.DialTimeout("tcp", s.addr, directory.DefaultIOTimeout)
+	if err != nil {
+		return &TransportError{Op: "dial", Err: err}
+	}
+	s.conn = conn
+	if s.br == nil {
+		s.br = bufio.NewReaderSize(conn, replyBuf)
+		s.bw = bufio.NewWriter(conn)
+	} else {
+		s.br.Reset(conn)
+		s.bw.Reset(conn)
+	}
+	return nil
+}
+
+// names asks the coordinator for the campaign's canonical relay name order.
+// Workers must scan against exactly this list.
+func (s *session) names() ([]string, error) {
+	var names []string
+	err := s.call("fetch names", func(bw *bufio.Writer) {
+		fmt.Fprintf(bw, "%s names\n", Verb)
+	}, func(br *bufio.Reader) (err error) {
+		names, err = readNames(br)
+		return err
+	})
+	return names, err
+}
+
+// readNames reads a names reply from br: a "names n=<n>" header, then n
 // lines of one name each.
-func readNames(r io.Reader) ([]string, error) {
-	br := replyReader(r)
-	defer releaseReplyReader(br)
+func readNames(br *bufio.Reader) ([]string, error) {
 	header, err := readReply(br)
 	if err != nil {
 		return nil, &TransportError{Op: "fetch names", Err: err}
@@ -275,26 +357,29 @@ func readNames(r io.Reader) ([]string, error) {
 	return names, nil
 }
 
-// Acquire asks the coordinator at addr for a lease on behalf of worker. A
-// coordinator's "error <msg>" reply comes back as an error carrying msg.
+// Acquire asks the coordinator at addr for a lease on behalf of worker, on
+// a connection of its own. A coordinator's "error <msg>" reply comes back as
+// an error carrying msg.
 func Acquire(addr, worker string) (Lease, AcquireResult, error) {
-	conn, err := dial(addr, 0)
-	if err != nil {
-		return Lease{}, AcquireNone, err
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s acquire %s\n", Verb, worker); err != nil {
-		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
-	}
-	return readAcquire(conn)
+	s := session{addr: addr}
+	defer s.close()
+	return s.acquire(worker)
 }
 
-// readAcquire reads an acquire reply from r: a lease line, "none", "done"
+func (s *session) acquire(worker string) (lease Lease, res AcquireResult, err error) {
+	err = s.call("acquire", func(bw *bufio.Writer) {
+		fmt.Fprintf(bw, "%s acquire %s\n", Verb, worker)
+	}, func(br *bufio.Reader) (err error) {
+		lease, res, err = readAcquire(br)
+		return err
+	})
+	return lease, res, err
+}
+
+// readAcquire reads an acquire reply from br: a lease line, "none", "done"
 // or "error <msg>".
-func readAcquire(r io.Reader) (Lease, AcquireResult, error) {
-	br := replyReader(r)
+func readAcquire(br *bufio.Reader) (Lease, AcquireResult, error) {
 	line, err := readReply(br)
-	releaseReplyReader(br)
 	if err != nil {
 		return Lease{}, AcquireNone, &TransportError{Op: "acquire", Err: err}
 	}
@@ -314,47 +399,35 @@ func readAcquire(r io.Reader) (Lease, AcquireResult, error) {
 	return lease, AcquireGranted, nil
 }
 
-// Heartbeat renews worker's lease with the coordinator at addr. Returns
-// ErrFenced when the coordinator has moved the shard on.
-func Heartbeat(addr, worker string, l Lease) error {
-	conn, err := dial(addr, 0)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s heartbeat %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch); err != nil {
-		return &TransportError{Op: "heartbeat", Err: err}
-	}
-	return readVerdict(conn, "heartbeat")
+// heartbeat renews worker's lease l. Returns ErrFenced when the coordinator
+// has moved the shard on.
+func (s *session) heartbeat(worker string, l Lease) error {
+	return s.call("heartbeat", func(bw *bufio.Writer) {
+		fmt.Fprintf(bw, "%s heartbeat %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
+	}, func(br *bufio.Reader) error {
+		return readVerdict(br, "heartbeat")
+	})
 }
 
 // Complete submits worker's results for lease l to the coordinator at
-// addr. Results must list the shard's pairs in canonical order: the wire
-// carries each pair's position, not its names, so only its RTT travels.
-// Returns ErrFenced when a newer epoch owns the shard.
+// addr, on a connection of its own. Results must list the shard's pairs in
+// canonical order: the wire carries each pair's position, not its names, so
+// only its RTT travels. Returns ErrFenced when a newer epoch owns the shard.
 func Complete(addr, worker string, l Lease, results []PairResult) error {
-	return submit(addr, worker, l, values(results, nil), nil)
+	s := session{addr: addr}
+	defer s.close()
+	return s.complete(worker, l, values(results, nil), nil)
 }
 
-// submit sends a completion by index for lease l: the request line, then
+// complete sends a completion by index for lease l: the request line, then
 // the body writeValues writes.
-func submit(addr, worker string, l Lease, rtts []float64, failed []int) error {
-	conn, err := dial(addr, 0)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	bw := submitWriters.Get().(*bufio.Writer)
-	bw.Reset(conn)
-	fmt.Fprintf(bw, "%s complete %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
-	writeValues(bw, rtts, failed)
-	err = bw.Flush()
-	bw.Reset(nil)
-	submitWriters.Put(bw)
-	if err != nil {
-		return &TransportError{Op: "complete", Err: err}
-	}
-	return readVerdict(conn, "complete")
+func (s *session) complete(worker string, l Lease, rtts []float64, failed []int) error {
+	return s.call("complete", func(bw *bufio.Writer) {
+		fmt.Fprintf(bw, "%s complete %s %s %d\n", Verb, worker, l.Shard.ID, l.Epoch)
+		writeValues(bw, rtts, failed)
+	}, func(br *bufio.Reader) error {
+		return readVerdict(br, "complete")
+	})
 }
 
 // writeValues writes the completion body readValues reads: a line per
@@ -376,12 +449,10 @@ func writeValues(bw *bufio.Writer, rtts []float64, failed []int) {
 	bw.WriteString("end\n")
 }
 
-// readVerdict reads a heartbeat or completion reply from r: "ok" is nil,
+// readVerdict reads a heartbeat or completion reply from br: "ok" is nil,
 // "fenced" is ErrFenced, and any other line is an error quoting it.
-func readVerdict(r io.Reader, op string) error {
-	br := replyReader(r)
+func readVerdict(br *bufio.Reader, op string) error {
 	line, err := readReply(br)
-	releaseReplyReader(br)
 	if err != nil {
 		return &TransportError{Op: op, Err: err}
 	}
@@ -393,28 +464,6 @@ func readVerdict(r io.Reader, op string) error {
 	default:
 		return fmt.Errorf("campaign: %s: server said %q", op, line)
 	}
-}
-
-// replyReaders holds the clients' *bufio.Reader of replyBuf bytes, and
-// submitWriters the completion body's *bufio.Writer: a worker makes an RPC
-// or two a lease, each on a new connection, and each borrows its buffer
-// for the one call. A buffer goes back reset to nil, holding no
-// connection.
-var (
-	replyReaders  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, replyBuf) }}
-	submitWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-)
-
-// replyReader borrows a reply reader over r; releaseReplyReader returns it.
-func replyReader(r io.Reader) *bufio.Reader {
-	br := replyReaders.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-func releaseReplyReader(br *bufio.Reader) {
-	br.Reset(nil)
-	replyReaders.Put(br)
 }
 
 // readReply reads one reply line through br, trimmed of surrounding white

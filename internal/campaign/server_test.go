@@ -109,7 +109,9 @@ func TestCompleteWireGolden(t *testing.T) {
 		got <- sent.String()
 	}()
 	lease := Lease{Shard: NewShard(0, 0, 0, 5), Epoch: 7}
-	if err := submit(ln.Addr().String(), "w1", lease, goldenRTTs, goldenFailed); err != nil {
+	s := session{addr: ln.Addr().String()}
+	defer s.close()
+	if err := s.complete("w1", lease, goldenRTTs, goldenFailed); err != nil {
 		t.Fatal(err)
 	}
 	sent := <-got
@@ -270,9 +272,9 @@ func FuzzReadResults(f *testing.F) {
 	})
 }
 
-// FuzzReadReply: whatever a coordinator answers, the readers a client
-// reads it through — the pooled ones behind Acquire, Heartbeat, Complete
-// and FetchNames — never panic. A reply line longer than maxReplyLine, its
+// FuzzReadReply: whatever a coordinator answers, the readers a session
+// reads it through — behind its acquire, heartbeat, complete and names
+// calls — never panic. A reply line longer than maxReplyLine, its
 // newline included, is refused and one that fits is read whole. An acquire
 // reply is a lease exactly when its line decodes as one, and otherwise
 // "none", "done" or an error. A verdict is nil exactly for "ok", ErrFenced
@@ -303,9 +305,7 @@ func FuzzReadReply(f *testing.F) {
 	f.Add(uint8(namesReply), []byte("names n=1000000000\nrelayA\n"))
 	f.Add(uint8(namesReply), []byte("names n=2\n"+strings.Repeat("n", 300)+"\nrelayB"))
 	f.Fuzz(func(t *testing.T, kind uint8, reply []byte) {
-		br := replyReader(bytes.NewReader(reply))
-		line, lineErr := readReply(br)
-		releaseReplyReader(br)
+		line, lineErr := readReply(replyReader(reply))
 		nl := bytes.IndexByte(reply, '\n')
 		switch {
 		case nl < 0 || nl+1 > maxReplyLine:
@@ -318,7 +318,7 @@ func FuzzReadReply(f *testing.F) {
 
 		switch kind % 3 {
 		case acquireReply:
-			got, res, err := readAcquire(bytes.NewReader(reply))
+			got, res, err := readAcquire(replyReader(reply))
 			want, decodeErr := DecodeLease(line)
 			switch {
 			case lineErr != nil:
@@ -339,7 +339,7 @@ func FuzzReadReply(f *testing.F) {
 				}
 			}
 		case verdictReply:
-			err := readVerdict(bytes.NewReader(reply), "heartbeat")
+			err := readVerdict(replyReader(reply), "heartbeat")
 			switch {
 			case lineErr != nil:
 				if !IsTransient(err) {
@@ -361,7 +361,7 @@ func FuzzReadReply(f *testing.F) {
 		case namesReply:
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			names, err := readNames(bytes.NewReader(reply))
+			names, err := readNames(replyReader(reply))
 			runtime.ReadMemStats(&after)
 			var n int
 			if _, serr := fmt.Sscanf(line, "names n=%d", &n); err == nil && (lineErr != nil || serr != nil || len(names) != n) {
@@ -380,6 +380,25 @@ func FuzzReadReply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replyReader reads reply through a session's reply buffer.
+func replyReader(reply []byte) *bufio.Reader {
+	return bufio.NewReaderSize(bytes.NewReader(reply), replyBuf)
+}
+
+// fetchNames asks the coordinator at addr for its relay names, and
+// heartbeat renews a lease there, each on a session of its own.
+func fetchNames(addr string) ([]string, error) {
+	s := session{addr: addr}
+	defer s.close()
+	return s.names()
+}
+
+func heartbeat(addr, worker string, l Lease) error {
+	s := session{addr: addr}
+	defer s.close()
+	return s.heartbeat(worker, l)
 }
 
 // peer serves every connection on a loopback listener with reply: it reads
@@ -413,12 +432,12 @@ func peer(t *testing.T, reply []byte) string {
 // how many names came; and names are allocated as they arrive, not by the
 // count the peer claims.
 func TestFetchNamesRefusesBadCounts(t *testing.T) {
-	if _, err := FetchNames(peer(t, []byte("names n=-1\n"))); err == nil || !strings.Contains(err.Error(), "bad names header") {
+	if _, err := fetchNames(peer(t, []byte("names n=-1\n"))); err == nil || !strings.Contains(err.Error(), "bad names header") {
 		t.Fatalf("negative count: %v", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := FetchNames(peer(t, []byte("names n=1048576\nrelayA\nrelayB\n")))
+	_, err := fetchNames(peer(t, []byte("names n=1048576\nrelayA\nrelayB\n")))
 	runtime.ReadMemStats(&after)
 	if err == nil || !IsTransient(err) || !strings.Contains(err.Error(), "after 2 of 1048576 names") {
 		t.Fatalf("short reply: %v", err)
@@ -426,9 +445,9 @@ func TestFetchNamesRefusesBadCounts(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("a reply of two names allocated %d bytes", grew)
 	}
-	names, err := FetchNames(peer(t, []byte("names n=2\nrelayA\n relayB \n")))
+	names, err := fetchNames(peer(t, []byte("names n=2\nrelayA\n relayB \n")))
 	if err != nil || !slices.Equal(names, []string{"relayA", "relayB"}) {
-		t.Fatalf("FetchNames = %q, %v", names, err)
+		t.Fatalf("names = %q, %v", names, err)
 	}
 }
 
@@ -439,9 +458,9 @@ func TestReplyLinesBounded(t *testing.T) {
 	addr := peer(t, bytes.Repeat([]byte{'x'}, 1<<20))
 	lease := Lease{Shard: NewShard(0, 0, 0, 5), Epoch: 7, TTL: time.Second}
 	calls := map[string]func() error{
-		"names":     func() error { _, err := FetchNames(addr); return err },
+		"names":     func() error { _, err := fetchNames(addr); return err },
 		"acquire":   func() error { _, _, err := Acquire(addr, "w1"); return err },
-		"heartbeat": func() error { return Heartbeat(addr, "w1", lease) },
+		"heartbeat": func() error { return heartbeat(addr, "w1", lease) },
 		"complete":  func() error { return Complete(addr, "w1", lease, []PairResult{{X: "relayA", Y: "relayB", RTT: 1}}) },
 	}
 	for op, call := range calls {
@@ -450,7 +469,7 @@ func TestReplyLinesBounded(t *testing.T) {
 		}
 	}
 	long := "error " + strings.Repeat("y", maxReplyLine-len("error \n"))
-	err := Heartbeat(peer(t, []byte(long+"\n")), "w1", lease)
+	err := heartbeat(peer(t, []byte(long+"\n")), "w1", lease)
 	if err == nil || IsTransient(err) || !strings.HasSuffix(err.Error(), strings.Repeat("y", 100)+`"`) {
 		t.Fatalf("a %d-byte verdict: %v", len(long)+1, err)
 	}
@@ -475,21 +494,22 @@ func TestLongestVerdictFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := serveCoordinator(t, c)
-	if got, err := FetchNames(addr); err != nil || !slices.Equal(got, names) {
+	if got, err := fetchNames(addr); err != nil || !slices.Equal(got, names) {
 		t.Fatalf("names reply of the longest names: %d names, %v", len(got), err)
 	}
 	l, _, err := Acquire(addr, "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := dial(addr, 0)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	line := strings.Repeat("\x01", 4096-len("\n"))
 	fmt.Fprintf(conn, "%s complete w1 %s %d\n%s\n", Verb, l.Shard.ID, l.Epoch, line)
-	err = readVerdict(conn, "complete")
+	err = readVerdict(bufio.NewReaderSize(conn, replyBuf), "complete")
 	if err == nil || IsTransient(err) || !strings.Contains(err.Error(), "bad completion line") {
 		t.Fatalf("refused submission: %.200v", err)
 	}

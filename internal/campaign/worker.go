@@ -147,12 +147,19 @@ func (w *Worker) Run(ctx context.Context) error {
 		rng: rand.New(rand.NewSource(int64(h.Sum64()))),
 	}
 
+	// One session carries every call the worker makes. A call that fails
+	// leaves it closed, and the worker closes it before every other sleep,
+	// so only a worker that is leasing holds one of the coordinator's
+	// connections.
+	s := &session{addr: w.Addr}
+	defer s.close()
+
 	// The campaign's canonical name order frames everything: shard pair
 	// derivation, the worker's matrix, the checkpoint header.
 	var names []string
 	for {
 		var err error
-		names, err = FetchNames(w.Addr)
+		names, err = s.names()
 		if err == nil {
 			rec.reset()
 			break
@@ -181,7 +188,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lease, res, err := Acquire(w.Addr, w.Name)
+		lease, res, err := s.acquire(w.Name)
 		if err != nil {
 			// Transport failures and coordinator-side errors (a failed
 			// journal write, say) both resolve by waiting for a healthy
@@ -198,6 +205,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("worker %s: campaign done", w.Name)
 			return nil
 		case AcquireNone:
+			s.close()
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -206,7 +214,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		if err := w.runLease(ctx, names, ledger, lease, rec, &need, &sub); err != nil {
+		if err := w.runLease(ctx, s, names, ledger, lease, rec, &need, &sub); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -215,6 +223,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("worker %s: lease %s epoch %d: %v", w.Name, lease.Shard.ID, lease.Epoch, err)
 		}
 		if w.Dally > 0 {
+			s.close()
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -279,8 +288,8 @@ func (w *Worker) openLedger(names []string) (*ting.Matrix, error) {
 // accepts the next beat (resurrecting the lease if it had lazily expired)
 // or finally fences us. The pairs to measure are listed in *need and the
 // submission is built in *sub, both of which the worker keeps for its whole
-// life.
-func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, need *[][2]int, sub *shardValues) error {
+// life. Every call goes through s, which the heartbeat goroutine shares.
+func (w *Worker) runLease(ctx context.Context, s *session, names []string, ledger *ting.Matrix, lease Lease, rec *reconnector, need *[][2]int, sub *shardValues) error {
 	sh := lease.Shard
 	if err := sh.fits(len(names)); err != nil {
 		return err
@@ -341,7 +350,7 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 				return
 			case <-t.C:
 			}
-			if err := Heartbeat(w.Addr, w.Name, lease); err != nil {
+			if err := s.heartbeat(w.Name, lease); err != nil {
 				switch {
 				case errors.Is(err, ErrFenced):
 					// The only verdict that abandons the scan: the shard
@@ -387,7 +396,7 @@ func (w *Worker) runLease(ctx context.Context, names []string, ledger *ting.Matr
 	// recovery (the journal replays it), so a late submission lands unless
 	// the shard was genuinely re-granted — which only ErrFenced proves.
 	for {
-		err := submit(w.Addr, w.Name, lease, sub.rtts, sub.failed)
+		err := s.complete(w.Name, lease, sub.rtts, sub.failed)
 		if err == nil {
 			rec.reset()
 			break

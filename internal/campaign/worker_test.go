@@ -411,13 +411,15 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				grace:   time.Minute,
 				rng:     rand.New(rand.NewSource(1)),
 			}
-			// One pair list and one submission buffer for every lease, as
-			// Run keeps them.
+			// One session, one pair list and one submission buffer for every
+			// lease, as Run keeps them.
+			s := &session{addr: addr}
+			defer s.close()
 			var (
 				need [][2]int
 				sub  shardValues
 			)
-			if err := w.runLease(ctx, names, ledger, l1, rec, &need, &sub); !errors.Is(err, ErrFenced) {
+			if err := w.runLease(ctx, s, names, ledger, l1, rec, &need, &sub); !errors.Is(err, ErrFenced) {
 				t.Fatalf("stale lease's submission: %v, want ErrFenced", err)
 			}
 			spent := series.Load()
@@ -438,7 +440,7 @@ func TestWorkerResubmitsWithoutNewSeries(t *testing.T) {
 				if err != nil || res != AcquireGranted {
 					t.Fatalf("re-grant to w1: %v %v", res, err)
 				}
-				if err := w.runLease(ctx, names, ledger, l3, rec, &need, &sub); err != nil {
+				if err := w.runLease(ctx, s, names, ledger, l3, rec, &need, &sub); err != nil {
 					t.Fatal(err)
 				}
 			}

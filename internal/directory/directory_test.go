@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -225,6 +226,118 @@ func TestServerFetch(t *testing.T) {
 	n, _ := conn.Read(buf)
 	if !strings.HasPrefix(string(buf[:n]), "error") {
 		t.Errorf("unknown request answered with %q", buf[:n])
+	}
+}
+
+// TestGetClosesAfterReply: a GET is one request a connection. The server
+// answers it and closes, so a second request sent behind it on the same
+// connection gets no reply.
+func TestGetClosesAfterReply(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Publish(testDesc(t, "served", true, 500)); err != nil {
+		t.Fatal(err)
+	}
+	var doc strings.Builder
+	if err := reg.EncodeConsensus(&doc); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
+	go srv.Serve(ln)
+	defer srv.Close()
+	for req, want := range map[string]string{
+		"GET consensus\n": doc.String(),
+		"GET delta 1\n":   "deltas from=1 to=1 count=0\nend\n",
+	} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte(req + "GET consensus\n")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil || string(got) != want {
+			t.Errorf("%q and a second request on one connection: %q, %v; want the first's reply alone", req, got, err)
+		}
+	}
+}
+
+// TestExtensionSession: an extension's connection carries request after
+// request while its handler reports it framed, each under a fresh
+// deadline, and ends when the handler does not, when the peer sends
+// nothing for the server's timeout, or when the server closes.
+func TestExtensionSession(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	serve := func(timeout time.Duration) (*Server, string) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(NewRegistry())
+		srv.timeout = timeout
+		srv.Extend("ECHO", func(conn net.Conn, br *bufio.Reader, req string) bool {
+			fmt.Fprintln(conn, strings.TrimPrefix(req, "ECHO "))
+			return req != "ECHO last"
+		})
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		return srv, ln.Addr().String()
+	}
+	dial := func(addr string) (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+
+	_, addr := serve(timeout)
+	conn, br := dial(addr)
+	fmt.Fprint(conn, "ECHO a\nECHO b\n")
+	for _, want := range []string{"a\n", "b\n"} {
+		if line, err := br.ReadString('\n'); line != want || err != nil {
+			t.Fatalf("reply %q, %v; want %q", line, err, want)
+		}
+	}
+	// Idle for half the timeout, three times over: each request renews it.
+	for _, want := range []string{"c\n", "d\n", "e\n"} {
+		time.Sleep(timeout / 2)
+		fmt.Fprintf(conn, "ECHO %s", want)
+		if line, err := br.ReadString('\n'); line != want || err != nil {
+			t.Fatalf("reply after an idle spell %q, %v; want %q", line, err, want)
+		}
+	}
+	fmt.Fprint(conn, "ECHO last\nECHO unread\n")
+	if rest, err := io.ReadAll(br); string(rest) != "last\n" || err != nil {
+		t.Fatalf("after an unframed reply: %q, %v; want that reply, then the close", rest, err)
+	}
+
+	_, br = dial(addr)
+	start := time.Now()
+	if rest, err := io.ReadAll(br); len(rest) != 0 || err != nil {
+		t.Fatalf("idle session: %q, %v", rest, err)
+	}
+	if idle := time.Since(start); idle < timeout/2 || idle > 10*timeout {
+		t.Errorf("idle session closed after %v, want about %v", idle, timeout)
+	}
+
+	srv, addr := serve(DefaultIOTimeout)
+	conn, br = dial(addr)
+	fmt.Fprint(conn, "ECHO open\n")
+	if line, err := br.ReadString('\n'); line != "open\n" || err != nil {
+		t.Fatalf("reply %q, %v", line, err)
+	}
+	srv.Close()
+	if rest, err := io.ReadAll(br); len(rest) != 0 || err != nil {
+		t.Fatalf("a session open at Close: %q, %v; want it closed", rest, err)
 	}
 }
 

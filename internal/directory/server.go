@@ -23,31 +23,39 @@ import (
 // pin a server connection open.
 const DefaultIOTimeout = 10 * time.Second
 
-// Server serves the consensus over a one-request text protocol. The client
-// sends "GET consensus\n" and receives the encoded document, or
-// "GET delta <epoch>\n" and receives the deltas recorded since that epoch
-// (or a resync marker plus the full consensus when the bounded delta
-// history no longer reaches back that far). It stands in for Tor's
-// directory port in the live-TCP deployment mode.
+// Server serves the consensus over a line-text protocol. A GET is one
+// request a connection: the client sends "GET consensus\n" and receives the
+// encoded document, or "GET delta <epoch>\n" and receives the deltas
+// recorded since that epoch (or a resync marker plus the full consensus when
+// the bounded delta history no longer reaches back that far), and the server
+// closes. An extension verb's connection is a session: the server reads
+// request after request on it while the handler keeps it framed. It stands
+// in for Tor's directory port in the live-TCP deployment mode.
 type Server struct {
 	reg *Registry
-	// timeout bounds each connection's whole conversation.
+	// timeout bounds each request's conversation, and so how long a session
+	// may sit idle between requests.
 	timeout time.Duration
 	limit   int // netutil.MaxConns open connections; tests shorten it
 
-	mu  sync.Mutex
-	ln  net.Listener
-	ext map[string]ExtensionFunc
+	mu     sync.Mutex
+	ln     net.Listener
+	ext    map[string]ExtensionFunc
+	conns  map[net.Conn]struct{} // open connections, which Close ends
+	closed bool
 }
 
 // ExtensionFunc handles one extension request. req is the full request
 // line (leading verb included); br is the connection's buffered reader,
 // positioned after the request line — multi-line requests must read their
 // body from br, not conn, or they would lose bytes the server already
-// buffered. The handler writes its reply to conn and returns; the server
-// closes the connection and reuses br for another, so a handler keeps
-// neither past its return.
-type ExtensionFunc func(conn net.Conn, br *bufio.Reader, req string)
+// buffered. The handler writes its reply to conn and reports whether the
+// connection is still framed: true when it read exactly its request, so the
+// server reads the next request line from br; false when it stopped partway
+// through a body, so the server closes the connection rather than read the
+// rest of the body as requests. The server reuses br for another connection
+// once this one closes, so a handler keeps neither past its return.
+type ExtensionFunc func(conn net.Conn, br *bufio.Reader, req string) (framed bool)
 
 // NewServer creates a directory server over reg.
 func NewServer(reg *Registry) *Server {
@@ -82,14 +90,38 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
+		if !s.track(conn) {
+			conn.Close()
+			continue
+		}
 		go s.handle(conn)
 	}
 }
 
-// Close stops the server.
+// track records conn as open, unless the server has closed.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+// Close stops the server: it closes the listener and ends every open
+// connection, a session between requests included, so a closed server
+// answers nothing more.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 	if s.ln == nil {
 		return nil
 	}
@@ -97,23 +129,38 @@ func (s *Server) Close() error {
 }
 
 // requestReaders holds the connections' *bufio.Reader of requestBuf bytes:
-// every request is a new connection, and each borrows a reader for its
-// conversation. A reader goes back reset to nil, holding no connection.
+// each connection borrows a reader for its life. A reader goes back reset to
+// nil, holding no connection.
 var requestReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, requestBuf) }}
 
 // requestBuf is a connection's read buffer, and so the longest request line
 // the server reads.
 const requestBuf = 4096
 
+// handle answers one connection: a GET and its reply, or extension requests
+// until the peer hangs up, a handler leaves the connection unframed, or the
+// peer sends nothing for timeout.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(s.timeout))
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	br := requestReaders.Get().(*bufio.Reader)
 	br.Reset(conn)
 	defer func() {
 		br.Reset(nil)
 		requestReaders.Put(br)
 	}()
+	for s.serveOne(conn, br) {
+	}
+}
+
+// serveOne reads and answers one request, under a fresh deadline, and
+// reports whether the connection carries another.
+func (s *Server) serveOne(conn net.Conn, br *bufio.Reader) bool {
+	_ = conn.SetDeadline(time.Now().Add(s.timeout))
 	// The request line must fit the reader's buffer: a peer that sends more
 	// without a newline is refused, not buffered without bound.
 	line, err := br.ReadSlice('\n')
@@ -121,7 +168,7 @@ func (s *Server) handle(conn net.Conn) {
 		if errors.Is(err, bufio.ErrBufferFull) {
 			fmt.Fprintf(conn, "error request line longer than %d bytes\n", br.Size())
 		}
-		return
+		return false
 	}
 	req := strings.TrimSpace(string(line))
 	switch {
@@ -131,7 +178,7 @@ func (s *Server) handle(conn net.Conn) {
 		since, err := strconv.ParseUint(strings.TrimPrefix(req, "GET delta "), 10, 64)
 		if err != nil {
 			fmt.Fprintln(conn, "error bad epoch")
-			return
+			return false
 		}
 		s.serveDeltas(conn, since)
 	default:
@@ -143,11 +190,11 @@ func (s *Server) handle(conn net.Conn) {
 		fn := s.ext[verb]
 		s.mu.Unlock()
 		if fn != nil {
-			fn(conn, br, req)
-			return
+			return fn(conn, br, req)
 		}
 		fmt.Fprintln(conn, "error unknown request")
 	}
+	return false
 }
 
 // serveDeltas answers "GET delta <since>". The reply is either

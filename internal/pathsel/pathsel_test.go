@@ -361,3 +361,89 @@ func TestFindTIVsPredictedCells(t *testing.T) {
 		t.Errorf("flagged TIV = %+v, want detour via c at 50ms", tiv)
 	}
 }
+
+// findTIVsByColumn is FindTIVs as it read the detour's second leg before
+// it walked rows: rtt[r][d] and pred[r][d], a column of each.
+// TestFindTIVsRowsMatchColumns holds FindTIVs to it.
+func findTIVsByColumn(m ting.MatrixView) []TIV {
+	n := m.N()
+	rtt := m.Dense()
+	pred := make([][]bool, n)
+	for s := range pred {
+		pred[s] = make([]bool, n)
+		for d := range pred[s] {
+			pred[s][d] = s != d && m.ProvAt(s, d) == ting.ProvPredicted
+		}
+	}
+	var out []TIV
+	for s := 0; s < n; s++ {
+		for d := s + 1; d < n; d++ {
+			best := TIV{S: s, D: d, R: -1, DirectMs: rtt[s][d], DetourMs: rtt[s][d], Predicted: pred[s][d]}
+			for r := 0; r < n; r++ {
+				if r == s || r == d || pred[s][r] || pred[r][d] {
+					continue
+				}
+				if detour := rtt[s][r] + rtt[r][d]; detour < best.DetourMs {
+					best.DetourMs, best.R = detour, r
+				}
+			}
+			if best.R >= 0 {
+				out = append(out, best)
+			}
+		}
+	}
+	return out
+}
+
+// TestFindTIVsRowsMatchColumns: FindTIVs, which reads the detour's second
+// leg along a row, reports exactly the TIVs of the column-reading loop —
+// the same pairs in the same order, the same detour relay where two tie,
+// and the same flags — on three worlds of each size, fully measured and
+// with a tenth of the pairs predicted. The race detector slows both loops
+// tenfold and has no goroutines to watch, so under it the 500-relay worlds
+// are skipped.
+func TestFindTIVsRowsMatchColumns(t *testing.T) {
+	sizes := []int{20, 200, 500}
+	if raceEnabled {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 3; seed++ {
+			m := worldMatrix(t, n, seed)
+			// Whole-millisecond RTTs make ties among detours common.
+			names := m.Names()
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					m.Set(names[i], names[j], math.Round(m.At(i, j)))
+				}
+			}
+			for _, predicted := range []bool{false, true} {
+				if predicted {
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < n; i++ {
+						for j := i + 1; j < n; j++ {
+							if rng.Intn(10) == 0 {
+								if err := m.SetPredicted(names[i], names[j], math.Round(m.At(i, j)*(0.5+rng.Float64())), 0.5); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					}
+				}
+				got, err := FindTIVs(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := findTIVsByColumn(m)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d seed=%d predicted=%v: %d TIVs, the column loop finds %d", n, seed, predicted, len(got), len(want))
+				}
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d seed=%d predicted=%v: TIV %d is %+v, the column loop's %+v", n, seed, predicted, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}

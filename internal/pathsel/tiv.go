@@ -69,10 +69,13 @@ func FindTIVs(m ting.MatrixView) ([]TIV, error) {
 			}
 		}
 	}
+	// rtt and pred are symmetric, so the detour legs r→d are read as d→r:
+	// the inner loops walk rows s and d, never a column.
 	var out []TIV
 	for s := 0; s < n; s++ {
 		rowS := rtt[s]
 		for d := s + 1; d < n; d++ {
+			rowD := rtt[d]
 			direct := rowS[d]
 			best := TIV{S: s, D: d, R: -1, DirectMs: direct, DetourMs: direct}
 			if pred == nil {
@@ -80,19 +83,19 @@ func FindTIVs(m ting.MatrixView) ([]TIV, error) {
 					if r == s || r == d {
 						continue
 					}
-					detour := rowS[r] + rtt[r][d]
+					detour := rowS[r] + rowD[r]
 					if detour < best.DetourMs {
 						best.DetourMs = detour
 						best.R = r
 					}
 				}
 			} else {
-				predS := pred[s]
+				predS, predD := pred[s], pred[d]
 				for r := 0; r < n; r++ {
-					if r == s || r == d || predS[r] || pred[r][d] {
+					if r == s || r == d || predS[r] || predD[r] {
 						continue
 					}
-					detour := rowS[r] + rtt[r][d]
+					detour := rowS[r] + rowD[r]
 					if detour < best.DetourMs {
 						best.DetourMs = detour
 						best.R = r

@@ -1256,32 +1256,3 @@ func TestChurnSoakJoinLeaveCancelResume(t *testing.T) {
 		t.Errorf("ting.deadline.adaptive_ms observations = %d, want >= 1", c)
 	}
 }
-
-// The committed tail-cost benchmark pair: one wedged pair under a fixed
-// 150ms PairTimeout versus adaptive deadlines floored at 20ms. The wedge
-// dominates both scans, so ns/op is the tail cost — adaptive cuts it
-// roughly PairTimeout/MinPairTimeout-fold.
-func benchmarkChurnScan(b *testing.B, adaptive bool) {
-	f := bigFakeWorld()
-	for b.Loop() {
-		p := &wedgeProber{f: f, x: "u", y: "v"}
-		sc := &Scanner{
-			NewMeasurer: func(worker int) (*Measurer, error) {
-				return NewMeasurer(Config{Prober: p, W: "w", Z: "z", Samples: 1})
-			},
-			Workers:      1,
-			SkipFailures: true,
-			PairTimeout:  150 * time.Millisecond,
-		}
-		if adaptive {
-			sc.AdaptiveDeadline = true
-			sc.MinPairTimeout = 20 * time.Millisecond
-		}
-		if _, failures, err := sc.Scan(context.Background(), []string{"x", "y", "u", "v"}); err != nil || len(failures) != 1 {
-			b.Fatalf("scan = (%v, %v), want exactly the wedged pair failing", failures, err)
-		}
-	}
-}
-
-func BenchmarkScanFixedDeadline(b *testing.B)    { benchmarkChurnScan(b, false) }
-func BenchmarkScanAdaptiveDeadline(b *testing.B) { benchmarkChurnScan(b, true) }

@@ -22,6 +22,13 @@
 // benchmark only the head has is reported as new, and one only the base has
 // as gone; neither fails.
 //
+// Each side's spread, its slowest ns/op over its fastest, is printed for
+// every benchmark. A benchmark that passes while the base's own spread is
+// over 1 + nsTolerance is labelled unresolved rather than ok: its base runs
+// disagree by more than the tolerance, so the time rule cannot see a
+// slowdown of that size (a doubling, on the noisiest), and the pass says
+// little. Unresolved does not fail.
+//
 // The report is a markdown table on stdout, progress goes to stderr. The
 // exit status is 1 on a regression or when a run of the head fails, and 2
 // when the gate cannot run or is interrupted (it removes its worktree either
@@ -210,6 +217,9 @@ func verdict(base, head *stats) (string, bool) {
 		why = append(why, "more allocs")
 	}
 	if why == nil {
+		if base.spread() > 1+nsTolerance {
+			return "unresolved", false
+		}
 		return "ok", false
 	}
 	return "**" + strings.Join(why, ", ") + "**", true
@@ -218,8 +228,8 @@ func verdict(base, head *stats) (string, bool) {
 // report writes the markdown table and reports whether a benchmark failed.
 func report(w io.Writer, base, head results) (failed bool) {
 	fmt.Fprintf(w, "### Benchmarks: base vs head, %d runs a side at %s\n\n", runs, benchTime)
-	fmt.Fprintln(w, "| benchmark | base ns/op | head ns/op | allocs/op (base → head) | verdict |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
+	fmt.Fprintln(w, "| benchmark | base ns/op | head ns/op | spread (base, head) | allocs/op (base → head) | verdict |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	var names []string
 	for name := range base {
 		names = append(names, name)
@@ -230,16 +240,23 @@ func report(w io.Writer, base, head results) (failed bool) {
 		}
 	}
 	sort.Strings(names)
-	fails := 0
+	fails, unresolved := 0, 0
 	for _, name := range names {
 		b, h := base[name], head[name]
 		status, fail := verdict(b, h)
 		if fail {
 			fails++
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s → %s | %s |\n", name, b.nsRange(), h.nsRange(), b.allocs(), h.allocs(), status)
+		if status == "unresolved" {
+			unresolved++
+		}
+		fmt.Fprintf(w, "| %s | %s | %s | %s, %s | %s → %s | %s |\n", name, b.nsRange(), h.nsRange(), b.spreadText(), h.spreadText(), b.allocs(), h.allocs(), status)
 	}
 	fmt.Fprintln(w)
+	if unresolved > 0 {
+		fmt.Fprintf(w, "%d benchmark(s) unresolved: the base's own runs spread over %.2f×, so a slowdown within that spread passes unseen.\n\n",
+			unresolved, 1+nsTolerance)
+	}
 	if fails > 0 {
 		fmt.Fprintf(w, "%d benchmark(s) regressed: slower means the head's fastest run is over %.0f%% above the base's slowest; more allocs means over %.2f× the base's fewest and by more than %d.\n",
 			fails, nsTolerance*100, allocTolerance, allocFloor)
@@ -256,6 +273,18 @@ func (s *stats) nsRange() string {
 		return "–"
 	}
 	return num(s.nsMin) + "–" + num(s.nsMax)
+}
+
+// spread is the slowest ns/op over the fastest.
+func (s *stats) spread() float64 { return s.nsMax / s.nsMin }
+
+// spreadText prints the spread to two places, "–" on the side without the
+// benchmark.
+func (s *stats) spreadText() string {
+	if s == nil {
+		return "–"
+	}
+	return strconv.FormatFloat(s.spread(), 'f', 2, 64) + "×"
 }
 
 // allocs prints the fewest allocs/op, "–" on the side without the benchmark.

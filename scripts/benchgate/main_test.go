@@ -66,9 +66,33 @@ func TestGateFlagsADoubling(t *testing.T) {
 	}
 }
 
+// TestGatePassesOverlappingRanges: overlapping ranges pass. The base's own
+// 100–140 ns/op spread 1.40×, over the 1.10 the time rule tolerates, so the
+// pass is labelled unresolved.
 func TestGatePassesOverlappingRanges(t *testing.T) {
-	if v := verdictOf(t, "ting/internal/a/BenchmarkOverlap"); v != "ok" {
+	if v := verdictOf(t, "ting/internal/a/BenchmarkOverlap"); v != "unresolved" {
 		t.Errorf("overlapping ranges: %s", v)
+	}
+}
+
+// TestReportPrintsSpreads: every row carries each side's spread, and the
+// report counts the unresolved passes; a base whose runs agree within the
+// tolerance reads ok.
+func TestReportPrintsSpreads(t *testing.T) {
+	base, head := canned(t)
+	if v := verdictOf(t, "ting/internal/b/BenchmarkDoubled"); v != "ok" {
+		t.Errorf("a base within 1.05× of itself: %s", v)
+	}
+	var out bytes.Buffer
+	report(&out, base, head)
+	for _, want := range []string{
+		"| ting/internal/a/BenchmarkOverlap | 100–140 | 120–160 | 1.40×, 1.33× | 0 → 0 | unresolved |",
+		"| ting/internal/b/BenchmarkGone | 1002834–1049581 | – | 1.05×, – |",
+		"1 benchmark(s) unresolved",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
